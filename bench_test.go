@@ -234,10 +234,15 @@ func BenchmarkQuery(b *testing.B) {
 		}
 	}
 	queries := benchQueries(objs, 1000, 0.6)
+	if err := tree.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	snap := tree.Snapshot()
+	defer snap.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.RangeQuery(queries[i%len(queries)]); err != nil {
+		if _, _, err := snap.RangeQuery(context.Background(), queries[i%len(queries)], core.QueryOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,20 +254,21 @@ func BenchmarkQuery(b *testing.B) {
 // The fixture is built once and shared; queries are read-only.
 var parallelFixture struct {
 	once    sync.Once
-	ct      *uncertain.ConcurrentTree
+	ct      *uncertain.Tree
+	lat     *experiments.Latency
 	queries []uncertain.RangeQuery
 	err     error
 }
 
-func parallelBenchFixture(b *testing.B) (*uncertain.ConcurrentTree, []uncertain.RangeQuery) {
+func parallelBenchFixture(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
 	parallelFixture.once.Do(func() {
 		cfg := benchConfig()
 		cfg.Scale = 0.05
 		cfg.Queries = 100
-		parallelFixture.ct, parallelFixture.queries, parallelFixture.err =
+		parallelFixture.ct, parallelFixture.lat, parallelFixture.queries, parallelFixture.err =
 			experiments.BuildParallelFixture(cfg)
 		if parallelFixture.err == nil {
-			parallelFixture.ct.SetSimulatedPageLatency(2_000_000) // 2ms in ns
+			parallelFixture.lat.Arm(2 * time.Millisecond)
 			// One warm pass so every benchmark starts from the same cache.
 			for _, q := range parallelFixture.queries {
 				if _, _, err := parallelFixture.ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
@@ -285,8 +291,8 @@ func parallelBenchFixture(b *testing.B) (*uncertain.ConcurrentTree, []uncertain.
 // allocation gate watches.
 func BenchmarkFig9SearchHotCache(b *testing.B) {
 	ct, queries := parallelBenchFixture(b)
-	ct.SetSimulatedPageLatency(0)
-	defer ct.SetSimulatedPageLatency(2 * time.Millisecond) // restore for later benchmarks
+	parallelFixture.lat.Arm(0)
+	defer parallelFixture.lat.Arm(2 * time.Millisecond) // restore for later benchmarks
 	// One zero-latency pass so every page and decoded node is warm.
 	for _, q := range queries {
 		if _, _, err := ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
@@ -370,7 +376,7 @@ func BenchmarkFig9SearchPrefetch(b *testing.B) {
 // scatter-gathers across the shards, overlapping its page stalls, so
 // queries/sec grows with shards even on one core. The per-shard buffer
 // pool is the single tree's divided by the shard count (constant total
-// cache budget); shards=1 is a plain ConcurrentTree. The mixed read/write
+// cache budget); shards=1 is a plain Tree. The mixed read/write
 // version (with a live writer stream) runs via
 // `go run ./cmd/ubench -experiment sharded`.
 func BenchmarkFig9SearchSharded(b *testing.B) {
@@ -379,7 +385,7 @@ func BenchmarkFig9SearchSharded(b *testing.B) {
 			cfg := benchConfig()
 			cfg.Scale = 0.05
 			cfg.Queries = 100
-			idx, queries, err := experiments.BuildShardedFixture(cfg, shards)
+			idx, lat, queries, err := experiments.BuildShardedFixture(cfg, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -389,9 +395,7 @@ func BenchmarkFig9SearchSharded(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if !experiments.ArmLatency(idx, 2*time.Millisecond) {
-				b.Fatalf("index %T does not support simulated latency", idx)
-			}
+			lat.Arm(2 * time.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

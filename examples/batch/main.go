@@ -1,5 +1,5 @@
 // Command batch demonstrates the parallel batch query engine: one shared
-// ConcurrentTree serving a fan-out of probabilistic range queries, with the
+// Tree serving a fan-out of probabilistic range queries, with the
 // aggregated cost metrics the paper reports per query.
 package main
 
@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	ct, err := uncertain.NewConcurrentTree(uncertain.Config{Dimensions: 2})
+	ct, err := uncertain.NewTree(uncertain.Config{Dimensions: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -11,13 +11,17 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/uncertain"
 )
 
 func main() {
+	// Build at zero storage latency; the hook arms it for the measured part.
+	lat := &experiments.Latency{}
 	st, err := uncertain.NewShardedTree(4, uncertain.Config{
 		Dimensions:      2,
 		ExactRefinement: true,
+		WrapStore:       lat.Wrap,
 	})
 	if err != nil {
 		panic(err)
@@ -39,7 +43,7 @@ func main() {
 
 	// Model disk-resident storage: every physical page access now costs
 	// 2 ms, which is what the scatter-gather overlaps.
-	st.SetSimulatedPageLatency(2 * time.Millisecond)
+	lat.Arm(2 * time.Millisecond)
 
 	// A live update stream: vehicles re-report positions while we query.
 	stop := make(chan struct{})

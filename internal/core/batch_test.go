@@ -7,10 +7,11 @@ import (
 	"repro/internal/pagefile"
 )
 
-// TestBatchAmortizesRelocations pins down the batch surface's reason to
-// exist: committing per operation shadow-relocates the whole root path
-// every time, while a batch relocates each node at most once — so the
-// batched build must allocate far fewer pages for the same inserts.
+// TestBatchAmortizesRelocations pins down why commit granularity is the
+// caller's choice: committing per operation shadow-relocates the whole root
+// path every time, while one commit for the whole build relocates each node
+// at most once — so the batched build must allocate far fewer pages for the
+// same inserts.
 func TestBatchAmortizesRelocations(t *testing.T) {
 	build := func(batch bool) int64 {
 		store := pagefile.NewMemStore()
@@ -19,11 +20,6 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		objs := makeObjects(200, 1000, rand.New(rand.NewSource(11)))
-		if batch {
-			if err := tree.BeginBatch(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, o := range objs {
 			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
@@ -34,10 +30,8 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 				}
 			}
 		}
-		if batch {
-			if err := tree.CommitBatch(); err != nil {
-				t.Fatal(err)
-			}
+		if err := tree.Commit(); err != nil {
+			t.Fatal(err)
 		}
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -55,25 +49,12 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 	}
 }
 
-func TestBatchStateMachine(t *testing.T) {
+// TestCommitRollbackVisibility: uncommitted mutations are invisible to the
+// committed epoch, Rollback drops them, Commit publishes them.
+func TestCommitRollbackVisibility(t *testing.T) {
 	tree, err := New(Options{Dim: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tree.InBatch() {
-		t.Fatal("fresh tree reports an open batch")
-	}
-	if err := tree.CommitBatch(); err == nil {
-		t.Fatal("CommitBatch without BeginBatch succeeded")
-	}
-	if err := tree.RollbackBatch(); err == nil {
-		t.Fatal("RollbackBatch without BeginBatch succeeded")
-	}
-	if err := tree.BeginBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.BeginBatch(); err == nil {
-		t.Fatal("nested BeginBatch succeeded")
 	}
 	objs := makeObjects(3, 1000, rand.New(rand.NewSource(3)))
 	for _, o := range objs {
@@ -82,27 +63,24 @@ func TestBatchStateMachine(t *testing.T) {
 		}
 	}
 	if tree.CommittedLen() != 0 {
-		t.Fatalf("uncommitted batch visible: CommittedLen=%d", tree.CommittedLen())
+		t.Fatalf("uncommitted inserts visible: CommittedLen=%d", tree.CommittedLen())
 	}
-	if err := tree.RollbackBatch(); err != nil {
+	if err := tree.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != 0 || tree.InBatch() {
-		t.Fatalf("rollback left Len=%d inBatch=%v", tree.Len(), tree.InBatch())
-	}
-	if err := tree.BeginBatch(); err != nil {
-		t.Fatal(err)
+	if tree.Len() != 0 {
+		t.Fatalf("rollback left Len=%d", tree.Len())
 	}
 	for _, o := range objs {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.CommitBatch(); err != nil {
+	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if tree.CommittedLen() != len(objs) {
-		t.Fatalf("CommittedLen=%d after batch commit, want %d", tree.CommittedLen(), len(objs))
+		t.Fatalf("CommittedLen=%d after commit, want %d", tree.CommittedLen(), len(objs))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -55,6 +56,31 @@ func buildTree(t *testing.T, kind Kind, objs []Object, catalogSize int) *Tree {
 	return tree
 }
 
+// rangeQueryOpts answers q the way a single-threaded caller does: commit
+// whatever is pending, pin the resulting epoch, query it.
+func rangeQueryOpts(tree *Tree, q Query, o QueryOpts) ([]Result, QueryStats, error) {
+	if err := tree.Commit(); err != nil {
+		return nil, QueryStats{}, err
+	}
+	snap := tree.Snapshot()
+	defer snap.Close()
+	return snap.RangeQuery(context.Background(), q, o)
+}
+
+func rangeQuery(tree *Tree, q Query) ([]Result, QueryStats, error) {
+	return rangeQueryOpts(tree, q, QueryOpts{})
+}
+
+// nearestNeighbors is rangeQuery's k-NN counterpart.
+func nearestNeighbors(tree *Tree, q geom.Point, k int) ([]NNResult, NNStats, error) {
+	if err := tree.Commit(); err != nil {
+		return nil, NNStats{}, err
+	}
+	snap := tree.Snapshot()
+	defer snap.Close()
+	return snap.NearestNeighbors(context.Background(), q, k, QueryOpts{})
+}
+
 func resultIDs(rs []Result) []int64 {
 	ids := make([]int64, len(rs))
 	for i, r := range rs {
@@ -101,7 +127,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 			rq := randomQueryRect(rng, 1000)
 			pq := 0.05 + rng.Float64()*0.9
 			query := Query{Rect: rq, Prob: pq}
-			got, stats, err := tree.RangeQuery(query)
+			got, stats, err := rangeQuery(tree, query)
 			if err != nil {
 				t.Fatalf("%v query %d: %v", kind, q, err)
 			}
@@ -126,7 +152,7 @@ func TestValidatedResultsAreMarked(t *testing.T) {
 	tree := buildTree(t, UTree, objs, 0)
 	// A giant query validates everything without probability computations.
 	all := Query{Rect: geom.NewRect(geom.Point{-100, -100}, geom.Point{700, 700}), Prob: 0.5}
-	got, stats, err := tree.RangeQuery(all)
+	got, stats, err := rangeQuery(tree, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +177,7 @@ func TestDisjointQueryTouchesFewNodes(t *testing.T) {
 	objs := makeObjects(1000, 1000, rng)
 	tree := buildTree(t, UTree, objs, 0)
 	q := Query{Rect: geom.NewRect(geom.Point{5000, 5000}, geom.Point{5100, 5100}), Prob: 0.5}
-	got, stats, err := tree.RangeQuery(q)
+	got, stats, err := rangeQuery(tree, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +219,7 @@ func TestDeleteThenQuery(t *testing.T) {
 		scan := NewScan(remaining, 9, 0, true, 1)
 		for q := 0; q < 50; q++ {
 			query := Query{Rect: randomQueryRect(rng, 800), Prob: 0.05 + rng.Float64()*0.9}
-			got, _, err := tree.RangeQuery(query)
+			got, _, err := rangeQuery(tree, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +251,7 @@ func TestDeleteAllLeavesEmptyUsableTree(t *testing.T) {
 	if err := tree.Insert(objs[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := tree.RangeQuery(Query{
+	got, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{-1000, -1000}, geom.Point{2000, 2000}),
 		Prob: 0.5,
 	})
@@ -297,7 +323,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 30; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +379,11 @@ func TestUTreeFewerNodeAccesses(t *testing.T) {
 	var utIO, upIO int
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 3000), Prob: 0.6}
-		_, s1, err := ut.RangeQuery(query)
+		_, s1, err := rangeQuery(ut, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, s2, err := up.RangeQuery(query)
+		_, s2, err := rangeQuery(up, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,14 +406,14 @@ func TestQueryValidation(t *testing.T) {
 		{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), Prob: 1.1}, // pq > 1
 	}
 	for i, q := range cases {
-		if _, _, err := tree.RangeQuery(q); err == nil {
+		if _, _, err := rangeQuery(tree, q); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 	// Invalid rectangle (NaN) must be rejected too.
 	bad := Query{Rect: geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}}, Prob: 0.5}
 	bad.Rect.Lo[0] = 2 // inverted
-	if _, _, err := tree.RangeQuery(bad); err == nil {
+	if _, _, err := rangeQuery(tree, bad); err == nil {
 		t.Error("inverted rect accepted")
 	}
 }
@@ -397,7 +423,7 @@ func TestEmptyTreeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := tree.RangeQuery(Query{
+	got, stats, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0, 0}, geom.Point{1, 1, 1}),
 		Prob: 0.5,
 	})
@@ -457,7 +483,7 @@ func Test3DTree(t *testing.T) {
 			geom.Point{c[0] - s, c[1] - s, c[2] - s},
 			geom.Point{c[0] + s, c[1] + s, c[2] + s})
 		query := Query{Rect: rq, Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,11 +498,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	objs := makeObjects(400, 600, rng)
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, ExactRefinement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := tree.AllocMetaPage()
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,11 +507,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.SaveMeta(meta); err != nil {
+	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := Open(store, meta, Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +524,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := re.RangeQuery(query)
+		got, _, err := rangeQuery(re, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +572,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fs.Arm(0)
-	if _, _, err := tree.RangeQuery(Query{
+	if _, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
 	}); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("query under fault: %v", err)
@@ -558,7 +580,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	// Heal and confirm reads still work (tree structure was not corrupted
 	// by the failed insert attempt before any page mutation).
 	fs.Arm(-1)
-	if _, _, err := tree.RangeQuery(Query{
+	if _, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
 	}); err != nil {
 		t.Fatalf("query after heal: %v", err)
@@ -642,7 +664,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 50; q++ {
 		query := Query{Rect: randomQueryRect(rng, 400), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		k := 1 + rng.Intn(8)
-		got, stats, err := tree.NearestNeighbors(q, k)
+		got, stats, err := nearestNeighbors(tree, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestNearestNeighborsKLargerThanData(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	objs := makeObjects(10, 200, rng)
 	tree := buildTree(t, UTree, objs, 0)
-	got, _, err := tree.NearestNeighbors(geom.Point{100, 100}, 50)
+	got, _, err := nearestNeighbors(tree, geom.Point{100, 100}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestNearestNeighborsKLargerThanData(t *testing.T) {
 
 func TestNearestNeighborsValidation(t *testing.T) {
 	tree, _ := New(Options{Dim: 2})
-	if _, _, err := tree.NearestNeighbors(geom.Point{1}, 1); err == nil {
+	if _, _, err := nearestNeighbors(tree, geom.Point{1}, 1); err == nil {
 		t.Error("wrong-dim query accepted")
 	}
-	if _, _, err := tree.NearestNeighbors(geom.Point{1, 2}, 0); err == nil {
+	if _, _, err := nearestNeighbors(tree, geom.Point{1, 2}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	// Empty tree: no results, no error.
-	got, _, err := tree.NearestNeighbors(geom.Point{1, 2}, 3)
+	got, _, err := nearestNeighbors(tree, geom.Point{1, 2}, 3)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty tree NN: %v, %d results", err, len(got))
 	}
@@ -152,11 +152,11 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	// Query equivalence.
 	for q := 0; q < 60; q++ {
 		query := Query{Rect: randomQueryRect(rng, 1500), Prob: 0.05 + rng.Float64()*0.9}
-		a, _, err := inc.RangeQuery(query)
+		a, _, err := rangeQuery(inc, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := bulk.RangeQuery(query)
+		b, _, err := rangeQuery(bulk, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestBulkLoadStaysDynamic(t *testing.T) {
 	scan := NewScan(objs[100:], 9, 0, true, 1)
 	for q := 0; q < 30; q++ {
 		query := Query{Rect: randomQueryRect(rng, 800), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestCostModelPredictsWithinBand(t *testing.T) {
 			rq := geom.NewRect(
 				geom.Point{c[0] - qs/2, c[1] - qs/2},
 				geom.Point{c[0] + qs/2, c[1] + qs/2})
-			_, stats, err := tree.RangeQuery(Query{Rect: rq, Prob: 0.6})
+			_, stats, err := rangeQuery(tree, Query{Rect: rq, Prob: 0.6})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +363,7 @@ func TestSplitStrategiesStayCorrect(t *testing.T) {
 		}
 		for q := 0; q < 25; q++ {
 			query := Query{Rect: randomQueryRect(rng, 700), Prob: 0.05 + rng.Float64()*0.9}
-			got, _, err := tree.RangeQuery(query)
+			got, _, err := rangeQuery(tree, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +392,7 @@ func TestDisableReinsertStaysCorrect(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 25; q++ {
 		query := Query{Rect: randomQueryRect(rng, 700), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestPolygonAndMixtureObjectsEndToEnd(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := rangeQuery(tree, query)
 		if err != nil {
 			t.Fatal(err)
 		}

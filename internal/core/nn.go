@@ -103,17 +103,11 @@ type nnHeap []nnItem
 
 func (h nnHeap) Len() int { return len(h) }
 
-// NearestNeighborsRO is the read-only NN entry point, mirroring
-// RangeQueryRO: NN traversal already keeps all its state on the stack
-// (ExpectedDistance seeds a fresh sampler per object), so with the sharded
-// buffer pool and atomic I/O counters it is safe for any number of
-// concurrent readers — provided no writer runs at the same time.
-func (t *Tree) NearestNeighborsRO(q geom.Point, k int) ([]NNResult, NNStats, error) {
-	return t.NearestNeighbors(q, k)
-}
-
 // NearestNeighbors returns the k objects with the smallest expected
-// distance to the query point q, in ascending order.
+// distance to the query point q, in ascending order, against the pinned
+// epoch, lock-free (the traversal keeps all its state in pooled scratch,
+// and ExpectedDistance seeds a fresh sampler per object). It is the only
+// NN entry point.
 //
 // With intra-query prefetching armed, the traversal speculatively
 // prefetches the pages behind the most promising frontier heap entries
@@ -121,30 +115,14 @@ func (t *Tree) NearestNeighborsRO(q geom.Point, k int) ([]NNResult, NNStats, err
 // integration run — the best-first pop order, the refinement order, and
 // the per-object sampler seeding are untouched, so results are
 // byte-identical to the serial traversal.
-func (t *Tree) NearestNeighbors(q geom.Point, k int) ([]NNResult, NNStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.NearestNeighborsCtx(context.Background(), q, k, QueryOpts{})
-}
-
-// NearestNeighborsCtx is NearestNeighbors with a cancellation context and
-// per-query options. The best-first loop checks ctx before every pop, so a
-// cancelled traversal returns ctx.Err() with the (admissible but possibly
+//
+// The best-first loop checks ctx before every pop, so a cancelled
+// traversal returns ctx.Err() with the (admissible but possibly
 // incomplete) neighbors found so far. QueryOpts.Limit caps k;
 // QueryOpts.PageBudget stops the traversal with ErrBudgetExceeded after
-// exactly that many physical page fetches. With a zero QueryOpts, results
-// are byte-identical to NearestNeighbors. It runs against the working
-// root; Snapshot.NearestNeighbors runs the same traversal against a
-// pinned epoch.
-func (t *Tree) NearestNeighborsCtx(ctx context.Context, q geom.Point, k int, o QueryOpts) ([]NNResult, NNStats, error) {
-	// Working-root queries must see this batch's appends (refinement reads
-	// data pages from the store, never the append cache).
-	if err := t.data.Flush(); err != nil {
-		return nil, NNStats{}, err
-	}
-	return t.nearestNeighborsAt(t.rootPage, ctx, q, k, o)
-}
-
-func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q geom.Point, k int, o QueryOpts) (best []NNResult, stats NNStats, err error) {
+// exactly that many physical page fetches.
+func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o QueryOpts) (best []NNResult, stats NNStats, err error) {
+	t, root := s.t, s.st.rootPage
 	if len(q) != t.dim {
 		return nil, stats, fmt.Errorf("core: query point dim %d, tree dim %d", len(q), t.dim)
 	}
@@ -160,7 +138,9 @@ func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q g
 
 	meter := fetchMeter{budget: plan.budget}
 	retries0 := t.store.Stats().Retries.Load()
-	partial := func(err error) ([]NNResult, NNStats, error) {
+	// finish closes the stats over the work done, on completion and on an
+	// early exit alike (meter.spent stays 0 without a budget).
+	finish := func(err error) ([]NNResult, NNStats, error) {
 		stats.PagesFetched = meter.spent
 		stats.NodeCacheHits = meter.ncHits
 		stats.NodeCacheMisses = meter.ncMisses
@@ -182,7 +162,7 @@ func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q g
 
 	for pq.Len() > 0 {
 		if cerr := plan.ctx.Err(); cerr != nil {
-			return partial(cerr)
+			return finish(cerr)
 		}
 		it := nnPop(pq)
 		if len(best) == k && it.lb >= worst {
@@ -203,7 +183,7 @@ func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q g
 		if it.isNode {
 			n, err := t.fetchNode(ses.nodes, &meter, it.page)
 			if err != nil {
-				return partial(err)
+				return finish(err)
 			}
 			stats.NodeAccesses++
 			if n.leaf() {
@@ -231,7 +211,7 @@ func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q g
 		// unchanged).
 		pageBuf, err := t.fetchDataPage(ses.data, &meter, it.addr.Page)
 		if err != nil {
-			return partial(err)
+			return finish(err)
 		}
 		rec, err := pagefile.RecordFromPage(pageBuf, it.addr.Slot)
 		if err != nil {
@@ -256,13 +236,7 @@ func (t *Tree) nearestNeighborsAt(root pagefile.PageID, ctx context.Context, q g
 			}
 		}
 	}
-	if plan.budget > 0 {
-		stats.PagesFetched = meter.spent
-	}
-	stats.NodeCacheHits = meter.ncHits
-	stats.NodeCacheMisses = meter.ncMisses
-	stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
-	return best, stats, nil
+	return finish(nil)
 }
 
 // speculateDepth is how many frontier heap entries NN prefetch looks at

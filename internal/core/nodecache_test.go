@@ -290,13 +290,16 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 		items[i] = work{q: Query{Rect: rq, Prob: 0.05 + rng.Float64()*0.7}, pt: rq.Lo}
 	}
 
+	snap := tree.Snapshot()
+	defer snap.Close()
+	ctx := context.Background()
 	baseRange := make([][]Result, len(items))
 	baseNN := make([][]NNResult, len(items))
 	for i, it := range items {
-		if baseRange[i], _, err = tree.RangeQueryRO(it.q); err != nil {
+		if baseRange[i], _, err = snap.RangeQuery(ctx, it.q, QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
-		if baseNN[i], _, err = tree.NearestNeighborsRO(it.pt, 4); err != nil {
+		if baseNN[i], _, err = snap.NearestNeighbors(ctx, it.pt, 4, QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +316,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 				// queries against the shared pools.
 				for off := 0; off < len(items); off++ {
 					i := (off + w) % len(items)
-					got, _, err := tree.RangeQueryRO(items[i].q)
+					got, _, err := snap.RangeQuery(ctx, items[i].q, QueryOpts{})
 					if err != nil {
 						t.Errorf("worker %d query %d: %v", w, i, err)
 						return
@@ -328,7 +331,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 							return
 						}
 					}
-					nn, _, err := tree.NearestNeighborsRO(items[i].pt, 4)
+					nn, _, err := snap.NearestNeighbors(ctx, items[i].pt, 4, QueryOpts{})
 					if err != nil {
 						t.Errorf("worker %d NN %d: %v", w, i, err)
 						return

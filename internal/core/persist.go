@@ -3,10 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/pagefile"
-	"repro/internal/pcr"
 )
 
 // Tree metadata is persisted in a dedicated page so file-backed indexes can
@@ -21,10 +19,10 @@ import (
 const metaMagic = 0x55545231 // "UTR1"
 
 // writeMeta serializes the tree's working state to the metadata page. The
-// caller is responsible for flushing the buffer pool first (CommitWithMeta
-// does); the page is exempted from the copy-on-write check because
-// rewriting it in place is exactly how an epoch becomes the committed one.
-func (t *Tree) writeMeta(page pagefile.PageID) error {
+// caller flushes the buffer pool first (Commit does); the page is exempted
+// from the copy-on-write check because rewriting it in place is exactly
+// how an epoch becomes the committed one.
+func (t *Tree) writeMeta() error {
 	buf := make([]byte, pagefile.PageSize)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	buf[4] = byte(t.kind)
@@ -35,22 +33,14 @@ func (t *Tree) writeMeta(page pagefile.PageID) error {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(t.size))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(t.data.CurrentPage()))
 	binary.LittleEndian.PutUint64(buf[28:], t.vs.Epoch()+1) // the epoch this write commits
-	t.vs.MarkInPlace(page)
-	return t.store.Write(page, buf)
+	t.vs.MarkInPlace(t.meta)
+	return t.store.Write(t.meta, buf)
 }
 
-// SaveMeta commits the tree through the given metadata page (allocate one
-// with AllocMetaPage before first use): flush, metadata write, epoch
-// publication — see CommitWithMeta.
-func (t *Tree) SaveMeta(page pagefile.PageID) error {
-	return t.CommitWithMeta(page)
-}
-
-// AllocMetaPage reserves a page for metadata on a fresh store; call before
-// inserting so the page id is stable (typically the first page).
-func (t *Tree) AllocMetaPage() (pagefile.PageID, error) {
-	return t.store.Alloc()
-}
+// MetaPage returns the page Commit persists the tree metadata to — the
+// address Open needs — or pagefile.InvalidPage for a tree created without
+// Options.Persist.
+func (t *Tree) MetaPage() pagefile.PageID { return t.meta }
 
 // Open reconstructs a Tree from a store and its metadata page — after a
 // clean close or a crash: the metadata names the last committed epoch, and
@@ -72,48 +62,11 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
 		return nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
-
-	bufPages := opt.BufferPages
-	if bufPages == 0 {
-		bufPages = 256
-	}
-	samples := opt.MCSamples
-	if samples == 0 {
-		samples = 10000
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	epoch := binary.LittleEndian.Uint64(buf[28:])
-	vs := pagefile.NewVersionedStore(store, epoch)
-	t := &Tree{
-		kind:    kind,
-		dim:     dim,
-		cat:     pcr.UniformCatalog(m),
-		store:   vs,
-		vs:      vs,
-		qcache:  pcr.NewQuantileCache(),
-		rng:     rand.New(rand.NewSource(seed)),
-		samples: samples,
-		exact:   opt.ExactRefinement,
+	t, err := newTree(kind, dim, m, store, metaPage, epoch, opt)
+	if err != nil {
+		return nil, err
 	}
-	t.seed = seed
-	if opt.AdaptivePlanning {
-		t.planner = newPlanner()
-	}
-	t.probFilter = opt.ProbFilter
-	t.setPrefetchWorkers(opt.PrefetchWorkers)
-	t.pool = pagefile.NewBufferPool(t.store, bufPages)
-	t.vs.AttachPool(t.pool)
-	t.attachNodeCache(opt.NodeCacheEntries)
-	t.leafCap, t.innerCap = capacities(kind, dim, m)
-	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)
-	t.minLeaf = max1(t.leafCap * 2 / 5)
-	t.minInner = max1(t.innerCap * 2 / 5)
-	t.reinsertLeaf = max1(t.leafCap * 3 / 10)
-	t.reinsertInner = max1(t.innerCap * 3 / 10)
-
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.size = int(binary.LittleEndian.Uint64(buf[16:]))
@@ -131,12 +84,12 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 }
 
 // ReachablePages walks the committed tree and returns every page it
-// references: node pages, the data pages held by leaf entries, and the
-// current append page. This is the live set for the open-time leak sweep —
-// a crash between an epoch's metadata write and its garbage drain leaves
-// superseded shadow pages allocated but unreferenced, and the store can
-// return exactly the complement of this set (plus its own metadata) to the
-// free list.
+// references: node pages, the data pages held by leaf entries, the current
+// append page and the metadata page. This is the live set for the
+// open-time leak sweep — a crash between an epoch's metadata write and its
+// garbage drain leaves superseded shadow pages allocated but unreferenced,
+// and the store can return exactly the complement of this set (plus its
+// own metadata) to the free list.
 func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
 	reach := make(map[pagefile.PageID]bool)
 	err := t.walk(t.rootPage, func(n *node) error {
@@ -155,6 +108,9 @@ func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
 	}
 	if p := t.data.CurrentPage(); p != pagefile.InvalidPage {
 		reach[p] = true
+	}
+	if t.meta != pagefile.InvalidPage {
+		reach[t.meta] = true
 	}
 	return reach, nil
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // This file is the per-query execution plan behind the context-first query
-// API: every query entry point (RangeQueryCtx, NearestNeighborsCtx and the
-// legacy wrappers) resolves a QueryOpts against the tree's configuration
-// once, up front, into an immutable qplan that the traversal then consults
-// — no global mutator needs to run, and two concurrent queries on one tree
-// can use different refinement precision, prefetch fan-out, or I/O budgets.
+// API: both query entry points (Snapshot.RangeQuery and
+// Snapshot.NearestNeighbors) resolve a QueryOpts against the tree's
+// configuration once, up front, into an immutable qplan that the traversal
+// then consults — no global mutator needs to run, and two concurrent
+// queries on one tree can use different refinement precision, prefetch
+// fan-out, or I/O budgets.
 
 // ErrBudgetExceeded is returned by a query whose QueryOpts.PageBudget ran
 // out: the traversal performed exactly the budgeted number of physical

@@ -213,24 +213,14 @@ func (t *Tree) maybeRefreshPlanner() {
 // serial for cheap queries, a pooled prefetcher with an issuance cap for
 // expensive ones. It returns the prediction and whether a decision was
 // made (so the caller can feed the measured accesses back via observe).
-func (t *Tree) planQuery(q Query, o QueryOpts, p *qplan) (pred float64, armed bool) {
+func (t *Tree) planQuery(q Query, o QueryOpts, p *qplan) (float64, bool) {
 	pl := t.planner
 	if pl == nil || o.PrefetchSet || p.budget > 0 {
 		return 0, false
 	}
-	pl.mu.Lock()
-	model := pl.model
-	pl.mu.Unlock()
-	if model == nil {
+	pred, ok := pl.predict(q.Rect, q.Prob, t.CatalogIndexFor(q.Prob))
+	if !ok {
 		return 0, false
-	}
-	sides := make([]float64, t.dim)
-	for i := range sides {
-		sides[i] = q.Rect.Side(i)
-	}
-	pred = model.EstimateNodeAccesses(sides, q.Prob, t.CatalogIndexFor(q.Prob))
-	if math.IsNaN(pred) || pred < 1 {
-		pred = 1
 	}
 	if pred < plannerSerialThreshold {
 		p.prefetch = nil
@@ -292,20 +282,28 @@ func (p *Planner) observe(pred float64, measured int) {
 // planning is off or no model has been built yet.
 func (t *Tree) PredictSearchIO(rect geom.Rect, prob float64) (float64, bool) {
 	pl := t.planner
-	if pl == nil || rect.Dim() != t.dim {
+	if pl == nil {
 		return 0, false
 	}
-	pl.mu.Lock()
-	model := pl.model
-	pl.mu.Unlock()
-	if model == nil {
-		return 0, false
-	}
-	sides := make([]float64, t.dim)
+	return pl.predict(rect, prob, t.CatalogIndexFor(prob))
+}
+
+// predict estimates a prob-range query's node accesses from the current
+// model; ok is false until a model exists (or when rect has the wrong
+// dimensionality). The estimate runs under mu because observe recalibrates
+// the model in place under the same lock — concurrent planned queries
+// would otherwise race on the calibration factor.
+func (p *Planner) predict(rect geom.Rect, prob float64, catalogIdx int) (float64, bool) {
+	sides := make([]float64, rect.Dim())
 	for i := range sides {
 		sides[i] = rect.Side(i)
 	}
-	pred := model.EstimateNodeAccesses(sides, prob, t.CatalogIndexFor(prob))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.model == nil || rect.Dim() != p.model.dim {
+		return 0, false // a mis-dimensioned query fails validation later
+	}
+	pred := p.model.EstimateNodeAccesses(sides, prob, catalogIdx)
 	if math.IsNaN(pred) || pred < 1 {
 		pred = 1
 	}

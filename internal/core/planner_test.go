@@ -169,16 +169,15 @@ func TestAdaptivePlanningEquivalence(t *testing.T) {
 		t.Fatalf("planner did not build a model at commit: %+v", info)
 	}
 
-	ctx := context.Background()
 	for q := 0; q < 60; q++ {
 		rq := randomQueryRect(rng, 1500)
 		pq := 0.05 + rng.Float64()*0.9
 		query := Query{Rect: rq, Prob: pq}
-		want, _, err := plain.RangeQueryCtx(ctx, query, QueryOpts{})
+		want, _, err := rangeQueryOpts(plain, query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{})
+		got, _, err := rangeQueryOpts(adaptive, query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +202,11 @@ func TestAdaptivePlanningEquivalence(t *testing.T) {
 	// must still produce identical results.
 	rq := randomQueryRect(rng, 1500)
 	query := Query{Rect: rq, Prob: 0.4}
-	want, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{})
+	want, _, err := rangeQueryOpts(adaptive, query, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{PrefetchSet: true, Prefetch: 0})
+	got, _, err := rangeQueryOpts(adaptive, query, QueryOpts{PrefetchSet: true, Prefetch: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,6 @@ func TestPredictSearchIO(t *testing.T) {
 func TestProbFilterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	objs := makeObjects(500, 1000, rng)
-	ctx := context.Background()
 	for _, kind := range []Kind{UTree, UPCR} {
 		tree := buildTree(t, kind, objs, 0)
 		totalPruned := 0
@@ -283,11 +281,11 @@ func TestProbFilterEquivalence(t *testing.T) {
 				pq = 0.2 + rng.Float64()*0.6
 			}
 			query := Query{Rect: rq, Prob: pq}
-			want, _, err := tree.RangeQueryCtx(ctx, query, QueryOpts{})
+			want, _, err := rangeQueryOpts(tree, query, QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := tree.RangeQueryCtx(ctx, query, QueryOpts{ProbFilterSet: true, ProbFilter: true})
+			got, stats, err := rangeQueryOpts(tree, query, QueryOpts{ProbFilterSet: true, ProbFilter: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,5 +297,51 @@ func TestProbFilterEquivalence(t *testing.T) {
 		if totalPruned == 0 {
 			t.Fatalf("%v: prob filter never pruned across 160 queries", kind)
 		}
+	}
+}
+
+// TestPlannerConcurrentQueries is the -race regression for the planner's
+// calibration factor: two goroutines run planned queries on one tree, so
+// one query's prediction overlaps another's window refit (64 queries each
+// cross the 32-query calibration window several times).
+func TestPlannerConcurrentQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	tree, err := New(Options{Dim: 2, ExactRefinement: true, AdaptivePlanning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range makeObjects(300, 1000, rng) {
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := tree.Snapshot()
+	defer snap.Close()
+
+	const workers, perWorker = 2, 64
+	queries := make([]Query, workers*perWorker)
+	for i := range queries {
+		queries[i] = Query{Rect: randomQueryRect(rng, 1000), Prob: 0.05 + rng.Float64()*0.9}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, q := range queries[w*perWorker : (w+1)*perWorker] {
+				if _, _, err := snap.RangeQuery(context.Background(), q, QueryOpts{}); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				tree.PredictSearchIO(q.Rect, q.Prob)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if info := tree.PlannerInfo(); info.Queries != workers*perWorker {
+		t.Fatalf("planner observed %d queries, want %d", info.Queries, workers*perWorker)
 	}
 }

@@ -112,75 +112,37 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.ShardsPruned += o.ShardsPruned
 }
 
-// RangeQuery executes a prob-range query (Section 5.2): Observation 4
-// pruning during the descent, Observation 3 (U-tree) or Observation 2
-// (U-PCR) filtering at leaves, then refinement of surviving candidates with
-// their appearance probabilities, fetching each distinct data page once.
+// RangeQuery executes a prob-range query (Section 5.2) against the pinned
+// epoch, lock-free: Observation 4 pruning during the descent, Observation 3
+// (U-tree) or Observation 2 (U-PCR) filtering at leaves, then refinement of
+// surviving candidates with their appearance probabilities, fetching each
+// distinct data page once. It is the only range entry point — a
+// single-threaded caller commits and pins a snapshot like everyone else.
 //
-// Like the rest of Tree, it is not safe for concurrent use (it advances the
-// shared refinement sampler); concurrent readers go through RangeQueryRO.
-func (t *Tree) RangeQuery(q Query) ([]Result, QueryStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.RangeQueryCtx(context.Background(), q, QueryOpts{})
-}
-
-// RangeQueryCtx is RangeQuery with a cancellation context and per-query
-// options. The traversal checks ctx before every page fetch and every
-// refinement integration, so a cancelled query returns ctx.Err() within
-// roughly one page latency of the cancellation (plus draining the at most
-// prefetch-bound in-flight fetches). With a zero QueryOpts, results and
-// logical stats are byte-identical to RangeQuery.
-func (t *Tree) RangeQueryCtx(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
-	// Working-root queries must see this batch's appends: refinement reads
-	// data pages from the store, never the append cache.
-	if err := t.data.Flush(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	p := t.resolvePlan(ctx, o)
-	pred, armed := t.planQuery(q, o, &p)
-	res, stats, err := t.rangeQuery(t.rootPage, q, t.rng, &p)
-	if armed && err == nil {
-		t.planner.observe(pred, stats.NodeAccesses)
-	}
-	return res, stats, err
-}
-
-// RangeQueryRO is the read-only query entry point: it answers q against
-// the working root without touching any insert/delete state, so any
-// number of goroutines may call it concurrently — provided no writer
-// (Insert/Delete/BulkLoad) runs at the same time. To read concurrently
-// WITH a writer, pin a Snapshot and query that instead: its epoch's pages
-// are immune to the writer's copy-on-write churn. The refinement sampler
-// is seeded from (tree seed, query), so Monte Carlo results are
-// reproducible per query regardless of scheduling or batch order (like
+// The traversal checks ctx before every page fetch and every refinement
+// integration, so a cancelled query returns ctx.Err() within roughly one
+// page latency of the cancellation (plus draining the at most
+// prefetch-bound in-flight fetches). The refinement sampler is seeded from
+// (tree seed, query), so Monte Carlo results are reproducible per query
+// whatever the scheduling or the order queries are issued in (like
 // ExpectedDistance's per-object seeding).
-func (t *Tree) RangeQueryRO(q Query) ([]Result, QueryStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.RangeQueryROCtx(context.Background(), q, QueryOpts{})
-}
-
-// RangeQueryROCtx is RangeQueryRO with a cancellation context and
-// per-query options (see RangeQueryCtx for the cancellation contract).
-func (t *Tree) RangeQueryROCtx(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
-	// See RangeQueryCtx: append-cache visibility. Flushing is a no-op for
-	// the RO contract's "no concurrent writer" case with nothing buffered.
-	if err := t.data.Flush(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	p := t.resolvePlan(ctx, o)
-	pred, armed := t.planQuery(q, o, &p)
-	rng := getSeededRand(t.roSeed(q))
+func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
+	p := s.t.resolvePlan(ctx, o)
+	pred, armed := s.t.planQuery(q, o, &p)
+	// The sampler is pooled and re-seeded per query — (*Rand).Seed
+	// reproduces exactly the sequence a fresh rand.New would draw.
+	rng := getSeededRand(s.t.querySeed(q))
 	defer putRand(rng)
-	res, stats, err := t.rangeQuery(t.rootPage, q, rng, &p)
+	res, stats, err := s.t.rangeQuery(s.st.rootPage, q, rng, &p)
 	if armed && err == nil {
-		t.planner.observe(pred, stats.NodeAccesses)
+		s.t.planner.observe(pred, stats.NodeAccesses)
 	}
 	return res, stats, err
 }
 
-// roSeed derives a deterministic sampler seed from the tree seed and the
+// querySeed derives a deterministic sampler seed from the tree seed and the
 // query geometry (FNV-1a over the coordinate bits).
-func (t *Tree) roSeed(q Query) int64 {
+func (t *Tree) querySeed(q Query) int64 {
 	h := (uint64(t.seed) ^ 14695981039346656037) * 1099511628211
 	mix := func(f float64) {
 		h ^= math.Float64bits(f)
@@ -283,10 +245,10 @@ func (t *Tree) readDataPageVia(ses *pagefile.PrefetchSession, id pagefile.PageID
 	return buf, nil
 }
 
-// rangeQuery is the shared implementation of every range entry point: a
-// level-batched descent (Observation 4 pruning), Observation 3/2 filtering
-// at the leaves, then refinement of the surviving candidates — all driven
-// by the resolved per-query plan.
+// rangeQuery is the traversal behind Snapshot.RangeQuery: a level-batched
+// descent (Observation 4 pruning), Observation 3/2 filtering at the leaves,
+// then refinement of the surviving candidates — all driven by the resolved
+// per-query plan.
 //
 // The descent processes one level's surviving nodes per round, in
 // discovery order. With prefetching armed, a round's pages are fetched
@@ -313,9 +275,10 @@ func (t *Tree) rangeQuery(root pagefile.PageID, q Query, rng *rand.Rand, plan *q
 
 	meter := fetchMeter{budget: plan.budget}
 	retries0 := t.store.Stats().Retries.Load()
-	// partial finalizes an early exit (cancel, budget, limit): the results
-	// so far are valid answers, the stats describe the work actually done.
-	partial := func(err error) ([]Result, QueryStats, error) {
+	// finish closes the stats over the work actually done — on completion
+	// and on an early exit (cancel, budget) alike, where the results so far
+	// are still valid answers. meter.spent stays 0 without a budget.
+	finish := func(err error) ([]Result, QueryStats, error) {
 		stats.Results = len(results)
 		stats.PagesFetched = meter.spent
 		stats.NodeCacheHits = meter.ncHits
@@ -364,14 +327,14 @@ descent:
 		next = next[:0]
 		for _, page := range frontier {
 			if cerr := plan.ctx.Err(); cerr != nil {
-				return partial(cerr)
+				return finish(cerr)
 			}
 			if plan.limitReached(len(results)) {
 				break descent
 			}
 			n, err := t.fetchNode(ses.nodes, &meter, page)
 			if err != nil {
-				return partial(err)
+				return finish(err)
 			}
 			stats.NodeAccesses++
 			if !n.leaf() {
@@ -456,7 +419,7 @@ descent:
 	for _, c := range cands {
 		if cerr := plan.ctx.Err(); cerr != nil {
 			stats.RefineTime = time.Since(refineStart)
-			return partial(cerr)
+			return finish(cerr)
 		}
 		if plan.limitReached(len(results)) {
 			break
@@ -466,7 +429,7 @@ descent:
 			pageBuf, err = t.fetchDataPage(ses.data, &meter, c.addr.Page)
 			if err != nil {
 				stats.RefineTime = time.Since(refineStart)
-				return partial(err)
+				return finish(err)
 			}
 			pageID = c.addr.Page
 			stats.RefinementIOs++
@@ -486,14 +449,7 @@ descent:
 		}
 	}
 	stats.RefineTime = time.Since(refineStart)
-	stats.Results = len(results)
-	if plan.budget > 0 {
-		stats.PagesFetched = meter.spent
-	}
-	stats.NodeCacheHits = meter.ncHits
-	stats.NodeCacheMisses = meter.ncMisses
-	stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
-	return results, stats, nil
+	return finish(nil)
 }
 
 // appearanceProbability evaluates Equation 2, by exact oracle when the

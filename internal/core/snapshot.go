@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/geom"
@@ -46,20 +45,26 @@ func (t *Tree) workingState() *treeState {
 	return st
 }
 
-// Commit seals the open mutation batch: flushes the shadow pages through
-// the buffer pool, then atomically publishes the working root as the new
-// epoch. Readers pinning a snapshot before the commit keep the previous
-// epoch's pages; readers pinning after see the new tree. Pages the batch
+// Commit seals every mutation since the last commit as one epoch: flushes
+// the shadow pages through the buffer pool, writes the metadata page (for
+// a persistent tree), then atomically publishes the working root as the
+// new epoch. Readers pinning a snapshot before the commit keep the previous
+// epoch's pages; readers pinning after see the new tree. Pages the epoch
 // retired are reclaimed once no older snapshot remains.
-func (t *Tree) Commit() error { return t.CommitWithMeta(pagefile.InvalidPage) }
-
-// CommitWithMeta is Commit plus a metadata-page write between the flush
-// and the epoch publication — the crash-consistency point for file-backed
-// trees: every page of the new epoch is durable before the metadata
-// switches to it, and the old epoch's pages were never overwritten in
-// place, so a crash at any operation boundary leaves the file recoverable
-// at the last committed epoch.
-func (t *Tree) CommitWithMeta(meta pagefile.PageID) error {
+//
+// Insert, Delete and BulkLoad never commit on their own, so the caller
+// chooses the epoch granularity, and grouping amortizes by itself:
+// writeNode relocates a node only while its page is committed, and a
+// relocated page stays writable in place until the next Commit seals it —
+// within one epoch each node is relocated at most once, however many
+// operations touch it, and the data file's append page is written once.
+//
+// The metadata write sits between the flush and the publication — the
+// crash-consistency point: every page of the new epoch is durable before
+// the metadata switches to it, and the old epoch's pages were never
+// overwritten in place, so a crash at any operation boundary leaves the
+// file recoverable at the last committed epoch.
+func (t *Tree) Commit() error {
 	// Data first: leaf entries flushed by the pool reference record
 	// addresses that must be durable (and readable) no later than the
 	// nodes pointing at them.
@@ -69,8 +74,8 @@ func (t *Tree) CommitWithMeta(meta pagefile.PageID) error {
 	if err := t.pool.Flush(); err != nil {
 		return err
 	}
-	if meta != pagefile.InvalidPage {
-		if err := t.writeMeta(meta); err != nil {
+	if t.meta != pagefile.InvalidPage {
+		if err := t.writeMeta(); err != nil {
 			return err
 		}
 	}
@@ -83,11 +88,11 @@ func (t *Tree) CommitWithMeta(meta pagefile.PageID) error {
 	return nil
 }
 
-// Rollback abandons the open mutation batch after a failed operation:
-// shadow pages are freed, deferred frees and tombstones are dropped (their
-// targets are still live in the last committed epoch), and the working
-// root/size/data state rewinds to the last commit. The tree remains
-// usable; the failed operation simply never happened.
+// Rollback abandons every mutation since the last commit, typically after
+// a failed operation: shadow pages are freed, deferred frees and tombstones
+// are dropped (their targets are still live in the last committed epoch),
+// and the working root/size/data state rewinds to the last commit. The
+// tree remains usable; the uncommitted operations simply never happened.
 func (t *Tree) Rollback() error {
 	st, _ := t.committedState()
 	if st == nil {
@@ -112,8 +117,8 @@ func (t *Tree) committedState() (*treeState, uint64) {
 func (t *Tree) Epoch() uint64 { return t.vs.Epoch() }
 
 // CommittedLen returns the object count of the last committed epoch —
-// readable concurrently with a writer (whose in-progress batch is not yet
-// visible).
+// readable concurrently with a writer (whose uncommitted mutations are not
+// yet visible).
 func (t *Tree) CommittedLen() int {
 	st, _ := t.committedState()
 	if st == nil {
@@ -158,14 +163,10 @@ type Snapshot struct {
 	release func()
 }
 
-// Snapshot pins the current committed epoch.
+// Snapshot pins the current committed epoch (New and Open both publish one
+// before they return).
 func (t *Tree) Snapshot() *Snapshot {
 	st, epoch, release := t.vs.Pin()
-	if st == nil {
-		// No commit yet (mid-construction); pin the working state — there
-		// are no concurrent readers before New returns.
-		return &Snapshot{t: t, st: t.workingState(), epoch: epoch, release: release}
-	}
 	return &Snapshot{t: t, st: st.(*treeState), epoch: epoch, release: release}
 }
 
@@ -183,30 +184,6 @@ func (s *Snapshot) Len() int { return s.st.size }
 // means unknown (empty epoch); callers pruning on it must treat zero as
 // "may contain anything".
 func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
-
-// RangeQuery answers a probabilistic range query against the pinned
-// epoch, lock-free. The refinement sampler is seeded from (tree seed,
-// query) exactly like RangeQueryRO, so results are reproducible per query
-// whatever the scheduling.
-func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
-	p := s.t.resolvePlan(ctx, o)
-	pred, armed := s.t.planQuery(q, o, &p)
-	// The sampler is pooled and re-seeded per query — (*Rand).Seed
-	// reproduces exactly the sequence a fresh rand.New would draw.
-	rng := getSeededRand(s.t.roSeed(q))
-	defer putRand(rng)
-	res, stats, err := s.t.rangeQuery(s.st.rootPage, q, rng, &p)
-	if armed && err == nil {
-		s.t.planner.observe(pred, stats.NodeAccesses)
-	}
-	return res, stats, err
-}
-
-// NearestNeighbors answers an expected-distance k-NN query against the
-// pinned epoch, lock-free (per-object sampler seeding, as always).
-func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o QueryOpts) ([]NNResult, NNStats, error) {
-	return s.t.nearestNeighborsAt(s.st.rootPage, ctx, q, k, o)
-}
 
 // CheckInvariants validates the pinned epoch's structure — usable while a
 // writer mutates the working tree, since the snapshot's pages are frozen.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +23,13 @@ type Options struct {
 	CatalogSize int
 	// Store supplies page storage; nil selects an in-memory store.
 	Store pagefile.Store
+	// Persist makes the index reopenable: New reserves a metadata page —
+	// the first page it allocates on Store, so the address is stable on a
+	// fresh store — and every Commit writes the tree metadata to it before
+	// publishing the epoch (the crash-consistency point, see Commit). Pass
+	// MetaPage() to Open. Open ignores the field: a reopened tree always
+	// persists.
+	Persist bool
 	// BufferPages sizes the LRU pool (default 256).
 	BufferPages int
 	// MCSamples is n1 of Equation 3 for refinement (default 10000; the
@@ -112,7 +118,9 @@ const (
 )
 
 // Tree is a paged uncertain-data index: the U-tree of the paper or its
-// U-PCR variant. Not safe for concurrent use.
+// U-PCR variant. Mutations (Insert, Delete, BulkLoad, Commit, Rollback)
+// need one writer at a time; queries run on a pinned Snapshot of a
+// committed epoch and take no lock.
 type Tree struct {
 	kind Kind
 	dim  int
@@ -132,6 +140,10 @@ type Tree struct {
 	// private copies they may edit in place.
 	ncache *nodeCache
 
+	// meta is the page Commit persists the tree metadata to; InvalidPage
+	// for trees that are never reopened.
+	meta pagefile.PageID
+
 	rootPage  pagefile.PageID
 	rootLevel int
 	size      int
@@ -142,12 +154,11 @@ type Tree struct {
 	reinsertLeaf, reinsertInner   int
 
 	qcache  *pcr.QuantileCache
-	rng     *rand.Rand
 	samples int
 	exact   bool
 
-	// seed is kept so the read-only query path can derive a deterministic
-	// per-query sampler (concurrent queries must not share t.rng).
+	// seed is mixed with the query geometry into each query's private
+	// refinement sampler (see querySeed).
 	seed int64
 
 	splitStrategy   SplitStrategy
@@ -172,9 +183,6 @@ type Tree struct {
 	// Update statistics for the Fig. 11 experiment.
 	insertStats UpdateStats
 	deleteStats UpdateStats
-
-	// inBatch marks an open explicit batch (BeginBatch/CommitBatch).
-	inBatch bool
 
 	// Storage-health state (see health.go and scrub.go): the quarantine
 	// registry of condemned pages, the background scrubber's control
@@ -216,54 +224,19 @@ func New(opt Options) (*Tree, error) {
 	if store == nil {
 		store = pagefile.NewMemStore()
 	}
-	bufPages := opt.BufferPages
-	if bufPages == 0 {
-		bufPages = 256
+	meta := pagefile.InvalidPage
+	if opt.Persist {
+		var err error
+		if meta, err = store.Alloc(); err != nil {
+			return nil, err
+		}
 	}
-	samples := opt.MCSamples
-	if samples == 0 {
-		samples = 10000
+	t, err := newTree(opt.Kind, opt.Dim, m, store, meta, 0, opt)
+	if err != nil {
+		return nil, err
 	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	vs := pagefile.NewVersionedStore(store, 0)
-	t := &Tree{
-		kind:    opt.Kind,
-		dim:     opt.Dim,
-		cat:     pcr.UniformCatalog(m),
-		store:   vs,
-		vs:      vs,
-		qcache:  pcr.NewQuantileCache(),
-		rng:     rand.New(rand.NewSource(seed)),
-		samples: samples,
-		exact:   opt.ExactRefinement,
-
-		splitStrategy:   opt.SplitStrategy,
-		disableReinsert: opt.DisableReinsert,
-	}
-	t.seed = seed
-	if opt.AdaptivePlanning {
-		t.planner = newPlanner()
-	}
-	t.probFilter = opt.ProbFilter
-	t.setPrefetchWorkers(opt.PrefetchWorkers)
-	t.pool = pagefile.NewBufferPool(t.store, bufPages)
-	t.vs.AttachPool(t.pool)
-	t.attachNodeCache(opt.NodeCacheEntries)
 	t.data = pagefile.NewDataFile(t.store)
 	t.vs.SetTombstoner(t.data.DeleteBatch)
-	t.leafCap, t.innerCap = capacities(t.kind, t.dim, m)
-	t.leafEntrySize, t.innerEntrySize = entrySizes(t.kind, t.dim, m)
-	if t.leafCap < 4 || t.innerCap < 4 {
-		return nil, fmt.Errorf("core: %v with d=%d m=%d yields fanout %d/%d < 4; reduce the catalog",
-			t.kind, t.dim, m, t.leafCap, t.innerCap)
-	}
-	t.minLeaf = max1(t.leafCap * 2 / 5)
-	t.minInner = max1(t.innerCap * 2 / 5)
-	t.reinsertLeaf = max1(t.leafCap * 3 / 10)
-	t.reinsertInner = max1(t.innerCap * 3 / 10)
 
 	root, err := t.allocNode(0)
 	if err != nil {
@@ -281,6 +254,62 @@ func New(opt Options) (*Tree, error) {
 	}
 	t.vs.StartReclaimer(opt.ReclaimInterval, opt.ReclaimBudget)
 	t.StartScrubber(opt.ScrubInterval, opt.ScrubBudget)
+	return t, nil
+}
+
+// newTree is the constructor body New and Open share: it resolves the
+// runtime options and wires the versioned store, buffer pool, node cache,
+// planner and capacities for a tree of the given structure. The caller
+// still owes the data file, the root and the first committed state.
+func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) (*Tree, error) {
+	bufPages := opt.BufferPages
+	if bufPages == 0 {
+		bufPages = 256
+	}
+	samples := opt.MCSamples
+	if samples == 0 {
+		samples = 10000
+	}
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	vs := pagefile.NewVersionedStore(store, epoch)
+	t := &Tree{
+		kind:    kind,
+		dim:     dim,
+		cat:     pcr.UniformCatalog(m),
+		store:   vs,
+		vs:      vs,
+		meta:    meta,
+		qcache:  pcr.NewQuantileCache(),
+		samples: samples,
+		exact:   opt.ExactRefinement,
+		seed:    seed,
+
+		splitStrategy:   opt.SplitStrategy,
+		disableReinsert: opt.DisableReinsert,
+		probFilter:      opt.ProbFilter,
+	}
+	if opt.AdaptivePlanning {
+		t.planner = newPlanner()
+	}
+	if opt.PrefetchWorkers > 0 {
+		t.prefetch = pagefile.NewPrefetcher(opt.PrefetchWorkers)
+	}
+	t.pool = pagefile.NewBufferPool(t.store, bufPages)
+	t.vs.AttachPool(t.pool)
+	t.attachNodeCache(opt.NodeCacheEntries)
+	t.leafCap, t.innerCap = capacities(kind, dim, m)
+	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)
+	if t.leafCap < 4 || t.innerCap < 4 {
+		return nil, fmt.Errorf("core: %v with d=%d m=%d yields fanout %d/%d < 4; reduce the catalog",
+			kind, dim, m, t.leafCap, t.innerCap)
+	}
+	t.minLeaf = max1(t.leafCap * 2 / 5)
+	t.minInner = max1(t.innerCap * 2 / 5)
+	t.reinsertLeaf = max1(t.leafCap * 3 / 10)
+	t.reinsertInner = max1(t.innerCap * 3 / 10)
 	return t, nil
 }
 
@@ -369,26 +398,6 @@ func (t *Tree) NodeCacheStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return t.ncache.stats()
-}
-
-// setPrefetchWorkers arms the default intra-query prefetch fan-out
-// (0 disables). Fixed at open time — per-query overrides go through
-// QueryOpts.Prefetch, which takes no tree state at all.
-func (t *Tree) setPrefetchWorkers(n int) {
-	if n <= 0 {
-		t.prefetch = nil
-		return
-	}
-	t.prefetch = pagefile.NewPrefetcher(n)
-}
-
-// PrefetchWorkers reports the configured intra-query prefetch fan-out (0
-// when disabled).
-func (t *Tree) PrefetchWorkers() int {
-	if t.prefetch == nil {
-		return 0
-	}
-	return t.prefetch.Workers()
 }
 
 // Flush writes the buffered data page and all buffered node pages through

@@ -64,7 +64,7 @@ func CPUPath(cfg Config) ([]CPUPathRow, error) {
 		if cached {
 			nodeCacheEntries = 0 // default size
 		}
-		ct, err := uncertain.NewConcurrentTree(uncertain.Config{
+		ct, err := uncertain.NewTree(uncertain.Config{
 			Dimensions:       dataset.LB.Dim(),
 			ExactRefinement:  true, // deterministic probabilities → exact equivalence
 			Seed:             cfg.Seed,
@@ -113,7 +113,7 @@ func CPUPath(cfg Config) ([]CPUPathRow, error) {
 // runCPUPathRow measures one configuration: a capture pass that doubles as
 // the warm-up (pages and decoded nodes hot), then the timed pass bracketed
 // by MemStats reads and the node-cache counters.
-func runCPUPathRow(cached bool, ct *uncertain.ConcurrentTree, queries []uncertain.RangeQuery) (CPUPathRow, [][]uncertain.Result, error) {
+func runCPUPathRow(cached bool, ct *uncertain.Tree, queries []uncertain.RangeQuery) (CPUPathRow, [][]uncertain.Result, error) {
 	row := CPUPathRow{NodeCache: cached}
 
 	// Result capture doubles as the warm-up pass.

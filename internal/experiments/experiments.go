@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -101,12 +102,19 @@ type WorkloadMetrics struct {
 }
 
 // runWorkload executes a workload against an index and aggregates metrics.
+// It commits whatever the caller built and queries the pinned epoch — the
+// one query path, single-threaded here.
 func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
 	var m WorkloadMetrics
+	if err := t.Commit(); err != nil {
+		return m, err
+	}
+	snap := t.Snapshot()
+	defer snap.Close()
 	start := time.Now()
 	var validated, results int
 	for _, q := range w.Queries {
-		_, stats, err := t.RangeQuery(q)
+		_, stats, err := snap.RangeQuery(context.Background(), q, core.QueryOpts{})
 		if err != nil {
 			return m, err
 		}

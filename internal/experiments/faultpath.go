@@ -143,13 +143,14 @@ func printFaultRow(out io.Writer, r FaultPathRow) {
 		r.Health.QuarantinedPages, r.Health.ScrubbedPages)
 }
 
-// buildFaultIndex constructs the phase's file-backed ConcurrentTree with
-// a ChaosStore spliced under the latency/retry layers, bulk-loads it at
+// buildFaultIndex constructs the phase's file-backed Tree with a
+// ChaosStore spliced under the latency/retry layers, bulk-loads it at
 // zero latency, and arms the measurement latency. Rules are installed by
 // the caller AFTER the build, so construction itself runs clean.
 func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
-	scrub bool) (*uncertain.ConcurrentTree, *pagefile.ChaosStore, error) {
+	scrub bool) (*uncertain.Tree, *pagefile.ChaosStore, error) {
 	var chaos *pagefile.ChaosStore
+	lat := &Latency{}
 	ucfg := uncertain.Config{
 		Dimensions:      dataset.LB.Dim(),
 		ExactRefinement: true, // deterministic probabilities → exact equivalence
@@ -168,14 +169,14 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 		RetryMaxDelay:  time.Millisecond,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			chaos = pagefile.NewChaosStore(s, cfg.Seed)
-			return chaos
+			return lat.Wrap(chaos)
 		},
 	}
 	if scrub {
 		ucfg.ScrubInterval = 2 * time.Millisecond
 		ucfg.ScrubPageBudget = 64
 	}
-	idx, err := uncertain.NewConcurrentTree(ucfg)
+	idx, err := uncertain.NewTree(ucfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,10 +188,7 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 		idx.Close()
 		return nil, nil, err
 	}
-	if !ArmLatency(idx, cfg.IOLatency) {
-		idx.Close()
-		return nil, nil, fmt.Errorf("index %T does not support simulated latency", idx)
-	}
+	lat.Arm(cfg.IOLatency)
 	return idx, chaos, nil
 }
 
@@ -380,6 +378,7 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 	row := FaultPathRow{Phase: "degraded"}
 	var built atomic.Int32
 	var shardChaos [shards]*pagefile.ChaosStore
+	lat := &Latency{}
 	idx, err := uncertain.NewShardedTree(shards, uncertain.Config{
 		Dimensions:       dataset.LB.Dim(),
 		ExactRefinement:  true,
@@ -389,7 +388,7 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			cs := pagefile.NewChaosStore(s, cfg.Seed)
 			shardChaos[built.Add(1)-1] = cs
-			return cs
+			return lat.Wrap(cs)
 		},
 	})
 	if err != nil {
@@ -399,9 +398,7 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 	if err := idx.BulkLoad(objects); err != nil {
 		return row, err
 	}
-	if !ArmLatency(idx, cfg.IOLatency) {
-		return row, fmt.Errorf("index %T does not support simulated latency", idx)
-	}
+	lat.Arm(cfg.IOLatency)
 
 	// Clean sharded baseline (shard routing reshuffles traversal order,
 	// so compare against this run, not the single-tree phases').

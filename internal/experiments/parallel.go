@@ -58,12 +58,12 @@ func ParallelBatch(cfg Config, workers []int) ([]ParallelRow, error) {
 	fprintf(out, "Parallel batch engine: Fig. 9 workload (LB, qs=1500, pq=0.6), %d queries, page latency %v\n",
 		cfg.Queries, cfg.IOLatency)
 
-	ct, queries, err := BuildParallelFixture(cfg)
+	ct, lat, queries, err := BuildParallelFixture(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer ct.Close()
-	ct.SetSimulatedPageLatency(cfg.IOLatency)
+	lat.Arm(cfg.IOLatency)
 	ctx := context.Background()
 	opts := queryOptions(cfg)
 
@@ -119,32 +119,33 @@ func ParallelBatch(cfg Config, workers []int) ([]ParallelRow, error) {
 	return rows, nil
 }
 
-// BuildParallelFixture loads the LB dataset into a ConcurrentTree and builds
-// the Fig. 9 mid-point workload as engine queries.
-func BuildParallelFixture(cfg Config) (*uncertain.ConcurrentTree, []uncertain.RangeQuery, error) {
+// BuildParallelFixture loads the LB dataset into a Tree at zero storage
+// latency and builds the Fig. 9 mid-point workload as engine queries; the
+// caller arms the measurement latency on the returned hook.
+func BuildParallelFixture(cfg Config) (*uncertain.Tree, *Latency, []uncertain.RangeQuery, error) {
 	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: cfg.Scale, Seed: cfg.Seed})
-	ct, err := uncertain.NewConcurrentTree(uncertain.Config{
+	lat := &Latency{}
+	ct, err := uncertain.NewTree(uncertain.Config{
 		Dimensions:        dataset.LB.Dim(),
 		MonteCarloSamples: cfg.MCSamples,
 		Seed:              cfg.Seed,
 		BufferPages:       64, // smaller than the index: some queries miss
-		// Load at zero latency; the caller arms the measurement latency
-		// afterwards via SetSimulatedPageLatency.
+		WrapStore:         lat.Wrap,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, o := range objs {
 		if err := ct.Insert(o.ID, o.PDF); err != nil {
 			ct.Close()
-			return nil, nil, fmt.Errorf("loading %s: %w", dataset.LB, err)
+			return nil, nil, nil, fmt.Errorf("loading %s: %w", dataset.LB, err)
 		}
 	}
 	// Write back build-time dirty pages: measured batches must evict clean
 	// frames only, or early queries serialize on victim write-backs.
 	if err := ct.Flush(); err != nil {
 		ct.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	w := workload.New(workload.Config{
 		QS: scaledQS(1500), PQ: 0.6, Count: cfg.Queries,
@@ -154,5 +155,5 @@ func BuildParallelFixture(cfg Config) (*uncertain.ConcurrentTree, []uncertain.Ra
 	for i, q := range w.Queries {
 		queries[i] = uncertain.RangeQuery{Rect: q.Rect, Prob: q.Prob}
 	}
-	return ct, queries, nil
+	return ct, lat, queries, nil
 }

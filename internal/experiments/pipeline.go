@@ -12,7 +12,7 @@ import (
 // pipelining — the third parallelism layer after the batch engine (PR 1,
 // across queries) and shards (PR 2, across partitions). The Fig. 9
 // workload (LB dataset, qs = 1500, pq = 0.6) is queried *serially* against
-// one ConcurrentTree over simulated page latency, sweeping the prefetch
+// one Tree over simulated page latency, sweeping the prefetch
 // fan-out: at 0 every page read is a sequential stall (the paper's serial
 // cost model); at w a single query may overlap up to w of the independent
 // fetches its own traversal already knows it needs (a level's surviving
@@ -42,7 +42,7 @@ type PipelineRow struct {
 	Stats uncertain.Stats
 }
 
-// PipelineSweep builds the LB dataset into a ConcurrentTree (the same
+// PipelineSweep builds the LB dataset into a Tree (the same
 // fixture shape as the sharded experiment's single-tree baseline: 64
 // buffer pages, exact refinement) and measures serial query throughput at
 // each prefetch fan-out, alone and under the writer stream. The index is
@@ -67,11 +67,11 @@ func PipelineSweep(cfg Config, workers []int) ([]PipelineRow, error) {
 		// The index is rebuilt per row anyway, so the fan-out is an
 		// open-time knob (Config.PrefetchWorkers) — the removed
 		// SetPrefetchWorkers mutator is not missed.
-		idx, err := buildMixedIndex(1, w, cfg, objects)
+		idx, lat, err := buildMixedIndex(1, w, cfg, objects)
 		if err != nil {
 			return nil, err
 		}
-		row, results, err := runPipelineRow(w, cfg, idx, queries)
+		row, results, err := runPipelineRow(w, cfg, idx, lat, queries)
 		closeErr := idx.Close()
 		if err != nil {
 			return nil, err
@@ -109,7 +109,7 @@ func PipelineSweep(cfg Config, workers []int) ([]PipelineRow, error) {
 // (equivalence check + cache warm-up), then measure the serial query loop
 // alone, then again under the writer stream, and verify invariants after
 // the mixed phase.
-func runPipelineRow(w int, cfg Config, idx uncertain.Index, queries []uncertain.RangeQuery) (PipelineRow, [][]uncertain.Result, error) {
+func runPipelineRow(w int, cfg Config, idx uncertain.Index, lat *Latency, queries []uncertain.RangeQuery) (PipelineRow, [][]uncertain.Result, error) {
 	row := PipelineRow{Workers: w}
 
 	results := make([][]uncertain.Result, len(queries))
@@ -121,9 +121,7 @@ func runPipelineRow(w int, cfg Config, idx uncertain.Index, queries []uncertain.
 		results[i] = sortedByID(res)
 	}
 
-	if !ArmLatency(idx, cfg.IOLatency) {
-		return row, nil, fmt.Errorf("index %T does not support simulated latency", idx)
-	}
+	lat.Arm(cfg.IOLatency)
 	start := time.Now()
 	for p := 0; p < mixedPasses; p++ {
 		for _, q := range queries {
@@ -153,7 +151,7 @@ func runPipelineRow(w int, cfg Config, idx uncertain.Index, queries []uncertain.
 	}
 	row.WriterQPS = float64(mixedPasses*len(queries)) / elapsed.Seconds()
 
-	ArmLatency(idx, 0)
+	lat.Arm(0)
 	if err := idx.CheckInvariants(); err != nil {
 		return row, nil, fmt.Errorf("invariants after writer stream at prefetch=%d: %w", w, err)
 	}

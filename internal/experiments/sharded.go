@@ -15,7 +15,7 @@ import (
 // This experiment is not in the paper: it measures the sharded index under
 // a mixed read/write load — the Fig. 9 workload (LB dataset, qs = 1500,
 // pq = 0.6) queried serially while a steady writer stream inserts and
-// deletes objects, over simulated page latency. A single ConcurrentTree
+// deletes objects, over simulated page latency. A single Tree
 // pays the writer twice: every query's page stalls are serial, and the
 // writer's exclusive lock (page stalls included) blocks every reader. The
 // ShardedTree pays neither: one query overlaps its stalls across K shards,
@@ -29,7 +29,7 @@ import (
 
 // ShardedRow is one shard-count sample of the mixed read/write sweep.
 type ShardedRow struct {
-	// Shards is the shard count; 1 is the single-ConcurrentTree baseline.
+	// Shards is the shard count; 1 is the single-Tree baseline.
 	Shards int
 	// QPS is serial query throughput while the writer stream runs.
 	QPS float64
@@ -52,7 +52,7 @@ const mixedWriterPause = 2 * time.Millisecond
 // mixedPasses is how many times the measurement loop runs the workload.
 const mixedPasses = 2
 
-// ShardedMixed builds the LB dataset into a single ConcurrentTree and into
+// ShardedMixed builds the LB dataset into a single Tree and into
 // ShardedTrees at each shard count, verifies the sharded indexes return
 // byte-for-byte the baseline's results (sorted by ID; exact refinement),
 // then measures serial query throughput under the writer stream at each
@@ -74,11 +74,11 @@ func ShardedMixed(cfg Config, shardCounts []int) ([]ShardedRow, error) {
 	var rows []ShardedRow
 	var baseline [][]uncertain.Result // sorted by ID, captured at Shards = 1
 	for _, k := range shardCounts {
-		idx, err := buildMixedIndex(k, 0, cfg, objects)
+		idx, lat, err := buildMixedIndex(k, 0, cfg, objects)
 		if err != nil {
 			return nil, err
 		}
-		row, results, err := runMixedRow(k, cfg, idx, queries)
+		row, results, err := runMixedRow(k, cfg, idx, lat, queries)
 		closeErr := idx.Close()
 		if err != nil {
 			return nil, err
@@ -134,47 +134,30 @@ func mixedWorkload(cfg Config) (map[int64]uncertain.PDF, []uncertain.RangeQuery)
 }
 
 // BuildShardedFixture loads the LB dataset into a ShardedTree (a single
-// ConcurrentTree at shards = 1) with the sweep's divided page-cache
-// budget, and returns the Fig. 9 workload queries — the root benchmarks'
-// counterpart of BuildParallelFixture. The caller arms the measurement
-// latency via ArmLatency.
-func BuildShardedFixture(cfg Config, shards int) (uncertain.Index, []uncertain.RangeQuery, error) {
+// Tree at shards = 1) with the sweep's divided page-cache budget, and
+// returns the Fig. 9 workload queries — the root benchmarks' counterpart of
+// BuildParallelFixture. The index is built at zero latency; the caller arms
+// the measurement latency on the returned hook.
+func BuildShardedFixture(cfg Config, shards int) (uncertain.Index, *Latency, []uncertain.RangeQuery, error) {
 	cfg = cfg.withDefaults()
 	objects, queries := mixedWorkload(cfg)
-	idx, err := buildMixedIndex(shards, 0, cfg, objects)
+	idx, lat, err := buildMixedIndex(shards, 0, cfg, objects)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return idx, queries, nil
+	return idx, lat, queries, nil
 }
 
-// latencyArmer is the build-then-measure tooling hook the concrete index
-// types keep now that the Index interface no longer carries the latency
-// mutator: experiments build at zero latency, then arm the measured value.
-type latencyArmer interface {
-	SetSimulatedPageLatency(time.Duration)
-}
-
-// ArmLatency re-arms the simulated per-page storage latency on an index
-// built by this package and reports whether the index actually supports
-// the hook. Callers must treat false as an error when d > 0: measuring a
-// "latency-bound" workload with the latency silently disarmed would
-// report CPU-bound throughput as if it were I/O-overlapped.
-func ArmLatency(idx uncertain.Index, d time.Duration) bool {
-	a, ok := idx.(latencyArmer)
-	if ok {
-		a.SetSimulatedPageLatency(d)
-	}
-	return ok
-}
-
-// buildMixedIndex constructs the index under test: a ConcurrentTree at
-// k = 1, a ShardedTree otherwise, bulk-loaded with the dataset; prefetch
-// arms the index-wide intra-query fan-out (per shard when k > 1). The
-// page-cache budget is divided across shards so every configuration caches
-// the same total number of pages.
-func buildMixedIndex(k, prefetch int, cfg Config, objects map[int64]uncertain.PDF) (uncertain.Index, error) {
+// buildMixedIndex constructs the index under test: a Tree at k = 1, a
+// ShardedTree otherwise, bulk-loaded with the dataset at zero latency
+// (arm the returned hook to measure); prefetch arms the index-wide
+// intra-query fan-out (per shard when k > 1). The page-cache budget is
+// divided across shards so every configuration caches the same total
+// number of pages.
+func buildMixedIndex(k, prefetch int, cfg Config, objects map[int64]uncertain.PDF) (uncertain.Index, *Latency, error) {
+	lat := &Latency{}
 	ucfg := uncertain.Config{
+		WrapStore:       lat.Wrap,
 		Dimensions:      dataset.LB.Dim(),
 		ExactRefinement: true, // deterministic probabilities → exact equivalence
 		Seed:            cfg.Seed,
@@ -184,23 +167,23 @@ func buildMixedIndex(k, prefetch int, cfg Config, objects map[int64]uncertain.PD
 	var idx uncertain.Index
 	var err error
 	if k == 1 {
-		idx, err = uncertain.NewConcurrentTree(ucfg)
+		idx, err = uncertain.NewTree(ucfg)
 	} else {
 		idx, err = uncertain.NewShardedTree(k, ucfg)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := idx.BulkLoad(objects); err != nil {
 		idx.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	// Write back build-time dirty pages so measured evictions are clean.
 	if err := idx.Flush(); err != nil {
 		idx.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return idx, nil
+	return idx, lat, nil
 }
 
 // mixedBufferPagesPerShard divides the cache budget across shards, with a
@@ -218,7 +201,7 @@ func mixedBufferPagesPerShard(k int) int {
 // zero latency (for the equivalence check), then arm the latency, start
 // the writer stream, run the queries serially, stop the writer, and check
 // invariants after the mixed sequence.
-func runMixedRow(k int, cfg Config, idx uncertain.Index, queries []uncertain.RangeQuery) (ShardedRow, [][]uncertain.Result, error) {
+func runMixedRow(k int, cfg Config, idx uncertain.Index, lat *Latency, queries []uncertain.RangeQuery) (ShardedRow, [][]uncertain.Result, error) {
 	row := ShardedRow{Shards: k}
 
 	// Result capture doubles as the cache warm-up pass.
@@ -231,9 +214,7 @@ func runMixedRow(k int, cfg Config, idx uncertain.Index, queries []uncertain.Ran
 		results[i] = sortedByID(res)
 	}
 
-	if !ArmLatency(idx, cfg.IOLatency) {
-		return row, nil, fmt.Errorf("index %T does not support simulated latency", idx)
-	}
+	lat.Arm(cfg.IOLatency)
 	writer := startWriterStream(idx, int64(1_000_000*(k+1)))
 
 	start := time.Now()
@@ -258,7 +239,7 @@ func runMixedRow(k int, cfg Config, idx uncertain.Index, queries []uncertain.Ran
 	// The index must be structurally sound after interleaving scatter
 	// queries with the writer stream (latency disarmed: the check walks
 	// every page).
-	ArmLatency(idx, 0)
+	lat.Arm(0)
 	if err := idx.CheckInvariants(); err != nil {
 		return row, nil, fmt.Errorf("invariants after mixed load at %d shards: %w", k, err)
 	}

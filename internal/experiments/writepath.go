@@ -68,7 +68,7 @@ const writePathReaderN = 4
 // background reclaimer to drain all pending garbage.
 const writePathDrainWindow = 5 * time.Second
 
-// WritePath sweeps the group-commit size over a file-backed ConcurrentTree
+// WritePath sweeps the group-commit size over a file-backed Tree
 // loaded with the LB dataset: solo writer throughput, writer + snapshot
 // readers, then the reclaimer idle-drain check. groupSizes defaults to
 // {1, 8, 32}; a leading 1 is enforced since Speedup is relative to it.
@@ -115,7 +115,9 @@ func WritePath(cfg Config, groupSizes []int) ([]WritePathRow, error) {
 func runWritePathRow(g int, dir string, cfg Config,
 	objects map[int64]uncertain.PDF, queries []uncertain.RangeQuery) (WritePathRow, error) {
 	row := WritePathRow{GroupSize: g}
-	idx, err := uncertain.NewConcurrentTree(uncertain.Config{
+	lat := &Latency{}
+	idx, err := uncertain.NewTree(uncertain.Config{
+		WrapStore:       lat.Wrap,
 		Dimensions:      dataset.LB.Dim(),
 		ExactRefinement: true,
 		Seed:            cfg.Seed,
@@ -152,9 +154,7 @@ func runWritePathRow(g int, dir string, cfg Config,
 	if err := idx.Flush(); err != nil {
 		return row, err
 	}
-	if !ArmLatency(idx, cfg.IOLatency) {
-		return row, fmt.Errorf("index %T does not support simulated latency", idx)
-	}
+	lat.Arm(cfg.IOLatency)
 
 	// Phase A: solo writer. The Flush inside the window seals the open
 	// group's tail, so every row pays for full durability of every op.
@@ -215,7 +215,7 @@ func runWritePathRow(g int, dir string, cfg Config,
 	// reclaimer's ticks alone. The empty WriteBatch seals the open group's
 	// tail as an epoch (its commit defers draining to the reclaimer);
 	// without it the tail's retired pages would legitimately never drain.
-	ArmLatency(idx, 0)
+	lat.Arm(0)
 	if err := idx.WriteBatch(func(uncertain.BatchWriter) error { return nil }); err != nil {
 		return row, err
 	}

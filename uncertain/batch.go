@@ -26,18 +26,6 @@ type pdfUndo struct {
 	had  bool
 }
 
-// grouping reports whether mutations should accumulate instead of
-// auto-committing per op.
-func (t *Tree) grouping() bool { return t.inBatch || t.gcOps > 1 || t.gcInterval > 0 }
-
-// beginGroupOp opens the core batch lazily before a mutation joins a
-// group, so the core layer sees the whole group as one explicit batch.
-func (t *Tree) beginGroupOp() {
-	if t.grouping() && !t.inner.InBatch() {
-		_ = t.inner.BeginBatch() // only fails when already in a batch
-	}
-}
-
 // trackInsert records the pdfs-map update (with its undo entry) for an
 // insert that joined the open group.
 func (t *Tree) trackInsert(id int64, mbr Rect) {
@@ -96,10 +84,12 @@ func (t *Tree) maybeCommit() error {
 	return nil
 }
 
-// commitGroupNow seals the open group as one epoch; on a commit failure
-// the whole group rolls back.
+// commitGroupNow seals the open group as one epoch — through the metadata
+// page for file-backed trees, the crash-consistency point; on a commit
+// failure the whole group rolls back. With grouping disabled it runs after
+// every mutation, so each completed Insert/Delete is an epoch of its own.
 func (t *Tree) commitGroupNow() error {
-	if err := t.commit(); err != nil {
+	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
 	t.groupOps = 0
@@ -115,19 +105,61 @@ func (t *Tree) commitPending() error {
 	return t.commitGroupNow()
 }
 
-// pendingGroup reports the open group's size and age (zero age when
-// empty) — the probe ConcurrentTree's deadline timer uses.
-func (t *Tree) pendingGroup() (ops int, age time.Duration) {
-	if t.groupOps == 0 {
-		return 0, 0
+// startGroupTimer arms the group-commit deadline timer; no-op without
+// Config.GroupCommitInterval.
+func (t *Tree) startGroupTimer() {
+	interval := t.gcInterval
+	if interval <= 0 {
+		return
 	}
-	return t.groupOps, time.Since(t.groupStart)
+	period := interval / 4
+	if period < time.Millisecond {
+		period = time.Millisecond
+	}
+	t.tickStop = make(chan struct{})
+	t.tickDone = make(chan struct{})
+	go func() {
+		defer close(t.tickDone)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-t.tickStop:
+				return
+			case <-tick.C:
+				t.mu.Lock()
+				if t.groupOps > 0 && time.Since(t.groupStart) >= interval {
+					if err := t.commitGroupNow(); err != nil && t.tickErr == nil {
+						t.tickErr = err
+					}
+				}
+				t.mu.Unlock()
+			}
+		}
+	}()
 }
 
-// BatchWriter is the mutation surface inside Tree.WriteBatch /
-// ConcurrentTree.WriteBatch. Errors are sticky: after a failed operation
-// (other than a not-found delete) the batch is already rolled back and
-// every later call returns the same error.
+// stopGroupTimer stops the deadline timer and waits for it; idempotent.
+func (t *Tree) stopGroupTimer() {
+	if t.tickStop == nil {
+		return
+	}
+	close(t.tickStop)
+	<-t.tickDone
+	t.tickStop, t.tickDone = nil, nil
+}
+
+// takeTickErr returns and clears a stashed timer-side commit failure.
+// Caller holds t.mu.
+func (t *Tree) takeTickErr() error {
+	err := t.tickErr
+	t.tickErr = nil
+	return err
+}
+
+// BatchWriter is the mutation surface inside WriteBatch. Errors are
+// sticky: after a failed operation (other than a not-found delete) the
+// batch is already rolled back and every later call returns the same error.
 type BatchWriter interface {
 	// Insert adds an object to the batch.
 	Insert(id int64, pdf PDF) error
@@ -139,7 +171,8 @@ type BatchWriter interface {
 }
 
 // treeBatch implements BatchWriter over a Tree whose inBatch flag
-// suppresses the auto-commit policy.
+// suppresses the auto-commit policy; WriteBatch holds the writer lock for
+// the whole batch, so the methods call the unlocked mutators.
 type treeBatch struct {
 	t   *Tree
 	err error
@@ -159,29 +192,31 @@ func (b *treeBatch) run(op func() error) error {
 }
 
 func (b *treeBatch) Insert(id int64, pdf PDF) error {
-	return b.run(func() error { return b.t.Insert(id, pdf) })
+	return b.run(func() error { return b.t.insert(id, pdf) })
 }
 
 func (b *treeBatch) Delete(id int64) error {
-	return b.run(func() error { return b.t.Delete(id) })
+	return b.run(func() error { return b.t.delete(id) })
 }
 
 func (b *treeBatch) DeleteWithRegion(id int64, regionMBR Rect) error {
-	return b.run(func() error { return b.t.DeleteWithRegion(id, regionMBR) })
+	return b.run(func() error { return b.t.deleteWithRegion(id, regionMBR) })
 }
 
-// WriteBatch runs fn against a batch writer and commits everything it did
-// as ONE epoch: readers (snapshots, CommittedLen) observe either none of
-// the batch or all of it, and for file-backed trees the whole batch
+// WriteBatch runs fn against a batch writer under the writer lock and
+// commits everything it did as ONE epoch: concurrent readers — who pin
+// snapshots without the lock — observe either none of the batch or all of
+// it, never a prefix, and for file-backed trees the whole batch
 // becomes durable atomically — a crash recovers to this batch boundary or
 // the previous one, never between. If fn returns an error or any mutation
 // fails, the whole batch rolls back and the tree is unchanged. Any open
 // auto-commit group is sealed (as its own epoch) first. Batches do not
-// nest.
+// nest: fn mutates through the BatchWriter only — the tree's own mutators
+// (and a nested WriteBatch) would wait forever for the writer lock this
+// call holds. Queries are fine inside fn; they see the committed epoch.
 func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
-	if t.inBatch {
-		return fmt.Errorf("uncertain: nested WriteBatch")
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.commitPending(); err != nil {
 		return err
 	}

@@ -34,8 +34,19 @@ func TestGroupCommitSizeThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tree.inner.CommittedLen(); got != 0 {
-		t.Fatalf("7 grouped inserts already visible: CommittedLen=%d, want 0", got)
+	// Queries observe the last committed epoch: the open group is
+	// invisible to Len and Search alike.
+	everywhere := Box(Pt(-100, -100), Pt(1100, 1100))
+	visible := func() int {
+		t.Helper()
+		res, _, err := tree.Search(context.Background(), everywhere, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res)
+	}
+	if got, found := tree.Len(), visible(); got != 0 || found != 0 {
+		t.Fatalf("7 grouped inserts already visible: Len=%d, Search found %d, want 0", got, found)
 	}
 	if tree.Epoch() != epoch0 {
 		t.Fatalf("epoch advanced mid-group: %d -> %d", epoch0, tree.Epoch())
@@ -44,11 +55,26 @@ func TestGroupCommitSizeThreshold(t *testing.T) {
 	if err := tree.Insert(7, batchPDF(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.inner.CommittedLen(); got != 8 {
-		t.Fatalf("after group commit: CommittedLen=%d, want 8", got)
+	if got, found := tree.Len(), visible(); got != 8 || found != 8 {
+		t.Fatalf("after group commit: Len=%d, Search found %d, want 8", got, found)
 	}
 	if tree.Epoch() != epoch0+1 {
 		t.Fatalf("group committed %d epochs, want exactly 1", tree.Epoch()-epoch0)
+	}
+	// Flush publishes an open group on demand — read-your-writes.
+	for i := int64(8); i < 15; i++ {
+		if err := tree.Insert(i, batchPDF(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, found := tree.Len(), visible(); got != 8 || found != 8 {
+		t.Fatalf("second open group visible before Flush: Len=%d, Search found %d, want 8", got, found)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, found := tree.Len(), visible(); got != 15 || found != 15 {
+		t.Fatalf("after Flush: Len=%d, Search found %d, want 15", got, found)
 	}
 }
 
@@ -63,17 +89,28 @@ func TestGroupCommitAgeDeadline(t *testing.T) {
 	if err := tree.Insert(1, batchPDF(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.inner.CommittedLen(); got != 0 {
-		t.Fatalf("young group already committed: CommittedLen=%d", got)
+	if got := tree.Len(); got != 0 {
+		t.Fatalf("young group already committed: Len=%d", got)
 	}
 	time.Sleep(50 * time.Millisecond)
-	// A bare Tree checks the deadline at the next mutation: this op finds
-	// the group over age and seals it (itself included).
+	// The group is over age now: the deadline timer seals it, or — when
+	// the timer has not ticked yet — this op's own deadline check does
+	// (itself included). Either way the first insert is committed once the
+	// op returns.
 	if err := tree.Insert(2, batchPDF(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.inner.CommittedLen(); got != 2 {
-		t.Fatalf("aged group not committed at next op: CommittedLen=%d, want 2", got)
+	if got := tree.Len(); got < 1 {
+		t.Fatalf("aged group not committed by the next op: Len=%d", got)
+	}
+	// The second insert follows within one more interval, with no further
+	// mutation.
+	deadline := time.Now().Add(2 * time.Second)
+	for tree.Len() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second group not sealed by the deadline: Len=%d, want 2", tree.Len())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -199,14 +236,6 @@ func TestWriteBatchRollback(t *testing.T) {
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Batches do not nest.
-	err = tree.WriteBatch(func(BatchWriter) error {
-		return tree.WriteBatch(func(BatchWriter) error { return nil })
-	})
-	if err == nil {
-		t.Fatal("nested WriteBatch accepted")
 	}
 }
 

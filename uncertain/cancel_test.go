@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/pagefile"
 )
 
 // This file is the correctness contract of the context-first query API:
@@ -17,12 +19,31 @@ import (
 // batch engine must propagate cancellation to in-flight queries instead of
 // letting a failed batch run to completion.
 
-// cancelFixture builds a file-backed ConcurrentTree whose physical page
-// accesses cost `latency` each (armed only after the build, which runs at
-// zero latency), with a pool small enough that real queries miss.
-func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*ConcurrentTree, []RangeQuery) {
+// testLatency is these tests' build-then-measure hook: wrap goes into
+// Config.WrapStore and interposes one LatencyStore per base store (one per
+// shard on a sharded index), arm sets the per-page delay on all of them.
+type testLatency struct{ stores []*pagefile.LatencyStore }
+
+func (l *testLatency) wrap(s pagefile.Store) pagefile.Store {
+	ls := pagefile.NewLatencyStore(s, 0, 0)
+	l.stores = append(l.stores, ls)
+	return ls
+}
+
+func (l *testLatency) arm(d time.Duration) {
+	for _, ls := range l.stores {
+		ls.SetDelays(d, d)
+	}
+}
+
+// cancelFixture builds a file-backed Tree whose physical page accesses
+// cost `latency` each (armed only after the build, which runs at zero
+// latency), with a pool small enough that real queries miss.
+func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*Tree, *testLatency, []RangeQuery) {
 	t.Helper()
-	ct, err := NewConcurrentTree(Config{
+	lat := &testLatency{}
+	ct, err := NewTree(Config{
+		WrapStore:       lat.wrap,
 		Dimensions:      2,
 		ExactRefinement: true,
 		BufferPages:     8,
@@ -39,8 +60,8 @@ func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*Concurre
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ct.SetSimulatedPageLatency(latency)
-	return ct, shardedFixtureQueries(40, 62)
+	lat.arm(latency)
+	return ct, lat, shardedFixtureQueries(40, 62)
 }
 
 // waitGoroutines waits for the goroutine count to settle back to the
@@ -70,7 +91,7 @@ func TestSearchCancelMidTraversal(t *testing.T) {
 	const latency = 2 * time.Millisecond
 	for _, prefetch := range []int{0, 4} {
 		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
-			ct, queries := cancelFixture(t, latency, prefetch)
+			ct, lat, queries := cancelFixture(t, latency, prefetch)
 			baseline := runtime.NumGoroutine()
 
 			// The whole-domain query touches far more pages than fit in the
@@ -102,7 +123,7 @@ func TestSearchCancelMidTraversal(t *testing.T) {
 
 			// The index must stay sound and answer the same query fully once
 			// the pressure is off.
-			ct.SetSimulatedPageLatency(0)
+			lat.arm(0)
 			if err := ct.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after cancel: %v", err)
 			}
@@ -131,7 +152,7 @@ func TestSearchCancelMidTraversal(t *testing.T) {
 // TestSearchDeadlineAlreadyPassed: a context that is dead on arrival must
 // stop the query before any page is fetched.
 func TestSearchDeadlineAlreadyPassed(t *testing.T) {
-	ct, queries := cancelFixture(t, 0, 0)
+	ct, _, queries := cancelFixture(t, 0, 0)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, stats, err := ct.Search(ctx, queries[0].Rect, queries[0].Prob)
@@ -146,7 +167,7 @@ func TestSearchDeadlineAlreadyPassed(t *testing.T) {
 // TestNNCancel: the best-first NN traversal honors cancellation the same
 // way (partial neighbors + ctx error + intact index).
 func TestNNCancel(t *testing.T) {
-	ct, _ := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, lat, _ := cancelFixture(t, 2*time.Millisecond, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)
 	start := time.Now()
@@ -157,7 +178,7 @@ func TestNNCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Millisecond {
 		t.Fatalf("cancelled NN took %v", elapsed)
 	}
-	ct.SetSimulatedPageLatency(0)
+	lat.arm(0)
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after NN cancel: %v", err)
 	}
@@ -166,7 +187,8 @@ func TestNNCancel(t *testing.T) {
 // TestShardedCancel: cancelling a scatter-gathered query stops every shard
 // and returns the caller's context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
-	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8})
+	lat := &testLatency{}
+	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8, WrapStore: lat.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +199,7 @@ func TestShardedCancel(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st.SetSimulatedPageLatency(2 * time.Millisecond)
+	lat.arm(2 * time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)
@@ -195,7 +217,7 @@ func TestShardedCancel(t *testing.T) {
 	if stats.Results != len(res) {
 		t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
 	}
-	st.SetSimulatedPageLatency(0)
+	lat.arm(0)
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after sharded cancel: %v", err)
 	}
@@ -477,7 +499,7 @@ func TestQueryOptions(t *testing.T) {
 // early-cancelled large batch over slow storage returns in milliseconds,
 // not seconds.
 func TestEngineEarlyCancelLargeBatch(t *testing.T) {
-	ct, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
 	baseline := runtime.NumGoroutine()
 
 	// 200 slow queries ≈ many seconds of serial page stalls at 4 workers.
@@ -506,7 +528,7 @@ func TestEngineEarlyCancelLargeBatch(t *testing.T) {
 // TestEngineFirstErrorCancelsInFlight: the first real query error must
 // cancel the in-flight siblings, not just stop handing out new tasks.
 func TestEngineFirstErrorCancelsInFlight(t *testing.T) {
-	ct, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
 	batch := make([]RangeQuery, 0, 101)
 	batch = append(batch, RangeQuery{Rect: Box(Pt(0, 0), Pt(1, 1)), Prob: 42}) // invalid prob → immediate error
 	for len(batch) < 101 {
@@ -527,7 +549,7 @@ func TestEngineFirstErrorCancelsInFlight(t *testing.T) {
 // TestEnginePerQueryTimeout: EngineOptions.QueryTimeout bounds each query
 // without failing the batch; timed-out queries are counted.
 func TestEnginePerQueryTimeout(t *testing.T) {
-	ct, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
 	eng := NewQueryEngine(ct, EngineOptions{Workers: 2, QueryTimeout: 3 * time.Millisecond})
 	out, stats, err := eng.SearchBatch(context.Background(), queries)
 	if err != nil {

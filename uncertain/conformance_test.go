@@ -1,0 +1,472 @@
+package uncertain
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/pagefile"
+)
+
+// This file is the Index conformance contract: whatever constructor built
+// the index, range and k-NN answers equal a brute-force scan that shares
+// none of the index's filtering — exactly under exact refinement, inside
+// the estimator's 6σ band under Monte Carlo. It also pins what the single
+// tree type promises on top: a reopened file serves lock-free readers
+// beside its writer, Monte-Carlo answers do not depend on query order, and
+// a sharded fan-out with nothing to rank on starts every shard at once.
+
+const (
+	conformanceSamples = 1500
+	conformanceSpan    = 1000.0
+)
+
+// conformanceLoad fills idx through every mutation path — bulk load,
+// insert, delete — and returns the objects left in it.
+func conformanceLoad(t *testing.T, idx Index) []core.Object {
+	t.Helper()
+	rng := rand.New(rand.NewSource(31))
+	pdf := func() PDF {
+		return UniformCircle(Pt(rng.Float64()*conformanceSpan, rng.Float64()*conformanceSpan), 5+rng.Float64()*20)
+	}
+	all := make(map[int64]PDF)
+	bulk := make(map[int64]PDF)
+	for id := int64(0); id < 300; id++ {
+		bulk[id] = pdf()
+		all[id] = bulk[id]
+	}
+	if err := idx.BulkLoad(bulk); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(300); id < 330; id++ {
+		all[id] = pdf()
+		if err := idx.Insert(id, all[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int64(0); id < 300; id += 25 {
+		if err := idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(all, id)
+	}
+	objs := make([]core.Object, 0, len(all))
+	for id, p := range all {
+		objs = append(objs, core.Object{ID: id, PDF: p})
+	}
+	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
+	return objs
+}
+
+// checkRangeConformance compares one range answer with the exact
+// probabilities of every object. With mc, a refined probability may sit up
+// to 6σ (σ² = p(1−p)/n, the binomial estimator over a uniform pdf) from the
+// exact one, and only objects clear of the threshold by that margin are
+// required in or out of the answer.
+func checkRangeConformance(t *testing.T, label string, q RangeQuery, got []Result, exact map[int64]float64, mc bool) {
+	t.Helper()
+	band := func(p float64) float64 {
+		if !mc {
+			return 0
+		}
+		return 6*math.Sqrt(p*(1-p)/conformanceSamples) + 1e-12
+	}
+	seen := make(map[int64]bool, len(got))
+	for _, r := range got {
+		p, ok := exact[r.ID]
+		if !ok {
+			t.Fatalf("%s: result %d is not in the index", label, r.ID)
+		}
+		if seen[r.ID] {
+			t.Fatalf("%s: result %d reported twice", label, r.ID)
+		}
+		seen[r.ID] = true
+		switch {
+		case r.Validated:
+			if p < q.Prob-1e-9 {
+				t.Fatalf("%s: object %d validated at p=%g below threshold %g", label, r.ID, p, q.Prob)
+			}
+		case math.Abs(r.Prob-p) > band(p):
+			t.Fatalf("%s: object %d refined to %g, exact %g (band %g)", label, r.ID, r.Prob, p, band(p))
+		case p < q.Prob-band(p):
+			t.Fatalf("%s: false hit %d: exact p=%g, threshold %g", label, r.ID, p, q.Prob)
+		}
+	}
+	for id, p := range exact {
+		if p >= q.Prob+band(p) && p > 0 && !seen[id] {
+			t.Fatalf("%s: false dismissal of %d: exact p=%g, threshold %g", label, id, p, q.Prob)
+		}
+	}
+}
+
+// bruteForceNN is the k-NN oracle: every object's expected distance (the
+// same per-object-seeded estimator the index refines with, so values match
+// bit for bit), sorted by (distance, ID).
+func bruteForceNN(objs []core.Object, q Point, k int) []Neighbor {
+	all := make([]Neighbor, len(objs))
+	for i, o := range objs {
+		all[i] = Neighbor{ID: o.ID, ExpectedDist: core.ExpectedDistance(o.PDF, q, conformanceSamples, o.ID)}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].ExpectedDist != all[b].ExpectedDist {
+			return all[a].ExpectedDist < all[b].ExpectedDist
+		}
+		return all[a].ID < all[b].ID
+	})
+	return all[:k]
+}
+
+func TestIndexConformance(t *testing.T) {
+	domain := Box(Pt(0, 0), Pt(conformanceSpan, conformanceSpan))
+	builders := []struct {
+		name  string
+		build func(t *testing.T, cfg Config) (Index, []core.Object)
+	}{
+		{"tree", func(t *testing.T, cfg Config) (Index, []core.Object) {
+			idx, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx, conformanceLoad(t, idx)
+		}},
+		{"reopened", func(t *testing.T, cfg Config) (Index, []core.Object) {
+			cfg.Path = filepath.Join(t.TempDir(), "conformance.utree")
+			built, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs := conformanceLoad(t, built)
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			idx, err := OpenTree(cfg.Path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx, objs
+		}},
+		{"sharded-1", func(t *testing.T, cfg Config) (Index, []core.Object) {
+			idx, err := NewShardedTree(1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx, conformanceLoad(t, idx)
+		}},
+		{"sharded-3", func(t *testing.T, cfg Config) (Index, []core.Object) {
+			idx, err := NewShardedTree(3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx, conformanceLoad(t, idx)
+		}},
+		{"spatial-3", func(t *testing.T, cfg Config) (Index, []core.Object) {
+			idx, err := NewSpatialShardedTree(3, cfg, domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx, conformanceLoad(t, idx)
+		}},
+	}
+	queries := shardedFixtureQueries(16, 32)
+	points := []Point{Pt(500, 500), Pt(40, 960), Pt(-50, 300)}
+	const k = 7
+
+	// The oracle depends on the objects only, and every builder loads the
+	// same ones: compute it once.
+	var exact []map[int64]float64
+	var wantNN [][]Neighbor
+	oracle := func(objs []core.Object) {
+		if exact != nil {
+			return
+		}
+		scan := core.NewScan(objs, 9, 0, true, 1)
+		for _, q := range queries {
+			probs := make(map[int64]float64, len(objs))
+			for _, o := range objs {
+				probs[o.ID] = 0
+			}
+			// Prob > 0 only: BruteForce reports p ≥ threshold.
+			for _, r := range scan.BruteForce(core.Query{Rect: q.Rect, Prob: math.SmallestNonzeroFloat64}) {
+				probs[r.ID] = r.Prob
+			}
+			exact = append(exact, probs)
+		}
+		for _, pt := range points {
+			wantNN = append(wantNN, bruteForceNN(objs, pt, k))
+		}
+	}
+
+	for _, b := range builders {
+		for _, adaptive := range []bool{false, true} {
+			for _, mc := range []bool{false, true} {
+				name := fmt.Sprintf("%s/adaptive=%v/mc=%v", b.name, adaptive, mc)
+				t.Run(name, func(t *testing.T) {
+					idx, objs := b.build(t, Config{
+						Dimensions:        2,
+						ExactRefinement:   !mc,
+						MonteCarloSamples: conformanceSamples,
+						AdaptivePlanning:  adaptive,
+					})
+					defer idx.Close()
+					oracle(objs)
+					if idx.Len() != len(objs) {
+						t.Fatalf("Len = %d, want %d", idx.Len(), len(objs))
+					}
+					if err := idx.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					for i, q := range queries {
+						got, _, err := idx.Search(context.Background(), q.Rect, q.Prob)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i], mc)
+					}
+					for i, pt := range points {
+						got, _, err := idx.NearestNeighbors(context.Background(), pt, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != k {
+							t.Fatalf("NN %d: %d neighbors, want %d", i, len(got), k)
+						}
+						for j := range got {
+							if got[j] != wantNN[i][j] {
+								t.Fatalf("NN %d neighbor %d: %+v, brute force %+v", i, j, got[j], wantNN[i][j])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOpenTreeConcurrentReaders: a reopened file is the same
+// snapshot-isolated tree a fresh one is — readers search it lock-free
+// while a writer mutates it. Run with -race.
+func TestOpenTreeConcurrentReaders(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reopen.utree")
+	cfg := Config{Dimensions: 2, ExactRefinement: true, Path: path}
+	built, err := NewTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.BulkLoad(shardedFixtureObjects(300, 41)); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenTree(path, Config{ExactRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	var writeErr error
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		rng := rand.New(rand.NewSource(42))
+		for id := int64(10_000); ; id++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if writeErr = tree.Insert(id, batchPDF(rng)); writeErr != nil {
+				return
+			}
+			if id%3 == 0 {
+				if writeErr = tree.Delete(id); writeErr != nil {
+					return
+				}
+			}
+		}
+	}()
+
+	queries := shardedFixtureQueries(30, 43)
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := range queries {
+				q := queries[(i+r)%len(queries)]
+				res, _, err := tree.Search(context.Background(), q.Rect, q.Prob)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				for _, item := range res {
+					if !item.Validated && item.Prob < q.Prob {
+						t.Errorf("reader %d: result %d below threshold (p=%g)", r, item.ID, item.Prob)
+						return
+					}
+				}
+				if _, _, err := tree.NearestNeighbors(context.Background(), q.Rect.Lo, 3); err != nil {
+					t.Errorf("reader %d NN: %v", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMonteCarloIndependentOfQueryOrder: the refinement sampler is seeded
+// per query, so the same queries issued forwards and backwards return
+// bit-identical probabilities.
+func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
+	tree, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	if err := tree.BulkLoad(shardedFixtureObjects(300, 51)); err != nil {
+		t.Fatal(err)
+	}
+	queries := shardedFixtureQueries(20, 52)
+	forward := pipelineSearchAll(t, tree, queries)
+	refined := 0
+	for i := len(queries) - 1; i >= 0; i-- {
+		got, _, err := tree.Search(context.Background(), queries[i].Rect, queries[i].Prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResults(t, "reversed", forward[i:i+1], [][]Result{got})
+		for _, r := range got {
+			if !r.Validated {
+				refined++
+			}
+		}
+	}
+	if refined == 0 {
+		t.Fatal("degenerate workload: no result went through Monte-Carlo refinement")
+	}
+}
+
+// TestOpenTreeConfigMismatch: structural Config fields are taken from the
+// file when zero and must agree with it when set.
+func TestOpenTreeConfigMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mismatch.utree")
+	built, err := NewTree(Config{Dimensions: 2, CatalogSize: 6, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"Dimensions":  {Dimensions: 3},
+		"UPCR":        {UPCR: true},
+		"CatalogSize": {CatalogSize: 9},
+	} {
+		if tree, err := OpenTree(path, cfg); !errors.Is(err, ErrConfigMismatch) {
+			if err == nil {
+				tree.Close()
+			}
+			t.Fatalf("conflicting %s: err = %v, want ErrConfigMismatch", name, err)
+		}
+	}
+	for name, cfg := range map[string]Config{
+		"zero":     {},
+		"matching": {Dimensions: 2, CatalogSize: 6},
+	} {
+		tree, err := OpenTree(path, cfg)
+		if err != nil {
+			t.Fatalf("%s config: %v", name, err)
+		}
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// rendezvousStore holds the first armed read of every store sharing its
+// gate until all of them have one in flight.
+type rendezvousStore struct {
+	pagefile.Store
+	gate    *rendezvous
+	arrived atomic.Bool
+}
+
+type rendezvous struct {
+	armed   atomic.Bool
+	waiting atomic.Int32
+	want    int32
+	all     chan struct{}
+	late    atomic.Bool
+}
+
+func (s *rendezvousStore) Read(id pagefile.PageID, buf []byte) error {
+	g := s.gate
+	if g.armed.Load() && s.arrived.CompareAndSwap(false, true) {
+		if g.waiting.Add(1) == g.want {
+			close(g.all)
+		}
+		select {
+		case <-g.all:
+		case <-time.After(5 * time.Second):
+			g.late.Store(true)
+		}
+	}
+	return s.Store.Read(id, buf)
+}
+
+// TestShardedNNLaunchesAllShards: without adaptive planning no shard knows
+// its root box, so there is nothing to rank on and no reason to run one
+// shard ahead of the others — every shard's first page read must be in
+// flight at the same time.
+func TestShardedNNLaunchesAllShards(t *testing.T) {
+	const shards = 3
+	gate := &rendezvous{want: shards, all: make(chan struct{})}
+	st, err := NewShardedTree(shards, Config{
+		Dimensions:       2,
+		BufferPages:      1, // every node visit reaches the store
+		NodeCacheEntries: -1,
+		WrapStore: func(s pagefile.Store) pagefile.Store {
+			return &rendezvousStore{Store: s, gate: gate}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.BulkLoad(shardedFixtureObjects(300, 61)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	if _, _, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5); err != nil {
+		t.Fatal(err)
+	}
+	if gate.late.Load() {
+		t.Fatal("a shard's first read waited 5s for its siblings to start: the fan-out serialized a shard")
+	}
+	if n := gate.waiting.Load(); n != shards {
+		t.Fatalf("%d of %d shards read a page", n, shards)
+	}
+}

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the batch query engine: a bounded worker pool fanning many
-// independent queries across one shared Index — a ConcurrentTree (each
-// worker's query pins its own snapshot of the committed epoch, so batches
+// independent queries across one shared Index — a Tree (each worker's
+// query pins its own snapshot of the committed epoch, so batches
 // interleave freely with live updates and never wait on a writer) or a
 // ShardedTree (each worker's query additionally scatters across the
 // shards). The design follows the scalable filter/refinement
@@ -159,8 +159,7 @@ func (e *AdmissionError) Error() string {
 func (e *AdmissionError) Unwrap() error { return ErrAdmission }
 
 // ioPredictor is the optional index capability admission control needs;
-// Tree, ConcurrentTree and ShardedTree provide it when adaptive planning
-// is on.
+// Tree and ShardedTree provide it when adaptive planning is on.
 type ioPredictor interface {
 	PredictSearchIO(rect Rect, prob float64) (float64, bool)
 }
@@ -232,16 +231,14 @@ func (a *admitter) release(pred float64) {
 }
 
 // QueryEngine runs batches of queries concurrently against one shared
-// index. The index must tolerate concurrent readers — ConcurrentTree and
-// ShardedTree do; a bare Tree does NOT (its Search advances a shared
-// refinement sampler), so wrap one in a ConcurrentTree before handing it
-// to an engine. The engine holds no per-batch state, so one engine may
-// serve many goroutines, and batches may overlap with Insert/Delete on
-// the same concurrent index.
+// index — every Index in this package tolerates concurrent readers. The
+// engine holds no per-batch state, so one engine may serve many
+// goroutines, and batches may overlap with Insert/Delete on the same
+// index.
 //
-//	ct, _ := uncertain.NewConcurrentTree(uncertain.Config{Dimensions: 2})
+//	tree, _ := uncertain.NewTree(uncertain.Config{Dimensions: 2})
 //	// ... load objects ...
-//	eng := uncertain.NewQueryEngine(ct, uncertain.EngineOptions{Workers: 4})
+//	eng := uncertain.NewQueryEngine(tree, uncertain.EngineOptions{Workers: 4})
 //	results, stats, err := eng.SearchBatch(ctx, queries)
 type QueryEngine struct {
 	idx          Index

@@ -33,20 +33,25 @@ type Neighbor = core.NNResult
 type NNStats = core.NNStats
 
 // NearestNeighbors returns the k objects with the smallest expected
-// distance E[dist(o, q)] to the query point, ascending. It honors ctx and
-// the per-query options under the same contract as Search (WithLimit caps
-// k; a cancelled traversal returns the neighbors found so far with
-// ctx.Err()).
+// distance E[dist(o, q)] to the query point, ascending, against a pinned
+// snapshot of the latest committed epoch (see Search for the isolation
+// contract). It honors ctx and the per-query options under the same
+// contract as Search (WithLimit caps k; a cancelled traversal returns the
+// neighbors found so far with ctx.Err()).
 func (t *Tree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
-	return t.inner.NearestNeighborsCtx(ctx, q, k, resolveOptions(opts))
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.NearestNeighbors(ctx, q, k, resolveOptions(opts))
 }
 
 // BulkLoad builds the index bottom-up (STR packing) from a batch of
-// objects; the tree must be empty. Far faster than repeated Insert and
-// produces a tighter tree; the index stays fully dynamic afterwards. The
-// whole load commits as a single epoch: snapshots see either the empty
-// tree or the complete load, never a partial one.
+// objects (writer lock); the tree must be empty. Far faster than repeated
+// Insert and produces a tighter tree; the index stays fully dynamic
+// afterwards. The whole load commits as a single epoch: snapshots see
+// either the empty tree or the complete load, never a partial one.
 func (t *Tree) BulkLoad(objects map[int64]PDF) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.commitPending(); err != nil {
 		return err
 	}
@@ -57,7 +62,7 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
 	}
-	if err := t.commit(); err != nil {
+	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
 	for id, p := range objects {
@@ -71,8 +76,10 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 type CostModel = core.CostModel
 
 // BuildCostModel summarizes the tree for analytical cost prediction over
-// the given data domain.
+// the given data domain (writer lock: it walks the working tree).
 func (t *Tree) BuildCostModel(domain Rect) (*CostModel, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.inner.BuildCostModel(domain)
 }
 
@@ -90,7 +97,8 @@ func (t *Tree) CatalogIndexFor(pq float64) int {
 type PlannerInfo = core.PlannerInfo
 
 // PlannerInfo reports the adaptive planner's diagnostics (all zero
-// without Config.AdaptivePlanning).
+// without Config.AdaptivePlanning). Safe to call concurrently with
+// queries and the writer, like PredictSearchIO.
 func (t *Tree) PlannerInfo() PlannerInfo { return t.inner.PlannerInfo() }
 
 // PredictSearchIO predicts the node accesses of a Search with the given

@@ -74,12 +74,9 @@ type HealthInfo = core.HealthInfo
 type QuarantinedPage = core.QuarantinedPage
 
 // Health reports the tree's storage-health state. Safe to call at any
-// time; on a healthy index the report is all zeroes.
+// time, concurrently with queries and the writer; on a healthy index the
+// report is all zeroes.
 func (t *Tree) Health() HealthInfo { return t.inner.Health() }
-
-// Health reports the underlying tree's storage-health state (safe to call
-// concurrently with queries and the writer).
-func (c *ConcurrentTree) Health() HealthInfo { return c.tree.Health() }
 
 // Health merges the shards' storage-health reports: counters sum,
 // quarantine lists concatenate (each page belongs to exactly one shard's

@@ -205,7 +205,7 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reach, err := ct.tree.inner.ReachablePages()
+	reach, err := ct.inner.ReachablePages()
 	if err != nil {
 		t.Fatal(err)
 	}

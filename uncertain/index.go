@@ -4,19 +4,23 @@ import (
 	"context"
 )
 
-// Index is the unified contract of every U-tree variant in this package:
-// the single-goroutine Tree, the snapshot-isolated ConcurrentTree, and
-// the scatter-gather ShardedTree. Code that drives an index — the batch
-// QueryEngine, the experiment harness, CLIs — should accept an Index so
-// callers pick the concurrency story that fits their workload:
+// Index is the unified contract of the two U-tree shapes in this package:
+// the single-store Tree and the scatter-gather ShardedTree. Code that
+// drives an index — the batch QueryEngine, the experiment harness, CLIs —
+// should accept an Index so callers pick the shape that fits their
+// workload:
 //
-//   - Tree: one goroutine, lowest overhead.
-//   - ConcurrentTree: lock-free snapshot reads beside one serialized
-//     writer; queries pin the committed epoch and never wait on a
-//     writer's page I/O.
-//   - ShardedTree: K independent ConcurrentTrees; queries fan out across
-//     all shards and overlap their page latencies, and writers on
-//     different shards proceed in parallel.
+//   - Tree: lock-free snapshot reads beside one serialized writer; queries
+//     pin the committed epoch and never wait on a writer's page I/O. A
+//     single goroutine pays one uncontended mutex per mutation.
+//   - ShardedTree: K independent Trees; queries fan out across the shards
+//     and overlap their page latencies, and writers on different shards
+//     proceed in parallel.
+//
+// Every Index is safe for concurrent use and can be handed to a
+// QueryEngine. Queries observe the last committed epoch: without group
+// commit that is every completed mutation; with it, Flush publishes the
+// open group.
 //
 // The query surface is context-first: every query takes a
 // context.Context for cancellation and deadlines (queries check it before
@@ -54,25 +58,19 @@ type Index interface {
 	// distance to q, ascending, under the same context and option contract
 	// as Search.
 	NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error)
-	// Len returns the number of indexed objects.
+	// Len returns the number of indexed objects in the last committed
+	// epoch.
 	Len() int
 	// CacheStats reports cumulative buffer-pool hits and misses (summed
 	// over shards for sharded indexes).
-	//
-	// The deprecated SetSimulatedPageLatency / SetPrefetchWorkers mutators
-	// were removed from this interface (PR 4 deprecation note): prefetch
-	// fan-out is per query (WithPrefetchWorkers) or per open
-	// (Config.PrefetchWorkers), and simulated latency is per open
-	// (Config.SimulatedPageLatency). The concrete index types keep
-	// SetSimulatedPageLatency as a tooling hook for build-then-measure
-	// harnesses.
 	CacheStats() (hits, misses int64)
 	// NodeCacheStats reports cumulative decoded-node-cache hits and misses
 	// (summed over shards for sharded indexes; both zero when
 	// Config.NodeCacheEntries is negative).
 	NodeCacheStats() (hits, misses int64)
-	// Flush writes buffered dirty pages through to the store(s) and drains
-	// retired copy-on-write pages no snapshot pins.
+	// Flush publishes any open commit group, writes buffered dirty pages
+	// through to the store(s) and drains retired copy-on-write pages no
+	// snapshot pins.
 	Flush() error
 	// CheckInvariants validates the index structure (every shard for
 	// sharded indexes).
@@ -81,9 +79,8 @@ type Index interface {
 	Close() error
 }
 
-// Compile-time checks that every variant satisfies the interface.
+// Compile-time checks that both shapes satisfy the interface.
 var (
 	_ Index = (*Tree)(nil)
-	_ Index = (*ConcurrentTree)(nil)
 	_ Index = (*ShardedTree)(nil)
 )

@@ -6,20 +6,18 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 )
 
-// ShardedTree partitions the object set across K independent
-// ConcurrentTree shards, each with its own store, buffer pool and writer
-// lock. Objects are routed to a shard by a hash of their ID, and queries
-// scatter-gather: every shard is searched concurrently and the partial
-// answers are merged (with Stats summed via core's merge helpers).
+// ShardedTree partitions the object set across K independent Tree shards,
+// each with its own store, buffer pool and writer lock. Objects are routed
+// to a shard by a hash of their ID, and queries scatter-gather: every shard
+// is searched concurrently and the partial answers are merged (with Stats
+// summed via core's merge helpers).
 //
-// Compared to a single ConcurrentTree this buys two things on
-// latency-bound storage (the paper's setting — its cost model charges
-// 10 ms per page access):
+// Compared to a single Tree this buys two things on latency-bound storage
+// (the paper's setting — its cost model charges 10 ms per page access):
 //
 //   - One query overlaps its page stalls across shards: latency ≈ the
 //     slowest shard's share instead of the sum.
@@ -35,18 +33,12 @@ import (
 // — to a single tree over the same objects, whatever the shard count.
 //
 // NewSpatialShardedTree routes by location instead, giving the shards
-// (mostly) disjoint root MBRs; combined with Config.AdaptivePlanning the
+// (mostly) disjoint root MBRs; combined with Config.AdaptivePlanning —
+// which makes every commit record the shard's root box — the
 // scatter-gather then skips shards whose committed root box cannot
 // intersect the query — see Search and NearestNeighbors.
 type ShardedTree struct {
-	shards []*ConcurrentTree
-
-	// adaptive turns the scatter-gather into a planned fan-out: Search
-	// prunes shards by their committed root MBR, NearestNeighbors visits
-	// shards in ascending min-distance order under a shared k-th-distance
-	// bound. Both prune only provably non-contributing shards, so results
-	// stay identical to the full fan-out.
-	adaptive bool
+	shards []*Tree
 
 	// Spatial routing state (NewSpatialShardedTree). Objects are routed by
 	// their pdf-MBR center into equal slabs of domain along dimension 0
@@ -66,13 +58,13 @@ func NewShardedTree(shards int, cfg Config) (*ShardedTree, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("uncertain: shard count %d, need ≥ 1", shards)
 	}
-	s := &ShardedTree{shards: make([]*ConcurrentTree, shards), adaptive: cfg.AdaptivePlanning}
+	s := &ShardedTree{shards: make([]*Tree, shards)}
 	for i := range s.shards {
 		scfg := cfg
 		if cfg.Path != "" {
 			scfg.Path = fmt.Sprintf("%s.shard%d", cfg.Path, i)
 		}
-		ct, err := NewConcurrentTree(scfg)
+		ct, err := NewTree(scfg)
 		if err != nil {
 			for _, built := range s.shards[:i] {
 				built.Close()
@@ -142,7 +134,7 @@ func (s *ShardedTree) shardIndex(id int64) int {
 	return int(h % uint64(len(s.shards)))
 }
 
-func (s *ShardedTree) shardFor(id int64) *ConcurrentTree {
+func (s *ShardedTree) shardFor(id int64) *Tree {
 	return s.shards[s.shardIndex(id)]
 }
 
@@ -371,13 +363,52 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 	return s.firstError(errs)
 }
 
-// Search scatter-gathers a probabilistic range query: every shard runs the
+// pinShards pins every shard's latest committed epoch. The pins are
+// independent, so under a live writer a merged answer reflects each shard's
+// epoch at its own pin time — within one shard the view is always
+// consistent. release closes them all.
+func (s *ShardedTree) pinShards() (snaps []*core.Snapshot, release func()) {
+	snaps = make([]*core.Snapshot, len(s.shards))
+	for i, sh := range s.shards {
+		snaps[i] = sh.inner.Snapshot()
+	}
+	return snaps, func() {
+		for _, sn := range snaps {
+			sn.Close()
+		}
+	}
+}
+
+// rootDisjoint reports whether a pinned shard epoch provably holds nothing
+// inside rect: its root MBR (the p=0 boundary box, which contains every
+// object region of the shard) is known and misses rect. The box is recorded
+// at commit only under Config.AdaptivePlanning and is unknown (zero) for an
+// empty shard; an unknown box never prunes.
+func rootDisjoint(sn *core.Snapshot, rect Rect) bool {
+	root := sn.RootMBR()
+	return root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect)
+}
+
+// shardFatal reports whether one shard's error must stop its siblings:
+// any real failure, unless the query opted into degraded answers. Budget
+// exhaustion is never fatal to the fan-out.
+func shardFatal(err error, plan core.QueryOpts) bool {
+	return err != nil && !errors.Is(err, ErrBudgetExceeded) && !plan.AllowDegraded
+}
+
+// Search scatter-gathers a probabilistic range query: the shards run the
 // query concurrently (each on a pinned snapshot of its latest committed
 // epoch, overlapping page latencies), and the partial results are
 // concatenated, sorted by ID, and returned with the per-shard Stats
-// merged. The per-shard snapshots are pinned independently, so under a
-// live writer the merged answer reflects each shard's epoch at its own
-// pin time — within one shard the view is always consistent.
+// merged.
+//
+// A shard whose committed root MBR is known and disjoint from rect cannot
+// contribute a result and is skipped without being queried, counted in
+// Stats.ShardsPruned. The pruning is purely subtractive of provably-empty
+// work, so the merged answer is identical to the full fan-out; it only
+// bites when the shards partition space (NewSpatialShardedTree) and record
+// their root boxes (Config.AdaptivePlanning). An invalid query is never
+// pruned on — it is sent down so the usual validation error surfaces.
 //
 // Cancellation fans out: cancelling ctx (or passing its deadline) stops
 // every shard's traversal, and the partial answers the shards had already
@@ -390,77 +421,15 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 // shard failed). Per-shard page-budget exhaustion is likewise not fatal to
 // the fan-out — the shards' answers are merged and returned with
 // ErrBudgetExceeded.
-//
-// With Config.AdaptivePlanning the fan-out is planned: shards whose
-// committed root MBR (the p=0 boundary box, which contains every object
-// region in the shard) is disjoint from rect cannot contribute a result
-// and are skipped without being queried, counted in Stats.ShardsPruned.
-// The pruning is purely subtractive of provably-empty work, so the merged
-// answer is identical to the full fan-out; it only bites when the shards
-// partition space (NewSpatialShardedTree).
 func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	plan := resolveOptions(opts)
-	if s.adaptive {
-		return s.searchAdaptive(ctx, rect, prob, plan)
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	partRes := make([][]Result, len(s.shards))
-	partStats := make([]Stats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = s.shards[i].Search(sctx, rect, prob, opts...)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-				cancel() // first real failure stops the sibling shards
-			}
-		}(i)
-	}
-	wg.Wait()
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var out []Result
-	var stats Stats
-	for i := range s.shards {
-		out = append(out, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	if plan.Limit > 0 && len(out) > plan.Limit {
-		out = out[:plan.Limit]
-	}
-	return out, stats, softErr
-}
-
-// searchAdaptive is the planned fan-out behind Search when adaptive
-// planning is on: pin every shard's latest committed epoch, prune the
-// shards whose root MBR cannot intersect rect, and scatter the query over
-// the survivors. A shard is pruned only when the check is provably sound:
-// the query itself must be valid (otherwise it is sent down so the usual
-// validation error surfaces) and the shard's cached root MBR known and of
-// matching dimensionality — an unknown (zero) MBR is never pruned on.
-func (s *ShardedTree) searchAdaptive(ctx context.Context, rect Rect, prob float64, plan core.QueryOpts) ([]Result, Stats, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps := make([]*Snapshot, len(s.shards))
-	for i := range s.shards {
-		snaps[i] = s.shards[i].Snapshot()
-	}
-	defer func() {
-		for _, sn := range snaps {
-			if sn != nil {
-				sn.Close()
-			}
-		}
-	}()
+	snaps, release := s.pinShards()
+	defer release()
 	canPrune := rect.IsValid() && prob > 0 && prob <= 1
 	pruned := 0
 	partRes := make([][]Result, len(s.shards))
@@ -468,20 +437,15 @@ func (s *ShardedTree) searchAdaptive(ctx context.Context, rect Rect, prob float6
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i := range s.shards {
-		if canPrune {
-			root := snaps[i].inner.RootMBR()
-			if root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect) {
-				pruned++
-				snaps[i].Close()
-				snaps[i] = nil
-				continue
-			}
+		if canPrune && rootDisjoint(snaps[i], rect) {
+			pruned++
+			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = snaps[i].inner.RangeQuery(sctx, core.Query{Rect: rect, Prob: prob}, plan)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
+			partRes[i], partStats[i], errs[i] = snaps[i].RangeQuery(sctx, core.Query{Rect: rect, Prob: prob}, plan)
+			if shardFatal(errs[i], plan) {
 				cancel() // first real failure stops the sibling shards
 			}
 		}(i)
@@ -511,94 +475,40 @@ func (s *ShardedTree) searchAdaptive(ctx context.Context, rect Rect, prob float6
 // in the global top k is necessarily in its own shard's top k. See Search
 // for the cancellation and budget fan-out semantics.
 //
-// With Config.AdaptivePlanning the shards are visited in ascending order
-// of min-distance from q to their committed root MBR: the nearest shard
-// runs first and seeds a shared k-th-distance upper bound, the rest run
-// concurrently, and any shard whose min-distance already exceeds the
-// bound is skipped (NNStats.ShardsPruned) — every object it holds has
-// expected distance at least that min-distance, so none can reach the
-// global top k. Results are identical to the full fan-out.
+// The shards share a k-th-distance upper bound: each publishes its own
+// k-th best once its list fills, and every shard's best-first loop stops
+// as soon as its frontier's lower bound exceeds the shared value
+// (NNStats.BoundPruned) — the remaining candidates are provably outside
+// the merged top k. When some shard's committed root MBR is known (see
+// Search), the shards are additionally ranked by min-distance from q to
+// that box (unknown boxes rank first and are never skipped): the nearest
+// shard runs first to seed the bound, the rest then run concurrently, and
+// a shard whose min-distance already exceeds the bound at launch is
+// skipped outright (NNStats.ShardsPruned) — every object it holds has
+// expected distance at least that min-distance. With no box known there is
+// nothing to rank on and every shard launches at once. Results are
+// identical to the full fan-out either way.
 func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	plan := resolveOptions(opts)
-	if s.adaptive {
-		return s.nnAdaptive(ctx, q, k, plan)
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	partRes := make([][]Neighbor, len(s.shards))
-	partStats := make([]NNStats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = s.shards[i].NearestNeighbors(sctx, q, k, opts...)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
-	if err != nil {
-		return nil, NNStats{}, err
-	}
-	var merged []Neighbor
-	var stats NNStats
-	for i := range s.shards {
-		merged = append(merged, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].ExpectedDist != merged[b].ExpectedDist {
-			return merged[a].ExpectedDist < merged[b].ExpectedDist
-		}
-		return merged[a].ID < merged[b].ID // deterministic tie-break
-	})
-	if plan.Limit > 0 && plan.Limit < k {
-		k = plan.Limit
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, stats, softErr
-}
-
-// nnAdaptive is the cost-ranked fan-out behind NearestNeighbors when
-// adaptive planning is on. Shards are ranked by min-distance from q to
-// their committed root MBR (unknown MBRs rank first and are never
-// pruned). The nearest shard runs serially to fill the shared bound with
-// its k-th expected distance; the remaining shards then run concurrently,
-// each double-gated — skipped outright when its min-distance exceeds the
-// bound at launch, and internally cut short by the same bound inside
-// core's traversal (NNStats.BoundPruned).
-func (s *ShardedTree) nnAdaptive(ctx context.Context, q Point, k int, plan core.QueryOpts) ([]Neighbor, NNStats, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps := make([]*Snapshot, len(s.shards))
-	for i := range s.shards {
-		snaps[i] = s.shards[i].Snapshot()
-	}
-	defer func() {
-		for _, sn := range snaps {
-			sn.Close()
-		}
-	}()
+	snaps, release := s.pinShards()
+	defer release()
 	type rankedShard struct {
 		idx int
 		d   float64 // min possible expected distance of any object in the shard
 	}
 	order := make([]rankedShard, len(s.shards))
+	ranked := false
 	for i := range s.shards {
-		d := 0.0
-		if root := snaps[i].inner.RootMBR(); root.Dim() == len(q) && root.IsValid() {
-			d = core.MinDist(q, root)
+		order[i].idx = i
+		if root := snaps[i].RootMBR(); root.Dim() == len(q) && root.IsValid() {
+			order[i].d = core.MinDist(q, root)
+			ranked = true
 		}
-		order[i] = rankedShard{idx: i, d: d}
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if order[a].d != order[b].d {
@@ -611,30 +521,31 @@ func (s *ShardedTree) nnAdaptive(ctx context.Context, q Point, k int, plan core.
 	partRes := make([][]Neighbor, len(s.shards))
 	partStats := make([]NNStats, len(s.shards))
 	errs := make([]error, len(s.shards))
-	pruned := 0
-	first := order[0].idx
-	partRes[first], partStats[first], errs[first] = snaps[first].inner.NearestNeighbors(sctx, q, k, plan)
-	fatalFirst := errs[first] != nil && !errors.Is(errs[first], ErrBudgetExceeded) && !plan.AllowDegraded
-	if !fatalFirst {
-		var wg sync.WaitGroup
-		for _, r := range order[1:] {
-			// Strict >: a shard tying the bound may still hold an
-			// equal-distance, smaller-ID neighbor the merge must see.
-			if r.d > bound.Load() {
-				pruned++
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				partRes[i], partStats[i], errs[i] = snaps[i].inner.NearestNeighbors(sctx, q, k, plan)
-				if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-					cancel()
-				}
-			}(r.idx)
+	var wg sync.WaitGroup
+	run := func(i int) {
+		defer wg.Done()
+		partRes[i], partStats[i], errs[i] = snaps[i].NearestNeighbors(sctx, q, k, plan)
+		if shardFatal(errs[i], plan) {
+			cancel() // the siblings' traversals stop at their next pop
 		}
-		wg.Wait()
 	}
+	if ranked {
+		wg.Add(1)
+		run(order[0].idx)
+		order = order[1:]
+	}
+	pruned := 0
+	for _, r := range order {
+		// Strict >: a shard tying the bound may still hold an
+		// equal-distance, smaller-ID neighbor the merge must see.
+		if r.d > bound.Load() {
+			pruned++
+			continue
+		}
+		wg.Add(1)
+		go run(r.idx)
+	}
+	wg.Wait()
 	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
 	if err != nil {
 		return nil, NNStats{}, err
@@ -727,20 +638,17 @@ func (s *ShardedTree) PlannerInfo() PlannerInfo {
 }
 
 // PredictSearchIO sums the shards' predicted node accesses for a Search,
-// skipping shards the adaptive fan-out would prune — the engine's
-// admission-control input. ok is false when no shard has a model yet.
+// skipping shards Search would prune — the engine's admission-control
+// input. ok is false when no shard has a model yet.
 func (s *ShardedTree) PredictSearchIO(rect Rect, prob float64) (float64, bool) {
-	canPrune := s.adaptive && rect.IsValid() && prob > 0 && prob <= 1
+	snaps, release := s.pinShards()
+	defer release()
+	canPrune := rect.IsValid() && prob > 0 && prob <= 1
 	var sum float64
 	any := false
-	for _, sh := range s.shards {
-		if canPrune {
-			snap := sh.Snapshot()
-			root := snap.inner.RootMBR()
-			snap.Close()
-			if root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect) {
-				continue
-			}
+	for i, sh := range s.shards {
+		if canPrune && rootDisjoint(snaps[i], rect) {
+			continue
 		}
 		if p, ok := sh.PredictSearchIO(rect, prob); ok {
 			sum += p
@@ -789,24 +697,19 @@ func (s *ShardedTree) NodeCacheStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// SetSimulatedPageLatency re-arms the simulated storage latency on every
-// shard; safe to call concurrently with queries. A tooling hook for
-// build-then-measure harnesses — not part of the Index interface;
-// production code sets Config.SimulatedPageLatency.
-func (s *ShardedTree) SetSimulatedPageLatency(d time.Duration) {
-	for _, sh := range s.shards {
-		sh.SetSimulatedPageLatency(d)
-	}
-}
-
-// Flush writes every shard's buffered dirty pages through to its store.
-func (s *ShardedTree) Flush() error {
+// eachShard runs fn on every shard — all of them, even after a failure —
+// and returns the first error, annotated with its shard.
+func (s *ShardedTree) eachShard(fn func(*Tree) error) error {
 	errs := make([]error, len(s.shards))
 	for i, sh := range s.shards {
-		errs[i] = sh.Flush()
+		errs[i] = fn(sh)
 	}
 	return s.firstError(errs)
 }
+
+// Flush publishes every shard's open commit group and writes its buffered
+// dirty pages through to its store.
+func (s *ShardedTree) Flush() error { return s.eachShard((*Tree).Flush) }
 
 // CheckInvariants validates every shard's structure.
 func (s *ShardedTree) CheckInvariants() error {
@@ -820,23 +723,11 @@ func (s *ShardedTree) CheckInvariants() error {
 
 // Close closes every shard; every shard is closed even if one fails, and
 // the first error is returned. Idempotent (each shard's Close is).
-func (s *ShardedTree) Close() error {
-	errs := make([]error, len(s.shards))
-	for i, sh := range s.shards {
-		errs[i] = sh.Close()
-	}
-	return s.firstError(errs)
-}
+func (s *ShardedTree) Close() error { return s.eachShard((*Tree).Close) }
 
 // Discard releases every shard without committing (see Tree.Discard);
 // idempotent and safe after Close.
-func (s *ShardedTree) Discard() error {
-	errs := make([]error, len(s.shards))
-	for i, sh := range s.shards {
-		errs[i] = sh.Discard()
-	}
-	return s.firstError(errs)
-}
+func (s *ShardedTree) Discard() error { return s.eachShard((*Tree).Discard) }
 
 // firstError returns the first non-nil error, annotated with its shard.
 func (s *ShardedTree) firstError(errs []error) error {

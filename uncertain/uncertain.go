@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -148,17 +149,19 @@ type Config struct {
 	// GroupCommitOps > 1 enables size-based group commit: mutations
 	// accumulate in one open commit epoch and publish together once this
 	// many have gathered (or earlier — at Flush, Close, an explicit
-	// WriteBatch, or the GroupCommitInterval deadline). Grouping amortizes
-	// the per-epoch cost (metadata write, pool flush, shadow relocations of
-	// the root path) across the group; the trade-off is durability
-	// granularity: a crash loses the uncommitted tail of the open group,
-	// never a committed prefix. 0 or 1 keeps one-epoch-per-op auto-commit.
+	// WriteBatch, or the GroupCommitInterval deadline). Queries observe the
+	// last committed epoch, so an open group is invisible to Search and Len
+	// until it publishes; call Flush to read your own writes. Grouping
+	// amortizes the per-epoch cost (metadata write, pool flush, shadow
+	// relocations of the root path) across the group; the trade-off is
+	// durability granularity: a crash loses the uncommitted tail of the
+	// open group, never a committed prefix. 0 or 1 keeps one-epoch-per-op
+	// auto-commit.
 	GroupCommitOps int
 	// GroupCommitInterval > 0 bounds how long an open group may age before
-	// it commits. On a bare Tree the deadline is checked at each mutation;
-	// ConcurrentTree additionally runs a timer so an idle writer's tail
-	// commits within roughly the interval. Usable with or without
-	// GroupCommitOps.
+	// it commits: the deadline is checked at each mutation, and a timer
+	// seals an idle writer's tail within roughly the interval. Usable with
+	// or without GroupCommitOps.
 	GroupCommitInterval time.Duration
 	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
 	// pages and data-record tombstones drain on a dedicated goroutine's
@@ -210,33 +213,161 @@ type Config struct {
 	ProbFilter bool
 }
 
-// Tree is a dynamic index over uncertain objects supporting probabilistic
-// range search. Not safe for concurrent use.
+// Tree is a dynamic index over uncertain objects, shared across goroutines
+// with snapshot isolation: every query pins the latest committed epoch and
+// traverses it with NO lock held, while mutations — serialized among
+// themselves by a writer mutex — build copy-on-write shadow pages and
+// atomically publish a new epoch on commit. A long-running query therefore
+// never blocks a writer and a slow writer never stalls a single read; a
+// query sees exactly the epoch that was committed when it started (queries
+// started before a delete still return the deleted object; queries started
+// after do not). Retired pages are reclaimed by the epoch GC once no
+// snapshot pins them. A single goroutine pays one uncontended mutex per
+// mutation and nothing per query.
+//
+// Without group commit every completed mutation is its own epoch, so reads
+// follow writes immediately. With Config.GroupCommitOps/Interval an open
+// group stays invisible to Search, NearestNeighbors and Len until it
+// publishes; Flush publishes it on demand.
 type Tree struct {
-	inner   *core.Tree
-	file    *pagefile.FileStore
-	meta    pagefile.PageID
-	latency *pagefile.LatencyStore // always interposed by NewTree/OpenTree
-	retry   *pagefile.RetryStore   // nil when Config.RetryAttempts < 0
-	pdfs    map[int64]Rect         // id → region MBR, to make Delete(id) ergonomic
-	closed  bool                   // set by Close/Discard; makes both idempotent
+	mu     sync.Mutex // serializes writers; the read path takes no lock
+	inner  *core.Tree
+	file   *pagefile.FileStore
+	retry  *pagefile.RetryStore // nil when Config.RetryAttempts < 0
+	pdfs   map[int64]Rect       // id → region MBR, to make Delete(id) ergonomic
+	closed bool                 // set by Close/Discard; makes both idempotent
 
-	// Group-commit state (see Config.GroupCommitOps and batch.go). undo
-	// records the pdfs-map mutations of the open group so a rollback can
-	// revert the session's Delete(id) bookkeeping along with the index.
+	// Group-commit state (see Config.GroupCommitOps and batch.go), all
+	// under mu. undo records the pdfs-map mutations of the open group so a
+	// rollback can revert the session's Delete(id) bookkeeping along with
+	// the index.
 	gcOps      int
 	gcInterval time.Duration
 	groupOps   int       // mutations in the open group
 	groupStart time.Time // first mutation of the open group
 	inBatch    bool      // explicit WriteBatch in progress
 	undo       []pdfUndo
+
+	// Group-commit deadline timer (Config.GroupCommitInterval > 0): the
+	// policy only runs when a mutation arrives, so an idle writer's tail
+	// would sit uncommitted; the timer seals it within roughly the
+	// interval. tickErr stashes a timer-side commit failure, surfaced at
+	// the next Flush or Close.
+	tickStop chan struct{}
+	tickDone chan struct{}
+	tickErr  error // under mu
 }
+
+// ConcurrentTree is the former name of the snapshot-isolated tree; every
+// Tree is one now.
+//
+// Deprecated: use Tree.
+type ConcurrentTree = Tree
+
+// NewConcurrentTree is NewTree.
+//
+// Deprecated: use NewTree.
+func NewConcurrentTree(cfg Config) (*ConcurrentTree, error) { return NewTree(cfg) }
+
+// fileMetaPage is where a file-backed index keeps its metadata: the first
+// page after the store header, reserved by core before the root.
+const fileMetaPage pagefile.PageID = 1
+
+// ErrConfigMismatch is returned by OpenTree when a structural Config field
+// (Dimensions, UPCR, CatalogSize) is set and disagrees with the file. Test
+// with errors.Is.
+var ErrConfigMismatch = errors.New("uncertain: config disagrees with the index file")
 
 // NewTree creates an empty index.
 func NewTree(cfg Config) (*Tree, error) {
+	var fs *pagefile.FileStore
+	if cfg.Path != "" {
+		var err error
+		if fs, err = pagefile.CreateFileStore(cfg.Path); err != nil {
+			return nil, err
+		}
+	}
+	t, opt := newHandle(cfg, fs)
+	// A file-backed tree commits through its metadata page from the first
+	// (empty) epoch on, so even a process that dies before its first
+	// mutation leaves a reopenable file.
+	opt.Persist = fs != nil
+	inner, err := core.New(opt)
+	if err != nil {
+		if fs != nil {
+			fs.Close()
+		}
+		return nil, err
+	}
+	t.inner = inner
+	t.startGroupTimer()
+	return t, nil
+}
+
+// OpenTree reopens a file-backed index created with Config.Path. The
+// structure (dimensions, variant, catalog size) comes from the file; a
+// non-zero Config.Dimensions, UPCR or CatalogSize that disagrees with it
+// fails with ErrConfigMismatch. After recovering the last committed epoch
+// OpenTree sweeps pages a crash may have leaked — shadow pages retired by
+// a published epoch that died before its garbage drained, or fresh pages
+// of an aborted batch — back to the free list.
+func OpenTree(path string, cfg Config) (*Tree, error) {
+	fs, err := pagefile.OpenFileStore(path)
+	if err != nil {
+		return nil, err
+	}
+	t, opt := newHandle(cfg, fs)
+	inner, err := core.Open(opt.Store, fileMetaPage, opt)
+	if err != nil {
+		fs.Close()
+		return nil, err
+	}
+	t.inner = inner
+	if err = cfg.checkStructure(inner); err == nil {
+		err = t.sweepLeakedPages()
+	}
+	if err != nil {
+		inner.StopBackgroundReclaim()
+		fs.Close()
+		return nil, err
+	}
+	t.startGroupTimer()
+	return t, nil
+}
+
+// newHandle is the part NewTree and OpenTree share: the Tree shell, the
+// store stack over fs (nil → memory), and cfg mapped to core options.
+//
+// The stack is base → Config.WrapStore → simulated latency (only when
+// configured) → transient-fault retry (unless disabled). Retry sits above
+// the latency store — each retry attempt is a fresh I/O and pays the
+// modeled latency again — and below core's versioning and buffer pool, so
+// a retried read stays one pool miss and one page-budget charge.
+func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
+	t := &Tree{file: fs, pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
+	var store pagefile.Store = pagefile.NewMemStore()
+	if fs != nil {
+		store = fs
+	}
+	if cfg.WrapStore != nil {
+		store = cfg.WrapStore(store)
+	}
+	if cfg.SimulatedPageLatency > 0 {
+		store = pagefile.NewLatencyStore(store, cfg.SimulatedPageLatency, cfg.SimulatedPageLatency)
+	}
+	if cfg.RetryAttempts >= 0 {
+		t.retry = pagefile.NewRetryStore(store, pagefile.RetryPolicy{
+			MaxAttempts: cfg.RetryAttempts,
+			BaseDelay:   cfg.RetryBaseDelay,
+			MaxDelay:    cfg.RetryMaxDelay,
+			Seed:        cfg.Seed,
+		})
+		store = t.retry
+	}
 	opt := core.Options{
 		Dim:              cfg.Dimensions,
 		CatalogSize:      cfg.CatalogSize,
+		Store:            store,
 		MCSamples:        cfg.MonteCarloSamples,
 		ExactRefinement:  cfg.ExactRefinement,
 		Seed:             cfg.Seed,
@@ -253,89 +384,37 @@ func NewTree(cfg Config) (*Tree, error) {
 	if cfg.UPCR {
 		opt.Kind = core.UPCR
 	}
-	t := &Tree{pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
-	if cfg.Path != "" {
-		fs, err := pagefile.CreateFileStore(cfg.Path)
-		if err != nil {
-			return nil, err
-		}
-		t.file = fs
-		opt.Store = fs
-		// Reserve the metadata page before the tree allocates its root so
-		// OpenTree can always find it at page 1.
-		meta, err := fs.Alloc()
-		if err != nil {
-			fs.Close()
-			return nil, err
-		}
-		t.meta = meta
+	return t, opt
+}
+
+// checkStructure compares cfg's structural fields with a reopened tree;
+// zero means "take it from the file".
+func (cfg Config) checkStructure(inner *core.Tree) error {
+	switch {
+	case cfg.Dimensions != 0 && cfg.Dimensions != inner.Dim():
+		return fmt.Errorf("%w: Dimensions %d, file has %d", ErrConfigMismatch, cfg.Dimensions, inner.Dim())
+	case cfg.UPCR && inner.Kind() != core.UPCR:
+		return fmt.Errorf("%w: UPCR set, file holds a %v", ErrConfigMismatch, inner.Kind())
+	case cfg.CatalogSize != 0 && cfg.CatalogSize != inner.Catalog().Size():
+		return fmt.Errorf("%w: CatalogSize %d, file has %d", ErrConfigMismatch, cfg.CatalogSize, inner.Catalog().Size())
 	}
-	// Always interpose the latency store (zero delay is a no-sleep fast
-	// path) so SetSimulatedPageLatency can arm or disarm at any time — a
-	// conditional wrap would make later calls silent no-ops.
-	base := opt.Store
-	if base == nil {
-		base = pagefile.NewMemStore()
+	return nil
+}
+
+// sweepLeakedPages walks the recovered tree for its reachable page set and
+// returns everything else in the file to the free list. The walk goes
+// through the wrapped store (fault injection and simulated latency apply);
+// the sweep itself runs directly on the file store — it is allocator
+// repair below the versioning layer, not part of any epoch.
+func (t *Tree) sweepLeakedPages() error {
+	reach, err := t.inner.ReachablePages()
+	if err == nil {
+		_, err = t.file.SweepLeaked(reach)
 	}
-	if cfg.WrapStore != nil {
-		base = cfg.WrapStore(base)
-	}
-	t.latency = pagefile.NewLatencyStore(base, cfg.SimulatedPageLatency, cfg.SimulatedPageLatency)
-	opt.Store = t.buildRetry(cfg)
-	inner, err := core.New(opt)
 	if err != nil {
-		if t.file != nil {
-			t.file.Close()
-		}
-		return nil, err
+		return fmt.Errorf("uncertain: open-time leak sweep: %w", err)
 	}
-	t.inner = inner
-	// Make the empty tree the first durable epoch: for file-backed trees
-	// the metadata page now points at a committed root, so even a process
-	// that dies before its first mutation leaves a reopenable file.
-	if err := t.commit(); err != nil {
-		t.Discard()
-		return nil, err
-	}
-	return t, nil
-}
-
-// buildRetry tops the store stack with the transient-fault retry layer —
-// above the simulated-latency store (each retry attempt is a fresh I/O and
-// pays the modeled latency again) and below the versioning and buffer-pool
-// layers (a retried read stays one pool miss and one page-budget charge).
-// Enabled by default; Config.RetryAttempts < 0 disables it.
-func (t *Tree) buildRetry(cfg Config) pagefile.Store {
-	if cfg.RetryAttempts < 0 {
-		return t.latency
-	}
-	t.retry = pagefile.NewRetryStore(t.latency, pagefile.RetryPolicy{
-		MaxAttempts: cfg.RetryAttempts,
-		BaseDelay:   cfg.RetryBaseDelay,
-		MaxDelay:    cfg.RetryMaxDelay,
-		Seed:        cfg.Seed,
-	})
-	return t.retry
-}
-
-// commit seals the open mutations as a new epoch — through the metadata
-// page for file-backed trees (the crash-consistency point), directly for
-// in-memory ones. With grouping disabled every mutating method
-// auto-commits, so each completed Insert/Delete/BulkLoad is an epoch of
-// its own; with group commit (Config.GroupCommitOps/Interval, WriteBatch)
-// the whole group publishes as one epoch and snapshots see completed
-// groups, never a partial one.
-func (t *Tree) commit() error {
-	if t.inner.InBatch() {
-		if t.file != nil {
-			return t.inner.CommitBatchWithMeta(t.meta)
-		}
-		return t.inner.CommitBatch()
-	}
-	if t.file != nil {
-		return t.inner.CommitWithMeta(t.meta)
-	}
-	return t.inner.Commit()
+	return nil
 }
 
 // rollback rewinds every uncommitted mutation — the failing one and any
@@ -344,12 +423,7 @@ func (t *Tree) commit() error {
 // rollback error; when grouped ops were dropped with it, the error says so.
 func (t *Tree) rollback(opErr error) error {
 	dropped := t.groupOps
-	var rbErr error
-	if t.inner.InBatch() {
-		rbErr = t.inner.RollbackBatch()
-	} else {
-		rbErr = t.inner.Rollback()
-	}
+	rbErr := t.inner.Rollback()
 	t.revertUndo()
 	t.groupOps = 0
 	if rbErr != nil {
@@ -361,13 +435,19 @@ func (t *Tree) rollback(opErr error) error {
 	return opErr
 }
 
-// Insert adds an object. IDs must be unique; inserting a duplicate ID is
-// not detected (two entries will coexist). Without group commit the insert
-// publishes as its own epoch; under grouping it joins the open group. On
-// failure the tree rolls back to the last committed epoch — dropping any
-// uncommitted grouped operations with it — and remains usable.
+// Insert adds an object (writer lock). IDs must be unique; inserting a
+// duplicate ID is not detected (two entries will coexist). Without group
+// commit the insert publishes as its own epoch; under grouping it joins
+// the open group. On failure the tree rolls back to the last committed
+// epoch — dropping any uncommitted grouped operations with it — and
+// remains usable.
 func (t *Tree) Insert(id int64, pdf PDF) error {
-	t.beginGroupOp()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.insert(id, pdf)
+}
+
+func (t *Tree) insert(id int64, pdf PDF) error {
 	if err := t.inner.Insert(core.Object{ID: id, PDF: pdf}); err != nil {
 		return t.rollback(err)
 	}
@@ -375,24 +455,36 @@ func (t *Tree) Insert(id int64, pdf PDF) error {
 	return t.noteOp()
 }
 
-// Delete removes an object by ID. Objects inserted in a previous process
-// lifetime (reopened file-backed trees) need DeleteWithRegion instead.
-// Commit granularity follows the group-commit policy (see Insert);
-// snapshots pinned before the group's commit still see the object.
+// Delete removes an object by ID (writer lock). Objects inserted in a
+// previous process lifetime (reopened file-backed trees) need
+// DeleteWithRegion instead. Commit granularity follows the group-commit
+// policy (see Insert); snapshots pinned before the group's commit still
+// see the object.
 func (t *Tree) Delete(id int64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.delete(id)
+}
+
+func (t *Tree) delete(id int64) error {
 	mbr, ok := t.pdfs[id]
 	if !ok {
 		return fmt.Errorf("uncertain: id %d not tracked in this session; use DeleteWithRegion", id)
 	}
-	return t.DeleteWithRegion(id, mbr)
+	return t.deleteWithRegion(id, mbr)
 }
 
 // DeleteWithRegion removes an object by ID and its region MBR (the pdf's
-// MBR at insertion time). Commit granularity follows the group-commit
-// policy (see Insert). A not-found delete mutates nothing and leaves the
-// open group intact.
+// MBR at insertion time; writer lock). Commit granularity follows the
+// group-commit policy (see Insert). A not-found delete mutates nothing and
+// leaves the open group intact.
 func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
-	t.beginGroupOp()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.deleteWithRegion(id, regionMBR)
+}
+
+func (t *Tree) deleteWithRegion(id int64, regionMBR Rect) error {
 	if err := t.inner.Delete(id, regionMBR); err != nil {
 		if errors.Is(err, core.ErrNotFound) {
 			return err // nothing mutated; no rollback needed
@@ -403,43 +495,46 @@ func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
 	return t.noteOp()
 }
 
-// Search answers a probabilistic range query: the objects appearing in
-// rect with probability ≥ prob (prob in (0, 1]). The traversal checks ctx
-// before every page fetch and refinement integration, so cancellation and
-// deadlines take effect within roughly one page latency; on early exit
-// (ctx.Err(), or ErrBudgetExceeded under WithPageBudget) the results and
-// stats gathered so far are returned alongside the error.
-func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
-	return t.inner.RangeQueryCtx(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
-}
-
-// SetSimulatedPageLatency arms or disarms the simulated storage latency at
-// runtime — e.g. zero during a bulk build, then the target value for
-// measurement. Works on any tree built by NewTree/OpenTree, whatever the
-// Config started with.
+// Search answers a probabilistic range query — the objects appearing in
+// rect with probability ≥ prob (prob in (0, 1]) — against a snapshot of
+// the latest committed epoch, with no lock held (see Tree). The refinement
+// sampler is seeded from the (index seed, query) pair, so Monte-Carlo
+// answers are reproducible per query whatever the interleaving or the
+// order queries are issued in.
 //
-// Deprecated: set Config.SimulatedPageLatency when opening the index; the
-// mutator remains for build-then-measure tooling.
-func (t *Tree) SetSimulatedPageLatency(d time.Duration) {
-	if t.latency != nil {
-		t.latency.SetDelays(d, d)
-	}
+// The traversal checks ctx before every page fetch and refinement
+// integration, so cancellation and deadlines take effect within roughly
+// one page latency; on early exit (ctx.Err(), or ErrBudgetExceeded under
+// WithPageBudget) the results and stats gathered so far are returned
+// alongside the error.
+func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
 }
 
-// Flush seals any open commit group, writes every buffered dirty page
-// through to the store and drains whatever retired epochs' pages the
-// current snapshot pins allow. Useful before a read-heavy phase: a clean
-// pool evicts without write-backs, so concurrent searches never stall on
-// flushing another query's victim.
+// Flush seals any open commit group — making it visible to queries —
+// writes every buffered dirty page through to the store and drains
+// whatever retired epochs' pages the current snapshot pins allow (writer
+// lock). Useful before a read-heavy phase: a clean pool evicts without
+// write-backs, so concurrent searches never stall on flushing another
+// query's victim. Also surfaces any commit failure stashed by the
+// group-deadline timer.
 func (t *Tree) Flush() error {
-	if err := t.commitPending(); err != nil {
-		return err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	err := t.commitPending()
+	if err == nil {
+		err = t.inner.Flush()
 	}
-	return t.inner.Flush()
+	if terr := t.takeTickErr(); err == nil {
+		err = terr
+	}
+	return err
 }
 
-// Epoch returns the last committed epoch number (each completed mutation
-// is one epoch).
+// Epoch returns the last committed epoch number (without group commit each
+// completed mutation is one epoch).
 func (t *Tree) Epoch() uint64 { return t.inner.Epoch() }
 
 // GCStats reports the epoch collector's state: committed epoch, live
@@ -458,44 +553,62 @@ type GCInfo = pagefile.GCInfo
 // compact form).
 func (t *Tree) GCInfo() GCInfo { return t.inner.GCInfo() }
 
-// Len returns the number of indexed objects.
-func (t *Tree) Len() int { return t.inner.Len() }
+// Len returns the object count of the latest committed epoch (lock-free;
+// an in-progress mutation or open commit group is not yet visible).
+func (t *Tree) Len() int { return t.inner.CommittedLen() }
 
-// Height returns the tree height in levels.
-func (t *Tree) Height() int { return t.inner.Height() }
+// Height returns the tree height in levels (writer lock: it reads the
+// working tree).
+func (t *Tree) Height() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.inner.Height()
+}
 
 // SizeBytes reports the total storage footprint (index + data pages).
 func (t *Tree) SizeBytes() int64 { return t.inner.SizeBytes() }
 
-// CacheStats reports the buffer pool's cumulative hit/miss counters.
+// CacheStats reports the buffer pool's cumulative hit/miss counters
+// (atomic; callable concurrently with searches).
 func (t *Tree) CacheStats() (hits, misses int64) { return t.inner.CacheStats() }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss
-// counters (both zero when Config.NodeCacheEntries is negative).
+// counters (both zero when Config.NodeCacheEntries is negative). Safe to
+// call concurrently with queries and the writer.
 func (t *Tree) NodeCacheStats() (hits, misses int64) { return t.inner.NodeCacheStats() }
 
-// CheckInvariants validates the index structure (for tests and tooling).
-func (t *Tree) CheckInvariants() error { return t.inner.CheckInvariants() }
+// CheckInvariants validates the latest committed epoch's structure on a
+// pinned snapshot — safe to run concurrently with a writer.
+func (t *Tree) CheckInvariants() error {
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.CheckInvariants()
+}
 
-// Close stops the background reclaimer and scrubber, commits any final
-// state — sealing an open commit group — drains the last retired pages,
-// and, for file-backed trees, closes the file. Without grouping every
-// mutation already committed durably, so Close adds nothing a crash would
-// lose; under group commit the open group's tail becomes durable here.
-// Close is also the last chance to surface a reclaim failure stashed by an
-// earlier commit (such a failure leaked pages; it never corrupted data).
+// Close stops the group-deadline timer, the background reclaimer and the
+// scrubber, commits any final state — sealing an open commit group —
+// drains the last retired pages, and, for file-backed trees, closes the
+// file (writer lock). Without grouping every mutation already committed
+// durably, so Close adds nothing a crash would lose; under group commit
+// the open group's tail becomes durable here. Close is also the last
+// chance to surface a reclaim failure stashed by an earlier commit (such a
+// failure leaked pages; it never corrupted data) or a commit failure
+// stashed by the timer.
 //
 // Close is idempotent, and remains safe after a failed commit or after
 // Discard: repeated calls return nil without touching the (already
 // released) storage again.
 func (t *Tree) Close() error {
+	t.stopGroupTimer()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
 	t.closed = true
 	t.unblockRetries()
 	t.inner.StopBackgroundReclaim()
-	err := t.commit()
+	err := t.inner.Commit()
 	t.groupOps, t.undo = 0, t.undo[:0]
 	if err == nil {
 		err = t.inner.Reclaim()
@@ -504,6 +617,9 @@ func (t *Tree) Close() error {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if terr := t.takeTickErr(); err == nil {
+		err = terr
 	}
 	return err
 }
@@ -526,75 +642,21 @@ func (t *Tree) unblockRetries() {
 // durable when the last operation stopped, as if the process died there.
 // OpenTree then recovers the last committed epoch — under group commit,
 // the last committed group boundary. In-memory trees just drop their
-// state. Discard is idempotent and safe after Close (and vice versa).
+// state. Stops the group-deadline timer like Close; idempotent and safe
+// after Close (and vice versa).
 func (t *Tree) Discard() error {
+	t.stopGroupTimer()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
 	t.closed = true
+	t.tickErr = nil
 	t.unblockRetries()
 	t.inner.StopBackgroundReclaim()
 	if t.file == nil {
 		return nil
 	}
 	return t.file.Abort()
-}
-
-// OpenTree reopens a file-backed index created with Config.Path. The
-// metadata page is the first page after the store header (as written by
-// NewTree). After recovering the last committed epoch it sweeps pages a
-// crash may have leaked — shadow pages retired by a published epoch that
-// died before its garbage drained, or fresh pages of an aborted batch —
-// back to the free list.
-func OpenTree(path string, cfg Config) (*Tree, error) {
-	fs, err := pagefile.OpenFileStore(path)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{file: fs, meta: 1, pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
-	var base pagefile.Store = fs
-	if cfg.WrapStore != nil {
-		base = cfg.WrapStore(base)
-	}
-	t.latency = pagefile.NewLatencyStore(base, cfg.SimulatedPageLatency, cfg.SimulatedPageLatency)
-	inner, err := core.Open(t.buildRetry(cfg), 1, core.Options{
-		MCSamples:        cfg.MonteCarloSamples,
-		ExactRefinement:  cfg.ExactRefinement,
-		Seed:             cfg.Seed,
-		BufferPages:      cfg.BufferPages,
-		NodeCacheEntries: cfg.NodeCacheEntries,
-		PrefetchWorkers:  cfg.PrefetchWorkers,
-		ReclaimInterval:  cfg.ReclaimInterval,
-		ReclaimBudget:    cfg.ReclaimPageBudget,
-		ScrubInterval:    cfg.ScrubInterval,
-		ScrubBudget:      cfg.ScrubPageBudget,
-		AdaptivePlanning: cfg.AdaptivePlanning,
-		ProbFilter:       cfg.ProbFilter,
-	})
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	t.inner = inner
-	if err := t.sweepLeakedPages(); err != nil {
-		inner.StopBackgroundReclaim()
-		fs.Close()
-		return nil, fmt.Errorf("uncertain: open-time leak sweep: %w", err)
-	}
-	return t, nil
-}
-
-// sweepLeakedPages walks the recovered tree for its reachable page set and
-// returns everything else in the file to the free list. The walk goes
-// through the wrapped store (fault injection and simulated latency apply);
-// the sweep itself runs directly on the file store — it is allocator
-// repair below the versioning layer, not part of any epoch.
-func (t *Tree) sweepLeakedPages() error {
-	reach, err := t.inner.ReachablePages()
-	if err != nil {
-		return err
-	}
-	reach[t.meta] = true
-	_, err = t.file.SweepLeaked(reach)
-	return err
 }
