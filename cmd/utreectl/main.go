@@ -189,18 +189,20 @@ func build(path string, name dataset.Name, scale float64, upcr bool, cfg uncerta
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	batch := make(map[int64]uncertain.PDF, len(objs))
 	for _, o := range objs {
-		if err := tree.Insert(o.ID, o.PDF); err != nil {
-			tree.Close()
-			return err
-		}
+		batch[o.ID] = o.PDF
+	}
+	start := time.Now()
+	if err := tree.BulkLoad(batch); err != nil {
+		tree.Close()
+		return err
 	}
 	elapsed := time.Since(start)
 	if err := tree.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("built %s over %s (%d objects) in %v → %s\n",
+	fmt.Printf("bulk-loaded %s over %s (%d objects) in %v → %s\n",
 		kindName(upcr), name, len(objs), elapsed.Round(time.Millisecond), path)
 	return nil
 }

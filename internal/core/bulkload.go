@@ -3,15 +3,34 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/pcr"
 )
 
-// BulkLoad builds the index bottom-up from a dataset using Sort-Tile-
-// Recursive (STR) packing over the entries' e.MBR(p_median) centers — the
-// same geometry the incremental split sorts by. Compared with one-by-one
-// insertion it produces a near-full tree (fewer pages, fewer query I/Os)
-// at a fraction of the build cost; the tree stays fully dynamic afterwards.
-// It can only be called on an empty tree.
+// BulkLoad builds the index bottom-up from a dataset in three stages:
+//
+//  1. build every leaf entry (PCRs → CFBs) on GOMAXPROCS workers — pure
+//     computation, so an invalid object fails the load before a single page
+//     is allocated;
+//  2. tile the leaf level with Sort-Tile-Recursive (STR) packing over the
+//     entries' e.MBR(p_median) centers — the same geometry the incremental
+//     split sorts by;
+//  3. walk the leaves in tile order and only then append each entry's detail
+//     record, so the records of one leaf share one or two adjacent data pages
+//     and data pages follow leaf order — refinement groups candidates "by
+//     their associated disk addresses" (paper §5), which saves I/O only when
+//     neighbouring objects share a page — then write the nodes level by
+//     level.
+//
+// Compared with one-by-one insertion it produces a near-full tree (fewer
+// pages, fewer query I/Os) at a fraction of the build cost; the tree stays
+// fully dynamic afterwards (later Inserts append at the data file's tail).
+// The result is a function of the object order alone. It can only be called
+// on an empty tree.
 func (t *Tree) BulkLoad(objects []Object) error {
 	if t.size != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", t.size)
@@ -19,26 +38,11 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	if len(objects) == 0 {
 		return nil
 	}
-	// Build leaf entries (PCRs → CFBs) and data records first.
-	entries := make([]entry, len(objects))
-	for i, o := range objects {
-		e, err := t.buildLeafEntry(o)
-		if err != nil {
-			return err
-		}
-		rec, err := encodeObject(o)
-		if err != nil {
-			return err
-		}
-		addr, err := t.data.Append(rec)
-		if err != nil {
-			return err
-		}
-		e.addr = addr
-		entries[i] = e
+	entries, err := t.buildLeafEntries(objects)
+	if err != nil {
+		return err
 	}
 
-	// Level 0: tile leaf entries into leaf nodes.
 	med := t.cat.MedianIndex()
 	centersOf := func(es []entry, leaf bool) []float64 {
 		// flattened center coordinates per entry (med box center)
@@ -50,74 +54,132 @@ func (t *Tree) BulkLoad(objects []Object) error {
 		return out
 	}
 
-	level := 0
 	current := entries
-	isLeaf := true
-	for {
-		capacity := t.leafCap
-		minFill := t.minLeaf
-		if !isLeaf {
-			capacity = t.innerCap
-			minFill = t.minInner
+	for level := 0; ; level++ {
+		leaf := level == 0
+		capacity, minFill := t.innerCap, t.minInner
+		if leaf {
+			capacity, minFill = t.leafCap, t.minLeaf
 		}
-		if len(current) <= capacity {
-			// Final node: the root.
-			root, err := t.allocNode(level)
-			if err != nil {
-				return err
-			}
-			root.entries = current
-			if err := t.writeNode(root); err != nil {
-				return err
-			}
-			// Free the initial empty root page created by New.
-			if t.rootPage != root.page {
-				if n, err := t.readNode(t.rootPage); err == nil && len(n.entries) == 0 {
-					_ = t.freeNode(n)
+		var groups [][]int
+		if len(current) > capacity {
+			groups = strTile(centersOf(current, leaf), t.dim, capacity, minFill)
+		} else {
+			// What is left fits one node: the root.
+			groups = [][]int{identity(len(current))}
+		}
+		if leaf {
+			// Stage 3: records in tile order, before any node is written.
+			for _, g := range groups {
+				for _, i := range g {
+					if current[i].addr, err = t.appendRecord(objects[i]); err != nil {
+						return err
+					}
 				}
 			}
-			t.rootPage = root.page
-			t.rootLevel = level
-			t.size = len(objects)
-			return nil
 		}
-		groups := strTile(current, centersOf(current, isLeaf), t.dim, capacity, minFill)
 		next := make([]entry, 0, len(groups))
 		for _, g := range groups {
 			n, err := t.allocNode(level)
 			if err != nil {
 				return err
 			}
-			n.entries = g
+			n.entries = make([]entry, len(g))
+			for k, i := range g {
+				n.entries[k] = current[i]
+			}
 			if err := t.writeNode(n); err != nil {
 				return err
 			}
 			next = append(next, entry{child: n.page, boxes: t.nodeBoundary(n)})
 		}
+		if len(next) == 1 {
+			// Free the initial empty root page created by New.
+			root := next[0].child
+			if t.rootPage != root {
+				if n, err := t.readNode(t.rootPage); err == nil && len(n.entries) == 0 {
+					_ = t.freeNode(n)
+				}
+			}
+			t.rootPage = root
+			t.rootLevel = level
+			t.size = len(objects)
+			return nil
+		}
 		current = next
-		isLeaf = false
-		level++
 	}
 }
 
-// strTile partitions entries into groups of at most capacity (and at least
-// minFill) using recursive sort-tile over the given flattened center
-// coordinates.
-func strTile(entries []entry, centers []float64, dim, capacity, minFill int) [][]entry {
-	idx := make([]int, len(entries))
+// buildLeafEntries is BulkLoad's first stage: entries[i] is objects[i]'s
+// leaf entry without its data address, built on GOMAXPROCS workers. It
+// touches no storage.
+func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
+	// Serial pass first: reject a mis-dimensioned object, and seed the
+	// quantile cache with the first object of every shape in input order.
+	// Cached offsets are taken relative to the seeding object's center and
+	// differ by an ulp or so between seeds, so workers racing to seed a
+	// shape would make the entries depend on scheduling. (A dataset of
+	// all-distinct shapes therefore computes its quantiles here, serially;
+	// the CFB fits, the larger share, still fan out.)
+	seeded := make(map[string]bool)
+	for i := range objects {
+		if err := t.checkObject(objects[i]); err != nil {
+			return nil, err
+		}
+		if key := objects[i].PDF.ShapeKey(); key != "" && !seeded[key] {
+			seeded[key] = true
+			pcr.Compute(objects[i].PDF, t.cat, t.qcache)
+		}
+	}
+
+	entries := make([]entry, len(objects))
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(objects) {
+		workers = len(objects)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(objects) {
+					return
+				}
+				entries[i] = t.leafEntry(objects[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return entries, nil
+}
+
+// identity returns [0, 1, …, n-1].
+func identity(n int) []int {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	var groups [][]entry
+	return idx
+}
+
+// strTile partitions the entries whose flattened center coordinates are
+// given into groups of at most capacity (and at least minFill) using
+// recursive sort-tile, and returns each group as indices into the input, in
+// tile order.
+func strTile(centers []float64, dim, capacity, minFill int) [][]int {
+	var groups [][]int
 	var recurse func(ids []int, d int)
 	recurse = func(ids []int, d int) {
 		pages := int(math.Ceil(float64(len(ids)) / float64(capacity)))
+		sort.Slice(ids, func(a, b int) bool {
+			return centers[ids[a]*dim+d] < centers[ids[b]*dim+d]
+		})
 		if pages <= 1 || d == dim-1 {
-			// Final dimension: sort and chunk.
-			sort.Slice(ids, func(a, b int) bool {
-				return centers[ids[a]*dim+d] < centers[ids[b]*dim+d]
-			})
-			groups = append(groups, chunk(entries, ids, capacity, minFill)...)
+			// Final dimension: chunk the sorted run.
+			groups = append(groups, chunk(ids, capacity, minFill)...)
 			return
 		}
 		// Slabs: ceil(pages^(1/(dim-d))) vertical cuts on dimension d.
@@ -125,9 +187,6 @@ func strTile(entries []entry, centers []float64, dim, capacity, minFill int) [][
 		if slabs < 1 {
 			slabs = 1
 		}
-		sort.Slice(ids, func(a, b int) bool {
-			return centers[ids[a]*dim+d] < centers[ids[b]*dim+d]
-		})
 		per := (len(ids) + slabs - 1) / slabs
 		for lo := 0; lo < len(ids); lo += per {
 			hi := lo + per
@@ -137,14 +196,14 @@ func strTile(entries []entry, centers []float64, dim, capacity, minFill int) [][
 			recurse(ids[lo:hi], d+1)
 		}
 	}
-	recurse(idx, 0)
+	recurse(identity(len(centers)/dim), 0)
 	return groups
 }
 
 // chunk slices the ordered ids into groups of `capacity`, balancing the
 // tail so no group is below minFill.
-func chunk(entries []entry, ids []int, capacity, minFill int) [][]entry {
-	var out [][]entry
+func chunk(ids []int, capacity, minFill int) [][]int {
+	var out [][]int
 	n := len(ids)
 	lo := 0
 	for lo < n {
@@ -158,11 +217,7 @@ func chunk(entries []entry, ids []int, capacity, minFill int) [][]entry {
 		if rest := n - hi; rest > 0 && rest < minFill {
 			hi -= minFill - rest
 		}
-		g := make([]entry, 0, hi-lo)
-		for _, id := range ids[lo:hi] {
-			g = append(g, entries[id])
-		}
-		out = append(out, g)
+		out = append(out, ids[lo:hi])
 		lo = hi
 	}
 	return out

@@ -36,7 +36,7 @@ type NNResult struct {
 type NNStats struct {
 	NodeAccesses  int
 	DistanceComps int // expected-distance evaluations (the expensive step)
-	RefinementIOs int
+	RefinementIOs int // data-page fetches; consecutive objects on one page share one
 
 	// Intra-query prefetch counters (zero when prefetching is off); NN
 	// prefetch is speculative — it guesses from the frontier heap — so
@@ -159,6 +159,8 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	*pq = append((*pq)[:0], nnItem{lb: 0, isNode: true, page: root})
 
 	worst := math.Inf(1)
+	// The data page the last refined object was read from.
+	dataPage, dataBuf := pagefile.InvalidPage, []byte(nil)
 
 	for pq.Len() > 0 {
 		if cerr := plan.ctx.Err(); cerr != nil {
@@ -178,7 +180,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			break
 		}
 		if ses.nodes != nil {
-			t.speculateNN(pq, ses, len(best) == k, worst)
+			t.speculateNN(pq, ses, len(best) == k, worst, dataPage)
 		}
 		if it.isNode {
 			n, err := t.fetchNode(ses.nodes, &meter, it.page)
@@ -206,18 +208,21 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			}
 			continue
 		}
-		// Leaf object: refine its expected distance (DataFile.Read is
-		// exactly this page-read + slot-extract, so serial behavior is
-		// unchanged).
-		pageBuf, err := t.fetchDataPage(ses.data, &meter, it.addr.Page)
-		if err != nil {
-			return finish(err)
+		// Leaf object: refine its expected distance. Consecutive pops are
+		// spatial neighbours, which a bulk-loaded tree stores on one data
+		// page: keep the page just read and fetch only when the next object
+		// lives elsewhere.
+		if it.addr.Page != dataPage {
+			if dataBuf, err = t.fetchDataPage(ses.data, &meter, it.addr.Page); err != nil {
+				return finish(err)
+			}
+			dataPage = it.addr.Page
+			stats.RefinementIOs++
 		}
-		rec, err := pagefile.RecordFromPage(pageBuf, it.addr.Slot)
+		rec, err := pagefile.RecordFromPage(dataBuf, it.addr.Slot)
 		if err != nil {
 			return nil, stats, err
 		}
-		stats.RefinementIOs++
 		obj, err := decodeObject(rec)
 		if err != nil {
 			return nil, stats, err
@@ -249,9 +254,10 @@ const speculateDepth = 4
 // entries: child pages of frontier nodes through the buffer pool, data
 // pages of frontier objects through the raw store. Entries already beyond
 // the current k-th best distance are skipped — they can never be popped
-// for processing — as are nodes already in the decoded-node cache, whose
-// async reads a cache hit would leave unclaimed.
-func (t *Tree) speculateNN(pq *nnHeap, ses querySessions, full bool, worst float64) {
+// for processing — as are nodes already in the decoded-node cache and
+// objects on the data page the traversal already holds, whose async reads
+// would be left unclaimed.
+func (t *Tree) speculateNN(pq *nnHeap, ses querySessions, full bool, worst float64, held pagefile.PageID) {
 	depth := speculateDepth
 	if depth > pq.Len() {
 		depth = pq.Len()
@@ -265,7 +271,7 @@ func (t *Tree) speculateNN(pq *nnHeap, ses querySessions, full bool, worst float
 			if t.ncache == nil || !t.ncache.contains(it.page) {
 				ses.nodes.Prefetch(it.page)
 			}
-		} else {
+		} else if it.addr.Page != held {
 			ses.data.Prefetch(it.addr.Page)
 		}
 	}

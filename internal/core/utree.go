@@ -413,12 +413,19 @@ func (t *Tree) Flush() error {
 	return t.vs.Reclaim()
 }
 
-// buildLeafEntry derives the leaf entry of an object: PCRs at the catalog
-// values, then CFBs (U-tree) or the PCR list itself (U-PCR).
-func (t *Tree) buildLeafEntry(o Object) (entry, error) {
+// checkObject rejects an object the tree cannot index.
+func (t *Tree) checkObject(o Object) error {
 	if o.PDF.Dim() != t.dim {
-		return entry{}, fmt.Errorf("core: object dim %d, tree dim %d", o.PDF.Dim(), t.dim)
+		return fmt.Errorf("core: object dim %d, tree dim %d", o.PDF.Dim(), t.dim)
 	}
+	return nil
+}
+
+// leafEntry derives the leaf entry of a checked object, without its data
+// address: PCRs at the catalog values, then CFBs (U-tree) or the PCR list
+// itself (U-PCR). It touches no tree state beyond the (locked) quantile
+// cache, so BulkLoad runs it on several goroutines.
+func (t *Tree) leafEntry(o Object) entry {
 	pcrs := pcr.Compute(o.PDF, t.cat, t.qcache)
 	e := entry{id: o.ID, mbr: o.PDF.MBR()}
 	if t.kind == UTree {
@@ -430,7 +437,25 @@ func (t *Tree) buildLeafEntry(o Object) (entry, error) {
 		// the shared serialization slot holds.
 		e.pcrs[0] = e.mbr.Clone()
 	}
-	return e, nil
+	return e
+}
+
+// buildLeafEntry is checkObject + leafEntry.
+func (t *Tree) buildLeafEntry(o Object) (entry, error) {
+	if err := t.checkObject(o); err != nil {
+		return entry{}, err
+	}
+	return t.leafEntry(o), nil
+}
+
+// appendRecord appends the object's detail record (pdf parameters) to the
+// data file and returns its address.
+func (t *Tree) appendRecord(o Object) (pagefile.DataAddr, error) {
+	rec, err := encodeObject(o)
+	if err != nil {
+		return pagefile.DataAddr{}, err
+	}
+	return t.data.Append(rec)
 }
 
 // Insert adds an object to the index. The object's details (pdf parameters)
@@ -443,15 +468,9 @@ func (t *Tree) Insert(o Object) error {
 	if err != nil {
 		return err
 	}
-	rec, err := encodeObject(o)
-	if err != nil {
+	if e.addr, err = t.appendRecord(o); err != nil {
 		return err
 	}
-	addr, err := t.data.Append(rec)
-	if err != nil {
-		return err
-	}
-	e.addr = addr
 
 	if err := t.insertEntry(e, 0, make(map[int]bool)); err != nil {
 		return err

@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/updf"
@@ -55,18 +56,21 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	if err := t.commitPending(); err != nil {
 		return err
 	}
+	// Ascending-ID order, not map order: the tiling, the data-page layout
+	// and with them Monte-Carlo answers and I/O counts repeat run to run.
 	objs := make([]core.Object, 0, len(objects))
 	for id, p := range objects {
 		objs = append(objs, core.Object{ID: id, PDF: p})
 	}
+	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
 	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
 	}
 	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
-	for id, p := range objects {
-		t.pdfs[id] = p.MBR()
+	for _, o := range objs {
+		t.pdfs[o.ID] = o.PDF.MBR()
 	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package uncertain
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -58,6 +62,77 @@ func TestFacadeBulkLoad(t *testing.T) {
 	res, _, err := tree.Search(context.Background(), Box(Pt(-10, -10), Pt(1010, 1010)), 0.5)
 	if err != nil || len(res) != 399 {
 		t.Fatalf("search after bulk+delete: %v, %d results", err, len(res))
+	}
+}
+
+// TestBulkLoadDeterministic: the load is a function of the object set, not
+// of map order or of how the build workers were scheduled — same file bytes,
+// same Monte-Carlo answers, same I/O counts.
+func TestBulkLoadDeterministic(t *testing.T) {
+	const n = 600
+	rng := rand.New(rand.NewSource(6))
+	pdfs := make([]PDF, n)
+	for i := range pdfs {
+		c := Pt(rng.Float64()*1000, rng.Float64()*1000)
+		if i%2 == 0 {
+			pdfs[i] = UniformCircle(c, 12)
+		} else {
+			pdfs[i] = ConstrainedGaussian(c, 12, 6)
+		}
+	}
+	forward := make(map[int64]PDF, n)
+	backward := make(map[int64]PDF, n)
+	for i := 0; i < n; i++ {
+		forward[int64(i)] = pdfs[i]
+		backward[int64(n-1-i)] = pdfs[n-1-i]
+	}
+	queries := shardedFixtureQueries(25, 7)
+
+	type answer struct {
+		res   []Result
+		stats Stats
+	}
+	load := func(objects map[int64]PDF) ([]byte, []answer) {
+		path := filepath.Join(t.TempDir(), "det.idx")
+		tree, err := NewTree(Config{Dimensions: 2, Path: path, MonteCarloSamples: 300, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(objects); err != nil {
+			t.Fatal(err)
+		}
+		answers := make([]answer, len(queries))
+		for i, q := range queries {
+			res, stats, err := tree.Search(context.Background(), q.Rect, q.Prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats.FilterTime, stats.RefineTime = 0, 0
+			answers[i] = answer{res, stats}
+		}
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return file, answers
+	}
+	fileA, ansA := load(forward)
+	fileB, ansB := load(backward)
+	if !bytes.Equal(fileA, fileB) {
+		t.Error("two loads of one object set wrote different files")
+	}
+	refined := 0
+	for i := range ansA {
+		if !reflect.DeepEqual(ansA[i], ansB[i]) {
+			t.Errorf("query %d: answers or stats differ between the two loads:\n%+v\n%+v", i, ansA[i].stats, ansB[i].stats)
+		}
+		refined += ansA[i].stats.RefinementIOs
+	}
+	if refined == 0 {
+		t.Fatal("no query refined anything; the comparison is vacuous")
 	}
 }
 
