@@ -23,10 +23,9 @@
 // fetches proceed concurrently (results are identical; only wall time
 // changes), e.g. `utreectl query -latency 10 -prefetch 8 ...`.
 // -adaptive turns on cost-model-driven planning for the session: queries
-// pick their prefetch fan-out from predicted I/O and arm the
-// probability-bound filter (results stay identical); query prints the
-// planner's prediction next to the measured accesses, and stats reports
-// the planner's lifetime diagnostics.
+// pick their prefetch fan-out from predicted I/O (results stay identical);
+// query prints the planner's prediction next to the measured accesses, and
+// stats reports the planner's lifetime diagnostics.
 //
 // query and nn additionally take the per-query options of the
 // context-first API: -timeout (wall-time deadline, ms; a timed-out query
@@ -71,7 +70,7 @@ func main() {
 		buffer   = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
 		latency  = fs.Float64("latency", 0, "simulated per-page storage latency, milliseconds (0 disables; paper era model: 10)")
 		prefetch = fs.Int("prefetch", 0, "intra-query prefetch fan-out: concurrent page fetches one query may have in flight (0 disables)")
-		adaptive = fs.Bool("adaptive", false, "enable cost-model-driven adaptive planning and the probability-bound filter for this session")
+		adaptive = fs.Bool("adaptive", false, "enable cost-model-driven adaptive planning for this session")
 
 		// Per-query options for query and nn.
 		timeoutMS  = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
@@ -97,7 +96,6 @@ func main() {
 		SimulatedPageLatency: time.Duration(*latency * float64(time.Millisecond)),
 		PrefetchWorkers:      *prefetch,
 		AdaptivePlanning:     *adaptive,
-		ProbFilter:           *adaptive,
 	}
 	q := queryParams{
 		timeout:    time.Duration(*timeoutMS * float64(time.Millisecond)),

@@ -22,13 +22,6 @@ import (
 // (every returned object truly qualifies), the set is just incomplete.
 var ErrBudgetExceeded = errors.New("core: page budget exceeded")
 
-// probFilterEps is the safety margin of the probabilistic candidate
-// filter: a candidate is pruned only when its qualification-probability
-// upper bound is below the query threshold by more than this, absorbing
-// the float noise PCR nesting repair can introduce into stored slab
-// positions.
-const probFilterEps = 1e-9
-
 // QueryOpts carries per-query overrides of the tree's configured query
 // behavior. The zero value means "inherit everything" and reproduces the
 // tree's configured behavior bit for bit.
@@ -61,10 +54,6 @@ type QueryOpts struct {
 	// core traversal itself ignores the flag — a single tree has no
 	// healthy remainder to serve — it is consumed by the sharded layer.
 	AllowDegraded bool
-	// ProbFilter overrides the tree's probabilistic candidate filter when
-	// ProbFilterSet is true (see Options.ProbFilter).
-	ProbFilterSet bool
-	ProbFilter    bool
 	// NNBound, when non-nil, is a shared upper bound on the k-th smallest
 	// expected distance for an NN query — the cross-shard frontier of a
 	// scatter-gather: the traversal stops once its heap's lower bound
@@ -82,9 +71,6 @@ type qplan struct {
 	prefetch *pagefile.Prefetcher // nil = no prefetching
 	limit    int
 	budget   int
-	// probFilter arms the PCR-slab qualification-probability filter in the
-	// candidate stage (see Options.ProbFilter).
-	probFilter bool
 	// issueCap bounds the speculative async issues of the node prefetch
 	// session when > 0 — set by the adaptive planner from its predicted
 	// access count. Unissued pages degrade to synchronous reads; results
@@ -103,20 +89,16 @@ func (t *Tree) resolvePlan(ctx context.Context, o QueryOpts) qplan {
 		ctx = context.Background()
 	}
 	p := qplan{
-		ctx:        ctx,
-		samples:    t.samples,
-		exact:      t.exact,
-		prefetch:   t.prefetch,
-		limit:      o.Limit,
-		budget:     o.PageBudget,
-		probFilter: t.probFilter,
-		nnBound:    o.NNBound,
+		ctx:      ctx,
+		samples:  t.samples,
+		exact:    t.exact,
+		prefetch: t.prefetch,
+		limit:    o.Limit,
+		budget:   o.PageBudget,
+		nnBound:  o.NNBound,
 	}
 	if o.MCSamples > 0 {
 		p.samples = o.MCSamples
-	}
-	if o.ProbFilterSet {
-		p.probFilter = o.ProbFilter
 	}
 	if o.ExactSet {
 		p.exact = o.Exact

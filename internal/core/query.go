@@ -29,7 +29,9 @@ type Result struct {
 	// point of the index is not computing it).
 	Prob float64
 	// Validated reports whether the object was reported without probability
-	// computation.
+	// computation: rq contains its MBR, or the lower bound on its
+	// qualification probability derived from its stored PCR/CFB faces
+	// (pcr.ProbBoundsCFB / ProbBoundsPCR) already reaches the threshold.
 	Validated bool
 }
 
@@ -42,7 +44,7 @@ type QueryStats struct {
 	LeafAccesses     int
 	Candidates       int // entries that needed refinement
 	ProbComputations int
-	Validated        int // results reported without probability computation
+	Validated        int // results reported without probability computation (MBR containment or probability lower bound)
 	RefinementIOs    int // distinct data pages fetched
 	Results          int
 	FilterTime       time.Duration
@@ -75,10 +77,10 @@ type QueryStats struct {
 	// across queries remains exact.
 	Retries int
 
-	// ProbFilterPruned counts candidates discarded by the probabilistic
-	// PCR-slab filter before refinement (zero when the filter is off) —
-	// each one is a probability computation and possibly a data-page read
-	// that never happened.
+	// ProbFilterPruned counts leaf entries that passed the paper's pruning
+	// Rules 1–2 and were discarded by the probability upper bound instead
+	// (pcr.PrunedByBound) — each one is a probability computation and
+	// possibly a data-page read that never happened.
 	ProbFilterPruned int
 
 	// ShardsPruned counts whole shards skipped by root-MBR pruning in a
@@ -363,25 +365,9 @@ descent:
 					if plan.limitReached(len(results)) {
 						break descent
 					}
+				case pcr.PrunedByBound:
+					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					if plan.probFilter {
-						// Bernecker-style probabilistic filter: bound the
-						// qualification probability from the PCR slabs; a
-						// candidate whose bound is provably below p_q never
-						// reaches refinement. The epsilon absorbs the float
-						// noise of PCR nesting repair, so only strictly
-						// non-qualifying candidates drop.
-						var ub float64
-						if t.kind == UTree {
-							ub = pcr.ProbUpperBoundCFB(e.out, e.in, t.cat, q.Rect)
-						} else {
-							ub = pcr.ProbUpperBoundPCR(pcr.PCRs{Cat: t.cat, Boxes: e.pcrs}, q.Rect)
-						}
-						if ub < q.Prob-probFilterEps {
-							stats.ProbFilterPruned++
-							continue
-						}
-					}
 					cands = append(cands, candidate{e.id, e.addr})
 				}
 			}

@@ -89,15 +89,6 @@ type Options struct {
 	// Explicit per-query options (WithPrefetchWorkers, WithPageBudget)
 	// always override the planner. Results are byte-identical either way.
 	AdaptivePlanning bool
-	// ProbFilter enables the Bernecker-style probabilistic candidate
-	// filter: before refinement, each candidate's qualification probability
-	// is upper-bounded from its PCR slabs and the candidate is discarded
-	// when the bound falls below the query threshold. The filter only
-	// drops provably non-qualifying candidates, so the result set is
-	// unchanged; under Monte-Carlo refinement the sampler stream shifts
-	// (fewer candidates sampled), so byte-identity to the unfiltered path
-	// is guaranteed only with ExactRefinement.
-	ProbFilter bool
 }
 
 // SplitStrategy selects the rectangles fed to the R* split during overflow
@@ -170,10 +161,8 @@ type Tree struct {
 	prefetch *pagefile.Prefetcher
 
 	// planner is the adaptive query planner (nil unless
-	// Options.AdaptivePlanning); probFilter arms the PCR-slab candidate
-	// filter by default (per-query options can still flip it).
-	planner    *Planner
-	probFilter bool
+	// Options.AdaptivePlanning).
+	planner *Planner
 
 	// Logical I/O counters (reset via ResetCounters). Atomic so the
 	// read-only query path can run under a shared lock.
@@ -289,7 +278,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,
-		probFilter:      opt.ProbFilter,
 	}
 	if opt.AdaptivePlanning {
 		t.planner = newPlanner()

@@ -16,10 +16,10 @@ import (
 // adaptive planner on a spatially-sharded index under a skewed Fig. 9-style
 // workload (LB dataset, query centers confined to a hotspot slab of the
 // domain). The baseline fans every query out to all K shards; the planner
-// prunes shards whose committed root box cannot intersect the query rect
-// and arms the Bernecker-style probability-bound filter inside the
-// surviving shards. Results must stay byte-identical — the planner only
-// skips work that provably cannot contribute.
+// prunes shards whose committed root box cannot intersect the query rect.
+// Results must stay byte-identical — the planner only skips work that
+// provably cannot contribute. (The probability-bound filter runs on both
+// sides: it is part of every leaf filter, not a planner decision.)
 //
 // Costs are reported two ways. EraCostSec applies the paper's serial-disk
 // model (10 ms/page, 1.3 ms/probability) to the measured access counts —
@@ -35,7 +35,7 @@ import (
 // PlannerRow is one mode of the adaptive-planning comparison.
 type PlannerRow struct {
 	// Mode is "fanout" (full scatter-gather baseline) or "planner"
-	// (shard pruning + probability filter + adaptive prefetch).
+	// (shard pruning + adaptive prefetch).
 	Mode string
 	// QPS is serial wall-clock query throughput (CPU-bound, warm cache).
 	QPS float64
@@ -47,8 +47,9 @@ type PlannerRow struct {
 	EraSpeedup float64
 	// NodeAccesses is the average tree pages visited per query.
 	NodeAccesses float64
-	// ShardsPruned / ProbFilterPruned total the planner's pruning
-	// decisions over the measured queries (zero for the baseline).
+	// ShardsPruned totals the planner's shard-pruning decisions over the
+	// measured queries (zero for the baseline); ProbFilterPruned the leaf
+	// entries the probability upper bound dropped (the same in both modes).
 	ShardsPruned     int
 	ProbFilterPruned int
 	// Identical reports whether this mode's results matched the baseline
@@ -92,7 +93,6 @@ func PlannerAdaptive(cfg Config) ([]PlannerRow, error) {
 			Seed:             cfg.Seed,
 			BufferPages:      mixedBufferPagesPerShard(plannerShards),
 			AdaptivePlanning: adaptive,
-			ProbFilter:       adaptive,
 		}, domain)
 		if err != nil {
 			return nil, err

@@ -72,6 +72,14 @@ type VersionedStore struct {
 
 	reclaimedPages      atomic.Int64
 	reclaimedTombstones atomic.Int64
+
+	// drainingPages / drainingTombstones count the garbage a reclaim has
+	// taken off pending but not yet physically reclaimed. They rise and are
+	// handed back under mu (so a reader holding mu finds every unreclaimed
+	// page in pending or here, never in neither) and fall as each page is
+	// freed or tombstone run applied.
+	drainingPages      atomic.Int64
+	drainingTombstones atomic.Int64
 }
 
 // garbage is one commit's deferred work: pages dead as of that epoch and
@@ -462,6 +470,10 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 	defer v.reclaimMu.Unlock()
 	v.mu.Lock()
 	drain := v.collectDrainableLocked()
+	for i := range drain {
+		v.drainingPages.Add(int64(len(drain[i].pages)))
+		v.drainingTombstones.Add(int64(drain[i].tombstoneCount()))
+	}
 	tomb := v.tombstoner
 	v.mu.Unlock()
 	var first error
@@ -479,6 +491,7 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 				}
 			}
 			v.reclaimedTombstones.Add(int64(len(slots)))
+			v.drainingTombstones.Add(-int64(len(slots)))
 			delete(g.tombstones, page)
 			done++
 		}
@@ -498,6 +511,7 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 				first = err
 			}
 			v.reclaimedPages.Add(1)
+			v.drainingPages.Add(-1)
 			done++
 		}
 	}
@@ -515,6 +529,10 @@ func (v *VersionedStore) requeueFront(rest []garbage, err error) {
 		}
 	}
 	v.mu.Lock()
+	for i := range kept {
+		v.drainingPages.Add(-int64(len(kept[i].pages)))
+		v.drainingTombstones.Add(-int64(kept[i].tombstoneCount()))
+	}
 	if len(kept) > 0 {
 		v.pending = append(kept, v.pending...)
 	}
@@ -536,8 +554,8 @@ func (v *VersionedStore) stashReclaimErr(err error) {
 }
 
 // GCStats reports the collector's state: the committed epoch, live pins,
-// and pages awaiting reclamation (uncommitted batch included) — the
-// page-leak assertion surface for tests.
+// and pages awaiting reclamation (uncommitted batch and a drain in progress
+// included) — the page-leak assertion surface for tests.
 func (v *VersionedStore) GCStats() (epoch uint64, pins int, pendingPages int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -547,12 +565,13 @@ func (v *VersionedStore) GCStats() (epoch uint64, pins int, pendingPages int) {
 	for _, g := range v.pending {
 		pendingPages += len(g.pages)
 	}
-	pendingPages += len(v.batch.pages)
+	pendingPages += len(v.batch.pages) + int(v.drainingPages.Load())
 	return v.epoch, pins, pendingPages
 }
 
 // GCInfo is the collector's full health report: epoch and pin state,
-// garbage awaiting reclamation (uncommitted batch included), lifetime
+// garbage awaiting reclamation (uncommitted batch and whatever a running
+// drain has collected but not yet freed included), lifetime
 // reclaim counters, and whether the background reclaimer is running.
 type GCInfo struct {
 	Epoch               uint64 `json:"epoch"`
@@ -599,8 +618,8 @@ func (v *VersionedStore) GCInfo() GCInfo {
 		info.PendingPages += len(v.pending[i].pages)
 		info.PendingTombstones += v.pending[i].tombstoneCount()
 	}
-	info.PendingPages += len(v.batch.pages)
-	info.PendingTombstones += v.batch.tombstoneCount()
+	info.PendingPages += len(v.batch.pages) + int(v.drainingPages.Load())
+	info.PendingTombstones += v.batch.tombstoneCount() + int(v.drainingTombstones.Load())
 	return info
 }
 

@@ -296,6 +296,50 @@ func TestVersionedBackgroundReclaimerDrainsWhileIdle(t *testing.T) {
 	}
 }
 
+// TestVersionedGCInfoCountsDrainInProgress: a reclaim takes its batches off
+// the pending list before it frees their pages, so a GCInfo read in that
+// window (here: from inside the tombstoner the drain calls first) must
+// still count them — an idle-drain watcher polling for PendingPages == 0
+// would otherwise see "done" while pages are still live.
+func TestVersionedGCInfoCountsDrainInProgress(t *testing.T) {
+	inner := NewMemStore()
+	vs := NewVersionedStore(inner, 0)
+	var pages []PageID
+	for i := 0; i < 3; i++ {
+		id, _ := vs.Alloc()
+		if err := vs.Write(id, fill(9)); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, id)
+	}
+	if err := vs.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	var mid GCInfo
+	vs.SetTombstoner(func(PageID, []uint16) error {
+		mid = vs.GCInfo()
+		return nil
+	})
+	for _, id := range pages {
+		if err := vs.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs.DeferTombstone(42, 3)
+	if err := vs.Commit(nil); err != nil { // drains inline
+		t.Fatal(err)
+	}
+	if mid.PendingPages != 3 || mid.PendingTombstones != 1 {
+		t.Fatalf("mid-drain GCInfo pending pages=%d tombstones=%d, want 3/1", mid.PendingPages, mid.PendingTombstones)
+	}
+	if _, _, pending := vs.GCStats(); pending != 0 {
+		t.Fatalf("GCStats pending=%d after drain, want 0", pending)
+	}
+	if end := vs.GCInfo(); end.PendingPages != 0 || end.PendingTombstones != 0 || inner.NumPages() != 0 {
+		t.Fatalf("after drain: %+v, %d pages live", end, inner.NumPages())
+	}
+}
+
 func TestVersionedCommitPublishesStateAtomically(t *testing.T) {
 	vs := NewVersionedStore(NewMemStore(), 5)
 	if e := vs.Epoch(); e != 5 {

@@ -1,10 +1,15 @@
 // Package pcr implements the filtering layer of the U-tree paper:
 // probabilistically constrained regions (PCRs, Section 4.1), the finite
-// U-catalog rules (Observation 2, Section 4.2), conservative functional
-// boxes (CFBs, Sections 4.3–4.4) fitted by linear programming, and the
-// CFB-based rules (Observation 3). It also provides the exact
-// (continuous-p) rules of Observation 1 used for testing and for
-// no-catalog baselines.
+// U-catalog (Section 4.2) and conservative functional boxes (CFBs,
+// Sections 4.3–4.4) fitted by linear programming. A leaf entry is decided
+// by FilterCatalogPCR (U-PCR) or FilterCFB (U-tree): the paper's pruning
+// Rules 1–2 (Observations 2 and 3), then a two-sided bound on the
+// qualification probability derived from the same stored faces
+// (probbound.go). The bound's lower half is the one validation rule — the
+// paper's validating Rules 3–5 are the special cases of it in which the
+// query clips the object on a single axis — and its upper half prunes
+// where Rules 1–2 cannot. Rules 3–5 as printed survive as a test-only
+// reference (reference_test.go).
 package pcr
 
 import (

@@ -32,21 +32,47 @@ func (c CFB) Lo(i int, p float64) float64 { return c.AlphaLo[i] - c.BetaLo[i]*p 
 // Hi returns the high face position on dimension i at probability p.
 func (c CFB) Hi(i int, p float64) float64 { return c.AlphaHi[i] - c.BetaHi[i]*p }
 
-// Rect materializes box(p). Faces that cross due to floating-point noise
-// collapse to their midpoint so the result is always a valid rectangle.
+// span returns box(p)'s extent on dimension i. Faces that cross due to
+// floating-point noise collapse to their midpoint so the extent is always
+// a valid interval.
+func (c CFB) span(i int, p float64) (lo, hi float64) {
+	lo, hi = c.Lo(i, p), c.Hi(i, p)
+	if lo > hi {
+		mid := (lo + hi) / 2
+		lo, hi = mid, mid
+	}
+	return lo, hi
+}
+
+// Rect materializes box(p).
 func (c CFB) Rect(p float64) geom.Rect {
 	d := c.Dim()
 	lo := make(geom.Point, d)
 	hi := make(geom.Point, d)
 	for i := 0; i < d; i++ {
-		l, h := c.Lo(i, p), c.Hi(i, p)
-		if l > h {
-			mid := (l + h) / 2
-			l, h = mid, mid
-		}
-		lo[i], hi[i] = l, h
+		lo[i], hi[i] = c.span(i, p)
 	}
 	return geom.Rect{Lo: lo, Hi: hi}
+}
+
+// within reports rq.Contains(c.Rect(p)) without materializing the box.
+func (c CFB) within(p float64, rq geom.Rect) bool {
+	for i := range rq.Lo {
+		if lo, hi := c.span(i, p); lo < rq.Lo[i] || hi > rq.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// meets reports rq.Intersects(c.Rect(p)) without materializing the box.
+func (c CFB) meets(p float64, rq geom.Rect) bool {
+	for i := range rq.Lo {
+		if lo, hi := c.span(i, p); rq.Hi[i] < lo || hi < rq.Lo[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // FitOut fits cfb_out to the given PCRs: the margin-sum-minimal linear box

@@ -263,7 +263,7 @@ func assertSound(t *testing.T, name string, outcome Outcome, truth, pq float64) 
 	t.Helper()
 	const tol = 1e-5
 	switch outcome {
-	case Pruned:
+	case Pruned, PrunedByBound:
 		if truth >= pq+tol {
 			t.Fatalf("%s: FALSE NEGATIVE: pruned object with P_app=%.8f ≥ pq=%g", name, truth, pq)
 		}
@@ -434,7 +434,8 @@ func TestCoversSlab(t *testing.T) {
 }
 
 func TestOutcomeString(t *testing.T) {
-	if Unknown.String() != "unknown" || Pruned.String() != "pruned" || Validated.String() != "validated" {
+	if Unknown.String() != "unknown" || Pruned.String() != "pruned" || Validated.String() != "validated" ||
+		PrunedByBound.String() != "pruned-by-bound" {
 		t.Fatal("Outcome.String broken")
 	}
 }
@@ -456,7 +457,7 @@ func TestCFBNeverContradictsPCR(t *testing.T) {
 			pq := 0.02 + rng.Float64()*0.96
 			cfbOutcome := FilterCFB(out, in, cat, mbr, rq, pq)
 			pcrOutcome := FilterCatalogPCR(pcrs, mbr, rq, pq)
-			if cfbOutcome != Unknown && pcrOutcome != Unknown && cfbOutcome != pcrOutcome {
+			if (cfbOutcome == Validated) != (pcrOutcome == Validated) && cfbOutcome != Unknown && pcrOutcome != Unknown {
 				t.Fatalf("CFB %v contradicts PCR %v (pq=%g rq=%v)", cfbOutcome, pcrOutcome, pq, rq)
 			}
 		}

@@ -2,100 +2,180 @@ package pcr
 
 import "repro/internal/geom"
 
-// This file implements a Bernecker-style probabilistic filter: an upper
-// bound on an object's qualification probability P(X ∈ rq) computed from
-// its PCR slab positions alone, with no assumption on the pdf beyond the
-// PCR face property. Candidates whose bound falls below the query
-// threshold are provably non-qualifying and never reach Monte-Carlo (or
-// exact) refinement.
+// This file bounds an object's qualification probability P(X ∈ rq) from
+// both sides (after Bernecker et al., PAPERS.md 1101.2613) using its PCR
+// slab positions alone, with no assumption on the pdf beyond the PCR face
+// property. The lower bound is the filter's one validation rule — Rules
+// 3–5 of the paper are the special cases in which rq clips the object on a
+// single axis — and the upper bound prunes where Rules 1–2 cannot.
 //
-// The bound works per dimension. Write [a, b] for the query's interval on
-// dimension i and recall the PCR face property: the low face of pcr(p_j)
-// sits at the left p_j-quantile of X_i (P(X_i ≤ lo_j) = p_j) and the high
-// face at the right one (P(X_i ≥ hi_j) = p_j). Three observations bound
-// P(X_i ∈ [a, b]):
+// Both work on tails, per dimension. Write [a, b] for the query's interval
+// on dimension i, L = P(X_i < a) and R = P(X_i > b). The PCR face property
+// pins the marginal distribution at 2m positions: the low face of pcr(p_j)
+// has mass p_j on its left, the high face mass p_j on its right. A face at
+// or right of a therefore caps L (L ≤ p_j below a low face, L ≤ 1 − p_j
+// below a high one), a face strictly left of a floors it, and the mirror
+// holds for R and b; where rq reaches past the MBR the tail is exactly 0.
+// With L_i ∈ [L_i⁻, L_i⁺] and R_i ∈ [R_i⁻, R_i⁺]:
 //
-//   - side-left: if b ≤ lo_j the whole query interval sits in the left
-//     p_j tail, so P ≤ p_j (smallest such p_j wins);
-//   - side-right: symmetrically, if a ≥ hi_j then P ≤ p_j;
-//   - middle: P(X_i ∈ [a, b]) = 1 − P(X_i < a) − P(X_i > b) ≤
-//     1 − p_left − p_right, where p_left is the largest p_j whose low
-//     face is strictly left of a and p_right the largest p_j whose high
-//     face is strictly right of b.
+//	lb = 1 − Σ_i (L_i⁺ + R_i⁺)        (union bound on missing rq)
+//	ub = min_i (1 − L_i⁻ − R_i⁻)      (rq ⊆ its slab on every dimension)
 //
-// Since P(X ∈ rq) ≤ P(X_i ∈ [a_i, b_i]) for every dimension, the total
-// bound is the minimum of the per-dimension bounds — no independence
-// across dimensions is assumed.
+// Neither assumes independence across dimensions, so both hold for
+// arbitrary pdfs exactly as the PCR face property does.
 //
-// Conservativeness under storage noise: PCR nesting repair and CFB
-// fitting only move outer faces outward and inner faces inward, which
-// keeps the side bounds exact and can overstate the middle bound's
-// p_left/p_right by float-level noise only; consumers compare against
-// the threshold with a safety epsilon.
+// With CFBs, cfb_out faces lie outside the PCR faces and cfb_in faces
+// inside, so each substitutes where its error only weakens a bound: caps
+// take out's low face and in's high face (mirror for R), floors in's low
+// face and out's high face. PCR nesting repair and CFB fitting move outer
+// faces outward and inner faces inward only, which keeps every cap exact
+// and can overstate a floor by float-level noise; the prune test carries
+// boundPruneEps for that.
 
-// ProbUpperBoundPCR bounds the qualification probability of an object
-// stored as explicit catalog PCRs (the U-PCR leaf format).
-func ProbUpperBoundPCR(p PCRs, rq geom.Rect) float64 {
-	return probUpperBound(p.Cat, rq,
-		func(j, i int) (float64, float64) { return p.Boxes[j].Lo[i], p.Boxes[j].Hi[i] },
-		func(j, i int) (float64, float64) { return p.Boxes[j].Lo[i], p.Boxes[j].Hi[i] },
-	)
+// boundPruneEps is the safety margin of the upper-bound prune: a candidate
+// is dropped only when ub is below the query threshold by more than this,
+// absorbing the float noise nesting repair can put into stored faces.
+const boundPruneEps = 1e-9
+
+// tail brackets one tail mass, lo ≤ P(X_i < x) ≤ hi.
+type tail struct{ lo, hi float64 }
+
+// face folds the four faces of one catalog value into the bracket of
+// P(X_i < x): outLo/outHi are at or outside the PCR's faces, inLo/inHi at
+// or inside them (for raw PCRs out = in).
+func (t *tail) face(x, p, outLo, inLo, inHi, outHi float64) {
+	if x <= outLo {
+		t.hi = min(t.hi, p)
+	}
+	if x <= inHi {
+		t.hi = min(t.hi, 1-p)
+	}
+	if inLo < x {
+		t.lo = max(t.lo, p)
+	}
+	if outHi < x {
+		t.lo = max(t.lo, 1-p)
+	}
 }
 
-// ProbUpperBoundCFB bounds the qualification probability of an object
-// stored as a cfb_out/cfb_in pair (the U-tree leaf format). The out box
-// covers pcr(p_j), so its faces substitute in the side bounds; the in box
-// is contained in pcr(p_j), so its faces substitute in the middle bound —
-// each substitution only weakens the bound, never breaks it.
-func ProbUpperBoundCFB(out, in CFB, cat Catalog, rq geom.Rect) float64 {
-	return probUpperBound(cat, rq,
-		func(j, i int) (float64, float64) { p := cat.Value(j); return out.Lo(i, p), out.Hi(i, p) },
-		func(j, i int) (float64, float64) { p := cat.Value(j); return in.Lo(i, p), in.Hi(i, p) },
-	)
+// bounds accumulates (lb, ub) over dimensions from the per-dimension tails.
+type bounds struct{ miss, ub float64 }
+
+func newBounds() bounds { return bounds{ub: 1} }
+
+func (b *bounds) add(left, right tail) {
+	b.miss += left.hi + right.hi
+	b.ub = min(b.ub, 1-left.lo-right.lo)
 }
 
-// probUpperBound is the shared slab scan. outFace supplies faces
-// guaranteed to contain pcr(p_j) (used where a face position must not be
-// understated) and inFace faces guaranteed to be contained in it (used
-// where it must not be overstated); for raw PCRs both are the slabs
-// themselves.
-func probUpperBound(cat Catalog, rq geom.Rect, outFace, inFace func(j, i int) (float64, float64)) float64 {
-	ub := 1.0
-	for i := 0; i < rq.Dim(); i++ {
+func (b bounds) result() (lb, ub float64) {
+	return max(1-b.miss, 0), max(b.ub, 0)
+}
+
+// ProbBoundsPCR brackets the qualification probability of an object stored
+// as explicit catalog PCRs (the U-PCR leaf format): lb ≤ P(X ∈ rq) ≤ ub.
+// pcr(p_1 = 0) is the MBR, so the exact-zero tails need no separate test.
+func ProbBoundsPCR(p PCRs, rq geom.Rect) (lb, ub float64) {
+	acc := newBounds()
+	for i := range rq.Lo {
 		a, b := rq.Lo[i], rq.Hi[i]
-		sideLeft, sideRight := 1.0, 1.0
-		pLeft, pRight := 0.0, 0.0
-		for j := 0; j < cat.Size(); j++ {
-			pj := cat.Value(j)
-			olo, ohi := outFace(j, i)
-			if olo >= b && pj < sideLeft {
-				sideLeft = pj
-			}
-			if ohi <= a && pj < sideRight {
-				sideRight = pj
-			}
-			ilo, ihi := inFace(j, i)
-			if ilo < a && pj > pLeft {
-				pLeft = pj
-			}
-			if ihi > b && pj > pRight {
-				pRight = pj
-			}
+		left, right := tail{hi: 1}, tail{hi: 1}
+		for j, box := range p.Boxes {
+			pj, lo, hi := p.Cat.values[j], box.Lo[i], box.Hi[i]
+			left.face(a, pj, lo, lo, hi, hi)
+			// The right tail is the left tail of the mirrored axis.
+			right.face(-b, pj, -hi, -hi, -lo, -lo)
 		}
-		middle := 1 - pLeft - pRight
-		if middle < 0 {
-			middle = 0
-		}
-		dimUB := middle
-		if sideLeft < dimUB {
-			dimUB = sideLeft
-		}
-		if sideRight < dimUB {
-			dimUB = sideRight
-		}
-		if dimUB < ub {
-			ub = dimUB
+		acc.add(left, right)
+	}
+	return acc.result()
+}
+
+// line is one CFB face on one dimension as a function of the catalog
+// probability: position(p) = alpha − beta·p.
+type line struct{ alpha, beta float64 }
+
+func (l line) at(p float64) float64 { return l.alpha - l.beta*p }
+
+// mirror returns the face seen from the reflected axis.
+func (l line) mirror() line { return line{-l.alpha, -l.beta} }
+
+// firstAtLeast returns the smallest j with l.at(p[j]) ≥ x, len(p) when
+// there is none. A low face moves right as p grows, so its crossing index
+// is found by bisection instead of scanning the catalog; should round-off
+// ever tilt a face the other way the result is still an index where the
+// test was evaluated true and its predecessor false, which is all the
+// callers' soundness needs.
+func (l line) firstAtLeast(p []float64, x float64) int {
+	lo, hi := 0, len(p)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.at(p[mid]) >= x {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return ub
+	return lo
+}
+
+// firstBelow is firstAtLeast for a high face, which moves left as p
+// grows: the smallest j with l.at(p[j]) < x.
+func (l line) firstBelow(p []float64, x float64) int {
+	lo, hi := 0, len(p)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.at(p[mid]) < x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// cfbTail brackets P(X_i < x) from a CFB pair's four faces on dimension i:
+// what tail.face folds over the whole catalog, read off the at most three
+// catalog values where x crosses a face.
+func cfbTail(x float64, p []float64, outLo, inLo, inHi, outHi line) tail {
+	t := tail{hi: 1}
+	if j := outLo.firstAtLeast(p, x); j < len(p) {
+		// x is left of a low face, hence of every high face: the low
+		// faces alone bracket it.
+		t.hi = p[j]
+		if k := inLo.firstAtLeast(p, x) - 1; k >= 0 {
+			t.lo = p[k]
+		}
+		return t
+	}
+	if k := inHi.firstBelow(p, x) - 1; k >= 0 {
+		t.hi = 1 - p[k]
+	}
+	if j := outHi.firstBelow(p, x); j < len(p) {
+		t.lo = 1 - p[j] // ≥ 0.5 ≥ any floor a low face gives
+	} else if k := inLo.firstAtLeast(p, x) - 1; k >= 0 {
+		t.lo = p[k]
+	}
+	return t
+}
+
+// ProbBoundsCFB brackets the qualification probability of an object stored
+// as a cfb_out/cfb_in pair (the U-tree leaf format); mbr is the MBR of its
+// uncertainty region, which cfb_out(0) only covers.
+func ProbBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
+	acc := newBounds()
+	for i := range rq.Lo {
+		var left, right tail // zero: rq reaches past the MBR, the tail is empty
+		outLo, outHi := line{out.AlphaLo[i], out.BetaLo[i]}, line{out.AlphaHi[i], out.BetaHi[i]}
+		inLo, inHi := line{in.AlphaLo[i], in.BetaLo[i]}, line{in.AlphaHi[i], in.BetaHi[i]}
+		if a := rq.Lo[i]; a > mbr.Lo[i] {
+			left = cfbTail(a, cat.values, outLo, inLo, inHi, outHi)
+		}
+		if b := rq.Hi[i]; b < mbr.Hi[i] {
+			// The right tail is the left tail of the mirrored axis.
+			right = cfbTail(-b, cat.values, outHi.mirror(), inHi.mirror(), inLo.mirror(), outLo.mirror())
+		}
+		acc.add(left, right)
+	}
+	return acc.result()
 }

@@ -1,11 +1,6 @@
 package pcr
 
-import (
-	"math"
-
-	"repro/internal/geom"
-	"repro/internal/updf"
-)
+import "repro/internal/geom"
 
 // Outcome is the result of applying prune/validate rules to one object.
 type Outcome int
@@ -18,6 +13,10 @@ const (
 	Pruned
 	// Validated means the object is guaranteed to satisfy the query.
 	Validated
+	// PrunedByBound is Pruned decided by the probability upper bound after
+	// Rules 1–2 passed the object; it is reported apart so callers can
+	// count what the bound adds to the paper's rules.
+	PrunedByBound
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -27,131 +26,31 @@ func (o Outcome) String() string {
 		return "pruned"
 	case Validated:
 		return "validated"
+	case PrunedByBound:
+		return "pruned-by-bound"
 	default:
 		return "unknown"
 	}
 }
 
-// coversSlab reports whether rq fully contains the part of mbr between the
-// two planes perpendicular to dimension dim at coordinates lo and hi. This
-// is the O(d) primitive the paper describes after Observation 1: rq must
-// enclose mbr on every other dimension, and rq's extent on dim must cover
-// the clipped interval. An empty slab reports false (validation must never
-// fire on vacuous geometry).
-func coversSlab(rq, mbr geom.Rect, dim int, lo, hi float64) bool {
-	for k := 0; k < mbr.Dim(); k++ {
-		if k == dim {
-			continue
-		}
-		if rq.Lo[k] > mbr.Lo[k] || rq.Hi[k] < mbr.Hi[k] {
-			return false
-		}
-	}
-	l := math.Max(mbr.Lo[dim], lo)
-	h := math.Min(mbr.Hi[dim], hi)
-	if l > h {
-		return false
-	}
-	return rq.Lo[dim] <= l && rq.Hi[dim] >= h
-}
-
-// validateOuterSides applies Rule 4's pattern (pq > 0.5): succeed if, on
-// some dimension i, rq covers the part of mbr on the *right* of the box's
-// low plane (mass ≥ 1−p_j) or on the *left* of its high plane.
-func validateOuterSides(rq, mbr geom.Rect, box geom.Rect) bool {
-	for i := 0; i < mbr.Dim(); i++ {
-		if coversSlab(rq, mbr, i, box.Lo[i], math.Inf(1)) {
-			return true
-		}
-		if coversSlab(rq, mbr, i, math.Inf(-1), box.Hi[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// validateInnerSides applies Rule 5's pattern (pq ≤ 0.5): succeed if, on
-// some dimension i, rq covers the part of mbr on the *left* of the box's
-// low plane (mass ≥ p_j) or on the *right* of its high plane.
-func validateInnerSides(rq, mbr geom.Rect, box geom.Rect) bool {
-	for i := 0; i < mbr.Dim(); i++ {
-		if coversSlab(rq, mbr, i, math.Inf(-1), box.Lo[i]) {
-			return true
-		}
-		if coversSlab(rq, mbr, i, box.Hi[i], math.Inf(1)) {
-			return true
-		}
-	}
-	return false
-}
-
-// validateBetween applies Rule 3's pattern: succeed if, on some dimension,
-// rq covers the part of mbr between box's two faces.
-func validateBetween(rq, mbr geom.Rect, box geom.Rect) bool {
-	for i := 0; i < mbr.Dim(); i++ {
-		if coversSlab(rq, mbr, i, box.Lo[i], box.Hi[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// FilterExact applies Observation 1 with exact PCRs computed on demand from
-// the pdf's marginal quantiles (the idealized, infinite-catalog filter).
-// Intended for testing and for the no-index scan baseline with exact
-// filtering.
-func FilterExact(p updf.PDF, rq geom.Rect, pq float64) Outcome {
-	mbr := p.MBR()
-	if !rq.Intersects(mbr) {
-		return Pruned
-	}
-	if rq.Contains(mbr) {
+// decide turns the two-sided probability bound into an outcome: lb at the
+// threshold validates, ub below it prunes. Validation carries catalogEps
+// because Rules 3–5, which this replaces, matched thresholds to catalog
+// values with that tolerance (p_q = 0.9 against p_j = 0.1 must validate).
+func decide(lb, ub, pq float64) Outcome {
+	switch {
+	case lb >= pq-catalogEps:
 		return Validated
-	}
-	d := p.Dim()
-	pcrAt := func(prob float64) geom.Rect {
-		lo := make(geom.Point, d)
-		hi := make(geom.Point, d)
-		for i := 0; i < d; i++ {
-			lo[i] = updf.MarginalQuantile(p, i, prob)
-			hi[i] = updf.MarginalQuantile(p, i, 1-prob)
-			if lo[i] > hi[i] {
-				mid := (lo[i] + hi[i]) / 2
-				lo[i], hi[i] = mid, mid
-			}
-		}
-		return geom.Rect{Lo: lo, Hi: hi}
-	}
-	if pq > 0.5 {
-		// Rule 1: prune unless rq contains pcr(1−pq).
-		if !rq.Contains(pcrAt(1 - pq)) {
-			return Pruned
-		}
-		// Rule 4: one-sided validation with pcr(1−pq) planes.
-		if validateOuterSides(rq, mbr, pcrAt(1-pq)) {
-			return Validated
-		}
-	} else {
-		// Rule 2: prune if rq misses pcr(pq).
-		if !rq.Intersects(pcrAt(pq)) {
-			return Pruned
-		}
-		// Rule 5: one-sided validation with pcr(pq) planes.
-		if validateInnerSides(rq, mbr, pcrAt(pq)) {
-			return Validated
-		}
-	}
-	// Rule 3: two-sided validation with pcr((1−pq)/2).
-	if validateBetween(rq, mbr, pcrAt((1-pq)/2)) {
-		return Validated
+	case ub < pq-boundPruneEps:
+		return PrunedByBound
 	}
 	return Unknown
 }
 
-// FilterCatalogPCR applies Observation 2: the finite-catalog PCR rules used
-// by the U-PCR structure's leaf entries. mbr is the MBR of the uncertainty
-// region. The rule order follows the paper: prune first (Rule 1 or 2), then
-// the one-sided validation (Rule 4 or 5), then Rule 3.
+// FilterCatalogPCR applies Observation 2's pruning (Rule 1 or 2) with the
+// finite-catalog PCRs of a U-PCR leaf entry, then the two-sided probability
+// bound, whose lower half subsumes the paper's validating Rules 3–5. mbr is
+// the MBR of the uncertainty region.
 func FilterCatalogPCR(pcrs PCRs, mbr, rq geom.Rect, pq float64) Outcome {
 	if !rq.Intersects(mbr) {
 		return Pruned
@@ -160,54 +59,25 @@ func FilterCatalogPCR(pcrs PCRs, mbr, rq geom.Rect, pq float64) Outcome {
 		return Validated
 	}
 	cat := pcrs.Cat
-	pm := cat.Max()
-
-	if pq > 1-pm {
+	if pq > 1-cat.Max() {
 		// Rule 1: p_j = smallest catalog value ≥ 1−pq.
-		if j, ok := cat.SmallestGE(1 - pq); ok {
-			if !rq.Contains(pcrs.Boxes[j]) {
-				return Pruned
-			}
+		if j, ok := cat.SmallestGE(1 - pq); ok && !rq.Contains(pcrs.Boxes[j]) {
+			return Pruned
 		}
 	} else {
 		// Rule 2: p_j = largest catalog value ≤ pq.
-		if j, ok := cat.LargestLE(pq); ok {
-			if !rq.Intersects(pcrs.Boxes[j]) {
-				return Pruned
-			}
+		if j, ok := cat.LargestLE(pq); ok && !rq.Intersects(pcrs.Boxes[j]) {
+			return Pruned
 		}
 	}
-
-	if pq > 0.5 {
-		// Rule 4: p_j = largest catalog value ≤ 1−pq.
-		if j, ok := cat.LargestLE(1 - pq); ok {
-			if validateOuterSides(rq, mbr, pcrs.Boxes[j]) {
-				return Validated
-			}
-		}
-	} else {
-		// Rule 5: p_j = smallest catalog value ≥ pq.
-		if j, ok := cat.SmallestGE(pq); ok {
-			if validateInnerSides(rq, mbr, pcrs.Boxes[j]) {
-				return Validated
-			}
-		}
-	}
-
-	// Rule 3: p_j = largest catalog value ≤ (1−pq)/2.
-	if j, ok := cat.LargestLE((1 - pq) / 2); ok {
-		if validateBetween(rq, mbr, pcrs.Boxes[j]) {
-			return Validated
-		}
-	}
-	return Unknown
+	lb, ub := ProbBoundsPCR(pcrs, rq)
+	return decide(lb, ub, pq)
 }
 
-// FilterCFB applies Observation 3: Observation 2 with PCRs replaced by the
-// conservative functional boxes stored in U-tree leaf entries — cfb_in for
-// the containment prune (Rule 1) and one-sided validation at low thresholds
-// (Rule 5), cfb_out for the intersection prune (Rule 2) and validations at
-// high thresholds (Rules 3 and 4).
+// FilterCFB applies Observation 3: FilterCatalogPCR with the PCRs replaced
+// by the conservative functional boxes stored in U-tree leaf entries —
+// cfb_in for the containment prune (Rule 1), cfb_out for the intersection
+// prune (Rule 2), both for the probability bound.
 func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 	if !rq.Intersects(mbr) {
 		return Pruned
@@ -215,46 +85,18 @@ func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome 
 	if rq.Contains(mbr) {
 		return Validated
 	}
-	pm := cat.Max()
-
-	if pq > 1-pm {
+	if pq > 1-cat.Max() {
 		// Rule 1 with cfb_in (contained in pcr, so "rq fails to contain"
 		// transfers).
-		if j, ok := cat.SmallestGE(1 - pq); ok {
-			if !rq.Contains(in.Rect(cat.Value(j))) {
-				return Pruned
-			}
+		if j, ok := cat.SmallestGE(1 - pq); ok && !in.within(cat.Value(j), rq) {
+			return Pruned
 		}
 	} else {
 		// Rule 2 with cfb_out (contains pcr, so "rq misses" transfers).
-		if j, ok := cat.LargestLE(pq); ok {
-			if !rq.Intersects(out.Rect(cat.Value(j))) {
-				return Pruned
-			}
+		if j, ok := cat.LargestLE(pq); ok && !out.meets(cat.Value(j), rq) {
+			return Pruned
 		}
 	}
-
-	if pq > 0.5 {
-		// Rule 4 with cfb_out planes.
-		if j, ok := cat.LargestLE(1 - pq); ok {
-			if validateOuterSides(rq, mbr, out.Rect(cat.Value(j))) {
-				return Validated
-			}
-		}
-	} else {
-		// Rule 5 with cfb_in planes.
-		if j, ok := cat.SmallestGE(pq); ok {
-			if validateInnerSides(rq, mbr, in.Rect(cat.Value(j))) {
-				return Validated
-			}
-		}
-	}
-
-	// Rule 3 with cfb_out planes.
-	if j, ok := cat.LargestLE((1 - pq) / 2); ok {
-		if validateBetween(rq, mbr, out.Rect(cat.Value(j))) {
-			return Validated
-		}
-	}
-	return Unknown
+	lb, ub := ProbBoundsCFB(out, in, cat, mbr, rq)
+	return decide(lb, ub, pq)
 }

@@ -96,9 +96,9 @@ type BatchStats struct {
 	// batch continues.
 	AdmissionRejected int
 
-	// Planner effect totals over the batch: shards skipped by the adaptive
-	// scatter-gather and candidates discarded by the probabilistic filter
-	// bound before refinement (range batches only for the latter).
+	// Pruning totals over the batch: shards skipped by the scatter-gather
+	// and leaf entries discarded by the probability upper bound where the
+	// paper's Rules 1–2 could not (range batches only for the latter).
 	ShardsPruned     int
 	ProbFilterPruned int
 }

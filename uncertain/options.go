@@ -89,17 +89,6 @@ func WithAllowDegraded(on bool) QueryOption {
 	return func(p *queryPlan) { p.o.AllowDegraded = on }
 }
 
-// WithProbFilter overrides Config.ProbFilter for this query: when on,
-// candidates whose qualification-probability upper bound (from their PCR
-// slabs) is provably below the query threshold are discarded before
-// refinement — fewer probability integrations and data-page reads. The
-// result set is unchanged either way; under Monte-Carlo refinement the
-// sampler stream shifts, so bit-exact reproducibility against a
-// filter-off run needs ExactRefinement. NN queries ignore the option.
-func WithProbFilter(on bool) QueryOption {
-	return func(p *queryPlan) { p.o.ProbFilterSet, p.o.ProbFilter = true, on }
-}
-
 // WithPageBudget bounds the physical page fetches (buffer-pool misses plus
 // data-page reads) this query may perform; when the budget runs out the
 // query returns ErrBudgetExceeded together with the partial results and

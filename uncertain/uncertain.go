@@ -46,8 +46,10 @@ type Rect = geom.Rect
 type PDF = updf.PDF
 
 // Result is one object qualifying a probabilistic range query. When the
-// index validated the object directly from its PCRs — the paper's headline
-// saving — no appearance probability was ever computed: Validated is true
+// index validated the object directly from its PCRs (the query covers its
+// region, or the probability lower bound read off them reaches the
+// threshold) — the paper's headline saving — no appearance probability
+// was ever computed: Validated is true
 // and Prob is -1 ("validated without probability computation"). Prob holds
 // the computed probability only for objects that went through refinement.
 type Result = core.Result
@@ -202,15 +204,6 @@ type Config struct {
 	// Explicit per-query options always override the planner's choices;
 	// results are byte-identical with planning on or off. See PlannerInfo.
 	AdaptivePlanning bool
-	// ProbFilter enables the probabilistic candidate filter: candidates
-	// whose qualification-probability upper bound (computed from their PCR
-	// slabs) falls below the query threshold are discarded before
-	// refinement. Only provably non-qualifying candidates drop, so the
-	// result set is unchanged; under Monte-Carlo refinement the sampler
-	// stream shifts, so bit-exact reproducibility against a filter-off run
-	// is guaranteed only with ExactRefinement. Override per query with
-	// WithProbFilter.
-	ProbFilter bool
 }
 
 // Tree is a dynamic index over uncertain objects, shared across goroutines
@@ -379,7 +372,6 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 		ScrubInterval:    cfg.ScrubInterval,
 		ScrubBudget:      cfg.ScrubPageBudget,
 		AdaptivePlanning: cfg.AdaptivePlanning,
-		ProbFilter:       cfg.ProbFilter,
 	}
 	if cfg.UPCR {
 		opt.Kind = core.UPCR
