@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/geom"
+	"repro/internal/pcr"
 	"repro/internal/workload"
 	"repro/uncertain"
 )
@@ -199,8 +200,31 @@ func BenchmarkAblationCFB(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildEntry measures what every object pays before it enters the
+// index — the PCRs at the 15 catalog values (quantile offsets cached per
+// pdf shape, as in a load) and the cfb_out/cfb_in fit — on one LB, one CA
+// and one Aircraft object per iteration. CI gates its allocations.
+func BenchmarkBuildEntry(b *testing.B) {
+	var objs []core.Object
+	for _, name := range dataset.All() {
+		objs = append(objs, dataset.Generate(dataset.Config{Name: name, Scale: 0.001, Seed: 1})[0])
+	}
+	cat := pcr.UniformCatalog(15)
+	cache := pcr.NewQuantileCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range objs {
+			p := pcr.Compute(o.PDF, cat, cache)
+			buildSink = pcr.FitOut(p).Dim() + pcr.FitIn(p).Dim()
+		}
+	}
+}
+
+var buildSink int
+
 // BenchmarkInsert measures raw per-object insertion throughput of the
-// U-tree (PCR computation + simplex CFB fitting + tree descent).
+// U-tree (PCR computation + CFB fitting + tree descent).
 func BenchmarkInsert(b *testing.B) {
 	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.5, Seed: 1})
 	tree, err := core.New(core.Options{Dim: 2})

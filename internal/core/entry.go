@@ -136,16 +136,37 @@ func (t *Tree) minDistAt(q geom.Point, boxes []geom.Rect, j int) float64 {
 	return math.Sqrt(s)
 }
 
+// boxesAt writes boxAt(boxes, j) for every catalog index j into dst[j],
+// whose coordinate slices the caller provides.
+func (t *Tree) boxesAt(dst, boxes []geom.Rect) {
+	m := t.cat.Size()
+	if len(boxes) != m && len(boxes) != 2 {
+		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), m))
+	}
+	for j := 0; j < m; j++ {
+		if len(boxes) == m {
+			copy(dst[j].Lo, boxes[j].Lo)
+			copy(dst[j].Hi, boxes[j].Hi)
+		} else {
+			interpInto(dst[j], boxes[0], boxes[1], t.cat.Value(j)/t.cat.Max())
+		}
+	}
+}
+
 // interpRect linearly interpolates each face: (1−f)·a + f·b.
 func interpRect(a, b geom.Rect, f float64) geom.Rect {
 	d := a.Dim()
-	lo := make(geom.Point, d)
-	hi := make(geom.Point, d)
-	for i := 0; i < d; i++ {
-		lo[i] = a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
-		hi[i] = a.Hi[i] + (b.Hi[i]-a.Hi[i])*f
+	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
+	interpInto(r, a, b, f)
+	return r
+}
+
+// interpInto is interpRect into dst's coordinate slices.
+func interpInto(dst, a, b geom.Rect, f float64) {
+	for i := range a.Lo {
+		dst.Lo[i] = a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
+		dst.Hi[i] = a.Hi[i] + (b.Hi[i]-a.Hi[i])*f
 	}
-	return geom.Rect{Lo: lo, Hi: hi}
 }
 
 // unionBoundaries unions per-slot boxes of two boundary sets (same length).

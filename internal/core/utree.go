@@ -148,6 +148,10 @@ type Tree struct {
 	samples int
 	exact   bool
 
+	// choose is chooseSubtree's working set, reused by every descent of
+	// the one writer.
+	choose chooseScratch
+
 	// seed is mixed with the query geometry into each query's private
 	// refinement sampler (see querySeed).
 	seed int64
@@ -528,45 +532,82 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 	return n, path, nil
 }
 
+// chooseScratch is chooseSubtree's working set: rectangles laid over one
+// flat coordinate slice, reused from call to call. It belongs to the writer
+// — mutations are serialised, so there is never more than one descent.
+type chooseScratch struct {
+	coords []float64
+	rects  []geom.Rect
+}
+
+// take returns n rectangles of dimensionality d over the scratch's
+// coordinates, with undefined contents.
+func (s *chooseScratch) take(n, d int) []geom.Rect {
+	if cap(s.coords) < 2*d*n {
+		s.coords = make([]float64, 2*d*n)
+	}
+	if cap(s.rects) < n {
+		s.rects = make([]geom.Rect, n)
+	}
+	rects := s.rects[:n]
+	for k := range rects {
+		c := s.coords[2*d*k : 2*d*(k+1)]
+		rects[k] = geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+	}
+	return rects
+}
+
 // chooseSubtree picks the child entry of n minimizing the summed penalty:
 // overlap enlargement when children are leaves, else area enlargement, with
 // summed area as tiebreak (the R* criteria with each metric replaced by its
 // sum over the catalog, Section 5.3).
+//
+// Every child's box at every catalog value is materialized once, so the
+// overlap term — children × catalog × siblings — reads rectangles instead
+// of re-interpolating a sibling per term. The interpolation (interpInto)
+// and the summation order (catalog outer, siblings inner) are those of the
+// direct formulation kept in choose_test.go, so the index chosen is the
+// same to the bit.
 func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 	m := t.cat.Size()
+	ne := len(n.entries)
+	rects := t.choose.take(ne*m+len(eBoxes)+m, t.dim)
+	at := rects[:ne*m] // child k at catalog index j is at[k*m+j]
+	boundary := rects[ne*m : ne*m+len(eBoxes)]
+	grown := rects[ne*m+len(eBoxes):]
+	for k := range n.entries {
+		t.boxesAt(at[k*m:], n.entries[k].boxes)
+	}
 	best := 0
-	if n.level == 1 {
-		bestOv, bestEnl, bestArea := inf(), inf(), inf()
-		for i := range n.entries {
-			grown := t.grownBoxes(n.entries[i].boxes, eBoxes)
-			var dOv float64
-			for j := 0; j < m; j++ {
-				gj := t.boxAt(grown, j)
-				oj := t.boxAt(n.entries[i].boxes, j)
-				for k := range n.entries {
-					if k == i {
-						continue
+	bestOv, bestEnl, bestArea := inf(), inf(), inf()
+	for i := range n.entries {
+		// The candidate's boundary after absorbing eBoxes, then its boxes.
+		for b, box := range n.entries[i].boxes {
+			copy(boundary[b].Lo, box.Lo)
+			copy(boundary[b].Hi, box.Hi)
+		}
+		unionBoundaries(boundary, eBoxes)
+		t.boxesAt(grown, boundary)
+		var dOv, enl, area float64
+		old := at[i*m : (i+1)*m]
+		for j := 0; j < m; j++ {
+			if n.level == 1 {
+				for k := 0; k < ne; k++ {
+					if k != i {
+						other := at[k*m+j]
+						dOv += grown[j].Overlap(other) - old[j].Overlap(other)
 					}
-					other := t.boxAt(n.entries[k].boxes, j)
-					dOv += gj.Overlap(other) - oj.Overlap(other)
 				}
 			}
-			enl := t.summedEnlargement(n.entries[i].boxes, grown)
-			area := t.summedArea(n.entries[i].boxes)
-			if dOv < bestOv || (dOv == bestOv && enl < bestEnl) ||
-				(dOv == bestOv && enl == bestEnl && area < bestArea) {
-				bestOv, bestEnl, bestArea, best = dOv, enl, area, i
-			}
+			a := old[j].Area()
+			enl += grown[j].Area() - a
+			area += a
 		}
-		return best
-	}
-	bestEnl, bestArea := inf(), inf()
-	for i := range n.entries {
-		grown := t.grownBoxes(n.entries[i].boxes, eBoxes)
-		enl := t.summedEnlargement(n.entries[i].boxes, grown)
-		area := t.summedArea(n.entries[i].boxes)
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			bestEnl, bestArea, best = enl, area, i
+		// Above level 1 dOv is zero throughout and the order is by area
+		// enlargement, then area.
+		if dOv < bestOv || (dOv == bestOv && enl < bestEnl) ||
+			(dOv == bestOv && enl == bestEnl && area < bestArea) {
+			bestOv, bestEnl, bestArea, best = dOv, enl, area, i
 		}
 	}
 	return best
@@ -574,37 +615,11 @@ func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 
 func inf() float64 { return 1e308 }
 
-// grownBoxes returns the parent boundary boxes after absorbing eBoxes.
-// Both sets share the same length (2 for U-tree, m for U-PCR).
-func (t *Tree) grownBoxes(parent, eBoxes []geom.Rect) []geom.Rect {
-	g := cloneBoxes(parent)
-	unionBoundaries(g, eBoxes)
-	return g
-}
-
-// summedArea is Σ_j AREA(boxAt(j)).
-func (t *Tree) summedArea(boxes []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(boxes, j).Area()
-	}
-	return s
-}
-
 // summedMargin is Σ_j MARGIN(boxAt(j)).
 func (t *Tree) summedMargin(boxes []geom.Rect) float64 {
 	var s float64
 	for j := 0; j < t.cat.Size(); j++ {
 		s += t.boxAt(boxes, j).Margin()
-	}
-	return s
-}
-
-// summedEnlargement is Σ_j [AREA(grown_j) − AREA(old_j)].
-func (t *Tree) summedEnlargement(old, grown []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(grown, j).Area() - t.boxAt(old, j).Area()
 	}
 	return s
 }

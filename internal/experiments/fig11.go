@@ -12,7 +12,7 @@ type Fig11Row struct {
 	Dataset dataset.Name
 	// Per-insertion averages during index construction.
 	InsertIOCostSec float64 // era model over logical page accesses
-	InsertCPUSec    float64 // measured CPU (simplex + PCR computation)
+	InsertCPUSec    float64 // measured CPU (PCR computation + CFB fit + descent)
 	InsertWallPerOp time.Duration
 	// Per-deletion averages while draining the index.
 	DeleteIOCostSec float64
@@ -21,11 +21,13 @@ type Fig11Row struct {
 }
 
 // Fig11 reproduces Figure 11: the amortized insertion cost (I/O + CPU
-// breakdown; CPU is dominated by the simplex CFB fitting and PCR
-// computation) during construction of the U-tree on each dataset, then the
+// breakdown) during construction of the U-tree on each dataset, then the
 // amortized deletion cost while removing every object. The paper's shape:
-// insertions cost ≈ tens of ms dominated by CPU; deletions are several
-// times pricier and I/O-dominated.
+// insertions cost ≈ tens of ms dominated by CPU — there the Simplex runs of
+// the CFB fit and the PCR computation; deletions are several times pricier
+// and I/O-dominated. Here the fit reads the same optimum off two convex
+// hulls (pcr.FitOut) and costs microseconds, so the CPU column is mostly
+// ChooseSubtree and its share of an insert is not the paper's.
 func Fig11(cfg Config) ([]Fig11Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Fig11Row

@@ -4,10 +4,12 @@
 //	maximize    c·x
 //	subject to  A x ≤ b,   x free
 //
-// It is the solver behind the conservative functional box (CFB) fitting of
-// Section 4.4 of the U-tree paper, which casts the tightest linear
-// over/under-approximation of a PCR family as linear programming and solves
-// it with the classic Simplex method. Free variables are handled by the
+// Section 4.4 of the U-tree paper casts the tightest linear over/under-
+// approximation of a PCR family (the CFB fit) as linear programming and
+// solves it with the classic Simplex method. The index fits CFBs in closed
+// form (internal/pcr/cfb.go); this solver is the oracle that fit is tested
+// against and is imported by tests only — CI fails if it enters the import
+// graph of uncertain or a command. Free variables are handled by the
 // standard x = x⁺ − x⁻ split; infeasibility and unboundedness are detected
 // and reported as errors.
 package lp

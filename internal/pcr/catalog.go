@@ -1,20 +1,23 @@
 // Package pcr implements the filtering layer of the U-tree paper:
 // probabilistically constrained regions (PCRs, Section 4.1), the finite
 // U-catalog (Section 4.2) and conservative functional boxes (CFBs,
-// Sections 4.3–4.4) fitted by linear programming. A leaf entry is decided
-// by FilterCatalogPCR (U-PCR) or FilterCFB (U-tree): the paper's pruning
-// Rules 1–2 (Observations 2 and 3), then a two-sided bound on the
+// Sections 4.3–4.4). The paper fits CFBs by linear programming; the
+// programs' optimum lies on a convex-hull edge of the PCR faces, and cfb.go
+// reads it off there instead of running the Simplex method. A leaf entry is
+// decided by FilterCatalogPCR (U-PCR) or FilterCFB (U-tree): the paper's
+// pruning Rules 1–2 (Observations 2 and 3), then a two-sided bound on the
 // qualification probability derived from the same stored faces
 // (probbound.go). The bound's lower half is the one validation rule — the
 // paper's validating Rules 3–5 are the special cases of it in which the
 // query clips the object on a single axis — and its upper half prunes
-// where Rules 1–2 cannot. Rules 3–5 as printed survive as a test-only
-// reference (reference_test.go).
+// where Rules 1–2 cannot. Rules 3–5 and the simplex fit as printed survive
+// as test-only references (reference_test.go).
 package pcr
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // catalogEps absorbs floating-point noise when matching query thresholds
@@ -26,6 +29,19 @@ const catalogEps = 1e-12
 // derivation in Section 5.1) requires p_1 = 0.
 type Catalog struct {
 	values []float64
+	// key identifies the catalog in QuantileCache keys; built once here
+	// because the cache is consulted per object and dimension.
+	key string
+}
+
+func newCatalog(values []float64) Catalog {
+	c := Catalog{values: values}
+	// Size plus max suffices for the uniform catalogs used here, but include
+	// the sum to disambiguate custom catalogs.
+	c.key = strconv.Itoa(c.Size()) + ":" +
+		strconv.FormatFloat(c.Max(), 'g', -1, 64) + ":" +
+		strconv.FormatFloat(c.Sum(), 'g', -1, 64)
+	return c
 }
 
 // UniformCatalog returns the paper's evenly spaced catalog
@@ -39,7 +55,7 @@ func UniformCatalog(m int) Catalog {
 	for j := 0; j < m; j++ {
 		v[j] = 0.5 * float64(j) / float64(m-1)
 	}
-	return Catalog{values: v}
+	return newCatalog(v)
 }
 
 // NewCatalog builds a catalog from explicit values, validating the paper's
@@ -59,7 +75,7 @@ func NewCatalog(values []float64) (Catalog, error) {
 			return Catalog{}, fmt.Errorf("pcr: catalog not strictly ascending at index %d", i)
 		}
 	}
-	return Catalog{values: append([]float64(nil), values...)}, nil
+	return newCatalog(append([]float64(nil), values...)), nil
 }
 
 // Size returns m, the number of catalog values.
@@ -83,6 +99,10 @@ func (c Catalog) Sum() float64 {
 	}
 	return s
 }
+
+// mean returns p̄ = P/m, the abscissa at which a face's height is the CFB
+// objective (cfb.go).
+func (c Catalog) mean() float64 { return c.Sum() / float64(len(c.values)) }
 
 // MedianIndex returns the index of the median catalog value p_{⌈m/2⌉}, the
 // value the U-tree split sorts by (Section 5.3).

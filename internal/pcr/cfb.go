@@ -2,9 +2,9 @@ package pcr
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
-	"repro/internal/lp"
 )
 
 // CFB is a conservative functional box (Section 4.3): a rectangle-valued
@@ -75,121 +75,235 @@ func (c CFB) meets(p float64, rq geom.Rect) bool {
 	return true
 }
 
-// FitOut fits cfb_out to the given PCRs: the margin-sum-minimal linear box
-// family covering every pcr(p_j) (Section 4.4). Per dimension the problem
-// decouples into two 2-variable LPs solved with simplex. The returned CFB
-// satisfies Rect(p_j) ⊇ pcr(p_j) for every j.
-func FitOut(pcrs PCRs) CFB {
-	cat := pcrs.Cat
-	m := cat.Size()
-	d := pcrs.Boxes[0].Dim()
-	P := cat.Sum()
-	c := CFB{
+// The fit (Section 4.4). The paper casts each face of cfb_out and cfb_in as
+// a linear program and solves it "by the Simplex method". Both programs
+// have structure a general solver cannot see. A face is a line
+// f(p) = α − β·p, and Formula 11's objective Σ_j f(p_j) = m·α − P·β equals
+// m·f(p̄) with p̄ = P/m, the mean catalog value: the objective is the
+// face's height at one abscissa. The constraints are the m points
+// (p_j, pcr_i∓(p_j)), already sorted by p. So the highest line under the
+// points at p̄ is the edge of their lower convex hull that spans p̄, the
+// lowest line over them the edge of the upper hull — the simplex's optimum,
+// read off a monotone-chain hull in O(m) without iterating. FitOut and
+// FitIn compute exactly that; the simplex survives as the oracle of the
+// differential test (reference_test.go).
+//
+// Both fits need the PCRs to nest (low faces ascend with p, high faces
+// descend), which Compute enforces.
+
+// fitStack is the catalog size up to which a fit's scratch (one column of
+// low faces, one of high faces, one hull) lives on the goroutine stack;
+// larger catalogs spill to the heap through append.
+const fitStack = 32
+
+// columns gathers dimension i's low and high PCR faces over the catalog
+// into lo and hi.
+func (p PCRs) columns(i int, lo, hi []float64) ([]float64, []float64) {
+	for _, b := range p.Boxes {
+		lo = append(lo, b.Lo[i])
+		hi = append(hi, b.Hi[i])
+	}
+	return lo, hi
+}
+
+// convexHull appends to hull the vertices of the lower (sign = +1) or upper
+// (sign = −1) convex hull of the points (p[j], y[j]), p ascending, as
+// indices in ascending order: Andrew's monotone chain, which needs no sort
+// here. Collinear points are not vertices.
+func convexHull(hull []int, p, y []float64, sign float64) []int {
+	for c := range p {
+		for n := len(hull); n >= 2; n-- {
+			a, b := hull[n-2], hull[n-1]
+			if sign*((p[b]-p[a])*(y[c]-y[a])-(y[b]-y[a])*(p[c]-p[a])) > 0 {
+				break
+			}
+			hull = hull[:n-1]
+		}
+		hull = append(hull, c)
+	}
+	return hull
+}
+
+// hullFace returns the face through the hull edge (convexHull) that spans
+// abscissa x, p[0] ≤ x < p[m−1]. When x is a vertex both edges at it have
+// the same height there; the right-hand one is taken, always, so that
+// equal inputs give equal faces. (For the uniform catalog with odd m the
+// mean p̄ is the catalog value p_⌈m/2⌉, so this is the common case, not a
+// corner.)
+func hullFace(hull []int, p, y []float64, sign, x float64) (alpha, beta float64) {
+	hull = convexHull(hull, p, y, sign)
+	k := 0
+	for k+2 < len(hull) && p[hull[k+1]] <= x {
+		k++
+	}
+	a, b := hull[k], hull[k+1]
+	return chord(p[a], y[a], p[b], y[b])
+}
+
+// chord returns the face coefficients of the line through (pa, ya) and
+// (pb, yb): α − β·p.
+func chord(pa, ya, pb, yb float64) (alpha, beta float64) {
+	beta = (ya - yb) / (pb - pa)
+	return ya + beta*pa, beta
+}
+
+func newCFB(d int) CFB {
+	return CFB{
 		AlphaLo: make([]float64, d), BetaLo: make([]float64, d),
 		AlphaHi: make([]float64, d), BetaHi: make([]float64, d),
 	}
+}
+
+// FitOut fits cfb_out to the given PCRs: the margin-sum-minimal linear box
+// family covering every pcr(p_j) (Section 4.4). Per dimension the two faces
+// are independent (lo ≤ pcr_i− ≤ pcr_i+ ≤ hi needs no coupling): the low
+// face is the highest line at p̄ under the low PCR faces, the high face the
+// lowest line at p̄ over the high ones. The returned CFB satisfies
+// Lo(i, p_j) ≤ pcr_i−(p_j) and Hi(i, p_j) ≥ pcr_i+(p_j) exactly.
+func FitOut(pcrs PCRs) CFB {
+	p := pcrs.Cat.values
+	mean := pcrs.Cat.mean()
+	d := pcrs.Boxes[0].Dim()
+	c := newCFB(d)
+	var loBuf, hiBuf [fitStack]float64
+	var hull [fitStack]int
 	for i := 0; i < d; i++ {
-		// Low face: maximize m·α − P·β subject to α − β·p_j ≤ pcr_i−(p_j).
-		aLo := make([][]float64, m)
-		bLo := make([]float64, m)
-		for j := 0; j < m; j++ {
-			aLo[j] = []float64{1, -cat.Value(j)}
-			bLo[j] = pcrs.Boxes[j].Lo[i]
-		}
-		xLo, _, errLo := lp.Solve(lp.Problem{C: []float64{float64(m), -P}, A: aLo, B: bLo})
-
-		// High face: minimize m·α − P·β subject to α − β·p_j ≥ pcr_i+(p_j),
-		// i.e. maximize −m·α + P·β subject to −α + β·p_j ≤ −pcr_i+(p_j).
-		aHi := make([][]float64, m)
-		bHi := make([]float64, m)
-		for j := 0; j < m; j++ {
-			aHi[j] = []float64{-1, cat.Value(j)}
-			bHi[j] = -pcrs.Boxes[j].Hi[i]
-		}
-		xHi, _, errHi := lp.Solve(lp.Problem{C: []float64{-float64(m), P}, A: aHi, B: bHi})
-
-		if errLo == nil && errHi == nil {
-			c.AlphaLo[i], c.BetaLo[i] = xLo[0], xLo[1]
-			c.AlphaHi[i], c.BetaHi[i] = xHi[0], xHi[1]
-		} else {
-			// Safe fallback: the constant box pcr(p_1) covers every PCR.
-			c.AlphaLo[i], c.BetaLo[i] = pcrs.Boxes[0].Lo[i], 0
-			c.AlphaHi[i], c.BetaHi[i] = pcrs.Boxes[0].Hi[i], 0
-		}
+		lo, hi := pcrs.columns(i, loBuf[:0], hiBuf[:0])
+		c.AlphaLo[i], c.BetaLo[i] = hullFace(hull[:0], p, lo, +1, mean)
+		c.AlphaHi[i], c.BetaHi[i] = hullFace(hull[:0], p, hi, -1, mean)
 		c.repairOut(pcrs, i)
 	}
 	return c
 }
 
-// repairOut nudges face i outward to absorb simplex round-off so the
-// covering invariant holds exactly.
+// repairOut moves face i outward until the covering invariant holds for
+// the faces as CFB.Lo and CFB.Hi evaluate them. The fit is exact up to
+// rounding, so this is a few ulps; one additive correction is not a fixed
+// point under rounding, hence the loops.
 func (c *CFB) repairOut(pcrs PCRs, i int) {
-	for j := 0; j < pcrs.Cat.Size(); j++ {
+	for j, box := range pcrs.Boxes {
 		p := pcrs.Cat.Value(j)
-		if lo := c.Lo(i, p); lo > pcrs.Boxes[j].Lo[i] {
-			c.AlphaLo[i] -= lo - pcrs.Boxes[j].Lo[i]
+		for lo := c.Lo(i, p); lo > box.Lo[i]; lo = c.Lo(i, p) {
+			c.AlphaLo[i] = nudged(c.AlphaLo[i], box.Lo[i]-lo)
 		}
-		if hi := c.Hi(i, p); hi < pcrs.Boxes[j].Hi[i] {
-			c.AlphaHi[i] += pcrs.Boxes[j].Hi[i] - hi
+		for hi := c.Hi(i, p); hi < box.Hi[i]; hi = c.Hi(i, p) {
+			c.AlphaHi[i] = nudged(c.AlphaHi[i], box.Hi[i]-hi)
 		}
 	}
 }
 
-// FitIn fits cfb_in: the margin-sum-maximal linear box family contained in
-// every pcr(p_j), subject to the non-degeneracy coupling (Inequality 14).
-// Per dimension this is a single 4-variable LP.
-func FitIn(pcrs PCRs) CFB {
-	cat := pcrs.Cat
-	m := cat.Size()
-	d := pcrs.Boxes[0].Dim()
-	P := cat.Sum()
-	c := CFB{
-		AlphaLo: make([]float64, d), BetaLo: make([]float64, d),
-		AlphaHi: make([]float64, d), BetaHi: make([]float64, d),
+// nudged returns intercept alpha moved by gap, or by one ulp in gap's
+// direction when gap is too small to register.
+func nudged(alpha, gap float64) float64 {
+	if a := alpha + gap; a != alpha {
+		return a
 	}
+	return math.Nextafter(alpha, math.Copysign(math.Inf(1), gap))
+}
+
+// FitIn fits cfb_in: the margin-sum-maximal linear box family contained in
+// every pcr(p_j), subject to the non-degeneracy coupling lo(p_j) ≤ hi(p_j)
+// (Inequality 14).
+//
+// Without the coupling the low face ℓ is the lowest line at p̄ over the low
+// PCR faces and the high face h the highest line at p̄ under the high ones.
+// ℓ − h is linear in p, so Inequality 14 holds on the whole catalog iff it
+// holds at p_1 and p_m; nested PCRs make ℓ ascend and h descend, and
+// ℓ(p̄) ≤ pcr_i−(p_m) ≤ pcr_i+(p_m) ≤ h(p̄), so only p_m can violate it.
+// When it does, the constraint is active at the optimum: the faces meet at
+// p_m, ℓ(p_m) = h(p_m) = v with pcr_i−(p_m) ≤ v ≤ pcr_i+(p_m), and given v
+// each face is the line through (p_m, v) that just clears the other points
+// (meetSlopes). The objective is then concave and piecewise linear in v
+// (fitMeeting). For a catalog that ends at 0.5 both faces of pcr(p_m) are
+// the median, v is that one point, and the coupled fit is a single pass.
+func FitIn(pcrs PCRs) CFB {
+	p := pcrs.Cat.values
+	e := len(p) - 1
+	mean := pcrs.Cat.mean()
+	d := pcrs.Boxes[0].Dim()
+	c := newCFB(d)
+	var loBuf, hiBuf [fitStack]float64
+	var hull [fitStack]int
 	for i := 0; i < d; i++ {
-		// Variables x = (αlo, βlo, αhi, βhi).
-		// maximize (m·αhi − P·βhi) − (m·αlo − P·βlo)
-		// s.t.  −αlo + βlo·p_j ≤ −pcr_i−(p_j)       (inner ≥ pcr low face)
-		//        αhi − βhi·p_j ≤  pcr_i+(p_j)       (inner ≤ pcr high face)
-		//        αlo − βlo·p_j − αhi + βhi·p_j ≤ 0  (low ≤ high, Ineq. 14)
-		a := make([][]float64, 0, 3*m)
-		b := make([]float64, 0, 3*m)
-		for j := 0; j < m; j++ {
-			pj := cat.Value(j)
-			a = append(a, []float64{-1, pj, 0, 0})
-			b = append(b, -pcrs.Boxes[j].Lo[i])
-			a = append(a, []float64{0, 0, 1, -pj})
-			b = append(b, pcrs.Boxes[j].Hi[i])
-			a = append(a, []float64{1, -pj, -1, pj})
-			b = append(b, 0)
-		}
-		obj := []float64{-float64(m), P, float64(m), -P}
-		x, _, err := lp.Solve(lp.Problem{C: obj, A: a, B: b})
-		if err == nil {
-			c.AlphaLo[i], c.BetaLo[i] = x[0], x[1]
-			c.AlphaHi[i], c.BetaHi[i] = x[2], x[3]
-		} else {
-			// Safe fallback: the constant box pcr(p_m) sits inside every PCR.
-			last := pcrs.Boxes[m-1]
-			c.AlphaLo[i], c.BetaLo[i] = last.Lo[i], 0
-			c.AlphaHi[i], c.BetaHi[i] = last.Hi[i], 0
+		lo, hi := pcrs.columns(i, loBuf[:0], hiBuf[:0])
+		c.AlphaLo[i], c.BetaLo[i] = hullFace(hull[:0], p, lo, -1, mean)
+		c.AlphaHi[i], c.BetaHi[i] = hullFace(hull[:0], p, hi, +1, mean)
+		if c.Lo(i, p[e]) > c.Hi(i, p[e]) {
+			v, sLo, sHi := fitMeeting(hull[:0], p, lo, hi)
+			c.AlphaLo[i], c.BetaLo[i] = v-sLo*p[e], -sLo
+			c.AlphaHi[i], c.BetaHi[i] = v-sHi*p[e], -sHi
 		}
 		c.repairIn(pcrs, i)
 	}
 	return c
 }
 
-// repairIn nudges face i inward to absorb simplex round-off so the
-// containment invariant holds exactly.
-func (c *CFB) repairIn(pcrs PCRs, i int) {
-	for j := 0; j < pcrs.Cat.Size(); j++ {
-		p := pcrs.Cat.Value(j)
-		if lo := c.Lo(i, p); lo < pcrs.Boxes[j].Lo[i] {
-			c.AlphaLo[i] += pcrs.Boxes[j].Lo[i] - lo
+// meetSlopes returns the slopes of the best inner faces that meet at
+// (p_m, v): the low face is the line through that point with the largest
+// slope that stays on or over every (p_j, lo_j), the high face the one with
+// the smallest slope that stays on or under every (p_j, hi_j). For
+// lo_m ≤ v ≤ hi_m nesting gives sLo ≥ 0 ≥ sHi, so the pair satisfies
+// Inequality 14 everywhere.
+func meetSlopes(p, lo, hi []float64, v float64) (sLo, sHi float64) {
+	e := len(p) - 1
+	sLo, sHi = math.Inf(1), math.Inf(-1)
+	for j := 0; j < e; j++ {
+		w := p[e] - p[j]
+		sLo = math.Min(sLo, (v-lo[j])/w)
+		sHi = math.Max(sHi, (v-hi[j])/w)
+	}
+	return sLo, sHi
+}
+
+// fitMeeting returns the meeting height v ∈ [lo_m, hi_m] that maximizes
+// the summed extent of the inner faces meeting at (p_m, v), with their
+// slopes. The extent at p̄ is (sLo − sHi)·(p_m − p̄); sLo is a minimum and
+// sHi a maximum of functions linear in v, so the objective is concave and
+// piecewise linear, and its maximum is at an end of the range or at a
+// breakpoint — a v at which the line from (p_m, v) touches two points at
+// once, i.e. where the extension of a hull edge reaches p_m. Candidates are
+// tried in a fixed order and only a strictly better one replaces the
+// incumbent.
+func fitMeeting(hull []int, p, lo, hi []float64) (v, sLo, sHi float64) {
+	e := len(p) - 1
+	v = lo[e]
+	sLo, sHi = meetSlopes(p, lo, hi, v)
+	if lo[e] == hi[e] {
+		return v, sLo, sHi
+	}
+	try := func(u float64) {
+		if !(lo[e] < u && u <= hi[e]) {
+			return
 		}
-		if hi := c.Hi(i, p); hi > pcrs.Boxes[j].Hi[i] {
-			c.AlphaHi[i] -= hi - pcrs.Boxes[j].Hi[i]
+		if a, b := meetSlopes(p, lo, hi, u); a-b > sLo-sHi {
+			v, sLo, sHi = u, a, b
+		}
+	}
+	try(hi[e])
+	for _, side := range [2]struct {
+		y    []float64
+		sign float64
+	}{{lo, -1}, {hi, +1}} {
+		hull = convexHull(hull[:0], p, side.y, side.sign)
+		for k := 0; k+1 < len(hull); k++ {
+			a, b := hull[k], hull[k+1]
+			alpha, beta := chord(p[a], side.y[a], p[b], side.y[b])
+			try(alpha - beta*p[e])
+		}
+	}
+	return v, sLo, sHi
+}
+
+// repairIn moves face i inward until the containment invariant holds for
+// the faces as CFB.Lo and CFB.Hi evaluate them (see repairOut).
+func (c *CFB) repairIn(pcrs PCRs, i int) {
+	for j, box := range pcrs.Boxes {
+		p := pcrs.Cat.Value(j)
+		for lo := c.Lo(i, p); lo < box.Lo[i]; lo = c.Lo(i, p) {
+			c.AlphaLo[i] = nudged(c.AlphaLo[i], box.Lo[i]-lo)
+		}
+		for hi := c.Hi(i, p); hi > box.Hi[i]; hi = c.Hi(i, p) {
+			c.AlphaHi[i] = nudged(c.AlphaHi[i], box.Hi[i]-hi)
 		}
 	}
 }

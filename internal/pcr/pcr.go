@@ -1,7 +1,6 @@
 package pcr
 
 import (
-	"strconv"
 	"sync"
 
 	"repro/internal/geom"
@@ -24,28 +23,33 @@ type PCRs struct {
 // quantiles exactly once. Safe for concurrent use.
 type QuantileCache struct {
 	mu sync.Mutex
-	m  map[string][]float64
+	m  map[offsetsKey][]float64
+}
+
+type offsetsKey struct {
+	shape string
+	dim   int
+	cat   string
 }
 
 // NewQuantileCache returns an empty cache.
 func NewQuantileCache() *QuantileCache {
-	return &QuantileCache{m: make(map[string][]float64)}
+	return &QuantileCache{m: make(map[offsetsKey][]float64)}
 }
 
 // offsets returns, for pdf p and dimension dim, the 2m quantile offsets
 // {Q(p_1)−c, Q(1−p_1)−c, …} for catalog cat, computing and caching them when
-// the pdf has a non-empty shape key.
-func (qc *QuantileCache) offsets(p updf.PDF, dim int, cat Catalog) []float64 {
-	key := ""
-	if qc != nil {
-		if sk := p.ShapeKey(); sk != "" {
-			key = sk + "|dim=" + itoa(dim) + "|cat=" + catKey(cat)
-			qc.mu.Lock()
-			if off, ok := qc.m[key]; ok {
-				qc.mu.Unlock()
-				return off
-			}
-			qc.mu.Unlock()
+// the pdf has a non-empty shape key. shape is p.ShapeKey(), which the
+// caller evaluates once for all dimensions.
+func (qc *QuantileCache) offsets(p updf.PDF, shape string, dim int, cat Catalog) []float64 {
+	cached := qc != nil && shape != ""
+	key := offsetsKey{shape: shape, dim: dim, cat: cat.key}
+	if cached {
+		qc.mu.Lock()
+		off, ok := qc.m[key]
+		qc.mu.Unlock()
+		if ok {
+			return off
 		}
 	}
 	c := p.Center()[dim]
@@ -56,22 +60,12 @@ func (qc *QuantileCache) offsets(p updf.PDF, dim int, cat Catalog) []float64 {
 		off[2*j] = updf.MarginalQuantile(p, dim, pj) - c
 		off[2*j+1] = updf.MarginalQuantile(p, dim, 1-pj) - c
 	}
-	if key != "" {
+	if cached {
 		qc.mu.Lock()
 		qc.m[key] = off
 		qc.mu.Unlock()
 	}
 	return off
-}
-
-func itoa(i int) string { return strconv.Itoa(i) }
-
-func catKey(cat Catalog) string {
-	// Size plus max suffices for the uniform catalogs used here, but include
-	// the sum to disambiguate custom catalogs.
-	return strconv.Itoa(cat.Size()) + ":" +
-		strconv.FormatFloat(cat.Max(), 'g', -1, 64) + ":" +
-		strconv.FormatFloat(cat.Sum(), 'g', -1, 64)
 }
 
 // Compute derives the PCRs of pdf p at all values of catalog cat. The
@@ -89,8 +83,12 @@ func Compute(p updf.PDF, cat Catalog, cache *QuantileCache) PCRs {
 		los[j] = make([]float64, d)
 		his[j] = make([]float64, d)
 	}
+	shape := ""
+	if cache != nil {
+		shape = p.ShapeKey()
+	}
 	for i := 0; i < d; i++ {
-		off := cache.offsets(p, i, cat)
+		off := cache.offsets(p, shape, i, cat)
 		for j := 0; j < m; j++ {
 			lo := ctr[i] + off[2*j]
 			hi := ctr[i] + off[2*j+1]

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/lp"
 	"repro/internal/updf"
 )
 
@@ -13,6 +14,11 @@ import (
 // differential test in probbound_test.go holds them to validating
 // everything paperFilterCatalogPCR and paperFilterCFB do. FilterExact is
 // Observation 1 itself, the continuous-p filter no stored entry can run.
+//
+// It also keeps Section 4.4's fit as the paper prints it — linear programs
+// solved by the Simplex method (simplexFitOut, simplexFitIn) — as the oracle
+// FitOut and FitIn are held to in fit_test.go; internal/lp has no other
+// importer.
 
 // coversSlab reports whether rq fully contains the part of mbr between the
 // two planes perpendicular to dimension dim at coordinates lo and hi. This
@@ -238,4 +244,76 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 		}
 	}
 	return Unknown
+}
+
+// simplexFitOut solves Section 4.4's cfb_out programs with the simplex: per
+// dimension two 2-variable LPs over m half-planes. The result is the
+// solver's vertex as returned, without the round-off repair.
+func simplexFitOut(pcrs PCRs) (CFB, error) {
+	cat := pcrs.Cat
+	m := cat.Size()
+	d := pcrs.Boxes[0].Dim()
+	P := cat.Sum()
+	c := newCFB(d)
+	for i := 0; i < d; i++ {
+		// Low face: maximize m·α − P·β subject to α − β·p_j ≤ pcr_i−(p_j).
+		aLo := make([][]float64, m)
+		bLo := make([]float64, m)
+		// High face: minimize m·α − P·β subject to α − β·p_j ≥ pcr_i+(p_j),
+		// i.e. maximize −m·α + P·β subject to −α + β·p_j ≤ −pcr_i+(p_j).
+		aHi := make([][]float64, m)
+		bHi := make([]float64, m)
+		for j := 0; j < m; j++ {
+			aLo[j] = []float64{1, -cat.Value(j)}
+			bLo[j] = pcrs.Boxes[j].Lo[i]
+			aHi[j] = []float64{-1, cat.Value(j)}
+			bHi[j] = -pcrs.Boxes[j].Hi[i]
+		}
+		xLo, _, err := lp.Solve(lp.Problem{C: []float64{float64(m), -P}, A: aLo, B: bLo})
+		if err != nil {
+			return CFB{}, err
+		}
+		xHi, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P}, A: aHi, B: bHi})
+		if err != nil {
+			return CFB{}, err
+		}
+		c.AlphaLo[i], c.BetaLo[i] = xLo[0], xLo[1]
+		c.AlphaHi[i], c.BetaHi[i] = xHi[0], xHi[1]
+	}
+	return c, nil
+}
+
+// simplexFitIn solves Section 4.4's cfb_in program with the simplex: per
+// dimension one 4-variable LP over 3m rows, Inequality 14 included.
+func simplexFitIn(pcrs PCRs) (CFB, error) {
+	cat := pcrs.Cat
+	m := cat.Size()
+	d := pcrs.Boxes[0].Dim()
+	P := cat.Sum()
+	c := newCFB(d)
+	for i := 0; i < d; i++ {
+		// Variables x = (αlo, βlo, αhi, βhi).
+		// maximize (m·αhi − P·βhi) − (m·αlo − P·βlo)
+		// s.t.  −αlo + βlo·p_j ≤ −pcr_i−(p_j)       (inner ≥ pcr low face)
+		//        αhi − βhi·p_j ≤  pcr_i+(p_j)       (inner ≤ pcr high face)
+		//        αlo − βlo·p_j − αhi + βhi·p_j ≤ 0  (low ≤ high, Ineq. 14)
+		a := make([][]float64, 0, 3*m)
+		b := make([]float64, 0, 3*m)
+		for j := 0; j < m; j++ {
+			pj := cat.Value(j)
+			a = append(a, []float64{-1, pj, 0, 0})
+			b = append(b, -pcrs.Boxes[j].Lo[i])
+			a = append(a, []float64{0, 0, 1, -pj})
+			b = append(b, pcrs.Boxes[j].Hi[i])
+			a = append(a, []float64{1, -pj, -1, pj})
+			b = append(b, 0)
+		}
+		x, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P, float64(m), -P}, A: a, B: b})
+		if err != nil {
+			return CFB{}, err
+		}
+		c.AlphaLo[i], c.BetaLo[i] = x[0], x[1]
+		c.AlphaHi[i], c.BetaHi[i] = x[2], x[3]
+	}
+	return c, nil
 }
