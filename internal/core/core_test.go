@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -552,6 +554,36 @@ func TestOpenBadMeta(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUTR1: a metadata page written before leaf entries moved to
+// float32 CFB coefficients is refused by its magic, with the typed error —
+// its 176-byte entries are never run through the 112-byte decoder.
+func TestOpenRefusesUTR1(t *testing.T) {
+	store := pagefile.NewMemStore()
+	meta, _ := store.Alloc()
+	root, _ := store.Alloc()
+	// The page a UTR1 writer left behind: same fields, older magic.
+	buf := make([]byte, pagefile.PageSize)
+	copy(buf, "1RTU") // 0x55545231 little endian
+	buf[4], buf[5] = byte(UTree), 2
+	binary.LittleEndian.PutUint16(buf[6:], 15)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(root))
+	binary.LittleEndian.PutUint64(buf[16:], 23)
+	binary.LittleEndian.PutUint64(buf[28:], 1)
+	if err := store.Write(meta, buf); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Open(store, meta, Options{})
+	if !errors.Is(err, ErrOldLayout) || tree != nil {
+		t.Fatalf("Open on a UTR1 file: tree %v, err %v, want ErrOldLayout", tree, err)
+	}
+	if !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("error does not say what to do: %v", err)
+	}
+	if r := store.Stats().Reads.Load(); r != 1 {
+		t.Fatalf("%d store reads, want the metadata page alone", r)
+	}
+}
+
 func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	inner := pagefile.NewMemStore()
@@ -560,15 +592,18 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs := makeObjects(64, 300, rng)
-	for _, o := range objs[:32] {
+	// Two leaves' worth of objects: the tree must be taller than the
+	// one-page pool, or the armed store is never reached.
+	n := 2 * tree.leafCap
+	objs := makeObjects(n+1, 300, rng)
+	for _, o := range objs[:n] {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Trip the store and verify errors propagate rather than panic.
 	fs.Arm(0)
-	if err := tree.Insert(objs[40]); !errors.Is(err, pagefile.ErrInjected) {
+	if err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fs.Arm(0)

@@ -9,9 +9,6 @@ import (
 	"repro/internal/pcr"
 )
 
-// pcrCFB aliases pcr.CFB for the serialization helpers.
-type pcrCFB = pcr.CFB
-
 // Kind selects the index variant.
 type Kind int
 
@@ -41,6 +38,13 @@ func (k Kind) String() string {
 // Intermediate entries: child is set and boxes carries the bounding
 // geometry — length 2 for the U-tree ([MBR⊥, MBR⊤], interpolated linearly
 // in p) and length m for U-PCR (one bounding rectangle per catalog value).
+//
+// The coordinate slices are read-only. decodeNode lays all entries of a
+// node over shared slabs, and entries are copied by value between nodes
+// (split, reinsertion), so a write through mbr, out, in, pcrs or boxes
+// would reach other entries and cached nodes. Geometry changes by
+// replacing the slice (refreshPath); the only in-place writers, interpInto
+// and UnionInPlace, work on scratch and on cloneBoxes copies.
 type entry struct {
 	// Leaf fields.
 	id   int64
@@ -186,13 +190,18 @@ func cloneBoxes(b []geom.Rect) []geom.Rect {
 }
 
 // entrySizes returns the on-page sizes (bytes) of leaf and intermediate
-// entries for the given kind, dimensionality and catalog size.
+// entries for the given kind, dimensionality and catalog size. Rectangles
+// are float64 everywhere; only the CFB coefficients of a U-tree leaf entry
+// are float32, stored as the bits pcr.CFB holds in memory (see pcr.CFB for
+// why half width is safe there, and the README's "Leaf layout" note for
+// why the MBR, the intermediate entries and U-PCR's exact faces are not).
+// 2-D: 112 B per U-tree leaf entry, 36 per page; 3-D: 160 B, 25 per page.
 func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {
 	case UTree:
-		// id(8) + addr(8) + MBR + cfb_out(4d) + cfb_in(4d).
-		leaf = 16 + rect + 64*dim
+		// id(8) + addr(8) + MBR + cfb_out(4d float32) + cfb_in(4d float32).
+		leaf = 16 + rect + 32*dim
 		// child(8) + MBR⊥ + MBR⊤.
 		inner = 8 + 2*rect
 	case UPCR:

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pcr"
 )
 
 // node is the in-memory form of a tree page.
@@ -134,6 +136,46 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 	return nil
 }
 
+// slabs is one decoded node's coordinate storage: every rectangle of every
+// entry is a sub-slice of f64, every CFB of f32, every box list of rects, so
+// decoding a node costs one allocation per element type, not several per
+// entry. Each take is capped at its own length — an append through it
+// cannot reach a neighbour — and entries never write through what they are
+// handed (see entry).
+type slabs struct {
+	f64   []float64
+	f32   []float32
+	rects []geom.Rect
+}
+
+// rect decodes the rectangle at buf[off:] into the next 2·dim coordinates.
+func (s *slabs) rect(buf []byte, off, dim int) (geom.Rect, int) {
+	c := s.f64[: 2*dim : 2*dim]
+	s.f64 = s.f64[2*dim:]
+	for i := range c {
+		c[i], off = getF64(buf, off)
+	}
+	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}, off
+}
+
+// cfb decodes the CFB at buf[off:] into the next 4·dim coefficients.
+func (s *slabs) cfb(buf []byte, off, dim int) (pcr.CFB, int) {
+	c := s.f32[: 4*dim : 4*dim]
+	s.f32 = s.f32[4*dim:]
+	for i := range c {
+		c[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
+		off += 4
+	}
+	return pcr.CFB(c), off
+}
+
+// boxes takes the next n rectangles, undecoded.
+func (s *slabs) boxes(n int) []geom.Rect {
+	b := s.rects[:n:n]
+	s.rects = s.rects[n:]
+	return b
+}
+
 func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*node, error) {
 	n := &node{page: id, level: int(buf[0])}
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
@@ -151,16 +193,39 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*node, error) {
 		})
 	}
 	n.entries = make([]entry, count)
+	// Rectangles per entry: the m boxes of either U-PCR level, [MBR⊥, MBR⊤]
+	// of a U-tree intermediate entry, or a U-tree leaf entry's MBR, which
+	// sits beside two CFBs instead of in a box list.
+	utreeLeaf := n.leaf() && t.kind == UTree
+	nb := t.innerBoxes()
+	if utreeLeaf {
+		nb = 1
+	}
+	s := slabs{f64: make([]float64, count*nb*2*t.dim)}
+	if utreeLeaf {
+		s.f32 = make([]float32, count*8*t.dim)
+	} else {
+		s.rects = make([]geom.Rect, count*nb)
+	}
 	off := nodeHeader
 	for i := 0; i < count; i++ {
 		if n.leaf() {
-			t.decodeLeafEntry(&n.entries[i], buf[off:off+sz])
+			t.decodeLeafEntry(&n.entries[i], buf[off:off+sz], &s)
 		} else {
-			t.decodeInnerEntry(&n.entries[i], buf[off:off+sz])
+			t.decodeInnerEntry(&n.entries[i], buf[off:off+sz], &s)
 		}
 		off += sz
 	}
 	return n, nil
+}
+
+// innerBoxes is the number of rectangles in an intermediate entry (and in a
+// U-PCR leaf entry, whose m PCRs have the same shape).
+func (t *Tree) innerBoxes() int {
+	if t.kind == UPCR {
+		return t.cat.Size()
+	}
+	return 2
 }
 
 func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
@@ -178,20 +243,20 @@ func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
 	}
 }
 
-func (t *Tree) decodeLeafEntry(e *entry, buf []byte) {
+func (t *Tree) decodeLeafEntry(e *entry, buf []byte, s *slabs) {
 	e.id = int64(binary.LittleEndian.Uint64(buf))
 	var off int
 	e.addr, off = getAddr(buf, 8)
-	e.mbr, off = getRect(buf, off, t.dim)
+	e.mbr, off = s.rect(buf, off, t.dim)
 	if t.kind == UTree {
-		e.out, off = getCFB(buf, off, t.dim)
-		e.in, _ = getCFB(buf, off, t.dim)
+		e.out, off = s.cfb(buf, off, t.dim)
+		e.in, _ = s.cfb(buf, off, t.dim)
 		return
 	}
-	e.pcrs = make([]geom.Rect, t.cat.Size())
-	e.pcrs[0] = e.mbr.Clone()
-	for j := 1; j < t.cat.Size(); j++ {
-		e.pcrs[j], off = getRect(buf, off, t.dim)
+	e.pcrs = s.boxes(t.cat.Size())
+	e.pcrs[0] = e.mbr
+	for j := 1; j < len(e.pcrs); j++ {
+		e.pcrs[j], off = s.rect(buf, off, t.dim)
 	}
 }
 
@@ -204,16 +269,12 @@ func (t *Tree) encodeInnerEntry(e *entry, buf []byte) {
 	}
 }
 
-func (t *Tree) decodeInnerEntry(e *entry, buf []byte) {
+func (t *Tree) decodeInnerEntry(e *entry, buf []byte, s *slabs) {
 	e.child = pagefile.PageID(binary.LittleEndian.Uint32(buf))
-	nb := 2
-	if t.kind == UPCR {
-		nb = t.cat.Size()
-	}
-	e.boxes = make([]geom.Rect, nb)
+	e.boxes = s.boxes(t.innerBoxes())
 	off := 8
-	for i := 0; i < nb; i++ {
-		e.boxes[i], off = getRect(buf, off, t.dim)
+	for i := range e.boxes {
+		e.boxes[i], off = s.rect(buf, off, t.dim)
 	}
 }
 
@@ -227,36 +288,12 @@ func putRect(buf []byte, off int, r geom.Rect) int {
 	return off
 }
 
-func getRect(buf []byte, off, dim int) (geom.Rect, int) {
-	lo := make(geom.Point, dim)
-	hi := make(geom.Point, dim)
-	for i := 0; i < dim; i++ {
-		lo[i], off = getF64(buf, off)
-	}
-	for i := 0; i < dim; i++ {
-		hi[i], off = getF64(buf, off)
-	}
-	return geom.Rect{Lo: lo, Hi: hi}, off
-}
-
-func putCFB(buf []byte, off int, c pcrCFB) int {
-	for _, arr := range [][]float64{c.AlphaLo, c.BetaLo, c.AlphaHi, c.BetaHi} {
-		for _, v := range arr {
-			off = putF64(buf, off, v)
-		}
+// putCFB copies the coefficient slab as it is: the page holds the bits the
+// filter reads in memory.
+func putCFB(buf []byte, off int, c pcr.CFB) int {
+	for _, v := range c {
+		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
+		off += 4
 	}
 	return off
-}
-
-func getCFB(buf []byte, off, dim int) (pcrCFB, int) {
-	c := pcrCFB{
-		AlphaLo: make([]float64, dim), BetaLo: make([]float64, dim),
-		AlphaHi: make([]float64, dim), BetaHi: make([]float64, dim),
-	}
-	for _, arr := range [][]float64{c.AlphaLo, c.BetaLo, c.AlphaHi, c.BetaHi} {
-		for i := 0; i < dim; i++ {
-			arr[i], off = getF64(buf, off)
-		}
-	}
-	return c, off
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/pagefile"
@@ -16,7 +17,21 @@ import (
 // The metadata page is the commit point of the shadow-paging scheme: it is
 // the only page (besides slotted data pages) ever rewritten in place, and
 // it is written only after every page of the epoch it names is durable.
-const metaMagic = 0x55545231 // "UTR1"
+//
+// The magic names the node layout as well as the page: "UTR2" leaf entries
+// hold their CFB coefficients as float32 (entrySizes), "UTR1" held them as
+// float64 in entries half again as large. There is one codec, so a UTR1
+// file is refused, never decoded.
+const (
+	metaMagic   = 0x55545232 // "UTR2"
+	metaMagicV1 = 0x55545231 // "UTR1"
+)
+
+// ErrOldLayout is returned by Open for an index file written before leaf
+// entries moved to float32 CFB coefficients. No reader for that layout is
+// kept: rebuild the index from its data.
+var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
+	"this version reads only UTR2 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller flushes the buffer pool first (Commit does); the page is exempted
@@ -53,7 +68,11 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	if err := store.Read(metaPage, buf); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
+	switch binary.LittleEndian.Uint32(buf[0:]) {
+	case metaMagic:
+	case metaMagicV1:
+		return nil, ErrOldLayout
+	default:
 		return nil, fmt.Errorf("core: page %d is not a U-tree metadata page", metaPage)
 	}
 	kind := Kind(buf[4])

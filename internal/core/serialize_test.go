@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,25 +24,29 @@ func randRectIn(rng *rand.Rand, d int, span float64) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// randCFB produces a structurally valid CFB.
+// randCFB produces a structurally valid CFB; the float32 conversion leaves
+// coefficients with every mantissa pattern, which is what the codec has to
+// carry.
 func randCFB(rng *rand.Rand, d int) pcr.CFB {
-	c := pcr.CFB{
-		AlphaLo: make([]float64, d), BetaLo: make([]float64, d),
-		AlphaHi: make([]float64, d), BetaHi: make([]float64, d),
-	}
+	c := make(pcr.CFB, 4*d)
 	for i := 0; i < d; i++ {
-		c.AlphaLo[i] = rng.Float64() * 100
-		c.AlphaHi[i] = c.AlphaLo[i] + rng.Float64()*50
-		c.BetaLo[i] = rng.NormFloat64() * 10
-		c.BetaHi[i] = rng.NormFloat64() * 10
+		lo := rng.Float64() * 100
+		c[i] = float32(lo)
+		c[d+i] = float32(rng.NormFloat64() * 10)
+		c[2*d+i] = float32(lo + rng.Float64()*50)
+		c[3*d+i] = float32(rng.NormFloat64() * 10)
 	}
 	return c
 }
 
+// cfbEqual compares coefficient bits, not values: the page holds the slab
+// the filter reads in memory, so −0 and NaN payloads survive too.
 func cfbEqual(a, b pcr.CFB) bool {
-	for i := range a.AlphaLo {
-		if a.AlphaLo[i] != b.AlphaLo[i] || a.BetaLo[i] != b.BetaLo[i] ||
-			a.AlphaHi[i] != b.AlphaHi[i] || a.BetaHi[i] != b.BetaHi[i] {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
 		}
 	}
@@ -182,6 +187,85 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 	}
 }
 
+// fullNodePages encodes one full leaf and one full intermediate node of
+// tree, with random contents.
+func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
+	rng := rand.New(rand.NewSource(4))
+	ln := &node{page: 7, level: 0}
+	for i := 0; i < tree.leafCap; i++ {
+		e := entry{id: int64(i), mbr: randRectIn(rng, tree.dim, 1000)}
+		if tree.kind == UTree {
+			e.out, e.in = randCFB(rng, tree.dim), randCFB(rng, tree.dim)
+		} else {
+			e.pcrs = make([]geom.Rect, tree.cat.Size())
+			for j := range e.pcrs {
+				e.pcrs[j] = e.mbr
+			}
+		}
+		ln.entries = append(ln.entries, e)
+	}
+	in := &node{page: 8, level: 1}
+	for i := 0; i < tree.innerCap; i++ {
+		e := entry{child: pagefile.PageID(i + 10)}
+		for b := 0; b < tree.innerBoxes(); b++ {
+			e.boxes = append(e.boxes, randRectIn(rng, tree.dim, 1000))
+		}
+		in.entries = append(in.entries, e)
+	}
+	leaf, inner = make([]byte, pagefile.PageSize), make([]byte, pagefile.PageSize)
+	if err := tree.encodeNode(ln, leaf); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tree.encodeNode(in, inner); err != nil {
+		tb.Fatal(err)
+	}
+	return leaf, inner
+}
+
+// TestDecodeNodeAllocations gates the slab decode: a full node of either
+// level and either kind costs the node, its entries and two coordinate
+// slabs, however many entries it holds (a 2-D U-tree leaf was 232
+// allocations when every rectangle and coefficient array had its own).
+func TestDecodeNodeAllocations(t *testing.T) {
+	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}} {
+		tree, err := New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, inner := fullNodePages(t, tree)
+		for name, page := range map[string][]byte{"leaf": leaf, "inner": inner} {
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := tree.decodeNode(7, page); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 4 {
+				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ 4", tree.kind, tree.dim, name, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeLeaf decodes one full U-tree leaf page: what every
+// decoded-node cache miss of a query pays per leaf visited.
+func BenchmarkDecodeLeaf(b *testing.B) {
+	for _, dim := range []int{2, 3} {
+		tree, err := New(Options{Dim: dim})
+		if err != nil {
+			b.Fatal(err)
+		}
+		leaf, _ := fullNodePages(b, tree)
+		b.Run(fmt.Sprintf("%dD-%dentries", dim, tree.leafCap), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.decodeNode(7, leaf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestEncodeNodeRejectsOverfull(t *testing.T) {
 	tree, _ := New(Options{Dim: 2})
 	n := &node{page: 1, level: 0}
@@ -211,21 +295,29 @@ func TestDecodeNodeRejectsCorruptCount(t *testing.T) {
 }
 
 // TestEntrySizesMatchPaperArithmetic pins the storage arithmetic of
-// Section 6.3: 16 CFB values per 2D U-tree entry (24 in 3D) versus 2dm PCR
-// values per U-PCR entry.
+// Section 6.3: 16 CFB values per 2D U-tree entry (24 in 3D), 4 bytes each,
+// versus 2dm 8-byte PCR values per U-PCR entry.
 func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
-	// d=2 U-tree: id(8)+addr(8)+MBR(32)+CFBs(16 floats = 128) = 176.
+	// d=2 U-tree: id(8)+addr(8)+MBR(32)+CFBs(16 float32 = 64) = 112.
 	leaf, inner := entrySizes(UTree, 2, 15)
-	if leaf != 176 {
-		t.Errorf("U-tree 2D leaf entry = %d B, want 176", leaf)
+	if leaf != 112 {
+		t.Errorf("U-tree 2D leaf entry = %d B, want 112", leaf)
 	}
 	if inner != 8+64 {
 		t.Errorf("U-tree 2D inner entry = %d B, want 72", inner)
 	}
-	// d=3 U-tree: CFBs are 24 floats.
-	leaf3, _ := entrySizes(UTree, 3, 15)
-	if leaf3 != 16+48+192 {
-		t.Errorf("U-tree 3D leaf entry = %d B, want 256", leaf3)
+	// d=3 U-tree: CFBs are 24 float32.
+	leaf3, inner3 := entrySizes(UTree, 3, 15)
+	if leaf3 != 16+48+96 {
+		t.Errorf("U-tree 3D leaf entry = %d B, want 160", leaf3)
+	}
+	if inner3 != 8+96 {
+		t.Errorf("U-tree 3D inner entry = %d B, want 104", inner3)
+	}
+	for _, c := range []struct{ dim, leaf, inner int }{{2, 36, 56}, {3, 25, 39}} {
+		if lc, ic := capacities(UTree, c.dim, 15); lc != c.leaf || ic != c.inner {
+			t.Errorf("U-tree %dD capacities = %d/%d, want %d/%d", c.dim, lc, ic, c.leaf, c.inner)
+		}
 	}
 	// d=2 U-PCR at m=9: 36 PCR values = 288 B + ids.
 	leafP, innerP := entrySizes(UPCR, 2, 9)

@@ -566,8 +566,9 @@ func (s *chooseScratch) take(n, d int) []geom.Rect {
 // overlap term — children × catalog × siblings — reads rectangles instead
 // of re-interpolating a sibling per term. The interpolation (interpInto)
 // and the summation order (catalog outer, siblings inner) are those of the
-// direct formulation kept in choose_test.go, so the index chosen is the
-// same to the bit.
+// direct formulation kept in choose_test.go; what is left out — terms that
+// are exactly zero, and the rest of a sum that has already lost — cannot
+// change the comparison, so the index chosen is the same to the bit.
 func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 	m := t.cat.Size()
 	ne := len(n.entries)
@@ -582,21 +583,38 @@ func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 	bestOv, bestEnl, bestArea := inf(), inf(), inf()
 	for i := range n.entries {
 		// The candidate's boundary after absorbing eBoxes, then its boxes.
+		// A candidate that already contains eBoxes does not grow: every
+		// overlap term below is x − x, and no sibling needs visiting.
+		grows := false
 		for b, box := range n.entries[i].boxes {
 			copy(boundary[b].Lo, box.Lo)
 			copy(boundary[b].Hi, box.Hi)
+			grows = grows || !box.Contains(eBoxes[b])
 		}
 		unionBoundaries(boundary, eBoxes)
 		t.boxesAt(grown, boundary)
 		var dOv, enl, area float64
 		old := at[i*m : (i+1)*m]
 		for j := 0; j < m; j++ {
-			if n.level == 1 {
+			if n.level == 1 && grows {
 				for k := 0; k < ne; k++ {
-					if k != i {
-						other := at[k*m+j]
-						dOv += grown[j].Overlap(other) - old[j].Overlap(other)
+					if k == i {
+						continue
 					}
+					// The union moves faces outward only, so old[j] ⊆
+					// grown[j]: a sibling the grown box does not overlap
+					// contributes 0 − 0, and no term is negative.
+					// (interpInto can break the inclusion in a face's last
+					// ulp at p_m, which moves a term by as much.)
+					other := at[k*m+j]
+					if ov := grown[j].Overlap(other); ov != 0 {
+						dOv += ov - old[j].Overlap(other)
+					}
+				}
+				// dOv only grows from here, and past the incumbent's the
+				// candidate has lost on the first criterion.
+				if dOv > bestOv {
+					break
 				}
 			}
 			a := old[j].Area()

@@ -19,7 +19,13 @@ type Table1Row struct {
 // Table1 reproduces Table 1: the space consumption of U-PCR (m = 9/9/10)
 // versus the U-tree (m = 15) on the three datasets. The paper's absolute
 // numbers (e.g. 11.9M vs 5.0M on LB) scale with the dataset; the invariant
-// is the ratio ≈ 2.4–2.8× driven by fanout.
+// is the ratio, ≈ 2.4–2.8× in the paper, driven by fanout.
+//
+// The comparison is no longer like for like: U-PCR entries hold exact PCR
+// faces at 8 bytes a value, U-tree leaf entries hold CFB coefficients at 4
+// (core.entrySizes; README "Leaf layout"). At -scale 0.05 the ratio is
+// 3.11 / 3.23 / 3.59 on LB / CA / Aircraft; with 8-byte coefficients on
+// both sides, as the paper has it, it was 2.04 / 2.00 / 2.15.
 func Table1(cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Table1Row

@@ -12,29 +12,51 @@ import (
 //
 //	box(p) = α − β·p    (per face),
 //
-// stored as per-dimension face coefficients. For cfb_out, box(p_j) contains
-// the object's pcr(p_j) at every catalog value; for cfb_in it is contained
-// in it. A CFB costs 4d floats, so the out/in pair costs 8d — the "16 (24)
-// values in 2D (3D)" of the paper's Table 1 discussion.
-type CFB struct {
-	AlphaLo []float64
-	BetaLo  []float64
-	AlphaHi []float64
-	BetaHi  []float64
-}
+// stored as one flat slab of 4d float32 coefficients laid out
+// αlo | βlo | αhi | βhi, d values each — the same bits in memory and in a
+// U-tree leaf entry, so a reopened tree filters exactly like the one that
+// wrote it. For cfb_out, box(p_j) contains the object's pcr(p_j) at every
+// catalog value; for cfb_in each face lies inside the PCR face it
+// approximates. A CFB costs 4d 4-byte floats, so the out/in pair costs 8d
+// of them — the "16 (24) values in 2D (3D)" of the paper's Table 1
+// discussion, at half the paper's width.
+//
+// Half width loses no soundness because every rule reads a face from one
+// side only: a cfb_out face has to lie outside its PCR face, a cfb_in face
+// inside, and nothing else is asked of either. Catalog values are ≥ 0, so
+// lowering α or raising β lowers α − β·p at every p the filter evaluates,
+// and the opposite raises it; the fit rounds each float64 coefficient to
+// float32 in whichever of the two directions moves its face the safe way
+// (quantise). Faces are evaluated in float64.
+type CFB []float32
 
 // Dim returns the dimensionality.
-func (c CFB) Dim() int { return len(c.AlphaLo) }
+func (c CFB) Dim() int { return len(c) / 4 }
+
+// lo and hi return the faces of dimension i as lines in p.
+func (c CFB) lo(i int) line {
+	d := len(c) / 4
+	return line{float64(c[i]), float64(c[d+i])}
+}
+
+func (c CFB) hi(i int) line {
+	d := len(c) / 4
+	return line{float64(c[2*d+i]), float64(c[3*d+i])}
+}
 
 // Lo returns the low face position on dimension i at probability p.
-func (c CFB) Lo(i int, p float64) float64 { return c.AlphaLo[i] - c.BetaLo[i]*p }
+func (c CFB) Lo(i int, p float64) float64 { return c.lo(i).at(p) }
 
 // Hi returns the high face position on dimension i at probability p.
-func (c CFB) Hi(i int, p float64) float64 { return c.AlphaHi[i] - c.BetaHi[i]*p }
+func (c CFB) Hi(i int, p float64) float64 { return c.hi(i).at(p) }
 
-// span returns box(p)'s extent on dimension i. Faces that cross due to
-// floating-point noise collapse to their midpoint so the extent is always
-// a valid interval.
+// span returns box(p)'s extent on dimension i for Rect, with crossed faces
+// collapsed to their midpoint so the extent is a valid interval. That suits
+// what Rect is for — materializing cfb_out boundaries, whose faces never
+// cross, and diagnostics — and nothing else: the inner faces of cfb_in meet
+// at p_m wherever Inequality 14 binds and inward rounding crosses them
+// there by an ulp or two, and their midpoint is no face of anything. The
+// filter reads faces one at a time (within, meets, cfbTail).
 func (c CFB) span(i int, p float64) (lo, hi float64) {
 	lo, hi = c.Lo(i, p), c.Hi(i, p)
 	if lo > hi {
@@ -55,10 +77,13 @@ func (c CFB) Rect(p float64) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// within reports rq.Contains(c.Rect(p)) without materializing the box.
+// within reports whether rq contains both faces of box(p) on every
+// dimension: rq.Contains(c.Rect(p)) where the faces are in order, and
+// still a sound "rq contains the PCR" test on cfb_in where they cross,
+// since each face is on the safe side of its PCR face by itself.
 func (c CFB) within(p float64, rq geom.Rect) bool {
 	for i := range rq.Lo {
-		if lo, hi := c.span(i, p); lo < rq.Lo[i] || hi > rq.Hi[i] {
+		if c.Lo(i, p) < rq.Lo[i] || c.Hi(i, p) > rq.Hi[i] {
 			return false
 		}
 	}
@@ -68,7 +93,7 @@ func (c CFB) within(p float64, rq geom.Rect) bool {
 // meets reports rq.Intersects(c.Rect(p)) without materializing the box.
 func (c CFB) meets(p float64, rq geom.Rect) bool {
 	for i := range rq.Lo {
-		if lo, hi := c.span(i, p); rq.Hi[i] < lo || hi < rq.Lo[i] {
+		if rq.Hi[i] < c.Lo(i, p) || c.Hi(i, p) < rq.Lo[i] {
 			return false
 		}
 	}
@@ -84,22 +109,36 @@ func (c CFB) meets(p float64, rq geom.Rect) bool {
 // (p_j, pcr_i∓(p_j)), already sorted by p. So the highest line under the
 // points at p̄ is the edge of their lower convex hull that spans p̄, the
 // lowest line over them the edge of the upper hull — the simplex's optimum,
-// read off a monotone-chain hull in O(m) without iterating. FitOut and
-// FitIn compute exactly that; the simplex survives as the oracle of the
-// differential test (reference_test.go).
+// read off a monotone-chain hull in O(m) without iterating. The simplex
+// survives as the oracle of the differential test (reference_test.go).
+//
+// Both fits run in three stages per dimension. outFaces and inFaces
+// compute exactly that optimum, at float64 — the stage the differential
+// test compares. quantise rounds the four coefficients to the stored
+// float32, each in its safe direction. A coefficient float32 represents
+// exactly gets no slack from that rounding, and the hull fit is exact only
+// up to float64 rounding, so repairOut and repairIn then step intercepts by
+// float32 ulps until the invariant holds, at zero tolerance, for the faces
+// as CFB.Lo and CFB.Hi evaluate them.
 //
 // Both fits need the PCRs to nest (low faces ascend with p, high faces
 // descend), which Compute enforces.
 
-// fitStack is the catalog size up to which a fit's scratch (one column of
-// low faces, one of high faces, one hull) lives on the goroutine stack;
-// larger catalogs spill to the heap through append.
+// fitStack is the catalog size up to which a fit's scratch lives on the
+// goroutine stack; larger catalogs spill to the heap through append.
 const fitStack = 32
 
-// columns gathers dimension i's low and high PCR faces over the catalog
-// into lo and hi.
-func (p PCRs) columns(i int, lo, hi []float64) ([]float64, []float64) {
-	for _, b := range p.Boxes {
+// fitScratch is one fit's working set: a column of low PCR faces, one of
+// high faces and one hull.
+type fitScratch struct {
+	lo, hi [fitStack]float64
+	hull   [fitStack]int
+}
+
+// columns gathers dimension i's low and high PCR faces over the catalog.
+func (s *fitScratch) columns(pcrs PCRs, i int) (lo, hi []float64) {
+	lo, hi = s.lo[:0], s.hi[:0]
+	for _, b := range pcrs.Boxes {
 		lo = append(lo, b.Lo[i])
 		hi = append(hi, b.Hi[i])
 	}
@@ -130,7 +169,7 @@ func convexHull(hull []int, p, y []float64, sign float64) []int {
 // equal inputs give equal faces. (For the uniform catalog with odd m the
 // mean p̄ is the catalog value p_⌈m/2⌉, so this is the common case, not a
 // corner.)
-func hullFace(hull []int, p, y []float64, sign, x float64) (alpha, beta float64) {
+func hullFace(hull []int, p, y []float64, sign, x float64) line {
 	hull = convexHull(hull, p, y, sign)
 	k := 0
 	for k+2 < len(hull) && p[hull[k+1]] <= x {
@@ -140,70 +179,96 @@ func hullFace(hull []int, p, y []float64, sign, x float64) (alpha, beta float64)
 	return chord(p[a], y[a], p[b], y[b])
 }
 
-// chord returns the face coefficients of the line through (pa, ya) and
-// (pb, yb): α − β·p.
-func chord(pa, ya, pb, yb float64) (alpha, beta float64) {
-	beta = (ya - yb) / (pb - pa)
-	return ya + beta*pa, beta
+// chord returns the line through (pa, ya) and (pb, yb) as a face α − β·p.
+func chord(pa, ya, pb, yb float64) line {
+	beta := (ya - yb) / (pb - pa)
+	return line{ya + beta*pa, beta}
 }
 
-func newCFB(d int) CFB {
-	return CFB{
-		AlphaLo: make([]float64, d), BetaLo: make([]float64, d),
-		AlphaHi: make([]float64, d), BetaHi: make([]float64, d),
+// round32 returns the float32 nearest x that is not below it (up) or not
+// above it.
+func round32(x float64, up bool) float32 {
+	f := float32(x)
+	switch {
+	case up && float64(f) < x:
+		return math.Nextafter32(f, float32(math.Inf(1)))
+	case !up && float64(f) > x:
+		return math.Nextafter32(f, float32(math.Inf(-1)))
 	}
+	return f
+}
+
+// quantise stores dimension i's faces, each coefficient rounded so that for
+// every p ≥ 0 the stored face is at or outside the given one (outward, for
+// cfb_out: αlo↓ βlo↑ αhi↑ βhi↓) or at or inside it (cfb_in, the mirror).
+func (c CFB) quantise(i int, lo, hi line, outward bool) {
+	d := len(c) / 4
+	c[i], c[d+i] = round32(lo.alpha, !outward), round32(lo.beta, outward)
+	c[2*d+i], c[3*d+i] = round32(hi.alpha, outward), round32(hi.beta, !outward)
 }
 
 // FitOut fits cfb_out to the given PCRs: the margin-sum-minimal linear box
-// family covering every pcr(p_j) (Section 4.4). Per dimension the two faces
-// are independent (lo ≤ pcr_i− ≤ pcr_i+ ≤ hi needs no coupling): the low
-// face is the highest line at p̄ under the low PCR faces, the high face the
-// lowest line at p̄ over the high ones. The returned CFB satisfies
-// Lo(i, p_j) ≤ pcr_i−(p_j) and Hi(i, p_j) ≥ pcr_i+(p_j) exactly.
+// family covering every pcr(p_j) (Section 4.4), rounded outward to float32.
+// The returned CFB satisfies Lo(i, p_j) ≤ pcr_i−(p_j) and
+// Hi(i, p_j) ≥ pcr_i+(p_j) exactly.
 func FitOut(pcrs PCRs) CFB {
-	p := pcrs.Cat.values
-	mean := pcrs.Cat.mean()
 	d := pcrs.Boxes[0].Dim()
-	c := newCFB(d)
-	var loBuf, hiBuf [fitStack]float64
-	var hull [fitStack]int
+	c := make(CFB, 4*d)
+	var s fitScratch
 	for i := 0; i < d; i++ {
-		lo, hi := pcrs.columns(i, loBuf[:0], hiBuf[:0])
-		c.AlphaLo[i], c.BetaLo[i] = hullFace(hull[:0], p, lo, +1, mean)
-		c.AlphaHi[i], c.BetaHi[i] = hullFace(hull[:0], p, hi, -1, mean)
+		lo, hi := s.outFaces(pcrs, i)
+		c.quantise(i, lo, hi, true)
 		c.repairOut(pcrs, i)
 	}
 	return c
 }
 
-// repairOut moves face i outward until the covering invariant holds for
-// the faces as CFB.Lo and CFB.Hi evaluate them. The fit is exact up to
-// rounding, so this is a few ulps; one additive correction is not a fixed
-// point under rounding, hence the loops.
-func (c *CFB) repairOut(pcrs PCRs, i int) {
-	for j, box := range pcrs.Boxes {
-		p := pcrs.Cat.Value(j)
-		for lo := c.Lo(i, p); lo > box.Lo[i]; lo = c.Lo(i, p) {
-			c.AlphaLo[i] = nudged(c.AlphaLo[i], box.Lo[i]-lo)
-		}
-		for hi := c.Hi(i, p); hi < box.Hi[i]; hi = c.Hi(i, p) {
-			c.AlphaHi[i] = nudged(c.AlphaHi[i], box.Hi[i]-hi)
-		}
-	}
+// outFaces is FitOut's float64 stage on dimension i. The two faces are
+// independent (lo ≤ pcr_i− ≤ pcr_i+ ≤ hi needs no coupling): the low face
+// is the highest line at p̄ under the low PCR faces, the high face the
+// lowest line at p̄ over the high ones.
+func (s *fitScratch) outFaces(pcrs PCRs, i int) (lo, hi line) {
+	p := pcrs.Cat.values
+	mean := pcrs.Cat.mean()
+	los, his := s.columns(pcrs, i)
+	return hullFace(s.hull[:0], p, los, +1, mean), hullFace(s.hull[:0], p, his, -1, mean)
 }
 
-// nudged returns intercept alpha moved by gap, or by one ulp in gap's
-// direction when gap is too small to register.
-func nudged(alpha, gap float64) float64 {
-	if a := alpha + gap; a != alpha {
-		return a
+// repairOut moves the intercepts of dimension i outward, one float32 ulp at
+// a time, until the covering invariant holds for the faces as CFB.Lo and
+// CFB.Hi evaluate them.
+func (c CFB) repairOut(pcrs PCRs, i int) {
+	d := len(c) / 4
+	for j, box := range pcrs.Boxes {
+		p := pcrs.Cat.Value(j)
+		for c.Lo(i, p) > box.Lo[i] {
+			c[i] = math.Nextafter32(c[i], float32(math.Inf(-1)))
+		}
+		for c.Hi(i, p) < box.Hi[i] {
+			c[2*d+i] = math.Nextafter32(c[2*d+i], float32(math.Inf(1)))
+		}
 	}
-	return math.Nextafter(alpha, math.Copysign(math.Inf(1), gap))
 }
 
 // FitIn fits cfb_in: the margin-sum-maximal linear box family contained in
 // every pcr(p_j), subject to the non-degeneracy coupling lo(p_j) ≤ hi(p_j)
-// (Inequality 14).
+// (Inequality 14), rounded inward to float32. The returned CFB satisfies
+// Lo(i, p_j) ≥ pcr_i−(p_j) and Hi(i, p_j) ≤ pcr_i+(p_j) exactly — each face
+// by itself: where Inequality 14 binds the float64 faces meet at p_m, and
+// rounding both inward crosses them there by up to 2 float32 ulps.
+func FitIn(pcrs PCRs) CFB {
+	d := pcrs.Boxes[0].Dim()
+	c := make(CFB, 4*d)
+	var s fitScratch
+	for i := 0; i < d; i++ {
+		lo, hi := s.inFaces(pcrs, i)
+		c.quantise(i, lo, hi, false)
+		c.repairIn(pcrs, i)
+	}
+	return c
+}
+
+// inFaces is FitIn's float64 stage on dimension i.
 //
 // Without the coupling the low face ℓ is the lowest line at p̄ over the low
 // PCR faces and the high face h the highest line at p̄ under the high ones.
@@ -216,26 +281,19 @@ func nudged(alpha, gap float64) float64 {
 // (meetSlopes). The objective is then concave and piecewise linear in v
 // (fitMeeting). For a catalog that ends at 0.5 both faces of pcr(p_m) are
 // the median, v is that one point, and the coupled fit is a single pass.
-func FitIn(pcrs PCRs) CFB {
+func (s *fitScratch) inFaces(pcrs PCRs, i int) (lo, hi line) {
 	p := pcrs.Cat.values
 	e := len(p) - 1
 	mean := pcrs.Cat.mean()
-	d := pcrs.Boxes[0].Dim()
-	c := newCFB(d)
-	var loBuf, hiBuf [fitStack]float64
-	var hull [fitStack]int
-	for i := 0; i < d; i++ {
-		lo, hi := pcrs.columns(i, loBuf[:0], hiBuf[:0])
-		c.AlphaLo[i], c.BetaLo[i] = hullFace(hull[:0], p, lo, -1, mean)
-		c.AlphaHi[i], c.BetaHi[i] = hullFace(hull[:0], p, hi, +1, mean)
-		if c.Lo(i, p[e]) > c.Hi(i, p[e]) {
-			v, sLo, sHi := fitMeeting(hull[:0], p, lo, hi)
-			c.AlphaLo[i], c.BetaLo[i] = v-sLo*p[e], -sLo
-			c.AlphaHi[i], c.BetaHi[i] = v-sHi*p[e], -sHi
-		}
-		c.repairIn(pcrs, i)
+	los, his := s.columns(pcrs, i)
+	lo = hullFace(s.hull[:0], p, los, -1, mean)
+	hi = hullFace(s.hull[:0], p, his, +1, mean)
+	if lo.at(p[e]) > hi.at(p[e]) {
+		v, sLo, sHi := fitMeeting(s.hull[:0], p, los, his)
+		lo = line{v - sLo*p[e], -sLo}
+		hi = line{v - sHi*p[e], -sHi}
 	}
-	return c
+	return lo, hi
 }
 
 // meetSlopes returns the slopes of the best inner faces that meet at
@@ -287,53 +345,45 @@ func fitMeeting(hull []int, p, lo, hi []float64) (v, sLo, sHi float64) {
 		hull = convexHull(hull[:0], p, side.y, side.sign)
 		for k := 0; k+1 < len(hull); k++ {
 			a, b := hull[k], hull[k+1]
-			alpha, beta := chord(p[a], side.y[a], p[b], side.y[b])
-			try(alpha - beta*p[e])
+			try(chord(p[a], side.y[a], p[b], side.y[b]).at(p[e]))
 		}
 	}
 	return v, sLo, sHi
 }
 
-// repairIn moves face i inward until the containment invariant holds for
-// the faces as CFB.Lo and CFB.Hi evaluate them (see repairOut).
-func (c *CFB) repairIn(pcrs PCRs, i int) {
+// repairIn moves the intercepts of dimension i inward until the containment
+// invariant holds for each face as evaluated (see repairOut).
+func (c CFB) repairIn(pcrs PCRs, i int) {
+	d := len(c) / 4
 	for j, box := range pcrs.Boxes {
 		p := pcrs.Cat.Value(j)
-		for lo := c.Lo(i, p); lo < box.Lo[i]; lo = c.Lo(i, p) {
-			c.AlphaLo[i] = nudged(c.AlphaLo[i], box.Lo[i]-lo)
+		for c.Lo(i, p) < box.Lo[i] {
+			c[i] = math.Nextafter32(c[i], float32(math.Inf(1)))
 		}
-		for hi := c.Hi(i, p); hi > box.Hi[i]; hi = c.Hi(i, p) {
-			c.AlphaHi[i] = nudged(c.AlphaHi[i], box.Hi[i]-hi)
+		for c.Hi(i, p) > box.Hi[i] {
+			c[2*d+i] = math.Nextafter32(c[2*d+i], float32(math.Inf(-1)))
 		}
 	}
 }
 
 // Validate checks the conservative invariants of an out/in CFB pair against
-// the PCRs they were fitted to; it returns a descriptive error on the first
-// violation beyond floating-point tolerance. Used by tests and by the
-// utreectl verifier.
+// the PCRs they were fitted to, face by face — cfb_out's outside their PCR
+// faces, cfb_in's inside — and returns a descriptive error on the first
+// violation beyond floating-point tolerance.
 func Validate(out, in CFB, pcrs PCRs) error {
-	for j := 0; j < pcrs.Cat.Size(); j++ {
+	for j, box := range pcrs.Boxes {
 		p := pcrs.Cat.Value(j)
-		ob := out.Rect(p)
-		ib := in.Rect(p)
-		box := pcrs.Boxes[j]
-		for i := 0; i < box.Dim(); i++ {
-			tol := 1e-9 * (1 + absf(box.Lo[i]) + absf(box.Hi[i]))
-			if ob.Lo[i] > box.Lo[i]+tol || ob.Hi[i] < box.Hi[i]-tol {
-				return fmt.Errorf("pcr: cfb_out(%g) = %v does not contain pcr = %v", p, ob, box)
+		for i := range box.Lo {
+			tol := 1e-9 * (1 + math.Abs(box.Lo[i]) + math.Abs(box.Hi[i]))
+			if out.Lo(i, p) > box.Lo[i]+tol || out.Hi(i, p) < box.Hi[i]-tol {
+				return fmt.Errorf("pcr: cfb_out(%g) = [%v, %v] on dimension %d does not contain pcr = %v",
+					p, out.Lo(i, p), out.Hi(i, p), i, box)
 			}
-			if ib.Lo[i] < box.Lo[i]-tol || ib.Hi[i] > box.Hi[i]+tol {
-				return fmt.Errorf("pcr: cfb_in(%g) = %v not inside pcr = %v", p, ib, box)
+			if in.Lo(i, p) < box.Lo[i]-tol || in.Hi(i, p) > box.Hi[i]+tol {
+				return fmt.Errorf("pcr: cfb_in(%g) faces %v, %v on dimension %d not inside pcr = %v",
+					p, in.Lo(i, p), in.Hi(i, p), i, box)
 			}
 		}
 	}
 	return nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

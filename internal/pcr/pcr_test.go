@@ -227,13 +227,24 @@ func TestFitOutTightness(t *testing.T) {
 }
 
 func TestCFBRectCollapsesInversion(t *testing.T) {
-	c := CFB{
-		AlphaLo: []float64{10}, BetaLo: []float64{-20}, // lo(p) = 10 + 20p
-		AlphaHi: []float64{12}, BetaHi: []float64{0}, // hi(p) = 12
-	}
-	r := c.Rect(0.5) // lo = 20 > hi = 12 → midpoint 16
+	c := CFB{10, -20, 12, 0} // lo(p) = 10 + 20p, hi(p) = 12
+	r := c.Rect(0.5)         // lo = 20 > hi = 12 → midpoint 16
 	if r.Lo[0] != 16 || r.Hi[0] != 16 {
 		t.Fatalf("inverted faces not collapsed: %v", r)
+	}
+}
+
+// TestWithinReadsFacesNotMidpoint: Rule 1 may prune only when a cfb_in face
+// proves the PCR sticks out of rq. Crossed inner faces lo = 20, hi = 12
+// allow pcr = [18, 19], which rq = [17, 30] contains; their midpoint 16
+// lies outside rq and must not decide.
+func TestWithinReadsFacesNotMidpoint(t *testing.T) {
+	c := CFB{10, -20, 12, 0}
+	if !c.within(0.5, geom.NewRect(geom.Point{17}, geom.Point{30})) {
+		t.Fatal("within decided by the midpoint of crossed faces")
+	}
+	if c.within(0.5, geom.NewRect(geom.Point{21}, geom.Point{30})) || c.within(0.5, geom.NewRect(geom.Point{0}, geom.Point{11})) {
+		t.Fatal("within ignored a face outside rq")
 	}
 }
 

@@ -166,8 +166,8 @@ func ProbBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64)
 	acc := newBounds()
 	for i := range rq.Lo {
 		var left, right tail // zero: rq reaches past the MBR, the tail is empty
-		outLo, outHi := line{out.AlphaLo[i], out.BetaLo[i]}, line{out.AlphaHi[i], out.BetaHi[i]}
-		inLo, inHi := line{in.AlphaLo[i], in.BetaLo[i]}, line{in.AlphaHi[i], in.BetaHi[i]}
+		outLo, outHi := out.lo(i), out.hi(i)
+		inLo, inHi := in.lo(i), in.hi(i)
 		if a := rq.Lo[i]; a > mbr.Lo[i] {
 			left = cfbTail(a, cat.values, outLo, inLo, inHi, outHi)
 		}

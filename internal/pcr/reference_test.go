@@ -17,8 +17,10 @@ import (
 //
 // It also keeps Section 4.4's fit as the paper prints it — linear programs
 // solved by the Simplex method (simplexFitOut, simplexFitIn) — as the oracle
-// FitOut and FitIn are held to in fit_test.go; internal/lp has no other
-// importer.
+// the float64 stage of FitOut and FitIn is held to in fit_test.go;
+// internal/lp has no other importer. Both sides of that comparison are
+// faces64, and filterFaces64 is FilterCFB on them: what the filter would
+// decide had the coefficients not been rounded to float32.
 
 // coversSlab reports whether rq fully contains the part of mbr between the
 // two planes perpendicular to dimension dim at coordinates lo and hi. This
@@ -194,7 +196,8 @@ func paperFilterCatalogPCR(pcrs PCRs, mbr, rq geom.Rect, pq float64) Outcome {
 // U-tree leaf entries — cfb_in for the containment prune (Rule 1) and
 // one-sided validation at low thresholds (Rule 5), cfb_out for the
 // intersection prune (Rule 2) and validations at high thresholds (Rules 3
-// and 4).
+// and 4). The inner box is read face by face (rawBox), as every rule on
+// cfb_in must.
 func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 	if !rq.Intersects(mbr) {
 		return Pruned
@@ -208,7 +211,7 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 		// Rule 1 with cfb_in (contained in pcr, so "rq fails to contain"
 		// transfers).
 		if j, ok := cat.SmallestGE(1 - pq); ok {
-			if !rq.Contains(in.Rect(cat.Value(j))) {
+			if !rq.Contains(rawBox(in, cat.Value(j))) {
 				return Pruned
 			}
 		}
@@ -231,7 +234,7 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 	} else {
 		// Rule 5 with cfb_in planes.
 		if j, ok := cat.SmallestGE(pq); ok {
-			if validateInnerSides(rq, mbr, in.Rect(cat.Value(j))) {
+			if validateInnerSides(rq, mbr, rawBox(in, cat.Value(j))) {
 				return Validated
 			}
 		}
@@ -246,15 +249,82 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 	return Unknown
 }
 
+// rawBox is c.Rect(p) without the collapse of crossed faces: each side of
+// the returned rectangle is one face of c, even where Lo > Hi.
+func rawBox(c CFB, p float64) geom.Rect {
+	r := geom.Rect{Lo: make(geom.Point, c.Dim()), Hi: make(geom.Point, c.Dim())}
+	for i := range r.Lo {
+		r.Lo[i], r.Hi[i] = c.Lo(i, p), c.Hi(i, p)
+	}
+	return r
+}
+
+// faces64 is a CFB before quantisation: per dimension the low and the high
+// face as float64 lines.
+type faces64 []struct{ lo, hi line }
+
+// stage64 runs one fit's float64 stage (fitScratch.outFaces or inFaces)
+// over every dimension.
+func stage64(pcrs PCRs, stage func(*fitScratch, PCRs, int) (lo, hi line)) faces64 {
+	var s fitScratch
+	f := make(faces64, pcrs.Boxes[0].Dim())
+	for i := range f {
+		f[i].lo, f[i].hi = stage(&s, pcrs, i)
+	}
+	return f
+}
+
+// filterFaces64 is FilterCFB with the faces read at float64: the same MBR
+// tests, Rule 1 on the raw inner faces or Rule 2 on the outer ones, then
+// ProbBoundsCFB's tails and decide.
+func filterFaces64(out, in faces64, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
+	if !rq.Intersects(mbr) {
+		return Pruned
+	}
+	if rq.Contains(mbr) {
+		return Validated
+	}
+	if pq > 1-cat.Max() {
+		if j, ok := cat.SmallestGE(1 - pq); ok {
+			for i, f := range in {
+				if p := cat.Value(j); f.lo.at(p) < rq.Lo[i] || f.hi.at(p) > rq.Hi[i] {
+					return Pruned
+				}
+			}
+		}
+	} else {
+		if j, ok := cat.LargestLE(pq); ok {
+			for i, f := range out {
+				if p := cat.Value(j); rq.Hi[i] < f.lo.at(p) || f.hi.at(p) < rq.Lo[i] {
+					return Pruned
+				}
+			}
+		}
+	}
+	acc := newBounds()
+	for i := range rq.Lo {
+		var left, right tail
+		if a := rq.Lo[i]; a > mbr.Lo[i] {
+			left = cfbTail(a, cat.values, out[i].lo, in[i].lo, in[i].hi, out[i].hi)
+		}
+		if b := rq.Hi[i]; b < mbr.Hi[i] {
+			right = cfbTail(-b, cat.values, out[i].hi.mirror(), in[i].hi.mirror(), in[i].lo.mirror(), out[i].lo.mirror())
+		}
+		acc.add(left, right)
+	}
+	lb, ub := acc.result()
+	return decide(lb, ub, pq)
+}
+
 // simplexFitOut solves Section 4.4's cfb_out programs with the simplex: per
 // dimension two 2-variable LPs over m half-planes. The result is the
 // solver's vertex as returned, without the round-off repair.
-func simplexFitOut(pcrs PCRs) (CFB, error) {
+func simplexFitOut(pcrs PCRs) (faces64, error) {
 	cat := pcrs.Cat
 	m := cat.Size()
 	d := pcrs.Boxes[0].Dim()
 	P := cat.Sum()
-	c := newCFB(d)
+	c := make(faces64, d)
 	for i := 0; i < d; i++ {
 		// Low face: maximize m·α − P·β subject to α − β·p_j ≤ pcr_i−(p_j).
 		aLo := make([][]float64, m)
@@ -271,26 +341,25 @@ func simplexFitOut(pcrs PCRs) (CFB, error) {
 		}
 		xLo, _, err := lp.Solve(lp.Problem{C: []float64{float64(m), -P}, A: aLo, B: bLo})
 		if err != nil {
-			return CFB{}, err
+			return nil, err
 		}
 		xHi, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P}, A: aHi, B: bHi})
 		if err != nil {
-			return CFB{}, err
+			return nil, err
 		}
-		c.AlphaLo[i], c.BetaLo[i] = xLo[0], xLo[1]
-		c.AlphaHi[i], c.BetaHi[i] = xHi[0], xHi[1]
+		c[i].lo, c[i].hi = line{xLo[0], xLo[1]}, line{xHi[0], xHi[1]}
 	}
 	return c, nil
 }
 
 // simplexFitIn solves Section 4.4's cfb_in program with the simplex: per
 // dimension one 4-variable LP over 3m rows, Inequality 14 included.
-func simplexFitIn(pcrs PCRs) (CFB, error) {
+func simplexFitIn(pcrs PCRs) (faces64, error) {
 	cat := pcrs.Cat
 	m := cat.Size()
 	d := pcrs.Boxes[0].Dim()
 	P := cat.Sum()
-	c := newCFB(d)
+	c := make(faces64, d)
 	for i := 0; i < d; i++ {
 		// Variables x = (αlo, βlo, αhi, βhi).
 		// maximize (m·αhi − P·βhi) − (m·αlo − P·βlo)
@@ -310,10 +379,9 @@ func simplexFitIn(pcrs PCRs) (CFB, error) {
 		}
 		x, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P, float64(m), -P}, A: a, B: b})
 		if err != nil {
-			return CFB{}, err
+			return nil, err
 		}
-		c.AlphaLo[i], c.BetaLo[i] = x[0], x[1]
-		c.AlphaHi[i], c.BetaHi[i] = x[2], x[3]
+		c[i].lo, c[i].hi = line{x[0], x[1]}, line{x[2], x[3]}
 	}
 	return c, nil
 }

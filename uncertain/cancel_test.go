@@ -194,7 +194,9 @@ func TestShardedCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.BulkLoad(shardedFixtureObjects(800, 71)); err != nil {
+	// 400 objects per shard are 12 leaves and a root, more than the 8-page
+	// pool holds, so the query is still reading when the cancel lands.
+	if err := st.BulkLoad(shardedFixtureObjects(1600, 71)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {

@@ -457,6 +457,48 @@ func TestOpenTreeConfigMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenTreeRefusesOldLayout: a file whose metadata page carries the
+// previous layout's magic ("UTR1", float64 CFB coefficients) is refused
+// with ErrOldLayout before any node is decoded.
+func TestOpenTreeRefusesOldLayout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.utree")
+	built, err := NewTree(Config{Dimensions: 2, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Insert(1, UniformCircle(Pt(100, 100), 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pagefile.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, pagefile.PageSize)
+	if err := raw.Read(fileMetaPage, buf); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:4]) != "2RTU" { // "UTR2", little endian
+		t.Fatalf("metadata magic %q, want UTR2", buf[:4])
+	}
+	buf[0] = '1'
+	if err := raw.Write(fileMetaPage, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenTree(path, Config{})
+	if !errors.Is(err, ErrOldLayout) {
+		if err == nil {
+			tree.Close()
+		}
+		t.Fatalf("OpenTree on a UTR1 file: err = %v, want ErrOldLayout", err)
+	}
+}
+
 // rendezvousStore holds the first armed read of every store sharing its
 // gate until all of them have one in flight.
 type rendezvousStore struct {

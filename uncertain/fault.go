@@ -29,6 +29,11 @@ var ErrChecksum = pagefile.ErrChecksum
 // write, or an impossible decode.
 var ErrBadPage = pagefile.ErrBadPage
 
+// ErrOldLayout matches (via errors.Is) OpenTree's refusal of an index file
+// written with the previous leaf layout (8-byte CFB coefficients). Such a
+// file is never mis-read; rebuild it from its data.
+var ErrOldLayout = core.ErrOldLayout
+
 // ErrDegraded matches (via errors.Is) a degraded-mode partial answer from
 // a sharded index: some shards failed with a storage error, and the query
 // opted in with WithAllowDegraded. The results alongside the error are the
