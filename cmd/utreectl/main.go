@@ -324,9 +324,9 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	if err := explainPartial(err, time.Since(start), qp.pageBudget); err != nil {
 		return err
 	}
-	fmt.Printf("%d results in %v (node accesses %d, prob computations %d, validated %d, refinement IOs %d)\n",
+	fmt.Printf("%d results in %v (node accesses %d, candidates %d, prob computations %d, validated %d, refinement IOs %d)\n",
 		len(results), time.Since(start).Round(time.Microsecond),
-		s.NodeAccesses, s.ProbComputations, s.Validated, s.RefinementIOs)
+		s.NodeAccesses, s.Candidates, s.ProbComputations, s.Validated, s.RefinementIOs)
 	if s.PagesFetched > 0 {
 		fmt.Printf("physical page fetches: %d (budget %d)\n", s.PagesFetched, qp.pageBudget)
 	}
@@ -336,6 +336,10 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	}
 	if s.ProbFilterPruned > 0 {
 		fmt.Printf("prob filter: %d candidates pruned before refinement\n", s.ProbFilterPruned)
+	}
+	if n := s.MarginalValidated + s.MarginalPruned; n > 0 {
+		fmt.Printf("refinement: %d of %d candidates decided on their marginals (%d validated, %d pruned), %d integrated\n",
+			n, s.Candidates, s.MarginalValidated, s.MarginalPruned, s.ProbComputations)
 	}
 	if info := tree.PlannerInfo(); info.Enabled && info.Queries > 0 {
 		fmt.Printf("planner: predicted %.1f node accesses, measured %d (calibration %.3f)\n",

@@ -25,13 +25,15 @@ type Query struct {
 type Result struct {
 	ID int64
 	// Prob is the appearance probability when it was computed during
-	// refinement; for directly validated objects it is set to -1 (the whole
-	// point of the index is not computing it).
+	// refinement; for validated objects it is set to -1 (the whole point of
+	// the index is not computing it).
 	Prob float64
 	// Validated reports whether the object was reported without probability
-	// computation: rq contains its MBR, or the lower bound on its
-	// qualification probability derived from its stored PCR/CFB faces
-	// (pcr.ProbBoundsCFB / ProbBoundsPCR) already reaches the threshold.
+	// computation: rq contains its MBR, or a lower bound on its
+	// qualification probability already reaches the threshold — derived
+	// from its stored PCR/CFB faces at the leaf (pcr.ProbBoundsCFB /
+	// ProbBoundsPCR), or, after its record was read, from its pdf's own
+	// marginals (pcr.ProbBoundsMarginal).
 	Validated bool
 }
 
@@ -39,12 +41,20 @@ type Result struct {
 // plots: node accesses (Fig. 9/10 left column), number of appearance
 // probability computations and directly-validated percentage (middle
 // column), and refinement I/Os.
+//
+// The stages keep their own counters. Validated and ProbFilterPruned are
+// decided at the leaf from the stored faces, before any record is read;
+// Candidates is what the leaf filter could not decide — the paper's
+// "probability computations", and the like-for-like column against its
+// Fig. 9–10. Every candidate's record is read, and on a query that ran to
+// completion Candidates = MarginalValidated + MarginalPruned +
+// ProbComputations: decided on the pdf's own marginals, or integrated.
 type QueryStats struct {
 	NodeAccesses     int // tree pages visited
 	LeafAccesses     int
-	Candidates       int // entries that needed refinement
-	ProbComputations int
-	Validated        int // results reported without probability computation (MBR containment or probability lower bound)
+	Candidates       int // leaf entries the stored faces left undecided; each costs a record read
+	ProbComputations int // candidates whose appearance probability was integrated (Equation 2/3)
+	Validated        int // results reported from the leaf entry alone (MBR containment or probability lower bound)
 	RefinementIOs    int // distinct data pages fetched
 	Results          int
 	FilterTime       time.Duration
@@ -83,6 +93,13 @@ type QueryStats struct {
 	// possibly a data-page read that never happened.
 	ProbFilterPruned int
 
+	// MarginalValidated and MarginalPruned count candidates decided after
+	// their record was read but before anything was integrated, by the
+	// bounds the pdf's own marginals give (pcr.FilterMarginal): reported
+	// with Prob = -1, and dropped.
+	MarginalValidated int
+	MarginalPruned    int
+
 	// ShardsPruned counts whole shards skipped by root-MBR pruning in a
 	// sharded scatter-gather (always zero for a single tree; filled by the
 	// sharded layer through Add).
@@ -111,14 +128,18 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.NodeCacheMisses += o.NodeCacheMisses
 	s.Retries += o.Retries
 	s.ProbFilterPruned += o.ProbFilterPruned
+	s.MarginalValidated += o.MarginalValidated
+	s.MarginalPruned += o.MarginalPruned
 	s.ShardsPruned += o.ShardsPruned
 }
 
 // RangeQuery executes a prob-range query (Section 5.2) against the pinned
 // epoch, lock-free: Observation 4 pruning during the descent, Observation 3
 // (U-tree) or Observation 2 (U-PCR) filtering at leaves, then refinement of
-// surviving candidates with their appearance probabilities, fetching each
-// distinct data page once. It is the only range entry point — a
+// surviving candidates, fetching each distinct data page once: a candidate
+// is validated or dropped on its pdf's marginals where they decide it
+// (pcr.FilterMarginal), and has its appearance probability computed where
+// they do not. It is the only range entry point — a
 // single-threaded caller commits and pins a snapshot like everyone else.
 //
 // The traversal checks ctx before every page fetch and every refinement
@@ -402,10 +423,15 @@ descent:
 	mcBuf := sc.point(t.dim)
 	var pageBuf []byte
 	pageID := pagefile.InvalidPage
+	// refined ends the stage, on completion and on every early exit of the
+	// loop below alike.
+	refined := func(err error) ([]Result, QueryStats, error) {
+		stats.RefineTime = time.Since(refineStart)
+		return finish(err)
+	}
 	for _, c := range cands {
 		if cerr := plan.ctx.Err(); cerr != nil {
-			stats.RefineTime = time.Since(refineStart)
-			return finish(cerr)
+			return refined(cerr)
 		}
 		if plan.limitReached(len(results)) {
 			break
@@ -414,28 +440,37 @@ descent:
 			var err error
 			pageBuf, err = t.fetchDataPage(ses.data, &meter, c.addr.Page)
 			if err != nil {
-				stats.RefineTime = time.Since(refineStart)
-				return finish(err)
+				return refined(err)
 			}
 			pageID = c.addr.Page
 			stats.RefinementIOs++
 		}
 		rec, err := pagefile.RecordFromPage(pageBuf, c.addr.Slot)
 		if err != nil {
-			return nil, stats, fmt.Errorf("core: refining object %d: %w", c.id, err)
+			return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
 		}
 		obj, err := decodeObject(rec)
 		if err != nil {
-			return nil, stats, fmt.Errorf("core: refining object %d: %w", c.id, err)
+			return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
 		}
-		p := t.appearanceProbability(obj.PDF, q.Rect, rng, plan, mcBuf)
-		stats.ProbComputations++
-		if p >= q.Prob {
-			results = append(results, Result{ID: obj.ID, Prob: p})
+		// With the pdf in hand its own marginals bound the probability far
+		// more tightly than the stored faces could; only a candidate whose
+		// bounds still straddle the threshold is integrated.
+		switch pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache) {
+		case pcr.Validated:
+			results = append(results, Result{ID: obj.ID, Prob: -1, Validated: true})
+			stats.MarginalValidated++
+		case pcr.PrunedByBound:
+			stats.MarginalPruned++
+		default:
+			p := t.appearanceProbability(obj.PDF, q.Rect, rng, plan, mcBuf)
+			stats.ProbComputations++
+			if p >= q.Prob {
+				results = append(results, Result{ID: obj.ID, Prob: p})
+			}
 		}
 	}
-	stats.RefineTime = time.Since(refineStart)
-	return finish(nil)
+	return refined(nil)
 }
 
 // appearanceProbability evaluates Equation 2, by exact oracle when the

@@ -56,6 +56,8 @@ func (s *Scan) RangeQuery(q Query) ([]Result, QueryStats, error) {
 		case pcr.Validated:
 			results = append(results, Result{ID: it.obj.ID, Prob: -1, Validated: true})
 			stats.Validated++
+		case pcr.PrunedByBound:
+			stats.ProbFilterPruned++
 		case pcr.Unknown:
 			stats.Candidates++
 			var p float64

@@ -80,8 +80,8 @@ func AblationSplit(cfg Config) ([]AblationPoint, error) {
 			Label: v.label, Dataset: dataset.LB, Metrics: m,
 			BuildWritesPerOp: float64(ins.PageWrites) / float64(ins.Ops),
 		})
-		fprintf(out, "%16s  io=%.1f probs=%.1f cost=%.3fs buildWrites/op=%.2f\n",
-			v.label, m.NodeAccesses, m.ProbComps, m.TotalCostSec, points[len(points)-1].BuildWritesPerOp)
+		fprintf(out, "%16s  io=%.1f cands=%.1f probs=%.1f cost=%.3fs buildWrites/op=%.2f\n",
+			v.label, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, points[len(points)-1].BuildWritesPerOp)
 	}
 	return points, nil
 }
@@ -142,8 +142,8 @@ func AblationCatalog(cfg Config, mValues []int) ([]AblationPoint, error) {
 			Label: fmt.Sprintf("m=%d", m), Dataset: dataset.LB, Metrics: wm,
 			BuildWritesPerOp: cpuPerOp,
 		})
-		fprintf(out, "%8s  io=%.1f probs=%.1f cost=%.3fs insertCPU/op=%.4fs\n",
-			points[len(points)-1].Label, wm.NodeAccesses, wm.ProbComps, wm.TotalCostSec, cpuPerOp)
+		fprintf(out, "%8s  io=%.1f cands=%.1f probs=%.1f cost=%.3fs insertCPU/op=%.4fs\n",
+			points[len(points)-1].Label, wm.NodeAccesses, wm.Candidates, wm.ProbComps, wm.TotalCostSec, cpuPerOp)
 	}
 	return points, nil
 }
@@ -173,8 +173,8 @@ func AblationCFB(cfg Config) ([]AblationPoint, error) {
 			Label: kind.String(), Dataset: dataset.LB, Metrics: m,
 			BuildWritesPerOp: float64(pages),
 		})
-		fprintf(out, "%8v  io=%.1f probs=%.1f cost=%.3fs pages=%d\n",
-			kind, m.NodeAccesses, m.ProbComps, m.TotalCostSec, pages)
+		fprintf(out, "%8v  io=%.1f cands=%.1f probs=%.1f cost=%.3fs pages=%d\n",
+			kind, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, pages)
 	}
 	return points, nil
 }

@@ -93,7 +93,12 @@ func (c Config) withDefaults() Config {
 // (averages over the workload's queries).
 type WorkloadMetrics struct {
 	NodeAccesses float64 // avg tree node accesses per query (Fig 9/10 col 1)
-	ProbComps    float64 // avg probability computations (col 2)
+	// Candidates is the paper's "probability computations" (Fig 9/10 col 2):
+	// what the leaf filter left for refinement. ProbComps is how many of
+	// those were integrated — the rest were decided on their pdf's marginals
+	// once the record was read — and is what the cost model charges.
+	Candidates   float64
+	ProbComps    float64
 	ValidatedPct float64 // % of qualifying objects reported without refinement
 	RefineIOs    float64 // avg data-page fetches
 	Results      float64 // avg result cardinality
@@ -119,6 +124,7 @@ func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
 			return m, err
 		}
 		m.NodeAccesses += float64(stats.NodeAccesses)
+		m.Candidates += float64(stats.Candidates)
 		m.ProbComps += float64(stats.ProbComputations)
 		m.RefineIOs += float64(stats.RefinementIOs)
 		m.Results += float64(stats.Results)
@@ -127,6 +133,7 @@ func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
 	}
 	n := float64(len(w.Queries))
 	m.NodeAccesses /= n
+	m.Candidates /= n
 	m.ProbComps /= n
 	m.RefineIOs /= n
 	m.Results /= n

@@ -70,8 +70,8 @@ func sweep(cfg Config, title string, qsValues []float64, pqValues []float64) ([]
 					return nil, err
 				}
 				points = append(points, SweepPoint{Dataset: name, Kind: kind, X: x, Metrics: m})
-				fprintf(out, "  [x=%g io=%.1f probs=%.1f val=%.0f%% cost=%.3fs]",
-					x, m.NodeAccesses, m.ProbComps, m.ValidatedPct, m.TotalCostSec)
+				fprintf(out, "  [x=%g io=%.1f cands=%.1f probs=%.1f val=%.0f%% cost=%.3fs]",
+					x, m.NodeAccesses, m.Candidates, m.ProbComps, m.ValidatedPct, m.TotalCostSec)
 			}
 			fprintf(out, "\n")
 		}

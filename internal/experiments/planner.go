@@ -254,9 +254,15 @@ func plannerAdmissionPhase(idx *uncertain.ShardedTree, queries []uncertain.Range
 		Workers:       4,
 		MaxInFlightIO: ceiling,
 	})
-	_, stats, err := eng.SearchBatch(context.Background(), queries)
-	if err != nil {
-		return 0, err
+	// Shedding needs two queries in flight at once, and a batch of
+	// sub-millisecond queries can be drained by one worker before the
+	// scheduler of a busy machine starts the next: give it a few batches.
+	var stats uncertain.BatchStats
+	for attempt := 0; attempt < 5 && stats.AdmissionRejected == 0; attempt++ {
+		var err error
+		if _, stats, err = eng.SearchBatch(context.Background(), queries); err != nil {
+			return 0, err
+		}
 	}
 	if stats.AdmissionRejected == 0 {
 		return 0, errors.New("planner admission: tiny ceiling shed nothing from a concurrent batch")

@@ -20,10 +20,13 @@ type PCRs struct {
 // the normalization constant λ of the CA dataset "needs to be calculated
 // only once" because every object shares the same pdf shape; this cache
 // generalizes that: a dataset of identically-shaped objects computes its
-// quantiles exactly once. Safe for concurrent use.
+// quantiles exactly once. For the shapes whose marginal CDF is a quadrature
+// it also holds the CDF tables refinement reads instead (cdftable.go). Safe
+// for concurrent use.
 type QuantileCache struct {
-	mu sync.Mutex
-	m  map[offsetsKey][]float64
+	mu     sync.Mutex
+	m      map[offsetsKey][]float64
+	tables map[tableKey]*cdfTable
 }
 
 type offsetsKey struct {
@@ -34,7 +37,7 @@ type offsetsKey struct {
 
 // NewQuantileCache returns an empty cache.
 func NewQuantileCache() *QuantileCache {
-	return &QuantileCache{m: make(map[offsetsKey][]float64)}
+	return &QuantileCache{m: make(map[offsetsKey][]float64), tables: make(map[tableKey]*cdfTable)}
 }
 
 // offsets returns, for pdf p and dimension dim, the 2m quantile offsets

@@ -1,6 +1,9 @@
 package pcr
 
-import "repro/internal/geom"
+import (
+	"repro/internal/geom"
+	"repro/internal/updf"
+)
 
 // This file bounds an object's qualification probability P(X ∈ rq) from
 // both sides (after Bernecker et al., PAPERS.md 1101.2613) using its PCR
@@ -31,10 +34,16 @@ import "repro/internal/geom"
 // faces outward and inner faces inward only, which keeps every cap exact
 // and can overstate a floor by float-level noise; the prune test carries
 // boundPruneEps for that.
+//
+// Once refinement holds the object's pdf, the same two formulas are fed the
+// pdf's own marginal tail masses (ProbBoundsMarginal): exact where the
+// stored faces only pin the marginal at 2m loosened positions.
 
 // boundPruneEps is the safety margin of the upper-bound prune: a candidate
 // is dropped only when ub is below the query threshold by more than this,
-// absorbing the float noise nesting repair can put into stored faces.
+// absorbing the float noise nesting repair can put into stored faces — and,
+// for FilterMarginal, on both of its tests, the 1e-10 tolerance of the
+// quadratures behind a CDF table and behind ExactProb.
 const boundPruneEps = 1e-9
 
 // tail brackets one tail mass, lo ≤ P(X_i < x) ≤ hi.
@@ -63,9 +72,12 @@ type bounds struct{ miss, ub float64 }
 
 func newBounds() bounds { return bounds{ub: 1} }
 
+// Both sides sum a dimension's two tails before anything else, so when rq
+// clips the object on one dimension only and the tails are exact (lo = hi)
+// the two bounds are the same float.
 func (b *bounds) add(left, right tail) {
 	b.miss += left.hi + right.hi
-	b.ub = min(b.ub, 1-left.lo-right.lo)
+	b.ub = min(b.ub, 1-(left.lo+right.lo))
 }
 
 func (b bounds) result() (lb, ub float64) {
@@ -178,4 +190,51 @@ func ProbBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64)
 		acc.add(left, right)
 	}
 	return acc.result()
+}
+
+// ProbBoundsMarginal brackets the qualification probability of an object
+// whose pdf is in hand — refinement, after the record is read — with the
+// same union bound and slab bound as above, the tails now taken from the
+// pdf's own marginals: L_i = P(X_i < rq.Lo[i]) = MarginalCDF(i, rq.Lo[i])
+// and R_i = 1 − MarginalCDF(i, rq.Hi[i]) (a pdf is a density, so a single
+// coordinate carries no mass), exactly 0 where rq reaches past the MBR.
+// When rq clips the object on a single dimension the pair closes to the
+// probability itself.
+//
+// A family whose MarginalCDF is closed form is called and gives exact
+// tails; one whose MarginalCDF is a quadrature (updf.MarginalTable) is
+// never called here once its shape's table exists in cache: each tail is
+// bracketed between two knots of the table. A mixture's tails are the
+// weighted sums of its components'. With a nil cache nothing is tabulated
+// and every MarginalCDF is called.
+func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+	acc := newBounds()
+	for i := range rq.Lo {
+		acc.add(cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i]))
+	}
+	return acc.result()
+}
+
+// marginalTails brackets P(X_dim < a) and P(X_dim > b).
+func (qc *QuantileCache) marginalTails(p updf.PDF, dim int, a, b float64) (left, right tail) {
+	if m, ok := p.(*updf.Mixture); ok {
+		for k := 0; k < m.Components(); k++ {
+			c, w := m.Component(k)
+			l, r := qc.marginalTails(c, dim, a, b)
+			left.lo += w * l.lo
+			left.hi += w * l.hi
+			right.lo += w * r.lo
+			right.hi += w * r.hi
+		}
+		return left, right
+	}
+	shape, tabulate := updf.MarginalTable(p)
+	if !tabulate || qc == nil {
+		l, r := p.MarginalCDF(dim, a), 1-p.MarginalCDF(dim, b)
+		return tail{l, l}, tail{r, r}
+	}
+	t, c := qc.table(p, shape, dim), p.Center()[dim]
+	left.lo, left.hi = t.bracket(a - c)
+	below, atMost := t.bracket(b - c)
+	return left, tail{1 - atMost, 1 - below}
 }

@@ -1,6 +1,9 @@
 package pcr
 
-import "repro/internal/geom"
+import (
+	"repro/internal/geom"
+	"repro/internal/updf"
+)
 
 // Outcome is the result of applying prune/validate rules to one object.
 type Outcome int
@@ -99,4 +102,21 @@ func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome 
 	}
 	lb, ub := ProbBoundsCFB(out, in, cat, mbr, rq)
 	return decide(lb, ub, pq)
+}
+
+// FilterMarginal decides a refinement candidate from its decoded pdf before
+// anything is integrated: Validated when the marginal lower bound reaches
+// pq, PrunedByBound when the upper bound falls short of it, Unknown when
+// the threshold lies between the two and Equation 2 has to be evaluated.
+// Both tests carry boundPruneEps, so an evaluator good to 1e-10 agrees with
+// every decision taken here.
+func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
+	lb, ub := ProbBoundsMarginal(p, rq, cache)
+	switch {
+	case lb >= pq+boundPruneEps:
+		return Validated
+	case ub < pq-boundPruneEps:
+		return PrunedByBound
+	}
+	return Unknown
 }

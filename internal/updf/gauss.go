@@ -78,44 +78,46 @@ func (g *ConGauBall) SampleUniform(rng *rand.Rand, dst geom.Point) {
 	sampleBall(rng, g.Ctr, g.R, dst)
 }
 
-// marginalDensityOffset returns the marginal density of the offset t from
-// the center along any axis (isotropy makes all axes identical).
-func (g *ConGauBall) marginalDensityOffset(t float64) float64 {
+// chordMassDensity returns the 2-D marginal density of the offset t from
+// the center along either axis (isotropy makes them identical): the 1-D
+// Gaussian density at t times the mass a 1-D Gaussian places on the chord
+// [−h, h] of the disk at t.
+func (g *ConGauBall) chordMassDensity(t float64) float64 {
 	r, s := g.R, g.Sigma
 	if t <= -r || t >= r {
 		return 0
 	}
-	phi := numeric.NormalPDF(t/s) / s
-	rest := r*r - t*t
-	switch g.Dim() {
-	case 1:
-		return phi / g.lambda
-	case 2:
-		// Mass of a 1D Gaussian over the chord [−h, h].
-		h := math.Sqrt(rest)
-		return phi * (2*numeric.NormalCDF(h/s) - 1) / g.lambda
-	case 3:
-		// Mass of a 2D isotropic Gaussian over the disk of radius h.
-		return phi * (1 - math.Exp(-rest/(2*s*s))) / g.lambda
-	default:
-		panic("updf: unsupported dimension")
-	}
+	h := math.Sqrt(r*r - t*t)
+	return numeric.NormalPDF(t/s) / s * (2*numeric.NormalCDF(h/s) - 1) / g.lambda
 }
 
+// MarginalCDF is closed form for d = 1 and d = 3 and a quadrature of the
+// chord masses for d = 2 (MarginalTable says which, for callers that cannot
+// afford the quadrature). For d = 3 the slice of the ball at offset t is a
+// disk of radius √(r²−t²), on which a 2-D isotropic Gaussian places mass
+// 1 − exp(−(r²−t²)/2σ²); times the 1-D density at t that is
+// (e^{−t²/2σ²} − e^{−r²/2σ²}) / (σ√2π), whose antiderivative is a normal
+// CDF minus a straight line. The faces of MBR() are compared as ballMBR
+// computes them, as in UniformBall.MarginalCDF.
 func (g *ConGauBall) MarginalCDF(dim int, x float64) float64 {
-	t := x - g.Ctr[dim]
-	if t <= -g.R {
+	c, r, s := g.Ctr[dim], g.R, g.Sigma
+	t := x - c
+	switch {
+	case x <= c-r, t <= -r:
 		return 0
-	}
-	if t >= g.R {
+	case x >= c+r, t >= r:
 		return 1
 	}
-	if g.Dim() == 1 {
-		s := g.Sigma
-		return clamp01((numeric.NormalCDF(t/s) - numeric.NormalCDF(-g.R/s)) / g.lambda)
+	switch g.Dim() {
+	case 1:
+		return clamp01((numeric.NormalCDF(t/s) - numeric.NormalCDF(-r/s)) / g.lambda)
+	case 2:
+		v, _ := numeric.AdaptiveSimpson(g.chordMassDensity, -r, t, 1e-10)
+		return clamp01(v)
+	default:
+		kappa := numeric.NormalPDF(r/s) / s
+		return clamp01((numeric.NormalCDF(t/s) - numeric.NormalCDF(-r/s) - kappa*(t+r)) / g.lambda)
 	}
-	v, _ := numeric.AdaptiveSimpson(g.marginalDensityOffset, -g.R, t, 1e-10)
-	return clamp01(v)
 }
 
 func (g *ConGauBall) ShapeKey() string {

@@ -100,7 +100,10 @@ func (p *UniformPolygon) SampleUniform(rng *rand.Rand, dst geom.Point) {
 }
 
 // MarginalCDF clips the polygon at the plane x_dim = x and returns the area
-// fraction on the low side — exact.
+// fraction on the low side — exact. It runs once per query candidate
+// (pcr.ProbBoundsMarginal), so the clipped polygon is never built: the
+// vertices Sutherland–Hodgman would emit go straight into the shoelace sum,
+// in the order and with the arithmetic of polygonArea(clipHalfplane(…)).
 func (p *UniformPolygon) MarginalCDF(dim int, x float64) float64 {
 	if x <= p.mbr.Lo[dim] {
 		return 0
@@ -108,11 +111,34 @@ func (p *UniformPolygon) MarginalCDF(dim int, x float64) float64 {
 	if x >= p.mbr.Hi[dim] {
 		return 1
 	}
-	clipped := clipHalfplane(p.verts, dim, x, true)
-	if len(clipped) < 3 {
+	var first, prev [2]float64
+	var twice float64 // signed, twice the area emitted so far
+	emitted := 0
+	emit := func(v [2]float64) {
+		if emitted == 0 {
+			first = v
+		} else {
+			twice += prev[0]*v[1] - v[0]*prev[1]
+		}
+		prev = v
+		emitted++
+	}
+	n := len(p.verts)
+	for i := 0; i < n; i++ {
+		cur, next := p.verts[i], p.verts[(i+1)%n]
+		if cur[dim] <= x {
+			emit([2]float64{cur[0], cur[1]})
+		}
+		if (cur[dim] <= x) != (next[dim] <= x) {
+			t := (x - cur[dim]) / (next[dim] - cur[dim])
+			emit([2]float64{cur[0] + t*(next[0]-cur[0]), cur[1] + t*(next[1]-cur[1])})
+		}
+	}
+	if emitted < 3 {
 		return 0
 	}
-	return clamp01(polygonArea(clipped) / p.area)
+	twice += prev[0]*first[1] - first[0]*prev[1]
+	return clamp01(math.Abs(twice) / 2 / p.area)
 }
 
 func (p *UniformPolygon) ShapeKey() string {

@@ -43,23 +43,25 @@ func (u *UniformBall) SampleUniform(rng *rand.Rand, dst geom.Point) {
 }
 
 // MarginalCDF uses the closed-form ball marginals for d ≤ 3 and quadrature
-// for higher dimensions.
+// for higher dimensions. At and beyond a face of MBR() it is exactly 0 or 1:
+// the faces are compared as ballMBR computes them, since x − Ctr can round
+// to just inside (−r, r) when x is the face itself.
 func (u *UniformBall) MarginalCDF(dim int, x float64) float64 {
-	t := x - u.Ctr[dim]
-	r := u.R
+	c, r := u.Ctr[dim], u.R
+	t := x - c
 	switch {
-	case t <= -r:
+	case x <= c-r, t <= -r:
 		return 0
-	case t >= r:
+	case x >= c+r, t >= r:
 		return 1
 	}
 	switch u.Dim() {
 	case 1:
-		return (t + r) / (2 * r)
+		return clamp01((t + r) / (2 * r))
 	case 2:
-		return 0.5 + (t*math.Sqrt(r*r-t*t)+r*r*math.Asin(t/r))/(math.Pi*r*r)
+		return clamp01(0.5 + (t*math.Sqrt(r*r-t*t)+r*r*math.Asin(t/r))/(math.Pi*r*r))
 	case 3:
-		return 0.5 + (3/(4*r*r*r))*(r*r*t-t*t*t/3)
+		return clamp01(0.5 + (3/(4*r*r*r))*(r*r*t-t*t*t/3))
 	default:
 		d := u.Dim()
 		vSlice := unitBallVolume(d - 1)

@@ -427,26 +427,27 @@ func TestQueryOptions(t *testing.T) {
 		}
 	})
 
-	// The refinement options only show on objects that are refined AND
-	// qualify, i.e. whose probability sits within a catalog step or two
-	// above the threshold — the probability bound decides everything else
-	// without sampling. Thin strips clip most objects they meet on both
-	// sides, where the bound is loosest, so a dozen of them refine a
-	// handful of near-threshold objects.
+	// The refinement options only show on objects whose probability is
+	// computed AND that qualify. The stored faces decide most objects at
+	// the leaf, and of the rest every one a query clips on a single axis
+	// is decided exactly on its marginal once its record is read; what is
+	// left to integrate are objects clipped on two axes with the threshold
+	// between their bounds. A lattice of squares about two object diameters
+	// across catches three dozen of those at its corners, a dozen of which
+	// qualify.
 	refined := func(t *testing.T, opts ...QueryOption) (map[[2]int64]float64, int) {
 		t.Helper()
 		probs := map[[2]int64]float64{}
 		comps := 0
-		for i := int64(0); i < 12; i++ {
-			y := 40 + 80*float64(i)
-			res, stats, err := ct.Search(ctx, Box(Pt(0, y-10), Pt(1000, y+10)), 0.8, opts...)
+		for i, q := range latticeFixtureQueries(12, 20, 0.3) {
+			res, stats, err := ct.Search(ctx, q.Rect, q.Prob, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			comps += stats.ProbComputations
 			for _, r := range res {
 				if !r.Validated {
-					probs[[2]int64{i, r.ID}] = r.Prob
+					probs[[2]int64{int64(i), r.ID}] = r.Prob
 				}
 			}
 		}

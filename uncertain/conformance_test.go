@@ -225,7 +225,9 @@ func TestIndexConformance(t *testing.T) {
 			return idx, conformanceLoad(t, idx)
 		}},
 	}
-	queries := shardedFixtureQueries(16, 32)
+	// Large squares for the leaf filter, small ones that clip objects at
+	// their corners for the refinement stage behind it.
+	queries := append(shardedFixtureQueries(16, 32), latticeFixtureQueries(6, 20, 0.3)...)
 	points := []Point{Pt(500, 500), Pt(40, 960), Pt(-50, 300)}
 	const k = 7
 
@@ -273,12 +275,34 @@ func TestIndexConformance(t *testing.T) {
 					if err := idx.CheckInvariants(); err != nil {
 						t.Fatal(err)
 					}
+					var total Stats
 					for i, q := range queries {
-						got, _, err := idx.Search(context.Background(), q.Rect, q.Prob)
+						got, stats, err := idx.Search(context.Background(), q.Rect, q.Prob)
 						if err != nil {
 							t.Fatal(err)
 						}
 						checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i], mc)
+						if !mc {
+							// Exact refinement: the answer is the brute-force
+							// set, whichever stage decided each object.
+							want := 0
+							for _, p := range exact[i] {
+								if p >= q.Prob {
+									want++
+								}
+							}
+							if len(got) != want {
+								t.Fatalf("query %d: %d results, brute force %d", i, len(got), want)
+							}
+						}
+						// Every candidate is decided on its marginals or integrated.
+						if decided := stats.MarginalValidated + stats.MarginalPruned + stats.ProbComputations; stats.Candidates != decided {
+							t.Fatalf("query %d: %d candidates, %d accounted for (%+v)", i, stats.Candidates, decided, stats)
+						}
+						total.Add(stats)
+					}
+					if total.MarginalValidated == 0 || total.MarginalPruned == 0 || total.ProbComputations == 0 {
+						t.Fatalf("workload leaves a refinement outcome unexercised: %+v", total)
 					}
 					for i, pt := range points {
 						got, _, err := idx.NearestNeighbors(context.Background(), pt, k)
@@ -400,7 +424,7 @@ func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 	if err := tree.BulkLoad(shardedFixtureObjects(300, 51)); err != nil {
 		t.Fatal(err)
 	}
-	queries := shardedFixtureQueries(20, 52)
+	queries := append(shardedFixtureQueries(20, 52), latticeFixtureQueries(12, 20, 0.3)...)
 	forward := pipelineSearchAll(t, tree, queries)
 	refined := 0
 	for i := len(queries) - 1; i >= 0; i-- {

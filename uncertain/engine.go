@@ -51,11 +51,17 @@ type BatchStats struct {
 	// expensive refinement step either way.
 	ProbComputations     int
 	MeanProbComputations float64
-	// Validated and ValidatedPct report how many results were proven without
-	// any probability computation (range batches only; the PCR filter's win).
+	// Validated and ValidatedPct report how many results were proven from
+	// their leaf entries alone, before any record was read (range batches
+	// only; the PCR filter's win).
 	Validated    int
 	ValidatedPct float64
 	Results      int
+	// MarginalValidated and MarginalPruned count the refinement candidates
+	// of a range batch that were decided on their pdf's marginals after the
+	// record was read, without a probability computation (see Stats).
+	MarginalValidated int
+	MarginalPruned    int
 
 	// Buffer-pool deltas over the batch's wall-time window. The pool's
 	// counters are tree-wide, so when batches overlap on one tree — or
@@ -300,6 +306,8 @@ func (e *QueryEngine) SearchBatch(ctx context.Context, queries []RangeQuery, opt
 	stats.ProbComputations = agg.ProbComputations
 	stats.Validated = agg.Validated
 	stats.Results = agg.Results
+	stats.MarginalValidated = agg.MarginalValidated
+	stats.MarginalPruned = agg.MarginalPruned
 	stats.PrefetchIssued = agg.PrefetchIssued
 	stats.PrefetchCoalesced = agg.PrefetchCoalesced
 	stats.PrefetchWasted = agg.PrefetchWasted

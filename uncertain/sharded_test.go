@@ -37,6 +37,21 @@ func shardedFixtureQueries(n int, seed int64) []RangeQuery {
 	return queries
 }
 
+// latticeFixtureQueries returns side×side squares of the given half-width on
+// a lattice over the fixture's domain, all at one threshold. A query that
+// clips an object on a single axis is decided exactly on the object's
+// marginal once its record is read; small squares clip the fixture's circles
+// at their corners, on two axes, which is where refinement still integrates.
+func latticeFixtureQueries(side int, half, prob float64) []RangeQuery {
+	queries := make([]RangeQuery, 0, side*side)
+	step := 1000 / float64(side)
+	for i := 0; i < side*side; i++ {
+		x, y := step*(float64(i%side)+0.5), step*(float64(i/side)+0.5)
+		queries = append(queries, RangeQuery{Rect: Box(Pt(x-half, y-half), Pt(x+half, y+half)), Prob: prob})
+	}
+	return queries
+}
+
 func sortByID(res []Result) []Result {
 	out := make([]Result, len(res))
 	copy(out, res)

@@ -50,13 +50,19 @@ type PDF = updf.PDF
 // region, or the probability lower bound read off them reaches the
 // threshold) — the paper's headline saving — no appearance probability
 // was ever computed: Validated is true
-// and Prob is -1 ("validated without probability computation"). Prob holds
-// the computed probability only for objects that went through refinement.
+// and Prob is -1 ("validated without probability computation"). The same
+// holds for a refinement candidate whose record was read and whose pdf's
+// own marginals then put the lower bound at the threshold. Prob holds the
+// computed probability only for objects whose probability had to be
+// computed to decide them.
 type Result = core.Result
 
 // Stats reports the cost of one query in the paper's metrics: node
 // accesses, appearance-probability computations, directly-validated counts
-// and refinement I/Os.
+// and refinement I/Os. Candidates is the paper's "probability computations"
+// (what the leaf filter left undecided); ProbComputations counts those that
+// were in fact integrated, MarginalValidated and MarginalPruned those
+// decided on their pdf's marginals instead.
 type Stats = core.QueryStats
 
 // Pt builds a Point.
