@@ -225,6 +225,7 @@ func stats(path string, cfg uncertain.Config) error {
 	fmt.Printf("objects:   %d\n", tree.Len())
 	fmt.Printf("height:    %d levels\n", tree.Height())
 	fmt.Printf("file size: %d bytes\n", fi.Size())
+	fmt.Printf("shapes:    %d in the shape table\n", tree.Shapes())
 	gc := tree.GCInfo()
 	fmt.Printf("epoch:     %d (%d snapshot pins)\n", gc.Epoch, gc.Pins)
 	fmt.Printf("gc:        pending %d epochs / %d pages / %d tombstones; reclaimed %d pages, %d tombstones lifetime\n",
@@ -286,10 +287,10 @@ func verify(path string, cfg uncertain.Config) error {
 		return err
 	}
 	defer tree.Close()
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.CheckRecords(); err != nil {
 		return err
 	}
-	fmt.Println("ok: all structural and containment invariants hold")
+	fmt.Println("ok: all structural, containment and shape invariants hold")
 	return nil
 }
 
@@ -340,6 +341,7 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	if n := s.MarginalValidated + s.MarginalPruned; n > 0 {
 		fmt.Printf("refinement: %d of %d candidates decided on their marginals (%d validated, %d pruned), %d integrated\n",
 			n, s.Candidates, s.MarginalValidated, s.MarginalPruned, s.ProbComputations)
+		fmt.Printf("refinement: %d of %d candidates decided before their record was read\n", s.ShapeDecided, s.Candidates)
 	}
 	if info := tree.PlannerInfo(); info.Enabled && info.Queries > 0 {
 		fmt.Printf("planner: predicted %.1f node accesses, measured %d (calibration %.3f)\n",

@@ -114,7 +114,8 @@ func (t *Tree) BulkLoad(objects []Object) error {
 // leaf entry without its data address, built on GOMAXPROCS workers. It
 // touches no storage.
 func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
-	// Serial pass first: reject a mis-dimensioned object, and seed the
+	// Serial pass first: reject a mis-dimensioned object, give every object
+	// its shape reference (in input order, never by a worker), and seed the
 	// quantile cache with the first object of every shape in input order.
 	// Cached offsets are taken relative to the seeding object's center and
 	// differ by an ulp or so between seeds, so workers racing to seed a
@@ -122,17 +123,19 @@ func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
 	// all-distinct shapes therefore computes its quantiles here, serially;
 	// the CFB fits, the larger share, still fan out.)
 	seeded := make(map[string]bool)
+	entries, keys := make([]entry, len(objects)), make([]string, len(objects))
 	for i := range objects {
 		if err := t.checkObject(objects[i]); err != nil {
 			return nil, err
 		}
-		if key := objects[i].PDF.ShapeKey(); key != "" && !seeded[key] {
+		key := objects[i].PDF.ShapeKey()
+		keys[i], entries[i].shape = key, t.shapeRef(key, objects[i].PDF)
+		if key != "" && !seeded[key] {
 			seeded[key] = true
-			pcr.Compute(objects[i].PDF, t.cat, t.qcache)
+			pcr.ComputeKeyed(objects[i].PDF, key, t.cat, t.qcache)
 		}
 	}
 
-	entries := make([]entry, len(objects))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(objects) {
 		workers = len(objects)
@@ -148,7 +151,7 @@ func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
 				if i >= len(objects) {
 					return
 				}
-				entries[i] = t.leafEntry(objects[i])
+				entries[i] = t.leafEntry(objects[i], keys[i], entries[i].shape)
 			}
 		}()
 	}

@@ -126,6 +126,14 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 				t.Fatalf("%v: entry %d differs from the serial build:\n got  %+v\n want %+v", kind, i, got[i], want)
 			}
 		}
+		// The comparison covers the shape references, which the serial loop
+		// hands out in input order: workers must not have had a say in them.
+		if !reflect.DeepEqual(par.shapes, ser.shapes) {
+			t.Fatalf("%v: shape tables differ: %d and %d shapes", kind, len(par.shapes), len(ser.shapes))
+		}
+		if len(objs) > 100 && len(par.shapes) < 3 {
+			t.Fatalf("%v: %d shapes among %d objects; the reference check is vacuous", kind, len(par.shapes), len(objs))
+		}
 	}
 	sameAsSerial(UTree, objs)
 	sameAsSerial(UPCR, objs)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pcr"
 )
 
 // CheckInvariants validates the structural and geometric invariants of the
@@ -16,17 +18,19 @@ import (
 //   - every intermediate entry's bounding boxes covering the corresponding
 //     boundary boxes of its child's entries at every catalog value
 //     (the containment property behind Observation 4),
-//   - stored object count matching the leaf entry count.
+//   - stored object count matching the leaf entry count,
+//   - every leaf entry's shape reference within the shape table, and its
+//     MBR's extents those of the prototype to within pcr.ShapeSlack.
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
-	return t.checkTreeAt(t.rootPage, t.rootLevel, t.size)
+	return t.checkTreeAt(&treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.size, shapes: t.shapes}, false)
 }
 
-// checkTreeAt validates the tree rooted at the given page against the
-// given expected root level and object count — shared by the working-state
-// check above and Snapshot.CheckInvariants (pinned epochs).
-func (t *Tree) checkTreeAt(rootPage pagefile.PageID, rootLevel, size int) error {
+// checkTreeAt validates the tree of the given state — the working one for
+// the check above, a pinned epoch's for Snapshot.CheckInvariants — and with
+// records set the records that shape references vouch for.
+func (t *Tree) checkTreeAt(st *treeState, records bool) error {
 	total := 0
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
@@ -49,6 +53,11 @@ func (t *Tree) checkTreeAt(rootPage pagefile.PageID, rootLevel, size int) error 
 		}
 		if n.leaf() {
 			total += len(n.entries)
+			for i := range n.entries {
+				if err := t.checkShape(&n.entries[i], st.shapes, records); err != nil {
+					return nil, fmt.Errorf("core: node %d entry %d: %w", page, i, err)
+				}
+			}
 			if len(n.entries) == 0 {
 				return nil, nil
 			}
@@ -78,13 +87,42 @@ func (t *Tree) checkTreeAt(rootPage pagefile.PageID, rootLevel, size int) error 
 		}
 		return t.nodeBoundary(n), nil
 	}
-	if _, err := check(rootPage, true, rootLevel); err != nil {
+	if _, err := check(st.rootPage, true, st.rootLevel); err != nil {
 		return err
 	}
-	if total != size {
-		return fmt.Errorf("core: size %d but %d leaf entries", size, total)
+	if total != st.size {
+		return fmt.Errorf("core: size %d but %d leaf entries", st.size, total)
 	}
 	return nil
+}
+
+// checkShape validates a leaf entry's shape reference against the table,
+// and with record set the record's pdf against the shape.
+func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
+	if e.shape == 0 {
+		return nil
+	}
+	if int(e.shape) > len(shapes) {
+		return fmt.Errorf("shape reference %d beyond a table of %d", e.shape, len(shapes))
+	}
+	sh := shapes[e.shape-1]
+	for i := range sh.mbr.Lo {
+		if d := pcr.ShapeSlack(sh.mbr, e.mbr, i); !(math.Abs(e.mbr.Side(i)-sh.mbr.Side(i)) <= d) {
+			return fmt.Errorf("MBR %v does not have the extents of shape %d (%v)", e.mbr, e.shape, sh.mbr)
+		}
+	}
+	if !record {
+		return nil
+	}
+	var obj Object
+	rec, err := t.data.Read(e.addr)
+	if err == nil {
+		obj, err = decodeObject(rec)
+	}
+	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
+		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())
+	}
+	return err
 }
 
 // containsEps is Contains with an absolute tolerance absorbing the float

@@ -32,7 +32,8 @@ func (k Kind) String() string {
 // entry is the in-memory form of a node entry for either kind and either
 // node level.
 //
-// Leaf entries: id, addr, mbr are always set; a U-tree leaf carries out/in
+// Leaf entries: id, addr, mbr are always set, shape names the object's
+// prototype in the tree's shape table (0: none); a U-tree leaf carries out/in
 // CFBs, a U-PCR leaf carries pcrBoxes (length m, pcrBoxes[0] == mbr).
 //
 // Intermediate entries: child is set and boxes carries the bounding
@@ -47,12 +48,13 @@ func (k Kind) String() string {
 // and UnionInPlace, work on scratch and on cloneBoxes copies.
 type entry struct {
 	// Leaf fields.
-	id   int64
-	addr pagefile.DataAddr
-	mbr  geom.Rect
-	out  pcr.CFB
-	in   pcr.CFB
-	pcrs []geom.Rect
+	id    int64
+	addr  pagefile.DataAddr
+	mbr   geom.Rect
+	out   pcr.CFB
+	in    pcr.CFB
+	pcrs  []geom.Rect
+	shape uint16 // here, in the word child half fills, the struct does not grow
 
 	// Intermediate fields.
 	child pagefile.PageID
@@ -200,12 +202,12 @@ func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {
 	case UTree:
-		// id(8) + addr(8) + MBR + cfb_out(4d float32) + cfb_in(4d float32).
+		// id(8) + addr(6) + shape(2) + MBR + cfb_out(4d float32) + cfb_in(4d float32).
 		leaf = 16 + rect + 32*dim
 		// child(8) + MBR⊥ + MBR⊤.
 		inner = 8 + 2*rect
 	case UPCR:
-		// id(8) + addr(8) + m PCR boxes (pcr(0) doubles as the MBR).
+		// id(8) + addr(6) + shape(2) + m PCR boxes (pcr(0) doubles as the MBR).
 		leaf = 16 + m*rect
 		// child(8) + m bounding boxes.
 		inner = 8 + m*rect

@@ -219,13 +219,9 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			dataPage = it.addr.Page
 			stats.RefinementIOs++
 		}
-		rec, err := pagefile.RecordFromPage(dataBuf, it.addr.Slot)
+		obj, err := objectFromPage(dataBuf, it.addr.Slot)
 		if err != nil {
-			return nil, stats, err
-		}
-		obj, err := decodeObject(rec)
-		if err != nil {
-			return nil, stats, err
+			return finish(fmt.Errorf("core: refining object %d: %w", it.id, err))
 		}
 		d := expectedDistanceScratch(obj.PDF, q, plan.samples, obj.ID, distBuf)
 		stats.DistanceComps++

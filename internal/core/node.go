@@ -230,7 +230,7 @@ func (t *Tree) innerBoxes() int {
 
 func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
 	binary.LittleEndian.PutUint64(buf, uint64(e.id))
-	off := putAddr(buf, 8, e.addr)
+	off := putAddr(buf, 8, e.addr, e.shape)
 	off = putRect(buf, off, e.mbr)
 	if t.kind == UTree {
 		off = putCFB(buf, off, e.out)
@@ -246,7 +246,7 @@ func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
 func (t *Tree) decodeLeafEntry(e *entry, buf []byte, s *slabs) {
 	e.id = int64(binary.LittleEndian.Uint64(buf))
 	var off int
-	e.addr, off = getAddr(buf, 8)
+	e.addr, e.shape, off = getAddr(buf, 8)
 	e.mbr, off = s.rect(buf, off, t.dim)
 	if t.kind == UTree {
 		e.out, off = s.cfb(buf, off, t.dim)

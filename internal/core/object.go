@@ -53,6 +53,16 @@ func decodeObject(rec []byte) (Object, error) {
 	return Object{ID: id, PDF: p}, nil
 }
 
+// objectFromPage decodes a record where it lies in its data page: for the
+// query paths, which hold the page for as long as they use the object.
+func objectFromPage(page []byte, slot uint16) (Object, error) {
+	rec, err := pagefile.RecordFromPage(page, slot)
+	if err != nil {
+		return Object{}, err
+	}
+	return decodeObject(rec)
+}
+
 // putF64 / getF64 are the little-endian float helpers shared by entry and
 // node serialization.
 func putF64(buf []byte, off int, v float64) int {
@@ -64,17 +74,18 @@ func getF64(buf []byte, off int) (float64, int) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
 }
 
-// putAddr / getAddr serialize a data address in 8 bytes.
-func putAddr(buf []byte, off int, a pagefile.DataAddr) int {
+// putAddr / getAddr serialize a leaf entry's data address and, in the two
+// of its 8 bytes that were zero before UTR3, its shape reference.
+func putAddr(buf []byte, off int, a pagefile.DataAddr, shape uint16) int {
 	binary.LittleEndian.PutUint32(buf[off:], uint32(a.Page))
 	binary.LittleEndian.PutUint16(buf[off+4:], a.Slot)
-	binary.LittleEndian.PutUint16(buf[off+6:], 0)
+	binary.LittleEndian.PutUint16(buf[off+6:], shape)
 	return off + 8
 }
 
-func getAddr(buf []byte, off int) (pagefile.DataAddr, int) {
+func getAddr(buf []byte, off int) (pagefile.DataAddr, uint16, int) {
 	return pagefile.DataAddr{
 		Page: pagefile.PageID(binary.LittleEndian.Uint32(buf[off:])),
 		Slot: binary.LittleEndian.Uint16(buf[off+4:]),
-	}, off + 8
+	}, binary.LittleEndian.Uint16(buf[off+6:]), off + 8
 }

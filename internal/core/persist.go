@@ -12,26 +12,31 @@ import (
 // be closed and reopened. Layout (little endian):
 //
 //	magic u32 | kind u8 | dim u8 | catalog u16 |
-//	rootPage u32 | rootLevel u32 | size u64 | dataPage u32 | epoch u64
+//	rootPage u32 | rootLevel u32 | size u64 | dataPage u32 | epoch u64 |
+//	shape table (shapes.go)
 //
 // The metadata page is the commit point of the shadow-paging scheme: it is
 // the only page (besides slotted data pages) ever rewritten in place, and
 // it is written only after every page of the epoch it names is durable.
 //
-// The magic names the node layout as well as the page: "UTR2" leaf entries
-// hold their CFB coefficients as float32 (entrySizes), "UTR1" held them as
-// float64 in entries half again as large. There is one codec, so a UTR1
-// file is refused, never decoded.
+// The magic names the node layout as well as the page: "UTR3" leaf entries
+// hold their CFB coefficients as float32 (entrySizes) and a shape reference;
+// "UTR2" had zeroes there and where the table is — a UTR3 file with an empty
+// table, so it opens as one and its first commit makes it one; "UTR1" held
+// the coefficients as float64 in entries half again as large. There is one
+// codec, so a UTR1 file is refused, never decoded.
 const (
-	metaMagic   = 0x55545232 // "UTR2"
+	metaMagic   = 0x55545233 // "UTR3"
+	metaMagicV2 = 0x55545232 // "UTR2"
 	metaMagicV1 = 0x55545231 // "UTR1"
+	metaFixed   = 36         // bytes before the shape table
 )
 
 // ErrOldLayout is returned by Open for an index file written before leaf
 // entries moved to float32 CFB coefficients. No reader for that layout is
 // kept: rebuild the index from its data.
 var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
-	"this version reads only UTR2 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
+	"this version reads only UTR2 and UTR3 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller flushes the buffer pool first (Commit does); the page is exempted
@@ -48,6 +53,12 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint64(buf[16:], uint64(t.size))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(t.data.CurrentPage()))
 	binary.LittleEndian.PutUint64(buf[28:], t.vs.Epoch()+1) // the epoch this write commits
+	binary.LittleEndian.PutUint16(buf[metaFixed:], uint16(len(t.shapes)))
+	off := metaFixed + 2 // shapeRef keeps the table within the page
+	for _, s := range t.shapes {
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(s.enc)))
+		off += 2 + copy(buf[off+2:], s.enc)
+	}
 	t.vs.MarkInPlace(t.meta)
 	return t.store.Write(t.meta, buf)
 }
@@ -69,7 +80,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 		return nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
-	case metaMagic:
+	case metaMagic, metaMagicV2:
 	case metaMagicV1:
 		return nil, ErrOldLayout
 	default:
@@ -81,11 +92,16 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
 		return nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
+	shapes, err := decodeShapes(buf[metaFixed:], dim)
+	if err != nil {
+		return nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage, Reason: err.Error()})
+	}
 	epoch := binary.LittleEndian.Uint64(buf[28:])
 	t, err := newTree(kind, dim, m, store, metaPage, epoch, opt)
 	if err != nil {
 		return nil, err
 	}
+	t.setShapes(shapes)
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.size = int(binary.LittleEndian.Uint64(buf[16:]))

@@ -32,8 +32,8 @@ type Result struct {
 	// computation: rq contains its MBR, or a lower bound on its
 	// qualification probability already reaches the threshold — derived
 	// from its stored PCR/CFB faces at the leaf (pcr.ProbBoundsCFB /
-	// ProbBoundsPCR), or, after its record was read, from its pdf's own
-	// marginals (pcr.ProbBoundsMarginal).
+	// ProbBoundsPCR), or from its pdf's own marginals, at the leaf through
+	// its shape or after its record was read (pcr.ProbBoundsShape / Marginal).
 	Validated bool
 }
 
@@ -44,15 +44,16 @@ type Result struct {
 //
 // The stages keep their own counters. Validated and ProbFilterPruned are
 // decided at the leaf from the stored faces, before any record is read;
-// Candidates is what the leaf filter could not decide — the paper's
+// Candidates is what the stored faces could not decide — the paper's
 // "probability computations", and the like-for-like column against its
-// Fig. 9–10. Every candidate's record is read, and on a query that ran to
-// completion Candidates = MarginalValidated + MarginalPruned +
-// ProbComputations: decided on the pdf's own marginals, or integrated.
+// Fig. 9–10. On a query that ran to completion Candidates =
+// MarginalValidated + MarginalPruned + ProbComputations: decided on the
+// pdf's own marginals, or integrated. Only the ShapeDecided of them that were
+// decided at the leaf, on the object's shape, had no record read.
 type QueryStats struct {
 	NodeAccesses     int // tree pages visited
 	LeafAccesses     int
-	Candidates       int // leaf entries the stored faces left undecided; each costs a record read
+	Candidates       int // leaf entries the stored faces left undecided
 	ProbComputations int // candidates whose appearance probability was integrated (Equation 2/3)
 	Validated        int // results reported from the leaf entry alone (MBR containment or probability lower bound)
 	RefinementIOs    int // distinct data pages fetched
@@ -93,12 +94,14 @@ type QueryStats struct {
 	// possibly a data-page read that never happened.
 	ProbFilterPruned int
 
-	// MarginalValidated and MarginalPruned count candidates decided after
-	// their record was read but before anything was integrated, by the
-	// bounds the pdf's own marginals give (pcr.FilterMarginal): reported
-	// with Prob = -1, and dropped.
+	// MarginalValidated and MarginalPruned count candidates decided before
+	// anything was integrated, by the bounds the pdf's own marginals give:
+	// reported with Prob = -1, and dropped. ShapeDecided of them were decided
+	// before their record was read, on the shape their leaf entry names
+	// (pcr.FilterShape); the rest after it (pcr.FilterMarginal).
 	MarginalValidated int
 	MarginalPruned    int
+	ShapeDecided      int
 
 	// ShardsPruned counts whole shards skipped by root-MBR pruning in a
 	// sharded scatter-gather (always zero for a single tree; filled by the
@@ -130,6 +133,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.ProbFilterPruned += o.ProbFilterPruned
 	s.MarginalValidated += o.MarginalValidated
 	s.MarginalPruned += o.MarginalPruned
+	s.ShapeDecided += o.ShapeDecided
 	s.ShardsPruned += o.ShardsPruned
 }
 
@@ -137,8 +141,9 @@ func (s *QueryStats) Add(o QueryStats) {
 // epoch, lock-free: Observation 4 pruning during the descent, Observation 3
 // (U-tree) or Observation 2 (U-PCR) filtering at leaves, then refinement of
 // surviving candidates, fetching each distinct data page once: a candidate
-// is validated or dropped on its pdf's marginals where they decide it
-// (pcr.FilterMarginal), and has its appearance probability computed where
+// is validated or dropped on its pdf's marginals where they decide it — at
+// the leaf through its shape (pcr.FilterShape), else once its record is read
+// (pcr.FilterMarginal) — and has its appearance probability computed where
 // they do not. It is the only range entry point — a
 // single-threaded caller commits and pins a snapshot like everyone else.
 //
@@ -156,7 +161,7 @@ func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Resu
 	// reproduces exactly the sequence a fresh rand.New would draw.
 	rng := getSeededRand(s.t.querySeed(q))
 	defer putRand(rng)
-	res, stats, err := s.t.rangeQuery(s.st.rootPage, q, rng, &p)
+	res, stats, err := s.t.rangeQuery(s.st, q, rng, &p)
 	if armed && err == nil {
 		s.t.planner.observe(pred, stats.NodeAccesses)
 	}
@@ -287,7 +292,7 @@ func (t *Tree) readDataPageVia(ses *pagefile.PrefetchSession, id pagefile.PageID
 // results and stats gathered so far. A page budget stops the query the
 // same way with ErrBudgetExceeded after exactly plan.budget physical
 // fetches, and a result limit cuts the query once that many results exist.
-func (t *Tree) rangeQuery(root pagefile.PageID, q Query, rng *rand.Rand, plan *qplan) (results []Result, stats QueryStats, err error) {
+func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (results []Result, stats QueryStats, err error) {
 	if err := validateQuery(t.dim, q); err != nil {
 		return nil, stats, err
 	}
@@ -320,7 +325,7 @@ func (t *Tree) rangeQuery(root pagefile.PageID, q Query, rng *rand.Rand, plan *q
 	// never pooled. Append order is unchanged, so results stay
 	// byte-identical to the unpooled path.
 	sc := getScratch()
-	frontier := append(sc.frontier[:0], root)
+	frontier := append(sc.frontier[:0], st.rootPage)
 	next := sc.next[:0]
 	cands := sc.cands[:0]
 	defer func() {
@@ -389,7 +394,12 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					cands = append(cands, candidate{e.id, e.addr})
+					c := candidate{id: e.id, addr: e.addr}
+					if ref := int(e.shape); ref != 0 && ref <= len(st.shapes) {
+						sh := &st.shapes[ref-1] // refinement's test, before the fetch
+						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, e.mbr, q.Rect, q.Prob, t.qcache)
+					}
+					cands = append(cands, c)
 				}
 			}
 		}
@@ -398,7 +408,8 @@ descent:
 	stats.Candidates = len(cands)
 	stats.FilterTime = time.Since(start)
 
-	// Refinement: group candidates by data page (one I/O per page).
+	// Refinement: group candidates by data page (one I/O per page with a
+	// candidate still undecided).
 	refineStart := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].addr.Page != cands[b].addr.Page {
@@ -412,7 +423,7 @@ descent:
 		pages := sc.pages[:0]
 		last := pagefile.InvalidPage
 		for _, c := range cands {
-			if c.addr.Page != last {
+			if c.decided == pcr.Unknown && c.addr.Page != last {
 				pages = append(pages, c.addr.Page)
 				last = c.addr.Page
 			}
@@ -436,27 +447,26 @@ descent:
 		if plan.limitReached(len(results)) {
 			break
 		}
-		if c.addr.Page != pageID {
-			var err error
-			pageBuf, err = t.fetchDataPage(ses.data, &meter, c.addr.Page)
-			if err != nil {
-				return refined(err)
+		// The pdf's own marginals bound the probability far more tightly
+		// than the stored faces could; only a candidate they leave undecided
+		// — at the leaf, then with the record in hand — is integrated.
+		outcome, obj := c.decided, Object{ID: c.id}
+		if outcome != pcr.Unknown {
+			stats.ShapeDecided++
+		} else {
+			if c.addr.Page != pageID {
+				if pageBuf, err = t.fetchDataPage(ses.data, &meter, c.addr.Page); err != nil {
+					return refined(err)
+				}
+				pageID = c.addr.Page
+				stats.RefinementIOs++
 			}
-			pageID = c.addr.Page
-			stats.RefinementIOs++
+			if obj, err = objectFromPage(pageBuf, c.addr.Slot); err != nil {
+				return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
+			}
+			outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache)
 		}
-		rec, err := pagefile.RecordFromPage(pageBuf, c.addr.Slot)
-		if err != nil {
-			return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
-		}
-		obj, err := decodeObject(rec)
-		if err != nil {
-			return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
-		}
-		// With the pdf in hand its own marginals bound the probability far
-		// more tightly than the stored faces could; only a candidate whose
-		// bounds still straddle the threshold is integrated.
-		switch pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache) {
+		switch outcome {
 		case pcr.Validated:
 			results = append(results, Result{ID: obj.ID, Prob: -1, Validated: true})
 			stats.MarginalValidated++

@@ -45,7 +45,7 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			objs := makeObjects(600, 400, rand.New(rand.NewSource(5)))
+			objs := makeObjects(2000, 400, rand.New(rand.NewSource(5)))
 			tree := buildTree(t, UTree, objs, 9)
 			// One more record, so that no damaged page below is the data
 			// file's cached append page.
@@ -56,15 +56,16 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			q := Query{Rect: geom.NewRect(geom.Point{120, 130}, geom.Point{290, 270}), Prob: 0.4}
+			q := Query{Rect: geom.NewRect(geom.Point{120, 130}, geom.Point{290, 270}), Prob: 0.2}
 			want, wantStats, err := rangeQuery(tree, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Refinement visits the candidates — what the leaf filter leaves
-			// undecided — in (page, slot) order: damage the record of the
-			// median one among those that are answers.
+			// Refinement visits the candidates — what the stored faces leave
+			// undecided — in (page, slot) order and reads the record of
+			// those their shape leaves undecided too: damage the record of
+			// the median one among those that are answers.
 			snap := tree.Snapshot()
 			defer snap.Close()
 			answers := map[int64]bool{}
@@ -75,8 +76,9 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 			if err := tree.walk(snap.st.rootPage, func(n *node) error {
 				for i := range n.entries {
 					e := &n.entries[i]
-					if n.leaf() && answers[e.id] && pcr.FilterCFB(e.out, e.in, tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown {
-						cands = append(cands, candidate{e.id, e.addr})
+					if n.leaf() && answers[e.id] && pcr.FilterCFB(e.out, e.in, tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown &&
+						shapeOutcome(snap.st, tree.qcache, e, q) == pcr.Unknown {
+						cands = append(cands, candidate{id: e.id, addr: e.addr})
 					}
 				}
 				return nil
@@ -126,6 +128,110 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 			}
 			if done := stats.MarginalValidated + stats.MarginalPruned + stats.ProbComputations; done == 0 || done >= stats.Candidates {
 				t.Errorf("%d of %d candidates decided before the error", done, stats.Candidates)
+			}
+		})
+	}
+}
+
+// shapeOutcome is what rangeQuery's leaf makes of an entry the stored faces
+// left undecided.
+func shapeOutcome(st *treeState, qc *pcr.QuantileCache, e *entry, q Query) pcr.Outcome {
+	if e.shape == 0 {
+		return pcr.Unknown
+	}
+	sh := st.shapes[e.shape-1]
+	return pcr.FilterShape(sh.pdf, sh.mbr, e.mbr, q.Rect, q.Prob, qc)
+}
+
+// TestNNRecordErrorKeepsPartialNeighbours: the k-NN traversal ends on a
+// record it cannot read or decode the way it ends on a cancellation — the
+// error, wrapped with the object it was refining, the admissible neighbours
+// found so far and the stats closed over the work done.
+func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
+	for name, tc := range map[string]struct {
+		damage func(t *testing.T, tree *Tree, addr pagefile.DataAddr)
+		cause  error
+	}{
+		"tombstoned slot": {cause: pagefile.ErrBadSlot, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
+			if err := tree.data.Delete(addr); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"unknown pdf tag": {cause: updf.ErrCorruptPDF, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
+			page, err := tree.data.ReadPage(addr.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := binary.LittleEndian.Uint16(page[4+4*int(addr.Slot):])
+			page[off+8] = 0xEE // the byte after the 8-byte object id
+			if err := tree.store.Write(addr.Page, page); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			objs := makeObjects(600, 400, rand.New(rand.NewSource(6)))
+			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, BufferPages: 4, NodeCacheEntries: 8}, objs)
+			// One more record elsewhere, so that no damaged page below is the
+			// data file's cached append page.
+			if err := tree.Insert(Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			q, k := geom.Point{210, 190}, 12
+			want, wantStats, err := nearestNeighbors(tree, q, k)
+			if err != nil || len(want) != k {
+				t.Fatalf("fixture: %d neighbours, err %v", len(want), err)
+			}
+			// The fifth-nearest object is refined after the four before it
+			// and cannot be skipped: the traversal must meet its record.
+			victim := want[4].ID
+			var addr pagefile.DataAddr
+			if err := tree.walk(tree.rootPage, func(n *node) error {
+				for i := range n.entries {
+					if n.leaf() && n.entries[i].id == victim {
+						addr = n.entries[i].addr
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			snap := tree.Snapshot()
+			defer snap.Close()
+			tc.damage(t, tree, addr)
+
+			got, stats, err := snap.NearestNeighbors(context.Background(), q, k, QueryOpts{PageBudget: 1 << 20})
+			if !errors.Is(err, tc.cause) || !strings.Contains(err.Error(), "core: refining object") {
+				t.Fatalf("err = %v, want %v wrapped by the refinement stage", err, tc.cause)
+			}
+			if len(got) == 0 || len(got) >= k {
+				t.Fatalf("%d partial neighbours of %d", len(got), k)
+			}
+			full := map[int64]float64{}
+			for _, n := range want {
+				full[n.ID] = n.ExpectedDist
+			}
+			for i, n := range got {
+				if n.ID == victim {
+					t.Fatalf("the damaged object %d was reported", victim)
+				}
+				if i > 0 && got[i-1].ExpectedDist > n.ExpectedDist {
+					t.Fatalf("partial neighbours out of order: %v", got)
+				}
+				// Whatever it had integrated is integrated right; the nearest
+				// of them belong to the full answer.
+				if d, ok := full[n.ID]; ok && d != n.ExpectedDist {
+					t.Fatalf("neighbour %d at distance %v, undamaged %v", n.ID, n.ExpectedDist, d)
+				}
+			}
+			if stats.DistanceComps == 0 || stats.DistanceComps >= wantStats.DistanceComps || stats.NodeAccesses == 0 || stats.RefinementIOs == 0 {
+				t.Errorf("stats of the work done: %+v (undamaged %+v)", stats, wantStats)
+			}
+			if stats.PagesFetched == 0 {
+				t.Errorf("PagesFetched unset under an armed budget: %+v", stats)
+			}
+			if stats.NodeCacheHits+stats.NodeCacheMisses != stats.NodeAccesses {
+				t.Errorf("node cache outcomes %d+%d, %d node accesses", stats.NodeCacheHits, stats.NodeCacheMisses, stats.NodeAccesses)
 			}
 		})
 	}

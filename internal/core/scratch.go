@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pcr"
 )
 
 // Per-query scratch pooling: the traversal state a query allocates afresh
@@ -24,10 +25,12 @@ import (
 // Results are byte-identical to the unpooled path: pooling changes where
 // buffers live, never the order of appends, pops, or sampler draws.
 
-// candidate is a leaf entry awaiting refinement (id + data record address).
+// candidate is a leaf entry awaiting refinement: id, data record address and
+// what pcr.FilterShape made of it — Unknown where the record has to be read.
 type candidate struct {
-	id   int64
-	addr pagefile.DataAddr
+	id      int64
+	addr    pagefile.DataAddr
+	decided pcr.Outcome
 }
 
 // queryScratch is one query's reusable traversal state.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -68,13 +69,17 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			n := 1 + rng.Intn(tree.leafCap)
 			for i := 0; i < n; i++ {
 				leaf.entries = append(leaf.entries, entry{
-					id:   rng.Int63(),
-					addr: pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(100))},
-					mbr:  randRectIn(rng, dim, 1000),
-					out:  randCFB(rng, dim),
-					in:   randCFB(rng, dim),
+					id:    rng.Int63(),
+					addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
+					shape: uint16(rng.Intn(1 << 16)),
+					mbr:   randRectIn(rng, dim, 1000),
+					out:   randCFB(rng, dim),
+					in:    randCFB(rng, dim),
 				})
 			}
+			// The ends of the reference's range, beside a full-range address.
+			leaf.entries[0].shape, leaf.entries[n-1].shape = 0xFFFF, 0
+			leaf.entries[0].addr = pagefile.DataAddr{Page: 0xFFFFFFFF, Slot: 0xFFFF}
 			buf := make([]byte, pagefile.PageSize)
 			if err := tree.encodeNode(leaf, buf); err != nil {
 				return false
@@ -85,7 +90,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			}
 			for i := range leaf.entries {
 				a, b := &leaf.entries[i], &got.entries[i]
-				if a.id != b.id || a.addr != b.addr || !a.mbr.Equal(b.mbr) ||
+				if a.id != b.id || a.addr != b.addr || a.shape != b.shape || !a.mbr.Equal(b.mbr) ||
 					!cfbEqual(a.out, b.out) || !cfbEqual(a.in, b.in) {
 					return false
 				}
@@ -155,12 +160,14 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 				boxes[j] = geom.Rect{Lo: lo, Hi: hi}
 			}
 			leaf.entries = append(leaf.entries, entry{
-				id:   rng.Int63(),
-				addr: pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(100))},
-				mbr:  boxes[0].Clone(),
-				pcrs: boxes,
+				id:    rng.Int63(),
+				addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
+				shape: uint16(rng.Intn(1 << 16)),
+				mbr:   boxes[0].Clone(),
+				pcrs:  boxes,
 			})
 		}
+		leaf.entries[0].shape, leaf.entries[n-1].shape = 0xFFFF, 0
 		buf := make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(leaf, buf); err != nil {
 			return false
@@ -171,7 +178,7 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 		}
 		for i := range leaf.entries {
 			a, b := &leaf.entries[i], &got.entries[i]
-			if a.id != b.id || a.addr != b.addr || !a.mbr.Equal(b.mbr) {
+			if a.id != b.id || a.addr != b.addr || a.shape != b.shape || !a.mbr.Equal(b.mbr) {
 				return false
 			}
 			for j := 0; j < m; j++ {
@@ -298,7 +305,12 @@ func TestDecodeNodeRejectsCorruptCount(t *testing.T) {
 // Section 6.3: 16 CFB values per 2D U-tree entry (24 in 3D), 4 bytes each,
 // versus 2dm 8-byte PCR values per U-PCR entry.
 func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
-	// d=2 U-tree: id(8)+addr(8)+MBR(32)+CFBs(16 float32 = 64) = 112.
+	// The shape reference took two bytes that were there: on the page (the
+	// sizes and capacities below are what they were before it) and in memory.
+	if sz := unsafe.Sizeof(entry{}); sz != 168 {
+		t.Errorf("entry struct is %d bytes, was 168 before it held a shape reference", sz)
+	}
+	// d=2 U-tree: id(8)+addr(6)+shape(2)+MBR(32)+CFBs(16 float32 = 64) = 112.
 	leaf, inner := entrySizes(UTree, 2, 15)
 	if leaf != 112 {
 		t.Errorf("U-tree 2D leaf entry = %d B, want 112", leaf)

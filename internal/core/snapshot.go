@@ -21,6 +21,7 @@ type treeState struct {
 	rootLevel int
 	size      int
 	dataPage  pagefile.PageID
+	shapes    []shape // the shape table as of the epoch (shapes.go)
 	// rootMBR is the root boundary box at p = 0 — the rectangle containing
 	// every object MBR of the epoch. Captured at publication so sharded
 	// readers can prune whole shards against a query rect without touching
@@ -35,6 +36,7 @@ func (t *Tree) workingState() *treeState {
 		rootLevel: t.rootLevel,
 		size:      t.size,
 		dataPage:  t.data.CurrentPage(),
+		shapes:    t.shapes,
 	}
 	// Capture the root box only under adaptive planning: the quiet root
 	// read warms the buffer pool, which non-planned trees' exact I/O
@@ -102,6 +104,7 @@ func (t *Tree) Rollback() error {
 	t.rootLevel = st.rootLevel
 	t.size = st.size
 	t.data.SetCurrent(st.dataPage)
+	t.setShapes(st.shapes)
 	return t.vs.Rollback()
 }
 
@@ -187,6 +190,11 @@ func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 
 // CheckInvariants validates the pinned epoch's structure — usable while a
 // writer mutates the working tree, since the snapshot's pages are frozen.
-func (s *Snapshot) CheckInvariants() error {
-	return s.t.checkTreeAt(s.st.rootPage, s.st.rootLevel, s.st.size)
-}
+func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, false) }
+
+// CheckRecords is CheckInvariants plus a read of every record that a leaf
+// entry's shape reference vouches for.
+func (s *Snapshot) CheckRecords() error { return s.t.checkTreeAt(s.st, true) }
+
+// Shapes returns the size of the pinned epoch's shape table.
+func (s *Snapshot) Shapes() int { return len(s.st.shapes) }

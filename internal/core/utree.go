@@ -146,7 +146,12 @@ type Tree struct {
 
 	qcache  *pcr.QuantileCache
 	samples int
-	exact   bool
+
+	// The working shape table (shapes.go): the writer's, like rootPage.
+	// Queries read the pinned epoch's treeState.shapes.
+	shapes    []shape
+	shapeRefs map[string]uint16 // ShapeKey → reference
+	exact     bool
 
 	// choose is chooseSubtree's working set, reused by every descent of
 	// the one writer.
@@ -277,8 +282,10 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		meta:    meta,
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
-		exact:   opt.ExactRefinement,
-		seed:    seed,
+
+		shapeRefs: make(map[string]uint16),
+		exact:     opt.ExactRefinement,
+		seed:      seed,
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,
@@ -416,10 +423,11 @@ func (t *Tree) checkObject(o Object) error {
 // leafEntry derives the leaf entry of a checked object, without its data
 // address: PCRs at the catalog values, then CFBs (U-tree) or the PCR list
 // itself (U-PCR). It touches no tree state beyond the (locked) quantile
-// cache, so BulkLoad runs it on several goroutines.
-func (t *Tree) leafEntry(o Object) entry {
-	pcrs := pcr.Compute(o.PDF, t.cat, t.qcache)
-	e := entry{id: o.ID, mbr: o.PDF.MBR()}
+// cache — key is the pdf's ShapeKey, formatted once by the caller, shape
+// shapeRef's answer for it — so BulkLoad runs it on several goroutines.
+func (t *Tree) leafEntry(o Object, key string, shape uint16) entry {
+	pcrs := pcr.ComputeKeyed(o.PDF, key, t.cat, t.qcache)
+	e := entry{id: o.ID, mbr: o.PDF.MBR(), shape: shape}
 	if t.kind == UTree {
 		e.out = pcr.FitOut(pcrs)
 		e.in = pcr.FitIn(pcrs)
@@ -432,12 +440,13 @@ func (t *Tree) leafEntry(o Object) entry {
 	return e
 }
 
-// buildLeafEntry is checkObject + leafEntry.
+// buildLeafEntry is checkObject + shapeRef + leafEntry.
 func (t *Tree) buildLeafEntry(o Object) (entry, error) {
 	if err := t.checkObject(o); err != nil {
 		return entry{}, err
 	}
-	return t.leafEntry(o), nil
+	key := o.PDF.ShapeKey()
+	return t.leafEntry(o, key, t.shapeRef(key, o.PDF)), nil
 }
 
 // appendRecord appends the object's detail record (pdf parameters) to the

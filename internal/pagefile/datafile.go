@@ -187,13 +187,13 @@ func (df *DataFile) tryAppend(rec []byte) (DataAddr, bool) {
 	return DataAddr{Page: df.current, Slot: uint16(count)}, true
 }
 
-// Read returns one record.
+// Read returns one record, in a page of its own.
 func (df *DataFile) Read(addr DataAddr) ([]byte, error) {
 	buf := make([]byte, PageSize)
 	if err := df.store.Read(addr.Page, buf); err != nil {
 		return nil, err
 	}
-	return recordFromPage(buf, addr.Slot)
+	return RecordFromPage(buf, addr.Slot)
 }
 
 // ReadPage returns the raw page for addr.Page in one I/O; use
@@ -207,12 +207,11 @@ func (df *DataFile) ReadPage(id PageID) ([]byte, error) {
 }
 
 // RecordFromPage extracts slot `slot` from a page previously returned by
-// ReadPage, without further I/O.
-func RecordFromPage(page []byte, slot uint16) ([]byte, error) {
-	return recordFromPage(page, slot)
-}
-
-func recordFromPage(buf []byte, slot uint16) ([]byte, error) {
+// ReadPage, without further I/O and without a copy: the record where it lies
+// in the page, for the caller that holds the page (the query paths decode a
+// record and are done with it). Read is the form whose result is the
+// caller's to keep.
+func RecordFromPage(buf []byte, slot uint16) ([]byte, error) {
 	count := binary.LittleEndian.Uint16(buf[0:])
 	if slot >= count {
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, count)
@@ -225,9 +224,7 @@ func recordFromPage(buf []byte, slot uint16) ([]byte, error) {
 	if off+ln > PageSize {
 		return nil, fmt.Errorf("pagefile: corrupt slot %d (off=%d len=%d)", slot, off, ln)
 	}
-	out := make([]byte, ln)
-	copy(out, buf[off:off+ln])
-	return out, nil
+	return buf[off : off+ln : off+ln], nil
 }
 
 // Delete tombstones one record; see DeleteBatch.

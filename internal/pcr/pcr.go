@@ -76,6 +76,15 @@ func (qc *QuantileCache) offsets(p updf.PDF, shape string, dim int, cat Catalog)
 // pdfs. PCR faces obey the paper's definition: the appearance probability
 // left of pcr_i−(p_j) and right of pcr_i+(p_j) both equal p_j.
 func Compute(p updf.PDF, cat Catalog, cache *QuantileCache) PCRs {
+	shape := ""
+	if cache != nil {
+		shape = p.ShapeKey()
+	}
+	return ComputeKeyed(p, shape, cat, cache)
+}
+
+// ComputeKeyed is Compute for a caller that has shape = p.ShapeKey() in hand.
+func ComputeKeyed(p updf.PDF, shape string, cat Catalog, cache *QuantileCache) PCRs {
 	d := p.Dim()
 	m := cat.Size()
 	ctr := p.Center()
@@ -85,10 +94,6 @@ func Compute(p updf.PDF, cat Catalog, cache *QuantileCache) PCRs {
 	for j := 0; j < m; j++ {
 		los[j] = make([]float64, d)
 		his[j] = make([]float64, d)
-	}
-	shape := ""
-	if cache != nil {
-		shape = p.ShapeKey()
 	}
 	for i := 0; i < d; i++ {
 		off := cache.offsets(p, shape, i, cat)

@@ -1,6 +1,8 @@
 package pcr
 
 import (
+	"math"
+
 	"repro/internal/geom"
 	"repro/internal/updf"
 )
@@ -237,4 +239,35 @@ func (qc *QuantileCache) marginalTails(p updf.PDF, dim int, a, b float64) (left,
 	left.lo, left.hi = t.bracket(a - c)
 	below, atMost := t.bracket(b - c)
 	return left, tail{1 - atMost, 1 - below}
+}
+
+// ShapeSlack is δ on dimension i for an object with MBR mbr read through a
+// prototype of its shape with MBR pm: mbr.Lo recovers the translation only
+// to rounding, so a coordinate carried over is good to a few ulps of the
+// largest one involved — 16 here, eight times what TestShapeDecisionSound
+// needs. The two MBRs' extents agree to within δ.
+func ShapeSlack(pm, mbr geom.Rect, i int) float64 {
+	return max(math.Abs(pm.Lo[i]), math.Abs(pm.Hi[i]), math.Abs(mbr.Lo[i]), math.Abs(mbr.Hi[i])) / (1 << 48)
+}
+
+// ProbBoundsShape is ProbBoundsMarginal for an object whose record has not
+// been read: known are its MBR and proto, a pdf of its (non-empty) ShapeKey —
+// the same density up to translation — with MBR pm. rq is carried into
+// proto's frame and every tail bracketed between marginalTails with its face
+// pushed in by δ (the tail at its largest) and pulled out by δ (smallest),
+// then the pair is widened by boundPruneEps, far above what one CDF formula
+// evaluated on two translates differs by. So the bracket holds the one
+// ProbBoundsMarginal gives on the object's pdf, and FilterShape decides
+// nothing FilterMarginal does not decide the same way.
+func ProbBoundsShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+	acc := newBounds()
+	for i := range rq.Lo {
+		shift, d := pm.Lo[i]-mbr.Lo[i], ShapeSlack(pm, mbr, i)
+		a, b := rq.Lo[i]+shift, rq.Hi[i]+shift
+		inL, inR := cache.marginalTails(proto, i, a+d, b-d)
+		outL, outR := cache.marginalTails(proto, i, a-d, b+d)
+		acc.add(tail{outL.lo, inL.hi}, tail{outR.lo, inR.hi})
+	}
+	lb, ub = acc.result()
+	return max(lb-boundPruneEps, 0), min(ub+boundPruneEps, 1)
 }

@@ -112,6 +112,17 @@ func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome 
 // every decision taken here.
 func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
 	lb, ub := ProbBoundsMarginal(p, rq, cache)
+	return decideMarginal(lb, ub, pq)
+}
+
+// FilterShape is FilterMarginal before the object's record is read, on a
+// prototype of its shape: FilterMarginal confirms whatever it decides.
+func FilterShape(proto updf.PDF, pm, mbr, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
+	lb, ub := ProbBoundsShape(proto, pm, mbr, rq, cache)
+	return decideMarginal(lb, ub, pq)
+}
+
+func decideMarginal(lb, ub, pq float64) Outcome {
 	switch {
 	case lb >= pq+boundPruneEps:
 		return Validated

@@ -301,7 +301,8 @@ func TestIndexConformance(t *testing.T) {
 						}
 						total.Add(stats)
 					}
-					if total.MarginalValidated == 0 || total.MarginalPruned == 0 || total.ProbComputations == 0 {
+					// ShapeDecided: the fixture's Con-Gau objects share one shape.
+					if total.MarginalValidated == 0 || total.MarginalPruned == 0 || total.ProbComputations == 0 || total.ShapeDecided == 0 {
 						t.Fatalf("workload leaves a refinement outcome unexercised: %+v", total)
 					}
 					for i, pt := range points {
@@ -504,8 +505,8 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 	if err := raw.Read(fileMetaPage, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:4]) != "2RTU" { // "UTR2", little endian
-		t.Fatalf("metadata magic %q, want UTR2", buf[:4])
+	if string(buf[:4]) != "3RTU" { // "UTR3", little endian
+		t.Fatalf("metadata magic %q, want UTR3", buf[:4])
 	}
 	buf[0] = '1'
 	if err := raw.Write(fileMetaPage, buf); err != nil {
@@ -520,6 +521,135 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 			tree.Close()
 		}
 		t.Fatalf("OpenTree on a UTR1 file: err = %v, want ErrOldLayout", err)
+	}
+}
+
+// TestIndexConformanceShapes is the conformance contract of the shape table,
+// one keyed pdf family at a time: in a dataset of two shapes of the family,
+// range queries decide candidates at the leaf, before their record is read,
+// and return — result for result, in order, probabilities included — what
+// the same file returns once its table is emptied and every candidate is
+// refined from its record again.
+func TestIndexConformanceShapes(t *testing.T) {
+	lattice := func(rng *rand.Rand, step float64) Point {
+		return Pt(step*float64(rng.Intn(int(conformanceSpan/step))), step*float64(rng.Intn(int(conformanceSpan/step))))
+	}
+	box := func(c Point, hx, hy float64) Rect { return Box(Pt(c[0]-hx, c[1]-hy), Pt(c[0]+hx, c[1]+hy)) }
+	// Rectangles lie on a lattice of eighths, where hi − lo, which their
+	// ShapeKey holds as computed, comes out the same wherever they are; the
+	// polygon, whose key holds vertex − centroid, on a lattice of sixes.
+	families := []struct {
+		name string
+		pdf  func(rng *rand.Rand, big bool) PDF
+	}{
+		{"circle", func(rng *rand.Rand, big bool) PDF {
+			return UniformCircle(Pt(rng.Float64()*conformanceSpan, rng.Float64()*conformanceSpan), map[bool]float64{false: 14, true: 22.5}[big])
+		}},
+		{"con-gau", func(rng *rand.Rand, big bool) PDF {
+			return ConstrainedGaussian(Pt(rng.Float64()*conformanceSpan, rng.Float64()*conformanceSpan), map[bool]float64{false: 15, true: 24}[big], 7.5)
+		}},
+		{"box", func(rng *rand.Rand, big bool) PDF {
+			return UniformBox(box(lattice(rng, 0.125), map[bool]float64{false: 12, true: 20}[big], 16))
+		}},
+		{"gauss-box", func(rng *rand.Rand, big bool) PDF {
+			c := lattice(rng, 0.125)
+			return TruncatedGaussianBox(box(c, 18, map[bool]float64{false: 12, true: 20}[big]), Pt(c[0]-4, c[1]+2), []float64{12, 9})
+		}},
+		{"expo-box", func(rng *rand.Rand, big bool) PDF {
+			return ExponentialBox(box(lattice(rng, 0.125), map[bool]float64{false: 12, true: 20}[big], 16), []float64{0.05, 0.03})
+		}},
+		{"polygon", func(rng *rand.Rand, big bool) PDF {
+			c, a := lattice(rng, 6), map[bool]float64{false: 18, true: 30}[big]
+			return UniformPolygon([]Point{{c[0] + a, c[1]}, {c[0] + 6, c[1] + 18}, {c[0] - 6, c[1] + 18}, {c[0] - a, c[1]}, {c[0] - 6, c[1] - 18}, {c[0] + 6, c[1] - 18}})
+		}},
+	}
+	queries := append(shardedFixtureQueries(24, 35), latticeFixtureQueries(6, 30, 0.3)...)
+	searchAll := func(t *testing.T, idx *Tree) (out [][]Result, total Stats) {
+		t.Helper()
+		for i, q := range queries {
+			res, stats, err := idx.Search(context.Background(), q.Rect, q.Prob)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			out = append(out, res)
+			total.Add(stats)
+		}
+		return out, total
+	}
+	for _, f := range families {
+		for _, mc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/mc=%v", f.name, mc), func(t *testing.T) {
+				cfg := Config{Dimensions: 2, ExactRefinement: !mc, MonteCarloSamples: 300, Path: filepath.Join(t.TempDir(), "shapes.utree")}
+				idx, err := NewTree(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(37))
+				bulk := make(map[int64]PDF)
+				for id := int64(0); id < 400; id++ {
+					bulk[id] = f.pdf(rng, id%3 == 0)
+				}
+				if err := idx.BulkLoad(bulk); err != nil {
+					t.Fatal(err)
+				}
+				for id := int64(400); id < 440; id++ {
+					if err := idx.Insert(id, f.pdf(rng, id%3 == 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if idx.Shapes() != 2 {
+					t.Fatalf("%d shapes in the table, the dataset has 2", idx.Shapes())
+				}
+				if err := idx.CheckRecords(); err != nil {
+					t.Fatal(err)
+				}
+				want, with := searchAll(t, idx)
+				if with.ShapeDecided == 0 || with.ShapeDecided > with.MarginalValidated+with.MarginalPruned {
+					t.Fatalf("%d candidates decided before their record was read: %+v", with.ShapeDecided, with)
+				}
+				if err := idx.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// Empty the table in the file: count u16 behind the 36 bytes
+				// of fixed metadata. Every reference now points past the
+				// table and is ignored, as in a build without one.
+				raw, err := pagefile.OpenFileStore(cfg.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				meta := make([]byte, pagefile.PageSize)
+				if err := raw.Read(fileMetaPage, meta); err != nil {
+					t.Fatal(err)
+				}
+				if meta[36] != 2 || meta[37] != 0 {
+					t.Fatalf("shape count on the metadata page reads %d, %d", meta[36], meta[37])
+				}
+				meta[36] = 0
+				if err := raw.Write(fileMetaPage, meta); err != nil {
+					t.Fatal(err)
+				}
+				if err := raw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				bare, err := OpenTree(cfg.Path, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer bare.Discard()
+				got, without := searchAll(t, bare)
+				requireSameResults(t, "without the shape table", want, got)
+				if bare.Shapes() != 0 || without.ShapeDecided != 0 || without.RefinementIOs <= with.RefinementIOs {
+					t.Fatalf("without the table: %d shapes, %d shape decisions, %d data pages read (%d with it)",
+						bare.Shapes(), without.ShapeDecided, without.RefinementIOs, with.RefinementIOs)
+				}
+				with.ShapeDecided, with.RefinementIOs, without.RefinementIOs = 0, 0, 0
+				if with.Candidates != without.Candidates || with.ProbComputations != without.ProbComputations ||
+					with.MarginalValidated != without.MarginalValidated || with.MarginalPruned != without.MarginalPruned || with.Validated != without.Validated {
+					t.Fatalf("decisions differ with and without the table:\n with    %+v\n without %+v", with, without)
+				}
+			})
+		}
 	}
 }
 

@@ -180,7 +180,12 @@ func TestCrashRecoveryKilledInsert(t *testing.T) {
 // WriteBatch: three far-away inserts plus the delete of the golden
 // victim, published as ONE epoch. Recovery must land exactly on a batch
 // boundary — the recovered tree holds either the full batch or none of
-// it, never two of the inserts or the delete alone.
+// it, never two of the inserts or the delete alone. The second insert brings
+// a pdf shape the golden file does not know, so the batch also appends to
+// the shape table, which the same metadata write commits: at no offset does
+// a recovered leaf entry name a shape the recovered table lacks (that is
+// CheckInvariants, which the sweep runs), and the new shape is there exactly
+// when the batch is.
 func TestCrashRecoveryKilledBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
@@ -200,7 +205,8 @@ func TestCrashRecoveryKilledBatch(t *testing.T) {
 		func(tree *Tree) error {
 			return tree.WriteBatch(func(w BatchWriter) error {
 				for i := int64(0); i < 3; i++ {
-					if err := w.Insert(9100+i, UniformCircle(Pt(5000+float64(i)*40, 5000), 12)); err != nil {
+					radius := []float64{12, 17, 12}[i] // 17: a shape of its own
+					if err := w.Insert(9100+i, UniformCircle(Pt(5000+float64(i)*40, 5000), radius)); err != nil {
 						return err
 					}
 				}
@@ -210,14 +216,17 @@ func TestCrashRecoveryKilledBatch(t *testing.T) {
 		func(t *testing.T, k int, rt *Tree, opOK bool) {
 			got := crashSearchAll(t, rt, queries)
 			requireSameResults(t, "recovered", want, got)
-			// Batch boundary: +3 inserts, -1 delete when the batch epoch
-			// published; byte-identical golden state when it did not.
+			// Batch boundary: +3 inserts, -1 delete and +1 shape when the batch
+			// epoch published; byte-identical golden state when it did not.
 			switch {
-			case opOK && rt.Len() == wantLen+2:
-			case !opOK && rt.Len() == wantLen:
+			case opOK && rt.Len() == wantLen+2 && rt.Shapes() == 2:
+			case !opOK && rt.Len() == wantLen && rt.Shapes() == 1:
 			default:
-				t.Fatalf("offset %d: opOK=%v but recovered Len %d (batch atomicity: want %d on failure, %d on success)",
-					k, opOK, rt.Len(), wantLen, wantLen+2)
+				t.Fatalf("offset %d: opOK=%v but recovered Len %d with %d shapes (batch atomicity: want %d and 1 on failure, %d and 2 on success)",
+					k, opOK, rt.Len(), rt.Shapes(), wantLen, wantLen+2)
+			}
+			if err := rt.CheckRecords(); err != nil {
+				t.Fatalf("offset %d: %v", k, err)
 			}
 		})
 }

@@ -58,10 +58,12 @@ type BatchStats struct {
 	ValidatedPct float64
 	Results      int
 	// MarginalValidated and MarginalPruned count the refinement candidates
-	// of a range batch that were decided on their pdf's marginals after the
-	// record was read, without a probability computation (see Stats).
+	// of a range batch that were decided on their pdf's marginals, without
+	// a probability computation; ShapeDecided those among them decided
+	// before their record was read (see Stats).
 	MarginalValidated int
 	MarginalPruned    int
+	ShapeDecided      int
 
 	// Buffer-pool deltas over the batch's wall-time window. The pool's
 	// counters are tree-wide, so when batches overlap on one tree — or
@@ -308,6 +310,7 @@ func (e *QueryEngine) SearchBatch(ctx context.Context, queries []RangeQuery, opt
 	stats.Results = agg.Results
 	stats.MarginalValidated = agg.MarginalValidated
 	stats.MarginalPruned = agg.MarginalPruned
+	stats.ShapeDecided = agg.ShapeDecided
 	stats.PrefetchIssued = agg.PrefetchIssued
 	stats.PrefetchCoalesced = agg.PrefetchCoalesced
 	stats.PrefetchWasted = agg.PrefetchWasted

@@ -468,6 +468,34 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	}
 }
 
+// TestCloseRetriesItsOwnWrites: the cancelled context Close binds to the
+// retry layer (so no reader sits out a backoff through teardown) must not
+// be in force for Close's own final commit — a transient fault on one of
+// its writes is retried like any other, not surfaced.
+func TestCloseRetriesItsOwnWrites(t *testing.T) {
+	var chaos *pagefile.ChaosStore
+	cfg := faultTestConfig(filepath.Join(t.TempDir(), "close.utree"))
+	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
+		chaos = pagefile.NewChaosStore(s, 1)
+		return chaos
+	}
+	tr, err := NewTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Insert(1, UniformCircle(Pt(500, 500), 10)); err != nil {
+		t.Fatal(err)
+	}
+	rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultTransient, Countdown: -1})
+	rule.Arm(0) // the very next write, which is Close's
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close under one transient write fault: %v", err)
+	}
+	if rule.Triggered() != 1 {
+		t.Fatalf("fault fired %d times, want 1: Close wrote nothing?", rule.Triggered())
+	}
+}
+
 // TestFaultedQueriesLeakNothing hammers prefetching queries with a mix of
 // absorbed transient faults and hard failures, then checks the error
 // paths released everything: no leaked snapshot pins, the reclaimer still

@@ -187,7 +187,13 @@ func TestSpatialRoutingLifecycle(t *testing.T) {
 // shed overlapping queries with ErrAdmission (counted, non-fatal) while an
 // idle engine always admits, whatever the prediction.
 func TestAdmissionControl(t *testing.T) {
-	ct, err := NewConcurrentTree(spatialCfg())
+	// Shedding needs two queries in flight at once. A query the leaf decides
+	// without reading a record is over in microseconds, so the overlap is
+	// made, not hoped for: no node cache, a four-page pool and a millisecond
+	// per physical read hold every query in flight while its worker sleeps.
+	cfg := spatialCfg()
+	cfg.NodeCacheEntries, cfg.BufferPages, cfg.SimulatedPageLatency = -1, 4, time.Millisecond
+	ct, err := NewConcurrentTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,8 @@ type PDF = updf.PDF
 // was ever computed: Validated is true
 // and Prob is -1 ("validated without probability computation"). The same
 // holds for a refinement candidate whose record was read and whose pdf's
-// own marginals then put the lower bound at the threshold. Prob holds the
+// own marginals — its shape's, at the leaf, where that decides — then put
+// the lower bound at the threshold. Prob holds the
 // computed probability only for objects whose probability had to be
 // computed to decide them.
 type Result = core.Result
@@ -62,7 +63,8 @@ type Result = core.Result
 // and refinement I/Os. Candidates is the paper's "probability computations"
 // (what the leaf filter left undecided); ProbComputations counts those that
 // were in fact integrated, MarginalValidated and MarginalPruned those
-// decided on their pdf's marginals instead.
+// decided on their pdf's marginals instead — ShapeDecided of them before
+// their record was read.
 type Stats = core.QueryStats
 
 // Pt builds a Point.
@@ -583,6 +585,21 @@ func (t *Tree) CheckInvariants() error {
 	return snap.CheckInvariants()
 }
 
+// Shapes returns the size of the committed shape table (README "Leaf layout").
+func (t *Tree) Shapes() int {
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.Shapes()
+}
+
+// CheckRecords is CheckInvariants plus a read of the record of every object
+// whose leaf entry names a shape: the pdf in it must have that shape.
+func (t *Tree) CheckRecords() error {
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.CheckRecords()
+}
+
 // Close stops the group-deadline timer, the background reclaimer and the
 // scrubber, commits any final state — sealing an open commit group —
 // drains the last retired pages, and, for file-backed trees, closes the
@@ -604,13 +621,14 @@ func (t *Tree) Close() error {
 		return nil
 	}
 	t.closed = true
-	t.unblockRetries()
 	t.inner.StopBackgroundReclaim()
 	err := t.inner.Commit()
 	t.groupOps, t.undo = 0, t.undo[:0]
 	if err == nil {
 		err = t.inner.Reclaim()
 	}
+	// Only now: the final commit's own writes are retried like any other.
+	t.unblockRetries()
 	if t.file != nil {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
