@@ -228,9 +228,8 @@ func stats(path string, cfg uncertain.Config) error {
 	fmt.Printf("shapes:    %d in the shape table\n", tree.Shapes())
 	gc := tree.GCInfo()
 	fmt.Printf("epoch:     %d (%d snapshot pins)\n", gc.Epoch, gc.Pins)
-	fmt.Printf("gc:        pending %d epochs / %d pages / %d tombstones; reclaimed %d pages, %d tombstones lifetime\n",
-		gc.PendingEpochs, gc.PendingPages, gc.PendingTombstones,
-		gc.ReclaimedPages, gc.ReclaimedTombstones)
+	fmt.Printf("gc:        pending %d epochs / %d pages; reclaimed %d pages lifetime\n",
+		gc.PendingEpochs, gc.PendingPages, gc.ReclaimedPages)
 	if gc.ReclaimerRunning {
 		fmt.Printf("reclaimer: running in background\n")
 	}

@@ -2,8 +2,8 @@
 // PR 5: committed pages are byte-immutable, so every page mutation must
 // flow through the blessed relocation/commit funnel — writeNode (which
 // relocates committed nodes to shadow pages), writeMeta (the commit
-// point), the buffer-pool write-back paths, and the slotted data-page
-// funnels. A Store.Write, BufferPool.Put, or MarkInPlace call anywhere
+// point), the buffer-pool write-back paths, and the data file's
+// append-page flush. A Store.Write, BufferPool.Put, or MarkInPlace call anywhere
 // else is a latent snapshot-isolation break that the runtime COW check
 // would only catch when that exact path executes.
 package cowwrite
@@ -27,8 +27,9 @@ var Analyzer = &framework.Analyzer{
 // funnel is the set of functions allowed to mutate pages directly:
 // store wrappers delegating inward (Write, MarkInPlace), the node
 // relocation and metadata commit funnels (writeNode, writeMeta), the
-// buffer-pool write-back paths (insert, Flush), and the slotted
-// data-page funnels (flushLocked, DeleteBatch, markInPlace).
+// buffer-pool write-back paths (insert, Flush), and the data file's
+// append-page funnels (flushLocked, markInPlace) — the only in-place
+// data-page writer, since records are write-once.
 var funnel = map[string]bool{
 	"Write":       true,
 	"MarkInPlace": true,
@@ -37,7 +38,6 @@ var funnel = map[string]bool{
 	"insert":      true,
 	"Flush":       true,
 	"flushLocked": true,
-	"DeleteBatch": true,
 	"markInPlace": true,
 }
 
@@ -83,7 +83,7 @@ func run(pass *framework.Pass) error {
 					}
 				case "MarkInPlace":
 					pass.Reportf(call.Pos(),
-						"MarkInPlace outside the COW funnel in %s: only the metadata and slotted data-page funnels may exempt a page from copy-on-write",
+						"MarkInPlace outside the COW funnel in %s: only the metadata and append-page funnels may exempt a page from copy-on-write",
 						fd.Name.Name)
 				}
 				return true

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -84,15 +86,41 @@ func TestCommitRollbackVisibility(t *testing.T) {
 	}
 }
 
-// TestGCStatsCounters checks the extended GC surface end to end: deletes
-// queue per-page tombstones, the counters move, and an idle reclaim drains
-// everything.
+// pageLog is a MemStore that, while armed, notes which pages are read and
+// written.
+type pageLog struct {
+	*pagefile.MemStore
+	armed   bool
+	touched map[pagefile.PageID]bool
+}
+
+func (s *pageLog) Read(id pagefile.PageID, buf []byte) error {
+	if s.armed {
+		s.touched[id] = true
+	}
+	return s.MemStore.Read(id, buf)
+}
+
+func (s *pageLog) Write(id pagefile.PageID, buf []byte) error {
+	if s.armed {
+		s.touched[id] = true
+	}
+	return s.MemStore.Write(id, buf)
+}
+
+// TestGCInfoCounters: a delete stops at the leaf. Twenty deletes committed
+// in one epoch behind a pinned snapshot, the pin's release and the reclaim
+// that follows neither read nor write a data page; what they leave for the
+// collector is retired node pages, which the counters report; and the pinned
+// snapshot goes on reading the deleted objects' records for as long as it
+// lives, because nothing was done to them.
 func TestGCInfoCounters(t *testing.T) {
-	tree, err := New(Options{Dim: 2, ExactRefinement: true})
+	store := &pageLog{MemStore: pagefile.NewMemStore(), touched: map[pagefile.PageID]bool{}}
+	tree, err := New(Options{Dim: 2, ExactRefinement: true, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs := makeObjects(60, 1000, rand.New(rand.NewSource(5)))
+	objs := makeObjects(400, 1000, rand.New(rand.NewSource(5)))
 	for _, o := range objs {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
@@ -101,8 +129,55 @@ func TestGCInfoCounters(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	var doomed []Object // every twentieth: spread over the data pages
+	for i := 0; i < len(objs); i += 20 {
+		doomed = append(doomed, objs[i])
+	}
+	// Data pages: what the tree references that is neither node nor metadata.
+	dataPages, err := tree.ReachablePages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(dataPages, tree.MetaPage())
+	addrs := map[int64]pagefile.DataAddr{}
+	if err := tree.walk(tree.rootPage, func(n *node) error {
+		delete(dataPages, n.page)
+		for i := range n.entries {
+			if n.leaf() {
+				addrs[n.entries[i].id] = n.entries[i].addr
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	onPages := map[pagefile.PageID]bool{}
+	for _, o := range doomed {
+		onPages[addrs[o.ID].Page] = true
+	}
+	if len(doomed) != 20 || len(onPages) < 3 {
+		t.Fatalf("fixture: %d victims on %d of %d data pages, want 20 on several", len(doomed), len(onPages), len(dataPages))
+	}
+	dataTouched := func() []pagefile.PageID {
+		var ids []pagefile.PageID
+		for id := range store.touched {
+			if dataPages[id] {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+
 	snap := tree.Snapshot() // blocks the drain
-	for _, o := range objs[:20] {
+	before := tree.GCInfo()
+	q := Query{Rect: geom.NewRect(geom.Point{100, 100}, geom.Point{800, 800}), Prob: 0.5}
+	want, wantStats, err := snap.RangeQuery(context.Background(), q, QueryOpts{})
+	if err != nil || wantStats.RefinementIOs == 0 {
+		t.Fatalf("fixture query: %d refinement IOs, err %v", wantStats.RefinementIOs, err)
+	}
+
+	store.armed = true
+	for _, o := range doomed {
 		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
 			t.Fatal(err)
 		}
@@ -110,19 +185,57 @@ func TestGCInfoCounters(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	info := tree.GCInfo()
-	if info.PendingEpochs == 0 || info.PendingTombstones != 20 {
-		t.Fatalf("with a pin held: %+v, want pending epochs > 0, 20 tombstones", info)
+	store.armed = false
+	if ids := dataTouched(); len(ids) != 0 {
+		t.Fatalf("20 deletes and their commit touched data pages %v", ids)
 	}
+	info := tree.GCInfo()
+	if info.PendingEpochs == 0 || info.PendingPages == 0 || info.ReclaimedPages != before.ReclaimedPages {
+		t.Fatalf("with a pin held: %+v, want retired pages pending and none reclaimed", info)
+	}
+
+	// The pinned epoch still holds every object and refines them.
+	got, _, err := snap.RangeQuery(context.Background(), q, QueryOpts{})
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("pinned query after the deletes: %d results, err %v; want %d", len(got), err, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("pinned result %d = %+v, was %+v before the deletes", i, got[i], want[i])
+		}
+	}
+	for _, o := range doomed {
+		rec, err := tree.data.Read(addrs[o.ID])
+		if err != nil {
+			t.Fatalf("record of deleted object %d: %v", o.ID, err)
+		}
+		if obj, err := decodeObject(rec); err != nil || obj.ID != o.ID {
+			t.Fatalf("record of deleted object %d decodes as %d, err %v", o.ID, obj.ID, err)
+		}
+	}
+	if err := snap.CheckRecords(); err != nil {
+		t.Fatalf("pinned epoch's records: %v", err)
+	}
+
+	store.armed = true
 	snap.Close()
 	if err := tree.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
-	info = tree.GCInfo()
-	if info.PendingPages != 0 || info.PendingTombstones != 0 {
-		t.Fatalf("after reclaim: %+v, want nothing pending", info)
+	store.armed = false
+	if ids := dataTouched(); len(ids) != 0 {
+		t.Fatalf("reclaim touched data pages %v", ids)
 	}
-	if info.ReclaimedTombstones != 20 || info.ReclaimedPages == 0 {
-		t.Fatalf("reclaim counters %+v, want 20 tombstones and some pages", info)
+	after := tree.GCInfo()
+	if after.PendingPages != 0 || after.PendingEpochs != 0 || after.ReclaimedPages-info.ReclaimedPages != int64(info.PendingPages) {
+		t.Fatalf("after reclaim: %+v, want the %d pending pages reclaimed", after, info.PendingPages)
+	}
+	if tree.Len() != len(objs)-len(doomed) {
+		t.Fatalf("Len = %d, want %d", tree.Len(), len(objs)-len(doomed))
+	}
+	final := tree.Snapshot()
+	defer final.Close()
+	if err := final.CheckRecords(); err != nil {
+		t.Fatalf("records after reclaim: %v", err)
 	}
 }

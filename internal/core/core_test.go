@@ -546,6 +546,120 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenFileWithTombstonedSlots: an index written when deletes still
+// zeroed the slot length of the records they unreferenced opens and keeps
+// working — no leaf points at a dead slot, so every check passes, appends
+// go after the dead slots on the append page, and the dead slots stay dead.
+func TestOpenFileWithTombstonedSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	objs := makeObjects(150, 600, rng)
+	store := pagefile.NewMemStore()
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	addrs := map[int64]pagefile.DataAddr{}
+	if err := tree.walk(tree.rootPage, func(n *node) error {
+		for i := range n.entries {
+			if n.leaf() {
+				addrs[n.entries[i].id] = n.entries[i].addr
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The first and the last ten die: a sealed page and the append page.
+	dead := append(append([]Object(nil), objs[:10]...), objs[140:]...)
+	live := objs[10:140]
+	for _, o := range dead {
+		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	appendPage := tree.data.CurrentPage()
+	if addrs[dead[0].ID].Page == appendPage || addrs[dead[19].ID].Page != appendPage {
+		t.Fatalf("fixture: dead records at %+v and %+v, append page %d", addrs[dead[0].ID], addrs[dead[19].ID], appendPage)
+	}
+	// What the old collector then did to the file.
+	page := make([]byte, pagefile.PageSize)
+	for _, o := range dead {
+		a := addrs[o.ID]
+		if err := store.Read(a.Page, page); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(page[4+4*int(a.Slot)+2:], 0)
+		if err := store.Write(a.Page, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecords := func() {
+		t.Helper()
+		snap := re.Snapshot()
+		defer snap.Close()
+		if err := snap.CheckRecords(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRecords()
+	if re.Len() != len(live) {
+		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(live))
+	}
+	extra := makeObjects(5, 600, rng)
+	for i := range extra {
+		extra[i].ID = int64(1000 + i)
+		if err := re.Insert(extra[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords()
+	if err := re.walk(re.rootPage, func(n *node) error {
+		for i := range n.entries {
+			if e := &n.entries[i]; n.leaf() && e.id >= 1000 && (e.addr.Page != appendPage || e.addr.Slot <= addrs[dead[19].ID].Slot) {
+				t.Errorf("object %d appended at %+v, want page %d after slot %d", e.id, e.addr, appendPage, addrs[dead[19].ID].Slot)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range dead {
+		if _, err := re.data.Read(addrs[o.ID]); !errors.Is(err, pagefile.ErrBadSlot) {
+			t.Fatalf("dead slot %+v read: %v, want ErrBadSlot", addrs[o.ID], err)
+		}
+	}
+	scan := NewScan(append(append([]Object(nil), live...), extra...), 9, 0, true, 1)
+	for q := 0; q < 20; q++ {
+		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
+		got, _, err := rangeQuery(re, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scan.BruteForce(query); !sameIDs(resultIDs(got), resultIDs(want)) {
+			t.Fatalf("query %d: %d results, brute force %d", q, len(got), len(want))
+		}
+	}
+}
+
 func TestOpenBadMeta(t *testing.T) {
 	store := pagefile.NewMemStore()
 	id, _ := store.Alloc()

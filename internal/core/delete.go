@@ -11,10 +11,12 @@ import (
 // ErrNotFound is returned by Delete when no entry matches.
 var ErrNotFound = fmt.Errorf("core: object not found")
 
-// Delete removes the object with the given id and pdf MBR from the index
-// and tombstones its data record. The MBR guides the descent (only subtrees
-// whose bounding geometry can contain the object's entry are visited),
-// mirroring R-tree deletion.
+// Delete removes the object with the given id and pdf MBR from the index.
+// It stops at the leaf: the object's data record is write-once and stays
+// where it is, unreferenced once this delete commits, so a snapshot pinned
+// earlier can still refine it and the data file sees no I/O. The MBR guides
+// the descent (only subtrees whose bounding geometry can contain the
+// object's entry are visited), mirroring R-tree deletion.
 func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
@@ -26,7 +28,6 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	if leaf == nil {
 		return ErrNotFound
 	}
-	addr := leaf.entries[idx].addr
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	if err := t.writeNode(leaf); err != nil {
 		return err
@@ -34,12 +35,6 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	if err := t.condense(leaf, path); err != nil {
 		return err
 	}
-	// Tombstoning the data record is deferred to the epoch GC: a snapshot
-	// pinned before this delete commits still holds a leaf entry pointing
-	// at the record and must be able to refine it. The GC coalesces the
-	// epoch's tombstones per data page and applies them once no such
-	// snapshot remains.
-	t.vs.DeferTombstone(addr.Page, addr.Slot)
 	t.size--
 
 	t.deleteStats.Ops++

@@ -106,7 +106,6 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.size = int(binary.LittleEndian.Uint64(buf[16:]))
 	t.data = pagefile.OpenDataFileAt(t.store, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
-	t.vs.SetTombstoner(t.data.DeleteBatch)
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
 	t.vs.SeedState(t.workingState())

@@ -15,35 +15,50 @@ import (
 	"repro/internal/updf"
 )
 
+// damageRecord edits the stored copy of the sealed data page that holds addr.
+// The tree itself can no longer write such a page, so the write goes in
+// under a momentary exemption, the way bit rot would without asking. edit
+// gets the page and the offset of the record's slot-table entry (offset,
+// length: two bytes each).
+func damageRecord(t *testing.T, tree *Tree, addr pagefile.DataAddr, edit func(page []byte, slotEntry int)) {
+	t.Helper()
+	page, err := tree.data.ReadPage(addr.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(page, 4+4*int(addr.Slot))
+	tree.vs.MarkInPlace(addr.Page)
+	defer tree.vs.UnmarkInPlace(addr.Page)
+	if err := tree.store.Write(addr.Page, page); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordDamage is the damage both record-error tests below inflict, by the
+// error the query must then report.
+var recordDamage = map[string]struct {
+	edit  func(page []byte, slotEntry int)
+	cause error
+}{
+	// RecordFromPage fails: the slot's length is zero, as in a file whose
+	// writer still tombstoned deleted records, with a leaf entry pointing at
+	// it all the same.
+	"tombstoned slot": {cause: pagefile.ErrBadSlot, edit: func(page []byte, slotEntry int) {
+		binary.LittleEndian.PutUint16(page[slotEntry+2:], 0)
+	}},
+	// decodeObject fails: the record's pdf type tag is overwritten.
+	"unknown pdf tag": {cause: updf.ErrCorruptPDF, edit: func(page []byte, slotEntry int) {
+		off := binary.LittleEndian.Uint16(page[slotEntry:])
+		page[off+8] = 0xEE // the byte after the 8-byte object id
+	}},
+}
+
 // TestRefinementRecordErrorKeepsPartialResults: a candidate whose record
 // cannot be read or decoded ends the query like a cancellation or a spent
 // budget does — the error, the answers gathered so far and the stats closed
 // over the work done — not with the answers thrown away.
 func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
-	for name, tc := range map[string]struct {
-		damage func(t *testing.T, tree *Tree, addr pagefile.DataAddr)
-		cause  error
-	}{
-		// RecordFromPage fails: the slot is tombstoned under the index.
-		"tombstoned slot": {cause: pagefile.ErrBadSlot, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
-			if err := tree.data.Delete(addr); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// decodeObject fails: the record's pdf type tag is overwritten.
-		"unknown pdf tag": {cause: updf.ErrCorruptPDF, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
-			page, err := tree.data.ReadPage(addr.Page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := append([]byte(nil), page...)
-			off := binary.LittleEndian.Uint16(buf[4+4*int(addr.Slot):]) // slot table entry: offset, length
-			buf[off+8] = 0xEE                                           // the byte after the 8-byte object id
-			if err := tree.store.Write(addr.Page, buf); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
+	for name, tc := range recordDamage {
 		t.Run(name, func(t *testing.T) {
 			objs := makeObjects(2000, 400, rand.New(rand.NewSource(5)))
 			tree := buildTree(t, UTree, objs, 9)
@@ -93,7 +108,7 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 				return x.Page < y.Page || x.Page == y.Page && x.Slot < y.Slot
 			})
 			victim := cands[len(cands)/2]
-			tc.damage(t, tree, victim.addr)
+			damageRecord(t, tree, victim.addr, tc.edit)
 
 			got, stats, err := snap.RangeQuery(context.Background(), q, QueryOpts{})
 			if !errors.Is(err, tc.cause) || !strings.Contains(err.Error(), "core: refining object") {
@@ -148,27 +163,7 @@ func shapeOutcome(st *treeState, qc *pcr.QuantileCache, e *entry, q Query) pcr.O
 // error, wrapped with the object it was refining, the admissible neighbours
 // found so far and the stats closed over the work done.
 func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
-	for name, tc := range map[string]struct {
-		damage func(t *testing.T, tree *Tree, addr pagefile.DataAddr)
-		cause  error
-	}{
-		"tombstoned slot": {cause: pagefile.ErrBadSlot, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
-			if err := tree.data.Delete(addr); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		"unknown pdf tag": {cause: updf.ErrCorruptPDF, damage: func(t *testing.T, tree *Tree, addr pagefile.DataAddr) {
-			page, err := tree.data.ReadPage(addr.Page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := binary.LittleEndian.Uint16(page[4+4*int(addr.Slot):])
-			page[off+8] = 0xEE // the byte after the 8-byte object id
-			if err := tree.store.Write(addr.Page, page); err != nil {
-				t.Fatal(err)
-			}
-		}},
-	} {
+	for name, tc := range recordDamage {
 		t.Run(name, func(t *testing.T) {
 			objs := makeObjects(600, 400, rand.New(rand.NewSource(6)))
 			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, BufferPages: 4, NodeCacheEntries: 8}, objs)
@@ -198,7 +193,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 			}
 			snap := tree.Snapshot()
 			defer snap.Close()
-			tc.damage(t, tree, addr)
+			damageRecord(t, tree, addr, tc.edit)
 
 			got, stats, err := snap.NearestNeighbors(context.Background(), q, k, QueryOpts{PageBudget: 1 << 20})
 			if !errors.Is(err, tc.cause) || !strings.Contains(err.Error(), "core: refining object") {

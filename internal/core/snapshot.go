@@ -91,10 +91,10 @@ func (t *Tree) Commit() error {
 }
 
 // Rollback abandons every mutation since the last commit, typically after
-// a failed operation: shadow pages are freed, deferred frees and tombstones
-// are dropped (their targets are still live in the last committed epoch),
-// and the working root/size/data state rewinds to the last commit. The
-// tree remains usable; the uncommitted operations simply never happened.
+// a failed operation: shadow pages are freed, deferred frees are dropped
+// (their targets are still live in the last committed epoch), and the
+// working root/size/data state rewinds to the last commit. The tree
+// remains usable; the uncommitted operations simply never happened.
 func (t *Tree) Rollback() error {
 	st, _ := t.committedState()
 	if st == nil {
@@ -136,8 +136,8 @@ func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
 	return t.vs.GCStats()
 }
 
-// GCInfo reports the epoch collector's full health: pending epochs, pages
-// and tombstones, lifetime reclaim counters, and reclaimer state.
+// GCInfo reports the epoch collector's full health: pending epochs and
+// pages, the lifetime reclaim counter, and reclaimer state.
 func (t *Tree) GCInfo() pagefile.GCInfo { return t.vs.GCInfo() }
 
 // StopBackgroundReclaim stops the background goroutines Options started —
@@ -149,8 +149,8 @@ func (t *Tree) StopBackgroundReclaim() {
 	t.StopScrubber()
 }
 
-// Reclaim drains whatever retired pages and deferred tombstones the
-// current snapshot pins allow. Writer-side, like Commit.
+// Reclaim frees whatever retired pages the current snapshot pins allow.
+// Writer-side, like Commit.
 func (t *Tree) Reclaim() error { return t.vs.Reclaim() }
 
 // Snapshot is a pinned view of one committed epoch. Any number of

@@ -53,11 +53,10 @@ type Options struct {
 	// paper's serial cost model. Results are byte-identical either way.
 	PrefetchWorkers int
 	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
-	// pages and data-record tombstones drain on a dedicated goroutine's
-	// ticks instead of inline at Commit, bounded by ReclaimBudget page
-	// operations per tick (0 selects pagefile.DefaultReclaimBudget). The
-	// owner must StopBackgroundReclaim (or Close via the public API) before
-	// discarding the tree.
+	// pages are freed on a dedicated goroutine's ticks instead of inline
+	// at Commit, at most ReclaimBudget pages per tick (0 selects
+	// pagefile.DefaultReclaimBudget). The owner must StopBackgroundReclaim
+	// (or Close via the public API) before discarding the tree.
 	ReclaimInterval time.Duration
 	// ReclaimBudget is the per-tick page budget of the background
 	// reclaimer; ignored when ReclaimInterval is 0.
@@ -234,7 +233,6 @@ func New(opt Options) (*Tree, error) {
 		return nil, err
 	}
 	t.data = pagefile.NewDataFile(t.store)
-	t.vs.SetTombstoner(t.data.DeleteBatch)
 
 	root, err := t.allocNode(0)
 	if err != nil {

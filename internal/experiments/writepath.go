@@ -20,16 +20,16 @@ import (
 // insert or delete publishes its own epoch — a data-page flush, dirty node
 // write-backs and a metadata write per operation, each charged the page
 // latency. Grouping amortizes all of that across the group: one durable
-// boundary per G operations, at most one shadow relocation per node per
-// group, and data-record tombstones batched into one read-modify-write per
-// data page per epoch. The trade-off is durability granularity — a crash
-// loses at most the open group's tail, never a committed prefix.
+// boundary per G operations and at most one shadow relocation per node per
+// group (a delete never touches the data file). The trade-off is
+// durability granularity — a crash loses at most the open group's tail,
+// never a committed prefix.
 //
 // Each row also measures the writer with concurrent snapshot readers (the
 // group's epoch publishes atomically, so readers never see a partial
 // group), and then verifies the background reclaimer drains every retired
-// page and pending tombstone while the writer idles — no explicit Flush or
-// Reclaim, just the reclaimer's ticks.
+// page while the writer idles — no explicit Flush or Reclaim, just the
+// reclaimer's ticks.
 
 // WritePathRow is one group-size sample of the write-path sweep.
 type WritePathRow struct {
@@ -49,9 +49,9 @@ type WritePathRow struct {
 	// ReaderQPS is the readers' aggregate query throughput during that
 	// same window.
 	ReaderQPS float64
-	// PendingAfterIdle is the garbage (pages + tombstones + epochs) still
-	// pending after the idle-drain window — 0 when the background
-	// reclaimer kept up, which is the acceptance condition.
+	// PendingAfterIdle is the garbage (pages + epochs) still pending after
+	// the idle-drain window — 0 when the background reclaimer kept up,
+	// which is the acceptance condition.
 	PendingAfterIdle int
 	// GC is the epoch collector's health report at the end of the row.
 	GC uncertain.GCInfo
@@ -103,10 +103,10 @@ func WritePath(cfg Config, groupSizes []int) ([]WritePathRow, error) {
 			row.Speedup = 1
 		}
 		rows = append(rows, row)
-		fprintf(out, "  group=%-3d %8.1f ops/s  %5.2fx  (with readers: %7.1f ops/s, %7.1f q/s; pending after idle %d; reclaimed %d pages, %d tombstones)\n",
+		fprintf(out, "  group=%-3d %8.1f ops/s  %5.2fx  (with readers: %7.1f ops/s, %7.1f q/s; pending after idle %d; reclaimed %d pages)\n",
 			row.GroupSize, row.OpsPerSec, row.Speedup,
 			row.OpsPerSecUnderReaders, row.ReaderQPS,
-			row.PendingAfterIdle, row.GC.ReclaimedPages, row.GC.ReclaimedTombstones)
+			row.PendingAfterIdle, row.GC.ReclaimedPages)
 	}
 	return rows, nil
 }
@@ -222,7 +222,7 @@ func runWritePathRow(g int, dir string, cfg Config,
 	deadline := time.Now().Add(writePathDrainWindow)
 	for {
 		info := idx.GCInfo()
-		row.PendingAfterIdle = info.PendingPages + info.PendingTombstones + info.PendingEpochs
+		row.PendingAfterIdle = info.PendingPages + info.PendingEpochs
 		if row.PendingAfterIdle == 0 || time.Now().After(deadline) {
 			row.GC = info
 			break
@@ -237,8 +237,8 @@ func runWritePathRow(g int, dir string, cfg Config,
 }
 
 // writePathOps is the writer stream of the sweep: insert a fresh object,
-// delete every fourth — deletes feed the batched-tombstone path. Returns
-// the mutation count performed.
+// delete every fourth — deletes retire the leaf pages they rewrite.
+// Returns the mutation count performed.
 func writePathOps(idx uncertain.Index, baseID int64, n int) (int, error) {
 	rng := rand.New(rand.NewSource(baseID))
 	ops := 0

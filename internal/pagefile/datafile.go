@@ -20,6 +20,11 @@ import (
 // the owner flushes before any read that must observe uncommitted appends
 // (working-root queries) and before every commit, so snapshot readers —
 // which run lock-free against committed pages — never race the cache.
+//
+// Records are write-once: nothing rewrites a page the file has stopped
+// appending to, and deleting an object leaves its record where it is. The
+// slot directory is therefore not a liveness oracle — a record is live
+// exactly when a leaf entry references it.
 type DataFile struct {
 	mu      sync.Mutex
 	store   Store
@@ -45,7 +50,7 @@ var (
 //	[0:2)  count  — number of slots
 //	[2:4)  free   — offset of free space start
 //	then per slot i: [4+4i : 4+4i+2) offset, [4+4i+2 : 4+4i+4) length
-//	(length 0 marks a deleted record)
+//	(length 0 is never written; RecordFromPage says what reading one means)
 //	records grow upward from the slot directory's end.
 const dataHeader = 4
 
@@ -77,6 +82,7 @@ func (df *DataFile) CurrentPage() PageID {
 // committed addresses never change.
 func (df *DataFile) SetCurrent(id PageID) {
 	df.mu.Lock()
+	unmarkInPlace(df.store, df.current) // the next flush re-marks its page
 	df.current = id
 	df.buf = nil
 	df.dirty = false
@@ -111,15 +117,24 @@ func (df *DataFile) flushLocked() error {
 	return nil
 }
 
-// inPlaceMarker is implemented by VersionedStore: slotted data pages are
-// legitimately written in place (appends never move committed records,
-// tombstones only zero a slot length), so the data file exempts its pages
-// from the copy-on-write check.
-type inPlaceMarker interface{ MarkInPlace(id PageID) }
+// inPlaceMarker is implemented by VersionedStore: the current append page
+// is legitimately written in place (appends never move committed records),
+// so the data file exempts it from the copy-on-write check for as long as
+// it is the append page, and no longer.
+type inPlaceMarker interface {
+	MarkInPlace(id PageID)
+	UnmarkInPlace(id PageID)
+}
 
 func markInPlace(s Store, id PageID) {
 	if m, ok := s.(inPlaceMarker); ok {
 		m.MarkInPlace(id)
+	}
+}
+
+func unmarkInPlace(s Store, id PageID) {
+	if m, ok := s.(inPlaceMarker); ok {
+		m.UnmarkInPlace(id)
 	}
 }
 
@@ -149,6 +164,7 @@ func (df *DataFile) Append(rec []byte) (DataAddr, error) {
 		if err := df.flushLocked(); err != nil {
 			return DataAddr{}, err
 		}
+		unmarkInPlace(df.store, df.current) // sealed: immutable from here on
 	}
 	id, err := df.store.Alloc()
 	if err != nil {
@@ -218,6 +234,9 @@ func RecordFromPage(buf []byte, slot uint16) ([]byte, error) {
 	}
 	off := int(binary.LittleEndian.Uint16(buf[dataHeader+4*int(slot):]))
 	ln := int(binary.LittleEndian.Uint16(buf[dataHeader+4*int(slot)+2:]))
+	// A zero length is a tombstone from a file written before deletes
+	// stopped touching the data file (or corruption); a leaf entry never
+	// points at one.
 	if ln == 0 {
 		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
 	}
@@ -225,43 +244,4 @@ func RecordFromPage(buf []byte, slot uint16) ([]byte, error) {
 		return nil, fmt.Errorf("pagefile: corrupt slot %d (off=%d len=%d)", slot, off, ln)
 	}
 	return buf[off : off+ln : off+ln], nil
-}
-
-// Delete tombstones one record; see DeleteBatch.
-func (df *DataFile) Delete(addr DataAddr) error {
-	return df.DeleteBatch(addr.Page, []uint16{addr.Slot})
-}
-
-// DeleteBatch tombstones a set of records on one page in a single
-// read-modify-write (record space is not reclaimed; compaction is a
-// rebuild concern, as in the paper where object details are write-once).
-// This is the VersionedStore tombstoner: an epoch's deferred deletes
-// arrive here coalesced per page, and df.mu makes it safe to run from the
-// background reclaimer while the writer appends. Tombstones landing in the
-// cached append page become durable at the next Flush — acceptable,
-// because a tombstone's record is already unreferenced by the index.
-func (df *DataFile) DeleteBatch(page PageID, slots []uint16) error {
-	df.mu.Lock()
-	defer df.mu.Unlock()
-	buf := df.buf
-	cached := page == df.current && buf != nil
-	if !cached {
-		buf = make([]byte, PageSize)
-		if err := df.store.Read(page, buf); err != nil {
-			return err
-		}
-	}
-	count := binary.LittleEndian.Uint16(buf[0:])
-	for _, slot := range slots {
-		if slot >= count {
-			return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, count)
-		}
-		binary.LittleEndian.PutUint16(buf[dataHeader+4*int(slot)+2:], 0)
-	}
-	if cached {
-		df.dirty = true
-		return nil
-	}
-	markInPlace(df.store, page)
-	return df.store.Write(page, buf)
 }

@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -322,23 +323,46 @@ func TestDataFileTooLarge(t *testing.T) {
 	}
 }
 
-func TestDataFileDelete(t *testing.T) {
+// TestDataFileZeroLengthSlot: files written before deletes stopped touching
+// the data file carry slots whose length was zeroed in place. Such a page
+// still opens as the append page: the dead slot reads as ErrBadSlot, its
+// neighbours are intact, and new records go after it without reusing its
+// slot number or its bytes.
+func TestDataFileZeroLengthSlot(t *testing.T) {
 	s := NewMemStore()
 	df := NewDataFile(s)
 	a, _ := df.Append([]byte("doomed"))
 	b, _ := df.Append([]byte("survivor"))
-	if err := df.Delete(a); err != nil {
+	if err := df.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	page, err := df.ReadPage(a.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(page[dataHeader+4*int(a.Slot)+2:], 0)
+	if err := s.Write(a.Page, page); err != nil {
+		t.Fatal(err)
+	}
+
+	df = OpenDataFileAt(s, a.Page)
+	c, err := df.Append([]byte("newcomer"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := df.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := df.Read(a); !errors.Is(err, ErrBadSlot) {
-		t.Fatalf("deleted record read: %v", err)
+	if c.Page != a.Page || c.Slot != 2 {
+		t.Fatalf("append after a dead slot went to %+v, want page %d slot 2", c, a.Page)
 	}
-	got, err := df.Read(b)
-	if err != nil || !bytes.Equal(got, []byte("survivor")) {
-		t.Fatalf("sibling record damaged: %v %q", err, got)
+	if _, err := df.Read(a); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("zero-length slot read: %v, want ErrBadSlot", err)
+	}
+	for addr, want := range map[DataAddr]string{b: "survivor", c: "newcomer"} {
+		if got, err := df.Read(addr); err != nil || string(got) != want {
+			t.Fatalf("record %+v: %q, %v; want %q", addr, got, err, want)
+		}
 	}
 }
 

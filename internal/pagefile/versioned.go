@@ -26,18 +26,21 @@ import (
 //     atomically with the epoch bump. Pin returns that handle together
 //     with a release closure; a pinned epoch's pages are never recycled.
 //
-// Pages that are legitimately mutated in place — slotted data pages
-// (append-only record space) and the metadata page — are exempted via
-// MarkInPlace; everything else writing a committed page fails loudly with
-// ErrCOWViolation, which is the safety net that turns a missed relocation
-// into a test failure instead of silent snapshot corruption.
+// Pages that are legitimately mutated in place — the data file's current
+// append page (appends never move a committed record) and the metadata
+// page — are exempted via MarkInPlace, and the data file hands the
+// exemption back (UnmarkInPlace) when it moves on to a fresh page, so the
+// set holds two pages however large the file grows; everything else
+// writing a committed page fails loudly with ErrCOWViolation, which is the
+// safety net that turns a missed relocation into a test failure instead of
+// silent snapshot corruption.
 //
 // Reclamation normally runs on the writer's side (Commit, Reclaim, or the
 // owner's Flush/Close) so a reader releasing the last pin never pays the
-// physical free/tombstone I/O; until the next writer-side call the
-// garbage is merely retained, never lost. With the background reclaimer
-// started (StartReclaimer), reclamation leaves the commit path entirely:
-// Commit only queues the batch's garbage, and a dedicated goroutine drains
+// physical free I/O; until the next writer-side call the garbage is merely
+// retained, never lost. With the background reclaimer started
+// (StartReclaimer), reclamation leaves the commit path entirely: Commit
+// only queues the batch's garbage, and a dedicated goroutine drains
 // quiesced epochs under a per-tick page budget.
 type VersionedStore struct {
 	inner Store
@@ -53,54 +56,33 @@ type VersionedStore struct {
 	batch   garbage   // open (uncommitted) batch
 	pending []garbage // committed garbage awaiting pin drain
 
-	// tombstoner applies a batch of record tombstones to one data page in a
-	// single read-modify-write (DataFile.DeleteBatch); registered once at
-	// tree construction, before any DeferTombstone call.
-	tombstoner func(PageID, []uint16) error
-
 	reclaimErr error // first deferred-reclaim failure, surfaced at next Commit/Reclaim
 
 	// reclaimMu serializes physical drains: writer-side Reclaim/Commit and
-	// the background reclaimer must not interleave their free/tombstone I/O
-	// (a partially drained batch is held outside pending while its pages
-	// are freed).
+	// the background reclaimer must not interleave their frees (a partially
+	// drained batch is held outside pending while its pages are freed).
 	reclaimMu sync.Mutex
 
 	bgRunning bool // background reclaimer lifecycle, under mu
 	bgStop    chan struct{}
 	bgDone    chan struct{}
 
-	reclaimedPages      atomic.Int64
-	reclaimedTombstones atomic.Int64
+	reclaimedPages atomic.Int64
 
-	// drainingPages / drainingTombstones count the garbage a reclaim has
-	// taken off pending but not yet physically reclaimed. They rise and are
-	// handed back under mu (so a reader holding mu finds every unreclaimed
-	// page in pending or here, never in neither) and fall as each page is
-	// freed or tombstone run applied.
-	drainingPages      atomic.Int64
-	drainingTombstones atomic.Int64
+	// drainingPages counts the pages a reclaim has taken off pending but not
+	// yet freed. It rises and is handed back under mu (so a reader holding mu
+	// finds every unreclaimed page in pending or here, never in neither) and
+	// falls as each page is freed.
+	drainingPages atomic.Int64
 }
 
-// garbage is one commit's deferred work: pages dead as of that epoch and
-// data-record tombstones that must not run while an older snapshot could
-// still read the records, batched per data page so reclaiming an epoch
-// costs one read-modify-write per touched page, not one per record.
+// garbage is one commit's deferred work: the pages dead as of that epoch.
 type garbage struct {
-	epoch      uint64
-	pages      []PageID
-	tombstones map[PageID][]uint16
+	epoch uint64
+	pages []PageID
 }
 
-func (g *garbage) empty() bool { return len(g.pages) == 0 && len(g.tombstones) == 0 }
-
-func (g *garbage) tombstoneCount() int {
-	n := 0
-	for _, slots := range g.tombstones {
-		n += len(slots)
-	}
-	return n
-}
+func (g *garbage) empty() bool { return len(g.pages) == 0 }
 
 // ErrCOWViolation reports an in-place write to a committed page that was
 // not exempted with MarkInPlace — a broken copy-on-write path.
@@ -202,36 +184,21 @@ func (v *VersionedStore) Free(id PageID) error {
 	return nil
 }
 
-// SetTombstoner registers the function that applies a batch of record
-// tombstones to one data page in a single read-modify-write (the owner's
-// DataFile.DeleteBatch). Register before the first DeferTombstone; with no
-// tombstoner registered, deferred tombstones are dropped at reclaim time
-// (the records are unreferenced either way — a tombstone only compacts).
-func (v *VersionedStore) SetTombstoner(fn func(PageID, []uint16) error) {
-	v.mu.Lock()
-	v.tombstoner = fn
-	v.mu.Unlock()
-}
-
-// DeferTombstone queues a data-record tombstone with the open batch,
-// coalesced per page: however many records on a page die in this epoch,
-// reclaiming the epoch rewrites that page exactly once. The tombstone runs
-// only after the batch's commit is unreachable by any snapshot.
-func (v *VersionedStore) DeferTombstone(page PageID, slot uint16) {
-	v.mu.Lock()
-	if v.batch.tombstones == nil {
-		v.batch.tombstones = make(map[PageID][]uint16)
-	}
-	v.batch.tombstones[page] = append(v.batch.tombstones[page], slot)
-	v.mu.Unlock()
-}
-
-// MarkInPlace exempts a page from the COW write check: slotted data pages
-// (whose committed records are never moved by an append) and the metadata
-// page.
+// MarkInPlace exempts a page from the COW write check: the data file's
+// current append page (whose committed records are never moved by an
+// append) and the metadata page.
 func (v *VersionedStore) MarkInPlace(id PageID) {
 	v.mu.Lock()
 	v.inPlace[id] = true
+	v.mu.Unlock()
+}
+
+// UnmarkInPlace withdraws the exemption: the data file calls it on the page
+// it stops appending to, so a sealed data page is as immutable as a
+// committed node.
+func (v *VersionedStore) UnmarkInPlace(id PageID) {
+	v.mu.Lock()
+	delete(v.inPlace, id)
 	v.mu.Unlock()
 }
 
@@ -329,10 +296,9 @@ func (v *VersionedStore) Rollback() error {
 
 // Pin takes a snapshot reference on the current epoch and returns the
 // committed-state handle, the pinned epoch, and a release closure. While
-// the pin is held, no page live at that epoch is recycled and no deferred
-// tombstone of a later commit runs. Release is cheap and never performs
-// I/O; the retained garbage drains at the next writer-side Commit /
-// Reclaim / Flush.
+// the pin is held, no page live at that epoch is recycled. Release is cheap
+// and never performs I/O; the retained garbage drains at the next
+// writer-side Commit / Reclaim / Flush.
 func (v *VersionedStore) Pin() (state any, epoch uint64, release func()) {
 	v.mu.Lock()
 	e := v.epoch
@@ -366,12 +332,11 @@ func (v *VersionedStore) Reclaim() error {
 }
 
 // DefaultReclaimBudget is the background reclaimer's per-tick page budget
-// when the caller passes one <= 0: one budget unit is one page operation
-// (a tombstone read-modify-write or a page free).
+// when the caller passes one <= 0: one budget unit is one page free.
 const DefaultReclaimBudget = 128
 
 // StartReclaimer starts the background reclaimer: a goroutine that every
-// interval drains quiesced epochs, at most pageBudget page operations per
+// interval drains quiesced epochs, at most pageBudget page frees per
 // tick, so a burst of commits never stalls the writer on reclamation I/O
 // and garbage drains even while the writer idles. While it runs, Commit no
 // longer drains inline. Pinned snapshots stay safe: the reclaimer only
@@ -455,16 +420,14 @@ func (v *VersionedStore) collectDrainableLocked() []garbage {
 	return drain
 }
 
-// reclaimSome collects the drainable batches and physically reclaims up to
-// budget page operations (0 = unlimited) outside v.mu: per batch, the
-// coalesced per-page tombstone writes first (the records' pages are still
-// live; the batch's own dead pages must not be recycled under them), then
-// the page frees, invalidating any cached frame before the slot can be
-// recycled. When the budget runs out, the partially drained batch and
-// everything after it go back to the FRONT of pending, preserving epoch
-// order for the next tick. reclaimMu serializes the physical work against
-// concurrent drains; failures are stashed in reclaimErr and the work is
-// counted done regardless (an unfreed page is leaked, never corrupted).
+// reclaimSome collects the drainable batches and frees up to budget pages
+// (0 = unlimited) outside v.mu, invalidating any cached frame before the
+// slot can be recycled. When the budget runs out, the partially drained
+// batch and everything after it go back to the FRONT of pending,
+// preserving epoch order for the next tick. reclaimMu serializes the
+// physical work against concurrent drains; failures are stashed in
+// reclaimErr and the work is counted done regardless (an unfreed page is
+// leaked, never corrupted).
 func (v *VersionedStore) reclaimSome(budget int) int {
 	v.reclaimMu.Lock()
 	defer v.reclaimMu.Unlock()
@@ -472,30 +435,12 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 	drain := v.collectDrainableLocked()
 	for i := range drain {
 		v.drainingPages.Add(int64(len(drain[i].pages)))
-		v.drainingTombstones.Add(int64(drain[i].tombstoneCount()))
 	}
-	tomb := v.tombstoner
 	v.mu.Unlock()
 	var first error
 	done := 0
 	for i := range drain {
 		g := &drain[i]
-		for page, slots := range g.tombstones {
-			if budget > 0 && done >= budget {
-				v.requeueFront(drain[i:], first)
-				return done
-			}
-			if tomb != nil {
-				if err := tomb(page, slots); err != nil && first == nil {
-					first = err
-				}
-			}
-			v.reclaimedTombstones.Add(int64(len(slots)))
-			v.drainingTombstones.Add(-int64(len(slots)))
-			delete(g.tombstones, page)
-			done++
-		}
-		g.tombstones = nil
 		for len(g.pages) > 0 {
 			if budget > 0 && done >= budget {
 				v.requeueFront(drain[i:], first)
@@ -531,7 +476,6 @@ func (v *VersionedStore) requeueFront(rest []garbage, err error) {
 	v.mu.Lock()
 	for i := range kept {
 		v.drainingPages.Add(-int64(len(kept[i].pages)))
-		v.drainingTombstones.Add(-int64(kept[i].tombstoneCount()))
 	}
 	if len(kept) > 0 {
 		v.pending = append(kept, v.pending...)
@@ -571,17 +515,15 @@ func (v *VersionedStore) GCStats() (epoch uint64, pins int, pendingPages int) {
 
 // GCInfo is the collector's full health report: epoch and pin state,
 // garbage awaiting reclamation (uncommitted batch and whatever a running
-// drain has collected but not yet freed included), lifetime
-// reclaim counters, and whether the background reclaimer is running.
+// drain has collected but not yet freed included), the lifetime reclaim
+// counter, and whether the background reclaimer is running.
 type GCInfo struct {
-	Epoch               uint64 `json:"epoch"`
-	Pins                int    `json:"pins"`
-	PendingEpochs       int    `json:"pending_epochs"`
-	PendingPages        int    `json:"pending_pages"`
-	PendingTombstones   int    `json:"pending_tombstones"`
-	ReclaimedPages      int64  `json:"reclaimed_pages"`
-	ReclaimedTombstones int64  `json:"reclaimed_tombstones"`
-	ReclaimerRunning    bool   `json:"reclaimer_running"`
+	Epoch            uint64 `json:"epoch"`
+	Pins             int    `json:"pins"`
+	PendingEpochs    int    `json:"pending_epochs"`
+	PendingPages     int    `json:"pending_pages"`
+	ReclaimedPages   int64  `json:"reclaimed_pages"`
+	ReclaimerRunning bool   `json:"reclaimer_running"`
 }
 
 // Add merges o into g — the shard-aggregation rule: epochs take the max,
@@ -593,9 +535,7 @@ func (g *GCInfo) Add(o GCInfo) {
 	g.Pins += o.Pins
 	g.PendingEpochs += o.PendingEpochs
 	g.PendingPages += o.PendingPages
-	g.PendingTombstones += o.PendingTombstones
 	g.ReclaimedPages += o.ReclaimedPages
-	g.ReclaimedTombstones += o.ReclaimedTombstones
 	g.ReclaimerRunning = g.ReclaimerRunning || o.ReclaimerRunning
 }
 
@@ -605,21 +545,18 @@ func (v *VersionedStore) GCInfo() GCInfo {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	info := GCInfo{
-		Epoch:               v.epoch,
-		PendingEpochs:       len(v.pending),
-		ReclaimedPages:      v.reclaimedPages.Load(),
-		ReclaimedTombstones: v.reclaimedTombstones.Load(),
-		ReclaimerRunning:    v.bgRunning,
+		Epoch:            v.epoch,
+		PendingEpochs:    len(v.pending),
+		ReclaimedPages:   v.reclaimedPages.Load(),
+		ReclaimerRunning: v.bgRunning,
 	}
 	for _, n := range v.pins {
 		info.Pins += n
 	}
 	for i := range v.pending {
 		info.PendingPages += len(v.pending[i].pages)
-		info.PendingTombstones += v.pending[i].tombstoneCount()
 	}
 	info.PendingPages += len(v.batch.pages) + int(v.drainingPages.Load())
-	info.PendingTombstones += v.batch.tombstoneCount() + int(v.drainingTombstones.Load())
 	return info
 }
 

@@ -54,15 +54,6 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if err := vs.Free(old); err != nil {
 		t.Fatal(err)
 	}
-	tombstoned := false
-	vs.SetTombstoner(func(page PageID, slots []uint16) error {
-		if page != 42 || len(slots) != 1 || slots[0] != 3 {
-			t.Errorf("tombstoner got page %d slots %v, want 42/[3]", page, slots)
-		}
-		tombstoned = true
-		return nil
-	})
-	vs.DeferTombstone(42, 3)
 	if err := vs.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +63,20 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if err := vs.Read(old, buf); err != nil || buf[0] != 7 {
 		t.Fatalf("pinned read: err=%v buf[0]=%d", err, buf[0])
 	}
-	if tombstoned {
-		t.Fatal("deferred tombstone ran while an older snapshot was pinned")
-	}
 	if _, pins, pending := vs.GCStats(); pins != 1 || pending != 1 {
 		t.Fatalf("GCStats pins=%d pending=%d, want 1/1", pins, pending)
 	}
 
-	// Release + writer-side reclaim frees the page and runs the tombstone.
+	// Release + writer-side reclaim frees the page — and that is all a
+	// reclaim does: no page is read or written on its behalf.
 	release()
 	release() // idempotent
+	r0, w0, _, f0 := inner.Stats().Snapshot()
 	if err := vs.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
-	if !tombstoned {
-		t.Fatal("deferred tombstone did not run after the pin drained")
+	if r, w, _, f := inner.Stats().Snapshot(); r != r0 || w != w0 || f != f0+1 {
+		t.Fatalf("reclaim did %d reads, %d writes, %d frees; want 0/0/1", r-r0, w-w0, f-f0)
 	}
 	if err := vs.Read(old, buf); err == nil {
 		t.Fatal("read of reclaimed page succeeded")
@@ -154,33 +144,88 @@ func TestVersionedRollback(t *testing.T) {
 	}
 }
 
-func TestVersionedTombstonesCoalescePerPage(t *testing.T) {
+// TestDataFileSealedPagesAreImmutable: the in-place exemption follows the
+// append page. However many data pages a file fills, the exempt set holds
+// the append page (and whatever else was marked — here nothing), a page the
+// file has moved on from refuses an in-place write like a committed node,
+// and a rollback that rewinds the append page gets the exemption back at
+// its next flush.
+func TestDataFileSealedPagesAreImmutable(t *testing.T) {
 	vs := NewVersionedStore(NewMemStore(), 0)
-	calls := 0
-	slotsSeen := 0
-	vs.SetTombstoner(func(page PageID, slots []uint16) error {
-		calls++
-		slotsSeen += len(slots)
-		return nil
-	})
-	// Five records die on page 7, two on page 9, all in one epoch.
-	for slot := uint16(0); slot < 5; slot++ {
-		vs.DeferTombstone(7, slot)
+	df := NewDataFile(vs)
+	rec := make([]byte, 1500) // two per page
+	var addrs []DataAddr
+	appendN := func(n int, rec []byte) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			rec[0] = byte(len(addrs))
+			a, err := df.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, a)
+		}
 	}
-	vs.DeferTombstone(9, 0)
-	vs.DeferTombstone(9, 1)
-	if info := vs.GCInfo(); info.PendingTombstones != 7 {
-		t.Fatalf("pending tombstones %d, want 7", info.PendingTombstones)
+	commit := func() {
+		t.Helper()
+		if err := df.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := vs.Commit(df.CurrentPage()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := vs.Commit(nil); err != nil {
+	// Three commits, seven records, four pages; the last holds one record.
+	for _, n := range []int{3, 2, 2} {
+		appendN(n, rec)
+		commit()
+	}
+	if last := addrs[len(addrs)-1]; last.Page != df.CurrentPage() || addrs[0].Page == addrs[4].Page {
+		t.Fatalf("layout %v, want several pages ending on the append page", addrs)
+	}
+	if len(vs.inPlace) != 1 || !vs.inPlace[df.CurrentPage()] {
+		t.Fatalf("exempt pages %v, want only the append page %d", vs.inPlace, df.CurrentPage())
+	}
+	sealed, err := df.ReadPage(addrs[0].Page)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 || slotsSeen != 7 {
-		t.Fatalf("tombstoner ran %d times over %d slots, want one r-m-w per page: 2/7", calls, slotsSeen)
+	if err := vs.Write(addrs[0].Page, sealed); !errors.Is(err, ErrCOWViolation) {
+		t.Fatalf("in-place write to a sealed data page: got %v, want ErrCOWViolation", err)
 	}
-	info := vs.GCInfo()
-	if info.PendingTombstones != 0 || info.ReclaimedTombstones != 7 {
-		t.Fatalf("after commit: pending %d reclaimed %d, want 0/7", info.PendingTombstones, info.ReclaimedTombstones)
+
+	// A failed batch fills the committed append page, flushes it, moves on
+	// to a fresh page, and is rolled back.
+	committed := df.CurrentPage()
+	appendN(2, rec)
+	if df.CurrentPage() == committed {
+		t.Fatal("batch did not move on to a fresh page")
+	}
+	if err := df.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	df.SetCurrent(vs.State().(PageID))
+	if err := vs.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	addrs = addrs[:len(addrs)-2]
+	if len(vs.inPlace) != 0 {
+		t.Fatalf("exempt pages %v after rollback, want none until the next flush", vs.inPlace)
+	}
+	// The rewound page takes appends again, after the failed batch's slot
+	// (which left room for a small record only).
+	appendN(1, rec[:100])
+	if a := addrs[len(addrs)-1]; a.Page != committed || a.Slot != 2 {
+		t.Fatalf("append after rollback went to %+v, want page %d slot 2", a, committed)
+	}
+	commit()
+	if len(vs.inPlace) != 1 || !vs.inPlace[committed] {
+		t.Fatalf("exempt pages %v, want only the append page %d", vs.inPlace, committed)
+	}
+	for i, a := range addrs {
+		if got, err := df.Read(a); err != nil || got[0] != byte(i) {
+			t.Fatalf("record %d at %+v: err=%v", i, a, err)
+		}
 	}
 }
 
@@ -278,7 +323,7 @@ func TestVersionedBackgroundReclaimerDrainsWhileIdle(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		info := vs.GCInfo()
-		if info.PendingPages == 0 && info.PendingTombstones == 0 {
+		if info.PendingPages == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -298,7 +343,7 @@ func TestVersionedBackgroundReclaimerDrainsWhileIdle(t *testing.T) {
 
 // TestVersionedGCInfoCountsDrainInProgress: a reclaim takes its batches off
 // the pending list before it frees their pages, so a GCInfo read in that
-// window (here: from inside the tombstoner the drain calls first) must
+// window (here: from the invalidation hook each free calls first) must
 // still count them — an idle-drain watcher polling for PendingPages == 0
 // would otherwise see "done" while pages are still live.
 func TestVersionedGCInfoCountsDrainInProgress(t *testing.T) {
@@ -315,27 +360,23 @@ func TestVersionedGCInfoCountsDrainInProgress(t *testing.T) {
 	if err := vs.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	var mid GCInfo
-	vs.SetTombstoner(func(PageID, []uint16) error {
-		mid = vs.GCInfo()
-		return nil
-	})
+	var mid []int
+	vs.AttachInvalidator(func(PageID) { mid = append(mid, vs.GCInfo().PendingPages) })
 	for _, id := range pages {
 		if err := vs.Free(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	vs.DeferTombstone(42, 3)
 	if err := vs.Commit(nil); err != nil { // drains inline
 		t.Fatal(err)
 	}
-	if mid.PendingPages != 3 || mid.PendingTombstones != 1 {
-		t.Fatalf("mid-drain GCInfo pending pages=%d tombstones=%d, want 3/1", mid.PendingPages, mid.PendingTombstones)
+	if len(mid) != 3 || mid[0] != 3 || mid[1] != 2 || mid[2] != 1 {
+		t.Fatalf("mid-drain GCInfo pending pages %v, want [3 2 1]", mid)
 	}
 	if _, _, pending := vs.GCStats(); pending != 0 {
 		t.Fatalf("GCStats pending=%d after drain, want 0", pending)
 	}
-	if end := vs.GCInfo(); end.PendingPages != 0 || end.PendingTombstones != 0 || inner.NumPages() != 0 {
+	if end := vs.GCInfo(); end.PendingPages != 0 || inner.NumPages() != 0 {
 		t.Fatalf("after drain: %+v, %d pages live", end, inner.NumPages())
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pagefile"
 )
 
 // Tests of the group-commit write path: size/age auto-grouping, the
@@ -295,7 +297,7 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 	if info.Epoch == 0 {
 		t.Fatal("merged GCInfo reports epoch 0")
 	}
-	if info.PendingPages != 0 || info.PendingTombstones != 0 || info.PendingEpochs != 0 {
+	if info.PendingPages != 0 || info.PendingEpochs != 0 {
 		t.Fatalf("pending garbage after Flush with no pins: %+v", info)
 	}
 }
@@ -359,8 +361,8 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 		}(int64(r))
 	}
 
-	// 240 ops = 60 groups of 4; every 3rd insert is later deleted, so the
-	// reclaimer sees both retired COW pages and data-record tombstones.
+	// 240 ops = 60 groups of 4; every 2nd insert is later deleted, so the
+	// pages the reclaimer frees were retired by inserts and deletes alike.
 	rng := rand.New(rand.NewSource(7))
 	ops := 0
 	for i := int64(0); i < 160; i++ {
@@ -390,7 +392,7 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		info := c.GCInfo()
-		if info.PendingPages == 0 && info.PendingTombstones == 0 && info.PendingEpochs == 0 {
+		if info.PendingPages == 0 && info.PendingEpochs == 0 {
 			if info.ReclaimedPages == 0 {
 				t.Fatal("reclaimer drained nothing despite COW churn")
 			}
@@ -402,6 +404,75 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteBatchPageWrites gates write amplification on a count that repeats
+// exactly: a seeded 2-D uniform-ball tree, bulk-loaded on a memory store,
+// then five WriteBatches of 8 inserts + 8 deletes in ID order (bulk load
+// clusters records in leaf order and IDs are spatially random, so the
+// deletes of one batch fall on about as many data pages as there are
+// deletes). Every page the base store is
+// asked to write is a leaf or inner relocation, the one append page, or the
+// metadata page — a delete writes no data page.
+func TestWriteBatchPageWrites(t *testing.T) {
+	// Base-store page writes per batch, measured at the commit that stopped
+	// deletes from rewriting data pages; the commit before it wrote
+	// parentWrites for the same five batches.
+	want := [5]int64{32, 20, 25, 27, 21}
+	const parentWrites = 158 // 38, 27, 31, 34, 28
+
+	var base pagefile.Store
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, WrapStore: func(s pagefile.Store) pagefile.Store {
+		base = s
+		return s
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	rng := rand.New(rand.NewSource(42))
+	ball := func() PDF { return UniformCircle(Pt(rng.Float64()*10000, rng.Float64()*10000), 250) }
+	const n = 2000
+	objs := make(map[int64]PDF, n)
+	for id := int64(0); id < n; id++ {
+		objs[id] = ball()
+	}
+	if err := tree.BulkLoad(objs); err != nil {
+		t.Fatal(err)
+	}
+	var got [5]int64
+	var total int64
+	for b := range got {
+		_, w0, _, _ := base.Stats().Snapshot()
+		if err := tree.WriteBatch(func(w BatchWriter) error {
+			for i := int64(0); i < 8; i++ {
+				if err := w.Insert(n+int64(b)*8+i, ball()); err != nil {
+					return err
+				}
+				if err := w.Delete(int64(b)*8 + i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, w1, _, _ := base.Stats().Snapshot()
+		got[b] = w1 - w0
+		total += got[b]
+	}
+	if got != want {
+		t.Errorf("base-store page writes per batch %v, want %v", got, want)
+	}
+	if total >= parentWrites {
+		t.Errorf("%d page writes over five batches, not below the %d of the commit before deletes left the data file alone", total, parentWrites)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckRecords(); err != nil {
 		t.Fatal(err)
 	}
 }

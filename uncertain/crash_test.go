@@ -49,7 +49,7 @@ func crashSearchAll(t *testing.T, idx Index, queries []RangeQuery) [][]Result {
 
 // buildCrashGolden creates the committed baseline file: a base population
 // inside [0,1000]^2 (some of it then deleted, so the file has lived
-// through COW churn and tombstones) plus one far-away object the
+// through COW churn and holds unreferenced records) plus one far-away object the
 // delete-crash sweep will target.
 func buildCrashGolden(t *testing.T, path string, cfg Config) (wantLen int, want [][]Result) {
 	t.Helper()

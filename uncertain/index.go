@@ -40,9 +40,9 @@ type Index interface {
 	// sharded indexes): readers observe the whole batch or none of it, and
 	// file-backed durability moves in batch granularity.
 	WriteBatch(fn func(BatchWriter) error) error
-	// GCInfo reports epoch-collector health: pending epochs, pages and
-	// tombstones, lifetime reclaim counters, and whether the background
-	// reclaimer runs (merged over shards for sharded indexes).
+	// GCInfo reports epoch-collector health: pending epochs and pages, the
+	// lifetime reclaim counter, and whether the background reclaimer runs
+	// (merged over shards for sharded indexes).
 	GCInfo() GCInfo
 	// Health reports storage health: quarantined (corrupt) pages,
 	// cumulative transient-fault retries, and background-scrubber progress

@@ -92,7 +92,7 @@ func TestSnapshotSeesPreDeleteState(t *testing.T) {
 	}
 
 	// NN through the snapshot also sees the victim's record (refinement
-	// must read a data record whose tombstone is deferred behind the pin).
+	// reads a data record the delete left where it was).
 	nn, _, err := snap.NearestNeighbors(ctx, Pt(500, 500), 300)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSnapshotSeesPreDeleteState(t *testing.T) {
 }
 
 // TestSnapshotReclamation: once every snapshot is closed, a writer-side
-// flush drains all retired pages and deferred tombstones — no page leak.
+// flush frees all retired pages — no page leak.
 func TestSnapshotReclamation(t *testing.T) {
 	ct, all := snapshotFixture(t, 200)
 	ctx := context.Background()

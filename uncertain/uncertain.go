@@ -174,13 +174,13 @@ type Config struct {
 	// or without GroupCommitOps.
 	GroupCommitInterval time.Duration
 	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
-	// pages and data-record tombstones drain on a dedicated goroutine's
-	// ticks instead of inline at commit — the commit path stops paying for
-	// garbage, and garbage drains even while the writer idles.
+	// pages are freed on a dedicated goroutine's ticks instead of inline
+	// at commit — the commit path stops paying for garbage, and garbage
+	// drains even while the writer idles.
 	ReclaimInterval time.Duration
-	// ReclaimPageBudget bounds the page operations (tombstone
-	// read-modify-writes + page frees) one reclaimer tick may perform
-	// (0 → pagefile.DefaultReclaimBudget). Ignored without ReclaimInterval.
+	// ReclaimPageBudget bounds the page frees one reclaimer tick may
+	// perform (0 → pagefile.DefaultReclaimBudget). Ignored without
+	// ReclaimInterval.
 	ReclaimPageBudget int
 	// RetryAttempts bounds the storage stack's transient-fault retry loop:
 	// the total attempts per page operation, including the first. 0 selects
@@ -544,9 +544,9 @@ func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
 	return t.inner.GCStats()
 }
 
-// GCInfo is the epoch collector's full health report: pending
-// epochs/pages/tombstones, lifetime reclaim counters, and whether the
-// background reclaimer is running.
+// GCInfo is the epoch collector's full health report: pending epochs and
+// pages, the lifetime reclaim counter, and whether the background
+// reclaimer is running.
 type GCInfo = pagefile.GCInfo
 
 // GCInfo reports the epoch collector's full health (see GCStats for the
