@@ -23,7 +23,7 @@ type Fig7Row struct {
 // evaluation (Equation 3) as a function of n1, and the time per probability
 // computation. Queries have qs = 500 and intersect the uncertainty region
 // to varying degrees, exactly as described in Section 6.1. The exact
-// probabilities come from the quadrature oracles.
+// probabilities come from the pdfs' exact oracles (updf.ExactProber).
 //
 // n1Values defaults (nil) to 10^3..10^6; pass the paper's 10^4..10^8 for a
 // full-scale run.
@@ -103,7 +103,7 @@ func workloadError(p updf.PDF, queries []geom.Rect, n1 int, rng *rand.Rand, comp
 			continue
 		}
 		// Time only the monte-carlo evaluation — the cost the paper's
-		// Fig. 7 annotates — not the quadrature oracle used for grading.
+		// Fig. 7 annotates — not the exact oracle used for grading.
 		start := time.Now()
 		est := updf.MonteCarloProb(p, rq, n1, rng)
 		*mcTime += time.Since(start)

@@ -1,7 +1,7 @@
 // Package numeric provides the numerical building blocks of the U-tree
-// reproduction: adaptive Simpson quadrature, robust bisection root finding,
-// the standard normal distribution, and the Monte-Carlo appearance
-// probability estimator of the paper's Equation 3.
+// reproduction: a fixed Gauss–Legendre quadrature rule, robust bisection
+// root finding, the standard normal distribution, and the Monte-Carlo
+// appearance probability estimator of the paper's Equation 3.
 package numeric
 
 import (
@@ -14,54 +14,49 @@ import (
 // root.
 var ErrNoBracket = errors.New("numeric: root not bracketed")
 
-// ErrMaxDepth is returned by AdaptiveSimpson when the recursion limit is hit
-// before the tolerance is met.
-var ErrMaxDepth = errors.New("numeric: quadrature recursion limit reached")
+// glNodes and glWeights are the non-negative half of the 24-point
+// Gauss–Legendre rule on [−1, 1] (the rule is symmetric), found at start-up
+// by Newton's method on the Legendre polynomial P₂₄.
+var glNodes, glWeights = legendreRule()
 
-// simpson computes Simpson's rule on [a,b] given endpoint/midpoint values.
-func simpson(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
+func legendreRule() (x, w [12]float64) {
+	const n = 24
+	for i := range x {
+		z := math.Cos(math.Pi * (float64(i) + 0.75) / (n + 0.5))
+		var dp float64
+		for range 100 {
+			p, prev := 1.0, 0.0 // P_j(z), P_{j−1}(z)
+			for j := 1.0; j <= n; j++ {
+				p, prev = ((2*j-1)*z*p-(j-1)*prev)/j, p
+			}
+			dp = n * (z*p - prev) / (z*z - 1)
+			dz := p / dp
+			if z -= dz; math.Abs(dz) <= 1e-16 {
+				break
+			}
+		}
+		x[i], w[i] = z, 2/((1-z*z)*dp*dp)
+	}
+	return x, w
 }
 
-// AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol using
-// adaptive Simpson quadrature with Richardson correction. It is accurate for
-// the smooth marginal densities used in this repository and degrades
-// gracefully (returns ErrMaxDepth alongside the best estimate) on pathological
-// integrands.
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if a == b {
-		return 0, nil
+// GaussLegendre integrates f over [a, b] with the 24-point Gauss–Legendre
+// rule on each of n equal panels (n < 1 counts as 1). The rule is exact for
+// polynomials of degree 47 and converges geometrically on a panel where f is
+// analytic, so callers split [a, b] where f has a kink or a square-root end
+// and pick n so that no panel is wide against f's narrowest feature. It
+// makes n·24 calls of f and allocates nothing.
+func GaussLegendre(f func(float64) float64, a, b float64, n int) float64 {
+	n = max(n, 1)
+	h := (b - a) / float64(n) / 2
+	var v float64
+	for k := 0; k < n; k++ {
+		m := a + (2*float64(k)+1)*h
+		for i, x := range glNodes {
+			v += glWeights[i] * (f(m-h*x) + f(m+h*x))
+		}
 	}
-	if b < a {
-		v, err := AdaptiveSimpson(f, b, a, tol)
-		return -v, err
-	}
-	m := (a + b) / 2
-	fa, fm, fb := f(a), f(m), f(b)
-	whole := simpson(a, b, fa, fm, fb)
-	const maxDepth = 60
-	v, ok := adaptiveAux(f, a, b, fa, fm, fb, whole, tol, maxDepth)
-	if !ok {
-		return v, ErrMaxDepth
-	}
-	return v, nil
-}
-
-func adaptiveAux(f func(float64) float64, a, b, fa, fm, fb, whole, tol float64, depth int) (float64, bool) {
-	m := (a + b) / 2
-	lm := (a + m) / 2
-	rm := (m + b) / 2
-	flm, frm := f(lm), f(rm)
-	left := simpson(a, m, fa, flm, fm)
-	right := simpson(m, b, fm, frm, fb)
-	delta := left + right - whole
-	if math.Abs(delta) <= 15*tol || depth <= 0 {
-		ok := depth > 0 || math.Abs(delta) <= 15*tol
-		return left + right + delta/15, ok
-	}
-	lv, lok := adaptiveAux(f, a, m, fa, flm, fm, left, tol/2, depth-1)
-	rv, rok := adaptiveAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
-	return lv + rv, lok && rok
+	return v * h
 }
 
 // Bisect finds x in [lo, hi] with f(x) = 0 to absolute tolerance xtol, given

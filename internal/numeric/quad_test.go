@@ -10,6 +10,74 @@ import (
 	"repro/internal/geom"
 )
 
+// AdaptiveSimpson left the product for GaussLegendre; it stays here, with
+// its tests, as the rule the fixed one is checked against (internal/updf's
+// reference_test.go holds the copy its ball integrals are checked against).
+func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) (float64, error) {
+	if a == b {
+		return 0, nil
+	}
+	if b < a {
+		v, err := AdaptiveSimpson(f, b, a, tol)
+		return -v, err
+	}
+	m := (a + b) / 2
+	fa, fm, fb := f(a), f(m), f(b)
+	v, ok := adaptiveAux(f, a, b, fa, fm, fb, (b-a)/6*(fa+4*fm+fb), tol, 60)
+	if !ok {
+		return v, errors.New("numeric: quadrature recursion limit reached")
+	}
+	return v, nil
+}
+
+func adaptiveAux(f func(float64) float64, a, b, fa, fm, fb, whole, tol float64, depth int) (float64, bool) {
+	m := (a + b) / 2
+	flm, frm := f((a+m)/2), f((m+b)/2)
+	left := (m - a) / 6 * (fa + 4*flm + fm)
+	right := (b - m) / 6 * (fm + 4*frm + fb)
+	delta := left + right - whole
+	if math.Abs(delta) <= 15*tol || depth <= 0 {
+		return left + right + delta/15, math.Abs(delta) <= 15*tol
+	}
+	lv, lok := adaptiveAux(f, a, m, fa, flm, fm, left, tol/2, depth-1)
+	rv, rok := adaptiveAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
+	return lv + rv, lok && rok
+}
+
+// TestGaussLegendre: exact through degree 47 on one panel, and on smooth
+// integrands the panels agree with the closed form and with Simpson at
+// 1e-14 to rounding; it allocates nothing for a capturing closure.
+func TestGaussLegendre(t *testing.T) {
+	var wsum float64
+	for _, w := range glWeights {
+		wsum += 2 * w
+	}
+	if math.Abs(wsum-2) > 1e-14 {
+		t.Fatalf("weights sum to %.17g, want 2", wsum)
+	}
+	for _, deg := range []int{0, 1, 2, 7, 30, 46, 47} {
+		got := GaussLegendre(func(x float64) float64 { return math.Pow(x, float64(deg)) }, 0, 1, 1)
+		if want := 1 / float64(deg+1); math.Abs(got-want) > 1e-15 {
+			t.Errorf("∫₀¹ x^%d = %.17g, want %.17g", deg, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 3} {
+		if got := GaussLegendre(math.Sin, 0, math.Pi, n); math.Abs(got-2) > 1e-15 {
+			t.Errorf("%d panels: ∫sin = %.17g, want 2", n, got)
+		}
+	}
+	ref, _ := AdaptiveSimpson(NormalPDF, -3, 5, 1e-14)
+	if got := GaussLegendre(NormalPDF, -3, 5, 4); math.Abs(got-ref) > 1e-14 {
+		t.Errorf("∫φ: %.17g, Simpson %.17g", got, ref)
+	}
+	s := 2.0
+	if n := testing.AllocsPerRun(100, func() {
+		GaussLegendre(func(x float64) float64 { return NormalPDF(x / s) }, 0, 1, 2)
+	}); n != 0 {
+		t.Fatalf("GaussLegendre allocates %v times a call", n)
+	}
+}
+
 func TestAdaptiveSimpsonPolynomial(t *testing.T) {
 	// ∫₀¹ x² dx = 1/3. Simpson is exact for cubics.
 	v, err := AdaptiveSimpson(func(x float64) float64 { return x * x }, 0, 1, 1e-12)

@@ -34,7 +34,7 @@ func (t *cdfTable) knot(k int) float64 { return t.lo + float64(k)*t.step }
 
 // build evaluates the knots on p, the first pdf of its shape to ask. The
 // ends are pinned to exactly 0 and 1 and the values made non-decreasing,
-// which a quadrature's tolerance does not promise of itself.
+// which a quadrature rule's rounding does not promise of itself.
 func (t *cdfTable) build(p updf.PDF, dim int) {
 	mbr, c := p.MBR(), p.Center()[dim]
 	t.lo = mbr.Lo[dim] - c

@@ -189,37 +189,10 @@ func closedFormMarginals(p updf.PDF) bool {
 	return !tabulate
 }
 
-// oracleTol is how far ExactProb itself may sit from the truth. 1e-9 for the
-// closed forms and for the circle, whose one quadrature keeps its 1e-10. The
-// other balls are adaptive Simpson over integrands with kinks or narrow
-// peaks, nested once more in 3-D, and the error estimate they stop on
-// undershoots. Measured where rq clips one axis only, so that a closed-form
-// marginal is the exact answer: a 2-D Con-Gau is off by up to 1e-8, a 3-D
-// uniform ball by 2e-6, a 3-D Con-Gau by 3e-7 before the division by its
-// mass λ (0.004 at r/σ = 0.25, so 6e-5 after it). The bounds are held to the
-// oracle, not the oracle to itself.
-func oracleTol(p updf.PDF) float64 {
-	tol := 1e-9
-	switch v := p.(type) {
-	case *updf.UniformBall:
-		if v.Dim() == 3 {
-			tol = 1e-5
-		}
-	case *updf.ConGauBall:
-		switch v.Dim() {
-		case 2:
-			tol = 1e-7
-		case 3:
-			tol = 1e-5 / v.Lambda()
-		}
-	case *updf.Mixture:
-		for k := 0; k < v.Components(); k++ {
-			c, _ := v.Component(k)
-			tol = max(tol, oracleTol(c))
-		}
-	}
-	return tol
-}
+// oracleTol is how far ExactProb itself may sit from the truth: 1e-9 for
+// every family, the balls' closed forms and fixed Gauss–Legendre rules
+// included. The bounds are held to the oracle, not the oracle to itself.
+const oracleTol = 1e-9
 
 // checkMarginalBounds is the contract of the refinement pre-test on one
 // case: the bounds hold the exact probability, close to a point when rq
@@ -227,7 +200,7 @@ func oracleTol(p updf.PDF) float64 {
 // against the exact probability.
 func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 	t.Helper()
-	exact, tol := exactProb(p, rq), oracleTol(p)
+	exact, tol := exactProb(p, rq), oracleTol
 	lb, ub := ProbBoundsMarginal(p, rq, cache)
 	if lb-tol > exact || exact > ub+tol {
 		t.Fatalf("%T %v rq=%v: bounds [%.12f, %.12f] miss exact %.12f", p, p.MBR(), rq, lb, ub, exact)
@@ -267,18 +240,12 @@ func TestProbBoundsMarginalSound(t *testing.T) {
 			if family == famPolygon && d == 3 {
 				continue
 			}
-			n := rects
-			if d == 3 && (family == famConGau || family == famMixture) {
-				// A 3-D Con-Gau ExactProb is three nested quadratures,
-				// milliseconds a rectangle; a mixture may hold one.
-				n = rects / 20
-			}
 			t.Run(fmt.Sprintf("%s-%dd", marginalFamilyNames[family], d), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*family + d)))
 				for shape := 0; shape < 10; shape++ {
 					p := marginalPDF(family, d, rng.Float64)
 					mbr := p.MBR()
-					for q := 0; q < n/10; q++ {
+					for q := 0; q < rects/10; q++ {
 						checkMarginalBounds(t, cache, p, marginalRect(q%marginalRectKinds, mbr, rng.Float64))
 					}
 				}
@@ -322,9 +289,6 @@ func FuzzProbBoundsMarginal(f *testing.F) {
 			return
 		}
 		family, d, kind := int(data[0])%marginalFamilies, 2+int(data[1])%2, int(data[2])%marginalRectKinds
-		if d == 3 && (family == famConGau || family == famMixture) {
-			d = 2 // the 3-D Con-Gau oracle takes milliseconds: keep executions short
-		}
 		src := unitBytes{data[3:]}
 		p := marginalPDF(family, d, src.next)
 		checkMarginalBounds(t, fuzzCache, p, marginalRect(kind, p.MBR(), src.next))
@@ -353,9 +317,10 @@ func TestCDFTableBrackets(t *testing.T) {
 		build, probe updf.PDF
 		tol          float64 // of MarginalCDF itself
 	}{
-		// The CA dataset's shape: MarginalCDF is a quadrature at 1e-10.
-		"con-gau": {updf.NewConGauBall(geom.Point{500, -20}, 250, 125), updf.NewConGauBall(geom.Point{-7301.5, 12.25}, 250, 125), 1e-9},
-		// A closed form behind a foreign type: the table is held to rounding.
+		// The CA dataset's shape, whose MarginalCDF is a fixed Gauss–Legendre
+		// rule, and a closed form behind a foreign type: both tables are held
+		// to rounding.
+		"con-gau": {updf.NewConGauBall(geom.Point{500, -20}, 250, 125), updf.NewConGauBall(geom.Point{-7301.5, 12.25}, 250, 125), 1e-12},
 		"foreign": {foreign{updf.NewUniformBall(geom.Point{3, 4}, 10), &calls}, foreign{updf.NewUniformBall(geom.Point{1e4, -1e4}, 10), &calls}, 1e-12},
 	} {
 		t.Run(name, func(t *testing.T) {

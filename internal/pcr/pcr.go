@@ -20,7 +20,7 @@ type PCRs struct {
 // the normalization constant λ of the CA dataset "needs to be calculated
 // only once" because every object shares the same pdf shape; this cache
 // generalizes that: a dataset of identically-shaped objects computes its
-// quantiles exactly once. For the shapes whose marginal CDF is a quadrature
+// quantiles exactly once. For the shapes updf.MarginalTable says to tabulate
 // it also holds the CDF tables refinement reads instead (cdftable.go). Safe
 // for concurrent use.
 type QuantileCache struct {

@@ -269,10 +269,10 @@ func randomQuery(rng *rand.Rand, mbr geom.Rect) geom.Rect {
 
 // assertSound checks the fundamental guarantee of every filter: pruning
 // implies the object truly fails the query, validation implies it truly
-// qualifies. The tolerance absorbs quadrature error in the oracles.
+// qualifies, to the 1e-9 margin the filters prune with.
 func assertSound(t *testing.T, name string, outcome Outcome, truth, pq float64) {
 	t.Helper()
-	const tol = 1e-5
+	const tol = boundPruneEps
 	switch outcome {
 	case Pruned, PrunedByBound:
 		if truth >= pq+tol {

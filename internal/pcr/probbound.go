@@ -44,8 +44,8 @@ import (
 // boundPruneEps is the safety margin of the upper-bound prune: a candidate
 // is dropped only when ub is below the query threshold by more than this,
 // absorbing the float noise nesting repair can put into stored faces — and,
-// for FilterMarginal, on both of its tests, the 1e-10 tolerance of the
-// quadratures behind a CDF table and behind ExactProb.
+// for FilterMarginal, on both of its tests, the rounding of the
+// Gauss–Legendre rules behind a CDF table and behind ExactProb.
 const boundPruneEps = 1e-9
 
 // tail brackets one tail mass, lo ≤ P(X_i < x) ≤ hi.
@@ -204,7 +204,7 @@ func ProbBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64)
 // probability itself.
 //
 // A family whose MarginalCDF is closed form is called and gives exact
-// tails; one whose MarginalCDF is a quadrature (updf.MarginalTable) is
+// tails; one whose MarginalCDF is a quadrature rule (updf.MarginalTable) is
 // never called here once its shape's table exists in cache: each tail is
 // bracketed between two knots of the table. A mixture's tails are the
 // weighted sums of its components'. With a nil cache nothing is tabulated

@@ -89,11 +89,7 @@ func TestProbBoundsSound(t *testing.T) {
 			pcrs := Compute(p, cat, nil)
 			out, in := FitOut(pcrs), FitIn(pcrs)
 			mbr := p.MBR()
-			rects := 300
-			if p.Dim() == 3 {
-				rects = 40 // the 3-D oracle is a slow quadrature
-			}
-			for q := 0; q < rects; q++ {
+			for q := 0; q < 300; q++ {
 				rq := boundTestRect(rng, mbr)
 				exact := exactProb(p, rq)
 				lbP, ubP := ProbBoundsPCR(pcrs, rq)

@@ -113,13 +113,6 @@ func TestShapeDecisionSound(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*family + d)))
 				u := rng.Float64
 				done, decided, decidable := 0, 0, 0
-				// ExactProb is the slow part — tens of milliseconds for a 3-D
-				// Con-Gau, or for a circle of radius 10⁻³ at 10⁷ — and
-				// FilterMarginal is held to it on its own account.
-				oracleEvery := 50
-				if family == famConGau && d == 3 {
-					oracleEvery = 500
-				}
 				for shape := 0; shape < 10; shape++ {
 					// Extents 10⁻³ … 300 across the shapes; the polygon's
 					// lattice has its own, and loses cancelling digits to
@@ -139,7 +132,7 @@ func TestShapeDecisionSound(t *testing.T) {
 						mbr := p.MBR()
 						for q := 0; q < 10; q++ {
 							rq := marginalRect((obj*10+q)%marginalRectKinds, mbr, u)
-							was, could := checkShapeDecision(t, cache, proto, pm, p, mbr, rq, done%oracleEvery == 0)
+							was, could := checkShapeDecision(t, cache, proto, pm, p, mbr, rq)
 							done, decided, decidable = done+1, decided+was, decidable+could
 						}
 					}
@@ -159,10 +152,9 @@ func TestShapeDecisionSound(t *testing.T) {
 
 // checkShapeDecision holds one (object, rectangle) pair to the contract and
 // counts, over boundTestThresholds, the decisions FilterMarginal takes and
-// those FilterShape took before it. The exact probability is consulted when
-// oracle is set: it is the slow part, and FilterMarginal is held to it on its
-// own account (TestProbBoundsMarginalSound).
-func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, oracle bool) (decided, decidable int) {
+// those FilterShape took before it, and holds every leaf decision to the
+// exact probability.
+func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect) (decided, decidable int) {
 	t.Helper()
 	lbM, ubM := ProbBoundsMarginal(p, rq, cache)
 	lbS, ubS := ProbBoundsShape(proto, pm, mbr, rq, cache)
@@ -170,10 +162,7 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		t.Fatalf("%T %v read through %v, rq=%v: leaf bracket [%.17g, %.17g] does not hold the record's [%.17g, %.17g]",
 			p, mbr, pm, rq, lbS, ubS, lbM, ubM)
 	}
-	exact, tol := math.NaN(), oracleTol(p)
-	if oracle {
-		exact = exactProb(p, rq)
-	}
+	exact, tol := exactProb(p, rq), oracleTol
 	// After the fixed thresholds, the record's own decision boundaries: the
 	// last threshold it validates at and the first it prunes at, where a
 	// leaf decision would differ first if it could.

@@ -78,27 +78,14 @@ func (g *ConGauBall) SampleUniform(rng *rand.Rand, dst geom.Point) {
 	sampleBall(rng, g.Ctr, g.R, dst)
 }
 
-// chordMassDensity returns the 2-D marginal density of the offset t from
-// the center along either axis (isotropy makes them identical): the 1-D
-// Gaussian density at t times the mass a 1-D Gaussian places on the chord
-// [−h, h] of the disk at t.
-func (g *ConGauBall) chordMassDensity(t float64) float64 {
-	r, s := g.R, g.Sigma
-	if t <= -r || t >= r {
-		return 0
-	}
-	h := math.Sqrt(r*r - t*t)
-	return numeric.NormalPDF(t/s) / s * (2*numeric.NormalCDF(h/s) - 1) / g.lambda
-}
-
-// MarginalCDF is closed form for d = 1 and d = 3 and a quadrature of the
-// chord masses for d = 2 (MarginalTable says which, for callers that cannot
-// afford the quadrature). For d = 3 the slice of the ball at offset t is a
-// disk of radius √(r²−t²), on which a 2-D isotropic Gaussian places mass
-// 1 − exp(−(r²−t²)/2σ²); times the 1-D density at t that is
-// (e^{−t²/2σ²} − e^{−r²/2σ²}) / (σ√2π), whose antiderivative is a normal
-// CDF minus a straight line. The faces of MBR() are compared as ballMBR
-// computes them, as in UniformBall.MarginalCDF.
+// MarginalCDF is closed form for d = 1 and d = 3 and a fixed Gauss–Legendre
+// rule over the chord masses for d = 2 (diskRectMass on the half-plane left
+// of x; MarginalTable says to tabulate it on the query path). For d = 3 the
+// slice of the ball at offset t is a disk of radius √(r²−t²), on which a
+// 2-D isotropic Gaussian places mass 1 − exp(−(r²−t²)/2σ²); times the 1-D
+// density at t that is (e^{−t²/2σ²} − e^{−r²/2σ²}) / (σ√2π), whose
+// antiderivative is a normal CDF minus a straight line. The faces of MBR()
+// are compared as ballMBR computes them, as in UniformBall.MarginalCDF.
 func (g *ConGauBall) MarginalCDF(dim int, x float64) float64 {
 	c, r, s := g.Ctr[dim], g.R, g.Sigma
 	t := x - c
@@ -112,8 +99,8 @@ func (g *ConGauBall) MarginalCDF(dim int, x float64) float64 {
 	case 1:
 		return clamp01((numeric.NormalCDF(t/s) - numeric.NormalCDF(-r/s)) / g.lambda)
 	case 2:
-		v, _ := numeric.AdaptiveSimpson(g.chordMassDensity, -r, t, 1e-10)
-		return clamp01(v)
+		inf := math.Inf(1)
+		return clamp01(g.diskRectMass(r, -inf, -inf, t, inf) / g.lambda)
 	default:
 		kappa := numeric.NormalPDF(r/s) / s
 		return clamp01((numeric.NormalCDF(t/s) - numeric.NormalCDF(-r/s) - kappa*(t+r)) / g.lambda)
@@ -126,67 +113,68 @@ func (g *ConGauBall) ShapeKey() string {
 
 func (g *ConGauBall) Center() geom.Point { return g.Ctr }
 
-// ExactProb evaluates Equation 2 by quadrature: for d=2 a single integral of
-// Gaussian chord masses, for d=3 a nested integral. Used as ground truth.
+// ExactProb evaluates Equation 2: in 2-D a Gauss–Legendre rule over the
+// erf differences that are the Gaussian chord masses (diskRectMass), in 3-D
+// that slice mass under a second rule over z (sliceIntegral). Good to
+// rounding, not to a tolerance; a rectangle covering MBR() gives exactly 1.
 func (g *ConGauBall) ExactProb(rq geom.Rect) float64 {
-	r, s := g.R, g.Sigma
+	if p, ok := ballDecided(g.Ctr, g.R, rq); ok {
+		return p
+	}
+	c, r, s := g.Ctr, g.R, g.Sigma
 	switch g.Dim() {
 	case 1:
-		lo := math.Max(rq.Lo[0], g.Ctr[0]-r)
-		hi := math.Min(rq.Hi[0], g.Ctr[0]+r)
-		if lo >= hi {
-			return 0
-		}
-		return clamp01(numeric.NormalIntervalMass(g.Ctr[0], s, lo, hi) / g.lambda)
+		return clamp01(numeric.NormalIntervalMass(c[0], s, max(rq.Lo[0], c[0]-r), min(rq.Hi[0], c[0]+r)) / g.lambda)
 	case 2:
-		v := g.gaussDiskRectMass(g.Ctr[0], g.Ctr[1], r, rq.Lo[0], rq.Lo[1], rq.Hi[0], rq.Hi[1])
-		return clamp01(v / g.lambda)
-	case 3:
-		zlo := math.Max(rq.Lo[2], g.Ctr[2]-r)
-		zhi := math.Min(rq.Hi[2], g.Ctr[2]+r)
-		if zlo >= zhi {
-			return 0
-		}
-		f := func(z float64) float64 {
-			rest := r*r - (z-g.Ctr[2])*(z-g.Ctr[2])
-			if rest <= 0 {
-				return 0
-			}
-			rad := math.Sqrt(rest)
-			inner := g.gaussDiskRectMass(g.Ctr[0], g.Ctr[1], rad, rq.Lo[0], rq.Lo[1], rq.Hi[0], rq.Hi[1])
-			return numeric.NormalPDF((z-g.Ctr[2])/s) / s * inner
-		}
-		v, _ := numeric.AdaptiveSimpson(f, zlo, zhi, 1e-8)
-		return clamp01(v / g.lambda)
+		return clamp01(g.diskRectMass(r, rq.Lo[0]-c[0], rq.Lo[1]-c[1], rq.Hi[0]-c[0], rq.Hi[1]-c[1]) / g.lambda)
 	default:
-		panic("updf: unsupported dimension")
+		x0, y0, x1, y1 := rq.Lo[0]-c[0], rq.Lo[1]-c[1], rq.Hi[0]-c[0], rq.Hi[1]-c[1]
+		slice := func(z float64) float64 {
+			return numeric.NormalPDF(z/s) / s * g.diskRectMass(math.Sqrt(max(0, (r-z)*(r+z))), x0, y0, x1, y1)
+		}
+		z0, z1 := max(rq.Lo[2]-c[2], -gaussReach*s), min(rq.Hi[2]-c[2], gaussReach*s)
+		return clamp01(sliceIntegral(slice, r, z0, z1, x0, y0, x1, y1, gaussPanel*s) / g.lambda)
 	}
 }
 
-// gaussDiskRectMass returns the (unnormalized) mass the 2D isotropic
-// Gaussian at (cx, cy) with deviation g.Sigma places on disk(r) ∩ rect.
-func (g *ConGauBall) gaussDiskRectMass(cx, cy, r, lx, ly, hx, hy float64) float64 {
-	s := g.Sigma
-	xlo := math.Max(lx, cx-r)
-	xhi := math.Min(hx, cx+r)
-	if xlo >= xhi {
+// gaussPanel is the widest panel, in standard deviations, over which the
+// Gauss–Legendre rule is asked to integrate a Gaussian factor, and beyond
+// gaussReach standard deviations from the mean (a mass of 2e-23) nothing
+// is integrated.
+const gaussPanel, gaussReach = 5, 10
+
+// diskRectMass is the mass the 2-D Gaussian N(0, σ²I) places on the disk
+// of radius rho at the origin inside [x0, x1] × [y0, y1]: over x = rho·sin θ,
+// which keeps the chord's half-length rho·cos θ smooth, the density at x
+// times the erf difference of the chord's part inside [y0, y1], split where
+// the chord starts or stops clipping on y0 or y1.
+func (g *ConGauBall) diskRectMass(rho, x0, y0, x1, y1 float64) float64 {
+	switch {
+	case rho <= 0 || x0 >= rho || x1 <= -rho || y0 >= rho || y1 <= -rho:
 		return 0
+	case x0 <= -rho && x1 >= rho && y0 <= -rho && y1 >= rho:
+		return chiBallMass(2, rho/g.Sigma)
 	}
-	f := func(x float64) float64 {
-		rest := r*r - (x-cx)*(x-cx)
-		if rest <= 0 {
-			return 0
+	k := rho / g.Sigma
+	var cuts [4]float64
+	n := 0
+	for _, y := range [2]float64{y0, y1} {
+		if c := math.Abs(y) / rho; c < 1 {
+			cuts[n], cuts[n+1] = -math.Acos(c), math.Acos(c)
+			n += 2
 		}
-		half := math.Sqrt(rest)
-		lo := math.Max(ly, cy-half)
-		hi := math.Min(hy, cy+half)
-		if lo >= hi {
-			return 0
-		}
-		return numeric.NormalPDF((x-cx)/s) / s * numeric.NormalIntervalMass(cy, s, lo, hi)
 	}
-	v, _ := numeric.AdaptiveSimpson(f, xlo, xhi, 1e-9)
-	return v
+	ya, yb := y0/(g.Sigma*math.Sqrt2), y1/(g.Sigma*math.Sqrt2)
+	f := func(th float64) float64 {
+		sn, cs := math.Sincos(th)
+		h := k * cs / math.Sqrt2
+		return numeric.NormalPDF(k*sn) * k * cs * max(0, math.Erf(min(yb, h))-math.Erf(max(ya, -h))) / 2
+	}
+	x0, x1 = max(x0, -gaussReach*g.Sigma), min(x1, gaussReach*g.Sigma)
+	lo, hi := math.Asin(max(-1, min(1, x0/rho))), math.Asin(max(-1, min(1, x1/rho)))
+	return piecewise(lo, hi, cuts[:n], func(a, b float64) float64 {
+		return numeric.GaussLegendre(f, a, b, int(math.Ceil((b-a)*k/gaussPanel)))
+	})
 }
 
 // GaussRect is a product of independent Gaussians truncated to a rectangle.

@@ -15,12 +15,12 @@ type ShapeID struct {
 // per-shape table instead of being called, and the shape to file the table
 // under. Which is a static property of the type and dimension:
 //
-//   - UniformRect, GaussRect, ExpoRect, HistogramRect and UniformPolygon in
-//     any dimension, UniformBall for d ≤ 3 and ConGauBall for d ∈ {1, 3} are
-//     closed form — tens of nanoseconds, call them;
-//   - ConGauBall for d = 2 and UniformBall for d > 3 run an adaptive
-//     quadrature per call (61 µs for the former), which a caller on the
-//     query path cannot afford: tabulate;
+//   - UniformRect, GaussRect, ExpoRect, HistogramRect, UniformPolygon and
+//     UniformBall in any dimension and ConGauBall for d ∈ {1, 3} are closed
+//     form — tens of nanoseconds, call them;
+//   - ConGauBall for d = 2 runs a fixed Gauss–Legendre rule over 48 chord
+//     masses per call (BenchmarkMarginalCDF: ≈ 2 µs against a 0.2 µs table
+//     read, and a candidate needs four): tabulate;
 //   - a Mixture is as cheap as its components, which the caller should
 //     visit itself (Components, Component): asked about the mixture as a
 //     whole the answer is "call it";
@@ -29,12 +29,7 @@ type ShapeID struct {
 //     may share a table, and it has to be called.
 func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
 	switch v := p.(type) {
-	case *UniformRect, *GaussRect, *ExpoRect, *HistogramRect, *UniformPolygon, *Mixture:
-		return ShapeID{}, false
-	case *UniformBall:
-		if d := v.Dim(); d > 3 {
-			return ShapeID{family: tagUniformBall, dim: d, a: v.R}, true
-		}
+	case *UniformRect, *GaussRect, *ExpoRect, *HistogramRect, *UniformPolygon, *UniformBall, *Mixture:
 		return ShapeID{}, false
 	case *ConGauBall:
 		if v.Dim() == 2 {

@@ -6,31 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/numeric"
 )
-
-// simpsonConGauMarginalCDF is the 3-D Con-Gau marginal as the product
-// computed it before the closed form (at tol = 1e-10): adaptive Simpson
-// over the marginal density, the 1-D Gaussian density at offset t times the
-// mass a 2-D isotropic Gaussian places on the disk of radius √(r²−t²).
-func simpsonConGauMarginalCDF(g *ConGauBall, dim int, x, tol float64) float64 {
-	r, s := g.R, g.Sigma
-	t := x - g.Ctr[dim]
-	if t <= -r {
-		return 0
-	}
-	if t >= r {
-		return 1
-	}
-	density := func(t float64) float64 {
-		if t <= -r || t >= r {
-			return 0
-		}
-		return numeric.NormalPDF(t/s) / s * (1 - math.Exp(-(r*r-t*t)/(2*s*s))) / g.lambda
-	}
-	v, _ := numeric.AdaptiveSimpson(density, -r, t, tol)
-	return clamp01(v)
-}
 
 // TestConGau3DMarginalClosedForm holds the closed-form 3-D marginal to the
 // quadrature it replaced, from a nearly uniform ball (r/σ = 0.25) to a
@@ -118,7 +94,7 @@ func TestMarginalTable(t *testing.T) {
 	}{
 		"uniform ball 2-D":  {ball2, false},
 		"uniform ball 3-D":  {NewUniformBall(geom.Point{0, 0, 0}, 5), false},
-		"uniform ball 4-D":  {NewUniformBall(geom.Point{0, 0, 0, 0}, 5), true},
+		"uniform ball 4-D":  {NewUniformBall(geom.Point{0, 0, 0, 0}, 5), false},
 		"con-gau 1-D":       {NewConGauBall(geom.Point{0}, 5, 2), false},
 		"con-gau 2-D":       {NewConGauBall(geom.Point{0, 0}, 5, 2), true},
 		"con-gau 3-D":       {NewConGauBall(geom.Point{0, 0, 0}, 5, 2), false},

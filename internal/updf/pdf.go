@@ -6,11 +6,12 @@
 //     Constrained Gaussian (Con-Gau, Equation 16), truncated Gaussian and
 //     exponential products on rectangles, and piecewise-constant histogram
 //     pdfs standing in for fully arbitrary densities;
-//   - per-dimension marginal CDFs and quantiles (closed-form where the
-//     math allows, adaptive quadrature otherwise) — the primitive from
-//     which PCRs are computed (Section 4.1);
+//   - per-dimension marginal CDFs and quantiles (closed form, but for the
+//     2-D Con-Gau, a fixed Gauss–Legendre rule over its chord masses) — the
+//     primitive from which PCRs are computed (Section 4.1);
 //   - uniform region sampling for the Monte-Carlo estimator (Equation 3);
-//   - exact appearance-probability oracles used as ground truth in tests
+//   - exact appearance probabilities, closed form or a fixed Gauss–Legendre
+//     rule good to rounding, for exact refinement, as ground truth in tests
 //     and in the Fig. 7 error study;
 //   - compact binary serialization for the data file leaf entries point at.
 package updf
@@ -18,6 +19,7 @@ package updf
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/numeric"
@@ -48,8 +50,11 @@ type PDF interface {
 }
 
 // ExactProber is implemented by pdfs that can compute the appearance
-// probability in a rectangle exactly (up to quadrature tolerance); used as
-// the ground-truth oracle in tests and the Fig. 7 experiment.
+// probability in a rectangle exactly — in closed form or by a fixed
+// Gauss–Legendre rule, with no tolerance parameter (the tests hold the balls
+// to an adaptive-Simpson reference within 1e-10 and to additivity over a
+// split within 1e-12); used by exact refinement, as the ground-truth oracle
+// in tests and in the Fig. 7 experiment.
 type ExactProber interface {
 	ExactProb(rq geom.Rect) float64
 }
@@ -162,6 +167,91 @@ func ballMBR(ctr geom.Point, r float64) geom.Rect {
 		hi[i] = ctr[i] + r
 	}
 	return geom.Rect{Lo: lo, Hi: hi}
+}
+
+// ballDecided returns 1 when rq covers the MBR of the ball at ctr with
+// radius r and 0 when it misses the ball's interior or has no volume, the
+// faces compared as ballMBR computes them; ok is false in between.
+func ballDecided(ctr geom.Point, r float64, rq geom.Rect) (p float64, ok bool) {
+	covers := true
+	for i, c := range ctr {
+		if rq.Hi[i] <= c-r || rq.Lo[i] >= c+r || rq.Lo[i] >= rq.Hi[i] {
+			return 0, true
+		}
+		covers = covers && rq.Lo[i] <= c-r && rq.Hi[i] >= c+r
+	}
+	return 1, covers
+}
+
+// sliceIntegral integrates f(z), a quantity of the slice at offset z of the
+// ball of radius r whose cross-section is cut by [x0, x1] × [y0, y1] (all
+// offsets from the centre), over [z0, z1] ∩ [−r, r]. f is analytic between
+// the offsets where the slice radius √(r²−z²) reaches a corner of the cut (a
+// kink), an edge's foot (a square-root end) or 0 (the poles), so the range
+// is split there and each piece integrated under z = m − h·cos θ, which
+// makes square-root ends smooth. The piece's formula continues past its
+// ends to the next branch point — the tangency of any edge's line, or a
+// pole — and one δ beyond an end sits √(2δ/h) off the real θ axis: no
+// θ-panel's half-width exceeds that, which keeps the rule's error at
+// rounding (below δ = 1e-6·h the point looks to the rule like the end
+// itself), and no panel spans more than width along z.
+func sliceIntegral(f func(float64) float64, r, z0, z1, x0, y0, x1, y1, width float64) float64 {
+	var cuts [16]float64
+	var branch [10]float64
+	nc, nb := 0, 0
+	add := func(list []float64, n *int, d float64) {
+		if d < r {
+			list[*n], list[*n+1] = -math.Sqrt((r-d)*(r+d)), math.Sqrt((r-d)*(r+d))
+			*n += 2
+		}
+	}
+	add(branch[:], &nb, 0) // the poles end the range, so they are never a cut
+	for _, x := range [2]float64{x0, x1} {
+		for _, y := range [2]float64{y0, y1} {
+			add(cuts[:], &nc, math.Hypot(x, y))
+		}
+		if add(branch[:], &nb, math.Abs(x)); y0 < 0 && 0 < y1 {
+			add(cuts[:], &nc, math.Abs(x))
+		}
+	}
+	for _, y := range [2]float64{y0, y1} {
+		if add(branch[:], &nb, math.Abs(y)); x0 < 0 && 0 < x1 {
+			add(cuts[:], &nc, math.Abs(y))
+		}
+	}
+	return piecewise(max(z0, -r), min(z1, r), cuts[:nc], func(a, b float64) float64 {
+		m, h := (a+b)/2, (b-a)/2
+		delta := math.Inf(1)
+		for _, c := range branch[:nb] {
+			if c < a {
+				delta = min(delta, a-c)
+			} else if c > b {
+				delta = min(delta, c-b)
+			}
+		}
+		panels := max(math.Pi*h/width, math.Pi/2*math.Sqrt(h/(2*max(delta, 1e-6*h))))
+		return numeric.GaussLegendre(func(th float64) float64 {
+			sn, cs := math.Sincos(th)
+			return f(m-h*cs) * h * sn
+		}, 0, math.Pi, int(math.Ceil(panels)))
+	})
+}
+
+// piecewise sums integrate over the pieces the cuts inside (a, b) split
+// [a, b] into; it sorts cuts.
+func piecewise(a, b float64, cuts []float64, integrate func(lo, hi float64) float64) float64 {
+	slices.Sort(cuts)
+	var v float64
+	for _, c := range cuts {
+		if a < c && c < b {
+			v += integrate(a, c)
+			a = c
+		}
+	}
+	if a >= b {
+		return v
+	}
+	return v + integrate(a, b)
 }
 
 // inBall reports whether x is within distance r of ctr.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/geom"
-	"repro/internal/numeric"
 )
 
 // UniformBall is the paper's canonical location-uncertainty model: the
@@ -42,10 +41,12 @@ func (u *UniformBall) SampleUniform(rng *rand.Rand, dst geom.Point) {
 	sampleBall(rng, u.Ctr, u.R, dst)
 }
 
-// MarginalCDF uses the closed-form ball marginals for d ≤ 3 and quadrature
-// for higher dimensions. At and beyond a face of MBR() it is exactly 0 or 1:
-// the faces are compared as ballMBR computes them, since x − Ctr can round
-// to just inside (−r, r) when x is the face itself.
+// MarginalCDF is closed form in every dimension. For d > 3 the slice of
+// the ball at offset t = r·sin φ has volume ∝ cos^{d−1}φ, so the CDF is
+// I_d(φ)/I_d(π/2) with I_n(φ) = ∫_{−π/2}^{φ} cosⁿθ dθ (cosPowerIntegral).
+// At and beyond a face of MBR() it is exactly 0 or 1: the faces are
+// compared as ballMBR computes them, since x − Ctr can round to just inside
+// (−r, r) when x is the face itself.
 func (u *UniformBall) MarginalCDF(dim int, x float64) float64 {
 	c, r := u.Ctr[dim], u.R
 	t := x - c
@@ -63,18 +64,23 @@ func (u *UniformBall) MarginalCDF(dim int, x float64) float64 {
 	case 3:
 		return clamp01(0.5 + (3/(4*r*r*r))*(r*r*t-t*t*t/3))
 	default:
-		d := u.Dim()
-		vSlice := unitBallVolume(d - 1)
-		f := func(s float64) float64 {
-			h := r*r - s*s
-			if h <= 0 {
-				return 0
-			}
-			return vSlice * math.Pow(math.Sqrt(h), float64(d-1))
-		}
-		v, _ := numeric.AdaptiveSimpson(f, -r, t, u.vol*1e-10)
-		return clamp01(v / u.vol)
+		return clamp01(cosPowerIntegral(u.Dim(), t/r) / cosPowerIntegral(u.Dim(), 1))
 	}
+}
+
+// cosPowerIntegral is ∫_{−π/2}^{asin s} cosⁿθ dθ, by the reduction
+// I_n = cos^{n−1}φ·sin φ/n + (n−1)/n·I_{n−2} down to I_0 = φ + π/2 or
+// I_1 = 1 + sin φ.
+func cosPowerIntegral(n int, s float64) float64 {
+	c := math.Sqrt((1 - s) * (1 + s))
+	v, k := 1+s, 1
+	if n%2 == 0 {
+		v, k = math.Atan2(s, c)+math.Pi/2, 0
+	}
+	for k += 2; k <= n; k += 2 {
+		v = math.Pow(c, float64(k-1))*s/float64(k) + float64(k-1)/float64(k)*v
+	}
+	return v
 }
 
 func (u *UniformBall) ShapeKey() string {
@@ -83,64 +89,65 @@ func (u *UniformBall) ShapeKey() string {
 
 func (u *UniformBall) Center() geom.Point { return u.Ctr }
 
-// ExactProb integrates the uniform density over rq ∩ ball exactly (to
-// quadrature tolerance): the ratio Vol(ball ∩ rq) / Vol(ball), Equation 1.
+// ExactProb is the ratio Vol(ball ∩ rq) / Vol(ball) of Equation 1: in
+// closed form in 1-D and 2-D, in 3-D a Gauss–Legendre rule over z of the
+// closed-form slice area. A rectangle covering MBR() gives exactly 1.
 func (u *UniformBall) ExactProb(rq geom.Rect) float64 {
-	v := ballRectVolume(u.Ctr, u.R, rq, u.Dim())
-	return clamp01(v / u.vol)
-}
-
-// ballRectVolume computes Vol(ball(ctr,r) ∩ rect) for d ∈ {1,2,3} by nested
-// chord integration.
-func ballRectVolume(ctr geom.Point, r float64, rect geom.Rect, d int) float64 {
-	switch d {
+	if p, ok := ballDecided(u.Ctr, u.R, rq); ok {
+		return p
+	}
+	c, r := u.Ctr, u.R
+	switch u.Dim() {
 	case 1:
-		lo := math.Max(rect.Lo[0], ctr[0]-r)
-		hi := math.Min(rect.Hi[0], ctr[0]+r)
-		return math.Max(0, hi-lo)
+		return clamp01((min(rq.Hi[0], c[0]+r) - max(rq.Lo[0], c[0]-r)) / u.vol)
 	case 2:
-		return circleRectArea(ctr[0], ctr[1], r, rect.Lo[0], rect.Lo[1], rect.Hi[0], rect.Hi[1], 1e-10*r*r)
+		return clamp01(circleRectArea(r, rq.Lo[0]-c[0], rq.Lo[1]-c[1], rq.Hi[0]-c[0], rq.Hi[1]-c[1]) / u.vol)
 	case 3:
-		zlo := math.Max(rect.Lo[2], ctr[2]-r)
-		zhi := math.Min(rect.Hi[2], ctr[2]+r)
-		if zlo >= zhi {
-			return 0
-		}
-		f := func(z float64) float64 {
-			h := r*r - (z-ctr[2])*(z-ctr[2])
-			if h <= 0 {
-				return 0
-			}
-			rad := math.Sqrt(h)
-			return circleRectArea(ctr[0], ctr[1], rad, rect.Lo[0], rect.Lo[1], rect.Hi[0], rect.Hi[1], 1e-8*rad*rad)
-		}
-		v, _ := numeric.AdaptiveSimpson(f, zlo, zhi, 1e-7*r*r*r)
-		return v
+		x0, y0, x1, y1 := rq.Lo[0]-c[0], rq.Lo[1]-c[1], rq.Hi[0]-c[0], rq.Hi[1]-c[1]
+		slice := func(z float64) float64 { return circleRectArea(math.Sqrt(max(0, (r-z)*(r+z))), x0, y0, x1, y1) }
+		return clamp01(sliceIntegral(slice, r, rq.Lo[2]-c[2], rq.Hi[2]-c[2], x0, y0, x1, y1, math.Inf(1)) / u.vol)
 	default:
-		panic(fmt.Sprintf("updf: ballRectVolume unsupported for d=%d", d))
+		panic(fmt.Sprintf("updf: UniformBall.ExactProb unsupported for d=%d", u.Dim()))
 	}
 }
 
-// circleRectArea returns the area of circle((cx,cy), r) ∩ [lx,ly,hx,hy] by
-// integrating the vertical chord overlap along x.
-func circleRectArea(cx, cy, r, lx, ly, hx, hy, tol float64) float64 {
-	xlo := math.Max(lx, cx-r)
-	xhi := math.Min(hx, cx+r)
-	if xlo >= xhi {
+// circleRectArea is the area of the disk of radius r at the origin inside
+// [x0, x1] × [y0, y1], by inclusion–exclusion over its corners.
+func circleRectArea(r, x0, y0, x1, y1 float64) float64 {
+	return max(0, cornerArea(r, x1, y1)-cornerArea(r, x0, y1)-cornerArea(r, x1, y0)+cornerArea(r, x0, y0))
+}
+
+// cornerArea is the area of the disk of radius r at the origin left of
+// x = a and below y = b.
+func cornerArea(r, a, b float64) float64 {
+	switch {
+	case a <= -r || b <= -r:
 		return 0
+	case a >= r && b >= r:
+		return math.Pi * r * r
+	case b >= r:
+		return 2 * chordArea(r, a)
+	case a >= r:
+		return 2 * chordArea(r, b)
 	}
-	f := func(x float64) float64 {
-		h := r*r - (x-cx)*(x-cx)
-		if h <= 0 {
-			return 0
-		}
-		half := math.Sqrt(h)
-		lo := math.Max(ly, cy-half)
-		hi := math.Min(hy, cy+half)
-		return math.Max(0, hi-lo)
+	// Below y = b the chord at x is [−h, min(b, h)]: b + h where h ≥ b, that
+	// is |x| ≤ w, and outside it 2h if b is above the centre, else nothing.
+	w := math.Sqrt((r - b) * (r + b))
+	mid := max(-w, min(w, a))
+	v := b*(mid+w) + chordArea(r, mid) - chordArea(r, -w)
+	if b > 0 {
+		v += 2 * (chordArea(r, min(a, -w)) + max(0, chordArea(r, a)-chordArea(r, w)))
 	}
-	v, _ := numeric.AdaptiveSimpson(f, xlo, xhi, tol)
 	return v
+}
+
+// chordArea is ∫_{−r}^{t} √(r²−s²) ds for t clamped to [−r, r], the
+// antiderivative ½(t√(r²−t²) + r²·asin(t/r)) that the 2-D MarginalCDF uses,
+// with the angle taken by atan2: asin loses half the digits of t/r near ±1.
+func chordArea(r, t float64) float64 {
+	t = max(-r, min(r, t))
+	w := math.Sqrt((r - t) * (r + t))
+	return 0.5*(t*w+r*r*math.Atan2(t, w)) + math.Pi*r*r/4
 }
 
 func clamp01(x float64) float64 {

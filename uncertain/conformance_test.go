@@ -48,8 +48,8 @@ func conformancePDF(n int, rng *rand.Rand) PDF {
 		return UniformBox(box)
 	case 2:
 		// One shape for all, as in the paper's CA dataset: Con-Gau
-		// quantiles are a quadrature inside a bisection, computed once per
-		// shape.
+		// quantiles are a quadrature rule inside a bisection, computed once
+		// per shape.
 		return ConstrainedGaussian(c, 15, 7.5)
 	case 3:
 		return TruncatedGaussianBox(box, Pt(c[0]-0.2*r, c[1]+0.1*r), []float64{0.7 * r, 0.5 * r})

@@ -51,7 +51,7 @@ func WithMonteCarloSamples(n int) QueryOption {
 }
 
 // WithExactRefinement overrides Config.ExactRefinement for this query:
-// when on, pdfs exposing a closed-form/quadrature probability oracle are
+// when on, pdfs exposing an exact (closed-form or fixed-rule) probability are
 // refined exactly instead of by Monte Carlo.
 func WithExactRefinement(on bool) QueryOption {
 	return func(p *queryPlan) { p.o.ExactSet, p.o.Exact = true, on }

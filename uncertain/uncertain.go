@@ -119,8 +119,8 @@ type Config struct {
 	// MonteCarloSamples is n1 of the refinement estimator (0 → 10000; the
 	// paper uses 10^6 for <1% error).
 	MonteCarloSamples int
-	// ExactRefinement uses closed-form/quadrature probabilities instead of
-	// Monte Carlo when the pdf supports it.
+	// ExactRefinement uses exact (closed-form or fixed-rule) probabilities
+	// instead of Monte Carlo when the pdf supports it.
 	ExactRefinement bool
 	// Path makes the index file-backed (empty → in-memory).
 	Path string
