@@ -11,7 +11,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -272,54 +271,81 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// Parallel-vs-serial benchmarks: the Fig. 9 workload (LB, qs=1500, pq=0.6)
-// over a 2 ms simulated page latency (see pagefile.LatencyStore — the era
-// cost model's disk), serial Search loop versus QueryEngine.SearchBatch.
-// The fixture is built once and shared; queries are read-only.
-var parallelFixture struct {
+// Fig. 9 serving benchmarks: the LB dataset and the Fig. 9 mid-point
+// workload (qs = 1500, pq = 0.6) through the public uncertain surface, on
+// the in-memory store. The single-tree fixture is built once and shared;
+// queries are read-only.
+var fig9Fixture struct {
 	once    sync.Once
-	ct      *uncertain.Tree
-	lat     *experiments.Latency
+	tree    *uncertain.Tree
 	queries []uncertain.RangeQuery
 	err     error
 }
 
-func parallelBenchFixture(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
-	parallelFixture.once.Do(func() {
-		cfg := benchConfig()
-		cfg.Scale = 0.05
-		cfg.Queries = 100
-		parallelFixture.ct, parallelFixture.lat, parallelFixture.queries, parallelFixture.err =
-			experiments.BuildParallelFixture(cfg)
-		if parallelFixture.err == nil {
-			parallelFixture.lat.Arm(2 * time.Millisecond)
-			// One warm pass so every benchmark starts from the same cache.
-			for _, q := range parallelFixture.queries {
-				if _, _, err := parallelFixture.ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
-					parallelFixture.err = err
-					return
+// fig9Data generates the fixture's objects and queries.
+func fig9Data() ([]core.Object, []uncertain.RangeQuery) {
+	const seed = 42
+	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.05, Seed: seed})
+	centers := make([]geom.Point, len(objs))
+	for i, o := range objs {
+		centers[i] = o.PDF.Center()
+	}
+	w := workload.New(workload.Config{
+		QS: 1500, PQ: 0.6, Count: 100, Seed: seed,
+		Domain: dataset.Domain, Centers: centers,
+	})
+	queries := make([]uncertain.RangeQuery, len(w.Queries))
+	for i, q := range w.Queries {
+		queries[i] = uncertain.RangeQuery{Rect: q.Rect, Prob: q.Prob}
+	}
+	return objs, queries
+}
+
+// fig9Tree is the shared single-tree fixture: the objects inserted one by
+// one into a tree whose page cache is smaller than the index, flushed, and
+// one pass of the queries run so every benchmark starts warm.
+func fig9Tree(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
+	fig9Fixture.once.Do(func() {
+		objs, queries := fig9Data()
+		tree, err := uncertain.NewTree(uncertain.Config{
+			Dimensions:        dataset.LB.Dim(),
+			MonteCarloSamples: 1000,
+			Seed:              42,
+			BufferPages:       64,
+		})
+		if err == nil {
+			for _, o := range objs {
+				if err = tree.Insert(o.ID, o.PDF); err != nil {
+					break
 				}
 			}
 		}
+		if err == nil {
+			err = tree.Flush()
+		}
+		for _, q := range queries {
+			if err != nil {
+				break
+			}
+			_, _, err = tree.Search(context.Background(), q.Rect, q.Prob)
+		}
+		fig9Fixture.tree, fig9Fixture.queries, fig9Fixture.err = tree, queries, err
 	})
-	if parallelFixture.err != nil {
-		b.Fatal(parallelFixture.err)
+	if fig9Fixture.err != nil {
+		b.Fatal(fig9Fixture.err)
 	}
-	return parallelFixture.ct, parallelFixture.queries
+	return fig9Fixture.tree, fig9Fixture.queries
 }
 
-// BenchmarkFig9SearchHotCache is the CPU-bound hot path: the same Fig. 9
-// workload with zero simulated latency and every page warm, so the
-// traversal never waits on storage — queries/sec and allocs/op measure the
+// BenchmarkFig9SearchHotCache is the CPU-bound hot path: every page and
+// decoded node warm, so queries/sec and allocs/op measure the
 // decode/filter/refine CPU cost alone. This is the benchmark the CI
 // allocation gate watches.
 func BenchmarkFig9SearchHotCache(b *testing.B) {
-	ct, queries := parallelBenchFixture(b)
-	parallelFixture.lat.Arm(0)
-	defer parallelFixture.lat.Arm(2 * time.Millisecond) // restore for later benchmarks
-	// One zero-latency pass so every page and decoded node is warm.
+	tree, queries := fig9Tree(b)
+	// One more pass so every page and decoded node is warm.
 	for _, q := range queries {
-		if _, _, err := ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
+		if _, _, err := tree.Search(context.Background(), q.Rect, q.Prob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +353,7 @@ func BenchmarkFig9SearchHotCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
+		if _, _, err := tree.Search(context.Background(), q.Rect, q.Prob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,14 +361,14 @@ func BenchmarkFig9SearchHotCache(b *testing.B) {
 }
 
 // BenchmarkFig9SearchSerial is the baseline: one goroutine, one query at a
-// time through ConcurrentTree.Search.
+// time through Tree.Search.
 func BenchmarkFig9SearchSerial(b *testing.B) {
-	ct, queries := parallelBenchFixture(b)
+	tree, queries := fig9Tree(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		if _, _, err := ct.Search(context.Background(), q.Rect, q.Prob); err != nil {
+		if _, _, err := tree.Search(context.Background(), q.Rect, q.Prob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,12 +376,12 @@ func BenchmarkFig9SearchSerial(b *testing.B) {
 }
 
 // BenchmarkFig9SearchBatch sweeps the engine's worker fan-out on the same
-// workload; the acceptance bar is ≥ 2× serial queries/sec at 4 workers.
+// workload; past GOMAXPROCS more workers cannot add throughput.
 func BenchmarkFig9SearchBatch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			ct, queries := parallelBenchFixture(b)
-			eng := uncertain.NewQueryEngine(ct, uncertain.EngineOptions{Workers: workers})
+			tree, queries := fig9Tree(b)
+			eng := uncertain.NewQueryEngine(tree, uncertain.EngineOptions{Workers: workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -368,58 +394,38 @@ func BenchmarkFig9SearchBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9SearchPrefetch sweeps the intra-query prefetch fan-out on
-// the same Fig. 9 workload (serial query loop, 2 ms simulated page
-// latency): one query overlaps up to N of its own page fetches — a
-// level's surviving children concurrently, refinement data pages behind
-// the integration — so queries/sec grows with the fan-out even though the
-// loop is strictly serial and the container has one core. prefetch=0 is
-// the serial baseline; the acceptance bar is ≥ 2× its queries/sec.
-func BenchmarkFig9SearchPrefetch(b *testing.B) {
-	for _, prefetch := range []int{0, 2, 4, 8} {
-		b.Run("prefetch="+itoa(prefetch), func(b *testing.B) {
-			ct, queries := parallelBenchFixture(b)
-			// The per-query option replaces the removed SetPrefetchWorkers
-			// mutator: the shared fixture needs no restore step.
-			opt := uncertain.WithPrefetchWorkers(prefetch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := queries[i%len(queries)]
-				if _, _, err := ct.Search(context.Background(), q.Rect, q.Prob, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
-}
-
-// BenchmarkFig9SearchSharded sweeps the shard count on the same Fig. 9
-// workload (serial query loop, 2 ms simulated page latency): every query
-// scatter-gathers across the shards, overlapping its page stalls, so
-// queries/sec grows with shards even on one core. The per-shard buffer
-// pool is the single tree's divided by the shard count (constant total
-// cache budget); shards=1 is a plain Tree. The mixed read/write
-// version (with a live writer stream) runs via
-// `go run ./cmd/ubench -experiment sharded`.
+// BenchmarkFig9SearchSharded sweeps the shard count of a spatially sharded
+// index on the same workload (serial query loop): every query prunes the
+// shards whose root box misses it and scatter-gathers across the rest. The
+// per-shard page cache is 64 pages divided by the shard count (constant
+// total cache budget).
 func BenchmarkFig9SearchSharded(b *testing.B) {
+	objs, queries := fig9Data()
+	objects := make(map[int64]uncertain.PDF, len(objs))
+	for _, o := range objs {
+		objects[o.ID] = o.PDF
+	}
+	domain := uncertain.Box(uncertain.Pt(0, 0), uncertain.Pt(dataset.Domain, dataset.Domain))
 	for _, shards := range []int{1, 2, 4} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Scale = 0.05
-			cfg.Queries = 100
-			idx, lat, queries, err := experiments.BuildShardedFixture(cfg, shards)
+			idx, err := uncertain.NewSpatialShardedTree(shards, uncertain.Config{
+				Dimensions:      dataset.LB.Dim(),
+				ExactRefinement: true,
+				Seed:            42,
+				BufferPages:     64 / shards,
+			}, domain)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer idx.Close()
+			if err := idx.BulkLoad(objects); err != nil {
+				b.Fatal(err)
+			}
 			for _, q := range queries { // warm the page cache
 				if _, _, err := idx.Search(context.Background(), q.Rect, q.Prob); err != nil {
 					b.Fatal(err)
 				}
 			}
-			lat.Arm(2 * time.Millisecond)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,26 +8,16 @@
 //	ubench -experiment fig9 -scale 0.1        # one figure, 10% data scale
 //	ubench -experiment table1 -scale 1        # paper-scale dataset sizes
 //	ubench -experiment ablations
-//	ubench -parallel -workers 8               # batch engine throughput sweep
-//	ubench -experiment sharded -shards 4      # scatter-gather vs single tree
-//	ubench -experiment pipeline -prefetch 8   # intra-query I/O pipelining sweep
-//	ubench -experiment pipeline -json out.json  # machine-readable results
-//	ubench -experiment writepath -group 32    # group-commit write-path sweep
-//	ubench -parallel -query-timeout 5         # per-query deadlines; cancelled counts in -json rows
-//	ubench -parallel -limit 8 -page-budget 32 -mc-samples 500   # per-query option knobs
-//	ubench -experiment faultpath -short       # chaos-injection fault-tolerance check, CI size
-//	ubench -experiment planner -json out.json # adaptive planning vs full fan-out
+//	ubench -experiment faultpath -short -iolat 1 -json out.json  # chaos-injection fault-tolerance check, CI size
 //
-// Experiments: fig7, fig8, table1, fig9, fig10, fig11, ablations, parallel,
-// sharded, pipeline, writepath, cpupath, faultpath, planner, all.
+// Experiments: fig7, fig8, table1, fig9, fig10, fig11, ablations, faultpath,
+// all.
 //
-// -json writes the throughput experiments' structured rows (workload
-// params, q/s, merged query stats) to a file, so perf trajectories can be
-// recorded across revisions (BENCH_*.json).
+// -json writes the fault-path experiment's structured rows (per phase: q/s,
+// slowdown against the clean phase, error and fault tallies) to a file.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the experiment
-// run (the heap profile is taken at exit), for digging into what -experiment
-// cpupath summarizes.
+// run (the heap profile is taken at exit).
 // At -scale 1 the datasets match the paper (53k/62k/100k objects); smaller
 // scales preserve the qualitative shapes at a fraction of the runtime.
 package main
@@ -45,8 +35,7 @@ import (
 )
 
 // jsonReport is the machine-readable output of -json: the workload
-// parameters plus the structured rows of every throughput experiment that
-// ran (each row carries q/s and the merged per-query stats).
+// parameters plus the fault-path experiment's rows when it ran.
 type jsonReport struct {
 	Experiment  string
 	Scale       float64
@@ -55,82 +44,23 @@ type jsonReport struct {
 	IOLatencyMS float64
 	GOMAXPROCS  int
 
-	// Per-query option knobs (0 = off), echoed so a row's cancelled /
-	// budget-exceeded counts can be interpreted.
-	QueryTimeoutMS float64 `json:",omitempty"`
-	QueryLimit     int     `json:",omitempty"`
-	PageBudget     int     `json:",omitempty"`
-	MCSamples      int     `json:",omitempty"`
-
-	Parallel  []experiments.ParallelRow  `json:",omitempty"`
-	Sharded   []experiments.ShardedRow   `json:",omitempty"`
-	Pipeline  []experiments.PipelineRow  `json:",omitempty"`
-	WritePath []experiments.WritePathRow `json:",omitempty"`
-	CPUPath   []experiments.CPUPathRow   `json:",omitempty"`
 	FaultPath []experiments.FaultPathRow `json:",omitempty"`
-	Planner   []experiments.PlannerRow   `json:",omitempty"`
 }
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "fig7|fig8|table1|fig9|fig10|fig11|ablations|parallel|sharded|pipeline|writepath|cpupath|faultpath|planner|all")
+		exp      = flag.String("experiment", "all", "fig7|fig8|table1|fig9|fig10|fig11|ablations|faultpath|all")
 		short    = flag.Bool("short", false, "shrink the dataset scale and query count for CI smoke runs")
 		scale    = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		queries  = flag.Int("queries", 0, "queries per workload (0 = default)")
 		samples  = flag.Int("mc", 0, "monte-carlo samples per probability (0 = default)")
 		seed     = flag.Int64("seed", 42, "generator seed")
-		parallel = flag.Bool("parallel", false, "run the batch query engine throughput sweep (alias for -experiment parallel)")
-		workers  = flag.Int("workers", 2*runtime.GOMAXPROCS(0), "max worker fan-out for -parallel (sweeps 1,2,4,... up to this)")
-		iolatMS  = flag.Float64("iolat", 2, "simulated per-page storage latency for -parallel, -experiment sharded and -experiment pipeline, milliseconds (0 disables; paper era model: 10)")
-		shards   = flag.Int("shards", 4, "max shard count for -experiment sharded (sweeps 1,2,4,... up to this)")
-		prefetch = flag.Int("prefetch", 8, "max intra-query prefetch fan-out for -experiment pipeline (sweeps 0,1,2,4,... up to this)")
-		group    = flag.Int("group", 32, "max group-commit size for -experiment writepath (sweeps 1, max/4, max)")
-		jsonPath = flag.String("json", "", "write machine-readable results of the throughput experiments to this file")
+		iolatMS  = flag.Float64("iolat", 2, "per-page storage latency for -experiment faultpath, milliseconds (0 disables)")
+		jsonPath = flag.String("json", "", "write the fault-path experiment's rows to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
-
-		// Per-query options of the context-first query API, applied to the
-		// -experiment parallel measured batches (0 disables each).
-		queryTimeoutMS = flag.Float64("query-timeout", 0, "per-query wall-time deadline for -experiment parallel, milliseconds; timed-out queries are counted as cancelled in the JSON rows")
-		queryLimit     = flag.Int("limit", 0, "per-query top-N result cut (WithLimit) for -experiment parallel")
-		pageBudget     = flag.Int("page-budget", 0, "per-query physical page-fetch budget (WithPageBudget) for -experiment parallel; exhausted queries are counted in the JSON rows")
-		mcSamples      = flag.Int("mc-samples", 0, "per-query Monte Carlo sample override (WithMonteCarloSamples) for -experiment parallel")
 	)
 	flag.Parse()
-	if *parallel {
-		expSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "experiment" {
-				expSet = true
-			}
-		})
-		if expSet && *exp != "parallel" {
-			fmt.Fprintf(os.Stderr, "-parallel conflicts with -experiment %s; use one or the other\n", *exp)
-			os.Exit(2)
-		}
-		*exp = "parallel"
-	}
-	if (*parallel || *exp == "parallel" || *exp == "all") && *workers < 1 {
-		fmt.Fprintf(os.Stderr, "-workers must be ≥ 1, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if (*exp == "sharded" || *exp == "all") && *shards < 1 {
-		fmt.Fprintf(os.Stderr, "-shards must be ≥ 1, got %d\n", *shards)
-		os.Exit(2)
-	}
-	if (*exp == "pipeline" || *exp == "all") && *prefetch < 0 {
-		fmt.Fprintf(os.Stderr, "-prefetch must be ≥ 0, got %d\n", *prefetch)
-		os.Exit(2)
-	}
-	if (*exp == "writepath" || *exp == "all") && *group < 1 {
-		fmt.Fprintf(os.Stderr, "-group must be ≥ 1, got %d\n", *group)
-		os.Exit(2)
-	}
-
-	if *queryTimeoutMS < 0 || *queryLimit < 0 || *pageBudget < 0 || *mcSamples < 0 {
-		fmt.Fprintln(os.Stderr, "-query-timeout, -limit, -page-budget and -mc-samples must be ≥ 0")
-		os.Exit(2)
-	}
 
 	if *short {
 		if *scale > 0.02 {
@@ -142,16 +72,12 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Scale:           *scale,
-		Queries:         *queries,
-		MCSamples:       *samples,
-		Seed:            *seed,
-		IOLatency:       time.Duration(*iolatMS * float64(time.Millisecond)),
-		Out:             os.Stdout,
-		QueryTimeout:    time.Duration(*queryTimeoutMS * float64(time.Millisecond)),
-		QueryLimit:      *queryLimit,
-		QueryPageBudget: *pageBudget,
-		QueryMCSamples:  *mcSamples,
+		Scale:     *scale,
+		Queries:   *queries,
+		MCSamples: *samples,
+		Seed:      *seed,
+		IOLatency: time.Duration(*iolatMS * float64(time.Millisecond)),
+		Out:       os.Stdout,
 	}
 
 	if *cpuProf != "" {
@@ -181,16 +107,12 @@ func main() {
 	ran := false
 	eff := cfg.WithDefaults()
 	report := jsonReport{
-		Experiment:     *exp,
-		Scale:          eff.Scale,
-		Queries:        eff.Queries,
-		Seed:           eff.Seed,
-		IOLatencyMS:    *iolatMS,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		QueryTimeoutMS: *queryTimeoutMS,
-		QueryLimit:     *queryLimit,
-		PageBudget:     *pageBudget,
-		MCSamples:      *mcSamples,
+		Experiment:  *exp,
+		Scale:       eff.Scale,
+		Queries:     eff.Queries,
+		Seed:        eff.Seed,
+		IOLatencyMS: *iolatMS,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 	if all || *exp == "fig7" {
 		run("fig7", func() error { _, err := experiments.Fig7(cfg, nil); return err })
@@ -216,58 +138,10 @@ func main() {
 		run("fig11", func() error { _, err := experiments.Fig11(cfg); return err })
 		ran = true
 	}
-	if all || *exp == "parallel" {
-		run("parallel", func() error {
-			rows, err := experiments.ParallelBatch(cfg, sweepUpTo(*workers))
-			report.Parallel = rows
-			return err
-		})
-		ran = true
-	}
-	if all || *exp == "sharded" {
-		run("sharded", func() error {
-			rows, err := experiments.ShardedMixed(cfg, sweepUpTo(*shards))
-			report.Sharded = rows
-			return err
-		})
-		ran = true
-	}
-	if all || *exp == "pipeline" {
-		run("pipeline", func() error {
-			rows, err := experiments.PipelineSweep(cfg, append([]int{0}, sweepUpTo(*prefetch)...))
-			report.Pipeline = rows
-			return err
-		})
-		ran = true
-	}
-	if all || *exp == "writepath" {
-		run("writepath", func() error {
-			rows, err := experiments.WritePath(cfg, groupSweep(*group))
-			report.WritePath = rows
-			return err
-		})
-		ran = true
-	}
 	if all || *exp == "faultpath" {
 		run("faultpath", func() error {
 			rows, err := experiments.FaultPath(cfg)
 			report.FaultPath = rows
-			return err
-		})
-		ran = true
-	}
-	if all || *exp == "planner" {
-		run("planner", func() error {
-			rows, err := experiments.PlannerAdaptive(cfg)
-			report.Planner = rows
-			return err
-		})
-		ran = true
-	}
-	if all || *exp == "cpupath" {
-		run("cpupath", func() error {
-			rows, err := experiments.CPUPath(cfg)
-			report.CPUPath = rows
 			return err
 		})
 		ran = true
@@ -307,37 +181,11 @@ func main() {
 	}
 }
 
-// writeJSON persists the structured report for the perf trajectory.
+// writeJSON persists the structured report.
 func writeJSON(path string, report jsonReport) error {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// groupSweep builds the group-commit sweep {1, max/4, max}, deduplicated
-// and ordered — the per-op baseline, a mid point, and the target size.
-func groupSweep(max int) []int {
-	vs := []int{1}
-	if mid := max / 4; mid > 1 && mid < max {
-		vs = append(vs, mid)
-	}
-	if max > 1 {
-		vs = append(vs, max)
-	}
-	return vs
-}
-
-// sweepUpTo builds the doubling sweep 1, 2, 4, … capped at max, always
-// ending on max itself (shared by the -workers and -shards sweeps).
-func sweepUpTo(max int) []int {
-	var vs []int
-	for v := 1; v <= max; v *= 2 {
-		vs = append(vs, v)
-	}
-	if len(vs) > 0 && vs[len(vs)-1] != max {
-		vs = append(vs, max)
-	}
-	return vs
 }

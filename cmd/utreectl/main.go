@@ -15,24 +15,14 @@
 // laundered into a fresh checksum. stats reports storage health alongside
 // structure: retry counts, quarantined pages and scrubber progress.
 //
-// Every subcommand accepts -buffer (page-cache size in pages) and -latency
-// (simulated per-page storage delay, milliseconds) to exercise the index
-// under the paper's disk-era cost model — e.g. `utreectl query -latency 10
-// -buffer 32 ...` reports wall times dominated by the charged page I/O.
-// -prefetch N arms intra-query I/O pipelining: up to N of one query's page
-// fetches proceed concurrently (results are identical; only wall time
-// changes), e.g. `utreectl query -latency 10 -prefetch 8 ...`.
-// -adaptive turns on cost-model-driven planning for the session: queries
-// pick their prefetch fan-out from predicted I/O (results stay identical);
-// query prints the planner's prediction next to the measured accesses, and
-// stats reports the planner's lifetime diagnostics.
+// Every subcommand accepts -buffer (page-cache size in pages).
 //
 // query and nn additionally take the per-query options of the
 // context-first API: -timeout (wall-time deadline, ms; a timed-out query
 // reports its partial results), -mc-samples (Monte Carlo refinement
 // samples), -limit (top-N early cut) and -page-budget (max physical page
 // fetches; an exhausted budget reports the partial results found within
-// it), e.g. `utreectl query -latency 10 -page-budget 32 ...`.
+// it), e.g. `utreectl query -buffer 8 -page-budget 32 ...`.
 package main
 
 import (
@@ -58,19 +48,16 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		index    = fs.String("index", "", "index file path (required)")
-		ds       = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
-		scale    = fs.Float64("scale", 0.05, "dataset scale for build")
-		rect     = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
-		prob     = fs.Float64("prob", 0.5, "query probability threshold")
-		point    = fs.String("point", "", "query point for nn: x1,x2[,x3]")
-		k        = fs.Int("k", 5, "neighbor count for nn")
-		upcr     = fs.Bool("upcr", false, "build the U-PCR variant instead")
-		outPath  = fs.String("out", "", "destination file for migrate (required by migrate)")
-		buffer   = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
-		latency  = fs.Float64("latency", 0, "simulated per-page storage latency, milliseconds (0 disables; paper era model: 10)")
-		prefetch = fs.Int("prefetch", 0, "intra-query prefetch fan-out: concurrent page fetches one query may have in flight (0 disables)")
-		adaptive = fs.Bool("adaptive", false, "enable cost-model-driven adaptive planning for this session")
+		index   = fs.String("index", "", "index file path (required)")
+		ds      = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
+		scale   = fs.Float64("scale", 0.05, "dataset scale for build")
+		rect    = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
+		prob    = fs.Float64("prob", 0.5, "query probability threshold")
+		point   = fs.String("point", "", "query point for nn: x1,x2[,x3]")
+		k       = fs.Int("k", 5, "neighbor count for nn")
+		upcr    = fs.Bool("upcr", false, "build the U-PCR variant instead")
+		outPath = fs.String("out", "", "destination file for migrate (required by migrate)")
+		buffer  = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
 
 		// Per-query options for query and nn.
 		timeoutMS  = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
@@ -83,20 +70,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "missing -index")
 		usage()
 	}
-	if *buffer < 0 || *latency < 0 || *prefetch < 0 {
-		fmt.Fprintln(os.Stderr, "-buffer, -latency and -prefetch must be ≥ 0")
+	if *buffer < 0 {
+		fmt.Fprintln(os.Stderr, "-buffer must be ≥ 0")
 		usage()
 	}
 	if *timeoutMS < 0 || *mcSamples < 0 || *limit < 0 || *pageBudget < 0 {
 		fmt.Fprintln(os.Stderr, "-timeout, -mc-samples, -limit and -page-budget must be ≥ 0")
 		usage()
 	}
-	cfg := uncertain.Config{
-		BufferPages:          *buffer,
-		SimulatedPageLatency: time.Duration(*latency * float64(time.Millisecond)),
-		PrefetchWorkers:      *prefetch,
-		AdaptivePlanning:     *adaptive,
-	}
+	cfg := uncertain.Config{BufferPages: *buffer}
 	q := queryParams{
 		timeout:    time.Duration(*timeoutMS * float64(time.Millisecond)),
 		mcSamples:  *mcSamples,
@@ -246,13 +228,6 @@ func stats(path string, cfg uncertain.Config) error {
 	for _, qp := range h.Quarantined {
 		fmt.Printf("  quarantined page %d (epoch %d): %s\n", qp.Page, qp.Epoch, qp.Cause)
 	}
-	if info := tree.PlannerInfo(); info.Enabled {
-		fmt.Printf("planner:   %d model rebuilds, %d queries planned; predicted/measured io %.0f/%.0f (calibration %.3f)\n",
-			info.ModelRebuilds, info.Queries,
-			info.PredictedAccesses, info.MeasuredAccesses, info.CalibrationFactor)
-	} else {
-		fmt.Printf("planner:   off (-adaptive enables cost-model-driven planning)\n")
-	}
 	return nil
 }
 
@@ -330,10 +305,6 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	if s.PagesFetched > 0 {
 		fmt.Printf("physical page fetches: %d (budget %d)\n", s.PagesFetched, qp.pageBudget)
 	}
-	if s.PrefetchIssued > 0 {
-		fmt.Printf("prefetch: %d issued, %d coalesced, %d wasted\n",
-			s.PrefetchIssued, s.PrefetchCoalesced, s.PrefetchWasted)
-	}
 	if s.ProbFilterPruned > 0 {
 		fmt.Printf("prob filter: %d candidates pruned before refinement\n", s.ProbFilterPruned)
 	}
@@ -341,10 +312,6 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 		fmt.Printf("refinement: %d of %d candidates decided on their marginals (%d validated, %d pruned), %d integrated\n",
 			n, s.Candidates, s.MarginalValidated, s.MarginalPruned, s.ProbComputations)
 		fmt.Printf("refinement: %d of %d candidates decided before their record was read\n", s.ShapeDecided, s.Candidates)
-	}
-	if info := tree.PlannerInfo(); info.Enabled && info.Queries > 0 {
-		fmt.Printf("planner: predicted %.1f node accesses, measured %d (calibration %.3f)\n",
-			info.PredictedAccesses, s.NodeAccesses, info.CalibrationFactor)
 	}
 	for i, r := range results {
 		if i == 20 {

@@ -2,7 +2,7 @@
 // tracker ingesting a live stream of position updates while dashboards
 // query continuously. The ShardedTree keeps queries flowing because a
 // position update locks only the shard owning that vehicle, and each query
-// fans out across all shards, overlapping their (simulated) page I/O.
+// fans out across all shards concurrently, each on a pinned snapshot.
 package main
 
 import (
@@ -11,17 +11,13 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/uncertain"
 )
 
 func main() {
-	// Build at zero storage latency; the hook arms it for the measured part.
-	lat := &experiments.Latency{}
 	st, err := uncertain.NewShardedTree(4, uncertain.Config{
 		Dimensions:      2,
 		ExactRefinement: true,
-		WrapStore:       lat.Wrap,
 	})
 	if err != nil {
 		panic(err)
@@ -40,10 +36,6 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("loaded %d vehicles across %d shards\n", st.Len(), st.Shards())
-
-	// Model disk-resident storage: every physical page access now costs
-	// 2 ms, which is what the scatter-gather overlaps.
-	lat.Arm(2 * time.Millisecond)
 
 	// A live update stream: vehicles re-report positions while we query.
 	stop := make(chan struct{})

@@ -103,6 +103,7 @@ func (t *Tree) BulkLoad(objects []Object) error {
 			}
 			t.rootPage = root
 			t.rootLevel = level
+			t.rootMBR = t.boxAt(next[0].boxes, 0)
 			t.size = len(objects)
 			return nil
 		}

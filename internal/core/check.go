@@ -20,11 +20,12 @@ import (
 //     (the containment property behind Observation 4),
 //   - stored object count matching the leaf entry count,
 //   - every leaf entry's shape reference within the shape table, and its
-//     MBR's extents those of the prototype to within pcr.ShapeSlack.
+//     MBR's extents those of the prototype to within pcr.ShapeSlack,
+//   - the recorded root box equal to the root's boundary box at p = 0.
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
-	return t.checkTreeAt(&treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.size, shapes: t.shapes}, false)
+	return t.checkTreeAt(&treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.size, shapes: t.shapes, rootMBR: t.rootMBR}, false)
 }
 
 // checkTreeAt validates the tree of the given state — the working one for
@@ -87,11 +88,19 @@ func (t *Tree) checkTreeAt(st *treeState, records bool) error {
 		}
 		return t.nodeBoundary(n), nil
 	}
-	if _, err := check(st.rootPage, true, st.rootLevel); err != nil {
+	boxes, err := check(st.rootPage, true, st.rootLevel)
+	if err != nil {
 		return err
 	}
 	if total != st.size {
 		return fmt.Errorf("core: size %d but %d leaf entries", st.size, total)
+	}
+	var root geom.Rect
+	if boxes != nil {
+		root = t.boxAt(boxes, 0)
+	}
+	if !st.rootMBR.Equal(root) {
+		return fmt.Errorf("core: recorded root box %v, root's boundary at p = 0 is %v", st.rootMBR, root)
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -141,118 +139,7 @@ func TestNNBoundConcurrentMin(t *testing.T) {
 	}
 }
 
-// --- Planner result-neutrality and feedback ----------------------------------
-
-// TestAdaptivePlanningEquivalence is the tentpole's core safety property:
-// a tree with adaptive planning on must return byte-identical results to
-// an identically-built tree with planning off — the planner only chooses
-// prefetch fan-out and issuance caps. It also checks the feedback loop
-// actually observes queries and calibrates.
-func TestAdaptivePlanningEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	objs := makeObjects(600, 1500, rng)
-
-	plain := buildTree(t, UTree, objs, 0)
-	adaptive, err := New(Options{Dim: 2, Kind: UTree, ExactRefinement: true, AdaptivePlanning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range objs {
-		if err := adaptive.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := adaptive.Commit(); err != nil { // builds the cost model
-		t.Fatal(err)
-	}
-	if info := adaptive.PlannerInfo(); !info.Enabled || info.ModelRebuilds == 0 {
-		t.Fatalf("planner did not build a model at commit: %+v", info)
-	}
-
-	for q := 0; q < 60; q++ {
-		rq := randomQueryRect(rng, 1500)
-		pq := 0.05 + rng.Float64()*0.9
-		query := Query{Rect: rq, Prob: pq}
-		want, _, err := rangeQueryOpts(plain, query, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := rangeQueryOpts(adaptive, query, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d (pq=%.3f rq=%v): planned results differ", q, pq, rq)
-		}
-	}
-	info := adaptive.PlannerInfo()
-	if info.Queries != 60 {
-		t.Fatalf("planner observed %d queries, want 60", info.Queries)
-	}
-	if info.PredictedAccesses <= 0 || info.MeasuredAccesses <= 0 {
-		t.Fatalf("planner sums not populated: %+v", info)
-	}
-	// 60 observations crossed the calibration window at least once; the
-	// factor should have moved off the pure analytic 1.0.
-	if info.CalibrationFactor == 0 {
-		t.Fatalf("no calibration factor after %d queries", info.Queries)
-	}
-
-	// Explicit per-query options stay authoritative: a prefetch override
-	// must still produce identical results.
-	rq := randomQueryRect(rng, 1500)
-	query := Query{Rect: rq, Prob: 0.4}
-	want, _, err := rangeQueryOpts(adaptive, query, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := rangeQueryOpts(adaptive, query, QueryOpts{PrefetchSet: true, Prefetch: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("prefetch override changed results")
-	}
-}
-
-// TestPredictSearchIO checks the admission-control input surface.
-func TestPredictSearchIO(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	objs := makeObjects(400, 1000, rng)
-
-	plain := buildTree(t, UTree, objs, 0)
-	if _, ok := plain.PredictSearchIO(randomQueryRect(rng, 1000), 0.5); ok {
-		t.Fatal("planning-off tree claimed a prediction")
-	}
-
-	adaptive, err := New(Options{Dim: 2, Kind: UTree, ExactRefinement: true, AdaptivePlanning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range objs {
-		if err := adaptive.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := adaptive.PredictSearchIO(randomQueryRect(rng, 1000), 0.5); ok {
-		t.Fatal("uncommitted tree (no model yet) claimed a prediction")
-	}
-	if err := adaptive.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	small, ok := adaptive.PredictSearchIO(geom.NewRect(geom.Point{10, 10}, geom.Point{20, 20}), 0.5)
-	if !ok || small < 1 {
-		t.Fatalf("small-query prediction = %v ok=%v", small, ok)
-	}
-	large, ok := adaptive.PredictSearchIO(geom.NewRect(geom.Point{0, 0}, geom.Point{1000, 1000}), 0.5)
-	if !ok || large <= small {
-		t.Fatalf("prediction not monotone in query size: %v vs %v", large, small)
-	}
-	// Dim mismatch: no prediction, no panic.
-	if _, ok := adaptive.PredictSearchIO(geom.NewRect(geom.Point{0}, geom.Point{1}), 0.5); ok {
-		t.Fatal("dim-mismatched rect claimed a prediction")
-	}
-}
+// --- Probability-bound filter ------------------------------------------------
 
 // TestProbFilterEquivalence: the probability-bound filter is always on, so
 // its contract is checked against brute force — no query's result set may
@@ -295,51 +182,5 @@ func TestProbFilterEquivalence(t *testing.T) {
 		if totalPruned == 0 {
 			t.Fatalf("%v: prob filter never pruned across 160 queries", kind)
 		}
-	}
-}
-
-// TestPlannerConcurrentQueries is the -race regression for the planner's
-// calibration factor: two goroutines run planned queries on one tree, so
-// one query's prediction overlaps another's window refit (64 queries each
-// cross the 32-query calibration window several times).
-func TestPlannerConcurrentQueries(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	tree, err := New(Options{Dim: 2, ExactRefinement: true, AdaptivePlanning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range makeObjects(300, 1000, rng) {
-		if err := tree.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	snap := tree.Snapshot()
-	defer snap.Close()
-
-	const workers, perWorker = 2, 64
-	queries := make([]Query, workers*perWorker)
-	for i := range queries {
-		queries[i] = Query{Rect: randomQueryRect(rng, 1000), Prob: 0.05 + rng.Float64()*0.9}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, q := range queries[w*perWorker : (w+1)*perWorker] {
-				if _, _, err := snap.RangeQuery(context.Background(), q, QueryOpts{}); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				tree.PredictSearchIO(q.Rect, q.Prob)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if info := tree.PlannerInfo(); info.Queries != workers*perWorker {
-		t.Fatalf("planner observed %d queries, want %d", info.Queries, workers*perWorker)
 	}
 }

@@ -134,6 +134,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			}
 			t.rootPage = child
 			t.rootLevel = childNode.level
+			t.rootMBR = t.rootBox(childNode)
 			continue
 		}
 		if len(root.entries) == 0 {
@@ -144,11 +145,12 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			if err != nil {
 				return err
 			}
+			// The root moves before the write, so writeNode records its box.
+			t.rootPage = fresh.page
+			t.rootLevel = 0
 			if err := t.writeNode(fresh); err != nil {
 				return err
 			}
-			t.rootPage = fresh.page
-			t.rootLevel = 0
 		}
 		break
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -38,13 +39,6 @@ type NNStats struct {
 	DistanceComps int // expected-distance evaluations (the expensive step)
 	RefinementIOs int // data-page fetches; consecutive objects on one page share one
 
-	// Intra-query prefetch counters (zero when prefetching is off); NN
-	// prefetch is speculative — it guesses from the frontier heap — so
-	// PrefetchWasted is normally nonzero here, unlike range queries.
-	PrefetchIssued    int
-	PrefetchCoalesced int
-	PrefetchWasted    int
-
 	// PagesFetched counts the physical fetches charged against
 	// QueryOpts.PageBudget; filled only when a budget is armed.
 	PagesFetched int
@@ -75,9 +69,6 @@ func (s *NNStats) Add(o NNStats) {
 	s.NodeAccesses += o.NodeAccesses
 	s.DistanceComps += o.DistanceComps
 	s.RefinementIOs += o.RefinementIOs
-	s.PrefetchIssued += o.PrefetchIssued
-	s.PrefetchCoalesced += o.PrefetchCoalesced
-	s.PrefetchWasted += o.PrefetchWasted
 	s.PagesFetched += o.PagesFetched
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
@@ -109,13 +100,6 @@ func (h nnHeap) Len() int { return len(h) }
 // and ExpectedDistance seeds a fresh sampler per object). It is the only
 // NN entry point.
 //
-// With intra-query prefetching armed, the traversal speculatively
-// prefetches the pages behind the most promising frontier heap entries
-// while the current item's page read and (CPU-heavy) expected-distance
-// integration run — the best-first pop order, the refinement order, and
-// the per-object sampler seeding are untouched, so results are
-// byte-identical to the serial traversal.
-//
 // The best-first loop checks ctx before every pop, so a cancelled
 // traversal returns ctx.Err() with the (admissible but possibly
 // incomplete) neighbors found so far. QueryOpts.Limit caps k;
@@ -133,9 +117,6 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	if plan.limit > 0 && plan.limit < k {
 		k = plan.limit
 	}
-	ses := t.openSessions(&plan)
-	defer ses.drainInto(&stats.PrefetchIssued, &stats.PrefetchCoalesced, &stats.PrefetchWasted)
-
 	meter := fetchMeter{budget: plan.budget}
 	retries0 := t.store.Stats().Retries.Load()
 	// finish closes the stats over the work done, on completion and on an
@@ -179,11 +160,8 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			stats.BoundPruned += pq.Len() + 1
 			break
 		}
-		if ses.nodes != nil {
-			t.speculateNN(pq, ses, len(best) == k, worst, dataPage)
-		}
 		if it.isNode {
-			n, err := t.fetchNode(ses.nodes, &meter, it.page)
+			n, err := t.fetchNode(&meter, it.page)
 			if err != nil {
 				return finish(err)
 			}
@@ -213,7 +191,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		// page: keep the page just read and fetch only when the next object
 		// lives elsewhere.
 		if it.addr.Page != dataPage {
-			if dataBuf, err = t.fetchDataPage(ses.data, &meter, it.addr.Page); err != nil {
+			if dataBuf, err = t.fetchDataPage(&meter, it.addr.Page); err != nil {
 				return finish(err)
 			}
 			dataPage = it.addr.Page
@@ -240,39 +218,6 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	return finish(nil)
 }
 
-// speculateDepth is how many frontier heap entries NN prefetch looks at
-// per pop. The heap slice's prefix holds its smallest elements in rough
-// order — good enough for speculation, which only affects timing, never
-// results.
-const speculateDepth = 4
-
-// speculateNN prefetches the pages behind the heap's most promising
-// entries: child pages of frontier nodes through the buffer pool, data
-// pages of frontier objects through the raw store. Entries already beyond
-// the current k-th best distance are skipped — they can never be popped
-// for processing — as are nodes already in the decoded-node cache and
-// objects on the data page the traversal already holds, whose async reads
-// would be left unclaimed.
-func (t *Tree) speculateNN(pq *nnHeap, ses querySessions, full bool, worst float64, held pagefile.PageID) {
-	depth := speculateDepth
-	if depth > pq.Len() {
-		depth = pq.Len()
-	}
-	for i := 0; i < depth; i++ {
-		it := (*pq)[i]
-		if full && it.lb >= worst {
-			continue
-		}
-		if it.isNode {
-			if t.ncache == nil || !t.ncache.contains(it.page) {
-				ses.nodes.Prefetch(it.page)
-			}
-		} else if it.addr.Page != held {
-			ses.data.Prefetch(it.addr.Page)
-		}
-	}
-}
-
 // insertNN inserts r into the ascending top-k list.
 func insertNN(best []NNResult, r NNResult, k int) []NNResult {
 	pos := sort.Search(len(best), func(i int) bool {
@@ -287,9 +232,9 @@ func insertNN(best []NNResult, r NNResult, k int) []NNResult {
 	return best
 }
 
-// MinDist exposes the traversal's MINDIST for the sharded layer's
-// cost-ranked NN shard ordering (rank shards by distance to their root
-// MBR; visit nearest first so the shared bound tightens early).
+// MinDist exposes the traversal's MINDIST for the sharded layer's NN shard
+// ordering (rank shards by distance to their root MBR; visit nearest first
+// so the shared bound tightens early).
 func MinDist(q geom.Point, rect geom.Rect) float64 { return minDist(q, rect) }
 
 // minDist is the classic MINDIST: the distance from q to the nearest point
@@ -344,4 +289,47 @@ func expectedDistanceScratch(p updf.PDF, q geom.Point, samples int, seed int64, 
 		return p.Center().Dist(q)
 	}
 	return num / den
+}
+
+// NNBound is a monotonically decreasing upper bound on the k-th smallest
+// expected distance, shared across the shards of one scatter-gather NN
+// query. Each shard publishes its own k-th best once its result list
+// fills (the global k-th is never larger than any single shard's k-th),
+// and every shard's best-first loop stops as soon as its frontier's lower
+// bound exceeds the shared value — the remaining candidates are provably
+// outside the merged top k. The zero value is ready to use (bound +Inf).
+type NNBound struct {
+	bits atomic.Uint64 // float64 bits; 0 = unset (+Inf)
+}
+
+// NewNNBound returns a fresh unset bound.
+func NewNNBound() *NNBound { return &NNBound{} }
+
+// Update lowers the bound to d when d improves it (CAS-min; d must be a
+// non-negative distance). Concurrent updates keep the minimum.
+func (b *NNBound) Update(d float64) {
+	if math.IsInf(d, 1) || math.IsNaN(d) || d == 0 {
+		// d == 0 would collide with the unset sentinel; an exact-zero k-th
+		// distance only forgoes pruning, never correctness.
+		return
+	}
+	bits := math.Float64bits(d)
+	for {
+		old := b.bits.Load()
+		if old != 0 && math.Float64frombits(old) <= d {
+			return
+		}
+		if b.bits.CompareAndSwap(old, bits) {
+			return
+		}
+	}
+}
+
+// Load returns the current bound (+Inf until the first Update).
+func (b *NNBound) Load() float64 {
+	bits := b.bits.Load()
+	if bits == 0 {
+		return math.Inf(1)
+	}
+	return math.Float64frombits(bits)
 }

@@ -68,8 +68,9 @@ func (t *Tree) readNodeMiss(id pagefile.PageID) (*node, bool, error) {
 // (the old page stays byte-intact for pinned snapshots and is reclaimed by
 // the epoch GC once no snapshot can reference it). Callers must propagate
 // n.page into the parent entry afterwards (refreshPath, split and condense
-// do); the root's relocation updates t.rootPage here. A page allocated
-// since the last commit is rewritten in place.
+// do); the root's relocation updates t.rootPage here, and every write of
+// the root page records its box (rootBox) for the next commit. A page
+// allocated since the last commit is rewritten in place.
 func (t *Tree) writeNode(n *node) error {
 	t.nodeWrites.Add(1)
 	if !t.vs.Writable(n.page) {
@@ -92,6 +93,9 @@ func (t *Tree) writeNode(n *node) error {
 	}
 	if err := t.pool.Put(n.page, buf); err != nil {
 		return fmt.Errorf("core: writing node %d: %w", n.page, err)
+	}
+	if n.page == t.rootPage {
+		t.rootMBR = t.rootBox(n)
 	}
 	return nil
 }

@@ -148,17 +148,6 @@ func (nc *nodeCache) invalidate(id pagefile.PageID) {
 	s.mu.Unlock()
 }
 
-// contains reports whether id is cached without touching the LRU order or
-// the hit/miss counters — the peek the prefetch planner uses to avoid
-// scheduling async reads for pages a cache hit would leave unclaimed.
-func (nc *nodeCache) contains(id pagefile.PageID) bool {
-	s := nc.shard(id)
-	s.mu.Lock()
-	_, ok := s.entries[id]
-	s.mu.Unlock()
-	return ok
-}
-
 // stats returns the cumulative hit/miss counters.
 func (nc *nodeCache) stats() (hits, misses int64) {
 	return nc.hits.Load(), nc.misses.Load()

@@ -40,11 +40,11 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	if nc.len() != 3 {
 		t.Fatalf("len = %d after overflow, want 3", nc.len())
 	}
-	if nc.contains(1) {
+	if _, ok := nc.epochOf(1); ok {
 		t.Fatal("page 1 survived the overflow; LRU should have evicted it")
 	}
 	for _, id := range []pagefile.PageID{0, 2, 3} {
-		if !nc.contains(id) {
+		if _, ok := nc.epochOf(id); !ok {
 			t.Fatalf("page %d missing after overflow", id)
 		}
 	}
@@ -60,7 +60,7 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	}
 
 	nc.invalidate(2)
-	if nc.contains(2) {
+	if _, ok := nc.epochOf(2); ok {
 		t.Fatal("page 2 survived invalidate")
 	}
 	if nc.len() != 2 {
@@ -71,8 +71,8 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	}
 
 	hits, misses := nc.stats()
-	// get(0) and get(2) hit; get(2)-after-invalidate missed. contains and
-	// epochOf never touch the counters.
+	// get(0) and get(2) hit; get(2)-after-invalidate missed. epochOf never
+	// touches the counters.
 	if hits != 2 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 2 / 1", hits, misses)
 	}

@@ -106,12 +106,15 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.size = int(binary.LittleEndian.Uint64(buf[16:]))
 	t.data = pagefile.OpenDataFileAt(t.store, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
+	// The root box is not persisted: read it off the root once. A root that
+	// does not read leaves it zero ("cannot prune"), and every query that
+	// descends reports the failure.
+	if root, err := t.readNode(t.rootPage); err == nil {
+		t.rootMBR = t.rootBox(root)
+	}
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
 	t.vs.SeedState(t.workingState())
-	// A reopened tree is already committed, so the planner's model can be
-	// built right away instead of waiting for the next commit.
-	t.maybeRefreshPlanner()
 	t.vs.StartReclaimer(opt.ReclaimInterval, opt.ReclaimBudget)
 	t.StartScrubber(opt.ScrubInterval, opt.ScrubBudget)
 	return t, nil

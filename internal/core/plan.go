@@ -12,8 +12,8 @@ import (
 // Snapshot.NearestNeighbors) resolve a QueryOpts against the tree's
 // configuration once, up front, into an immutable qplan that the traversal
 // then consults — no global mutator needs to run, and two concurrent
-// queries on one tree can use different refinement precision, prefetch
-// fan-out, or I/O budgets.
+// queries on one tree can use different refinement precision, result limits
+// or I/O budgets.
 
 // ErrBudgetExceeded is returned by a query whose QueryOpts.PageBudget ran
 // out: the traversal performed exactly the budgeted number of physical
@@ -32,11 +32,6 @@ type QueryOpts struct {
 	// Exact overrides Options.ExactRefinement when ExactSet is true.
 	ExactSet bool
 	Exact    bool
-	// Prefetch overrides the tree's prefetch fan-out when PrefetchSet is
-	// true: ≤ 0 disables prefetching for this query, > 0 gives the query
-	// its own in-flight bound (independent of other queries').
-	PrefetchSet bool
-	Prefetch    int
 	// Limit stops a range query after this many results (0 = unlimited);
 	// for NN queries it caps k. The cut is deterministic: results arrive in
 	// the serial traversal order, so a limited query returns a prefix of
@@ -45,8 +40,7 @@ type QueryOpts struct {
 	// PageBudget bounds the physical page fetches (buffer-pool misses plus
 	// data-page reads) the query may perform; 0 = unlimited. When the
 	// budget runs out the query returns ErrBudgetExceeded with the partial
-	// results and stats gathered so far. A budgeted query runs without
-	// prefetching so the accounting is exact.
+	// results and stats gathered so far.
 	PageBudget int
 	// AllowDegraded opts a scatter-gather query into partial answers when
 	// some (not all) shards fail with a storage error: the healthy shards'
@@ -65,17 +59,11 @@ type QueryOpts struct {
 // qplan is a QueryOpts resolved against the tree's configuration: every
 // field is concrete, nothing is inherited at use sites.
 type qplan struct {
-	ctx      context.Context
-	samples  int
-	exact    bool
-	prefetch *pagefile.Prefetcher // nil = no prefetching
-	limit    int
-	budget   int
-	// issueCap bounds the speculative async issues of the node prefetch
-	// session when > 0 — set by the adaptive planner from its predicted
-	// access count. Unissued pages degrade to synchronous reads; results
-	// are unaffected.
-	issueCap int
+	ctx     context.Context
+	samples int
+	exact   bool
+	limit   int
+	budget  int
 	// nnBound is the shared cross-shard k-th distance bound (nil outside
 	// sharded NN scatter-gather).
 	nnBound *NNBound
@@ -89,32 +77,18 @@ func (t *Tree) resolvePlan(ctx context.Context, o QueryOpts) qplan {
 		ctx = context.Background()
 	}
 	p := qplan{
-		ctx:      ctx,
-		samples:  t.samples,
-		exact:    t.exact,
-		prefetch: t.prefetch,
-		limit:    o.Limit,
-		budget:   o.PageBudget,
-		nnBound:  o.NNBound,
+		ctx:     ctx,
+		samples: t.samples,
+		exact:   t.exact,
+		limit:   o.Limit,
+		budget:  o.PageBudget,
+		nnBound: o.NNBound,
 	}
 	if o.MCSamples > 0 {
 		p.samples = o.MCSamples
 	}
 	if o.ExactSet {
 		p.exact = o.Exact
-	}
-	if o.PrefetchSet {
-		if o.Prefetch <= 0 {
-			p.prefetch = nil
-		} else {
-			p.prefetch = pagefile.NewPrefetcher(o.Prefetch)
-		}
-	}
-	if p.budget > 0 {
-		// Budget accounting charges buffer-pool misses per fetch; async
-		// prefetch would make the charge order nondeterministic, so a
-		// budgeted query runs serially.
-		p.prefetch = nil
 	}
 	return p
 }
@@ -148,9 +122,8 @@ func (m *fetchMeter) chargeData() error {
 // decoded fresh and, when its page is committed, offered to the cache.
 // When the budget is armed, a fetch that would have to touch storage past
 // the budget is refused before any I/O happens, and actual misses are
-// charged. Without a budget it defers to the (possibly prefetching)
-// session path.
-func (t *Tree) fetchNode(ses *pagefile.PrefetchSession, m *fetchMeter, id pagefile.PageID) (*node, error) {
+// charged.
+func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID) (*node, error) {
 	if t.ncache != nil {
 		if n, ok := t.ncache.get(id); ok {
 			t.nodeReads.Add(1) // still one logical node access
@@ -159,15 +132,7 @@ func (t *Tree) fetchNode(ses *pagefile.PrefetchSession, m *fetchMeter, id pagefi
 		}
 		m.ncMisses++
 	}
-	if m.budget <= 0 {
-		n, err := t.readNodeVia(ses, id)
-		if err != nil {
-			return nil, err
-		}
-		t.maybeCacheNode(n)
-		return n, nil
-	}
-	if m.spent >= m.budget && !t.pool.Contains(id) {
+	if m.budget > 0 && m.spent >= m.budget && !t.pool.Contains(id) {
 		return nil, ErrBudgetExceeded
 	}
 	n, miss, err := t.readNodeMiss(id)
@@ -175,7 +140,7 @@ func (t *Tree) fetchNode(ses *pagefile.PrefetchSession, m *fetchMeter, id pagefi
 		return nil, err
 	}
 	t.maybeCacheNode(n)
-	if miss {
+	if miss && m.budget > 0 {
 		m.spent++
 		if m.spent > m.budget {
 			// A concurrent eviction turned the predicted hit into a miss
@@ -189,11 +154,20 @@ func (t *Tree) fetchNode(ses *pagefile.PrefetchSession, m *fetchMeter, id pagefi
 }
 
 // fetchDataPage reads a data page under the meter (see fetchNode).
-func (t *Tree) fetchDataPage(ses *pagefile.PrefetchSession, m *fetchMeter, id pagefile.PageID) ([]byte, error) {
+// Quarantined pages fast-fail; a read that proves corruption quarantines the
+// page.
+func (t *Tree) fetchDataPage(m *fetchMeter, id pagefile.PageID) ([]byte, error) {
 	if m.budget > 0 {
 		if err := m.chargeData(); err != nil {
 			return nil, err
 		}
 	}
-	return t.readDataPageVia(ses, id)
+	if err := t.checkQuarantine(id); err != nil {
+		return nil, err
+	}
+	buf, err := t.data.ReadPage(id)
+	if err != nil {
+		return nil, t.noteReadError(id, err)
+	}
+	return buf, nil
 }

@@ -61,13 +61,6 @@ type QueryStats struct {
 	FilterTime       time.Duration
 	RefineTime       time.Duration
 
-	// Intra-query prefetch counters (all zero when prefetching is off):
-	// async page reads issued, requests coalesced onto an in-flight fetch,
-	// and issued reads that were never consumed (speculation waste).
-	PrefetchIssued    int
-	PrefetchCoalesced int
-	PrefetchWasted    int
-
 	// PagesFetched counts the physical page fetches (buffer-pool misses +
 	// data-page reads) charged against QueryOpts.PageBudget. It is filled
 	// only when a budget is armed — the budgeted path is the only one that
@@ -123,9 +116,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Results += o.Results
 	s.FilterTime += o.FilterTime
 	s.RefineTime += o.RefineTime
-	s.PrefetchIssued += o.PrefetchIssued
-	s.PrefetchCoalesced += o.PrefetchCoalesced
-	s.PrefetchWasted += o.PrefetchWasted
 	s.PagesFetched += o.PagesFetched
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
@@ -149,23 +139,17 @@ func (s *QueryStats) Add(o QueryStats) {
 //
 // The traversal checks ctx before every page fetch and every refinement
 // integration, so a cancelled query returns ctx.Err() within roughly one
-// page latency of the cancellation (plus draining the at most
-// prefetch-bound in-flight fetches). The refinement sampler is seeded from
+// page read of the cancellation. The refinement sampler is seeded from
 // (tree seed, query), so Monte Carlo results are reproducible per query
 // whatever the scheduling or the order queries are issued in (like
 // ExpectedDistance's per-object seeding).
 func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
 	p := s.t.resolvePlan(ctx, o)
-	pred, armed := s.t.planQuery(q, o, &p)
 	// The sampler is pooled and re-seeded per query — (*Rand).Seed
 	// reproduces exactly the sequence a fresh rand.New would draw.
 	rng := getSeededRand(s.t.querySeed(q))
 	defer putRand(rng)
-	res, stats, err := s.t.rangeQuery(s.st, q, rng, &p)
-	if armed && err == nil {
-		s.t.planner.observe(pred, stats.NodeAccesses)
-	}
-	return res, stats, err
+	return s.t.rangeQuery(s.st, q, rng, &p)
 }
 
 // querySeed derives a deterministic sampler seed from the tree seed and the
@@ -186,106 +170,14 @@ func (t *Tree) querySeed(q Query) int64 {
 	return int64(h)
 }
 
-// querySessions is the per-query prefetch state: one session over the
-// buffer pool (tree pages; a prefetch warms the cache the claim then reads)
-// and one over the raw store (data pages, which bypass the pool). Both are
-// nil when the plan has no prefetcher — the serial cost-model path.
-type querySessions struct {
-	nodes *pagefile.PrefetchSession
-	data  *pagefile.PrefetchSession
-}
-
-// openSessions creates the sessions when the plan has a prefetcher armed.
-// The sessions carry the query context: cancellation fails the scheduled
-// backlog without touching storage, so Drain only waits out genuinely
-// in-flight reads.
-func (t *Tree) openSessions(p *qplan) querySessions {
-	if p.prefetch == nil {
-		return querySessions{}
-	}
-	qs := querySessions{
-		nodes: p.prefetch.NewSessionCtx(p.ctx, t.pool),
-		data:  p.prefetch.NewSessionCtx(p.ctx, pagefile.AsGetter(t.store)),
-	}
-	if p.issueCap > 0 {
-		// The planner's speculative-issue budget applies to the node
-		// session only: data-page prefetches are never speculative (every
-		// scheduled page is consumed by a candidate).
-		qs.nodes.LimitIssued(p.issueCap)
-	}
-	return qs
-}
-
-// drainInto waits out any in-flight fetches (mandatory: fetch goroutines
-// must not outlive the query's lock window) and records the prefetch
-// counters into stats.
-func (qs querySessions) drainInto(issued, coalesced, wasted *int) {
-	if qs.nodes == nil {
-		return
-	}
-	var st pagefile.PrefetchStats
-	st.Add(qs.nodes.Drain())
-	st.Add(qs.data.Drain())
-	*issued += st.Issued
-	*coalesced += st.Coalesced
-	*wasted += st.Wasted
-}
-
-// readNodeVia reads a tree page through the prefetch session when one is
-// active (claiming the async fetch), else synchronously — both paths count
-// one logical node read.
-func (t *Tree) readNodeVia(ses *pagefile.PrefetchSession, id pagefile.PageID) (*node, error) {
-	if ses == nil {
-		return t.readNode(id)
-	}
-	t.nodeReads.Add(1)
-	if err := t.checkQuarantine(id); err != nil {
-		return nil, err
-	}
-	buf, err := ses.Get(id)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading node %d: %w", id, t.noteReadError(id, err))
-	}
-	n, err := t.decodeNode(id, buf)
-	if err != nil {
-		return nil, t.noteReadError(id, err)
-	}
-	return n, nil
-}
-
-// readDataPageVia reads a data page through the session when active, else
-// directly from the data file. Quarantined pages fast-fail; a read that
-// proves corruption quarantines the page.
-func (t *Tree) readDataPageVia(ses *pagefile.PrefetchSession, id pagefile.PageID) ([]byte, error) {
-	if err := t.checkQuarantine(id); err != nil {
-		return nil, err
-	}
-	var buf []byte
-	var err error
-	if ses == nil {
-		buf, err = t.data.ReadPage(id)
-	} else {
-		buf, err = ses.Get(id)
-	}
-	if err != nil {
-		return nil, t.noteReadError(id, err)
-	}
-	return buf, nil
-}
-
 // rangeQuery is the traversal behind Snapshot.RangeQuery: a level-batched
 // descent (Observation 4 pruning), Observation 3/2 filtering at the leaves,
 // then refinement of the surviving candidates — all driven by the resolved
 // per-query plan.
 //
 // The descent processes one level's surviving nodes per round, in
-// discovery order. With prefetching armed, a round's pages are fetched
-// concurrently (bounded in flight) and the refinement data pages are
-// prefetched while earlier candidates integrate — but nodes are still
-// *processed* in the identical deterministic order, candidates are still
-// refined in (page, slot) order, and the refinement sampler is still
-// consumed serially, so the pipelined path returns byte-identical results
-// and logical counters to the serial one; only wall-clock changes.
+// discovery order; candidates are refined in (page, slot) order, consuming
+// the refinement sampler serially.
 //
 // Cancellation is checked before every page fetch and every refinement
 // integration; a cancelled query returns plan.ctx.Err() with the partial
@@ -297,9 +189,6 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 		return nil, stats, err
 	}
 	start := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
-
-	ses := t.openSessions(plan)
-	defer ses.drainInto(&stats.PrefetchIssued, &stats.PrefetchCoalesced, &stats.PrefetchWasted)
 
 	meter := fetchMeter{budget: plan.budget}
 	retries0 := t.store.Stats().Retries.Load()
@@ -335,23 +224,6 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 	}()
 descent:
 	for len(frontier) > 0 {
-		if ses.nodes != nil && len(frontier) > 1 {
-			// Prefetch copies the ids out synchronously; reusing the
-			// buffer afterwards is safe. Pages whose decoded node is
-			// already cached are skipped — fetchNode would never claim
-			// the async read (the hit bypasses the pool entirely).
-			pf := frontier
-			if t.ncache != nil {
-				pf = sc.pages[:0]
-				for _, id := range frontier {
-					if !t.ncache.contains(id) {
-						pf = append(pf, id)
-					}
-				}
-				sc.pages = pf
-			}
-			ses.nodes.Prefetch(pf...)
-		}
 		next = next[:0]
 		for _, page := range frontier {
 			if cerr := plan.ctx.Err(); cerr != nil {
@@ -360,7 +232,7 @@ descent:
 			if plan.limitReached(len(results)) {
 				break descent
 			}
-			n, err := t.fetchNode(ses.nodes, &meter, page)
+			n, err := t.fetchNode(&meter, page)
 			if err != nil {
 				return finish(err)
 			}
@@ -417,20 +289,6 @@ descent:
 		}
 		return cands[a].addr.Slot < cands[b].addr.Slot
 	})
-	if ses.data != nil {
-		// Overlap the data-page reads with the (CPU-heavy) integration of
-		// earlier candidates: schedule every distinct page up front.
-		pages := sc.pages[:0]
-		last := pagefile.InvalidPage
-		for _, c := range cands {
-			if c.decided == pcr.Unknown && c.addr.Page != last {
-				pages = append(pages, c.addr.Page)
-				last = c.addr.Page
-			}
-		}
-		ses.data.Prefetch(pages...)
-		sc.pages = pages
-	}
 	mcBuf := sc.point(t.dim)
 	var pageBuf []byte
 	pageID := pagefile.InvalidPage
@@ -455,7 +313,7 @@ descent:
 			stats.ShapeDecided++
 		} else {
 			if c.addr.Page != pageID {
-				if pageBuf, err = t.fetchDataPage(ses.data, &meter, c.addr.Page); err != nil {
+				if pageBuf, err = t.fetchDataPage(&meter, c.addr.Page); err != nil {
 					return refined(err)
 				}
 				pageID = c.addr.Page

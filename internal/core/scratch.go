@@ -38,7 +38,6 @@ type queryScratch struct {
 	frontier []pagefile.PageID // current descent level
 	next     []pagefile.PageID // next descent level (swapped per round)
 	cands    []candidate       // refinement candidates
-	pages    []pagefile.PageID // distinct refinement data pages (prefetch)
 	heap     nnHeap            // NN frontier
 	mc       geom.Point        // Monte Carlo sample point
 }
@@ -53,7 +52,6 @@ func (sc *queryScratch) release() {
 	sc.frontier = sc.frontier[:0]
 	sc.next = sc.next[:0]
 	sc.cands = sc.cands[:0]
-	sc.pages = sc.pages[:0]
 	sc.heap = sc.heap[:0]
 	scratchPool.Put(sc)
 }

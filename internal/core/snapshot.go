@@ -22,29 +22,23 @@ type treeState struct {
 	size      int
 	dataPage  pagefile.PageID
 	shapes    []shape // the shape table as of the epoch (shapes.go)
-	// rootMBR is the root boundary box at p = 0 — the rectangle containing
-	// every object MBR of the epoch. Captured at publication so sharded
-	// readers can prune whole shards against a query rect without touching
-	// the shard's pages. Zero when unknown (planner off, empty tree or
-	// read failure); consumers must treat zero as "cannot prune".
+	// rootMBR is the root boundary box at p = 0 (rootBox) — the rectangle
+	// containing every object MBR of the epoch — so sharded readers can
+	// prune whole shards against a query without touching the shard's
+	// pages. Zero for an empty tree, and after Open when the root could not
+	// be read; consumers must treat zero as "cannot prune".
 	rootMBR geom.Rect
 }
 
 func (t *Tree) workingState() *treeState {
-	st := &treeState{
+	return &treeState{
 		rootPage:  t.rootPage,
 		rootLevel: t.rootLevel,
 		size:      t.size,
 		dataPage:  t.data.CurrentPage(),
 		shapes:    t.shapes,
+		rootMBR:   t.rootMBR,
 	}
-	// Capture the root box only under adaptive planning: the quiet root
-	// read warms the buffer pool, which non-planned trees' exact I/O
-	// accounting (page budgets, cache-stat deltas) must not see.
-	if t.planner != nil {
-		st.rootMBR = t.rootBoundaryMBR()
-	}
-	return st
 }
 
 // Commit seals every mutation since the last commit as one epoch: flushes
@@ -81,13 +75,7 @@ func (t *Tree) Commit() error {
 			return err
 		}
 	}
-	if err := t.vs.Commit(t.workingState()); err != nil {
-		return err
-	}
-	// Writer-side planner upkeep: rebuild the cost model when the committed
-	// tree has drifted from the shape the model was fitted on.
-	t.maybeRefreshPlanner()
-	return nil
+	return t.vs.Commit(t.workingState())
 }
 
 // Rollback abandons every mutation since the last commit, typically after
@@ -102,6 +90,7 @@ func (t *Tree) Rollback() error {
 	}
 	t.rootPage = st.rootPage
 	t.rootLevel = st.rootLevel
+	t.rootMBR = st.rootMBR
 	t.size = st.size
 	t.data.SetCurrent(st.dataPage)
 	t.setShapes(st.shapes)
@@ -183,9 +172,10 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) Len() int { return s.st.size }
 
 // RootMBR returns the pinned epoch's root bounding box at p = 0 — the
-// rectangle containing every indexed object's region MBR. The zero Rect
-// means unknown (empty epoch); callers pruning on it must treat zero as
-// "may contain anything".
+// rectangle containing every indexed object's region MBR, recorded by the
+// writer at commit. The zero Rect means unknown (an empty epoch, or a root
+// Open could not read); callers pruning on it must treat zero as "may
+// contain anything".
 func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 
 // CheckInvariants validates the pinned epoch's structure — usable while a

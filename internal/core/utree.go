@@ -45,13 +45,6 @@ type Options struct {
 	SplitStrategy SplitStrategy
 	// DisableReinsert turns off R* forced reinsertion (ablation knob).
 	DisableReinsert bool
-	// PrefetchWorkers bounds the async page fetches one query may have in
-	// flight: the query hot paths overlap the independent page reads a
-	// traversal already knows it needs (sibling children, refinement data
-	// pages, speculative NN heap entries). 0 disables intra-query
-	// prefetching — every page read is a sequential stall, as in the
-	// paper's serial cost model. Results are byte-identical either way.
-	PrefetchWorkers int
 	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
 	// pages are freed on a dedicated goroutine's ticks instead of inline
 	// at Commit, at most ReclaimBudget pages per tick (0 selects
@@ -79,15 +72,6 @@ type Options struct {
 	// ScrubBudget bounds the page verifications one scrub tick performs
 	// (0 selects DefaultScrubBudget); ignored when ScrubInterval is 0.
 	ScrubBudget int
-	// AdaptivePlanning enables the cost-model-driven query planner: the
-	// tree maintains a CostModel over its committed shape (rebuilt at
-	// commit when the tree drifts), predicts each query's node accesses
-	// before descent, and picks the prefetch fan-out and speculative-issue
-	// cap from the prediction — serial for cheap queries, a deep pipeline
-	// for expensive ones. Measured accesses calibrate the model online.
-	// Explicit per-query options (WithPrefetchWorkers, WithPageBudget)
-	// always override the planner. Results are byte-identical either way.
-	AdaptivePlanning bool
 }
 
 // SplitStrategy selects the rectangles fed to the R* split during overflow
@@ -137,6 +121,10 @@ type Tree struct {
 	rootPage  pagefile.PageID
 	rootLevel int
 	size      int
+	// rootMBR is the working root's boundary box at p = 0 (rootBox),
+	// recorded by writeNode whenever it writes the root page and wherever
+	// another node becomes the root.
+	rootMBR geom.Rect
 
 	leafCap, innerCap             int
 	leafEntrySize, innerEntrySize int
@@ -162,15 +150,6 @@ type Tree struct {
 
 	splitStrategy   SplitStrategy
 	disableReinsert bool
-
-	// prefetch pipelines one query's independent page reads; nil when
-	// intra-query prefetching is disabled. Fixed at open time (per-query
-	// overrides carry their own prefetcher), so queries read it freely.
-	prefetch *pagefile.Prefetcher
-
-	// planner is the adaptive query planner (nil unless
-	// Options.AdaptivePlanning).
-	planner *Planner
 
 	// Logical I/O counters (reset via ResetCounters). Atomic so the
 	// read-only query path can run under a shared lock.
@@ -254,9 +233,9 @@ func New(opt Options) (*Tree, error) {
 }
 
 // newTree is the constructor body New and Open share: it resolves the
-// runtime options and wires the versioned store, buffer pool, node cache,
-// planner and capacities for a tree of the given structure. The caller
-// still owes the data file, the root and the first committed state.
+// runtime options and wires the versioned store, buffer pool, node cache
+// and capacities for a tree of the given structure. The caller still owes
+// the data file, the root and the first committed state.
 func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) (*Tree, error) {
 	bufPages := opt.BufferPages
 	if bufPages == 0 {
@@ -287,12 +266,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,
-	}
-	if opt.AdaptivePlanning {
-		t.planner = newPlanner()
-	}
-	if opt.PrefetchWorkers > 0 {
-		t.prefetch = pagefile.NewPrefetcher(opt.PrefetchWorkers)
 	}
 	t.pool = pagefile.NewBufferPool(t.store, bufPages)
 	t.vs.AttachPool(t.pool)
@@ -658,6 +631,17 @@ func (t *Tree) summedCenterDist(a, b []geom.Rect) float64 {
 	return s
 }
 
+// rootBox is a root's boundary box at p = 0 — the rectangle containing every
+// indexed object's region MBR (containment chain: inner boxes at p = 0 ⊇
+// cfb_out(0) ⊇ pcr(0) = the object MBR) — or the zero Rect for an empty
+// root.
+func (t *Tree) rootBox(n *node) geom.Rect {
+	if len(n.entries) == 0 {
+		return geom.Rect{}
+	}
+	return t.boxAt(t.nodeBoundary(n), 0)
+}
+
 // nodeBoundary computes a node's boundary boxes (union over its entries).
 func (t *Tree) nodeBoundary(n *node) []geom.Rect {
 	b := cloneBoxes(t.boundary(&n.entries[0], n.leaf()))
@@ -791,7 +775,8 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 	}
 
 	if len(path) == 0 {
-		// Root split: grow the tree.
+		// Root split: grow the tree. The new root is the root before it is
+		// written, so writeNode records its box.
 		newRoot, err := t.allocNode(n.level + 1)
 		if err != nil {
 			return err
@@ -800,12 +785,9 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 			{child: n.page, boxes: t.nodeBoundary(n)},
 			{child: sib.page, boxes: t.nodeBoundary(sib)},
 		}
-		if err := t.writeNode(newRoot); err != nil {
-			return err
-		}
 		t.rootPage = newRoot.page
 		t.rootLevel = newRoot.level
-		return nil
+		return t.writeNode(newRoot)
 	}
 
 	parent := path[len(path)-1]

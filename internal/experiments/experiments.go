@@ -45,24 +45,12 @@ type Config struct {
 	// sweeps its own values).
 	MCSamples int
 	Seed      int64
-	// IOLatency is the simulated per-page storage latency for the parallel
-	// batch experiment; zero genuinely disables it (pure CPU). cmd/ubench
-	// defaults its -iolat flag to 2 ms; the era model's 10 ms is -iolat 10.
+	// IOLatency is the fault-path experiment's per-page storage latency, a
+	// pagefile.ChaosStore latency rule armed after the build; zero disables
+	// it. cmd/ubench sets it with -iolat.
 	IOLatency time.Duration
 	// Out receives the printed tables (nil = io.Discard).
 	Out io.Writer
-
-	// Per-query knobs for the parallel batch experiment, surfacing the
-	// context-first query API (cmd/ubench -query-timeout, -limit,
-	// -page-budget, -mc-samples). Zero disables each. QueryTimeout bounds
-	// each measured query's wall time (timed-out queries are counted, not
-	// fatal); QueryLimit is a top-N early cut; QueryPageBudget caps
-	// physical page fetches per query; QueryMCSamples overrides the
-	// refinement sample count per query.
-	QueryTimeout    time.Duration
-	QueryLimit      int
-	QueryPageBudget int
-	QueryMCSamples  int
 }
 
 // WithDefaults returns c with unset fields filled in with the experiment

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -162,103 +161,6 @@ func TestAblationsRun(t *testing.T) {
 	if cfbPts[0].BuildWritesPerOp >= cfbPts[1].BuildWritesPerOp {
 		t.Errorf("CFB pages %.0f ≥ PCR pages %.0f at equal m",
 			cfbPts[0].BuildWritesPerOp, cfbPts[1].BuildWritesPerOp)
-	}
-}
-
-// TestShardedMixedShapes runs the mixed read/write sweep at test scale:
-// the experiment itself enforces shard/single result equivalence and
-// post-stress invariants, so this asserts the rows and that sharding did
-// not lose throughput outright.
-func TestShardedMixedShapes(t *testing.T) {
-	cfg := tiny()
-	cfg.IOLatency = 500 * time.Microsecond // enough to make stalls overlappable, cheap enough for CI
-	rows, err := ShardedMixed(cfg, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[0].Shards != 1 || rows[1].Shards != 2 {
-		t.Fatalf("unexpected shard counts: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.QPS <= 0 {
-			t.Errorf("%d shards: QPS %g", r.Shards, r.QPS)
-		}
-		if r.WriteOps == 0 {
-			t.Errorf("%d shards: writer stream did nothing", r.Shards)
-		}
-		if r.Stats.NodeAccesses == 0 {
-			t.Errorf("%d shards: stats not merged: %+v", r.Shards, r.Stats)
-		}
-	}
-}
-
-// TestPlannerAdaptiveShapes runs the adaptive-planning comparison at CI
-// scale: the experiment itself enforces byte-identity with the full
-// fan-out and the admission-control properties; this asserts the planner
-// actually pruned, sped the workload up, and predicted its own I/O within
-// the calibration budget. Scale 0.02 (not tiny()) so every spatial shard
-// crosses the planner's minimum tree size and builds a cost model.
-func TestPlannerAdaptiveShapes(t *testing.T) {
-	rows, err := PlannerAdaptive(Config{Scale: 0.02, Queries: 16, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Mode != "fanout" || rows[1].Mode != "planner" {
-		t.Fatalf("unexpected rows: %+v", rows)
-	}
-	base, plan := rows[0], rows[1]
-	if !base.Identical || !plan.Identical {
-		t.Fatal("identity flag not set (the experiment should have failed outright)")
-	}
-	if plan.ShardsPruned == 0 {
-		t.Error("no shard pruned on the hotspot workload")
-	}
-	if plan.ProbFilterPruned == 0 {
-		t.Error("probability filter never pruned a narrow probe")
-	}
-	if plan.NodeAccesses >= base.NodeAccesses {
-		t.Errorf("planner io/q %.1f not below fan-out %.1f", plan.NodeAccesses, base.NodeAccesses)
-	}
-	if plan.EraSpeedup < 1.2 {
-		t.Errorf("era-model speedup %.2fx below 1.2x", plan.EraSpeedup)
-	}
-	if plan.MeasuredIO <= 0 {
-		t.Fatal("planner recorded no measured accesses")
-	}
-	ratio := plan.PredictedIO / plan.MeasuredIO
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("prediction ratio %.2f outside the 2x budget", ratio)
-	}
-	if plan.AdmissionRejected == 0 {
-		t.Error("overload phase shed nothing")
-	}
-}
-
-func TestCPUPathShapes(t *testing.T) {
-	rows, err := CPUPath(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].NodeCache || !rows[1].NodeCache {
-		t.Fatalf("unexpected rows: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.QPS <= 0 || r.AllocsPerQuery <= 0 {
-			t.Errorf("cache=%v: QPS %g, allocs/q %g", r.NodeCache, r.QPS, r.AllocsPerQuery)
-		}
-	}
-	if rows[0].HitRate != 0 {
-		t.Errorf("cache-off row reports hit rate %g", rows[0].HitRate)
-	}
-	if rows[1].HitRate < 0.9 {
-		t.Errorf("warm cache-on row hit rate %g, want ≈1", rows[1].HitRate)
-	}
-	if rows[1].AllocsPerQuery >= rows[0].AllocsPerQuery {
-		t.Errorf("cache on did not cut allocations: %g vs %g",
-			rows[1].AllocsPerQuery, rows[0].AllocsPerQuery)
 	}
 }
 

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/pagefile"
+	"repro/internal/workload"
 	"repro/uncertain"
 )
 
@@ -69,7 +72,9 @@ type FaultPathRow struct {
 	// WriteOps is how many mutations the phase's writer stream performed
 	// (transient phase only; all must succeed).
 	WriteOps int
-	// InjectedFaults is how many faults the chaos layer fired.
+	// InjectedFaults is how many faults the chaos layer fired (the page
+	// latency is a chaos rule too; its firings are not faults and do not
+	// count).
 	InjectedFaults int64
 	// Retries is the retry layer's re-drive count over the phase.
 	Retries int64
@@ -143,14 +148,23 @@ func printFaultRow(out io.Writer, r FaultPathRow) {
 		r.Health.QuarantinedPages, r.Health.ScrubbedPages)
 }
 
+// armLatency installs cfg.IOLatency on every page operation of cs as a
+// chaos latency rule. Installed after the build, so construction runs at
+// full speed; before the fault rules, so a faulted operation pays the
+// latency too and every retry pays it again.
+func armLatency(cs *pagefile.ChaosStore, cfg Config) {
+	if cfg.IOLatency > 0 {
+		cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultLatency, Prob: 1, Latency: cfg.IOLatency})
+	}
+}
+
 // buildFaultIndex constructs the phase's file-backed Tree with a
-// ChaosStore spliced under the latency/retry layers, bulk-loads it at
-// zero latency, and arms the measurement latency. Rules are installed by
-// the caller AFTER the build, so construction itself runs clean.
+// ChaosStore spliced under the retry layer, bulk-loads it, and arms the
+// measurement latency. Fault rules are installed by the caller AFTER the
+// build, so construction itself runs clean.
 func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 	scrub bool) (*uncertain.Tree, *pagefile.ChaosStore, error) {
 	var chaos *pagefile.ChaosStore
-	lat := &Latency{}
 	ucfg := uncertain.Config{
 		Dimensions:      dataset.LB.Dim(),
 		ExactRefinement: true, // deterministic probabilities → exact equivalence
@@ -169,7 +183,7 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 		RetryMaxDelay:  time.Millisecond,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			chaos = pagefile.NewChaosStore(s, cfg.Seed)
-			return lat.Wrap(chaos)
+			return chaos
 		},
 	}
 	if scrub {
@@ -188,7 +202,7 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 		idx.Close()
 		return nil, nil, err
 	}
-	lat.Arm(cfg.IOLatency)
+	armLatency(chaos, cfg)
 	return idx, chaos, nil
 }
 
@@ -307,7 +321,7 @@ func runTransientPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 
 	// The write path retries too: inserts, deletes, group seals and
 	// metadata writes all pass through the same faulted store.
-	ops, err := writePathOps(idx, 4_000_000, 32)
+	ops, err := churnOps(idx, 4_000_000, 32)
 	row.WriteOps = ops
 	if err != nil {
 		return row, fmt.Errorf("writer stream under transient faults: %w", err)
@@ -378,7 +392,6 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 	row := FaultPathRow{Phase: "degraded"}
 	var built atomic.Int32
 	var shardChaos [shards]*pagefile.ChaosStore
-	lat := &Latency{}
 	idx, err := uncertain.NewShardedTree(shards, uncertain.Config{
 		Dimensions:       dataset.LB.Dim(),
 		ExactRefinement:  true,
@@ -388,7 +401,7 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			cs := pagefile.NewChaosStore(s, cfg.Seed)
 			shardChaos[built.Add(1)-1] = cs
-			return lat.Wrap(cs)
+			return cs
 		},
 	})
 	if err != nil {
@@ -398,7 +411,9 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 	if err := idx.BulkLoad(objects); err != nil {
 		return row, err
 	}
-	lat.Arm(cfg.IOLatency)
+	for _, cs := range shardChaos {
+		armLatency(cs, cfg)
+	}
 
 	// Clean sharded baseline (shard routing reshuffles traversal order,
 	// so compare against this run, not the single-tree phases').
@@ -434,14 +449,66 @@ func runDegradedPhase(cfg Config, objects map[int64]uncertain.PDF,
 	return row, nil
 }
 
-// chaosTotal sums a chaos store's fired-fault counters over every kind.
+// chaosTotal sums a chaos store's fired-fault counters over every kind but
+// FaultLatency, which armLatency installs on every phase alike.
 func chaosTotal(cs *pagefile.ChaosStore) int64 {
 	var n int64
 	for _, k := range []pagefile.FaultKind{
 		pagefile.FaultTransient, pagefile.FaultPermanent,
-		pagefile.FaultBitFlip, pagefile.FaultTornWrite, pagefile.FaultLatency,
+		pagefile.FaultBitFlip, pagefile.FaultTornWrite,
 	} {
 		n += cs.InjectedCount(k)
 	}
 	return n
+}
+
+// mixedWorkload generates the LB objects and the Fig. 9 mid-point query
+// workload (qs = 1500, pq = 0.6) the phases share.
+func mixedWorkload(cfg Config) (map[int64]uncertain.PDF, []uncertain.RangeQuery) {
+	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: cfg.Scale, Seed: cfg.Seed})
+	objects := make(map[int64]uncertain.PDF, len(objs))
+	for _, o := range objs {
+		objects[o.ID] = o.PDF
+	}
+	w := workload.New(workload.Config{
+		QS: scaledQS(1500), PQ: 0.6, Count: cfg.Queries,
+		Seed: cfg.Seed, Domain: dataset.Domain, Centers: centersOf(objs),
+	})
+	queries := make([]uncertain.RangeQuery, len(w.Queries))
+	for i, q := range w.Queries {
+		queries[i] = uncertain.RangeQuery{Rect: q.Rect, Prob: q.Prob}
+	}
+	return objects, queries
+}
+
+func sortedByID(res []uncertain.Result) []uncertain.Result {
+	out := make([]uncertain.Result, len(res))
+	copy(out, res)
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
+}
+
+// churnOps is the transient phase's writer stream: insert a fresh
+// object, delete every fourth — deletes retire the leaf pages they
+// rewrite. Returns the mutation count performed.
+func churnOps(idx uncertain.Index, baseID int64, n int) (int, error) {
+	rng := rand.New(rand.NewSource(baseID))
+	ops := 0
+	for i := 0; i < n; i++ {
+		id := baseID + int64(i)
+		center := uncertain.Pt(
+			250+rng.Float64()*(dataset.Domain-500),
+			250+rng.Float64()*(dataset.Domain-500))
+		if err := idx.Insert(id, uncertain.UniformCircle(center, 250)); err != nil {
+			return ops, err
+		}
+		ops++
+		if i%4 == 3 {
+			if err := idx.Delete(id); err != nil {
+				return ops, err
+			}
+			ops++
+		}
+	}
+	return ops, nil
 }

@@ -24,7 +24,8 @@ func TestBufferPoolSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms.Stats().Reset()
-	slow := NewLatencyStore(ms, 20*time.Millisecond, 0)
+	slow := NewChaosStore(ms, 1)
+	slow.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultLatency, Prob: 1, Latency: 20 * time.Millisecond})
 
 	bp := NewBufferPool(slow, 8)
 	const contenders = 32

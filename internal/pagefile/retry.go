@@ -44,7 +44,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // latency and, for corruption, returns the same bytes anyway.
 //
 // It sits UNDER the BufferPool and VersionedStore in the stack (wrapping
-// the latency/chaos/base stores), so a read that needed three attempts is
+// the chaos/base stores), so a read that needed three attempts is
 // still exactly one buffer-pool miss and one page-budget charge: retries
 // are a storage-latency phenomenon, not extra logical I/O. Each retry
 // increments both the wrapper's own counter and the Retries field of the

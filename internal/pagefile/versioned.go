@@ -153,7 +153,7 @@ func (v *VersionedStore) Alloc() (PageID, error) {
 func (v *VersionedStore) Read(id PageID, buf []byte) error { return v.inner.Read(id, buf) }
 
 // Write enforces the COW discipline, then delegates. The check runs under
-// the mutex; the (possibly latency-charged) inner write does not.
+// the mutex; the (possibly slow) inner write does not.
 func (v *VersionedStore) Write(id PageID, buf []byte) error {
 	v.mu.Lock()
 	ok := v.fresh[id] || v.inPlace[id]

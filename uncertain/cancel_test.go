@@ -3,7 +3,6 @@ package uncertain
 import (
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -15,40 +14,31 @@ import (
 
 // This file is the correctness contract of the context-first query API:
 // cancellation must take effect within a couple of page latencies and must
-// not leak prefetch goroutines or corrupt the index; WithPageBudget must
+// not leak goroutines or corrupt the index; WithPageBudget must
 // stop a query after exactly the budgeted number of physical fetches; the
 // batch engine must propagate cancellation to in-flight queries instead of
 // letting a failed batch run to completion.
 
-// testLatency is these tests' build-then-measure hook: wrap goes into
-// Config.WrapStore and interposes one LatencyStore per base store (one per
-// shard on a sharded index), arm sets the per-page delay on all of them.
-type testLatency struct{ stores []*pagefile.LatencyStore }
-
-func (l *testLatency) wrap(s pagefile.Store) pagefile.Store {
-	ls := pagefile.NewLatencyStore(s, 0, 0)
-	l.stores = append(l.stores, ls)
-	return ls
-}
-
-func (l *testLatency) arm(d time.Duration) {
-	for _, ls := range l.stores {
-		ls.SetDelays(d, d)
-	}
+// slowStore is the page latency of these tests: a chaos rule stalling every
+// page operation of cs, installed once the index is built.
+func slowStore(cs *pagefile.ChaosStore, latency time.Duration) {
+	cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultLatency, Prob: 1, Latency: latency})
 }
 
 // cancelFixture builds a file-backed Tree whose physical page accesses
-// cost `latency` each (armed only after the build, which runs at zero
-// latency), with a pool small enough that real queries miss.
-func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*Tree, *testLatency, []RangeQuery) {
+// cost `latency` each (from the end of the build on; 0 leaves the store
+// fast), with a pool small enough that real queries miss.
+func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 	t.Helper()
-	lat := &testLatency{}
+	var chaos *pagefile.ChaosStore
 	ct, err := NewTree(Config{
-		WrapStore:       lat.wrap,
+		WrapStore: func(s pagefile.Store) pagefile.Store {
+			chaos = pagefile.NewChaosStore(s, 1)
+			return chaos
+		},
 		Dimensions:      2,
 		ExactRefinement: true,
 		BufferPages:     8,
-		PrefetchWorkers: prefetch,
 		Path:            filepath.Join(t.TempDir(), "cancel.utree"),
 	})
 	if err != nil {
@@ -61,8 +51,10 @@ func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*Tree, *t
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lat.arm(latency)
-	return ct, lat, shardedFixtureQueries(40, 62)
+	if latency > 0 {
+		slowStore(chaos, latency)
+	}
+	return ct, shardedFixtureQueries(40, 62)
 }
 
 // waitGoroutines waits for the goroutine count to settle back to the
@@ -84,76 +76,69 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // TestSearchCancelMidTraversal is the headline cancellation contract: a
 // file-backed query over 2 ms page latency, cancelled mid-traversal, must
-// return context.Canceled within ~2 page latencies, leave no prefetch
-// goroutines behind, and leave the index structurally intact and fully
-// usable. Run with -race: the prefetch fan-out's fetch goroutines must be
-// drained inside the query's lock window even on the cancel path.
+// return context.Canceled within ~2 page latencies, leave no goroutines
+// behind, and leave the index structurally intact and fully usable.
 func TestSearchCancelMidTraversal(t *testing.T) {
-	const latency = 2 * time.Millisecond
-	for _, prefetch := range []int{0, 4} {
-		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
-			ct, lat, queries := cancelFixture(t, latency, prefetch)
-			baseline := runtime.NumGoroutine()
+	// prefetch=0: the traversal reads one page at a time, no readahead.
+	t.Run("prefetch=0", func(t *testing.T) {
+		ct, _ := cancelFixture(t, 2*time.Millisecond)
+		baseline := runtime.NumGoroutine()
 
-			// The whole-domain query touches far more pages than fit in the
-			// 8-page pool: uncancelled it costs hundreds of milliseconds.
-			big := Box(Pt(0, 0), Pt(1000, 1000))
-			ctx, cancel := context.WithCancel(context.Background())
-			var cancelledAt time.Time
-			timer := time.AfterFunc(5*time.Millisecond, func() {
-				cancelledAt = time.Now()
-				cancel()
-			})
-			defer timer.Stop()
-
-			res, stats, err := ct.Search(ctx, big, 0.3)
-			returned := time.Now()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if cancelledAt.IsZero() {
-				t.Fatal("query finished before the cancel fired; grow the fixture")
-			}
-			if lag := returned.Sub(cancelledAt); lag > 10*time.Millisecond {
-				t.Fatalf("cancel-to-return took %v, want < 10ms (~2 page latencies + drain)", lag)
-			}
-			if stats.Results != len(res) {
-				t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
-			}
-			waitGoroutines(t, baseline)
-
-			// The index must stay sound and answer the same query fully once
-			// the pressure is off.
-			lat.arm(0)
-			if err := ct.CheckInvariants(); err != nil {
-				t.Fatalf("invariants after cancel: %v", err)
-			}
-			full, _, err := ct.Search(context.Background(), big, 0.3)
-			if err != nil {
-				t.Fatalf("query after cancel: %v", err)
-			}
-			if len(full) == 0 {
-				t.Fatal("full query empty after cancel")
-			}
-			// The cancelled run's results must be a prefix of the full run's:
-			// the traversal order is deterministic, the cancel only cut it.
-			if len(res) > len(full) {
-				t.Fatalf("partial run returned %d results, full run %d", len(res), len(full))
-			}
-			for i := range res {
-				if res[i] != full[i] {
-					t.Fatalf("partial result %d = %+v, full run has %+v", i, res[i], full[i])
-				}
-			}
-			_ = queries
+		// The whole-domain query touches far more pages than fit in the 8-page
+		// pool: uncancelled it costs hundreds of milliseconds.
+		big := Box(Pt(0, 0), Pt(1000, 1000))
+		ctx, cancel := context.WithCancel(context.Background())
+		var cancelledAt time.Time
+		timer := time.AfterFunc(5*time.Millisecond, func() {
+			cancelledAt = time.Now()
+			cancel()
 		})
-	}
+		defer timer.Stop()
+
+		res, stats, err := ct.Search(ctx, big, 0.3)
+		returned := time.Now()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if cancelledAt.IsZero() {
+			t.Fatal("query finished before the cancel fired; grow the fixture")
+		}
+		if lag := returned.Sub(cancelledAt); lag > 10*time.Millisecond {
+			t.Fatalf("cancel-to-return took %v, want < 10ms (~2 page latencies)", lag)
+		}
+		if stats.Results != len(res) {
+			t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
+		}
+		waitGoroutines(t, baseline)
+
+		// The index must stay sound and answer the same query fully.
+		if err := ct.CheckInvariants(); err != nil {
+			t.Fatalf("invariants after cancel: %v", err)
+		}
+		full, _, err := ct.Search(context.Background(), big, 0.3)
+		if err != nil {
+			t.Fatalf("query after cancel: %v", err)
+		}
+		if len(full) == 0 {
+			t.Fatal("full query empty after cancel")
+		}
+		// The cancelled run's results must be a prefix of the full run's: the
+		// traversal order is deterministic, the cancel only cut it.
+		if len(res) > len(full) {
+			t.Fatalf("partial run returned %d results, full run %d", len(res), len(full))
+		}
+		for i := range res {
+			if res[i] != full[i] {
+				t.Fatalf("partial result %d = %+v, full run has %+v", i, res[i], full[i])
+			}
+		}
+	})
 }
 
 // TestSearchDeadlineAlreadyPassed: a context that is dead on arrival must
 // stop the query before any page is fetched.
 func TestSearchDeadlineAlreadyPassed(t *testing.T) {
-	ct, _, queries := cancelFixture(t, 0, 0)
+	ct, queries := cancelFixture(t, 0)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, stats, err := ct.Search(ctx, queries[0].Rect, queries[0].Prob)
@@ -168,7 +153,7 @@ func TestSearchDeadlineAlreadyPassed(t *testing.T) {
 // TestNNCancel: the best-first NN traversal honors cancellation the same
 // way (partial neighbors + ctx error + intact index).
 func TestNNCancel(t *testing.T) {
-	ct, lat, _ := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, _ := cancelFixture(t, 2*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)
 	start := time.Now()
@@ -179,7 +164,6 @@ func TestNNCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Millisecond {
 		t.Fatalf("cancelled NN took %v", elapsed)
 	}
-	lat.arm(0)
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after NN cancel: %v", err)
 	}
@@ -188,8 +172,13 @@ func TestNNCancel(t *testing.T) {
 // TestShardedCancel: cancelling a scatter-gathered query stops every shard
 // and returns the caller's context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
-	lat := &testLatency{}
-	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8, WrapStore: lat.wrap})
+	var chaos []*pagefile.ChaosStore // one per shard, built one after another
+	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
+		WrapStore: func(s pagefile.Store) pagefile.Store {
+			cs := pagefile.NewChaosStore(s, 1)
+			chaos = append(chaos, cs)
+			return cs
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +191,9 @@ func TestShardedCancel(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lat.arm(2 * time.Millisecond)
+	for _, cs := range chaos {
+		slowStore(cs, 2*time.Millisecond)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(5*time.Millisecond, cancel)
@@ -220,7 +211,6 @@ func TestShardedCancel(t *testing.T) {
 	if stats.Results != len(res) {
 		t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
 	}
-	lat.arm(0)
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after sharded cancel: %v", err)
 	}
@@ -366,8 +356,7 @@ func TestShardedBudgetPartial(t *testing.T) {
 }
 
 // TestQueryOptions covers the remaining per-query knobs: limit prefix
-// semantics, per-query prefetch arming without the index-wide mutator, and
-// per-query refinement control.
+// semantics and per-query refinement control.
 func TestQueryOptions(t *testing.T) {
 	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
 	if err != nil {
@@ -381,15 +370,12 @@ func TestQueryOptions(t *testing.T) {
 	const prob = 0.3
 	ctx := context.Background()
 
-	full, fullStats, err := ct.Search(ctx, rect, prob)
+	full, _, err := ct.Search(ctx, rect, prob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 10 {
 		t.Fatalf("fixture too small: %d results", len(full))
-	}
-	if fullStats.PrefetchIssued != 0 {
-		t.Fatalf("default query issued %d prefetches on an unarmed index", fullStats.PrefetchIssued)
 	}
 
 	t.Run("WithLimit", func(t *testing.T) {
@@ -404,26 +390,6 @@ func TestQueryOptions(t *testing.T) {
 			if limited[i] != full[i] {
 				t.Fatalf("limited result %d = %+v, want prefix of full run (%+v)", i, limited[i], full[i])
 			}
-		}
-	})
-
-	t.Run("WithPrefetchWorkers", func(t *testing.T) {
-		res, stats, err := ct.Search(ctx, rect, prob, WithPrefetchWorkers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResults(t, "per-query prefetch", [][]Result{full}, [][]Result{res})
-		if stats.PrefetchIssued == 0 {
-			t.Fatal("WithPrefetchWorkers(8) issued no prefetches")
-		}
-		// The option must not have armed the index: the next plain query
-		// runs serial again.
-		_, after, err := ct.Search(ctx, rect, prob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.PrefetchIssued != 0 {
-			t.Fatal("per-query prefetch leaked into the index default")
 		}
 	})
 
@@ -520,7 +486,7 @@ func TestQueryOptions(t *testing.T) {
 // early-cancelled large batch over slow storage returns in milliseconds,
 // not seconds.
 func TestEngineEarlyCancelLargeBatch(t *testing.T) {
-	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, queries := cancelFixture(t, 2*time.Millisecond)
 	baseline := runtime.NumGoroutine()
 
 	// 200 slow queries ≈ many seconds of serial page stalls at 4 workers.
@@ -549,7 +515,7 @@ func TestEngineEarlyCancelLargeBatch(t *testing.T) {
 // TestEngineFirstErrorCancelsInFlight: the first real query error must
 // cancel the in-flight siblings, not just stop handing out new tasks.
 func TestEngineFirstErrorCancelsInFlight(t *testing.T) {
-	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, queries := cancelFixture(t, 2*time.Millisecond)
 	batch := make([]RangeQuery, 0, 101)
 	batch = append(batch, RangeQuery{Rect: Box(Pt(0, 0), Pt(1, 1)), Prob: 42}) // invalid prob → immediate error
 	for len(batch) < 101 {
@@ -570,7 +536,7 @@ func TestEngineFirstErrorCancelsInFlight(t *testing.T) {
 // TestEnginePerQueryTimeout: EngineOptions.QueryTimeout bounds each query
 // without failing the batch; timed-out queries are counted.
 func TestEnginePerQueryTimeout(t *testing.T) {
-	ct, _, queries := cancelFixture(t, 2*time.Millisecond, 0)
+	ct, queries := cancelFixture(t, 2*time.Millisecond)
 	eng := NewQueryEngine(ct, EngineOptions{Workers: 2, QueryTimeout: 3 * time.Millisecond})
 	out, stats, err := eng.SearchBatch(context.Background(), queries)
 	if err != nil {

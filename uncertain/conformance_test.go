@@ -257,75 +257,72 @@ func TestIndexConformance(t *testing.T) {
 	}
 
 	for _, b := range builders {
-		for _, adaptive := range []bool{false, true} {
-			for _, mc := range []bool{false, true} {
-				name := fmt.Sprintf("%s/adaptive=%v/mc=%v", b.name, adaptive, mc)
-				t.Run(name, func(t *testing.T) {
-					idx, objs := b.build(t, Config{
-						Dimensions:        2,
-						ExactRefinement:   !mc,
-						MonteCarloSamples: conformanceSamples,
-						AdaptivePlanning:  adaptive,
-					})
-					defer idx.Close()
-					oracle(objs)
-					if idx.Len() != len(objs) {
-						t.Fatalf("Len = %d, want %d", idx.Len(), len(objs))
-					}
-					if err := idx.CheckInvariants(); err != nil {
+		for _, mc := range []bool{false, true} {
+			name := fmt.Sprintf("%s/mc=%v", b.name, mc)
+			t.Run(name, func(t *testing.T) {
+				idx, objs := b.build(t, Config{
+					Dimensions:        2,
+					ExactRefinement:   !mc,
+					MonteCarloSamples: conformanceSamples,
+				})
+				defer idx.Close()
+				oracle(objs)
+				if idx.Len() != len(objs) {
+					t.Fatalf("Len = %d, want %d", idx.Len(), len(objs))
+				}
+				if err := idx.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				var total Stats
+				for i, q := range queries {
+					got, stats, err := idx.Search(context.Background(), q.Rect, q.Prob)
+					if err != nil {
 						t.Fatal(err)
 					}
-					var total Stats
-					for i, q := range queries {
-						got, stats, err := idx.Search(context.Background(), q.Rect, q.Prob)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i], mc)
-						if !mc {
-							// Exact refinement: the answer is the brute-force
-							// set, whichever stage decided each object.
-							want := 0
-							for _, p := range exact[i] {
-								if p >= q.Prob {
-									want++
-								}
-							}
-							if len(got) != want {
-								t.Fatalf("query %d: %d results, brute force %d", i, len(got), want)
+					checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i], mc)
+					if !mc {
+						// Exact refinement: the answer is the brute-force
+						// set, whichever stage decided each object.
+						want := 0
+						for _, p := range exact[i] {
+							if p >= q.Prob {
+								want++
 							}
 						}
-						// Every candidate is decided on its marginals or integrated.
-						if decided := stats.MarginalValidated + stats.MarginalPruned + stats.ProbComputations; stats.Candidates != decided {
-							t.Fatalf("query %d: %d candidates, %d accounted for (%+v)", i, stats.Candidates, decided, stats)
-						}
-						total.Add(stats)
-					}
-					// ShapeDecided: the fixture's Con-Gau objects share one shape.
-					if total.MarginalValidated == 0 || total.MarginalPruned == 0 || total.ProbComputations == 0 || total.ShapeDecided == 0 {
-						t.Fatalf("workload leaves a refinement outcome unexercised: %+v", total)
-					}
-					for i, pt := range points {
-						got, _, err := idx.NearestNeighbors(context.Background(), pt, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(got) != k {
-							t.Fatalf("NN %d: %d neighbors, want %d", i, len(got), k)
-						}
-						for j := range got {
-							// The index refines the pdf decoded from its record,
-							// whose derived fields (a histogram's renormalized
-							// weights) may differ from the oracle's in the last
-							// bits.
-							want := wantNN[i][j]
-							if got[j].ID != want.ID || math.Abs(got[j].ExpectedDist-want.ExpectedDist) > 1e-9*want.ExpectedDist {
-								t.Fatalf("NN %d neighbor %d: %+v, brute force %+v", i, j, got[j], want)
-							}
+						if len(got) != want {
+							t.Fatalf("query %d: %d results, brute force %d", i, len(got), want)
 						}
 					}
-				})
-			}
+					// Every candidate is decided on its marginals or integrated.
+					if decided := stats.MarginalValidated + stats.MarginalPruned + stats.ProbComputations; stats.Candidates != decided {
+						t.Fatalf("query %d: %d candidates, %d accounted for (%+v)", i, stats.Candidates, decided, stats)
+					}
+					total.Add(stats)
+				}
+				// ShapeDecided: the fixture's Con-Gau objects share one shape.
+				if total.MarginalValidated == 0 || total.MarginalPruned == 0 || total.ProbComputations == 0 || total.ShapeDecided == 0 {
+					t.Fatalf("workload leaves a refinement outcome unexercised: %+v", total)
+				}
+				for i, pt := range points {
+					got, _, err := idx.NearestNeighbors(context.Background(), pt, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != k {
+						t.Fatalf("NN %d: %d neighbors, want %d", i, len(got), k)
+					}
+					for j := range got {
+						// The index refines the pdf decoded from its record,
+						// whose derived fields (a histogram's renormalized
+						// weights) may differ from the oracle's in the last
+						// bits.
+						want := wantNN[i][j]
+						if got[j].ID != want.ID || math.Abs(got[j].ExpectedDist-want.ExpectedDist) > 1e-9*want.ExpectedDist {
+							t.Fatalf("NN %d neighbor %d: %+v, brute force %+v", i, j, got[j], want)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -426,7 +423,7 @@ func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := append(shardedFixtureQueries(20, 52), latticeFixtureQueries(12, 20, 0.3)...)
-	forward := pipelineSearchAll(t, tree, queries)
+	forward := searchInOrder(t, tree, queries)
 	refined := 0
 	for i := len(queries) - 1; i >= 0; i-- {
 		got, _, err := tree.Search(context.Background(), queries[i].Rect, queries[i].Prob)
@@ -684,18 +681,26 @@ func (s *rendezvousStore) Read(id pagefile.PageID, buf []byte) error {
 	return s.Store.Read(id, buf)
 }
 
-// TestShardedNNLaunchesAllShards: without adaptive planning no shard knows
-// its root box, so there is nothing to rank on and no reason to run one
-// shard ahead of the others — every shard's first page read must be in
-// flight at the same time.
+// TestShardedNNLaunchesAllShards: a hash-sharded NN query ranks its shards
+// by the distance from q to their root boxes, runs the nearest alone to
+// seed the shared bound, and then launches every other shard at once —
+// none waits for a sibling. Every shard of a hash split covers the domain,
+// so at the domain's centre all tie at distance 0 and shard 0 (the lowest
+// index) seeds; the other shards' first page reads must all be in flight
+// together, and none is pruned.
 func TestShardedNNLaunchesAllShards(t *testing.T) {
 	const shards = 3
-	gate := &rendezvous{want: shards, all: make(chan struct{})}
+	gate := &rendezvous{want: shards - 1, all: make(chan struct{})}
+	built := 0 // WrapStore runs once per shard, in shard order
 	st, err := NewShardedTree(shards, Config{
 		Dimensions:       2,
 		BufferPages:      1, // every node visit reaches the store
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
+			built++
+			if built == 1 {
+				return s
+			}
 			return &rendezvousStore{Store: s, gate: gate}
 		},
 	})
@@ -710,13 +715,17 @@ func TestShardedNNLaunchesAllShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.armed.Store(true)
-	if _, _, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5); err != nil {
+	_, stats, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if gate.late.Load() {
 		t.Fatal("a shard's first read waited 5s for its siblings to start: the fan-out serialized a shard")
 	}
-	if n := gate.waiting.Load(); n != shards {
-		t.Fatalf("%d of %d shards read a page", n, shards)
+	if n := gate.waiting.Load(); n != shards-1 {
+		t.Fatalf("%d of the %d shards after the seeding one read a page", n, shards-1)
+	}
+	if stats.ShardsPruned != 0 {
+		t.Fatalf("%d shards pruned at the centre of a hash split", stats.ShardsPruned)
 	}
 }

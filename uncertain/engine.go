@@ -82,12 +82,6 @@ type BatchStats struct {
 	P95Latency time.Duration
 	MaxLatency time.Duration
 
-	// Intra-query prefetch totals over the batch (zero when prefetching is
-	// off; see Config.PrefetchWorkers).
-	PrefetchIssued    int
-	PrefetchCoalesced int
-	PrefetchWasted    int
-
 	// Cancelled counts queries that returned a context error: ones that hit
 	// the engine's per-query timeout (EngineOptions.QueryTimeout — counted
 	// and skipped, the batch continues) and ones aborted by the batch
@@ -96,13 +90,6 @@ type BatchStats struct {
 	// continues.
 	Cancelled      int
 	BudgetExceeded int
-
-	// AdmissionRejected counts queries shed by the engine's admission
-	// control (EngineOptions.MaxInFlightIO): their predicted I/O would have
-	// pushed the in-flight total past the ceiling and capacity did not free
-	// up within AdmissionWait. A shed query's result slot stays nil and the
-	// batch continues.
-	AdmissionRejected int
 
 	// Pruning totals over the batch: shards skipped by the scatter-gather
 	// and leaf entries discarded by the probability upper bound where the
@@ -122,120 +109,6 @@ type EngineOptions struct {
 	// the batch proceeds. Use the batch context's own deadline to bound
 	// the whole batch instead.
 	QueryTimeout time.Duration
-
-	// MaxInFlightIO, when > 0, turns on admission control for SearchBatch:
-	// each query's node accesses are predicted by the index's cost model
-	// (Config.AdaptivePlanning) before it starts, and a query whose
-	// prediction would push the batch's in-flight predicted I/O past this
-	// ceiling waits up to AdmissionWait for capacity, then is shed with
-	// ErrAdmission (a *AdmissionError carrying a retry-after hint). An
-	// otherwise-idle engine always admits — a single query larger than the
-	// ceiling must not deadlock — and queries the model cannot predict
-	// (planning off, tree below modeling size) are admitted untracked.
-	MaxInFlightIO float64
-	// AdmissionWait bounds how long an over-ceiling query waits for
-	// capacity before being shed; 0 sheds immediately.
-	AdmissionWait time.Duration
-}
-
-// ErrAdmission is returned (wrapped in a *AdmissionError) for queries shed
-// by admission control: the engine predicted the query would push the
-// in-flight I/O past EngineOptions.MaxInFlightIO and capacity did not free
-// up in time. The query did not run; retry it after the error's RetryAfter
-// hint, or raise the ceiling. Test with errors.Is.
-var ErrAdmission = errors.New("uncertain: query shed by admission control")
-
-// AdmissionError carries the admission decision's inputs and a retry hint;
-// errors.Is(err, ErrAdmission) matches it.
-type AdmissionError struct {
-	// Predicted is the query's predicted node accesses.
-	Predicted float64
-	// InFlight was the admitted queries' predicted I/O at decision time.
-	InFlight float64
-	// Ceiling is EngineOptions.MaxInFlightIO.
-	Ceiling float64
-	// RetryAfter is a heuristic backoff hint: roughly when enough in-flight
-	// work should have drained for this query to fit.
-	RetryAfter time.Duration
-}
-
-func (e *AdmissionError) Error() string {
-	return fmt.Sprintf("%v: predicted %.1f node accesses, %.1f already in flight, ceiling %.1f (retry after %v)",
-		ErrAdmission, e.Predicted, e.InFlight, e.Ceiling, e.RetryAfter)
-}
-
-func (e *AdmissionError) Unwrap() error { return ErrAdmission }
-
-// ioPredictor is the optional index capability admission control needs;
-// Tree and ShardedTree provide it when adaptive planning is on.
-type ioPredictor interface {
-	PredictSearchIO(rect Rect, prob float64) (float64, bool)
-}
-
-// admitter tracks the predicted I/O of in-flight queries against a
-// ceiling. Admission blocks until the query fits, the wait expires, or the
-// system is idle (an empty system always admits, whatever the prediction).
-type admitter struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inFlight float64
-	ceiling  float64
-	wait     time.Duration
-}
-
-func newAdmitter(ceiling float64, wait time.Duration) *admitter {
-	a := &admitter{ceiling: ceiling, wait: wait}
-	a.cond = sync.NewCond(&a.mu)
-	return a
-}
-
-// admit blocks until pred fits under the ceiling (or the system is idle)
-// and reserves it; past the wait budget it sheds the query with a
-// *AdmissionError instead.
-func (a *admitter) admit(pred float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	expired := a.wait <= 0
-	var timer *time.Timer
-	for a.inFlight > 0 && a.inFlight+pred > a.ceiling {
-		if expired {
-			if timer != nil {
-				timer.Stop()
-			}
-			retry := a.wait
-			if retry <= 0 {
-				// No wait budget: hint a backoff proportional to how much
-				// in-flight work must drain before this query fits.
-				retry = time.Duration(a.inFlight+pred-a.ceiling) * time.Millisecond
-			}
-			return &AdmissionError{Predicted: pred, InFlight: a.inFlight, Ceiling: a.ceiling, RetryAfter: retry}
-		}
-		if timer == nil {
-			timer = time.AfterFunc(a.wait, func() {
-				a.mu.Lock()
-				expired = true
-				a.mu.Unlock()
-				a.cond.Broadcast()
-			})
-		}
-		a.cond.Wait()
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	a.inFlight += pred
-	return nil
-}
-
-// release returns an admitted query's reservation and wakes the waiters.
-func (a *admitter) release(pred float64) {
-	a.mu.Lock()
-	a.inFlight -= pred
-	if a.inFlight < 0 {
-		a.inFlight = 0
-	}
-	a.mu.Unlock()
-	a.cond.Broadcast()
 }
 
 // QueryEngine runs batches of queries concurrently against one shared
@@ -252,8 +125,6 @@ type QueryEngine struct {
 	idx          Index
 	workers      int
 	queryTimeout time.Duration
-	pred         ioPredictor // nil when the index cannot predict
-	adm          *admitter   // nil when admission control is off
 }
 
 // NewQueryEngine builds an engine over idx.
@@ -262,12 +133,7 @@ func NewQueryEngine(idx Index, opt EngineOptions) *QueryEngine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	e := &QueryEngine{idx: idx, workers: w, queryTimeout: opt.QueryTimeout}
-	e.pred, _ = idx.(ioPredictor)
-	if opt.MaxInFlightIO > 0 {
-		e.adm = newAdmitter(opt.MaxInFlightIO, opt.AdmissionWait)
-	}
-	return e
+	return &QueryEngine{idx: idx, workers: w, queryTimeout: opt.QueryTimeout}
 }
 
 // Workers reports the configured fan-out bound.
@@ -275,9 +141,9 @@ func (e *QueryEngine) Workers() int { return e.workers }
 
 // SearchBatch answers every query and returns per-query results (index i
 // answers queries[i]) plus aggregated stats. Per-query options apply to
-// every query of the batch. Budget-exceeded, per-query-timeout and
-// admission-shed errors are non-fatal (counted in BatchStats, the batch
-// continues, partial results are kept); the first other error — or the
+// every query of the batch. Budget-exceeded and per-query-timeout errors
+// are non-fatal (counted in BatchStats, the batch continues, partial
+// results are kept); the first other error — or the
 // batch context going away — cancels the remaining in-flight queries
 // promptly and is returned together with the results and stats of the
 // work that did complete.
@@ -285,14 +151,6 @@ func (e *QueryEngine) SearchBatch(ctx context.Context, queries []RangeQuery, opt
 	out := make([][]Result, len(queries))
 	perQuery := make([]Stats, len(queries))
 	stats, err := e.run(ctx, len(queries), func(qctx context.Context, i int) error {
-		if e.adm != nil && e.pred != nil {
-			if p, ok := e.pred.PredictSearchIO(queries[i].Rect, queries[i].Prob); ok {
-				if aerr := e.adm.admit(p); aerr != nil {
-					return fmt.Errorf("uncertain: batch query %d: %w", i, aerr)
-				}
-				defer e.adm.release(p)
-			}
-		}
 		res, st, qerr := e.idx.Search(qctx, queries[i].Rect, queries[i].Prob, opts...)
 		out[i], perQuery[i] = res, st
 		if qerr != nil {
@@ -311,9 +169,6 @@ func (e *QueryEngine) SearchBatch(ctx context.Context, queries []RangeQuery, opt
 	stats.MarginalValidated = agg.MarginalValidated
 	stats.MarginalPruned = agg.MarginalPruned
 	stats.ShapeDecided = agg.ShapeDecided
-	stats.PrefetchIssued = agg.PrefetchIssued
-	stats.PrefetchCoalesced = agg.PrefetchCoalesced
-	stats.PrefetchWasted = agg.PrefetchWasted
 	stats.ShardsPruned = agg.ShardsPruned
 	stats.ProbFilterPruned = agg.ProbFilterPruned
 	stats.finish()
@@ -343,9 +198,6 @@ func (e *QueryEngine) NNBatch(ctx context.Context, queries []NNQuery, opts ...Qu
 	}
 	stats.NodeAccesses = agg.NodeAccesses
 	stats.ProbComputations = agg.DistanceComps
-	stats.PrefetchIssued = agg.PrefetchIssued
-	stats.PrefetchCoalesced = agg.PrefetchCoalesced
-	stats.PrefetchWasted = agg.PrefetchWasted
 	stats.ShardsPruned = agg.ShardsPruned
 	for i := range out {
 		stats.Results += len(out[i])
@@ -385,7 +237,6 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 		firstErr  error
 		cancelled atomic.Int64
 		budget    atomic.Int64
-		shed      atomic.Int64
 		wg        sync.WaitGroup
 	)
 	fail := func(err error) {
@@ -417,8 +268,6 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 				// timeout.
 				switch {
 				case err == nil:
-				case errors.Is(err, ErrAdmission):
-					shed.Add(1) // shed load is the mechanism working, not a failure
 				case errors.Is(err, ErrBudgetExceeded):
 					budget.Add(1)
 				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -442,14 +291,13 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 
 	h1, m1 := e.idx.CacheStats()
 	stats := BatchStats{
-		Queries:           n,
-		Workers:           workers,
-		WallTime:          time.Since(start),
-		CacheHits:         h1 - h0,
-		CacheMisses:       m1 - m0,
-		Cancelled:         int(cancelled.Load()),
-		BudgetExceeded:    int(budget.Load()),
-		AdmissionRejected: int(shed.Load()),
+		Queries:        n,
+		Workers:        workers,
+		WallTime:       time.Since(start),
+		CacheHits:      h1 - h0,
+		CacheMisses:    m1 - m0,
+		Cancelled:      int(cancelled.Load()),
+		BudgetExceeded: int(budget.Load()),
 	}
 	// Percentiles cover only the queries that actually ran: on an aborted
 	// batch the never-started tasks' zero durations would otherwise drag

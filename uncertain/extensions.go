@@ -92,24 +92,3 @@ func (t *Tree) BuildCostModel(domain Rect) (*CostModel, error) {
 func (t *Tree) CatalogIndexFor(pq float64) int {
 	return t.inner.CatalogIndexFor(pq)
 }
-
-// PlannerInfo is the adaptive planner's observability snapshot: whether
-// planning is on, how many queries it decided, the lifetime predicted and
-// measured node-access sums (their ratio is the live prediction error),
-// the model's current calibration factor, and how often the model was
-// rebuilt at commit.
-type PlannerInfo = core.PlannerInfo
-
-// PlannerInfo reports the adaptive planner's diagnostics (all zero
-// without Config.AdaptivePlanning). Safe to call concurrently with
-// queries and the writer, like PredictSearchIO.
-func (t *Tree) PlannerInfo() PlannerInfo { return t.inner.PlannerInfo() }
-
-// PredictSearchIO predicts the node accesses of a Search with the given
-// rectangle and threshold without executing it — the cost model's query
-// surface, also used by the engine's admission control. ok is false when
-// adaptive planning is off or no model has been built yet (tree too
-// small or not committed since reaching modeling size).
-func (t *Tree) PredictSearchIO(rect Rect, prob float64) (float64, bool) {
-	return t.inner.PredictSearchIO(rect, prob)
-}

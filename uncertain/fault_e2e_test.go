@@ -496,16 +496,15 @@ func TestCloseRetriesItsOwnWrites(t *testing.T) {
 	}
 }
 
-// TestFaultedQueriesLeakNothing hammers prefetching queries with a mix of
-// absorbed transient faults and hard failures, then checks the error
-// paths released everything: no leaked snapshot pins, the reclaimer still
-// drains, and no goroutines outlive Close.
+// TestFaultedQueriesLeakNothing hammers queries with a mix of absorbed
+// transient faults and hard failures, then checks the error paths released
+// everything: no leaked snapshot pins, the reclaimer still drains, and no
+// goroutines outlive Close.
 func TestFaultedQueriesLeakNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	var chaos *pagefile.ChaosStore
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "leak.utree"))
-	cfg.PrefetchWorkers = 4
 	cfg.ReclaimInterval = time.Millisecond
 	// The scrubber runs too (its goroutine is part of the leak check), but
 	// at a loose interval: each collection cycle briefly pins the committed

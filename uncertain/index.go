@@ -14,8 +14,8 @@ import (
 //     pin the committed epoch and never wait on a writer's page I/O. A
 //     single goroutine pays one uncontended mutex per mutation.
 //   - ShardedTree: K independent Trees; queries fan out across the shards
-//     and overlap their page latencies, and writers on different shards
-//     proceed in parallel.
+//     concurrently (a spatial split skips shards whose root box misses
+//     the query), and writers on different shards proceed in parallel.
 //
 // Every Index is safe for concurrent use and can be handed to a
 // QueryEngine. Queries observe the last committed epoch: without group
@@ -25,10 +25,10 @@ import (
 // The query surface is context-first: every query takes a
 // context.Context for cancellation and deadlines (queries check it before
 // every page fetch and every refinement integration, so a cancelled query
-// returns within roughly one page latency) plus per-query QueryOptions
-// resolved into an immutable plan — precision, prefetch fan-out, result
-// limits and I/O budgets are per-query decisions, with no global mutator
-// and no lock taken to change them.
+// returns within roughly one page read) plus per-query QueryOptions
+// resolved into an immutable plan — precision, result limits and I/O
+// budgets are per-query decisions, with no global mutator and no lock taken
+// to change them.
 type Index interface {
 	// Insert adds an object. IDs must be unique across the whole index.
 	Insert(id int64, pdf PDF) error

@@ -8,8 +8,7 @@ import (
 // API. Search and NearestNeighbors accept functional options that are
 // resolved once, up front, into an immutable per-query plan — so queries
 // with different precision/latency trade-offs run concurrently on one
-// index without any global mutator (and without the writer-lock stall the
-// old SetPrefetchWorkers mutator paid). The per-query precision knobs
+// index without any global mutator. The per-query precision knobs
 // follow the probabilistic-pruning literature (Bernecker et al.), where
 // refinement effort is a query-time choice, not an index-time one.
 
@@ -57,16 +56,6 @@ func WithExactRefinement(on bool) QueryOption {
 	return func(p *queryPlan) { p.o.ExactSet, p.o.Exact = true, on }
 }
 
-// WithPrefetchWorkers overrides the intra-query prefetch fan-out for this
-// query only: how many async page fetches it may have in flight (n ≤ 0
-// disables prefetching for the query). Unlike the deprecated
-// SetPrefetchWorkers mutator this takes no lock and stalls no other query;
-// results are byte-identical whatever the fan-out. On a sharded index the
-// bound applies per shard.
-func WithPrefetchWorkers(n int) QueryOption {
-	return func(p *queryPlan) { p.o.PrefetchSet, p.o.Prefetch = true, n }
-}
-
 // WithLimit stops a range query after n results (a top-N early cut) and
 // caps k for NN queries. The cut is deterministic — a limited query
 // returns a prefix of the unlimited query's result sequence — but which
@@ -92,8 +81,7 @@ func WithAllowDegraded(on bool) QueryOption {
 // WithPageBudget bounds the physical page fetches (buffer-pool misses plus
 // data-page reads) this query may perform; when the budget runs out the
 // query returns ErrBudgetExceeded together with the partial results and
-// stats gathered up to that point — after exactly n physical fetches. A
-// budgeted query runs without prefetching so the accounting is exact
+// stats gathered up to that point — after exactly n physical fetches
 // (stats report the fetches in PagesFetched). On a sharded index the
 // budget applies per shard. n ≤ 0 means unlimited.
 func WithPageBudget(n int) QueryOption {

@@ -16,15 +16,11 @@ import (
 // is searched concurrently and the partial answers are merged (with Stats
 // summed via core's merge helpers).
 //
-// Compared to a single Tree this buys two things on latency-bound storage
-// (the paper's setting — its cost model charges 10 ms per page access):
-//
-//   - One query overlaps its page stalls across shards: latency ≈ the
-//     slowest shard's share instead of the sum.
-//   - Writers on different shards proceed in parallel (each shard
-//     serializes only its own writers); readers never stall on writers at
-//     all — every shard query runs on a pinned snapshot of that shard's
-//     latest committed epoch.
+// Compared to a single Tree, one query runs its shards' traversals
+// concurrently, and writers on different shards proceed in parallel (each
+// shard serializes only its own writers); readers never stall on writers
+// at all — every shard query runs on a pinned snapshot of that shard's
+// latest committed epoch.
 //
 // The split is by ID hash, not by space, so every shard sees queries from
 // the whole domain; each sub-tree indexes a uniform 1/K sample of the
@@ -33,9 +29,8 @@ import (
 // — to a single tree over the same objects, whatever the shard count.
 //
 // NewSpatialShardedTree routes by location instead, giving the shards
-// (mostly) disjoint root MBRs; combined with Config.AdaptivePlanning —
-// which makes every commit record the shard's root box — the
-// scatter-gather then skips shards whose committed root box cannot
+// (mostly) disjoint root boxes. Every commit records its shard's root box,
+// so the scatter-gather skips shards whose committed root box cannot
 // intersect the query — see Search and NearestNeighbors.
 type ShardedTree struct {
 	shards []*Tree
@@ -80,9 +75,8 @@ func NewShardedTree(shards int, cfg Config) (*ShardedTree, error) {
 // domain into equal slabs along dimension 0 (objects are routed by their
 // pdf-MBR center; objects outside the domain land in the nearest edge
 // slab). Spatial sharding makes the per-shard root MBRs disjoint-ish,
-// which is what gives Config.AdaptivePlanning's shard pruning its teeth —
-// under ID-hash sharding every shard covers the whole domain and no query
-// can skip any of them.
+// which is what gives shard pruning its teeth — under ID-hash sharding
+// every shard covers the whole domain and no query can skip any of them.
 //
 // Because the shard is no longer derivable from the ID alone, Delete by
 // bare ID only works for objects inserted (or bulk-loaded) through this
@@ -381,9 +375,9 @@ func (s *ShardedTree) pinShards() (snaps []*core.Snapshot, release func()) {
 
 // rootDisjoint reports whether a pinned shard epoch provably holds nothing
 // inside rect: its root MBR (the p=0 boundary box, which contains every
-// object region of the shard) is known and misses rect. The box is recorded
-// at commit only under Config.AdaptivePlanning and is unknown (zero) for an
-// empty shard; an unknown box never prunes.
+// object region of the shard, recorded at every commit) is known and misses
+// rect. The box is unknown (zero) for an empty shard; an unknown box never
+// prunes.
 func rootDisjoint(sn *core.Snapshot, rect Rect) bool {
 	root := sn.RootMBR()
 	return root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect)
@@ -398,7 +392,7 @@ func shardFatal(err error, plan core.QueryOpts) bool {
 
 // Search scatter-gathers a probabilistic range query: the shards run the
 // query concurrently (each on a pinned snapshot of its latest committed
-// epoch, overlapping page latencies), and the partial results are
+// epoch), and the partial results are
 // concatenated, sorted by ID, and returned with the per-shard Stats
 // merged.
 //
@@ -406,9 +400,9 @@ func shardFatal(err error, plan core.QueryOpts) bool {
 // contribute a result and is skipped without being queried, counted in
 // Stats.ShardsPruned. The pruning is purely subtractive of provably-empty
 // work, so the merged answer is identical to the full fan-out; it only
-// bites when the shards partition space (NewSpatialShardedTree) and record
-// their root boxes (Config.AdaptivePlanning). An invalid query is never
-// pruned on — it is sent down so the usual validation error surfaces.
+// bites when the shards partition space (NewSpatialShardedTree). An invalid
+// query is never pruned on — it is sent down so the usual validation error
+// surfaces.
 //
 // Cancellation fans out: cancelling ctx (or passing its deadline) stops
 // every shard's traversal, and the partial answers the shards had already
@@ -480,14 +474,15 @@ func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts 
 // as soon as its frontier's lower bound exceeds the shared value
 // (NNStats.BoundPruned) — the remaining candidates are provably outside
 // the merged top k. When some shard's committed root MBR is known (see
-// Search), the shards are additionally ranked by min-distance from q to
-// that box (unknown boxes rank first and are never skipped): the nearest
-// shard runs first to seed the bound, the rest then run concurrently, and
-// a shard whose min-distance already exceeds the bound at launch is
-// skipped outright (NNStats.ShardsPruned) — every object it holds has
-// expected distance at least that min-distance. With no box known there is
-// nothing to rank on and every shard launches at once. Results are
-// identical to the full fan-out either way.
+// Search; every non-empty shard's is), the shards are additionally ranked
+// by min-distance from q to that box (unknown boxes rank first and are
+// never skipped): the nearest shard runs first to seed the bound, the rest
+// then run concurrently, and a shard whose min-distance already exceeds
+// the bound at launch is skipped outright (NNStats.ShardsPruned) — every
+// object it holds has expected distance at least that min-distance. With
+// no box known (every shard empty) there is nothing to rank on and every
+// shard launches at once. Results are identical to the full fan-out either
+// way.
 func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -625,37 +620,6 @@ func (s *ShardedTree) gatherError(ctx context.Context, errs []error, allowDegrad
 		return &DegradedError{Shards: failed, Errs: failedErrs}, nil
 	}
 	return budgetErr, nil
-}
-
-// PlannerInfo merges the shards' adaptive-planner diagnostics (counters
-// sum, the calibration factor is query-weighted).
-func (s *ShardedTree) PlannerInfo() PlannerInfo {
-	var info PlannerInfo
-	for _, sh := range s.shards {
-		info.Add(sh.PlannerInfo())
-	}
-	return info
-}
-
-// PredictSearchIO sums the shards' predicted node accesses for a Search,
-// skipping shards Search would prune — the engine's admission-control
-// input. ok is false when no shard has a model yet.
-func (s *ShardedTree) PredictSearchIO(rect Rect, prob float64) (float64, bool) {
-	snaps, release := s.pinShards()
-	defer release()
-	canPrune := rect.IsValid() && prob > 0 && prob <= 1
-	var sum float64
-	any := false
-	for i, sh := range s.shards {
-		if canPrune && rootDisjoint(snaps[i], rect) {
-			continue
-		}
-		if p, ok := sh.PredictSearchIO(rect, prob); ok {
-			sum += p
-			any = true
-		}
-	}
-	return sum, any
 }
 
 // Len sums the object counts over all shards.

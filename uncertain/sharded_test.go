@@ -59,6 +59,39 @@ func sortByID(res []Result) []Result {
 	return out
 }
 
+// searchInOrder runs every query and returns the raw (unsorted) results —
+// on a single index their order is part of what must repeat.
+func searchInOrder(t *testing.T, idx Index, queries []RangeQuery) [][]Result {
+	t.Helper()
+	out := make([][]Result, len(queries))
+	for i, q := range queries {
+		res, stats, err := idx.Search(context.Background(), q.Rect, q.Prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Results != len(res) {
+			t.Fatalf("query %d: stats.Results = %d, len = %d", i, stats.Results, len(res))
+		}
+		out[i] = res
+	}
+	return out
+}
+
+func requireSameResults(t *testing.T, label string, want, got [][]Result) {
+	t.Helper()
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Fatalf("%s query %d: %d results, want %d", label, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if want[i][j] != got[i][j] {
+				t.Fatalf("%s query %d result %d: %+v, want %+v",
+					label, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
 // TestShardedSingleEquivalence is the sharding correctness contract: the
 // same objects and the same queries must yield identical result sets —
 // IDs, probabilities (exact refinement), validated flags — whether the
@@ -141,7 +174,9 @@ func TestShardedSingleEquivalence(t *testing.T) {
 
 // TestShardedNNMatchesSingle: the per-shard top-k / k-way merge must
 // reproduce the single tree's k-NN answers (expected distances are
-// deterministic per object).
+// deterministic per object) — with the shards ranked by their root boxes,
+// which every commit records, so the nearest runs first and seeds the
+// shared bound.
 func TestShardedNNMatchesSingle(t *testing.T) {
 	objects := shardedFixtureObjects(400, 7)
 

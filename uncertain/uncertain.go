@@ -136,25 +136,10 @@ type Config struct {
 	// entirely — the query hot path runs allocation-free. 0 → 1024 entries;
 	// negative disables the cache.
 	NodeCacheEntries int
-	// SimulatedPageLatency adds a fixed delay to every physical page read
-	// and write, modeling disk- or network-resident storage (the paper's
-	// cost model charges 10 ms per page access). Cache hits skip it, so it
-	// makes buffer-pool effectiveness and batch-query parallelism
-	// measurable on fast hardware. Zero (the default) disables it.
-	SimulatedPageLatency time.Duration
-	// PrefetchWorkers bounds the async page fetches a single query may
-	// have in flight: queries overlap the independent page reads a
-	// traversal already knows it needs (a level's surviving children, the
-	// refinement data pages, the pages behind the next NN heap entries).
-	// On latency-bound storage this pipelines one query's I/O stalls the
-	// way the batch engine overlaps stalls across queries. 0 (the default)
-	// disables intra-query prefetching. Results are byte-identical either
-	// way; use WithPrefetchWorkers to override per query.
-	PrefetchWorkers int
 	// WrapStore, when set, wraps the base page store (file or memory)
-	// before the latency and versioning layers — the fault-injection and
-	// instrumentation hook (e.g. pagefile.FaultStore for crash-recovery
-	// tests). Production code leaves it nil.
+	// before the retry and versioning layers — the fault-injection and
+	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
+	// also make a slow store). Production code leaves it nil.
 	WrapStore func(pagefile.Store) pagefile.Store
 	// GroupCommitOps > 1 enables size-based group commit: mutations
 	// accumulate in one open commit epoch and publish together once this
@@ -202,15 +187,10 @@ type Config struct {
 	// ScrubPageBudget bounds the verifications one scrub tick performs
 	// (0 → core default). Ignored without ScrubInterval.
 	ScrubPageBudget int
-	// AdaptivePlanning enables the cost-model-driven query planner: the
-	// index keeps an analytical cost model of its committed shape, predicts
-	// each query's node accesses before descent, and picks the prefetch
-	// fan-out and speculation budget from the prediction (serial when
-	// cheap, deep pipeline when expensive). Measured accesses feed back
-	// into the model on a sliding window. On a sharded index it also
-	// enables root-MBR shard pruning and cost-ranked NN scatter-gather.
-	// Explicit per-query options always override the planner's choices;
-	// results are byte-identical with planning on or off. See PlannerInfo.
+	// AdaptivePlanning is read by nothing: every commit records the root box
+	// that shard pruning and NN shard ranking use.
+	//
+	// Deprecated: has no effect.
 	AdaptivePlanning bool
 }
 
@@ -339,11 +319,9 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → simulated latency (only when
-// configured) → transient-fault retry (unless disabled). Retry sits above
-// the latency store — each retry attempt is a fresh I/O and pays the
-// modeled latency again — and below core's versioning and buffer pool, so
-// a retried read stays one pool miss and one page-budget charge.
+// The stack is base → Config.WrapStore → transient-fault retry (unless
+// disabled). Retry sits below core's versioning and buffer pool, so a
+// retried read stays one pool miss and one page-budget charge.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs, pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -352,9 +330,6 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	}
 	if cfg.WrapStore != nil {
 		store = cfg.WrapStore(store)
-	}
-	if cfg.SimulatedPageLatency > 0 {
-		store = pagefile.NewLatencyStore(store, cfg.SimulatedPageLatency, cfg.SimulatedPageLatency)
 	}
 	if cfg.RetryAttempts >= 0 {
 		t.retry = pagefile.NewRetryStore(store, pagefile.RetryPolicy{
@@ -374,12 +349,10 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 		Seed:             cfg.Seed,
 		BufferPages:      cfg.BufferPages,
 		NodeCacheEntries: cfg.NodeCacheEntries,
-		PrefetchWorkers:  cfg.PrefetchWorkers,
 		ReclaimInterval:  cfg.ReclaimInterval,
 		ReclaimBudget:    cfg.ReclaimPageBudget,
 		ScrubInterval:    cfg.ScrubInterval,
 		ScrubBudget:      cfg.ScrubPageBudget,
-		AdaptivePlanning: cfg.AdaptivePlanning,
 	}
 	if cfg.UPCR {
 		opt.Kind = core.UPCR
@@ -403,8 +376,7 @@ func (cfg Config) checkStructure(inner *core.Tree) error {
 
 // sweepLeakedPages walks the recovered tree for its reachable page set and
 // returns everything else in the file to the free list. The walk goes
-// through the wrapped store (fault injection and simulated latency apply);
-// the sweep itself runs directly on the file store — it is allocator
+// through the wrapped store (fault injection applies); the sweep itself runs directly on the file store — it is allocator
 // repair below the versioning layer, not part of any epoch.
 func (t *Tree) sweepLeakedPages() error {
 	reach, err := t.inner.ReachablePages()
@@ -504,7 +476,7 @@ func (t *Tree) deleteWithRegion(id int64, regionMBR Rect) error {
 //
 // The traversal checks ctx before every page fetch and refinement
 // integration, so cancellation and deadlines take effect within roughly
-// one page latency; on early exit (ctx.Err(), or ErrBudgetExceeded under
+// one page read; on early exit (ctx.Err(), or ErrBudgetExceeded under
 // WithPageBudget) the results and stats gathered so far are returned
 // alongside the error.
 func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
