@@ -13,7 +13,9 @@
 // (pre-checksum) source is upgraded; a v2 source is re-verified and
 // resealed — a corrupt source page fails the migration rather than being
 // laundered into a fresh checksum. stats reports storage health alongside
-// structure: retry counts, quarantined pages and scrubber progress.
+// structure: retry counts and quarantined pages. verify checks the tree's
+// invariants and records, then scrubs every reachable page's checksum; it
+// exits non-zero on any failure.
 //
 // Every subcommand accepts -buffer (page-cache size in pages).
 //
@@ -212,9 +214,6 @@ func stats(path string, cfg uncertain.Config) error {
 	fmt.Printf("epoch:     %d (%d snapshot pins)\n", gc.Epoch, gc.Pins)
 	fmt.Printf("gc:        pending %d epochs / %d pages; reclaimed %d pages lifetime\n",
 		gc.PendingEpochs, gc.PendingPages, gc.ReclaimedPages)
-	if gc.ReclaimerRunning {
-		fmt.Printf("reclaimer: running in background\n")
-	}
 	nh, nm := tree.NodeCacheStats()
 	if lookups := nh + nm; lookups > 0 {
 		fmt.Printf("node cache: %.1f%% hit rate (%d hits / %d lookups)\n",
@@ -223,8 +222,8 @@ func stats(path string, cfg uncertain.Config) error {
 		fmt.Printf("node cache: no lookups\n")
 	}
 	h := tree.Health()
-	fmt.Printf("health:    %d quarantined pages, %d transient-fault retries; scrubbed %d pages (%d corrupt)\n",
-		h.QuarantinedPages, h.Retries, h.ScrubbedPages, h.ScrubErrors)
+	fmt.Printf("health:    %d quarantined pages, %d transient-fault retries\n",
+		h.QuarantinedPages, h.Retries)
 	for _, qp := range h.Quarantined {
 		fmt.Printf("  quarantined page %d (epoch %d): %s\n", qp.Page, qp.Epoch, qp.Cause)
 	}
@@ -265,6 +264,14 @@ func verify(path string, cfg uncertain.Config) error {
 		return err
 	}
 	fmt.Println("ok: all structural, containment and shape invariants hold")
+	verified, corrupt := tree.Scrub()
+	if corrupt > 0 {
+		for _, qp := range tree.Health().Quarantined {
+			fmt.Printf("  quarantined page %d: %s\n", qp.Page, qp.Cause)
+		}
+		return fmt.Errorf("scrub: %d corrupt pages (%d verified clean)", corrupt, verified)
+	}
+	fmt.Printf("ok: %d reachable pages scrubbed, none corrupt\n", verified)
 	return nil
 }
 

@@ -30,10 +30,10 @@ type QuarantinedPage struct {
 	Cause string `json:"cause"`
 }
 
-// HealthInfo is the tree's storage-health report: the quarantine registry,
-// the retry traffic the storage stack absorbed, and the background
-// scrubber's progress. Like QueryStats, aggregation goes through Add — a
-// new HealthInfo field only needs its merge rule stated there.
+// HealthInfo is the tree's storage-health report: the quarantine registry
+// and the retry traffic the storage stack absorbed. Like QueryStats,
+// aggregation goes through Add — a new HealthInfo field only needs its
+// merge rule stated there.
 type HealthInfo struct {
 	// Quarantined lists the condemned pages, ordered by PageID.
 	Quarantined []QuarantinedPage `json:"quarantined,omitempty"`
@@ -43,17 +43,10 @@ type HealthInfo struct {
 	// Retries is the cumulative transient-fault retries the storage stack
 	// performed (pagefile.Stats.Retries).
 	Retries int64 `json:"retries"`
-	// ScrubbedPages / ScrubErrors are the background scrubber's lifetime
-	// verify count and detected-corruption count.
-	ScrubbedPages int64 `json:"scrubbed_pages"`
-	ScrubErrors   int64 `json:"scrub_errors"`
-	// ScrubberRunning reports whether the background scrubber is active.
-	ScrubberRunning bool `json:"scrubber_running"`
 }
 
 // Add accumulates o into h — the merge point for sharded indexes: counters
-// sum, quarantine lists concatenate (re-sorted by page), and the scrubber
-// is "running" when any shard's is.
+// sum and quarantine lists concatenate (re-sorted by page).
 func (h *HealthInfo) Add(o HealthInfo) {
 	h.Quarantined = append(h.Quarantined, o.Quarantined...)
 	sort.Slice(h.Quarantined, func(a, b int) bool {
@@ -61,9 +54,6 @@ func (h *HealthInfo) Add(o HealthInfo) {
 	})
 	h.QuarantinedPages += o.QuarantinedPages
 	h.Retries += o.Retries
-	h.ScrubbedPages += o.ScrubbedPages
-	h.ScrubErrors += o.ScrubErrors
-	h.ScrubberRunning = h.ScrubberRunning || o.ScrubberRunning
 }
 
 // quarantine is the tree-level registry of condemned pages. The count is
@@ -158,8 +148,5 @@ func (t *Tree) Health() HealthInfo {
 		Quarantined:      q,
 		QuarantinedPages: len(q),
 		Retries:          t.store.Stats().Retries.Load(),
-		ScrubbedPages:    t.scrubbed.Load(),
-		ScrubErrors:      t.scrubErrs.Load(),
-		ScrubberRunning:  t.scrubRunning(),
 	}
 }

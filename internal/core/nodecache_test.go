@@ -108,7 +108,6 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tree.StopBackgroundReclaim()
 	for _, o := range objs {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
@@ -270,7 +269,6 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tree.StopBackgroundReclaim()
 	for _, o := range objs {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)

@@ -115,8 +115,6 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
 	t.vs.SeedState(t.workingState())
-	t.vs.StartReclaimer(opt.ReclaimInterval, opt.ReclaimBudget)
-	t.StartScrubber(opt.ScrubInterval, opt.ScrubBudget)
 	return t, nil
 }
 

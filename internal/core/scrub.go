@@ -1,170 +1,78 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/pagefile"
 )
 
-// Background page scrubbing: a dedicated goroutine periodically walks the
-// committed tree and verifies page checksums through the store stack's
-// PageVerifier probe, so latent corruption (bit rot, torn writes that no
-// query has tripped over yet) is found and quarantined proactively instead
-// of at first read. The scrubber follows the background reclaimer's
-// budget/tick discipline — at most ScrubBudget page verifications per tick
-// — so it never monopolizes the store.
+// Page scrubbing: Scrub walks the committed tree and verifies page
+// checksums through the store stack's PageVerifier probe, so latent
+// corruption (bit rot, torn writes that no query has tripped over yet) is
+// found and quarantined on demand instead of at first read.
 //
-// A scrub cycle has two phases. When its work queue is empty, a tick pins
-// the committed epoch (a snapshot pin, exactly like a reader) and walks the
-// committed tree collecting the reachable page set: node pages, leaf data
-// pages, the current append page. The walk reads node pages directly from
-// the store — not through the buffer pool or the decoded-node cache — so
-// scrubbing neither pollutes the query caches nor inflates the logical I/O
-// counters the experiments report. Subsequent ticks then drain the queue,
-// verifying up to the budget per tick. Verification itself reads only the
-// stored trailer (no cache, no simulated latency, no Stats charge).
+// A pass pins the committed epoch (a snapshot pin, exactly like a reader),
+// walks its tree collecting the reachable page set — node pages, leaf data
+// pages, the current append page — and verifies each page. The walk reads
+// node pages directly from the store, not through the buffer pool or the
+// decoded-node cache, so scrubbing neither pollutes the query caches nor
+// inflates the logical I/O counters the experiments report. Verification
+// itself reads only the stored trailer (no cache, no Stats charge).
 
-// DefaultScrubBudget bounds one scrub tick's page verifications when
-// Options.ScrubBudget is zero.
-const DefaultScrubBudget = 64
-
-// scrubState is the background scrubber's control block.
-type scrubState struct {
-	stop  chan struct{}
-	done  chan struct{}
-	queue []pagefile.PageID // pages awaiting verification this cycle
-}
-
-// StartScrubber launches the background scrubber (no-op when interval ≤ 0
-// or one is already running). budget ≤ 0 selects DefaultScrubBudget.
-func (t *Tree) StartScrubber(interval time.Duration, budget int) {
-	if interval <= 0 {
-		return
-	}
-	t.scrubMu.Lock()
-	defer t.scrubMu.Unlock()
-	if t.scrub != nil {
-		return
-	}
-	if budget <= 0 {
-		budget = DefaultScrubBudget
-	}
-	s := &scrubState{stop: make(chan struct{}), done: make(chan struct{})}
-	t.scrub = s
-	go func() {
-		defer close(s.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-ticker.C:
-				t.ScrubOnce(budget)
-			}
-		}
-	}()
-}
-
-// StopScrubber stops the background scrubber and waits for its goroutine
-// to exit; idempotent, no-op when none is running.
-func (t *Tree) StopScrubber() {
-	t.scrubMu.Lock()
-	s := t.scrub
-	t.scrub = nil
-	t.scrubMu.Unlock()
-	if s == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-}
-
-// scrubRunning reports whether the background scrubber is active.
-func (t *Tree) scrubRunning() bool {
-	t.scrubMu.Lock()
-	defer t.scrubMu.Unlock()
-	return t.scrub != nil
-}
-
-// ScrubOnce performs one scrub tick — refilling the work queue from the
-// committed tree when it is empty, then verifying up to budget pages — and
-// reports how many pages it verified. Corrupt pages are quarantined (see
-// HealthInfo); pages freed between collection and verification are skipped
-// silently. Exported so tests and tooling can drive a deterministic full
-// scrub without the background goroutine; safe to call concurrently with
-// readers and the writer.
-func (t *Tree) ScrubOnce(budget int) int {
-	if budget <= 0 {
-		budget = DefaultScrubBudget
-	}
-	t.scrubQueueMu.Lock()
-	defer t.scrubQueueMu.Unlock()
-	if len(t.scrubQueue) == 0 {
-		t.scrubQueue = t.collectScrubTargets(t.scrubQueue)
-	}
-	verifier, _ := t.store.(pagefile.PageVerifier)
-	verified := 0
-	for verified < budget && len(t.scrubQueue) > 0 {
-		id := t.scrubQueue[len(t.scrubQueue)-1]
-		t.scrubQueue = t.scrubQueue[:len(t.scrubQueue)-1]
-		if verifier == nil {
-			// No integrity probe in this store stack (plain MemStore up):
-			// count the visit so progress is still observable.
-			t.scrubbed.Add(1)
-			verified++
-			continue
-		}
-		if err := verifier.VerifyPage(id); err != nil {
-			if isCorruption(err) {
-				t.scrubErrs.Add(1)
-				t.noteReadError(id, err)
-			}
-			// Non-corruption errors (page freed since collection, transient
-			// faults) are neither progress nor damage; skip.
-			continue
-		}
-		t.scrubbed.Add(1)
-		verified++
-	}
-	return verified
-}
-
-// collectScrubTargets pins the committed epoch and walks its tree for the
-// reachable page set, appending onto buf. Node pages are read directly
-// from the store (bypassing both caches; see the file comment). A corrupt
-// node encountered during collection is quarantined immediately and its
-// subtree skipped — the walk cannot see past it.
-func (t *Tree) collectScrubTargets(buf []pagefile.PageID) []pagefile.PageID {
+// Scrub makes one pass over the pages the committed tree reaches and
+// reports how many verified clean and how many proved corrupt. Corrupt
+// pages are quarantined (see HealthInfo); a corrupt node found by the walk
+// counts once and hides its subtree. The pin is held for the whole pass,
+// so no page it collected is freed before it is verified. Safe to call
+// concurrently with readers and the writer.
+func (t *Tree) Scrub() (verified, corrupt int) {
 	st, _, release := t.vs.Pin()
 	defer release()
 	ts, ok := st.(*treeState)
 	if !ok || ts == nil {
-		return buf
+		return 0, 0
 	}
+	condemn := func(id pagefile.PageID, err error) {
+		if isCorruption(err) {
+			corrupt++
+			t.noteReadError(id, err)
+		}
+	}
+	for _, id := range t.collectScrubTargets(ts, condemn) {
+		if err := t.vs.VerifyPage(id); err != nil {
+			// Non-corruption errors (transient faults) are neither progress
+			// nor damage.
+			condemn(id, err)
+			continue
+		}
+		verified++
+	}
+	return verified, corrupt
+}
+
+// collectScrubTargets walks the tree of ts for its reachable page set. Node
+// pages are read directly from the store (bypassing both caches; see the
+// file comment). A node that fails to read or decode goes to condemn and
+// stays out of the set, its subtree skipped — the walk cannot see past it.
+func (t *Tree) collectScrubTargets(ts *treeState, condemn func(pagefile.PageID, error)) []pagefile.PageID {
+	var pages []pagefile.PageID
 	seenData := make(map[pagefile.PageID]bool)
 	var walk func(id pagefile.PageID)
 	walk = func(id pagefile.PageID) {
-		buf = append(buf, id)
 		pageBuf := make([]byte, pagefile.PageSize)
 		if err := t.store.Read(id, pageBuf); err != nil {
-			if isCorruption(err) {
-				t.scrubErrs.Add(1)
-				t.noteReadError(id, err)
-			}
+			condemn(id, err)
 			return
 		}
 		n, err := t.decodeNode(id, pageBuf)
 		if err != nil {
-			t.scrubErrs.Add(1)
-			t.noteReadError(id, err)
+			condemn(id, err)
 			return
 		}
+		pages = append(pages, id)
 		if n.leaf() {
 			for i := range n.entries {
 				if p := n.entries[i].addr.Page; p != pagefile.InvalidPage && !seenData[p] {
 					seenData[p] = true
-					buf = append(buf, p)
+					pages = append(pages, p)
 				}
 			}
 			return
@@ -175,7 +83,7 @@ func (t *Tree) collectScrubTargets(buf []pagefile.PageID) []pagefile.PageID {
 	}
 	walk(ts.rootPage)
 	if p := ts.dataPage; p != pagefile.InvalidPage && !seenData[p] {
-		buf = append(buf, p)
+		pages = append(pages, p)
 	}
-	return buf
+	return pages
 }

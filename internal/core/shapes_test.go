@@ -585,7 +585,6 @@ func FuzzOpenMeta(f *testing.F) {
 			}
 			return
 		}
-		defer re.StopBackgroundReclaim()
 		for i, s := range re.shapes {
 			if s.pdf == nil || s.pdf.Dim() != re.dim || s.pdf.ShapeKey() == "" || s.mbr.Dim() != re.dim {
 				t.Fatalf("table entry %d of %d is not a keyed %d-D pdf: %+v", i+1, len(re.shapes), re.dim, s)

@@ -119,24 +119,10 @@ func (t *Tree) CommittedLen() int {
 	return st.size
 }
 
-// GCStats reports the epoch collector's state: committed epoch, live
-// snapshot pins, and pages awaiting reclamation.
-func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
-	return t.vs.GCStats()
-}
-
-// GCInfo reports the epoch collector's full health: pending epochs and
-// pages, the lifetime reclaim counter, and reclaimer state.
+// GCInfo reports the epoch collector's state: committed epoch, live
+// snapshot pins, pending epochs and pages, and the lifetime reclaim
+// counter.
 func (t *Tree) GCInfo() pagefile.GCInfo { return t.vs.GCInfo() }
-
-// StopBackgroundReclaim stops the background goroutines Options started —
-// the epoch reclaimer and the page scrubber; idempotent. Garbage the
-// reclaimer had not drained is picked up by the next Commit, Reclaim or
-// Flush.
-func (t *Tree) StopBackgroundReclaim() {
-	t.vs.StopReclaimer()
-	t.StopScrubber()
-}
 
 // Reclaim frees whatever retired pages the current snapshot pins allow.
 // Writer-side, like Commit.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,15 +44,6 @@ type Options struct {
 	SplitStrategy SplitStrategy
 	// DisableReinsert turns off R* forced reinsertion (ablation knob).
 	DisableReinsert bool
-	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
-	// pages are freed on a dedicated goroutine's ticks instead of inline
-	// at Commit, at most ReclaimBudget pages per tick (0 selects
-	// pagefile.DefaultReclaimBudget). The owner must StopBackgroundReclaim
-	// (or Close via the public API) before discarding the tree.
-	ReclaimInterval time.Duration
-	// ReclaimBudget is the per-tick page budget of the background
-	// reclaimer; ignored when ReclaimInterval is 0.
-	ReclaimBudget int
 	// NodeCacheEntries bounds the decoded-node cache: an LRU of node
 	// values decoded from committed pages, shared lock-free across
 	// readers, sitting above the buffer pool so a hot traversal skips
@@ -62,16 +52,6 @@ type Options struct {
 	// Coherence is automatic — entries drop when the versioned store
 	// physically frees their page, and shadow pages are never cached.
 	NodeCacheEntries int
-	// ScrubInterval > 0 starts the background page scrubber: a dedicated
-	// goroutine periodically walks the committed tree and verifies page
-	// checksums through the store's PageVerifier probe, quarantining
-	// latent corruption before any query trips over it (see HealthInfo).
-	// The owner must StopBackgroundReclaim (which stops the scrubber too)
-	// before discarding the tree.
-	ScrubInterval time.Duration
-	// ScrubBudget bounds the page verifications one scrub tick performs
-	// (0 selects DefaultScrubBudget); ignored when ScrubInterval is 0.
-	ScrubBudget int
 }
 
 // SplitStrategy selects the rectangles fed to the R* split during overflow
@@ -160,16 +140,8 @@ type Tree struct {
 	insertStats UpdateStats
 	deleteStats UpdateStats
 
-	// Storage-health state (see health.go and scrub.go): the quarantine
-	// registry of condemned pages, the background scrubber's control
-	// block and work queue, and its lifetime progress counters.
-	quar         quarantine
-	scrubMu      sync.Mutex
-	scrub        *scrubState
-	scrubQueueMu sync.Mutex
-	scrubQueue   []pagefile.PageID
-	scrubbed     atomic.Int64
-	scrubErrs    atomic.Int64
+	// quar is the registry of condemned pages (health.go).
+	quar quarantine
 }
 
 // UpdateStats accumulates the paper's update-cost breakdown.
@@ -227,8 +199,6 @@ func New(opt Options) (*Tree, error) {
 	if err := t.Commit(); err != nil {
 		return nil, err
 	}
-	t.vs.StartReclaimer(opt.ReclaimInterval, opt.ReclaimBudget)
-	t.StartScrubber(opt.ScrubInterval, opt.ScrubBudget)
 	return t, nil
 }
 

@@ -20,7 +20,7 @@ import (
 
 // This experiment is not in the paper: it drives the storage fault-
 // tolerance stack end to end — checksummed file store, retrying reads,
-// quarantine containment, the background scrubber and degraded sharded
+// quarantine containment, the on-demand scrub and degraded sharded
 // reads — under chaos injection, and checks the three acceptance
 // properties of the robustness work:
 //
@@ -78,8 +78,13 @@ type FaultPathRow struct {
 	InjectedFaults int64
 	// Retries is the retry layer's re-drive count over the phase.
 	Retries int64
+	// ScrubVerified and ScrubCorrupt are what Tree.Scrub returned after the
+	// phase's queries (bitflip phase only): pages verified clean and pages
+	// proved corrupt.
+	ScrubVerified int
+	ScrubCorrupt  int
 	// Health is the index's storage-health report at the end of the
-	// phase: quarantined pages, scrubber progress.
+	// phase: quarantined pages, retries.
 	Health uncertain.HealthInfo
 }
 
@@ -145,7 +150,7 @@ func printFaultRow(out io.Writer, r FaultPathRow) {
 	fprintf(out, "  %-9s %7.1f q/s  %5.2fx  (injected %d, retries %d, typed %d, degraded %d, wrong %d, user errs %d, quarantined %d, scrubbed %d)\n",
 		r.Phase, r.QPS, r.SlowdownVsClean, r.InjectedFaults, r.Retries,
 		r.TypedErrors, r.DegradedQueries, r.WrongAnswers, r.UserErrors,
-		r.Health.QuarantinedPages, r.Health.ScrubbedPages)
+		r.Health.QuarantinedPages, r.ScrubVerified)
 }
 
 // armLatency installs cfg.IOLatency on every page operation of cs as a
@@ -162,8 +167,7 @@ func armLatency(cs *pagefile.ChaosStore, cfg Config) {
 // ChaosStore spliced under the retry layer, bulk-loads it, and arms the
 // measurement latency. Fault rules are installed by the caller AFTER the
 // build, so construction itself runs clean.
-func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
-	scrub bool) (*uncertain.Tree, *pagefile.ChaosStore, error) {
+func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF) (*uncertain.Tree, *pagefile.ChaosStore, error) {
 	var chaos *pagefile.ChaosStore
 	ucfg := uncertain.Config{
 		Dimensions:      dataset.LB.Dim(),
@@ -185,10 +189,6 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 			chaos = pagefile.NewChaosStore(s, cfg.Seed)
 			return chaos
 		},
-	}
-	if scrub {
-		ucfg.ScrubInterval = 2 * time.Millisecond
-		ucfg.ScrubPageBudget = 64
 	}
 	idx, err := uncertain.NewTree(ucfg)
 	if err != nil {
@@ -285,7 +285,7 @@ func subsetOf(sub, super []uncertain.Result) bool {
 func runCleanPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 	queries []uncertain.RangeQuery) (FaultPathRow, [][]uncertain.Result, error) {
 	row := FaultPathRow{Phase: "clean", SlowdownVsClean: 1}
-	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "clean.utree"), cfg, objects, false)
+	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "clean.utree"), cfg, objects)
 	if err != nil {
 		return row, nil, err
 	}
@@ -307,7 +307,7 @@ func runCleanPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 func runTransientPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 	queries []uncertain.RangeQuery, baseline [][]uncertain.Result, cleanQPS float64) (FaultPathRow, error) {
 	row := FaultPathRow{Phase: "transient"}
-	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "transient.utree"), cfg, objects, false)
+	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "transient.utree"), cfg, objects)
 	if err != nil {
 		return row, err
 	}
@@ -319,8 +319,8 @@ func runTransientPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 		row.SlowdownVsClean = cleanQPS / row.QPS
 	}
 
-	// The write path retries too: inserts, deletes, group seals and
-	// metadata writes all pass through the same faulted store.
+	// The write path retries too: inserts, deletes, commits and metadata
+	// writes all pass through the same faulted store.
 	ops, err := churnOps(idx, 4_000_000, 32)
 	row.WriteOps = ops
 	if err != nil {
@@ -346,11 +346,11 @@ func runTransientPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 
 // runBitFlipPhase corrupts the medium under the checksummed store during
 // reads. Acceptance: no wrong answers ever — only typed errors — and the
-// damage lands in quarantine where the scrubber can report it.
+// damage lands in quarantine, where Health reports it.
 func runBitFlipPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 	queries []uncertain.RangeQuery, baseline [][]uncertain.Result, cleanQPS float64) (FaultPathRow, error) {
 	row := FaultPathRow{Phase: "bitflip"}
-	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "bitflip.utree"), cfg, objects, true)
+	idx, chaos, err := buildFaultIndex(filepath.Join(dir, "bitflip.utree"), cfg, objects)
 	if err != nil {
 		return row, err
 	}
@@ -362,9 +362,8 @@ func runBitFlipPhase(dir string, cfg Config, objects map[int64]uncertain.PDF,
 		row.SlowdownVsClean = cleanQPS / row.QPS
 	}
 
-	// Give the background scrubber a few ticks to sweep the medium for
-	// damage queries have not yet tripped over.
-	time.Sleep(25 * time.Millisecond)
+	// Sweep the medium for damage the queries have not yet tripped over.
+	row.ScrubVerified, row.ScrubCorrupt = idx.Scrub()
 
 	row.InjectedFaults = chaosTotal(chaos)
 	row.Health = idx.Health()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // VersionedStore layers copy-on-write epoch semantics over a Store — the
@@ -35,13 +34,11 @@ import (
 // safety net that turns a missed relocation into a test failure instead of
 // silent snapshot corruption.
 //
-// Reclamation normally runs on the writer's side (Commit, Reclaim, or the
-// owner's Flush/Close) so a reader releasing the last pin never pays the
-// physical free I/O; until the next writer-side call the garbage is merely
-// retained, never lost. With the background reclaimer started
-// (StartReclaimer), reclamation leaves the commit path entirely: Commit
-// only queues the batch's garbage, and a dedicated goroutine drains
-// quiesced epochs under a per-tick page budget.
+// Reclamation runs on the writer's side only (Commit and Reclaim, which the
+// owner's Flush/Close call), so a reader releasing the last pin never pays
+// the physical free I/O; until the next writer-side call the garbage is
+// merely retained, never lost. The writer is one goroutine at a time, so
+// two drains never overlap.
 type VersionedStore struct {
 	inner Store
 	pool  *BufferPool  // optional: invalidated on physical free
@@ -58,21 +55,12 @@ type VersionedStore struct {
 
 	reclaimErr error // first deferred-reclaim failure, surfaced at next Commit/Reclaim
 
-	// reclaimMu serializes physical drains: writer-side Reclaim/Commit and
-	// the background reclaimer must not interleave their frees (a partially
-	// drained batch is held outside pending while its pages are freed).
-	reclaimMu sync.Mutex
-
-	bgRunning bool // background reclaimer lifecycle, under mu
-	bgStop    chan struct{}
-	bgDone    chan struct{}
-
 	reclaimedPages atomic.Int64
 
 	// drainingPages counts the pages a reclaim has taken off pending but not
-	// yet freed. It rises and is handed back under mu (so a reader holding mu
-	// finds every unreclaimed page in pending or here, never in neither) and
-	// falls as each page is freed.
+	// yet freed. It rises under mu (so a reader holding mu finds every
+	// unreclaimed page in pending or here, never in neither) and falls as
+	// each page is freed.
 	drainingPages atomic.Int64
 }
 
@@ -241,10 +229,8 @@ func (v *VersionedStore) State() any {
 // epoch's pages alive. The caller must have made the batch durable first
 // (data flush, buffer-pool flush, metadata write).
 //
-// Without the background reclaimer, Commit also drains whatever garbage
-// the current pins allow; with it running, Commit only queues the batch —
-// reclamation happens on the reclaimer's ticks, off the commit path. A
-// drain failure never fails the commit — the epoch is already published,
+// Commit also drains whatever garbage the current pins allow. A drain
+// failure never fails the commit — the epoch is already published,
 // so reporting it here would make a durable mutation look failed (and
 // trigger a bogus rollback). Drain errors are stashed and surfaced by the
 // next Reclaim (or the owner's Flush); a page whose free failed is leaked
@@ -261,11 +247,8 @@ func (v *VersionedStore) Commit(state any) error {
 	for id := range v.fresh {
 		delete(v.fresh, id)
 	}
-	bg := v.bgRunning
 	v.mu.Unlock()
-	if !bg {
-		v.reclaimSome(0) // errors stashed in reclaimErr
-	}
+	v.reclaimSome() // errors stashed in reclaimErr
 	return nil
 }
 
@@ -319,83 +302,15 @@ func (v *VersionedStore) Pin() (state any, epoch uint64, release func()) {
 
 // Reclaim drains every garbage batch the current pins allow: a batch
 // freed at commit E is reclaimable once no snapshot pinned at an epoch
-// < E remains. Unbudgeted; safe to call concurrently with the background
-// reclaimer (reclaimMu serializes the physical work). Returns and clears
-// the first stashed reclaim error, its own included.
+// < E remains. Writer-side, like Commit. Returns and clears the first
+// stashed reclaim error, its own included.
 func (v *VersionedStore) Reclaim() error {
-	v.reclaimSome(0)
+	v.reclaimSome()
 	v.mu.Lock()
 	err := v.reclaimErr
 	v.reclaimErr = nil
 	v.mu.Unlock()
 	return err
-}
-
-// DefaultReclaimBudget is the background reclaimer's per-tick page budget
-// when the caller passes one <= 0: one budget unit is one page free.
-const DefaultReclaimBudget = 128
-
-// StartReclaimer starts the background reclaimer: a goroutine that every
-// interval drains quiesced epochs, at most pageBudget page frees per
-// tick, so a burst of commits never stalls the writer on reclamation I/O
-// and garbage drains even while the writer idles. While it runs, Commit no
-// longer drains inline. Pinned snapshots stay safe: the reclaimer only
-// collects batches no live pin predates. No-op when already running or
-// interval <= 0; pageBudget <= 0 means DefaultReclaimBudget.
-func (v *VersionedStore) StartReclaimer(interval time.Duration, pageBudget int) {
-	if interval <= 0 {
-		return
-	}
-	if pageBudget <= 0 {
-		pageBudget = DefaultReclaimBudget
-	}
-	v.mu.Lock()
-	if v.bgRunning {
-		v.mu.Unlock()
-		return
-	}
-	v.bgRunning = true
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	v.bgStop, v.bgDone = stop, done
-	v.mu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				v.reclaimSome(pageBudget) // errors stashed in reclaimErr
-			}
-		}
-	}()
-}
-
-// StopReclaimer stops the background reclaimer and waits out any in-flight
-// tick; whatever it had not yet drained is picked up by the next
-// writer-side Commit or Reclaim. Idempotent.
-func (v *VersionedStore) StopReclaimer() {
-	v.mu.Lock()
-	if !v.bgRunning {
-		v.mu.Unlock()
-		return
-	}
-	v.bgRunning = false
-	stop, done := v.bgStop, v.bgDone
-	v.bgStop, v.bgDone = nil, nil
-	v.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-// ReclaimerRunning reports whether the background reclaimer is active.
-func (v *VersionedStore) ReclaimerRunning() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.bgRunning
 }
 
 // collectDrainableLocked removes and returns the pending batches whose
@@ -420,17 +335,11 @@ func (v *VersionedStore) collectDrainableLocked() []garbage {
 	return drain
 }
 
-// reclaimSome collects the drainable batches and frees up to budget pages
-// (0 = unlimited) outside v.mu, invalidating any cached frame before the
-// slot can be recycled. When the budget runs out, the partially drained
-// batch and everything after it go back to the FRONT of pending,
-// preserving epoch order for the next tick. reclaimMu serializes the
-// physical work against concurrent drains; failures are stashed in
-// reclaimErr and the work is counted done regardless (an unfreed page is
-// leaked, never corrupted).
-func (v *VersionedStore) reclaimSome(budget int) int {
-	v.reclaimMu.Lock()
-	defer v.reclaimMu.Unlock()
+// reclaimSome collects the drainable batches and frees their pages outside
+// v.mu, invalidating any cached frame before the slot can be recycled.
+// Failures are stashed in reclaimErr and the work is counted done
+// regardless (an unfreed page is leaked, never corrupted).
+func (v *VersionedStore) reclaimSome() {
 	v.mu.Lock()
 	drain := v.collectDrainableLocked()
 	for i := range drain {
@@ -438,16 +347,8 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 	}
 	v.mu.Unlock()
 	var first error
-	done := 0
-	for i := range drain {
-		g := &drain[i]
-		for len(g.pages) > 0 {
-			if budget > 0 && done >= budget {
-				v.requeueFront(drain[i:], first)
-				return done
-			}
-			id := g.pages[0]
-			g.pages = g.pages[1:]
+	for _, g := range drain {
+		for _, id := range g.pages {
 			v.invalidate(id)
 			v.mu.Lock()
 			delete(v.inPlace, id)
@@ -457,77 +358,30 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 			}
 			v.reclaimedPages.Add(1)
 			v.drainingPages.Add(-1)
-			done++
 		}
 	}
-	v.stashReclaimErr(first)
-	return done
-}
-
-// requeueFront pushes the batches a budget cutoff left undrained back at
-// the front of pending (epoch order preserved) and stashes err.
-func (v *VersionedStore) requeueFront(rest []garbage, err error) {
-	kept := make([]garbage, 0, len(rest))
-	for i := range rest {
-		if !rest[i].empty() {
-			kept = append(kept, rest[i])
+	if first != nil {
+		v.mu.Lock()
+		if v.reclaimErr == nil {
+			v.reclaimErr = first
 		}
+		v.mu.Unlock()
 	}
-	v.mu.Lock()
-	for i := range kept {
-		v.drainingPages.Add(-int64(len(kept[i].pages)))
-	}
-	if len(kept) > 0 {
-		v.pending = append(kept, v.pending...)
-	}
-	if err != nil && v.reclaimErr == nil {
-		v.reclaimErr = err
-	}
-	v.mu.Unlock()
 }
 
-func (v *VersionedStore) stashReclaimErr(err error) {
-	if err == nil {
-		return
-	}
-	v.mu.Lock()
-	if v.reclaimErr == nil {
-		v.reclaimErr = err
-	}
-	v.mu.Unlock()
-}
-
-// GCStats reports the collector's state: the committed epoch, live pins,
-// and pages awaiting reclamation (uncommitted batch and a drain in progress
-// included) — the page-leak assertion surface for tests.
-func (v *VersionedStore) GCStats() (epoch uint64, pins int, pendingPages int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, n := range v.pins {
-		pins += n
-	}
-	for _, g := range v.pending {
-		pendingPages += len(g.pages)
-	}
-	pendingPages += len(v.batch.pages) + int(v.drainingPages.Load())
-	return v.epoch, pins, pendingPages
-}
-
-// GCInfo is the collector's full health report: epoch and pin state,
-// garbage awaiting reclamation (uncommitted batch and whatever a running
-// drain has collected but not yet freed included), the lifetime reclaim
-// counter, and whether the background reclaimer is running.
+// GCInfo is the collector's health report: epoch and pin state, garbage
+// awaiting reclamation (uncommitted batch and whatever a running drain has
+// collected but not yet freed included), and the lifetime reclaim counter.
 type GCInfo struct {
-	Epoch            uint64 `json:"epoch"`
-	Pins             int    `json:"pins"`
-	PendingEpochs    int    `json:"pending_epochs"`
-	PendingPages     int    `json:"pending_pages"`
-	ReclaimedPages   int64  `json:"reclaimed_pages"`
-	ReclaimerRunning bool   `json:"reclaimer_running"`
+	Epoch          uint64 `json:"epoch"`
+	Pins           int    `json:"pins"`
+	PendingEpochs  int    `json:"pending_epochs"`
+	PendingPages   int    `json:"pending_pages"`
+	ReclaimedPages int64  `json:"reclaimed_pages"`
 }
 
 // Add merges o into g — the shard-aggregation rule: epochs take the max,
-// counters sum, and the running flag ORs.
+// counters sum.
 func (g *GCInfo) Add(o GCInfo) {
 	if o.Epoch > g.Epoch {
 		g.Epoch = o.Epoch
@@ -536,19 +390,17 @@ func (g *GCInfo) Add(o GCInfo) {
 	g.PendingEpochs += o.PendingEpochs
 	g.PendingPages += o.PendingPages
 	g.ReclaimedPages += o.ReclaimedPages
-	g.ReclaimerRunning = g.ReclaimerRunning || o.ReclaimerRunning
 }
 
-// GCInfo reports the collector's full state; see GCStats for the compact
-// 3-tuple form.
+// GCInfo reports the collector's state — the page-leak assertion surface
+// for tests.
 func (v *VersionedStore) GCInfo() GCInfo {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	info := GCInfo{
-		Epoch:            v.epoch,
-		PendingEpochs:    len(v.pending),
-		ReclaimedPages:   v.reclaimedPages.Load(),
-		ReclaimerRunning: v.bgRunning,
+		Epoch:          v.epoch,
+		PendingEpochs:  len(v.pending),
+		ReclaimedPages: v.reclaimedPages.Load(),
 	}
 	for _, n := range v.pins {
 		info.Pins += n

@@ -3,7 +3,6 @@ package pagefile
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func fill(b byte) []byte {
@@ -63,8 +62,8 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if err := vs.Read(old, buf); err != nil || buf[0] != 7 {
 		t.Fatalf("pinned read: err=%v buf[0]=%d", err, buf[0])
 	}
-	if _, pins, pending := vs.GCStats(); pins != 1 || pending != 1 {
-		t.Fatalf("GCStats pins=%d pending=%d, want 1/1", pins, pending)
+	if gc := vs.GCInfo(); gc.Pins != 1 || gc.PendingPages != 1 {
+		t.Fatalf("GCInfo pins=%d pending=%d, want 1/1", gc.Pins, gc.PendingPages)
 	}
 
 	// Release + writer-side reclaim frees the page — and that is all a
@@ -81,8 +80,8 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if err := vs.Read(old, buf); err == nil {
 		t.Fatal("read of reclaimed page succeeded")
 	}
-	if _, pins, pending := vs.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("GCStats after reclaim pins=%d pending=%d, want 0/0", pins, pending)
+	if gc := vs.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("GCInfo after reclaim pins=%d pending=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 }
 
@@ -96,7 +95,7 @@ func TestVersionedFreshFreeIsImmediate(t *testing.T) {
 	if n := inner.NumPages(); n != 0 {
 		t.Fatalf("fresh free left %d live pages", n)
 	}
-	if _, _, pending := vs.GCStats(); pending != 0 {
+	if pending := vs.GCInfo().PendingPages; pending != 0 {
 		t.Fatalf("fresh free deferred %d pages", pending)
 	}
 }
@@ -133,7 +132,7 @@ func TestVersionedRollback(t *testing.T) {
 	if err := vs.Read(shadow, buf); err == nil {
 		t.Fatal("shadow page survived rollback")
 	}
-	if _, _, pending := vs.GCStats(); pending != 0 {
+	if pending := vs.GCInfo().PendingPages; pending != 0 {
 		t.Fatalf("rollback left %d pending pages", pending)
 	}
 	if err := vs.Commit(nil); err != nil {
@@ -229,123 +228,11 @@ func TestDataFileSealedPagesAreImmutable(t *testing.T) {
 	}
 }
 
-func TestVersionedBudgetedReclaimPreservesOrder(t *testing.T) {
-	inner := NewMemStore()
-	vs := NewVersionedStore(inner, 0)
-	// Two committed epochs, each retiring two pages.
-	var retired []PageID
-	for e := 0; e < 2; e++ {
-		var fresh []PageID
-		for i := 0; i < 2; i++ {
-			id, _ := vs.Alloc()
-			if err := vs.Write(id, fill(byte(e+1))); err != nil {
-				t.Fatal(err)
-			}
-			fresh = append(fresh, id)
-		}
-		if err := vs.Commit(nil); err != nil {
-			t.Fatal(err)
-		}
-		// Pin blocks the drain so the frees queue up across commits.
-		_, _, release := vs.Pin()
-		for _, id := range fresh {
-			if err := vs.Free(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		retired = append(retired, fresh...)
-		if err := vs.Commit(nil); err != nil {
-			t.Fatal(err)
-		}
-		release()
-	}
-	// The second epoch's pin blocked its drain; 2 pages from each round may
-	// remain. Reclaim with budget 1 three times: pages must drain oldest
-	// epoch first, remainder requeued.
-	info := vs.GCInfo()
-	if info.PendingPages == 0 {
-		t.Skip("all garbage drained eagerly; nothing to budget")
-	}
-	start := info.ReclaimedPages
-	for vs.GCInfo().PendingPages > 0 {
-		before := vs.GCInfo().PendingPages
-		if n := vs.reclaimSome(1); n != 1 {
-			t.Fatalf("budget-1 tick reclaimed %d ops", n)
-		}
-		if after := vs.GCInfo().PendingPages; after != before-1 {
-			t.Fatalf("pending went %d -> %d on a budget-1 tick", before, after)
-		}
-	}
-	if got := vs.GCInfo().ReclaimedPages - start; got == 0 {
-		t.Fatal("no pages reclaimed")
-	}
-	for _, id := range retired {
-		buf := make([]byte, PageSize)
-		if err := vs.Read(id, buf); err == nil {
-			t.Fatalf("retired page %d still readable after full drain", id)
-		}
-	}
-}
-
-func TestVersionedBackgroundReclaimerDrainsWhileIdle(t *testing.T) {
-	inner := NewMemStore()
-	vs := NewVersionedStore(inner, 0)
-	vs.StartReclaimer(time.Millisecond, 4)
-	defer vs.StopReclaimer()
-	vs.StartReclaimer(time.Millisecond, 4) // idempotent
-	if !vs.ReclaimerRunning() {
-		t.Fatal("reclaimer not running")
-	}
-	// Retire 20 pages across several epochs; Commit must NOT drain inline
-	// while the reclaimer runs, and the reclaimer must drain them all with
-	// no further writer activity.
-	for e := 0; e < 5; e++ {
-		var fresh []PageID
-		for i := 0; i < 4; i++ {
-			id, _ := vs.Alloc()
-			if err := vs.Write(id, fill(9)); err != nil {
-				t.Fatal(err)
-			}
-			fresh = append(fresh, id)
-		}
-		if err := vs.Commit(nil); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range fresh {
-			if err := vs.Free(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := vs.Commit(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info := vs.GCInfo()
-		if info.PendingPages == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reclaimer did not drain: %+v", info)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := inner.NumPages(); n != 0 {
-		t.Fatalf("%d pages live after idle drain", n)
-	}
-	vs.StopReclaimer()
-	vs.StopReclaimer() // idempotent
-	if vs.ReclaimerRunning() {
-		t.Fatal("reclaimer still running after stop")
-	}
-}
-
 // TestVersionedGCInfoCountsDrainInProgress: a reclaim takes its batches off
 // the pending list before it frees their pages, so a GCInfo read in that
 // window (here: from the invalidation hook each free calls first) must
-// still count them — an idle-drain watcher polling for PendingPages == 0
-// would otherwise see "done" while pages are still live.
+// still count them — a watcher reading PendingPages == 0 would otherwise
+// see "done" while pages are still live.
 func TestVersionedGCInfoCountsDrainInProgress(t *testing.T) {
 	inner := NewMemStore()
 	vs := NewVersionedStore(inner, 0)
@@ -372,9 +259,6 @@ func TestVersionedGCInfoCountsDrainInProgress(t *testing.T) {
 	}
 	if len(mid) != 3 || mid[0] != 3 || mid[1] != 2 || mid[2] != 1 {
 		t.Fatalf("mid-drain GCInfo pending pages %v, want [3 2 1]", mid)
-	}
-	if _, _, pending := vs.GCStats(); pending != 0 {
-		t.Fatalf("GCStats pending=%d after drain, want 0", pending)
 	}
 	if end := vs.GCInfo(); end.PendingPages != 0 || inner.NumPages() != 0 {
 		t.Fatalf("after drain: %+v, %d pages live", end, inner.NumPages())

@@ -3,46 +3,41 @@ package uncertain
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 )
 
-// Group commit: instead of publishing one commit epoch per mutation (the
-// pre-group behavior, still the default), a Tree can gather mutations into
-// an open group and publish them together — one metadata write, one pool
-// flush, one data-page flush, and at most one shadow relocation per node
-// for the whole group. Groups close on a size threshold
-// (Config.GroupCommitOps), an age deadline (Config.GroupCommitInterval),
-// an explicit WriteBatch, or Flush/Close. Snapshots only ever observe
-// committed group boundaries; a crash recovers to the last committed
-// boundary, never mid-group.
+// The write path: outside WriteBatch every Insert and Delete publishes as
+// its own epoch. Inside one, mutations join the batch and publish together
+// when fn returns — one metadata write, one pool flush, one data-page flush
+// and at most one shadow relocation per node for the whole batch.
+// Snapshots only ever observe committed boundaries; a crash recovers to
+// the last committed boundary, never mid-batch.
 
-// pdfUndo is one entry of the open group's bookkeeping journal: enough to
-// restore the pdfs map if the group rolls back.
+// pdfUndo is one entry of the uncommitted mutations' bookkeeping journal:
+// enough to restore the pdfs map if they roll back.
 type pdfUndo struct {
 	id   int64
 	prev Rect
 	had  bool
 }
 
-// trackInsert records the pdfs-map update (with its undo entry) for an
-// insert that joined the open group.
+// trackInsert records the pdfs-map update (with its undo entry) for a
+// completed insert.
 func (t *Tree) trackInsert(id int64, mbr Rect) {
 	prev, had := t.pdfs[id]
 	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
 	t.pdfs[id] = mbr
 }
 
-// trackDelete records the pdfs-map removal for a delete that joined the
-// open group.
+// trackDelete records the pdfs-map removal for a completed delete.
 func (t *Tree) trackDelete(id int64) {
 	prev, had := t.pdfs[id]
 	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
 	delete(t.pdfs, id)
 }
 
-// revertUndo replays the open group's bookkeeping journal backwards.
+// revertUndo replays the bookkeeping journal backwards.
 func (t *Tree) revertUndo() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		u := t.undo[i]
@@ -55,106 +50,24 @@ func (t *Tree) revertUndo() {
 	t.undo = t.undo[:0]
 }
 
-// noteOp counts a completed mutation into the open group and commits the
-// group if the policy says so.
-func (t *Tree) noteOp() error {
-	if t.groupOps == 0 {
-		t.groupStart = time.Now()
-	}
-	t.groupOps++
-	return t.maybeCommit()
-}
-
-// maybeCommit applies the group-commit policy: never inside an explicit
-// WriteBatch; immediately with grouping disabled; otherwise on the size
-// threshold or the age deadline.
-func (t *Tree) maybeCommit() error {
+// endOp publishes a completed mutation as its own epoch, unless it joined
+// an open WriteBatch, which publishes once fn returns.
+func (t *Tree) endOp() error {
 	if t.inBatch {
 		return nil
 	}
-	if t.gcOps <= 1 && t.gcInterval == 0 {
-		return t.commitGroupNow()
-	}
-	if t.gcOps > 1 && t.groupOps >= t.gcOps {
-		return t.commitGroupNow()
-	}
-	if t.gcInterval > 0 && time.Since(t.groupStart) >= t.gcInterval {
-		return t.commitGroupNow()
-	}
-	return nil
+	return t.commit()
 }
 
-// commitGroupNow seals the open group as one epoch — through the metadata
-// page for file-backed trees, the crash-consistency point; on a commit
-// failure the whole group rolls back. With grouping disabled it runs after
-// every mutation, so each completed Insert/Delete is an epoch of its own.
-func (t *Tree) commitGroupNow() error {
+// commit publishes every mutation since the last epoch as one new epoch —
+// through the metadata page for file-backed trees, the crash-consistency
+// point; on a commit failure they all roll back.
+func (t *Tree) commit() error {
 	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
-	t.groupOps = 0
 	t.undo = t.undo[:0]
 	return nil
-}
-
-// commitPending seals the open group if it holds any mutations.
-func (t *Tree) commitPending() error {
-	if t.groupOps == 0 {
-		return nil
-	}
-	return t.commitGroupNow()
-}
-
-// startGroupTimer arms the group-commit deadline timer; no-op without
-// Config.GroupCommitInterval.
-func (t *Tree) startGroupTimer() {
-	interval := t.gcInterval
-	if interval <= 0 {
-		return
-	}
-	period := interval / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t.tickStop = make(chan struct{})
-	t.tickDone = make(chan struct{})
-	go func() {
-		defer close(t.tickDone)
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.tickStop:
-				return
-			case <-tick.C:
-				t.mu.Lock()
-				if t.groupOps > 0 && time.Since(t.groupStart) >= interval {
-					if err := t.commitGroupNow(); err != nil && t.tickErr == nil {
-						t.tickErr = err
-					}
-				}
-				t.mu.Unlock()
-			}
-		}
-	}()
-}
-
-// stopGroupTimer stops the deadline timer and waits for it; idempotent.
-func (t *Tree) stopGroupTimer() {
-	if t.tickStop == nil {
-		return
-	}
-	close(t.tickStop)
-	<-t.tickDone
-	t.tickStop, t.tickDone = nil, nil
-}
-
-// takeTickErr returns and clears a stashed timer-side commit failure.
-// Caller holds t.mu.
-func (t *Tree) takeTickErr() error {
-	err := t.tickErr
-	t.tickErr = nil
-	return err
 }
 
 // BatchWriter is the mutation surface inside WriteBatch. Errors are
@@ -170,9 +83,9 @@ type BatchWriter interface {
 	DeleteWithRegion(id int64, regionMBR Rect) error
 }
 
-// treeBatch implements BatchWriter over a Tree whose inBatch flag
-// suppresses the auto-commit policy; WriteBatch holds the writer lock for
-// the whole batch, so the methods call the unlocked mutators.
+// treeBatch implements BatchWriter over a Tree whose inBatch flag holds
+// back the per-mutation commit; WriteBatch holds the writer lock for the
+// whole batch, so the methods call the unlocked mutators.
 type treeBatch struct {
 	t   *Tree
 	err error
@@ -209,17 +122,14 @@ func (b *treeBatch) DeleteWithRegion(id int64, regionMBR Rect) error {
 // it, never a prefix, and for file-backed trees the whole batch
 // becomes durable atomically — a crash recovers to this batch boundary or
 // the previous one, never between. If fn returns an error or any mutation
-// fails, the whole batch rolls back and the tree is unchanged. Any open
-// auto-commit group is sealed (as its own epoch) first. Batches do not
+// fails, the whole batch rolls back and the tree is unchanged. WriteBatch
+// is the only way to make several mutations one epoch. Batches do not
 // nest: fn mutates through the BatchWriter only — the tree's own mutators
 // (and a nested WriteBatch) would wait forever for the writer lock this
 // call holds. Queries are fine inside fn; they see the committed epoch.
 func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.commitPending(); err != nil {
-		return err
-	}
 	t.inBatch = true
 	b := &treeBatch{t: t}
 	err := fn(b)
@@ -234,5 +144,8 @@ func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
 	if err != nil {
 		return t.rollback(err)
 	}
-	return t.commitPending()
+	if len(t.undo) == 0 {
+		return nil
+	}
+	return t.commit()
 }

@@ -8,136 +8,16 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pagefile"
 )
 
-// Tests of the group-commit write path: size/age auto-grouping, the
-// explicit WriteBatch epoch, snapshot isolation across a batch boundary,
-// rollback of grouped mutations, per-shard batches, and the background
-// reclaimer's pin safety under -race.
+// Tests of the write path: the WriteBatch epoch, snapshot isolation across
+// a batch boundary, rollback of batched mutations, per-shard batches, and
+// inline reclamation's pin safety under -race.
 
 func batchPDF(rng *rand.Rand) PDF {
 	return UniformCircle(Pt(rng.Float64()*1000, rng.Float64()*1000), 10)
-}
-
-func TestGroupCommitSizeThreshold(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, GroupCommitOps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(1))
-	epoch0 := tree.Epoch()
-
-	for i := int64(0); i < 7; i++ {
-		if err := tree.Insert(i, batchPDF(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Queries observe the last committed epoch: the open group is
-	// invisible to Len and Search alike.
-	everywhere := Box(Pt(-100, -100), Pt(1100, 1100))
-	visible := func() int {
-		t.Helper()
-		res, _, err := tree.Search(context.Background(), everywhere, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(res)
-	}
-	if got, found := tree.Len(), visible(); got != 0 || found != 0 {
-		t.Fatalf("7 grouped inserts already visible: Len=%d, Search found %d, want 0", got, found)
-	}
-	if tree.Epoch() != epoch0 {
-		t.Fatalf("epoch advanced mid-group: %d -> %d", epoch0, tree.Epoch())
-	}
-	// The 8th op reaches GroupCommitOps and publishes the whole group.
-	if err := tree.Insert(7, batchPDF(rng)); err != nil {
-		t.Fatal(err)
-	}
-	if got, found := tree.Len(), visible(); got != 8 || found != 8 {
-		t.Fatalf("after group commit: Len=%d, Search found %d, want 8", got, found)
-	}
-	if tree.Epoch() != epoch0+1 {
-		t.Fatalf("group committed %d epochs, want exactly 1", tree.Epoch()-epoch0)
-	}
-	// Flush publishes an open group on demand — read-your-writes.
-	for i := int64(8); i < 15; i++ {
-		if err := tree.Insert(i, batchPDF(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, found := tree.Len(), visible(); got != 8 || found != 8 {
-		t.Fatalf("second open group visible before Flush: Len=%d, Search found %d, want 8", got, found)
-	}
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got, found := tree.Len(), visible(); got != 15 || found != 15 {
-		t.Fatalf("after Flush: Len=%d, Search found %d, want 15", got, found)
-	}
-}
-
-func TestGroupCommitAgeDeadline(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, GroupCommitInterval: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(2))
-
-	if err := tree.Insert(1, batchPDF(rng)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Len(); got != 0 {
-		t.Fatalf("young group already committed: Len=%d", got)
-	}
-	time.Sleep(50 * time.Millisecond)
-	// The group is over age now: the deadline timer seals it, or — when
-	// the timer has not ticked yet — this op's own deadline check does
-	// (itself included). Either way the first insert is committed once the
-	// op returns.
-	if err := tree.Insert(2, batchPDF(rng)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Len(); got < 1 {
-		t.Fatalf("aged group not committed by the next op: Len=%d", got)
-	}
-	// The second insert follows within one more interval, with no further
-	// mutation.
-	deadline := time.Now().Add(2 * time.Second)
-	for tree.Len() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("second group not sealed by the deadline: Len=%d, want 2", tree.Len())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func TestConcurrentGroupTimerSealsIdleTail(t *testing.T) {
-	c, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true,
-		GroupCommitOps: 100, GroupCommitInterval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(3))
-	for i := int64(0); i < 3; i++ {
-		if err := c.Insert(i, batchPDF(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No further mutations arrive; only the deadline timer can seal the
-	// 3-op tail.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Len() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle group tail not sealed by timer: Len=%d, want 3", c.Len())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 func TestWriteBatchSnapshotIsolation(t *testing.T) {
@@ -147,11 +27,17 @@ func TestWriteBatchSnapshotIsolation(t *testing.T) {
 	}
 	defer c.Close()
 	rng := rand.New(rand.NewSource(4))
+	epoch0 := c.Epoch()
 	for i := int64(0); i < 2; i++ {
 		if err := c.Insert(i, batchPDF(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Outside a batch every mutation is an epoch of its own.
+	if got := c.Epoch() - epoch0; got != 2 {
+		t.Fatalf("2 inserts committed %d epochs, want 2", got)
+	}
+	epoch0 = c.Epoch()
 
 	midBatch := make(chan struct{})
 	readerDone := make(chan error, 1)
@@ -189,6 +75,9 @@ func TestWriteBatchSnapshotIsolation(t *testing.T) {
 	}
 	if n := c.Len(); n != 6 {
 		t.Fatalf("post-batch Len=%d, want 6 (2 - 1 + 5)", n)
+	}
+	if got := c.Epoch() - epoch0; got != 1 {
+		t.Fatalf("a 6-op batch committed %d epochs, want exactly 1", got)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -302,40 +191,31 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 	}
 }
 
-// TestBackgroundReclaimerPinSafety hammers a file-backed ConcurrentTree
-// with a grouped writer, snapshot readers validating invariants on every
-// pinned epoch, and the background reclaimer draining on 1 ms ticks with a
-// small page budget. Under -race this doubles as the data race check; the
-// per-snapshot CheckInvariants would catch the reclaimer freeing any page
-// a pinned epoch can still reach. Once the writer idles, pending garbage
-// must drain to zero through the reclaimer alone — no Flush, no explicit
-// Reclaim.
-func TestBackgroundReclaimerPinSafety(t *testing.T) {
-	cfg := Config{
-		Dimensions:        2,
-		ExactRefinement:   true,
-		Path:              filepath.Join(t.TempDir(), "hammer.utree"),
-		BufferPages:       32,
-		GroupCommitOps:    4,
-		ReclaimInterval:   time.Millisecond,
-		ReclaimPageBudget: 8,
-	}
-	c, err := NewConcurrentTree(cfg)
+// TestReclaimPinSafety hammers a file-backed Tree with a writer grouping
+// every 4 ops in a WriteBatch and snapshot readers validating invariants on
+// every pinned epoch and scrubbing the committed tree, while each commit
+// reclaims inline whatever the pins allow. Under -race this doubles as the
+// data race check; the per-snapshot CheckInvariants would catch a commit
+// freeing any page a pinned epoch can still reach. Once the readers stop,
+// one Flush must drain everything.
+func TestReclaimPinSafety(t *testing.T) {
+	tree, err := NewTree(Config{
+		Dimensions:      2,
+		ExactRefinement: true,
+		Path:            filepath.Join(t.TempDir(), "hammer.utree"),
+		BufferPages:     32,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	if !c.GCInfo().ReclaimerRunning {
-		t.Fatal("background reclaimer not running")
-	}
+	defer tree.Close()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	readerErr := make(chan error, 2)
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -343,13 +223,16 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 					return
 				default:
 				}
-				snap := c.Snapshot()
+				snap := tree.Snapshot()
 				err := snap.CheckInvariants()
 				if err == nil {
 					_, _, err = snap.Search(context.Background(),
 						Box(Pt(0, 0), Pt(1000, 1000)), 0.5)
 				}
 				snap.Close()
+				if _, corrupt := tree.Scrub(); err == nil && corrupt != 0 {
+					err = fmt.Errorf("scrub beside the writer found %d corrupt pages", corrupt)
+				}
 				if err != nil {
 					select {
 					case readerErr <- err:
@@ -358,27 +241,24 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 					return
 				}
 			}
-		}(int64(r))
+		}()
 	}
 
-	// 240 ops = 60 groups of 4; every 2nd insert is later deleted, so the
-	// pages the reclaimer frees were retired by inserts and deletes alike.
+	// 240 ops in 60 batches of 4 — three inserts, then a delete of the
+	// first — so the pages reclaimed were retired by inserts and deletes
+	// alike.
 	rng := rand.New(rand.NewSource(7))
-	ops := 0
-	for i := int64(0); i < 160; i++ {
-		if err := c.Insert(i, batchPDF(rng)); err != nil {
+	for i := int64(0); i < 180; i += 3 {
+		if err := tree.WriteBatch(func(w BatchWriter) error {
+			for id := i; id < i+3; id++ {
+				if err := w.Insert(id, batchPDF(rng)); err != nil {
+					return err
+				}
+			}
+			return w.Delete(i)
+		}); err != nil {
 			t.Fatal(err)
 		}
-		ops++
-		if i%2 == 1 {
-			if err := c.Delete(i - 1); err != nil {
-				t.Fatal(err)
-			}
-			ops++
-		}
-	}
-	if ops%cfg.GroupCommitOps != 0 {
-		t.Fatalf("test bug: %d ops leave an open group tail", ops)
 	}
 	close(stop)
 	wg.Wait()
@@ -388,22 +268,18 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 	default:
 	}
 
-	// Writer idle, no pins: the reclaimer must drain everything on its own.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info := c.GCInfo()
-		if info.PendingPages == 0 && info.PendingEpochs == 0 {
-			if info.ReclaimedPages == 0 {
-				t.Fatal("reclaimer drained nothing despite COW churn")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pending garbage never drained while idle: %+v", info)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// No pins left: one Flush drains whatever the readers held back.
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.CheckInvariants(); err != nil {
+	info := tree.GCInfo()
+	if info.Pins != 0 || info.PendingPages != 0 || info.PendingEpochs != 0 {
+		t.Fatalf("garbage left after Flush: %+v", info)
+	}
+	if info.ReclaimedPages == 0 {
+		t.Fatal("nothing reclaimed despite COW churn")
+	}
+	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -53,9 +53,6 @@ func (t *Tree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...Que
 func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.commitPending(); err != nil {
-		return err
-	}
 	// Ascending-ID order, not map order: the tiling, the data-page layout
 	// and with them Monte-Carlo answers and I/O counts repeat run to run.
 	objs := make([]core.Object, 0, len(objects))

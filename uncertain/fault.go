@@ -10,13 +10,13 @@ import (
 )
 
 // Storage fault tolerance, public surface. The storage stack underneath an
-// index detects corruption with per-page checksums (ErrChecksum), retries
-// transient faults with jittered backoff (Config.RetryAttempts; the
-// retries appear in Stats.Retries and Health().Retries), quarantines pages
-// proven corrupt so they are never served from a cache (Health()), scrubs
-// the committed tree in the background (Config.ScrubInterval), and — on
-// sharded indexes — can serve degraded partial answers when some shards
-// fail (WithAllowDegraded, ErrDegraded).
+// index detects corruption with per-page checksums on every read
+// (ErrChecksum), retries transient faults with jittered backoff
+// (Config.RetryAttempts; the retries appear in Stats.Retries and
+// Health().Retries), quarantines pages proven corrupt so they are never
+// served from a cache (Health()), verifies the whole committed tree when
+// asked (Tree.Scrub), and — on sharded indexes — can serve degraded
+// partial answers when some shards fail (WithAllowDegraded, ErrDegraded).
 
 // ErrChecksum matches (via errors.Is) any error caused by a page whose
 // stored checksum does not cover the bytes read back — detected storage
@@ -67,10 +67,9 @@ func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
 // Unwrap exposes the per-shard causes to errors.Is/As.
 func (e *DegradedError) Unwrap() []error { return e.Errs }
 
-// HealthInfo is an index's storage-health report: quarantined pages,
-// cumulative transient-fault retries, and background-scrubber progress.
-// Sharded indexes merge the per-shard reports (counters sum, quarantine
-// lists concatenate).
+// HealthInfo is an index's storage-health report: quarantined pages and
+// cumulative transient-fault retries. Sharded indexes merge the per-shard
+// reports (counters sum, quarantine lists concatenate).
 type HealthInfo = core.HealthInfo
 
 // QuarantinedPage identifies one page the index has condemned: its ID, the
@@ -82,6 +81,15 @@ type QuarantinedPage = core.QuarantinedPage
 // time, concurrently with queries and the writer; on a healthy index the
 // report is all zeroes.
 func (t *Tree) Health() HealthInfo { return t.inner.Health() }
+
+// Scrub verifies the checksum of every page the committed tree reaches —
+// nodes, the data pages their entries point at and the append page — and
+// reports how many verified clean and how many proved corrupt. Corrupt
+// pages are quarantined and listed in Health().Quarantined, so latent
+// damage no query has read yet is found now rather than at first read.
+// Runs on the caller's goroutine against a pinned snapshot; safe beside
+// queries and the writer.
+func (t *Tree) Scrub() (verified, corrupt int) { return t.inner.Scrub() }
 
 // Health merges the shards' storage-health reports: counters sum,
 // quarantine lists concatenate (each page belongs to exactly one shard's

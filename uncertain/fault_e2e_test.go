@@ -181,31 +181,45 @@ func TestBitFlipTypedErrorAndQuarantine(t *testing.T) {
 	}
 }
 
-// TestScrubberFindsSilentCorruption flips a bit directly on the medium —
-// no query ever touches it — and waits for the background scrubber to
-// find and quarantine the page.
-func TestScrubberFindsSilentCorruption(t *testing.T) {
+// TestScrubFindsSilentCorruption flips a bit directly on the medium — no
+// query ever touches it — and checks that one Scrub call finds and
+// quarantines exactly that page, while the same scrub of a clean twin finds
+// nothing.
+func TestScrubFindsSilentCorruption(t *testing.T) {
+	dir := t.TempDir()
+	clean, err := NewTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
 	var base pagefile.Corrupter
-	cfg := faultTestConfig(filepath.Join(t.TempDir(), "scrub.utree"))
-	cfg.ScrubInterval = time.Millisecond
-	cfg.ScrubPageBudget = 32
+	cfg := faultTestConfig(filepath.Join(dir, "scrub.utree"))
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		base = s.(pagefile.Corrupter)
 		return s
 	}
-	ct, err := NewConcurrentTree(cfg)
+	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ct.Close()
-	if err := ct.BulkLoad(shardedFixtureObjects(200, 13)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Flush(); err != nil {
-		t.Fatal(err)
+	defer tree.Discard()
+	for _, idx := range []*Tree{clean, tree} {
+		if err := idx.BulkLoad(shardedFixtureObjects(200, 13)); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	reach, err := ct.inner.ReachablePages()
+	if verified, corrupt := clean.Scrub(); corrupt != 0 || verified == 0 {
+		t.Fatalf("clean twin: Scrub() = (%d verified, %d corrupt), want (>0, 0)", verified, corrupt)
+	}
+	if h := clean.Health(); h.QuarantinedPages != 0 {
+		t.Fatalf("clean scrub quarantined %+v", h.Quarantined)
+	}
+
+	reach, err := tree.inner.ReachablePages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,32 +232,12 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 	if err := base.CorruptPayload(victim, 3); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := ct.Health()
-		if h.QuarantinedPages > 0 {
-			if h.ScrubErrors == 0 {
-				t.Fatalf("page quarantined but no scrub error recorded: %+v", h)
-			}
-			found := false
-			for _, rec := range h.Quarantined {
-				if rec.Page == victim {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("scrubber quarantined %+v, corrupted page was %d", h.Quarantined, victim)
-			}
-			if !h.ScrubberRunning {
-				t.Fatal("health says the scrubber is not running")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber never found the corrupt page %d (health %+v)", victim, h)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if verified, corrupt := tree.Scrub(); corrupt != 1 {
+		t.Fatalf("Scrub() = (%d verified, %d corrupt) after corrupting page %d, want 1 corrupt", verified, corrupt, victim)
+	}
+	h := tree.Health()
+	if h.QuarantinedPages != 1 || h.Quarantined[0].Page != victim {
+		t.Fatalf("scrub quarantined %+v, corrupted page was %d", h.Quarantined, victim)
 	}
 }
 
@@ -351,13 +345,10 @@ func TestDegradedShardedReads(t *testing.T) {
 
 // TestCloseDiscardIdempotentAllVariants double-Closes and cross-calls
 // Close/Discard on every index variant; repeated teardown must be a nil
-// no-op, including the group-commit timer's.
+// no-op.
 func TestCloseDiscardIdempotentAllVariants(t *testing.T) {
 	mk := map[string]func() (Index, error){
-		"tree": func() (Index, error) { return NewTree(Config{Dimensions: 2}) },
-		"concurrent": func() (Index, error) {
-			return NewConcurrentTree(Config{Dimensions: 2, GroupCommitInterval: time.Millisecond})
-		},
+		"tree":    func() (Index, error) { return NewTree(Config{Dimensions: 2}) },
 		"sharded": func() (Index, error) { return NewShardedTree(2, Config{Dimensions: 2}) },
 	}
 	type discarder interface{ Discard() error }
@@ -498,20 +489,14 @@ func TestCloseRetriesItsOwnWrites(t *testing.T) {
 
 // TestFaultedQueriesLeakNothing hammers queries with a mix of absorbed
 // transient faults and hard failures, then checks the error paths released
-// everything: no leaked snapshot pins, the reclaimer still drains, and no
-// goroutines outlive Close.
+// everything: no leaked snapshot pins, commits still drain garbage, and no
+// goroutine outlives the calls that started it — the count is back at
+// baseline while the tree is still open.
 func TestFaultedQueriesLeakNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	var chaos *pagefile.ChaosStore
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "leak.utree"))
-	cfg.ReclaimInterval = time.Millisecond
-	// The scrubber runs too (its goroutine is part of the leak check), but
-	// at a loose interval: each collection cycle briefly pins the committed
-	// epoch, and at a 1ms cadence under injected faults (retry backoff on
-	// the collection reads) those pins are held almost continuously — the
-	// pins==0 poll below needs scrubber-idle windows to observe.
-	cfg.ScrubInterval = 20 * time.Millisecond
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		chaos = pagefile.NewChaosStore(s, 29)
 		return chaos
@@ -541,47 +526,33 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 	}
 
 	// Error paths must have released their snapshot pins.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, pins, _ := ct.GCStats(); pins == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			_, pins, _ := ct.GCStats()
-			t.Fatalf("%d snapshot pins leaked by faulted queries", pins)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if pins := ct.GCInfo().Pins; pins != 0 {
+		t.Fatalf("%d snapshot pins leaked by faulted queries", pins)
 	}
 
-	// With the hard rule spent, the index still works end to end and the
-	// background reclaimer still drains garbage.
+	// With the hard rule spent, the index still works end to end and its
+	// commit drains the garbage.
 	if err := ct.WriteBatch(func(w BatchWriter) error {
 		return w.Insert(9_999, UniformCircle(Pt(500, 500), 10))
 	}); err != nil {
 		t.Fatalf("write after faulted queries: %v", err)
 	}
-	for {
-		info := ct.GCInfo()
-		if info.PendingPages+info.PendingEpochs == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reclaimer stalled after faults: %+v", ct.GCInfo())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if info := ct.GCInfo(); info.PendingPages+info.PendingEpochs != 0 {
+		t.Fatalf("garbage left after the commit: %+v", info)
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after faulted workload: %v", err)
 	}
+
+	// Still open: nothing the tree started may be running. Goroutines that
+	// were joined can take a moment to unwind, hence the wait.
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutine leak before Close: %d alive, baseline %d", n, baseline)
+	}
 	if err := ct.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-
-	for i := 0; i < 200; i++ {
-		if runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutine leak: %d alive, baseline %d", runtime.NumGoroutine(), baseline)
 }

@@ -18,9 +18,8 @@ import (
 //     the query), and writers on different shards proceed in parallel.
 //
 // Every Index is safe for concurrent use and can be handed to a
-// QueryEngine. Queries observe the last committed epoch: without group
-// commit that is every completed mutation; with it, Flush publishes the
-// open group.
+// QueryEngine. Queries observe the last committed epoch: every completed
+// mutation outside a WriteBatch, and every completed WriteBatch.
 //
 // The query surface is context-first: every query takes a
 // context.Context for cancellation and deadlines (queries check it before
@@ -40,14 +39,13 @@ type Index interface {
 	// sharded indexes): readers observe the whole batch or none of it, and
 	// file-backed durability moves in batch granularity.
 	WriteBatch(fn func(BatchWriter) error) error
-	// GCInfo reports epoch-collector health: pending epochs and pages, the
-	// lifetime reclaim counter, and whether the background reclaimer runs
-	// (merged over shards for sharded indexes).
+	// GCInfo reports epoch-collector health: snapshot pins, pending epochs
+	// and pages, and the lifetime reclaim counter (merged over shards for
+	// sharded indexes).
 	GCInfo() GCInfo
-	// Health reports storage health: quarantined (corrupt) pages,
-	// cumulative transient-fault retries, and background-scrubber progress
-	// (merged over shards for sharded indexes). All zeroes on a healthy
-	// index.
+	// Health reports storage health: quarantined (corrupt) pages and
+	// cumulative transient-fault retries (merged over shards for sharded
+	// indexes). All zeroes on a healthy index.
 	Health() HealthInfo
 	// Search answers a probabilistic range query: objects appearing in rect
 	// with probability ≥ prob. A cancelled or deadline-exceeded ctx stops
@@ -68,9 +66,8 @@ type Index interface {
 	// (summed over shards for sharded indexes; both zero when
 	// Config.NodeCacheEntries is negative).
 	NodeCacheStats() (hits, misses int64)
-	// Flush publishes any open commit group, writes buffered dirty pages
-	// through to the store(s) and drains retired copy-on-write pages no
-	// snapshot pins.
+	// Flush writes buffered dirty pages through to the store(s) and drains
+	// retired copy-on-write pages no snapshot pins.
 	Flush() error
 	// CheckInvariants validates the index structure (every shard for
 	// sharded indexes).

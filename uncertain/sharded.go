@@ -671,8 +671,8 @@ func (s *ShardedTree) eachShard(fn func(*Tree) error) error {
 	return s.firstError(errs)
 }
 
-// Flush publishes every shard's open commit group and writes its buffered
-// dirty pages through to its store.
+// Flush writes every shard's buffered dirty pages through to its store and
+// drains the retired pages its snapshot pins allow.
 func (s *ShardedTree) Flush() error { return s.eachShard((*Tree).Flush) }
 
 // CheckInvariants validates every shard's structure.

@@ -120,8 +120,8 @@ func TestSnapshotReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, pins, pending := ct.GCStats(); pins != 1 || pending == 0 {
-		t.Fatalf("with a live pin: pins=%d pending=%d, want pins=1 and pending>0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 1 || gc.PendingPages == 0 {
+		t.Fatalf("with a live pin: pins=%d pending=%d, want pins=1 and pending>0", gc.Pins, gc.PendingPages)
 	}
 	if _, _, err := snap.Search(ctx, all, 0.5); err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestSnapshotReclamation(t *testing.T) {
 	if err := ct.Flush(); err != nil { // writer-side reclaim
 		t.Fatal(err)
 	}
-	if _, pins, pending := ct.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("after close+flush: pins=%d pending=%d, want 0/0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("after close+flush: pins=%d pending=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -243,8 +243,8 @@ func TestSnapshotReaderWriterHammer(t *testing.T) {
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, pins, pending := ct.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("after drain: pins=%d pendingPages=%d, want 0/0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("after drain: pins=%d pendingPages=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatal(err)

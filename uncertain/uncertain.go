@@ -141,32 +141,6 @@ type Config struct {
 	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
 	// also make a slow store). Production code leaves it nil.
 	WrapStore func(pagefile.Store) pagefile.Store
-	// GroupCommitOps > 1 enables size-based group commit: mutations
-	// accumulate in one open commit epoch and publish together once this
-	// many have gathered (or earlier — at Flush, Close, an explicit
-	// WriteBatch, or the GroupCommitInterval deadline). Queries observe the
-	// last committed epoch, so an open group is invisible to Search and Len
-	// until it publishes; call Flush to read your own writes. Grouping
-	// amortizes the per-epoch cost (metadata write, pool flush, shadow
-	// relocations of the root path) across the group; the trade-off is
-	// durability granularity: a crash loses the uncommitted tail of the
-	// open group, never a committed prefix. 0 or 1 keeps one-epoch-per-op
-	// auto-commit.
-	GroupCommitOps int
-	// GroupCommitInterval > 0 bounds how long an open group may age before
-	// it commits: the deadline is checked at each mutation, and a timer
-	// seals an idle writer's tail within roughly the interval. Usable with
-	// or without GroupCommitOps.
-	GroupCommitInterval time.Duration
-	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
-	// pages are freed on a dedicated goroutine's ticks instead of inline
-	// at commit — the commit path stops paying for garbage, and garbage
-	// drains even while the writer idles.
-	ReclaimInterval time.Duration
-	// ReclaimPageBudget bounds the page frees one reclaimer tick may
-	// perform (0 → pagefile.DefaultReclaimBudget). Ignored without
-	// ReclaimInterval.
-	ReclaimPageBudget int
 	// RetryAttempts bounds the storage stack's transient-fault retry loop:
 	// the total attempts per page operation, including the first. 0 selects
 	// the default (3); negative disables retrying entirely. Retries are
@@ -179,14 +153,6 @@ type Config struct {
 	// between retry attempts (0 → 100µs base, 10ms cap).
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// ScrubInterval > 0 starts the background page scrubber: a goroutine
-	// periodically walks the committed tree verifying page checksums (up to
-	// ScrubPageBudget pages per tick), quarantining latent corruption
-	// before any query trips over it. Progress appears in Health().
-	ScrubInterval time.Duration
-	// ScrubPageBudget bounds the verifications one scrub tick performs
-	// (0 → core default). Ignored without ScrubInterval.
-	ScrubPageBudget int
 	// AdaptivePlanning is read by nothing: every commit records the root box
 	// that shard pruning and NN shard ranking use.
 	//
@@ -202,14 +168,14 @@ type Config struct {
 // never blocks a writer and a slow writer never stalls a single read; a
 // query sees exactly the epoch that was committed when it started (queries
 // started before a delete still return the deleted object; queries started
-// after do not). Retired pages are reclaimed by the epoch GC once no
-// snapshot pins them. A single goroutine pays one uncontended mutex per
-// mutation and nothing per query.
+// after do not). Retired pages are reclaimed by the first commit (or Flush,
+// or Close) after no snapshot pins them. A single goroutine pays one
+// uncontended mutex per mutation and nothing per query.
 //
-// Without group commit every completed mutation is its own epoch, so reads
-// follow writes immediately. With Config.GroupCommitOps/Interval an open
-// group stays invisible to Search, NearestNeighbors and Len until it
-// publishes; Flush publishes it on demand.
+// Every completed mutation outside a WriteBatch is its own epoch, so reads
+// follow writes immediately; a WriteBatch stays invisible to Search,
+// NearestNeighbors and Len until it returns. A Tree starts no goroutine
+// that outlives a call.
 type Tree struct {
 	mu     sync.Mutex // serializes writers; the read path takes no lock
 	inner  *core.Tree
@@ -218,25 +184,11 @@ type Tree struct {
 	pdfs   map[int64]Rect       // id → region MBR, to make Delete(id) ergonomic
 	closed bool                 // set by Close/Discard; makes both idempotent
 
-	// Group-commit state (see Config.GroupCommitOps and batch.go), all
-	// under mu. undo records the pdfs-map mutations of the open group so a
-	// rollback can revert the session's Delete(id) bookkeeping along with
-	// the index.
-	gcOps      int
-	gcInterval time.Duration
-	groupOps   int       // mutations in the open group
-	groupStart time.Time // first mutation of the open group
-	inBatch    bool      // explicit WriteBatch in progress
-	undo       []pdfUndo
-
-	// Group-commit deadline timer (Config.GroupCommitInterval > 0): the
-	// policy only runs when a mutation arrives, so an idle writer's tail
-	// would sit uncommitted; the timer seals it within roughly the
-	// interval. tickErr stashes a timer-side commit failure, surfaced at
-	// the next Flush or Close.
-	tickStop chan struct{}
-	tickDone chan struct{}
-	tickErr  error // under mu
+	// Write-path state (batch.go), under mu. undo records the pdfs-map
+	// mutations since the last epoch so a rollback can revert the session's
+	// Delete(id) bookkeeping along with the index.
+	inBatch bool // WriteBatch in progress
+	undo    []pdfUndo
 }
 
 // ConcurrentTree is the former name of the snapshot-isolated tree; every
@@ -281,7 +233,6 @@ func NewTree(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t.inner = inner
-	t.startGroupTimer()
 	return t, nil
 }
 
@@ -308,11 +259,9 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 		err = t.sweepLeakedPages()
 	}
 	if err != nil {
-		inner.StopBackgroundReclaim()
 		fs.Close()
 		return nil, err
 	}
-	t.startGroupTimer()
 	return t, nil
 }
 
@@ -323,7 +272,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // disabled). Retry sits below core's versioning and buffer pool, so a
 // retried read stays one pool miss and one page-budget charge.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
-	t := &Tree{file: fs, pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
+	t := &Tree{file: fs, pdfs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
 	if fs != nil {
 		store = fs
@@ -349,10 +298,6 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 		Seed:             cfg.Seed,
 		BufferPages:      cfg.BufferPages,
 		NodeCacheEntries: cfg.NodeCacheEntries,
-		ReclaimInterval:  cfg.ReclaimInterval,
-		ReclaimBudget:    cfg.ReclaimPageBudget,
-		ScrubInterval:    cfg.ScrubInterval,
-		ScrubBudget:      cfg.ScrubPageBudget,
 	}
 	if cfg.UPCR {
 		opt.Kind = core.UPCR
@@ -390,28 +335,26 @@ func (t *Tree) sweepLeakedPages() error {
 }
 
 // rollback rewinds every uncommitted mutation — the failing one and any
-// grouped ones before it — to the last committed epoch, reverting the
+// batched ones before it — to the last committed epoch, reverting the
 // session's pdfs bookkeeping with them. The mutation's error wins over any
-// rollback error; when grouped ops were dropped with it, the error says so.
+// rollback error; when batched ops were dropped with it, the error says so.
 func (t *Tree) rollback(opErr error) error {
-	dropped := t.groupOps
+	dropped := len(t.undo)
 	rbErr := t.inner.Rollback()
 	t.revertUndo()
-	t.groupOps = 0
 	if rbErr != nil {
 		return fmt.Errorf("%w (rollback also failed: %w)", opErr, rbErr)
 	}
 	if dropped > 1 {
-		return fmt.Errorf("%w (rolled back %d uncommitted grouped operations)", opErr, dropped)
+		return fmt.Errorf("%w (rolled back %d uncommitted batched operations)", opErr, dropped)
 	}
 	return opErr
 }
 
 // Insert adds an object (writer lock). IDs must be unique; inserting a
-// duplicate ID is not detected (two entries will coexist). Without group
-// commit the insert publishes as its own epoch; under grouping it joins
-// the open group. On failure the tree rolls back to the last committed
-// epoch — dropping any uncommitted grouped operations with it — and
+// duplicate ID is not detected (two entries will coexist). The insert
+// publishes as its own epoch; wrap several in WriteBatch to publish them
+// as one. On failure the tree rolls back to the last committed epoch and
 // remains usable.
 func (t *Tree) Insert(id int64, pdf PDF) error {
 	t.mu.Lock()
@@ -424,14 +367,13 @@ func (t *Tree) insert(id int64, pdf PDF) error {
 		return t.rollback(err)
 	}
 	t.trackInsert(id, pdf.MBR())
-	return t.noteOp()
+	return t.endOp()
 }
 
 // Delete removes an object by ID (writer lock). Objects inserted in a
 // previous process lifetime (reopened file-backed trees) need
-// DeleteWithRegion instead. Commit granularity follows the group-commit
-// policy (see Insert); snapshots pinned before the group's commit still
-// see the object.
+// DeleteWithRegion instead. The delete publishes as its own epoch (see
+// Insert); snapshots pinned before it still see the object.
 func (t *Tree) Delete(id int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -447,9 +389,9 @@ func (t *Tree) delete(id int64) error {
 }
 
 // DeleteWithRegion removes an object by ID and its region MBR (the pdf's
-// MBR at insertion time; writer lock). Commit granularity follows the
-// group-commit policy (see Insert). A not-found delete mutates nothing and
-// leaves the open group intact.
+// MBR at insertion time; writer lock). The delete publishes as its own
+// epoch (see Insert). A not-found delete mutates nothing and leaves an open
+// WriteBatch intact.
 func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -464,7 +406,7 @@ func (t *Tree) deleteWithRegion(id int64, regionMBR Rect) error {
 		return t.rollback(err)
 	}
 	t.trackDelete(id)
-	return t.noteOp()
+	return t.endOp()
 }
 
 // Search answers a probabilistic range query — the objects appearing in
@@ -485,48 +427,32 @@ func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...Quer
 	return snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
 }
 
-// Flush seals any open commit group — making it visible to queries —
-// writes every buffered dirty page through to the store and drains
+// Flush writes every buffered dirty page through to the store and drains
 // whatever retired epochs' pages the current snapshot pins allow (writer
 // lock). Useful before a read-heavy phase: a clean pool evicts without
 // write-backs, so concurrent searches never stall on flushing another
-// query's victim. Also surfaces any commit failure stashed by the
-// group-deadline timer.
+// query's victim.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err := t.commitPending()
-	if err == nil {
-		err = t.inner.Flush()
-	}
-	if terr := t.takeTickErr(); err == nil {
-		err = terr
-	}
-	return err
+	return t.inner.Flush()
 }
 
-// Epoch returns the last committed epoch number (without group commit each
-// completed mutation is one epoch).
+// Epoch returns the last committed epoch number (each completed mutation
+// outside a WriteBatch, and each WriteBatch, is one epoch).
 func (t *Tree) Epoch() uint64 { return t.inner.Epoch() }
 
-// GCStats reports the epoch collector's state: committed epoch, live
-// snapshot pins, and pages awaiting reclamation — the observability
-// surface for leak assertions in tests and tooling.
-func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
-	return t.inner.GCStats()
-}
-
-// GCInfo is the epoch collector's full health report: pending epochs and
-// pages, the lifetime reclaim counter, and whether the background
-// reclaimer is running.
+// GCInfo is the epoch collector's health report: committed epoch, live
+// snapshot pins, pending epochs and pages, and the lifetime reclaim
+// counter — the observability surface for leak assertions in tests and
+// tooling.
 type GCInfo = pagefile.GCInfo
 
-// GCInfo reports the epoch collector's full health (see GCStats for the
-// compact form).
+// GCInfo reports the epoch collector's health.
 func (t *Tree) GCInfo() GCInfo { return t.inner.GCInfo() }
 
 // Len returns the object count of the latest committed epoch (lock-free;
-// an in-progress mutation or open commit group is not yet visible).
+// an in-progress mutation or WriteBatch is not yet visible).
 func (t *Tree) Len() int { return t.inner.CommittedLen() }
 
 // Height returns the tree height in levels (writer lock: it reads the
@@ -572,30 +498,23 @@ func (t *Tree) CheckRecords() error {
 	return snap.CheckRecords()
 }
 
-// Close stops the group-deadline timer, the background reclaimer and the
-// scrubber, commits any final state — sealing an open commit group —
-// drains the last retired pages, and, for file-backed trees, closes the
-// file (writer lock). Without grouping every mutation already committed
-// durably, so Close adds nothing a crash would lose; under group commit
-// the open group's tail becomes durable here. Close is also the last
-// chance to surface a reclaim failure stashed by an earlier commit (such a
-// failure leaked pages; it never corrupted data) or a commit failure
-// stashed by the timer.
+// Close commits any final state, drains the last retired pages, and, for
+// file-backed trees, closes the file (writer lock). Every mutation already
+// committed durably, so Close adds nothing a crash would lose. Close is
+// also the last chance to surface a reclaim failure stashed by an earlier
+// commit (such a failure leaked pages; it never corrupted data).
 //
 // Close is idempotent, and remains safe after a failed commit or after
 // Discard: repeated calls return nil without touching the (already
 // released) storage again.
 func (t *Tree) Close() error {
-	t.stopGroupTimer()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
 	t.closed = true
-	t.inner.StopBackgroundReclaim()
 	err := t.inner.Commit()
-	t.groupOps, t.undo = 0, t.undo[:0]
 	if err == nil {
 		err = t.inner.Reclaim()
 	}
@@ -605,9 +524,6 @@ func (t *Tree) Close() error {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
 		}
-	}
-	if terr := t.takeTickErr(); err == nil {
-		err = terr
 	}
 	return err
 }
@@ -628,21 +544,16 @@ func (t *Tree) unblockRetries() {
 // the crash-simulation exit (and the cleanup path for a handle whose
 // storage already failed): the file keeps exactly the pages that were
 // durable when the last operation stopped, as if the process died there.
-// OpenTree then recovers the last committed epoch — under group commit,
-// the last committed group boundary. In-memory trees just drop their
-// state. Stops the group-deadline timer like Close; idempotent and safe
-// after Close (and vice versa).
+// OpenTree then recovers the last committed epoch. In-memory trees just
+// drop their state. Idempotent and safe after Close (and vice versa).
 func (t *Tree) Discard() error {
-	t.stopGroupTimer()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
 	t.closed = true
-	t.tickErr = nil
 	t.unblockRetries()
-	t.inner.StopBackgroundReclaim()
 	if t.file == nil {
 		return nil
 	}
