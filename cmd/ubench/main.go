@@ -8,13 +8,10 @@
 //	ubench -experiment fig9 -scale 0.1        # one figure, 10% data scale
 //	ubench -experiment table1 -scale 1        # paper-scale dataset sizes
 //	ubench -experiment ablations
-//	ubench -experiment faultpath -short -iolat 1 -json out.json  # chaos-injection fault-tolerance check, CI size
 //
-// Experiments: fig7, fig8, table1, fig9, fig10, fig11, ablations, faultpath,
-// all.
-//
-// -json writes the fault-path experiment's structured rows (per phase: q/s,
-// slowdown against the clean phase, error and fault tallies) to a file.
+// Experiments: fig7, fig8, table1, fig9, fig10, fig11, ablations, all —
+// the paper's evaluation and nothing else. Storage fault tolerance is held
+// by tests (uncertain/fault_e2e_test.go), not by an experiment.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the experiment
 // run (the heap profile is taken at exit).
@@ -23,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,31 +30,16 @@ import (
 	"repro/internal/experiments"
 )
 
-// jsonReport is the machine-readable output of -json: the workload
-// parameters plus the fault-path experiment's rows when it ran.
-type jsonReport struct {
-	Experiment  string
-	Scale       float64
-	Queries     int
-	Seed        int64
-	IOLatencyMS float64
-	GOMAXPROCS  int
-
-	FaultPath []experiments.FaultPathRow `json:",omitempty"`
-}
-
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "fig7|fig8|table1|fig9|fig10|fig11|ablations|faultpath|all")
-		short    = flag.Bool("short", false, "shrink the dataset scale and query count for CI smoke runs")
-		scale    = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
-		queries  = flag.Int("queries", 0, "queries per workload (0 = default)")
-		samples  = flag.Int("mc", 0, "monte-carlo samples per probability (0 = default)")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		iolatMS  = flag.Float64("iolat", 2, "per-page storage latency for -experiment faultpath, milliseconds (0 disables)")
-		jsonPath = flag.String("json", "", "write the fault-path experiment's rows to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
+		exp     = flag.String("experiment", "all", "fig7|fig8|table1|fig9|fig10|fig11|ablations|all")
+		short   = flag.Bool("short", false, "shrink the dataset scale and query count for quick smoke runs")
+		scale   = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
+		queries = flag.Int("queries", 0, "queries per workload (0 = default)")
+		samples = flag.Int("mc", 0, "monte-carlo samples per probability (0 = default)")
+		seed    = flag.Int64("seed", 42, "generator seed")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
 	flag.Parse()
 
@@ -76,7 +57,6 @@ func main() {
 		Queries:   *queries,
 		MCSamples: *samples,
 		Seed:      *seed,
-		IOLatency: time.Duration(*iolatMS * float64(time.Millisecond)),
 		Out:       os.Stdout,
 	}
 
@@ -105,15 +85,6 @@ func main() {
 
 	all := *exp == "all"
 	ran := false
-	eff := cfg.WithDefaults()
-	report := jsonReport{
-		Experiment:  *exp,
-		Scale:       eff.Scale,
-		Queries:     eff.Queries,
-		Seed:        eff.Seed,
-		IOLatencyMS: *iolatMS,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
 	if all || *exp == "fig7" {
 		run("fig7", func() error { _, err := experiments.Fig7(cfg, nil); return err })
 		ran = true
@@ -138,14 +109,6 @@ func main() {
 		run("fig11", func() error { _, err := experiments.Fig11(cfg); return err })
 		ran = true
 	}
-	if all || *exp == "faultpath" {
-		run("faultpath", func() error {
-			rows, err := experiments.FaultPath(cfg)
-			report.FaultPath = rows
-			return err
-		})
-		ran = true
-	}
 	if all || *exp == "ablations" {
 		run("ablation-split", func() error { _, err := experiments.AblationSplit(cfg); return err })
 		run("ablation-reinsert", func() error { _, err := experiments.AblationReinsert(cfg); return err })
@@ -157,13 +120,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, report); err != nil {
-			fmt.Fprintf(os.Stderr, "writing -json %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	pprof.StopCPUProfile() // no-op when -cpuprofile is off
 	if *memProf != "" {
@@ -179,13 +135,4 @@ func main() {
 		}
 		f.Close()
 	}
-}
-
-// writeJSON persists the structured report.
-func writeJSON(path string, report jsonReport) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

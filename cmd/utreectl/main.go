@@ -6,16 +6,12 @@
 //	utreectl verify -index /tmp/lb.utree
 //	utreectl query  -index /tmp/lb.utree -rect 1000,1000,2000,2000 -prob 0.7
 //	utreectl nn     -index /tmp/lb.utree -point 5000,5000 -k 5
-//	utreectl migrate -index /tmp/old.utree -out /tmp/new.utree
 //
-// migrate rewrites an index file into the current checksummed page format
-// (v2): every page gains a CRC32-C trailer verified on each read. A v1
-// (pre-checksum) source is upgraded; a v2 source is re-verified and
-// resealed — a corrupt source page fails the migration rather than being
-// laundered into a fresh checksum. stats reports storage health alongside
-// structure: retry counts and quarantined pages. verify checks the tree's
-// invariants and records, then scrubs every reachable page's checksum; it
-// exits non-zero on any failure.
+// Every page carries a CRC32-C trailer verified on each read; a file in
+// the unchecksummed v1 page format is refused (rebuild it from its data).
+// stats reports storage health alongside structure: retry counts and
+// quarantined pages. verify checks the tree's invariants and records, then
+// scrubs every reachable page's checksum; it exits non-zero on any failure.
 //
 // Every subcommand accepts -buffer (page-cache size in pages).
 //
@@ -39,7 +35,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/pagefile"
 	"repro/uncertain"
 )
 
@@ -50,16 +45,15 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		index   = fs.String("index", "", "index file path (required)")
-		ds      = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
-		scale   = fs.Float64("scale", 0.05, "dataset scale for build")
-		rect    = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
-		prob    = fs.Float64("prob", 0.5, "query probability threshold")
-		point   = fs.String("point", "", "query point for nn: x1,x2[,x3]")
-		k       = fs.Int("k", 5, "neighbor count for nn")
-		upcr    = fs.Bool("upcr", false, "build the U-PCR variant instead")
-		outPath = fs.String("out", "", "destination file for migrate (required by migrate)")
-		buffer  = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
+		index  = fs.String("index", "", "index file path (required)")
+		ds     = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
+		scale  = fs.Float64("scale", 0.05, "dataset scale for build")
+		rect   = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
+		prob   = fs.Float64("prob", 0.5, "query probability threshold")
+		point  = fs.String("point", "", "query point for nn: x1,x2[,x3]")
+		k      = fs.Int("k", 5, "neighbor count for nn")
+		upcr   = fs.Bool("upcr", false, "build the U-PCR variant instead")
+		buffer = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
 
 		// Per-query options for query and nn.
 		timeoutMS  = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
@@ -100,8 +94,6 @@ func main() {
 		err = query(*index, *rect, *prob, cfg, q)
 	case "nn":
 		err = nearest(*index, *point, *k, cfg, q)
-	case "migrate":
-		err = migrate(*index, *outPath)
 	default:
 		usage()
 	}
@@ -158,7 +150,7 @@ func explainPartial(err error, elapsed time.Duration, budget int) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: utreectl build|stats|verify|query|nn|migrate -index PATH [flags]")
+	fmt.Fprintln(os.Stderr, "usage: utreectl build|stats|verify|query|nn -index PATH [flags]")
 	os.Exit(2)
 }
 
@@ -227,30 +219,6 @@ func stats(path string, cfg uncertain.Config) error {
 	for _, qp := range h.Quarantined {
 		fmt.Printf("  quarantined page %d (epoch %d): %s\n", qp.Page, qp.Epoch, qp.Cause)
 	}
-	return nil
-}
-
-// migrate rewrites the index file at src into the checksummed v2 page
-// format at dst. The source is never modified; a corrupt v2 source page
-// aborts the migration.
-func migrate(src, dst string) error {
-	if dst == "" {
-		return fmt.Errorf("missing -out")
-	}
-	s, err := pagefile.OpenFileStore(src)
-	if err != nil {
-		return err
-	}
-	from, pages := s.Version(), s.NumPages()
-	if err := s.Close(); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := pagefile.MigrateFileStore(src, dst); err != nil {
-		return err
-	}
-	fmt.Printf("migrated %s (format v%d, %d pages) → %s (format v2, CRC32-C page trailers) in %v\n",
-		src, from, pages, dst, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

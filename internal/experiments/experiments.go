@@ -45,18 +45,9 @@ type Config struct {
 	// sweeps its own values).
 	MCSamples int
 	Seed      int64
-	// IOLatency is the fault-path experiment's per-page storage latency, a
-	// pagefile.ChaosStore latency rule armed after the build; zero disables
-	// it. cmd/ubench sets it with -iolat.
-	IOLatency time.Duration
 	// Out receives the printed tables (nil = io.Discard).
 	Out io.Writer
 }
-
-// WithDefaults returns c with unset fields filled in with the experiment
-// defaults — what an experiment actually runs with (e.g. for reporting the
-// effective workload parameters).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {

@@ -3,7 +3,9 @@ package pagefile
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -23,9 +25,6 @@ func TestFileStoreChecksumRoundTrip(t *testing.T) {
 	fs, err := CreateFileStore(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fs.Version() != 2 {
-		t.Fatalf("new store version = %d, want 2", fs.Version())
 	}
 	id, err := fs.Alloc()
 	if err != nil {
@@ -109,128 +108,27 @@ func TestFileStoreDetectsTornWrite(t *testing.T) {
 	}
 }
 
-func TestFileStoreV1StillWorks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.pg")
-	fs, err := CreateFileStoreV1(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Version() != 1 {
-		t.Fatalf("v1 store version = %d", fs.Version())
-	}
-	id, _ := fs.Alloc()
-	want := fillPage(5)
-	if err := fs.Write(id, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fs, err = OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	if fs.Version() != 1 {
-		t.Fatalf("reopened v1 store version = %d", fs.Version())
-	}
-	got := make([]byte, PageSize)
-	if err := fs.Read(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("v1 payload corrupted")
-	}
-	// Nothing to verify on v1: no trailer.
-	if err := fs.VerifyPage(id); err != nil {
-		t.Fatalf("VerifyPage on v1: %v", err)
-	}
-}
-
-func TestMigrateFileStoreV1ToV2(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "v1.pg")
-	dst := filepath.Join(dir, "v2.pg")
-	fs, err := CreateFileStoreV1(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []PageID
-	for i := 0; i < 5; i++ {
-		id, err := fs.Alloc()
-		if err != nil {
+// TestOpenFileStoreRefusesV1 writes a v1 header by hand — the magic with
+// a version field of 0 (files from before the field existed) or 1 — and
+// checks that OpenFileStore refuses it with ErrOldFormat.
+func TestOpenFileStoreRefusesV1(t *testing.T) {
+	for _, version := range []uint32{0, 1} {
+		header := make([]byte, PageSize)
+		binary.LittleEndian.PutUint32(header[0:], fileMagic)
+		binary.LittleEndian.PutUint32(header[4:], 1) // page count: the header
+		binary.LittleEndian.PutUint32(header[8:], uint32(InvalidPage))
+		binary.LittleEndian.PutUint32(header[headerVersionOff:], version)
+		path := filepath.Join(t.TempDir(), "v1.pg")
+		if err := os.WriteFile(path, header, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := fs.Write(id, fillPage(byte(i))); err != nil {
-			t.Fatal(err)
+		fs, err := OpenFileStore(path)
+		if !errors.Is(err, ErrOldFormat) {
+			if fs != nil {
+				fs.Close()
+			}
+			t.Fatalf("version %d header: OpenFileStore = %v, want ErrOldFormat", version, err)
 		}
-		ids = append(ids, id)
-	}
-	// Free one so the migrated file carries a non-trivial free list.
-	if err := fs.Free(ids[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := MigrateFileStore(src, dst); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenFileStore(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Version() != 2 {
-		t.Fatalf("migrated version = %d, want 2", m.Version())
-	}
-	if m.NumPages() != 4 {
-		t.Fatalf("migrated live pages = %d, want 4", m.NumPages())
-	}
-	buf := make([]byte, PageSize)
-	for i, id := range ids {
-		if i == 2 {
-			continue
-		}
-		if err := m.Read(id, buf); err != nil {
-			t.Fatalf("page %d after migration: %v", id, err)
-		}
-		if !bytes.Equal(buf, fillPage(byte(i))) {
-			t.Fatalf("page %d payload changed by migration", id)
-		}
-	}
-	// The free list survived: allocating reuses the freed page.
-	id, err := m.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != ids[2] {
-		t.Fatalf("alloc after migration = %d, want recycled %d", id, ids[2])
-	}
-}
-
-func TestMigrateRefusesCorruptSource(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.pg")
-	fs, err := CreateFileStore(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := fs.Alloc()
-	if err := fs.Write(id, fillPage(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.CorruptPayload(id, 99); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err == nil {
-		// Close writes the header; corruption elsewhere doesn't fail it.
-		_ = err
-	}
-	err = MigrateFileStore(src, filepath.Join(dir, "dst.pg"))
-	if !errors.Is(err, ErrChecksum) {
-		t.Fatalf("migrating corrupt source: %v, want ErrChecksum", err)
 	}
 }
 

@@ -15,29 +15,19 @@ import (
 // first four bytes, so a reopened file recovers its allocator state
 // without a separate bitmap.
 //
-// Two on-disk formats coexist:
-//
-//   - v1 (legacy): pages are packed at id*PageSize with no integrity
-//     metadata. Readable and writable for compatibility; corruption is
-//     undetectable.
-//   - v2 (current): each physical page slot is PageSize+pageTrailerSize
-//     bytes — the logical 4096-byte payload followed by a trailer holding
-//     a CRC32-C over the payload and an echo of the PageID. Write seals
-//     the trailer; Read verifies it and returns a *ChecksumError (matching
-//     ErrChecksum) on mismatch, and a *BadPageError when the ID echo shows
-//     the slot holds a different page (a misdirected write). The logical
-//     page size seen by every layer above is unchanged, so tree fanout,
-//     node capacities and query results are byte-identical across formats.
-//
-// CreateFileStore writes v2; OpenFileStore accepts both; MigrateFileStore
-// upgrades v1 files.
+// The on-disk format is v2: each physical page slot is
+// PageSize+pageTrailerSize bytes — the logical 4096-byte payload followed
+// by a trailer holding a CRC32-C over the payload and an echo of the
+// PageID. Write seals the trailer; Read verifies it and returns a
+// *ChecksumError (matching ErrChecksum) on mismatch, and a *BadPageError
+// when the ID echo shows the slot holds a different page (a misdirected
+// write). The unchecksummed v1 format is refused with ErrOldFormat.
 type FileStore struct {
 	mu       sync.Mutex
 	f        *os.File
 	numPages int // total pages including the header
 	freeHead PageID
 	liveN    int
-	version  int
 	scratch  []byte // stride-sized I/O staging buffer, under mu
 	stats    Stats
 }
@@ -45,14 +35,16 @@ type FileStore struct {
 const (
 	fileMagic = 0x55545245 // "UTRE"
 
-	// fileVersionV1 is implied by a zero version field (pre-checksum files
-	// wrote zeros there); fileVersionV2 is the checksummed format.
-	fileVersionV1 = 1
+	// fileVersionV2 is the checksummed format. v1 files wrote 0 or 1 in
+	// the version field.
 	fileVersionV2 = 2
 
 	// pageTrailerSize is the per-page integrity trailer of the v2 format:
 	// CRC32-C over the payload (4 bytes) + PageID echo (4 bytes).
 	pageTrailerSize = 8
+
+	// stride is the physical bytes one page occupies on disk.
+	stride = PageSize + pageTrailerSize
 
 	// headerVersionOff is the byte offset of the format version inside the
 	// header page.
@@ -66,31 +58,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrBadMagic is returned when opening a file that is not a page file.
 var ErrBadMagic = errors.New("pagefile: bad magic (not a page file)")
 
-func newFileStore(f *os.File, version int) *FileStore {
-	fs := &FileStore{f: f, numPages: 1, freeHead: InvalidPage, version: version}
-	fs.scratch = make([]byte, fs.stride())
-	return fs
+// ErrOldFormat is returned when opening a page file in the unchecksummed
+// v1 format. Such a file is never decoded: rebuild it from its data.
+var ErrOldFormat = errors.New("pagefile: v1 page format (no page checksums); this version reads only v2 — rebuild the index")
+
+func newFileStore(f *os.File) *FileStore {
+	return &FileStore{f: f, numPages: 1, freeHead: InvalidPage, scratch: make([]byte, stride)}
 }
 
 // CreateFileStore creates (truncating) a file-backed store at path in the
-// current (v2, checksummed) format.
+// checksummed v2 format.
 func CreateFileStore(path string) (*FileStore, error) {
-	return createFileStore(path, fileVersionV2)
-}
-
-// CreateFileStoreV1 creates a store in the legacy unchecksummed v1 format.
-// It exists for migration round-trip tests and for producing files older
-// deployments can read; new files should use CreateFileStore.
-func CreateFileStoreV1(path string) (*FileStore, error) {
-	return createFileStore(path, fileVersionV1)
-}
-
-func createFileStore(path string, version int) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	fs := newFileStore(f, version)
+	fs := newFileStore(f)
 	if err := fs.writeHeader(); err != nil {
 		f.Close()
 		return nil, err
@@ -98,9 +81,8 @@ func createFileStore(path string, version int) (*FileStore, error) {
 	return fs, nil
 }
 
-// OpenFileStore opens an existing store, auto-detecting the format from
-// the header's version field (zero = v1, written before the field
-// existed).
+// OpenFileStore opens an existing v2 store. A v1 header (version field 0
+// or 1) fails with ErrOldFormat.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -115,51 +97,33 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, ErrBadMagic
 	}
-	version := int(binary.LittleEndian.Uint32(buf[headerVersionOff:]))
-	switch version {
-	case 0, fileVersionV1:
-		version = fileVersionV1
+	switch version := binary.LittleEndian.Uint32(buf[headerVersionOff:]); version {
 	case fileVersionV2:
+	case 0, 1:
+		f.Close()
+		return nil, ErrOldFormat
 	default:
 		f.Close()
 		return nil, fmt.Errorf("pagefile: unsupported format version %d", version)
 	}
-	fs := newFileStore(f, version)
+	fs := newFileStore(f)
 	fs.numPages = int(binary.LittleEndian.Uint32(buf[4:]))
 	fs.freeHead = PageID(binary.LittleEndian.Uint32(buf[8:]))
 	fs.liveN = int(binary.LittleEndian.Uint32(buf[12:]))
-	if version == fileVersionV2 {
-		// The header page carries a trailer too; verify it before trusting
-		// the allocator state we just decoded.
-		if err := fs.verifyLocked(0); err != nil {
-			f.Close()
-			return nil, err
-		}
+	// The header page carries a trailer too; verify it before trusting the
+	// allocator state we just decoded.
+	if err := fs.verifyLocked(0); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return fs, nil
 }
 
-// Version reports the on-disk format version (1 = legacy unchecksummed,
-// 2 = checksummed).
-func (fs *FileStore) Version() int { return fs.version }
+func (fs *FileStore) off(id PageID) int64 { return int64(id) * stride }
 
-// stride is the physical bytes one page occupies on disk.
-func (fs *FileStore) stride() int64 {
-	if fs.version >= fileVersionV2 {
-		return PageSize + pageTrailerSize
-	}
-	return PageSize
-}
-
-func (fs *FileStore) off(id PageID) int64 { return int64(id) * fs.stride() }
-
-// writePageLocked persists buf (len PageSize) as page id, sealing the v2
+// writePageLocked persists buf (len PageSize) as page id, sealing the
 // trailer. Caller holds fs.mu.
 func (fs *FileStore) writePageLocked(id PageID, buf []byte) error {
-	if fs.version < fileVersionV2 {
-		_, err := fs.f.WriteAt(buf, fs.off(id))
-		return err
-	}
 	copy(fs.scratch, buf)
 	binary.LittleEndian.PutUint32(fs.scratch[PageSize:], crc32.Checksum(buf, castagnoli))
 	binary.LittleEndian.PutUint32(fs.scratch[PageSize+4:], uint32(id))
@@ -167,23 +131,11 @@ func (fs *FileStore) writePageLocked(id PageID, buf []byte) error {
 	return err
 }
 
-// readPageLocked reads page id into buf (len PageSize), verifying the v2
+// readPageLocked reads page id into buf (len PageSize), verifying the
 // trailer. Caller holds fs.mu.
 func (fs *FileStore) readPageLocked(id PageID, buf []byte) error {
-	if fs.version < fileVersionV2 {
-		_, err := fs.f.ReadAt(buf, fs.off(id))
+	if err := fs.verifyLocked(id); err != nil {
 		return err
-	}
-	if _, err := fs.f.ReadAt(fs.scratch, fs.off(id)); err != nil {
-		return err
-	}
-	want := binary.LittleEndian.Uint32(fs.scratch[PageSize:])
-	got := crc32.Checksum(fs.scratch[:PageSize], castagnoli)
-	if want != got {
-		return &ChecksumError{Page: id, Want: want, Got: got}
-	}
-	if echo := PageID(binary.LittleEndian.Uint32(fs.scratch[PageSize+4:])); echo != id {
-		return &BadPageError{Page: id, Reason: fmt.Sprintf("trailer names page %d (misdirected write)", echo)}
 	}
 	copy(buf, fs.scratch[:PageSize])
 	return nil
@@ -195,9 +147,7 @@ func (fs *FileStore) writeHeader() error {
 	binary.LittleEndian.PutUint32(buf[4:], uint32(fs.numPages))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(fs.freeHead))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(fs.liveN))
-	if fs.version >= fileVersionV2 {
-		binary.LittleEndian.PutUint32(buf[headerVersionOff:], uint32(fs.version))
-	}
+	binary.LittleEndian.PutUint32(buf[headerVersionOff:], fileVersionV2)
 	return fs.writePageLocked(0, buf)
 }
 
@@ -298,12 +248,9 @@ func (fs *FileStore) Free(id PageID) error {
 	return fs.writeHeader()
 }
 
-// verifyLocked checks page id's trailer without copying the payload out or
-// charging Stats. Caller holds fs.mu; v1 files verify trivially.
+// verifyLocked reads page id into fs.scratch and checks its trailer,
+// without charging Stats. Caller holds fs.mu.
 func (fs *FileStore) verifyLocked(id PageID) error {
-	if fs.version < fileVersionV2 {
-		return nil
-	}
 	if _, err := fs.f.ReadAt(fs.scratch, fs.off(id)); err != nil {
 		return err
 	}
@@ -320,8 +267,7 @@ func (fs *FileStore) verifyLocked(id PageID) error {
 
 // VerifyPage implements PageVerifier: it checks the page's integrity
 // trailer without returning contents and without charging the read to
-// Stats, so scrubbing stays invisible to I/O-cost experiments. On v1
-// files there is nothing to verify and it returns nil.
+// Stats, so scrubbing stays invisible to I/O-cost experiments.
 func (fs *FileStore) VerifyPage(id PageID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -332,9 +278,8 @@ func (fs *FileStore) VerifyPage(id PageID) error {
 }
 
 // CorruptPayload implements Corrupter: flips one payload bit on disk
-// WITHOUT resealing the trailer, modelling silent media corruption. On a
-// v2 file the next Read of the page returns a *ChecksumError; on v1 the
-// flip is undetectable.
+// WITHOUT resealing the trailer, modelling silent media corruption: the
+// next Read of the page returns a *ChecksumError.
 func (fs *FileStore) CorruptPayload(id PageID, bit int) error {
 	if bit < 0 || bit >= PageSize*8 {
 		return fmt.Errorf("pagefile: corrupt bit %d out of range", bit)
@@ -356,8 +301,8 @@ func (fs *FileStore) CorruptPayload(id PageID, bit int) error {
 
 // WriteTorn implements TornWriter: persists only the first n bytes of
 // buf, leaving the page tail AND the trailer at their previous contents —
-// a torn write. On a v2 file the stale trailer no longer covers the mixed
-// payload, so the tear is detected on the next Read.
+// a torn write. The stale trailer no longer covers the mixed payload, so
+// the tear is detected on the next Read.
 func (fs *FileStore) WriteTorn(id PageID, buf []byte, n int) error {
 	if len(buf) != PageSize {
 		return ErrBadLength
@@ -436,43 +381,3 @@ func (fs *FileStore) NumPages() int {
 }
 
 func (fs *FileStore) Stats() *Stats { return &fs.stats }
-
-// MigrateFileStore copies the v1 (or v2) page file at srcPath into a new
-// v2 checksummed file at dstPath, preserving page IDs, the free list and
-// allocator state, and sealing a fresh trailer on every page. Reading a
-// corrupt v2 source page fails the migration (corruption must not be
-// laundered into a freshly-sealed trailer). The source is opened
-// read-write but not modified; dstPath is truncated.
-func MigrateFileStore(srcPath, dstPath string) error {
-	src, err := OpenFileStore(srcPath)
-	if err != nil {
-		return fmt.Errorf("pagefile: migrate: opening source: %w", err)
-	}
-	defer src.f.Close()
-	dst, err := createFileStore(dstPath, fileVersionV2)
-	if err != nil {
-		return fmt.Errorf("pagefile: migrate: creating destination: %w", err)
-	}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	dst.numPages = src.numPages
-	dst.freeHead = src.freeHead
-	dst.liveN = src.liveN
-	buf := make([]byte, PageSize)
-	for p := 1; p < src.numPages; p++ {
-		id := PageID(p)
-		if err := src.readPageLocked(id, buf); err != nil {
-			dst.f.Close()
-			return fmt.Errorf("pagefile: migrate: reading page %d: %w", id, err)
-		}
-		if err := dst.writePageLocked(id, buf); err != nil {
-			dst.f.Close()
-			return fmt.Errorf("pagefile: migrate: writing page %d: %w", id, err)
-		}
-	}
-	if err := dst.writeHeader(); err != nil {
-		dst.f.Close()
-		return fmt.Errorf("pagefile: migrate: writing header: %w", err)
-	}
-	return dst.f.Close()
-}

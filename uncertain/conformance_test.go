@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -518,6 +519,26 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 			tree.Close()
 		}
 		t.Fatalf("OpenTree on a UTR1 file: err = %v, want ErrOldLayout", err)
+	}
+}
+
+// TestOpenTreeRefusesV1PageFormat: a page file whose header carries the
+// page-file magic ("UTRE") and a zero version field — the unchecksummed v1
+// format — is refused with pagefile.ErrOldFormat, never decoded.
+func TestOpenTreeRefusesV1PageFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.utree")
+	header := make([]byte, pagefile.PageSize)
+	copy(header, "ERTU") // "UTRE", little endian; bytes 16–19 (version) stay 0
+	header[4] = 1        // page count: the header alone
+	if err := os.WriteFile(path, header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenTree(path, Config{})
+	if !errors.Is(err, pagefile.ErrOldFormat) {
+		if err == nil {
+			tree.Close()
+		}
+		t.Fatalf("OpenTree on a v1 page file: err = %v, want pagefile.ErrOldFormat", err)
 	}
 }
 

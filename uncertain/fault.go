@@ -11,8 +11,8 @@ import (
 
 // Storage fault tolerance, public surface. The storage stack underneath an
 // index detects corruption with per-page checksums on every read
-// (ErrChecksum), retries transient faults with jittered backoff
-// (Config.RetryAttempts; the retries appear in Stats.Retries and
+// (ErrChecksum), retries transient faults with a fixed jittered backoff
+// (pagefile.RetryPolicy's defaults; the retries appear in Stats.Retries and
 // Health().Retries), quarantines pages proven corrupt so they are never
 // served from a cache (Health()), verifies the whole committed tree when
 // asked (Tree.Scrub), and — on sharded indexes — can serve degraded

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -135,24 +134,23 @@ type Config struct {
 	// physically reclaimed. A hit skips the page fetch and the node decode
 	// entirely — the query hot path runs allocation-free. 0 → 1024 entries;
 	// negative disables the cache.
+	//
+	// It pays when the nodes queries visit fit in it: switched off on the
+	// benchmark's warm workloads, page reads per query rise 30–80 % and a
+	// warm query's median latency rises 1.5–2× on the 3-D sharded and
+	// churn workloads. When the tree is ~20× the cache (the cold CA
+	// workload) it saves under 1 % of reads. Its price is heap: 9–42 % of
+	// the live heap on those workloads.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory)
 	// before the retry and versioning layers — the fault-injection and
 	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
-	// also make a slow store). Production code leaves it nil.
-	WrapStore func(pagefile.Store) pagefile.Store
-	// RetryAttempts bounds the storage stack's transient-fault retry loop:
-	// the total attempts per page operation, including the first. 0 selects
-	// the default (3); negative disables retrying entirely. Retries are
-	// per-operation storage events, not logical I/O — a read that needed
-	// three attempts is still one buffer-pool miss and one page-budget
-	// charge. The traffic is observable in query Stats.Retries and
+	// also make a slow store). Production code leaves it nil. Transient
+	// faults from the wrapped store are retried with pagefile.RetryPolicy's
+	// defaults (3 attempts, 100µs base backoff, 10ms cap, jitter seeded
+	// from Seed); the retries appear in query Stats.Retries and
 	// Health().Retries.
-	RetryAttempts int
-	// RetryBaseDelay / RetryMaxDelay shape the jittered exponential backoff
-	// between retry attempts (0 → 100µs base, 10ms cap).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
+	WrapStore func(pagefile.Store) pagefile.Store
 	// AdaptivePlanning is read by nothing: every commit records the root box
 	// that shard pruning and NN shard ranking use.
 	//
@@ -180,9 +178,9 @@ type Tree struct {
 	mu     sync.Mutex // serializes writers; the read path takes no lock
 	inner  *core.Tree
 	file   *pagefile.FileStore
-	retry  *pagefile.RetryStore // nil when Config.RetryAttempts < 0
-	pdfs   map[int64]Rect       // id → region MBR, to make Delete(id) ergonomic
-	closed bool                 // set by Close/Discard; makes both idempotent
+	retry  *pagefile.RetryStore
+	pdfs   map[int64]Rect // id → region MBR, to make Delete(id) ergonomic
+	closed bool           // set by Close/Discard; makes both idempotent
 
 	// Write-path state (batch.go), under mu. undo records the pdfs-map
 	// mutations since the last epoch so a rollback can revert the session's
@@ -268,9 +266,9 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → transient-fault retry (unless
-// disabled). Retry sits below core's versioning and buffer pool, so a
-// retried read stays one pool miss and one page-budget charge.
+// The stack is base → Config.WrapStore → transient-fault retry. Retry sits
+// below core's versioning and buffer pool, so a retried read stays one pool
+// miss and one page-budget charge.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs, pdfs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -280,19 +278,11 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	if cfg.WrapStore != nil {
 		store = cfg.WrapStore(store)
 	}
-	if cfg.RetryAttempts >= 0 {
-		t.retry = pagefile.NewRetryStore(store, pagefile.RetryPolicy{
-			MaxAttempts: cfg.RetryAttempts,
-			BaseDelay:   cfg.RetryBaseDelay,
-			MaxDelay:    cfg.RetryMaxDelay,
-			Seed:        cfg.Seed,
-		})
-		store = t.retry
-	}
+	t.retry = pagefile.NewRetryStore(store, pagefile.RetryPolicy{Seed: cfg.Seed})
 	opt := core.Options{
 		Dim:              cfg.Dimensions,
 		CatalogSize:      cfg.CatalogSize,
-		Store:            store,
+		Store:            t.retry,
 		MCSamples:        cfg.MonteCarloSamples,
 		ExactRefinement:  cfg.ExactRefinement,
 		Seed:             cfg.Seed,
@@ -531,9 +521,6 @@ func (t *Tree) Close() error {
 // unblockRetries binds a cancelled context to the retry layer so no
 // concurrent reader sits out a backoff sleep while the index tears down.
 func (t *Tree) unblockRetries() {
-	if t.retry == nil {
-		return
-	}
 	//ulint:ignore ctxflow constructs an already-cancelled context on purpose; nothing upstream can cancel sooner
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
