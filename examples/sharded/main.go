@@ -1,8 +1,9 @@
 // Command sharded demonstrates the sharded scatter-gather index: a fleet
 // tracker ingesting a live stream of position updates while dashboards
-// query continuously. The ShardedTree keeps queries flowing because a
-// position update locks only the shard owning that vehicle, and each query
-// fans out across all shards concurrently, each on a pinned snapshot.
+// query continuously. The ShardedTree splits the city into four slabs: a
+// position update locks only the slab the vehicle is in, and each query
+// fans out concurrently to the slabs its zone touches, each on a pinned
+// snapshot; the others are skipped on their root boxes.
 package main
 
 import (
@@ -15,17 +16,18 @@ import (
 )
 
 func main() {
-	st, err := uncertain.NewShardedTree(4, uncertain.Config{
+	city := uncertain.Box(uncertain.Pt(0, 0), uncertain.Pt(10000, 10000))
+	st, err := uncertain.NewSpatialShardedTree(4, uncertain.Config{
 		Dimensions:      2,
 		ExactRefinement: true,
-	})
+	}, city)
 	if err != nil {
 		panic(err)
 	}
 	defer st.Close()
 
 	// 4000 vehicles with uncertain GPS positions, bulk-loaded and split
-	// across the shards by ID hash.
+	// across the slabs by position.
 	rng := rand.New(rand.NewSource(7))
 	fleet := make(map[int64]uncertain.PDF, 4000)
 	for id := int64(0); id < 4000; id++ {
@@ -80,6 +82,6 @@ func main() {
 		polls, elapsed.Round(time.Millisecond), float64(polls)/elapsed.Seconds())
 	fmt.Printf("%d vehicles matched; %d of %d validated straight from PCRs\n",
 		found, agg.Validated, agg.Results)
-	fmt.Printf("%.1f node accesses per poll, summed across shards\n",
-		float64(agg.NodeAccesses)/polls)
+	fmt.Printf("%.1f node accesses per poll, summed across shards; %d shard visits skipped\n",
+		float64(agg.NodeAccesses)/polls, agg.ShardsPruned)
 }

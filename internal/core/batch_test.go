@@ -134,7 +134,7 @@ func TestGCInfoCounters(t *testing.T) {
 		doomed = append(doomed, objs[i])
 	}
 	// Data pages: what the tree references that is neither node nor metadata.
-	dataPages, err := tree.ReachablePages()
+	dataPages, err := tree.ReachablePages(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

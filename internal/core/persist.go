@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
 
@@ -125,14 +126,23 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 // garbage drain leaves superseded shadow pages allocated but unreferenced,
 // and the store can return exactly the complement of this set (plus its
 // own metadata) to the free list.
-func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
+//
+// A non-nil object receives the id and region MBR of every leaf entry on
+// the way, read off the same leaf pages — the (id, mbr) pairs Delete
+// needs, recovered at open without another page read. The MBR is a copy;
+// the decoded node's own slices are shared with the node cache.
+func (t *Tree) ReachablePages(object func(id int64, mbr geom.Rect)) (map[pagefile.PageID]bool, error) {
 	reach := make(map[pagefile.PageID]bool)
 	err := t.walk(t.rootPage, func(n *node) error {
 		reach[n.page] = true
 		if n.level == 0 {
 			for i := range n.entries {
-				if p := n.entries[i].addr.Page; p != pagefile.InvalidPage {
-					reach[p] = true
+				e := &n.entries[i]
+				if e.addr.Page != pagefile.InvalidPage {
+					reach[e.addr.Page] = true
+				}
+				if object != nil {
+					object(e.id, e.mbr.Clone())
 				}
 			}
 		}

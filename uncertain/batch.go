@@ -3,8 +3,6 @@ package uncertain
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/core"
 )
 
 // The write path: outside WriteBatch every Insert and Delete publishes as
@@ -14,40 +12,35 @@ import (
 // Snapshots only ever observe committed boundaries; a crash recovers to
 // the last committed boundary, never mid-batch.
 
-// pdfUndo is one entry of the uncommitted mutations' bookkeeping journal:
-// enough to restore the pdfs map if they roll back.
-type pdfUndo struct {
+// mbrUndo is one entry of the directory's journal since the last epoch: an
+// ID and its MBR before the mutation (zero: not live).
+type mbrUndo struct {
 	id   int64
 	prev Rect
-	had  bool
 }
 
-// trackInsert records the pdfs-map update (with its undo entry) for a
-// completed insert.
-func (t *Tree) trackInsert(id int64, mbr Rect) {
-	prev, had := t.pdfs[id]
-	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
-	t.pdfs[id] = mbr
+// track records a completed mutation in the directory, with its undo
+// entry: mbr is the inserted object's region, zero for a delete.
+func (t *Tree) track(id int64, mbr Rect) {
+	t.undo = append(t.undo, mbrUndo{id: id, prev: t.mbrs[id]})
+	t.setMBR(id, mbr)
 }
 
-// trackDelete records the pdfs-map removal for a completed delete.
-func (t *Tree) trackDelete(id int64) {
-	prev, had := t.pdfs[id]
-	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
-	delete(t.pdfs, id)
-}
-
-// revertUndo replays the bookkeeping journal backwards.
+// revertUndo replays the journal backwards.
 func (t *Tree) revertUndo() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		if u.had {
-			t.pdfs[u.id] = u.prev
-		} else {
-			delete(t.pdfs, u.id)
-		}
+		t.setMBR(t.undo[i].id, t.undo[i].prev)
 	}
 	t.undo = t.undo[:0]
+}
+
+// setMBR makes id live with region mbr, or removes it for a zero mbr.
+func (t *Tree) setMBR(id int64, mbr Rect) {
+	if mbr.Dim() == 0 {
+		delete(t.mbrs, id)
+	} else {
+		t.mbrs[id] = mbr
+	}
 }
 
 // endOp publishes a completed mutation as its own epoch, unless it joined
@@ -70,17 +63,16 @@ func (t *Tree) commit() error {
 	return nil
 }
 
-// BatchWriter is the mutation surface inside WriteBatch. Errors are
-// sticky: after a failed operation (other than a not-found delete) the
-// batch is already rolled back and every later call returns the same error.
+// BatchWriter is the mutation surface inside WriteBatch. ErrDuplicateID
+// and ErrNotFound mutate nothing and leave the batch usable; fn decides
+// whether they fail it (return the error and the whole batch rolls back).
+// Any other error is sticky: the batch is already rolled back and every
+// later call returns the same error.
 type BatchWriter interface {
 	// Insert adds an object to the batch.
 	Insert(id int64, pdf PDF) error
-	// Delete removes an object inserted in this process lifetime.
+	// Delete removes an object by ID.
 	Delete(id int64) error
-	// DeleteWithRegion removes an object by ID and region MBR. A not-found
-	// delete returns core's not-found error without poisoning the batch.
-	DeleteWithRegion(id int64, regionMBR Rect) error
 }
 
 // treeBatch implements BatchWriter over a Tree whose inBatch flag holds
@@ -96,7 +88,7 @@ func (b *treeBatch) run(op func() error) error {
 		return fmt.Errorf("uncertain: batch already failed: %w", b.err)
 	}
 	if err := op(); err != nil {
-		if !errors.Is(err, core.ErrNotFound) {
+		if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrDuplicateID) {
 			b.err = err
 		}
 		return err
@@ -110,10 +102,6 @@ func (b *treeBatch) Insert(id int64, pdf PDF) error {
 
 func (b *treeBatch) Delete(id int64) error {
 	return b.run(func() error { return b.t.delete(id) })
-}
-
-func (b *treeBatch) DeleteWithRegion(id int64, regionMBR Rect) error {
-	return b.run(func() error { return b.t.deleteWithRegion(id, regionMBR) })
 }
 
 // WriteBatch runs fn against a batch writer under the writer lock and

@@ -117,13 +117,13 @@ func TestWriteBatchRollback(t *testing.T) {
 	if n := tree.Len(); n != 1 {
 		t.Fatalf("failed batch left Len=%d, want 1", n)
 	}
-	// The pdfs bookkeeping must roll back with the index: id 1 is still
+	// The ID directory must roll back with the index: id 1 is still
 	// deletable by bare ID, the batch's inserts are not.
-	if err := tree.Delete(20); err == nil {
-		t.Fatal("rolled-back insert still tracked in pdfs map")
+	if err := tree.Delete(20); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of a rolled-back insert: %v, want ErrNotFound", err)
 	}
 	if err := tree.Delete(1); err != nil {
-		t.Fatalf("pre-batch object lost its pdfs tracking: %v", err)
+		t.Fatalf("pre-batch object left the directory: %v", err)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestWriteBatchRollback(t *testing.T) {
 }
 
 func TestShardedWriteBatchAndGCInfo(t *testing.T) {
-	s, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true})
+	s, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}

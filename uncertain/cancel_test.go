@@ -173,12 +173,12 @@ func TestNNCancel(t *testing.T) {
 // and returns the caller's context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
 	var chaos []*pagefile.ChaosStore // one per shard, built one after another
-	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			cs := pagefile.NewChaosStore(s, 1)
 			chaos = append(chaos, cs)
 			return cs
-		}})
+		}}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestPageBudgetNN(t *testing.T) {
 // the scatter-gather — the merged partial results come back together with
 // ErrBudgetExceeded.
 func TestShardedBudgetPartial(t *testing.T) {
-	st, err := NewShardedTree(2, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1})
+	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@ import (
 // the estimator's 6σ band under Monte Carlo. It also pins what the single
 // tree type promises on top: a reopened file serves lock-free readers
 // beside its writer, Monte-Carlo answers do not depend on query order, and
-// a sharded fan-out with nothing to rank on starts every shard at once.
+// a sharded k-NN fan-out whose bound is still open starts every shard after
+// the seeding one at once.
 
 const (
 	conformanceSamples = 1500
@@ -205,14 +206,16 @@ func TestIndexConformance(t *testing.T) {
 			return idx, objs
 		}},
 		{"sharded-1", func(t *testing.T, cfg Config) (Index, []core.Object) {
-			idx, err := NewShardedTree(1, cfg)
+			idx, err := NewSpatialShardedTree(1, cfg, domain)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return idx, conformanceLoad(t, idx)
 		}},
 		{"sharded-3", func(t *testing.T, cfg Config) (Index, []core.Object) {
-			idx, err := NewShardedTree(3, cfg)
+			// A domain narrower than the data: the edge slabs also take
+			// every object whose center lies outside it.
+			idx, err := NewSpatialShardedTree(3, cfg, Box(Pt(300, 0), Pt(700, conformanceSpan)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -702,18 +705,18 @@ func (s *rendezvousStore) Read(id pagefile.PageID, buf []byte) error {
 	return s.Store.Read(id, buf)
 }
 
-// TestShardedNNLaunchesAllShards: a hash-sharded NN query ranks its shards
-// by the distance from q to their root boxes, runs the nearest alone to
-// seed the shared bound, and then launches every other shard at once —
-// none waits for a sibling. Every shard of a hash split covers the domain,
-// so at the domain's centre all tie at distance 0 and shard 0 (the lowest
-// index) seeds; the other shards' first page reads must all be in flight
-// together, and none is pruned.
+// TestShardedNNLaunchesAllShards: a sharded NN query ranks its shards by
+// the distance from q to their root boxes, runs the nearest alone to seed
+// the shared bound, and then launches every other shard at once — none
+// waits for a sibling. q lies in shard 0's slab, so shard 0 seeds; k is the
+// whole population, more than any one shard holds, so the seeding shard
+// leaves the bound open, the other shards' first page reads must all be
+// in flight together, and none is pruned.
 func TestShardedNNLaunchesAllShards(t *testing.T) {
-	const shards = 3
+	const shards, n = 3, 300
 	gate := &rendezvous{want: shards - 1, all: make(chan struct{})}
 	built := 0 // WrapStore runs once per shard, in shard order
-	st, err := NewShardedTree(shards, Config{
+	st, err := NewSpatialShardedTree(shards, Config{
 		Dimensions:       2,
 		BufferPages:      1, // every node visit reaches the store
 		NodeCacheEntries: -1,
@@ -724,19 +727,19 @@ func TestShardedNNLaunchesAllShards(t *testing.T) {
 			}
 			return &rendezvousStore{Store: s, gate: gate}
 		},
-	})
+	}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.BulkLoad(shardedFixtureObjects(300, 61)); err != nil {
+	if err := st.BulkLoad(shardedFixtureObjects(n, 61)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	gate.armed.Store(true)
-	_, stats, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5)
+	_, stats, err := st.NearestNeighbors(context.Background(), Pt(100, 500), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,6 +750,6 @@ func TestShardedNNLaunchesAllShards(t *testing.T) {
 		t.Fatalf("%d of the %d shards after the seeding one read a page", n, shards-1)
 	}
 	if stats.ShardsPruned != 0 {
-		t.Fatalf("%d shards pruned at the centre of a hash split", stats.ShardsPruned)
+		t.Fatalf("%d shards pruned under an open bound", stats.ShardsPruned)
 	}
 }

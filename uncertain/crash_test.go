@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -81,13 +82,47 @@ func buildCrashGolden(t *testing.T, path string, cfg Config) (wantLen int, want 
 	return wantLen, want
 }
 
+// crashIDs is every ID a crash test's tree can hold: the golden build's
+// base population and victim, and the killed operations' inserts.
+func crashIDs() []int64 {
+	var ids []int64
+	for id := int64(0); id < 140; id++ {
+		ids = append(ids, id)
+	}
+	return append(ids, 9000, 9100, 9101, 9102)
+}
+
+// deleteAllByID deletes every object of a recovered tree by its bare ID —
+// the directory OpenTree rebuilt from the leaves must address each one —
+// and requires the tree empty and intact afterwards.
+func deleteAllByID(t *testing.T, k int, rt *Tree) {
+	t.Helper()
+	live := rt.Len()
+	deleted := 0
+	for _, id := range crashIDs() {
+		switch err := rt.Delete(id); {
+		case err == nil:
+			deleted++
+		case !errors.Is(err, ErrNotFound):
+			t.Fatalf("offset %d: Delete(%d) on the recovered tree: %v", k, id, err)
+		}
+	}
+	if deleted != live || rt.Len() != 0 {
+		t.Fatalf("offset %d: deleted %d of %d recovered objects by ID, Len %d left", k, deleted, live, rt.Len())
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatalf("offset %d: invariants after deleting every object: %v", k, err)
+	}
+}
+
 // runCrashSweep kills op(tree) at every store-operation offset k: each
 // round restores a pristine copy of the golden file, reopens it with a
 // FaultStore armed to fail after k operations, runs op, simulates the
 // crash (Discard: no flush, no commit, no header write), reopens without
 // faults and verifies the recovered tree. verify receives the recovered
-// tree and whether op had reported success. The sweep ends when the
-// countdown outlives the whole operation.
+// tree and whether op had reported success; then every recovered object
+// is deleted by ID. The sweep ends when the countdown outlives the whole
+// operation.
 func runCrashSweep(t *testing.T, golden []byte, cfg Config, queries []RangeQuery,
 	op func(*Tree) error, verify func(t *testing.T, k int, rt *Tree, opOK bool)) {
 	t.Helper()
@@ -128,6 +163,7 @@ func runCrashSweep(t *testing.T, golden []byte, cfg Config, queries []RangeQuery
 			t.Fatalf("offset %d: recovered epoch 0", k)
 		}
 		verify(t, k, rt, opOK)
+		deleteAllByID(t, k, rt)
 		if err := rt.Close(); err != nil {
 			t.Fatalf("offset %d: closing recovered tree: %v", k, err)
 		}
@@ -210,7 +246,7 @@ func TestCrashRecoveryKilledBatch(t *testing.T) {
 						return err
 					}
 				}
-				return w.DeleteWithRegion(9000, Box(Pt(5988, 5988), Pt(6012, 6012)))
+				return w.Delete(9000)
 			})
 		},
 		func(t *testing.T, k int, rt *Tree, opOK bool) {
@@ -291,7 +327,7 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: reopen after crash: %v", k, err)
 		}
-		reach, err := rt.inner.ReachablePages()
+		reach, err := rt.inner.ReachablePages(nil)
 		if err != nil {
 			t.Fatalf("offset %d: reachable walk: %v", k, err)
 		}
@@ -336,7 +372,7 @@ func TestCrashRecoveryKilledDelete(t *testing.T) {
 	// (6000,6000), inserted by the golden build).
 	runCrashSweep(t, golden, cfg, queries,
 		func(tree *Tree) error {
-			return tree.DeleteWithRegion(9000, Box(Pt(5988, 5988), Pt(6012, 6012)))
+			return tree.Delete(9000)
 		},
 		func(t *testing.T, k int, rt *Tree, opOK bool) {
 			got := crashSearchAll(t, rt, queries)

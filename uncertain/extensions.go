@@ -67,7 +67,7 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 		return t.rollback(err)
 	}
 	for _, o := range objs {
-		t.pdfs[o.ID] = o.PDF.MBR()
+		t.mbrs[o.ID] = o.PDF.MBR()
 	}
 	return nil
 }

@@ -291,7 +291,7 @@ func TestScrubFindsSilentCorruption(t *testing.T) {
 		t.Fatalf("clean scrub quarantined %+v", h.Quarantined)
 	}
 
-	reach, err := tree.inner.ReachablePages()
+	reach, err := tree.inner.ReachablePages(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +316,13 @@ func TestScrubFindsSilentCorruption(t *testing.T) {
 // TestDegradedShardedReads kills one shard's storage and checks the
 // degraded-read contract: without WithAllowDegraded the query fails
 // whole; with it, the healthy shards answer and the error is a
-// *DegradedError naming the dead shard. All shards dead stays fatal.
+// *DegradedError naming the dead shard. All shards dead stays fatal. The
+// queries reach every shard — the dead one's root box is never pruned — so
+// the fault cannot hide behind shard pruning.
 func TestDegradedShardedReads(t *testing.T) {
 	const shards = 3
 	var stores []*pagefile.ChaosStore
-	st, err := NewShardedTree(shards, Config{
+	st, err := NewSpatialShardedTree(shards, Config{
 		Dimensions:       2,
 		ExactRefinement:  true,
 		Seed:             17,
@@ -331,7 +333,7 @@ func TestDegradedShardedReads(t *testing.T) {
 			stores = append(stores, cs)
 			return cs
 		},
-	})
+	}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +366,12 @@ func TestDegradedShardedReads(t *testing.T) {
 		t.Fatalf("non-degraded query reported ErrDegraded: %v", err)
 	}
 
-	res, _, err := st.Search(context.Background(), all, 0.3, WithAllowDegraded(true))
+	res, stats, err := st.Search(context.Background(), all, 0.3, WithAllowDegraded(true))
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded query error = %v, want ErrDegraded", err)
+	}
+	if stats.ShardsPruned != 0 {
+		t.Fatalf("%d shards pruned: the query must reach the dead shard", stats.ShardsPruned)
 	}
 	var derr *DegradedError
 	if !errors.As(err, &derr) {
@@ -383,22 +388,23 @@ func TestDegradedShardedReads(t *testing.T) {
 		if !ok || prob != r.Prob {
 			t.Fatalf("degraded result %d (P=%v) not in the clean baseline", r.ID, r.Prob)
 		}
-		if st.shardIndex(r.ID) == dead {
-			t.Fatalf("degraded result %d is routed to the dead shard %d", r.ID, dead)
+		if st.owner(r.ID) == dead {
+			t.Fatalf("degraded result %d is held by the dead shard %d", r.ID, dead)
 		}
 	}
 
-	// NN follows the same contract.
+	// NN follows the same contract. q lies in the dead shard's slab, so that
+	// shard ranks first and is always launched.
 	nns, _, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5, WithAllowDegraded(true))
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("degraded NN error = %v, want ErrDegraded", err)
+	if !errors.As(err, &derr) || len(derr.Shards) != 1 || derr.Shards[0] != dead {
+		t.Fatalf("degraded NN error = %v, want a *DegradedError naming shard %d", err, dead)
 	}
 	if len(nns) == 0 {
 		t.Fatal("degraded NN returned no partial neighbors")
 	}
 	for _, n := range nns {
-		if st.shardIndex(n.ID) == dead {
-			t.Fatalf("degraded neighbor %d is routed to the dead shard", n.ID)
+		if st.owner(n.ID) == dead {
+			t.Fatalf("degraded neighbor %d is held by the dead shard", n.ID)
 		}
 	}
 
@@ -421,7 +427,7 @@ func TestDegradedShardedReads(t *testing.T) {
 func TestCloseDiscardIdempotentAllVariants(t *testing.T) {
 	mk := map[string]func() (Index, error){
 		"tree":    func() (Index, error) { return NewTree(Config{Dimensions: 2}) },
-		"sharded": func() (Index, error) { return NewShardedTree(2, Config{Dimensions: 2}) },
+		"sharded": func() (Index, error) { return NewSpatialShardedTree(2, Config{Dimensions: 2}, fixtureDomain) },
 	}
 	type discarder interface{ Discard() error }
 	for name, build := range mk {

@@ -13,9 +13,10 @@ import (
 //   - Tree: lock-free snapshot reads beside one serialized writer; queries
 //     pin the committed epoch and never wait on a writer's page I/O. A
 //     single goroutine pays one uncontended mutex per mutation.
-//   - ShardedTree: K independent Trees; queries fan out across the shards
-//     concurrently (a spatial split skips shards whose root box misses
-//     the query), and writers on different shards proceed in parallel.
+//   - ShardedTree: K independent Trees over slabs of the domain; queries
+//     fan out across the shards concurrently (skipping shards whose root
+//     box misses the query), and writers on different shards proceed in
+//     parallel.
 //
 // Every Index is safe for concurrent use and can be handed to a
 // QueryEngine. Queries observe the last committed epoch: every completed
@@ -29,9 +30,12 @@ import (
 // budgets are per-query decisions, with no global mutator and no lock taken
 // to change them.
 type Index interface {
-	// Insert adds an object. IDs must be unique across the whole index.
+	// Insert adds an object. An ID live anywhere in the index returns
+	// ErrDuplicateID and mutates nothing.
 	Insert(id int64, pdf PDF) error
-	// Delete removes an object inserted in this process lifetime.
+	// Delete removes an object by ID, whenever and by whichever handle it
+	// was inserted. An ID that is not live returns ErrNotFound and mutates
+	// nothing.
 	Delete(id int64) error
 	// BulkLoad batch-builds an empty index bottom-up.
 	BulkLoad(objects map[int64]PDF) error

@@ -10,50 +10,48 @@ import (
 	"repro/internal/core"
 )
 
-// ShardedTree partitions the object set across K independent Tree shards,
-// each with its own store, buffer pool and writer lock. Objects are routed
-// to a shard by a hash of their ID, and queries scatter-gather: every shard
-// is searched concurrently and the partial answers are merged (with Stats
-// summed via core's merge helpers).
+// ShardedTree partitions the data domain into K equal slabs along
+// dimension 0, one independent Tree shard each, with its own store, buffer
+// pool and writer lock. An object lives in the slab holding its pdf-MBR
+// center, and queries scatter-gather: the shards are searched concurrently
+// and the partial answers are merged (with Stats summed via core's merge
+// helpers). Every commit records its shard's root box, so the
+// scatter-gather skips shards whose committed root box cannot intersect
+// the query — see Search and NearestNeighbors.
 //
 // Compared to a single Tree, one query runs its shards' traversals
 // concurrently, and writers on different shards proceed in parallel (each
 // shard serializes only its own writers); readers never stall on writers
 // at all — every shard query runs on a pinned snapshot of that shard's
-// latest committed epoch.
+// latest committed epoch. Search results are returned sorted by ID (the
+// merge order), and with Config.ExactRefinement they are identical —
+// probabilities included — to a single tree over the same objects,
+// whatever the shard count.
 //
-// The split is by ID hash, not by space, so every shard sees queries from
-// the whole domain; each sub-tree indexes a uniform 1/K sample of the
-// data. Search results are returned sorted by ID (the merge order), and
-// with Config.ExactRefinement they are identical — probabilities included
-// — to a single tree over the same objects, whatever the shard count.
-//
-// NewSpatialShardedTree routes by location instead, giving the shards
-// (mostly) disjoint root boxes. Every commit records its shard's root box,
-// so the scatter-gather skips shards whose committed root box cannot
-// intersect the query — see Search and NearestNeighbors.
+// An ID addresses one object in the whole index: Insert refuses an ID any
+// shard holds, and Delete(id) finds the shard whose directory holds it.
+// The check and the insert are not one step across shards, so two Inserts
+// of one ID racing into different slabs can both succeed; give an ID to
+// one writer at a time.
 type ShardedTree struct {
 	shards []*Tree
-
-	// Spatial routing state (NewSpatialShardedTree). Objects are routed by
-	// their pdf-MBR center into equal slabs of domain along dimension 0
-	// rather than by ID hash, so the per-shard root MBRs are prunable.
-	// routes remembers each live object's shard for Delete-by-ID — the
-	// sharded analogue of Tree's session-lifetime ID tracking.
-	spatial  bool
-	domain   Rect
-	routesMu sync.Mutex
-	routes   map[int64]int
+	domain Rect // the slabs split it along dimension 0
 }
 
-// NewShardedTree creates an index with the given shard count. Every shard
-// is built from cfg; with Config.Path set, shard i is backed by the file
-// "<path>.shard<i>".
-func NewShardedTree(shards int, cfg Config) (*ShardedTree, error) {
+// NewSpatialShardedTree creates an index whose shards partition domain
+// into equal slabs along dimension 0 (objects are routed by their pdf-MBR
+// center; objects outside the domain land in the nearest edge slab), which
+// keeps the per-shard root boxes disjoint-ish — what gives shard pruning
+// its teeth. Every shard is built from cfg; with Config.Path set, shard i
+// is backed by the file "<path>.shard<i>".
+func NewSpatialShardedTree(shards int, cfg Config, domain Rect) (*ShardedTree, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("uncertain: shard count %d, need ≥ 1", shards)
 	}
-	s := &ShardedTree{shards: make([]*Tree, shards)}
+	if !domain.IsValid() || domain.Side(0) <= 0 {
+		return nil, fmt.Errorf("uncertain: spatial sharding needs a valid domain with positive extent on dimension 0, got %v", domain)
+	}
+	s := &ShardedTree{shards: make([]*Tree, shards), domain: domain.Clone()}
 	for i := range s.shards {
 		scfg := cfg
 		if cfg.Path != "" {
@@ -71,37 +69,12 @@ func NewShardedTree(shards int, cfg Config) (*ShardedTree, error) {
 	return s, nil
 }
 
-// NewSpatialShardedTree creates an index whose shards partition the data
-// domain into equal slabs along dimension 0 (objects are routed by their
-// pdf-MBR center; objects outside the domain land in the nearest edge
-// slab). Spatial sharding makes the per-shard root MBRs disjoint-ish,
-// which is what gives shard pruning its teeth — under ID-hash sharding
-// every shard covers the whole domain and no query can skip any of them.
-//
-// Because the shard is no longer derivable from the ID alone, Delete by
-// bare ID only works for objects inserted (or bulk-loaded) through this
-// handle during its lifetime; other objects need DeleteWithRegion, the
-// same contract Tree has for reopened files.
-func NewSpatialShardedTree(shards int, cfg Config, domain Rect) (*ShardedTree, error) {
-	if !domain.IsValid() || domain.Side(0) <= 0 {
-		return nil, fmt.Errorf("uncertain: spatial sharding needs a valid domain with positive extent on dimension 0, got %v", domain)
-	}
-	s, err := NewShardedTree(shards, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.spatial = true
-	s.domain = domain.Clone()
-	s.routes = make(map[int64]int)
-	return s, nil
-}
-
 // Shards returns the shard count.
 func (s *ShardedTree) Shards() int { return len(s.shards) }
 
-// spatialIndex routes a region MBR to the slab holding its center,
-// clamped to the edge slabs for out-of-domain objects.
-func (s *ShardedTree) spatialIndex(mbr Rect) int {
+// slab routes a region MBR to the slab holding its center, clamped to the
+// edge slabs for out-of-domain objects.
+func (s *ShardedTree) slab(mbr Rect) int {
 	if mbr.Dim() == 0 {
 		return 0
 	}
@@ -116,78 +89,34 @@ func (s *ShardedTree) spatialIndex(mbr Rect) int {
 	return i
 }
 
-// shardIndex routes an object ID to its shard with a splitmix64-style
-// finalizer, so dense sequential IDs still spread uniformly.
-func (s *ShardedTree) shardIndex(id int64) int {
-	h := uint64(id)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int(h % uint64(len(s.shards)))
+// owner returns the shard whose directory holds id, or -1.
+func (s *ShardedTree) owner(id int64) int {
+	for i, sh := range s.shards {
+		if sh.holds(id) {
+			return i
+		}
+	}
+	return -1
 }
 
-func (s *ShardedTree) shardFor(id int64) *Tree {
-	return s.shards[s.shardIndex(id)]
-}
-
-// Insert adds an object to the shard owning its ID (hash sharding) or the
-// slab holding its pdf-MBR center (spatial sharding); only that shard's
-// writer lock is taken.
+// Insert adds an object to the slab holding its pdf-MBR center; only that
+// shard's writer lock is held while it inserts. An ID that any shard holds
+// returns ErrDuplicateID and mutates nothing.
 func (s *ShardedTree) Insert(id int64, pdf PDF) error {
-	if !s.spatial {
-		return s.shardFor(id).Insert(id, pdf)
+	if s.owner(id) >= 0 {
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
-	i := s.spatialIndex(pdf.MBR())
-	if err := s.shards[i].Insert(id, pdf); err != nil {
-		return err
-	}
-	s.routesMu.Lock()
-	s.routes[id] = i
-	s.routesMu.Unlock()
-	return nil
+	return s.shards[s.slab(pdf.MBR())].Insert(id, pdf)
 }
 
-// Delete removes an object from the shard owning its ID. On a spatial
-// index the shard is looked up in the session's routing table, so only
-// objects inserted through this handle can be deleted by bare ID — others
-// need DeleteWithRegion.
+// Delete removes an object from the shard that holds it. An ID no shard
+// holds returns ErrNotFound and mutates nothing.
 func (s *ShardedTree) Delete(id int64) error {
-	if !s.spatial {
-		return s.shardFor(id).Delete(id)
+	i := s.owner(id)
+	if i < 0 {
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
 	}
-	s.routesMu.Lock()
-	i, ok := s.routes[id]
-	s.routesMu.Unlock()
-	if !ok {
-		return fmt.Errorf("uncertain: id %d not routed in this session; use DeleteWithRegion", id)
-	}
-	if err := s.shards[i].Delete(id); err != nil {
-		return err
-	}
-	s.routesMu.Lock()
-	delete(s.routes, id)
-	s.routesMu.Unlock()
-	return nil
-}
-
-// DeleteWithRegion removes an object by ID and its region MBR. It is the
-// deletion path that needs no session routing state: hash sharding
-// derives the shard from the ID, spatial sharding from the MBR's center —
-// exactly where Insert/BulkLoad placed the object.
-func (s *ShardedTree) DeleteWithRegion(id int64, regionMBR Rect) error {
-	if !s.spatial {
-		return s.shardFor(id).DeleteWithRegion(id, regionMBR)
-	}
-	i := s.spatialIndex(regionMBR)
-	if err := s.shards[i].DeleteWithRegion(id, regionMBR); err != nil {
-		return err
-	}
-	s.routesMu.Lock()
-	delete(s.routes, id)
-	s.routesMu.Unlock()
-	return nil
+	return s.shards[i].Delete(id)
 }
 
 // shardOp is one buffered mutation of a sharded WriteBatch.
@@ -195,74 +124,57 @@ type shardOp struct {
 	insert bool
 	id     int64
 	pdf    PDF
-	mbr    Rect
-	hasMBR bool
 }
 
 // shardedBatch buffers a WriteBatch's mutations, routed per shard, without
-// applying anything — replay happens after fn returns successfully. On a
-// spatial index routed tracks the batch's own pending inserts so a batch
-// can delete by bare ID an object it inserted itself.
+// applying anything — replay happens after fn returns successfully. owners
+// is the batch's own view of the IDs it touched: the shard each is pending
+// in, or -1 once the batch deleted it.
 type shardedBatch struct {
 	s      *ShardedTree
 	ops    [][]shardOp
-	routed map[int64]int // spatial only: batch-local insert routes
+	owners map[int64]int
+}
+
+// owner is ShardedTree.owner as of the batch's pending mutations.
+func (b *shardedBatch) owner(id int64) int {
+	if i, ok := b.owners[id]; ok {
+		return i
+	}
+	return b.s.owner(id)
 }
 
 func (b *shardedBatch) Insert(id int64, pdf PDF) error {
-	var i int
-	if b.s.spatial {
-		i = b.s.spatialIndex(pdf.MBR())
-		b.routed[id] = i
-	} else {
-		i = b.s.shardIndex(id)
+	if b.owner(id) >= 0 {
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
+	i := b.s.slab(pdf.MBR())
 	b.ops[i] = append(b.ops[i], shardOp{insert: true, id: id, pdf: pdf})
+	b.owners[id] = i
 	return nil
 }
 
 func (b *shardedBatch) Delete(id int64) error {
-	var i int
-	if b.s.spatial {
-		var ok bool
-		if i, ok = b.routed[id]; !ok {
-			b.s.routesMu.Lock()
-			i, ok = b.s.routes[id]
-			b.s.routesMu.Unlock()
-			if !ok {
-				return fmt.Errorf("uncertain: id %d not routed in this session; use DeleteWithRegion", id)
-			}
-		}
-	} else {
-		i = b.s.shardIndex(id)
+	i := b.owner(id)
+	if i < 0 {
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
 	}
 	b.ops[i] = append(b.ops[i], shardOp{id: id})
+	b.owners[id] = -1
 	return nil
 }
 
-func (b *shardedBatch) DeleteWithRegion(id int64, regionMBR Rect) error {
-	var i int
-	if b.s.spatial {
-		i = b.s.spatialIndex(regionMBR)
-	} else {
-		i = b.s.shardIndex(id)
-	}
-	b.ops[i] = append(b.ops[i], shardOp{id: id, mbr: regionMBR, hasMBR: true})
-	return nil
-}
-
-// WriteBatch buffers fn's mutations, partitions them by ID hash, and
+// WriteBatch buffers fn's mutations, partitions them by shard, and
 // commits each shard's share as one per-shard batch, all shards
 // concurrently. Atomicity is PER SHARD: within a shard readers see none or
 // all of its share; across shards a reader may briefly observe some shards
 // committed and others not (and a failed shard rolls back only its own
 // share). fn itself runs before anything is applied, so an fn error has
-// zero side effects.
+// zero side effects. ErrDuplicateID and ErrNotFound are decided when fn
+// calls Insert or Delete, against the shards and the batch's own pending
+// mutations.
 func (s *ShardedTree) WriteBatch(fn func(BatchWriter) error) error {
-	b := &shardedBatch{s: s, ops: make([][]shardOp, len(s.shards))}
-	if s.spatial {
-		b.routed = make(map[int64]int)
-	}
+	b := &shardedBatch{s: s, ops: make([][]shardOp, len(s.shards)), owners: make(map[int64]int)}
 	if err := fn(b); err != nil {
 		return err
 	}
@@ -278,12 +190,9 @@ func (s *ShardedTree) WriteBatch(fn func(BatchWriter) error) error {
 			errs[i] = s.shards[i].WriteBatch(func(w BatchWriter) error {
 				for _, op := range b.ops[i] {
 					var err error
-					switch {
-					case op.insert:
+					if op.insert {
 						err = w.Insert(op.id, op.pdf)
-					case op.hasMBR:
-						err = w.DeleteWithRegion(op.id, op.mbr)
-					default:
+					} else {
 						err = w.Delete(op.id)
 					}
 					if err != nil {
@@ -295,42 +204,18 @@ func (s *ShardedTree) WriteBatch(fn func(BatchWriter) error) error {
 		}(i)
 	}
 	wg.Wait()
-	if s.spatial {
-		// Replay the committed shards' share into the routing table; a
-		// failed shard rolled back its own share, so its routes stay as
-		// they were.
-		s.routesMu.Lock()
-		for i := range s.shards {
-			if errs[i] != nil {
-				continue
-			}
-			for _, op := range b.ops[i] {
-				if op.insert {
-					s.routes[op.id] = i
-				} else {
-					delete(s.routes, op.id)
-				}
-			}
-		}
-		s.routesMu.Unlock()
-	}
 	return s.firstError(errs)
 }
 
-// BulkLoad partitions the batch — by ID hash, or by pdf-MBR center on a
-// spatial index — and bulk-loads every shard concurrently; all shards
-// must be empty.
+// BulkLoad partitions the batch by pdf-MBR center and bulk-loads every
+// shard concurrently; all shards must be empty.
 func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 	parts := make([]map[int64]PDF, len(s.shards))
 	for i := range parts {
 		parts[i] = make(map[int64]PDF, len(objects)/len(s.shards)+1)
 	}
 	for id, pdf := range objects {
-		if s.spatial {
-			parts[s.spatialIndex(pdf.MBR())][id] = pdf
-		} else {
-			parts[s.shardIndex(id)][id] = pdf
-		}
+		parts[s.slab(pdf.MBR())][id] = pdf
 	}
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -342,18 +227,6 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 		}(i)
 	}
 	wg.Wait()
-	if s.spatial {
-		s.routesMu.Lock()
-		for i := range parts {
-			if errs[i] != nil {
-				continue
-			}
-			for id := range parts[i] {
-				s.routes[id] = i
-			}
-		}
-		s.routesMu.Unlock()
-	}
 	return s.firstError(errs)
 }
 
@@ -399,8 +272,7 @@ func shardFatal(err error, plan core.QueryOpts) bool {
 // A shard whose committed root MBR is known and disjoint from rect cannot
 // contribute a result and is skipped without being queried, counted in
 // Stats.ShardsPruned. The pruning is purely subtractive of provably-empty
-// work, so the merged answer is identical to the full fan-out; it only
-// bites when the shards partition space (NewSpatialShardedTree). An invalid
+// work, so the merged answer is identical to the full fan-out. An invalid
 // query is never pruned on — it is sent down so the usual validation error
 // surfaces.
 //

@@ -2,14 +2,18 @@ package uncertain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 )
+
+// fixtureDomain is the square the fixture objects and queries live in, and
+// the domain the sharded tests split into slabs.
+var fixtureDomain = Box(Pt(0, 0), Pt(1000, 1000))
 
 // shardedFixtureObjects builds a deterministic population of uniform-circle
 // objects (exact refinement capable).
@@ -128,7 +132,7 @@ func TestShardedSingleEquivalence(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		st, err := NewShardedTree(shards, Config{Dimensions: 2, ExactRefinement: true})
+		st, err := NewSpatialShardedTree(shards, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +193,7 @@ func TestShardedNNMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := NewShardedTree(4, Config{Dimensions: 2})
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +228,11 @@ func TestShardedNNMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestShardedRoutingAndDelete: inserts spread across shards, deletes route
-// back to the owning shard, and missing IDs error.
+// TestShardedRoutingAndDelete: inserts spread over the slabs, a bare-ID
+// delete finds the shard holding the object, and a missing or already
+// deleted ID is ErrNotFound.
 func TestShardedRoutingAndDelete(t *testing.T) {
-	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true})
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +247,9 @@ func TestShardedRoutingAndDelete(t *testing.T) {
 	if got := st.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
-	// Sequential IDs must not pile onto one shard.
 	for i, sh := range st.shards {
-		if sh.Len() == 0 {
-			t.Fatalf("shard %d received no objects from %d sequential IDs", i, n)
+		if sh.Len() != n/4 {
+			t.Fatalf("shard %d holds %d of %d objects spread evenly over its slab", i, sh.Len(), n)
 		}
 	}
 	for i := int64(0); i < n; i += 2 {
@@ -256,8 +260,10 @@ func TestShardedRoutingAndDelete(t *testing.T) {
 	if got := st.Len(); got != n/2 {
 		t.Fatalf("Len after deletes = %d, want %d", got, n/2)
 	}
-	if err := st.Delete(0); err == nil {
-		t.Fatal("double delete accepted")
+	for _, id := range []int64{0, 999} {
+		if err := st.Delete(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Delete(%d) = %v, want ErrNotFound", id, err)
+		}
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after insert/delete sequence: %v", err)
@@ -268,12 +274,12 @@ func TestShardedRoutingAndDelete(t *testing.T) {
 func TestShardedFileBacked(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "lb.utree")
-	st, err := NewShardedTree(2, Config{Dimensions: 2, Path: base})
+	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, Path: base}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 50; i++ {
-		if err := st.Insert(i, UniformCircle(Pt(float64(i)*10, float64(i)*10), 5)); err != nil {
+		if err := st.Insert(i, UniformCircle(Pt(float64(i)*20, float64(i)*20), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,20 +288,30 @@ func TestShardedFileBacked(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		path := fmt.Sprintf("%s.shard%d", base, i)
-		if _, err := os.Stat(path); err != nil {
+		sh, err := OpenTree(path, Config{})
+		if err != nil {
 			t.Fatalf("shard file %s: %v", path, err)
+		}
+		if sh.Len() != 25 {
+			t.Fatalf("shard file %s holds %d objects, want its slab's 25", path, sh.Len())
+		}
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestShardedConfigErrors: invalid shard counts and shard configs fail up
-// front, without leaking half-built shards.
+// TestShardedConfigErrors: invalid shard counts, domains and shard configs
+// fail up front, without leaking half-built shards.
 func TestShardedConfigErrors(t *testing.T) {
-	if _, err := NewShardedTree(0, Config{Dimensions: 2}); err == nil {
+	if _, err := NewSpatialShardedTree(0, Config{Dimensions: 2}, fixtureDomain); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := NewShardedTree(4, Config{}); err == nil {
+	if _, err := NewSpatialShardedTree(4, Config{}, fixtureDomain); err == nil {
 		t.Fatal("zero dimensions accepted")
+	}
+	if _, err := NewSpatialShardedTree(4, Config{Dimensions: 2}, Box(Pt(5, 0), Pt(5, 1000))); err == nil {
+		t.Fatal("domain without extent on dimension 0 accepted")
 	}
 }
 
@@ -305,7 +321,7 @@ func TestEngineOverShardedTree(t *testing.T) {
 	objects := shardedFixtureObjects(500, 11)
 	queries := shardedFixtureQueries(48, 12)
 
-	st, err := NewShardedTree(3, Config{Dimensions: 2, ExactRefinement: true})
+	st, err := NewSpatialShardedTree(3, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +356,7 @@ func TestEngineOverShardedTree(t *testing.T) {
 // TestShardedMixedOpsStress runs concurrent writers and readers over a
 // ShardedTree (run with -race), then asserts every shard's invariants.
 func TestShardedMixedOpsStress(t *testing.T) {
-	st, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true})
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}

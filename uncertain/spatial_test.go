@@ -128,58 +128,55 @@ func TestSpatialShardedNNEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpatialRoutingLifecycle covers the session routing table: deletes by
-// bare ID for routed objects, DeleteWithRegion for unrouted ones, batch
-// self-delete, and the untracked-ID error.
+// TestSpatialRoutingLifecycle: a batch can delete its own pending insert and
+// move an object to another slab by deleting and reinserting its ID; a
+// bare-ID delete then finds each object in its new shard.
 func TestSpatialRoutingLifecycle(t *testing.T) {
-	st, err := NewSpatialShardedTree(4, spatialCfg(), Box(Pt(0, 0), Pt(1000, 1000)))
+	st, err := NewSpatialShardedTree(4, spatialCfg(), fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	p1 := UniformCircle(Pt(100, 500), 10)
-	p2 := UniformCircle(Pt(900, 500), 10)
-	if err := st.Insert(1, p1); err != nil {
+	if err := st.Insert(1, west); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Insert(2, p2); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	if err := st.Delete(1); err != nil {
-		t.Fatalf("routed delete: %v", err)
-	}
-	if err := st.Delete(99); err == nil {
-		t.Fatal("unrouted bare-ID delete accepted")
-	}
-	if err := st.DeleteWithRegion(2, p2.MBR()); err != nil {
-		t.Fatalf("DeleteWithRegion: %v", err)
-	}
-	if st.Len() != 0 {
-		t.Fatalf("Len after deletes = %d", st.Len())
+	if i := st.owner(1); i != 0 {
+		t.Fatalf("object 1 is in shard %d, want the first slab's 0", i)
 	}
 
-	// A batch must be able to delete its own pending insert by bare ID.
+	// Within one batch: delete a pending insert, and move object 1 from the
+	// first slab to the last.
 	err = st.WriteBatch(func(w BatchWriter) error {
-		if err := w.Insert(10, p1); err != nil {
-			return err
+		for _, op := range []func() error{
+			func() error { return w.Insert(1000, west) },
+			func() error { return w.Insert(1001, east) },
+			func() error { return w.Delete(1000) },
+			func() error { return w.Delete(1) },
+			func() error { return w.Insert(1, east) },
+		} {
+			if err := op(); err != nil {
+				return err
+			}
 		}
-		if err := w.Insert(11, p2); err != nil {
-			return err
-		}
-		return w.Delete(10)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 1 {
-		t.Fatalf("Len after batch = %d", st.Len())
+	if got := st.Len(); got != 2 {
+		t.Fatalf("Len after batch = %d, want 2", got)
 	}
-	if err := st.Delete(11); err != nil {
-		t.Fatalf("delete of batch-inserted object: %v", err)
+	if i := st.owner(1); i != 3 {
+		t.Fatalf("moved object 1 is in shard %d, want the last slab's 3", i)
+	}
+	for _, id := range []int64{1001, 1} {
+		if err := st.Delete(id); err != nil {
+			t.Fatalf("Delete(%d) after the batch: %v", id, err)
+		}
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after insert/delete sequence: %v", err)
 	}
 }
 
@@ -330,7 +327,7 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 		t.Fatalf("reopened root box %v, recorded before close %v", got, before)
 	}
 	for id := range live {
-		if err := tree.DeleteWithRegion(id, live[id].MBR()); err != nil {
+		if err := tree.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 		delete(live, id)

@@ -179,14 +179,15 @@ type Tree struct {
 	inner  *core.Tree
 	file   *pagefile.FileStore
 	retry  *pagefile.RetryStore
-	pdfs   map[int64]Rect // id → region MBR, to make Delete(id) ergonomic
-	closed bool           // set by Close/Discard; makes both idempotent
+	closed bool // set by Close/Discard; makes both idempotent
 
-	// Write-path state (batch.go), under mu. undo records the pdfs-map
-	// mutations since the last epoch so a rollback can revert the session's
-	// Delete(id) bookkeeping along with the index.
+	// The directory and the write path (batch.go), under mu. mbrs maps every
+	// live ID of the working tree to its region MBR, the key core's Delete
+	// descends on; OpenTree rebuilds it from the leaves. undo records its
+	// changes since the last epoch so a rollback reverts them with the index.
+	mbrs    map[int64]Rect
 	inBatch bool // WriteBatch in progress
-	undo    []pdfUndo
+	undo    []mbrUndo
 }
 
 // ConcurrentTree is the former name of the snapshot-isolated tree; every
@@ -208,6 +209,15 @@ const fileMetaPage pagefile.PageID = 1
 // (Dimensions, UPCR, CatalogSize) is set and disagrees with the file. Test
 // with errors.Is.
 var ErrConfigMismatch = errors.New("uncertain: config disagrees with the index file")
+
+// ErrDuplicateID is returned by Insert when the ID is already live in the
+// index (in any shard of a ShardedTree). Nothing is mutated, and an open
+// WriteBatch stays usable. Test with errors.Is.
+var ErrDuplicateID = errors.New("uncertain: object ID already in the index")
+
+// ErrNotFound is returned by Delete when no live object has the ID. Nothing
+// is mutated, and an open WriteBatch stays usable. Test with errors.Is.
+var ErrNotFound = core.ErrNotFound
 
 // NewTree creates an empty index.
 func NewTree(cfg Config) (*Tree, error) {
@@ -238,9 +248,11 @@ func NewTree(cfg Config) (*Tree, error) {
 // structure (dimensions, variant, catalog size) comes from the file; a
 // non-zero Config.Dimensions, UPCR or CatalogSize that disagrees with it
 // fails with ErrConfigMismatch. After recovering the last committed epoch
-// OpenTree sweeps pages a crash may have leaked — shadow pages retired by
-// a published epoch that died before its garbage drained, or fresh pages
-// of an aborted batch — back to the free list.
+// OpenTree walks it once: the leaves give back every object's ID and MBR,
+// so Delete(id) works on the reopened tree as on a new one, and pages a
+// crash may have leaked — shadow pages retired by a published epoch that
+// died before its garbage drained, or fresh pages of an aborted batch —
+// go back to the free list.
 func OpenTree(path string, cfg Config) (*Tree, error) {
 	fs, err := pagefile.OpenFileStore(path)
 	if err != nil {
@@ -254,7 +266,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 	}
 	t.inner = inner
 	if err = cfg.checkStructure(inner); err == nil {
-		err = t.sweepLeakedPages()
+		err = t.walkAtOpen()
 	}
 	if err != nil {
 		fs.Close()
@@ -270,7 +282,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // below core's versioning and buffer pool, so a retried read stays one pool
 // miss and one page-budget charge.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
-	t := &Tree{file: fs, pdfs: make(map[int64]Rect)}
+	t := &Tree{file: fs, mbrs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
 	if fs != nil {
 		store = fs
@@ -309,12 +321,13 @@ func (cfg Config) checkStructure(inner *core.Tree) error {
 	return nil
 }
 
-// sweepLeakedPages walks the recovered tree for its reachable page set and
-// returns everything else in the file to the free list. The walk goes
-// through the wrapped store (fault injection applies); the sweep itself runs directly on the file store — it is allocator
-// repair below the versioning layer, not part of any epoch.
-func (t *Tree) sweepLeakedPages() error {
-	reach, err := t.inner.ReachablePages()
+// walkAtOpen walks the recovered tree once: it fills the ID directory from
+// the leaf entries and returns every page the walk did not reach to the
+// free list. The walk goes through the wrapped store (fault injection
+// applies); the sweep itself runs directly on the file store — it is
+// allocator repair below the versioning layer, not part of any epoch.
+func (t *Tree) walkAtOpen() error {
+	reach, err := t.inner.ReachablePages(func(id int64, mbr Rect) { t.mbrs[id] = mbr })
 	if err == nil {
 		_, err = t.file.SweepLeaked(reach)
 	}
@@ -326,7 +339,7 @@ func (t *Tree) sweepLeakedPages() error {
 
 // rollback rewinds every uncommitted mutation — the failing one and any
 // batched ones before it — to the last committed epoch, reverting the
-// session's pdfs bookkeeping with them. The mutation's error wins over any
+// directory with them. The mutation's error wins over any
 // rollback error; when batched ops were dropped with it, the error says so.
 func (t *Tree) rollback(opErr error) error {
 	dropped := len(t.undo)
@@ -341,11 +354,10 @@ func (t *Tree) rollback(opErr error) error {
 	return opErr
 }
 
-// Insert adds an object (writer lock). IDs must be unique; inserting a
-// duplicate ID is not detected (two entries will coexist). The insert
-// publishes as its own epoch; wrap several in WriteBatch to publish them
-// as one. On failure the tree rolls back to the last committed epoch and
-// remains usable.
+// Insert adds an object (writer lock). An ID that is already live returns
+// ErrDuplicateID and mutates nothing. The insert publishes as its own
+// epoch; wrap several in WriteBatch to publish them as one. On failure the
+// tree rolls back to the last committed epoch and remains usable.
 func (t *Tree) Insert(id int64, pdf PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -353,17 +365,20 @@ func (t *Tree) Insert(id int64, pdf PDF) error {
 }
 
 func (t *Tree) insert(id int64, pdf PDF) error {
+	if _, ok := t.mbrs[id]; ok {
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
+	}
 	if err := t.inner.Insert(core.Object{ID: id, PDF: pdf}); err != nil {
 		return t.rollback(err)
 	}
-	t.trackInsert(id, pdf.MBR())
+	t.track(id, pdf.MBR())
 	return t.endOp()
 }
 
-// Delete removes an object by ID (writer lock). Objects inserted in a
-// previous process lifetime (reopened file-backed trees) need
-// DeleteWithRegion instead. The delete publishes as its own epoch (see
-// Insert); snapshots pinned before it still see the object.
+// Delete removes an object by ID (writer lock), on a new tree and on one
+// reopened with OpenTree alike. An ID that is not live returns ErrNotFound
+// and mutates nothing. The delete publishes as its own epoch (see Insert);
+// snapshots pinned before it still see the object.
 func (t *Tree) Delete(id int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -371,32 +386,26 @@ func (t *Tree) Delete(id int64) error {
 }
 
 func (t *Tree) delete(id int64) error {
-	mbr, ok := t.pdfs[id]
+	mbr, ok := t.mbrs[id]
 	if !ok {
-		return fmt.Errorf("uncertain: id %d not tracked in this session; use DeleteWithRegion", id)
+		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
 	}
-	return t.deleteWithRegion(id, mbr)
-}
-
-// DeleteWithRegion removes an object by ID and its region MBR (the pdf's
-// MBR at insertion time; writer lock). The delete publishes as its own
-// epoch (see Insert). A not-found delete mutates nothing and leaves an open
-// WriteBatch intact.
-func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.deleteWithRegion(id, regionMBR)
-}
-
-func (t *Tree) deleteWithRegion(id int64, regionMBR Rect) error {
-	if err := t.inner.Delete(id, regionMBR); err != nil {
-		if errors.Is(err, core.ErrNotFound) {
+	if err := t.inner.Delete(id, mbr); err != nil {
+		if errors.Is(err, ErrNotFound) {
 			return err // nothing mutated; no rollback needed
 		}
 		return t.rollback(err)
 	}
-	t.trackDelete(id)
+	t.track(id, Rect{})
 	return t.endOp()
+}
+
+// holds reports whether id is live in the working tree (writer lock).
+func (t *Tree) holds(id int64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.mbrs[id]
+	return ok
 }
 
 // Search answers a probabilistic range query — the objects appearing in

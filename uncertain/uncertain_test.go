@@ -150,8 +150,8 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("reopened search: %d vs %d results", len(got), len(want))
 	}
-	// Deletion after reopen requires the region MBR.
-	if err := re.DeleteWithRegion(objs[0].id, objs[0].p.MBR()); err != nil {
+	// OpenTree rebuilt the directory: a bare ID deletes.
+	if err := re.Delete(objs[0].id); err != nil {
 		t.Fatal(err)
 	}
 	if re.Len() != 299 {
