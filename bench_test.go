@@ -220,6 +220,33 @@ func BenchmarkBuildEntry(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildEntryKeyed measures what an object with a shape reference
+// pays before it enters the index — every object of the paper's datasets:
+// its region MBR and its shape's CFB pair, fitted once per shape (outside
+// the timer, as the tree does when the shape enters its table), translated
+// to the object's centre and repaired against its own PCR faces. One LB, one
+// CA and one Aircraft object per iteration, as in BenchmarkBuildEntry, which
+// measures the path of an object without one. CI gates its allocations.
+func BenchmarkBuildEntryKeyed(b *testing.B) {
+	var objs []core.Object
+	var shapes []*pcr.Shape
+	cat := pcr.UniformCatalog(15)
+	for _, name := range dataset.All() {
+		o := dataset.Generate(dataset.Config{Name: name, Scale: 0.001, Seed: 1})[0]
+		sh := pcr.NewShape(o.PDF, cat)
+		sh.Fit(o.PDF.Center(), o.PDF.MBR())
+		objs, shapes = append(objs, o), append(shapes, sh)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, o := range objs {
+			out, in := shapes[k].Fit(o.PDF.Center(), o.PDF.MBR())
+			buildSink = out.Dim() + in.Dim()
+		}
+	}
+}
+
 var buildSink int
 
 // BenchmarkInsert measures raw per-object insertion throughput of the

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/pcr"
 )
 
 // BulkLoad builds the index bottom-up from a dataset in three stages:
@@ -112,29 +110,17 @@ func (t *Tree) BulkLoad(objects []Object) error {
 }
 
 // buildLeafEntries is BulkLoad's first stage: entries[i] is objects[i]'s
-// leaf entry without its data address, built on GOMAXPROCS workers. It
-// touches no storage.
+// leaf entry without its data address. A serial pass rejects a
+// mis-dimensioned object and gives every object its shape reference, in
+// input order; then GOMAXPROCS workers build the entries. It touches no
+// storage.
 func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
-	// Serial pass first: reject a mis-dimensioned object, give every object
-	// its shape reference (in input order, never by a worker), and seed the
-	// quantile cache with the first object of every shape in input order.
-	// Cached offsets are taken relative to the seeding object's center and
-	// differ by an ulp or so between seeds, so workers racing to seed a
-	// shape would make the entries depend on scheduling. (A dataset of
-	// all-distinct shapes therefore computes its quantiles here, serially;
-	// the CFB fits, the larger share, still fan out.)
-	seeded := make(map[string]bool)
-	entries, keys := make([]entry, len(objects)), make([]string, len(objects))
+	entries := make([]entry, len(objects))
 	for i := range objects {
 		if err := t.checkObject(objects[i]); err != nil {
 			return nil, err
 		}
-		key := objects[i].PDF.ShapeKey()
-		keys[i], entries[i].shape = key, t.shapeRef(key, objects[i].PDF)
-		if key != "" && !seeded[key] {
-			seeded[key] = true
-			pcr.ComputeKeyed(objects[i].PDF, key, t.cat, t.qcache)
-		}
+		entries[i].shape = t.shapeRef(objects[i].PDF.ShapeKey(), objects[i].PDF)
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -152,7 +138,7 @@ func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
 				if i >= len(objects) {
 					return
 				}
-				entries[i] = t.leafEntry(objects[i], keys[i], entries[i].shape)
+				entries[i] = t.leafEntry(objects[i], entries[i].shape)
 			}
 		}()
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -138,10 +140,10 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	sameAsSerial(UTree, objs)
 	sameAsSerial(UPCR, objs)
 
-	// Cached quantile offsets carry the rounding of the object that seeded
-	// them. Lead with an object whose offsets differ from the next ones' own:
-	// workers that seeded the cache in whatever order they ran would build
-	// different entries than the serial loop.
+	// A shape's offsets carry the rounding of its prototype, the first object
+	// of the shape in input order. Lead with an object whose offsets differ
+	// from the next ones' own: a build that took offsets from whichever
+	// object a worker reached first would differ from the serial loop.
 	cat := pcr.UniformCatalog(9)
 	first, found := objs[0], false
 	for _, o := range objs[4:] {
@@ -151,13 +153,15 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		seeded := pcr.NewQuantileCache()
 		pcr.Compute(first.PDF, cat, seeded)
 		if !reflect.DeepEqual(pcr.Compute(o.PDF, cat, seeded), pcr.Compute(o.PDF, cat, pcr.NewQuantileCache())) {
-			sameAsSerial(UPCR, []Object{first, o, {ID: -1, PDF: o.PDF}, {ID: -2, PDF: o.PDF}})
+			for _, kind := range []Kind{UTree, UPCR} {
+				sameAsSerial(kind, []Object{first, o, {ID: -1, PDF: o.PDF}, {ID: -2, PDF: o.PDF}})
+			}
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatal("no pair of same-shape objects with different quantile rounding; the seeding check is vacuous")
+		t.Fatal("no pair of same-shape objects with different quantile rounding; the prototype check is vacuous")
 	}
 
 	bad := append([]Object(nil), objs...)
@@ -184,6 +188,84 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tree.Len(), len(objs))
 	}
 	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkLoadEntriesDeterministic: a leaf entry is a function of its
+// object and the persisted shape table alone. BulkLoad at GOMAXPROCS 1 and 4
+// writes the same pages byte for byte, and an object inserted into a
+// reopened tree gets the entry bytes it gets in the fresh tree the file was
+// saved from — also one whose own quantile offsets round differently from
+// its prototype's.
+func TestBulkLoadEntriesDeterministic(t *testing.T) {
+	objs := makeObjects(500, 1000, rand.New(rand.NewSource(83)))
+	load := func(procs int) (*Tree, *pagefile.MemStore) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		store := pagefile.NewMemStore()
+		tree, err := New(Options{Dim: 2, Store: store, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(objs); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tree, store
+	}
+	one, s1 := load(1)
+	four, s4 := load(4)
+	if s1.NumPages() != s4.NumPages() {
+		t.Fatalf("%d pages at GOMAXPROCS 1, %d at 4", s1.NumPages(), s4.NumPages())
+	}
+	a, b := make([]byte, pagefile.PageSize), make([]byte, pagefile.PageSize)
+	for id := pagefile.PageID(0); int(id) < s1.NumPages(); id++ {
+		ea, eb := s1.Read(id, a), s4.Read(id, b)
+		if (ea == nil) != (eb == nil) || ea == nil && !bytes.Equal(a, b) {
+			t.Fatalf("page %d differs between GOMAXPROCS 1 and 4 (read errors %v, %v)", id, ea, eb)
+		}
+	}
+
+	re, err := Open(s4, four.MetaPage(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, o := range objs {
+		ref := one.shapeRefs[o.PDF.ShapeKey()]
+		if ref == 0 {
+			continue
+		}
+		if o.PDF == one.shapes[ref-1].pdf ||
+			reflect.DeepEqual(pcr.Compute(o.PDF, one.cat, nil), one.shapes[ref-1].fit.PCRs(o.PDF.Center(), o.PDF.MBR())) {
+			continue // the prototype, or rounds as it does
+		}
+		found++
+		o.ID += 1 << 40
+		fresh, err := one.buildLeafEntry(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := re.buildLeafEntry(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, rb := make([]byte, one.leafEntrySize), make([]byte, re.leafEntrySize)
+		one.encodeLeafEntry(&fresh, fb)
+		re.encodeLeafEntry(&reopened, rb)
+		if !bytes.Equal(fb, rb) {
+			t.Fatalf("object %d (%s): entry in the reopened tree differs from the fresh tree's:\n % x\n % x", o.ID, o.PDF.ShapeKey(), rb, fb)
+		}
+		if err := re.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if found < 10 {
+		t.Fatalf("%d objects round differently from their prototypes; the reopen check is thin", found)
+	}
+	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

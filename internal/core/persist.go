@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pcr"
 )
 
 // Tree metadata is persisted in a dedicated page so file-backed indexes can
@@ -93,7 +94,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
 		return nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
-	shapes, err := decodeShapes(buf[metaFixed:], dim)
+	shapes, err := decodeShapes(buf[metaFixed:], dim, pcr.UniformCatalog(m))
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage, Reason: err.Error()})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pcr"
 	"repro/internal/updf"
 )
 
@@ -18,10 +19,21 @@ import (
 // behind the fixed fields of the metadata page, which every commit rewrites:
 // count u16 | count × (length u16 | updf.Encode bytes). An object with an
 // empty ShapeKey, or whose shape the page has no room for, gets reference 0.
+//
+// The prototype is also what every keyed leaf entry's CFBs are fitted from
+// (leafEntry): fit is the shape's cfb_out/cfb_in pair, fitted once about the
+// prototype's centre, so an object's entry depends on the persisted table
+// and the object alone.
 type shape struct {
 	pdf updf.PDF
-	mbr geom.Rect // pdf.MBR()
-	enc []byte    // updf.Encode(pdf)
+	mbr geom.Rect  // pdf.MBR()
+	enc []byte     // updf.Encode(pdf)
+	fit *pcr.Shape // pcr.NewShape(pdf, the tree's catalog)
+}
+
+// newShape enters p, encoded as enc, in a table over catalog cat.
+func newShape(p updf.PDF, enc []byte, cat pcr.Catalog) shape {
+	return shape{p, p.MBR(), enc, pcr.NewShape(p, cat)}
 }
 
 // shapeRef returns the reference of the shape named by key = p.ShapeKey(),
@@ -39,7 +51,7 @@ func (t *Tree) shapeRef(key string, p updf.PDF) uint16 {
 	if err != nil || used > pagefile.PageSize {
 		return 0
 	}
-	t.shapes = append(t.shapes, shape{p, p.MBR(), enc})
+	t.shapes = append(t.shapes, newShape(p, enc, t.cat))
 	t.shapeRefs[key] = uint16(len(t.shapes))
 	return uint16(len(t.shapes))
 }
@@ -52,10 +64,10 @@ func (t *Tree) setShapes(list []shape) {
 	}
 }
 
-// decodeShapes reads the table of a tree of the given dimensionality back,
-// trusting nothing: every prototype must lie within buf, decode, have the
-// tree's dimensionality and a ShapeKey.
-func decodeShapes(buf []byte, dim int) ([]shape, error) {
+// decodeShapes reads the table of a tree of the given dimensionality and
+// catalog back, trusting nothing: every prototype must lie within buf,
+// decode, have the tree's dimensionality and a ShapeKey.
+func decodeShapes(buf []byte, dim int, cat pcr.Catalog) ([]shape, error) {
 	var list []shape
 	off := 2
 	for n := int(binary.LittleEndian.Uint16(buf)); len(list) < n; {
@@ -70,7 +82,7 @@ func decodeShapes(buf []byte, dim int) ([]shape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shape %d: %w", len(list)+1, err)
 		}
-		list = append(list, shape{p, p.MBR(), enc})
+		list = append(list, newShape(p, enc, cat))
 		off += 2 + len(enc)
 	}
 	return list, nil

@@ -1,12 +1,4 @@
-// Package rstar implements the R*-tree of Beckmann et al. (SIGMOD 1990),
-// the access method the U-tree paper builds on (Section 2.2): insertion
-// with ChooseSubtree, margin-driven split (axis selection + distribution
-// selection), forced reinsertion, and deletion with tree condensation.
-//
-// Beyond the standalone in-memory tree, the package exports the split and
-// reinsertion primitives (SplitGroups, ReinsertOrder) that the paged U-tree
-// reuses with its summed penalty metrics (Section 5.3 of the U-tree paper).
-package rstar
+package core
 
 import (
 	"sort"
@@ -14,19 +6,20 @@ import (
 	"repro/internal/geom"
 )
 
-// SplitGroups partitions the given rectangles into two groups following the
-// R*-tree split algorithm: choose the axis minimizing the summed margins of
-// all candidate distributions, then the distribution minimizing overlap
-// (ties: minimum total area). minFill is the minimum number of entries per
-// group (R* uses 40% of capacity). It returns the index sets of the two
-// groups; every index appears in exactly one group.
-func SplitGroups(rects []geom.Rect, minFill int) (left, right []int) {
+// splitGroups partitions the given rectangles into two groups following the
+// R*-tree split of Beckmann et al. (SIGMOD 1990): choose the axis minimizing
+// the summed margins of all candidate distributions, then the distribution
+// minimizing overlap (ties: minimum total area). minFill is the minimum
+// number of entries per group (R* uses 40% of capacity). It returns the
+// index sets of the two groups; every index appears in exactly one group.
+// chooseSplit feeds it the entries' boxes at one catalog value (Section 5.3).
+func splitGroups(rects []geom.Rect, minFill int) (left, right []int) {
 	n := len(rects)
 	if minFill < 1 {
 		minFill = 1
 	}
 	if n < 2*minFill {
-		panic("rstar: too few entries to split at the requested fill")
+		panic("core: too few entries to split at the requested fill")
 	}
 	d := rects[0].Dim()
 
@@ -83,10 +76,7 @@ func SplitGroups(rects []geom.Rect, minFill int) (left, right []int) {
 }
 
 func sortedIdx(n int, less func(a, b int) bool) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
+	idx := identity(n)
 	sort.Slice(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
 	return idx
 }
@@ -97,16 +87,4 @@ func mbrOf(rects []geom.Rect, idx []int) geom.Rect {
 		u.UnionInPlace(rects[i])
 	}
 	return u
-}
-
-// ReinsertOrder implements the forced-reinsertion selection: it returns all
-// indices sorted by decreasing distance between each rectangle's centroid
-// and the node MBR's centroid. The caller removes the first p entries and
-// reinserts them closest-first (R*'s "close reinsert").
-func ReinsertOrder(rects []geom.Rect, nodeMBR geom.Rect) []int {
-	center := nodeMBR.Center()
-	idx := sortedIdx(len(rects), func(a, b int) bool {
-		return rects[a].Center().Dist(center) > rects[b].Center().Dist(center)
-	})
-	return idx
 }

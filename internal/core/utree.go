@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
-	"repro/internal/rstar"
 )
 
 // Options configures a Tree.
@@ -362,18 +361,31 @@ func (t *Tree) checkObject(o Object) error {
 }
 
 // leafEntry derives the leaf entry of a checked object, without its data
-// address: PCRs at the catalog values, then CFBs (U-tree) or the PCR list
-// itself (U-PCR). It touches no tree state beyond the (locked) quantile
-// cache — key is the pdf's ShapeKey, formatted once by the caller, shape
-// shapeRef's answer for it — so BulkLoad runs it on several goroutines.
-func (t *Tree) leafEntry(o Object, key string, shape uint16) entry {
-	pcrs := pcr.ComputeKeyed(o.PDF, key, t.cat, t.qcache)
+// address: CFBs (U-tree) or the PCR list itself (U-PCR). An object with a
+// shape reference gets them from its shape's fit — the shape's CFB pair
+// translated to the object's centre and repaired against the object's own
+// PCR faces — and one without computes its PCRs and fits them. It reads no
+// tree state beyond the shape table, which only the writer's shapeRef
+// extends, so BulkLoad runs it on several goroutines once every object has
+// its reference.
+func (t *Tree) leafEntry(o Object, shape uint16) entry {
 	e := entry{id: o.ID, mbr: o.PDF.MBR(), shape: shape}
-	if t.kind == UTree {
-		e.out = pcr.FitOut(pcrs)
-		e.in = pcr.FitIn(pcrs)
-	} else {
-		e.pcrs = pcrs.Boxes
+	var fit *pcr.Shape
+	if shape != 0 {
+		fit = t.shapes[shape-1].fit
+	}
+	switch {
+	case t.kind == UTree && fit != nil:
+		e.out, e.in = fit.Fit(o.PDF.Center(), e.mbr)
+	case t.kind == UTree:
+		pcrs := pcr.Compute(o.PDF, t.cat, nil)
+		e.out, e.in = pcr.FitOut(pcrs), pcr.FitIn(pcrs)
+	default:
+		if fit != nil {
+			e.pcrs = fit.PCRs(o.PDF.Center(), e.mbr).Boxes
+		} else {
+			e.pcrs = pcr.Compute(o.PDF, t.cat, nil).Boxes
+		}
 		// pcr(0) is the region MBR by construction; keep them identical so
 		// the shared serialization slot holds.
 		e.pcrs[0] = e.mbr.Clone()
@@ -386,8 +398,7 @@ func (t *Tree) buildLeafEntry(o Object) (entry, error) {
 	if err := t.checkObject(o); err != nil {
 		return entry{}, err
 	}
-	key := o.PDF.ShapeKey()
-	return t.leafEntry(o, key, t.shapeRef(key, o.PDF)), nil
+	return t.leafEntry(o, t.shapeRef(o.PDF.ShapeKey(), o.PDF)), nil
 }
 
 // appendRecord appends the object's detail record (pdf parameters) to the
@@ -792,13 +803,13 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 	}
 	switch t.splitStrategy {
 	case SplitAtZero:
-		return rstar.SplitGroups(rectsAt(0), minFill)
+		return splitGroups(rectsAt(0), minFill)
 	case SplitSummed:
 		// Evaluate the R* split at every catalog value, score each
 		// partition by its summed group overlap, keep the best.
 		bestScore := inf()
 		for j := 0; j < t.cat.Size(); j++ {
-			li, ri := rstar.SplitGroups(rectsAt(j), minFill)
+			li, ri := splitGroups(rectsAt(j), minFill)
 			score := t.partitionOverlap(boundaries, li, ri)
 			if score < bestScore {
 				bestScore = score
@@ -807,7 +818,7 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 		}
 		return left, right
 	default: // SplitMedian — the paper's heuristic.
-		return rstar.SplitGroups(rectsAt(t.cat.MedianIndex()), minFill)
+		return splitGroups(rectsAt(t.cat.MedianIndex()), minFill)
 	}
 }
 

@@ -3,7 +3,11 @@
 // U-catalog (Section 4.2) and conservative functional boxes (CFBs,
 // Sections 4.3–4.4). The paper fits CFBs by linear programming; the
 // programs' optimum lies on a convex-hull edge of the PCR faces, and cfb.go
-// reads it off there instead of running the Simplex method. A leaf entry is
+// reads it off there instead of running the Simplex method — once per pdf
+// shape (Shape): every object of a shape takes the shape's CFB pair
+// translated to its centre, rounded to float32 and repaired against its own
+// PCR faces, and only an object without a shape is fitted by itself
+// (FitOut, FitIn). A leaf entry is
 // decided by FilterCatalogPCR (U-PCR) or FilterCFB (U-tree): the paper's
 // pruning Rules 1–2 (Observations 2 and 3), then a two-sided bound on the
 // qualification probability derived from the same stored faces

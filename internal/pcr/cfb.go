@@ -3,8 +3,10 @@ package pcr
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/updf"
 )
 
 // CFB is a conservative functional box (Section 4.3): a rectangle-valued
@@ -122,7 +124,16 @@ func (c CFB) meets(p float64, rq geom.Rect) bool {
 // as CFB.Lo and CFB.Hi evaluate them.
 //
 // Both fits need the PCRs to nest (low faces ascend with p, high faces
-// descend), which Compute enforces.
+// descend), which faces enforces.
+//
+// The float64 stage runs once per pdf shape, not per object. A CFB of a
+// translated pdf is the same CFB translated, so Shape fits the shape's
+// faces about its centre, and Shape.Fit gives an object of that shape the
+// fitted lines with their intercepts shifted by its centre. quantise and
+// the zero-tolerance repair then run against the object's own PCR faces, as
+// FitOut and FitIn would run them, so the stored CFB meets the same
+// invariant and differs from FitOut's and FitIn's by at most an ulp or two
+// of float32 rounding. FitOut and FitIn remain for objects without a shape.
 
 // fitStack is the catalog size up to which a fit's scratch lives on the
 // goroutine stack; larger catalogs spill to the heap through append.
@@ -141,6 +152,41 @@ func (s *fitScratch) columns(pcrs PCRs, i int) (lo, hi []float64) {
 	for _, b := range pcrs.Boxes {
 		lo = append(lo, b.Lo[i])
 		hi = append(hi, b.Hi[i])
+	}
+	return lo, hi
+}
+
+// faces builds one dimension's PCR faces over the catalog — the column
+// Compute stores and Shape.Fit repairs against — for a pdf centred at c
+// whose region MBR spans [mbrLo, mbrHi] there, from its shape's quantile
+// offsets (off[2j] and off[2j+1] those of pcr−(p_j) and pcr+(p_j)).
+func (s *fitScratch) faces(c float64, off []float64, mbrLo, mbrHi float64) (lo, hi []float64) {
+	lo, hi = s.lo[:0], s.hi[:0]
+	for j := 0; j < len(off)/2; j++ {
+		l, h := c+off[2*j], c+off[2*j+1]
+		if l > h {
+			// Numerical crossing near p = 0.5: collapse to midpoint.
+			mid := (l + h) / 2
+			l, h = mid, mid
+		}
+		lo, hi = append(lo, l), append(hi, h)
+	}
+	// pcr(0) is the uncertainty region MBR by definition (every catalog
+	// starts at p_1 = 0). Pin it exactly: c + offset, with offsets taken
+	// about the shape's prototype, can land ~1e-13 inside the true MBR —
+	// enough to break the strict containment chain (leaf CFB ⊆ parent boxes)
+	// that Delete's descent relies on. The nesting pass below re-expands
+	// pcr(0) if quantile noise pushed an inner face outside the MBR.
+	lo[0], hi[0] = mbrLo, mbrHi
+	// Enforce nesting exactly (quantile noise could break it marginally):
+	// pcr(p_j) must contain pcr(p_{j+1}).
+	for j := len(lo) - 2; j >= 0; j-- {
+		if lo[j] > lo[j+1] {
+			lo[j] = lo[j+1]
+		}
+		if hi[j] < hi[j+1] {
+			hi[j] = hi[j+1]
+		}
 	}
 	return lo, hi
 }
@@ -216,38 +262,48 @@ func FitOut(pcrs PCRs) CFB {
 	c := make(CFB, 4*d)
 	var s fitScratch
 	for i := 0; i < d; i++ {
-		lo, hi := s.outFaces(pcrs, i)
+		los, his := s.columns(pcrs, i)
+		lo, hi := s.outFaces(pcrs.Cat, los, his)
 		c.quantise(i, lo, hi, true)
-		c.repairOut(pcrs, i)
+		c.repairOut(pcrs.Cat, i, los, his)
 	}
 	return c
 }
 
-// outFaces is FitOut's float64 stage on dimension i. The two faces are
-// independent (lo ≤ pcr_i− ≤ pcr_i+ ≤ hi needs no coupling): the low face
-// is the highest line at p̄ under the low PCR faces, the high face the
-// lowest line at p̄ over the high ones.
-func (s *fitScratch) outFaces(pcrs PCRs, i int) (lo, hi line) {
-	p := pcrs.Cat.values
-	mean := pcrs.Cat.mean()
-	los, his := s.columns(pcrs, i)
+// outFaces is FitOut's float64 stage on one dimension's face columns. The
+// two faces are independent (lo ≤ pcr_i− ≤ pcr_i+ ≤ hi needs no coupling):
+// the low face is the highest line at p̄ under the low PCR faces, the high
+// face the lowest line at p̄ over the high ones.
+func (s *fitScratch) outFaces(cat Catalog, los, his []float64) (lo, hi line) {
+	p, mean := cat.values, cat.mean()
 	return hullFace(s.hull[:0], p, los, +1, mean), hullFace(s.hull[:0], p, his, -1, mean)
 }
 
-// repairOut moves the intercepts of dimension i outward, one float32 ulp at
-// a time, until the covering invariant holds for the faces as CFB.Lo and
-// CFB.Hi evaluate them.
-func (c CFB) repairOut(pcrs PCRs, i int) {
+// repairOut moves the intercepts of dimension i outward until the covering
+// invariant holds against the face columns los and his, for the faces as
+// CFB.Lo and CFB.Hi evaluate them.
+func (c CFB) repairOut(cat Catalog, i int, los, his []float64) {
 	d := len(c) / 4
-	for j, box := range pcrs.Boxes {
-		p := pcrs.Cat.Value(j)
-		for c.Lo(i, p) > box.Lo[i] {
-			c[i] = math.Nextafter32(c[i], float32(math.Inf(-1)))
+	for j, p := range cat.values {
+		for short := c.Lo(i, p) - los[j]; short > 0; short = c.Lo(i, p) - los[j] {
+			c[i] = step32(c[i], short, false)
 		}
-		for c.Hi(i, p) < box.Hi[i] {
-			c[2*d+i] = math.Nextafter32(c[2*d+i], float32(math.Inf(1)))
+		for short := his[j] - c.Hi(i, p); short > 0; short = his[j] - c.Hi(i, p) {
+			c[2*d+i] = step32(c[2*d+i], short, true)
 		}
 	}
+}
+
+// step32 is one repair step: x moved up (or down) by one float32 ulp, or by
+// the shortfall where that is further. Quantisation leaves a shortfall of
+// float64 rounding, under an ulp of any intercept but one near 0, whose
+// ulps are far finer than its faces' rounding; there the step is the
+// shortfall, so no repair takes more than a step or two.
+func step32(x float32, short float64, up bool) float32 {
+	if up {
+		return max(math.Nextafter32(x, float32(math.Inf(1))), round32(float64(x)+short, true))
+	}
+	return min(math.Nextafter32(x, float32(math.Inf(-1))), round32(float64(x)-short, false))
 }
 
 // FitIn fits cfb_in: the margin-sum-maximal linear box family contained in
@@ -261,14 +317,15 @@ func FitIn(pcrs PCRs) CFB {
 	c := make(CFB, 4*d)
 	var s fitScratch
 	for i := 0; i < d; i++ {
-		lo, hi := s.inFaces(pcrs, i)
+		los, his := s.columns(pcrs, i)
+		lo, hi := s.inFaces(pcrs.Cat, los, his)
 		c.quantise(i, lo, hi, false)
-		c.repairIn(pcrs, i)
+		c.repairIn(pcrs.Cat, i, los, his)
 	}
 	return c
 }
 
-// inFaces is FitIn's float64 stage on dimension i.
+// inFaces is FitIn's float64 stage on one dimension's face columns.
 //
 // Without the coupling the low face ℓ is the lowest line at p̄ over the low
 // PCR faces and the high face h the highest line at p̄ under the high ones.
@@ -281,11 +338,9 @@ func FitIn(pcrs PCRs) CFB {
 // (meetSlopes). The objective is then concave and piecewise linear in v
 // (fitMeeting). For a catalog that ends at 0.5 both faces of pcr(p_m) are
 // the median, v is that one point, and the coupled fit is a single pass.
-func (s *fitScratch) inFaces(pcrs PCRs, i int) (lo, hi line) {
-	p := pcrs.Cat.values
+func (s *fitScratch) inFaces(cat Catalog, los, his []float64) (lo, hi line) {
+	p, mean := cat.values, cat.mean()
 	e := len(p) - 1
-	mean := pcrs.Cat.mean()
-	los, his := s.columns(pcrs, i)
 	lo = hullFace(s.hull[:0], p, los, -1, mean)
 	hi = hullFace(s.hull[:0], p, his, +1, mean)
 	if lo.at(p[e]) > hi.at(p[e]) {
@@ -353,17 +408,79 @@ func fitMeeting(hull []int, p, lo, hi []float64) (v, sLo, sHi float64) {
 
 // repairIn moves the intercepts of dimension i inward until the containment
 // invariant holds for each face as evaluated (see repairOut).
-func (c CFB) repairIn(pcrs PCRs, i int) {
+func (c CFB) repairIn(cat Catalog, i int, los, his []float64) {
 	d := len(c) / 4
-	for j, box := range pcrs.Boxes {
-		p := pcrs.Cat.Value(j)
-		for c.Lo(i, p) < box.Lo[i] {
-			c[i] = math.Nextafter32(c[i], float32(math.Inf(1)))
+	for j, p := range cat.values {
+		for short := los[j] - c.Lo(i, p); short > 0; short = los[j] - c.Lo(i, p) {
+			c[i] = step32(c[i], short, true)
 		}
-		for c.Hi(i, p) > box.Hi[i] {
-			c[2*d+i] = math.Nextafter32(c[2*d+i], float32(math.Inf(-1)))
+		for short := c.Hi(i, p) - his[j]; short > 0; short = c.Hi(i, p) - his[j] {
+			c[2*d+i] = step32(c[2*d+i], short, false)
 		}
 	}
+}
+
+// Shape is one pdf shape's fit, shared by every object of that shape: the
+// shape's quantile offsets from its centre at every catalog value, and the
+// float64 stage of its cfb_out and cfb_in fitted once about the centre. Both
+// are computed from the prototype NewShape was given, on first use and
+// exactly once, so they depend on the prototype and the catalog alone —
+// not on which object or goroutine asked first. Safe for concurrent use.
+type Shape struct {
+	proto updf.PDF
+	cat   Catalog
+	once  sync.Once
+	off   [][]float64 // off[i]: dimension i's 2m offsets, as QuantileCache holds them
+	lines []line      // 4 per dimension: cfb_out low, high, cfb_in low, high
+}
+
+// NewShape returns the fit of proto's shape over catalog cat.
+func NewShape(proto updf.PDF, cat Catalog) *Shape {
+	return &Shape{proto: proto, cat: cat}
+}
+
+func (s *Shape) fit() {
+	ctr, mbr := s.proto.Center(), s.proto.MBR()
+	s.off, s.lines = make([][]float64, len(ctr)), make([]line, 4*len(ctr))
+	var sc fitScratch
+	for i, c := range ctr {
+		s.off[i] = (*QuantileCache)(nil).offsets(s.proto, "", i, s.cat)
+		los, his := sc.faces(0, s.off[i], mbr.Lo[i]-c, mbr.Hi[i]-c)
+		f := s.lines[4*i : 4*i+4]
+		f[0], f[1] = sc.outFaces(s.cat, los, his)
+		f[2], f[3] = sc.inFaces(s.cat, los, his)
+	}
+}
+
+// Fit returns the cfb_out and cfb_in of the object of this shape centred at
+// ctr whose region MBR is mbr, laid over one coefficient slab: the shape's
+// lines shifted by the centre, quantised as FitOut and FitIn quantise, and
+// repaired against the object's own PCR faces. They meet FitOut's and
+// FitIn's invariants exactly against the PCRs Shape.PCRs gives the object
+// (the shape's offsets plus its centre), and Validate's against those
+// Compute derives from the object's own quantiles.
+func (s *Shape) Fit(ctr geom.Point, mbr geom.Rect) (out, in CFB) {
+	s.once.Do(s.fit)
+	d := len(ctr)
+	slab := make(CFB, 8*d)
+	out, in = slab[:4*d:4*d], slab[4*d:]
+	var sc fitScratch
+	for i, c := range ctr {
+		los, his := sc.faces(c, s.off[i], mbr.Lo[i], mbr.Hi[i])
+		f := s.lines[4*i : 4*i+4]
+		out.quantise(i, f[0].shift(c), f[1].shift(c), true)
+		out.repairOut(s.cat, i, los, his)
+		in.quantise(i, f[2].shift(c), f[3].shift(c), false)
+		in.repairIn(s.cat, i, los, his)
+	}
+	return out, in
+}
+
+// PCRs returns the PCRs of the object of this shape centred at ctr whose
+// region MBR is mbr — Compute's, from the shape's offsets.
+func (s *Shape) PCRs(ctr geom.Point, mbr geom.Rect) PCRs {
+	s.once.Do(s.fit)
+	return pcrsAt(s.cat, ctr, mbr, s.off)
 }
 
 // Validate checks the conservative invariants of an out/in CFB pair against

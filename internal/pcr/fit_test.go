@@ -409,3 +409,162 @@ func TestQuantisedFilterDecidesLikeFloat64(t *testing.T) {
 		}
 	}
 }
+
+// ulps32 is the number of float32 values from a to b.
+func ulps32(a, b float32) int64 {
+	ord := func(f float32) int64 {
+		if bits := int32(math.Float32bits(f)); bits < 0 {
+			return int64(math.MinInt32) - int64(bits)
+		} else {
+			return int64(bits)
+		}
+	}
+	n := ord(a) - ord(b)
+	if n < 0 {
+		n = -n
+	}
+	return n
+}
+
+// checkTranslated holds the translated fit of one object to what FitOut
+// and FitIn promise against the object's PCR faces (sh.PCRs, the faces the
+// fit is repaired against): Validate passes and every evaluated face is on
+// its safe side with zero tolerance. Every coefficient is within what
+// quantise and a repair step or two move it from the shape's float64 stage
+// shifted to the object's centre: 1 ulp32 for a slope, 2 ulp32 plus one of
+// the object's coordinates for an intercept (a repair step near 0 is the
+// shortfall, a float64 rounding of the faces). It returns how many
+// coefficients differ from FitOut's and FitIn's on the same faces, how many
+// there are, and the most float32 values one is from its counterpart.
+func checkTranslated(t testing.TB, name string, sh *Shape, p updf.PDF) (differ, total int, worst int64) {
+	t.Helper()
+	ctr, mbr := p.Center(), p.MBR()
+	out, in := sh.Fit(ctr, mbr)
+	pcrs := sh.PCRs(ctr, mbr)
+	if err := Validate(out, in, pcrs); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i, c := range ctr {
+		for j, box := range pcrs.Boxes {
+			p := pcrs.Cat.Value(j)
+			if out.Lo(i, p) > box.Lo[i] || out.Hi(i, p) < box.Hi[i] {
+				t.Fatalf("%s dim %d: cfb_out(%g) = [%v, %v] does not cover pcr [%v, %v]",
+					name, i, p, out.Lo(i, p), out.Hi(i, p), box.Lo[i], box.Hi[i])
+			}
+			if in.Lo(i, p) < box.Lo[i] || in.Hi(i, p) > box.Hi[i] {
+				t.Fatalf("%s dim %d: cfb_in(%g) faces %v, %v not inside pcr [%v, %v]",
+					name, i, p, in.Lo(i, p), in.Hi(i, p), box.Lo[i], box.Hi[i])
+			}
+		}
+		f, coord := sh.lines[4*i:4*i+4], ulp32(max(math.Abs(mbr.Lo[i]), math.Abs(mbr.Hi[i])))
+		for _, k := range []struct {
+			what      string
+			got, want line
+		}{{"cfb_out low", out.lo(i), f[0].shift(c)}, {"cfb_out high", out.hi(i), f[1].shift(c)},
+			{"cfb_in low", in.lo(i), f[2].shift(c)}, {"cfb_in high", in.hi(i), f[3].shift(c)}} {
+			if math.Abs(k.got.beta-k.want.beta) > ulp32(k.want.beta) ||
+				math.Abs(k.got.alpha-k.want.alpha) > 2*ulp32(k.want.alpha)+coord {
+				t.Fatalf("%s dim %d: %s face %+v, float64 stage %+v", name, i, k.what, k.got, k.want)
+			}
+		}
+	}
+	for _, c := range []struct{ got, want CFB }{{out, FitOut(pcrs)}, {in, FitIn(pcrs)}} {
+		for k := range c.got {
+			if n := ulps32(c.got[k], c.want[k]); n != 0 {
+				differ, worst = differ+1, max(worst, n)
+			}
+		}
+		total += len(c.got)
+	}
+	return differ, total, worst
+}
+
+// TestFitTranslated fits shapes of every keyed family once, in 2-D and
+// 3-D, with extents from 1 to a few hundred, and holds the translated fit
+// of objects with the prototype's ShapeKey at centres up to 10⁷ (the
+// polygon's lattice: 10⁴) to checkTranslated, each coefficient within 2
+// ulp32 of the direct fit's — and, for every tenth object, to Validate
+// against the object's own PCRs, from its own quantiles. (At extents far
+// below 10⁻⁸ of the centre the direct fit's slopes carry the rounding of
+// the coordinates, and the translated fit, taken about the centre, is the
+// closer to the float64 optimum; FuzzFitTranslated goes there.)
+func TestFitTranslated(t *testing.T) {
+	objects := 40
+	if testing.Short() {
+		objects = 8
+	}
+	cat := UniformCatalog(15)
+	var differ, total int
+	for _, family := range keyedFamilies {
+		for _, d := range []int{2, 3} {
+			if family == famPolygon && d == 3 {
+				continue
+			}
+			rng := rand.New(rand.NewSource(int64(71 + 10*family + d)))
+			u := rng.Float64
+			maxMag := 1e7
+			if family == famPolygon {
+				maxMag = 1e4
+			}
+			for shape := 0; shape < 5; shape++ {
+				place := keyedShape(family, d, math.Pow(10, 0.5*float64(shape)), u)
+				proto := place(shapeCentre(d, math.Pow(maxMag, u()), u))
+				sh := NewShape(proto, cat)
+				for k := 0; k < objects; k++ {
+					p := place(shapeCentre(d, math.Pow(maxMag, u()), u))
+					name := fmt.Sprintf("%s-%dd shape %d object %d at %v", marginalFamilyNames[family], d, shape, k, p.Center())
+					if p.ShapeKey() != proto.ShapeKey() {
+						t.Fatalf("%s: key %s, prototype's %s", name, p.ShapeKey(), proto.ShapeKey())
+					}
+					df, tot, worst := checkTranslated(t, name, sh, p)
+					if worst > 2 {
+						t.Fatalf("%s: a coefficient %d ulp32 from the direct fit's", name, worst)
+					}
+					differ, total = differ+df, total+tot
+					if k%10 == 0 {
+						out, in := sh.Fit(p.Center(), p.MBR())
+						if err := Validate(out, in, Compute(p, cat, nil)); err != nil {
+							t.Fatalf("%s, against its own PCRs: %v", name, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d coefficients (%.3f%%) differ from the direct fit's, each by at most 2 ulp32",
+		differ, total, 100*float64(differ)/float64(total))
+}
+
+// FuzzFitTranslated draws a keyed family, the shape's extents (scale and a
+// seed for keyedShape's draws: radius, σ, sides), a centre within 10⁷ of the
+// origin and the catalog size from the fuzzer's bytes, fits the shape once
+// and holds a translate at the centre to checkTranslated: conservative as
+// evaluated, and within a repair step or two of the float64 stage.
+func FuzzFitTranslated(f *testing.F) {
+	f.Add(uint8(famUniformBall), uint8(2), 250.0, int64(1), 4000.0, 6000.0, 500.0, uint8(13))
+	f.Add(uint8(famConGau), uint8(2), 250.0, int64(2), 1e7, -1e7, 0.0, uint8(13))
+	f.Add(uint8(famConGau), uint8(3), 3.0, int64(3), 12345.678, 0.5, -9e6, uint8(7))
+	f.Add(uint8(famUniformRect), uint8(3), 0.25, int64(4), -3.3, 7e6, 2.2e6, uint8(0))
+	f.Add(uint8(famGaussRect), uint8(2), 80.0, int64(5), 9999999.5, 1.0, 0.0, uint8(30))
+	f.Add(uint8(famExpoRect), uint8(3), 10.0, int64(6), -5e6, 5e6, 123.0, uint8(38))
+	f.Add(uint8(famPolygon), uint8(2), 60.0, int64(7), 3e3, -0.125, 0.0, uint8(1))
+	f.Fuzz(func(t *testing.T, fam, dim uint8, scale float64, seed int64, c0, c1, c2 float64, mb uint8) {
+		for _, x := range []float64{scale, c0, c1, c2} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return
+			}
+		}
+		family := keyedFamilies[int(fam)%len(keyedFamilies)]
+		d, maxMag := 2+int(dim)%2, 1e7
+		if family == famPolygon {
+			d, maxMag = 2, 1e4
+		}
+		c := geom.Point{math.Mod(c0, maxMag), math.Mod(c1, maxMag), math.Mod(c2, maxMag)}[:d]
+		scale = 1e-3 + math.Mod(math.Abs(scale), 1e3)
+		cat := UniformCatalog(2 + int(mb)%40)
+		place := keyedShape(family, d, scale, rand.New(rand.NewSource(seed)).Float64)
+		sh := NewShape(place(make(geom.Point, d)), cat)
+		checkTranslated(t, fmt.Sprintf("%s-%dd, scale %g, seed %d, at %v, m=%d", marginalFamilyNames[family], d, scale, seed, c, cat.Size()),
+			sh, place(c))
+	})
+}

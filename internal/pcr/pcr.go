@@ -20,9 +20,10 @@ type PCRs struct {
 // the normalization constant λ of the CA dataset "needs to be calculated
 // only once" because every object shares the same pdf shape; this cache
 // generalizes that: a dataset of identically-shaped objects computes its
-// quantiles exactly once. For the shapes updf.MarginalTable says to tabulate
-// it also holds the CDF tables refinement reads instead (cdftable.go). Safe
-// for concurrent use.
+// quantiles exactly once. (An index keeps a shape's offsets, and its fit, in
+// its shape table's Shape instead; the cache serves Compute.) For the shapes
+// updf.MarginalTable says to tabulate it also holds the CDF tables
+// refinement reads instead (cdftable.go). Safe for concurrent use.
 type QuantileCache struct {
 	mu     sync.Mutex
 	m      map[offsetsKey][]float64
@@ -80,57 +81,29 @@ func Compute(p updf.PDF, cat Catalog, cache *QuantileCache) PCRs {
 	if cache != nil {
 		shape = p.ShapeKey()
 	}
-	return ComputeKeyed(p, shape, cat, cache)
+	off := make([][]float64, p.Dim())
+	for i := range off {
+		off[i] = cache.offsets(p, shape, i, cat)
+	}
+	return pcrsAt(cat, p.Center(), p.MBR(), off)
 }
 
-// ComputeKeyed is Compute for a caller that has shape = p.ShapeKey() in hand.
-func ComputeKeyed(p updf.PDF, shape string, cat Catalog, cache *QuantileCache) PCRs {
-	d := p.Dim()
-	m := cat.Size()
-	ctr := p.Center()
+// pcrsAt returns the PCRs of a pdf centred at ctr whose region MBR is mbr,
+// from its shape's quantile offsets (off[i] on dimension i), over one
+// coordinate slab.
+func pcrsAt(cat Catalog, ctr geom.Point, mbr geom.Rect, off [][]float64) PCRs {
+	d, m := len(ctr), cat.Size()
+	coords := make([]float64, 2*d*m)
 	boxes := make([]geom.Rect, m)
-	los := make([][]float64, m)
-	his := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		los[j] = make([]float64, d)
-		his[j] = make([]float64, d)
+	for j := range boxes {
+		c := coords[2*d*j : 2*d*(j+1)]
+		boxes[j] = geom.Rect{Lo: c[:d:d], Hi: c[d:]}
 	}
-	for i := 0; i < d; i++ {
-		off := cache.offsets(p, shape, i, cat)
-		for j := 0; j < m; j++ {
-			lo := ctr[i] + off[2*j]
-			hi := ctr[i] + off[2*j+1]
-			if lo > hi {
-				// Numerical crossing near p = 0.5: collapse to midpoint.
-				mid := (lo + hi) / 2
-				lo, hi = mid, mid
-			}
-			los[j][i], his[j][i] = lo, hi
-		}
-	}
-	for j := 0; j < m; j++ {
-		boxes[j] = geom.Rect{Lo: los[j], Hi: his[j]}
-	}
-	// pcr(0) is the uncertainty region MBR by definition. Pin it exactly:
-	// the quantile path computes ctr + (quantile − ctr') with the cache's
-	// seed object ctr', whose rounding can land ~1e-13 inside the true MBR —
-	// enough to break the strict containment chain (leaf CFB ⊆ parent boxes)
-	// that Delete's descent relies on, in a way that depends on which object
-	// warmed the cache. The nesting pass below re-expands pcr(0) if quantile
-	// noise pushed an inner box outside the MBR.
-	if cat.Value(0) == 0 {
-		boxes[0] = p.MBR().Clone()
-	}
-	// Enforce nesting exactly (quantile noise could break it marginally):
-	// pcr(p_{j}) must contain pcr(p_{j+1}).
-	for j := m - 2; j >= 0; j-- {
-		for i := 0; i < d; i++ {
-			if boxes[j].Lo[i] > boxes[j+1].Lo[i] {
-				boxes[j].Lo[i] = boxes[j+1].Lo[i]
-			}
-			if boxes[j].Hi[i] < boxes[j+1].Hi[i] {
-				boxes[j].Hi[i] = boxes[j+1].Hi[i]
-			}
+	var s fitScratch
+	for i := range ctr {
+		lo, hi := s.faces(ctr[i], off[i], mbr.Lo[i], mbr.Hi[i])
+		for j, b := range boxes {
+			b.Lo[i], b.Hi[i] = lo[j], hi[j]
 		}
 	}
 	return PCRs{Cat: cat, Boxes: boxes}

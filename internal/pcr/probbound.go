@@ -114,6 +114,9 @@ func (l line) at(p float64) float64 { return l.alpha - l.beta*p }
 // mirror returns the face seen from the reflected axis.
 func (l line) mirror() line { return line{-l.alpha, -l.beta} }
 
+// shift returns the face translated by c.
+func (l line) shift(c float64) line { return line{l.alpha + c, l.beta} }
+
 // firstAtLeast returns the smallest j with l.at(p[j]) ≥ x, len(p) when
 // there is none. A low face moves right as p grows, so its crossing index
 // is found by bisection instead of scanning the catalog; should round-off

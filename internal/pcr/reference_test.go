@@ -265,11 +265,12 @@ type faces64 []struct{ lo, hi line }
 
 // stage64 runs one fit's float64 stage (fitScratch.outFaces or inFaces)
 // over every dimension.
-func stage64(pcrs PCRs, stage func(*fitScratch, PCRs, int) (lo, hi line)) faces64 {
+func stage64(pcrs PCRs, stage func(*fitScratch, Catalog, []float64, []float64) (lo, hi line)) faces64 {
 	var s fitScratch
 	f := make(faces64, pcrs.Boxes[0].Dim())
 	for i := range f {
-		f[i].lo, f[i].hi = stage(&s, pcrs, i)
+		los, his := s.columns(pcrs, i)
+		f[i].lo, f[i].hi = stage(&s, pcrs.Cat, los, his)
 	}
 	return f
 }

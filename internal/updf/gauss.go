@@ -108,7 +108,8 @@ func (g *ConGauBall) MarginalCDF(dim int, x float64) float64 {
 }
 
 func (g *ConGauBall) ShapeKey() string {
-	return fmt.Sprintf("congau:d=%d:r=%g:s=%g", g.Dim(), g.R, g.Sigma)
+	key := appendG(append(shapeKey("congau", g.Dim()), ":r="...), g.R)
+	return string(appendG(append(key, ":s="...), g.Sigma))
 }
 
 func (g *ConGauBall) Center() geom.Point { return g.Ctr }
@@ -240,12 +241,14 @@ func (g *GaussRect) MarginalCDF(dim int, x float64) float64 {
 }
 
 func (g *GaussRect) ShapeKey() string {
-	key := fmt.Sprintf("grect:d=%d", g.Dim())
+	key := shapeKey("grect", g.Dim())
 	c := g.Rect.Center()
 	for i := range g.Sigma {
-		key += fmt.Sprintf(":%g,%g,%g", g.Rect.Side(i), g.Sigma[i], g.Mu[i]-c[i])
+		key = appendG(append(key, ':'), g.Rect.Side(i))
+		key = appendG(append(key, ','), g.Sigma[i])
+		key = appendG(append(key, ','), g.Mu[i]-c[i])
 	}
-	return key
+	return string(key)
 }
 
 func (g *GaussRect) Center() geom.Point { return g.Rect.Center() }

@@ -1,5 +1,20 @@
 package updf
 
+import "strconv"
+
+// shapeKey starts a built-in family's ShapeKey: its name, then ":d=" and
+// the dimensionality. The families append their parameters with appendG;
+// ShapeKey runs once per indexed object, so the key is built by appending
+// rather than by fmt.
+func shapeKey(family string, dim int) []byte {
+	key := make([]byte, 0, 64)
+	key = append(append(key, family...), ":d="...)
+	return strconv.AppendInt(key, int64(dim), 10)
+}
+
+// appendG appends x as fmt's %g formats it.
+func appendG(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'g', -1, 64) }
+
 // ShapeID is ShapeKey in comparable, allocation-free form: it names what a
 // pdf's marginal CDFs depend on once Center() is subtracted, for callers
 // that keep a per-shape table and look it up once per query candidate,

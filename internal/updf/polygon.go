@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"repro/internal/geom"
 )
@@ -144,12 +143,12 @@ func (p *UniformPolygon) MarginalCDF(dim int, x float64) float64 {
 func (p *UniformPolygon) ShapeKey() string {
 	// Translation-invariant: vertex offsets from the centroid.
 	c := p.Center()
-	var b strings.Builder
-	b.WriteString("upoly:")
+	key := []byte("upoly:")
 	for _, v := range p.verts {
-		fmt.Fprintf(&b, "%g,%g;", v[0]-c[0], v[1]-c[1])
+		key = appendG(key, v[0]-c[0])
+		key = append(appendG(append(key, ','), v[1]-c[1]), ';')
 	}
-	return b.String()
+	return string(key)
 }
 
 func (p *UniformPolygon) Center() geom.Point {

@@ -82,11 +82,12 @@ func (e *ExpoRect) MarginalCDF(dim int, x float64) float64 {
 }
 
 func (e *ExpoRect) ShapeKey() string {
-	key := fmt.Sprintf("expo:d=%d", e.Dim())
+	key := shapeKey("expo", e.Dim())
 	for i := range e.Rate {
-		key += fmt.Sprintf(":%g,%g", e.Rect.Side(i), e.Rate[i])
+		key = appendG(append(key, ':'), e.Rect.Side(i))
+		key = appendG(append(key, ','), e.Rate[i])
 	}
-	return key
+	return string(key)
 }
 
 func (e *ExpoRect) Center() geom.Point { return e.Rect.Center() }

@@ -84,7 +84,7 @@ func cosPowerIntegral(n int, s float64) float64 {
 }
 
 func (u *UniformBall) ShapeKey() string {
-	return fmt.Sprintf("uball:d=%d:r=%g", u.Dim(), u.R)
+	return string(appendG(append(shapeKey("uball", u.Dim()), ":r="...), u.R))
 }
 
 func (u *UniformBall) Center() geom.Point { return u.Ctr }
@@ -197,11 +197,11 @@ func (u *UniformRect) MarginalCDF(dim int, x float64) float64 {
 }
 
 func (u *UniformRect) ShapeKey() string {
-	key := fmt.Sprintf("urect:d=%d", u.Dim())
+	key := shapeKey("urect", u.Dim())
 	for i := range u.Rect.Lo {
-		key += fmt.Sprintf(":%g", u.Rect.Hi[i]-u.Rect.Lo[i])
+		key = appendG(append(key, ':'), u.Rect.Hi[i]-u.Rect.Lo[i])
 	}
-	return key
+	return string(key)
 }
 
 func (u *UniformRect) Center() geom.Point { return u.Rect.Center() }
