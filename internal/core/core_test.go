@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -733,6 +734,80 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
 	}); err != nil {
 		t.Fatalf("query after heal: %v", err)
+	}
+}
+
+// TestCorruptChildPointerEndsQueries: a child pointer that leads back to
+// the root once kept a range query descending until its deadline (about
+// 700k node accesses in 2 s) and for ever on context.Background(). Each
+// child must hold the level below its parent, so both traversals stop at
+// the first page that does not, with a typed BadPageError, and quarantine
+// it. The deadline only turns the old behaviour into a failure, not a hang.
+func TestCorruptChildPointerEndsQueries(t *testing.T) {
+	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
+	for _, cache := range []int{-1, 0} {
+		for _, kind := range []string{"range", "nn"} {
+			tree, err := New(Options{Dim: 2, ExactRefinement: true, NodeCacheEntries: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range objs {
+				if err := tree.Insert(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tree.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if tree.rootLevel != 2 {
+				t.Fatalf("fixture: root at level %d, want 2", tree.rootLevel)
+			}
+			root, err := tree.readNode(tree.rootPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A point inside the entry's box: the NN traversal pops it early.
+			q := root.entries[0].boxes[0].Center()
+			root.entries[0].child = root.page
+			page := make([]byte, pagefile.PageSize)
+			if err := tree.encodeNode(root, page); err != nil {
+				t.Fatal(err)
+			}
+			tree.vs.MarkInPlace(root.page)
+			if err := tree.store.Write(root.page, page); err != nil {
+				t.Fatal(err)
+			}
+			tree.vs.UnmarkInPlace(root.page)
+			tree.pool.Invalidate(root.page)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			snap := tree.Snapshot()
+			var accesses int
+			if kind == "range" {
+				var st QueryStats
+				_, st, err = snap.RangeQuery(ctx, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{10000, 10000}), Prob: 0.5}, QueryOpts{})
+				accesses = st.NodeAccesses
+			} else {
+				var st NNStats
+				_, st, err = snap.NearestNeighbors(ctx, q, 10, QueryOpts{})
+				accesses = st.NodeAccesses
+			}
+			snap.Close()
+			cancel()
+			var bad *pagefile.BadPageError
+			if !errors.As(err, &bad) || bad.Page != root.page {
+				t.Fatalf("cache %d, %s query: err %v after %d node accesses, want a BadPageError for page %d", cache, kind, err, accesses, root.page)
+			}
+			if accesses != 1 {
+				t.Errorf("cache %d, %s query: %d node accesses, want 1 (the root)", cache, kind, accesses)
+			}
+			if h := tree.Health(); h.QuarantinedPages != 1 || h.Quarantined[0].Page != root.page {
+				t.Errorf("cache %d, %s query: quarantined %+v, want page %d", cache, kind, h.Quarantined, root.page)
+			}
+		}
 	}
 }
 

@@ -29,23 +29,26 @@ func (k Kind) String() string {
 	return "U-tree"
 }
 
-// entry is the in-memory form of a node entry for either kind and either
-// node level.
+// entry is the edit form of a node entry for either kind and either node
+// level: what the writers (insert, delete, split, condense) edit and
+// encodeNode writes. Readers never see it — queries read packedNode, the
+// form the decoded-node cache holds — and readNode builds it by expanding
+// a private packedNode.
 //
 // Leaf entries: id, addr, mbr are always set, shape names the object's
 // prototype in the tree's shape table (0: none); a U-tree leaf carries out/in
-// CFBs, a U-PCR leaf carries pcrBoxes (length m, pcrBoxes[0] == mbr).
+// CFBs, a U-PCR leaf carries pcrs (length m, pcrs[0] == mbr).
 //
 // Intermediate entries: child is set and boxes carries the bounding
 // geometry — length 2 for the U-tree ([MBR⊥, MBR⊤], interpolated linearly
 // in p) and length m for U-PCR (one bounding rectangle per catalog value).
 //
-// The coordinate slices are read-only. decodeNode lays all entries of a
-// node over shared slabs, and entries are copied by value between nodes
+// The coordinate slices are read-only. An expanded node's entries lie over
+// its packedNode's slabs, and entries are copied by value between nodes
 // (split, reinsertion), so a write through mbr, out, in, pcrs or boxes
-// would reach other entries and cached nodes. Geometry changes by
-// replacing the slice (refreshPath); the only in-place writers, interpInto
-// and UnionInPlace, work on scratch and on cloneBoxes copies.
+// would reach other entries. Geometry changes by replacing the slice
+// (refreshPath); the only in-place writers, interpInto and UnionInPlace,
+// work on scratch and on cloneBoxes copies.
 type entry struct {
 	// Leaf fields.
 	id    int64

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -246,96 +247,95 @@ func TestBulkLoadSmallAndExactCapacity(t *testing.T) {
 	}
 }
 
-// --- Cost model --------------------------------------------------------------
+// --- NNBound -----------------------------------------------------------------
 
-func TestCostModelPredictsWithinBand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long-running; skipped with -short")
+func TestNNBound(t *testing.T) {
+	b := NewNNBound()
+	if !math.IsInf(b.Load(), 1) {
+		t.Fatalf("fresh bound = %v, want +Inf", b.Load())
 	}
-	rng := rand.New(rand.NewSource(27))
-	objs := makeObjects(2500, 2000, rng)
-	tree := buildTree(t, UTree, objs, 0)
-	domain := geom.NewRect(geom.Point{0, 0}, geom.Point{2000, 2000})
-	cm, err := tree.BuildCostModel(domain)
-	if err != nil {
-		t.Fatal(err)
+	b.Update(5)
+	if b.Load() != 5 {
+		t.Fatalf("after Update(5): %v", b.Load())
 	}
-	if cm.Levels() < 2 {
-		t.Fatalf("model has %d levels", cm.Levels())
+	b.Update(7) // larger: no effect
+	if b.Load() != 5 {
+		t.Fatalf("Update(7) raised the bound to %v", b.Load())
 	}
-
-	type sample struct{ pred, meas float64 }
-	var samples []sample
-	for _, qs := range []float64{100, 200, 400, 800} {
-		j := tree.CatalogIndexFor(0.6)
-		pred := cm.EstimateNodeAccesses([]float64{qs, qs}, 0.6, j)
-		var meas float64
-		const nq = 30
-		for i := 0; i < nq; i++ {
-			c := objs[rng.Intn(len(objs))].PDF.Center()
-			rq := geom.NewRect(
-				geom.Point{c[0] - qs/2, c[1] - qs/2},
-				geom.Point{c[0] + qs/2, c[1] + qs/2})
-			_, stats, err := rangeQuery(tree, Query{Rect: rq, Prob: 0.6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			meas += float64(stats.NodeAccesses)
-		}
-		meas /= nq
-		samples = append(samples, sample{pred, meas})
+	b.Update(3)
+	if b.Load() != 3 {
+		t.Fatalf("after Update(3): %v", b.Load())
 	}
-	// Uncalibrated predictions must be monotone in qs and within a factor
-	// of 4 (data-following query centers bias the uniform model).
-	for i := 1; i < len(samples); i++ {
-		if samples[i].pred <= samples[i-1].pred {
-			t.Fatalf("prediction not monotone in qs: %+v", samples)
-		}
-	}
-	for _, s := range samples {
-		ratio := s.pred / s.meas
-		if ratio < 0.25 || ratio > 4 {
-			t.Fatalf("uncalibrated prediction off by >4×: pred=%.1f meas=%.1f", s.pred, s.meas)
-		}
-	}
-	// Calibration tightens the fit.
-	preds := make([]float64, len(samples))
-	meass := make([]float64, len(samples))
-	for i, s := range samples {
-		preds[i] = s.pred
-		meass[i] = s.meas
-	}
-	if err := cm.Calibrate(preds, meass); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range samples {
-		cal := s.pred * cm.CalibrationFactor()
-		if ratio := cal / s.meas; ratio < 0.5 || ratio > 2 {
-			t.Fatalf("calibrated sample %d off by >2×: %.1f vs %.1f", i, cal, s.meas)
-		}
+	// Ignored inputs: zero (sentinel collision), NaN, +Inf.
+	b.Update(0)
+	b.Update(math.NaN())
+	b.Update(math.Inf(1))
+	if b.Load() != 3 {
+		t.Fatalf("degenerate updates moved the bound to %v", b.Load())
 	}
 }
 
-func TestCostModelValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	objs := makeObjects(100, 300, rng)
-	tree := buildTree(t, UTree, objs, 0)
-	if _, err := tree.BuildCostModel(geom.NewRect(geom.Point{0}, geom.Point{1})); err == nil {
-		t.Error("wrong-dim domain accepted")
+func TestNNBoundConcurrentMin(t *testing.T) {
+	b := NewNNBound()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= 1000; i++ {
+				b.Update(float64(w*1000 + i))
+			}
+		}(w)
 	}
-	flat := geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{300, 0}}
-	if _, err := tree.BuildCostModel(flat); err == nil {
-		t.Error("zero-extent domain accepted")
+	wg.Wait()
+	if b.Load() != 1 {
+		t.Fatalf("concurrent CAS-min settled at %v, want 1", b.Load())
 	}
-	cm, err := tree.BuildCostModel(geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cm.Calibrate(nil, nil); err == nil {
-		t.Error("empty calibration accepted")
-	}
-	if err := cm.Calibrate([]float64{0}, []float64{1}); err == nil {
-		t.Error("zero-prediction calibration accepted")
+}
+
+// --- Probability-bound filter ------------------------------------------------
+
+// TestProbFilterEquivalence: the probability-bound filter is always on, so
+// its contract is checked against brute force — no query's result set may
+// change — while it actually prunes refinement work in its enrichment
+// zone: narrow queries hitting the core of a pdf with a threshold above
+// the mass the rect can capture, which the paper's rectangle-test rules
+// cannot prune.
+func TestProbFilterEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	objs := makeObjects(500, 1000, rng)
+	scan := NewScan(objs, 9, 0, true, 1)
+	for _, kind := range []Kind{UTree, UPCR} {
+		tree := buildTree(t, kind, objs, 0)
+		totalPruned := 0
+		for q := 0; q < 160; q++ {
+			var rq geom.Rect
+			var pq float64
+			if q%2 == 0 {
+				// Broad random rects: the equivalence half of the contract.
+				rq = randomQueryRect(rng, 1000)
+				pq = 0.05 + rng.Float64()*0.9
+			} else {
+				// Narrow interior rects over an object's center: the zone
+				// where the slab bound out-prunes Observations 2/3.
+				c := objs[rng.Intn(len(objs))].PDF.Center()
+				h := 3 + rng.Float64()*10
+				rq = geom.NewRect(geom.Point{c[0] - h, c[1] - h}, geom.Point{c[0] + h, c[1] + h})
+				pq = 0.2 + rng.Float64()*0.6
+			}
+			query := Query{Rect: rq, Prob: pq}
+			got, stats, err := rangeQuery(tree, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scan.BruteForce(query); !sameIDs(resultIDs(got), resultIDs(want)) {
+				t.Fatalf("%v query %d (pq=%.3f): got %v, brute force %v", kind, q, pq, resultIDs(got), resultIDs(want))
+			}
+			totalPruned += stats.ProbFilterPruned
+		}
+		if totalPruned == 0 {
+			t.Fatalf("%v: prob filter never pruned across 160 queries", kind)
+		}
 	}
 }
 

@@ -82,6 +82,7 @@ func (s *NNStats) Add(o NNStats) {
 type nnItem struct {
 	lb     float64
 	isNode bool
+	level  uint8 // a node's: the level its page must hold (one byte on the page)
 	page   pagefile.PageID
 	id     int64
 	addr   pagefile.DataAddr
@@ -137,7 +138,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	defer sc.release()
 	distBuf := sc.point(t.dim)
 	pq := &sc.heap
-	*pq = append((*pq)[:0], nnItem{lb: 0, isNode: true, page: root})
+	*pq = append((*pq)[:0], nnItem{lb: 0, isNode: true, level: uint8(s.st.rootLevel), page: root})
 
 	worst := math.Inf(1)
 	// The data page the last refined object was read from.
@@ -161,26 +162,21 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			break
 		}
 		if it.isNode {
-			n, err := t.fetchNode(&meter, it.page)
+			n, err := t.fetchNode(&meter, it.page, int(it.level))
 			if err != nil {
 				return finish(err)
 			}
 			stats.NodeAccesses++
-			if n.leaf() {
-				for i := range n.entries {
-					e := &n.entries[i]
+			for i := 0; i < n.count; i++ {
+				if n.leaf() {
+					addr, _ := n.addr(i)
+					nnPush(pq, nnItem{lb: minDist(q, n.mbr(i)), id: n.id(i), addr: addr})
+				} else {
 					nnPush(pq, nnItem{
-						lb:   minDist(q, e.mbr),
-						id:   e.id,
-						addr: e.addr,
-					})
-				}
-			} else {
-				for i := range n.entries {
-					nnPush(pq, nnItem{
-						lb:     t.minDistAt(q, n.entries[i].boxes, 0),
+						lb:     t.minDistAt(q, n.boxes(i), 0),
 						isNode: true,
-						page:   n.entries[i].child,
+						level:  uint8(n.level - 1),
+						page:   n.child(i),
 					})
 				}
 			}

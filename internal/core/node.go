@@ -10,7 +10,10 @@ import (
 	"repro/internal/pcr"
 )
 
-// node is the in-memory form of a tree page.
+// node is the edit form of a tree page: the entries the writers (insert,
+// delete, split, condense, the walks) edit and encodeNode writes back.
+// readNode builds it by expanding a privately decoded packedNode, so its
+// entries lie over slabs no one else holds.
 type node struct {
 	page    pagefile.PageID
 	level   int // 0 = leaf
@@ -19,35 +22,124 @@ type node struct {
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-// readNode fetches and deserializes a page, counting one logical node
-// access. It always decodes a private copy: the mutation paths (insert and
-// delete descents) edit the returned node's entries in place, so they must
-// never receive a node shared through the decoded-node cache. Query paths
-// go through fetchNode, which consults the cache first.
+// packedNode is the read form of a tree page and the value the decoded-node
+// cache holds: per-entry scalars in keys, every coordinate in one float64
+// and one float32 slab, so a cached leaf holds no pointer the GC must scan
+// and costs about what its page does (112 B a 2-D U-tree leaf entry).
+//
+//   - keys: a leaf entry's id and its addr‖shape word, the page's own 16
+//     bytes (2 words an entry); an intermediate entry's child (1 word).
+//   - f64: each entry's nb rectangles, Lo then Hi, at stride nb·2·dim — a
+//     U-tree leaf's MBR (nb = 1), a U-PCR leaf's m PCRs (pcr(0) is the
+//     MBR), an intermediate entry's 2 or m bounding boxes.
+//   - f32: a U-tree leaf entry's cfb_out‖cfb_in, at stride 8·dim.
+//   - rects: for intermediate nodes and U-PCR leaves, which are few, the nb
+//     rectangles of each entry laid over f64 — the []geom.Rect the descent
+//     and the U-PCR filter take.
+//
+// The accessors return sub-slices of the slabs, capped so that an append
+// cannot reach a neighbour. Nothing writes through them: a cached node is
+// shared by every lock-free reader.
+type packedNode struct {
+	page         pagefile.PageID
+	level, count int
+	dim, nb      int
+	keys         []uint64
+	f64          []float64
+	f32          []float32
+	rects        []geom.Rect
+}
+
+func (p *packedNode) leaf() bool { return p.level == 0 }
+
+// id is leaf entry i's object id.
+func (p *packedNode) id(i int) int64 { return int64(p.keys[2*i]) }
+
+// addr is leaf entry i's record address and shape reference.
+func (p *packedNode) addr(i int) (pagefile.DataAddr, uint16) {
+	w := p.keys[2*i+1]
+	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w >> 48)
+}
+
+// child is intermediate entry i's child page.
+func (p *packedNode) child(i int) pagefile.PageID { return pagefile.PageID(p.keys[i]) }
+
+// mbr is leaf entry i's MBR.
+func (p *packedNode) mbr(i int) geom.Rect { return p.rect(i * p.nb) }
+
+// rect is the k-th rectangle of the f64 slab.
+func (p *packedNode) rect(k int) geom.Rect {
+	d := p.dim
+	c := p.f64[2*d*k : 2*d*(k+1) : 2*d*(k+1)]
+	return geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+}
+
+// cfbs is U-tree leaf entry i's cfb_out and cfb_in.
+func (p *packedNode) cfbs(i int) (out, in pcr.CFB) {
+	w := 4 * p.dim
+	c := p.f32[2*w*i : 2*w*(i+1) : 2*w*(i+1)]
+	return pcr.CFB(c[:w:w]), pcr.CFB(c[w:])
+}
+
+// boxes is the nb rectangles of intermediate or U-PCR leaf entry i.
+func (p *packedNode) boxes(i int) []geom.Rect {
+	return p.rects[i*p.nb : (i+1)*p.nb : (i+1)*p.nb]
+}
+
+// readNode fetches a page and expands it into edit form, counting one
+// logical node access. It always decodes a private copy: the mutation paths
+// edit the returned node's entries in place, so they must never receive
+// slabs shared through the decoded-node cache. Query paths go through
+// fetchNode, which consults the cache first.
 func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
-	n, _, err := t.readNodeMiss(id)
-	return n, err
+	p, _, err := t.readNodeMiss(id)
+	if err != nil {
+		return nil, err
+	}
+	return t.expand(p), nil
+}
+
+// expand is p's edit form, its entries laid over p's slabs (see entry).
+func (t *Tree) expand(p *packedNode) *node {
+	n := &node{page: p.page, level: p.level, entries: make([]entry, p.count)}
+	for i := range n.entries {
+		e := &n.entries[i]
+		switch {
+		case !p.leaf():
+			e.child, e.boxes = p.child(i), p.boxes(i)
+		case t.kind == UTree:
+			e.id, e.mbr = p.id(i), p.mbr(i)
+			e.addr, e.shape = p.addr(i)
+			e.out, e.in = p.cfbs(i)
+		default:
+			e.id, e.pcrs = p.id(i), p.boxes(i)
+			e.addr, e.shape = p.addr(i)
+			e.mbr = e.pcrs[0]
+		}
+	}
+	return n
 }
 
 // maybeCacheNode offers a freshly decoded node to the decoded-node cache.
 // Only committed pages are cached — their bytes are COW-immutable while
 // live, so the decoded form is shareable across lock-free readers; a
 // shadow (fresh) page is still writable in place and bypasses the cache.
-// Callers must not mutate n after offering it.
-func (t *Tree) maybeCacheNode(n *node) {
+// Callers must not mutate p after offering it.
+func (t *Tree) maybeCacheNode(p *packedNode) {
 	if t.ncache == nil {
 		return
 	}
-	if committed, epoch := t.vs.CommittedInfo(n.page); committed {
-		t.ncache.put(n.page, n, epoch)
+	if committed, epoch := t.vs.CommittedInfo(p.page); committed {
+		t.ncache.put(p.page, p, epoch)
 	}
 }
 
-// readNodeMiss is readNode plus the buffer pool's per-call miss report,
-// which the budgeted query path charges against its page budget. Pages in
-// the quarantine registry fast-fail before touching storage, and a read or
-// decode that proves corruption quarantines the page on its way out.
-func (t *Tree) readNodeMiss(id pagefile.PageID) (*node, bool, error) {
+// readNodeMiss reads and decodes a page, reporting the buffer pool's
+// per-call miss, which the budgeted query path charges against its page
+// budget. Pages in the quarantine registry fast-fail before touching
+// storage, and a read or decode that proves corruption quarantines the page
+// on its way out.
+func (t *Tree) readNodeMiss(id pagefile.PageID) (*packedNode, bool, error) {
 	t.nodeReads.Add(1)
 	if err := t.checkQuarantine(id); err != nil {
 		return nil, false, err
@@ -56,11 +148,11 @@ func (t *Tree) readNodeMiss(id pagefile.PageID) (*node, bool, error) {
 	if err != nil {
 		return nil, miss, fmt.Errorf("core: reading node %d: %w", id, t.noteReadError(id, err))
 	}
-	n, err := t.decodeNode(id, buf)
+	p, err := t.decodeNode(id, buf)
 	if err != nil {
 		return nil, miss, t.noteReadError(id, err)
 	}
-	return n, miss, nil
+	return p, miss, nil
 }
 
 // writeNode serializes a node to its page — copy-on-write: a node whose
@@ -140,87 +232,65 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 	return nil
 }
 
-// slabs is one decoded node's coordinate storage: every rectangle of every
-// entry is a sub-slice of f64, every CFB of f32, every box list of rects, so
-// decoding a node costs one allocation per element type, not several per
-// entry. Each take is capped at its own length — an append through it
-// cannot reach a neighbour — and entries never write through what they are
-// handed (see entry).
-type slabs struct {
-	f64   []float64
-	f32   []float32
-	rects []geom.Rect
-}
-
-// rect decodes the rectangle at buf[off:] into the next 2·dim coordinates.
-func (s *slabs) rect(buf []byte, off, dim int) (geom.Rect, int) {
-	c := s.f64[: 2*dim : 2*dim]
-	s.f64 = s.f64[2*dim:]
-	for i := range c {
-		c[i], off = getF64(buf, off)
+// decodeNode turns page bytes into a packedNode. It is the only code that
+// reads node bytes: four allocations however many entries the node holds.
+func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
+	p := &packedNode{
+		page: id, level: int(buf[0]), count: int(binary.LittleEndian.Uint16(buf[2:])),
+		dim: t.dim, nb: t.innerBoxes(),
 	}
-	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}, off
-}
-
-// cfb decodes the CFB at buf[off:] into the next 4·dim coefficients.
-func (s *slabs) cfb(buf []byte, off, dim int) (pcr.CFB, int) {
-	c := s.f32[: 4*dim : 4*dim]
-	s.f32 = s.f32[4*dim:]
-	for i := range c {
-		c[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
+	cap, sz, words, off0 := t.innerCap, t.innerEntrySize, 1, 8
+	if p.leaf() {
+		cap, sz, words, off0 = t.leafCap, t.leafEntrySize, 2, 16
 	}
-	return pcr.CFB(c), off
-}
-
-// boxes takes the next n rectangles, undecoded.
-func (s *slabs) boxes(n int) []geom.Rect {
-	b := s.rects[:n:n]
-	s.rects = s.rects[n:]
-	return b
-}
-
-func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*node, error) {
-	n := &node{page: id, level: int(buf[0])}
-	count := int(binary.LittleEndian.Uint16(buf[2:]))
-	cap, sz := t.innerCap, t.innerEntrySize
-	if n.leaf() {
-		cap, sz = t.leafCap, t.leafEntrySize
-	}
-	if count > cap {
+	if p.count > cap {
 		// A structurally impossible header is corruption the checksum layer
-		// did not (or, on v1 files, could not) catch; type it so the
-		// quarantine and degraded-read machinery treat it like one.
+		// did not catch; type it so the quarantine and degraded-read
+		// machinery treat it like one.
 		return nil, fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{
 			Page:   id,
-			Reason: fmt.Sprintf("entry count %d exceeds capacity %d", count, cap),
+			Reason: fmt.Sprintf("entry count %d exceeds capacity %d", p.count, cap),
 		})
 	}
-	n.entries = make([]entry, count)
-	// Rectangles per entry: the m boxes of either U-PCR level, [MBR⊥, MBR⊤]
-	// of a U-tree intermediate entry, or a U-tree leaf entry's MBR, which
-	// sits beside two CFBs instead of in a box list.
-	utreeLeaf := n.leaf() && t.kind == UTree
-	nb := t.innerBoxes()
+	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs.
+	utreeLeaf := p.leaf() && t.kind == UTree
 	if utreeLeaf {
-		nb = 1
+		p.nb = 1
 	}
-	s := slabs{f64: make([]float64, count*nb*2*t.dim)}
+	nf64, nf32 := 2*t.dim*p.nb, 0
+	p.keys = make([]uint64, words*p.count)
+	p.f64 = make([]float64, nf64*p.count)
 	if utreeLeaf {
-		s.f32 = make([]float32, count*8*t.dim)
+		nf32 = 8 * t.dim
+		p.f32 = make([]float32, nf32*p.count)
 	} else {
-		s.rects = make([]geom.Rect, count*nb)
+		p.rects = make([]geom.Rect, p.nb*p.count)
 	}
-	off := nodeHeader
-	for i := 0; i < count; i++ {
-		if n.leaf() {
-			t.decodeLeafEntry(&n.entries[i], buf[off:off+sz], &s)
+	for i := 0; i < p.count; i++ {
+		e := buf[nodeHeader+i*sz : nodeHeader+(i+1)*sz]
+		if p.leaf() {
+			p.keys[2*i] = binary.LittleEndian.Uint64(e)
+			p.keys[2*i+1] = binary.LittleEndian.Uint64(e[8:])
 		} else {
-			t.decodeInnerEntry(&n.entries[i], buf[off:off+sz], &s)
+			p.keys[i] = uint64(binary.LittleEndian.Uint32(e))
 		}
-		off += sz
+		off := off0
+		f64 := p.f64[nf64*i : nf64*(i+1)]
+		for k := range f64 {
+			f64[k], off = getF64(e, off)
+		}
+		if utreeLeaf {
+			f32 := p.f32[nf32*i : nf32*(i+1)]
+			for k := range f32 {
+				f32[k] = math.Float32frombits(binary.LittleEndian.Uint32(e[off:]))
+				off += 4
+			}
+		}
 	}
-	return n, nil
+	for k := range p.rects {
+		p.rects[k] = p.rect(k)
+	}
+	return p, nil
 }
 
 // innerBoxes is the number of rectangles in an intermediate entry (and in a
@@ -247,38 +317,12 @@ func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
 	}
 }
 
-func (t *Tree) decodeLeafEntry(e *entry, buf []byte, s *slabs) {
-	e.id = int64(binary.LittleEndian.Uint64(buf))
-	var off int
-	e.addr, e.shape, off = getAddr(buf, 8)
-	e.mbr, off = s.rect(buf, off, t.dim)
-	if t.kind == UTree {
-		e.out, off = s.cfb(buf, off, t.dim)
-		e.in, _ = s.cfb(buf, off, t.dim)
-		return
-	}
-	e.pcrs = s.boxes(t.cat.Size())
-	e.pcrs[0] = e.mbr
-	for j := 1; j < len(e.pcrs); j++ {
-		e.pcrs[j], off = s.rect(buf, off, t.dim)
-	}
-}
-
 func (t *Tree) encodeInnerEntry(e *entry, buf []byte) {
 	binary.LittleEndian.PutUint32(buf, uint32(e.child))
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	off := 8
 	for _, b := range e.boxes {
 		off = putRect(buf, off, b)
-	}
-}
-
-func (t *Tree) decodeInnerEntry(e *entry, buf []byte, s *slabs) {
-	e.child = pagefile.PageID(binary.LittleEndian.Uint32(buf))
-	e.boxes = s.boxes(t.innerBoxes())
-	off := 8
-	for i := range e.boxes {
-		e.boxes[i], off = s.rect(buf, off, t.dim)
 	}
 }
 

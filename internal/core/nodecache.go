@@ -9,9 +9,12 @@ import (
 )
 
 // nodeCache is a sharded LRU cache of decoded nodes, sitting above the
-// BufferPool: where the pool caches page *bytes*, this caches the *node*
-// values decodeNode builds from them, so a hot traversal skips both the
-// pool lookup and the per-entry decode allocations entirely.
+// BufferPool: where the pool caches page *bytes*, this caches the
+// packedNode values decodeNode builds from them, so a hot traversal skips
+// both the pool lookup and the decode. A packed node is a few flat slabs
+// (see packedNode), so a cached node costs about one page of heap — the
+// 1024-node default is about 4 MiB — and a cached leaf gives the GC
+// nothing to scan.
 //
 // Coherence rests on the copy-on-write epoch discipline (VersionedStore):
 //
@@ -33,7 +36,8 @@ import (
 // Cached nodes are shared across concurrent lock-free readers and MUST be
 // treated as immutable. The query paths only read them; mutation paths
 // (insert/delete descents) never touch the cache — they decode private
-// copies they are free to edit in place.
+// copies and expand them into the edit form (node, entry) they are free to
+// edit in place.
 type nodeCache struct {
 	shards []ncShard
 	hits   atomic.Int64
@@ -49,7 +53,7 @@ type ncShard struct {
 
 type ncEntry struct {
 	id    pagefile.PageID
-	n     *node
+	n     *packedNode
 	epoch uint64 // committed epoch at decode time (observability only)
 }
 
@@ -97,7 +101,7 @@ func (nc *nodeCache) shard(id pagefile.PageID) *ncShard {
 }
 
 // get returns the cached node for id, marking it most recently used.
-func (nc *nodeCache) get(id pagefile.PageID) (*node, bool) {
+func (nc *nodeCache) get(id pagefile.PageID) (*packedNode, bool) {
 	s := nc.shard(id)
 	s.mu.Lock()
 	el, ok := s.entries[id]
@@ -116,7 +120,7 @@ func (nc *nodeCache) get(id pagefile.PageID) (*node, bool) {
 // put inserts (or refreshes) the node decoded from a committed page,
 // evicting the shard's least recently used entry on overflow. Callers must
 // only pass committed pages (maybeCacheNode enforces this).
-func (nc *nodeCache) put(id pagefile.PageID, n *node, epoch uint64) {
+func (nc *nodeCache) put(id pagefile.PageID, n *packedNode, epoch uint64) {
 	s := nc.shard(id)
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {

@@ -18,9 +18,9 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	if got := len(nc.shards); got != 1 {
 		t.Fatalf("3-entry cache built %d shards, want 1 (shard floor)", got)
 	}
-	nodes := make([]*node, 6)
+	nodes := make([]*packedNode, 6)
 	for i := range nodes {
-		nodes[i] = &node{page: pagefile.PageID(i)}
+		nodes[i] = &packedNode{page: pagefile.PageID(i)}
 	}
 	for i := 0; i < 3; i++ {
 		nc.put(pagefile.PageID(i), nodes[i], 7)
@@ -50,7 +50,7 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	}
 
 	// Re-putting a cached page keeps the first decode and just refreshes LRU.
-	other := &node{page: 2}
+	other := &packedNode{page: 2}
 	nc.put(2, other, 9)
 	if n, _ := nc.get(2); n != nodes[2] {
 		t.Fatal("re-put replaced the cached node; same PageID must keep the first decode")
@@ -84,7 +84,7 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 		t.Fatalf("1024-entry cache built %d shards, want %d", got, ncMaxShards)
 	}
 	for i := 0; i < 5000; i++ {
-		big.put(pagefile.PageID(i), &node{page: pagefile.PageID(i)}, 1)
+		big.put(pagefile.PageID(i), &packedNode{page: pagefile.PageID(i)}, 1)
 	}
 	if big.len() > 1024 {
 		t.Fatalf("len = %d, bound 1024", big.len())

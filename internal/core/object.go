@@ -74,18 +74,12 @@ func getF64(buf []byte, off int) (float64, int) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
 }
 
-// putAddr / getAddr serialize a leaf entry's data address and, in the two
-// of its 8 bytes that were zero before UTR3, its shape reference.
+// putAddr serializes a leaf entry's data address and, in the two of its 8
+// bytes that were zero before UTR3, its shape reference; packedNode.addr
+// reads the word back.
 func putAddr(buf []byte, off int, a pagefile.DataAddr, shape uint16) int {
 	binary.LittleEndian.PutUint32(buf[off:], uint32(a.Page))
 	binary.LittleEndian.PutUint16(buf[off+4:], a.Slot)
 	binary.LittleEndian.PutUint16(buf[off+6:], shape)
 	return off + 8
-}
-
-func getAddr(buf []byte, off int) (pagefile.DataAddr, uint16, int) {
-	return pagefile.DataAddr{
-		Page: pagefile.PageID(binary.LittleEndian.Uint32(buf[off:])),
-		Slot: binary.LittleEndian.Uint16(buf[off+4:]),
-	}, binary.LittleEndian.Uint16(buf[off+6:]), off + 8
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/pagefile"
 )
@@ -116,18 +117,21 @@ func (m *fetchMeter) chargeData() error {
 	return nil
 }
 
-// fetchNode reads a tree page under the meter. The decoded-node cache is
-// consulted first: a hit costs no I/O, no decode and no budget — the node
-// is returned shared (the traversals only read it). On a miss the node is
-// decoded fresh and, when its page is committed, offered to the cache.
-// When the budget is armed, a fetch that would have to touch storage past
-// the budget is refused before any I/O happens, and actual misses are
-// charged.
-func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID) (*node, error) {
+// fetchNode reads the tree page a descent expects at level under the
+// meter. The decoded-node cache is consulted first: a hit costs no I/O, no
+// decode and no budget — the node is returned shared (the traversals only
+// read it). On a miss the node is decoded fresh and, when its page is
+// committed, offered to the cache. When the budget is armed, a fetch that
+// would have to touch storage past the budget is refused before any I/O
+// happens, and actual misses are charged.
+func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedNode, error) {
 	if t.ncache != nil {
 		if n, ok := t.ncache.get(id); ok {
 			t.nodeReads.Add(1) // still one logical node access
 			m.ncHits++
+			if err := t.checkLevel(n, level); err != nil {
+				return nil, err
+			}
 			return n, nil
 		}
 		m.ncMisses++
@@ -137,6 +141,9 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID) (*node, error) {
 	}
 	n, miss, err := t.readNodeMiss(id)
 	if err != nil {
+		return nil, err
+	}
+	if err := t.checkLevel(n, level); err != nil {
 		return nil, err
 	}
 	t.maybeCacheNode(n)
@@ -151,6 +158,20 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID) (*node, error) {
 		}
 	}
 	return n, nil
+}
+
+// checkLevel refuses a node found where the descent needs another level —
+// a child pointer that leads back up the tree would otherwise loop a query
+// for ever. The page is corrupt as reached, and quarantined. Levels fall by
+// one a step, so with this check every descent ends.
+func (t *Tree) checkLevel(n *packedNode, level int) error {
+	if n.level == level {
+		return nil
+	}
+	return t.noteReadError(n.page, fmt.Errorf("core: corrupt node %d: %w", n.page, &pagefile.BadPageError{
+		Page:   n.page,
+		Reason: fmt.Sprintf("level %d where its parent needs %d", n.level, level),
+	}))
 }
 
 // fetchDataPage reads a data page under the meter (see fetchNode).

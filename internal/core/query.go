@@ -222,8 +222,10 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 		sc.frontier, sc.next, sc.cands = frontier, next, cands
 		sc.release()
 	}()
+	// The descent's level: the root's, one less each round.
+	level := st.rootLevel
 descent:
-	for len(frontier) > 0 {
+	for ; len(frontier) > 0; level-- {
 		next = next[:0]
 		for _, page := range frontier {
 			if cerr := plan.ctx.Err(); cerr != nil {
@@ -232,33 +234,34 @@ descent:
 			if plan.limitReached(len(results)) {
 				break descent
 			}
-			n, err := t.fetchNode(&meter, page)
+			n, err := t.fetchNode(&meter, page, level)
 			if err != nil {
 				return finish(err)
 			}
 			stats.NodeAccesses++
 			if !n.leaf() {
-				for i := range n.entries {
+				for i := 0; i < n.count; i++ {
 					// Observation 4: the subtree cannot contain results if rq
 					// misses e.MBR(p_j).
-					if t.boxIntersectsAt(q.Rect, n.entries[i].boxes, jDescend) {
-						next = append(next, n.entries[i].child)
+					if t.boxIntersectsAt(q.Rect, n.boxes(i), jDescend) {
+						next = append(next, n.child(i))
 					}
 				}
 				continue
 			}
 			stats.LeafAccesses++
-			for i := range n.entries {
-				e := &n.entries[i]
+			for i := 0; i < n.count; i++ {
+				mbr := n.mbr(i)
 				var outcome pcr.Outcome
 				if t.kind == UTree {
-					outcome = pcr.FilterCFB(e.out, e.in, t.cat, e.mbr, q.Rect, q.Prob)
+					out, in := n.cfbs(i)
+					outcome = pcr.FilterCFB(out, in, t.cat, mbr, q.Rect, q.Prob)
 				} else {
-					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: e.pcrs}, e.mbr, q.Rect, q.Prob)
+					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
 				}
 				switch outcome {
 				case pcr.Validated:
-					results = append(results, Result{ID: e.id, Prob: -1, Validated: true})
+					results = append(results, Result{ID: n.id(i), Prob: -1, Validated: true})
 					stats.Validated++
 					if plan.limitReached(len(results)) {
 						break descent
@@ -266,10 +269,11 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					c := candidate{id: e.id, addr: e.addr}
-					if ref := int(e.shape); ref != 0 && ref <= len(st.shapes) {
+					addr, shape := n.addr(i)
+					c := candidate{id: n.id(i), addr: addr}
+					if ref := int(shape); ref != 0 && ref <= len(st.shapes) {
 						sh := &st.shapes[ref-1] // refinement's test, before the fetch
-						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, e.mbr, q.Rect, q.Prob, t.qcache)
+						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
 					cands = append(cands, c)
 				}

@@ -68,17 +68,13 @@ func (t *Tree) collectScrubTargets(ts *treeState, condemn func(pagefile.PageID, 
 			return
 		}
 		pages = append(pages, id)
-		if n.leaf() {
-			for i := range n.entries {
-				if p := n.entries[i].addr.Page; p != pagefile.InvalidPage && !seenData[p] {
-					seenData[p] = true
-					pages = append(pages, p)
-				}
+		for i := 0; i < n.count; i++ {
+			if !n.leaf() {
+				walk(n.child(i))
+			} else if a, _ := n.addr(i); a.Page != pagefile.InvalidPage && !seenData[a.Page] {
+				seenData[a.Page] = true
+				pages = append(pages, a.Page)
 			}
-			return
-		}
-		for i := range n.entries {
-			walk(n.entries[i].child)
 		}
 	}
 	walk(ts.rootPage)

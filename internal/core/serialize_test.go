@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -54,6 +58,15 @@ func cfbEqual(a, b pcr.CFB) bool {
 	return true
 }
 
+// decodeEdit decodes a page and expands it into edit form, as readNode does.
+func decodeEdit(tree *Tree, id pagefile.PageID, buf []byte) (*node, error) {
+	p, err := tree.decodeNode(id, buf)
+	if err != nil {
+		return nil, err
+	}
+	return tree.expand(p), nil
+}
+
 // TestNodeSerializationRoundTripUTree encodes and decodes random U-tree
 // nodes (leaf and intermediate) and demands bit-exact field recovery.
 func TestNodeSerializationRoundTripUTree(t *testing.T) {
@@ -84,7 +97,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			if err := tree.encodeNode(leaf, buf); err != nil {
 				return false
 			}
-			got, err := tree.decodeNode(12, buf)
+			got, err := decodeEdit(tree, 12, buf)
 			if err != nil || got.level != 0 || len(got.entries) != n {
 				return false
 			}
@@ -108,7 +121,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			if err := tree.encodeNode(inner, buf2); err != nil {
 				return false
 			}
-			got2, err := tree.decodeNode(13, buf2)
+			got2, err := decodeEdit(tree, 13, buf2)
 			if err != nil || got2.level != inner.level || len(got2.entries) != ni {
 				return false
 			}
@@ -172,7 +185,7 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 		if err := tree.encodeNode(leaf, buf); err != nil {
 			return false
 		}
-		got, err := tree.decodeNode(5, buf)
+		got, err := decodeEdit(tree, 5, buf)
 		if err != nil || len(got.entries) != n {
 			return false
 		}
@@ -229,10 +242,12 @@ func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
 	return leaf, inner
 }
 
-// TestDecodeNodeAllocations gates the slab decode: a full node of either
-// level and either kind costs the node, its entries and two coordinate
-// slabs, however many entries it holds (a 2-D U-tree leaf was 232
-// allocations when every rectangle and coefficient array had its own).
+// TestDecodeNodeAllocations gates the packed decode: a full node of either
+// level and either kind costs the node and its slabs, 4 allocations however
+// many entries it holds (a 2-D U-tree leaf was 232 when every rectangle and
+// coefficient array had its own), and a full U-tree leaf allocates about
+// its page's entry bytes (it was 9,648 B for 4,032 in 2-D, 8,880 for 4,000
+// in 3-D, as entry structs).
 func TestDecodeNodeAllocations(t *testing.T) {
 	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}} {
 		tree, err := New(opt)
@@ -250,11 +265,29 @@ func TestDecodeNodeAllocations(t *testing.T) {
 				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ 4", tree.kind, tree.dim, name, allocs)
 			}
 		}
+		if tree.kind != UTree {
+			continue
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := tree.decodeNode(7, leaf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		entryBytes := tree.leafCap * tree.leafEntrySize
+		budget := 1.1*float64(entryBytes) + 256
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
+			t.Errorf("%d-D: decoding a full leaf (%d entry bytes) allocates %.0f B, want ≤ %.0f", tree.dim, entryBytes, got, budget)
+		}
 	}
 }
 
 // BenchmarkDecodeLeaf decodes one full U-tree leaf page: what every
-// decoded-node cache miss of a query pays per leaf visited.
+// decoded-node cache miss of a query pays per leaf visited, and in B/op
+// what the cache then holds for the leaf.
 func BenchmarkDecodeLeaf(b *testing.B) {
 	for _, dim := range []int{2, 3} {
 		tree, err := New(Options{Dim: dim})
@@ -270,6 +303,177 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// FuzzDecodeNode feeds arbitrary bytes to the node decoder as a leaf or an
+// intermediate page of a U-tree and a U-PCR tree, in 2-D and 3-D. The
+// decoder returns a typed BadPageError, or a packed node that every accessor
+// reads without panicking and whose edit form re-encodes to the bytes the
+// page uses: the level, the count and the entries, less the pad word of an
+// intermediate entry, which nothing reads and encodeNode zeroes.
+func FuzzDecodeNode(f *testing.F) {
+	var trees []*Tree
+	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}, {Dim: 3, Kind: UPCR}} {
+		tree, err := New(opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		trees = append(trees, tree)
+	}
+	for i, tree := range trees {
+		leaf, inner := fullNodePages(f, tree)
+		f.Add(uint8(i), true, leaf)
+		f.Add(uint8(i), false, inner)
+		f.Add(uint8(i), true, leaf[:200])
+		f.Add(uint8(i), false, []byte{3, 0, 0xFF, 0xFF}) // count beyond capacity
+	}
+	f.Fuzz(func(t *testing.T, which uint8, leaf bool, data []byte) {
+		tree := trees[int(which)%len(trees)]
+		page := make([]byte, pagefile.PageSize)
+		copy(page, data)
+		if leaf {
+			page[0] = 0
+		} else if page[0] == 0 {
+			page[0] = 1
+		}
+		p, err := tree.decodeNode(9, page)
+		if err != nil {
+			var bad *pagefile.BadPageError
+			if !errors.As(err, &bad) || bad.Page != 9 {
+				t.Fatalf("decode error is not a BadPageError for page 9: %v", err)
+			}
+			return
+		}
+		for i := 0; i < p.count; i++ {
+			if !p.leaf() {
+				_ = p.child(i)
+				if got := len(p.boxes(i)); got != tree.innerBoxes() {
+					t.Fatalf("entry %d has %d boxes, want %d", i, got, tree.innerBoxes())
+				}
+				continue
+			}
+			_, _ = p.id(i), p.mbr(i)
+			_, _ = p.addr(i)
+			if tree.kind == UPCR {
+				_ = p.boxes(i)
+			} else if out, in := p.cfbs(i); len(out) != 4*tree.dim || len(in) != 4*tree.dim {
+				t.Fatalf("entry %d CFBs hold %d and %d coefficients", i, len(out), len(in))
+			}
+		}
+		again := make([]byte, pagefile.PageSize)
+		if err := tree.encodeNode(tree.expand(p), again); err != nil {
+			t.Fatal(err)
+		}
+		sz := tree.leafEntrySize
+		if !p.leaf() {
+			sz = tree.innerEntrySize
+		}
+		want := make([]byte, pagefile.PageSize)
+		want[0] = page[0]
+		copy(want[2:4], page[2:4])
+		end := nodeHeader + p.count*sz
+		copy(want[nodeHeader:end], page[nodeHeader:end])
+		for off := nodeHeader; !p.leaf() && off < end; off += sz {
+			clear(want[off+4 : off+8])
+		}
+		if !bytes.Equal(again, want) {
+			t.Fatal("the decoded node re-encodes to other bytes")
+		}
+	})
+}
+
+// TestWritersLeaveCachedNodesAlone: the writers edit nodes they decode
+// privately, never a packed node the cache shares with lock-free readers.
+// Copies of every node the cache held, taken after queries filled it, still
+// equal those nodes after inserts with splits, deletes with condensing and
+// rolled-back write batches.
+func TestWritersLeaveCachedNodesAlone(t *testing.T) {
+	for _, kind := range []Kind{UTree, UPCR} {
+		tree, err := New(Options{Dim: 2, Kind: kind, ExactRefinement: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := makeObjects(1200, 2000, rand.New(rand.NewSource(41)))
+		type slabCopy struct {
+			keys []uint64
+			f64  []float64
+			f32  []float32
+		}
+		held := map[*packedNode]slabCopy{}
+		// fill queries everything, then copies what the cache holds.
+		fill := func() {
+			t.Helper()
+			if _, _, err := rangeQuery(tree, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{2100, 2100}), Prob: 0.3}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range tree.ncache.shards {
+				s := &tree.ncache.shards[i]
+				for el := s.lru.Front(); el != nil; el = el.Next() {
+					p := el.Value.(*ncEntry).n
+					if _, ok := held[p]; !ok {
+						held[p] = slabCopy{slices.Clone(p.keys), slices.Clone(p.f64), slices.Clone(p.f32)}
+					}
+				}
+			}
+		}
+		for _, o := range objs[:600] {
+			if err := tree.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill()
+		for i, o := range objs[600:] { // splits
+			if err := tree.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			if i%100 == 99 {
+				fill()
+			}
+		}
+		for i, o := range objs[:900] { // condensing
+			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+				t.Fatal(err)
+			}
+			if i%100 == 99 {
+				fill()
+			}
+		}
+		for _, o := range objs[:300] { // a batch rolled back
+			if err := tree.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs[900:] {
+			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		fill()
+		if len(held) < 50 {
+			t.Fatalf("%v: the cache held only %d nodes", kind, len(held))
+		}
+		for p, c := range held {
+			if !slices.Equal(p.keys, c.keys) || !cfbEqual(p.f32, c.f32) || len(p.f64) != len(c.f64) {
+				t.Fatalf("%v: cached node %d changed", kind, p.page)
+			}
+			for k := range p.f64 {
+				if math.Float64bits(p.f64[k]) != math.Float64bits(c.f64[k]) {
+					t.Fatalf("%v: cached node %d changed", kind, p.page)
+				}
+			}
+			for k := range p.rects {
+				if !p.rects[k].Equal(p.rect(k)) {
+					t.Fatalf("%v: cached node %d: rectangle %d moved off its slab", kind, p.page, k)
+				}
+			}
+		}
 	}
 }
 

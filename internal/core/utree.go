@@ -43,13 +43,14 @@ type Options struct {
 	SplitStrategy SplitStrategy
 	// DisableReinsert turns off R* forced reinsertion (ablation knob).
 	DisableReinsert bool
-	// NodeCacheEntries bounds the decoded-node cache: an LRU of node
-	// values decoded from committed pages, shared lock-free across
-	// readers, sitting above the buffer pool so a hot traversal skips
-	// both the page lookup and the per-entry decode allocations. 0
-	// selects the default (1024 entries); negative disables the cache.
-	// Coherence is automatic — entries drop when the versioned store
-	// physically frees their page, and shadow pages are never cached.
+	// NodeCacheEntries bounds the decoded-node cache: an LRU of packed
+	// nodes decoded from committed pages, shared lock-free across readers,
+	// sitting above the buffer pool so a hot traversal skips both the page
+	// lookup and the decode. A cached node costs about one page of heap,
+	// so the default of 1024 entries (selected by 0) is ≈ 4 MiB; negative
+	// disables the cache. Coherence is automatic — entries drop when the
+	// versioned store physically frees their page, and shadow pages are
+	// never cached.
 	NodeCacheEntries int
 }
 

@@ -71,21 +71,3 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	}
 	return nil
 }
-
-// CostModel predicts query node accesses without executing queries; see
-// Tree.BuildCostModel.
-type CostModel = core.CostModel
-
-// BuildCostModel summarizes the tree for analytical cost prediction over
-// the given data domain (writer lock: it walks the working tree).
-func (t *Tree) BuildCostModel(domain Rect) (*CostModel, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.inner.BuildCostModel(domain)
-}
-
-// CatalogIndexFor maps a probability threshold to the catalog index used by
-// the query descent (input to CostModel.EstimateNodeAccesses).
-func (t *Tree) CatalogIndexFor(pq float64) int {
-	return t.inner.CatalogIndexFor(pq)
-}

@@ -164,31 +164,3 @@ func TestFacadePolygonAndMixture(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeCostModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long-running; skipped with -short")
-	}
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(6))
-	for i := int64(0); i < 1500; i++ {
-		tree.Insert(i, UniformCircle(Pt(rng.Float64()*1000, rng.Float64()*1000), 8))
-	}
-	cm, err := tree.BuildCostModel(Box(Pt(0, 0), Pt(1000, 1000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := tree.CatalogIndexFor(0.6)
-	small := cm.EstimateNodeAccesses([]float64{50, 50}, 0.6, j)
-	large := cm.EstimateNodeAccesses([]float64{500, 500}, 0.6, j)
-	if small >= large {
-		t.Fatalf("estimates not monotone: %g vs %g", small, large)
-	}
-	if small < 1 {
-		t.Fatalf("estimate below 1 (root always visited): %g", small)
-	}
-}

@@ -132,15 +132,17 @@ type Config struct {
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
 	// physically reclaimed. A hit skips the page fetch and the node decode
-	// entirely — the query hot path runs allocation-free. 0 → 1024 entries;
-	// negative disables the cache.
+	// entirely — the query hot path runs allocation-free. A cached node
+	// costs about one page of heap, so the default of 1024 entries (0) is
+	// ≈ 4 MiB; negative disables the cache.
 	//
 	// It pays when the nodes queries visit fit in it: switched off on the
 	// benchmark's warm workloads, page reads per query rise 30–80 % and a
 	// warm query's median latency rises 1.5–2× on the 3-D sharded and
 	// churn workloads. When the tree is ~20× the cache (the cold CA
-	// workload) it saves under 1 % of reads. Its price is heap: 9–42 % of
-	// the live heap on those workloads.
+	// workload) it saves under 1 % of reads. Its price is heap, about a
+	// page per cached node: in a heap profile of the warm workloads, a fifth
+	// of the live heap.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory)
 	// before the retry and versioning layers — the fault-injection and
