@@ -18,9 +18,8 @@
 // query and nn additionally take the per-query options of the
 // context-first API: -timeout (wall-time deadline, ms; a timed-out query
 // reports its partial results), -mc-samples (Monte Carlo refinement
-// samples), -limit (top-N early cut) and -page-budget (max physical page
-// fetches; an exhausted budget reports the partial results found within
-// it), e.g. `utreectl query -buffer 8 -page-budget 32 ...`.
+// samples) and -limit (top-N early cut), e.g.
+// `utreectl query -timeout 5 -limit 10 ...`.
 package main
 
 import (
@@ -56,10 +55,9 @@ func main() {
 		buffer = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
 
 		// Per-query options for query and nn.
-		timeoutMS  = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
-		mcSamples  = fs.Int("mc-samples", 0, "Monte Carlo refinement samples for this query (0 = index default)")
-		limit      = fs.Int("limit", 0, "stop after this many results (top-N early cut; 0 = unlimited)")
-		pageBudget = fs.Int("page-budget", 0, "max physical page fetches for this query (0 = unlimited); an exhausted budget prints the partial results")
+		timeoutMS = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
+		mcSamples = fs.Int("mc-samples", 0, "Monte Carlo refinement samples for this query (0 = index default)")
+		limit     = fs.Int("limit", 0, "stop after this many results (top-N early cut; 0 = unlimited)")
 	)
 	fs.Parse(os.Args[2:])
 	if *index == "" {
@@ -70,16 +68,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-buffer must be ≥ 0")
 		usage()
 	}
-	if *timeoutMS < 0 || *mcSamples < 0 || *limit < 0 || *pageBudget < 0 {
-		fmt.Fprintln(os.Stderr, "-timeout, -mc-samples, -limit and -page-budget must be ≥ 0")
+	if *timeoutMS < 0 || *mcSamples < 0 || *limit < 0 {
+		fmt.Fprintln(os.Stderr, "-timeout, -mc-samples and -limit must be ≥ 0")
 		usage()
 	}
 	cfg := uncertain.Config{BufferPages: *buffer}
 	q := queryParams{
-		timeout:    time.Duration(*timeoutMS * float64(time.Millisecond)),
-		mcSamples:  *mcSamples,
-		limit:      *limit,
-		pageBudget: *pageBudget,
+		timeout:   time.Duration(*timeoutMS * float64(time.Millisecond)),
+		mcSamples: *mcSamples,
+		limit:     *limit,
 	}
 
 	var err error
@@ -105,10 +102,9 @@ func main() {
 
 // queryParams carries the per-query option flags of query and nn.
 type queryParams struct {
-	timeout    time.Duration
-	mcSamples  int
-	limit      int
-	pageBudget int
+	timeout   time.Duration
+	mcSamples int
+	limit     int
 }
 
 // context builds the query context (with deadline when -timeout is set)
@@ -125,21 +121,15 @@ func (p queryParams) context() (context.Context, context.CancelFunc, []uncertain
 	if p.limit > 0 {
 		opts = append(opts, uncertain.WithLimit(p.limit))
 	}
-	if p.pageBudget > 0 {
-		opts = append(opts, uncertain.WithPageBudget(p.pageBudget))
-	}
 	return ctx, cancel, opts
 }
 
-// explainPartial reports an expected early stop (deadline, cancellation,
-// page budget) as a notice and returns nil so the partial results print;
-// any other error is returned as-is.
-func explainPartial(err error, elapsed time.Duration, budget int) error {
+// explainPartial reports an expected early stop (deadline, cancellation)
+// as a notice and returns nil so the partial results print; any other
+// error is returned as-is.
+func explainPartial(err error, elapsed time.Duration) error {
 	switch {
 	case err == nil:
-		return nil
-	case errors.Is(err, uncertain.ErrBudgetExceeded):
-		fmt.Printf("page budget of %d exhausted after %v; partial results follow\n", budget, elapsed.Round(time.Microsecond))
 		return nil
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		fmt.Printf("query cancelled after %v (%v); partial results follow\n", elapsed.Round(time.Microsecond), err)
@@ -271,15 +261,12 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	defer cancel()
 	start := time.Now()
 	results, s, err := tree.Search(ctx, rq, prob, opts...)
-	if err := explainPartial(err, time.Since(start), qp.pageBudget); err != nil {
+	if err := explainPartial(err, time.Since(start)); err != nil {
 		return err
 	}
 	fmt.Printf("%d results in %v (node accesses %d, candidates %d, prob computations %d, validated %d, refinement IOs %d)\n",
 		len(results), time.Since(start).Round(time.Microsecond),
 		s.NodeAccesses, s.Candidates, s.ProbComputations, s.Validated, s.RefinementIOs)
-	if s.PagesFetched > 0 {
-		fmt.Printf("physical page fetches: %d (budget %d)\n", s.PagesFetched, qp.pageBudget)
-	}
 	if s.ProbFilterPruned > 0 {
 		fmt.Printf("prob filter: %d candidates pruned before refinement\n", s.ProbFilterPruned)
 	}
@@ -324,7 +311,7 @@ func nearest(path, pointSpec string, k int, cfg uncertain.Config, qp queryParams
 	defer cancel()
 	start := time.Now()
 	nns, s, err := tree.NearestNeighbors(ctx, q, k, opts...)
-	if err := explainPartial(err, time.Since(start), qp.pageBudget); err != nil {
+	if err := explainPartial(err, time.Since(start)); err != nil {
 		return err
 	}
 	fmt.Printf("%d nearest neighbors of %v in %v (node accesses %d, distance computations %d)\n",

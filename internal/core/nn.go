@@ -39,10 +39,6 @@ type NNStats struct {
 	DistanceComps int // expected-distance evaluations (the expensive step)
 	RefinementIOs int // data-page fetches; consecutive objects on one page share one
 
-	// PagesFetched counts the physical fetches charged against
-	// QueryOpts.PageBudget; filled only when a budget is armed.
-	PagesFetched int
-
 	// Decoded-node cache outcomes of this query's tree-page reads (both
 	// zero when the cache is disabled).
 	NodeCacheHits   int
@@ -69,7 +65,6 @@ func (s *NNStats) Add(o NNStats) {
 	s.NodeAccesses += o.NodeAccesses
 	s.DistanceComps += o.DistanceComps
 	s.RefinementIOs += o.RefinementIOs
-	s.PagesFetched += o.PagesFetched
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
 	s.Retries += o.Retries
@@ -103,9 +98,7 @@ func (h nnHeap) Len() int { return len(h) }
 //
 // The best-first loop checks ctx before every pop, so a cancelled
 // traversal returns ctx.Err() with the (admissible but possibly
-// incomplete) neighbors found so far. QueryOpts.Limit caps k;
-// QueryOpts.PageBudget stops the traversal with ErrBudgetExceeded after
-// exactly that many physical page fetches.
+// incomplete) neighbors found so far. QueryOpts.Limit caps k.
 func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o QueryOpts) (best []NNResult, stats NNStats, err error) {
 	t, root := s.t, s.st.rootPage
 	if len(q) != t.dim {
@@ -118,12 +111,11 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	if plan.limit > 0 && plan.limit < k {
 		k = plan.limit
 	}
-	meter := fetchMeter{budget: plan.budget}
+	var meter fetchMeter
 	retries0 := t.store.Stats().Retries.Load()
 	// finish closes the stats over the work done, on completion and on an
-	// early exit alike (meter.spent stays 0 without a budget).
+	// early exit alike.
 	finish := func(err error) ([]NNResult, NNStats, error) {
-		stats.PagesFetched = meter.spent
 		stats.NodeCacheHits = meter.ncHits
 		stats.NodeCacheMisses = meter.ncMisses
 		stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
@@ -187,7 +179,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		// page: keep the page just read and fetch only when the next object
 		// lives elsewhere.
 		if it.addr.Page != dataPage {
-			if dataBuf, err = t.fetchDataPage(&meter, it.addr.Page); err != nil {
+			if dataBuf, err = t.fetchDataPage(it.addr.Page); err != nil {
 				return finish(err)
 			}
 			dataPage = it.addr.Page

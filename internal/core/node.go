@@ -92,7 +92,7 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 // slabs shared through the decoded-node cache. Query paths go through
 // fetchNode, which consults the cache first.
 func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
-	p, _, err := t.readNodeMiss(id)
+	p, err := t.readPacked(id)
 	if err != nil {
 		return nil, err
 	}
@@ -134,25 +134,24 @@ func (t *Tree) maybeCacheNode(p *packedNode) {
 	}
 }
 
-// readNodeMiss reads and decodes a page, reporting the buffer pool's
-// per-call miss, which the budgeted query path charges against its page
-// budget. Pages in the quarantine registry fast-fail before touching
-// storage, and a read or decode that proves corruption quarantines the page
-// on its way out.
-func (t *Tree) readNodeMiss(id pagefile.PageID) (*packedNode, bool, error) {
+// readPacked reads and decodes a page, counting one logical node access.
+// Pages in the quarantine registry fast-fail before touching storage, and a
+// read or decode that proves corruption quarantines the page on its way
+// out.
+func (t *Tree) readPacked(id pagefile.PageID) (*packedNode, error) {
 	t.nodeReads.Add(1)
 	if err := t.checkQuarantine(id); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	buf, miss, err := t.pool.GetMiss(id)
+	buf, err := t.pool.Get(id)
 	if err != nil {
-		return nil, miss, fmt.Errorf("core: reading node %d: %w", id, t.noteReadError(id, err))
+		return nil, fmt.Errorf("core: reading node %d: %w", id, t.noteReadError(id, err))
 	}
 	p, err := t.decodeNode(id, buf)
 	if err != nil {
-		return nil, miss, t.noteReadError(id, err)
+		return nil, t.noteReadError(id, err)
 	}
-	return p, miss, nil
+	return p, nil
 }
 
 // writeNode serializes a node to its page — copy-on-write: a node whose
@@ -245,8 +244,8 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	}
 	if p.count > cap {
 		// A structurally impossible header is corruption the checksum layer
-		// did not catch; type it so the quarantine and degraded-read
-		// machinery treat it like one.
+		// did not catch; type it so the quarantine machinery treats it
+		// like one.
 		return nil, fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{
 			Page:   id,
 			Reason: fmt.Sprintf("entry count %d exceeds capacity %d", p.count, cap),

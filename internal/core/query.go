@@ -61,12 +61,6 @@ type QueryStats struct {
 	FilterTime       time.Duration
 	RefineTime       time.Duration
 
-	// PagesFetched counts the physical page fetches (buffer-pool misses +
-	// data-page reads) charged against QueryOpts.PageBudget. It is filled
-	// only when a budget is armed — the budgeted path is the only one that
-	// observes per-call hit/miss outcomes — and is 0 otherwise.
-	PagesFetched int
-
 	// Decoded-node cache outcomes of this query's tree-page reads (both
 	// zero when the cache is disabled): a hit skipped the buffer pool and
 	// the node decode entirely.
@@ -116,7 +110,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Results += o.Results
 	s.FilterTime += o.FilterTime
 	s.RefineTime += o.RefineTime
-	s.PagesFetched += o.PagesFetched
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
 	s.Retries += o.Retries
@@ -181,23 +174,21 @@ func (t *Tree) querySeed(q Query) int64 {
 //
 // Cancellation is checked before every page fetch and every refinement
 // integration; a cancelled query returns plan.ctx.Err() with the partial
-// results and stats gathered so far. A page budget stops the query the
-// same way with ErrBudgetExceeded after exactly plan.budget physical
-// fetches, and a result limit cuts the query once that many results exist.
+// results and stats gathered so far. A result limit cuts the query once that
+// many results exist.
 func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (results []Result, stats QueryStats, err error) {
 	if err := validateQuery(t.dim, q); err != nil {
 		return nil, stats, err
 	}
 	start := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
 
-	meter := fetchMeter{budget: plan.budget}
+	var meter fetchMeter
 	retries0 := t.store.Stats().Retries.Load()
 	// finish closes the stats over the work actually done — on completion
-	// and on an early exit (cancel, budget) alike, where the results so far
-	// are still valid answers. meter.spent stays 0 without a budget.
+	// and on a cancelled exit alike, where the results so far are still
+	// valid answers.
 	finish := func(err error) ([]Result, QueryStats, error) {
 		stats.Results = len(results)
-		stats.PagesFetched = meter.spent
 		stats.NodeCacheHits = meter.ncHits
 		stats.NodeCacheMisses = meter.ncMisses
 		stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
@@ -317,7 +308,7 @@ descent:
 			stats.ShapeDecided++
 		} else {
 			if c.addr.Page != pageID {
-				if pageBuf, err = t.fetchDataPage(&meter, c.addr.Page); err != nil {
+				if pageBuf, err = t.fetchDataPage(c.addr.Page); err != nil {
 					return refined(err)
 				}
 				pageID = c.addr.Page

@@ -307,11 +307,6 @@ func (t *Tree) ResetCounters() {
 	t.deleteStats = UpdateStats{}
 }
 
-// NodeIO returns the logical node reads/writes since the last reset.
-func (t *Tree) NodeIO() (reads, writes int64) {
-	return t.nodeReads.Load(), t.nodeWrites.Load()
-}
-
 // CacheStats reports the buffer pool's hit/miss counters, for throughput
 // reporting in batch query stats.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.pool.HitRate() }
@@ -594,15 +589,6 @@ func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 }
 
 func inf() float64 { return 1e308 }
-
-// summedMargin is Σ_j MARGIN(boxAt(j)).
-func (t *Tree) summedMargin(boxes []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(boxes, j).Margin()
-	}
-	return s
-}
 
 // summedCenterDist is Σ_j CDIST(aBoxes_j, bBoxes_j).
 func (t *Tree) summedCenterDist(a, b []geom.Rect) float64 {

@@ -76,11 +76,6 @@ func NewRect(lo, hi Point) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// RectFromPoint returns the degenerate rectangle containing only p.
-func RectFromPoint(p Point) Rect {
-	return Rect{Lo: p.Clone(), Hi: p.Clone()}
-}
-
 // Dim returns the dimensionality of r.
 func (r Rect) Dim() int { return len(r.Lo) }
 

@@ -29,7 +29,7 @@ type BufferPool struct {
 	misses atomic.Int64
 
 	// evictMu/evictErr stash the first dirty-victim write-back failure hit
-	// on a read path (GetMiss cannot return it without failing a read that
+	// on a read path (Get cannot return it without failing a read that
 	// succeeded). Surfaced at the next Flush, mirroring the reclaimer's
 	// deferred-error pattern; the failed victim stays dirty in the pool, so
 	// no data is lost while the error travels.
@@ -107,16 +107,6 @@ func (bp *BufferPool) shard(id PageID) *bufShard {
 // fills the frame, the rest wait on it. Every Get counts exactly one hit
 // (cached) or one miss (waited for storage).
 func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	data, _, err := bp.GetMiss(id)
-	return data, err
-}
-
-// GetMiss is Get plus a per-call miss report: miss is true when this call
-// waited for storage (fresh read or joined an in-flight load) rather than
-// being served from a cached frame. Query page budgets charge exactly the
-// misses, so they need the per-call signal the aggregate counters can't
-// give.
-func (bp *BufferPool) GetMiss(id PageID) (data []byte, miss bool, err error) {
 	sh := bp.shard(id)
 	sh.mu.Lock()
 	if el, ok := sh.frames[id]; ok {
@@ -124,13 +114,13 @@ func (bp *BufferPool) GetMiss(id PageID) (data []byte, miss bool, err error) {
 		data := el.Value.(*frame).data
 		sh.mu.Unlock()
 		bp.hits.Add(1)
-		return data, false, nil
+		return data, nil
 	}
 	if pl, ok := sh.loading[id]; ok {
 		sh.mu.Unlock()
 		bp.misses.Add(1)
 		<-pl.done
-		return pl.data, true, pl.err
+		return pl.data, pl.err
 	}
 	pl := &pageLoad{done: make(chan struct{})}
 	sh.loading[id] = pl
@@ -140,7 +130,7 @@ func (bp *BufferPool) GetMiss(id PageID) (data []byte, miss bool, err error) {
 	// shard overlap their store I/O.
 	bp.misses.Add(1)
 	fr := &frame{id: id, data: make([]byte, PageSize)}
-	err = bp.store.Read(id, fr.data)
+	err := bp.store.Read(id, fr.data)
 
 	var evictErr error
 	sh.mu.Lock()
@@ -160,7 +150,7 @@ func (bp *BufferPool) GetMiss(id PageID) (data []byte, miss bool, err error) {
 	if err != nil {
 		pl.err = err
 		close(pl.done)
-		return nil, true, err
+		return nil, err
 	}
 	if evictErr != nil {
 		// The read succeeded; only a dirty victim's write-back failed. The
@@ -170,7 +160,7 @@ func (bp *BufferPool) GetMiss(id PageID) (data []byte, miss bool, err error) {
 	}
 	pl.data = fr.data
 	close(pl.done)
-	return fr.data, true, nil
+	return fr.data, nil
 }
 
 // stashEvictErr records the first deferred eviction write-back failure.
@@ -189,18 +179,6 @@ func (bp *BufferPool) takeEvictErr() error {
 	bp.evictErr = nil
 	bp.evictMu.Unlock()
 	return err
-}
-
-// Contains reports whether the page is currently cached (a Get would hit).
-// Budgeted queries use it to refuse a fetch that would exceed the budget
-// before touching storage; the answer is advisory under concurrency — an
-// eviction between Contains and Get turns the predicted hit into a miss.
-func (bp *BufferPool) Contains(id PageID) bool {
-	sh := bp.shard(id)
-	sh.mu.Lock()
-	_, ok := sh.frames[id]
-	sh.mu.Unlock()
-	return ok
 }
 
 // Put stores page contents (marking the frame dirty; flushed on eviction or

@@ -404,7 +404,7 @@ func TestBufferPoolEvictionWriteFaultKeepsFrameDirty(t *testing.T) {
 	}
 }
 
-func TestBufferPoolGetMissServesDataWhenEvictionFails(t *testing.T) {
+func TestBufferPoolGetServesDataWhenEvictionFails(t *testing.T) {
 	inner := NewMemStore()
 	cs := NewChaosStore(inner, 0)
 	pool := NewBufferPool(cs, 1)

@@ -45,7 +45,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 //
 // It sits UNDER the BufferPool and VersionedStore in the stack (wrapping
 // the chaos/base stores), so a read that needed three attempts is
-// still exactly one buffer-pool miss and one page-budget charge: retries
+// still exactly one buffer-pool miss: retries
 // are a storage-latency phenomenon, not extra logical I/O. Each retry
 // increments both the wrapper's own counter and the Retries field of the
 // inner store's Stats, where experiment harnesses already look.

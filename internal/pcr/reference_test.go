@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/lp"
 	"repro/internal/updf"
 )
 
@@ -17,8 +16,8 @@ import (
 //
 // It also keeps Section 4.4's fit as the paper prints it — linear programs
 // solved by the Simplex method (simplexFitOut, simplexFitIn) — as the oracle
-// the float64 stage of FitOut and FitIn is held to in fit_test.go;
-// internal/lp has no other importer. Both sides of that comparison are
+// the float64 stage of FitOut and FitIn is held to in fit_test.go; the
+// solver is lpSolve (simplex_ref_test.go). Both sides of that comparison are
 // faces64, and filterFaces64 is FilterCFB on them: what the filter would
 // decide had the coefficients not been rounded to float32.
 
@@ -340,11 +339,11 @@ func simplexFitOut(pcrs PCRs) (faces64, error) {
 			aHi[j] = []float64{-1, cat.Value(j)}
 			bHi[j] = -pcrs.Boxes[j].Hi[i]
 		}
-		xLo, _, err := lp.Solve(lp.Problem{C: []float64{float64(m), -P}, A: aLo, B: bLo})
+		xLo, _, err := lpSolve(lpProblem{C: []float64{float64(m), -P}, A: aLo, B: bLo})
 		if err != nil {
 			return nil, err
 		}
-		xHi, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P}, A: aHi, B: bHi})
+		xHi, _, err := lpSolve(lpProblem{C: []float64{-float64(m), P}, A: aHi, B: bHi})
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +377,7 @@ func simplexFitIn(pcrs PCRs) (faces64, error) {
 			a = append(a, []float64{1, -pj, -1, pj})
 			b = append(b, 0)
 		}
-		x, _, err := lp.Solve(lp.Problem{C: []float64{-float64(m), P, float64(m), -P}, A: a, B: b})
+		x, _, err := lpSolve(lpProblem{C: []float64{-float64(m), P, float64(m), -P}, A: a, B: b})
 		if err != nil {
 			return nil, err
 		}

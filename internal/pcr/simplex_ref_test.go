@@ -1,5 +1,6 @@
-// Package lp implements a dense two-phase simplex solver for small linear
-// programs of the form
+package pcr
+
+// A dense two-phase simplex solver for small linear programs of the form
 //
 //	maximize    c·x
 //	subject to  A x ≤ b,   x free
@@ -7,12 +8,10 @@
 // Section 4.4 of the U-tree paper casts the tightest linear over/under-
 // approximation of a PCR family (the CFB fit) as linear programming and
 // solves it with the classic Simplex method. The index fits CFBs in closed
-// form (internal/pcr/cfb.go); this solver is the oracle that fit is tested
-// against and is imported by tests only — CI fails if it enters the import
-// graph of uncertain or a command. Free variables are handled by the
-// standard x = x⁺ − x⁻ split; infeasibility and unboundedness are detected
-// and reported as errors.
-package lp
+// form (cfb.go); this solver is the oracle that fit is tested against in
+// reference_test.go, and as test code it cannot enter the product. Free
+// variables are handled by the standard x = x⁺ − x⁻ split; infeasibility
+// and unboundedness are detected and reported as errors.
 
 import (
 	"errors"
@@ -20,24 +19,24 @@ import (
 	"math"
 )
 
-// Errors reported by Solve.
+// Errors reported by lpSolve.
 var (
-	ErrInfeasible = errors.New("lp: problem is infeasible")
-	ErrUnbounded  = errors.New("lp: objective is unbounded")
-	ErrCycling    = errors.New("lp: iteration limit exceeded")
+	errLPInfeasible = errors.New("lp: problem is infeasible")
+	errLPUnbounded  = errors.New("lp: objective is unbounded")
+	errLPCycling    = errors.New("lp: iteration limit exceeded")
 )
 
-const eps = 1e-9
+const lpEps = 1e-9
 
-// Problem is max C·x subject to A x ≤ B with free (sign-unrestricted) x.
-type Problem struct {
+// lpProblem is max C·x subject to A x ≤ B with free (sign-unrestricted) x.
+type lpProblem struct {
 	C []float64
 	A [][]float64
 	B []float64
 }
 
-// Validate checks structural consistency of the problem.
-func (p Problem) Validate() error {
+// validate checks structural consistency of the problem.
+func (p lpProblem) validate() error {
 	n := len(p.C)
 	if n == 0 {
 		return fmt.Errorf("lp: empty objective")
@@ -53,11 +52,11 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Solve returns an optimal solution x and objective value. The solution is a
+// lpSolve returns an optimal solution x and objective value. The solution is a
 // vertex of the feasible polytope; ties between optimal vertices are broken
 // arbitrarily.
-func Solve(p Problem) (x []float64, value float64, err error) {
-	if err := p.Validate(); err != nil {
+func lpSolve(p lpProblem) (x []float64, value float64, err error) {
+	if err := p.validate(); err != nil {
 		return nil, 0, err
 	}
 	n := len(p.C)
@@ -66,7 +65,7 @@ func Solve(p Problem) (x []float64, value float64, err error) {
 		// No constraints: any nonzero objective direction is unbounded.
 		for _, cj := range p.C {
 			if cj != 0 {
-				return nil, 0, ErrUnbounded
+				return nil, 0, errLPUnbounded
 			}
 		}
 		return make([]float64, n), 0, nil
@@ -118,7 +117,7 @@ func Solve(p Problem) (x []float64, value float64, err error) {
 			return nil, 0, err
 		}
 		if t.objective(obj) < -1e-7 {
-			return nil, 0, ErrInfeasible
+			return nil, 0, errLPInfeasible
 		}
 		// Drive any lingering (degenerate, zero-valued) artificials out of
 		// the basis so phase 2 never pivots on them.
@@ -126,7 +125,7 @@ func Solve(p Problem) (x []float64, value float64, err error) {
 			if t.basis[i] >= cols {
 				pivoted := false
 				for j := 0; j < cols; j++ {
-					if math.Abs(t.a[i][j]) > eps {
+					if math.Abs(t.a[i][j]) > lpEps {
 						t.pivot(i, j)
 						pivoted = true
 						break
@@ -264,7 +263,7 @@ func (t *tableau) run(c []float64) error {
 		// Bland: entering = lowest-index column with positive reduced cost.
 		enter := -1
 		for j := 0; j < cols; j++ {
-			if t.reducedCost(c, j) > eps {
+			if t.reducedCost(c, j) > lpEps {
 				enter = j
 				break
 			}
@@ -276,18 +275,18 @@ func (t *tableau) run(c []float64) error {
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			if t.a[i][enter] > eps {
+			if t.a[i][enter] > lpEps {
 				ratio := t.rhs[i] / t.a[i][enter]
-				if ratio < best-eps || (ratio < best+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
+				if ratio < best-lpEps || (ratio < best+lpEps && (leave < 0 || t.basis[i] < t.basis[leave])) {
 					best = ratio
 					leave = i
 				}
 			}
 		}
 		if leave < 0 {
-			return ErrUnbounded
+			return errLPUnbounded
 		}
 		t.pivot(leave, enter)
 	}
-	return ErrCycling
+	return errLPCycling
 }

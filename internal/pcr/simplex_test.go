@@ -1,4 +1,4 @@
-package lp
+package pcr
 
 import (
 	"errors"
@@ -9,14 +9,14 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSimpleMax(t *testing.T) {
+func TestSimplexSimpleMax(t *testing.T) {
 	// max 3x + 5y s.t. x ≤ 4; 2y ≤ 12; 3x + 2y ≤ 18 → x=2, y=6, z=36.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{3, 5},
 		A: [][]float64{{1, 0}, {0, 2}, {3, 2}},
 		B: []float64{4, 12, 18},
 	}
-	x, v, err := Solve(p)
+	x, v, err := lpSolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestSimpleMax(t *testing.T) {
 	}
 }
 
-func TestNegativeRHSRequiresPhase1(t *testing.T) {
+func TestSimplexNegativeRHSRequiresPhase1(t *testing.T) {
 	// max -x s.t. -x ≤ -3 (i.e. x ≥ 3); x ≤ 10 → x=3, z=-3.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{-1},
 		A: [][]float64{{-1}, {1}},
 		B: []float64{-3, 10},
 	}
-	x, v, err := Solve(p)
+	x, v, err := lpSolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,14 @@ func TestNegativeRHSRequiresPhase1(t *testing.T) {
 	}
 }
 
-func TestFreeVariableGoesNegative(t *testing.T) {
+func TestSimplexFreeVariableGoesNegative(t *testing.T) {
 	// max -x s.t. -x ≤ 5 (x ≥ -5) → x=-5, z=5.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{-1},
 		A: [][]float64{{-1}},
 		B: []float64{5},
 	}
-	x, v, err := Solve(p)
+	x, v, err := lpSolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,40 +57,40 @@ func TestFreeVariableGoesNegative(t *testing.T) {
 	}
 }
 
-func TestInfeasible(t *testing.T) {
+func TestSimplexInfeasible(t *testing.T) {
 	// x ≤ 1 and x ≥ 3.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{1},
 		A: [][]float64{{1}, {-1}},
 		B: []float64{1, -3},
 	}
-	_, _, err := Solve(p)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
+	_, _, err := lpSolve(p)
+	if !errors.Is(err, errLPInfeasible) {
+		t.Fatalf("err = %v, want errLPInfeasible", err)
 	}
 }
 
-func TestUnbounded(t *testing.T) {
+func TestSimplexUnbounded(t *testing.T) {
 	// max x s.t. -x ≤ 0 (x ≥ 0 only).
-	p := Problem{
+	p := lpProblem{
 		C: []float64{1},
 		A: [][]float64{{-1}},
 		B: []float64{0},
 	}
-	_, _, err := Solve(p)
-	if !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("err = %v, want ErrUnbounded", err)
+	_, _, err := lpSolve(p)
+	if !errors.Is(err, errLPUnbounded) {
+		t.Fatalf("err = %v, want errLPUnbounded", err)
 	}
 }
 
-func TestEqualityViaTwoInequalities(t *testing.T) {
+func TestSimplexEqualityViaTwoInequalities(t *testing.T) {
 	// max x+y s.t. x+y ≤ 4, -(x+y) ≤ -4 (x+y=4), x ≤ 3, y ≤ 3 → z=4.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{1, 1},
 		A: [][]float64{{1, 1}, {-1, -1}, {1, 0}, {0, 1}},
 		B: []float64{4, -4, 3, 3},
 	}
-	_, v, err := Solve(p)
+	_, v, err := lpSolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,9 @@ func TestEqualityViaTwoInequalities(t *testing.T) {
 	}
 }
 
-func TestDegenerateNoCycle(t *testing.T) {
+func TestSimplexDegenerateNoCycle(t *testing.T) {
 	// A classically degenerate LP (Beale-like); Bland's rule must terminate.
-	p := Problem{
+	p := lpProblem{
 		C: []float64{0.75, -150, 0.02, -6},
 		A: [][]float64{
 			{0.25, -60, -0.04, 9},
@@ -114,7 +114,7 @@ func TestDegenerateNoCycle(t *testing.T) {
 		},
 		B: []float64{0, 0, 1, 0, 0, 0, 0},
 	}
-	_, v, err := Solve(p)
+	_, v, err := lpSolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,29 +123,29 @@ func TestDegenerateNoCycle(t *testing.T) {
 	}
 }
 
-func TestValidateErrors(t *testing.T) {
-	if _, _, err := Solve(Problem{}); err == nil {
+func TestSimplexValidateErrors(t *testing.T) {
+	if _, _, err := lpSolve(lpProblem{}); err == nil {
 		t.Error("empty problem should error")
 	}
-	if _, _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {
+	if _, _, err := lpSolve(lpProblem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {
 		t.Error("ragged row should error")
 	}
-	if _, _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}); err == nil {
+	if _, _, err := lpSolve(lpProblem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}); err == nil {
 		t.Error("row/bound mismatch should error")
 	}
 }
 
-func TestNoConstraintsUnbounded(t *testing.T) {
-	p := Problem{C: []float64{1}, A: nil, B: nil}
-	_, _, err := Solve(p)
-	if !errors.Is(err, ErrUnbounded) {
-		t.Fatalf("err = %v, want ErrUnbounded", err)
+func TestSimplexNoConstraintsUnbounded(t *testing.T) {
+	p := lpProblem{C: []float64{1}, A: nil, B: nil}
+	_, _, err := lpSolve(p)
+	if !errors.Is(err, errLPUnbounded) {
+		t.Fatalf("err = %v, want errLPUnbounded", err)
 	}
 }
 
-// TestAgainstGridBruteForce cross-checks the simplex against exhaustive
+// TestSimplexAgainstGridBruteForce cross-checks the simplex against exhaustive
 // vertex enumeration on random bounded 2-variable problems.
-func TestAgainstGridBruteForce(t *testing.T) {
+func TestSimplexAgainstGridBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		// Box constraints keep it bounded and feasible: |x|,|y| ≤ 10.
@@ -158,8 +158,8 @@ func TestAgainstGridBruteForce(t *testing.T) {
 			b = append(b, math.Abs(rng.NormFloat64())*10+1)
 		}
 		c := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		p := Problem{C: c, A: a, B: b}
-		x, v, err := Solve(p)
+		p := lpProblem{C: c, A: a, B: b}
+		x, v, err := lpSolve(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -194,9 +194,9 @@ func TestAgainstGridBruteForce(t *testing.T) {
 	}
 }
 
-// TestCFBShapedProblem mirrors the exact LP structure used for cfb_out
+// TestSimplexCFBShapedProblem mirrors the exact LP structure used for cfb_out
 // fitting: maximize m·α − P·β subject to α − β·p_j ≤ c_j.
-func TestCFBShapedProblem(t *testing.T) {
+func TestSimplexCFBShapedProblem(t *testing.T) {
 	ps := []float64{0, 0.125, 0.25, 0.375, 0.5}
 	cs := []float64{-10, -8, -5, -3, -1} // pcr lows, increasing with p
 	m := float64(len(ps))
@@ -210,7 +210,7 @@ func TestCFBShapedProblem(t *testing.T) {
 		a[j] = []float64{1, -ps[j]}
 		b[j] = cs[j]
 	}
-	x, _, err := Solve(Problem{C: []float64{m, -P}, A: a, B: b})
+	x, _, err := lpSolve(lpProblem{C: []float64{m, -P}, A: a, B: b})
 	if err != nil {
 		t.Fatal(err)
 	}

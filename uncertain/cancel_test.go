@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -14,10 +13,9 @@ import (
 
 // This file is the correctness contract of the context-first query API:
 // cancellation must take effect within a couple of page latencies and must
-// not leak goroutines or corrupt the index; WithPageBudget must
-// stop a query after exactly the budgeted number of physical fetches; the
-// batch engine must propagate cancellation to in-flight queries instead of
-// letting a failed batch run to completion.
+// not leak goroutines or corrupt the index; the batch engine must
+// propagate cancellation to in-flight queries instead of letting a failed
+// batch run to completion.
 
 // slowStore is the page latency of these tests: a chaos rule stalling every
 // page operation of cs, installed once the index is built.
@@ -216,147 +214,8 @@ func TestShardedCancel(t *testing.T) {
 	}
 }
 
-// TestPageBudgetExact is the WithPageBudget contract: with a 1-page pool
-// (every distinct page access is physical) a query needing N fetches must
-// fail with ErrBudgetExceeded at every budget < N — after performing
-// exactly the budgeted number of fetches — and succeed at N with results
-// identical to the unbudgeted query. Partial results must be a prefix of
-// the full result sequence.
-func TestPageBudgetExact(t *testing.T) {
-	// NodeCacheEntries: -1 — the decoded-node cache serves repeat node
-	// reads without any physical fetch, which would break this test's
-	// premise; budget accounting under the cache is covered separately.
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	if err := ct.BulkLoad(shardedFixtureObjects(400, 81)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	rect := Box(Pt(200, 200), Pt(700, 700))
-	const prob = 0.4
-	full, fullStats, err := ct.Search(context.Background(), rect, prob, WithPageBudget(1<<30))
-	if err != nil {
-		t.Fatalf("unbounded budget: %v", err)
-	}
-	need := fullStats.PagesFetched
-	// With a 1-page pool every node access and refinement I/O is physical.
-	if want := fullStats.NodeAccesses + fullStats.RefinementIOs; need != want {
-		t.Fatalf("full query fetched %d pages, want node+refinement = %d", need, want)
-	}
-	if need < 5 {
-		t.Fatalf("fixture too small: full query needs only %d fetches", need)
-	}
-	plain, _, err := ct.Search(context.Background(), rect, prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResults(t, "budget=inf", [][]Result{plain}, [][]Result{full})
-
-	for budget := 1; budget < need; budget++ {
-		res, stats, err := ct.Search(context.Background(), rect, prob, WithPageBudget(budget))
-		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("budget %d: err = %v, want ErrBudgetExceeded", budget, err)
-		}
-		if stats.PagesFetched != budget {
-			t.Fatalf("budget %d: performed %d physical fetches, want exactly the budget", budget, stats.PagesFetched)
-		}
-		if len(res) > len(full) {
-			t.Fatalf("budget %d: %d results, full query %d", budget, len(res), len(full))
-		}
-		for i := range res {
-			if res[i] != full[i] {
-				t.Fatalf("budget %d: result %d = %+v, full run has %+v", budget, i, res[i], full[i])
-			}
-		}
-	}
-	res, stats, err := ct.Search(context.Background(), rect, prob, WithPageBudget(need))
-	if err != nil {
-		t.Fatalf("budget %d (= need): %v", need, err)
-	}
-	if stats.PagesFetched != need {
-		t.Fatalf("budget = need: fetched %d, want %d", stats.PagesFetched, need)
-	}
-	requireSameResults(t, "budget=need", [][]Result{full}, [][]Result{res})
-}
-
-// TestPageBudgetNN: the NN traversal honors the budget with the same
-// error identity and partial-answer semantics.
-func TestPageBudgetNN(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, BufferPages: 1, NodeCacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	if err := ct.BulkLoad(shardedFixtureObjects(400, 91)); err != nil {
-		t.Fatal(err)
-	}
-	_, fullStats, err := ct.NearestNeighbors(context.Background(), Pt(500, 500), 5, WithPageBudget(1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullStats.PagesFetched < 4 {
-		t.Fatalf("fixture too small: NN needs only %d fetches", fullStats.PagesFetched)
-	}
-	budget := fullStats.PagesFetched / 2
-	nns, stats, err := ct.NearestNeighbors(context.Background(), Pt(500, 500), 5, WithPageBudget(budget))
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if stats.PagesFetched != budget {
-		t.Fatalf("performed %d fetches, want exactly %d", stats.PagesFetched, budget)
-	}
-	if len(nns) > 5 {
-		t.Fatalf("partial NN returned %d > k results", len(nns))
-	}
-}
-
-// TestShardedBudgetPartial: per-shard budget exhaustion is not fatal to
-// the scatter-gather — the merged partial results come back together with
-// ErrBudgetExceeded.
-func TestShardedBudgetPartial(t *testing.T) {
-	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1}, fixtureDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.BulkLoad(shardedFixtureObjects(600, 95)); err != nil {
-		t.Fatal(err)
-	}
-	rect := Box(Pt(0, 0), Pt(1000, 1000))
-	full, _, err := st.Search(context.Background(), rect, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := st.Search(context.Background(), rect, 0.3, WithPageBudget(3))
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if len(res) >= len(full) {
-		t.Fatalf("budgeted scatter returned %d results, full %d — expected a strict subset", len(res), len(full))
-	}
-	if stats.PagesFetched == 0 || stats.PagesFetched > 2*3 {
-		t.Fatalf("merged PagesFetched = %d, want in (0, shards×budget]", stats.PagesFetched)
-	}
-	// Partial results must be real answers.
-	fullByID := make(map[int64]Result, len(full))
-	for _, r := range full {
-		fullByID[r.ID] = r
-	}
-	for _, r := range res {
-		if want, ok := fullByID[r.ID]; !ok || want != r {
-			t.Fatalf("partial result %+v not among the full query's answers", r)
-		}
-	}
-}
-
-// TestQueryOptions covers the remaining per-query knobs: limit prefix
-// semantics and per-query refinement control.
+// TestQueryOptions covers the per-query knobs: limit prefix semantics and
+// per-query refinement precision.
 func TestQueryOptions(t *testing.T) {
 	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
 	if err != nil {
@@ -439,23 +298,6 @@ func TestQueryOptions(t *testing.T) {
 		}
 		if !sharedDiffer(coarse, mc) {
 			t.Fatal("10-sample refinement produced identical probabilities to 400-sample")
-		}
-	})
-
-	t.Run("WithExactRefinement", func(t *testing.T) {
-		exact1, comps := refined(t, WithExactRefinement(true))
-		exact2, _ := refined(t, WithExactRefinement(true))
-		if comps != mcComps {
-			t.Fatalf("exact refinement changed refinement count: %d vs %d", comps, mcComps)
-		}
-		if !reflect.DeepEqual(exact1, exact2) {
-			t.Fatal("exact refinement not repeatable")
-		}
-		// The mode really switched: some object refined by both runs got a
-		// different (exact vs Monte Carlo) probability. Membership may
-		// differ by a borderline object or two, which is fine.
-		if !sharedDiffer(exact1, mc) {
-			t.Fatal("exact refinement produced identical probabilities to Monte Carlo")
 		}
 	})
 
@@ -547,27 +389,5 @@ func TestEnginePerQueryTimeout(t *testing.T) {
 	}
 	if len(out) != len(queries) {
 		t.Fatalf("batch returned %d slots for %d queries", len(out), len(queries))
-	}
-}
-
-// TestEngineBudgetCounting: budget-exceeded queries keep their partial
-// results, are counted, and do not fail the batch.
-func TestEngineBudgetCounting(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	if err := ct.BulkLoad(shardedFixtureObjects(600, 111)); err != nil {
-		t.Fatal(err)
-	}
-	queries := shardedFixtureQueries(20, 112)
-	eng := NewQueryEngine(ct, EngineOptions{Workers: 2})
-	_, stats, err := eng.SearchBatch(context.Background(), queries, WithPageBudget(2))
-	if err != nil {
-		t.Fatalf("budget exhaustion must not fail the batch: %v", err)
-	}
-	if stats.BudgetExceeded == 0 {
-		t.Fatal("2-page budget over a 1-page pool exhausted nothing")
 	}
 }

@@ -85,11 +85,8 @@ type BatchStats struct {
 	// Cancelled counts queries that returned a context error: ones that hit
 	// the engine's per-query timeout (EngineOptions.QueryTimeout — counted
 	// and skipped, the batch continues) and ones aborted by the batch
-	// context going away. BudgetExceeded counts queries stopped by
-	// WithPageBudget; their partial results are kept and the batch
-	// continues.
-	Cancelled      int
-	BudgetExceeded int
+	// context going away.
+	Cancelled int
 
 	// Pruning totals over the batch: shards skipped by the scatter-gather
 	// and leaf entries discarded by the probability upper bound where the
@@ -141,9 +138,9 @@ func (e *QueryEngine) Workers() int { return e.workers }
 
 // SearchBatch answers every query and returns per-query results (index i
 // answers queries[i]) plus aggregated stats. Per-query options apply to
-// every query of the batch. Budget-exceeded and per-query-timeout errors
-// are non-fatal (counted in BatchStats, the batch continues, partial
-// results are kept); the first other error — or the
+// every query of the batch. Per-query-timeout errors are non-fatal
+// (counted in BatchStats, the batch continues, partial results are kept);
+// the first other error — or the
 // batch context going away — cancels the remaining in-flight queries
 // promptly and is returned together with the results and stats of the
 // work that did complete.
@@ -214,8 +211,8 @@ func (e *QueryEngine) NNBatch(ctx context.Context, queries []NNQuery, opts ...Qu
 // indices from a shared counter. The batch context is propagated into
 // every query, so the first fatal error cancels the in-flight queries
 // mid-traversal instead of letting them run to completion (the old engine
-// only stopped *unstarted* tasks); budget and per-query-timeout errors are
-// counted and skipped.
+// only stopped *unstarted* tasks); per-query-timeout errors are counted
+// and skipped.
 func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Context, i int) error) (BatchStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,7 +233,6 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 		errOnce   sync.Once
 		firstErr  error
 		cancelled atomic.Int64
-		budget    atomic.Int64
 		wg        sync.WaitGroup
 	)
 	fail := func(err error) {
@@ -268,8 +264,6 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 				// timeout.
 				switch {
 				case err == nil:
-				case errors.Is(err, ErrBudgetExceeded):
-					budget.Add(1)
 				case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 					cancelled.Add(1)
 					if ctx.Err() != nil {
@@ -291,13 +285,12 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 
 	h1, m1 := e.idx.CacheStats()
 	stats := BatchStats{
-		Queries:        n,
-		Workers:        workers,
-		WallTime:       time.Since(start),
-		CacheHits:      h1 - h0,
-		CacheMisses:    m1 - m0,
-		Cancelled:      int(cancelled.Load()),
-		BudgetExceeded: int(budget.Load()),
+		Queries:     n,
+		Workers:     workers,
+		WallTime:    time.Since(start),
+		CacheHits:   h1 - h0,
+		CacheMisses: m1 - m0,
+		Cancelled:   int(cancelled.Load()),
 	}
 	// Percentiles cover only the queries that actually ran: on an aborted
 	// batch the never-started tasks' zero durations would otherwise drag

@@ -10,8 +10,7 @@ import (
 
 // This file exposes the library's extensions beyond the paper's prob-range
 // query: polygon and mixture pdfs ("uncertainty regions of any shapes"),
-// expected-distance nearest neighbors, STR bulk loading and the analytical
-// cost model (the paper's stated future work, Section 7).
+// expected-distance nearest neighbors and STR bulk loading.
 
 // UniformPolygon is a uniform pdf over a 2D convex polygon (the convex hull
 // of the given points is used).

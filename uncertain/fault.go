@@ -1,10 +1,6 @@
 package uncertain
 
 import (
-	"errors"
-	"fmt"
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/pagefile"
 )
@@ -14,9 +10,8 @@ import (
 // (ErrChecksum), retries transient faults with a fixed jittered backoff
 // (pagefile.RetryPolicy's defaults; the retries appear in Stats.Retries and
 // Health().Retries), quarantines pages proven corrupt so they are never
-// served from a cache (Health()), verifies the whole committed tree when
-// asked (Tree.Scrub), and — on sharded indexes — can serve degraded
-// partial answers when some shards fail (WithAllowDegraded, ErrDegraded).
+// served from a cache (Health()), and verifies the whole committed tree when
+// asked (Tree.Scrub).
 
 // ErrChecksum matches (via errors.Is) any error caused by a page whose
 // stored checksum does not cover the bytes read back — detected storage
@@ -33,39 +28,6 @@ var ErrBadPage = pagefile.ErrBadPage
 // written with the previous leaf layout (8-byte CFB coefficients). Such a
 // file is never mis-read; rebuild it from its data.
 var ErrOldLayout = core.ErrOldLayout
-
-// ErrDegraded matches (via errors.Is) a degraded-mode partial answer from
-// a sharded index: some shards failed with a storage error, and the query
-// opted in with WithAllowDegraded. The results alongside the error are the
-// healthy shards' complete answers (plus whatever the failing shards had
-// gathered); every returned object truly qualifies — the set may just be
-// incomplete.
-var ErrDegraded = errors.New("uncertain: degraded results (some shards failed)")
-
-// DegradedError is the concrete error behind ErrDegraded, reporting which
-// shards failed and why. Unwrap exposes the per-shard causes, so
-// errors.Is(err, ErrChecksum) also matches when a failure was corruption.
-type DegradedError struct {
-	// Shards lists the failed shard indexes, ascending.
-	Shards []int
-	// Errs holds the corresponding per-shard errors.
-	Errs []error
-}
-
-func (e *DegradedError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "uncertain: degraded results: %d shard(s) failed:", len(e.Shards))
-	for i, s := range e.Shards {
-		fmt.Fprintf(&b, " [shard %d: %v]", s, e.Errs[i])
-	}
-	return b.String()
-}
-
-// Is makes errors.Is(err, ErrDegraded) match.
-func (e *DegradedError) Is(target error) bool { return target == ErrDegraded }
-
-// Unwrap exposes the per-shard causes to errors.Is/As.
-func (e *DegradedError) Unwrap() []error { return e.Errs }
 
 // HealthInfo is an index's storage-health report: quarantined pages and
 // cumulative transient-fault retries. Sharded indexes merge the per-shard

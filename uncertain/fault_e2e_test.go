@@ -313,111 +313,67 @@ func TestScrubFindsSilentCorruption(t *testing.T) {
 	}
 }
 
-// TestDegradedShardedReads kills one shard's storage and checks the
-// degraded-read contract: without WithAllowDegraded the query fails
-// whole; with it, the healthy shards answer and the error is a
-// *DegradedError naming the dead shard. All shards dead stays fatal. The
-// queries reach every shard — the dead one's root box is never pruned — so
-// the fault cannot hide behind shard pruning.
-func TestDegradedShardedReads(t *testing.T) {
+// TestDeadShardFailsQuery corrupts every page one shard reads and checks
+// that a sharded query fails whole: Search and NearestNeighbors return no
+// results and a typed corruption error, never the other shards' answers
+// passed off as the complete set. The queries reach every shard — the dead
+// one's root box is never pruned — so the fault cannot hide behind shard
+// pruning.
+func TestDeadShardFailsQuery(t *testing.T) {
 	const shards = 3
 	var stores []*pagefile.ChaosStore
-	st, err := NewSpatialShardedTree(shards, Config{
-		Dimensions:       2,
-		ExactRefinement:  true,
-		Seed:             17,
-		BufferPages:      1,
-		NodeCacheEntries: -1,
-		WrapStore: func(s pagefile.Store) pagefile.Store {
-			cs := pagefile.NewChaosStore(s, int64(len(stores)))
-			stores = append(stores, cs)
-			return cs
-		},
-	}, fixtureDomain)
+	cfg := faultTestConfig(filepath.Join(t.TempDir(), "dead.utree"))
+	cfg.BufferPages = 1
+	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
+		cs := pagefile.NewChaosStore(s, int64(len(stores)))
+		stores = append(stores, cs)
+		return cs
+	}
+	st, err := NewSpatialShardedTree(shards, cfg, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer st.Discard()
 	if len(stores) != shards {
 		t.Fatalf("WrapStore ran %d times for %d shards", len(stores), shards)
 	}
 	if err := st.BulkLoad(shardedFixtureObjects(400, 21)); err != nil {
 		t.Fatal(err)
 	}
-
-	all := Box(Pt(0, 0), Pt(1000, 1000))
-	baseline, _, err := st.Search(context.Background(), all, 0.3)
-	if err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	baseIDs := make(map[int64]float64, len(baseline))
-	for _, r := range baseline {
-		baseIDs[r.ID] = r.Prob
-	}
 
-	const dead = 1
-	kill := stores[dead].MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Countdown: -1, Sticky: true})
-	kill.Arm(0)
-
-	// Without the option the whole query fails, and not as degraded.
-	if _, _, err := st.Search(context.Background(), all, 0.3); err == nil {
-		t.Fatal("query with a dead shard succeeded without WithAllowDegraded")
-	} else if errors.Is(err, ErrDegraded) {
-		t.Fatalf("non-degraded query reported ErrDegraded: %v", err)
-	}
-
-	res, stats, err := st.Search(context.Background(), all, 0.3, WithAllowDegraded(true))
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("degraded query error = %v, want ErrDegraded", err)
-	}
-	if stats.ShardsPruned != 0 {
+	all := Box(Pt(0, 0), Pt(1000, 1000))
+	if _, stats, err := st.Search(context.Background(), all, 0.3); err != nil {
+		t.Fatal(err)
+	} else if stats.ShardsPruned != 0 {
 		t.Fatalf("%d shards pruned: the query must reach the dead shard", stats.ShardsPruned)
 	}
-	var derr *DegradedError
-	if !errors.As(err, &derr) {
-		t.Fatalf("degraded error is not a *DegradedError: %v", err)
+
+	// From here on every page the dead shard reads from its file has a bit
+	// flipped on the medium first, so the read fails its checksum; a page
+	// found corrupt is quarantined and fails fast after that.
+	const dead = 1
+	stores[dead].MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultBitFlip, Sticky: true, Bit: -1})
+	corrupt := func(err error) bool { return errors.Is(err, ErrChecksum) || errors.Is(err, ErrBadPage) }
+
+	res, _, err := st.Search(context.Background(), all, 0.3)
+	if !corrupt(err) {
+		t.Fatalf("query with a dead shard: err = %v, want ErrChecksum or ErrBadPage", err)
 	}
-	if len(derr.Shards) != 1 || derr.Shards[0] != dead {
-		t.Fatalf("DegradedError.Shards = %v, want [%d]", derr.Shards, dead)
-	}
-	if len(res) == 0 {
-		t.Fatal("degraded query returned no partial results")
-	}
-	for _, r := range res {
-		prob, ok := baseIDs[r.ID]
-		if !ok || prob != r.Prob {
-			t.Fatalf("degraded result %d (P=%v) not in the clean baseline", r.ID, r.Prob)
-		}
-		if st.owner(r.ID) == dead {
-			t.Fatalf("degraded result %d is held by the dead shard %d", r.ID, dead)
-		}
+	if len(res) != 0 {
+		t.Fatalf("query with a dead shard returned %d results", len(res))
 	}
 
-	// NN follows the same contract. q lies in the dead shard's slab, so that
-	// shard ranks first and is always launched.
-	nns, _, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5, WithAllowDegraded(true))
-	if !errors.As(err, &derr) || len(derr.Shards) != 1 || derr.Shards[0] != dead {
-		t.Fatalf("degraded NN error = %v, want a *DegradedError naming shard %d", err, dead)
+	// q lies in the dead shard's slab, so that shard ranks first and is
+	// always launched.
+	nns, _, err := st.NearestNeighbors(context.Background(), Pt(500, 500), 5)
+	if !corrupt(err) {
+		t.Fatalf("NN with a dead shard: err = %v, want ErrChecksum or ErrBadPage", err)
 	}
-	if len(nns) == 0 {
-		t.Fatal("degraded NN returned no partial neighbors")
-	}
-	for _, n := range nns {
-		if st.owner(n.ID) == dead {
-			t.Fatalf("degraded neighbor %d is held by the dead shard", n.ID)
-		}
-	}
-
-	// Every shard dead → fatal even with the option.
-	for i, cs := range stores {
-		if i != dead {
-			cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Sticky: true})
-		}
-	}
-	if _, _, err := st.Search(context.Background(), all, 0.3, WithAllowDegraded(true)); err == nil {
-		t.Fatal("query with every shard dead succeeded")
-	} else if errors.Is(err, ErrDegraded) {
-		t.Fatalf("all-shards-dead query downgraded to ErrDegraded: %v", err)
+	if len(nns) != 0 {
+		t.Fatalf("NN with a dead shard returned %d neighbors", len(nns))
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 // context.Context for cancellation and deadlines (queries check it before
 // every page fetch and every refinement integration, so a cancelled query
 // returns within roughly one page read) plus per-query QueryOptions
-// resolved into an immutable plan — precision, result limits and I/O
-// budgets are per-query decisions, with no global mutator and no lock taken
-// to change them.
+// resolved into an immutable plan — precision and result limits are
+// per-query decisions, with no global mutator and no lock taken to change
+// them.
 type Index interface {
 	// Insert adds an object. An ID live anywhere in the index returns
 	// ErrDuplicateID and mutates nothing.
@@ -54,7 +54,7 @@ type Index interface {
 	// Search answers a probabilistic range query: objects appearing in rect
 	// with probability ≥ prob. A cancelled or deadline-exceeded ctx stops
 	// the traversal promptly with ctx.Err() and the partial results found
-	// so far; WithPageBudget stops it with ErrBudgetExceeded the same way.
+	// so far.
 	Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error)
 	// NearestNeighbors returns the k objects with the smallest expected
 	// distance to q, ascending, under the same context and option contract

@@ -12,13 +12,6 @@ import (
 // follow the probabilistic-pruning literature (Bernecker et al.), where
 // refinement effort is a query-time choice, not an index-time one.
 
-// ErrBudgetExceeded is returned by a query whose WithPageBudget ran out:
-// the traversal performed exactly the budgeted number of physical page
-// fetches and stopped. The partial results accompanying the error are
-// valid answers (every returned object truly qualifies); the set is just
-// incomplete. Test with errors.Is.
-var ErrBudgetExceeded = core.ErrBudgetExceeded
-
 // QueryOption customizes one query. Options are applied in order; later
 // options override earlier ones. The zero option set reproduces the
 // index's configured behavior bit for bit.
@@ -49,13 +42,6 @@ func WithMonteCarloSamples(n int) QueryOption {
 	return func(p *queryPlan) { p.o.MCSamples = n }
 }
 
-// WithExactRefinement overrides Config.ExactRefinement for this query:
-// when on, pdfs exposing an exact (closed-form or fixed-rule) probability are
-// refined exactly instead of by Monte Carlo.
-func WithExactRefinement(on bool) QueryOption {
-	return func(p *queryPlan) { p.o.ExactSet, p.o.Exact = true, on }
-}
-
 // WithLimit stops a range query after n results (a top-N early cut) and
 // caps k for NN queries. The cut is deterministic — a limited query
 // returns a prefix of the unlimited query's result sequence — but which
@@ -64,26 +50,4 @@ func WithExactRefinement(on bool) QueryOption {
 // n ≤ 0 means unlimited.
 func WithLimit(n int) QueryOption {
 	return func(p *queryPlan) { p.o.Limit = n }
-}
-
-// WithAllowDegraded opts a sharded query into degraded partial answers:
-// when some (not all) shards fail with a storage error — a corrupt page, a
-// fault that outlasted the retry budget — the healthy shards' results are
-// returned together with ErrDegraded (a *DegradedError naming the failed
-// shards) instead of failing the whole query. Every returned object truly
-// qualifies; the set may be incomplete. If every shard fails, the query
-// fails outright as before. Single-tree indexes ignore the option — with
-// one store there is no healthy remainder to serve.
-func WithAllowDegraded(on bool) QueryOption {
-	return func(p *queryPlan) { p.o.AllowDegraded = on }
-}
-
-// WithPageBudget bounds the physical page fetches (buffer-pool misses plus
-// data-page reads) this query may perform; when the budget runs out the
-// query returns ErrBudgetExceeded together with the partial results and
-// stats gathered up to that point — after exactly n physical fetches
-// (stats report the fetches in PagesFetched). On a sharded index the
-// budget applies per shard. n ≤ 0 means unlimited.
-func WithPageBudget(n int) QueryOption {
-	return func(p *queryPlan) { p.o.PageBudget = n }
 }

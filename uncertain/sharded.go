@@ -256,13 +256,6 @@ func rootDisjoint(sn *core.Snapshot, rect Rect) bool {
 	return root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect)
 }
 
-// shardFatal reports whether one shard's error must stop its siblings:
-// any real failure, unless the query opted into degraded answers. Budget
-// exhaustion is never fatal to the fan-out.
-func shardFatal(err error, plan core.QueryOpts) bool {
-	return err != nil && !errors.Is(err, ErrBudgetExceeded) && !plan.AllowDegraded
-}
-
 // Search scatter-gathers a probabilistic range query: the shards run the
 // query concurrently (each on a pinned snapshot of its latest committed
 // epoch), and the partial results are
@@ -281,12 +274,7 @@ func shardFatal(err error, plan core.QueryOpts) bool {
 // found are merged and returned together with ctx.Err() — the same
 // partial-result contract as a single tree. The first real shard error
 // cancels the sibling shards instead of letting them run to completion
-// and returns nothing — unless the query opted into degraded mode with
-// WithAllowDegraded, in which case the healthy shards run to completion
-// and the merged answer returns with ErrDegraded (fatal only when every
-// shard failed). Per-shard page-budget exhaustion is likewise not fatal to
-// the fan-out — the shards' answers are merged and returned with
-// ErrBudgetExceeded.
+// and returns nothing.
 func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,13 +299,13 @@ func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts 
 		go func(i int) {
 			defer wg.Done()
 			partRes[i], partStats[i], errs[i] = snaps[i].RangeQuery(sctx, core.Query{Rect: rect, Prob: prob}, plan)
-			if shardFatal(errs[i], plan) {
-				cancel() // first real failure stops the sibling shards
+			if errs[i] != nil {
+				cancel() // the first failure stops the sibling shards
 			}
 		}(i)
 	}
 	wg.Wait()
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
+	softErr, err := gatherError(ctx, errs)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -339,7 +327,7 @@ func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts 
 // shard reports its own top k concurrently, and the k-way merge keeps the
 // k globally smallest expected distances. The merge is exact — an object
 // in the global top k is necessarily in its own shard's top k. See Search
-// for the cancellation and budget fan-out semantics.
+// for the cancellation fan-out semantics.
 //
 // The shards share a k-th-distance upper bound: each publishes its own
 // k-th best once its list fills, and every shard's best-first loop stops
@@ -392,7 +380,7 @@ func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts
 	run := func(i int) {
 		defer wg.Done()
 		partRes[i], partStats[i], errs[i] = snaps[i].NearestNeighbors(sctx, q, k, plan)
-		if shardFatal(errs[i], plan) {
+		if errs[i] != nil {
 			cancel() // the siblings' traversals stop at their next pop
 		}
 	}
@@ -413,7 +401,7 @@ func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts
 		go run(r.idx)
 	}
 	wg.Wait()
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
+	softErr, err := gatherError(ctx, errs)
 	if err != nil {
 		return nil, NNStats{}, err
 	}
@@ -439,59 +427,30 @@ func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts
 	return merged, stats, softErr
 }
 
-// gatherError classifies the per-shard errors of one scatter-gather into a
-// soft error — budget exhaustion or the caller's cancellation, where the
-// shards' partial answers are still merged and returned alongside the
-// error, honoring the Index contract — and a fatal one (any real shard
-// failure), where nothing is returned. Context errors are reported bare so
-// callers can match them with errors.Is against context.Canceled /
-// DeadlineExceeded, and a real shard error wins over the context errors
-// its cancel() induced on the sibling shards; cancellation wins over
-// budget exhaustion.
-//
-// With allowDegraded (WithAllowDegraded), real shard failures become soft
-// too — the merged answer carries a *DegradedError naming the failed
-// shards — unless EVERY shard failed, which stays fatal: there is no
-// healthy remainder to serve. The caller's own cancellation still wins
-// over degraded reporting.
-func (s *ShardedTree) gatherError(ctx context.Context, errs []error, allowDegraded bool) (soft, fatal error) {
-	var budgetErr, ctxErr error
-	var failed []int
-	var failedErrs []error
+// gatherError classifies the per-shard errors of one scatter-gather. A real
+// shard failure is fatal — nothing is returned — and wins over the context
+// errors its cancel() induced on the sibling shards. Otherwise the caller's
+// cancellation is soft: the shards' partial answers are still merged and
+// returned alongside it, honoring the Index contract. Context errors are
+// reported bare so callers can match them with errors.Is against
+// context.Canceled / DeadlineExceeded.
+func gatherError(ctx context.Context, errs []error) (soft, fatal error) {
+	var ctxErr error
 	for i, err := range errs {
 		switch {
 		case err == nil:
-		case errors.Is(err, ErrBudgetExceeded):
-			if budgetErr == nil {
-				budgetErr = fmt.Errorf("uncertain: shard %d: %w", i, err)
-			}
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			if ctxErr == nil {
 				ctxErr = err
 			}
 		default:
-			if !allowDegraded {
-				return nil, fmt.Errorf("uncertain: shard %d: %w", i, err)
-			}
-			failed = append(failed, i)
-			failedErrs = append(failedErrs, err)
+			return nil, fmt.Errorf("uncertain: shard %d: %w", i, err)
 		}
 	}
-	if len(failed) == len(s.shards) && len(s.shards) > 0 {
-		// Degraded mode cannot help when no shard answered.
-		return nil, fmt.Errorf("uncertain: all %d shards failed; first: shard %d: %w",
-			len(s.shards), failed[0], failedErrs[0])
+	if ctxErr != nil && ctx.Err() != nil {
+		return ctx.Err(), nil // the caller's context, not a shard's view of it
 	}
-	if ctxErr != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr, nil // the caller's context, not a sibling-induced cancel
-		}
-		return ctxErr, nil
-	}
-	if len(failed) > 0 {
-		return &DegradedError{Shards: failed, Errs: failedErrs}, nil
-	}
-	return budgetErr, nil
+	return ctxErr, nil
 }
 
 // Len sums the object counts over all shards.

@@ -17,8 +17,8 @@
 //		uncertain.Box(uncertain.Pt(250, 350), uncertain.Pt(350, 450)), 0.8)
 //
 // Queries take a context (cancellation, deadlines) and per-query options
-// (WithMonteCarloSamples, WithLimit, WithPageBudget, ...); see the
-// QueryOption docs and examples/ for complete programs.
+// (WithMonteCarloSamples, WithLimit); see the QueryOption docs and
+// examples/ for complete programs.
 package uncertain
 
 import (
@@ -282,7 +282,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 //
 // The stack is base → Config.WrapStore → transient-fault retry. Retry sits
 // below core's versioning and buffer pool, so a retried read stays one pool
-// miss and one page-budget charge.
+// miss.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs, mbrs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -419,9 +419,8 @@ func (t *Tree) holds(id int64) bool {
 //
 // The traversal checks ctx before every page fetch and refinement
 // integration, so cancellation and deadlines take effect within roughly
-// one page read; on early exit (ctx.Err(), or ErrBudgetExceeded under
-// WithPageBudget) the results and stats gathered so far are returned
-// alongside the error.
+// one page read; on early exit the results and stats gathered so far are
+// returned alongside ctx.Err().
 func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
 	snap := t.inner.Snapshot()
 	defer snap.Close()
