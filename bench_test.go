@@ -423,7 +423,7 @@ func BenchmarkFig9SearchBatch(b *testing.B) {
 
 // BenchmarkFig9SearchSharded sweeps the shard count of a spatially sharded
 // index on the same workload (serial query loop): every query prunes the
-// shards whose root box misses it and scatter-gathers across the rest. The
+// shards whose root box misses it and searches the rest in turn. The
 // per-shard page cache is 64 pages divided by the shard count (constant
 // total cache budget).
 func BenchmarkFig9SearchSharded(b *testing.B) {

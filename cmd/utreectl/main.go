@@ -51,7 +51,6 @@ func main() {
 		prob   = fs.Float64("prob", 0.5, "query probability threshold")
 		point  = fs.String("point", "", "query point for nn: x1,x2[,x3]")
 		k      = fs.Int("k", 5, "neighbor count for nn")
-		upcr   = fs.Bool("upcr", false, "build the U-PCR variant instead")
 		buffer = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
 
 		// Per-query options for query and nn.
@@ -82,7 +81,7 @@ func main() {
 	var err error
 	switch cmd {
 	case "build":
-		err = build(*index, dataset.Name(*ds), *scale, *upcr, cfg)
+		err = build(*index, dataset.Name(*ds), *scale, cfg)
 	case "stats":
 		err = stats(*index, cfg)
 	case "verify":
@@ -144,11 +143,10 @@ func usage() {
 	os.Exit(2)
 }
 
-func build(path string, name dataset.Name, scale float64, upcr bool, cfg uncertain.Config) error {
+func build(path string, name dataset.Name, scale float64, cfg uncertain.Config) error {
 	objs := dataset.Generate(dataset.Config{Name: name, Scale: scale})
 	cfg.Dimensions = name.Dim()
 	cfg.Path = path
-	cfg.UPCR = upcr
 	tree, err := uncertain.NewTree(cfg)
 	if err != nil {
 		return err
@@ -166,16 +164,9 @@ func build(path string, name dataset.Name, scale float64, upcr bool, cfg uncerta
 	if err := tree.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("bulk-loaded %s over %s (%d objects) in %v → %s\n",
-		kindName(upcr), name, len(objs), elapsed.Round(time.Millisecond), path)
+	fmt.Printf("bulk-loaded U-tree over %s (%d objects) in %v → %s\n",
+		name, len(objs), elapsed.Round(time.Millisecond), path)
 	return nil
-}
-
-func kindName(upcr bool) string {
-	if upcr {
-		return "U-PCR"
-	}
-	return "U-tree"
 }
 
 func stats(path string, cfg uncertain.Config) error {

@@ -1,9 +1,9 @@
-// Command sharded demonstrates the sharded scatter-gather index: a fleet
-// tracker ingesting a live stream of position updates while dashboards
-// query continuously. The ShardedTree splits the city into four slabs: a
-// position update locks only the slab the vehicle is in, and each query
-// fans out concurrently to the slabs its zone touches, each on a pinned
-// snapshot; the others are skipped on their root boxes.
+// Command sharded demonstrates the slab-sharded index: a fleet tracker
+// ingesting a live stream of position updates while dashboards query
+// continuously. The ShardedTree splits the city into four slabs and routes
+// each vehicle to the slab it is in. Each query searches the slabs its
+// zone touches one after another, each on a pinned snapshot, so it never
+// waits for the writer; the other slabs are skipped on their root boxes.
 package main
 
 import (

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -247,49 +248,60 @@ func TestBulkLoadSmallAndExactCapacity(t *testing.T) {
 	}
 }
 
-// --- NNBound -----------------------------------------------------------------
+// --- NN distance bound --------------------------------------------------------
 
-func TestNNBound(t *testing.T) {
-	b := NewNNBound()
-	if !math.IsInf(b.Load(), 1) {
-		t.Fatalf("fresh bound = %v, want +Inf", b.Load())
+// TestNNMaxDist: QueryOpts.MaxDist only cuts what cannot reach the top k.
+// Bounded by the unbounded answer's j-th distance, a query returns every
+// neighbour at most that far — the same objects, in the same order — reads
+// no more nodes, and abandons frontier entries once the bound is below the
+// k-th distance. MaxDist 0 is no bound.
+func TestNNMaxDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	objs := makeObjects(600, 1000, rng)
+	tree := buildTree(t, UTree, objs, 0)
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	b.Update(5)
-	if b.Load() != 5 {
-		t.Fatalf("after Update(5): %v", b.Load())
-	}
-	b.Update(7) // larger: no effect
-	if b.Load() != 5 {
-		t.Fatalf("Update(7) raised the bound to %v", b.Load())
-	}
-	b.Update(3)
-	if b.Load() != 3 {
-		t.Fatalf("after Update(3): %v", b.Load())
-	}
-	// Ignored inputs: zero (sentinel collision), NaN, +Inf.
-	b.Update(0)
-	b.Update(math.NaN())
-	b.Update(math.Inf(1))
-	if b.Load() != 3 {
-		t.Fatalf("degenerate updates moved the bound to %v", b.Load())
-	}
-}
-
-func TestNNBoundConcurrentMin(t *testing.T) {
-	b := NewNNBound()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				b.Update(float64(w*1000 + i))
+	snap := tree.Snapshot()
+	defer snap.Close()
+	const k = 10
+	pruned := 0
+	for trial := 0; trial < 8; trial++ {
+		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
+		full, fullStats, err := snap.NearestNeighbors(context.Background(), q, k, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, st, _ := snap.NearestNeighbors(context.Background(), q, k, QueryOpts{MaxDist: 0}); !reflect.DeepEqual(got, full) ||
+			st.NodeAccesses != fullStats.NodeAccesses || st.DistanceComps != fullStats.DistanceComps || st.BoundPruned != 0 {
+			t.Fatalf("trial %d: MaxDist 0 changed the traversal: %+v vs %+v", trial, st, fullStats)
+		}
+		for _, j := range []int{0, k / 2, k - 1} {
+			bound := full[j].ExpectedDist
+			got, st, err := snap.NearestNeighbors(context.Background(), q, k, QueryOpts{MaxDist: bound})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			within := func(rs []NNResult) []NNResult {
+				var in []NNResult
+				for _, r := range rs {
+					if r.ExpectedDist <= bound {
+						in = append(in, r)
+					}
+				}
+				return in
+			}
+			if w, g := within(full), within(got); !reflect.DeepEqual(w, g) {
+				t.Fatalf("trial %d, bound %g: neighbours within it %v, want %v", trial, bound, g, w)
+			}
+			if st.NodeAccesses > fullStats.NodeAccesses || st.DistanceComps > fullStats.DistanceComps {
+				t.Fatalf("trial %d, bound %g: the bound added work: %+v vs %+v", trial, bound, st, fullStats)
+			}
+			pruned += st.BoundPruned
+		}
 	}
-	wg.Wait()
-	if b.Load() != 1 {
-		t.Fatalf("concurrent CAS-min settled at %v, want 1", b.Load())
+	if pruned == 0 {
+		t.Fatal("no frontier entry was ever abandoned under a bound")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -49,13 +48,15 @@ type NNStats struct {
 	// attribution caveat under concurrency).
 	Retries int
 
-	// BoundPruned counts frontier entries abandoned because the shared
-	// cross-shard k-th distance bound proved them unable to reach the
-	// merged top k (zero outside sharded scatter-gather).
+	// BoundPruned counts frontier entries abandoned because
+	// QueryOpts.MaxDist — the k-th distance of the neighbours earlier shards
+	// found — proved them unable to reach the merged top k (zero outside a
+	// sharded query).
 	BoundPruned int
 
-	// ShardsPruned counts whole shards skipped by root-MBR distance
-	// ranking against the shared bound (filled by the sharded layer).
+	// ShardsPruned counts whole shards skipped because the distance from q
+	// to their root box exceeds that k-th distance (filled by the sharded
+	// layer).
 	ShardsPruned int
 }
 
@@ -144,12 +145,11 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		if len(best) == k && it.lb >= worst {
 			break // every remaining item is at least as far
 		}
-		if plan.nnBound != nil && it.lb > plan.nnBound.Load() {
-			// The shared cross-shard bound already proves every remaining
-			// frontier entry (dist ≥ lb > bound ≥ merged k-th) out of the
-			// merged top k — stop before fetching their pages. Strict >
-			// keeps distance ties eligible, so (dist, ID) merge tie-breaks
-			// are unaffected.
+		if plan.maxDist > 0 && it.lb > plan.maxDist {
+			// The caller's bound already proves every remaining frontier
+			// entry (dist ≥ lb > bound ≥ merged k-th) out of the merged top
+			// k — stop before fetching their pages. Strict > keeps distance
+			// ties eligible, so (dist, ID) merge tie-breaks are unaffected.
 			stats.BoundPruned += pq.Len() + 1
 			break
 		}
@@ -196,10 +196,6 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			worst = best[len(best)-1].ExpectedDist
 			if len(best) < k {
 				worst = math.Inf(1)
-			} else if plan.nnBound != nil {
-				// This traversal's k-th best upper-bounds the merged k-th
-				// (the merge only improves on any single shard's list).
-				plan.nnBound.Update(worst)
 			}
 		}
 	}
@@ -221,8 +217,8 @@ func insertNN(best []NNResult, r NNResult, k int) []NNResult {
 }
 
 // MinDist exposes the traversal's MINDIST for the sharded layer's NN shard
-// ordering (rank shards by distance to their root MBR; visit nearest first
-// so the shared bound tightens early).
+// ordering (visit shards nearest root box first, so the k-th distance that
+// bounds the later ones shrinks early).
 func MinDist(q geom.Point, rect geom.Rect) float64 { return minDist(q, rect) }
 
 // minDist is the classic MINDIST: the distance from q to the nearest point
@@ -277,47 +273,4 @@ func expectedDistanceScratch(p updf.PDF, q geom.Point, samples int, seed int64, 
 		return p.Center().Dist(q)
 	}
 	return num / den
-}
-
-// NNBound is a monotonically decreasing upper bound on the k-th smallest
-// expected distance, shared across the shards of one scatter-gather NN
-// query. Each shard publishes its own k-th best once its result list
-// fills (the global k-th is never larger than any single shard's k-th),
-// and every shard's best-first loop stops as soon as its frontier's lower
-// bound exceeds the shared value — the remaining candidates are provably
-// outside the merged top k. The zero value is ready to use (bound +Inf).
-type NNBound struct {
-	bits atomic.Uint64 // float64 bits; 0 = unset (+Inf)
-}
-
-// NewNNBound returns a fresh unset bound.
-func NewNNBound() *NNBound { return &NNBound{} }
-
-// Update lowers the bound to d when d improves it (CAS-min; d must be a
-// non-negative distance). Concurrent updates keep the minimum.
-func (b *NNBound) Update(d float64) {
-	if math.IsInf(d, 1) || math.IsNaN(d) || d == 0 {
-		// d == 0 would collide with the unset sentinel; an exact-zero k-th
-		// distance only forgoes pruning, never correctness.
-		return
-	}
-	bits := math.Float64bits(d)
-	for {
-		old := b.bits.Load()
-		if old != 0 && math.Float64frombits(old) <= d {
-			return
-		}
-		if b.bits.CompareAndSwap(old, bits) {
-			return
-		}
-	}
-}
-
-// Load returns the current bound (+Inf until the first Update).
-func (b *NNBound) Load() float64 {
-	bits := b.bits.Load()
-	if bits == 0 {
-		return math.Inf(1)
-	}
-	return math.Float64frombits(bits)
 }

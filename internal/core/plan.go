@@ -27,12 +27,12 @@ type QueryOpts struct {
 	// the serial traversal order, so a limited query returns a prefix of
 	// the unlimited query's result sequence.
 	Limit int
-	// NNBound, when non-nil, is a shared upper bound on the k-th smallest
-	// expected distance for an NN query — the cross-shard frontier of a
-	// scatter-gather: the traversal stops once its heap's lower bound
-	// exceeds it, and publishes its own k-th best into it. Range queries
+	// MaxDist, when > 0, bounds an NN query from above: the k-th smallest
+	// expected distance the neighbours of earlier shards already reach. The
+	// traversal stops once its heap's lower bound exceeds it, since nothing
+	// farther can enter the merged top k. 0 means no bound. Range queries
 	// ignore it.
-	NNBound *NNBound
+	MaxDist float64
 }
 
 // qplan is a QueryOpts resolved against the tree's configuration: every
@@ -42,9 +42,8 @@ type qplan struct {
 	samples int
 	exact   bool
 	limit   int
-	// nnBound is the shared cross-shard k-th distance bound (nil outside
-	// sharded NN scatter-gather).
-	nnBound *NNBound
+	// maxDist is QueryOpts.MaxDist (0 = no bound).
+	maxDist float64
 }
 
 // resolvePlan merges o over the tree's configured defaults. With a zero
@@ -59,7 +58,7 @@ func (t *Tree) resolvePlan(ctx context.Context, o QueryOpts) qplan {
 		samples: t.samples,
 		exact:   t.exact,
 		limit:   o.Limit,
-		nnBound: o.NNBound,
+		maxDist: o.MaxDist,
 	}
 	if o.MCSamples > 0 {
 		p.samples = o.MCSamples

@@ -91,8 +91,8 @@ type QueryStats struct {
 	ShapeDecided      int
 
 	// ShardsPruned counts whole shards skipped by root-MBR pruning in a
-	// sharded scatter-gather (always zero for a single tree; filled by the
-	// sharded layer through Add).
+	// sharded query (always zero for a single tree; filled by the sharded
+	// layer).
 	ShardsPruned int
 }
 

@@ -167,8 +167,9 @@ func TestNNCancel(t *testing.T) {
 	}
 }
 
-// TestShardedCancel: cancelling a scatter-gathered query stops every shard
-// and returns the caller's context error, not a shard-wrapped one.
+// TestShardedCancel: cancelling a sharded query stops the shard being
+// searched, skips the rest and returns the caller's context error, not a
+// shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
 	var chaos []*pagefile.ChaosStore // one per shard, built one after another
 	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
@@ -199,12 +200,12 @@ func TestShardedCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The partial-result contract holds across the scatter-gather: the
-	// merged stats reflect the work the shards did before the cancel, and
-	// any partial results are real answers (5 ms bought each shard at
-	// least its ~2 ms root read).
+	// The partial-result contract holds across the shards: the merged
+	// stats reflect the work the shards did before the cancel, and any
+	// partial results are real answers (5 ms bought at least one ~2 ms
+	// root read).
 	if stats.NodeAccesses == 0 {
-		t.Fatal("cancelled scatter-gather reported no work in its partial stats")
+		t.Fatal("cancelled sharded query reported no work in its partial stats")
 	}
 	if stats.Results != len(res) {
 		t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))

@@ -8,9 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,8 +24,8 @@ import (
 // the estimator's 6σ band under Monte Carlo. It also pins what the single
 // tree type promises on top: a reopened file serves lock-free readers
 // beside its writer, Monte-Carlo answers do not depend on query order, and
-// a sharded k-NN fan-out whose bound is still open starts every shard after
-// the seeding one at once.
+// a sharded k-NN query reads its shards one at a time, nearest first,
+// skipping those its merged k-th distance rules out.
 
 const (
 	conformanceSamples = 1500
@@ -182,10 +182,12 @@ func TestIndexConformance(t *testing.T) {
 			return idx, conformanceLoad(t, idx)
 		}},
 		{"upcr", func(t *testing.T, cfg Config) (Index, []core.Object) {
-			cfg.UPCR = true
-			idx, err := NewTree(cfg)
+			idx, err := OpenTree(newUPCRFile(t, cfg.Dimensions), cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if kind := idx.inner.Kind(); kind != core.UPCR {
+				t.Fatalf("a U-PCR file opens as a %v", kind)
 			}
 			return idx, conformanceLoad(t, idx)
 		}},
@@ -446,6 +448,30 @@ func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 	}
 }
 
+// newUPCRFile writes an empty U-PCR index file the way the paper's
+// experiments, or a release that still built one, left it: through core,
+// with the metadata page where OpenTree reads it. OpenTree is how the
+// public API reaches a U-PCR tree; it takes the variant from the file.
+func newUPCRFile(t *testing.T, dim int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "upcr.utree")
+	fs, err := pagefile.CreateFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.New(core.Options{Dim: dim, Kind: core.UPCR, Store: fs, Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestOpenTreeConfigMismatch: structural Config fields are taken from the
 // file when zero and must agree with it when set.
 func TestOpenTreeConfigMismatch(t *testing.T) {
@@ -459,7 +485,6 @@ func TestOpenTreeConfigMismatch(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"Dimensions":  {Dimensions: 3},
-		"UPCR":        {UPCR: true},
 		"CatalogSize": {CatalogSize: 9},
 	} {
 		if tree, err := OpenTree(path, cfg); !errors.Is(err, ErrConfigMismatch) {
@@ -674,47 +699,65 @@ func TestIndexConformanceShapes(t *testing.T) {
 	}
 }
 
-// rendezvousStore holds the first armed read of every store sharing its
-// gate until all of them have one in flight.
-type rendezvousStore struct {
+// readLogStore records, while armed, which shard each store read serves,
+// and whether two shards' reads were ever in flight together. Every read
+// sleeps a little so that an overlap, if the query had one, shows.
+type readLogStore struct {
 	pagefile.Store
-	gate    *rendezvous
-	arrived atomic.Bool
+	shard int
+	log   *shardReadLog
 }
 
-type rendezvous struct {
-	armed   atomic.Bool
-	waiting atomic.Int32
-	want    int32
-	all     chan struct{}
-	late    atomic.Bool
+type shardReadLog struct {
+	mu       sync.Mutex
+	armed    bool
+	inFlight int
+	overlap  bool
+	shards   []int // the shard of every read, in order
 }
 
-func (s *rendezvousStore) Read(id pagefile.PageID, buf []byte) error {
-	g := s.gate
-	if g.armed.Load() && s.arrived.CompareAndSwap(false, true) {
-		if g.waiting.Add(1) == g.want {
-			close(g.all)
-		}
-		select {
-		case <-g.all:
-		case <-time.After(5 * time.Second):
-			g.late.Store(true)
-		}
+func (s *readLogStore) Read(id pagefile.PageID, buf []byte) error {
+	l := s.log
+	l.mu.Lock()
+	armed := l.armed
+	if armed {
+		l.inFlight++
+		l.overlap = l.overlap || l.inFlight > 1
+		l.shards = append(l.shards, s.shard)
+	}
+	l.mu.Unlock()
+	if armed {
+		time.Sleep(100 * time.Microsecond)
+		defer func() {
+			l.mu.Lock()
+			l.inFlight--
+			l.mu.Unlock()
+		}()
 	}
 	return s.Store.Read(id, buf)
 }
 
-// TestShardedNNLaunchesAllShards: a sharded NN query ranks its shards by
-// the distance from q to their root boxes, runs the nearest alone to seed
-// the shared bound, and then launches every other shard at once — none
-// waits for a sibling. q lies in shard 0's slab, so shard 0 seeds; k is the
-// whole population, more than any one shard holds, so the seeding shard
-// leaves the bound open, the other shards' first page reads must all be
-// in flight together, and none is pruned.
-func TestShardedNNLaunchesAllShards(t *testing.T) {
+// runs returns the shards in the order their reads came, each run of
+// consecutive reads of one shard as one entry.
+func (l *shardReadLog) runs() []int {
+	var out []int
+	for _, sh := range l.shards {
+		if len(out) == 0 || out[len(out)-1] != sh {
+			out = append(out, sh)
+		}
+	}
+	return out
+}
+
+// TestShardedNNSerialOrder: a sharded NN query reads its shards one at a
+// time, in the order of the distance from q to their root boxes. Under an
+// open bound — k is the whole population, more than any one shard holds —
+// every shard is read and none is pruned. With a small k the merged k-th
+// distance after the nearest shard rules the far shards out, and they read
+// no page at all.
+func TestShardedNNSerialOrder(t *testing.T) {
 	const shards, n = 3, 300
-	gate := &rendezvous{want: shards - 1, all: make(chan struct{})}
+	log := &shardReadLog{}
 	built := 0 // WrapStore runs once per shard, in shard order
 	st, err := NewSpatialShardedTree(shards, Config{
 		Dimensions:       2,
@@ -722,10 +765,7 @@ func TestShardedNNLaunchesAllShards(t *testing.T) {
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			built++
-			if built == 1 {
-				return s
-			}
-			return &rendezvousStore{Store: s, gate: gate}
+			return &readLogStore{Store: s, shard: built - 1, log: log}
 		},
 	}, fixtureDomain)
 	if err != nil {
@@ -738,18 +778,100 @@ func TestShardedNNLaunchesAllShards(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	gate.armed.Store(true)
-	_, stats, err := st.NearestNeighbors(context.Background(), Pt(100, 500), n)
+	query := func(q Point, k int) ([]int, NNStats) {
+		t.Helper()
+		log.mu.Lock()
+		log.armed, log.shards, log.overlap = true, nil, false
+		log.mu.Unlock()
+		_, stats, err := st.NearestNeighbors(context.Background(), q, k)
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		log.armed = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if log.overlap {
+			t.Fatalf("NN at %v, k = %d: two shards read pages at once", q, k)
+		}
+		return log.runs(), stats
+	}
+
+	t.Run("open bound", func(t *testing.T) {
+		// q lies in shard 2's slab; shard 1's slab is nearer than shard 0's.
+		runs, stats := query(Pt(900, 500), n)
+		if want := []int{2, 1, 0}; !slices.Equal(runs, want) {
+			t.Fatalf("shards read in the order %v, want %v, one at a time", runs, want)
+		}
+		if stats.ShardsPruned != 0 || stats.BoundPruned != 0 {
+			t.Fatalf("%d shards and %d frontier entries pruned under an open bound", stats.ShardsPruned, stats.BoundPruned)
+		}
+	})
+	t.Run("far shard", func(t *testing.T) {
+		// The 5 nearest objects to q lie well inside shard 0's slab, far
+		// nearer than the other slabs' root boxes.
+		runs, stats := query(Pt(50, 500), 5)
+		if want := []int{0}; !slices.Equal(runs, want) {
+			t.Fatalf("shards read in the order %v, want only %v", runs, want)
+		}
+		if stats.ShardsPruned != shards-1 {
+			t.Fatalf("%d shards pruned, want %d", stats.ShardsPruned, shards-1)
+		}
+	})
+}
+
+// TestShardedNNTieAcrossShards: a neighbour of a later shard at exactly the
+// merged k-th distance, with a smaller ID, displaces the merged k-th — the
+// bound a shard is searched under keeps ties eligible, and the merge orders
+// by (distance, ID). Two histogram objects sit mirrored about q, one per
+// slab, each with its one refinement sample in a zero-density cell, so its
+// expected distance is exactly its centre's distance to q: 100 for both.
+// Their root boxes are equally far from q, so shard 0, which holds the
+// larger ID, goes first.
+func TestShardedNNTieAcrossShards(t *testing.T) {
+	q := Pt(500, 500)
+	weights := make([]float64, 9)
+	weights[4] = 1 // mass only in the middle cell of a 3×3 grid
+	obj := func(cx float64) PDF {
+		return Histogram(Box(Pt(cx-5, 495), Pt(cx+5, 505)), []int{3, 3}, weights)
+	}
+	// sampleMisses picks an ID whose one sample lands outside the mass.
+	sampleMisses := func(p PDF, ids []int64) int64 {
+		for _, id := range ids {
+			if core.ExpectedDistance(p, q, 1, id) == p.Center().Dist(q) {
+				return id
+			}
+		}
+		t.Fatalf("no ID in %v samples outside the mass", ids)
+		return 0
+	}
+	far, near := obj(400), obj(600)
+	bigID := sampleMisses(far, []int64{100, 101, 102, 103, 104, 105})
+	smallID := sampleMisses(near, []int64{1, 2, 3, 4, 5, 6})
+
+	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, MonteCarloSamples: 1}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gate.late.Load() {
-		t.Fatal("a shard's first read waited 5s for its siblings to start: the fan-out serialized a shard")
+	defer st.Close()
+	if err := st.Insert(bigID, far); err != nil {
+		t.Fatal(err)
 	}
-	if n := gate.waiting.Load(); n != shards-1 {
-		t.Fatalf("%d of the %d shards after the seeding one read a page", n, shards-1)
+	if err := st.Insert(smallID, near); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := st.NearestNeighbors(context.Background(), q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Neighbor{{ID: smallID, ExpectedDist: 100}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("k = 1 across a tie: got %v, want %v", got, want)
 	}
 	if stats.ShardsPruned != 0 {
-		t.Fatalf("%d shards pruned under an open bound", stats.ShardsPruned)
+		t.Fatalf("the shard holding the tie was pruned (%d shards pruned)", stats.ShardsPruned)
+	}
+	got, _, err = st.NearestNeighbors(context.Background(), q, 2)
+	if want := []Neighbor{{ID: smallID, ExpectedDist: 100}, {ID: bigID, ExpectedDist: 100}}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("k = 2: got %v, %v, want %v", got, err, want)
 	}
 }

@@ -15,8 +15,7 @@ import (
 // independent queries across one shared Index — a Tree (each worker's
 // query pins its own snapshot of the committed epoch, so batches
 // interleave freely with live updates and never wait on a writer) or a
-// ShardedTree (each worker's query additionally scatters across the
-// shards). The design follows the scalable filter/refinement
+// ShardedTree (each worker's query searches the shards in turn). The design follows the scalable filter/refinement
 // pipelines of Bernecker et al. (probabilistic similarity ranking): the
 // per-query work is already filter-then-refine, so throughput comes from
 // running many queries' pipelines concurrently against a page cache that
@@ -75,8 +74,8 @@ type BatchStats struct {
 
 	// Per-query wall-time latency distribution (nearest-rank percentiles
 	// over the batch). Latency is measured at the engine boundary — one
-	// timed unit per query — so a sharded index's scatter-gather counts as
-	// one query latency, and percentiles merge consistently whatever Index
+	// timed unit per query — so a sharded query over several shards counts
+	// as one query latency, and percentiles merge consistently whatever Index
 	// is underneath.
 	P50Latency time.Duration
 	P95Latency time.Duration
@@ -88,7 +87,7 @@ type BatchStats struct {
 	// context going away.
 	Cancelled int
 
-	// Pruning totals over the batch: shards skipped by the scatter-gather
+	// Pruning totals over the batch: shards skipped by a sharded query
 	// and leaf entries discarded by the probability upper bound where the
 	// paper's Rules 1–2 could not (range batches only for the latter).
 	ShardsPruned     int

@@ -5,7 +5,7 @@ import (
 )
 
 // Index is the unified contract of the two U-tree shapes in this package:
-// the single-store Tree and the scatter-gather ShardedTree. Code that
+// the single-store Tree and the slab-sharded ShardedTree. Code that
 // drives an index — the batch QueryEngine, the experiment harness, CLIs —
 // should accept an Index so callers pick the shape that fits their
 // workload:
@@ -13,10 +13,11 @@ import (
 //   - Tree: lock-free snapshot reads beside one serialized writer; queries
 //     pin the committed epoch and never wait on a writer's page I/O. A
 //     single goroutine pays one uncontended mutex per mutation.
-//   - ShardedTree: K independent Trees over slabs of the domain; queries
-//     fan out across the shards concurrently (skipping shards whose root
-//     box misses the query), and writers on different shards proceed in
-//     parallel.
+//   - ShardedTree: K independent Trees over slabs of the domain; a query
+//     searches the shards one after another on the caller's goroutine
+//     (skipping shards whose root box rules them out), writers of the
+//     whole index take one lock, and a WriteBatch commits its per-shard
+//     shares in parallel.
 //
 // Every Index is safe for concurrent use and can be handed to a
 // QueryEngine. Queries observe the last committed epoch: every completed

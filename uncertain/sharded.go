@@ -12,30 +12,38 @@ import (
 
 // ShardedTree partitions the data domain into K equal slabs along
 // dimension 0, one independent Tree shard each, with its own store, buffer
-// pool and writer lock. An object lives in the slab holding its pdf-MBR
-// center, and queries scatter-gather: the shards are searched concurrently
-// and the partial answers are merged (with Stats summed via core's merge
-// helpers). Every commit records its shard's root box, so the
-// scatter-gather skips shards whose committed root box cannot intersect
-// the query — see Search and NearestNeighbors.
+// pool and epoch. An object lives in the slab holding its pdf-MBR center.
+// A query searches the shards one after another on the caller's goroutine
+// and merges their answers (with Stats summed via core's merge helpers).
+// Every commit records its shard's root box, so a query skips a shard whose
+// committed root box cannot hold an answer — see Search and
+// NearestNeighbors. Readers never stall on writers: every shard query runs
+// on a pinned snapshot of that shard's latest committed epoch.
 //
-// Compared to a single Tree, one query runs its shards' traversals
-// concurrently, and writers on different shards proceed in parallel (each
-// shard serializes only its own writers); readers never stall on writers
-// at all — every shard query runs on a pinned snapshot of that shard's
-// latest committed epoch. Search results are returned sorted by ID (the
-// merge order), and with Config.ExactRefinement they are identical —
-// probabilities included — to a single tree over the same objects,
-// whatever the shard count.
+// What sharding buys is write throughput: a WriteBatch commits its
+// per-shard shares concurrently, and BulkLoad loads the shards in parallel.
+// Writers of the whole index are serialized by one lock, held from the
+// duplicate-ID check through the apply, so an ID addresses one object in
+// the whole index: Insert refuses an ID any shard holds, and Delete(id)
+// finds the shard whose directory holds it.
 //
-// An ID addresses one object in the whole index: Insert refuses an ID any
-// shard holds, and Delete(id) finds the shard whose directory holds it.
-// The check and the insert are not one step across shards, so two Inserts
-// of one ID racing into different slabs can both succeed; give an ID to
-// one writer at a time.
+// Search results are returned sorted by ID (the merge order). With
+// Config.ExactRefinement they are identical — probabilities included — to
+// a single tree over the same objects, whatever the shard count. Under
+// Monte-Carlo refinement they are not: every shard seeds its refinement
+// sampler from the same (Config.Seed, query) pair and draws from it over
+// its own candidates in its own (page, slot) order, so a refined object's
+// Prob depends on which candidates share its shard. A validated object
+// (Prob = -1) does not; a refined one near the threshold can fall on the
+// other side of it.
 type ShardedTree struct {
 	shards []*Tree
 	domain Rect // the slabs split it along dimension 0
+
+	// wmu serializes the index's writers (Insert, Delete, WriteBatch,
+	// BulkLoad) from the owner check through the apply; queries never take
+	// it.
+	wmu sync.Mutex
 }
 
 // NewSpatialShardedTree creates an index whose shards partition domain
@@ -99,10 +107,11 @@ func (s *ShardedTree) owner(id int64) int {
 	return -1
 }
 
-// Insert adds an object to the slab holding its pdf-MBR center; only that
-// shard's writer lock is held while it inserts. An ID that any shard holds
-// returns ErrDuplicateID and mutates nothing.
+// Insert adds an object to the slab holding its pdf-MBR center. An ID
+// that any shard holds returns ErrDuplicateID and mutates nothing.
 func (s *ShardedTree) Insert(id int64, pdf PDF) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.owner(id) >= 0 {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
@@ -112,6 +121,8 @@ func (s *ShardedTree) Insert(id int64, pdf PDF) error {
 // Delete removes an object from the shard that holds it. An ID no shard
 // holds returns ErrNotFound and mutates nothing.
 func (s *ShardedTree) Delete(id int64) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	i := s.owner(id)
 	if i < 0 {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
@@ -172,8 +183,11 @@ func (b *shardedBatch) Delete(id int64) error {
 // share). fn itself runs before anything is applied, so an fn error has
 // zero side effects. ErrDuplicateID and ErrNotFound are decided when fn
 // calls Insert or Delete, against the shards and the batch's own pending
-// mutations.
+// mutations. The index's writer lock is held across fn and the commit, so
+// fn must not call the ShardedTree's own Insert, Delete or WriteBatch.
 func (s *ShardedTree) WriteBatch(fn func(BatchWriter) error) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	b := &shardedBatch{s: s, ops: make([][]shardOp, len(s.shards)), owners: make(map[int64]int)}
 	if err := fn(b); err != nil {
 		return err
@@ -210,6 +224,8 @@ func (s *ShardedTree) WriteBatch(fn func(BatchWriter) error) error {
 // BulkLoad partitions the batch by pdf-MBR center and bulk-loads every
 // shard concurrently; all shards must be empty.
 func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	parts := make([]map[int64]PDF, len(s.shards))
 	for i := range parts {
 		parts[i] = make(map[int64]PDF, len(objects)/len(s.shards)+1)
@@ -230,22 +246,6 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 	return s.firstError(errs)
 }
 
-// pinShards pins every shard's latest committed epoch. The pins are
-// independent, so under a live writer a merged answer reflects each shard's
-// epoch at its own pin time — within one shard the view is always
-// consistent. release closes them all.
-func (s *ShardedTree) pinShards() (snaps []*core.Snapshot, release func()) {
-	snaps = make([]*core.Snapshot, len(s.shards))
-	for i, sh := range s.shards {
-		snaps[i] = sh.inner.Snapshot()
-	}
-	return snaps, func() {
-		for _, sn := range snaps {
-			sn.Close()
-		}
-	}
-}
-
 // rootDisjoint reports whether a pinned shard epoch provably holds nothing
 // inside rect: its root MBR (the p=0 boundary box, which contains every
 // object region of the shard, recorded at every commit) is known and misses
@@ -256,201 +256,149 @@ func rootDisjoint(sn *core.Snapshot, rect Rect) bool {
 	return root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect)
 }
 
-// Search scatter-gathers a probabilistic range query: the shards run the
-// query concurrently (each on a pinned snapshot of its latest committed
-// epoch), and the partial results are
-// concatenated, sorted by ID, and returned with the per-shard Stats
-// merged.
+// Search answers a probabilistic range query shard by shard: each shard
+// is pinned at its latest committed epoch, queried and released in turn,
+// and the partial results are concatenated, sorted by ID, and returned with
+// the per-shard Stats merged. Each shard cuts at WithLimit's n before the
+// merge truncates to n. The pins are independent, so under a live writer
+// the merged answer reflects each shard's epoch at its own pin time.
 //
 // A shard whose committed root MBR is known and disjoint from rect cannot
 // contribute a result and is skipped without being queried, counted in
 // Stats.ShardsPruned. The pruning is purely subtractive of provably-empty
-// work, so the merged answer is identical to the full fan-out. An invalid
-// query is never pruned on — it is sent down so the usual validation error
-// surfaces.
+// work, so the merged answer is identical to querying every shard. An
+// invalid query is never pruned on — it is sent down so the usual
+// validation error surfaces.
 //
-// Cancellation fans out: cancelling ctx (or passing its deadline) stops
-// every shard's traversal, and the partial answers the shards had already
-// found are merged and returned together with ctx.Err() — the same
-// partial-result contract as a single tree. The first real shard error
-// cancels the sibling shards instead of letting them run to completion
-// and returns nothing.
+// Cancelling ctx (or passing its deadline) stops the shard being searched
+// and skips the rest; the answers found so far are merged and returned
+// together with ctx.Err() — the same partial-result contract as a single
+// tree. Any other shard error returns nothing.
 func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	plan := resolveOptions(opts)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps, release := s.pinShards()
-	defer release()
 	canPrune := rect.IsValid() && prob > 0 && prob <= 1
-	pruned := 0
-	partRes := make([][]Result, len(s.shards))
-	partStats := make([]Stats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		if canPrune && rootDisjoint(snaps[i], rect) {
-			pruned++
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = snaps[i].RangeQuery(sctx, core.Query{Rect: rect, Prob: prob}, plan)
-			if errs[i] != nil {
-				cancel() // the first failure stops the sibling shards
-			}
-		}(i)
-	}
-	wg.Wait()
-	softErr, err := gatherError(ctx, errs)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	var out []Result
 	var stats Stats
-	for i := range s.shards {
-		out = append(out, partRes[i]...)
-		stats.Add(partStats[i])
+	var stopped error
+	for i, sh := range s.shards {
+		snap := sh.inner.Snapshot()
+		if canPrune && rootDisjoint(snap, rect) {
+			snap.Close()
+			stats.ShardsPruned++
+			continue
+		}
+		part, ps, err := snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, plan)
+		snap.Close()
+		var fatal error
+		if stopped, fatal = shardErr(ctx, i, err); fatal != nil {
+			return nil, Stats{}, fatal
+		}
+		out = append(out, part...)
+		stats.Add(ps)
+		if stopped != nil {
+			break
+		}
 	}
-	stats.ShardsPruned += pruned
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	if plan.Limit > 0 && len(out) > plan.Limit {
 		out = out[:plan.Limit]
 	}
-	return out, stats, softErr
+	return out, stats, stopped
 }
 
-// NearestNeighbors scatter-gathers an expected-distance k-NN query: each
-// shard reports its own top k concurrently, and the k-way merge keeps the
-// k globally smallest expected distances. The merge is exact — an object
-// in the global top k is necessarily in its own shard's top k. See Search
-// for the cancellation fan-out semantics.
+// NearestNeighbors answers an expected-distance k-NN query shard by shard,
+// nearest shard first, keeping the merged list of the k smallest expected
+// distances so far, ordered by (distance, ID). The merge is exact — an
+// object in the global top k is necessarily in its own shard's top k. Every
+// shard is pinned up front, since the order needs their root boxes; see
+// Search for cancellation.
 //
-// The shards share a k-th-distance upper bound: each publishes its own
-// k-th best once its list fills, and every shard's best-first loop stops
-// as soon as its frontier's lower bound exceeds the shared value
-// (NNStats.BoundPruned) — the remaining candidates are provably outside
-// the merged top k. When some shard's committed root MBR is known (see
-// Search; every non-empty shard's is), the shards are additionally ranked
-// by min-distance from q to that box (unknown boxes rank first and are
-// never skipped): the nearest shard runs first to seed the bound, the rest
-// then run concurrently, and a shard whose min-distance already exceeds
-// the bound at launch is skipped outright (NNStats.ShardsPruned) — every
-// object it holds has expected distance at least that min-distance. With
-// no box known (every shard empty) there is nothing to rank on and every
-// shard launches at once. Results are identical to the full fan-out either
-// way.
+// The shards go in the order of the distance from q to their committed
+// root box (unknown boxes, of empty shards, rank first and are never
+// skipped). Once the merged list holds k neighbours, its k-th distance
+// bounds the rest: a shard whose box is farther away is skipped outright
+// (NNStats.ShardsPruned) — every object it holds has expected distance at
+// least that far — and a shard that is searched stops as soon as its
+// frontier's lower bound exceeds it (NNStats.BoundPruned). Both tests are
+// strict, so a later shard's neighbour at exactly the k-th distance with a
+// smaller ID still displaces the merged k-th. The bound only shrinks from
+// shard to shard, and results are identical to searching every shard in
+// full.
 func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	plan := resolveOptions(opts)
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps, release := s.pinShards()
-	defer release()
+	if plan.Limit > 0 && plan.Limit < k {
+		k = plan.Limit
+	}
 	type rankedShard struct {
-		idx int
-		d   float64 // min possible expected distance of any object in the shard
+		snap *core.Snapshot
+		idx  int
+		d    float64 // min possible expected distance of any object in the shard
 	}
 	order := make([]rankedShard, len(s.shards))
-	ranked := false
-	for i := range s.shards {
-		order[i].idx = i
-		if root := snaps[i].RootMBR(); root.Dim() == len(q) && root.IsValid() {
+	for i, sh := range s.shards {
+		order[i] = rankedShard{snap: sh.inner.Snapshot(), idx: i}
+		if root := order[i].snap.RootMBR(); root.Dim() == len(q) && root.IsValid() {
 			order[i].d = core.MinDist(q, root)
-			ranked = true
 		}
 	}
+	defer func() {
+		for _, r := range order {
+			r.snap.Close()
+		}
+	}()
 	sort.Slice(order, func(a, b int) bool {
 		if order[a].d != order[b].d {
 			return order[a].d < order[b].d
 		}
 		return order[a].idx < order[b].idx
 	})
-	bound := core.NewNNBound()
-	plan.NNBound = bound
-	partRes := make([][]Neighbor, len(s.shards))
-	partStats := make([]NNStats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	run := func(i int) {
-		defer wg.Done()
-		partRes[i], partStats[i], errs[i] = snaps[i].NearestNeighbors(sctx, q, k, plan)
-		if errs[i] != nil {
-			cancel() // the siblings' traversals stop at their next pop
-		}
-	}
-	if ranked {
-		wg.Add(1)
-		run(order[0].idx)
-		order = order[1:]
-	}
-	pruned := 0
-	for _, r := range order {
-		// Strict >: a shard tying the bound may still hold an
-		// equal-distance, smaller-ID neighbor the merge must see.
-		if r.d > bound.Load() {
-			pruned++
-			continue
-		}
-		wg.Add(1)
-		go run(r.idx)
-	}
-	wg.Wait()
-	softErr, err := gatherError(ctx, errs)
-	if err != nil {
-		return nil, NNStats{}, err
-	}
 	var merged []Neighbor
 	var stats NNStats
-	for i := range s.shards {
-		merged = append(merged, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	stats.ShardsPruned += pruned
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].ExpectedDist != merged[b].ExpectedDist {
-			return merged[a].ExpectedDist < merged[b].ExpectedDist
+	var stopped error
+	for _, r := range order {
+		if k > 0 && len(merged) == k {
+			if r.d > merged[k-1].ExpectedDist {
+				stats.ShardsPruned++
+				continue
+			}
+			plan.MaxDist = merged[k-1].ExpectedDist
 		}
-		return merged[a].ID < merged[b].ID // deterministic tie-break
-	})
-	if plan.Limit > 0 && plan.Limit < k {
-		k = plan.Limit
+		part, ps, err := r.snap.NearestNeighbors(ctx, q, k, plan)
+		var fatal error
+		if stopped, fatal = shardErr(ctx, r.idx, err); fatal != nil {
+			return nil, NNStats{}, fatal
+		}
+		merged = append(merged, part...)
+		sort.Slice(merged, func(a, b int) bool {
+			if merged[a].ExpectedDist != merged[b].ExpectedDist {
+				return merged[a].ExpectedDist < merged[b].ExpectedDist
+			}
+			return merged[a].ID < merged[b].ID // deterministic tie-break
+		})
+		if len(merged) > k {
+			merged = merged[:k]
+		}
+		stats.Add(ps)
+		if stopped != nil {
+			break
+		}
 	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, stats, softErr
+	return merged, stats, stopped
 }
 
-// gatherError classifies the per-shard errors of one scatter-gather. A real
-// shard failure is fatal — nothing is returned — and wins over the context
-// errors its cancel() induced on the sibling shards. Otherwise the caller's
-// cancellation is soft: the shards' partial answers are still merged and
-// returned alongside it, honoring the Index contract. Context errors are
-// reported bare so callers can match them with errors.Is against
-// context.Canceled / DeadlineExceeded.
-func gatherError(ctx context.Context, errs []error) (soft, fatal error) {
-	var ctxErr error
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			if ctxErr == nil {
-				ctxErr = err
-			}
-		default:
-			return nil, fmt.Errorf("uncertain: shard %d: %w", i, err)
-		}
+// shardErr sorts the error shard i's query returned. The caller's context
+// ending is soft: it comes back bare, so callers can match it with
+// errors.Is, and the answers merged so far go with it. Anything else is the
+// shard's failure, annotated with the shard, and the query returns nothing.
+func shardErr(ctx context.Context, i int, err error) (soft, fatal error) {
+	switch {
+	case err == nil:
+		return nil, nil
+	case ctx != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()):
+		return ctx.Err(), nil
+	default:
+		return nil, fmt.Errorf("uncertain: shard %d: %w", i, err)
 	}
-	if ctxErr != nil && ctx.Err() != nil {
-		return ctx.Err(), nil // the caller's context, not a shard's view of it
-	}
-	return ctxErr, nil
 }
 
 // Len sums the object counts over all shards.

@@ -176,11 +176,10 @@ func TestShardedSingleEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedNNMatchesSingle: the per-shard top-k / k-way merge must
-// reproduce the single tree's k-NN answers (expected distances are
-// deterministic per object) — with the shards ranked by their root boxes,
-// which every commit records, so the nearest runs first and seeds the
-// shared bound.
+// TestShardedNNMatchesSingle: the per-shard top-k merge must reproduce the
+// single tree's k-NN answers (expected distances are deterministic per
+// object) — with the shards ranked by their root boxes, which every commit
+// records, so the nearest goes first and its k-th distance bounds the rest.
 func TestShardedNNMatchesSingle(t *testing.T) {
 	objects := shardedFixtureObjects(400, 7)
 
@@ -267,6 +266,69 @@ func TestShardedRoutingAndDelete(t *testing.T) {
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after insert/delete sequence: %v", err)
+	}
+}
+
+// TestShardedDuplicateInsertRace: two writers insert one ID at once, into
+// different slabs — two plain Inserts, or an Insert against a WriteBatch
+// that inserts it. Exactly one wins and the other gets ErrDuplicateID, Len
+// grows by one, and Delete(id) leaves no copy behind in any shard.
+func TestShardedDuplicateInsertRace(t *testing.T) {
+	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
+	}
+	west, east := UniformCircle(Pt(100, 500), 8), UniformCircle(Pt(900, 500), 8)
+	for r := 0; r < rounds; r++ {
+		id := int64(r)
+		writers := []func() error{
+			func() error { return st.Insert(id, west) },
+			func() error { return st.Insert(id, east) },
+		}
+		if r%2 == 1 {
+			writers[1] = func() error {
+				return st.WriteBatch(func(w BatchWriter) error { return w.Insert(id, east) })
+			}
+		}
+		start := make(chan struct{})
+		errs := make([]error, len(writers))
+		var wg sync.WaitGroup
+		for i, write := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = write()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case !errors.Is(err, ErrDuplicateID):
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+		if won != 1 || st.Len() != 1 {
+			t.Fatalf("round %d: %d of two racing inserts of ID %d won, Len %d", r, won, id, st.Len())
+		}
+		if err := st.Delete(id); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if err := st.Delete(id); !errors.Is(err, ErrNotFound) || st.Len() != 0 || st.owner(id) >= 0 {
+			t.Fatalf("round %d: after Delete(%d) a second Delete is %v, Len %d, owner shard %d", r, id, err, st.Len(), st.owner(id))
+		}
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

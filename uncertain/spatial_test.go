@@ -77,8 +77,8 @@ func TestSpatialShardedEquivalenceAndPruning(t *testing.T) {
 	}
 }
 
-// TestSpatialShardedNNEquivalence: the distance-ranked, bound-pruned NN
-// fan-out must reproduce the full fan-out's answers exactly.
+// TestSpatialShardedNNEquivalence: the distance-ranked, bound-pruned
+// sharded NN query must reproduce a single tree's answers exactly.
 func TestSpatialShardedNNEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(500, 7)
 

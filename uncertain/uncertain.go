@@ -110,10 +110,8 @@ func Histogram(region Rect, bins []int, weights []float64) PDF {
 type Config struct {
 	// Dimensions of the data space (required).
 	Dimensions int
-	// UPCR selects the paper's comparison structure instead of the U-tree
-	// (bigger entries storing all catalog PCRs). Mostly for experiments.
-	UPCR bool
-	// CatalogSize m (0 → paper defaults: 15 for U-tree, 9 for U-PCR).
+	// CatalogSize m (0 → the paper's default, 15; a reopened U-PCR file
+	// keeps its own, 9 by default).
 	CatalogSize int
 	// MonteCarloSamples is n1 of the refinement estimator (0 → 10000; the
 	// paper uses 10^6 for <1% error).
@@ -208,7 +206,7 @@ func NewConcurrentTree(cfg Config) (*ConcurrentTree, error) { return NewTree(cfg
 const fileMetaPage pagefile.PageID = 1
 
 // ErrConfigMismatch is returned by OpenTree when a structural Config field
-// (Dimensions, UPCR, CatalogSize) is set and disagrees with the file. Test
+// (Dimensions, CatalogSize) is set and disagrees with the file. Test
 // with errors.Is.
 var ErrConfigMismatch = errors.New("uncertain: config disagrees with the index file")
 
@@ -247,9 +245,10 @@ func NewTree(cfg Config) (*Tree, error) {
 }
 
 // OpenTree reopens a file-backed index created with Config.Path. The
-// structure (dimensions, variant, catalog size) comes from the file; a
-// non-zero Config.Dimensions, UPCR or CatalogSize that disagrees with it
-// fails with ErrConfigMismatch. After recovering the last committed epoch
+// structure (dimensions, variant, catalog size) comes from the file — a
+// U-PCR file, built by the paper's experiments or an older release, opens
+// as one; a non-zero Config.Dimensions or CatalogSize that disagrees with
+// it fails with ErrConfigMismatch. After recovering the last committed epoch
 // OpenTree walks it once: the leaves give back every object's ID and MBR,
 // so Delete(id) works on the reopened tree as on a new one, and pages a
 // crash may have leaked — shadow pages retired by a published epoch that
@@ -303,9 +302,6 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 		BufferPages:      cfg.BufferPages,
 		NodeCacheEntries: cfg.NodeCacheEntries,
 	}
-	if cfg.UPCR {
-		opt.Kind = core.UPCR
-	}
 	return t, opt
 }
 
@@ -315,8 +311,6 @@ func (cfg Config) checkStructure(inner *core.Tree) error {
 	switch {
 	case cfg.Dimensions != 0 && cfg.Dimensions != inner.Dim():
 		return fmt.Errorf("%w: Dimensions %d, file has %d", ErrConfigMismatch, cfg.Dimensions, inner.Dim())
-	case cfg.UPCR && inner.Kind() != core.UPCR:
-		return fmt.Errorf("%w: UPCR set, file holds a %v", ErrConfigMismatch, inner.Kind())
 	case cfg.CatalogSize != 0 && cfg.CatalogSize != inner.Catalog().Size():
 		return fmt.Errorf("%w: CatalogSize %d, file has %d", ErrConfigMismatch, cfg.CatalogSize, inner.Catalog().Size())
 	}

@@ -162,23 +162,6 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUPCRVariant(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, UPCR: true, ExactRefinement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	for i := 0; i < 100; i++ {
-		if err := tree.Insert(int64(i), UniformCircle(Pt(float64(i*9%500), float64(i*13%500)), 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, _, err := tree.Search(context.Background(), Box(Pt(-10, -10), Pt(510, 510)), 0.9)
-	if err != nil || len(res) != 100 {
-		t.Fatalf("UPCR search: %v, %d results", err, len(res))
-	}
-}
-
 func TestConfigErrors(t *testing.T) {
 	if _, err := NewTree(Config{}); err == nil {
 		t.Error("zero dimensions accepted")
