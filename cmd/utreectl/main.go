@@ -9,8 +9,8 @@
 //
 // Every page carries a CRC32-C trailer verified on each read; a file in
 // the unchecksummed v1 page format is refused (rebuild it from its data).
-// stats reports storage health alongside structure: retry counts and
-// quarantined pages. verify checks the tree's invariants and records, then
+// stats reports storage health alongside structure: the quarantined
+// pages. verify checks the tree's invariants and records, then
 // scrubs every reachable page's checksum; it exits non-zero on any failure.
 //
 // Every subcommand accepts -buffer (page-cache size in pages).
@@ -195,8 +195,7 @@ func stats(path string, cfg uncertain.Config) error {
 		fmt.Printf("node cache: no lookups\n")
 	}
 	h := tree.Health()
-	fmt.Printf("health:    %d quarantined pages, %d transient-fault retries\n",
-		h.QuarantinedPages, h.Retries)
+	fmt.Printf("health:    %d quarantined pages\n", h.QuarantinedPages)
 	for _, qp := range h.Quarantined {
 		fmt.Printf("  quarantined page %d (epoch %d): %s\n", qp.Page, qp.Epoch, qp.Cause)
 	}

@@ -109,7 +109,7 @@ func namedName(t types.Type) string {
 
 // isStoreType matches the page-store naming convention: the Store
 // interface itself and every wrapper implementation (FileStore,
-// MemStore, VersionedStore, ChaosStore, RetryStore, ...).
+// MemStore, VersionedStore, ChaosStore, ...).
 func isStoreType(name string) bool {
 	return name == "Store" || strings.HasSuffix(name, "Store")
 }

@@ -701,9 +701,9 @@ func TestOpenRefusesUTR1(t *testing.T) {
 
 func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	inner := pagefile.NewMemStore()
-	fs := pagefile.NewFaultStore(inner, -1)
-	tree, err := New(Options{Dim: 2, Store: fs, BufferPages: 1, ExactRefinement: true})
+	cs := pagefile.NewChaosStore(pagefile.NewMemStore(), 0)
+	fault := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: -1, Sticky: true})
+	tree, err := New(Options{Dim: 2, Store: cs, BufferPages: 1, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,11 +717,11 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 		}
 	}
 	// Trip the store and verify errors propagate rather than panic.
-	fs.Arm(0)
+	fault.Arm(0)
 	if err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("insert under fault: %v", err)
 	}
-	fs.Arm(0)
+	fault.Arm(0)
 	if _, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
 	}); !errors.Is(err, pagefile.ErrInjected) {
@@ -729,7 +729,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	}
 	// Heal and confirm reads still work (tree structure was not corrupted
 	// by the failed insert attempt before any page mutation).
-	fs.Arm(-1)
+	fault.Arm(-1)
 	if _, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
 	}); err != nil {

@@ -30,19 +30,15 @@ type QuarantinedPage struct {
 	Cause string `json:"cause"`
 }
 
-// HealthInfo is the tree's storage-health report: the quarantine registry
-// and the retry traffic the storage stack absorbed. Like QueryStats,
-// aggregation goes through Add — a new HealthInfo field only needs its
-// merge rule stated there.
+// HealthInfo is the tree's storage-health report: the quarantine registry.
+// Like QueryStats, aggregation goes through Add — a new HealthInfo field
+// only needs its merge rule stated there.
 type HealthInfo struct {
 	// Quarantined lists the condemned pages, ordered by PageID.
 	Quarantined []QuarantinedPage `json:"quarantined,omitempty"`
 	// QuarantinedPages is len(Quarantined) — kept explicit so merged and
 	// JSON-round-tripped reports stay self-describing.
 	QuarantinedPages int `json:"quarantined_pages"`
-	// Retries is the cumulative transient-fault retries the storage stack
-	// performed (pagefile.Stats.Retries).
-	Retries int64 `json:"retries"`
 }
 
 // Add accumulates o into h — the merge point for sharded indexes: counters
@@ -53,7 +49,6 @@ func (h *HealthInfo) Add(o HealthInfo) {
 		return h.Quarantined[a].Page < h.Quarantined[b].Page
 	})
 	h.QuarantinedPages += o.QuarantinedPages
-	h.Retries += o.Retries
 }
 
 // quarantine is the tree-level registry of condemned pages. The count is
@@ -106,10 +101,10 @@ func (q *quarantine) list() []QuarantinedPage {
 
 // isCorruption reports whether err condemns the page it came from: a
 // checksum mismatch, a misdirected-write trailer, or a structurally
-// impossible decode. Transient faults and plain I/O errors do NOT
-// quarantine — they may heal on retry, and condemning a page on a fault
-// that never inspected its bytes would turn an availability problem into a
-// (false) integrity report.
+// impossible decode. Plain I/O errors do NOT quarantine — the caller may
+// retry the operation, and condemning a page on a fault that never
+// inspected its bytes would turn an availability problem into a (false)
+// integrity report.
 func isCorruption(err error) bool {
 	return errors.Is(err, pagefile.ErrChecksum) || errors.Is(err, pagefile.ErrBadPage)
 }
@@ -147,6 +142,5 @@ func (t *Tree) Health() HealthInfo {
 	return HealthInfo{
 		Quarantined:      q,
 		QuarantinedPages: len(q),
-		Retries:          t.store.Stats().Retries.Load(),
 	}
 }

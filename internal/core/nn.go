@@ -43,11 +43,6 @@ type NNStats struct {
 	NodeCacheHits   int
 	NodeCacheMisses int
 
-	// Retries counts the transient-fault retries the storage stack
-	// performed while this query ran (see QueryStats.Retries for the
-	// attribution caveat under concurrency).
-	Retries int
-
 	// BoundPruned counts frontier entries abandoned because
 	// QueryOpts.MaxDist — the k-th distance of the neighbours earlier shards
 	// found — proved them unable to reach the merged top k (zero outside a
@@ -68,7 +63,6 @@ func (s *NNStats) Add(o NNStats) {
 	s.RefinementIOs += o.RefinementIOs
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
-	s.Retries += o.Retries
 	s.BoundPruned += o.BoundPruned
 	s.ShardsPruned += o.ShardsPruned
 }
@@ -113,13 +107,11 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		k = plan.limit
 	}
 	var meter fetchMeter
-	retries0 := t.store.Stats().Retries.Load()
 	// finish closes the stats over the work done, on completion and on an
 	// early exit alike.
 	finish := func(err error) ([]NNResult, NNStats, error) {
 		stats.NodeCacheHits = meter.ncHits
 		stats.NodeCacheMisses = meter.ncMisses
-		stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
 		return best, stats, err
 	}
 

@@ -67,14 +67,6 @@ type QueryStats struct {
 	NodeCacheHits   int
 	NodeCacheMisses int
 
-	// Retries counts the transient-fault retries the storage stack
-	// performed while this query ran (RetryStore attempts beyond each
-	// operation's first). Measured as the delta of the store-wide retry
-	// counter over the query, so with concurrent queries on one tree a
-	// retry may be attributed to whichever query was in flight — the sum
-	// across queries remains exact.
-	Retries int
-
 	// ProbFilterPruned counts leaf entries that passed the paper's pruning
 	// Rules 1–2 and were discarded by the probability upper bound instead
 	// (pcr.PrunedByBound) — each one is a probability computation and
@@ -112,7 +104,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.RefineTime += o.RefineTime
 	s.NodeCacheHits += o.NodeCacheHits
 	s.NodeCacheMisses += o.NodeCacheMisses
-	s.Retries += o.Retries
 	s.ProbFilterPruned += o.ProbFilterPruned
 	s.MarginalValidated += o.MarginalValidated
 	s.MarginalPruned += o.MarginalPruned
@@ -183,7 +174,6 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 	start := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
 
 	var meter fetchMeter
-	retries0 := t.store.Stats().Retries.Load()
 	// finish closes the stats over the work actually done — on completion
 	// and on a cancelled exit alike, where the results so far are still
 	// valid answers.
@@ -191,7 +181,6 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 		stats.Results = len(results)
 		stats.NodeCacheHits = meter.ncHits
 		stats.NodeCacheMisses = meter.ncMisses
-		stats.Retries = int(t.store.Stats().Retries.Load() - retries0)
 		return results, stats, err
 	}
 

@@ -38,8 +38,8 @@ func (t *Tree) Scrub() (verified, corrupt int) {
 	}
 	for _, id := range t.collectScrubTargets(ts, condemn) {
 		if err := t.vs.VerifyPage(id); err != nil {
-			// Non-corruption errors (transient faults) are neither progress
-			// nor damage.
+			// Non-corruption errors (I/O faults) are neither progress nor
+			// damage.
 			condemn(id, err)
 			continue
 		}

@@ -19,9 +19,8 @@ import (
 //
 // Fault semantics:
 //
-//   - FaultTransient / FaultPermanent: the operation does not reach the
-//     inner store; the error is ErrInjected, additionally marked so
-//     IsTransient reports true for the transient kind.
+//   - FaultPermanent: the operation does not reach the inner store; the
+//     error is ErrInjected.
 //   - FaultBitFlip (reads): the inner store's payload is corrupted via
 //     its Corrupter capability — one bit flipped on the medium without
 //     resealing the checksum — and the read then proceeds normally, so a
@@ -60,18 +59,15 @@ const (
 type FaultKind uint8
 
 const (
-	FaultTransient FaultKind = iota
-	FaultPermanent
+	FaultPermanent FaultKind = iota
 	FaultBitFlip
 	FaultTornWrite
 	FaultLatency
-	faultKinds = 5
+	faultKinds = 4
 )
 
 func (k FaultKind) String() string {
 	switch k {
-	case FaultTransient:
-		return "transient"
 	case FaultPermanent:
 		return "permanent"
 	case FaultBitFlip:
@@ -87,8 +83,8 @@ func (k FaultKind) String() string {
 // ChaosRule is one injection trigger. When Prob > 0 the rule fires on each
 // matching operation with that probability; otherwise Countdown matching
 // operations succeed before it fires (Countdown < 0 disarms the rule), and
-// Sticky keeps it firing on every subsequent match — the legacy FaultStore
-// behaviour.
+// Sticky keeps it firing on every subsequent match — how a crash sweep
+// fails every operation after the first k.
 type ChaosRule struct {
 	Op    ChaosOp
 	Fault FaultKind
@@ -251,9 +247,6 @@ func (cs *ChaosStore) Alloc() (PageID, error) {
 		time.Sleep(act.delay)
 	}
 	if act.fire {
-		if act.kind == FaultTransient {
-			return InvalidPage, MarkTransient(ErrInjected)
-		}
 		return InvalidPage, ErrInjected
 	}
 	return cs.Inner.Alloc()
@@ -266,8 +259,6 @@ func (cs *ChaosStore) Read(id PageID, buf []byte) error {
 	}
 	if act.fire {
 		switch act.kind {
-		case FaultTransient:
-			return MarkTransient(ErrInjected)
 		case FaultBitFlip:
 			if c, ok := cs.Inner.(Corrupter); ok {
 				if err := c.CorruptPayload(id, act.bit); err != nil {
@@ -296,8 +287,6 @@ func (cs *ChaosStore) Write(id PageID, buf []byte) error {
 	}
 	if act.fire {
 		switch act.kind {
-		case FaultTransient:
-			return MarkTransient(ErrInjected)
 		case FaultTornWrite:
 			if tw, ok := cs.Inner.(TornWriter); ok {
 				if err := tw.WriteTorn(id, buf, PageSize/2); err != nil {
@@ -321,9 +310,6 @@ func (cs *ChaosStore) Free(id PageID) error {
 		time.Sleep(act.delay)
 	}
 	if act.fire {
-		if act.kind == FaultTransient {
-			return MarkTransient(ErrInjected)
-		}
 		return ErrInjected
 	}
 	return cs.Inner.Free(id)

@@ -5,20 +5,18 @@ import (
 	"fmt"
 )
 
-// Error taxonomy of the fault-tolerance layer. Every storage failure a
-// caller can observe falls into one of three buckets:
+// Error taxonomy of the storage layer. Every storage failure a caller
+// can observe falls into one of three buckets:
 //
 //   - ErrChecksum: the bytes came back, but they are not the bytes that
 //     were written — detected corruption. Permanent for that page until
 //     repaired; retrying the read returns the same corrupt bytes.
 //   - ErrBadPage: the page is unusable for a structural reason (failed
 //     decode, quarantined after a checksum failure). Permanent.
-//   - transient (IsTransient == true): the operation failed in a way
-//     that may succeed on retry — an injected transient fault, or a
-//     wrapped environmental error. RetryStore retries exactly these.
-//
-// Anything else (I/O errors from the OS, ErrPageOutOfRange, ...) is
-// treated as permanent: retried never, surfaced verbatim.
+//   - anything else (I/O errors from the OS, ErrPageOutOfRange,
+//     ErrInjected, ...): the operation that hit it fails and the error
+//     surfaces verbatim. No layer retries it; the caller may retry the
+//     operation.
 
 // ErrChecksum is the sentinel matched by errors.Is for any page whose
 // stored CRC does not cover its payload. The concrete error in the chain
@@ -57,31 +55,8 @@ func (e *BadPageError) Error() string {
 // Is makes errors.Is(err, ErrBadPage) match.
 func (e *BadPageError) Is(target error) bool { return target == ErrBadPage }
 
-// transientError marks an error as worth retrying. It wraps rather than
-// replaces, so errors.Is still matches the underlying cause (e.g. a
-// transient injected fault matches both IsTransient and ErrInjected).
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() + " (transient)" }
-func (e *transientError) Unwrap() error { return e.err }
-
-// MarkTransient wraps err so IsTransient reports true for it. A nil err
-// stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (anywhere in its chain) was marked
-// transient — the predicate RetryStore uses to decide between retrying
-// and surfacing. Checksum and bad-page errors are never transient: the
-// same bytes come back on every retry.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
+// ErrInjected is the error surfaced by ChaosStore's injected faults.
+var ErrInjected = errors.New("pagefile: injected fault")
 
 // Optional store capabilities, probed with type assertions by the layers
 // above. Wrappers forward them to their inner store so a capability

@@ -2,7 +2,6 @@ package pagefile
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -81,9 +80,6 @@ func TestFileStoreDetectsBitFlip(t *testing.T) {
 	if err := fs.VerifyPage(id); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("VerifyPage on corrupt page: %v, want ErrChecksum", err)
 	}
-	if IsTransient(err) {
-		t.Fatal("checksum errors must not be transient")
-	}
 }
 
 func TestFileStoreDetectsTornWrite(t *testing.T) {
@@ -132,27 +128,12 @@ func TestOpenFileStoreRefusesV1(t *testing.T) {
 	}
 }
 
-func TestTransientMarking(t *testing.T) {
-	base := errors.New("disk hiccup")
-	if IsTransient(base) {
-		t.Fatal("unmarked error reported transient")
-	}
-	m := MarkTransient(base)
-	if !IsTransient(m) {
-		t.Fatal("marked error not transient")
-	}
-	if !errors.Is(m, base) {
-		t.Fatal("marking hides the cause")
-	}
-	if MarkTransient(nil) != nil {
-		t.Fatal("MarkTransient(nil) != nil")
-	}
-}
-
+// TestChaosStoreTransientCountdown: a non-sticky countdown rule fails
+// exactly one matching operation, and the store heals on the next.
 func TestChaosStoreTransientCountdown(t *testing.T) {
 	inner := NewMemStore()
 	cs := NewChaosStore(inner, 1)
-	h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 2})
+	h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultPermanent, Countdown: 2})
 	id, err := cs.Alloc() // Alloc doesn't match OpRead
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +145,8 @@ func TestChaosStoreTransientCountdown(t *testing.T) {
 		}
 	}
 	err = cs.Read(id, buf)
-	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
-		t.Fatalf("countdown read: %v, want transient ErrInjected", err)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("countdown read: %v, want ErrInjected", err)
 	}
 	if h.Triggered() != 1 {
 		t.Fatalf("triggered = %d, want 1", h.Triggered())
@@ -174,8 +155,8 @@ func TestChaosStoreTransientCountdown(t *testing.T) {
 	if err := cs.Read(id, buf); err != nil {
 		t.Fatalf("read after non-sticky trigger: %v", err)
 	}
-	if cs.InjectedCount(FaultTransient) != 1 {
-		t.Fatalf("injected count = %d", cs.InjectedCount(FaultTransient))
+	if cs.InjectedCount(FaultPermanent) != 1 {
+		t.Fatalf("injected count = %d", cs.InjectedCount(FaultPermanent))
 	}
 }
 
@@ -183,7 +164,7 @@ func TestChaosStoreProbabilisticDeterminism(t *testing.T) {
 	run := func() int64 {
 		inner := NewMemStore()
 		cs := NewChaosStore(inner, 42)
-		h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Prob: 0.3})
+		h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultPermanent, Prob: 0.3})
 		id, _ := cs.Alloc()
 		buf := make([]byte, PageSize)
 		for i := 0; i < 200; i++ {
@@ -268,85 +249,6 @@ func TestChaosStoreLatencyRule(t *testing.T) {
 	}
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("latency spike not applied: %v", d)
-	}
-}
-
-func TestRetryStoreRecoversTransient(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	// Fails the next 2 reads transiently, then heals.
-	h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 0, Sticky: true})
-	rs := NewRetryStore(cs, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
-	id, err := rs.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow exactly 2 failures: disarm after two triggers by re-arming the
-	// rule off-thread is racy, so instead use countdown+non-sticky twice.
-	h.Arm(-1)
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 0})
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 0})
-	buf := make([]byte, PageSize)
-	if err := rs.Read(id, buf); err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if rs.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2", rs.Retries())
-	}
-	if got := inner.Stats().Retries.Load(); got != 2 {
-		t.Fatalf("Stats.Retries = %d, want 2", got)
-	}
-}
-
-func TestRetryStoreGivesUpAfterMaxAttempts(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 0, Sticky: true})
-	rs := NewRetryStore(cs, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
-	id, _ := rs.Alloc()
-	buf := make([]byte, PageSize)
-	err := rs.Read(id, buf)
-	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
-		t.Fatalf("exhausted retry: %v, want transient ErrInjected", err)
-	}
-	if rs.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2 (3 attempts)", rs.Retries())
-	}
-}
-
-func TestRetryStoreDoesNotRetryPermanent(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultPermanent, Countdown: 0, Sticky: true})
-	rs := NewRetryStore(cs, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
-	id, _ := rs.Alloc()
-	buf := make([]byte, PageSize)
-	if err := rs.Read(id, buf); !errors.Is(err, ErrInjected) {
-		t.Fatalf("permanent fault: %v", err)
-	}
-	if rs.Retries() != 0 {
-		t.Fatalf("permanent error was retried %d times", rs.Retries())
-	}
-}
-
-func TestRetryStoreBoundContextAbortsBackoff(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultTransient, Countdown: 0, Sticky: true})
-	rs := NewRetryStore(cs, RetryPolicy{MaxAttempts: 1000, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second})
-	id, _ := rs.Alloc()
-	ctx, cancel := context.WithCancel(context.Background())
-	unbind := rs.BindContext(ctx)
-	defer unbind()
-	cancel()
-	buf := make([]byte, PageSize)
-	start := time.Now()
-	err := rs.Read(id, buf)
-	if err == nil {
-		t.Fatal("read under sticky fault succeeded")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("cancelled backoff still slept %v", d)
 	}
 }
 

@@ -440,32 +440,46 @@ func TestDataFileManyRecordsStress(t *testing.T) {
 	}
 }
 
-func TestFaultStoreInjection(t *testing.T) {
-	inner := NewMemStore()
-	fs := NewFaultStore(inner, 2)
-	if _, err := fs.Alloc(); err != nil {
+// TestChaosStoreStickyCountdown: a sticky countdown rule lets n operations
+// through and then fails every later one, of any kind, until disarmed.
+func TestChaosStoreStickyCountdown(t *testing.T) {
+	cs := NewChaosStore(NewMemStore(), 0)
+	h := cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Countdown: 2, Sticky: true})
+	if _, err := cs.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Alloc(); err != nil {
+	if _, err := cs.Alloc(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Alloc(); !errors.Is(err, ErrInjected) {
+	if h.Remaining() != 0 {
+		t.Fatalf("remaining = %d after the countdown ran out, want 0", h.Remaining())
+	}
+	if _, err := cs.Alloc(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("third op: %v, want ErrInjected", err)
 	}
 	buf := make([]byte, PageSize)
-	if err := fs.Read(0, buf); !errors.Is(err, ErrInjected) {
+	if err := cs.Read(0, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read after trip: %v", err)
 	}
-	fs.Arm(-1) // disable
-	if err := fs.Read(0, buf); err != nil {
-		t.Fatalf("disabled injector still failing: %v", err)
+	if err := cs.Write(0, buf); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after trip: %v", err)
+	}
+	if h.Triggered() != 3 {
+		t.Fatalf("triggered = %d, want 3", h.Triggered())
+	}
+	h.Arm(-1) // disarm
+	if err := cs.Read(0, buf); err != nil {
+		t.Fatalf("disarmed rule still failing: %v", err)
+	}
+	if h.Remaining() >= 0 {
+		t.Fatalf("remaining = %d after disarm, want < 0", h.Remaining())
 	}
 }
 
 func TestDataFileFaultPropagation(t *testing.T) {
-	inner := NewMemStore()
-	fs := NewFaultStore(inner, 0)
-	df := NewDataFile(fs)
+	cs := NewChaosStore(NewMemStore(), 0)
+	cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Countdown: 0, Sticky: true})
+	df := NewDataFile(cs)
 	if _, err := df.Append([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fault: %v", err)
 	}

@@ -36,12 +36,6 @@ type Stats struct {
 	Writes atomic.Int64
 	Allocs atomic.Int64
 	Frees  atomic.Int64
-	// Retries counts transient-fault retries performed by a RetryStore
-	// layered above this store. It lives here (rather than only on the
-	// wrapper) so every consumer that already holds the base store's
-	// Stats — experiment harnesses, QueryStats deltas — sees retry
-	// traffic without plumbing a new accessor through the stack.
-	Retries atomic.Int64
 }
 
 // Snapshot returns a plain-value copy of the counters.
@@ -55,7 +49,6 @@ func (s *Stats) Reset() {
 	s.Writes.Store(0)
 	s.Allocs.Store(0)
 	s.Frees.Store(0)
-	s.Retries.Store(0)
 }
 
 // Store is the page-granularity storage abstraction.

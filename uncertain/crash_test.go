@@ -115,10 +115,19 @@ func deleteAllByID(t *testing.T, k int, rt *Tree) {
 	}
 }
 
+// failAfter wraps s so k store operations succeed and every later one
+// fails with pagefile.ErrInjected: a process that died at offset k. The
+// handle's Remaining stays above 0 while the countdown has not run out.
+func failAfter(s pagefile.Store, k int) (pagefile.Store, *pagefile.RuleHandle) {
+	cs := pagefile.NewChaosStore(s, 0)
+	h := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: int64(k), Sticky: true})
+	return cs, h
+}
+
 // runCrashSweep kills op(tree) at every store-operation offset k: each
 // round restores a pristine copy of the golden file, reopens it with a
-// FaultStore armed to fail after k operations, runs op, simulates the
-// crash (Discard: no flush, no commit, no header write), reopens without
+// store armed to fail after k operations (failAfter), runs op, simulates
+// the crash (Discard: no flush, no commit, no header write), reopens without
 // faults and verifies the recovered tree. verify receives the recovered
 // tree and whether op had reported success; then every recovered object
 // is deleted by ID. The sweep ends when the countdown outlives the whole
@@ -134,11 +143,11 @@ func runCrashSweep(t *testing.T, golden []byte, cfg Config, queries []RangeQuery
 		if err := os.WriteFile(work, golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var fault *pagefile.FaultStore
+		var fault *pagefile.RuleHandle
 		fcfg := cfg
-		fcfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-			fault = pagefile.NewFaultStore(s, int64(k))
-			return fault
+		fcfg.WrapStore = func(s pagefile.Store) (ws pagefile.Store) {
+			ws, fault = failAfter(s, k)
+			return ws
 		}
 		opOK := false
 		survived := false
@@ -296,11 +305,11 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 		if err := os.WriteFile(work, golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var fault *pagefile.FaultStore
+		var fault *pagefile.RuleHandle
 		fcfg := cfg
-		fcfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-			fault = pagefile.NewFaultStore(s, int64(k))
-			return fault
+		fcfg.WrapStore = func(s pagefile.Store) (ws pagefile.Store) {
+			ws, fault = failAfter(s, k)
+			return ws
 		}
 		survived := false
 		tree, err := OpenTree(work, fcfg)

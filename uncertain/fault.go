@@ -7,11 +7,11 @@ import (
 
 // Storage fault tolerance, public surface. The storage stack underneath an
 // index detects corruption with per-page checksums on every read
-// (ErrChecksum), retries transient faults with a fixed jittered backoff
-// (pagefile.RetryPolicy's defaults; the retries appear in Stats.Retries and
-// Health().Retries), quarantines pages proven corrupt so they are never
-// served from a cache (Health()), and verifies the whole committed tree when
-// asked (Tree.Scrub).
+// (ErrChecksum), quarantines pages proven corrupt so they are never served
+// from a cache (Health()), and verifies the whole committed tree when asked
+// (Tree.Scrub). Any other store error fails the operation that hit it and
+// is returned as is: a failed mutation rolls back, and the caller may retry
+// the operation.
 
 // ErrChecksum matches (via errors.Is) any error caused by a page whose
 // stored checksum does not cover the bytes read back — detected storage
@@ -29,9 +29,9 @@ var ErrBadPage = pagefile.ErrBadPage
 // file is never mis-read; rebuild it from its data.
 var ErrOldLayout = core.ErrOldLayout
 
-// HealthInfo is an index's storage-health report: quarantined pages and
-// cumulative transient-fault retries. Sharded indexes merge the per-shard
-// reports (counters sum, quarantine lists concatenate).
+// HealthInfo is an index's storage-health report: the quarantined pages.
+// Sharded indexes merge the per-shard reports (counts sum, quarantine lists
+// concatenate).
 type HealthInfo = core.HealthInfo
 
 // QuarantinedPage identifies one page the index has condemned: its ID, the

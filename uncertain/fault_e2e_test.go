@@ -3,6 +3,7 @@ package uncertain
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -12,11 +13,12 @@ import (
 )
 
 // End-to-end fault-tolerance tests: chaos injection under the full index
-// stack (checksummed file store → chaos → retry → buffer pool → tree),
-// checking the user-visible contract — transient faults invisible,
-// corruption typed and quarantined, shard failures degradable — plus
-// resource hygiene on every error path. Answers are compared with a
-// fault-free twin exactly: IDs, probabilities and validated flags.
+// stack (checksummed file store → chaos → versioning → buffer pool →
+// tree), checking the user-visible contract — an I/O fault fails the
+// operation that hit it and nothing else, corruption is typed and
+// quarantined, a dead shard fails a sharded query whole — plus resource
+// hygiene on every error path. Answers are compared with a fault-free twin
+// exactly: IDs, probabilities and validated flags.
 
 // faultTestConfig is the shared shape of these tests: a tiny page cache
 // and no decoded-node cache, so queries genuinely hit the store and the
@@ -32,35 +34,57 @@ func faultTestConfig(path string) Config {
 	}
 }
 
-// TestTransientFaultsAbsorbedEndToEnd checks acceptance property (a): a
-// workload under 1% injected transient I/O faults on every operation
-// completes with zero user-visible errors, through the fixed retry policy
-// (3 attempts), and answers exactly as a fault-free twin does.
-func TestTransientFaultsAbsorbedEndToEnd(t *testing.T) {
+// untilAnswered re-issues op while it fails with pagefile.ErrInjected —
+// the retry the error contract leaves to the caller — and fails the test
+// on any other error. It reports how many attempts failed.
+func untilAnswered(t *testing.T, what string, op func() error) (failed int) {
+	t.Helper()
+	for {
+		err := op()
+		if err == nil {
+			return failed
+		}
+		if !errors.Is(err, pagefile.ErrInjected) {
+			t.Fatalf("%s: %v, want nil or ErrInjected", what, err)
+		}
+		if failed++; failed == 50 {
+			t.Fatalf("%s: still failing after %d attempts: %v", what, failed, err)
+		}
+	}
+}
+
+// TestIOFaultsSurfaceAndHeal runs a workload under a 1% I/O fault on every
+// store operation. Nothing retries: each query either fails with
+// ErrInjected or answers exactly as a fault-free twin does, and re-issued it
+// answers like the twin, so no cache kept a failed read. Each mutation
+// either succeeds or fails with ErrInjected and leaves the tree as it was:
+// the twin receives only the mutations that succeeded, and Len, the
+// invariants and every answer match it. No page is quarantined for an I/O
+// fault, and the file reopens to the twin's state.
+func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 	objects := shardedFixtureObjects(300, 7)
 	queries := shardedFixtureQueries(25, 8)
 	dir := t.TempDir()
 
-	clean, err := NewConcurrentTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
+	clean, err := NewTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer clean.Close()
 
 	var chaos *pagefile.ChaosStore
-	cfg := faultTestConfig(filepath.Join(dir, "chaotic.utree"))
+	path := filepath.Join(dir, "faulty.utree")
+	cfg := faultTestConfig(path)
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		chaos = pagefile.NewChaosStore(s, 3)
 		return chaos
 	}
-	faulty, err := NewConcurrentTree(cfg)
+	faulty, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer faulty.Close()
-	chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultTransient, Prob: 0.01})
-
-	for _, idx := range []Index{clean, faulty} {
+	defer faulty.Discard()
+	for _, idx := range []*Tree{clean, faulty} {
 		if err := idx.BulkLoad(objects); err != nil {
 			t.Fatalf("bulk load: %v", err)
 		}
@@ -68,47 +92,89 @@ func TestTransientFaultsAbsorbedEndToEnd(t *testing.T) {
 			t.Fatalf("flush: %v", err)
 		}
 	}
+	chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Prob: 0.01})
 
-	for i, q := range queries {
-		want, _, err := clean.Search(context.Background(), q.Rect, q.Prob)
-		if err != nil {
-			t.Fatalf("clean query %d: %v", i, err)
-		}
-		got, _, err := faulty.Search(context.Background(), q.Rect, q.Prob)
-		if err != nil {
-			t.Fatalf("query %d failed under transient faults: %v", i, err)
-		}
-		if !sameResults(got, want) {
-			t.Fatalf("query %d under faults: %v, clean twin: %v", i, sortByID(got), sortByID(want))
-		}
-	}
-
-	// The write path retries too: every mutation must succeed.
-	for i := int64(0); i < 40; i++ {
-		if err := faulty.Insert(10_000+i, UniformCircle(Pt(float64(10*i)+5, 500), 10)); err != nil {
-			t.Fatalf("insert %d under transient faults: %v", i, err)
-		}
-		if i%4 == 3 {
-			if err := faulty.Delete(10_000 + i); err != nil {
-				t.Fatalf("delete %d under transient faults: %v", i, err)
+	failedQueries := 0
+	compare := func(phase string, tr *Tree) {
+		t.Helper()
+		for i, q := range queries {
+			want, _, err := clean.Search(context.Background(), q.Rect, q.Prob)
+			if err != nil {
+				t.Fatalf("%s: clean query %d: %v", phase, i, err)
+			}
+			var got []Result
+			failedQueries += untilAnswered(t, fmt.Sprintf("%s: query %d", phase, i), func() error {
+				var err error
+				got, _, err = tr.Search(context.Background(), q.Rect, q.Prob)
+				return err
+			})
+			if !sameResults(got, want) {
+				t.Fatalf("%s: query %d: %v, clean twin: %v", phase, i, sortByID(got), sortByID(want))
 			}
 		}
+		untilAnswered(t, phase+": invariants", tr.CheckInvariants)
 	}
-	if err := faulty.Flush(); err != nil {
-		t.Fatalf("flush under transient faults: %v", err)
+	compare("before mutations", faulty)
+
+	// A mutation reaches the twin once it succeeded on the faulty tree. When
+	// it fails, the twin holds exactly the mutations that succeeded, and the
+	// faulty tree must still match it; re-issued, the mutation must then
+	// succeed, so the failure left no trace in the ID directory either.
+	failedMutations := 0
+	mutate := func(what string, op func(*Tree) error) {
+		t.Helper()
+		failedMutations += untilAnswered(t, what, func() error {
+			err := op(faulty)
+			if err != nil {
+				if got, want := faulty.Len(), clean.Len(); got != want {
+					t.Fatalf("%s failed (%v): Len %d, twin %d", what, err, got, want)
+				}
+				compare(what+" failed", faulty)
+			}
+			return err
+		})
+		if err := op(clean); err != nil {
+			t.Fatalf("%s on the clean twin: %v", what, err)
+		}
+		if got, want := faulty.Len(), clean.Len(); got != want {
+			t.Fatalf("after %s: Len %d, twin %d", what, got, want)
+		}
 	}
-	if err := faulty.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after faulted workload: %v", err)
+	for i := int64(0); i < 80; i++ {
+		id, pdf := 10_000+i, UniformCircle(Pt(float64(12*i)+5, 500), 10)
+		mutate(fmt.Sprintf("insert %d", id), func(tr *Tree) error { return tr.Insert(id, pdf) })
+		if i%4 == 3 {
+			victim := i * 3 // a bulk-loaded object
+			mutate(fmt.Sprintf("delete %d", victim), func(tr *Tree) error { return tr.Delete(victim) })
+		}
+		if i%20 == 19 {
+			compare(fmt.Sprintf("after %d inserts", i+1), faulty)
+		}
 	}
 
-	h := faulty.Health()
-	if injected := chaos.InjectedCount(pagefile.FaultTransient); injected == 0 {
-		t.Fatal("chaos layer injected no faults — the test exercised nothing")
-	} else if h.Retries == 0 {
-		t.Fatalf("%d transient faults injected but Health reports zero retries", injected)
+	t.Logf("%d faults injected: %d failed queries, %d failed mutations",
+		chaos.InjectedCount(pagefile.FaultPermanent), failedQueries, failedMutations)
+	if failedQueries == 0 || failedMutations == 0 {
+		t.Fatalf("%d failed queries, %d failed mutations: a failure path was never exercised",
+			failedQueries, failedMutations)
 	}
-	if h.QuarantinedPages != 0 {
-		t.Fatalf("transient faults must not quarantine pages, got %d", h.QuarantinedPages)
+	if h := faulty.Health(); h.QuarantinedPages != 0 {
+		t.Fatalf("I/O faults quarantined pages: %+v", h.Quarantined)
+	}
+
+	// Every mutation that succeeded committed; the file holds the twin's
+	// state whatever a fault did to the teardown.
+	if err := faulty.Close(); err != nil && !errors.Is(err, pagefile.ErrInjected) {
+		t.Fatalf("close: %v", err)
+	}
+	reopened, err := OpenTree(path, faultTestConfig(path))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	compare("reopened", reopened)
+	if got, want := reopened.Len(), clean.Len(); got != want {
+		t.Fatalf("reopened: Len %d, twin %d", got, want)
 	}
 }
 
@@ -493,13 +559,14 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	}
 }
 
-// TestCloseRetriesItsOwnWrites: the cancelled context Close binds to the
-// retry layer (so no reader sits out a backoff through teardown) must not
-// be in force for Close's own final commit — a transient fault on one of
-// its writes is retried like any other, not surfaced.
-func TestCloseRetriesItsOwnWrites(t *testing.T) {
+// TestCloseWriteFaultKeepsLastEpoch: a write fault on Close's final
+// commit is returned by Close, a second Close returns nil, and the file
+// reopens at the last committed epoch with every object.
+func TestCloseWriteFaultKeepsLastEpoch(t *testing.T) {
+	objects := shardedFixtureObjects(120, 41)
 	var chaos *pagefile.ChaosStore
-	cfg := faultTestConfig(filepath.Join(t.TempDir(), "close.utree"))
+	path := filepath.Join(t.TempDir(), "close.utree")
+	cfg := faultTestConfig(path)
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		chaos = pagefile.NewChaosStore(s, 1)
 		return chaos
@@ -508,21 +575,60 @@ func TestCloseRetriesItsOwnWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(1, UniformCircle(Pt(500, 500), 10)); err != nil {
+	for id, pdf := range objects {
+		if err := tr.Insert(id, pdf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := Box(Pt(0, 0), Pt(1000, 1000))
+	want, _, err := tr.Search(context.Background(), all, 0.3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultTransient, Countdown: -1})
+	epoch := tr.Epoch()
+
+	rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultPermanent, Countdown: -1})
 	rule.Arm(0) // the very next write, which is Close's
-	if err := tr.Close(); err != nil {
-		t.Fatalf("close under one transient write fault: %v", err)
+	if err := tr.Close(); !errors.Is(err, pagefile.ErrInjected) {
+		t.Fatalf("close under a write fault: %v, want ErrInjected", err)
 	}
 	if rule.Triggered() != 1 {
 		t.Fatalf("fault fired %d times, want 1: Close wrote nothing?", rule.Triggered())
 	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+
+	rt, err := OpenTree(path, faultTestConfig(path))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer rt.Close()
+	if rt.Epoch() != epoch {
+		t.Fatalf("reopened at epoch %d, last commit was %d", rt.Epoch(), epoch)
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatalf("reopened invariants: %v", err)
+	}
+	if rt.Len() != len(objects) {
+		t.Fatalf("reopened Len %d, want %d", rt.Len(), len(objects))
+	}
+	for id := range objects {
+		if !rt.holds(id) {
+			t.Fatalf("object %d lost", id)
+		}
+	}
+	got, _, err := rt.Search(context.Background(), all, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameResults(got, want) {
+		t.Fatalf("reopened answer %v, before Close %v", sortByID(got), sortByID(want))
+	}
 }
 
-// TestFaultedQueriesLeakNothing hammers queries with a mix of absorbed
-// transient faults and hard failures, then checks the error paths released
+// TestFaultedQueriesLeakNothing hammers queries with hard I/O failures,
+// then checks the error paths released
 // everything: no leaked snapshot pins, commits still drain garbage, and no
 // goroutine outlives the calls that started it — the count is back at
 // baseline while the tree is still open.
@@ -542,7 +648,6 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 	if err := ct.BulkLoad(shardedFixtureObjects(300, 31)); err != nil {
 		t.Fatal(err)
 	}
-	chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultTransient, Prob: 0.05})
 	hard := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Countdown: -1})
 
 	queries := shardedFixtureQueries(10, 33)

@@ -143,13 +143,11 @@ type Config struct {
 	// of the live heap.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory)
-	// before the retry and versioning layers — the fault-injection and
-	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
-	// also make a slow store). Production code leaves it nil. Transient
-	// faults from the wrapped store are retried with pagefile.RetryPolicy's
-	// defaults (3 attempts, 100µs base backoff, 10ms cap, jitter seeded
-	// from Seed); the retries appear in query Stats.Retries and
-	// Health().Retries.
+	// before the versioning layer — the fault-injection and instrumentation
+	// hook (e.g. pagefile.ChaosStore, whose latency rules also make a slow
+	// store). Production code leaves it nil. An error from the wrapped
+	// store fails the operation that hit it and is returned to the caller
+	// unretried.
 	WrapStore func(pagefile.Store) pagefile.Store
 	// AdaptivePlanning is read by nothing: every commit records the root box
 	// that shard pruning and NN shard ranking use.
@@ -178,7 +176,6 @@ type Tree struct {
 	mu     sync.Mutex // serializes writers; the read path takes no lock
 	inner  *core.Tree
 	file   *pagefile.FileStore
-	retry  *pagefile.RetryStore
 	closed bool // set by Close/Discard; makes both idempotent
 
 	// The directory and the write path (batch.go), under mu. mbrs maps every
@@ -279,9 +276,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → transient-fault retry. Retry sits
-// below core's versioning and buffer pool, so a retried read stays one pool
-// miss.
+// The stack is base → Config.WrapStore → core's versioning → buffer pool.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs, mbrs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -291,11 +286,10 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	if cfg.WrapStore != nil {
 		store = cfg.WrapStore(store)
 	}
-	t.retry = pagefile.NewRetryStore(store, pagefile.RetryPolicy{Seed: cfg.Seed})
 	opt := core.Options{
 		Dim:              cfg.Dimensions,
 		CatalogSize:      cfg.CatalogSize,
-		Store:            t.retry,
+		Store:            store,
 		MCSamples:        cfg.MonteCarloSamples,
 		ExactRefinement:  cfg.ExactRefinement,
 		Seed:             cfg.Seed,
@@ -512,23 +506,12 @@ func (t *Tree) Close() error {
 	if err == nil {
 		err = t.inner.Reclaim()
 	}
-	// Only now: the final commit's own writes are retried like any other.
-	t.unblockRetries()
 	if t.file != nil {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
 		}
 	}
 	return err
-}
-
-// unblockRetries binds a cancelled context to the retry layer so no
-// concurrent reader sits out a backoff sleep while the index tears down.
-func (t *Tree) unblockRetries() {
-	//ulint:ignore ctxflow constructs an already-cancelled context on purpose; nothing upstream can cancel sooner
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	t.retry.BindContext(ctx)
 }
 
 // Discard releases a file-backed tree WITHOUT committing or flushing —
@@ -544,7 +527,6 @@ func (t *Tree) Discard() error {
 		return nil
 	}
 	t.closed = true
-	t.unblockRetries()
 	if t.file == nil {
 		return nil
 	}
