@@ -13,7 +13,7 @@
 // pages. verify checks the tree's invariants and records, then
 // scrubs every reachable page's checksum; it exits non-zero on any failure.
 //
-// Every subcommand accepts -buffer (page-cache size in pages).
+// Every subcommand accepts -buffer (the write buffer's bound in dirty pages).
 //
 // query and nn additionally take the per-query options of the
 // context-first API: -timeout (wall-time deadline, ms; a timed-out query
@@ -51,7 +51,7 @@ func main() {
 		prob   = fs.Float64("prob", 0.5, "query probability threshold")
 		point  = fs.String("point", "", "query point for nn: x1,x2[,x3]")
 		k      = fs.Int("k", 5, "neighbor count for nn")
-		buffer = fs.Int("buffer", 0, "buffer pool size in pages (0 = default 256)")
+		buffer = fs.Int("buffer", 0, "write buffer bound in dirty pages (0 = default 256)")
 
 		// Per-query options for query and nn.
 		timeoutMS = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")

@@ -2,7 +2,7 @@
 // PR 5: committed pages are byte-immutable, so every page mutation must
 // flow through the blessed relocation/commit funnel — writeNode (which
 // relocates committed nodes to shadow pages), writeMeta (the commit
-// point), the buffer-pool write-back paths, and the data file's
+// point), the buffer-pool write-back path, and the data file's
 // append-page flush. A Store.Write, BufferPool.Put, or MarkInPlace call anywhere
 // else is a latent snapshot-isolation break that the runtime COW check
 // would only catch when that exact path executes.
@@ -27,7 +27,7 @@ var Analyzer = &framework.Analyzer{
 // funnel is the set of functions allowed to mutate pages directly:
 // store wrappers delegating inward (Write, MarkInPlace), the node
 // relocation and metadata commit funnels (writeNode, writeMeta), the
-// buffer-pool write-back paths (insert, Flush), and the data file's
+// buffer-pool write-back path (writeBack), and the data file's
 // append-page funnels (flushLocked, markInPlace) — the only in-place
 // data-page writer, since records are write-once.
 var funnel = map[string]bool{
@@ -35,8 +35,7 @@ var funnel = map[string]bool{
 	"MarkInPlace": true,
 	"writeNode":   true,
 	"writeMeta":   true,
-	"insert":      true,
-	"Flush":       true,
+	"writeBack":   true,
 	"flushLocked": true,
 	"markInPlace": true,
 }
@@ -78,7 +77,7 @@ func run(pass *framework.Pass) error {
 				case "Put":
 					if recv == "BufferPool" {
 						pass.Reportf(call.Pos(),
-							"BufferPool.Put outside the COW funnel in %s: dirtying a cached page bypasses copy-on-write relocation; go through writeNode",
+							"BufferPool.Put outside the COW funnel in %s: buffering a page write bypasses copy-on-write relocation; go through writeNode",
 							fd.Name.Name)
 					}
 				case "MarkInPlace":

@@ -20,11 +20,21 @@ type MemStore struct{ pages map[PageID][]byte }
 // Write mutates a page (funnel name, allowed inside).
 func (s *MemStore) Write(id PageID, b []byte) { s.pages[id] = b }
 
-// BufferPool mirrors the page cache.
-type BufferPool struct{ cache map[PageID][]byte }
+// BufferPool mirrors the dirty-page buffer.
+type BufferPool struct {
+	store *Store
+	dirty map[PageID][]byte
+}
 
-// Put caches a page; storing into the map keeps Put itself clean.
-func (bp *BufferPool) Put(id PageID, b []byte) { bp.cache[id] = b }
+// Put buffers a page; storing into the map keeps Put itself clean.
+func (bp *BufferPool) Put(id PageID, b []byte) { bp.dirty[id] = b }
+
+// writeBack is the buffer's funnel: writing a buffered page through is its
+// whole job.
+func (bp *BufferPool) writeBack(id PageID) {
+	bp.store.Write(id, bp.dirty[id])
+	delete(bp.dirty, id)
+}
 
 type node struct{ id PageID }
 

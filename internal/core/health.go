@@ -13,8 +13,8 @@ import (
 // Corruption containment: a page whose read fails the checksum (or whose
 // trailer names another page, or whose decoded header is structurally
 // impossible) is QUARANTINED — recorded in a tree-level registry and
-// invalidated out of both caches, so its bytes can never be served from the
-// buffer pool or the decoded-node cache as if they were good, and every
+// invalidated out of the write buffer and the decoded-node cache, so its
+// bytes can never be served from either as if they were good, and every
 // later read of the page fast-fails with the recorded cause instead of
 // re-reading garbage. Quarantine never repairs anything; it turns silent
 // corruption into a typed, reportable error (pagefile.ErrChecksum /
@@ -120,7 +120,7 @@ func (t *Tree) checkQuarantine(id pagefile.PageID) error {
 }
 
 // noteReadError inspects a failed page read and quarantines the page when
-// the error proves corruption, evicting it from the buffer pool and the
+// the error proves corruption, dropping it from the write buffer and the
 // decoded-node cache so no stale good-looking copy survives. Always returns
 // err, so call sites can hook it into their error returns inline.
 func (t *Tree) noteReadError(id pagefile.PageID, err error) error {

@@ -8,10 +8,11 @@ import (
 	"repro/internal/pagefile"
 )
 
-// nodeCache is a sharded LRU cache of decoded nodes, sitting above the
-// BufferPool: where the pool caches page *bytes*, this caches the
-// packedNode values decodeNode builds from them, so a hot traversal skips
-// both the pool lookup and the decode. A packed node is a few flat slabs
+// nodeCache is a sharded LRU cache of decoded nodes — the tree's one read
+// cache. It holds the packedNode values decodeNode builds from committed
+// pages, so a hot traversal skips both the page read and the decode; the
+// BufferPool under it keeps only the writer's dirty pages, and a miss here
+// reads the store. A packed node is a few flat slabs
 // (see packedNode), so a cached node costs about one page of heap — the
 // 1024-node default is about 4 MiB — and a cached leaf gives the GC
 // nothing to scan.
@@ -58,8 +59,7 @@ type ncEntry struct {
 }
 
 const (
-	// ncMaxShards mirrors the buffer pool's shard bound (power of two for
-	// cheap masking).
+	// ncMaxShards bounds the shard count (power of two for cheap masking).
 	ncMaxShards = 16
 	// ncMinShardEntries keeps shards from degenerating into single-entry
 	// LRUs on small caches.
@@ -69,7 +69,7 @@ const (
 )
 
 // newNodeCache builds a cache bounded at capacity decoded nodes (minimum 1),
-// split across PageID-hashed shards like the buffer pool.
+// split across PageID-hashed shards.
 func newNodeCache(capacity int) *nodeCache {
 	if capacity < 1 {
 		capacity = 1

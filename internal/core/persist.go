@@ -41,7 +41,7 @@ var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte
 	"this version reads only UTR2 and UTR3 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
-// caller flushes the buffer pool first (Commit does); the page is exempted
+// caller flushes the write buffer first (Commit does); the page is exempted
 // from the copy-on-write check because rewriting it in place is exactly
 // how an epoch becomes the committed one.
 func (t *Tree) writeMeta() error {

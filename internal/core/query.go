@@ -62,8 +62,8 @@ type QueryStats struct {
 	RefineTime       time.Duration
 
 	// Decoded-node cache outcomes of this query's tree-page reads (both
-	// zero when the cache is disabled): a hit skipped the buffer pool and
-	// the node decode entirely.
+	// zero when the cache is disabled): a hit skipped the page read and the
+	// node decode entirely.
 	NodeCacheHits   int
 	NodeCacheMisses int
 

@@ -12,8 +12,8 @@ import (
 // A pass pins the committed epoch (a snapshot pin, exactly like a reader),
 // walks its tree collecting the reachable page set — node pages, leaf data
 // pages, the current append page — and verifies each page. The walk reads
-// node pages directly from the store, not through the buffer pool or the
-// decoded-node cache, so scrubbing neither pollutes the query caches nor
+// node pages directly from the store, not through the write buffer or the
+// decoded-node cache, so scrubbing neither pollutes the read cache nor
 // inflates the logical I/O counters the experiments report. Verification
 // itself reads only the stored trailer (no cache, no Stats charge).
 

@@ -42,7 +42,7 @@ func (t *Tree) workingState() *treeState {
 }
 
 // Commit seals every mutation since the last commit as one epoch: flushes
-// the shadow pages through the buffer pool, writes the metadata page (for
+// the write buffer's shadow pages, writes the metadata page (for
 // a persistent tree), then atomically publishes the working root as the
 // new epoch. Readers pinning a snapshot before the commit keep the previous
 // epoch's pages; readers pinning after see the new tree. Pages the epoch
@@ -61,7 +61,7 @@ func (t *Tree) workingState() *treeState {
 // overwritten in place, so a crash at any operation boundary leaves the
 // file recoverable at the last committed epoch.
 func (t *Tree) Commit() error {
-	// Data first: leaf entries flushed by the pool reference record
+	// Data first: leaf entries flushed by the write buffer reference record
 	// addresses that must be durable (and readable) no later than the
 	// nodes pointing at them.
 	if err := t.data.Flush(); err != nil {

@@ -28,7 +28,7 @@ type Options struct {
 	// MetaPage() to Open. Open ignores the field: a reopened tree always
 	// persists.
 	Persist bool
-	// BufferPages sizes the LRU pool (default 256).
+	// BufferPages bounds the write buffer's dirty pages (default 256).
 	BufferPages int
 	// MCSamples is n1 of Equation 3 for refinement (default 10000; the
 	// paper uses 10^6 — see DESIGN.md substitution 3).
@@ -44,9 +44,9 @@ type Options struct {
 	// DisableReinsert turns off R* forced reinsertion (ablation knob).
 	DisableReinsert bool
 	// NodeCacheEntries bounds the decoded-node cache: an LRU of packed
-	// nodes decoded from committed pages, shared lock-free across readers,
-	// sitting above the buffer pool so a hot traversal skips both the page
-	// lookup and the decode. A cached node costs about one page of heap,
+	// nodes decoded from committed pages, shared lock-free across readers —
+	// the tree's one read cache, so a hot traversal skips both the page
+	// read and the decode. A cached node costs about one page of heap,
 	// so the default of 1024 entries (selected by 0) is ≈ 4 MiB; negative
 	// disables the cache. Coherence is automatic — entries drop when the
 	// versioned store physically frees their page, and shadow pages are
@@ -203,7 +203,7 @@ func New(opt Options) (*Tree, error) {
 }
 
 // newTree is the constructor body New and Open share: it resolves the
-// runtime options and wires the versioned store, buffer pool, node cache
+// runtime options and wires the versioned store, write buffer, node cache
 // and capacities for a tree of the given structure. The caller still owes
 // the data file, the root and the first committed state.
 func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) (*Tree, error) {
@@ -307,8 +307,9 @@ func (t *Tree) ResetCounters() {
 	t.deleteStats = UpdateStats{}
 }
 
-// CacheStats reports the buffer pool's hit/miss counters, for throughput
-// reporting in batch query stats.
+// CacheStats reports the write buffer's hit/miss counters: node pages the
+// writer read back from its own dirty pages, and node pages read from the
+// store.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.pool.HitRate() }
 
 // attachNodeCache builds the decoded-node cache per Options.NodeCacheEntries

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// TestBufferPoolSingleFlight is the dedicated regression test for the
-// pool's single-flight read path: many goroutines missing on the same cold
-// page at once must coalesce into exactly one inner-store read, not a
-// thundering herd. The slow store holds the first read open long enough
-// that every contender arrives while it is still in flight. Run with -race.
-func TestBufferPoolSingleFlight(t *testing.T) {
+// TestBufferPoolConcurrentColdGets has many goroutines miss on the same
+// cold page at once over a slow store. Each reads the store itself — the
+// pool keeps no clean page and coalesces no reads — gets the right bytes,
+// and leaves nothing buffered. Run with -race.
+func TestBufferPoolConcurrentColdGets(t *testing.T) {
 	ms := NewMemStore()
 	id, err := ms.Alloc()
 	if err != nil {
@@ -51,19 +50,22 @@ func TestBufferPoolSingleFlight(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if reads, _, _, _ := ms.Stats().Snapshot(); reads != 1 {
-		t.Fatalf("%d inner-store reads for one page, want 1 (single-flight broken)", reads)
+	if reads, _, _, _ := ms.Stats().Snapshot(); reads != contenders {
+		t.Fatalf("%d inner-store reads for %d cold Gets, want one each", reads, contenders)
 	}
-	hits, misses := bp.HitRate()
-	if hits+misses != contenders {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, contenders)
+	if hits, misses := bp.HitRate(); hits != 0 || misses != contenders {
+		t.Fatalf("hit/miss counts %d/%d, want 0/%d", hits, misses, contenders)
+	}
+	if n := bp.Dirty(); n != 0 {
+		t.Fatalf("buffer holds %d pages after cold Gets, want 0", n)
 	}
 }
 
-// TestBufferPoolConcurrentGet hammers Get from many goroutines over a
-// working set larger than the pool, so hits, misses, evictions and the
-// lost-insert race all occur. Run with -race; this is the regression test
-// for the unsynchronized LRU the pool shipped with.
+// TestBufferPoolConcurrentGet hammers Get on committed pages from many
+// goroutines while a writer puts, reads back, invalidates and flushes its
+// own disjoint shadow pages past the buffer's bound — the tree's usage
+// under snapshot isolation. Readers must always see their page's bytes and
+// never be served from the buffer. Run with -race.
 func TestBufferPoolConcurrentGet(t *testing.T) {
 	s := NewMemStore()
 	const pages = 64
@@ -80,9 +82,14 @@ func TestBufferPoolConcurrentGet(t *testing.T) {
 		}
 		ids[i] = id
 	}
+	shadow := make([]PageID, 48)
+	for i := range shadow {
+		shadow[i], _ = s.Alloc()
+	}
+	reads0, _, _, _ := s.Stats().Snapshot()
 
-	bp := NewBufferPool(s, 16) // smaller than the working set: constant eviction
-	const workers = 16
+	bp := NewBufferPool(s, 16) // smaller than the writer's working set
+	const workers = 8
 	const getsPerWorker = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -101,27 +108,58 @@ func TestBufferPoolConcurrentGet(t *testing.T) {
 					t.Errorf("worker %d: Get(%d) returned page stamped %d", w, id, got[0])
 					return
 				}
-				if i%97 == 0 {
-					bp.Invalidate(id) // concurrent drops must not corrupt other readers
-				}
 			}
 		}(w)
 	}
+	var writerGets int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(99))
+		buf := make([]byte, PageSize)
+		for i := 0; i < 2000; i++ {
+			id := shadow[rng.Intn(len(shadow))]
+			buf[0] = byte(id)
+			if err := bp.Put(id, buf); err != nil {
+				t.Errorf("writer: Put(%d): %v", id, err)
+				return
+			}
+			got, err := bp.Get(id)
+			writerGets++
+			if err != nil || got[0] != byte(id) {
+				t.Errorf("writer: Get(%d) = %v, %v", id, got, err)
+				return
+			}
+			switch {
+			case i%97 == 0:
+				bp.Invalidate(id)
+			case i%301 == 0:
+				if err := bp.Flush(); err != nil {
+					t.Errorf("writer: Flush: %v", err)
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 
-	// Every Get counts exactly one hit or one miss.
+	// Every Get counts exactly one hit or one miss, and every miss is one
+	// store read.
 	hits, misses := bp.HitRate()
-	if hits+misses != workers*getsPerWorker {
+	if hits+misses != workers*getsPerWorker+writerGets {
 		t.Fatalf("hits+misses = %d+%d = %d, want %d",
-			hits, misses, hits+misses, workers*getsPerWorker)
+			hits, misses, hits+misses, workers*getsPerWorker+writerGets)
 	}
-	if misses == 0 {
-		t.Fatal("expected misses with a pool smaller than the working set")
+	if hits != writerGets {
+		t.Fatalf("%d hits, want the writer's %d reads of its own pages", hits, writerGets)
 	}
-	// Concurrent misses on one page coalesce into a single store read, so
-	// physical reads never exceed recorded misses.
-	physReads, _, _, _ := s.Stats().Snapshot()
-	if physReads > misses {
-		t.Fatalf("%d physical reads > %d misses: concurrent misses not coalesced", physReads, misses)
+	if reads, _, _, _ := s.Stats().Snapshot(); reads-reads0 != misses {
+		t.Fatalf("%d store reads for %d misses, want one each", reads-reads0, misses)
+	}
+	if err := bp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bp.Dirty(); n != 0 {
+		t.Fatalf("buffer holds %d pages after Flush, want 0", n)
 	}
 }

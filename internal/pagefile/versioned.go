@@ -88,13 +88,14 @@ func NewVersionedStore(inner Store, epoch uint64) *VersionedStore {
 	}
 }
 
-// AttachPool registers the buffer pool whose frames must be dropped when a
-// page is physically freed (reclaimed pages may be recycled by Alloc, and
-// a stale frame would leak the previous epoch's bytes into the new use).
+// AttachPool registers the write buffer whose pages must be dropped
+// unwritten when a page is physically freed (a freed shadow page's dirty
+// copy must never reach the store, and reclaimed pages may be recycled by
+// Alloc).
 func (v *VersionedStore) AttachPool(pool *BufferPool) { v.pool = pool }
 
 // AttachInvalidator registers an extra per-page invalidation hook, called
-// at exactly the points the buffer pool is invalidated: immediately before
+// at exactly the points the write buffer is invalidated: immediately before
 // a page is physically freed (and therefore before its id can be
 // recycled). The tree uses it to drop decoded-node cache entries. Attach
 // before any concurrent use; fn must be safe for concurrent calls.

@@ -18,8 +18,8 @@ import (
 // ShardedTree (each worker's query searches the shards in turn). The design follows the scalable filter/refinement
 // pipelines of Bernecker et al. (probabilistic similarity ranking): the
 // per-query work is already filter-then-refine, so throughput comes from
-// running many queries' pipelines concurrently against a page cache that
-// tolerates parallel readers.
+// running many queries' pipelines concurrently against a decoded-node
+// cache that tolerates parallel readers.
 
 // RangeQuery is one probabilistic range query in a batch.
 type RangeQuery struct {
@@ -64,13 +64,13 @@ type BatchStats struct {
 	MarginalPruned    int
 	ShapeDecided      int
 
-	// Buffer-pool deltas over the batch's wall-time window. The pool's
-	// counters are tree-wide, so when batches overlap on one tree — or
-	// writers run concurrently — these include the other parties' traffic;
-	// they are exact only for a batch running alone.
+	// Decoded-node-cache deltas over the batch's wall-time window. The
+	// cache's counters are tree-wide, so when batches overlap on one tree —
+	// or writers run concurrently — these include the other parties'
+	// traffic; they are exact only for a batch running alone.
 	CacheHits    int64
 	CacheMisses  int64
-	CacheHitRate float64 // hits / (hits+misses); 0 when the window had no pool I/O
+	CacheHitRate float64 // hits / (hits+misses); 0 when the window had no cache lookup
 
 	// Per-query wall-time latency distribution (nearest-rank percentiles
 	// over the batch). Latency is measured at the engine boundary — one
@@ -216,7 +216,7 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	h0, m0 := e.idx.CacheStats()
+	h0, m0 := e.idx.NodeCacheStats()
 	start := time.Now()
 
 	workers := e.workers
@@ -282,7 +282,7 @@ func (e *QueryEngine) run(ctx context.Context, n int, task func(ctx context.Cont
 	}
 	wg.Wait()
 
-	h1, m1 := e.idx.CacheStats()
+	h1, m1 := e.idx.NodeCacheStats()
 	stats := BatchStats{
 		Queries:     n,
 		Workers:     workers,
@@ -334,8 +334,8 @@ func (s *BatchStats) finish() {
 	if s.Results > 0 {
 		s.ValidatedPct = 100 * float64(s.Validated) / float64(s.Results)
 	}
-	if io := s.CacheHits + s.CacheMisses; io > 0 {
-		s.CacheHitRate = float64(s.CacheHits) / float64(io)
+	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
+		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
 	}
 	if s.WallTime > 0 {
 		s.QueriesPerSec = float64(s.Queries) / s.WallTime.Seconds()

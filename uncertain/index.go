@@ -63,8 +63,9 @@ type Index interface {
 	// Len returns the number of indexed objects in the last committed
 	// epoch.
 	Len() int
-	// CacheStats reports cumulative buffer-pool hits and misses (summed
-	// over shards for sharded indexes).
+	// CacheStats reports cumulative write-buffer hits (node pages the
+	// writer read back from its own dirty pages) and misses (node pages
+	// read from the store), summed over shards for sharded indexes.
 	CacheStats() (hits, misses int64)
 	// NodeCacheStats reports cumulative decoded-node-cache hits and misses
 	// (summed over shards for sharded indexes; both zero when

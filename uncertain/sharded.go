@@ -11,8 +11,8 @@ import (
 )
 
 // ShardedTree partitions the data domain into K equal slabs along
-// dimension 0, one independent Tree shard each, with its own store, buffer
-// pool and epoch. An object lives in the slab holding its pdf-MBR center.
+// dimension 0, one independent Tree shard each, with its own store, write
+// buffer and epoch. An object lives in the slab holding its pdf-MBR center.
 // A query searches the shards one after another on the caller's goroutine
 // and merges their answers (with Stats summed via core's merge helpers).
 // Every commit records its shard's root box, so a query skips a shard whose
@@ -420,7 +420,7 @@ func (s *ShardedTree) GCInfo() GCInfo {
 	return info
 }
 
-// CacheStats sums the shards' buffer-pool hit/miss counters.
+// CacheStats sums the shards' write-buffer hit/miss counters.
 func (s *ShardedTree) CacheStats() (hits, misses int64) {
 	for _, sh := range s.shards {
 		h, m := sh.CacheStats()

@@ -123,24 +123,27 @@ type Config struct {
 	Path string
 	// Seed for the refinement sampler (0 → 1).
 	Seed int64
-	// BufferPages sizes the page cache (0 → 256).
+	// BufferPages bounds the write buffer: the dirty node pages an open
+	// batch holds until its commit (0 → 256). A batch that dirties more
+	// writes its least recently used pages through early. The buffer keeps
+	// no clean page; reads are cached by the decoded-node cache alone.
 	BufferPages int
-	// NodeCacheEntries sizes the decoded-node cache sitting above the page
+	// NodeCacheEntries sizes the decoded-node cache, the tree's one read
 	// cache: committed tree pages are immutable under the copy-on-write
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
-	// physically reclaimed. A hit skips the page fetch and the node decode
-	// entirely — the query hot path runs allocation-free. A cached node
-	// costs about one page of heap, so the default of 1024 entries (0) is
-	// ≈ 4 MiB; negative disables the cache.
+	// physically reclaimed. A hit skips the page read and the node decode
+	// entirely — the query hot path runs allocation-free; a miss reads the
+	// store. A cached node costs about one page of heap, so the default of
+	// 1024 entries (0) is ≈ 4 MiB; negative disables the cache.
 	//
-	// It pays when the nodes queries visit fit in it: switched off on the
-	// benchmark's warm workloads, page reads per query rise 30–80 % and a
-	// warm query's median latency rises 1.5–2× on the 3-D sharded and
-	// churn workloads. When the tree is ~20× the cache (the cold CA
-	// workload) it saves under 1 % of reads. Its price is heap, about a
-	// page per cached node: in a heap profile of the warm workloads, a fifth
-	// of the live heap.
+	// Switched off on the benchmark's warm workloads (one run each on a
+	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
+	// and 50× on the 3-D sharded one, and a query's median latency rises
+	// 1.7× on the 3-D sharded and churn workloads. When the tree is ~20×
+	// the cache (the cold CA workload, 32 entries) it saves 16 % of reads.
+	// Its price is heap, about a page per cached node: a quarter to a
+	// third of the warm workloads' live heap.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory)
 	// before the versioning layer — the fault-injection and instrumentation
@@ -276,7 +279,8 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → core's versioning → buffer pool.
+// The stack is base → Config.WrapStore → core's versioning → write
+// buffer (dirty pages only); the decoded-node cache sits above it.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs, mbrs: make(map[int64]Rect)}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -415,11 +419,9 @@ func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...Quer
 	return snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
 }
 
-// Flush writes every buffered dirty page through to the store and drains
-// whatever retired epochs' pages the current snapshot pins allow (writer
-// lock). Useful before a read-heavy phase: a clean pool evicts without
-// write-backs, so concurrent searches never stall on flushing another
-// query's victim.
+// Flush writes every buffered dirty page through to the store, leaving the
+// write buffer empty, and drains whatever retired epochs' pages the current
+// snapshot pins allow (writer lock).
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -454,8 +456,10 @@ func (t *Tree) Height() int {
 // SizeBytes reports the total storage footprint (index + data pages).
 func (t *Tree) SizeBytes() int64 { return t.inner.SizeBytes() }
 
-// CacheStats reports the buffer pool's cumulative hit/miss counters
-// (atomic; callable concurrently with searches).
+// CacheStats reports the write buffer's cumulative hit/miss counters
+// (atomic; callable concurrently with searches). A hit is a node page the
+// writer read back from its own dirty pages, a miss a node page read from
+// the store; a query only misses. NodeCacheStats reports the read cache.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.inner.CacheStats() }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss
