@@ -9,6 +9,8 @@ package repro_test
 
 import (
 	"context"
+	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -262,9 +264,60 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := objs[i%len(objs)]
 		o.ID = int64(i) // unique ids as the bench loops past the dataset
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDeleteByID measures Tree.Delete(id) on an in-memory and a
+// file-backed tree bulk-loaded with LB at scale 0.05: the directory lookup,
+// the read of the object's record for its region, the descent, condensing
+// and the commit. Objects go in a fixed shuffled order; once half of them
+// are gone the tree is rebuilt with the timer stopped, so every delete
+// meets a tree of the same size range.
+func BenchmarkDeleteByID(b *testing.B) {
+	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.05, Seed: 1})
+	batch := make(map[int64]uncertain.PDF, len(objs))
+	for _, o := range objs {
+		batch[o.ID] = o.PDF
+	}
+	order := rand.New(rand.NewSource(3)).Perm(len(objs))[:len(objs)/2]
+	for _, store := range []string{"mem", "file"} {
+		b.Run(store, func(b *testing.B) {
+			var tree *uncertain.Tree
+			build := func() {
+				if tree != nil {
+					tree.Close()
+				}
+				cfg := uncertain.Config{Dimensions: 2}
+				if store == "file" {
+					cfg.Path = filepath.Join(b.TempDir(), "delete.utree")
+				}
+				var err error
+				if tree, err = uncertain.NewTree(cfg); err != nil {
+					b.Fatal(err)
+				}
+				if err := tree.BulkLoad(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			build()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(order)
+				if k == 0 && i > 0 {
+					b.StopTimer()
+					build()
+					b.StartTimer()
+				}
+				if err := tree.Delete(objs[order[k]].ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			tree.Close()
+		})
 	}
 }
 
@@ -279,7 +332,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 		}
 		objs := makeObjects(200, 1000, rand.New(rand.NewSource(11)))
 		for _, o := range objs {
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 			if !batch {
@@ -60,7 +60,7 @@ func TestCommitRollbackVisibility(t *testing.T) {
 	}
 	objs := makeObjects(3, 1000, rand.New(rand.NewSource(3)))
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func TestCommitRollbackVisibility(t *testing.T) {
 		t.Fatalf("rollback left Len=%d", tree.Len())
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestGCInfoCounters(t *testing.T) {
 	}
 	objs := makeObjects(400, 1000, rand.New(rand.NewSource(5)))
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

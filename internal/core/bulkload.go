@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/pagefile"
 )
 
 // BulkLoad builds the index bottom-up from a dataset in three stages:
@@ -28,18 +30,19 @@ import (
 // pages, fewer query I/Os) at a fraction of the build cost; the tree stays
 // fully dynamic afterwards (later Inserts append at the data file's tail).
 // The result is a function of the object order alone. It can only be called
-// on an empty tree.
-func (t *Tree) BulkLoad(objects []Object) error {
+// on an empty tree. It returns the records' addresses, addrs[i] objects[i]'s.
+func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 	if t.size != 0 {
-		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", t.size)
+		return nil, fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", t.size)
 	}
 	if len(objects) == 0 {
-		return nil
+		return nil, nil
 	}
 	entries, err := t.buildLeafEntries(objects)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	addrs := make([]pagefile.DataAddr, len(objects))
 
 	med := t.cat.MedianIndex()
 	centersOf := func(es []entry, leaf bool) []float64 {
@@ -71,8 +74,9 @@ func (t *Tree) BulkLoad(objects []Object) error {
 			for _, g := range groups {
 				for _, i := range g {
 					if current[i].addr, err = t.appendRecord(objects[i]); err != nil {
-						return err
+						return nil, err
 					}
+					addrs[i] = current[i].addr
 				}
 			}
 		}
@@ -80,14 +84,14 @@ func (t *Tree) BulkLoad(objects []Object) error {
 		for _, g := range groups {
 			n, err := t.allocNode(level)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			n.entries = make([]entry, len(g))
 			for k, i := range g {
 				n.entries[k] = current[i]
 			}
 			if err := t.writeNode(n); err != nil {
-				return err
+				return nil, err
 			}
 			next = append(next, entry{child: n.page, boxes: t.nodeBoundary(n)})
 		}
@@ -103,7 +107,7 @@ func (t *Tree) BulkLoad(objects []Object) error {
 			t.rootLevel = level
 			t.rootMBR = t.boxAt(next[0].boxes, 0)
 			t.size = len(objects)
-			return nil
+			return addrs, nil
 		}
 		current = next
 	}

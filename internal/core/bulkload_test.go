@@ -20,7 +20,7 @@ func bulkTree(t *testing.T, opt Options, objs []Object) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BulkLoad(objs); err != nil {
+	if _, err := tree.BulkLoad(objs); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -172,7 +172,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := store.NumPages()
-	if err := tree.BulkLoad(bad); err == nil {
+	if _, err := tree.BulkLoad(bad); err == nil {
 		t.Fatal("mis-dimensioned object accepted")
 	}
 	if got := store.NumPages(); got != pages {
@@ -181,7 +181,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Fatalf("failed load left %d objects", tree.Len())
 	}
-	if err := tree.BulkLoad(objs); err != nil {
+	if _, err := tree.BulkLoad(objs); err != nil {
 		t.Fatalf("load after a failed load: %v", err)
 	}
 	if tree.Len() != len(objs) {
@@ -207,7 +207,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.BulkLoad(objs); err != nil {
+		if _, err := tree.BulkLoad(objs); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.Commit(); err != nil {
@@ -258,7 +258,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		if !bytes.Equal(fb, rb) {
 			t.Fatalf("object %d (%s): entry in the reopened tree differs from the fresh tree's:\n % x\n % x", o.ID, o.PDF.ShapeKey(), rb, fb)
 		}
-		if err := re.Insert(o); err != nil {
+		if _, err := re.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func buildTree(t *testing.T, kind Kind, objs []Object, catalogSize int) *Tree {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatalf("insert %d: %v", o.ID, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestDeleteAllLeavesEmptyUsableTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Still usable.
-	if err := tree.Insert(objs[0]); err != nil {
+	if _, err := tree.Insert(objs[0]); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := rangeQuery(tree, Query{
@@ -290,7 +290,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 			o := makeObjects(1, 600, rng)[0]
 			o.ID = nextID
 			nextID++
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			live[o.ID] = o
@@ -454,7 +454,7 @@ func TestNewValidation(t *testing.T) {
 func TestInsertDimMismatch(t *testing.T) {
 	tree, _ := New(Options{Dim: 2})
 	o := Object{ID: 1, PDF: updf.NewUniformBall(geom.Point{0, 0, 0}, 1)}
-	if err := tree.Insert(o); err == nil {
+	if _, err := tree.Insert(o); err == nil {
 		t.Error("3D object accepted by 2D tree")
 	}
 }
@@ -471,7 +471,7 @@ func Test3DTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -506,7 +506,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +539,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	// Reopened tree accepts further updates.
 	extra := makeObjects(1, 600, rng)[0]
 	extra.ID = 999999
-	if err := re.Insert(extra); err != nil {
+	if _, err := re.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Delete(extra.ID, extra.PDF.MBR()); err != nil {
@@ -560,7 +560,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -625,7 +625,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	extra := makeObjects(5, 600, rng)
 	for i := range extra {
 		extra[i].ID = int64(1000 + i)
-		if err := re.Insert(extra[i]); err != nil {
+		if _, err := re.Insert(extra[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -712,13 +712,13 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	n := 2 * tree.leafCap
 	objs := makeObjects(n+1, 300, rng)
 	for _, o := range objs[:n] {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Trip the store and verify errors propagate rather than panic.
 	fault.Arm(0)
-	if err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
+	if _, err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fault.Arm(0)
@@ -752,7 +752,7 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, o := range objs {
-				if err := tree.Insert(o); err != nil {
+				if _, err := tree.Insert(o); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -878,7 +878,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

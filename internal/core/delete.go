@@ -44,7 +44,25 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	return nil
 }
 
-// findLeaf locates the leaf containing (id, mbr). A subtree can hold the
+// RecordMBR reads the record at addr, as Insert or BulkLoad returned it,
+// and returns the ID and region MBR it holds: the key to Delete for a
+// caller that keeps record addresses. Records are write-once, so an address
+// holds while its object lives; one still in the append cache is read there.
+func (t *Tree) RecordMBR(addr pagefile.DataAddr) (int64, geom.Rect, error) {
+	rec, err := t.data.Read(addr)
+	var o Object
+	if err == nil {
+		o, err = decodeObject(rec)
+	}
+	if err != nil {
+		return 0, geom.Rect{}, err
+	}
+	return o.ID, o.PDF.MBR(), nil
+}
+
+// findLeaf locates the leaf containing (id, mbr), mbr being the region MBR
+// of the object's record (RecordMBR), which the leaf entry's MBR equals
+// exactly: the entry was built from the same pdf. A subtree can hold the
 // entry only if its boundary box at p_1 = 0 contains the object's MBR: a
 // leaf entry's cfb_out(0) (U-tree) or pcr(0) (U-PCR) covers the region MBR,
 // and intermediate boxes cover those in turn. The descent tolerates the

@@ -109,7 +109,7 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 			o := makeObjects(1, 1000, wrng)[0]
 			o.ID = id
 			id++
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				writerDone <- err
 				return
 			}
@@ -270,7 +270,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func TestPageBufferEmptyAtRest(t *testing.T) {
 
 	for i, o := range makeObjects(40, 3000, rng) {
 		o.ID = int64(len(objs) + i)
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.Delete(objs[i].ID, objs[i].PDF.MBR()); err != nil {
@@ -114,7 +114,7 @@ func TestPageBufferBatchWritesEachPageOnce(t *testing.T) {
 		o := makeObjects(1, span, rng)[0]
 		o.ID = next
 		next++
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 		// Delete until the batch has read more clean pages than the bound.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
 )
@@ -128,11 +127,11 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 // and the store can return exactly the complement of this set (plus its
 // own metadata) to the free list.
 //
-// A non-nil object receives the id and region MBR of every leaf entry on
-// the way, read off the same leaf pages — the (id, mbr) pairs Delete
-// needs, recovered at open without another page read. The MBR is a copy;
-// the decoded node's own slices are shared with the node cache.
-func (t *Tree) ReachablePages(object func(id int64, mbr geom.Rect)) (map[pagefile.PageID]bool, error) {
+// A non-nil object receives the id and record address of every leaf entry
+// on the way, read off the same leaf pages — the ID directory, recovered at
+// open without another page read (RecordMBR turns an address back into
+// the MBR Delete descends on).
+func (t *Tree) ReachablePages(object func(id int64, addr pagefile.DataAddr)) (map[pagefile.PageID]bool, error) {
 	reach := make(map[pagefile.PageID]bool)
 	err := t.walk(t.rootPage, func(n *node) error {
 		reach[n.page] = true
@@ -143,7 +142,7 @@ func (t *Tree) ReachablePages(object func(id int64, mbr geom.Rect)) (map[pagefil
 					reach[e.addr.Page] = true
 				}
 				if object != nil {
-					object(e.id, e.mbr.Clone())
+					object(e.id, e.addr)
 				}
 			}
 		}

@@ -67,7 +67,7 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 			far := Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}
 			for i := 0; i < 200; i++ {
 				far.ID++
-				if err := tree.Insert(far); err != nil {
+				if _, err := tree.Insert(far); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -169,7 +169,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, BufferPages: 4, NodeCacheEntries: 8}, objs)
 			// One more record elsewhere, so that no damaged page below is the
 			// data file's cached append page.
-			if err := tree.Insert(Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}); err != nil {
+			if _, err := tree.Insert(Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}); err != nil {
 				t.Fatal(err)
 			}
 			q, k := geom.Point{210, 190}, 12

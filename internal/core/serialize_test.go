@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
+	"repro/internal/updf"
 )
 
 // randRectIn produces a well-formed rectangle inside [0, span]^d.
@@ -383,6 +384,107 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
+// FuzzDataRecord feeds arbitrary bytes to the data-page record codec, which
+// a delete now runs on the write path: as a data page (short or full) and
+// a slot through RecordFromPage and the object decoder, which must return
+// an error or a record inside the page whose decoded pdf has an MBR —
+// never panic; and as a record, appended after slot%8 others, which must
+// read back byte-equal from the append cache, from the store and from its
+// page, or be refused when it is empty or does not fit a page.
+func FuzzDataRecord(f *testing.F) {
+	box := geom.NewRect(geom.Point{1, 2}, geom.Point{5, 9})
+	pdfs := []updf.PDF{
+		updf.NewUniformBall(geom.Point{3, 4}, 2),
+		updf.NewConGauBall(geom.Point{3, 4, 5}, 2, 1),
+		updf.NewUniformRect(box),
+		updf.NewGaussRect(box, geom.Point{2, 5}, []float64{1, 2}),
+		updf.NewExpoRect(box, []float64{0.5, 2}),
+		updf.NewUniformPolygon([]geom.Point{{0, 0}, {4, 0}, {2, 3}}),
+		updf.NewHistogramRect(box, []int{2, 2}, []float64{1, 2, 3, 4}),
+		updf.NewMixture([]updf.PDF{updf.NewUniformBall(geom.Point{3, 4}, 2), updf.NewUniformRect(box)}, []float64{1, 3}),
+	}
+	df := pagefile.NewDataFile(pagefile.NewMemStore())
+	var addr pagefile.DataAddr
+	for i, p := range pdfs {
+		rec, err := encodeObject(Object{ID: int64(i) + 100, PDF: p})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if addr, err = df.Append(rec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec, addr.Slot)
+	}
+	if err := df.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	page, err := df.ReadPage(addr.Page) // every seed record is on it
+	if err != nil {
+		f.Fatal(err)
+	}
+	for slot := uint16(0); slot <= uint16(len(pdfs)); slot++ {
+		f.Add(page, slot)
+	}
+	f.Add(page[:40], uint16(3))                     // slot table cut short
+	f.Add([]byte{0xFF, 0xFF, 0, 0}, uint16(0xFFFE)) // count beyond the page
+	f.Add([]byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, slot uint16) {
+		full := make([]byte, pagefile.PageSize)
+		copy(full, data)
+		for _, page := range [][]byte{data, full} {
+			rec, err := pagefile.RecordFromPage(page, slot)
+			if err != nil {
+				if !errors.Is(err, pagefile.ErrBadSlot) {
+					t.Fatalf("slot %d of a %d-byte page: %v, want ErrBadSlot", slot, len(page), err)
+				}
+				continue
+			}
+			if len(rec) == 0 || len(rec) > len(page) {
+				t.Fatalf("slot %d of a %d-byte page: a %d-byte record", slot, len(page), len(rec))
+			}
+			if o, err := decodeObject(rec); err == nil {
+				_ = o.PDF.MBR()
+			}
+		}
+
+		df := pagefile.NewDataFile(pagefile.NewMemStore())
+		for i := 0; i < int(slot%8); i++ {
+			if _, err := df.Append([]byte{byte(i), 1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr, err := df.Append(data)
+		if fits := len(data) > 0 && 4+4+len(data) <= pagefile.PageSize; !fits {
+			if err == nil {
+				t.Fatalf("a %d-byte record was appended", len(data))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("append of a %d-byte record: %v", len(data), err)
+		}
+		check := func(from string, rec []byte, err error) {
+			t.Helper()
+			if err != nil || !bytes.Equal(rec, data) {
+				t.Fatalf("record read back %s: %d bytes, err %v; appended %d", from, len(rec), err, len(data))
+			}
+		}
+		rec, err := df.Read(addr)
+		check("from the append cache", rec, err)
+		if err := df.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		df.SetCurrent(pagefile.InvalidPage) // drop the cache: reads go to the store
+		rec, err = df.Read(addr)
+		check("from the store", rec, err)
+		page, err := df.ReadPage(addr.Page)
+		if err == nil {
+			rec, err = pagefile.RecordFromPage(page, addr.Slot)
+		}
+		check("from its page", rec, err)
+	})
+}
+
 // TestWritersLeaveCachedNodesAlone: the writers edit nodes they decode
 // privately, never a packed node the cache shares with lock-free readers.
 // Copies of every node the cache held, taken after queries filled it, still
@@ -418,13 +520,13 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 		}
 		for _, o := range objs[:600] {
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}
 		fill()
 		for i, o := range objs[600:] { // splits
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 			if i%100 == 99 {
@@ -440,7 +542,7 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 		}
 		for _, o := range objs[:300] { // a batch rolled back
-			if err := tree.Insert(o); err != nil {
+			if _, err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}

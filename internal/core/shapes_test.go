@@ -108,7 +108,7 @@ func TestShapeDecisionsChangeNothingButReads(t *testing.T) {
 			} else {
 				tree, _ = New(tc.opt)
 				for _, o := range objs {
-					if err := tree.Insert(o); err != nil {
+					if _, err := tree.Insert(o); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -206,10 +206,10 @@ func TestShapeTablePersists(t *testing.T) {
 	}
 	// An old shape keeps its reference, a new one goes behind the old ones,
 	// and the next commit persists it.
-	if err := re.Insert(Object{ID: 5000, PDF: updf.NewUniformBall(geom.Point{40, 40}, 25)}); err != nil {
+	if _, err := re.Insert(Object{ID: 5000, PDF: updf.NewUniformBall(geom.Point{40, 40}, 25)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Insert(Object{ID: 5001, PDF: updf.NewUniformBall(geom.Point{50, 50}, 3.5)}); err != nil {
+	if _, err := re.Insert(Object{ID: 5001, PDF: updf.NewUniformBall(geom.Point{50, 50}, 3.5)}); err != nil {
 		t.Fatal(err)
 	}
 	if refs := leafShapes(t, re); refs[5000] != leafShapes(t, tree)[0] || refs[5001] != 7 {
@@ -304,7 +304,7 @@ func TestOpenUTR2(t *testing.T) {
 		t.Fatal("the first commit (rangeQuery's) did not make the file UTR3")
 	}
 	near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
-	if err := old.Insert(near); err != nil {
+	if _, err := old.Insert(near); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Commit(); err != nil {
@@ -340,11 +340,11 @@ func TestShapeTableOverflow(t *testing.T) {
 		c := geom.Point{rng.Float64() * 500, rng.Float64() * 500}
 		objs[i] = Object{ID: int64(i), PDF: updf.NewUniformBall(c, 5+float64(i)/16)} // a shape each
 	}
-	if err := tree.BulkLoad(objs[:300]); err != nil {
+	if _, err := tree.BulkLoad(objs[:300]); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range objs[300:] {
-		if err := tree.Insert(o); err != nil {
+		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +403,7 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 	}
 
 	for i := 0; i < 40; i++ { // a new shape, right inside the query
-		if err := tree.Insert(Object{ID: int64(9000 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 7)}); err != nil {
+		if _, err := tree.Insert(Object{ID: int64(9000 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 7)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 		t.Fatalf("rollback left %d shapes (the new one still known: %v)", len(tree.shapes), there)
 	}
 	for i := 0; i < 40; i++ {
-		if err := tree.Insert(Object{ID: int64(9100 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 9)}); err != nil {
+		if _, err := tree.Insert(Object{ID: int64(9100 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 9)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,7 +526,7 @@ func FuzzOpenMeta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := tree.BulkLoad(shapedObjects(120, 300, rand.New(rand.NewSource(47)))); err != nil {
+	if _, err := tree.BulkLoad(shapedObjects(120, 300, rand.New(rand.NewSource(47)))); err != nil {
 		f.Fatal(err)
 	}
 	if err := tree.Commit(); err != nil {

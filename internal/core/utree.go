@@ -409,21 +409,22 @@ func (t *Tree) appendRecord(o Object) (pagefile.DataAddr, error) {
 }
 
 // Insert adds an object to the index. The object's details (pdf parameters)
-// are appended to the data file and referenced from the leaf entry.
-func (t *Tree) Insert(o Object) error {
+// are appended to the data file and referenced from the leaf entry; the
+// record's address is returned (see RecordMBR).
+func (t *Tree) Insert(o Object) (pagefile.DataAddr, error) {
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
 	e, err := t.buildLeafEntry(o)
 	if err != nil {
-		return err
+		return pagefile.DataAddr{}, err
 	}
 	if e.addr, err = t.appendRecord(o); err != nil {
-		return err
+		return pagefile.DataAddr{}, err
 	}
 
 	if err := t.insertEntry(e, 0, make(map[int]bool)); err != nil {
-		return err
+		return pagefile.DataAddr{}, err
 	}
 	t.size++
 
@@ -431,7 +432,7 @@ func (t *Tree) Insert(o Object) error {
 	t.insertStats.PageReads += t.nodeReads.Load() - r0
 	t.insertStats.PageWrites += t.nodeWrites.Load() - w0
 	t.insertStats.CPUTime += time.Since(start)
-	return nil
+	return e.addr, nil
 }
 
 // pathElem records one step of a root-to-node descent.

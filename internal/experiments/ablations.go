@@ -44,7 +44,7 @@ func ablationBuild(cfg Config, name dataset.Name, mutate func(*core.Options)) (*
 		return nil, nil, err
 	}
 	for _, o := range objs {
-		if err := t.Insert(o); err != nil {
+		if _, err := t.Insert(o); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -138,7 +138,7 @@ func buildTree(name dataset.Name, kind core.Kind, catalogSize int, cfg Config) (
 		return nil, nil, err
 	}
 	for _, o := range objs {
-		if err := t.Insert(o); err != nil {
+		if _, err := t.Insert(o); err != nil {
 			return nil, nil, fmt.Errorf("building %s/%v: %w", name, kind, err)
 		}
 	}

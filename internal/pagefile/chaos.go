@@ -3,6 +3,7 @@ package pagefile
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,6 +101,9 @@ type ChaosRule struct {
 	// Bit is the payload bit a FaultBitFlip rule flips; < 0 picks a random
 	// bit per trigger.
 	Bit int
+	// Pages, when set, limits the rule to operations on these pages; an
+	// Alloc names no page, so such a rule never matches one.
+	Pages []PageID
 }
 
 // chaosRule is a rule plus its mutable trigger state, under ChaosStore.mu.
@@ -190,15 +194,15 @@ type chaosAction struct {
 	delay time.Duration // accumulated latency-rule stalls
 }
 
-// decide evaluates the rules for op. Latency rules accumulate into the
-// action's delay and evaluation continues; the first other rule that fires
-// wins.
-func (cs *ChaosStore) decide(op ChaosOp) chaosAction {
+// decide evaluates the rules for op on page id (InvalidPage for an
+// Alloc). Latency rules accumulate into the action's delay and evaluation
+// continues; the first other rule that fires wins.
+func (cs *ChaosStore) decide(op ChaosOp, id PageID) chaosAction {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	var act chaosAction
 	for _, r := range cs.rules {
-		if r.Op != OpAny && r.Op != op {
+		if r.Op != OpAny && r.Op != op || len(r.Pages) > 0 && !slices.Contains(r.Pages, id) {
 			continue
 		}
 		// Bit-flip rules installed with OpAny still only apply to reads
@@ -242,7 +246,7 @@ func (cs *ChaosStore) decide(op ChaosOp) chaosAction {
 }
 
 func (cs *ChaosStore) Alloc() (PageID, error) {
-	act := cs.decide(OpAlloc)
+	act := cs.decide(OpAlloc, InvalidPage)
 	if act.delay > 0 {
 		time.Sleep(act.delay)
 	}
@@ -253,7 +257,7 @@ func (cs *ChaosStore) Alloc() (PageID, error) {
 }
 
 func (cs *ChaosStore) Read(id PageID, buf []byte) error {
-	act := cs.decide(OpRead)
+	act := cs.decide(OpRead, id)
 	if act.delay > 0 {
 		time.Sleep(act.delay)
 	}
@@ -281,7 +285,7 @@ func (cs *ChaosStore) Read(id PageID, buf []byte) error {
 }
 
 func (cs *ChaosStore) Write(id PageID, buf []byte) error {
-	act := cs.decide(OpWrite)
+	act := cs.decide(OpWrite, id)
 	if act.delay > 0 {
 		time.Sleep(act.delay)
 	}
@@ -305,7 +309,7 @@ func (cs *ChaosStore) Write(id PageID, buf []byte) error {
 }
 
 func (cs *ChaosStore) Free(id PageID) error {
-	act := cs.decide(OpFree)
+	act := cs.decide(OpFree, id)
 	if act.delay > 0 {
 		time.Sleep(act.delay)
 	}

@@ -16,10 +16,10 @@ import (
 // Appends are write-combined: the current append page is cached in memory
 // and mutated there, and Flush writes it to the store once — so a group
 // commit of N inserts costs one data-page write, not N read-modify-writes.
-// Reads (Read/ReadPage) always go to the store and never see the cache;
-// the owner flushes before any read that must observe uncommitted appends
-// (working-root queries) and before every commit, so snapshot readers —
-// which run lock-free against committed pages — never race the cache.
+// ReadPage always goes to the store (Read serves the append page's records
+// from the cache); the owner flushes before any page read that must observe
+// uncommitted appends (working-root queries) and before every commit, so
+// snapshot readers — lock-free on committed pages — never race the cache.
 //
 // Records are write-once: nothing rewrites a page the file has stopped
 // appending to, and deleting an object leaves its record where it is. The
@@ -139,9 +139,12 @@ func unmarkInPlace(s Store, id PageID) {
 }
 
 // Append stores rec in the in-memory append cache and returns its address;
-// the bytes reach the store at the next Flush. Records larger than a
-// page's usable space are rejected.
+// the bytes reach the store at the next Flush. Empty records and records
+// larger than a page's usable space are rejected.
 func (df *DataFile) Append(rec []byte) (DataAddr, error) {
+	if len(rec) == 0 {
+		return DataAddr{}, errors.New("pagefile: empty record (its slot would read as deleted)")
+	}
 	need := len(rec) + 4 // record + slot entry
 	if dataHeader+need > PageSize {
 		return DataAddr{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
@@ -203,8 +206,16 @@ func (df *DataFile) tryAppend(rec []byte) (DataAddr, bool) {
 	return DataAddr{Page: df.current, Slot: uint16(count)}, true
 }
 
-// Read returns one record, in a page of its own.
+// Read returns one record, in a buffer of its own: from the append cache if
+// it is on the append page, which the store may not have seen yet.
 func (df *DataFile) Read(addr DataAddr) ([]byte, error) {
+	df.mu.Lock()
+	if addr.Page == df.current && df.buf != nil {
+		rec, err := RecordFromPage(df.buf, addr.Slot)
+		df.mu.Unlock()
+		return append([]byte(nil), rec...), err
+	}
+	df.mu.Unlock()
 	buf := make([]byte, PageSize)
 	if err := df.store.Read(addr.Page, buf); err != nil {
 		return nil, err
@@ -226,22 +237,23 @@ func (df *DataFile) ReadPage(id PageID) ([]byte, error) {
 // ReadPage, without further I/O and without a copy: the record where it lies
 // in the page, for the caller that holds the page (the query paths decode a
 // record and are done with it). Read is the form whose result is the
-// caller's to keep.
+// caller's to keep. Whatever the bytes, it never reads past buf: a slot it
+// cannot return is ErrBadSlot.
 func RecordFromPage(buf []byte, slot uint16) ([]byte, error) {
-	count := binary.LittleEndian.Uint16(buf[0:])
-	if slot >= count {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, slot, count)
+	ent := dataHeader + 4*int(slot) // the slot's directory entry
+	if ent+4 > len(buf) || slot >= binary.LittleEndian.Uint16(buf) {
+		return nil, fmt.Errorf("%w: slot %d beyond the slot table", ErrBadSlot, slot)
 	}
-	off := int(binary.LittleEndian.Uint16(buf[dataHeader+4*int(slot):]))
-	ln := int(binary.LittleEndian.Uint16(buf[dataHeader+4*int(slot)+2:]))
+	off := int(binary.LittleEndian.Uint16(buf[ent:]))
+	ln := int(binary.LittleEndian.Uint16(buf[ent+2:]))
 	// A zero length is a tombstone from a file written before deletes
 	// stopped touching the data file (or corruption); a leaf entry never
 	// points at one.
 	if ln == 0 {
 		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, slot)
 	}
-	if off+ln > PageSize {
-		return nil, fmt.Errorf("pagefile: corrupt slot %d (off=%d len=%d)", slot, off, ln)
+	if off+ln > len(buf) {
+		return nil, fmt.Errorf("%w: corrupt slot %d (off=%d len=%d)", ErrBadSlot, slot, off, ln)
 	}
 	return buf[off : off+ln : off+ln], nil
 }

@@ -160,6 +160,33 @@ func TestChaosStoreTransientCountdown(t *testing.T) {
 	}
 }
 
+// TestChaosStorePageRule: a rule naming pages fires on operations on those
+// pages only, and never on an Alloc, which names none.
+func TestChaosStorePageRule(t *testing.T) {
+	cs := NewChaosStore(NewMemStore(), 1)
+	a, _ := cs.Alloc()
+	b, _ := cs.Alloc()
+	h := cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Sticky: true, Pages: []PageID{b}})
+	if _, err := cs.Alloc(); err != nil {
+		t.Fatalf("alloc under a page rule: %v", err)
+	}
+	buf := make([]byte, PageSize)
+	for i := 0; i < 2; i++ {
+		if err := cs.Write(a, buf); err != nil {
+			t.Fatalf("write of page %d: %v", a, err)
+		}
+		if err := cs.Read(a, buf); err != nil {
+			t.Fatalf("read of page %d: %v", a, err)
+		}
+		if err := cs.Read(b, buf); !errors.Is(err, ErrInjected) {
+			t.Fatalf("read of the rule's page %d: %v, want ErrInjected", b, err)
+		}
+	}
+	if h.Triggered() != 2 {
+		t.Fatalf("triggered = %d, want 2", h.Triggered())
+	}
+}
+
 func TestChaosStoreProbabilisticDeterminism(t *testing.T) {
 	run := func() int64 {
 		inner := NewMemStore()

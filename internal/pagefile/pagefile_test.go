@@ -398,17 +398,25 @@ func TestDataFileAppendRead(t *testing.T) {
 		}
 		addrs[i] = a
 	}
-	// Appends are write-combined; reads go to the store, so flush first.
-	if err := df.Flush(); err != nil {
+	// Appends are write-combined: before the flush the store's copy of the
+	// page holds none of them, and Read serves them from the append cache.
+	if page, err := df.ReadPage(addrs[0].Page); err != nil {
 		t.Fatal(err)
+	} else if _, err := RecordFromPage(page, addrs[0].Slot); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("unflushed record in the store's page: %v, want ErrBadSlot", err)
 	}
-	for i, a := range addrs {
-		got, err := df.Read(a)
-		if err != nil {
-			t.Fatal(err)
+	for flushed := range 2 {
+		for i, a := range addrs {
+			got, err := df.Read(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, recs[i]) {
+				t.Fatalf("record %d mismatch (flushed %d)", i, flushed)
+			}
 		}
-		if !bytes.Equal(got, recs[i]) {
-			t.Fatalf("record %d mismatch", i)
+		if err := df.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// Small records share a page.
@@ -444,6 +452,10 @@ func TestDataFileTooLarge(t *testing.T) {
 	df := NewDataFile(s)
 	if _, err := df.Append(make([]byte, PageSize)); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
+	}
+	// An empty record's slot would read as a deleted one.
+	if _, err := df.Append(nil); err == nil {
+		t.Fatal("empty record appended")
 	}
 }
 

@@ -2,8 +2,11 @@ package uncertain
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/pagefile"
 )
 
 // Tests of object addressing: an ID names one object in the whole index,
@@ -28,6 +31,57 @@ func addressingIndexes(t *testing.T) map[string]Index {
 		sharded.Close()
 	})
 	return map[string]Index{"tree": tree, "sharded": sharded}
+}
+
+// directoryMatchesLeaves walks the working tree under the writer lock and
+// returns an error unless the ID directory holds exactly the leaves' IDs,
+// each at its leaf entry's record address. An error of the walk itself (a
+// store fault) is returned as it is.
+func directoryMatchesLeaves(tr *Tree) error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	leaves := make(map[int64]pagefile.DataAddr, len(tr.addrs))
+	var bad []string
+	if _, err := tr.inner.ReachablePages(func(id int64, addr pagefile.DataAddr) {
+		if _, dup := leaves[id]; dup {
+			bad = append(bad, fmt.Sprintf("id %d in two leaf entries", id))
+		}
+		leaves[id] = addr
+		if got, ok := tr.addrs[id]; !ok || got != addr {
+			bad = append(bad, fmt.Sprintf("id %d: leaf entry at %+v, directory %+v (live %v)", id, addr, got, ok))
+		}
+	}); err != nil {
+		return err
+	}
+	for id := range tr.addrs {
+		if _, ok := leaves[id]; !ok {
+			bad = append(bad, fmt.Sprintf("directory id %d in no leaf", id))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("directory and leaves disagree (%d leaf entries, %d directory IDs): %d mismatches, first: %s",
+			len(leaves), len(tr.addrs), len(bad), bad[0])
+	}
+	return nil
+}
+
+// assertDirectory fails t unless the directory of idx (of every shard of a
+// ShardedTree) matches its leaves. A walk that hits an injected store fault
+// is re-issued.
+func assertDirectory(t *testing.T, what string, idx Index) {
+	t.Helper()
+	trees := []*Tree{}
+	switch x := idx.(type) {
+	case *Tree:
+		trees = append(trees, x)
+	case *ShardedTree:
+		trees = x.shards
+	default:
+		t.Fatalf("%s: no directory in a %T", what, idx)
+	}
+	for _, tr := range trees {
+		untilAnswered(t, what+": directory", func() error { return directoryMatchesLeaves(tr) })
+	}
 }
 
 // west and east lie in the first and the last of fixtureDomain's four slabs.
@@ -58,6 +112,7 @@ func TestWriteBatchNotFoundRollsBack(t *testing.T) {
 			if got := idx.Len(); got != 1 {
 				t.Fatalf("failed batch left Len %d, want 1", got)
 			}
+			assertDirectory(t, "after the failed batch", idx)
 			if err := idx.Insert(3, east); err != nil {
 				t.Fatal(err)
 			}
@@ -82,6 +137,7 @@ func TestWriteBatchNotFoundRollsBack(t *testing.T) {
 			if got := idx.Len(); got != 3 {
 				t.Fatalf("Len %d after a batch that ignored ErrNotFound, want 3", got)
 			}
+			assertDirectory(t, "after the committed batch", idx)
 			if err := idx.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -179,6 +235,7 @@ func TestDeleteByIDAfterReopen(t *testing.T) {
 	if got := tree.Len(); got != len(objects) {
 		t.Fatalf("reopened Len %d, want %d", got, len(objects))
 	}
+	assertDirectory(t, "reopened", tree)
 	for id := range objects {
 		if id == 1 {
 			continue
@@ -211,5 +268,247 @@ func TestDeleteByIDAfterReopen(t *testing.T) {
 	defer tree.Close()
 	if got := tree.Len(); got != 0 {
 		t.Fatalf("emptied file reopens with Len %d", got)
+	}
+}
+
+// deleteByIDConfigs are the two stores a Tree can sit on.
+func deleteByIDConfigs(t *testing.T) map[string]Config {
+	return map[string]Config{
+		"mem":  {Dimensions: 2, ExactRefinement: true},
+		"file": {Dimensions: 2, ExactRefinement: true, Path: filepath.Join(t.TempDir(), "delete.utree")},
+	}
+}
+
+// TestDeleteByIDInsertedInSameBatch: Delete reads the object's region from
+// its record, and a record appended earlier in the same WriteBatch is still
+// only in the data file's append cache — the store's copy of the page does
+// not hold it yet. The delete must read it from there.
+func TestDeleteByIDInsertedInSameBatch(t *testing.T) {
+	for name, cfg := range deleteByIDConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			tree, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			if err := tree.BulkLoad(shardedFixtureObjects(200, 31)); err != nil {
+				t.Fatal(err)
+			}
+			queries := shardedFixtureQueries(20, 32)
+			want := searchInOrder(t, tree, queries)
+			if err := tree.WriteBatch(func(w BatchWriter) error {
+				for id := int64(1000); id < 1010; id++ {
+					if err := w.Insert(id, UniformCircle(Pt(float64(id-1000)*90+30, 480), 15)); err != nil {
+						return err
+					}
+				}
+				for id := int64(1000); id < 1010; id += 2 {
+					if err := w.Delete(id); err != nil {
+						return fmt.Errorf("delete of %d, inserted in this batch: %w", id, err)
+					}
+				}
+				return w.Delete(5) // a bulk-loaded object, beside them
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := tree.Len(); got != 200+5-1 {
+				t.Fatalf("Len %d after the batch, want %d", got, 204)
+			}
+			assertDirectory(t, "after the batch", tree)
+			if err := tree.CheckRecords(); err != nil {
+				t.Fatal(err)
+			}
+			// The batch's survivors delete by ID once it committed too.
+			for id := int64(1001); id < 1010; id += 2 {
+				if err := tree.Delete(id); err != nil {
+					t.Fatalf("Delete(%d) after the batch: %v", id, err)
+				}
+			}
+			if err := tree.Insert(5, UniformCircle(Pt(-500, -500), 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Delete(5); err != nil {
+				t.Fatal(err)
+			}
+			assertDirectory(t, "after the survivors' deletes", tree)
+			got := searchInOrder(t, tree, queries)
+			for i := range want {
+				want[i], got[i] = sortByID(withoutID(want[i], 5)), sortByID(got[i])
+			}
+			requireSameResults(t, "after the batch", want, got)
+		})
+	}
+}
+
+// withoutID drops object id from a result list.
+func withoutID(res []Result, id int64) []Result {
+	out := res[:0:0]
+	for _, r := range res {
+		if r.ID != id {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestDeleteByIDAfterRolledBackInsert: a rolled-back batch takes its
+// inserts out of the directory with the index — Delete of such an ID is
+// ErrNotFound — and gives a live object it deleted its old record address
+// back. An ID re-inserted after the rollback deletes through its new
+// record.
+func TestDeleteByIDAfterRolledBackInsert(t *testing.T) {
+	for name, idx := range addressingIndexes(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := idx.Insert(1, west); err != nil {
+				t.Fatal(err)
+			}
+			boom := errors.New("boom")
+			err := idx.WriteBatch(func(w BatchWriter) error {
+				if err := w.Insert(7, east); err != nil {
+					return err
+				}
+				if err := w.Delete(1); err != nil {
+					return err
+				}
+				if err := w.Insert(1, east); err != nil {
+					return err
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("WriteBatch: %v, want %v", err, boom)
+			}
+			assertDirectory(t, "after the rollback", idx)
+			if err := idx.Delete(7); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Delete of an ID only a rolled-back batch inserted: %v, want ErrNotFound", err)
+			}
+			if got := idx.Len(); got != 1 {
+				t.Fatalf("Len %d after the rollback, want 1", got)
+			}
+			if err := idx.Insert(7, UniformCircle(Pt(500, 500), 10)); err != nil {
+				t.Fatal(err)
+			}
+			assertDirectory(t, "after the re-insert", idx)
+			for _, id := range []int64{1, 7} {
+				if err := idx.Delete(id); err != nil {
+					t.Fatalf("Delete(%d): %v", id, err)
+				}
+			}
+			if got := idx.Len(); got != 0 {
+				t.Fatalf("Len %d after deleting both, want 0", got)
+			}
+			assertDirectory(t, "emptied", idx)
+			if err := idx.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// recordPage returns a bulk-loaded object whose record lies on the lowest
+// data page — a sealed one, not the append page a delete would read from
+// memory — and that page.
+func recordPage(t *testing.T, tree *Tree) (int64, pagefile.DataAddr) {
+	t.Helper()
+	tree.mu.Lock()
+	defer tree.mu.Unlock()
+	victim, lo, hi := int64(-1), pagefile.DataAddr{Page: pagefile.InvalidPage}, pagefile.PageID(0)
+	for id, a := range tree.addrs {
+		if a.Page < lo.Page || a.Page == lo.Page && id < victim {
+			victim, lo = id, a
+		}
+		hi = max(hi, a.Page)
+	}
+	if lo.Page == hi {
+		t.Fatalf("fixture: every record on page %d", hi)
+	}
+	return victim, lo
+}
+
+// TestDeleteByIDRecordReadFails: a delete whose record read fails returns
+// the store's error and changes nothing — Len, the directory and every
+// answer stay as they were — and succeeds once the page reads again.
+func TestDeleteByIDRecordReadFails(t *testing.T) {
+	for name, cfg := range deleteByIDConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			var chaos *pagefile.ChaosStore
+			cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
+				chaos = pagefile.NewChaosStore(s, 1)
+				return chaos
+			}
+			tree, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			if err := tree.BulkLoad(shardedFixtureObjects(300, 33)); err != nil {
+				t.Fatal(err)
+			}
+			queries := shardedFixtureQueries(20, 34)
+			want := searchInOrder(t, tree, queries)
+			victim, addr := recordPage(t, tree)
+
+			rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Sticky: true, Pages: []pagefile.PageID{addr.Page}})
+			for attempt := 0; attempt < 2; attempt++ {
+				if err := tree.Delete(victim); !errors.Is(err, pagefile.ErrInjected) {
+					t.Fatalf("Delete(%d) with its record page %d unreadable: %v, want ErrInjected", victim, addr.Page, err)
+				}
+			}
+			if rule.Triggered() != 2 {
+				t.Fatalf("the record page's rule fired %d times for two deletes, want 2", rule.Triggered())
+			}
+			if got := tree.Len(); got != 300 {
+				t.Fatalf("Len %d after failed deletes, want 300", got)
+			}
+			assertDirectory(t, "after failed deletes", tree)
+			rule.Arm(-1)
+			requireSameResults(t, "after failed deletes", want, searchInOrder(t, tree, queries))
+			if err := tree.Delete(victim); err != nil {
+				t.Fatalf("Delete(%d) once its page reads: %v", victim, err)
+			}
+			if got := tree.Len(); got != 299 {
+				t.Fatalf("Len %d after the delete, want 299", got)
+			}
+			assertDirectory(t, "after the delete", tree)
+		})
+	}
+}
+
+// TestDeleteByIDRecordMismatchIsBadPage: a directory address whose record
+// holds another object is corruption — ErrBadPage — and the delete mutates
+// nothing, not even the object that record does hold.
+func TestDeleteByIDRecordMismatchIsBadPage(t *testing.T) {
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	if err := tree.BulkLoad(shardedFixtureObjects(100, 35)); err != nil {
+		t.Fatal(err)
+	}
+	queries := shardedFixtureQueries(20, 36)
+	want := searchInOrder(t, tree, queries)
+	tree.mu.Lock()
+	good := tree.addrs[3]
+	tree.addrs[3] = tree.addrs[4]
+	tree.mu.Unlock()
+	if err := tree.Delete(3); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("Delete through another object's record: %v, want ErrBadPage", err)
+	}
+	if got := tree.Len(); got != 100 {
+		t.Fatalf("Len %d after the refused delete, want 100", got)
+	}
+	requireSameResults(t, "after the refused delete", want, searchInOrder(t, tree, queries))
+	tree.mu.Lock()
+	tree.addrs[3] = good
+	tree.mu.Unlock()
+	assertDirectory(t, "repaired", tree)
+	for _, id := range []int64{3, 4} {
+		if err := tree.Delete(id); err != nil {
+			t.Fatalf("Delete(%d) with the directory repaired: %v", id, err)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

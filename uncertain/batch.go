@@ -3,6 +3,8 @@ package uncertain
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/pagefile"
 )
 
 // The write path: outside WriteBatch every Insert and Delete publishes as
@@ -12,34 +14,36 @@ import (
 // Snapshots only ever observe committed boundaries; a crash recovers to
 // the last committed boundary, never mid-batch.
 
-// mbrUndo is one entry of the directory's journal since the last epoch: an
-// ID and its MBR before the mutation (zero: not live).
-type mbrUndo struct {
+// addrUndo is one entry of the directory's journal since the last epoch: an
+// ID, whether it was live before the mutation, and its record address then.
+type addrUndo struct {
 	id   int64
-	prev Rect
+	prev pagefile.DataAddr
+	live bool
 }
 
 // track records a completed mutation in the directory, with its undo
-// entry: mbr is the inserted object's region, zero for a delete.
-func (t *Tree) track(id int64, mbr Rect) {
-	t.undo = append(t.undo, mbrUndo{id: id, prev: t.mbrs[id]})
-	t.setMBR(id, mbr)
+// entry: an insert makes id live at addr, a delete (live false) removes it.
+func (t *Tree) track(id int64, addr pagefile.DataAddr, live bool) {
+	prev, was := t.addrs[id]
+	t.undo = append(t.undo, addrUndo{id: id, prev: prev, live: was})
+	t.setAddr(id, addr, live)
 }
 
 // revertUndo replays the journal backwards.
 func (t *Tree) revertUndo() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.setMBR(t.undo[i].id, t.undo[i].prev)
+		t.setAddr(t.undo[i].id, t.undo[i].prev, t.undo[i].live)
 	}
 	t.undo = t.undo[:0]
 }
 
-// setMBR makes id live with region mbr, or removes it for a zero mbr.
-func (t *Tree) setMBR(id int64, mbr Rect) {
-	if mbr.Dim() == 0 {
-		delete(t.mbrs, id)
+// setAddr makes id live with its record at addr, or removes it.
+func (t *Tree) setAddr(id int64, addr pagefile.DataAddr, live bool) {
+	if live {
+		t.addrs[id] = addr
 	} else {
-		t.mbrs[id] = mbr
+		delete(t.addrs, id)
 	}
 }
 

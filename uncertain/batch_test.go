@@ -117,6 +117,7 @@ func TestWriteBatchRollback(t *testing.T) {
 	if n := tree.Len(); n != 1 {
 		t.Fatalf("failed batch left Len=%d, want 1", n)
 	}
+	assertDirectory(t, "after the failed batch", tree)
 	// The ID directory must roll back with the index: id 1 is still
 	// deletable by bare ID, the batch's inserts are not.
 	if err := tree.Delete(20); !errors.Is(err, ErrNotFound) {

@@ -3,6 +3,7 @@ package uncertain
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -171,8 +172,10 @@ func runCrashSweep(t *testing.T, golden []byte, cfg Config, queries []RangeQuery
 		if rt.Epoch() == 0 {
 			t.Fatalf("offset %d: recovered epoch 0", k)
 		}
+		assertDirectory(t, fmt.Sprintf("offset %d: recovered", k), rt)
 		verify(t, k, rt, opOK)
 		deleteAllByID(t, k, rt)
+		assertDirectory(t, fmt.Sprintf("offset %d: emptied", k), rt)
 		if err := rt.Close(); err != nil {
 			t.Fatalf("offset %d: closing recovered tree: %v", k, err)
 		}
@@ -336,6 +339,7 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: reopen after crash: %v", k, err)
 		}
+		assertDirectory(t, fmt.Sprintf("offset %d: recovered", k), rt)
 		reach, err := rt.inner.ReachablePages(nil)
 		if err != nil {
 			t.Fatalf("offset %d: reachable walk: %v", k, err)

@@ -59,14 +59,15 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 		objs = append(objs, core.Object{ID: id, PDF: p})
 	}
 	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
-	if err := t.inner.BulkLoad(objs); err != nil {
+	addrs, err := t.inner.BulkLoad(objs)
+	if err != nil {
 		return t.rollback(err)
 	}
 	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
-	for _, o := range objs {
-		t.mbrs[o.ID] = o.PDF.MBR()
+	for i, o := range objs {
+		t.addrs[o.ID] = addrs[i]
 	}
 	return nil
 }

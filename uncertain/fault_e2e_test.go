@@ -113,13 +113,16 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 			}
 		}
 		untilAnswered(t, phase+": invariants", tr.CheckInvariants)
+		assertDirectory(t, phase, tr)
 	}
 	compare("before mutations", faulty)
 
 	// A mutation reaches the twin once it succeeded on the faulty tree. When
 	// it fails, the twin holds exactly the mutations that succeeded, and the
 	// faulty tree must still match it; re-issued, the mutation must then
-	// succeed, so the failure left no trace in the ID directory either.
+	// succeed, so the failure left no trace in the ID directory either. The
+	// directory must hold exactly the leaves' IDs and record addresses after
+	// every attempt.
 	failedMutations := 0
 	mutate := func(what string, op func(*Tree) error) {
 		t.Helper()
@@ -139,6 +142,7 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 		if got, want := faulty.Len(), clean.Len(); got != want {
 			t.Fatalf("after %s: Len %d, twin %d", what, got, want)
 		}
+		assertDirectory(t, "after "+what, faulty)
 	}
 	for i := int64(0); i < 80; i++ {
 		id, pdf := 10_000+i, UniformCircle(Pt(float64(12*i)+5, 500), 10)
@@ -531,6 +535,7 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	if got := ct.Len(); got != 100 {
 		t.Fatalf("len after rolled-back batch = %d, want 100", got)
 	}
+	assertDirectory(t, "after the rolled-back batch", ct)
 	after, _, err := ct.Search(context.Background(), all, 0.3)
 	if err != nil {
 		t.Fatalf("query after rollback: %v", err)
@@ -557,6 +562,7 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	if got := ct.Len(); got != 120 {
 		t.Fatalf("len after retried batch = %d, want 120", got)
 	}
+	assertDirectory(t, "after the retried batch", ct)
 }
 
 // TestCloseWriteFaultKeepsLastEpoch: a write fault on Close's final

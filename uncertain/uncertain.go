@@ -142,8 +142,8 @@ type Config struct {
 	// and 50× on the 3-D sharded one, and a query's median latency rises
 	// 1.7× on the 3-D sharded and churn workloads. When the tree is ~20×
 	// the cache (the cold CA workload, 32 entries) it saves 16 % of reads.
-	// Its price is heap, about a page per cached node: a quarter to a
-	// third of the warm workloads' live heap.
+	// Its price is heap, about a page per cached node: 1.3–2.0 MB, 28–40 %
+	// of the warm workloads' live heap.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory)
 	// before the versioning layer — the fault-injection and instrumentation
@@ -181,13 +181,13 @@ type Tree struct {
 	file   *pagefile.FileStore
 	closed bool // set by Close/Discard; makes both idempotent
 
-	// The directory and the write path (batch.go), under mu. mbrs maps every
-	// live ID of the working tree to its region MBR, the key core's Delete
-	// descends on; OpenTree rebuilds it from the leaves. undo records its
-	// changes since the last epoch so a rollback reverts them with the index.
-	mbrs    map[int64]Rect
+	// The directory and the write path (batch.go), under mu. addrs maps every
+	// live ID of the working tree to its record's address (8 bytes, no pointer
+	// for the GC to scan); OpenTree rebuilds it from the leaves. undo records
+	// its changes since the last epoch so a rollback reverts them too.
+	addrs   map[int64]pagefile.DataAddr
 	inBatch bool // WriteBatch in progress
-	undo    []mbrUndo
+	undo    []addrUndo
 }
 
 // ConcurrentTree is the former name of the snapshot-isolated tree; every
@@ -249,11 +249,11 @@ func NewTree(cfg Config) (*Tree, error) {
 // U-PCR file, built by the paper's experiments or an older release, opens
 // as one; a non-zero Config.Dimensions or CatalogSize that disagrees with
 // it fails with ErrConfigMismatch. After recovering the last committed epoch
-// OpenTree walks it once: the leaves give back every object's ID and MBR,
-// so Delete(id) works on the reopened tree as on a new one, and pages a
-// crash may have leaked — shadow pages retired by a published epoch that
-// died before its garbage drained, or fresh pages of an aborted batch —
-// go back to the free list.
+// OpenTree walks it once: the leaves give back every object's ID and
+// record address, so Delete(id) works on the reopened tree as on a new one,
+// and pages a crash may have leaked — shadow pages retired by a published
+// epoch that died before its garbage drained, or fresh pages of an aborted
+// batch — go back to the free list.
 func OpenTree(path string, cfg Config) (*Tree, error) {
 	fs, err := pagefile.OpenFileStore(path)
 	if err != nil {
@@ -282,7 +282,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // The stack is base → Config.WrapStore → core's versioning → write
 // buffer (dirty pages only); the decoded-node cache sits above it.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
-	t := &Tree{file: fs, mbrs: make(map[int64]Rect)}
+	t := &Tree{file: fs, addrs: make(map[int64]pagefile.DataAddr)}
 	var store pagefile.Store = pagefile.NewMemStore()
 	if fs != nil {
 		store = fs
@@ -315,13 +315,14 @@ func (cfg Config) checkStructure(inner *core.Tree) error {
 	return nil
 }
 
-// walkAtOpen walks the recovered tree once: it fills the ID directory from
-// the leaf entries and returns every page the walk did not reach to the
-// free list. The walk goes through the wrapped store (fault injection
-// applies); the sweep itself runs directly on the file store — it is
-// allocator repair below the versioning layer, not part of any epoch.
+// walkAtOpen walks the recovered tree once: it fills the ID directory with
+// the leaf entries' IDs and record addresses and returns every page the
+// walk did not reach to the free list. The walk goes through the wrapped
+// store (fault injection applies); the sweep itself runs directly on the
+// file store — it is allocator repair below the versioning layer, not part
+// of any epoch.
 func (t *Tree) walkAtOpen() error {
-	reach, err := t.inner.ReachablePages(func(id int64, mbr Rect) { t.mbrs[id] = mbr })
+	reach, err := t.inner.ReachablePages(func(id int64, addr pagefile.DataAddr) { t.addrs[id] = addr })
 	if err == nil {
 		_, err = t.file.SweepLeaked(reach)
 	}
@@ -359,20 +360,23 @@ func (t *Tree) Insert(id int64, pdf PDF) error {
 }
 
 func (t *Tree) insert(id int64, pdf PDF) error {
-	if _, ok := t.mbrs[id]; ok {
+	if _, ok := t.addrs[id]; ok {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
-	if err := t.inner.Insert(core.Object{ID: id, PDF: pdf}); err != nil {
+	addr, err := t.inner.Insert(core.Object{ID: id, PDF: pdf})
+	if err != nil {
 		return t.rollback(err)
 	}
-	t.track(id, pdf.MBR())
+	t.track(id, addr, true)
 	return t.endOp()
 }
 
 // Delete removes an object by ID (writer lock), on a new tree and on one
 // reopened with OpenTree alike. An ID that is not live returns ErrNotFound
-// and mutates nothing. The delete publishes as its own epoch (see Insert);
-// snapshots pinned before it still see the object.
+// and mutates nothing. It reads the object's record for the region to
+// descend on; a record holding another ID is corruption (ErrBadPage). The
+// delete publishes as its own epoch (see Insert); snapshots pinned before
+// it still see the object.
 func (t *Tree) Delete(id int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -380,17 +384,24 @@ func (t *Tree) Delete(id int64) error {
 }
 
 func (t *Tree) delete(id int64) error {
-	mbr, ok := t.mbrs[id]
+	addr, ok := t.addrs[id]
 	if !ok {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
 	}
-	if err := t.inner.Delete(id, mbr); err != nil {
+	rid, mbr, err := t.inner.RecordMBR(addr)
+	if err == nil && rid != id {
+		err = &pagefile.BadPageError{Page: addr.Page, Reason: fmt.Sprintf("record slot %d holds object %d, not %d", addr.Slot, rid, id)}
+	}
+	if err == nil {
+		err = t.inner.Delete(id, mbr)
+	}
+	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			return err // nothing mutated; no rollback needed
 		}
 		return t.rollback(err)
 	}
-	t.track(id, Rect{})
+	t.track(id, pagefile.DataAddr{}, false)
 	return t.endOp()
 }
 
@@ -398,7 +409,7 @@ func (t *Tree) delete(id int64) error {
 func (t *Tree) holds(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.mbrs[id]
+	_, ok := t.addrs[id]
 	return ok
 }
 
