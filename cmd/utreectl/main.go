@@ -9,9 +9,9 @@
 //
 // Every page carries a CRC32-C trailer verified on each read; a file in
 // the unchecksummed v1 page format is refused (rebuild it from its data).
-// stats reports storage health alongside structure: the quarantined
-// pages. verify checks the tree's invariants and records, then
-// scrubs every reachable page's checksum; it exits non-zero on any failure.
+// verify checks the tree's invariants and records, then scrubs every
+// reachable page and prints each corrupt one; it exits non-zero on any
+// failure.
 //
 // Every subcommand accepts -buffer (the write buffer's bound in dirty pages).
 //
@@ -194,11 +194,6 @@ func stats(path string, cfg uncertain.Config) error {
 	} else {
 		fmt.Printf("node cache: no lookups\n")
 	}
-	h := tree.Health()
-	fmt.Printf("health:    %d quarantined pages\n", h.QuarantinedPages)
-	for _, qp := range h.Quarantined {
-		fmt.Printf("  quarantined page %d (epoch %d): %s\n", qp.Page, qp.Epoch, qp.Cause)
-	}
 	return nil
 }
 
@@ -213,11 +208,11 @@ func verify(path string, cfg uncertain.Config) error {
 	}
 	fmt.Println("ok: all structural, containment and shape invariants hold")
 	verified, corrupt := tree.Scrub()
-	if corrupt > 0 {
-		for _, qp := range tree.Health().Quarantined {
-			fmt.Printf("  quarantined page %d: %s\n", qp.Page, qp.Cause)
+	if len(corrupt) > 0 {
+		for _, err := range corrupt {
+			fmt.Printf("  corrupt: %v\n", err)
 		}
-		return fmt.Errorf("scrub: %d corrupt pages (%d verified clean)", corrupt, verified)
+		return fmt.Errorf("scrub: %d corrupt pages (%d verified clean)", len(corrupt), verified)
 	}
 	fmt.Printf("ok: %d reachable pages scrubbed, none corrupt\n", verified)
 	return nil

@@ -741,8 +741,9 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 // the root once kept a range query descending until its deadline (about
 // 700k node accesses in 2 s) and for ever on context.Background(). Each
 // child must hold the level below its parent, so both traversals stop at
-// the first page that does not, with a typed BadPageError, and quarantine
-// it. The deadline only turns the old behaviour into a failure, not a hang.
+// the first page that does not, with a typed BadPageError, every time they
+// reach it. The deadline only turns the old behaviour into a failure, not a
+// hang.
 func TestCorruptChildPointerEndsQueries(t *testing.T) {
 	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
 	for _, cache := range []int{-1, 0} {
@@ -783,29 +784,37 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 			tree.vs.UnmarkInPlace(root.page)
 			tree.pool.Invalidate(root.page)
 
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			snap := tree.Snapshot()
-			var accesses int
-			if kind == "range" {
-				var st QueryStats
-				_, st, err = snap.RangeQuery(ctx, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{10000, 10000}), Prob: 0.5}, QueryOpts{})
-				accesses = st.NodeAccesses
-			} else {
-				var st NNStats
-				_, st, err = snap.NearestNeighbors(ctx, q, 10, QueryOpts{})
-				accesses = st.NodeAccesses
+			// The re-issued query meets the same page again — from the
+			// store, or from the node cache that kept the decoded copy —
+			// and must stop at it the same way.
+			for _, attempt := range []string{"first", "re-issued"} {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				snap := tree.Snapshot()
+				var accesses int
+				if kind == "range" {
+					var st QueryStats
+					_, st, err = snap.RangeQuery(ctx, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{10000, 10000}), Prob: 0.5}, QueryOpts{})
+					accesses = st.NodeAccesses
+				} else {
+					var st NNStats
+					_, st, err = snap.NearestNeighbors(ctx, q, 10, QueryOpts{})
+					accesses = st.NodeAccesses
+				}
+				snap.Close()
+				cancel()
+				var bad *pagefile.BadPageError
+				if !errors.As(err, &bad) || bad.Page != root.page {
+					t.Fatalf("cache %d, %s %s query: err %v after %d node accesses, want a BadPageError for page %d", cache, attempt, kind, err, accesses, root.page)
+				}
+				if accesses != 1 {
+					t.Errorf("cache %d, %s %s query: %d node accesses, want 1 (the root)", cache, attempt, kind, accesses)
+				}
 			}
-			snap.Close()
-			cancel()
+			// Scrub walks the same pointer and must stop at it too.
+			_, corrupt := tree.Scrub()
 			var bad *pagefile.BadPageError
-			if !errors.As(err, &bad) || bad.Page != root.page {
-				t.Fatalf("cache %d, %s query: err %v after %d node accesses, want a BadPageError for page %d", cache, kind, err, accesses, root.page)
-			}
-			if accesses != 1 {
-				t.Errorf("cache %d, %s query: %d node accesses, want 1 (the root)", cache, kind, accesses)
-			}
-			if h := tree.Health(); h.QuarantinedPages != 1 || h.Quarantined[0].Page != root.page {
-				t.Errorf("cache %d, %s query: quarantined %+v, want page %d", cache, kind, h.Quarantined, root.page)
+			if len(corrupt) != 1 || !errors.As(corrupt[0], &bad) || bad.Page != root.page {
+				t.Errorf("cache %d: Scrub found %v, want one BadPageError for page %d", cache, corrupt, root.page)
 			}
 		}
 	}
@@ -851,6 +860,54 @@ func TestScanAgainstBruteForce(t *testing.T) {
 		if stats.ProbComputations > len(objs) {
 			t.Fatalf("more prob computations than objects: %d", stats.ProbComputations)
 		}
+	}
+}
+
+// TestScanMonteCarloSeeded: the scan's Monte-Carlo refinement draws from
+// the seed it was built with, so two scans with the same objects and seed
+// return identical results and probabilities, and another seed does not.
+func TestScanMonteCarloSeeded(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	objs := makeObjects(300, 500, rng)
+	a := NewScan(objs, 9, 200, false, 7)
+	b := NewScan(objs, 9, 200, false, 7)
+	other := NewScan(objs, 9, 200, false, 8)
+	computed, differs := 0, false
+	for q := 0; q < 40; q++ {
+		query := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + rng.Float64()*0.9}
+		got, stats, err := a.RangeQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := b.RangeQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, same-seed twin %d", q, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("query %d result %d: %+v, same-seed twin %+v", q, i, got[i], want[i])
+			}
+		}
+		computed += stats.ProbComputations
+		third, _, err := other.RangeQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(third) != len(got) {
+			differs = true
+		}
+		for i := 0; i < len(third) && i < len(got); i++ {
+			differs = differs || third[i] != got[i]
+		}
+	}
+	if computed == 0 {
+		t.Fatal("no probability was sampled — the Monte-Carlo path was never exercised")
+	}
+	if !differs {
+		t.Fatal("another seed gave identical probabilities — the seed is not used")
 	}
 }
 

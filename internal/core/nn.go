@@ -171,7 +171,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		// page: keep the page just read and fetch only when the next object
 		// lives elsewhere.
 		if it.addr.Page != dataPage {
-			if dataBuf, err = t.fetchDataPage(it.addr.Page); err != nil {
+			if dataBuf, err = t.data.ReadPage(it.addr.Page); err != nil {
 				return finish(err)
 			}
 			dataPage = it.addr.Page

@@ -135,23 +135,16 @@ func (t *Tree) maybeCacheNode(p *packedNode) {
 }
 
 // readPacked reads and decodes a page, counting one logical node access.
-// Pages in the quarantine registry fast-fail before touching storage, and a
-// read or decode that proves corruption quarantines the page on its way
-// out.
+// A page that fails its checksum, its trailer or its decode fails this read
+// with a typed error (ErrChecksum or ErrBadPage); nothing remembers it, so
+// the next read asks the store again.
 func (t *Tree) readPacked(id pagefile.PageID) (*packedNode, error) {
 	t.nodeReads.Add(1)
-	if err := t.checkQuarantine(id); err != nil {
-		return nil, err
-	}
 	buf, err := t.pool.Get(id)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading node %d: %w", id, t.noteReadError(id, err))
+		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
 	}
-	p, err := t.decodeNode(id, buf)
-	if err != nil {
-		return nil, t.noteReadError(id, err)
-	}
-	return p, nil
+	return t.decodeNode(id, buf)
 }
 
 // writeNode serializes a node to its page — copy-on-write: a node whose
@@ -244,8 +237,7 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	}
 	if p.count > cap {
 		// A structurally impossible header is corruption the checksum layer
-		// did not catch; type it so the quarantine machinery treats it
-		// like one.
+		// did not catch; type it like one.
 		return nil, fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{
 			Page:   id,
 			Reason: fmt.Sprintf("entry count %d exceeds capacity %d", p.count, cap),

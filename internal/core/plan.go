@@ -106,27 +106,14 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 
 // checkLevel refuses a node found where the descent needs another level —
 // a child pointer that leads back up the tree would otherwise loop a query
-// for ever. The page is corrupt as reached, and quarantined. Levels fall by
-// one a step, so with this check every descent ends.
+// for ever. The page is corrupt as reached. Levels fall by one a step, so
+// with this check every descent ends.
 func (t *Tree) checkLevel(n *packedNode, level int) error {
 	if n.level == level {
 		return nil
 	}
-	return t.noteReadError(n.page, fmt.Errorf("core: corrupt node %d: %w", n.page, &pagefile.BadPageError{
+	return fmt.Errorf("core: corrupt node %d: %w", n.page, &pagefile.BadPageError{
 		Page:   n.page,
 		Reason: fmt.Sprintf("level %d where its parent needs %d", n.level, level),
-	}))
-}
-
-// fetchDataPage reads a data page. Quarantined pages fast-fail; a read that
-// proves corruption quarantines the page.
-func (t *Tree) fetchDataPage(id pagefile.PageID) ([]byte, error) {
-	if err := t.checkQuarantine(id); err != nil {
-		return nil, err
-	}
-	buf, err := t.data.ReadPage(id)
-	if err != nil {
-		return nil, t.noteReadError(id, err)
-	}
-	return buf, nil
+	})
 }

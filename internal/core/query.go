@@ -297,7 +297,7 @@ descent:
 			stats.ShapeDecided++
 		} else {
 			if c.addr.Page != pageID {
-				if pageBuf, err = t.fetchDataPage(c.addr.Page); err != nil {
+				if pageBuf, err = t.data.ReadPage(c.addr.Page); err != nil {
 					return refined(err)
 				}
 				pageID = c.addr.Page

@@ -139,9 +139,6 @@ type Tree struct {
 	// Update statistics for the Fig. 11 experiment.
 	insertStats UpdateStats
 	deleteStats UpdateStats
-
-	// quar is the registry of condemned pages (health.go).
-	quar quarantine
 }
 
 // UpdateStats accumulates the paper's update-cost breakdown.

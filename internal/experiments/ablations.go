@@ -21,7 +21,7 @@ type AblationPoint struct {
 // configured tree.
 func ablationWorkloads(t *core.Tree, objs []core.Object, cfg Config) (WorkloadMetrics, error) {
 	w := workload.New(workload.Config{
-		QS: scaledQS(1500), PQ: 0.6, Count: cfg.Queries,
+		QS: 1500, PQ: 0.6, Count: cfg.Queries,
 		Seed: cfg.Seed, Domain: dataset.Domain, Centers: centersOf(objs),
 	})
 	return runWorkload(t, w)

@@ -37,7 +37,8 @@ const (
 // Config parameterizes an experiment run.
 type Config struct {
 	// Scale shrinks datasets (1.0 = paper scale; default 0.02 keeps a full
-	// suite under a minute).
+	// suite under a minute). Query extents stay the paper's at any scale:
+	// region shapes are kept and result counts shrink with the data.
 	Scale float64
 	// Queries per workload (paper: 100; default 40 at small scale).
 	Queries int
@@ -166,14 +167,6 @@ func paperCatalog(name dataset.Name, kind core.Kind) int {
 	}
 	return 9
 }
-
-// scaledQS converts a paper query extent to the current dataset scale.
-// Query selectivity in the paper is tied to object density; at dataset
-// scale s the object count shrinks by s, so keeping the *absolute* extents
-// preserves the geometry of regions (radius 250 etc.) while the result
-// cardinalities shrink proportionally — which is what we want: shapes, not
-// absolute numbers.
-func scaledQS(qs float64) float64 { return qs }
 
 func fprintf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)

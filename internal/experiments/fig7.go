@@ -70,7 +70,6 @@ func overlapSweepQueries(rng *rand.Rand, mbr geom.Rect, qs float64, count int) [
 	d := mbr.Dim()
 	c := mbr.Center()
 	span := mbr.Side(0) * 1.2
-	qs = scaledQS(qs)
 	out := make([]geom.Rect, 0, count)
 	for i := 0; i < count; i++ {
 		lo := make(geom.Point, d)

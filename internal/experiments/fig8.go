@@ -60,7 +60,7 @@ func Fig8(cfg Config, mValues []int, pqValues []float64) ([]Fig8Point, error) {
 			var agg WorkloadMetrics
 			for wi, pq := range pqValues {
 				w := workload.New(workload.Config{
-					QS: scaledQS(500), PQ: pq, Count: cfg.Queries,
+					QS: 500, PQ: pq, Count: cfg.Queries,
 					Seed: cfg.Seed + int64(wi), Domain: dataset.Domain, Centers: centers,
 				})
 				wm, err := runWorkload(t, w)

@@ -62,7 +62,7 @@ func sweep(cfg Config, title string, qsValues []float64, pqValues []float64) ([]
 					qs, pq = 1500, x
 				}
 				w := workload.New(workload.Config{
-					QS: scaledQS(qs), PQ: pq, Count: cfg.Queries,
+					QS: qs, PQ: pq, Count: cfg.Queries,
 					Seed: cfg.Seed + int64(wi), Domain: dataset.Domain, Centers: centers,
 				})
 				m, err := runWorkload(t, w)

@@ -11,8 +11,8 @@ import (
 //   - ErrChecksum: the bytes came back, but they are not the bytes that
 //     were written — detected corruption. Permanent for that page until
 //     repaired; retrying the read returns the same corrupt bytes.
-//   - ErrBadPage: the page is unusable for a structural reason (failed
-//     decode, quarantined after a checksum failure). Permanent.
+//   - ErrBadPage: the page is unusable for a structural reason (a trailer
+//     naming another page, a failed decode). Permanent.
 //   - anything else (I/O errors from the OS, ErrPageOutOfRange,
 //     ErrInjected, ...): the operation that hit it fails and the error
 //     surfaces verbatim. No layer retries it; the caller may retry the
@@ -38,7 +38,7 @@ func (e *ChecksumError) Error() string {
 func (e *ChecksumError) Is(target error) bool { return target == ErrChecksum }
 
 // ErrBadPage is the sentinel matched by errors.Is for pages that are
-// structurally unusable: quarantined after a checksum failure, or failing
+// structurally unusable: a trailer naming another page, or failing
 // validation during decode. The concrete error is a *BadPageError.
 var ErrBadPage = errors.New("pagefile: bad page")
 

@@ -231,8 +231,8 @@ func TestReclaimPinSafety(t *testing.T) {
 						Box(Pt(0, 0), Pt(1000, 1000)), 0.5)
 				}
 				snap.Close()
-				if _, corrupt := tree.Scrub(); err == nil && corrupt != 0 {
-					err = fmt.Errorf("scrub beside the writer found %d corrupt pages", corrupt)
+				if _, corrupt := tree.Scrub(); err == nil && len(corrupt) != 0 {
+					err = fmt.Errorf("scrub beside the writer found corrupt pages: %v", corrupt)
 				}
 				if err != nil {
 					select {

@@ -72,65 +72,89 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// searchFunc is a range-query entry point: Tree.Search or Snapshot.Search.
+type searchFunc func(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error)
+
+// nnFunc is a k-NN entry point: Tree.NearestNeighbors or
+// Snapshot.NearestNeighbors.
+type nnFunc func(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error)
+
+// snapshotOf pins a snapshot of ct for the rest of the test.
+func snapshotOf(t *testing.T, ct *Tree) *Snapshot {
+	snap := ct.Snapshot()
+	t.Cleanup(snap.Close)
+	return snap
+}
+
 // TestSearchCancelMidTraversal is the headline cancellation contract: a
 // file-backed query over 2 ms page latency, cancelled mid-traversal, must
 // return context.Canceled within ~2 page latencies, leave no goroutines
-// behind, and leave the index structurally intact and fully usable.
+// behind, and leave the index structurally intact and fully usable — on
+// the tree and on a pinned snapshot alike.
 func TestSearchCancelMidTraversal(t *testing.T) {
-	// prefetch=0: the traversal reads one page at a time, no readahead.
-	t.Run("prefetch=0", func(t *testing.T) {
-		ct, _ := cancelFixture(t, 2*time.Millisecond)
-		baseline := runtime.NumGoroutine()
+	entries := []struct {
+		name   string
+		search func(t *testing.T, ct *Tree) searchFunc
+	}{
+		{"Tree.Search", func(_ *testing.T, ct *Tree) searchFunc { return ct.Search }},
+		{"Snapshot.Search", func(t *testing.T, ct *Tree) searchFunc { return snapshotOf(t, ct).Search }},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			ct, _ := cancelFixture(t, 2*time.Millisecond)
+			search := e.search(t, ct)
+			baseline := runtime.NumGoroutine()
 
-		// The whole-domain query touches far more pages than fit in the 8-page
-		// pool: uncancelled it costs hundreds of milliseconds.
-		big := Box(Pt(0, 0), Pt(1000, 1000))
-		ctx, cancel := context.WithCancel(context.Background())
-		var cancelledAt time.Time
-		timer := time.AfterFunc(5*time.Millisecond, func() {
-			cancelledAt = time.Now()
-			cancel()
-		})
-		defer timer.Stop()
+			// The whole-domain query touches far more pages than fit in the
+			// 8-page pool: uncancelled it costs hundreds of milliseconds.
+			big := Box(Pt(0, 0), Pt(1000, 1000))
+			ctx, cancel := context.WithCancel(context.Background())
+			var cancelledAt time.Time
+			timer := time.AfterFunc(5*time.Millisecond, func() {
+				cancelledAt = time.Now()
+				cancel()
+			})
+			defer timer.Stop()
 
-		res, stats, err := ct.Search(ctx, big, 0.3)
-		returned := time.Now()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if cancelledAt.IsZero() {
-			t.Fatal("query finished before the cancel fired; grow the fixture")
-		}
-		if lag := returned.Sub(cancelledAt); lag > 10*time.Millisecond {
-			t.Fatalf("cancel-to-return took %v, want < 10ms (~2 page latencies)", lag)
-		}
-		if stats.Results != len(res) {
-			t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
-		}
-		waitGoroutines(t, baseline)
-
-		// The index must stay sound and answer the same query fully.
-		if err := ct.CheckInvariants(); err != nil {
-			t.Fatalf("invariants after cancel: %v", err)
-		}
-		full, _, err := ct.Search(context.Background(), big, 0.3)
-		if err != nil {
-			t.Fatalf("query after cancel: %v", err)
-		}
-		if len(full) == 0 {
-			t.Fatal("full query empty after cancel")
-		}
-		// The cancelled run's results must be a prefix of the full run's: the
-		// traversal order is deterministic, the cancel only cut it.
-		if len(res) > len(full) {
-			t.Fatalf("partial run returned %d results, full run %d", len(res), len(full))
-		}
-		for i := range res {
-			if res[i] != full[i] {
-				t.Fatalf("partial result %d = %+v, full run has %+v", i, res[i], full[i])
+			res, stats, err := search(ctx, big, 0.3)
+			returned := time.Now()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-		}
-	})
+			if cancelledAt.IsZero() {
+				t.Fatal("query finished before the cancel fired; grow the fixture")
+			}
+			if lag := returned.Sub(cancelledAt); lag > 10*time.Millisecond {
+				t.Fatalf("cancel-to-return took %v, want < 10ms (~2 page latencies)", lag)
+			}
+			if stats.Results != len(res) {
+				t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
+			}
+			waitGoroutines(t, baseline)
+
+			// The index must stay sound and answer the same query fully.
+			if err := ct.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after cancel: %v", err)
+			}
+			full, _, err := search(context.Background(), big, 0.3)
+			if err != nil {
+				t.Fatalf("query after cancel: %v", err)
+			}
+			if len(full) == 0 {
+				t.Fatal("full query empty after cancel")
+			}
+			// The cancelled run's results must be a prefix of the full run's:
+			// the traversal order is deterministic, the cancel only cut it.
+			if len(res) > len(full) {
+				t.Fatalf("partial run returned %d results, full run %d", len(res), len(full))
+			}
+			for i := range res {
+				if res[i] != full[i] {
+					t.Fatalf("partial result %d = %+v, full run has %+v", i, res[i], full[i])
+				}
+			}
+		})
+	}
 }
 
 // TestSearchDeadlineAlreadyPassed: a context that is dead on arrival must
@@ -149,27 +173,40 @@ func TestSearchDeadlineAlreadyPassed(t *testing.T) {
 }
 
 // TestNNCancel: the best-first NN traversal honors cancellation the same
-// way (partial neighbors + ctx error + intact index).
+// way (partial neighbors + ctx error + intact index), on the tree and on a
+// pinned snapshot.
 func TestNNCancel(t *testing.T) {
-	ct, _ := cancelFixture(t, 2*time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(5*time.Millisecond, cancel)
-	start := time.Now()
-	_, _, err := ct.NearestNeighbors(ctx, Pt(500, 500), 10)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	entries := []struct {
+		name string
+		nn   func(t *testing.T, ct *Tree) nnFunc
+	}{
+		{"Tree.NearestNeighbors", func(_ *testing.T, ct *Tree) nnFunc { return ct.NearestNeighbors }},
+		{"Snapshot.NearestNeighbors", func(t *testing.T, ct *Tree) nnFunc { return snapshotOf(t, ct).NearestNeighbors }},
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Millisecond {
-		t.Fatalf("cancelled NN took %v", elapsed)
-	}
-	if err := ct.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after NN cancel: %v", err)
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			ct, _ := cancelFixture(t, 2*time.Millisecond)
+			nn := e.nn(t, ct)
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(5*time.Millisecond, cancel)
+			start := time.Now()
+			_, _, err := nn(ctx, Pt(500, 500), 10)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Millisecond {
+				t.Fatalf("cancelled NN took %v", elapsed)
+			}
+			if err := ct.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after NN cancel: %v", err)
+			}
+		})
 	}
 }
 
-// TestShardedCancel: cancelling a sharded query stops the shard being
-// searched, skips the rest and returns the caller's context error, not a
-// shard-wrapped one.
+// TestShardedCancel: cancelling a sharded query — range or k-NN — stops
+// the shard being searched, skips the rest and returns the caller's
+// context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
 	var chaos []*pagefile.ChaosStore // one per shard, built one after another
 	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
@@ -209,6 +246,20 @@ func TestShardedCancel(t *testing.T) {
 	}
 	if stats.Results != len(res) {
 		t.Fatalf("partial stats.Results = %d, len(res) = %d", stats.Results, len(res))
+	}
+
+	// The k-NN query hands the caller's context to each shard in turn.
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	nns, nnStats, err := st.NearestNeighbors(ctx, Pt(500, 500), 10)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("NN: err = %v, want context.Canceled", err)
+	}
+	if nnStats.NodeAccesses == 0 {
+		t.Fatal("cancelled sharded NN reported no work in its partial stats")
+	}
+	if len(nns) > 10 {
+		t.Fatalf("cancelled sharded NN returned %d neighbours, k = 10", len(nns))
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after sharded cancel: %v", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,8 +16,9 @@ import (
 // End-to-end fault-tolerance tests: chaos injection under the full index
 // stack (checksummed file store → chaos → versioning → buffer pool →
 // tree), checking the user-visible contract — an I/O fault fails the
-// operation that hit it and nothing else, corruption is typed and
-// quarantined, a dead shard fails a sharded query whole — plus resource
+// operation that hit it and nothing else, corruption is typed and fails
+// every read that reaches it but no other, a dead shard fails a sharded
+// query whole — plus resource
 // hygiene on every error path. Answers are compared with a fault-free twin
 // exactly: IDs, probabilities and validated flags.
 
@@ -59,8 +61,8 @@ func untilAnswered(t *testing.T, what string, op func() error) (failed int) {
 // answers like the twin, so no cache kept a failed read. Each mutation
 // either succeeds or fails with ErrInjected and leaves the tree as it was:
 // the twin receives only the mutations that succeeded, and Len, the
-// invariants and every answer match it. No page is quarantined for an I/O
-// fault, and the file reopens to the twin's state.
+// invariants and every answer match it, and the file reopens to the twin's
+// state.
 func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 	objects := shardedFixtureObjects(300, 7)
 	queries := shardedFixtureQueries(25, 8)
@@ -162,9 +164,6 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 		t.Fatalf("%d failed queries, %d failed mutations: a failure path was never exercised",
 			failedQueries, failedMutations)
 	}
-	if h := faulty.Health(); h.QuarantinedPages != 0 {
-		t.Fatalf("I/O faults quarantined pages: %+v", h.Quarantined)
-	}
 
 	// Every mutation that succeeded committed; the file holds the twin's
 	// state whatever a fault did to the teardown.
@@ -182,17 +181,30 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 	}
 }
 
-// TestBitFlipTypedErrorAndQuarantine checks acceptance property (b): a
-// bit flip under the checksummed store surfaces as ErrChecksum/ErrBadPage
-// — never as data — and the damaged page is quarantined so later reads
-// fail fast with the recorded cause.
-func TestBitFlipTypedErrorAndQuarantine(t *testing.T) {
+// TestBitFlipTypedError checks acceptance property (b): a bit flip under
+// the checksummed store surfaces as ErrChecksum/ErrBadPage — never as data
+// — and a query re-issued over the damaged page fails typed again.
+func TestBitFlipTypedError(t *testing.T) {
 	t.Run("one flip", testOneBitFlip)
 	t.Run("random flips", testRandomBitFlips)
 }
 
-// testOneBitFlip flips one bit under the next read and follows the page
-// from the failed query into quarantine.
+// corruptPage returns the page a corruption error names.
+func corruptPage(err error) (pagefile.PageID, bool) {
+	var ce *pagefile.ChecksumError
+	if errors.As(err, &ce) {
+		return ce.Page, true
+	}
+	var be *pagefile.BadPageError
+	if errors.As(err, &be) {
+		return be.Page, true
+	}
+	return pagefile.InvalidPage, false
+}
+
+// testOneBitFlip flips one bit on the medium under the next read and
+// follows the page through a second query, which finds the damage again by
+// re-verifying the page.
 func testOneBitFlip(t *testing.T) {
 	var chaos *pagefile.ChaosStore
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "flip.utree"))
@@ -224,24 +236,21 @@ func testOneBitFlip(t *testing.T) {
 	if err == nil {
 		t.Fatal("query over a flipped page succeeded — corruption was believed")
 	}
-	if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadPage) {
+	first, ok := corruptPage(err)
+	if !ok {
 		t.Fatalf("corruption surfaced untyped: %v", err)
 	}
 
-	h := tree.Health()
-	if h.QuarantinedPages == 0 {
-		t.Fatalf("no page quarantined after checksum failure (health %+v)", h)
+	// The rule is spent; the second failure comes from the medium alone.
+	_, _, err = tree.Search(context.Background(), all, 0.3)
+	if err == nil {
+		t.Fatal("second query over the flipped page succeeded")
 	}
-	rec := h.Quarantined[0]
-	if rec.Cause == "" {
-		t.Fatalf("quarantine record has no cause: %+v", rec)
+	if again, ok := corruptPage(err); !ok || again != first {
+		t.Fatalf("re-issued query: %v, want a typed error for page %d", err, first)
 	}
-
-	// The rule is spent; the second failure comes from quarantine alone.
-	if _, _, err := tree.Search(context.Background(), all, 0.3); err == nil {
-		t.Fatal("second query over the quarantined page succeeded")
-	} else if !errors.Is(err, ErrBadPage) {
-		t.Fatalf("quarantine fast-fail is untyped: %v", err)
+	if n := flip.Triggered(); n != 1 {
+		t.Fatalf("flip rule fired %d times, want 1", n)
 	}
 
 	// The medium is deliberately corrupt, so the teardown path is Discard;
@@ -260,7 +269,7 @@ func testOneBitFlip(t *testing.T) {
 // testRandomBitFlips flips a random bit under 1% of reads across a query
 // workload: every query either answers exactly as a clean twin does or
 // fails typed, and the damage is seen — as a typed error during the
-// queries, or as a quarantined page after one Scrub.
+// queries, or as a corrupt page one Scrub reports.
 func testRandomBitFlips(t *testing.T) {
 	objects := shardedFixtureObjects(300, 7)
 	queries := shardedFixtureQueries(100, 8)
@@ -313,21 +322,124 @@ func testRandomBitFlips(t *testing.T) {
 	}
 	verified, corrupt := tree.Scrub()
 	t.Logf("%d flips, %d typed query errors; Scrub: %d verified, %d corrupt",
-		chaos.InjectedCount(pagefile.FaultBitFlip), typed, verified, corrupt)
+		chaos.InjectedCount(pagefile.FaultBitFlip), typed, verified, len(corrupt))
 	if chaos.InjectedCount(pagefile.FaultBitFlip) == 0 {
 		t.Fatal("chaos layer flipped no bits — the test exercised nothing")
 	}
-	if h := tree.Health(); typed == 0 && h.QuarantinedPages == 0 {
-		t.Fatalf("%d bits flipped but no typed error and no quarantined page followed",
+	for _, err := range corrupt {
+		if _, ok := corruptPage(err); !ok {
+			t.Fatalf("Scrub reported an error naming no page: %v", err)
+		}
+	}
+	if typed == 0 && len(corrupt) == 0 {
+		t.Fatalf("%d bits flipped but no typed error and no corrupt page followed",
 			chaos.InjectedCount(pagefile.FaultBitFlip))
 	}
 }
 
+// flakyReadStore fails the read after Arm with a checksum error and reads
+// clean again from then on: corruption seen once, on a page whose stored
+// bytes are fine.
+type flakyReadStore struct {
+	pagefile.Store
+	armed atomic.Bool
+}
+
+func (s *flakyReadStore) Arm() { s.armed.Store(true) }
+
+func (s *flakyReadStore) Read(id pagefile.PageID, buf []byte) error {
+	if s.armed.CompareAndSwap(true, false) {
+		return &pagefile.ChecksumError{Page: id, Want: 1, Got: 2}
+	}
+	return s.Store.Read(id, buf)
+}
+
+// TestTransientChecksumFailureHeals: one read fails its checksum and the
+// page then reads clean. The query that hit the failure returns
+// ErrChecksum; nothing remembers the page, so the query re-issued answers
+// exactly as a clean twin does — with the decoded-node cache off and on.
+// A query whose pages all came from the node cache never reaches the armed
+// read and must answer like the twin straight away.
+func TestTransientChecksumFailureHeals(t *testing.T) {
+	objects := shardedFixtureObjects(300, 17)
+	queries := shardedFixtureQueries(10, 18)
+	for _, cache := range []int{-1, 0} {
+		t.Run(fmt.Sprintf("nodecache=%d", cache), func(t *testing.T) {
+			dir := t.TempDir()
+			cleanCfg := faultTestConfig(filepath.Join(dir, "clean.utree"))
+			cleanCfg.NodeCacheEntries = cache
+			clean, err := NewTree(cleanCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			var flaky *flakyReadStore
+			cfg := faultTestConfig(filepath.Join(dir, "flaky.utree"))
+			cfg.NodeCacheEntries = cache
+			cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
+				flaky = &flakyReadStore{Store: s}
+				return flaky
+			}
+			tree, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			for _, idx := range []*Tree{clean, tree} {
+				if err := idx.BulkLoad(objects); err != nil {
+					t.Fatal(err)
+				}
+				if err := idx.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			failed := 0
+			for i, q := range queries {
+				want, _, err := clean.Search(context.Background(), q.Rect, q.Prob)
+				if err != nil {
+					t.Fatalf("clean query %d: %v", i, err)
+				}
+				flaky.Arm()
+				got, _, err := tree.Search(context.Background(), q.Rect, q.Prob)
+				if flaky.armed.CompareAndSwap(true, false) {
+					// Served without a store read.
+					if err != nil || !sameResults(got, want) {
+						t.Fatalf("query %d without a store read: %v (err %v), clean twin: %v", i, sortByID(got), err, sortByID(want))
+					}
+					continue
+				}
+				if !errors.Is(err, ErrChecksum) {
+					t.Fatalf("query %d over the failed read: err %v, want ErrChecksum", i, err)
+				}
+				failed++
+				got, _, err = tree.Search(context.Background(), q.Rect, q.Prob)
+				if err != nil {
+					t.Fatalf("query %d re-issued: %v", i, err)
+				}
+				if !sameResults(got, want) {
+					t.Fatalf("query %d re-issued: %v, clean twin: %v", i, sortByID(got), sortByID(want))
+				}
+			}
+			if failed == 0 {
+				t.Fatal("no query reached the failing read — the test exercised nothing")
+			}
+			t.Logf("%d of %d queries hit the failing read and healed", failed, len(queries))
+		})
+	}
+}
+
 // TestScrubFindsSilentCorruption flips a bit directly on the medium — no
-// query ever touches it — and checks that one Scrub call finds and
-// quarantines exactly that page, while the same scrub of a clean twin finds
-// nothing.
+// query ever touches it — once in a node page and once in a data page, and
+// checks that one Scrub call reports exactly that page, while the same
+// scrub of a clean twin reports none.
 func TestScrubFindsSilentCorruption(t *testing.T) {
+	for _, kind := range []string{"node", "data"} {
+		t.Run(kind, func(t *testing.T) { testScrubFinds(t, kind) })
+	}
+}
+
+func testScrubFinds(t *testing.T, kind string) {
 	dir := t.TempDir()
 	clean, err := NewTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
 	if err != nil {
@@ -354,32 +466,37 @@ func TestScrubFindsSilentCorruption(t *testing.T) {
 		}
 	}
 
-	if verified, corrupt := clean.Scrub(); corrupt != 0 || verified == 0 {
-		t.Fatalf("clean twin: Scrub() = (%d verified, %d corrupt), want (>0, 0)", verified, corrupt)
-	}
-	if h := clean.Health(); h.QuarantinedPages != 0 {
-		t.Fatalf("clean scrub quarantined %+v", h.Quarantined)
+	if verified, corrupt := clean.Scrub(); len(corrupt) != 0 || verified == 0 {
+		t.Fatalf("clean twin: Scrub() = (%d verified, %v corrupt), want (>0, none)", verified, corrupt)
 	}
 
-	reach, err := tree.inner.ReachablePages(nil)
+	// Reachable pages are node pages, the data pages records live on and
+	// the metadata page.
+	dataPages := make(map[pagefile.PageID]bool)
+	reach, err := tree.inner.ReachablePages(func(_ int64, addr pagefile.DataAddr) { dataPages[addr.Page] = true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var victim pagefile.PageID
 	for p := range reach {
-		if p > victim {
+		isData := dataPages[p]
+		isNode := !isData && p != tree.inner.MetaPage()
+		if (kind == "data" && isData || kind == "node" && isNode) && p > victim {
 			victim = p
 		}
+	}
+	if victim == 0 {
+		t.Fatalf("fixture has no %s page", kind)
 	}
 	if err := base.CorruptPayload(victim, 3); err != nil {
 		t.Fatal(err)
 	}
-	if verified, corrupt := tree.Scrub(); corrupt != 1 {
-		t.Fatalf("Scrub() = (%d verified, %d corrupt) after corrupting page %d, want 1 corrupt", verified, corrupt, victim)
+	verified, corrupt := tree.Scrub()
+	if len(corrupt) != 1 {
+		t.Fatalf("Scrub() = (%d verified, %v) after corrupting %s page %d, want 1 corrupt", verified, corrupt, kind, victim)
 	}
-	h := tree.Health()
-	if h.QuarantinedPages != 1 || h.Quarantined[0].Page != victim {
-		t.Fatalf("scrub quarantined %+v, corrupted page was %d", h.Quarantined, victim)
+	if p, ok := corruptPage(corrupt[0]); !ok || p != victim {
+		t.Fatalf("Scrub reported %v, corrupted %s page was %d", corrupt[0], kind, victim)
 	}
 }
 
@@ -422,8 +539,7 @@ func TestDeadShardFailsQuery(t *testing.T) {
 	}
 
 	// From here on every page the dead shard reads from its file has a bit
-	// flipped on the medium first, so the read fails its checksum; a page
-	// found corrupt is quarantined and fails fast after that.
+	// flipped on the medium first, so the read fails its checksum.
 	const dead = 1
 	stores[dead].MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultBitFlip, Sticky: true, Bit: -1})
 	corrupt := func(err error) bool { return errors.Is(err, ErrChecksum) || errors.Is(err, ErrBadPage) }

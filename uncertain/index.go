@@ -48,9 +48,6 @@ type Index interface {
 	// and pages, and the lifetime reclaim counter (merged over shards for
 	// sharded indexes).
 	GCInfo() GCInfo
-	// Health reports storage health: quarantined (corrupt) pages (merged
-	// over shards for sharded indexes). All zeroes on a healthy index.
-	Health() HealthInfo
 	// Search answers a probabilistic range query: objects appearing in rect
 	// with probability ≥ prob. A cancelled or deadline-exceeded ctx stops
 	// the traversal promptly with ctx.Err() and the partial results found
