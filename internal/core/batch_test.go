@@ -209,7 +209,7 @@ func TestGCInfoCounters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record of deleted object %d: %v", o.ID, err)
 		}
-		if obj, err := decodeObject(rec); err != nil || obj.ID != o.ID {
+		if obj, err := decodeObject(rec, snap.st.shapes); err != nil || obj.ID != o.ID {
 			t.Fatalf("record of deleted object %d decodes as %d, err %v", o.ID, obj.ID, err)
 		}
 	}

@@ -73,7 +73,7 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 			// Stage 3: records in tile order, before any node is written.
 			for _, g := range groups {
 				for _, i := range g {
-					if current[i].addr, err = t.appendRecord(objects[i]); err != nil {
+					if current[i].addr, err = t.appendRecord(objects[i], current[i].shape); err != nil {
 						return nil, err
 					}
 					addrs[i] = current[i].addr

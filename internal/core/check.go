@@ -126,7 +126,7 @@ func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 	var obj Object
 	rec, err := t.data.Read(e.addr)
 	if err == nil {
-		obj, err = decodeObject(rec)
+		obj, err = decodeObject(rec, shapes)
 	}
 	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
 		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())

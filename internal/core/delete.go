@@ -52,7 +52,7 @@ func (t *Tree) RecordMBR(addr pagefile.DataAddr) (int64, geom.Rect, error) {
 	rec, err := t.data.Read(addr)
 	var o Object
 	if err == nil {
-		o, err = decodeObject(rec)
+		o, err = decodeObject(rec, t.shapes)
 	}
 	if err != nil {
 		return 0, geom.Rect{}, err

@@ -177,7 +177,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			dataPage = it.addr.Page
 			stats.RefinementIOs++
 		}
-		obj, err := objectFromPage(dataBuf, it.addr.Slot)
+		obj, err := objectFromPage(dataBuf, it.addr.Slot, s.st.shapes)
 		if err != nil {
 			return finish(fmt.Errorf("core: refining object %d: %w", it.id, err))
 		}

@@ -31,6 +31,12 @@ import (
 //     whatever epoch it pinned: snapshots at different epochs that can
 //     reach the same live page see the same bytes by construction.
 //
+// Eviction keeps the inner levels: an overflowing shard evicts its least
+// recently used leaf, and an inner node only when it holds no leaf. A
+// descent passes through every inner level on its way to a few leaves, so
+// a cold tree's inner nodes are read far more often than any one leaf;
+// a cache smaller than the tree then spends its misses on leaves.
+//
 // Each entry records the epoch at which it was decoded, purely for
 // observability and tests; the PageID is the coherence key.
 //
@@ -49,7 +55,17 @@ type ncShard struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[pagefile.PageID]*list.Element
-	lru      *list.List // front = most recent
+	// lru[0] holds the shard's leaves, lru[1] its inner nodes; front = most
+	// recent.
+	lru [2]*list.List
+}
+
+// lruOf is the index into ncShard.lru of the list n belongs on.
+func lruOf(n *packedNode) int {
+	if n.leaf() {
+		return 0
+	}
+	return 1
 }
 
 type ncEntry struct {
@@ -90,7 +106,7 @@ func newNodeCache(capacity int) *nodeCache {
 		nc.shards[i] = ncShard{
 			capacity: c,
 			entries:  make(map[pagefile.PageID]*list.Element, c),
-			lru:      list.New(),
+			lru:      [2]*list.List{list.New(), list.New()},
 		}
 	}
 	return nc
@@ -110,30 +126,35 @@ func (nc *nodeCache) get(id pagefile.PageID) (*packedNode, bool) {
 		nc.misses.Add(1)
 		return nil, false
 	}
-	s.lru.MoveToFront(el)
 	n := el.Value.(*ncEntry).n
+	s.lru[lruOf(n)].MoveToFront(el)
 	s.mu.Unlock()
 	nc.hits.Add(1)
 	return n, true
 }
 
 // put inserts (or refreshes) the node decoded from a committed page,
-// evicting the shard's least recently used entry on overflow. Callers must
-// only pass committed pages (maybeCacheNode enforces this).
+// evicting on overflow the shard's least recently used leaf — or, with no
+// leaf in the shard, its least recently used inner node. Callers must only
+// pass committed pages (maybeCacheNode enforces this).
 func (nc *nodeCache) put(id pagefile.PageID, n *packedNode, epoch uint64) {
 	s := nc.shard(id)
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {
 		// Same PageID, same bytes (committed pages are immutable while
 		// live): keep whichever decode arrived first, just refresh LRU.
-		s.lru.MoveToFront(el)
+		s.lru[lruOf(el.Value.(*ncEntry).n)].MoveToFront(el)
 		s.mu.Unlock()
 		return
 	}
-	s.entries[id] = s.lru.PushFront(&ncEntry{id: id, n: n, epoch: epoch})
-	if s.lru.Len() > s.capacity {
-		victim := s.lru.Back()
-		s.lru.Remove(victim)
+	s.entries[id] = s.lru[lruOf(n)].PushFront(&ncEntry{id: id, n: n, epoch: epoch})
+	if len(s.entries) > s.capacity {
+		from := s.lru[0]
+		if from.Len() == 0 {
+			from = s.lru[1]
+		}
+		victim := from.Back()
+		from.Remove(victim)
 		delete(s.entries, victim.Value.(*ncEntry).id)
 	}
 	s.mu.Unlock()
@@ -146,7 +167,7 @@ func (nc *nodeCache) invalidate(id pagefile.PageID) {
 	s := nc.shard(id)
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {
-		s.lru.Remove(el)
+		s.lru[lruOf(el.Value.(*ncEntry).n)].Remove(el)
 		delete(s.entries, id)
 	}
 	s.mu.Unlock()

@@ -91,6 +91,63 @@ func TestNodeCacheBoundAndLRU(t *testing.T) {
 	}
 }
 
+// TestNodeCacheEvictsLeavesFirst: an overflowing shard evicts its least
+// recently used leaf, whatever inner node is older, and an inner node —
+// again least recently used first — only when it holds no leaf; a leaf put
+// into a shard of inner nodes is the one evicted. Hits and misses count as
+// before.
+func TestNodeCacheEvictsLeavesFirst(t *testing.T) {
+	nc := newNodeCache(4)
+	if len(nc.shards) != 1 {
+		t.Fatalf("4-entry cache built %d shards, want 1", len(nc.shards))
+	}
+	put := func(id, level int) {
+		nc.put(pagefile.PageID(id), &packedNode{page: pagefile.PageID(id), level: level}, 1)
+	}
+	holds := func(step string, want ...int) {
+		t.Helper()
+		for _, id := range want {
+			if _, ok := nc.epochOf(pagefile.PageID(id)); !ok {
+				t.Fatalf("%s: page %d evicted", step, id)
+			}
+		}
+		if nc.len() != len(want) {
+			t.Fatalf("%s: %d cached, want %v", step, nc.len(), want)
+		}
+	}
+	put(0, 1) // inner
+	put(1, 2) // inner
+	put(2, 0)
+	put(3, 0)
+	put(4, 0) // the oldest entry is inner node 0: leaf 2 goes instead
+	holds("first overflow", 0, 1, 3, 4)
+	if _, ok := nc.get(3); !ok {
+		t.Fatal("get(3) missed")
+	}
+	put(5, 0) // leaf 3 was touched: leaf 4 goes
+	holds("second overflow", 0, 1, 3, 5)
+	put(6, 1) // an inner put evicts a leaf too
+	holds("inner put", 0, 1, 5, 6)
+	put(7, 1)
+	holds("last leaf", 0, 1, 6, 7)
+	if _, ok := nc.get(0); !ok {
+		t.Fatal("get(0) missed")
+	}
+	put(8, 1) // no leaf left: the least recently used inner node, 1, goes
+	holds("inner overflow", 0, 6, 7, 8)
+	put(9, 0) // a leaf among inner nodes evicts itself
+	holds("leaf among inner nodes", 0, 6, 7, 8)
+	if _, ok := nc.get(9); ok {
+		t.Fatal("get(9) hit an evicted leaf")
+	}
+	nc.invalidate(6)
+	put(10, 0)
+	holds("after invalidate", 0, 7, 8, 10)
+	if hits, misses := nc.stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 2 / 1", hits, misses)
+	}
+}
+
 // TestNodeCacheCoherenceUnderCommits is the -race coherence hammer: with a
 // tiny cache (constant eviction and re-decode churn) and a writer stream of
 // commits and reclaims, every pinned snapshot must keep answering its

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/updf"
 )
@@ -26,10 +27,40 @@ type Object struct {
 	PDF updf.PDF
 }
 
-// encodeObject serializes the detail record stored in the data file: the
-// object id and the pdf parameters (from which the uncertainty region is
-// recovered).
-func encodeObject(o Object) ([]byte, error) {
+// A data record is one of two forms, told apart by the byte after the id:
+//
+//	full:  id u64 | updf.Encode(pdf)                 (its type tag, ≥ 1)
+//	keyed: id u64 | 0 u8 | shape u16 | centre dim × f64
+//
+// An object gets the keyed form when its leaf entry holds a shape reference
+// and the shape's prototype is a updf.Recentrer: the reader rebuilds the
+// pdf as the prototype recentred at the stored centre, bit for bit the pdf
+// the full form decodes to. A 2-D ball's record is 27 B against 34 B (38 B
+// for a Con-Gau ball), a 3-D ball's 35 B against 42 B; every other object
+// — another family, an empty ShapeKey, a shape the metadata page had no
+// room for — keeps the full form.
+const (
+	keyedTag    = 0
+	keyedHeader = 8 + 1 + 2 // id, tag, shape reference
+)
+
+// encodeObject serializes o's data record, the keyed form when ref names a
+// recentrable shape in shapes (the writer's table, which names o's shape by
+// ref), else the full form.
+func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
+	if ref != 0 {
+		if _, ok := shapes[ref-1].pdf.(updf.Recentrer); ok {
+			ctr := o.PDF.Center()
+			buf := make([]byte, keyedHeader, keyedHeader+8*len(ctr))
+			binary.LittleEndian.PutUint64(buf, uint64(o.ID))
+			buf[8] = keyedTag
+			binary.LittleEndian.PutUint16(buf[9:], ref)
+			for _, v := range ctr {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+			return buf, nil
+		}
+	}
 	pb, err := updf.Encode(o.PDF)
 	if err != nil {
 		return nil, err
@@ -40,27 +71,51 @@ func encodeObject(o Object) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeObject reverses encodeObject.
-func decodeObject(rec []byte) (Object, error) {
+// decodeObject reverses encodeObject, rebuilding a keyed record's pdf from
+// shapes: the table of an epoch in which the record's leaf entry lives (the
+// table is append-only, so every later epoch's will do). A keyed record
+// whose reference the table cannot resolve, or whose length is not its
+// shape's, is updf.ErrCorruptPDF.
+func decodeObject(rec []byte, shapes []shape) (Object, error) {
 	if len(rec) < 9 {
-		return Object{}, fmt.Errorf("core: object record too short (%d bytes)", len(rec))
+		return Object{}, fmt.Errorf("%w: object record of %d bytes", updf.ErrCorruptPDF, len(rec))
 	}
 	id := int64(binary.LittleEndian.Uint64(rec))
-	p, err := updf.Decode(rec[8:])
-	if err != nil {
-		return Object{}, err
+	if rec[8] != keyedTag {
+		p, err := updf.Decode(rec[8:])
+		if err != nil {
+			return Object{}, err
+		}
+		return Object{ID: id, PDF: p}, nil
 	}
-	return Object{ID: id, PDF: p}, nil
+	if len(rec) < keyedHeader {
+		return Object{}, fmt.Errorf("%w: keyed record of %d bytes", updf.ErrCorruptPDF, len(rec))
+	}
+	ref := int(binary.LittleEndian.Uint16(rec[9:]))
+	if ref == 0 || ref > len(shapes) {
+		return Object{}, fmt.Errorf("%w: keyed record names shape %d of a table of %d", updf.ErrCorruptPDF, ref, len(shapes))
+	}
+	proto := shapes[ref-1].pdf
+	rc, ok := proto.(updf.Recentrer)
+	if !ok || len(rec) != keyedHeader+8*proto.Dim() {
+		return Object{}, fmt.Errorf("%w: keyed record of %d bytes for shape %d (%s)", updf.ErrCorruptPDF, len(rec), ref, proto.ShapeKey())
+	}
+	ctr := make(geom.Point, proto.Dim())
+	for i := range ctr {
+		ctr[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[keyedHeader+8*i:]))
+	}
+	return Object{ID: id, PDF: rc.Recentred(ctr)}, nil
 }
 
-// objectFromPage decodes a record where it lies in its data page: for the
-// query paths, which hold the page for as long as they use the object.
-func objectFromPage(page []byte, slot uint16) (Object, error) {
+// objectFromPage decodes a record where it lies in its data page, against
+// the reading epoch's shape table: for the query paths, which hold the page
+// for as long as they use the object.
+func objectFromPage(page []byte, slot uint16, shapes []shape) (Object, error) {
 	rec, err := pagefile.RecordFromPage(page, slot)
 	if err != nil {
 		return Object{}, err
 	}
-	return decodeObject(rec)
+	return decodeObject(rec, shapes)
 }
 
 // putF64 / getF64 are the little-endian float helpers shared by entry and

@@ -20,14 +20,19 @@ import (
 // the only page (besides slotted data pages) ever rewritten in place, and
 // it is written only after every page of the epoch it names is durable.
 //
-// The magic names the node layout as well as the page: "UTR3" leaf entries
-// hold their CFB coefficients as float32 (entrySizes) and a shape reference;
-// "UTR2" had zeroes there and where the table is — a UTR3 file with an empty
-// table, so it opens as one and its first commit makes it one; "UTR1" held
-// the coefficients as float64 in entries half again as large. There is one
-// codec, so a UTR1 file is refused, never decoded.
+// The magic names the node and record layouts as well as the page: "UTR4"
+// data records may be keyed — id, shape reference and centre, the pdf
+// rebuilt from the shape table (object.go); "UTR3" has full records only,
+// leaf entries holding their CFB coefficients as float32 (entrySizes) and a
+// shape reference; "UTR2" had zeroes there and where the table is — a UTR3
+// file with an empty table. Both open as UTR4 files that happen to hold no
+// keyed record, and their first commit stamps them UTR4, so a build that
+// cannot read a keyed record refuses the file at open instead of failing
+// mid-query. "UTR1" held the coefficients as float64 in entries half again
+// as large. There is one codec, so a UTR1 file is refused, never decoded.
 const (
-	metaMagic   = 0x55545233 // "UTR3"
+	metaMagic   = 0x55545234 // "UTR4"
+	metaMagicV3 = 0x55545233 // "UTR3"
 	metaMagicV2 = 0x55545232 // "UTR2"
 	metaMagicV1 = 0x55545231 // "UTR1"
 	metaFixed   = 36         // bytes before the shape table
@@ -37,7 +42,7 @@ const (
 // entries moved to float32 CFB coefficients. No reader for that layout is
 // kept: rebuild the index from its data.
 var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
-	"this version reads only UTR2 and UTR3 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
+	"this version reads only UTR2 to UTR4 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller flushes the write buffer first (Commit does); the page is exempted
@@ -81,7 +86,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 		return nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
-	case metaMagic, metaMagicV2:
+	case metaMagic, metaMagicV3, metaMagicV2:
 	case metaMagicV1:
 		return nil, ErrOldLayout
 	default:

@@ -44,6 +44,9 @@ type qplan struct {
 	limit   int
 	// maxDist is QueryOpts.MaxDist (0 = no bound).
 	maxDist float64
+	// noShapeTest refines every candidate from its record, as before the
+	// shape table; only tests set it, to compare the two.
+	noShapeTest bool
 }
 
 // resolvePlan merges o over the tree's configured defaults. With a zero

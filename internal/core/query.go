@@ -251,7 +251,7 @@ descent:
 				case pcr.Unknown:
 					addr, shape := n.addr(i)
 					c := candidate{id: n.id(i), addr: addr}
-					if ref := int(shape); ref != 0 && ref <= len(st.shapes) {
+					if ref := int(shape); ref != 0 && ref <= len(st.shapes) && !plan.noShapeTest {
 						sh := &st.shapes[ref-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
@@ -303,7 +303,7 @@ descent:
 				pageID = c.addr.Page
 				stats.RefinementIOs++
 			}
-			if obj, err = objectFromPage(pageBuf, c.addr.Slot); err != nil {
+			if obj, err = objectFromPage(pageBuf, c.addr.Slot, st.shapes); err != nil {
 				return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
 			}
 			outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache)

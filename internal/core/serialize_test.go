@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -386,11 +387,13 @@ func FuzzDecodeNode(f *testing.F) {
 
 // FuzzDataRecord feeds arbitrary bytes to the data-page record codec, which
 // a delete now runs on the write path: as a data page (short or full) and
-// a slot through RecordFromPage and the object decoder, which must return
-// an error or a record inside the page whose decoded pdf has an MBR —
-// never panic; and as a record, appended after slot%8 others, which must
-// read back byte-equal from the append cache, from the store and from its
-// page, or be refused when it is empty or does not fit a page.
+// a slot through RecordFromPage and the object decoder — against a 2-D and
+// a 3-D two-shape table, so keyed records resolve — which must return
+// ErrBadSlot / ErrCorruptPDF or a record inside the page whose decoded pdf
+// has an MBR and re-encodes to the record's bytes — never panic; and as a
+// record, appended after slot%8 others, which must read back byte-equal
+// from the append cache, from the store and from its page, or be refused
+// when it is empty or does not fit a page.
 func FuzzDataRecord(f *testing.F) {
 	box := geom.NewRect(geom.Point{1, 2}, geom.Point{5, 9})
 	pdfs := []updf.PDF{
@@ -403,10 +406,11 @@ func FuzzDataRecord(f *testing.F) {
 		updf.NewHistogramRect(box, []int{2, 2}, []float64{1, 2, 3, 4}),
 		updf.NewMixture([]updf.PDF{updf.NewUniformBall(geom.Point{3, 4}, 2), updf.NewUniformRect(box)}, []float64{1, 3}),
 	}
+	tables := [][]shape{fuzzShapes(2), fuzzShapes(3)}
 	df := pagefile.NewDataFile(pagefile.NewMemStore())
 	var addr pagefile.DataAddr
-	for i, p := range pdfs {
-		rec, err := encodeObject(Object{ID: int64(i) + 100, PDF: p})
+	add := func(o Object, ref uint16, table []shape) {
+		rec, err := encodeObject(o, ref, table)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -415,6 +419,19 @@ func FuzzDataRecord(f *testing.F) {
 		}
 		f.Add(rec, addr.Slot)
 	}
+	for i, p := range pdfs {
+		add(Object{ID: int64(i) + 100, PDF: p}, 0, nil)
+	}
+	for _, table := range tables {
+		for ref, sh := range table {
+			ctr := make(geom.Point, sh.pdf.Dim())
+			for i := range ctr {
+				ctr[i] = float64(7 * (i + 1))
+			}
+			add(Object{ID: int64(200 + ref), PDF: sh.pdf.(updf.Recentrer).Recentred(ctr)}, uint16(ref+1), table)
+		}
+	}
+	nrec := len(pdfs) + 4
 	if err := df.Flush(); err != nil {
 		f.Fatal(err)
 	}
@@ -422,7 +439,7 @@ func FuzzDataRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for slot := uint16(0); slot <= uint16(len(pdfs)); slot++ {
+	for slot := uint16(0); slot <= uint16(nrec); slot++ {
 		f.Add(page, slot)
 	}
 	f.Add(page[:40], uint16(3))                     // slot table cut short
@@ -442,8 +459,22 @@ func FuzzDataRecord(f *testing.F) {
 			if len(rec) == 0 || len(rec) > len(page) {
 				t.Fatalf("slot %d of a %d-byte page: a %d-byte record", slot, len(page), len(rec))
 			}
-			if o, err := decodeObject(rec); err == nil {
+			for _, table := range tables {
+				o, err := decodeObject(rec, table)
+				if err != nil {
+					if !errors.Is(err, updf.ErrCorruptPDF) {
+						t.Fatalf("record %x: %v, want ErrCorruptPDF", rec, err)
+					}
+					continue
+				}
 				_ = o.PDF.MBR()
+				var ref uint16
+				if rec[8] == keyedTag {
+					ref = binary.LittleEndian.Uint16(rec[9:])
+				}
+				if again, err := encodeObject(o, ref, table); err != nil || !bytes.Equal(again, rec) {
+					t.Fatalf("record %x decodes and re-encodes to %x (%v)", rec, again, err)
+				}
 			}
 		}
 
@@ -485,6 +516,23 @@ func FuzzDataRecord(f *testing.F) {
 	})
 }
 
+// fuzzShapes is a two-shape table of d-dimensional recentrable prototypes.
+func fuzzShapes(d int) []shape {
+	cat := pcr.UniformCatalog(15)
+	var table []shape
+	for _, p := range []updf.PDF{
+		updf.NewUniformBall(make(geom.Point, d), 2),
+		updf.NewConGauBall(make(geom.Point, d), 3, 1.5),
+	} {
+		enc, err := updf.Encode(p)
+		if err != nil {
+			panic(err)
+		}
+		table = append(table, newShape(p, enc, cat))
+	}
+	return table
+}
+
 // TestWritersLeaveCachedNodesAlone: the writers edit nodes they decode
 // privately, never a packed node the cache shares with lock-free readers.
 // Copies of every node the cache held, taken after queries filled it, still
@@ -511,7 +559,7 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 			for i := range tree.ncache.shards {
 				s := &tree.ncache.shards[i]
-				for el := s.lru.Front(); el != nil; el = el.Next() {
+				for _, el := range s.entries {
 					p := el.Value.(*ncEntry).n
 					if _, ok := held[p]; !ok {
 						held[p] = slabCopy{slices.Clone(p.keys), slices.Clone(p.f64), slices.Clone(p.f32)}

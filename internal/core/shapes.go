@@ -23,7 +23,9 @@ import (
 // The prototype is also what every keyed leaf entry's CFBs are fitted from
 // (leafEntry): fit is the shape's cfb_out/cfb_in pair, fitted once about the
 // prototype's centre, so an object's entry depends on the persisted table
-// and the object alone.
+// and the object alone. And a recentrable prototype is what a keyed data
+// record is rebuilt from (encodeObject): the record holds the object's
+// centre and the reference, every reader the table.
 type shape struct {
 	pdf updf.PDF
 	mbr geom.Rect  // pdf.MBR()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,14 +71,14 @@ func leafShapes(t *testing.T, tree *Tree) map[int64]uint16 {
 
 // queryWithoutShapes answers q on the snapshot's tree as if no leaf entry
 // named a shape: every candidate's record is read, as before the table.
+// The table stays, for the keyed records to decode against.
 func queryWithoutShapes(t *testing.T, snap *Snapshot, q Query) ([]Result, QueryStats) {
 	t.Helper()
-	st := *snap.st
-	st.shapes = nil
 	plan := snap.t.resolvePlan(context.Background(), QueryOpts{})
+	plan.noShapeTest = true
 	rng := getSeededRand(snap.t.querySeed(q))
 	defer putRand(rng)
-	res, stats, err := snap.t.rangeQuery(&st, q, rng, &plan)
+	res, stats, err := snap.t.rangeQuery(snap.st, q, rng, &plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,104 +232,150 @@ func TestShapeTablePersists(t *testing.T) {
 	}
 }
 
-// TestOpenUTR2: a file written before leaf entries held shape references —
-// magic UTR2, zeroes where the table and the references are — opens as a
-// tree with an empty table, answers as it always did, takes references from
-// its first insert on and is a UTR3 file after its first commit.
-func TestOpenUTR2(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	objs := shapedObjects(600, 500, rng)
-	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// What a UTR2 writer did: no object had a ShapeKey to it.
-	entries, err := tree.buildLeafEntries(objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.setShapes(nil)
-	for i := range entries {
-		entries[i].shape = 0
-		if entries[i].addr, err = tree.appendRecord(objs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.insertEntry(entries[i], 0, make(map[int]bool)); err != nil {
-			t.Fatal(err)
-		}
-		tree.size++
-	}
-	if err := tree.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	meta := make([]byte, pagefile.PageSize)
-	if err := store.Read(tree.MetaPage(), meta); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range meta[metaFixed:] {
-		if b != 0 {
-			t.Fatal("a tree without shapes wrote something behind the fixed metadata fields")
-		}
-	}
-	binary.LittleEndian.PutUint32(meta, metaMagicV2)
-	if err := store.Write(tree.MetaPage(), meta); err != nil {
-		t.Fatal(err)
-	}
+// TestOpenOlderLayouts: files written before records could be keyed open,
+// answer as they always did and are UTR4 files after their first commit,
+// from which on a new ball gets a keyed record; old records stay full.
+//   - UTR2, written before leaf entries held shape references: magic UTR2,
+//     zeroes where the table and the references are, so it opens with an
+//     empty table and decides nothing on shapes;
+//   - UTR3: references and a table, but every record full.
+func TestOpenOlderLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		magic uint32
+	}{{"UTR2", metaMagicV2}, {"UTR3", metaMagicV3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
+			objs := shapedObjects(600, 500, rng)
+			store := pagefile.NewMemStore()
+			tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// What the older writer did: full records, and under UTR2 no
+			// object had a ShapeKey to it.
+			entries, err := tree.buildLeafEntries(objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.magic == metaMagicV2 {
+				tree.setShapes(nil)
+			}
+			for i := range entries {
+				if tc.magic == metaMagicV2 {
+					entries[i].shape = 0
+				}
+				if entries[i].addr, err = tree.appendRecord(objs[i], 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := tree.insertEntry(entries[i], 0, make(map[int]bool)); err != nil {
+					t.Fatal(err)
+				}
+				tree.size++
+			}
+			if err := tree.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			meta := make([]byte, pagefile.PageSize)
+			if err := store.Read(tree.MetaPage(), meta); err != nil {
+				t.Fatal(err)
+			}
+			if tc.magic == metaMagicV2 {
+				for _, b := range meta[metaFixed:] {
+					if b != 0 {
+						t.Fatal("a tree without shapes wrote something behind the fixed metadata fields")
+					}
+				}
+			}
+			binary.LittleEndian.PutUint32(meta, tc.magic)
+			if err := store.Write(tree.MetaPage(), meta); err != nil {
+				t.Fatal(err)
+			}
 
-	old, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
-	if err != nil {
-		t.Fatalf("opening a UTR2 file: %v", err)
-	}
-	if len(old.shapes) != 0 || old.Len() != len(objs) {
-		t.Fatalf("UTR2 file opened with %d shapes, %d objects", len(old.shapes), old.Len())
-	}
-	if err := old.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	scan := NewScan(objs, 9, 0, true, 1)
-	queries := make([]Query, 30)
-	for k := range queries {
-		queries[k] = Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + 0.9*rng.Float64()}
-		got, gs, err := rangeQuery(old, queries[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(resultIDs(got), resultIDs(scan.BruteForce(queries[k]))) || gs.ShapeDecided != 0 {
-			t.Fatalf("query %d on the UTR2 file: wrong answer, or %d decided on shapes it does not have", k, gs.ShapeDecided)
-		}
-	}
-	if err := store.Read(tree.MetaPage(), meta); err != nil {
-		t.Fatal(err)
-	}
-	if binary.LittleEndian.Uint32(meta) != metaMagic {
-		t.Fatal("the first commit (rangeQuery's) did not make the file UTR3")
-	}
-	near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
-	if _, err := old.Insert(near); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if refs := leafShapes(t, old); refs[7000] != 1 || refs[0] != 0 {
-		t.Fatalf("after an insert into the upgraded file: new object's reference %d, an old one's %d", refs[7000], refs[0])
-	}
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(re.shapes) != 1 {
-		t.Fatalf("upgraded file reopened with %d shapes", len(re.shapes))
-	}
-	if err := re.Snapshot().CheckRecords(); err != nil {
-		t.Fatal(err)
+			old, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+			if err != nil {
+				t.Fatalf("opening a %s file: %v", tc.name, err)
+			}
+			if len(old.shapes) != len(tree.shapes) || old.Len() != len(objs) {
+				t.Fatalf("%s file opened with %d shapes, %d objects", tc.name, len(old.shapes), old.Len())
+			}
+			if err := old.Snapshot().CheckRecords(); err != nil {
+				t.Fatal(err)
+			}
+			scan := NewScan(objs, 9, 0, true, 1)
+			queries := make([]Query, 30)
+			answers := make([][]Result, len(queries))
+			for k := range queries {
+				queries[k] = Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + 0.9*rng.Float64()}
+				got, gs, err := rangeQuery(old, queries[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIDs(resultIDs(got), resultIDs(scan.BruteForce(queries[k]))) || (tc.magic == metaMagicV2 && gs.ShapeDecided != 0) {
+					t.Fatalf("query %d on the %s file: wrong answer, or %d decided on shapes it does not have", k, tc.name, gs.ShapeDecided)
+				}
+				answers[k] = got
+			}
+			if err := store.Read(tree.MetaPage(), meta); err != nil {
+				t.Fatal(err)
+			}
+			if binary.LittleEndian.Uint32(meta) != metaMagic {
+				t.Fatal("the first commit (rangeQuery's) did not make the file UTR4")
+			}
+			near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
+			addr, err := old.Insert(near)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			refs := leafShapes(t, old)
+			if oldRef := map[uint32]uint16{metaMagicV2: 0, metaMagicV3: 1}[tc.magic]; refs[7000] != 1 || refs[0] != oldRef {
+				t.Fatalf("after an insert into the upgraded file: new object's reference %d, an old one's %d", refs[7000], refs[0])
+			}
+			for id, want := range map[int64]byte{7000: keyedTag, 0: 1} { // 1: the ball's full-record tag
+				a := addr
+				if id == 0 {
+					a = entries[0].addr
+				}
+				if rec, err := old.data.Read(a); err != nil || rec[8] != want {
+					t.Fatalf("object %d's record %x (%v): want tag %d", id, rec, err, want)
+				}
+			}
+			re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(re.shapes) != max(1, len(tree.shapes)) {
+				t.Fatalf("upgraded file reopened with %d shapes", len(re.shapes))
+			}
+			if err := re.Snapshot().CheckRecords(); err != nil {
+				t.Fatal(err)
+			}
+			if id, mbr, err := re.RecordMBR(addr); err != nil || id != near.ID || !mbr.Equal(near.PDF.MBR()) {
+				t.Fatalf("keyed record after reopening: id %d, MBR %v, err %v", id, mbr, err)
+			}
+			if err := re.Delete(near.ID, near.PDF.MBR()); err != nil {
+				t.Fatal(err)
+			}
+			byID := func(rs []Result) []Result {
+				rs = slices.Clone(rs)
+				slices.SortFunc(rs, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
+				return rs
+			}
+			for k, q := range queries { // the insert and delete moved entries about
+				if got, _, err := rangeQuery(re, q); err != nil || !reflect.DeepEqual(byID(got), byID(answers[k])) {
+					t.Fatalf("query %d after the upgrade: %v (err %v), was %v", k, got, err, answers[k])
+				}
+			}
+		})
 	}
 }
 
 // TestShapeTableOverflow: shapes beyond what the metadata page holds get
-// reference 0 — never an error, never a truncated table — and the tree
-// answers, commits and reopens all the same.
+// reference 0 and a full record — never an error, never a truncated table
+// — and the tree answers, commits and reopens all the same.
 func TestShapeTableOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	store := pagefile.NewMemStore()
@@ -360,6 +408,14 @@ func TestShapeTableOverflow(t *testing.T) {
 		if want := uint16(id + 1); int(id) >= full && ref != 0 || int(id) < full && ref != want {
 			t.Fatalf("object %d has reference %d", id, ref)
 		}
+	}
+	// A ball the table had no room for keeps the full record.
+	byID := make(map[int64]Object, len(objs))
+	for _, o := range objs {
+		byID[o.ID] = o
+	}
+	if keyed := checkRecordForms(t, tree, byID); keyed != full {
+		t.Fatalf("%d keyed records, %d objects with a shape", keyed, full)
 	}
 	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
 	if err != nil {
@@ -518,8 +574,9 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 // FuzzOpenMeta hands Open arbitrary bytes as the metadata page of a store
 // holding a small committed tree. Open returns an error — typed, for a bad
 // shape table — or a tree whose every table entry is a decoded pdf of the
-// tree's dimensionality with a ShapeKey; on that tree a range query returns
-// or fails, and never indexes past the table whatever the leaves say.
+// tree's dimensionality with a ShapeKey; on that tree a range query and a
+// read of every record return or fail, and never index past the table
+// whatever the leaves and the keyed records say.
 func FuzzOpenMeta(f *testing.F) {
 	store := pagefile.NewMemStore()
 	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
@@ -542,6 +599,7 @@ func FuzzOpenMeta(f *testing.F) {
 		return b
 	}
 	f.Add(good)
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV3) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV2) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV1) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[metaFixed:], 0) }))      // empty table under live references
@@ -599,5 +657,6 @@ func FuzzOpenMeta(f *testing.F) {
 		defer snap.Close()
 		_, _, _ = snap.RangeQuery(context.Background(), Query{Rect: geom.NewRect(geom.Point{20, 20}, geom.Point{260, 240}), Prob: 0.4}, QueryOpts{})
 		_ = snap.CheckInvariants()
+		_ = snap.CheckRecords()
 	})
 }

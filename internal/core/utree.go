@@ -48,9 +48,10 @@ type Options struct {
 	// the tree's one read cache, so a hot traversal skips both the page
 	// read and the decode. A cached node costs about one page of heap,
 	// so the default of 1024 entries (selected by 0) is ≈ 4 MiB; negative
-	// disables the cache. Coherence is automatic — entries drop when the
-	// versioned store physically frees their page, and shadow pages are
-	// never cached.
+	// disables the cache. A full cache evicts its least recently used leaf,
+	// and an inner node only when it holds no leaf. Coherence is automatic
+	// — entries drop when the versioned store physically frees their page,
+	// and shadow pages are never cached.
 	NodeCacheEntries int
 }
 
@@ -395,10 +396,11 @@ func (t *Tree) buildLeafEntry(o Object) (entry, error) {
 	return t.leafEntry(o, t.shapeRef(o.PDF.ShapeKey(), o.PDF)), nil
 }
 
-// appendRecord appends the object's detail record (pdf parameters) to the
-// data file and returns its address.
-func (t *Tree) appendRecord(o Object) (pagefile.DataAddr, error) {
-	rec, err := encodeObject(o)
+// appendRecord appends the object's data record — keyed by its shape
+// reference where encodeObject can — to the data file and returns its
+// address.
+func (t *Tree) appendRecord(o Object, shape uint16) (pagefile.DataAddr, error) {
+	rec, err := encodeObject(o, shape, t.shapes)
 	if err != nil {
 		return pagefile.DataAddr{}, err
 	}
@@ -416,7 +418,7 @@ func (t *Tree) Insert(o Object) (pagefile.DataAddr, error) {
 	if err != nil {
 		return pagefile.DataAddr{}, err
 	}
-	if e.addr, err = t.appendRecord(o); err != nil {
+	if e.addr, err = t.appendRecord(o, e.shape); err != nil {
 		return pagefile.DataAddr{}, err
 	}
 

@@ -7,8 +7,10 @@ import (
 	"sync"
 )
 
-// DataFile stores variable-length object-detail records (serialized
-// uncertainty region + pdf parameters) in slotted pages. U-tree leaf
+// DataFile stores variable-length object-detail records in slotted pages:
+// to this package opaque bytes, to the tree an object id and either its
+// pdf's parameters or, for an object whose shape the tree's shape table
+// holds, a shape reference and a centre (core's encodeObject). U-tree leaf
 // entries keep a DataAddr; the refinement step groups candidates by page so
 // each data page is read once per query — exactly the paper's "elements in
 // S_can are first grouped by their associated disk addresses".

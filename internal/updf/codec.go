@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -153,7 +154,11 @@ func Encode(p PDF) ([]byte, error) {
 }
 
 // Decode reverses Encode. Corrupt input yields ErrCorruptPDF (constructor
-// panics on decoded-but-invalid parameters are converted to errors).
+// panics on decoded-but-invalid parameters are converted to errors). The
+// encoding is canonical: what Decode accepts, Encode writes back byte for
+// byte — no trailing bytes, a polygon's vertices its own hull in hull
+// order, a mixture's weights and a histogram's masses already normalized
+// (taken as they are, so a pdf read back is the pdf written).
 func Decode(buf []byte) (p PDF, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -223,22 +228,26 @@ func decode(buf []byte) (PDF, error) {
 			for _, b := range bins {
 				want *= b
 			}
-			if want != n {
-				return nil, fmt.Errorf("%w: %d cells for bins %v", ErrCorruptPDF, n, bins)
+			if want != n || !normalized(mass) {
+				return nil, fmt.Errorf("%w: %d cell masses for bins %v, or not normalized", ErrCorruptPDF, n, bins)
 			}
-			p = NewHistogramRect(geom.Rect{Lo: lo, Hi: hi}, bins, mass)
+			p = histogramOf(geom.Rect{Lo: lo, Hi: hi}, bins, mass)
 		}
 	case tagPolygon:
 		nv := int(d.u16())
-		if d.err == nil && (nv < 3 || nv > 1024) {
-			return nil, fmt.Errorf("%w: polygon with %d vertices", ErrCorruptPDF, nv)
+		if d.err == nil && (dim != 2 || nv < 3 || nv > 1024) {
+			return nil, fmt.Errorf("%w: %d-D polygon with %d vertices", ErrCorruptPDF, dim, nv)
 		}
 		verts := make([]geom.Point, 0, nv)
 		for i := 0; i < nv; i++ {
 			verts = append(verts, d.point(2))
 		}
 		if d.err == nil {
-			p = NewUniformPolygon(verts)
+			poly := NewUniformPolygon(verts)
+			if !slices.EqualFunc(poly.verts, verts, geom.Point.Equal) {
+				return nil, fmt.Errorf("%w: polygon vertices not their own hull", ErrCorruptPDF)
+			}
+			p = poly
 		}
 	case tagMixture:
 		nc := int(d.u16())
@@ -265,7 +274,10 @@ func decode(buf []byte) (PDF, error) {
 			weights = append(weights, w)
 		}
 		if d.err == nil {
-			p = NewMixture(comps, weights)
+			if !normalized(weights) {
+				return nil, fmt.Errorf("%w: mixture weights %v not normalized", ErrCorruptPDF, weights)
+			}
+			p = mixtureOf(comps, weights)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown tag %d", ErrCorruptPDF, tag)
@@ -273,5 +285,21 @@ func decode(buf []byte) (PDF, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if d.off != len(buf) {
+		return nil, fmt.Errorf("%w: %d bytes after the pdf", ErrCorruptPDF, len(buf)-d.off)
+	}
 	return p, nil
+}
+
+// normalized reports whether w is what NewMixture and NewHistogramRect
+// keep: finite, non-negative weights summing to 1 up to rounding.
+func normalized(w []float64) bool {
+	var sum float64
+	for _, v := range w {
+		if !(v >= 0 && v <= 1) {
+			return false
+		}
+		sum += v
+	}
+	return math.Abs(sum-1) <= 1e-12
 }

@@ -28,7 +28,7 @@ type ConGauBall struct {
 // paper uses R=250, Sigma=125 (σ = half the region radius). Supported for
 // d ∈ {1,2,3}.
 func NewConGauBall(ctr geom.Point, r, sigma float64) *ConGauBall {
-	if r <= 0 || sigma <= 0 {
+	if !(r > 0 && sigma > 0) {
 		panic(fmt.Sprintf("updf: invalid ConGau parameters r=%g sigma=%g", r, sigma))
 	}
 	d := len(ctr)
@@ -113,6 +113,12 @@ func (g *ConGauBall) ShapeKey() string {
 }
 
 func (g *ConGauBall) Center() geom.Point { return g.Ctr }
+
+// Recentred is the constrained Gaussian of the same r and σ centred at
+// ctr; its λ is g's, as NewConGauBall would compute it.
+func (g *ConGauBall) Recentred(ctr geom.Point) PDF {
+	return &ConGauBall{Ctr: ctr.Clone(), R: g.R, Sigma: g.Sigma, lambda: g.lambda}
+}
 
 // ExactProb evaluates Equation 2: in 2-D a Gauss–Legendre rule over the
 // erf differences that are the Gaussian chord masses (diskRectMass), in 3-D

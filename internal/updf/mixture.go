@@ -29,25 +29,33 @@ func NewMixture(comps []PDF, weights []float64) *Mixture {
 	if len(comps) == 0 || len(comps) != len(weights) {
 		panic(fmt.Sprintf("updf: mixture with %d components, %d weights", len(comps), len(weights)))
 	}
-	d := comps[0].Dim()
 	var total float64
-	for i, c := range comps {
-		if c.Dim() != d {
-			panic("updf: mixture components with mixed dimensionality")
-		}
-		if weights[i] < 0 {
+	for _, w := range weights {
+		if w < 0 {
 			panic("updf: negative mixture weight")
 		}
-		total += weights[i]
+		total += w
 	}
 	if total <= 0 {
 		panic("updf: mixture weights sum to zero")
 	}
-	m := &Mixture{comps: comps}
-	m.weights = make([]float64, len(weights))
+	norm := make([]float64, len(weights))
 	for i, w := range weights {
-		m.weights[i] = w / total
+		norm[i] = w / total
 	}
+	return mixtureOf(comps, norm)
+}
+
+// mixtureOf builds the mixture of comps with the normalized weights as
+// they are — NewMixture's, or a decoded encoding's, which normalizing
+// again could move by an ulp. It keeps weights.
+func mixtureOf(comps []PDF, weights []float64) *Mixture {
+	for _, c := range comps[1:] {
+		if c.Dim() != comps[0].Dim() {
+			panic("updf: mixture components with mixed dimensionality")
+		}
+	}
+	m := &Mixture{comps: comps, weights: weights}
 	m.mbr = comps[0].MBR()
 	for _, c := range comps[1:] {
 		m.mbr.UnionInPlace(c.MBR())

@@ -59,6 +59,16 @@ type ExactProber interface {
 	ExactProb(rq geom.Rect) float64
 }
 
+// Recentrer is implemented by a pdf whose shape, moved to any centre, is a
+// pdf of the same family: Recentred(ctr) is that pdf, centred at ctr (which
+// must have the pdf's dimensionality). For every q with q.ShapeKey() ==
+// p.ShapeKey(), Encode(p.Recentred(q.Center())) is byte-equal to
+// Encode(q), so an index that keeps one prototype per shape can store an
+// object as its centre alone and rebuild it bit for bit.
+type Recentrer interface {
+	Recentred(ctr geom.Point) PDF
+}
+
 // MarginalQuantile inverts p.MarginalCDF on dimension dim by bisection over
 // the MBR extent. prob must be in [0, 1]; values at the boundaries return
 // the region's extremes.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -26,14 +27,19 @@ type triangle struct{ a, b, c geom.Point }
 // NewUniformPolygon builds a uniform pdf over the convex polygon with the
 // given vertices (any order; the convex hull is taken). It panics when
 // fewer than 3 distinct points or a degenerate (zero-area) polygon is
-// supplied, and when points are not 2-dimensional.
+// supplied, and when points are not 2-dimensional or not finite.
 func NewUniformPolygon(verts []geom.Point) *UniformPolygon {
 	for _, v := range verts {
 		if len(v) != 2 {
 			panic("updf: UniformPolygon requires 2D points")
 		}
+		for _, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				panic(fmt.Sprintf("updf: non-finite polygon vertex %v", v))
+			}
+		}
 	}
-	hull := convexHull(verts)
+	hull := canonicalHull(verts)
 	if len(hull) < 3 {
 		panic(fmt.Sprintf("updf: polygon needs ≥3 hull vertices, got %d", len(hull)))
 	}
@@ -207,6 +213,22 @@ func convexHull(pts []geom.Point) []geom.Point {
 		upper = append(upper, p)
 	}
 	return append(lower[:len(lower)-1], upper[:len(upper)-1]...)
+}
+
+// canonicalHull is convexHull taken to its fixed point: rounding in the
+// orientation test can drop a vertex from a hull that convexHull returned,
+// and a polygon's vertices must be their own hull, or its encoding would
+// decode to another polygon. convexHull's result depends on its input's
+// points alone, so each round drops a vertex or is the last.
+func canonicalHull(pts []geom.Point) []geom.Point {
+	hull := convexHull(pts)
+	for {
+		again := convexHull(hull)
+		if slices.EqualFunc(again, hull, geom.Point.Equal) {
+			return hull
+		}
+		hull = again
+	}
 }
 
 func less2(a, b geom.Point) bool {

@@ -147,13 +147,23 @@ func NewHistogramRect(rect geom.Rect, bins []int, weights []float64) *HistogramR
 	if total <= 0 {
 		panic("updf: all-zero histogram")
 	}
+	mass := make([]float64, n)
+	for i, w := range weights {
+		mass[i] = w / total
+	}
+	return histogramOf(rect, bins, mass)
+}
+
+// histogramOf builds the histogram with the normalized cell masses as they
+// are — NewHistogramRect's, or a decoded encoding's, which normalizing
+// again could move by an ulp. It keeps mass; bins must have rect's
+// dimensionality and len(mass) cells.
+func histogramOf(rect geom.Rect, bins []int, mass []float64) *HistogramRect {
+	d, n := rect.Dim(), len(mass)
 	h := &HistogramRect{
 		Rect: rect.Clone(),
 		Bins: append([]int(nil), bins...),
-		Mass: make([]float64, n),
-	}
-	for i, w := range weights {
-		h.Mass[i] = w / total
+		Mass: mass,
 	}
 	// Per-dimension slab projections and prefix sums for marginal CDFs.
 	h.proj = make([][]float64, d)

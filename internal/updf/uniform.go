@@ -17,10 +17,10 @@ type UniformBall struct {
 	vol float64
 }
 
-// NewUniformBall constructs a uniform-ball pdf. It panics on non-positive
-// radius, which would make the density undefined.
+// NewUniformBall constructs a uniform-ball pdf. It panics on a radius that
+// is not positive (or is NaN), which would make the density undefined.
 func NewUniformBall(ctr geom.Point, r float64) *UniformBall {
-	if r <= 0 {
+	if !(r > 0) {
 		panic(fmt.Sprintf("updf: non-positive ball radius %g", r))
 	}
 	d := len(ctr)
@@ -88,6 +88,12 @@ func (u *UniformBall) ShapeKey() string {
 }
 
 func (u *UniformBall) Center() geom.Point { return u.Ctr }
+
+// Recentred is the ball of the same radius centred at ctr; its volume is
+// u's, as NewUniformBall would compute it.
+func (u *UniformBall) Recentred(ctr geom.Point) PDF {
+	return &UniformBall{Ctr: ctr.Clone(), R: u.R, vol: u.vol}
+}
 
 // ExactProb is the ratio Vol(ball ∩ rq) / Vol(ball) of Equation 1: in
 // closed form in 1-D and 2-D, in 3-D a Gauss–Legendre rule over z of the

@@ -1,9 +1,12 @@
 package uncertain
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/pagefile"
@@ -403,6 +406,103 @@ func TestDeleteByIDAfterRolledBackInsert(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRollbackDropsShapeThenReuse: a rolled-back batch takes the shapes it
+// entered out of the table, and the next batch hands their references to
+// other shapes. The keyed records of the rolled-back batch still lie in the
+// data file, naming references that now mean other shapes; nothing reaches
+// them. Every live record decodes against the table of its epoch: the
+// records check out, the directory matches the leaves, and queries that
+// read every record answer as a twin built from the live objects alone.
+func TestRollbackDropsShapeThenReuse(t *testing.T) {
+	live := map[int64]PDF{
+		1: UniformCircle(Pt(900, 500), 10),
+		9: ConstrainedGaussian(Pt(880, 520), 17, 8),
+		7: UniformCircle(Pt(920, 480), 21),
+	}
+	for name, idx := range addressingIndexes(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := idx.Insert(1, live[1]); err != nil {
+				t.Fatal(err)
+			}
+			boom := errors.New("boom")
+			err := idx.WriteBatch(func(w BatchWriter) error {
+				if err := w.Insert(7, UniformCircle(Pt(910, 510), 13)); err != nil {
+					return err
+				}
+				if err := w.Insert(8, ConstrainedGaussian(Pt(890, 490), 13, 6)); err != nil {
+					return err
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("WriteBatch: %v, want %v", err, boom)
+			}
+			if err := idx.WriteBatch(func(w BatchWriter) error {
+				if err := w.Insert(9, live[9]); err != nil {
+					return err
+				}
+				return w.Insert(7, live[7])
+			}); err != nil {
+				t.Fatal(err)
+			}
+			assertDirectory(t, "after the reuse", idx)
+			trees := []*Tree{}
+			switch x := idx.(type) {
+			case *Tree:
+				trees = append(trees, x)
+			case *ShardedTree:
+				trees = x.shards
+			}
+			shapes := 0
+			for _, tr := range trees {
+				if err := tr.CheckRecords(); err != nil {
+					t.Fatal(err)
+				}
+				shapes = max(shapes, tr.Shapes())
+			}
+			if shapes != 3 {
+				t.Fatalf("%d shapes in the fullest table, want the 3 live ones", shapes)
+			}
+
+			twin, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer twin.Close()
+			for _, id := range []int64{1, 9, 7} {
+				if err := twin.Insert(id, live[id]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range []Rect{Box(Pt(860, 480), Pt(900, 530)), Box(Pt(900, 460), Pt(950, 500))} {
+				got, _, err1 := idx.Search(context.Background(), q, 0.05)
+				want, _, err2 := twin.Search(context.Background(), q, 0.05)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				requireSameResults(t, "after the reuse", [][]Result{sortedByID(want)}, [][]Result{sortedByID(got)})
+			}
+			got, _, err1 := idx.NearestNeighbors(context.Background(), Pt(895, 505), 3)
+			want, _, err2 := twin.NearestNeighbors(context.Background(), Pt(895, 505), 3)
+			if err1 != nil || err2 != nil || len(got) != 3 || len(want) != 3 {
+				t.Fatalf("k-NN: %v (%v), twin %v (%v)", got, err1, want, err2)
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID {
+					t.Fatalf("k-NN neighbour %d: %+v, twin %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// sortedByID returns the results ordered by ID.
+func sortedByID(rs []Result) []Result {
+	rs = slices.Clone(rs)
+	slices.SortFunc(rs, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
+	return rs
 }
 
 // recordPage returns a bulk-loaded object whose record lies on the lowest

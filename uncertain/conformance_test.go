@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pagefile"
+	"repro/internal/updf"
 )
 
 // This file is the Index conformance contract: whatever constructor built
@@ -531,8 +532,8 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 	if err := raw.Read(fileMetaPage, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:4]) != "3RTU" { // "UTR3", little endian
-		t.Fatalf("metadata magic %q, want UTR3", buf[:4])
+	if string(buf[:4]) != "4RTU" { // "UTR4", little endian
+		t.Fatalf("metadata magic %q, want UTR4", buf[:4])
 	}
 	buf[0] = '1'
 	if err := raw.Write(fileMetaPage, buf); err != nil {
@@ -575,7 +576,9 @@ func TestOpenTreeRefusesV1PageFormat(t *testing.T) {
 // range queries decide candidates at the leaf, before their record is read,
 // and return — result for result, in order, probabilities included — what
 // the same file returns once its table is emptied and every candidate is
-// refined from its record again.
+// refined from its record again. A ball's record is keyed — its centre and
+// a shape reference — so once the table is gone, a query that reads one
+// fails with ErrCorruptPDF instead, and the others answer as before.
 func TestIndexConformanceShapes(t *testing.T) {
 	lattice := func(rng *rand.Rand, step float64) Point {
 		return Pt(step*float64(rng.Intn(int(conformanceSpan/step))), step*float64(rng.Intn(int(conformanceSpan/step))))
@@ -585,29 +588,30 @@ func TestIndexConformanceShapes(t *testing.T) {
 	// ShapeKey holds as computed, comes out the same wherever they are; the
 	// polygon, whose key holds vertex − centroid, on a lattice of sixes.
 	families := []struct {
-		name string
-		pdf  func(rng *rand.Rand, big bool) PDF
+		name  string
+		pdf   func(rng *rand.Rand, big bool) PDF
+		keyed bool // the family's records are keyed
 	}{
 		{"circle", func(rng *rand.Rand, big bool) PDF {
 			return UniformCircle(Pt(rng.Float64()*conformanceSpan, rng.Float64()*conformanceSpan), map[bool]float64{false: 14, true: 22.5}[big])
-		}},
+		}, true},
 		{"con-gau", func(rng *rand.Rand, big bool) PDF {
 			return ConstrainedGaussian(Pt(rng.Float64()*conformanceSpan, rng.Float64()*conformanceSpan), map[bool]float64{false: 15, true: 24}[big], 7.5)
-		}},
+		}, true},
 		{"box", func(rng *rand.Rand, big bool) PDF {
 			return UniformBox(box(lattice(rng, 0.125), map[bool]float64{false: 12, true: 20}[big], 16))
-		}},
+		}, false},
 		{"gauss-box", func(rng *rand.Rand, big bool) PDF {
 			c := lattice(rng, 0.125)
 			return TruncatedGaussianBox(box(c, 18, map[bool]float64{false: 12, true: 20}[big]), Pt(c[0]-4, c[1]+2), []float64{12, 9})
-		}},
+		}, false},
 		{"expo-box", func(rng *rand.Rand, big bool) PDF {
 			return ExponentialBox(box(lattice(rng, 0.125), map[bool]float64{false: 12, true: 20}[big], 16), []float64{0.05, 0.03})
-		}},
+		}, false},
 		{"polygon", func(rng *rand.Rand, big bool) PDF {
 			c, a := lattice(rng, 6), map[bool]float64{false: 18, true: 30}[big]
 			return UniformPolygon([]Point{{c[0] + a, c[1]}, {c[0] + 6, c[1] + 18}, {c[0] - 6, c[1] + 18}, {c[0] - a, c[1]}, {c[0] - 6, c[1] - 18}, {c[0] + 6, c[1] - 18}})
-		}},
+		}, false},
 	}
 	queries := append(shardedFixtureQueries(24, 35), latticeFixtureQueries(6, 30, 0.3)...)
 	searchAll := func(t *testing.T, idx *Tree) (out [][]Result, total Stats) {
@@ -683,6 +687,24 @@ func TestIndexConformanceShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer bare.Discard()
+				if f.keyed {
+					failed := 0
+					for i, q := range queries {
+						res, _, err := bare.Search(context.Background(), q.Rect, q.Prob)
+						if err != nil {
+							if !errors.Is(err, updf.ErrCorruptPDF) {
+								t.Fatalf("query %d without the table: %v, want ErrCorruptPDF", i, err)
+							}
+							failed++
+							continue
+						}
+						requireSameResults(t, fmt.Sprintf("without the table, query %d:", i), want[i:i+1], [][]Result{res})
+					}
+					if failed == 0 {
+						t.Fatal("no query read a keyed record the emptied table cannot resolve")
+					}
+					return
+				}
 				got, without := searchAll(t, bare)
 				requireSameResults(t, "without the shape table", want, got)
 				if bare.Shapes() != 0 || without.ShapeDecided != 0 || without.RefinementIOs <= with.RefinementIOs {

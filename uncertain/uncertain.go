@@ -135,13 +135,17 @@ type Config struct {
 	// physically reclaimed. A hit skips the page read and the node decode
 	// entirely — the query hot path runs allocation-free; a miss reads the
 	// store. A cached node costs about one page of heap, so the default of
-	// 1024 entries (0) is ≈ 4 MiB; negative disables the cache.
+	// 1024 entries (0) is ≈ 4 MiB; negative disables the cache. A full
+	// cache evicts its least recently used leaf, and an inner node only
+	// when it holds no leaf: every descent passes through the inner levels,
+	// so a cache smaller than the tree keeps them and misses on leaves.
 	//
 	// Switched off on the benchmark's warm workloads (one run each on a
 	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
 	// and 50× on the 3-D sharded one, and a query's median latency rises
 	// 1.7× on the 3-D sharded and churn workloads. When the tree is ~20×
-	// the cache (the cold CA workload, 32 entries) it saves 16 % of reads.
+	// the cache (the cold CA workload, 32 entries) it saves 16 % of reads,
+	// and evicting leaves first 7 % more.
 	// Its price is heap, about a page per cached node: 1.3–2.0 MB, 28–40 %
 	// of the warm workloads' live heap.
 	NodeCacheEntries int
