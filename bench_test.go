@@ -1,5 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// U-tree paper's evaluation (Section 6), plus the DESIGN.md ablations.
+// U-tree paper's evaluation (Section 6), plus the ablations of
+// `ubench -experiment ablations` (split strategy, forced reinsertion,
+// catalog size, CFB vs PCR entries).
 // Each benchmark regenerates its experiment at a reduced dataset scale and
 // reports the paper's metrics as custom benchmark outputs
 // (node-accesses/query, prob-computations/query, era-model seconds, …).
@@ -135,7 +137,8 @@ func BenchmarkFig11Updates(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSplit compares split strategies (DESIGN.md §7).
+// BenchmarkAblationSplit compares the paper's median-value split with the
+// naive p=0 split and the exhaustive summed split (experiments.AblationSplit).
 func BenchmarkAblationSplit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

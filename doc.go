@@ -7,4 +7,32 @@
 // The root package holds only cross-cutting benchmarks; the
 // implementation lives in uncertain (public API), internal/core (the
 // tree), internal/pagefile (the page store), and their siblings.
+//
+// # Paper-to-code map
+//
+// Each line names a notion of the paper and, after the arrow, the
+// identifiers that implement it, as package path, then identifier or
+// Type.Method. TestPaperMap fails when one of them no longer exists.
+//
+//	PCR o.pcr(p), Section 4.1                → internal/pcr.Compute, internal/pcr.PCRs
+//	U-catalog p_1 … p_m, Section 4.2         → internal/pcr.Catalog, internal/pcr.UniformCatalog
+//	Observation 1, prune on a PCR            → internal/pcr.FilterCatalogPCR
+//	Observation 2, Rules 1–2 on the catalog  → internal/pcr.FilterCatalogPCR, internal/pcr.Catalog.SmallestGE, internal/pcr.Catalog.LargestLE
+//	Observation 3, the rules on CFBs         → internal/pcr.FilterCFB, internal/pcr.CFB.within, internal/pcr.CFB.meets
+//	Observation 4, prune an inner entry      → internal/core.Tree.boxIntersectsAt, internal/core.Tree.boxAt
+//	cfb_out and cfb_in, Sections 4.3–4.4     → internal/pcr.CFB, internal/pcr.FitOut, internal/pcr.FitIn
+//	U-PCR leaf entry, catalog PCRs           → internal/core.UPCR, internal/core.Tree.encodeLeafEntry
+//	U-tree leaf entry, cfb_out and cfb_in    → internal/core.UTree, internal/core.Tree.encodeLeafEntry
+//	intermediate entry, e.MBR(p_j)           → internal/core.Tree.encodeInnerEntry, internal/core.Tree.nodeBoundary
+//	ChooseSubtree and split, Section 5.3     → internal/core.Tree.chooseSubtree, internal/core.Tree.chooseSplit
+//	prob-range query, Section 5.2            → internal/core.Snapshot.RangeQuery, uncertain.Tree.Search
+//	Equation 2, appearance probability       → internal/core.Tree.appearanceProbability, internal/updf.ExactProber
+//	Equation 3, the Monte Carlo estimate     → internal/updf.MonteCarloProbScratch
+//
+// Where the code departs from the paper:
+//
+//	probability bound, replaces Rules 3–5    → internal/pcr.ProbBoundsCFB, internal/pcr.ProbBoundsPCR
+//	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
+//	float32 CFB coefficients                 → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
+//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
 package repro

@@ -140,7 +140,7 @@ func TestGCInfoCounters(t *testing.T) {
 	}
 	delete(dataPages, tree.MetaPage())
 	addrs := map[int64]pagefile.DataAddr{}
-	if err := tree.walk(tree.rootPage, func(n *node) error {
+	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		delete(dataPages, n.page)
 		for i := range n.entries {
 			if n.leaf() {

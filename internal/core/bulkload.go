@@ -99,7 +99,7 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 			// Free the initial empty root page created by New.
 			root := next[0].child
 			if t.rootPage != root {
-				if n, err := t.readNode(t.rootPage); err == nil && len(n.entries) == 0 {
+				if n, err := t.readNode(t.rootPage, t.rootLevel); err == nil && len(n.entries) == 0 {
 					_ = t.freeNode(n)
 				}
 			}

@@ -41,7 +41,7 @@ func TestBulkLoadClustersRecords(t *testing.T) {
 	var leaves [][]pagefile.DataAddr
 	perPage := make(map[pagefile.PageID]int)
 	last := pagefile.PageID(0)
-	err := bulk.walk(bulk.rootPage, func(n *node) error {
+	err := bulk.walk(bulk.rootPage, bulk.rootLevel, func(n *node) error {
 		if !n.leaf() {
 			return nil
 		}

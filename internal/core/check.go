@@ -35,12 +35,9 @@ func (t *Tree) checkTreeAt(st *treeState, records bool) error {
 	total := 0
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
-		n, err := t.readNode(page)
+		n, err := t.readNode(page, wantLevel)
 		if err != nil {
 			return nil, err
-		}
-		if wantLevel >= 0 && n.level != wantLevel {
-			return nil, fmt.Errorf("core: node %d at level %d, want %d", page, n.level, wantLevel)
 		}
 		capacity, minFill := t.leafCap, t.minLeaf
 		if !n.leaf() {

@@ -568,7 +568,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs := map[int64]pagefile.DataAddr{}
-	if err := tree.walk(tree.rootPage, func(n *node) error {
+	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		for i := range n.entries {
 			if n.leaf() {
 				addrs[n.entries[i].id] = n.entries[i].addr
@@ -633,7 +633,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecords()
-	if err := re.walk(re.rootPage, func(n *node) error {
+	if err := re.walk(re.rootPage, re.rootLevel, func(n *node) error {
 		for i := range n.entries {
 			if e := &n.entries[i]; n.leaf() && e.id >= 1000 && (e.addr.Page != appendPage || e.addr.Slot <= addrs[dead[19].ID].Slot) {
 				t.Errorf("object %d appended at %+v, want page %d after slot %d", e.id, e.addr, appendPage, addrs[dead[19].ID].Slot)
@@ -737,6 +737,64 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	}
 }
 
+// corruptChildPointer builds a three-level tree over objs and points the
+// root's first entry back at the root itself, rewriting the committed root
+// page in place behind the copy-on-write check. It returns the tree and the
+// root as it was before the damage.
+func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) {
+	t.Helper()
+	tree, err := New(Options{Dim: 2, ExactRefinement: true, NodeCacheEntries: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if _, err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.rootLevel != 2 {
+		t.Fatalf("fixture: root at level %d, want 2", tree.rootLevel)
+	}
+	root, err := tree.readNode(tree.rootPage, tree.rootLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *root
+	bad.entries = append([]entry(nil), root.entries...)
+	bad.entries[0].child = root.page
+	page := make([]byte, pagefile.PageSize)
+	if err := tree.encodeNode(&bad, page); err != nil {
+		t.Fatal(err)
+	}
+	tree.vs.MarkInPlace(root.page)
+	if err := tree.store.Write(root.page, page); err != nil {
+		t.Fatal(err)
+	}
+	tree.vs.UnmarkInPlace(root.page)
+	tree.pool.Invalidate(root.page)
+	return tree, root
+}
+
+// within runs op and fails the test unless it returns within 2 s.
+func within(t *testing.T, name string, op func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2 s", name)
+		return nil
+	}
+}
+
 // TestCorruptChildPointerEndsQueries: a child pointer that leads back to
 // the root once kept a range query descending until its deadline (about
 // 700k node accesses in 2 s) and for ever on context.Background(). Each
@@ -748,41 +806,9 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
 	for _, cache := range []int{-1, 0} {
 		for _, kind := range []string{"range", "nn"} {
-			tree, err := New(Options{Dim: 2, ExactRefinement: true, NodeCacheEntries: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, o := range objs {
-				if _, err := tree.Insert(o); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tree.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tree.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if tree.rootLevel != 2 {
-				t.Fatalf("fixture: root at level %d, want 2", tree.rootLevel)
-			}
-			root, err := tree.readNode(tree.rootPage)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tree, root := corruptChildPointer(t, objs, cache)
 			// A point inside the entry's box: the NN traversal pops it early.
 			q := root.entries[0].boxes[0].Center()
-			root.entries[0].child = root.page
-			page := make([]byte, pagefile.PageSize)
-			if err := tree.encodeNode(root, page); err != nil {
-				t.Fatal(err)
-			}
-			tree.vs.MarkInPlace(root.page)
-			if err := tree.store.Write(root.page, page); err != nil {
-				t.Fatal(err)
-			}
-			tree.vs.UnmarkInPlace(root.page)
-			tree.pool.Invalidate(root.page)
 
 			// The re-issued query meets the same page again — from the
 			// store, or from the node cache that kept the decoded copy —
@@ -791,6 +817,7 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				snap := tree.Snapshot()
 				var accesses int
+				var err error
 				if kind == "range" {
 					var st QueryStats
 					_, st, err = snap.RangeQuery(ctx, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{10000, 10000}), Prob: 0.5}, QueryOpts{})
@@ -816,6 +843,61 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 			if len(corrupt) != 1 || !errors.As(corrupt[0], &bad) || bad.Page != root.page {
 				t.Errorf("cache %d: Scrub found %v, want one BadPageError for page %d", cache, corrupt, root.page)
 			}
+		}
+	}
+}
+
+// TestCorruptChildPointerEndsWalks: the same pointer back to the root must
+// end every other path that reads tree nodes — the whole-tree walks and the
+// insert and delete descents — with a BadPageError for the root page, and a
+// failed mutation rolls back to the committed tree. Each once recursed or
+// looped without end.
+func TestCorruptChildPointerEndsWalks(t *testing.T) {
+	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
+	tree, root := corruptChildPointer(t, objs, 0)
+	// An insert whose descent takes the root's first entry, and a delete
+	// whose descent tries that entry first.
+	var ins, del Object
+	for _, o := range objs {
+		if ins.PDF == nil {
+			c := Object{ID: 1 << 40, PDF: o.PDF}
+			if e, err := tree.buildLeafEntry(c); err == nil && tree.chooseSubtree(root, tree.boundary(&e, true)) == 0 {
+				ins = c
+			}
+		}
+		if del.PDF == nil && containsEps(tree.boxAt(root.entries[0].boxes, 0), o.PDF.MBR(), 1e-7) {
+			del = o
+		}
+	}
+	if ins.PDF == nil || del.PDF == nil {
+		t.Fatal("fixture: no insert or delete descends into the root's first entry")
+	}
+	cases := []struct {
+		name     string
+		op       func() error
+		mutation bool
+	}{
+		{"IndexPages", func() error { _, err := tree.IndexPages(); return err }, false},
+		{"ReachablePages", func() error { _, err := tree.ReachablePages(nil); return err }, false},
+		{"CheckInvariants", tree.CheckInvariants, false},
+		{"Insert", func() error { _, err := tree.Insert(ins); return err }, true},
+		{"Delete", func() error { return tree.Delete(del.ID, del.PDF.MBR()) }, true},
+	}
+	for _, c := range cases {
+		err := within(t, c.name, c.op)
+		var bad *pagefile.BadPageError
+		if !errors.Is(err, pagefile.ErrBadPage) || !errors.As(err, &bad) || bad.Page != root.page {
+			t.Errorf("%s: err %v, want a BadPageError for page %d", c.name, err, root.page)
+		}
+		if !c.mutation {
+			continue
+		}
+		if err := tree.Rollback(); err != nil {
+			t.Fatalf("%s: rollback: %v", c.name, err)
+		}
+		if tree.Len() != len(objs) || tree.rootPage != root.page || tree.rootLevel != root.level {
+			t.Errorf("%s: after rollback %d objects, root %d at level %d; want %d, %d at %d",
+				c.name, tree.Len(), tree.rootPage, tree.rootLevel, len(objs), root.page, root.level)
 		}
 	}
 }

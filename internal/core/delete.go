@@ -21,7 +21,7 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
-	leaf, path, idx, err := t.findLeaf(t.rootPage, nil, id, mbr)
+	leaf, path, idx, err := t.findLeaf(t.rootPage, t.rootLevel, nil, id, mbr)
 	if err != nil {
 		return err
 	}
@@ -68,8 +68,8 @@ func (t *Tree) RecordMBR(addr pagefile.DataAddr) (int64, geom.Rect, error) {
 // and intermediate boxes cover those in turn. The descent tolerates the
 // same float epsilon as CheckInvariants, so a box whose faces round a hair
 // inside the true union never hides an existing entry.
-func (t *Tree) findLeaf(page pagefile.PageID, path []pathElem, id int64, mbr geom.Rect) (*node, []pathElem, int, error) {
-	n, err := t.readNode(page)
+func (t *Tree) findLeaf(page pagefile.PageID, level int, path []pathElem, id int64, mbr geom.Rect) (*node, []pathElem, int, error) {
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return nil, nil, -1, err
 	}
@@ -85,7 +85,7 @@ func (t *Tree) findLeaf(page pagefile.PageID, path []pathElem, id int64, mbr geo
 		if !containsEps(t.boxAt(n.entries[i].boxes, 0), mbr, 1e-7) {
 			continue
 		}
-		leaf, p, idx, err := t.findLeaf(n.entries[i].child, append(path, pathElem{n: n, childIdx: i}), id, mbr)
+		leaf, p, idx, err := t.findLeaf(n.entries[i].child, n.level-1, append(path, pathElem{n: n, childIdx: i}), id, mbr)
 		if err != nil {
 			return nil, nil, -1, err
 		}
@@ -134,7 +134,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 	// Root adjustments: collapse single-child internal roots; reset an
 	// empty internal root to an empty leaf.
 	for {
-		root, err := t.readNode(t.rootPage)
+		root, err := t.readNode(t.rootPage, t.rootLevel)
 		if err != nil {
 			return err
 		}
@@ -143,7 +143,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 		}
 		if len(root.entries) == 1 {
 			child := root.entries[0].child
-			childNode, err := t.readNode(child)
+			childNode, err := t.readNode(child, root.level-1)
 			if err != nil {
 				return err
 			}
@@ -187,7 +187,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 				return err
 			}
 		default:
-			leaves, err := t.collectLeafEntries(o.e.child)
+			leaves, err := t.collectLeafEntries(o.e.child, o.level-1)
 			if err != nil {
 				return err
 			}
@@ -201,9 +201,10 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 	return nil
 }
 
-// collectLeafEntries drains the subtree rooted at page, freeing its nodes.
-func (t *Tree) collectLeafEntries(page pagefile.PageID) ([]entry, error) {
-	n, err := t.readNode(page)
+// collectLeafEntries drains the subtree rooted at page, at level, freeing
+// its nodes.
+func (t *Tree) collectLeafEntries(page pagefile.PageID, level int) ([]entry, error) {
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +213,7 @@ func (t *Tree) collectLeafEntries(page pagefile.PageID) ([]entry, error) {
 		out = append(out, n.entries...)
 	} else {
 		for i := range n.entries {
-			sub, err := t.collectLeafEntries(n.entries[i].child)
+			sub, err := t.collectLeafEntries(n.entries[i].child, n.level-1)
 			if err != nil {
 				return nil, err
 			}

@@ -86,14 +86,19 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 	return p.rects[i*p.nb : (i+1)*p.nb : (i+1)*p.nb]
 }
 
-// readNode fetches a page and expands it into edit form, counting one
-// logical node access. It always decodes a private copy: the mutation paths
-// edit the returned node's entries in place, so they must never receive
-// slabs shared through the decoded-node cache. Query paths go through
-// fetchNode, which consults the cache first.
-func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
+// readNode fetches the page a descent expects at level and expands it into
+// edit form, counting one logical node access. A node at another level is
+// refused (checkLevel), so no walk that reads its nodes here can loop. It
+// always decodes a private copy: the mutation paths edit the returned
+// node's entries in place, so they must never receive slabs shared through
+// the decoded-node cache. Query paths go through fetchNode, which consults
+// the cache first.
+func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 	p, err := t.readPacked(id)
 	if err != nil {
+		return nil, err
+	}
+	if err := t.checkLevel(p, level); err != nil {
 		return nil, err
 	}
 	return t.expand(p), nil

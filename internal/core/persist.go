@@ -115,7 +115,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 	// The root box is not persisted: read it off the root once. A root that
 	// does not read leaves it zero ("cannot prune"), and every query that
 	// descends reports the failure.
-	if root, err := t.readNode(t.rootPage); err == nil {
+	if root, err := t.readNode(t.rootPage, t.rootLevel); err == nil {
 		t.rootMBR = t.rootBox(root)
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
@@ -138,7 +138,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, e
 // the MBR Delete descends on).
 func (t *Tree) ReachablePages(object func(id int64, addr pagefile.DataAddr)) (map[pagefile.PageID]bool, error) {
 	reach := make(map[pagefile.PageID]bool)
-	err := t.walk(t.rootPage, func(n *node) error {
+	err := t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
 		if n.level == 0 {
 			for i := range n.entries {

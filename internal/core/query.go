@@ -171,7 +171,7 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 	if err := validateQuery(t.dim, q); err != nil {
 		return nil, stats, err
 	}
-	start := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
+	start := time.Now()
 
 	var meter fetchMeter
 	// finish closes the stats over the work actually done — on completion
@@ -266,7 +266,7 @@ descent:
 
 	// Refinement: group candidates by data page (one I/O per page with a
 	// candidate still undecided).
-	refineStart := time.Now() //ulint:ignore detquery timing feeds QueryStats only, never the result set
+	refineStart := time.Now()
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].addr.Page != cands[b].addr.Page {
 			return cands[a].addr.Page < cands[b].addr.Page

@@ -23,7 +23,7 @@ import (
 func checkRecordForms(t *testing.T, tree *Tree, objs map[int64]Object) (keyed int) {
 	t.Helper()
 	seen := 0
-	err := tree.walk(tree.rootPage, func(n *node) error {
+	err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		if !n.leaf() {
 			return nil
 		}

@@ -88,7 +88,7 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 				answers[r.ID] = true
 			}
 			var cands []candidate
-			if err := tree.walk(snap.st.rootPage, func(n *node) error {
+			if err := tree.walk(snap.st.rootPage, snap.st.rootLevel, func(n *node) error {
 				for i := range n.entries {
 					e := &n.entries[i]
 					if n.leaf() && answers[e.id] && pcr.FilterCFB(e.out, e.in, tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown &&
@@ -181,7 +181,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 			// and cannot be skipped: the traversal must meet its record.
 			victim := want[4].ID
 			var addr pagefile.DataAddr
-			if err := tree.walk(tree.rootPage, func(n *node) error {
+			if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 				for i := range n.entries {
 					if n.leaf() && n.entries[i].id == victim {
 						addr = n.entries[i].addr

@@ -56,7 +56,7 @@ func shapedObjects(n int, span float64, rng *rand.Rand) []Object {
 func leafShapes(t *testing.T, tree *Tree) map[int64]uint16 {
 	t.Helper()
 	refs := make(map[int64]uint16)
-	if err := tree.walk(tree.rootPage, func(n *node) error {
+	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		for i := range n.entries {
 			if n.leaf() {
 				refs[n.entries[i].id] = n.entries[i].shape
@@ -508,7 +508,7 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	build := func() (*Tree, *node) {
 		objs := shapedObjects(30, 200, rand.New(rand.NewSource(46)))
 		tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
-		leaf, err := tree.readNode(tree.rootPage)
+		leaf, err := tree.readNode(tree.rootPage, tree.rootLevel)
 		if err != nil || !leaf.leaf() {
 			t.Fatalf("fixture is not a single leaf: %v", err)
 		}

@@ -31,7 +31,7 @@ type Options struct {
 	// BufferPages bounds the write buffer's dirty pages (default 256).
 	BufferPages int
 	// MCSamples is n1 of Equation 3 for refinement (default 10000; the
-	// paper uses 10^6 — see DESIGN.md substitution 3).
+	// paper uses 10^6, which makes every Monte Carlo refinement 100× slower).
 	MCSamples int
 	// ExactRefinement uses the pdf's exact-probability oracle instead of
 	// Monte Carlo when available (deterministic tests).
@@ -286,7 +286,7 @@ func (t *Tree) SizeBytes() int64 {
 // the tree; O(nodes).
 func (t *Tree) IndexPages() (int, error) {
 	count := 0
-	err := t.walk(t.rootPage, func(n *node) error {
+	err := t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		count++
 		return nil
 	})
@@ -472,7 +472,7 @@ func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) error {
 // summed-metric ChooseSubtree (Section 5.3), returning the node and the
 // root-to-parent path.
 func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
-	n, err := t.readNode(t.rootPage)
+	n, err := t.readNode(t.rootPage, t.rootLevel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -481,7 +481,7 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 	for n.level > level {
 		idx := t.chooseSubtree(n, eBoxes)
 		path = append(path, pathElem{n: n, childIdx: idx})
-		child, err := t.readNode(n.entries[idx].child)
+		child, err := t.readNode(n.entries[idx].child, n.level-1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -829,9 +829,9 @@ func (t *Tree) partitionOverlap(boundaries [][]geom.Rect, li, ri []int) float64 
 	return s
 }
 
-// walk visits every node of the tree.
-func (t *Tree) walk(page pagefile.PageID, fn func(*node) error) error {
-	n, err := t.readNode(page)
+// walk visits every node of the subtree at page, whose root is at level.
+func (t *Tree) walk(page pagefile.PageID, level int, fn func(*node) error) error {
+	n, err := t.readNode(page, level)
 	if err != nil {
 		return err
 	}
@@ -842,7 +842,7 @@ func (t *Tree) walk(page pagefile.PageID, fn func(*node) error) error {
 		return nil
 	}
 	for i := range n.entries {
-		if err := t.walk(n.entries[i].child, fn); err != nil {
+		if err := t.walk(n.entries[i].child, n.level-1, fn); err != nil {
 			return err
 		}
 	}

@@ -3,9 +3,8 @@
 // census TIGER archive, which is unavailable offline; they are replaced by
 // seeded synthetic generators reproducing their statistical role — spatially
 // clustered point populations in a [0, 10000]² domain used as (i) centers of
-// fixed-radius uncertainty regions and (ii) the query-location distribution
-// (see DESIGN.md, substitution 1). Aircraft is generated exactly as the
-// paper describes.
+// fixed-radius uncertainty regions and (ii) the query-location
+// distribution. Aircraft is generated exactly as the paper describes.
 //
 // All generators are deterministic in their seed.
 package dataset

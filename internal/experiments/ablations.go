@@ -52,7 +52,7 @@ func ablationBuild(cfg Config, name dataset.Name, mutate func(*core.Options)) (*
 }
 
 // AblationSplit compares the paper's median-value split against the naive
-// p=0 split and the exhaustive summed split (DESIGN.md §7).
+// p=0 split and the exhaustive summed split.
 func AblationSplit(cfg Config) ([]AblationPoint, error) {
 	cfg = cfg.withDefaults()
 	out := cfg.Out

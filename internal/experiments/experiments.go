@@ -10,7 +10,9 @@
 // translate them into "total cost" seconds with an era cost model — 10 ms
 // per page access and 1.3 ms per appearance-probability computation (the
 // paper's own Fig. 7 measurement at n1 = 10^6). Wall-clock on modern
-// hardware is reported alongside. See DESIGN.md substitutions.
+// hardware is reported alongside. The LB and CA datasets are synthetic
+// stand-ins (package dataset), and refinement draws 10^4 Monte Carlo
+// samples by default, not the paper's 10^6 (core.Options.MCSamples).
 package experiments
 
 import (

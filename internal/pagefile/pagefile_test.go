@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -619,4 +621,77 @@ func TestDataFileFaultPropagation(t *testing.T) {
 	if _, err := df.Append([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fault: %v", err)
 	}
+}
+
+// FuzzOpenFileStore: the fuzzer's bytes as a store's header page — its
+// payload, then its trailer — followed by two valid pages. With seal set
+// the trailer is made valid, so the bytes get past the checksum to the
+// magic, version and allocator fields. OpenFileStore must return
+// ErrBadMagic, ErrOldFormat, an unsupported-version error or a
+// *ChecksumError, or a store on which NumPages, reading pages 1 and 2, and
+// Close all return; it never panics.
+func FuzzOpenFileStore(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.pf")
+	fs, err := CreateFileStore(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := fs.Alloc(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2 := raw[:stride]
+	v1 := append([]byte(nil), v2[:PageSize]...)
+	binary.LittleEndian.PutUint32(v1[headerVersionOff:], 1)
+	badMagic := append([]byte(nil), v2[:PageSize]...)
+	badMagic[0] ^= 0xFF
+	f.Add(v2, true)
+	f.Add(v1, true)
+	f.Add(badMagic, true)
+	f.Add(v2[:PageSize+3], false) // torn trailer
+	f.Fuzz(func(t *testing.T, header []byte, seal bool) {
+		file := make([]byte, 3*stride)
+		copy(file[:stride], header)
+		sealPage := func(id PageID) {
+			slot := file[int(id)*stride : int(id+1)*stride]
+			binary.LittleEndian.PutUint32(slot[PageSize:], crc32.Checksum(slot[:PageSize], castagnoli))
+			binary.LittleEndian.PutUint32(slot[PageSize+4:], uint32(id))
+		}
+		if seal {
+			sealPage(0)
+		}
+		for id := PageID(1); id <= 2; id++ {
+			copy(file[int(id)*stride:], bytes.Repeat([]byte{byte(id)}, PageSize))
+			sealPage(id)
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.pf")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenFileStore(path)
+		if err != nil {
+			unsupported := fmt.Sprintf("pagefile: unsupported format version %d", binary.LittleEndian.Uint32(file[headerVersionOff:]))
+			var ce *ChecksumError
+			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrOldFormat) && !errors.As(err, &ce) && err.Error() != unsupported {
+				t.Fatalf("OpenFileStore: unexpected error %v", err)
+			}
+			return
+		}
+		fs.NumPages()
+		buf := make([]byte, PageSize)
+		for id := PageID(1); id <= 2; id++ {
+			_ = fs.Read(id, buf)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	})
 }

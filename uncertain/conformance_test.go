@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -548,6 +549,69 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 			tree.Close()
 		}
 		t.Fatalf("OpenTree on a UTR1 file: err = %v, want ErrOldLayout", err)
+	}
+}
+
+// TestOpenTreeRefusesChildPointerLoop: a file whose root points its first
+// entry back at the root once sent OpenTree's walk into unbounded
+// recursion. The walk reads each child at the level below its parent, so
+// the open fails with ErrBadPage naming the root page.
+func TestOpenTreeRefusesChildPointerLoop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.utree")
+	built, err := NewTree(Config{Dimensions: 2, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	objs := make(map[int64]PDF, 1000)
+	for id := int64(0); id < 1000; id++ {
+		objs[id] = UniformCircle(Pt(rng.Float64()*10000, rng.Float64()*10000), 20)
+	}
+	if err := built.BulkLoad(objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pagefile.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := make([]byte, pagefile.PageSize)
+	if err := raw.Read(fileMetaPage, meta); err != nil {
+		t.Fatal(err)
+	}
+	root := pagefile.PageID(binary.LittleEndian.Uint32(meta[8:]))
+	page := make([]byte, pagefile.PageSize)
+	if err := raw.Read(root, page); err != nil {
+		t.Fatal(err)
+	}
+	if page[0] == 0 {
+		t.Fatal("fixture: the root is a leaf")
+	}
+	binary.LittleEndian.PutUint32(page[8:], uint32(root)) // entry 0's child
+	if err := raw.Write(root, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		tree, err := OpenTree(path, Config{})
+		if err == nil {
+			tree.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("OpenTree did not return within 2 s")
+	}
+	var bad *pagefile.BadPageError
+	if !errors.Is(err, ErrBadPage) || !errors.As(err, &bad) || bad.Page != root {
+		t.Fatalf("OpenTree: err %v, want ErrBadPage for page %d", err, root)
 	}
 }
 
