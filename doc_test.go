@@ -48,7 +48,7 @@ func TestPaperMap(t *testing.T) {
 }
 
 // declared returns the package-level names of the non-test files in dir,
-// with methods as Type.Method.
+// with methods, an interface's included, as Type.Method.
 func declared(t *testing.T, fset *token.FileSet, dir string) map[string]bool {
 	t.Helper()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
@@ -77,6 +77,13 @@ func declared(t *testing.T, fset *token.FileSet, dir string) map[string]bool {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							names[s.Name.Name] = true
+							if iface, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range iface.Methods.List {
+									for _, n := range m.Names {
+										names[s.Name.Name+"."+n.Name] = true
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								names[n.Name] = true

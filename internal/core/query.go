@@ -325,15 +325,13 @@ descent:
 	return refined(nil)
 }
 
-// appearanceProbability evaluates Equation 2, by exact oracle when the
-// plan asks for it and the pdf supports it, else by Monte Carlo (Equation
-// 3) driven by the caller's sampler at the plan's sample count. scratch is
-// the sample-point buffer (len = tree dim), reused across candidates.
+// appearanceProbability evaluates Equation 2, exactly when the plan asks
+// for it, else by Monte Carlo (Equation 3) driven by the caller's sampler
+// at the plan's sample count. scratch is the sample-point buffer (len =
+// tree dim), reused across candidates.
 func (t *Tree) appearanceProbability(p updf.PDF, rq geom.Rect, rng *rand.Rand, plan *qplan, scratch geom.Point) float64 {
 	if plan.exact {
-		if ex, ok := p.(updf.ExactProber); ok {
-			return ex.ExactProb(rq)
-		}
+		return p.ExactProb(rq)
 	}
 	return updf.MonteCarloProbScratch(p, rq, plan.samples, rng, scratch)
 }

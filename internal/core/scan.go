@@ -60,16 +60,7 @@ func (s *Scan) RangeQuery(q Query) ([]Result, QueryStats, error) {
 			stats.ProbFilterPruned++
 		case pcr.Unknown:
 			stats.Candidates++
-			var p float64
-			if s.exact {
-				if ex, ok := it.obj.PDF.(updf.ExactProber); ok {
-					p = ex.ExactProb(q.Rect)
-				} else {
-					p = updf.MonteCarloProb(it.obj.PDF, q.Rect, s.samples, s.rng)
-				}
-			} else {
-				p = updf.MonteCarloProb(it.obj.PDF, q.Rect, s.samples, s.rng)
-			}
+			p := s.prob(it.obj.PDF, q.Rect)
 			stats.ProbComputations++
 			if p >= q.Prob {
 				results = append(results, Result{ID: it.obj.ID, Prob: p})
@@ -86,15 +77,17 @@ func (s *Scan) BruteForce(q Query) []Result {
 	var results []Result
 	for i := range s.objects {
 		it := &s.objects[i]
-		var p float64
-		if ex, ok := it.obj.PDF.(updf.ExactProber); ok && s.exact {
-			p = ex.ExactProb(q.Rect)
-		} else {
-			p = updf.MonteCarloProb(it.obj.PDF, q.Rect, s.samples, s.rng)
-		}
-		if p >= q.Prob {
+		if p := s.prob(it.obj.PDF, q.Rect); p >= q.Prob {
 			results = append(results, Result{ID: it.obj.ID, Prob: p})
 		}
 	}
 	return results
+}
+
+// prob is Equation 2, exact or by the scan's Monte Carlo sampler.
+func (s *Scan) prob(p updf.PDF, rq geom.Rect) float64 {
+	if s.exact {
+		return p.ExactProb(rq)
+	}
+	return updf.MonteCarloProb(p, rq, s.samples, s.rng)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +34,8 @@ type Options struct {
 	// MCSamples is n1 of Equation 3 for refinement (default 10000; the
 	// paper uses 10^6, which makes every Monte Carlo refinement 100× slower).
 	MCSamples int
-	// ExactRefinement uses the pdf's exact-probability oracle instead of
-	// Monte Carlo when available (deterministic tests).
+	// ExactRefinement uses the pdf's exact probability (ExactProb) instead
+	// of Monte Carlo (deterministic tests).
 	ExactRefinement bool
 	// Seed drives the refinement sampler (default 1).
 	Seed int64
@@ -347,10 +348,20 @@ func (t *Tree) Flush() error {
 	return t.vs.Reclaim()
 }
 
-// checkObject rejects an object the tree cannot index.
+// checkObject rejects an object the tree cannot index: one without a pdf,
+// of another dimensionality, or whose region is not a finite box.
 func (t *Tree) checkObject(o Object) error {
+	if o.PDF == nil {
+		return fmt.Errorf("core: object %d has no pdf", o.ID)
+	}
 	if o.PDF.Dim() != t.dim {
 		return fmt.Errorf("core: object dim %d, tree dim %d", o.PDF.Dim(), t.dim)
+	}
+	mbr := o.PDF.MBR()
+	for i, lo := range mbr.Lo {
+		if hi := mbr.Hi[i]; !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return fmt.Errorf("core: object %d: region %v is not a finite box", o.ID, mbr)
+		}
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ type Fig7Row struct {
 // evaluation (Equation 3) as a function of n1, and the time per probability
 // computation. Queries have qs = 500 and intersect the uncertainty region
 // to varying degrees, exactly as described in Section 6.1. The exact
-// probabilities come from the pdfs' exact oracles (updf.ExactProber).
+// probabilities come from the pdfs' exact oracles (updf.PDF.ExactProb).
 //
 // n1Values defaults (nil) to 10^3..10^6; pass the paper's 10^4..10^8 for a
 // full-scale run.
@@ -93,11 +93,10 @@ func overlapSweepQueries(rng *rand.Rand, mbr geom.Rect, qs float64, count int) [
 // estimates against the exact oracle, skipping near-zero true values (the
 // paper's relative-error metric is undefined there).
 func workloadError(p updf.PDF, queries []geom.Rect, n1 int, rng *rand.Rand, comps *int, mcTime *time.Duration) float64 {
-	ex := p.(updf.ExactProber)
 	var sum float64
 	var n int
 	for _, rq := range queries {
-		act := ex.ExactProb(rq)
+		act := p.ExactProb(rq)
 		if act < 1e-4 {
 			continue
 		}

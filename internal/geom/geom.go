@@ -170,21 +170,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return true
 }
 
-// Intersect returns the intersection of r and s. ok is false when the
-// rectangles are disjoint, in which case the returned Rect is the zero value.
-func (r Rect) Intersect(s Rect) (Rect, bool) {
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Lo))
-	for i := range r.Lo {
-		lo[i] = math.Max(r.Lo[i], s.Lo[i])
-		hi[i] = math.Min(r.Hi[i], s.Hi[i])
-		if lo[i] > hi[i] {
-			return Rect{}, false
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}, true
-}
-
 // Overlap returns the volume of the intersection of r and s (0 if disjoint).
 func (r Rect) Overlap(s Rect) float64 {
 	v := 1.0
@@ -222,12 +207,6 @@ func (r *Rect) UnionInPlace(s Rect) {
 	}
 }
 
-// Enlargement returns the volume increase of r needed to cover s:
-// Area(r ∪ s) − Area(r).
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 // MBR returns the minimum bounding rectangle of the given rectangles.
 // It panics when called with no rectangles.
 func MBR(rects ...Rect) Rect {
@@ -239,22 +218,6 @@ func MBR(rects ...Rect) Rect {
 		u.UnionInPlace(r)
 	}
 	return u
-}
-
-// ClipInterval returns r with its extent on dimension dim clipped to
-// [lo, hi]. empty is true when the clipped slab does not meet r, in which
-// case the returned Rect is the zero value. This is the "part of o.MBR
-// between two planes" primitive of Observation 1.
-func (r Rect) ClipInterval(dim int, lo, hi float64) (Rect, bool) {
-	clo := math.Max(r.Lo[dim], lo)
-	chi := math.Min(r.Hi[dim], hi)
-	if clo > chi {
-		return Rect{}, false
-	}
-	out := r.Clone()
-	out.Lo[dim] = clo
-	out.Hi[dim] = chi
-	return out, true
 }
 
 // String renders r as "[lo ; hi]".

@@ -98,27 +98,6 @@ func TestContainsIntersects(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := rect2(0, 0, 4, 4)
-	b := rect2(2, 3, 6, 8)
-	got, ok := a.Intersect(b)
-	if !ok {
-		t.Fatal("expected intersection")
-	}
-	want := rect2(2, 3, 4, 4)
-	if !got.Equal(want) {
-		t.Fatalf("Intersect = %v, want %v", got, want)
-	}
-	if _, ok := a.Intersect(rect2(5, 5, 6, 6)); ok {
-		t.Fatal("disjoint rects should not intersect")
-	}
-	// Touching rectangles intersect in a degenerate rect.
-	touch, ok := a.Intersect(rect2(4, 0, 5, 4))
-	if !ok || touch.Area() != 0 {
-		t.Fatalf("touching intersection = %v ok=%v, want degenerate rect", touch, ok)
-	}
-}
-
 func TestOverlap(t *testing.T) {
 	a := rect2(0, 0, 4, 4)
 	b := rect2(2, 2, 6, 6)
@@ -140,11 +119,12 @@ func TestUnionEnlargement(t *testing.T) {
 	if !u.Equal(rect2(0, 0, 4, 4)) {
 		t.Fatalf("Union = %v", u)
 	}
-	if got := a.Enlargement(b); got != 12 {
-		t.Fatalf("Enlargement = %g, want 12", got)
+	// The enlargement ChooseSubtree weighs: Area(a ∪ b) − Area(a).
+	if got := u.Area() - a.Area(); got != 12 {
+		t.Fatalf("enlargement = %g, want 12", got)
 	}
-	if got := a.Enlargement(rect2(0.5, 0.5, 1, 1)); got != 0 {
-		t.Fatalf("Enlargement of contained = %g, want 0", got)
+	if got := a.Union(rect2(0.5, 0.5, 1, 1)).Area() - a.Area(); got != 0 {
+		t.Fatalf("enlargement by a contained rect = %g, want 0", got)
 	}
 }
 
@@ -178,28 +158,6 @@ func TestCenterDist(t *testing.T) {
 	want := math.Sqrt(18)
 	if got := a.CenterDist(b); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("CenterDist = %g, want %g", got, want)
-	}
-}
-
-func TestClipInterval(t *testing.T) {
-	r := rect2(0, 0, 10, 10)
-	got, ok := r.ClipInterval(0, 3, 7)
-	if !ok || !got.Equal(rect2(3, 0, 7, 10)) {
-		t.Fatalf("ClipInterval = %v ok=%v", got, ok)
-	}
-	// Clip extends beyond the rect: result clamped to the rect.
-	got, ok = r.ClipInterval(1, -5, 4)
-	if !ok || !got.Equal(rect2(0, 0, 10, 4)) {
-		t.Fatalf("ClipInterval clamp = %v ok=%v", got, ok)
-	}
-	// Empty clip.
-	if _, ok := r.ClipInterval(0, 11, 12); ok {
-		t.Fatal("ClipInterval outside rect should report empty")
-	}
-	// Degenerate (plane) clip is allowed.
-	got, ok = r.ClipInterval(0, 5, 5)
-	if !ok || got.Side(0) != 0 {
-		t.Fatalf("plane clip = %v ok=%v", got, ok)
 	}
 }
 
@@ -246,20 +204,26 @@ func TestPropertyUnionContainsBoth(t *testing.T) {
 	}
 }
 
+// intersection is the closed intersection of a and b, ok false when they
+// are disjoint: the reference the predicates below are held to.
+func intersection(a, b Rect) (in Rect, ok bool) {
+	in = Rect{Lo: make(Point, a.Dim()), Hi: make(Point, a.Dim())}
+	for i := range a.Lo {
+		in.Lo[i], in.Hi[i] = max(a.Lo[i], b.Lo[i]), min(a.Hi[i], b.Hi[i])
+		if in.Lo[i] > in.Hi[i] {
+			return Rect{}, false
+		}
+	}
+	return in, true
+}
+
 func TestPropertyIntersectionSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
 		d := 1 + int(seed&3)
 		a, b := randomRect(rng, d), randomRect(rng, d)
-		i1, ok1 := a.Intersect(b)
-		i2, ok2 := b.Intersect(a)
-		if ok1 != ok2 {
-			return false
-		}
-		if !ok1 {
-			return a.Overlap(b) == 0
-		}
-		return i1.Equal(i2) && a.Contains(i1) && b.Contains(i1)
+		_, ok := intersection(a, b)
+		return a.Intersects(b) == ok && b.Intersects(a) == ok && a.Overlap(b) == b.Overlap(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -272,7 +236,7 @@ func TestPropertyOverlapMatchesIntersectArea(t *testing.T) {
 		d := 1 + int(seed&3)
 		a, b := randomRect(rng, d), randomRect(rng, d)
 		ov := a.Overlap(b)
-		in, ok := a.Intersect(b)
+		in, ok := intersection(a, b)
 		if !ok {
 			return ov == 0
 		}
@@ -283,12 +247,14 @@ func TestPropertyOverlapMatchesIntersectArea(t *testing.T) {
 	}
 }
 
+// TestPropertyEnlargementNonNegative: the enlargement ChooseSubtree weighs,
+// Area(a ∪ b) − Area(a), is never negative.
 func TestPropertyEnlargementNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func(seed int64) bool {
 		d := 1 + int(seed&3)
 		a, b := randomRect(rng, d), randomRect(rng, d)
-		return a.Enlargement(b) >= -1e-9
+		return a.Union(b).Area()-a.Area() >= -1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

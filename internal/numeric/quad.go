@@ -1,7 +1,7 @@
 // Package numeric provides the numerical building blocks of the U-tree
 // reproduction: a fixed Gauss–Legendre quadrature rule, robust bisection
-// root finding, the standard normal distribution, and the Monte-Carlo
-// appearance probability estimator of the paper's Equation 3.
+// root finding and the standard normal distribution. The Monte-Carlo
+// estimator of the paper's Equation 3 is updf.MonteCarloProb.
 package numeric
 
 import (

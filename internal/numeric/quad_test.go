@@ -3,11 +3,8 @@ package numeric
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/geom"
 )
 
 // AdaptiveSimpson left the product for GaussLegendre; it stays here, with
@@ -216,94 +213,5 @@ func TestPropertyNormalCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// boxSampler samples uniformly in a rectangle — a trivial region for testing
-// the Monte-Carlo machinery.
-type boxSampler struct{ r geom.Rect }
-
-func (b boxSampler) SampleUniform(rng *rand.Rand, dst geom.Point) {
-	for i := range dst {
-		dst[i] = b.r.Lo[i] + rng.Float64()*(b.r.Hi[i]-b.r.Lo[i])
-	}
-}
-
-func TestMonteCarloUniformBox(t *testing.T) {
-	// Uniform pdf on [0,1]²; query covers the left half: P = 0.5 exactly.
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{0, 0}, geom.Point{0.5, 1})
-	rng := rand.New(rand.NewSource(42))
-	res := MonteCarloAppearance(boxSampler{region}, func(geom.Point) float64 { return 1 }, 2, rq, 200000, rng)
-	if math.Abs(res.P-0.5) > 0.01 {
-		t.Fatalf("P = %g, want ≈0.5", res.P)
-	}
-	if res.Samples != 200000 || res.Hits <= 0 || res.Hits >= res.Samples {
-		t.Fatalf("bookkeeping: %+v", res)
-	}
-}
-
-func TestMonteCarloFullContainmentExactlyOne(t *testing.T) {
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{-1, -1}, geom.Point{2, 2})
-	rng := rand.New(rand.NewSource(7))
-	res := MonteCarloAppearance(boxSampler{region}, func(geom.Point) float64 { return 3.7 }, 2, rq, 1000, rng)
-	if res.P != 1 {
-		t.Fatalf("P = %g, want exactly 1 (n2 = n1 special case)", res.P)
-	}
-	if res.Hits != res.Samples {
-		t.Fatalf("hits = %d, samples = %d", res.Hits, res.Samples)
-	}
-}
-
-func TestMonteCarloDisjointZero(t *testing.T) {
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{5, 5}, geom.Point{6, 6})
-	rng := rand.New(rand.NewSource(7))
-	res := MonteCarloAppearance(boxSampler{region}, func(geom.Point) float64 { return 1 }, 2, rq, 1000, rng)
-	if res.P != 0 || res.Hits != 0 {
-		t.Fatalf("disjoint query: %+v", res)
-	}
-}
-
-func TestMonteCarloWeightedPDF(t *testing.T) {
-	// pdf(x,y) ∝ x on [0,1]²; P(x ≤ 1/2) = ∫₀^½ x dx / ∫₀¹ x dx = 1/4.
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{0, 0}, geom.Point{0.5, 1})
-	rng := rand.New(rand.NewSource(99))
-	res := MonteCarloAppearance(boxSampler{region}, func(p geom.Point) float64 { return p[0] }, 2, rq, 400000, rng)
-	if math.Abs(res.P-0.25) > 0.01 {
-		t.Fatalf("P = %g, want ≈0.25", res.P)
-	}
-}
-
-func TestMonteCarloZeroDensity(t *testing.T) {
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rng := rand.New(rand.NewSource(1))
-	res := MonteCarloAppearance(boxSampler{region}, func(geom.Point) float64 { return 0 }, 2, rq, 100, rng)
-	if res.P != 0 {
-		t.Fatalf("zero-density pdf should give P=0, got %g", res.P)
-	}
-}
-
-func TestMonteCarloErrorShrinksWithSamples(t *testing.T) {
-	// Relative error at n=100 should comfortably exceed error at n=100000
-	// for a P=0.5 target (averaged over trials). This is the Fig. 7 shape.
-	region := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	rq := geom.NewRect(geom.Point{0, 0}, geom.Point{0.5, 1})
-	avgErr := func(n, trials int, seed int64) float64 {
-		rng := rand.New(rand.NewSource(seed))
-		var sum float64
-		for i := 0; i < trials; i++ {
-			res := MonteCarloAppearance(boxSampler{region}, func(geom.Point) float64 { return 1 }, 2, rq, n, rng)
-			sum += math.Abs(res.P-0.5) / 0.5
-		}
-		return sum / float64(trials)
-	}
-	small := avgErr(100, 30, 5)
-	large := avgErr(100000, 30, 6)
-	if large >= small {
-		t.Fatalf("error did not shrink: n=100 → %g, n=100000 → %g", small, large)
 	}
 }

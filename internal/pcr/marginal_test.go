@@ -200,7 +200,7 @@ const oracleTol = 1e-9
 // against the exact probability.
 func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 	t.Helper()
-	exact, tol := exactProb(p, rq), oracleTol
+	exact, tol := p.ExactProb(rq), oracleTol
 	lb, ub := ProbBoundsMarginal(p, rq, cache)
 	if lb-tol > exact || exact > ub+tol {
 		t.Fatalf("%T %v rq=%v: bounds [%.12f, %.12f] miss exact %.12f", p, p.MBR(), rq, lb, ub, exact)
@@ -295,33 +295,29 @@ func FuzzProbBoundsMarginal(f *testing.F) {
 	})
 }
 
-// foreign hides a built-in pdf's concrete type, which is how a pdf defined
-// outside updf looks to ProbBoundsMarginal, and counts the MarginalCDF
-// calls that reach it.
-type foreign struct {
+// counted is a pdf that counts the MarginalCDF calls reaching it: handed
+// to QuantileCache.table, it counts what building a table evaluates.
+type counted struct {
 	updf.PDF
 	calls *atomic.Int64
 }
 
-func (f foreign) MarginalCDF(dim int, x float64) float64 {
-	f.calls.Add(1)
-	return f.PDF.MarginalCDF(dim, x)
+func (c counted) MarginalCDF(dim int, x float64) float64 {
+	c.calls.Add(1)
+	return c.PDF.MarginalCDF(dim, x)
 }
 
 // TestCDFTableBrackets: a table's brackets hold the marginal CDF of every
 // translate of its shape — on the knots, at the ends of the support, beyond
 // them and at 10⁴ random offsets — and are narrow enough to decide anything.
 func TestCDFTableBrackets(t *testing.T) {
-	var calls atomic.Int64
 	for name, tc := range map[string]struct {
 		build, probe updf.PDF
 		tol          float64 // of MarginalCDF itself
 	}{
 		// The CA dataset's shape, whose MarginalCDF is a fixed Gauss–Legendre
-		// rule, and a closed form behind a foreign type: both tables are held
-		// to rounding.
+		// rule: the table is held to rounding.
 		"con-gau": {updf.NewConGauBall(geom.Point{500, -20}, 250, 125), updf.NewConGauBall(geom.Point{-7301.5, 12.25}, 250, 125), 1e-12},
-		"foreign": {foreign{updf.NewUniformBall(geom.Point{3, 4}, 10), &calls}, foreign{updf.NewUniformBall(geom.Point{1e4, -1e4}, 10), &calls}, 1e-12},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cache := NewQuantileCache()
@@ -368,26 +364,37 @@ func TestCDFTableBrackets(t *testing.T) {
 }
 
 // TestCDFTableBuiltOnce: eight queries meeting the same new shape at once
-// build its table once, and nobody evaluates its marginal again afterwards.
-// A foreign pdf with no shape key has no table to share and is called.
+// build its table once, on every dimension, and share it; nobody evaluates
+// its marginal again afterwards, and every query's bounds hold the ones the
+// marginals themselves give.
 func TestCDFTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
 	cache := NewQuantileCache()
+	proto := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
+	shape, _ := updf.MarginalTable(proto)
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
-	wantLb, wantUb := ProbBoundsMarginal(updf.NewUniformBall(geom.Point{0, 0}, 10), rq, nil)
+	wantLb, wantUb := ProbBoundsMarginal(proto, rq, nil)
 
+	var tables [8][2]*cdfTable
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			shift := float64(100 * g)
-			p := foreign{updf.NewUniformBall(geom.Point{shift, 0}, 10), &calls}
+			p := updf.NewConGauBall(geom.Point{shift, 0}, 10, 5)
 			moved := geom.NewRect(geom.Point{rq.Lo[0] + shift, rq.Lo[1]}, geom.Point{rq.Hi[0] + shift, rq.Hi[1]})
 			<-start
+			// Each goroutine's first use of either table counts the calls, so
+			// whichever goroutine builds it is counted.
+			for dim := range tables[g] {
+				tables[g][dim] = cache.table(counted{p, &calls}, shape, dim)
+			}
 			lb, ub := ProbBoundsMarginal(p, moved, cache)
-			if lb > wantLb || ub < wantUb || ub-lb > wantUb-wantLb+0.02 {
+			// A bracket between two knots is wider than the marginals' own
+			// bounds: a pair as narrow as theirs was not read off the table.
+			if lb > wantLb || ub < wantUb || ub-lb > wantUb-wantLb+0.02 || ub-lb <= wantUb-wantLb {
 				t.Errorf("goroutine %d: bounds [%v, %v] from the table, [%v, %v] from the marginals themselves", g, lb, ub, wantLb, wantUb)
 			}
 		}()
@@ -397,16 +404,16 @@ func TestCDFTableBuiltOnce(t *testing.T) {
 	if got, once := calls.Load(), int64(2*(cdfKnots-1)); got != once {
 		t.Fatalf("%d MarginalCDF calls for one shape in 2-D, want %d: a table was built more than once", got, once)
 	}
-	ProbBoundsMarginal(foreign{updf.NewUniformBall(geom.Point{7, 7}, 10), &calls}, rq, cache)
-	if got := calls.Load(); got != 2*(cdfKnots-1) {
-		t.Fatalf("a query on a tabulated shape called MarginalCDF %d times", got-2*(cdfKnots-1))
+	for g := range tables {
+		if tables[g] != tables[0] {
+			t.Fatalf("goroutine %d got tables %v, goroutine 0 %v", g, tables[g], tables[0])
+		}
 	}
-
-	calls.Store(0)
-	hist := updf.NewHistogramRect(geom.NewRect(geom.Point{0, 0}, geom.Point{4, 2}), []int{2, 1}, []float64{1, 3})
-	lb, ub := ProbBoundsMarginal(foreign{hist, &calls}, geom.NewRect(geom.Point{1, -1}, geom.Point{9, 9}), cache)
-	if calls.Load() != 4 || lb != ub || math.Abs(lb-0.875) > 1e-12 {
-		t.Fatalf("foreign pdf without a shape key: %d calls, bounds [%v, %v], want 4 calls and 0.875 exactly", calls.Load(), lb, ub)
+	for dim := range tables[0] {
+		cache.table(counted{updf.NewConGauBall(geom.Point{7, 7}, 10, 5), &calls}, shape, dim)
+	}
+	if got := calls.Load(); got != 2*(cdfKnots-1) {
+		t.Fatalf("asking for a built table called MarginalCDF %d times", got-2*(cdfKnots-1))
 	}
 }
 

@@ -248,11 +248,6 @@ func TestWithinReadsFacesNotMidpoint(t *testing.T) {
 	}
 }
 
-// exactProb returns the ground-truth appearance probability.
-func exactProb(p updf.PDF, rq geom.Rect) float64 {
-	return p.(updf.ExactProber).ExactProb(rq)
-}
-
 // randomQuery builds query rectangles that stress all geometric relations:
 // far, overlapping, contained, containing, and slab-shaped.
 func randomQuery(rng *rand.Rand, mbr geom.Rect) geom.Rect {
@@ -293,7 +288,7 @@ func TestFilterExactSoundness(t *testing.T) {
 			rq := randomQuery(rng, mbr)
 			pq := 0.02 + rng.Float64()*0.96
 			outcome := FilterExact(p, rq, pq)
-			assertSound(t, "FilterExact", outcome, exactProb(p, rq), pq)
+			assertSound(t, "FilterExact", outcome, p.ExactProb(rq), pq)
 		}
 	}
 }
@@ -310,7 +305,7 @@ func TestFilterCatalogPCRSoundness(t *testing.T) {
 				rq := randomQuery(rng, mbr)
 				pq := 0.02 + rng.Float64()*0.96
 				outcome := FilterCatalogPCR(pcrs, mbr, rq, pq)
-				assertSound(t, "FilterCatalogPCR", outcome, exactProb(p, rq), pq)
+				assertSound(t, "FilterCatalogPCR", outcome, p.ExactProb(rq), pq)
 			}
 		}
 	}
@@ -330,7 +325,7 @@ func TestFilterCFBSoundness(t *testing.T) {
 				rq := randomQuery(rng, mbr)
 				pq := 0.02 + rng.Float64()*0.96
 				outcome := FilterCFB(out, in, cat, mbr, rq, pq)
-				assertSound(t, "FilterCFB", outcome, exactProb(p, rq), pq)
+				assertSound(t, "FilterCFB", outcome, p.ExactProb(rq), pq)
 			}
 		}
 	}
@@ -384,34 +379,34 @@ func TestFilterPaperScenarios(t *testing.T) {
 	// of pcr(0.2) (cut at x=75 < 80) → Rule 1 prunes: P_app ≤ 0.75 < 0.8.
 	rq1 := geom.NewRect(geom.Point{-10, -10}, geom.Point{75, 110})
 	if got := FilterCatalogPCR(pcrs, mbr, rq1, 0.8); got != Pruned {
-		t.Errorf("q1 (Rule 1): got %v, want pruned (true P=%g)", got, exactProb(p, rq1))
+		t.Errorf("q1 (Rule 1): got %v, want pruned (true P=%g)", got, p.ExactProb(rq1))
 	}
 
 	// Query q2: pq=0.2, rq beyond pcr(0.2)'s right face → Rule 2 prunes.
 	rq2 := geom.NewRect(geom.Point{85, -10}, geom.Point{130, 110})
 	if got := FilterCatalogPCR(pcrs, mbr, rq2, 0.2); got != Pruned {
-		t.Errorf("q2 (Rule 2): got %v, want pruned (true P=%g)", got, exactProb(p, rq2))
+		t.Errorf("q2 (Rule 2): got %v, want pruned (true P=%g)", got, p.ExactProb(rq2))
 	}
 
 	// Query q3 ~ Fig 3b: pq=0.6, rq covers the full vertical slab between
 	// the 0.2-quantile planes (x ∈ [15, 85] ⊇ [20, 80]) → Rule 3 validates.
 	rq3 := geom.NewRect(geom.Point{15, -10}, geom.Point{85, 110})
 	if got := FilterCatalogPCR(pcrs, mbr, rq3, 0.6); got != Validated {
-		t.Errorf("q3 (Rule 3): got %v, want validated (true P=%g)", got, exactProb(p, rq3))
+		t.Errorf("q3 (Rule 3): got %v, want validated (true P=%g)", got, p.ExactProb(rq3))
 	}
 
 	// Query q4: pq=0.8, rq covers everything right of the 0.2-quantile
 	// plane (x ≥ 15 ≤ 20) → Rule 4 validates (mass ≥ 0.8).
 	rq4 := geom.NewRect(geom.Point{15, -10}, geom.Point{110, 110})
 	if got := FilterCatalogPCR(pcrs, mbr, rq4, 0.8); got != Validated {
-		t.Errorf("q4 (Rule 4): got %v, want validated (true P=%g)", got, exactProb(p, rq4))
+		t.Errorf("q4 (Rule 4): got %v, want validated (true P=%g)", got, p.ExactProb(rq4))
 	}
 
 	// Query q5: pq=0.2, rq covers everything left of pcr's low face on x
 	// (x ≤ 25 ≥ 20) → Rule 5 validates (mass ≥ 0.2).
 	rq5 := geom.NewRect(geom.Point{-10, -10}, geom.Point{25, 110})
 	if got := FilterCatalogPCR(pcrs, mbr, rq5, 0.2); got != Validated {
-		t.Errorf("q5 (Rule 5): got %v, want validated (true P=%g)", got, exactProb(p, rq5))
+		t.Errorf("q5 (Rule 5): got %v, want validated (true P=%g)", got, p.ExactProb(rq5))
 	}
 }
 

@@ -91,7 +91,7 @@ func TestProbBoundsSound(t *testing.T) {
 			mbr := p.MBR()
 			for q := 0; q < 300; q++ {
 				rq := boundTestRect(rng, mbr)
-				exact := exactProb(p, rq)
+				exact := p.ExactProb(rq)
 				lbP, ubP := ProbBoundsPCR(pcrs, rq)
 				lbC, ubC := ProbBoundsCFB(out, in, cat, mbr, rq)
 				if lbP > exact+eps || ubP+eps < exact {

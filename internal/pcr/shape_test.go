@@ -162,7 +162,7 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		t.Fatalf("%T %v read through %v, rq=%v: leaf bracket [%.17g, %.17g] does not hold the record's [%.17g, %.17g]",
 			p, mbr, pm, rq, lbS, ubS, lbM, ubM)
 	}
-	exact, tol := exactProb(p, rq), oracleTol
+	exact, tol := p.ExactProb(rq), oracleTol
 	// After the fixed thresholds, the record's own decision boundaries: the
 	// last threshold it validates at and the first it prunes at, where a
 	// leaf decision would differ first if it could.

@@ -100,7 +100,7 @@ func ballRect(kind int, mbr geom.Rect, u func() float64) geom.Rect {
 // to the Simpson reference run at refTol.
 func checkExactProb(t *testing.T, p PDF, rq geom.Rect, kind int, u func() float64, refTol float64) {
 	t.Helper()
-	exact := p.(ExactProber).ExactProb
+	exact := p.ExactProb
 	got := exact(rq)
 	if !(got >= 0 && got <= 1) {
 		t.Fatalf("%T %v rq=%v: %v is not a probability", p, p.MBR(), rq, got)
@@ -169,7 +169,7 @@ func TestExactProbMatchesReference(t *testing.T) {
 						}
 						if d == 3 && shape == 0 && !testing.Short() {
 							rq := ballRect(rectStraddle, p.MBR(), rng.Float64)
-							if got, want := p.(ExactProber).ExactProb(rq), simpsonExactProb(p, rq, 1e-12, true); math.Abs(got-want) > 1e-9 {
+							if got, want := p.ExactProb(rq), simpsonExactProb(p, rq, 1e-12, true); math.Abs(got-want) > 1e-9 {
 								t.Fatalf("%T %v rq=%v: %.15f, nested Simpson %.15f", p, p.MBR(), rq, got, want)
 							}
 						}
@@ -243,12 +243,98 @@ func TestMarginalCDFMatchesReference(t *testing.T) {
 	}
 }
 
+// The families FuzzExactProb draws from its first byte: the two balls,
+// which keep their Simpson reference, then the other six.
+const (
+	famUniformBall = iota
+	famConGau
+	famUniformRect
+	famGaussRect
+	famExpoRect
+	famHistogram
+	famPolygon // 2-D only
+	famMixture
+	pdfFamilies
+)
+
+// fuzzPDF builds a pdf of the family and dimensionality from a stream of
+// uniform [0, 1) variates: centres within ±2000, extents up to 400.
+func fuzzPDF(family, d int, u func() float64) PDF {
+	if family <= famConGau {
+		ratio := min(int(u()*float64(len(ballRatios))), len(ballRatios)-1)
+		ctr := geom.Point{(u() - 0.5) * 4000, (u() - 0.5) * 4000, (u() - 0.5) * 4000}
+		return ballPDF(family, d, ratio, ctr, 1+300*u())
+	}
+	ctr := make(geom.Point, d)
+	for i := range ctr {
+		ctr[i] = (u() - 0.5) * 4000
+	}
+	box := func() geom.Rect {
+		lo, hi := make(geom.Point, d), make(geom.Point, d)
+		for i := range lo {
+			half := 1 + 200*u()
+			lo[i], hi[i] = ctr[i]-half, ctr[i]+half
+		}
+		return geom.NewRect(lo, hi)
+	}
+	switch family {
+	case famUniformRect:
+		return NewUniformRect(box())
+	case famGaussRect:
+		b := box()
+		mu, sigma := make(geom.Point, d), make([]float64, d)
+		for i := range mu {
+			mu[i], sigma[i] = b.Lo[i]+u()*b.Side(i), (0.1+2*u())*b.Side(i)
+		}
+		return NewGaussRect(b, mu, sigma)
+	case famExpoRect:
+		b := box()
+		rate := make([]float64, d)
+		for i := range rate {
+			rate[i] = 6 * u() / b.Side(i)
+		}
+		return NewExpoRect(b, rate)
+	case famHistogram:
+		bins, cells := make([]int, d), 1
+		for i := range bins {
+			bins[i] = 1 + int(4*u())
+			cells *= bins[i]
+		}
+		w := make([]float64, cells)
+		for i := range w {
+			if w[i] = u(); w[i] < 0.2 {
+				w[i] = 0 // empty cells
+			}
+		}
+		w[min(int(u()*float64(cells)), cells-1)] = 1
+		return NewHistogramRect(box(), bins, w)
+	case famPolygon:
+		// Points on an ellipse are in convex position and never collinear.
+		n := 3 + int(6*u())
+		a, b := 1+200*u(), 1+200*u()
+		pts := make([]geom.Point, n)
+		for k := range pts {
+			th := 2 * math.Pi * (float64(k) + 0.8*u()) / float64(n)
+			pts[k] = geom.Point{ctr[0] + a*math.Cos(th), ctr[1] + b*math.Sin(th)}
+		}
+		return NewUniformPolygon(pts)
+	}
+	// Two components of the families before the polygon, centred within
+	// ±200 of the origin so that their supports overlap in part.
+	comps := make([]PDF, 2)
+	for k := range comps {
+		comps[k] = fuzzPDF(min(int(u()*famPolygon), famPolygon-1), d, func() float64 { return 0.45 + 0.1*u() })
+	}
+	return NewMixture(comps, []float64{0.1 + u(), 0.1 + u()})
+}
+
 // FuzzExactProb drives checkExactProb from the fuzzer's bytes: family,
-// dimensionality and rectangle kind from the first three, r/σ, the centre,
-// the radius and every coordinate from the rest. The reference runs at
-// 1e-12, ten times faster than refTol and still well inside refAgree.
+// dimensionality and rectangle kind from the first three, the family's
+// parameters and every coordinate from the rest. Every family gets the
+// properties; the balls also get the reference, at 1e-12, ten times faster
+// than refTol and still well inside refAgree.
 func FuzzExactProb(f *testing.F) {
-	for family := 0; family < 2; family++ {
+	for family := 0; family < pdfFamilies; family++ {
 		for kind := 0; kind < rectKinds; kind++ {
 			f.Add([]byte{byte(family), 2, byte(kind)})
 			f.Add([]byte{byte(family), 3, byte(kind), 0xff, 0xff, 0, 0, 0xff, 0xff, 0, 1, 0x80, 0, 0xff, 0xff, 0, 0, 0, 0, 0xff, 0xff})
@@ -258,7 +344,10 @@ func FuzzExactProb(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		family, d, kind := int(data[0])%2, 2+int(data[1])%2, int(data[2])%rectKinds
+		family, d, kind := int(data[0])%pdfFamilies, 2+int(data[1])%2, int(data[2])%rectKinds
+		if family == famPolygon {
+			d = 2
+		}
 		src := data[3:]
 		u := func() float64 {
 			if len(src) < 2 {
@@ -268,10 +357,11 @@ func FuzzExactProb(f *testing.F) {
 			src = src[2:]
 			return v
 		}
-		ratio := min(int(u()*float64(len(ballRatios))), len(ballRatios)-1)
-		ctr := geom.Point{(u() - 0.5) * 4000, (u() - 0.5) * 4000, (u() - 0.5) * 4000}
-		p := ballPDF(family, d, ratio, ctr, 1+300*u())
-		checkExactProb(t, p, ballRect(kind, p.MBR(), u), kind, u, 1e-12)
+		p, ref := fuzzPDF(family, d, u), 0.0
+		if family <= famConGau {
+			ref = 1e-12
+		}
+		checkExactProb(t, p, ballRect(kind, p.MBR(), u), kind, u, ref)
 	})
 }
 
@@ -303,12 +393,11 @@ func benchQuery(d int) geom.Rect {
 // the stack.
 func TestExactProbAllocatesNothing(t *testing.T) {
 	for _, b := range benchBalls() {
-		ex, ok := b.pdf.(ExactProber)
-		if !ok || b.pdf.Dim() > 3 {
+		if b.pdf.Dim() > 3 {
 			continue
 		}
 		rq := benchQuery(b.pdf.Dim())
-		if n := testing.AllocsPerRun(20, func() { ex.ExactProb(rq) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { b.pdf.ExactProb(rq) }); n != 0 {
 			t.Errorf("%s: ExactProb allocates %v times a call", b.name, n)
 		}
 		if n := testing.AllocsPerRun(20, func() { b.pdf.MarginalCDF(0, 400) }); n != 0 {
@@ -326,11 +415,11 @@ func BenchmarkExactProb(b *testing.B) {
 		if nb.pdf.Dim() > 3 {
 			continue
 		}
-		ex, rq := nb.pdf.(ExactProber), benchQuery(nb.pdf.Dim())
+		p, rq := nb.pdf, benchQuery(nb.pdf.Dim())
 		b.Run(nb.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				ballSink += ex.ExactProb(rq)
+				ballSink += p.ExactProb(rq)
 			}
 		})
 	}

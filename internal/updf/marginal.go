@@ -20,10 +20,8 @@ func appendG(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'g',
 // that keep a per-shape table and look it up once per query candidate,
 // where formatting the ShapeKey string would cost more than the lookup.
 type ShapeID struct {
-	family uint8   // codec type tag of a built-in family, 0 for a foreign pdf
-	dim    int     // pdf dimensionality
-	a, b   float64 // the family's shape parameters
-	key    string  // a foreign pdf's ShapeKey
+	dim  int     // pdf dimensionality
+	a, b float64 // the family's shape parameters
 }
 
 // MarginalTable reports whether p's MarginalCDF should be read from a
@@ -38,20 +36,10 @@ type ShapeID struct {
 //     read, and a candidate needs four): tabulate;
 //   - a Mixture is as cheap as its components, which the caller should
 //     visit itself (Components, Component): asked about the mixture as a
-//     whole the answer is "call it";
-//   - a pdf defined outside this package is assumed expensive and is
-//     tabulated under its ShapeKey; with an empty ShapeKey no two objects
-//     may share a table, and it has to be called.
+//     whole the answer is "call it".
 func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
-	switch v := p.(type) {
-	case *UniformRect, *GaussRect, *ExpoRect, *HistogramRect, *UniformPolygon, *UniformBall, *Mixture:
-		return ShapeID{}, false
-	case *ConGauBall:
-		if v.Dim() == 2 {
-			return ShapeID{family: tagConGauBall, dim: 2, a: v.R, b: v.Sigma}, true
-		}
-		return ShapeID{}, false
+	if g, ok := p.(*ConGauBall); ok && g.Dim() == 2 {
+		return ShapeID{dim: 2, a: g.R, b: g.Sigma}, true
 	}
-	key := p.ShapeKey()
-	return ShapeID{dim: p.Dim(), key: key}, key != ""
+	return ShapeID{}, false
 }

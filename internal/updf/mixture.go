@@ -9,8 +9,7 @@ import (
 
 // Mixture is a finite weighted mixture of pdfs — multi-modal uncertainty,
 // e.g. "the client is near one of two plausible road exits". Marginal CDFs
-// and appearance probabilities are weighted sums of the components', so
-// exactness is preserved whenever every component is exact.
+// and appearance probabilities are weighted sums of the components'.
 //
 // The uncertainty region is the union of component regions; uniform region
 // sampling draws from the union's MBR, which is sound for the Monte-Carlo
@@ -100,27 +99,15 @@ func (m *Mixture) ShapeKey() string { return "" }
 
 func (m *Mixture) Center() geom.Point { return m.mbr.Center() }
 
-// ExactProb sums component probabilities. Every pdf shipped by this package
-// is an ExactProber; mixing in a custom component without exact support
-// panics — guard with Exactable when composing user-defined pdfs.
+// ExactProb sums component probabilities; exactly 1 on a rectangle
+// covering the MBR, which the normalized weights sum to only to rounding.
 func (m *Mixture) ExactProb(rq geom.Rect) float64 {
+	if rq.Contains(m.mbr) {
+		return 1
+	}
 	var s float64
 	for i, c := range m.comps {
-		ex, ok := c.(ExactProber)
-		if !ok {
-			panic(fmt.Sprintf("updf: mixture component %d (%T) has no exact oracle", i, c))
-		}
-		s += m.weights[i] * ex.ExactProb(rq)
+		s += m.weights[i] * c.ExactProb(rq)
 	}
 	return clamp01(s)
-}
-
-// Exactable reports whether every component supports exact probabilities.
-func (m *Mixture) Exactable() bool {
-	for _, c := range m.comps {
-		if _, ok := c.(ExactProber); !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -10,9 +10,9 @@
 //     2-D Con-Gau, a fixed Gauss–Legendre rule over its chord masses) — the
 //     primitive from which PCRs are computed (Section 4.1);
 //   - uniform region sampling for the Monte-Carlo estimator (Equation 3);
-//   - exact appearance probabilities, closed form or a fixed Gauss–Legendre
-//     rule good to rounding, for exact refinement, as ground truth in tests
-//     and in the Fig. 7 error study;
+//   - exact appearance probabilities for every family, closed form or a
+//     fixed Gauss–Legendre rule good to rounding, for exact refinement, as
+//     ground truth in tests and in the Fig. 7 error study;
 //   - compact binary serialization for the data file leaf entries point at.
 package updf
 
@@ -25,9 +25,11 @@ import (
 	"repro/internal/numeric"
 )
 
-// PDF describes an uncertain object's distribution. Implementations must be
-// immutable after construction: they are shared across index entries and
-// cached quantile tables.
+// PDF describes an uncertain object's distribution. The set is closed: the
+// eight families below, each with a codec tag (Encode), an exact appearance
+// probability and the tests that hold both — a new family is those three,
+// added here. Implementations must be immutable after construction: they
+// are shared across index entries and cached quantile tables.
 type PDF interface {
 	// Dim returns the dimensionality d.
 	Dim() int
@@ -47,17 +49,30 @@ type PDF interface {
 	ShapeKey() string
 	// Center returns the translation anchor used with ShapeKey.
 	Center() geom.Point
+	// ExactProb returns the appearance probability in rq (Equation 2)
+	// exactly — in closed form or by a fixed Gauss–Legendre rule, with no
+	// tolerance parameter (the tests hold the balls to an adaptive-Simpson
+	// reference within 1e-10 and every family to additivity over a split
+	// within 1e-12); used by exact refinement, as the ground-truth oracle in
+	// tests and in the Fig. 7 experiment.
+	ExactProb(rq geom.Rect) float64
+	// builtin seals the set: only this package's families implement it. A
+	// type embedding one of them still satisfies PDF, and Encode refuses it.
+	builtin()
 }
 
-// ExactProber is implemented by pdfs that can compute the appearance
-// probability in a rectangle exactly — in closed form or by a fixed
-// Gauss–Legendre rule, with no tolerance parameter (the tests hold the balls
-// to an adaptive-Simpson reference within 1e-10 and to additivity over a
-// split within 1e-12); used by exact refinement, as the ground-truth oracle
-// in tests and in the Fig. 7 experiment.
-type ExactProber interface {
-	ExactProb(rq geom.Rect) float64
-}
+func (*UniformBall) builtin()    {}
+func (*UniformRect) builtin()    {}
+func (*ConGauBall) builtin()     {}
+func (*GaussRect) builtin()      {}
+func (*ExpoRect) builtin()       {}
+func (*HistogramRect) builtin()  {}
+func (*UniformPolygon) builtin() {}
+func (*Mixture) builtin()        {}
+
+// ExactProber is PDF's ExactProb alone, kept for the end-to-end benchmark
+// (cmd/e2ebench), which asserts it.
+type ExactProber interface{ ExactProb(rq geom.Rect) float64 }
 
 // Recentrer is implemented by a pdf whose shape, moved to any centre, is a
 // pdf of the same family: Recentred(ctr) is that pdf, centred at ctr (which
@@ -110,9 +125,8 @@ func MonteCarloProb(p PDF, rq geom.Rect, n1 int, rng *rand.Rand) float64 {
 
 // MonteCarloProbScratch is MonteCarloProb writing samples into the caller's
 // scratch point (len p.Dim()) instead of allocating one, for the query hot
-// path. The accumulation replicates numeric.MonteCarloAppearance exactly —
-// same draw order, same summation order — so estimates are bit-identical to
-// MonteCarloProb's.
+// path. Same draw order, same summation order, so estimates are
+// bit-identical to MonteCarloProb's.
 func MonteCarloProbScratch(p PDF, rq geom.Rect, n1 int, rng *rand.Rand, x geom.Point) float64 {
 	if len(x) != p.Dim() {
 		x = make(geom.Point, p.Dim())

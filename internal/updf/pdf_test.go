@@ -8,8 +8,8 @@ import (
 	"repro/internal/geom"
 )
 
-// allPDFs returns one instance of every pdf type for generic conformance
-// tests, all 2-dimensional and roughly co-located.
+// allPDFs returns one instance of each of the eight families for generic
+// conformance tests, all 2-dimensional and roughly co-located.
 func allPDFs() map[string]PDF {
 	rect := geom.NewRect(geom.Point{100, 200}, geom.Point{300, 500})
 	return map[string]PDF{
@@ -24,6 +24,11 @@ func allPDFs() map[string]PDF {
 			5, 1, 1,
 			2, 2, 7,
 		}),
+		"polygon": NewUniformPolygon([]geom.Point{{120, 220}, {290, 260}, {260, 480}, {150, 430}, {110, 330}}),
+		"mixture": NewMixture([]PDF{
+			NewConGauBall(geom.Point{160, 300}, 60, 30),
+			NewUniformRect(geom.NewRect(geom.Point{200, 380}, geom.Point{300, 500})),
+		}, []float64{2, 1}),
 	}
 }
 
@@ -86,6 +91,7 @@ func TestDensityIntegratesToOne(t *testing.T) {
 	// Monte-Carlo integral of the density over the region ≈ 1:
 	// E_uniform[pdf] · Vol(region) = 1.
 	rng := rand.New(rand.NewSource(23))
+	pdfs := allPDFs()
 	vol := map[string]float64{
 		"uniform-ball": math.Pi * 120 * 120,
 		"uniform-rect": 200 * 300,
@@ -93,8 +99,10 @@ func TestDensityIntegratesToOne(t *testing.T) {
 		"gauss-rect":   200 * 300,
 		"expo-rect":    200 * 300,
 		"histogram":    200 * 300,
+		"polygon":      pdfs["polygon"].(*UniformPolygon).Area(),
+		"mixture":      pdfs["mixture"].MBR().Area(), // it samples its MBR
 	}
-	for name, p := range allPDFs() {
+	for name, p := range pdfs {
 		const n = 200000
 		pt := make(geom.Point, p.Dim())
 		var sum float64
@@ -138,12 +146,8 @@ func TestExactProbAgainstMonteCarlo(t *testing.T) {
 		geom.NewRect(geom.Point{200, 350}, geom.Point{600, 800}), // corner overlap
 	}
 	for name, p := range allPDFs() {
-		ex, ok := p.(ExactProber)
-		if !ok {
-			t.Fatalf("%s does not implement ExactProber", name)
-		}
 		for qi, rq := range queries {
-			want := ex.ExactProb(rq)
+			want := p.ExactProb(rq)
 			got := MonteCarloProb(p, rq, 400000, rng)
 			if math.Abs(got-want) > 0.01 {
 				t.Errorf("%s query %d: exact %g vs monte-carlo %g", name, qi, want, got)
@@ -154,19 +158,84 @@ func TestExactProbAgainstMonteCarlo(t *testing.T) {
 
 func TestExactProbFullAndEmpty(t *testing.T) {
 	for name, p := range allPDFs() {
-		ex := p.(ExactProber)
 		mbr := p.MBR()
 		big := geom.NewRect(
 			geom.Point{mbr.Lo[0] - 10, mbr.Lo[1] - 10},
 			geom.Point{mbr.Hi[0] + 10, mbr.Hi[1] + 10},
 		)
-		if got := ex.ExactProb(big); math.Abs(got-1) > 1e-6 {
+		if got := p.ExactProb(big); math.Abs(got-1) > 1e-6 {
 			t.Errorf("%s: prob over superset = %g, want 1", name, got)
 		}
 		far := geom.NewRect(geom.Point{1e6, 1e6}, geom.Point{1e6 + 1, 1e6 + 1})
-		if got := ex.ExactProb(far); got != 0 {
+		if got := p.ExactProb(far); got != 0 {
 			t.Errorf("%s: prob over distant rect = %g, want 0", name, got)
 		}
+	}
+}
+
+// unitSquare is [0, 1]² and leftHalf its x ≤ 1/2 half: the region and
+// query of the Monte-Carlo tests below.
+var unitSquare, leftHalf = geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), geom.NewRect(geom.Point{0, 0}, geom.Point{0.5, 1})
+
+func TestMonteCarloUniformBox(t *testing.T) {
+	// Uniform pdf on [0,1]²; query covers the left half: P = 0.5 exactly.
+	rng := rand.New(rand.NewSource(42))
+	if got := MonteCarloProb(NewUniformRect(unitSquare), leftHalf, 200000, rng); math.Abs(got-0.5) > 0.01 {
+		t.Fatalf("P = %g, want ≈0.5", got)
+	}
+}
+
+func TestMonteCarloFullContainmentExactlyOne(t *testing.T) {
+	// Numerator and denominator sum the same weights in the same order.
+	rng := rand.New(rand.NewSource(7))
+	p := NewGaussRect(unitSquare, geom.Point{0.3, 0.6}, []float64{0.2, 0.4})
+	if got := MonteCarloProb(p, geom.NewRect(geom.Point{-1, -1}, geom.Point{2, 2}), 1000, rng); got != 1 {
+		t.Fatalf("P = %g, want exactly 1 (n2 = n1 special case)", got)
+	}
+}
+
+func TestMonteCarloDisjointZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	if got := MonteCarloProb(NewUniformRect(unitSquare), geom.NewRect(geom.Point{5, 5}, geom.Point{6, 6}), 1000, rng); got != 0 {
+		t.Fatalf("disjoint query: P = %g", got)
+	}
+}
+
+func TestMonteCarloWeightedPDF(t *testing.T) {
+	// A skewed density, weighted sample by sample, against its exact value.
+	rng := rand.New(rand.NewSource(99))
+	p := NewExpoRect(unitSquare, []float64{3, 0})
+	if got, want := MonteCarloProb(p, leftHalf, 400000, rng), p.ExactProb(leftHalf); math.Abs(got-want) > 0.01 {
+		t.Fatalf("P = %g, exact %g", got, want)
+	}
+}
+
+func TestMonteCarloZeroDensity(t *testing.T) {
+	// Half the samples land in the query, all of them where the density is
+	// zero: they weigh nothing.
+	rng := rand.New(rand.NewSource(1))
+	p := NewHistogramRect(unitSquare, []int{2, 1}, []float64{0, 1})
+	if got := MonteCarloProb(p, leftHalf, 100, rng); got != 0 {
+		t.Fatalf("zero-density query region should give P=0, got %g", got)
+	}
+}
+
+func TestMonteCarloErrorShrinksWithSamples(t *testing.T) {
+	// Relative error at n=100 should comfortably exceed error at n=100000
+	// for a P=0.5 target (averaged over trials). This is the Fig. 7 shape.
+	p := NewUniformRect(unitSquare)
+	avgErr := func(n, trials int, seed int64) float64 {
+		rng := rand.New(rand.NewSource(seed))
+		var sum float64
+		for i := 0; i < trials; i++ {
+			sum += math.Abs(MonteCarloProb(p, leftHalf, n, rng)-0.5) / 0.5
+		}
+		return sum / float64(trials)
+	}
+	small := avgErr(100, 30, 5)
+	large := avgErr(100000, 30, 6)
+	if large >= small {
+		t.Fatalf("error did not shrink: n=100 → %g, n=100000 → %g", small, large)
 	}
 }
 

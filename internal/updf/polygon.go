@@ -123,7 +123,9 @@ func (p *UniformPolygon) MarginalCDF(dim int, x float64) float64 {
 		if emitted == 0 {
 			first = v
 		} else {
-			twice += prev[0]*v[1] - v[0]*prev[1]
+			// polygonArea's terms: offsets from the first vertex, whose
+			// own two terms are 0.
+			twice += (prev[0]-first[0])*(v[1]-first[1]) - (v[0]-first[0])*(prev[1]-first[1])
 		}
 		prev = v
 		emitted++
@@ -142,7 +144,6 @@ func (p *UniformPolygon) MarginalCDF(dim int, x float64) float64 {
 	if emitted < 3 {
 		return 0
 	}
-	twice += prev[0]*first[1] - first[0]*prev[1]
 	return clamp01(math.Abs(twice) / 2 / p.area)
 }
 
@@ -169,8 +170,13 @@ func (p *UniformPolygon) Center() geom.Point {
 }
 
 // ExactProb clips the polygon by the query rectangle and returns the area
-// ratio (Equation 1 generalized to polygonal regions).
+// ratio (Equation 1 generalized to polygonal regions): exactly 0 when rq
+// misses the MBR's interior or has no volume, where clipping would leave a
+// sliver of rounding.
 func (p *UniformPolygon) ExactProb(rq geom.Rect) float64 {
+	if rq.Overlap(p.mbr) == 0 {
+		return 0
+	}
 	poly := p.verts
 	// Clip against the four half-planes of rq.
 	poly = clipHalfplane(poly, 0, rq.Lo[0], false) // x ≥ lo
@@ -242,11 +248,15 @@ func cross(o, a, b geom.Point) float64 {
 	return (a[0]-o[0])*(b[1]-o[1]) - (a[1]-o[1])*(b[0]-o[0])
 }
 
+// polygonArea is the shoelace formula on offsets from the first vertex: on
+// absolute coordinates its products are the coordinates squared, and their
+// rounding swamps a small polygon far from the origin.
 func polygonArea(verts []geom.Point) float64 {
 	var s float64
+	x0, y0 := verts[0][0], verts[0][1]
 	for i := range verts {
 		j := (i + 1) % len(verts)
-		s += verts[i][0]*verts[j][1] - verts[j][0]*verts[i][1]
+		s += (verts[i][0]-x0)*(verts[j][1]-y0) - (verts[j][0]-x0)*(verts[i][1]-y0)
 	}
 	return math.Abs(s) / 2
 }

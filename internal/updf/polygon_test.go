@@ -218,9 +218,6 @@ func TestMixtureExactAndMarginals(t *testing.T) {
 	if got := m.MarginalCDF(0, 15); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("CDF(15) = %g", got)
 	}
-	if !m.Exactable() {
-		t.Fatal("all-exact mixture reported not exactable")
-	}
 }
 
 func TestMixtureMonteCarloAgreement(t *testing.T) {

@@ -263,8 +263,13 @@ func (h *HistogramRect) ShapeKey() string { return "" }
 func (h *HistogramRect) Center() geom.Point { return h.Rect.Center() }
 
 // ExactProb sums cell masses weighted by the fraction of each cell inside
-// rq; exact because the density is constant per cell.
+// rq; exact because the density is constant per cell. A rectangle covering
+// the grid holds probability exactly 1, which the masses' sum is only to
+// rounding.
 func (h *HistogramRect) ExactProb(rq geom.Rect) float64 {
+	if rq.Contains(h.Rect) {
+		return 1
+	}
 	d := h.Dim()
 	idx := make([]int, d)
 	var total float64

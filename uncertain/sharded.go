@@ -80,12 +80,14 @@ func NewSpatialShardedTree(shards int, cfg Config, domain Rect) (*ShardedTree, e
 // Shards returns the shard count.
 func (s *ShardedTree) Shards() int { return len(s.shards) }
 
-// slab routes a region MBR to the slab holding its center, clamped to the
-// edge slabs for out-of-domain objects.
-func (s *ShardedTree) slab(mbr Rect) int {
-	if mbr.Dim() == 0 {
+// slab routes a pdf to the slab holding its MBR's center, clamped to the
+// edge slabs for out-of-domain objects; a nil or 0-dimensional pdf goes
+// to slab 0, whose tree refuses it.
+func (s *ShardedTree) slab(pdf PDF) int {
+	if pdf == nil || pdf.Dim() == 0 {
 		return 0
 	}
+	mbr := pdf.MBR()
 	c := (mbr.Lo[0] + mbr.Hi[0]) / 2
 	i := int(float64(len(s.shards)) * (c - s.domain.Lo[0]) / s.domain.Side(0))
 	if i < 0 {
@@ -115,7 +117,7 @@ func (s *ShardedTree) Insert(id int64, pdf PDF) error {
 	if s.owner(id) >= 0 {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
-	return s.shards[s.slab(pdf.MBR())].Insert(id, pdf)
+	return s.shards[s.slab(pdf)].Insert(id, pdf)
 }
 
 // Delete removes an object from the shard that holds it. An ID no shard
@@ -159,7 +161,7 @@ func (b *shardedBatch) Insert(id int64, pdf PDF) error {
 	if b.owner(id) >= 0 {
 		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
 	}
-	i := b.s.slab(pdf.MBR())
+	i := b.s.slab(pdf)
 	b.ops[i] = append(b.ops[i], shardOp{insert: true, id: id, pdf: pdf})
 	b.owners[id] = i
 	return nil
@@ -231,7 +233,7 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 		parts[i] = make(map[int64]PDF, len(objects)/len(s.shards)+1)
 	}
 	for id, pdf := range objects {
-		parts[s.slab(pdf.MBR())][id] = pdf
+		parts[s.slab(pdf)][id] = pdf
 	}
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup

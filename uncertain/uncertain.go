@@ -39,9 +39,12 @@ type Point = geom.Point
 // Rect is an axis-aligned hyper-rectangle.
 type Rect = geom.Rect
 
-// PDF is a probability density function over an uncertainty region. Build
-// one with the constructors below, or implement updf.PDF directly for fully
-// custom distributions.
+// PDF is a probability density function over an uncertainty region. The
+// eight families the constructors build — UniformCircle, UniformBox,
+// ConstrainedGaussian, TruncatedGaussianBox, ExponentialBox, Histogram,
+// UniformPolygon and MixturePDF — are the supported set; Insert refuses any
+// other type. Adding a family means adding a codec tag, an ExactProb and
+// their tests to updf.
 type PDF = updf.PDF
 
 // Result is one object qualifying a probabilistic range query. When the
@@ -117,7 +120,7 @@ type Config struct {
 	// paper uses 10^6 for <1% error).
 	MonteCarloSamples int
 	// ExactRefinement uses exact (closed-form or fixed-rule) probabilities
-	// instead of Monte Carlo when the pdf supports it.
+	// instead of Monte Carlo.
 	ExactRefinement bool
 	// Path makes the index file-backed (empty → in-memory).
 	Path string
