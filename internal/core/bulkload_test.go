@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -290,5 +293,196 @@ func TestBulkLoadNNSharesDataPages(t *testing.T) {
 			t.Fatalf("trial %d: %d data-page reads for %d refined objects",
 				trial, stats.RefinementIOs, stats.DistanceComps)
 		}
+	}
+}
+
+// TestBulkLoadLeavesRoom: STR's run cut keeps the node count of a full
+// packing but leaves every node a free slot wherever the run has one to
+// spare, so the first inserts after a load neither split nor reinsert.
+func TestBulkLoadLeavesRoom(t *testing.T) {
+	t.Run("cut", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		var c runCutter
+		for trial := 0; trial < 3000; trial++ {
+			capacity := 4 + rng.Intn(37)
+			minFill := 2 * capacity / 5
+			n := 1 + rng.Intn(60)
+			if trial%3 == 0 {
+				n = 1 + rng.Intn(5000)
+			}
+			keys := clusteredKeys(rng, n)
+			ids := rng.Perm(n)
+			c.keys = keys
+			checkCut(t, ids, keys, c.cut(append([]int(nil), ids...), capacity, minFill), capacity, minFill)
+		}
+		// Where every gap ties, the cut is the even one.
+		for n := 1; n < 400; n += 7 {
+			c.keys = make([]float64, n)
+			groups := c.cut(identity(n), 36, 14)
+			for j, cut := range cuts(groups) {
+				if want := (j + 1) * n / len(groups); cut != want {
+					t.Fatalf("n %d, tied keys: cut %d at %d, want the even cut's %d", n, j+1, cut, want)
+				}
+			}
+		}
+	})
+
+	t.Run("tree", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		objs := makeObjects(850, 1000, rng)
+		tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+		var leaves []*node
+		if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
+			if n.leaf() {
+				leaves = append(leaves, n)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(leaves) < 20 {
+			t.Fatalf("%d leaves; the fixture no longer spans 20", len(leaves))
+		}
+		for i, l := range leaves {
+			if len(l.entries) >= tree.leafCap {
+				t.Fatalf("leaf %d of %d holds %d of %d entries; every run of this fixture has a slot to spare",
+					i, len(leaves), len(l.entries), tree.leafCap)
+			}
+		}
+		pages, err := tree.IndexPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One new object on an entry of each of 20 leaves spread over the
+		// tile order: the same pdf, so it lands where that entry lives.
+		for i := 0; i < 20; i++ {
+			l := leaves[i*len(leaves)/20]
+			e := l.entries[len(l.entries)/2]
+			o := objs[e.id]
+			o.ID = int64(len(objs) + i)
+			if _, err := tree.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := tree.IndexPages(); err != nil || got != pages {
+			t.Fatalf("IndexPages %d → %d (%v) after 20 inserts into leaves with a free slot", pages, got, err)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// clusteredKeys returns n ascending keys in a few clusters, rounded so that
+// many tie.
+func clusteredKeys(rng *rand.Rand, n int) []float64 {
+	centres := make([]float64, 1+rng.Intn(8))
+	for i := range centres {
+		centres[i] = rng.Float64() * 1000
+	}
+	spread := []float64{0.5, 3, 20}[rng.Intn(3)]
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = math.Round(centres[rng.Intn(len(centres))] + rng.NormFloat64()*spread)
+	}
+	sort.Float64s(keys)
+	return keys
+}
+
+// cuts returns where each group but the last ends.
+func cuts(groups [][]int) []int {
+	var out []int
+	end := 0
+	for _, g := range groups[:len(groups)-1] {
+		end += len(g)
+		out = append(out, end)
+	}
+	return out
+}
+
+// gapSum is the summed key gaps across the cuts, added left to right.
+func gapSum(keys []float64, cuts []int) float64 {
+	sum := 0.0
+	for _, c := range cuts {
+		sum += keys[c] - keys[c-1]
+	}
+	return sum
+}
+
+// checkCut holds one cut of a run to runCutter.cut's contract and, on runs
+// of up to 60, to the best gap sum found by trying every legal cut.
+func checkCut(t *testing.T, ids []int, keys []float64, groups [][]int, capacity, minFill int) {
+	t.Helper()
+	n := len(ids)
+	k := (n + capacity - 1) / capacity
+	where := func() string { return fmt.Sprintf("n %d, capacity %d", n, capacity) }
+	if len(groups) != k {
+		t.Fatalf("%s: %d groups, want ⌈n/capacity⌉ = %d", where(), len(groups), k)
+	}
+	var all []int
+	for _, g := range groups {
+		all = append(all, g...)
+	}
+	if !reflect.DeepEqual(all, ids) {
+		t.Fatalf("%s: the groups do not concatenate to the run", where())
+	}
+	if k == 1 {
+		return
+	}
+	// legal is the band a size must lie in, whatever the cut.
+	roomy := k*(capacity-1) >= n
+	legal := func(s int) bool {
+		return s >= minFill && s <= capacity && (!roomy || s < capacity) && s >= n/k-2 && s <= (n+k-1)/k+2
+	}
+	for j, g := range groups {
+		if !legal(len(g)) {
+			t.Fatalf("%s: group %d has %d entries (minFill %d, %d groups, room for a free slot: %v)",
+				where(), j, len(g), minFill, k, roomy)
+		}
+	}
+	got := cuts(groups)
+	even := make([]int, k-1)
+	for j := range even {
+		even[j] = (j + 1) * n / k
+		if abs(got[j]-even[j]) > capacity {
+			t.Fatalf("%s: cut %d at %d, more than capacity from the even cut's %d: the DP is no longer O(n)", where(), j+1, got[j], even[j])
+		}
+	}
+	sum := gapSum(keys, got)
+	if e := gapSum(keys, even); sum < e {
+		t.Fatalf("%s: gap sum %g below the even cut's %g", where(), sum, e)
+	}
+	if n > 60 {
+		return
+	}
+	smallest, largest := capacity, 0
+	for s := 1; s <= capacity; s++ {
+		if legal(s) {
+			smallest, largest = min(smallest, s), max(largest, s)
+		}
+	}
+	best := math.Inf(-1)
+	var try func(j, at int, cs []int)
+	try = func(j, at int, cs []int) {
+		if j == k {
+			if at == n {
+				best = max(best, gapSum(keys, cs))
+			}
+			return
+		}
+		for s := 1; s <= capacity && at+s <= n; s++ {
+			c, rest := at+s, k-j-1
+			if legal(s) && c+rest*smallest <= n && n <= c+rest*largest {
+				if j < k-1 {
+					try(j+1, c, append(cs, c))
+				} else {
+					try(j+1, c, cs)
+				}
+			}
+		}
+	}
+	try(0, 0, nil)
+	if sum != best {
+		t.Fatalf("%s: gap sum %g, the best legal cut's is %g", where(), sum, best)
 	}
 }

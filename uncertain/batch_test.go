@@ -293,16 +293,43 @@ func TestReclaimPinSafety(t *testing.T) {
 // deletes). Every page the base store is
 // asked to write is a leaf or inner relocation, the one append page, or the
 // metadata page — a delete writes no data page.
+//
+// Two sizes. At 2,000 objects no STR run has a slot to spare (7 leaves for
+// 250 entries, and 7·35 < 250), so every leaf starts full and the inserts
+// split as they did when STR packed leaves full: the total must not rise.
+// At 1,600 every run has room (7 leaves for 229 entries), every leaf a free
+// slot, and the total must fall below the full packing's.
 func TestWriteBatchPageWrites(t *testing.T) {
-	// Base-store page writes per batch, measured at the commit that stopped
-	// deletes from rewriting data pages; the commit before it wrote
-	// parentWrites for the same five batches. The fifth was 21 until a
-	// ball's record became keyed (31 B a slot instead of 38 B): the bulk
-	// load's last data page then had room for 33 more records, and the
-	// fifth batch's appends spilled onto a new page.
-	want := [5]int64{32, 20, 25, 27, 20}
-	const parentWrites = 158 // 38, 27, 31, 34, 28
+	for _, tc := range []struct {
+		n    int64
+		want [5]int64 // base-store page writes per batch
+		// full is the total while STR packed every leaf full: at 2,000
+		// [32 20 25 27 20] (158 while every delete also rewrote a data
+		// page), at 1,600 [26 29 24 19 18].
+		full  int64
+		below bool // the total must be below full, not just not above it
+	}{
+		{n: 2000, want: [5]int64{31, 21, 25, 23, 23}, full: 124},
+		{n: 1600, want: [5]int64{15, 17, 16, 15, 17}, full: 116, below: true},
+	} {
+		got := writeBatchPageWrites(t, tc.n)
+		var total int64
+		for _, w := range got {
+			total += w
+		}
+		if got != tc.want {
+			t.Errorf("%d objects: base-store page writes per batch %v, want %v", tc.n, got, tc.want)
+		}
+		if total > tc.full || tc.below && total == tc.full {
+			t.Errorf("%d objects: %d page writes over five batches; STR packing leaves full wrote %d", tc.n, total, tc.full)
+		}
+	}
+}
 
+// writeBatchPageWrites bulk-loads n seeded balls, runs the five batches and
+// returns each one's base-store page writes.
+func writeBatchPageWrites(t *testing.T, n int64) [5]int64 {
+	t.Helper()
 	var base pagefile.Store
 	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, WrapStore: func(s pagefile.Store) pagefile.Store {
 		base = s
@@ -314,7 +341,6 @@ func TestWriteBatchPageWrites(t *testing.T) {
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(42))
 	ball := func() PDF { return UniformCircle(Pt(rng.Float64()*10000, rng.Float64()*10000), 250) }
-	const n = 2000
 	objs := make(map[int64]PDF, n)
 	for id := int64(0); id < n; id++ {
 		objs[id] = ball()
@@ -323,7 +349,6 @@ func TestWriteBatchPageWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [5]int64
-	var total int64
 	for b := range got {
 		_, w0, _, _ := base.Stats().Snapshot()
 		if err := tree.WriteBatch(func(w BatchWriter) error {
@@ -341,13 +366,6 @@ func TestWriteBatchPageWrites(t *testing.T) {
 		}
 		_, w1, _, _ := base.Stats().Snapshot()
 		got[b] = w1 - w0
-		total += got[b]
-	}
-	if got != want {
-		t.Errorf("base-store page writes per batch %v, want %v", got, want)
-	}
-	if total >= parentWrites {
-		t.Errorf("%d page writes over five batches, not below the %d of the commit before deletes left the data file alone", total, parentWrites)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -355,4 +373,5 @@ func TestWriteBatchPageWrites(t *testing.T) {
 	if err := tree.CheckRecords(); err != nil {
 		t.Fatal(err)
 	}
+	return got
 }

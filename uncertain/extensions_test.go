@@ -3,11 +3,14 @@ package uncertain
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/pagefile"
 )
 
 func TestFacadeNearestNeighbors(t *testing.T) {
@@ -63,6 +66,76 @@ func TestFacadeBulkLoad(t *testing.T) {
 	if err != nil || len(res) != 399 {
 		t.Fatalf("search after bulk+delete: %v, %d results", err, len(res))
 	}
+}
+
+// TestBulkLoadEmptyRootFault: a load's last step reads and frees the empty
+// root a new tree starts with. A failed read of that page fails the load
+// and rolls it back: the tree is empty, every live page is reachable (the
+// root was neither leaked nor freed twice), and a retry succeeds.
+func TestBulkLoadEmptyRootFault(t *testing.T) {
+	var base pagefile.Store
+	var chaos *pagefile.ChaosStore
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, WrapStore: func(s pagefile.Store) pagefile.Store {
+		base, chaos = s, pagefile.NewChaosStore(s, 1)
+		return chaos
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	// A memory tree has no metadata page: every live page is reachable.
+	noLeak := func(when string) map[pagefile.PageID]bool {
+		t.Helper()
+		reach, err := tree.inner.ReachablePages(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if live := base.NumPages(); live != len(reach) {
+			t.Fatalf("%s: %d live pages, %d reachable", when, live, len(reach))
+		}
+		return reach
+	}
+	reach := noLeak("new tree")
+	if len(reach) != 1 {
+		t.Fatalf("a new tree reaches %d pages, want its root alone", len(reach))
+	}
+	var root pagefile.PageID
+	for p := range reach {
+		root = p
+	}
+	fault, err := chaos.AddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Pages: []pagefile.PageID{root}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	objs := shardedFixtureObjects(300, 5)
+	if err := tree.BulkLoad(objs); !errors.Is(err, pagefile.ErrInjected) {
+		t.Fatalf("BulkLoad with the empty root unreadable: %v, want ErrInjected", err)
+	}
+	if fault.Triggered() != 1 {
+		t.Fatalf("the root read fault fired %d times, want 1", fault.Triggered())
+	}
+	if tree.Len() != 0 {
+		t.Fatalf("failed load left %d objects", tree.Len())
+	}
+	noLeak("rolled back")
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := tree.BulkLoad(objs); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if tree.Len() != len(objs) {
+		t.Fatalf("Len %d after the retry, want %d", tree.Len(), len(objs))
+	}
+	if reach := noLeak("reloaded"); reach[root] {
+		t.Fatalf("the empty root %d is still reachable after the load", root)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	assertDirectory(t, "reloaded", tree)
 }
 
 // TestBulkLoadDeterministic: the load is a function of the object set, not
