@@ -29,10 +29,9 @@ import (
 // benchConfig keeps `go test -bench=.` tractable while preserving shapes.
 func benchConfig() experiments.Config {
 	return experiments.Config{
-		Scale:     0.01,
-		Queries:   10,
-		MCSamples: 1000,
-		Seed:      42,
+		Scale:   0.01,
+		Queries: 10,
+		Seed:    42,
 	}
 }
 
@@ -386,7 +385,7 @@ func BenchmarkQuery(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Scale = 0.05
 	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: cfg.Scale, Seed: 1})
-	tree, err := core.New(core.Options{Dim: 2, MCSamples: 1000})
+	tree, err := core.New(core.Options{Dim: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -447,10 +446,8 @@ func fig9Tree(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
 	fig9Fixture.once.Do(func() {
 		objs, queries := fig9Data()
 		tree, err := uncertain.NewTree(uncertain.Config{
-			Dimensions:        dataset.LB.Dim(),
-			MonteCarloSamples: 1000,
-			Seed:              42,
-			BufferPages:       64,
+			Dimensions:  dataset.LB.Dim(),
+			BufferPages: 64,
 		})
 		if err == nil {
 			for _, o := range objs {
@@ -548,10 +545,8 @@ func BenchmarkFig9SearchSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
 			idx, err := uncertain.NewSpatialShardedTree(shards, uncertain.Config{
-				Dimensions:      dataset.LB.Dim(),
-				ExactRefinement: true,
-				Seed:            42,
-				BufferPages:     64 / shards,
+				Dimensions:  dataset.LB.Dim(),
+				BufferPages: 64 / shards,
 			}, domain)
 			if err != nil {
 				b.Fatal(err)

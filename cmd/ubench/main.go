@@ -36,7 +36,6 @@ func main() {
 		short   = flag.Bool("short", false, "shrink the dataset scale and query count for quick smoke runs")
 		scale   = flag.Float64("scale", 0.05, "dataset scale (1.0 = paper size)")
 		queries = flag.Int("queries", 0, "queries per workload (0 = default)")
-		samples = flag.Int("mc", 0, "monte-carlo samples per probability (0 = default)")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile covering the experiment run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
@@ -53,11 +52,10 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Scale:     *scale,
-		Queries:   *queries,
-		MCSamples: *samples,
-		Seed:      *seed,
-		Out:       os.Stdout,
+		Scale:   *scale,
+		Queries: *queries,
+		Seed:    *seed,
+		Out:     os.Stdout,
 	}
 
 	if *cpuProf != "" {

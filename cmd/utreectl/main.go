@@ -17,8 +17,9 @@
 //
 // query and nn additionally take the per-query options of the
 // context-first API: -timeout (wall-time deadline, ms; a timed-out query
-// reports its partial results), -mc-samples (Monte Carlo refinement
-// samples) and -limit (top-N early cut), e.g.
+// reports its partial results), -mc-samples (Monte Carlo samples of a k-NN
+// expected distance; a range query's refinement is exact) and -limit
+// (top-N early cut), e.g.
 // `utreectl query -timeout 5 -limit 10 ...`.
 package main
 
@@ -55,7 +56,7 @@ func main() {
 
 		// Per-query options for query and nn.
 		timeoutMS = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
-		mcSamples = fs.Int("mc-samples", 0, "Monte Carlo refinement samples for this query (0 = index default)")
+		mcSamples = fs.Int("mc-samples", 0, "Monte Carlo samples of each k-NN expected distance (0 = index default; range refinement is exact)")
 		limit     = fs.Int("limit", 0, "stop after this many results (top-N early cut; 0 = unlimited)")
 	)
 	fs.Parse(os.Args[2:])

@@ -26,8 +26,8 @@
 //	intermediate entry, e.MBR(p_j)           → internal/core.Tree.encodeInnerEntry, internal/core.Tree.nodeBoundary
 //	ChooseSubtree and split, Section 5.3     → internal/core.Tree.chooseSubtree, internal/core.Tree.chooseSplit
 //	prob-range query, Section 5.2            → internal/core.Snapshot.RangeQuery, uncertain.Tree.Search
-//	Equation 2, appearance probability       → internal/core.Tree.appearanceProbability, internal/updf.PDF.ExactProb
-//	Equation 3, the Monte Carlo estimate     → internal/updf.MonteCarloProbScratch
+//	Equation 2, appearance probability       → internal/core.Tree.rangeQuery, internal/updf.PDF.ExactProb
+//	Equation 3, the Monte Carlo estimate     → internal/updf.MonteCarloProb
 //
 // Where the code departs from the paper:
 //

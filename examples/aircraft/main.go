@@ -22,10 +22,7 @@ func main() {
 	// airport-pair segments, uniform altitudes).
 	objs := dataset.Generate(dataset.Config{Name: dataset.Aircraft, Scale: 0.05, Seed: 7})
 
-	tree, err := uncertain.NewTree(uncertain.Config{
-		Dimensions:      3,
-		ExactRefinement: true,
-	})
+	tree, err := uncertain.NewTree(uncertain.Config{Dimensions: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,10 +25,7 @@ const (
 )
 
 func main() {
-	tree, err := uncertain.NewTree(uncertain.Config{
-		Dimensions:      2,
-		ExactRefinement: true, // uniform circles have closed-form probabilities
-	})
+	tree, err := uncertain.NewTree(uncertain.Config{Dimensions: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

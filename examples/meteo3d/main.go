@@ -22,10 +22,7 @@ import (
 const numStations = 3000
 
 func main() {
-	tree, err := uncertain.NewTree(uncertain.Config{
-		Dimensions:      3,
-		ExactRefinement: true, // truncated Gaussian products are closed form
-	})
+	tree, err := uncertain.NewTree(uncertain.Config{Dimensions: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,12 +14,9 @@ import (
 )
 
 func main() {
-	// A 2D index with exact refinement (closed-form probabilities) so the
-	// output is deterministic.
-	tree, err := uncertain.NewTree(uncertain.Config{
-		Dimensions:      2,
-		ExactRefinement: true,
-	})
+	// A 2D index; refinement computes exact probabilities, so the output
+	// is deterministic.
+	tree, err := uncertain.NewTree(uncertain.Config{Dimensions: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

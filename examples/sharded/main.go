@@ -17,10 +17,7 @@ import (
 
 func main() {
 	city := uncertain.Box(uncertain.Pt(0, 0), uncertain.Pt(10000, 10000))
-	st, err := uncertain.NewSpatialShardedTree(4, uncertain.Config{
-		Dimensions:      2,
-		ExactRefinement: true,
-	}, city)
+	st, err := uncertain.NewSpatialShardedTree(4, uncertain.Config{Dimensions: 2}, city)
 	if err != nil {
 		panic(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestBatchAmortizesRelocations(t *testing.T) {
 	build := func(batch bool) int64 {
 		store := pagefile.NewMemStore()
-		tree, err := New(Options{Dim: 2, ExactRefinement: true, Store: store})
+		tree, err := New(Options{Dim: 2, Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 // TestCommitRollbackVisibility: uncommitted mutations are invisible to the
 // committed epoch, Rollback drops them, Commit publishes them.
 func TestCommitRollbackVisibility(t *testing.T) {
-	tree, err := New(Options{Dim: 2, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func (s *pageLog) Write(id pagefile.PageID, buf []byte) error {
 // lives, because nothing was done to them.
 func TestGCInfoCounters(t *testing.T) {
 	store := &pageLog{MemStore: pagefile.NewMemStore(), touched: map[pagefile.PageID]bool{}}
-	tree, err := New(Options{Dim: 2, ExactRefinement: true, Store: store, Persist: true})
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func bulkTree(t *testing.T, opt Options, objs []Object) *Tree {
 func TestBulkLoadClustersRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	objs := makeObjects(600, 1200, rng) // all four pdf families
-	bulk := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+	bulk := bulkTree(t, Options{Dim: 2}, objs)
 
 	// Walk the leaves left to right.
 	var leaves [][]pagefile.DataAddr
@@ -87,7 +87,7 @@ func TestBulkLoadClustersRecords(t *testing.T) {
 	}
 
 	inc := buildTree(t, UTree, objs, 0)
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 1200), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(bulk, query)
@@ -170,7 +170,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	bad := append([]Object(nil), objs...)
 	bad[len(bad)/2] = Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{1, 2, 3}, 1)}
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 	t.Run("tree", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(30))
 		objs := makeObjects(850, 1000, rng)
-		tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+		tree := bulkTree(t, Options{Dim: 2}, objs)
 		var leaves []*node
 		if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 			if n.leaf() {

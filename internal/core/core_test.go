@@ -43,10 +43,9 @@ func makeObjects(n int, span float64, rng *rand.Rand) []Object {
 func buildTree(t *testing.T, kind Kind, objs []Object, catalogSize int) *Tree {
 	t.Helper()
 	tree, err := New(Options{
-		Dim:             2,
-		Kind:            kind,
-		CatalogSize:     catalogSize,
-		ExactRefinement: true,
+		Dim:         2,
+		Kind:        kind,
+		CatalogSize: catalogSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func randomQueryRect(rng *rand.Rand, span float64) geom.Rect {
 func TestRangeQueryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	objs := makeObjects(800, 1000, rng)
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 
 	for _, kind := range []Kind{UTree, UPCR} {
 		tree := buildTree(t, kind, objs, 0)
@@ -219,7 +218,7 @@ func TestDeleteThenQuery(t *testing.T) {
 				remaining = append(remaining, o)
 			}
 		}
-		scan := NewScan(remaining, 9, 0, true, 1)
+		scan := NewScan(remaining, 9)
 		for q := 0; q < 50; q++ {
 			query := Query{Rect: randomQueryRect(rng, 800), Prob: 0.05 + rng.Float64()*0.9}
 			got, _, err := rangeQuery(tree, query)
@@ -279,7 +278,7 @@ func TestDeleteNotFound(t *testing.T) {
 
 func TestInterleavedInsertDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tree, err := New(Options{Dim: 2, Kind: UTree, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Kind: UTree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 	for _, o := range live {
 		objs = append(objs, o)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 30; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(tree, query)
@@ -466,7 +465,7 @@ func Test3DTree(t *testing.T) {
 		ctr := geom.Point{rng.Float64() * 500, rng.Float64() * 500, rng.Float64() * 500}
 		objs = append(objs, Object{ID: int64(i), PDF: updf.NewUniformBall(ctr, 12.5)})
 	}
-	tree, err := New(Options{Dim: 3, ExactRefinement: true})
+	tree, err := New(Options{Dim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +477,7 @@ func Test3DTree(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 40; q++ {
 		c := geom.Point{rng.Float64() * 500, rng.Float64() * 500, rng.Float64() * 500}
 		s := 30 + rng.Float64()*80
@@ -501,7 +500,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	objs := makeObjects(400, 600, rng)
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +513,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +523,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(re, query)
@@ -555,7 +554,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	objs := makeObjects(150, 600, rng)
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +605,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		}
 	}
 
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +647,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 			t.Fatalf("dead slot %+v read: %v, want ErrBadSlot", addrs[o.ID], err)
 		}
 	}
-	scan := NewScan(append(append([]Object(nil), live...), extra...), 9, 0, true, 1)
+	scan := NewScan(append(append([]Object(nil), live...), extra...), 9)
 	for q := 0; q < 20; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(re, query)
@@ -703,7 +702,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cs := pagefile.NewChaosStore(pagefile.NewMemStore(), 0)
 	fault := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: -1, Sticky: true})
-	tree, err := New(Options{Dim: 2, Store: cs, BufferPages: 1, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: cs, BufferPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +742,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 // root as it was before the damage.
 func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) {
 	t.Helper()
-	tree, err := New(Options{Dim: 2, ExactRefinement: true, NodeCacheEntries: cache})
+	tree, err := New(Options{Dim: 2, NodeCacheEntries: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,7 +927,7 @@ func TestUpdateStatsAccumulate(t *testing.T) {
 func TestScanAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	objs := makeObjects(300, 500, rng)
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 60; q++ {
 		query := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + rng.Float64()*0.9}
 		got, stats, err := scan.RangeQuery(query)
@@ -942,54 +941,6 @@ func TestScanAgainstBruteForce(t *testing.T) {
 		if stats.ProbComputations > len(objs) {
 			t.Fatalf("more prob computations than objects: %d", stats.ProbComputations)
 		}
-	}
-}
-
-// TestScanMonteCarloSeeded: the scan's Monte-Carlo refinement draws from
-// the seed it was built with, so two scans with the same objects and seed
-// return identical results and probabilities, and another seed does not.
-func TestScanMonteCarloSeeded(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	objs := makeObjects(300, 500, rng)
-	a := NewScan(objs, 9, 200, false, 7)
-	b := NewScan(objs, 9, 200, false, 7)
-	other := NewScan(objs, 9, 200, false, 8)
-	computed, differs := 0, false
-	for q := 0; q < 40; q++ {
-		query := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + rng.Float64()*0.9}
-		got, stats, err := a.RangeQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := b.RangeQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results, same-seed twin %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d result %d: %+v, same-seed twin %+v", q, i, got[i], want[i])
-			}
-		}
-		computed += stats.ProbComputations
-		third, _, err := other.RangeQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(third) != len(got) {
-			differs = true
-		}
-		for i := 0; i < len(third) && i < len(got); i++ {
-			differs = differs || third[i] != got[i]
-		}
-	}
-	if computed == 0 {
-		t.Fatal("no probability was sampled — the Monte-Carlo path was never exercised")
-	}
-	if !differs {
-		t.Fatal("another seed gave identical probabilities — the seed is not used")
 	}
 }
 
@@ -1012,7 +963,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 		rect := geom.NewRect(geom.Point{cx, cy}, geom.Point{cx + 30, cy + 24})
 		objs = append(objs, Object{ID: int64(i), PDF: updf.NewHistogramRect(rect, []int{3, 3}, w)})
 	}
-	tree, err := New(Options{Dim: 2, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1024,7 +975,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 50; q++ {
 		query := Query{Rect: randomQueryRect(rng, 400), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(tree, query)

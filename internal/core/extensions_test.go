@@ -30,7 +30,7 @@ func bruteNN(objs []Object, q geom.Point, k, samples int) []NNResult {
 func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	objs := makeObjects(500, 1000, rng)
-	tree, err := New(Options{Dim: 2, ExactRefinement: true, MCSamples: 2000})
+	tree, err := New(Options{Dim: 2, MCSamples: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	objs := makeObjects(1200, 1500, rng)
 
 	inc := buildTree(t, UTree, objs, 0)
-	bulk, err := New(Options{Dim: 2, ExactRefinement: true})
+	bulk, err := New(Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 func TestBulkLoadStaysDynamic(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	objs := makeObjects(600, 800, rng)
-	tree, err := New(Options{Dim: 2, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBulkLoadStaysDynamic(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs[100:], 9, 0, true, 1)
+	scan := NewScan(objs[100:], 9)
 	for q := 0; q < 30; q++ {
 		query := Query{Rect: randomQueryRect(rng, 800), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(tree, query)
@@ -235,7 +235,7 @@ func TestBulkLoadSmallAndExactCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for _, n := range []int{1, 5, 23, 24, 100} {
 		objs := makeObjects(n, 300, rng)
-		tree, _ := New(Options{Dim: 2, ExactRefinement: true})
+		tree, _ := New(Options{Dim: 2})
 		if _, err := tree.BulkLoad(objs); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -316,7 +316,7 @@ func TestNNMaxDist(t *testing.T) {
 func TestProbFilterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	objs := makeObjects(500, 1000, rng)
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for _, kind := range []Kind{UTree, UPCR} {
 		tree := buildTree(t, kind, objs, 0)
 		totalPruned := 0
@@ -359,9 +359,9 @@ func TestSplitStrategiesStayCorrect(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	objs := makeObjects(500, 700, rng)
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for _, strat := range []SplitStrategy{SplitMedian, SplitAtZero, SplitSummed} {
-		tree, err := New(Options{Dim: 2, ExactRefinement: true, SplitStrategy: strat})
+		tree, err := New(Options{Dim: 2, SplitStrategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func TestSplitStrategiesStayCorrect(t *testing.T) {
 func TestDisableReinsertStaysCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	objs := makeObjects(500, 700, rng)
-	tree, err := New(Options{Dim: 2, ExactRefinement: true, DisableReinsert: true})
+	tree, err := New(Options{Dim: 2, DisableReinsert: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestDisableReinsertStaysCorrect(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 25; q++ {
 		query := Query{Rect: randomQueryRect(rng, 700), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(tree, query)
@@ -436,7 +436,7 @@ func TestPolygonAndMixtureObjectsEndToEnd(t *testing.T) {
 			objs = append(objs, Object{ID: int64(i), PDF: m})
 		}
 	}
-	tree, err := New(Options{Dim: 2, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestPolygonAndMixtureObjectsEndToEnd(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + rng.Float64()*0.9}
 		got, _, err := rangeQuery(tree, query)
@@ -486,7 +486,7 @@ func TestDeleteAfterBulkLoadSharedShapes(t *testing.T) {
 			objs[i] = Object{ID: int64(i), PDF: updf.NewUniformBall(ctr, 250)}
 		}
 		rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
-		tree, err := New(Options{Dim: 2, ExactRefinement: true, Seed: 7})
+		tree, err := New(Options{Dim: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

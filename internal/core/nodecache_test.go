@@ -158,7 +158,6 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 	objs := makeObjects(300, 1000, rng)
 	tree, err := New(Options{
 		Dim:              2,
-		ExactRefinement:  true,
 		BufferPages:      16,
 		NodeCacheEntries: 8, // tiny: force eviction + re-decode churn
 	})
@@ -320,7 +319,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 	objs := makeObjects(400, 1000, rng)
 	tree, err := New(Options{
 		Dim:         2,
-		MCSamples:   200, // Monte Carlo refinement: exercises the pooled sampler + sample buffer
+		MCSamples:   200, // the NN estimate: exercises the pooled sampler + sample buffer
 		BufferPages: 32,
 	})
 	if err != nil {

@@ -40,7 +40,7 @@ func (w *writeCounter) reset() map[pagefile.PageID]int {
 func TestPageBufferEmptyAtRest(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	objs := makeObjects(1500, 3000, rng)
-	tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+	tree := bulkTree(t, Options{Dim: 2}, objs)
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPageBufferBatchWritesEachPageOnce(t *testing.T) {
 	const span = 60
 	objs := makeObjects(3000, span, rng)
 	wc := &writeCounter{Store: pagefile.NewMemStore(), writes: make(map[pagefile.PageID]int)}
-	tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true, Store: wc, BufferPages: 32}, objs)
+	tree := bulkTree(t, Options{Dim: 2, Store: wc, BufferPages: 32}, objs)
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}

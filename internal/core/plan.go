@@ -12,15 +12,15 @@ import (
 // Snapshot.NearestNeighbors) resolve a QueryOpts against the tree's
 // configuration once, up front, into an immutable qplan that the traversal
 // then consults — no global mutator needs to run, and two concurrent
-// queries on one tree can use different refinement precision or result
-// limits.
+// queries on one tree can use different k-NN precision or result limits.
 
 // QueryOpts carries per-query overrides of the tree's configured query
 // behavior. The zero value means "inherit everything" and reproduces the
 // tree's configured behavior bit for bit.
 type QueryOpts struct {
-	// MCSamples overrides Options.MCSamples for this query's Monte Carlo
-	// refinement when > 0.
+	// MCSamples overrides Options.MCSamples for this query's k-NN
+	// expected distances when > 0. Range refinement is exact and ignores
+	// it.
 	MCSamples int
 	// Limit stops a range query after this many results (0 = unlimited);
 	// for NN queries it caps k. The cut is deterministic: results arrive in
@@ -40,7 +40,6 @@ type QueryOpts struct {
 type qplan struct {
 	ctx     context.Context
 	samples int
-	exact   bool
 	limit   int
 	// maxDist is QueryOpts.MaxDist (0 = no bound).
 	maxDist float64
@@ -59,7 +58,6 @@ func (t *Tree) resolvePlan(ctx context.Context, o QueryOpts) qplan {
 	p := qplan{
 		ctx:     ctx,
 		samples: t.samples,
-		exact:   t.exact,
 		limit:   o.Limit,
 		maxDist: o.MaxDist,
 	}

@@ -3,15 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
-	"repro/internal/updf"
 )
 
 // Query is a probabilistic range query: find objects appearing in Rect with
@@ -54,7 +51,7 @@ type QueryStats struct {
 	NodeAccesses     int // tree pages visited
 	LeafAccesses     int
 	Candidates       int // leaf entries the stored faces left undecided
-	ProbComputations int // candidates whose appearance probability was integrated (Equation 2/3)
+	ProbComputations int // candidates whose appearance probability was integrated (Equation 2)
 	Validated        int // results reported from the leaf entry alone (MBR containment or probability lower bound)
 	RefinementIOs    int // distinct data pages fetched
 	Results          int
@@ -117,41 +114,18 @@ func (s *QueryStats) Add(o QueryStats) {
 // surviving candidates, fetching each distinct data page once: a candidate
 // is validated or dropped on its pdf's marginals where they decide it — at
 // the leaf through its shape (pcr.FilterShape), else once its record is read
-// (pcr.FilterMarginal) — and has its appearance probability computed where
-// they do not. It is the only range entry point — a
-// single-threaded caller commits and pins a snapshot like everyone else.
+// (pcr.FilterMarginal) — and has its appearance probability (Equation 2,
+// PDF.ExactProb) computed where they do not. It is the only range entry
+// point — a single-threaded caller commits and pins a snapshot like
+// everyone else.
 //
 // The traversal checks ctx before every page fetch and every refinement
 // integration, so a cancelled query returns ctx.Err() within roughly one
-// page read of the cancellation. The refinement sampler is seeded from
-// (tree seed, query), so Monte Carlo results are reproducible per query
-// whatever the scheduling or the order queries are issued in (like
-// ExpectedDistance's per-object seeding).
+// page read of the cancellation. Refinement draws no samples, so an answer
+// depends on the query and the epoch alone.
 func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
 	p := s.t.resolvePlan(ctx, o)
-	// The sampler is pooled and re-seeded per query — (*Rand).Seed
-	// reproduces exactly the sequence a fresh rand.New would draw.
-	rng := getSeededRand(s.t.querySeed(q))
-	defer putRand(rng)
-	return s.t.rangeQuery(s.st, q, rng, &p)
-}
-
-// querySeed derives a deterministic sampler seed from the tree seed and the
-// query geometry (FNV-1a over the coordinate bits).
-func (t *Tree) querySeed(q Query) int64 {
-	h := (uint64(t.seed) ^ 14695981039346656037) * 1099511628211
-	mix := func(f float64) {
-		h ^= math.Float64bits(f)
-		h *= 1099511628211
-	}
-	for _, v := range q.Rect.Lo {
-		mix(v)
-	}
-	for _, v := range q.Rect.Hi {
-		mix(v)
-	}
-	mix(q.Prob)
-	return int64(h)
+	return s.t.rangeQuery(s.st, q, &p)
 }
 
 // rangeQuery is the traversal behind Snapshot.RangeQuery: a level-batched
@@ -160,14 +134,13 @@ func (t *Tree) querySeed(q Query) int64 {
 // per-query plan.
 //
 // The descent processes one level's surviving nodes per round, in
-// discovery order; candidates are refined in (page, slot) order, consuming
-// the refinement sampler serially.
+// discovery order; candidates are refined in (page, slot) order.
 //
 // Cancellation is checked before every page fetch and every refinement
 // integration; a cancelled query returns plan.ctx.Err() with the partial
 // results and stats gathered so far. A result limit cuts the query once that
 // many results exist.
-func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (results []Result, stats QueryStats, err error) {
+func (t *Tree) rangeQuery(st *treeState, q Query, plan *qplan) (results []Result, stats QueryStats, err error) {
 	if err := validateQuery(t.dim, q); err != nil {
 		return nil, stats, err
 	}
@@ -189,10 +162,9 @@ func (t *Tree) rangeQuery(st *treeState, q Query, rng *rand.Rand, plan *qplan) (
 	jDescend, _ := t.cat.LargestLE(q.Prob)
 
 	// Pooled traversal scratch: the two descent-level buffers (swapped per
-	// round instead of reallocated), the candidate list, and the Monte
-	// Carlo sample point. The results slice escapes to the caller and is
-	// never pooled. Append order is unchanged, so results stay
-	// byte-identical to the unpooled path.
+	// round instead of reallocated) and the candidate list. The results
+	// slice escapes to the caller and is never pooled. Append order is
+	// unchanged, so results stay byte-identical to the unpooled path.
 	sc := getScratch()
 	frontier := append(sc.frontier[:0], st.rootPage)
 	next := sc.next[:0]
@@ -273,7 +245,6 @@ descent:
 		}
 		return cands[a].addr.Slot < cands[b].addr.Slot
 	})
-	mcBuf := sc.point(t.dim)
 	var pageBuf []byte
 	pageID := pagefile.InvalidPage
 	// refined ends the stage, on completion and on every early exit of the
@@ -315,7 +286,7 @@ descent:
 		case pcr.PrunedByBound:
 			stats.MarginalPruned++
 		default:
-			p := t.appearanceProbability(obj.PDF, q.Rect, rng, plan, mcBuf)
+			p := obj.PDF.ExactProb(q.Rect) // Equation 2
 			stats.ProbComputations++
 			if p >= q.Prob {
 				results = append(results, Result{ID: obj.ID, Prob: p})
@@ -323,17 +294,6 @@ descent:
 		}
 	}
 	return refined(nil)
-}
-
-// appearanceProbability evaluates Equation 2, exactly when the plan asks
-// for it, else by Monte Carlo (Equation 3) driven by the caller's sampler
-// at the plan's sample count. scratch is the sample-point buffer (len =
-// tree dim), reused across candidates.
-func (t *Tree) appearanceProbability(p updf.PDF, rq geom.Rect, rng *rand.Rand, plan *qplan, scratch geom.Point) float64 {
-	if plan.exact {
-		return p.ExactProb(rq)
-	}
-	return updf.MonteCarloProbScratch(p, rq, plan.samples, rng, scratch)
 }
 
 func validateQuery(dim int, q Query) error {

@@ -81,7 +81,7 @@ func TestKeyedRecords(t *testing.T) {
 		objs[o.ID] = o
 	}
 	store := pagefile.NewMemStore()
-	tree := bulkTree(t, Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true}, list[:600])
+	tree := bulkTree(t, Options{Dim: 2, Store: store, Persist: true}, list[:600])
 	for _, o := range list[600:] {
 		if _, err := tree.Insert(o); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestKeyedRecords(t *testing.T) {
 	if keyed != balls {
 		t.Fatalf("%d keyed records, %d balls", keyed, balls)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestKeyedRecordDamage(t *testing.T) {
 		"record cut in its reference": resize(10 - 27), // 10 of 27 bytes
 	} {
 		t.Run(name, func(t *testing.T) {
-			tree, err := New(Options{Dim: 2, ExactRefinement: true})
+			tree, err := New(Options{Dim: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

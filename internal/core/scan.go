@@ -1,23 +1,17 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/geom"
 	"repro/internal/pcr"
-	"repro/internal/updf"
 )
 
 // Scan is the no-index baseline of Section 5's opening: objects (with
 // pre-computed CFBs) inspected sequentially, filtered with Observation 3,
-// and refined when needed. It doubles as the ground-truth oracle in tests
-// when exact refinement is enabled.
+// and refined by Equation 2 when needed. It doubles as the ground-truth
+// oracle in tests.
 type Scan struct {
 	cat     pcr.Catalog
 	objects []scanItem
-	samples int
-	exact   bool
-	rng     *rand.Rand
 }
 
 type scanItem struct {
@@ -29,10 +23,10 @@ type scanItem struct {
 
 // NewScan builds a sequential-scan baseline over the given objects with the
 // given catalog size.
-func NewScan(objects []Object, catalogSize int, samples int, exact bool, seed int64) *Scan {
+func NewScan(objects []Object, catalogSize int) *Scan {
 	cat := pcr.UniformCatalog(catalogSize)
 	cache := pcr.NewQuantileCache()
-	s := &Scan{cat: cat, samples: samples, exact: exact, rng: rand.New(rand.NewSource(seed))}
+	s := &Scan{cat: cat}
 	for _, o := range objects {
 		pcrs := pcr.Compute(o.PDF, cat, cache)
 		s.objects = append(s.objects, scanItem{
@@ -60,7 +54,7 @@ func (s *Scan) RangeQuery(q Query) ([]Result, QueryStats, error) {
 			stats.ProbFilterPruned++
 		case pcr.Unknown:
 			stats.Candidates++
-			p := s.prob(it.obj.PDF, q.Rect)
+			p := it.obj.PDF.ExactProb(q.Rect)
 			stats.ProbComputations++
 			if p >= q.Prob {
 				results = append(results, Result{ID: it.obj.ID, Prob: p})
@@ -77,17 +71,9 @@ func (s *Scan) BruteForce(q Query) []Result {
 	var results []Result
 	for i := range s.objects {
 		it := &s.objects[i]
-		if p := s.prob(it.obj.PDF, q.Rect); p >= q.Prob {
+		if p := it.obj.PDF.ExactProb(q.Rect); p >= q.Prob {
 			results = append(results, Result{ID: it.obj.ID, Prob: p})
 		}
 	}
 	return results
-}
-
-// prob is Equation 2, exact or by the scan's Monte Carlo sampler.
-func (s *Scan) prob(p updf.PDF, rq geom.Rect) float64 {
-	if s.exact {
-		return p.ExactProb(rq)
-	}
-	return updf.MonteCarloProb(p, rq, s.samples, s.rng)
 }

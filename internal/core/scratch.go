@@ -10,8 +10,9 @@ import (
 )
 
 // Per-query scratch pooling: the traversal state a query allocates afresh
-// today — descent frontiers, candidate lists, the NN frontier heap, Monte
-// Carlo sample buffers, seeded samplers — is recycled through sync.Pools.
+// today — descent frontiers, candidate lists, the NN frontier heap, the
+// NN expected-distance sample buffer and seeded samplers — is recycled
+// through sync.Pools.
 // The discipline:
 //
 //   - Everything handed out is length-reset before reuse (capacity kept),
@@ -39,7 +40,7 @@ type queryScratch struct {
 	next     []pagefile.PageID // next descent level (swapped per round)
 	cands    []candidate       // refinement candidates
 	heap     nnHeap            // NN frontier
-	mc       geom.Point        // Monte Carlo sample point
+	mc       geom.Point        // NN expected-distance sample point
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -119,10 +120,10 @@ func nnPop(h *nnHeap) nnItem {
 }
 
 // Pooled deterministic samplers: rand.New allocates the Rand and its
-// ~5 KB source on every call — one per RO/snapshot range query and one per
-// NN expected-distance evaluation. Re-seeding a pooled *rand.Rand with
-// (*Rand).Seed reproduces the exact sequence rand.New(rand.NewSource(seed))
-// would produce, so pooling changes nothing about the draws.
+// ~5 KB source on every call — one per NN expected-distance evaluation.
+// Re-seeding a pooled *rand.Rand with (*Rand).Seed reproduces the exact
+// sequence rand.New(rand.NewSource(seed)) would produce, so pooling changes
+// nothing about the draws.
 
 var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 

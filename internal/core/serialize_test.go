@@ -540,7 +540,7 @@ func fuzzShapes(d int) []shape {
 // rolled-back write batches.
 func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 	for _, kind := range []Kind{UTree, UPCR} {
-		tree, err := New(Options{Dim: 2, Kind: kind, ExactRefinement: true})
+		tree, err := New(Options{Dim: 2, Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}

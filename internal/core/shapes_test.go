@@ -76,9 +76,7 @@ func queryWithoutShapes(t *testing.T, snap *Snapshot, q Query) ([]Result, QueryS
 	t.Helper()
 	plan := snap.t.resolvePlan(context.Background(), QueryOpts{})
 	plan.noShapeTest = true
-	rng := getSeededRand(snap.t.querySeed(q))
-	defer putRand(rng)
-	res, stats, err := snap.t.rangeQuery(snap.st, q, rng, &plan)
+	res, stats, err := snap.t.rangeQuery(snap.st, q, &plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func queryWithoutShapes(t *testing.T, snap *Snapshot, q Query) ([]Result, QueryS
 
 // TestShapeDecisionsChangeNothingButReads: with the table, a query returns
 // what it returns without it — the same results in the same order with the
-// same probabilities, Monte-Carlo sampler stream included — and every count
+// same probabilities — and every count
 // but the records read is the same; what the leaf decides is what the record
 // would have decided. Objects without a ShapeKey carry no reference and are
 // refined from their records; both tree kinds, loaded both ways.
@@ -97,7 +95,7 @@ func TestShapeDecisionsChangeNothingButReads(t *testing.T) {
 		opt  Options
 		bulk bool
 	}{
-		{"utree-bulk-exact", Options{Dim: 2, ExactRefinement: true}, true},
+		{"utree-bulk-exact", Options{Dim: 2}, true},
 		{"utree-insert-mc", Options{Dim: 2, MCSamples: 300}, false},
 		{"upcr-bulk-mc", Options{Dim: 2, Kind: UPCR, MCSamples: 300}, true},
 	} {
@@ -174,11 +172,11 @@ func TestShapeTablePersists(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	objs := shapedObjects(800, 500, rng)
 	store := pagefile.NewMemStore()
-	tree := bulkTree(t, Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true}, objs)
+	tree := bulkTree(t, Options{Dim: 2, Store: store, Persist: true}, objs)
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +246,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 			rng := rand.New(rand.NewSource(43))
 			objs := shapedObjects(600, 500, rng)
 			store := pagefile.NewMemStore()
-			tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+			tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +290,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			old, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+			old, err := Open(store, tree.MetaPage(), Options{})
 			if err != nil {
 				t.Fatalf("opening a %s file: %v", tc.name, err)
 			}
@@ -302,7 +300,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 			if err := old.Snapshot().CheckRecords(); err != nil {
 				t.Fatal(err)
 			}
-			scan := NewScan(objs, 9, 0, true, 1)
+			scan := NewScan(objs, 9)
 			queries := make([]Query, 30)
 			answers := make([][]Result, len(queries))
 			for k := range queries {
@@ -343,7 +341,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 					t.Fatalf("object %d's record %x (%v): want tag %d", id, rec, err, want)
 				}
 			}
-			re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+			re, err := Open(store, tree.MetaPage(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +377,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 func TestShapeTableOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +415,7 @@ func TestShapeTableOverflow(t *testing.T) {
 	if keyed := checkRecordForms(t, tree, byID); keyed != full {
 		t.Fatalf("%d keyed records, %d objects with a shape", keyed, full)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{ExactRefinement: true})
+	re, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +425,7 @@ func TestShapeTableOverflow(t *testing.T) {
 	if err := re.Snapshot().CheckRecords(); err != nil {
 		t.Fatal(err)
 	}
-	scan := NewScan(objs, 9, 0, true, 1)
+	scan := NewScan(objs, 9)
 	for k := 0; k < 20; k++ {
 		q := Query{Rect: randomQueryRect(rng, 500), Prob: 0.05 + 0.9*rng.Float64()}
 		got, _, err := rangeQuery(re, q)
@@ -446,7 +444,7 @@ func TestShapeTableOverflow(t *testing.T) {
 func TestShapeTableSnapshotAndRollback(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	objs := shapedObjects(500, 400, rng)
-	tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+	tree := bulkTree(t, Options{Dim: 2}, objs)
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +505,7 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	build := func() (*Tree, *node) {
 		objs := shapedObjects(30, 200, rand.New(rand.NewSource(46)))
-		tree := bulkTree(t, Options{Dim: 2, ExactRefinement: true}, objs)
+		tree := bulkTree(t, Options{Dim: 2}, objs)
 		leaf, err := tree.readNode(tree.rootPage, tree.rootLevel)
 		if err != nil || !leaf.leaf() {
 			t.Fatalf("fixture is not a single leaf: %v", err)
@@ -579,7 +577,7 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 // whatever the leaves and the keyed records say.
 func FuzzOpenMeta(f *testing.F) {
 	store := pagefile.NewMemStore()
-	tree, err := New(Options{Dim: 2, Store: store, Persist: true, ExactRefinement: true})
+	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -635,7 +633,7 @@ func FuzzOpenMeta(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		re, err := Open(scratch, tree.MetaPage(), Options{ExactRefinement: true, NodeCacheEntries: -1})
+		re, err := Open(scratch, tree.MetaPage(), Options{NodeCacheEntries: -1})
 		if err != nil {
 			var bad *pagefile.BadPageError
 			if dim, m := int(page[5]), int(binary.LittleEndian.Uint16(page[6:])); binary.LittleEndian.Uint32(page) == metaMagic && dim == 2 && m == 15 && page[4] == 0 && !errors.As(err, &bad) {

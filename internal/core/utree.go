@@ -31,14 +31,10 @@ type Options struct {
 	Persist bool
 	// BufferPages bounds the write buffer's dirty pages (default 256).
 	BufferPages int
-	// MCSamples is n1 of Equation 3 for refinement (default 10000; the
-	// paper uses 10^6, which makes every Monte Carlo refinement 100× slower).
+	// MCSamples is the sample count of a k-NN query's expected-distance
+	// estimate (default 10000). Range refinement is exact (Equation 2) and
+	// draws no samples.
 	MCSamples int
-	// ExactRefinement uses the pdf's exact probability (ExactProb) instead
-	// of Monte Carlo (deterministic tests).
-	ExactRefinement bool
-	// Seed drives the refinement sampler (default 1).
-	Seed int64
 	// SplitStrategy selects how node splits sort entries (ablation knob;
 	// the default is the paper's median-value heuristic).
 	SplitStrategy SplitStrategy
@@ -120,15 +116,10 @@ type Tree struct {
 	// Queries read the pinned epoch's treeState.shapes.
 	shapes    []shape
 	shapeRefs map[string]uint16 // ShapeKey → reference
-	exact     bool
 
 	// choose is chooseSubtree's working set, reused by every descent of
 	// the one writer.
 	choose chooseScratch
-
-	// seed is mixed with the query geometry into each query's private
-	// refinement sampler (see querySeed).
-	seed int64
 
 	splitStrategy   SplitStrategy
 	disableReinsert bool
@@ -214,10 +205,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 	if samples == 0 {
 		samples = 10000
 	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	vs := pagefile.NewVersionedStore(store, epoch)
 	t := &Tree{
 		kind:    kind,
@@ -230,8 +217,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		samples: samples,
 
 		shapeRefs: make(map[string]uint16),
-		exact:     opt.ExactRefinement,
-		seed:      seed,
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,

@@ -35,8 +35,6 @@ func ablationBuild(cfg Config, name dataset.Name, mutate func(*core.Options)) (*
 		Dim:         name.Dim(),
 		Kind:        core.UTree,
 		CatalogSize: 15,
-		MCSamples:   cfg.MCSamples,
-		Seed:        cfg.Seed,
 	}
 	mutate(&opt)
 	t, err := core.New(opt)

@@ -11,8 +11,8 @@
 // per page access and 1.3 ms per appearance-probability computation (the
 // paper's own Fig. 7 measurement at n1 = 10^6). Wall-clock on modern
 // hardware is reported alongside. The LB and CA datasets are synthetic
-// stand-ins (package dataset), and refinement draws 10^4 Monte Carlo
-// samples by default, not the paper's 10^6 (core.Options.MCSamples).
+// stand-ins (package dataset), and refinement computes each appearance
+// probability exactly (Equation 2) where the paper sampled 10^6 points.
 package experiments
 
 import (
@@ -44,10 +44,7 @@ type Config struct {
 	Scale float64
 	// Queries per workload (paper: 100; default 40 at small scale).
 	Queries int
-	// MCSamples for refinement (default 2000 for experiments; Fig. 7
-	// sweeps its own values).
-	MCSamples int
-	Seed      int64
+	Seed    int64
 	// Out receives the printed tables (nil = io.Discard).
 	Out io.Writer
 }
@@ -58,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Queries == 0 {
 		c.Queries = 40
-	}
-	if c.MCSamples == 0 {
-		c.MCSamples = 2000
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -134,8 +128,6 @@ func buildTree(name dataset.Name, kind core.Kind, catalogSize int, cfg Config) (
 		Dim:         name.Dim(),
 		Kind:        kind,
 		CatalogSize: catalogSize,
-		MCSamples:   cfg.MCSamples,
-		Seed:        cfg.Seed,
 	})
 	if err != nil {
 		return nil, nil, err

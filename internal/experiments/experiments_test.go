@@ -11,7 +11,7 @@ import (
 
 // tiny returns a configuration small enough for unit tests.
 func tiny() Config {
-	return Config{Scale: 0.004, Queries: 10, MCSamples: 500, Seed: 7}
+	return Config{Scale: 0.004, Queries: 10, Seed: 7}
 }
 
 func TestFig7ErrorShrinksWithSamples(t *testing.T) {
@@ -123,7 +123,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestFig8CatalogCurve(t *testing.T) {
-	points, err := Fig8(Config{Scale: 0.004, Queries: 8, MCSamples: 500, Seed: 7},
+	points, err := Fig8(Config{Scale: 0.004, Queries: 8, Seed: 7},
 		[]int{3, 9}, []float64{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestFig8CatalogCurve(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	cfg := Config{Scale: 0.003, Queries: 6, MCSamples: 300, Seed: 7}
+	cfg := Config{Scale: 0.003, Queries: 6, Seed: 7}
 	if _, err := AblationSplit(cfg); err != nil {
 		t.Fatal(err)
 	}

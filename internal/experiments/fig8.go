@@ -46,8 +46,6 @@ func Fig8(cfg Config, mValues []int, pqValues []float64) ([]Fig8Point, error) {
 				Dim:         name.Dim(),
 				Kind:        core.UPCR,
 				CatalogSize: m,
-				MCSamples:   cfg.MCSamples,
-				Seed:        cfg.Seed,
 			})
 			if err != nil {
 				return nil, err

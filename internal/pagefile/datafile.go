@@ -19,9 +19,8 @@ import (
 // and mutated there, and Flush writes it to the store once — so a group
 // commit of N inserts costs one data-page write, not N read-modify-writes.
 // ReadPage always goes to the store (Read serves the append page's records
-// from the cache); the owner flushes before any page read that must observe
-// uncommitted appends (working-root queries) and before every commit, so
-// snapshot readers — lock-free on committed pages — never race the cache.
+// from the cache); the owner flushes before every commit, so snapshot
+// readers — lock-free on committed pages — never race the cache.
 //
 // Records are write-once: nothing rewrites a page the file has stopped
 // appending to, and deleting an object leaves its record where it is. The
@@ -100,7 +99,7 @@ func (df *DataFile) Dirty() bool {
 
 // Flush writes the cached append page through to the store if it has
 // unflushed mutations. The owner calls it before commit (durability) and
-// before working-root queries (visibility); snapshot reads never need it.
+// on an explicit Tree.Flush; snapshot reads never need it.
 func (df *DataFile) Flush() error {
 	df.mu.Lock()
 	defer df.mu.Unlock()

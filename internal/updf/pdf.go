@@ -118,19 +118,11 @@ func quantileTol(extent float64) float64 {
 }
 
 // MonteCarloProb estimates the appearance probability of p in rq with n1
-// uniform samples (Equation 3).
+// uniform samples (Equation 3). Range refinement computes Equation 2 with
+// ExactProb instead; Fig. 7's accuracy sweep and the benchmark's replay
+// sample.
 func MonteCarloProb(p PDF, rq geom.Rect, n1 int, rng *rand.Rand) float64 {
-	return MonteCarloProbScratch(p, rq, n1, rng, make(geom.Point, p.Dim()))
-}
-
-// MonteCarloProbScratch is MonteCarloProb writing samples into the caller's
-// scratch point (len p.Dim()) instead of allocating one, for the query hot
-// path. Same draw order, same summation order, so estimates are
-// bit-identical to MonteCarloProb's.
-func MonteCarloProbScratch(p PDF, rq geom.Rect, n1 int, rng *rand.Rand, x geom.Point) float64 {
-	if len(x) != p.Dim() {
-		x = make(geom.Point, p.Dim())
-	}
+	x := make(geom.Point, p.Dim())
 	var num, den float64
 	for i := 0; i < n1; i++ {
 		p.SampleUniform(rng, x)

@@ -20,7 +20,7 @@ import (
 // ShardedTree of four slabs over fixtureDomain.
 func addressingIndexes(t *testing.T) map[string]Index {
 	t.Helper()
-	cfg := Config{Dimensions: 2, ExactRefinement: true}
+	cfg := Config{Dimensions: 2}
 	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDuplicateInsertRefused(t *testing.T) {
 // leaves, so on a reopened file every object deletes by bare ID down to an
 // empty, intact tree, and a live ID is refused as a duplicate.
 func TestDeleteByIDAfterReopen(t *testing.T) {
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Path: filepath.Join(t.TempDir(), "reopen.utree")}
+	cfg := Config{Dimensions: 2, Path: filepath.Join(t.TempDir(), "reopen.utree")}
 	built, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestDeleteByIDAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tree, err := OpenTree(cfg.Path, Config{ExactRefinement: true})
+	tree, err := OpenTree(cfg.Path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestDeleteByIDAfterReopen(t *testing.T) {
 // deleteByIDConfigs are the two stores a Tree can sit on.
 func deleteByIDConfigs(t *testing.T) map[string]Config {
 	return map[string]Config{
-		"mem":  {Dimensions: 2, ExactRefinement: true},
-		"file": {Dimensions: 2, ExactRefinement: true, Path: filepath.Join(t.TempDir(), "delete.utree")},
+		"mem":  {Dimensions: 2},
+		"file": {Dimensions: 2, Path: filepath.Join(t.TempDir(), "delete.utree")},
 	}
 }
 
@@ -466,7 +466,7 @@ func TestRollbackDropsShapeThenReuse(t *testing.T) {
 				t.Fatalf("%d shapes in the fullest table, want the 3 live ones", shapes)
 			}
 
-			twin, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+			twin, err := NewTree(Config{Dimensions: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -578,7 +578,7 @@ func TestDeleteByIDRecordReadFails(t *testing.T) {
 // holds another object is corruption — ErrBadPage — and the delete mutates
 // nothing, not even the object that record does hold.
 func TestDeleteByIDRecordMismatchIsBadPage(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

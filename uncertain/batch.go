@@ -118,11 +118,23 @@ func (b *treeBatch) Delete(id int64) error {
 // is the only way to make several mutations one epoch. Batches do not
 // nest: fn mutates through the BatchWriter only — the tree's own mutators
 // (and a nested WriteBatch) would wait forever for the writer lock this
-// call holds. Queries are fine inside fn; they see the committed epoch.
+// call holds. Queries are fine inside fn; they see the committed epoch. If
+// fn panics, the batch rolls back before the panic goes on.
 func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.inBatch = true
+	defer func() {
+		if p := recover(); p != nil {
+			// Left in batch mode, the tree would publish no later mutation
+			// until a commit published them with half of this batch. The
+			// rollback's error is dropped: the panic is what fn's caller
+			// sees, and a failed free only leaks the batch's fresh pages.
+			t.inBatch = false
+			_ = t.rollback(errors.New("uncertain: WriteBatch fn panicked"))
+			panic(p)
+		}
+	}()
 	b := &treeBatch{t: t}
 	err := fn(b)
 	t.inBatch = false

@@ -21,7 +21,7 @@ func batchPDF(rng *rand.Rand) PDF {
 }
 
 func TestWriteBatchSnapshotIsolation(t *testing.T) {
-	c, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	c, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWriteBatchSnapshotIsolation(t *testing.T) {
 }
 
 func TestWriteBatchRollback(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,69 @@ func TestWriteBatchRollback(t *testing.T) {
 	}
 }
 
+// TestWriteBatchPanicRollsBack: a panic in fn, recovered by the caller,
+// rolls the batch back and leaves batch mode — the batch's insert is not
+// live, the next Insert publishes on its own, and a reopened file holds
+// that object alone.
+func TestWriteBatchPanicRollsBack(t *testing.T) {
+	for _, file := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "file"}[file], func(t *testing.T) {
+			cfg := Config{Dimensions: 2}
+			if file {
+				cfg.Path = filepath.Join(t.TempDir(), "panic.utree")
+			}
+			tree, err := NewTree(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(6))
+			func() {
+				defer func() {
+					if p := recover(); p != "boom" {
+						t.Fatalf("recovered %v, want fn's panic", p)
+					}
+				}()
+				tree.WriteBatch(func(w BatchWriter) error {
+					if err := w.Insert(1, batchPDF(rng)); err != nil {
+						t.Fatal(err)
+					}
+					panic("boom")
+				})
+			}()
+			if tree.holds(1) {
+				t.Fatal("the panicked batch's insert is live")
+			}
+			if err := tree.Insert(2, batchPDF(rng)); err != nil {
+				t.Fatal(err)
+			}
+			if n := tree.Len(); n != 1 {
+				t.Fatalf("Len = %d after one insert, want 1", n)
+			}
+			assertDirectory(t, "after the panicked batch", tree)
+			if !file {
+				tree.Close()
+				return
+			}
+			if err := tree.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenTree(cfg.Path, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if n := re.Len(); n != 1 || !re.holds(2) || re.holds(1) {
+				t.Fatalf("reopened: Len = %d, holds 1 = %v, holds 2 = %v; want object 2 alone", n, re.holds(1), re.holds(2))
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestShardedWriteBatchAndGCInfo(t *testing.T) {
-	s, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	s, err := NewSpatialShardedTree(4, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +262,9 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 // one Flush must drain everything.
 func TestReclaimPinSafety(t *testing.T) {
 	tree, err := NewTree(Config{
-		Dimensions:      2,
-		ExactRefinement: true,
-		Path:            filepath.Join(t.TempDir(), "hammer.utree"),
-		BufferPages:     32,
+		Dimensions:  2,
+		Path:        filepath.Join(t.TempDir(), "hammer.utree"),
+		BufferPages: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +391,7 @@ func TestWriteBatchPageWrites(t *testing.T) {
 func writeBatchPageWrites(t *testing.T, n int64) [5]int64 {
 	t.Helper()
 	var base pagefile.Store
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, WrapStore: func(s pagefile.Store) pagefile.Store {
+	tree, err := NewTree(Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
 		base = s
 		return s
 	}})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -34,10 +35,9 @@ func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 			chaos = pagefile.NewChaosStore(s, 1)
 			return chaos
 		},
-		Dimensions:      2,
-		ExactRefinement: true,
-		BufferPages:     8,
-		Path:            filepath.Join(t.TempDir(), "cancel.utree"),
+		Dimensions:  2,
+		BufferPages: 8,
+		Path:        filepath.Join(t.TempDir(), "cancel.utree"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestNNCancel(t *testing.T) {
 // context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
 	var chaos []*pagefile.ChaosStore // one per shard, built one after another
-	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true, BufferPages: 8,
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, BufferPages: 8,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			cs := pagefile.NewChaosStore(s, 1)
 			chaos = append(chaos, cs)
@@ -267,7 +267,7 @@ func TestShardedCancel(t *testing.T) {
 }
 
 // TestQueryOptions covers the per-query knobs: limit prefix semantics and
-// per-query refinement precision.
+// per-query k-NN precision, which range answers ignore.
 func TestQueryOptions(t *testing.T) {
 	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
 	if err != nil {
@@ -304,7 +304,7 @@ func TestQueryOptions(t *testing.T) {
 		}
 	})
 
-	// The refinement options only show on objects whose probability is
+	// A sample count could only show on objects whose probability is
 	// computed AND that qualify. The stored faces decide most objects at
 	// the leaf, and of the rest every one a query clips on a single axis
 	// is decided exactly on its marginal once its record is read; what is
@@ -312,44 +312,44 @@ func TestQueryOptions(t *testing.T) {
 	// between their bounds. A lattice of squares about two object diameters
 	// across catches three dozen of those at its corners, a dozen of which
 	// qualify.
-	refined := func(t *testing.T, opts ...QueryOption) (map[[2]int64]float64, int) {
+	lattice := func(t *testing.T, opts ...QueryOption) (answers [][]Result, refined int) {
 		t.Helper()
-		probs := map[[2]int64]float64{}
-		comps := 0
-		for i, q := range latticeFixtureQueries(12, 20, 0.3) {
-			res, stats, err := ct.Search(ctx, q.Rect, q.Prob, opts...)
+		for _, q := range latticeFixtureQueries(12, 20, 0.3) {
+			res, _, err := ct.Search(ctx, q.Rect, q.Prob, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			comps += stats.ProbComputations
 			for _, r := range res {
 				if !r.Validated {
-					probs[[2]int64{int64(i), r.ID}] = r.Prob
+					refined++
 				}
 			}
+			answers = append(answers, res)
 		}
-		return probs, comps
-	}
-	sharedDiffer := func(a, b map[[2]int64]float64) bool {
-		for k, p := range a {
-			if q, ok := b[k]; ok && p != q {
-				return true
-			}
-		}
-		return false
-	}
-	mc, mcComps := refined(t)
-	if mcComps == 0 || len(mc) == 0 {
-		t.Fatalf("fixture refines nothing comparable: %d probability computations, %d refined results", mcComps, len(mc))
+		return answers, refined
 	}
 
 	t.Run("WithMonteCarloSamples", func(t *testing.T) {
-		coarse, coarseComps := refined(t, WithMonteCarloSamples(10))
-		if coarseComps != mcComps {
-			t.Fatalf("sample override changed refinement count: %d vs %d", coarseComps, mcComps)
+		// Range refinement is exact: the override leaves every answer,
+		// probabilities included, as it was.
+		want, refined := lattice(t)
+		if refined == 0 {
+			t.Fatal("fixture refines no qualifying object")
 		}
-		if !sharedDiffer(coarse, mc) {
-			t.Fatal("10-sample refinement produced identical probabilities to 400-sample")
+		if got, _ := lattice(t, WithMonteCarloSamples(10)); !reflect.DeepEqual(got, want) {
+			t.Fatal("a sample override changed a range answer")
+		}
+		// It is the k-NN estimator's sample count.
+		nn, _, err := ct.NearestNeighbors(ctx, Pt(500, 500), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coarse, _, err := ct.NearestNeighbors(ctx, Pt(500, 500), 10, WithMonteCarloSamples(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(coarse, nn) {
+			t.Fatal("10-sample k-NN gave the same expected distances as 400-sample")
 		}
 	})
 

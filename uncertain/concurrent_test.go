@@ -9,7 +9,7 @@ import (
 )
 
 func TestConcurrentTreeParallelMixedOps(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestConcurrentTreeConfigError(t *testing.T) {
 // RLock; run with -race). Reader results must always be internally
 // consistent: every reported probability meets the threshold.
 func TestSearchWhileInsertStress(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSearchWhileInsertStress(t *testing.T) {
 // parallelization: with exact refinement, SearchBatch must return exactly
 // what serial Search returns for every query.
 func TestSearchBatchMatchesSerial(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestNNBatchMatchesSerial(t *testing.T) {
 // TestSearchBatchPropagatesError: an invalid query in the batch must surface
 // as an error, not a partial result set.
 func TestSearchBatchPropagatesError(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

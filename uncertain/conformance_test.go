@@ -22,20 +22,19 @@ import (
 
 // This file is the Index conformance contract: whatever constructor built
 // the index, range and k-NN answers equal a brute-force scan that shares
-// none of the index's filtering — exactly under exact refinement, inside
-// the estimator's 6σ band under Monte Carlo. It also pins what the single
-// tree type promises on top: a reopened file serves lock-free readers
-// beside its writer, Monte-Carlo answers do not depend on query order, and
-// a sharded k-NN query reads its shards one at a time, nearest first,
-// skipping those its merged k-th distance rules out.
+// none of the index's filtering — range answers exactly, whatever the
+// k-NN sample count. It also pins what the single tree type promises on
+// top: a reopened file serves lock-free readers beside its writer, answers
+// do not depend on query order, and a sharded k-NN query reads its shards
+// one at a time, nearest first, skipping those its merged k-th distance
+// rules out.
 
 const (
 	conformanceSamples = 1500
-	conformanceSpan    = 1000.0
-	// conformanceWeightMax bounds peak density × sampled volume over the
-	// pdfs conformancePDF builds (Con-Gau at σ = r/2: 2.31; the skewed box
-	// at rate·side (1.5, 0.5): 2.45; 1 for the uniform families).
-	conformanceWeightMax = 2.5
+	// conformanceCoarseSamples is the k-NN sample count of the mc=true
+	// subtests: a coarse sampler, which range answers must not notice.
+	conformanceCoarseSamples = 100
+	conformanceSpan          = 1000.0
 )
 
 // conformancePDF builds the n-th object's pdf, cycling through every updf
@@ -112,19 +111,10 @@ func conformanceLoad(t *testing.T, idx Index) []core.Object {
 }
 
 // checkRangeConformance compares one range answer with the exact
-// probabilities of every object. With mc, a refined probability may sit up
-// to 6σ from the exact one, and only objects clear of the threshold by that
-// margin are required in or out of the answer. The estimator is a ratio of
-// density-weighted sums over uniform samples, so σ² ≤ w·p(1−p)/n with w
-// the peak density × sampled volume (1 for a uniform pdf: the binomial).
-func checkRangeConformance(t *testing.T, label string, q RangeQuery, got []Result, exact map[int64]float64, mc bool) {
+// probabilities of every object: a refined probability must equal it, and
+// no object at or above the threshold is missing or one below it reported.
+func checkRangeConformance(t *testing.T, label string, q RangeQuery, got []Result, exact map[int64]float64) {
 	t.Helper()
-	band := func(p float64) float64 {
-		if !mc {
-			return 0
-		}
-		return 6*math.Sqrt(conformanceWeightMax*p*(1-p)/conformanceSamples) + 1e-12
-	}
 	seen := make(map[int64]bool, len(got))
 	for _, r := range got {
 		p, ok := exact[r.ID]
@@ -140,14 +130,14 @@ func checkRangeConformance(t *testing.T, label string, q RangeQuery, got []Resul
 			if p < q.Prob-1e-9 {
 				t.Fatalf("%s: object %d validated at p=%g below threshold %g", label, r.ID, p, q.Prob)
 			}
-		case math.Abs(r.Prob-p) > band(p):
-			t.Fatalf("%s: object %d refined to %g, exact %g (band %g)", label, r.ID, r.Prob, p, band(p))
-		case p < q.Prob-band(p):
+		case r.Prob != p:
+			t.Fatalf("%s: object %d refined to %g, exact %g", label, r.ID, r.Prob, p)
+		case p < q.Prob:
 			t.Fatalf("%s: false hit %d: exact p=%g, threshold %g", label, r.ID, p, q.Prob)
 		}
 	}
 	for id, p := range exact {
-		if p >= q.Prob+band(p) && p > 0 && !seen[id] {
+		if p >= q.Prob && p > 0 && !seen[id] {
 			t.Fatalf("%s: false dismissal of %d: exact p=%g, threshold %g", label, id, p, q.Prob)
 		}
 	}
@@ -156,10 +146,10 @@ func checkRangeConformance(t *testing.T, label string, q RangeQuery, got []Resul
 // bruteForceNN is the k-NN oracle: every object's expected distance (the
 // same per-object-seeded estimator the index refines with, so values match
 // to rounding), sorted by (distance, ID).
-func bruteForceNN(objs []core.Object, q Point, k int) []Neighbor {
+func bruteForceNN(objs []core.Object, q Point, k, samples int) []Neighbor {
 	all := make([]Neighbor, len(objs))
 	for i, o := range objs {
-		all[i] = Neighbor{ID: o.ID, ExpectedDist: core.ExpectedDistance(o.PDF, q, conformanceSamples, o.ID)}
+		all[i] = Neighbor{ID: o.ID, ExpectedDist: core.ExpectedDistance(o.PDF, q, samples, o.ID)}
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].ExpectedDist != all[b].ExpectedDist {
@@ -240,14 +230,14 @@ func TestIndexConformance(t *testing.T) {
 	const k = 7
 
 	// The oracle depends on the objects only, and every builder loads the
-	// same ones: compute it once.
+	// same ones: compute it once, the k-NN half per sample count.
 	var exact []map[int64]float64
-	var wantNN [][]Neighbor
+	wantNN := map[int][][]Neighbor{}
 	oracle := func(objs []core.Object) {
 		if exact != nil {
 			return
 		}
-		scan := core.NewScan(objs, 9, 0, true, 1)
+		scan := core.NewScan(objs, 9)
 		for _, q := range queries {
 			probs := make(map[int64]float64, len(objs))
 			for _, o := range objs {
@@ -259,20 +249,22 @@ func TestIndexConformance(t *testing.T) {
 			}
 			exact = append(exact, probs)
 		}
-		for _, pt := range points {
-			wantNN = append(wantNN, bruteForceNN(objs, pt, k))
+		for _, n := range []int{conformanceSamples, conformanceCoarseSamples} {
+			for _, pt := range points {
+				wantNN[n] = append(wantNN[n], bruteForceNN(objs, pt, k, n))
+			}
 		}
 	}
 
 	for _, b := range builders {
 		for _, mc := range []bool{false, true} {
 			name := fmt.Sprintf("%s/mc=%v", b.name, mc)
+			samples := conformanceSamples
+			if mc {
+				samples = conformanceCoarseSamples
+			}
 			t.Run(name, func(t *testing.T) {
-				idx, objs := b.build(t, Config{
-					Dimensions:        2,
-					ExactRefinement:   !mc,
-					MonteCarloSamples: conformanceSamples,
-				})
+				idx, objs := b.build(t, Config{Dimensions: 2, MonteCarloSamples: samples})
 				defer idx.Close()
 				oracle(objs)
 				if idx.Len() != len(objs) {
@@ -287,19 +279,17 @@ func TestIndexConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i], mc)
-					if !mc {
-						// Exact refinement: the answer is the brute-force
-						// set, whichever stage decided each object.
-						want := 0
-						for _, p := range exact[i] {
-							if p >= q.Prob {
-								want++
-							}
+					checkRangeConformance(t, fmt.Sprintf("query %d", i), q, got, exact[i])
+					// The answer is the brute-force set, whichever stage
+					// decided each object.
+					want := 0
+					for _, p := range exact[i] {
+						if p >= q.Prob {
+							want++
 						}
-						if len(got) != want {
-							t.Fatalf("query %d: %d results, brute force %d", i, len(got), want)
-						}
+					}
+					if len(got) != want {
+						t.Fatalf("query %d: %d results, brute force %d", i, len(got), want)
 					}
 					// Every candidate is decided on its marginals or integrated.
 					if decided := stats.MarginalValidated + stats.MarginalPruned + stats.ProbComputations; stats.Candidates != decided {
@@ -324,7 +314,7 @@ func TestIndexConformance(t *testing.T) {
 						// whose derived fields (a histogram's renormalized
 						// weights) may differ from the oracle's in the last
 						// bits.
-						want := wantNN[i][j]
+						want := wantNN[samples][i][j]
 						if got[j].ID != want.ID || math.Abs(got[j].ExpectedDist-want.ExpectedDist) > 1e-9*want.ExpectedDist {
 							t.Fatalf("NN %d neighbor %d: %+v, brute force %+v", i, j, got[j], want)
 						}
@@ -340,7 +330,7 @@ func TestIndexConformance(t *testing.T) {
 // while a writer mutates it. Run with -race.
 func TestOpenTreeConcurrentReaders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reopen.utree")
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Path: path}
+	cfg := Config{Dimensions: 2, Path: path}
 	built, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +341,7 @@ func TestOpenTreeConcurrentReaders(t *testing.T) {
 	if err := built.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := OpenTree(path, Config{ExactRefinement: true})
+	tree, err := OpenTree(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,9 +408,10 @@ func TestOpenTreeConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestMonteCarloIndependentOfQueryOrder: the refinement sampler is seeded
-// per query, so the same queries issued forwards and backwards return
-// bit-identical probabilities.
+// TestMonteCarloIndependentOfQueryOrder: on a tree configured with a
+// Monte-Carlo sample count, the same queries issued forwards and backwards
+// return bit-identical probabilities — refinement keeps no state between
+// queries.
 func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 	tree, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 300})
 	if err != nil {
@@ -446,7 +437,112 @@ func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 		}
 	}
 	if refined == 0 {
-		t.Fatal("degenerate workload: no result went through Monte-Carlo refinement")
+		t.Fatal("degenerate workload: no result went through refinement")
+	}
+}
+
+// samplerConfigPDF builds the n-th object of TestRangeRefinementIgnoresSamplerConfig:
+// the 2-D objects cycle through all eight families, the 3-D ones through
+// the seven that have a 3-D form (a polygon is 2-D).
+func samplerConfigPDF(dim, n int, rng *rand.Rand) PDF {
+	if dim == 2 {
+		return conformancePDF(n, rng)
+	}
+	const span = 400.0
+	c := Pt(rng.Float64()*span, rng.Float64()*span, rng.Float64()*span)
+	r := 10 + rng.Float64()*20
+	box := Box(Pt(c[0]-r, c[1]-0.7*r, c[2]-0.5*r), Pt(c[0]+r, c[1]+0.7*r, c[2]+0.5*r))
+	switch n % 7 {
+	case 0:
+		return UniformCircle(c, r)
+	case 1:
+		return UniformBox(box)
+	case 2:
+		return ConstrainedGaussian(c, 20, 10)
+	case 3:
+		return TruncatedGaussianBox(box, Pt(c[0]-0.2*r, c[1]+0.1*r, c[2]), []float64{0.7 * r, 0.5 * r, 0.4 * r})
+	case 4:
+		return ExponentialBox(box, []float64{0.75 / r, 0.5 / r, 1 / r})
+	case 5:
+		w := make([]float64, 12)
+		for i := range w {
+			w[i] = 0.4 + 0.6*rng.Float64()
+		}
+		return Histogram(box, []int{3, 2, 2}, w)
+	default:
+		return MixturePDF([]PDF{UniformCircle(Pt(c[0]-0.3*r, c[1], c[2]), 0.7*r), UniformBox(box)}, []float64{2, 1})
+	}
+}
+
+// TestRangeRefinementIgnoresSamplerConfig: range refinement is Equation 2.
+// Trees over the same objects whose Config differs only in the sampler
+// fields — MonteCarloSamples, Seed and the deprecated ExactRefinement —
+// return identical answers, and every refined Prob is the object's
+// ExactProb over the query rectangle, bit for bit.
+func TestRangeRefinementIgnoresSamplerConfig(t *testing.T) {
+	configs := []Config{
+		{},
+		{MonteCarloSamples: 100, Seed: 7},
+		{ExactRefinement: true, Seed: 1},
+		{MonteCarloSamples: 100, ExactRefinement: true, Seed: 7},
+	}
+	for _, dim := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%dd", dim), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(60 + dim)))
+			objects := make(map[int64]PDF)
+			for id := int64(0); id < 700; id++ {
+				objects[id] = samplerConfigPDF(dim, int(id), rng)
+			}
+			// Query i cuts object i on every axis at a threshold just under
+			// its probability, where the marginal bounds seldom decide it:
+			// ids 0–39 cycle through the families.
+			queries := make([]RangeQuery, 40)
+			for i := range queries {
+				p := objects[int64(i)]
+				m := p.MBR()
+				lo, hi := make(Point, dim), make(Point, dim)
+				for d := range lo {
+					w := m.Hi[d] - m.Lo[d]
+					lo[d], hi[d] = m.Lo[d]-w, m.Lo[d]+w*(0.4+0.3*rng.Float64())
+				}
+				rect := Box(lo, hi)
+				queries[i] = RangeQuery{Rect: rect, Prob: math.Max(p.ExactProb(rect)-0.02, 0.01)}
+			}
+			var want [][]Result
+			refined := map[string]int{}
+			for ci, cfg := range configs {
+				cfg.Dimensions = dim
+				tree, err := NewTree(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tree.BulkLoad(objects); err != nil {
+					t.Fatal(err)
+				}
+				got := searchInOrder(t, tree, queries)
+				tree.Close()
+				if ci > 0 {
+					requireSameResults(t, fmt.Sprintf("config %+v:", cfg), want, got)
+					continue
+				}
+				want = got
+				for i, res := range got {
+					for _, r := range res {
+						if r.Validated {
+							continue
+						}
+						p := objects[r.ID]
+						if exact := p.ExactProb(queries[i].Rect); r.Prob != exact {
+							t.Fatalf("query %d: object %d (%T) refined to %v, ExactProb %v", i, r.ID, p, r.Prob, exact)
+						}
+						refined[fmt.Sprintf("%T", p)]++
+					}
+				}
+			}
+			if families := 10 - dim; len(refined) != families {
+				t.Fatalf("refined results per family %v, want all %d families", refined, families)
+			}
+		})
 	}
 }
 
@@ -642,7 +738,9 @@ func TestOpenTreeRefusesV1PageFormat(t *testing.T) {
 // the same file returns once its table is emptied and every candidate is
 // refined from its record again. A ball's record is keyed — its centre and
 // a shape reference — so once the table is gone, a query that reads one
-// fails with ErrCorruptPDF instead, and the others answer as before.
+// fails with ErrCorruptPDF instead, and the others answer as before. The
+// mc=true subtests configure a k-NN sample count, which no range query
+// reads.
 func TestIndexConformanceShapes(t *testing.T) {
 	lattice := func(rng *rand.Rand, step float64) Point {
 		return Pt(step*float64(rng.Intn(int(conformanceSpan/step))), step*float64(rng.Intn(int(conformanceSpan/step))))
@@ -693,7 +791,10 @@ func TestIndexConformanceShapes(t *testing.T) {
 	for _, f := range families {
 		for _, mc := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mc=%v", f.name, mc), func(t *testing.T) {
-				cfg := Config{Dimensions: 2, ExactRefinement: !mc, MonteCarloSamples: 300, Path: filepath.Join(t.TempDir(), "shapes.utree")}
+				cfg := Config{Dimensions: 2, Path: filepath.Join(t.TempDir(), "shapes.utree")}
+				if mc {
+					cfg.MonteCarloSamples = 300
+				}
 				idx, err := NewTree(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -189,7 +189,7 @@ func TestCrashRecoveryKilledInsert(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
 	}
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Seed: 5}
+	cfg := Config{Dimensions: 2}
 	path := filepath.Join(t.TempDir(), "golden.utree")
 	gcfg := cfg
 	gcfg.Path = path
@@ -238,7 +238,7 @@ func TestCrashRecoveryKilledBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
 	}
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Seed: 5}
+	cfg := Config{Dimensions: 2}
 	path := filepath.Join(t.TempDir(), "golden.utree")
 	gcfg := cfg
 	gcfg.Path = path
@@ -289,7 +289,7 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
 	}
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Seed: 5}
+	cfg := Config{Dimensions: 2}
 	path := filepath.Join(t.TempDir(), "golden.utree")
 	gcfg := cfg
 	gcfg.Path = path
@@ -370,7 +370,7 @@ func TestCrashRecoveryKilledDelete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
 	}
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Seed: 5}
+	cfg := Config{Dimensions: 2}
 	path := filepath.Join(t.TempDir(), "golden.utree")
 	gcfg := cfg
 	gcfg.Path = path

@@ -53,7 +53,7 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Ascending-ID order, not map order: the tiling, the data-page layout
-	// and with them Monte-Carlo answers and I/O counts repeat run to run.
+	// and with them I/O counts and k-NN estimates repeat run to run.
 	objs := make([]core.Object, 0, len(objects))
 	for id, p := range objects {
 		objs = append(objs, core.Object{ID: id, PDF: p})

@@ -39,7 +39,7 @@ func TestFacadeNearestNeighbors(t *testing.T) {
 }
 
 func TestFacadeBulkLoad(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFacadeBulkLoad(t *testing.T) {
 func TestBulkLoadEmptyRootFault(t *testing.T) {
 	var base pagefile.Store
 	var chaos *pagefile.ChaosStore
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, WrapStore: func(s pagefile.Store) pagefile.Store {
+	tree, err := NewTree(Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
 		base, chaos = s, pagefile.NewChaosStore(s, 1)
 		return chaos
 	}})
@@ -140,7 +140,7 @@ func TestBulkLoadEmptyRootFault(t *testing.T) {
 
 // TestBulkLoadDeterministic: the load is a function of the object set, not
 // of map order or of how the build workers were scheduled — same file bytes,
-// same Monte-Carlo answers, same I/O counts.
+// same answers, same I/O counts.
 func TestBulkLoadDeterministic(t *testing.T) {
 	const n = 600
 	rng := rand.New(rand.NewSource(6))
@@ -167,7 +167,7 @@ func TestBulkLoadDeterministic(t *testing.T) {
 	}
 	load := func(objects map[int64]PDF) ([]byte, []answer) {
 		path := filepath.Join(t.TempDir(), "det.idx")
-		tree, err := NewTree(Config{Dimensions: 2, Path: path, MonteCarloSamples: 300, Seed: 11})
+		tree, err := NewTree(Config{Dimensions: 2, Path: path, MonteCarloSamples: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestBulkLoadDeterministic(t *testing.T) {
 }
 
 func TestFacadePolygonAndMixture(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

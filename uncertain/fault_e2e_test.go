@@ -28,8 +28,6 @@ import (
 func faultTestConfig(path string) Config {
 	return Config{
 		Dimensions:       2,
-		ExactRefinement:  true,
-		Seed:             11,
 		BufferPages:      4,
 		NodeCacheEntries: -1,
 		Path:             path,
@@ -610,7 +608,6 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	var chaos *pagefile.ChaosStore
 	ct, err := NewConcurrentTree(Config{
 		Dimensions:       2,
-		ExactRefinement:  true,
 		BufferPages:      4,
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {

@@ -8,9 +8,10 @@ import (
 // API. Search and NearestNeighbors accept functional options that are
 // resolved once, up front, into an immutable per-query plan — so queries
 // with different precision/latency trade-offs run concurrently on one
-// index without any global mutator. The per-query precision knobs
-// follow the probabilistic-pruning literature (Bernecker et al.), where
-// refinement effort is a query-time choice, not an index-time one.
+// index without any global mutator. The k-NN precision knob follows the
+// probabilistic-pruning literature (Bernecker et al.), where refinement
+// effort is a query-time choice, not an index-time one; range refinement
+// is exact and has none.
 
 // QueryOption customizes one query. Options are applied in order; later
 // options override earlier ones. The zero option set reproduces the
@@ -35,9 +36,10 @@ func resolveOptions(opts []QueryOption) core.QueryOpts {
 }
 
 // WithMonteCarloSamples overrides Config.MonteCarloSamples for this query:
-// n1 of the refinement estimator (Equation 3). Lower is faster and
-// coarser, higher is slower and tighter — the per-query precision/latency
-// trade-off. n ≤ 0 is ignored (the index default applies).
+// the sample count of a k-NN query's expected-distance estimate. Lower is
+// faster and coarser, higher is slower and tighter — the per-query
+// precision/latency trade-off. A range query's answer does not depend on
+// it: refinement is exact. n ≤ 0 is ignored (the index default applies).
 func WithMonteCarloSamples(n int) QueryOption {
 	return func(p *queryPlan) { p.o.MCSamples = n }
 }

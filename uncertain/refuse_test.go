@@ -72,7 +72,7 @@ func TestForeignPDFRefused(t *testing.T) {
 func assertRefused(t *testing.T, bad PDF) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "idx.utree")
-	cfg := Config{Dimensions: 2, Path: path, ExactRefinement: true}
+	cfg := Config{Dimensions: 2, Path: path}
 	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)

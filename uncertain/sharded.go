@@ -27,15 +27,9 @@ import (
 // the whole index: Insert refuses an ID any shard holds, and Delete(id)
 // finds the shard whose directory holds it.
 //
-// Search results are returned sorted by ID (the merge order). With
-// Config.ExactRefinement they are identical — probabilities included — to
-// a single tree over the same objects, whatever the shard count. Under
-// Monte-Carlo refinement they are not: every shard seeds its refinement
-// sampler from the same (Config.Seed, query) pair and draws from it over
-// its own candidates in its own (page, slot) order, so a refined object's
-// Prob depends on which candidates share its shard. A validated object
-// (Prob = -1) does not; a refined one near the threshold can fall on the
-// other side of it.
+// Search results are returned sorted by ID (the merge order). They are
+// identical — probabilities included — to a single tree over the same
+// objects, whatever the shard count.
 type ShardedTree struct {
 	shards []*Tree
 	domain Rect // the slabs split it along dimension 0

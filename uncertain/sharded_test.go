@@ -104,7 +104,7 @@ func TestShardedSingleEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(600, 3)
 	queries := shardedFixtureQueries(80, 4)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestShardedSingleEquivalence(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		st, err := NewSpatialShardedTree(shards, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+		st, err := NewSpatialShardedTree(shards, Config{Dimensions: 2}, fixtureDomain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestShardedNNMatchesSingle(t *testing.T) {
 // delete finds the shard holding the object, and a missing or already
 // deleted ID is ErrNotFound.
 func TestShardedRoutingAndDelete(t *testing.T) {
-	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestShardedRoutingAndDelete(t *testing.T) {
 // that inserts it. Exactly one wins and the other gets ErrDuplicateID, Len
 // grows by one, and Delete(id) leaves no copy behind in any shard.
 func TestShardedDuplicateInsertRace(t *testing.T) {
-	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	st, err := NewSpatialShardedTree(2, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestEngineOverShardedTree(t *testing.T) {
 	objects := shardedFixtureObjects(500, 11)
 	queries := shardedFixtureQueries(48, 12)
 
-	st, err := NewSpatialShardedTree(3, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	st, err := NewSpatialShardedTree(3, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestEngineOverShardedTree(t *testing.T) {
 // TestShardedMixedOpsStress runs concurrent writers and readers over a
 // ShardedTree (run with -race), then asserts every shard's invariants.
 func TestShardedMixedOpsStress(t *testing.T) {
-	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, ExactRefinement: true}, fixtureDomain)
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2}, fixtureDomain)
 	if err != nil {
 		t.Fatal(err)
 	}

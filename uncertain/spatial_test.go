@@ -10,7 +10,7 @@ import (
 
 // spatialCfg is the config the spatial-sharding tests share.
 func spatialCfg() Config {
-	return Config{Dimensions: 2, ExactRefinement: true}
+	return Config{Dimensions: 2}
 }
 
 // TestSpatialShardedEquivalenceAndPruning: a spatially-sharded index must
@@ -30,7 +30,7 @@ func TestSpatialShardedEquivalenceAndPruning(t *testing.T) {
 		})
 	}
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSpatialShardedEquivalenceAndPruning(t *testing.T) {
 func TestSpatialShardedNNEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(500, 7)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestShardedNNSortedContract(t *testing.T) {
 // rewind the box with the root); here the box must also cover every live
 // object and be zero exactly when the tree is empty.
 func TestRootMBRAtEveryCommit(t *testing.T) {
-	cfg := Config{Dimensions: 2, ExactRefinement: true, Path: filepath.Join(t.TempDir(), "root.utree")}
+	cfg := Config{Dimensions: 2, Path: filepath.Join(t.TempDir(), "root.utree")}
 	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)

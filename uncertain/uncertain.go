@@ -57,7 +57,8 @@ type PDF = updf.PDF
 // own marginals — its shape's, at the leaf, where that decides — then put
 // the lower bound at the threshold. Prob holds the
 // computed probability only for objects whose probability had to be
-// computed to decide them.
+// computed to decide them: the pdf's ExactProb over the query rectangle
+// (Equation 2), bit for bit.
 type Result = core.Result
 
 // Stats reports the cost of one query in the paper's metrics: node
@@ -116,15 +117,21 @@ type Config struct {
 	// CatalogSize m (0 → the paper's default, 15; a reopened U-PCR file
 	// keeps its own, 9 by default).
 	CatalogSize int
-	// MonteCarloSamples is n1 of the refinement estimator (0 → 10000; the
-	// paper uses 10^6 for <1% error).
+	// MonteCarloSamples is the sample count of a k-NN query's
+	// expected-distance estimate (0 → 10000). Range refinement computes
+	// each candidate's appearance probability exactly (Equation 2) and
+	// draws no samples.
 	MonteCarloSamples int
-	// ExactRefinement uses exact (closed-form or fixed-rule) probabilities
-	// instead of Monte Carlo.
+	// ExactRefinement is read by nothing: range refinement is always exact.
+	//
+	// Deprecated: has no effect.
 	ExactRefinement bool
 	// Path makes the index file-backed (empty → in-memory).
 	Path string
-	// Seed for the refinement sampler (0 → 1).
+	// Seed is read by nothing: range answers depend on no sampler, and a
+	// k-NN query seeds each object's estimate from its ID.
+	//
+	// Deprecated: has no effect.
 	Seed int64
 	// BufferPages bounds the write buffer: the dirty node pages an open
 	// batch holds until its commit (0 → 256). A batch that dirties more
@@ -302,8 +309,6 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 		CatalogSize:      cfg.CatalogSize,
 		Store:            store,
 		MCSamples:        cfg.MonteCarloSamples,
-		ExactRefinement:  cfg.ExactRefinement,
-		Seed:             cfg.Seed,
 		BufferPages:      cfg.BufferPages,
 		NodeCacheEntries: cfg.NodeCacheEntries,
 	}
@@ -422,10 +427,9 @@ func (t *Tree) holds(id int64) bool {
 
 // Search answers a probabilistic range query — the objects appearing in
 // rect with probability ≥ prob (prob in (0, 1]) — against a snapshot of
-// the latest committed epoch, with no lock held (see Tree). The refinement
-// sampler is seeded from the (index seed, query) pair, so Monte-Carlo
-// answers are reproducible per query whatever the interleaving or the
-// order queries are issued in.
+// the latest committed epoch, with no lock held (see Tree). A refined
+// object's Prob is its exact appearance probability (Equation 2), so an
+// answer depends on the query and the epoch alone.
 //
 // The traversal checks ctx before every page fetch and refinement
 // integration, so cancellation and deadlines take effect within roughly

@@ -8,7 +8,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestAllConstructors(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAllConstructors(t *testing.T) {
 }
 
 func TestDeleteByID(t *testing.T) {
-	tree, _ := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	tree, _ := NewTree(Config{Dimensions: 2})
 	defer tree.Close()
 	tree.Insert(7, UniformCircle(Pt(50, 50), 5))
 	if err := tree.Delete(7); err != nil {
@@ -109,7 +109,7 @@ func TestDeleteByID(t *testing.T) {
 
 func TestFileBackedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.utree")
-	tree, err := NewTree(Config{Dimensions: 2, Path: path, ExactRefinement: true})
+	tree, err := NewTree(Config{Dimensions: 2, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFileBackedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenTree(path, Config{ExactRefinement: true})
+	re, err := OpenTree(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
