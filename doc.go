@@ -18,11 +18,11 @@
 //	U-catalog p_1 … p_m, Section 4.2         → internal/pcr.Catalog, internal/pcr.UniformCatalog
 //	Observation 1, prune on a PCR            → internal/pcr.FilterCatalogPCR
 //	Observation 2, Rules 1–2 on the catalog  → internal/pcr.FilterCatalogPCR, internal/pcr.Catalog.SmallestGE, internal/pcr.Catalog.LargestLE
-//	Observation 3, the rules on CFBs         → internal/pcr.FilterCFB, internal/pcr.CFB.within, internal/pcr.CFB.meets
+//	Observation 3, the rules on CFBs         → internal/pcr.Faces.Filter, internal/pcr.Faces.within, internal/pcr.Faces.meets
 //	Observation 4, prune an inner entry      → internal/core.Tree.boxIntersectsAt, internal/core.Tree.boxAt
 //	cfb_out and cfb_in, Sections 4.3–4.4     → internal/pcr.CFB, internal/pcr.FitOut, internal/pcr.FitIn
 //	U-PCR leaf entry, catalog PCRs           → internal/core.UPCR, internal/core.Tree.encodeLeafEntry
-//	U-tree leaf entry, cfb_out and cfb_in    → internal/core.UTree, internal/core.Tree.encodeLeafEntry
+//	U-tree leaf entry, cfb_out and cfb_in    → internal/core.UTree, internal/core.Tree.encodeLeafEntry, internal/core.packedNode.cfbs
 //	intermediate entry, e.MBR(p_j)           → internal/core.Tree.encodeInnerEntry, internal/core.Tree.nodeBoundary
 //	ChooseSubtree and split, Section 5.3     → internal/core.Tree.chooseSubtree, internal/core.Tree.chooseSplit
 //	prob-range query, Section 5.2            → internal/core.Snapshot.RangeQuery, uncertain.Tree.Search
@@ -31,8 +31,9 @@
 //
 // Where the code departs from the paper:
 //
-//	probability bound, replaces Rules 3–5    → internal/pcr.ProbBoundsCFB, internal/pcr.ProbBoundsPCR
+//	probability bound, replaces Rules 3–5    → internal/pcr.Faces.ProbBounds, internal/pcr.ProbBoundsPCR
 //	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
-//	float32 CFB coefficients                 → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
+//	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
+//	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.compact, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
 //	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
 package repro

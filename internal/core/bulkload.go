@@ -62,13 +62,17 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 	current := entries
 	for level := 0; ; level++ {
 		leaf := level == 0
-		capacity, minFill := t.innerCap, t.minInner
+		minFill := t.minInner
 		if leaf {
-			capacity, minFill = t.leafCap, t.minLeaf
+			minFill = t.minLeaf
 		}
 		var groups [][]int
-		if len(current) > capacity {
-			groups = strTile(centersOf(current, leaf), t.dim, capacity, minFill)
+		if t.entryBytes(current, leaf) > pageBytes {
+			size := make([]int, len(current))
+			for i := range current {
+				size[i] = t.entrySize(&current[i], leaf)
+			}
+			groups = strTile(centersOf(current, leaf), size, t.dim, minFill)
 		} else {
 			// What is left fits one node: the root.
 			groups = [][]int{identity(len(current))}
@@ -169,26 +173,31 @@ func identity(n int) []int {
 	return idx
 }
 
-// strTile partitions the entries whose flattened center coordinates are
-// given into groups of at most capacity (and at least minFill) using
-// recursive sort-tile, and returns each group as indices into the input, in
-// tile order.
-func strTile(centers []float64, dim, capacity, minFill int) [][]int {
+// strTile partitions the entries whose flattened center coordinates and
+// on-page sizes are given into groups that each fit a page and hold at
+// least minFill bytes, using recursive sort-tile, and returns each group as
+// indices into the input, in tile order.
+func strTile(centers []float64, size []int, dim, minFill int) [][]int {
 	var groups [][]int
 	var c runCutter
 	var recurse func(ids []int, d int)
 	recurse = func(ids []int, d int) {
-		pages := int(math.Ceil(float64(len(ids)) / float64(capacity)))
+		total, big := 0, 0
+		for _, id := range ids {
+			total, big = total+size[id], max(big, size[id])
+		}
+		pages := (total + pageBytes/big*big - 1) / (pageBytes / big * big)
 		sort.Slice(ids, func(a, b int) bool {
 			return centers[ids[a]*dim+d] < centers[ids[b]*dim+d]
 		})
 		if pages <= 1 || d == dim-1 {
 			// Final dimension: cut the sorted run into nodes.
-			c.keys = c.keys[:0]
+			c.keys, c.w = c.keys[:0], append(c.w[:0], 0)
 			for _, id := range ids {
 				c.keys = append(c.keys, centers[id*dim+d])
+				c.w = append(c.w, c.w[len(c.w)-1]+size[id])
 			}
-			groups = append(groups, c.cut(ids, capacity, minFill)...)
+			groups = append(groups, c.cut(ids, big, minFill)...)
 			return
 		}
 		// Slabs: ceil(pages^(1/(dim-d))) vertical cuts on dimension d.
@@ -210,51 +219,75 @@ func strTile(centers []float64, dim, capacity, minFill int) [][]int {
 }
 
 // runCutter cuts STR's sorted runs into nodes. keys holds the run's sort
-// keys, set by the caller; best, step and row are cut's DP table. All are
+// keys and w its byte prefix sums (w[i]: the first i entries' bytes), set
+// by the caller; best, back, row and from are cutInto's DP table. All are
 // reused from one run to the next.
 type runCutter struct {
 	keys []float64
+	w    []int
 	best []float64 // best summed gap of a state
-	step []uint8   // its last group's size, less the band's lowest
-	row  []int     // where row j starts in best and step
+	back []int     // where its last group starts
+	row  []int     // where row j starts in best and back
+	from []int     // the entries row j's first state has used
 }
 
 // cut slices ids, sorted so that c.keys[i] is ids[i]'s ascending sort key,
-// into k = ⌈n/capacity⌉ consecutive groups: the node count of a full
-// packing, so no page is added. Every size lies in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2],
-// is at least minFill (≤ 2·capacity/5, which n/k exceeds when k > 1), and
-// is at most capacity − 1 wherever k·(capacity − 1) ≥ n, so each node takes
-// its first insert without a split or forced reinsert. Inside that band of
-// at most six sizes the k − 1 cuts go where the summed key gaps across them
-// (keys[i] − keys[i−1] for a cut before i) is largest, so nodes part where
-// the data does, and where sums tie, nearest the even cut. The band keeps
-// every cut within capacity entries of the even cut's, so the DP over
-// (groups cut, entries used) has at most k·(2·capacity + 1) states.
-func (c *runCutter) cut(ids []int, capacity, minFill int) [][]int {
-	n := len(ids)
-	k := (n + capacity - 1) / capacity
-	if k <= 1 {
-		return [][]int{ids}
+// into k consecutive groups, k = ⌈bytes / (a page of the run's largest
+// entries, big)⌉: the node count of a full packing, so no page is added.
+// Every group fits a page and holds at least minFill bytes (≤ 2/5 of a
+// page, which an even cut exceeds when k > 1), and at most a page less big
+// wherever k such groups hold the run, so each node takes its first insert
+// without a split or forced reinsert. For entries of one size the groups'
+// entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a run of both forms that
+// band, its lower end in the smaller entries' bytes and its upper in the
+// larger's, bounds their bytes. Inside it the k − 1 cuts go where the summed
+// key gaps across them (keys[i] − keys[i−1] for a cut before i) is
+// largest, so nodes part where the data does, and where sums tie, nearest
+// the even cut. Should no cut into k groups exist, which only a run of
+// both forms can make so, it tries k + 1.
+func (c *runCutter) cut(ids []int, big, minFill int) [][]int {
+	n, total, full := len(ids), c.w[len(ids)], pageBytes/big*big
+	small := total
+	for i := 0; i < n; i++ {
+		small = min(small, c.w[i+1]-c.w[i])
 	}
-	upper := capacity
-	if k*(capacity-1) >= n {
-		upper = capacity - 1
+	for k := (total + full - 1) / full; k <= n; k++ {
+		if k <= 1 {
+			return [][]int{ids}
+		}
+		for _, upper := range [2]int{full - big, full} {
+			if k*upper < total {
+				continue
+			}
+			lo, hi := max(minFill, (n/k-2)*small), min(upper, ((n+k-1)/k+2)*big)
+			if out := c.cutInto(ids, k, lo, hi); out != nil {
+				return out
+			}
+		}
 	}
-	lo := max(minFill, n/k-2)
-	hi := min(upper, (n+k-1)/k+2)
-	// Row j holds the states after j groups: entries used i ∈ [from(j),
-	// to(j)], those the first j groups reach and the other k − j complete.
-	// The even cut's sizes lie in the band, so every row has a state and
-	// every state a predecessor.
-	from := func(j int) int { return max(j*lo, n-(k-j)*hi) }
-	to := func(j int) int { return min(j*hi, n-(k-j)*lo) }
-	c.best, c.step, c.row = append(c.best[:0], 0), append(c.step[:0], 0), append(c.row[:0], 0)
+	panic("core: an STR run has no cut into nodes")
+}
+
+// cutInto is cut's DP for k groups of lo to hi bytes each, nil where there
+// is no such cut. Row j holds the states after j groups: entries used i
+// whose bytes w[i] the first j groups reach and the other k − j complete.
+// For entries of one size each row is an interval of the even cut's, so the
+// DP over (groups cut, entries used) has at most k·(2·capacity + 1) states.
+func (c *runCutter) cutInto(ids []int, k, lo, hi int) [][]int {
+	n, total := len(ids), c.w[len(ids)]
+	c.best, c.back = append(c.best[:0], 0), append(c.back[:0], 0)
+	c.row, c.from = append(c.row[:0], 0), append(c.from[:0], 0)
 	for j := 1; j <= k; j++ {
-		c.row = append(c.row, len(c.best))
-		prev, pa, pb, even := c.row[j-1], from(j-1), to(j-1), (j-1)*n/k
-		for i := from(j); i <= to(j); i++ {
+		from := sort.SearchInts(c.w, max(j*lo, total-(k-j)*hi))
+		to := sort.SearchInts(c.w, min(j*hi, total-(k-j)*lo)+1) - 1
+		if from > to {
+			return nil
+		}
+		c.row, c.from = append(c.row, len(c.best)), append(c.from, from)
+		prev, pa, pb, even := c.row[j-1], c.from[j-1], c.from[j-1]+c.row[j]-c.row[j-1]-1, (j-1)*n/k
+		for i := from; i <= to; i++ {
 			v, bp := math.Inf(-1), -1
-			for p := max(pa, i-hi); p <= min(pb, i-lo); p++ {
+			for p := max(pa, sort.SearchInts(c.w, c.w[i]-hi)); p <= pb && c.w[i]-c.w[p] >= lo; p++ {
 				if w := c.best[prev+p-pa]; w > v || w == v && abs(p-even) < abs(bp-even) {
 					v, bp = w, p
 				}
@@ -262,16 +295,18 @@ func (c *runCutter) cut(ids []int, capacity, minFill int) [][]int {
 			if j < k {
 				v += c.keys[i] - c.keys[i-1]
 			}
-			c.best = append(c.best, v)
-			c.step = append(c.step, uint8(i-bp-lo))
+			c.best, c.back = append(c.best, v), append(c.back, bp)
 		}
 	}
-	// Walk back from row k's one state: k groups, n entries.
+	// Row k's one state: k groups, n entries.
+	if math.IsInf(c.best[c.row[k]], -1) {
+		return nil
+	}
 	out := make([][]int, k)
 	for i, j := n, k; j > 0; j-- {
-		s := lo + int(c.step[c.row[j]+i-from(j)])
-		out[j-1] = ids[i-s : i]
-		i -= s
+		p := c.back[c.row[j]+i-c.from[j]]
+		out[j-1] = ids[p:i]
+		i = p
 	}
 	return out
 }

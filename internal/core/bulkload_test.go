@@ -37,7 +37,7 @@ func bulkTree(t *testing.T, opt Options, objs []Object) *Tree {
 // clustered tree answers like brute force and like an Insert-loaded tree.
 func TestBulkLoadClustersRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
-	objs := makeObjects(600, 1200, rng) // all four pdf families
+	objs := makeObjects(1200, 1700, rng) // all four pdf families
 	bulk := bulkTree(t, Options{Dim: 2}, objs)
 
 	// Walk the leaves left to right.
@@ -313,12 +313,12 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			keys := clusteredKeys(rng, n)
 			ids := rng.Perm(n)
 			c.keys = keys
-			checkCut(t, ids, keys, c.cut(append([]int(nil), ids...), capacity, minFill), capacity, minFill)
+			checkCut(t, ids, keys, cutUniform(&c, append([]int(nil), ids...), capacity, minFill), capacity, minFill)
 		}
 		// Where every gap ties, the cut is the even one.
 		for n := 1; n < 400; n += 7 {
 			c.keys = make([]float64, n)
-			groups := c.cut(identity(n), 36, 14)
+			groups := cutUniform(&c, identity(n), 36, 14)
 			for j, cut := range cuts(groups) {
 				if want := (j + 1) * n / len(groups); cut != want {
 					t.Fatalf("n %d, tied keys: cut %d at %d, want the even cut's %d", n, j+1, cut, want)
@@ -327,9 +327,29 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 		}
 	})
 
+	// Runs of compact (48 B) and full (112 B) entries, clustered or mixed.
+	t.Run("bytes", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		var c runCutter
+		for trial := 0; trial < 2000; trial++ {
+			n := 1 + rng.Intn(3000)
+			c.keys, c.w = clusteredKeys(rng, n), []int{0}
+			share, big := rng.Float64(), 0
+			for i := 0; i < n; i++ {
+				s := 48
+				// Full entries in a block of the run, or anywhere.
+				if trial%2 == 0 && i < int(share*float64(n)) || trial%2 == 1 && rng.Float64() < share {
+					s = 112
+				}
+				c.w, big = append(c.w, c.w[i]+s), max(big, s)
+			}
+			checkCutBytes(t, n, c.w, c.cut(identity(n), big, 14*112), big, 14*112)
+		}
+	})
+
 	t.Run("tree", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(30))
-		objs := makeObjects(850, 1000, rng)
+		objs := makeObjects(1800, 1460, rng)
 		tree := bulkTree(t, Options{Dim: 2}, objs)
 		var leaves []*node
 		if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
@@ -344,9 +364,9 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			t.Fatalf("%d leaves; the fixture no longer spans 20", len(leaves))
 		}
 		for i, l := range leaves {
-			if len(l.entries) >= tree.leafCap {
-				t.Fatalf("leaf %d of %d holds %d of %d entries; every run of this fixture has a slot to spare",
-					i, len(leaves), len(l.entries), tree.leafCap)
+			if b := tree.entryBytes(l.entries, true); b+tree.compactEntrySize > pageBytes {
+				t.Fatalf("leaf %d of %d holds %d entries in %d of %d bytes; every run of this fixture has a slot to spare",
+					i, len(leaves), len(l.entries), b, pageBytes)
 			}
 		}
 		pages, err := tree.IndexPages()
@@ -371,6 +391,51 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// cutUniform is c.cut on a run of entries of one size, the size that fills
+// a page at capacity entries, with minFill counted in entries: for such
+// runs the cut is the one by count.
+func cutUniform(c *runCutter, ids []int, capacity, minFill int) [][]int {
+	size := pageBytes / capacity
+	c.w = c.w[:0]
+	for i := 0; i <= len(ids); i++ {
+		c.w = append(c.w, i*size)
+	}
+	return c.cut(ids, size, minFill*size)
+}
+
+// checkCutBytes holds a cut of a run of entries of more than one size, whose
+// byte prefix sums are w, to runCutter.cut's contract: the groups are the
+// run in order; each fits a page and, where there are several, holds
+// minFill; there are as many as a full packing of the largest entries
+// would make, or one more where such a packing has no legal cut; and each
+// leaves room for one more of the largest entries where that many groups
+// could hold the run with room for two (for a run of one size, one is
+// enough: checkCut).
+func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill int) {
+	t.Helper()
+	full := pageBytes / big * big
+	k := (w[n] + full - 1) / full
+	at := 0
+	for j, g := range groups {
+		for _, id := range g {
+			if id != at {
+				t.Fatalf("n %d: group %d holds entry %d, want %d", n, j, id, at)
+			}
+			at++
+		}
+		b := w[at] - w[at-len(g)]
+		if b > pageBytes || len(groups) > 1 && b < minFill {
+			t.Fatalf("n %d, %d B: group %d of %d holds %d B (minFill %d)", n, w[n], j, len(groups), b, minFill)
+		}
+		if len(groups) == k && k > 1 && k*(full-2*big) >= w[n] && b > full-big {
+			t.Fatalf("n %d, %d B: group %d of %d holds %d B, no room for a %d-B entry", n, w[n], j, k, b, big)
+		}
+	}
+	if at != n || len(groups) < k || len(groups) > k+1 {
+		t.Fatalf("n %d, %d B: %d groups over %d entries, want %d", n, w[n], len(groups), at, k)
+	}
 }
 
 // clusteredKeys returns n ascending keys in a few clusters, rounded so that

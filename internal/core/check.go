@@ -12,8 +12,9 @@ import (
 // CheckInvariants validates the structural and geometric invariants of the
 // index:
 //
-//   - node occupancy within [minFill, capacity] (root exempt from the
-//     minimum),
+//   - node occupancy within [minFill, capacity] bytes (root exempt from the
+//     minimum; a node with as many entries as minFill bytes of full entries
+//     is not underfull either),
 //   - uniform leaf depth,
 //   - every intermediate entry's bounding boxes covering the corresponding
 //     boundary boxes of its child's entries at every catalog value
@@ -35,19 +36,22 @@ func (t *Tree) checkTreeAt(st *treeState, records bool) error {
 	total := 0
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
-		n, err := t.readNode(page, wantLevel)
+		n, err := t.readNodeIn(page, wantLevel, st.shapes)
 		if err != nil {
 			return nil, err
 		}
-		capacity, minFill := t.leafCap, t.minLeaf
+		minFill, full := t.minLeaf, t.leafEntrySize
 		if !n.leaf() {
-			capacity, minFill = t.innerCap, t.minInner
+			minFill, full = t.minInner, t.innerEntrySize
 		}
-		if len(n.entries) > capacity {
-			return nil, fmt.Errorf("core: node %d overfull: %d > %d", page, len(n.entries), capacity)
+		b := t.entryBytes(n.entries, n.leaf())
+		if b > pageBytes {
+			return nil, fmt.Errorf("core: node %d overfull: %d entries in %d > %d bytes", page, len(n.entries), b, pageBytes)
 		}
-		if !isRoot && len(n.entries) < minFill {
-			return nil, fmt.Errorf("core: node %d underfull: %d < %d", page, len(n.entries), minFill)
+		// A leaf a UTR4 file holds met the fill in full entries; read or
+		// rewritten compact it keeps their count.
+		if !isRoot && b < minFill && len(n.entries)*full < minFill {
+			return nil, fmt.Errorf("core: node %d underfull: %d entries in %d < %d bytes", page, len(n.entries), b, minFill)
 		}
 		if n.leaf() {
 			total += len(n.entries)

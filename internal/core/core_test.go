@@ -802,7 +802,7 @@ func within(t *testing.T, name string, op func() error) error {
 // reach it. The deadline only turns the old behaviour into a failure, not a
 // hang.
 func TestCorruptChildPointerEndsQueries(t *testing.T) {
-	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
+	objs := makeObjects(5000, 16000, rand.New(rand.NewSource(31)))
 	for _, cache := range []int{-1, 0} {
 		for _, kind := range []string{"range", "nn"} {
 			tree, root := corruptChildPointer(t, objs, cache)
@@ -852,7 +852,7 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 // failed mutation rolls back to the committed tree. Each once recursed or
 // looped without end.
 func TestCorruptChildPointerEndsWalks(t *testing.T) {
-	objs := makeObjects(2000, 10000, rand.New(rand.NewSource(31)))
+	objs := makeObjects(5000, 16000, rand.New(rand.NewSource(31)))
 	tree, root := corruptChildPointer(t, objs, 0)
 	// An insert whose descent takes the root's first entry, and a delete
 	// whose descent tries that entry first.

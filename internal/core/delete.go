@@ -111,7 +111,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 		if !n.leaf() {
 			minFill = t.minInner
 		}
-		if len(n.entries) < minFill {
+		if t.entryBytes(n.entries, n.leaf()) < minFill {
 			parent.n.entries = append(parent.n.entries[:parent.childIdx], parent.n.entries[parent.childIdx+1:]...)
 			// Later path elements' childIdx values are positions in other
 			// nodes, unaffected; earlier ones reference parent nodes above.

@@ -36,8 +36,9 @@ func (k Kind) String() string {
 // a private packedNode.
 //
 // Leaf entries: id, addr, mbr are always set, shape names the object's
-// prototype in the tree's shape table (0: none); a U-tree leaf carries out/in
-// CFBs, a U-PCR leaf carries pcrs (length m, pcrs[0] == mbr).
+// prototype in the tree's shape table (0: none); a U-tree leaf carries fit
+// where it has a shape and out/in CFBs where it has none, a U-PCR leaf
+// carries pcrs (length m, pcrs[0] == mbr).
 //
 // Intermediate entries: child is set and boxes carries the bounding
 // geometry — length 2 for the U-tree ([MBR⊥, MBR⊤], interpolated linearly
@@ -51,12 +52,15 @@ func (k Kind) String() string {
 // work on scratch and on cloneBoxes copies.
 type entry struct {
 	// Leaf fields.
-	id    int64
-	addr  pagefile.DataAddr
-	mbr   geom.Rect
-	out   pcr.CFB
-	in    pcr.CFB
-	pcrs  []geom.Rect
+	id   int64
+	addr pagefile.DataAddr
+	mbr  geom.Rect
+	out  pcr.CFB
+	in   pcr.CFB
+	pcrs []geom.Rect
+	// fit is a keyed U-tree entry's shape, whose translated faces are its
+	// CFBs (it is written compact and stores none); out and in are nil.
+	fit   *pcr.Shape
 	shape uint16 // here, in the word child half fills, the struct does not grow
 
 	// Intermediate fields.
@@ -71,10 +75,30 @@ func (t *Tree) boundary(e *entry, leaf bool) []geom.Rect {
 	if !leaf {
 		return e.boxes
 	}
-	if t.kind == UTree {
-		return []geom.Rect{e.out.Rect(0), e.out.Rect(t.cat.Max())}
+	if t.kind != UTree {
+		return e.pcrs
 	}
-	return e.pcrs
+	var f pcr.Faces
+	if !e.faces(&f) {
+		// A reference beyond the table (expand): the MBR bounds every PCR.
+		return []geom.Rect{e.mbr.Clone(), e.mbr.Clone()}
+	}
+	return []geom.Rect{f.Rect(0), f.Rect(t.cat.Max())}
+}
+
+// faces sets f to a U-tree leaf entry's CFBs as the rules read them: its
+// shape's, translated, or its stored pair. It reports false for an entry
+// with neither, whose reference is beyond the table.
+func (e *entry) faces(f *pcr.Faces) bool {
+	switch {
+	case e.fit != nil:
+		e.fit.Translate(f, e.mbr)
+	case e.out != nil:
+		f.SetCFB(e.out, e.in)
+	default:
+		return false
+	}
+	return true
 }
 
 // boxAt evaluates an entry's bounding rectangle at catalog index j. For
@@ -194,13 +218,14 @@ func cloneBoxes(b []geom.Rect) []geom.Rect {
 	return out
 }
 
-// entrySizes returns the on-page sizes (bytes) of leaf and intermediate
-// entries for the given kind, dimensionality and catalog size. Rectangles
-// are float64 everywhere; only the CFB coefficients of a U-tree leaf entry
-// are float32, stored as the bits pcr.CFB holds in memory (see pcr.CFB for
-// why half width is safe there, and the README's "Leaf layout" note for
-// why the MBR, the intermediate entries and U-PCR's exact faces are not).
-// 2-D: 112 B per U-tree leaf entry, 36 per page; 3-D: 160 B, 25 per page.
+// entrySizes returns the on-page sizes (bytes) of full leaf and of
+// intermediate entries for the given kind, dimensionality and catalog size.
+// Rectangles are float64 everywhere; only the CFB coefficients of a U-tree
+// leaf entry are float32, stored as the bits pcr.CFB holds in memory (see
+// pcr.CFB for why half width is safe there, and the README's "Leaf layout"
+// note for why the MBR, the intermediate entries and U-PCR's exact faces are
+// not). 2-D: 112 B per full U-tree leaf entry; 3-D: 160 B. A keyed U-tree
+// entry is compact instead (compactSize).
 func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {
@@ -218,13 +243,47 @@ func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	return leaf, inner
 }
 
+// compactSize is a compact U-tree leaf entry's size: id(8) + addr(6) +
+// shape(2, compactEntry set) + MBR, 48 B in 2-D and 64 B in 3-D. Its CFBs
+// are its shape's, translated (pcr.Shape.Translate), so it stores none.
+func compactSize(dim int) int { return 16 + 16*dim }
+
+// compactEntry flags a compact leaf entry in the shape half of its address
+// word. Shape references stay below it: the table lives in one page.
+const compactEntry = 1 << 15
+
 // nodeHeader is the per-page header: level(1) + pad(1) + count(2) + pad(4).
 const nodeHeader = 8
 
-// capacities derives node fan-outs from the page and entry sizes.
+// pageBytes is what a node's entries may fill. Capacity and fill are
+// counted in bytes, not entries, so one leaf can hold both forms: a full
+// leaf is compact entries to 85 (2-D) or 63 (3-D), full entries to 36 or
+// 25, or any mix that fits.
+const pageBytes = pagefile.PageSize - nodeHeader
+
+// capacities derives node fan-outs in full entries from the page and entry
+// sizes.
 func capacities(kind Kind, dim, m int) (leafCap, innerCap int) {
 	leafSz, innerSz := entrySizes(kind, dim, m)
-	leafCap = (pagefile.PageSize - nodeHeader) / leafSz
-	innerCap = (pagefile.PageSize - nodeHeader) / innerSz
-	return leafCap, innerCap
+	return pageBytes / leafSz, pageBytes / innerSz
+}
+
+// entrySize is e's size on a node page at the given level: a U-tree leaf
+// entry with a shape is compact (encodeLeafEntry).
+func (t *Tree) entrySize(e *entry, leaf bool) int {
+	switch {
+	case !leaf:
+		return t.innerEntrySize
+	case t.kind == UTree && e.shape != 0:
+		return t.compactEntrySize
+	}
+	return t.leafEntrySize
+}
+
+// entryBytes is what entries take on a node page at the given level.
+func (t *Tree) entryBytes(entries []entry, leaf bool) (n int) {
+	for i := range entries {
+		n += t.entrySize(&entries[i], leaf)
+	}
+	return n
 }

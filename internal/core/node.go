@@ -25,14 +25,19 @@ func (n *node) leaf() bool { return n.level == 0 }
 // packedNode is the read form of a tree page and the value the decoded-node
 // cache holds: per-entry scalars in keys, every coordinate in one float64
 // and one float32 slab, so a cached leaf holds no pointer the GC must scan
-// and costs about what its page does (112 B a 2-D U-tree leaf entry).
+// and costs about what its page does (48 B a compact 2-D U-tree leaf entry,
+// 112 B a full one).
 //
 //   - keys: a leaf entry's id and its addr‖shape word, the page's own 16
-//     bytes (2 words an entry); an intermediate entry's child (1 word).
+//     bytes (2 words an entry), compact flag included; an intermediate
+//     entry's child (1 word).
 //   - f64: each entry's nb rectangles, Lo then Hi, at stride nb·2·dim — a
 //     U-tree leaf's MBR (nb = 1), a U-PCR leaf's m PCRs (pcr(0) is the
 //     MBR), an intermediate entry's 2 or m bounding boxes.
-//   - f32: a U-tree leaf entry's cfb_out‖cfb_in, at stride 8·dim.
+//   - f32: the cfb_out‖cfb_in of a U-tree leaf's full entries, at stride
+//     8·dim; a compact entry has none (its faces are its shape's).
+//   - rank: for a leaf holding both forms, entry i's place among the full
+//     entries, whose CFBs f32 holds in order; nil when every entry is full.
 //   - rects: for intermediate nodes and U-PCR leaves, which are few, the nb
 //     rectangles of each entry laid over f64 — the []geom.Rect the descent
 //     and the U-PCR filter take.
@@ -47,6 +52,7 @@ type packedNode struct {
 	keys         []uint64
 	f64          []float64
 	f32          []float32
+	rank         []uint16
 	rects        []geom.Rect
 }
 
@@ -58,8 +64,12 @@ func (p *packedNode) id(i int) int64 { return int64(p.keys[2*i]) }
 // addr is leaf entry i's record address and shape reference.
 func (p *packedNode) addr(i int) (pagefile.DataAddr, uint16) {
 	w := p.keys[2*i+1]
-	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w >> 48)
+	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ compactEntry
 }
+
+// compact reports whether leaf entry i is in the compact form: id,
+// address and MBR, its faces its shape's (Shape.Translate).
+func (p *packedNode) compact(i int) bool { return uint16(p.keys[2*i+1]>>48)&compactEntry != 0 }
 
 // child is intermediate entry i's child page.
 func (p *packedNode) child(i int) pagefile.PageID { return pagefile.PageID(p.keys[i]) }
@@ -74,8 +84,11 @@ func (p *packedNode) rect(k int) geom.Rect {
 	return geom.Rect{Lo: c[:d:d], Hi: c[d:]}
 }
 
-// cfbs is U-tree leaf entry i's cfb_out and cfb_in.
+// cfbs is full U-tree leaf entry i's cfb_out and cfb_in.
 func (p *packedNode) cfbs(i int) (out, in pcr.CFB) {
+	if p.rank != nil {
+		i = int(p.rank[i])
+	}
 	w := 4 * p.dim
 	c := p.f32[2*w*i : 2*w*(i+1) : 2*w*(i+1)]
 	return pcr.CFB(c[:w:w]), pcr.CFB(c[w:])
@@ -87,13 +100,19 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 }
 
 // readNode fetches the page a descent expects at level and expands it into
-// edit form, counting one logical node access. A node at another level is
-// refused (checkLevel), so no walk that reads its nodes here can loop. It
-// always decodes a private copy: the mutation paths edit the returned
-// node's entries in place, so they must never receive slabs shared through
-// the decoded-node cache. Query paths go through fetchNode, which consults
-// the cache first.
+// edit form over the working shape table, counting one logical node access.
+// A node at another level is refused (checkLevel), so no walk that reads its
+// nodes here can loop. It always decodes a private copy: the mutation paths
+// edit the returned node's entries in place, so they must never receive
+// slabs shared through the decoded-node cache. Query paths go through
+// fetchNode, which consults the cache first.
 func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
+	return t.readNodeIn(id, level, t.shapes)
+}
+
+// readNodeIn is readNode over the shape table of the epoch the page
+// belongs to: a snapshot's check must not read the writer's.
+func (t *Tree) readNodeIn(id pagefile.PageID, level int, shapes []shape) (*node, error) {
 	p, err := t.readPacked(id)
 	if err != nil {
 		return nil, err
@@ -101,11 +120,15 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 	if err := t.checkLevel(p, level); err != nil {
 		return nil, err
 	}
-	return t.expand(p), nil
+	return t.expand(p, shapes), nil
 }
 
-// expand is p's edit form, its entries laid over p's slabs (see entry).
-func (t *Tree) expand(p *packedNode) *node {
+// expand is p's edit form, its entries laid over p's slabs (see entry). A
+// keyed U-tree leaf entry comes out compact whichever form the page holds —
+// a UTR4 file's are full — so the next write of its node stores it compact,
+// and its faces are its shape's in the table. One whose reference is beyond
+// the table, which CheckInvariants reports, has no faces but its MBR.
+func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 	n := &node{page: p.page, level: p.level, entries: make([]entry, p.count)}
 	for i := range n.entries {
 		e := &n.entries[i]
@@ -115,7 +138,11 @@ func (t *Tree) expand(p *packedNode) *node {
 		case t.kind == UTree:
 			e.id, e.mbr = p.id(i), p.mbr(i)
 			e.addr, e.shape = p.addr(i)
-			e.out, e.in = p.cfbs(i)
+			if e.shape == 0 {
+				e.out, e.in = p.cfbs(i)
+			} else if int(e.shape) <= len(shapes) {
+				e.fit = shapes[e.shape-1].fit
+			}
 		default:
 			e.id, e.pcrs = p.id(i), p.boxes(i)
 			e.addr, e.shape = p.addr(i)
@@ -206,64 +233,81 @@ func (t *Tree) freeNode(n *node) error {
 }
 
 func (t *Tree) encodeNode(n *node, buf []byte) error {
-	cap := t.leafCap
-	sz := t.leafEntrySize
-	if !n.leaf() {
-		cap = t.innerCap
-		sz = t.innerEntrySize
-	}
-	if len(n.entries) > cap {
-		return fmt.Errorf("core: node %d holds %d entries, capacity %d", n.page, len(n.entries), cap)
+	if b := t.entryBytes(n.entries, n.leaf()); b > pageBytes {
+		return fmt.Errorf("core: node %d holds %d entries in %d bytes, capacity %d", n.page, len(n.entries), b, pageBytes)
 	}
 	buf[0] = byte(n.level)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
 	off := nodeHeader
 	for i := range n.entries {
+		e := &n.entries[i]
 		if n.leaf() {
-			t.encodeLeafEntry(&n.entries[i], buf[off:off+sz])
+			off += t.encodeLeafEntry(e, buf[off:])
 		} else {
-			t.encodeInnerEntry(&n.entries[i], buf[off:off+sz])
+			t.encodeInnerEntry(e, buf[off:off+t.innerEntrySize])
+			off += t.innerEntrySize
 		}
-		off += sz
 	}
 	return nil
 }
 
 // decodeNode turns page bytes into a packedNode. It is the only code that
-// reads node bytes: four allocations however many entries the node holds.
+// reads node bytes: at most four allocations however many entries the node
+// holds (five for a leaf holding both entry forms).
 func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	p := &packedNode{
 		page: id, level: int(buf[0]), count: int(binary.LittleEndian.Uint16(buf[2:])),
 		dim: t.dim, nb: t.innerBoxes(),
 	}
-	cap, sz, words, off0 := t.innerCap, t.innerEntrySize, 1, 8
+	// A structurally impossible page is corruption the checksum layer did
+	// not catch; type it like one.
+	bad := func(reason string, a ...any) error {
+		return fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{Page: id, Reason: fmt.Sprintf(reason, a...)})
+	}
+	sz, words, off0 := t.innerEntrySize, 1, 8
 	if p.leaf() {
-		cap, sz, words, off0 = t.leafCap, t.leafEntrySize, 2, 16
+		sz, words, off0 = t.leafEntrySize, 2, 16
 	}
-	if p.count > cap {
-		// A structurally impossible header is corruption the checksum layer
-		// did not catch; type it like one.
-		return nil, fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{
-			Page:   id,
-			Reason: fmt.Sprintf("entry count %d exceeds capacity %d", p.count, cap),
-		})
-	}
-	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs.
+	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs unless
+	// it is compact; the first pass finds which of its entries are full.
 	utreeLeaf := p.leaf() && t.kind == UTree
+	full := p.count
 	if utreeLeaf {
-		p.nb = 1
+		p.nb, sz = 1, t.compactEntrySize
 	}
-	nf64, nf32 := 2*t.dim*p.nb, 0
+	if p.count*sz > pageBytes {
+		return nil, bad("entry count %d exceeds capacity %d", p.count, pageBytes/sz)
+	}
+	if utreeLeaf {
+		full = 0
+		for i, end := 0, nodeHeader; i < p.count; i++ {
+			switch shape := binary.LittleEndian.Uint16(buf[end+14:]); {
+			case shape == compactEntry:
+				return nil, bad("compact entry %d names no shape", i)
+			case shape&compactEntry == 0:
+				full++
+				end += t.leafEntrySize - t.compactEntrySize
+			}
+			if end += t.compactEntrySize; end+(p.count-i-1)*t.compactEntrySize > pagefile.PageSize {
+				return nil, bad("%d entries overrun the page", p.count)
+			}
+		}
+	}
+	nf64, nf32 := 2*t.dim*p.nb, 8*t.dim
 	p.keys = make([]uint64, words*p.count)
 	p.f64 = make([]float64, nf64*p.count)
-	if utreeLeaf {
-		nf32 = 8 * t.dim
-		p.f32 = make([]float32, nf32*p.count)
-	} else {
+	switch {
+	case !utreeLeaf:
 		p.rects = make([]geom.Rect, p.nb*p.count)
+	case full == 0:
+	case full < p.count:
+		p.rank = make([]uint16, p.count)
+		fallthrough
+	default:
+		p.f32 = make([]float32, nf32*full)
 	}
-	for i := 0; i < p.count; i++ {
-		e := buf[nodeHeader+i*sz : nodeHeader+(i+1)*sz]
+	for i, at, r := 0, nodeHeader, 0; i < p.count; i++ {
+		e := buf[at:]
 		if p.leaf() {
 			p.keys[2*i] = binary.LittleEndian.Uint64(e)
 			p.keys[2*i+1] = binary.LittleEndian.Uint64(e[8:])
@@ -275,13 +319,23 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 		for k := range f64 {
 			f64[k], off = getF64(e, off)
 		}
-		if utreeLeaf {
-			f32 := p.f32[nf32*i : nf32*(i+1)]
+		switch {
+		case p.leaf() && p.compact(i):
+			if !utreeLeaf {
+				return nil, bad("compact entry %d in a %v leaf", i, t.kind)
+			}
+		case utreeLeaf:
+			if p.rank != nil {
+				p.rank[i] = uint16(r)
+			}
+			f32 := p.f32[nf32*r : nf32*(r+1)]
 			for k := range f32 {
 				f32[k] = math.Float32frombits(binary.LittleEndian.Uint32(e[off:]))
 				off += 4
 			}
+			r++
 		}
+		at += off
 	}
 	for k := range p.rects {
 		p.rects[k] = p.rect(k)
@@ -298,19 +352,29 @@ func (t *Tree) innerBoxes() int {
 	return 2
 }
 
-func (t *Tree) encodeLeafEntry(e *entry, buf []byte) {
+// encodeLeafEntry writes e at the start of buf and returns its size: a
+// keyed U-tree entry compact — id, address word with the compact flag, MBR
+// — and every other entry full.
+func (t *Tree) encodeLeafEntry(e *entry, buf []byte) int {
+	compact := t.kind == UTree && e.shape != 0
+	shape := e.shape
+	if compact {
+		shape |= compactEntry
+	}
 	binary.LittleEndian.PutUint64(buf, uint64(e.id))
-	off := putAddr(buf, 8, e.addr, e.shape)
+	off := putAddr(buf, 8, e.addr, shape)
 	off = putRect(buf, off, e.mbr)
-	if t.kind == UTree {
-		off = putCFB(buf, off, e.out)
-		putCFB(buf, off, e.in)
-		return
+	switch {
+	case compact:
+	case t.kind == UTree:
+		putCFB(buf, putCFB(buf, off, e.out), e.in)
+	default:
+		// U-PCR: pcr(0) is the MBR itself, so boxes 1..m-1 follow the MBR slot.
+		for j := 1; j < t.cat.Size(); j++ {
+			off = putRect(buf, off, e.pcrs[j])
+		}
 	}
-	// U-PCR: pcr(0) is the MBR itself, so boxes 1..m-1 follow the MBR slot.
-	for j := 1; j < t.cat.Size(); j++ {
-		off = putRect(buf, off, e.pcrs[j])
-	}
+	return t.entrySize(e, true)
 }
 
 func (t *Tree) encodeInnerEntry(e *entry, buf []byte) {

@@ -28,7 +28,7 @@ type Result struct {
 	// Validated reports whether the object was reported without probability
 	// computation: rq contains its MBR, or a lower bound on its
 	// qualification probability already reaches the threshold — derived
-	// from its stored PCR/CFB faces at the leaf (pcr.ProbBoundsCFB /
+	// from its PCR/CFB faces at the leaf (pcr.Faces.ProbBounds /
 	// ProbBoundsPCR), or from its pdf's own marginals, at the leaf through
 	// its shape or after its record was read (pcr.ProbBoundsShape / Marginal).
 	Validated bool
@@ -204,12 +204,21 @@ descent:
 			stats.LeafAccesses++
 			for i := 0; i < n.count; i++ {
 				mbr := n.mbr(i)
+				addr, shape := n.addr(i)
 				var outcome pcr.Outcome
-				if t.kind == UTree {
+				switch {
+				case t.kind == UPCR:
+					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
+				case !n.compact(i):
 					out, in := n.cfbs(i)
 					outcome = pcr.FilterCFB(out, in, t.cat, mbr, q.Rect, q.Prob)
-				} else {
-					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
+				case int(shape) <= len(st.shapes):
+					// A compact entry's faces are its shape's, translated.
+					outcome = st.shapes[shape-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
+				default:
+					// A reference beyond the table gives no faces: the
+					// record decides.
+					outcome = pcr.Unknown
 				}
 				switch outcome {
 				case pcr.Validated:
@@ -221,7 +230,6 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					addr, shape := n.addr(i)
 					c := candidate{id: n.id(i), addr: addr}
 					if ref := int(shape); ref != 0 && ref <= len(st.shapes) && !plan.noShapeTest {
 						sh := &st.shapes[ref-1] // refinement's test, before the fetch

@@ -91,7 +91,8 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 			if err := tree.walk(snap.st.rootPage, snap.st.rootLevel, func(n *node) error {
 				for i := range n.entries {
 					e := &n.entries[i]
-					if n.leaf() && answers[e.id] && pcr.FilterCFB(e.out, e.in, tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown &&
+					var f pcr.Faces
+					if n.leaf() && answers[e.id] && e.faces(&f) && f.Filter(tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown &&
 						shapeOutcome(snap.st, tree.qcache, e, q) == pcr.Unknown {
 						cands = append(cands, candidate{id: e.id, addr: e.addr})
 					}

@@ -5,20 +5,21 @@ import (
 	"repro/internal/pcr"
 )
 
-// Scan is the no-index baseline of Section 5's opening: objects (with
-// pre-computed CFBs) inspected sequentially, filtered with Observation 3,
-// and refined by Equation 2 when needed. It doubles as the ground-truth
-// oracle in tests.
+// Scan is the no-index baseline of Section 5's opening: objects inspected
+// sequentially, filtered with Observation 3 on the faces a U-tree leaf
+// entry gives them — an object with a ShapeKey its shape's, translated, the
+// first object of the key the prototype as in a tree's shape table; one
+// without, its own float32 CFBs — and refined by Equation 2 when needed. It
+// doubles as the ground-truth oracle in tests.
 type Scan struct {
 	cat     pcr.Catalog
 	objects []scanItem
 }
 
 type scanItem struct {
-	obj Object
-	mbr geom.Rect
-	out pcr.CFB
-	in  pcr.CFB
+	obj   Object
+	mbr   geom.Rect
+	faces pcr.Faces
 }
 
 // NewScan builds a sequential-scan baseline over the given objects with the
@@ -26,15 +27,20 @@ type scanItem struct {
 func NewScan(objects []Object, catalogSize int) *Scan {
 	cat := pcr.UniformCatalog(catalogSize)
 	cache := pcr.NewQuantileCache()
+	shapes := make(map[string]*pcr.Shape)
 	s := &Scan{cat: cat}
 	for _, o := range objects {
-		pcrs := pcr.Compute(o.PDF, cat, cache)
-		s.objects = append(s.objects, scanItem{
-			obj: o,
-			mbr: o.PDF.MBR(),
-			out: pcr.FitOut(pcrs),
-			in:  pcr.FitIn(pcrs),
-		})
+		it := scanItem{obj: o, mbr: o.PDF.MBR()}
+		if key := o.PDF.ShapeKey(); key != "" {
+			if shapes[key] == nil {
+				shapes[key] = pcr.NewShape(o.PDF, cat)
+			}
+			shapes[key].Translate(&it.faces, it.mbr)
+		} else {
+			pcrs := pcr.Compute(o.PDF, cat, cache)
+			it.faces.SetCFB(pcr.FitOut(pcrs), pcr.FitIn(pcrs))
+		}
+		s.objects = append(s.objects, it)
 	}
 	return s
 }
@@ -46,7 +52,7 @@ func (s *Scan) RangeQuery(q Query) ([]Result, QueryStats, error) {
 	var results []Result
 	for i := range s.objects {
 		it := &s.objects[i]
-		switch pcr.FilterCFB(it.out, it.in, s.cat, it.mbr, q.Rect, q.Prob) {
+		switch it.faces.Filter(s.cat, it.mbr, q.Rect, q.Prob) {
 		case pcr.Validated:
 			results = append(results, Result{ID: it.obj.ID, Prob: -1, Validated: true})
 			stats.Validated++

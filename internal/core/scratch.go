@@ -20,7 +20,8 @@ import (
 //   - Nothing that escapes to the caller is pooled: result slices are
 //     always allocated fresh.
 //   - Scratch never holds pointers into tree pages or cached nodes — the
-//     element types (PageID, candidate, nnItem, float64) are pointer-free,
+//     element types (PageID, candidate, nnItem, float64, the lines of
+//     pcr.Faces) are pointer-free,
 //     so a pooled buffer retains no memory beyond its own backing array.
 //
 // Results are byte-identical to the unpooled path: pooling changes where
@@ -41,6 +42,7 @@ type queryScratch struct {
 	cands    []candidate       // refinement candidates
 	heap     nnHeap            // NN frontier
 	mc       geom.Point        // NN expected-distance sample point
+	faces    pcr.Faces         // the leaf entry the range filter is deciding
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}

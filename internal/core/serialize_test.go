@@ -66,34 +66,65 @@ func decodeEdit(tree *Tree, id pagefile.PageID, buf []byte) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tree.expand(p), nil
+	return tree.expand(p, tree.shapes), nil
+}
+
+// randLeafEntry is a leaf entry with random contents: keyed (a reference
+// into the tree's shape table, written compact) or, where keyed is false or
+// the tree is a U-PCR tree, unkeyed with random CFBs or PCRs.
+func randLeafEntry(rng *rand.Rand, tree *Tree, keyed bool) entry {
+	e := entry{
+		id:   rng.Int63(),
+		addr: pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
+		mbr:  randRectIn(rng, tree.dim, 1000),
+	}
+	switch {
+	case tree.kind == UPCR:
+		e.pcrs = make([]geom.Rect, tree.cat.Size())
+		for j := range e.pcrs {
+			e.pcrs[j] = e.mbr
+		}
+	case keyed:
+		e.shape = uint16(1 + rng.Intn(len(tree.shapes)))
+		e.fit = tree.shapes[e.shape-1].fit
+	default:
+		e.out, e.in = randCFB(rng, tree.dim), randCFB(rng, tree.dim)
+	}
+	return e
+}
+
+// keyedTree is New with a two-shape table in place, so leaf entries can be
+// keyed.
+func keyedTree(tb testing.TB, opt Options) *Tree {
+	tree, err := New(opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree.setShapes(fuzzShapes(opt.Dim))
+	return tree
 }
 
 // TestNodeSerializationRoundTripUTree encodes and decodes random U-tree
-// nodes (leaf and intermediate) and demands bit-exact field recovery.
+// nodes (leaf and intermediate) and demands bit-exact field recovery: a
+// leaf holds keyed (compact) and unkeyed (full) entries in any mix, up to
+// what its page holds.
 func TestNodeSerializationRoundTripUTree(t *testing.T) {
 	for _, dim := range []int{1, 2, 3} {
-		tree, err := New(Options{Dim: dim})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := keyedTree(t, Options{Dim: dim})
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			// Leaf node.
 			leaf := &node{page: 12, level: 0}
-			n := 1 + rng.Intn(tree.leafCap)
-			for i := 0; i < n; i++ {
-				leaf.entries = append(leaf.entries, entry{
-					id:    rng.Int63(),
-					addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
-					shape: uint16(rng.Intn(1 << 16)),
-					mbr:   randRectIn(rng, dim, 1000),
-					out:   randCFB(rng, dim),
-					in:    randCFB(rng, dim),
-				})
+			share := rng.Float64()
+			for n, bytes := 1+rng.Intn(tree.leafCap), 0; len(leaf.entries) < n; {
+				e := randLeafEntry(rng, tree, rng.Float64() < share)
+				if bytes += tree.entrySize(&e, true); bytes > pageBytes {
+					break
+				}
+				leaf.entries = append(leaf.entries, e)
 			}
-			// The ends of the reference's range, beside a full-range address.
-			leaf.entries[0].shape, leaf.entries[n-1].shape = 0xFFFF, 0
+			n := len(leaf.entries)
+			// The ends of the address's range.
 			leaf.entries[0].addr = pagefile.DataAddr{Page: 0xFFFFFFFF, Slot: 0xFFFF}
 			buf := make([]byte, pagefile.PageSize)
 			if err := tree.encodeNode(leaf, buf); err != nil {
@@ -105,7 +136,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			}
 			for i := range leaf.entries {
 				a, b := &leaf.entries[i], &got.entries[i]
-				if a.id != b.id || a.addr != b.addr || a.shape != b.shape || !a.mbr.Equal(b.mbr) ||
+				if a.id != b.id || a.addr != b.addr || a.shape != b.shape || a.fit != b.fit || !a.mbr.Equal(b.mbr) ||
 					!cfbEqual(a.out, b.out) || !cfbEqual(a.in, b.in) {
 					return false
 				}
@@ -177,12 +208,13 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 			leaf.entries = append(leaf.entries, entry{
 				id:    rng.Int63(),
 				addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
-				shape: uint16(rng.Intn(1 << 16)),
+				shape: uint16(rng.Intn(compactEntry)),
 				mbr:   boxes[0].Clone(),
 				pcrs:  boxes,
 			})
 		}
-		leaf.entries[0].shape, leaf.entries[n-1].shape = 0xFFFF, 0
+		// The ends of the reference's range: a U-PCR entry is never compact.
+		leaf.entries[0].shape, leaf.entries[n-1].shape = compactEntry-1, 0
 		buf := make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(leaf, buf); err != nil {
 			return false
@@ -210,21 +242,13 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 }
 
 // fullNodePages encodes one full leaf and one full intermediate node of
-// tree, with random contents.
+// tree, with random contents: a U-tree leaf of keyed, compact entries (the
+// tree needs a shape table, keyedTree), a U-PCR leaf of full ones.
 func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
 	rng := rand.New(rand.NewSource(4))
 	ln := &node{page: 7, level: 0}
 	for i := 0; i < tree.leafCap; i++ {
-		e := entry{id: int64(i), mbr: randRectIn(rng, tree.dim, 1000)}
-		if tree.kind == UTree {
-			e.out, e.in = randCFB(rng, tree.dim), randCFB(rng, tree.dim)
-		} else {
-			e.pcrs = make([]geom.Rect, tree.cat.Size())
-			for j := range e.pcrs {
-				e.pcrs[j] = e.mbr
-			}
-		}
-		ln.entries = append(ln.entries, e)
+		ln.entries = append(ln.entries, randLeafEntry(rng, tree, true))
 	}
 	in := &node{page: 8, level: 1}
 	for i := 0; i < tree.innerCap; i++ {
@@ -244,18 +268,47 @@ func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
 	return leaf, inner
 }
 
+// leafPages encodes three more U-tree leaves: a full leaf of unkeyed (full)
+// entries; a mixed one, keyed and unkeyed entries alternating to fill the
+// page; and a leaf as a UTR4 file holds it, full entries that name a shape
+// — the form every keyed entry had before compact entries.
+func leafPages(tb testing.TB, tree *Tree) (unkeyed, mixed, utr4 []byte) {
+	rng := rand.New(rand.NewSource(5))
+	pages := [3]*node{{page: 7}, {page: 7}, {page: 7}}
+	for i := 0; i < pageBytes/tree.leafEntrySize; i++ {
+		pages[0].entries = append(pages[0].entries, randLeafEntry(rng, tree, false))
+	}
+	pages[2].entries = pages[0].entries
+	for bytes := 0; ; {
+		e := randLeafEntry(rng, tree, len(pages[1].entries)%2 == 0)
+		if bytes += tree.entrySize(&e, true); bytes > pageBytes {
+			break
+		}
+		pages[1].entries = append(pages[1].entries, e)
+	}
+	var out [3][]byte
+	for k, n := range pages {
+		out[k] = make([]byte, pagefile.PageSize)
+		if err := tree.encodeNode(n, out[k]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range pages[2].entries {
+		binary.LittleEndian.PutUint16(out[2][nodeHeader+i*tree.leafEntrySize+14:], uint16(1+i%len(tree.shapes)))
+	}
+	return out[0], out[1], out[2]
+}
+
 // TestDecodeNodeAllocations gates the packed decode: a full node of either
-// level and either kind costs the node and its slabs, 4 allocations however
-// many entries it holds (a 2-D U-tree leaf was 232 when every rectangle and
-// coefficient array had its own), and a full U-tree leaf allocates about
-// its page's entry bytes (it was 9,648 B for 4,032 in 2-D, 8,880 for 4,000
-// in 3-D, as entry structs).
+// level and either kind costs the node and its slabs, at most 4 allocations
+// however many entries it holds (a 2-D U-tree leaf was 232 when every
+// rectangle and coefficient array had its own), and a full U-tree leaf of
+// compact entries allocates about its page's entry bytes (85 × 48 = 4,080 B
+// in 2-D, 63 × 64 = 4,032 in 3-D), as one of full entries does (36 × 112 =
+// 4,032, 25 × 160 = 4,000): a cached leaf costs about one page of heap.
 func TestDecodeNodeAllocations(t *testing.T) {
 	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}} {
-		tree, err := New(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := keyedTree(t, opt)
 		leaf, inner := fullNodePages(t, tree)
 		for name, page := range map[string][]byte{"leaf": leaf, "inner": inner} {
 			allocs := testing.AllocsPerRun(50, func() {
@@ -270,58 +323,68 @@ func TestDecodeNodeAllocations(t *testing.T) {
 		if tree.kind != UTree {
 			continue
 		}
-		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if _, err := tree.decodeNode(7, leaf); err != nil {
-				t.Fatal(err)
+		unkeyed, _, _ := leafPages(t, tree)
+		for _, c := range []struct {
+			what       string
+			page       []byte
+			entryBytes int
+		}{{"compact", leaf, tree.leafCap * tree.compactEntrySize}, {"full", unkeyed, pageBytes / tree.leafEntrySize * tree.leafEntrySize}} {
+			const runs = 100
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := tree.decodeNode(7, c.page); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		runtime.ReadMemStats(&after)
-		entryBytes := tree.leafCap * tree.leafEntrySize
-		budget := 1.1*float64(entryBytes) + 256
-		if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
-			t.Errorf("%d-D: decoding a full leaf (%d entry bytes) allocates %.0f B, want ≤ %.0f", tree.dim, entryBytes, got, budget)
+			runtime.ReadMemStats(&after)
+			budget := 1.1*float64(c.entryBytes) + 256
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
+				t.Errorf("%d-D: decoding a full leaf of %s entries (%d entry bytes) allocates %.0f B, want ≤ %.0f",
+					tree.dim, c.what, c.entryBytes, got, budget)
+			}
 		}
 	}
 }
 
-// BenchmarkDecodeLeaf decodes one full U-tree leaf page: what every
-// decoded-node cache miss of a query pays per leaf visited, and in B/op
-// what the cache then holds for the leaf.
+// BenchmarkDecodeLeaf decodes one full U-tree leaf page of compact (keyed)
+// entries and one of full (unkeyed) entries: what every decoded-node cache
+// miss of a query pays per leaf visited, and in B/op what the cache then
+// holds for the leaf.
 func BenchmarkDecodeLeaf(b *testing.B) {
 	for _, dim := range []int{2, 3} {
-		tree, err := New(Options{Dim: dim})
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaf, _ := fullNodePages(b, tree)
-		b.Run(fmt.Sprintf("%dD-%dentries", dim, tree.leafCap), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := tree.decodeNode(7, leaf); err != nil {
-					b.Fatal(err)
+		tree := keyedTree(b, Options{Dim: dim})
+		compact, _ := fullNodePages(b, tree)
+		full, _, _ := leafPages(b, tree)
+		for _, c := range []struct {
+			name string
+			page []byte
+		}{{fmt.Sprintf("%dD-%dcompact", dim, tree.leafCap), compact}, {fmt.Sprintf("%dD-%dfull", dim, pageBytes/tree.leafEntrySize), full}} {
+			b.Run(c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := tree.decodeNode(7, c.page); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // FuzzDecodeNode feeds arbitrary bytes to the node decoder as a leaf or an
-// intermediate page of a U-tree and a U-PCR tree, in 2-D and 3-D. The
-// decoder returns a typed BadPageError, or a packed node that every accessor
-// reads without panicking and whose edit form re-encodes to the bytes the
-// page uses: the level, the count and the entries, less the pad word of an
-// intermediate entry, which nothing reads and encodeNode zeroes.
+// intermediate page of a U-tree and a U-PCR tree, in 2-D and 3-D, each with
+// a two-shape table. The decoder returns a typed BadPageError, or a packed
+// node that every accessor reads without panicking and whose edit form
+// re-encodes to the bytes the page uses: the level, the count and the
+// entries, less
+// the pad word of an intermediate entry, which nothing reads and encodeNode
+// zeroes — and less the CFBs of a full U-tree entry that names a shape, as a
+// UTR4 file's do, which is rewritten compact.
 func FuzzDecodeNode(f *testing.F) {
 	var trees []*Tree
 	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}, {Dim: 3, Kind: UPCR}} {
-		tree, err := New(opt)
-		if err != nil {
-			f.Fatal(err)
-		}
-		trees = append(trees, tree)
+		trees = append(trees, keyedTree(f, opt))
 	}
 	for i, tree := range trees {
 		leaf, inner := fullNodePages(f, tree)
@@ -329,6 +392,16 @@ func FuzzDecodeNode(f *testing.F) {
 		f.Add(uint8(i), false, inner)
 		f.Add(uint8(i), true, leaf[:200])
 		f.Add(uint8(i), false, []byte{3, 0, 0xFF, 0xFF}) // count beyond capacity
+		if tree.kind == UTree {
+			_, mixed, utr4 := leafPages(f, tree)
+			f.Add(uint8(i), true, mixed)
+			f.Add(uint8(i), true, utr4)
+			// Full entries counted to a compact leaf's capacity overrun the
+			// page.
+			overrun := slices.Clone(utr4)
+			binary.LittleEndian.PutUint16(overrun[2:], uint16(tree.leafCap))
+			f.Add(uint8(i), true, overrun)
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, leaf bool, data []byte) {
 		tree := trees[int(which)%len(trees)]
@@ -359,25 +432,41 @@ func FuzzDecodeNode(f *testing.F) {
 			_, _ = p.addr(i)
 			if tree.kind == UPCR {
 				_ = p.boxes(i)
+			} else if p.compact(i) {
+				continue
 			} else if out, in := p.cfbs(i); len(out) != 4*tree.dim || len(in) != 4*tree.dim {
 				t.Fatalf("entry %d CFBs hold %d and %d coefficients", i, len(out), len(in))
 			}
 		}
 		again := make([]byte, pagefile.PageSize)
-		if err := tree.encodeNode(tree.expand(p), again); err != nil {
+		if err := tree.encodeNode(tree.expand(p, tree.shapes), again); err != nil {
 			t.Fatal(err)
-		}
-		sz := tree.leafEntrySize
-		if !p.leaf() {
-			sz = tree.innerEntrySize
 		}
 		want := make([]byte, pagefile.PageSize)
 		want[0] = page[0]
 		copy(want[2:4], page[2:4])
-		end := nodeHeader + p.count*sz
-		copy(want[nodeHeader:end], page[nodeHeader:end])
-		for off := nodeHeader; !p.leaf() && off < end; off += sz {
-			clear(want[off+4 : off+8])
+		for i, from, to := 0, nodeHeader, nodeHeader; i < p.count; i++ {
+			sz, keep := tree.innerEntrySize, tree.innerEntrySize
+			compact := false
+			if p.leaf() {
+				_, ref := p.addr(i)
+				compact = tree.kind == UTree && ref != 0
+			}
+			switch {
+			case p.leaf() && p.compact(i):
+				sz, keep = tree.compactEntrySize, tree.compactEntrySize
+			case compact:
+				sz, keep = tree.leafEntrySize, tree.compactEntrySize
+			case p.leaf():
+				sz, keep = tree.leafEntrySize, tree.leafEntrySize
+			}
+			copy(want[to:to+keep], page[from:from+keep])
+			if !p.leaf() {
+				clear(want[to+4 : to+8])
+			} else if compact {
+				want[to+15] |= compactEntry >> 8
+			}
+			from, to = from+sz, to+keep
 		}
 		if !bytes.Equal(again, want) {
 			t.Fatal("the decoded node re-encodes to other bytes")
@@ -627,21 +716,32 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 	}
 }
 
+// TestEncodeNodeRejectsOverfull: one entry beyond a page of full entries,
+// of compact ones, and a full page of compact entries with one turned full.
 func TestEncodeNodeRejectsOverfull(t *testing.T) {
-	tree, _ := New(Options{Dim: 2})
-	n := &node{page: 1, level: 0}
+	tree := keyedTree(t, Options{Dim: 2})
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i <= tree.leafCap; i++ { // one beyond capacity
-		n.entries = append(n.entries, entry{
-			id:  int64(i),
-			mbr: randRectIn(rng, 2, 100),
-			out: randCFB(rng, 2),
-			in:  randCFB(rng, 2),
-		})
-	}
-	buf := make([]byte, pagefile.PageSize)
-	if err := tree.encodeNode(n, buf); err == nil {
-		t.Fatal("overfull node serialized")
+	for _, c := range []struct {
+		n      int
+		keyed  func(i int) bool
+		fitsAt int // entries that still fit
+	}{
+		{37, func(int) bool { return false }, 36},
+		{86, func(int) bool { return true }, 85},
+		{85, func(i int) bool { return i > 0 }, 84},
+	} {
+		n := &node{page: 1, level: 0}
+		for i := 0; i < c.n; i++ {
+			n.entries = append(n.entries, randLeafEntry(rng, tree, c.keyed(i)))
+		}
+		buf := make([]byte, pagefile.PageSize)
+		if err := tree.encodeNode(n, buf); err == nil {
+			t.Fatalf("%d entries, %d B: overfull node serialized", c.n, tree.entryBytes(n.entries, true))
+		}
+		n.entries = n.entries[len(n.entries)-c.fitsAt:]
+		if err := tree.encodeNode(n, buf); err != nil {
+			t.Fatalf("%d entries, %d B: %v", c.fitsAt, tree.entryBytes(n.entries, true), err)
+		}
 	}
 }
 
@@ -661,8 +761,8 @@ func TestDecodeNodeRejectsCorruptCount(t *testing.T) {
 func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 	// The shape reference took two bytes that were there: on the page (the
 	// sizes and capacities below are what they were before it) and in memory.
-	if sz := unsafe.Sizeof(entry{}); sz != 168 {
-		t.Errorf("entry struct is %d bytes, was 168 before it held a shape reference", sz)
+	if sz := unsafe.Sizeof(entry{}); sz != 176 {
+		t.Errorf("entry struct is %d bytes, want 176: 168 with its shape reference, and a pointer to the shape's fit", sz)
 	}
 	// d=2 U-tree: id(8)+addr(6)+shape(2)+MBR(32)+CFBs(16 float32 = 64) = 112.
 	leaf, inner := entrySizes(UTree, 2, 15)
@@ -680,9 +780,19 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 	if inner3 != 8+96 {
 		t.Errorf("U-tree 3D inner entry = %d B, want 104", inner3)
 	}
-	for _, c := range []struct{ dim, leaf, inner int }{{2, 36, 56}, {3, 25, 39}} {
+	// Full entries fill a page at 36 (2-D) and 25 (3-D), compact ones —
+	// id(8)+addr(6)+shape(2)+MBR, 48 and 64 B — at 85 and 63, which is
+	// what Fanout reports.
+	for _, c := range []struct{ dim, leaf, compact, inner int }{{2, 36, 85, 56}, {3, 25, 63, 39}} {
 		if lc, ic := capacities(UTree, c.dim, 15); lc != c.leaf || ic != c.inner {
 			t.Errorf("U-tree %dD capacities = %d/%d, want %d/%d", c.dim, lc, ic, c.leaf, c.inner)
+		}
+		tree, err := New(Options{Dim: c.dim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lc, ic := tree.Fanout(); lc != c.compact || ic != c.inner || compactSize(c.dim) != 16+16*c.dim {
+			t.Errorf("U-tree %dD fan-out = %d/%d, want %d/%d", c.dim, lc, ic, c.compact, c.inner)
 		}
 	}
 	// d=2 U-PCR at m=9: 36 PCR values = 288 B + ids.

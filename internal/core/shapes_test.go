@@ -231,7 +231,7 @@ func TestShapeTablePersists(t *testing.T) {
 }
 
 // TestOpenOlderLayouts: files written before records could be keyed open,
-// answer as they always did and are UTR4 files after their first commit,
+// answer as they always did and are UTR5 files after their first commit,
 // from which on a new ball gets a keyed record; old records stay full.
 //   - UTR2, written before leaf entries held shape references: magic UTR2,
 //     zeroes where the table and the references are, so it opens with an
@@ -251,7 +251,9 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			// What the older writer did: full records, and under UTR2 no
-			// object had a ShapeKey to it.
+			// object had a ShapeKey to it. (Its UTR3 leaves held keyed
+			// entries in full, as the UTR4 file TestOpenUTR4File opens
+			// does; these are written compact, as this version writes them.)
 			entries, err := tree.buildLeafEntries(objs)
 			if err != nil {
 				t.Fatal(err)
@@ -261,7 +263,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 			}
 			for i := range entries {
 				if tc.magic == metaMagicV2 {
-					entries[i].shape = 0
+					entries[i] = tree.leafEntry(objs[i], 0)
 				}
 				if entries[i].addr, err = tree.appendRecord(objs[i], 0); err != nil {
 					t.Fatal(err)
@@ -318,7 +320,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if binary.LittleEndian.Uint32(meta) != metaMagic {
-				t.Fatal("the first commit (rangeQuery's) did not make the file UTR4")
+				t.Fatal("the first commit (rangeQuery's) did not make the file UTR5")
 			}
 			near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
 			addr, err := old.Insert(near)
@@ -597,6 +599,7 @@ func FuzzOpenMeta(f *testing.F) {
 		return b
 	}
 	f.Add(good)
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV4) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV3) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV2) }))
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b, metaMagicV1) }))

@@ -9,17 +9,29 @@ import (
 // splitGroups partitions the given rectangles into two groups following the
 // R*-tree split of Beckmann et al. (SIGMOD 1990): choose the axis minimizing
 // the summed margins of all candidate distributions, then the distribution
-// minimizing overlap (ties: minimum total area). minFill is the minimum
-// number of entries per group (R* uses 40% of capacity). It returns the
-// index sets of the two groups; every index appears in exactly one group.
-// chooseSplit feeds it the entries' boxes at one catalog value (Section 5.3).
-func splitGroups(rects []geom.Rect, minFill int) (left, right []int) {
+// minimizing overlap (ties: minimum total area). size[i] is entry i's bytes
+// and minFill the fewest bytes a group may hold (R* uses 40% of capacity):
+// the candidate distributions are the cuts of a sorted order that leave
+// both groups that much, which for entries of one size are R*'s by count.
+// It returns the index sets of the two groups; every index appears in
+// exactly one group. chooseSplit feeds it the entries' boxes at one catalog
+// value (Section 5.3).
+func splitGroups(rects []geom.Rect, size []int, minFill int) (left, right []int) {
 	n := len(rects)
-	if minFill < 1 {
-		minFill = 1
+	total := 0
+	for _, s := range size {
+		total += s
 	}
-	if n < 2*minFill {
-		panic("core: too few entries to split at the requested fill")
+	// cuts returns the valid k of ord: ord[:k] and ord[k:] both hold
+	// minFill bytes or more.
+	cuts := func(ord []int) []int {
+		var ks []int
+		for k, pre := 1, size[ord[0]]; k < n; k, pre = k+1, pre+size[ord[k]] {
+			if pre >= minFill && total-pre >= minFill {
+				ks = append(ks, k)
+			}
+		}
+		return ks
 	}
 	d := rects[0].Dim()
 
@@ -45,7 +57,7 @@ func splitGroups(rects []geom.Rect, minFill int) (left, right []int) {
 
 		margin := 0.0
 		for _, ord := range [][]int{byLo, byHi} {
-			for k := minFill; k <= n-minFill; k++ {
+			for _, k := range cuts(ord) {
 				margin += mbrOf(rects, ord[:k]).Margin() + mbrOf(rects, ord[k:]).Margin()
 			}
 		}
@@ -59,7 +71,7 @@ func splitGroups(rects []geom.Rect, minFill int) (left, right []int) {
 	bestOverlap, bestArea := 0.0, 0.0
 	first := true
 	for _, ord := range [][]int{orders[bestAxis].byLo, orders[bestAxis].byHi} {
-		for k := minFill; k <= n-minFill; k++ {
+		for _, k := range cuts(ord) {
 			l, r := ord[:k], ord[k:]
 			bl, br := mbrOf(rects, l), mbrOf(rects, r)
 			ov := bl.Overlap(br)
@@ -71,6 +83,9 @@ func splitGroups(rects []geom.Rect, minFill int) (left, right []int) {
 				bestR = append(bestR[:0], r...)
 			}
 		}
+	}
+	if first {
+		panic("core: too few entries to split at the requested fill")
 	}
 	return bestL, bestR
 }

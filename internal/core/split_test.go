@@ -18,18 +18,37 @@ func randRect(rng *rand.Rand, dim int, span, maxSide float64) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
+// TestSplitGroupsProperties: both groups hold minFill, counted in entries
+// of one size (R*'s minimum by count) or in the bytes of compact (48 B) and
+// full (112 B) leaf entries mixed.
 func TestSplitGroupsProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		n := 8 + rng.Intn(20)
-		minFill := 2 + rng.Intn(n/4)
 		rects := make([]geom.Rect, n)
+		size := make([]int, n)
+		total := 0
 		for i := range rects {
 			rects[i] = randRect(rng, 2, 100, 20)
+			size[i] = 1
+			if trial%2 == 1 {
+				size[i] = []int{48, 112}[rng.Intn(2)]
+			}
+			total += size[i]
 		}
-		l, r := splitGroups(rects, minFill)
-		if len(l) < minFill || len(r) < minFill {
-			t.Fatalf("fill violated: %d/%d with minFill %d", len(l), len(r), minFill)
+		minFill := 2 + rng.Intn(n/4)
+		if trial%2 == 1 {
+			minFill = 1 + rng.Intn(total/2-112)
+		}
+		l, r := splitGroups(rects, size, minFill)
+		bytes := func(g []int) (b int) {
+			for _, i := range g {
+				b += size[i]
+			}
+			return b
+		}
+		if bytes(l) < minFill || bytes(r) < minFill {
+			t.Fatalf("fill violated: %d/%d with minFill %d", bytes(l), bytes(r), minFill)
 		}
 		seen := make([]bool, n)
 		for _, i := range append(append([]int{}, l...), r...) {
@@ -61,7 +80,11 @@ func TestSplitGroupsSeparatesClusters(t *testing.T) {
 		}
 		rects = append(rects, r)
 	}
-	l, r := splitGroups(rects, 4)
+	size := make([]int, len(rects))
+	for i := range size {
+		size[i] = 1
+	}
+	l, r := splitGroups(rects, size, 4)
 	check := func(group []int) bool {
 		low := 0
 		for _, i := range group {

@@ -104,8 +104,13 @@ type Tree struct {
 	// another node becomes the root.
 	rootMBR geom.Rect
 
+	// Fan-outs (Fanout) and entry sizes. Capacity is pageBytes; the
+	// minimum fill and the forced-reinsert share are bytes too, those of
+	// R*'s 40 % and 30 % of a node of full entries, so a node of full
+	// entries alone fills, splits and reinserts as it did by count.
 	leafCap, innerCap             int
 	leafEntrySize, innerEntrySize int
+	compactEntrySize              int
 	minLeaf, minInner             int
 	reinsertLeaf, reinsertInner   int
 
@@ -224,16 +229,21 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 	t.pool = pagefile.NewBufferPool(t.store, bufPages)
 	t.vs.AttachPool(t.pool)
 	t.attachNodeCache(opt.NodeCacheEntries)
-	t.leafCap, t.innerCap = capacities(kind, dim, m)
+	leafCap, innerCap := capacities(kind, dim, m)
 	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)
-	if t.leafCap < 4 || t.innerCap < 4 {
+	if leafCap < 4 || innerCap < 4 {
 		return nil, fmt.Errorf("core: %v with d=%d m=%d yields fanout %d/%d < 4; reduce the catalog",
-			kind, dim, m, t.leafCap, t.innerCap)
+			kind, dim, m, leafCap, innerCap)
 	}
-	t.minLeaf = max1(t.leafCap * 2 / 5)
-	t.minInner = max1(t.innerCap * 2 / 5)
-	t.reinsertLeaf = max1(t.leafCap * 3 / 10)
-	t.reinsertInner = max1(t.innerCap * 3 / 10)
+	t.minLeaf = max1(leafCap*2/5) * t.leafEntrySize
+	t.minInner = max1(innerCap*2/5) * t.innerEntrySize
+	t.reinsertLeaf = max1(leafCap*3/10) * t.leafEntrySize
+	t.reinsertInner = max1(innerCap*3/10) * t.innerEntrySize
+	t.compactEntrySize, t.leafCap, t.innerCap = t.leafEntrySize, leafCap, innerCap
+	if kind == UTree {
+		t.compactEntrySize = compactSize(dim)
+		t.leafCap = pageBytes / t.compactEntrySize
+	}
 	return t, nil
 }
 
@@ -260,7 +270,10 @@ func (t *Tree) Len() int { return t.size }
 func (t *Tree) Height() int { return t.rootLevel + 1 }
 
 // Fanout reports the leaf and intermediate node capacities (for Table 1
-// style reporting).
+// style reporting): the most entries a node holds. Capacity is counted in
+// bytes, so a U-tree leaf's is in compact entries, the form of an object
+// with a shape — 85 in 2-D, 63 in 3-D; a leaf of unkeyed (full) entries
+// holds 36 or 25, and a mixed one what fits between.
 func (t *Tree) Fanout() (leaf, inner int) { return t.leafCap, t.innerCap }
 
 // SizeBytes reports total pages × page size (index + data pages).
@@ -352,13 +365,12 @@ func (t *Tree) checkObject(o Object) error {
 }
 
 // leafEntry derives the leaf entry of a checked object, without its data
-// address: CFBs (U-tree) or the PCR list itself (U-PCR). An object with a
-// shape reference gets them from its shape's fit — the shape's CFB pair
-// translated to the object's centre and repaired against the object's own
-// PCR faces — and one without computes its PCRs and fits them. It reads no
-// tree state beyond the shape table, which only the writer's shapeRef
-// extends, so BulkLoad runs it on several goroutines once every object has
-// its reference.
+// address. A keyed U-tree entry carries its shape's fit, fitted once per
+// shape, and nothing else; an unkeyed one computes its PCRs and fits its
+// float32 CFBs; a U-PCR entry holds its PCR list, from its shape's offsets
+// where it has a shape. It reads no tree state beyond the shape table, which
+// only the writer's shapeRef extends, so BulkLoad runs it on several
+// goroutines once every object has its reference.
 func (t *Tree) leafEntry(o Object, shape uint16) entry {
 	e := entry{id: o.ID, mbr: o.PDF.MBR(), shape: shape}
 	var fit *pcr.Shape
@@ -367,7 +379,7 @@ func (t *Tree) leafEntry(o Object, shape uint16) entry {
 	}
 	switch {
 	case t.kind == UTree && fit != nil:
-		e.out, e.in = fit.Fit(o.PDF.Center(), e.mbr)
+		e.fit = fit
 	case t.kind == UTree:
 		pcrs := pcr.Compute(o.PDF, t.cat, nil)
 		e.out, e.in = pcr.FitOut(pcrs), pcr.FitIn(pcrs)
@@ -446,11 +458,7 @@ func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) error {
 		return err
 	}
 	n.entries = append(n.entries, e)
-	capacity := t.leafCap
-	if !n.leaf() {
-		capacity = t.innerCap
-	}
-	if len(n.entries) <= capacity {
+	if t.entryBytes(n.entries, n.leaf()) <= pageBytes {
 		if err := t.writeNode(n); err != nil {
 			return err
 		}
@@ -638,11 +646,7 @@ func (t *Tree) refreshPath(path []pathElem, target *node) error {
 // first time a level overflows within one top-level operation (never for
 // the root), split otherwise.
 func (t *Tree) handleOverflow(n *node, path []pathElem, reinserted map[int]bool) error {
-	capByLevel := t.leafCap
-	if !n.leaf() {
-		capByLevel = t.innerCap
-	}
-	if len(n.entries) <= capByLevel {
+	if t.entryBytes(n.entries, n.leaf()) <= pageBytes {
 		return nil
 	}
 	if len(path) > 0 && !reinserted[n.level] && !t.disableReinsert {
@@ -652,8 +656,10 @@ func (t *Tree) handleOverflow(n *node, path []pathElem, reinserted map[int]bool)
 	return t.split(n, path, reinserted)
 }
 
-// forceReinsert removes the 30% of entries whose summed centroid distance
-// from the node's boundary is largest, then reinserts them closest-first.
+// forceReinsert removes the entries whose summed centroid distance from the
+// node's boundary is largest, farthest first until they make up 30 % of a
+// node of full entries (reinsertLeaf, reinsertInner bytes), then reinserts
+// them closest-first.
 func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) error {
 	nodeBoxes := t.nodeBoundary(n)
 	type cand struct {
@@ -665,18 +671,20 @@ func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) 
 		cands[i] = cand{i, t.summedCenterDist(t.boundary(&n.entries[i], n.leaf()), nodeBoxes)}
 	}
 	// Selection-sort the p farthest (p is small).
-	p := t.reinsertLeaf
+	share := t.reinsertLeaf
 	if !n.leaf() {
-		p = t.reinsertInner
+		share = t.reinsertInner
 	}
-	for i := 0; i < p; i++ {
-		maxJ := i
-		for j := i + 1; j < len(cands); j++ {
+	p := 0
+	for taken := 0; taken < share; p++ {
+		maxJ := p
+		for j := p + 1; j < len(cands); j++ {
 			if cands[j].dist > cands[maxJ].dist {
 				maxJ = j
 			}
 		}
-		cands[i], cands[maxJ] = cands[maxJ], cands[i]
+		cands[p], cands[maxJ] = cands[maxJ], cands[p]
+		taken += t.entrySize(&n.entries[cands[p].idx], n.leaf())
 	}
 	removeSet := make(map[int]bool, p)
 	removed := make([]entry, 0, p)
@@ -759,7 +767,7 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 	parent.n.entries[parent.childIdx].boxes = t.nodeBoundary(n)
 	parent.n.entries[parent.childIdx].child = n.page // COW may have moved n
 	parent.n.entries = append(parent.n.entries, entry{child: sib.page, boxes: t.nodeBoundary(sib)})
-	if len(parent.n.entries) <= t.innerCap {
+	if t.entryBytes(parent.n.entries, false) <= pageBytes {
 		if err := t.writeNode(parent.n); err != nil {
 			return err
 		}
@@ -778,6 +786,10 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 	for i := range n.entries {
 		boundaries[i] = t.boundary(&n.entries[i], n.leaf())
 	}
+	size := make([]int, len(n.entries))
+	for i := range n.entries {
+		size[i] = t.entrySize(&n.entries[i], n.leaf())
+	}
 	rectsAt := func(j int) []geom.Rect {
 		rects := make([]geom.Rect, len(boundaries))
 		for i := range boundaries {
@@ -787,13 +799,13 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 	}
 	switch t.splitStrategy {
 	case SplitAtZero:
-		return splitGroups(rectsAt(0), minFill)
+		return splitGroups(rectsAt(0), size, minFill)
 	case SplitSummed:
 		// Evaluate the R* split at every catalog value, score each
 		// partition by its summed group overlap, keep the best.
 		bestScore := inf()
 		for j := 0; j < t.cat.Size(); j++ {
-			li, ri := splitGroups(rectsAt(j), minFill)
+			li, ri := splitGroups(rectsAt(j), size, minFill)
 			score := t.partitionOverlap(boundaries, li, ri)
 			if score < bestScore {
 				bestScore = score
@@ -802,7 +814,7 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 		}
 		return left, right
 	default: // SplitMedian — the paper's heuristic.
-		return splitGroups(rectsAt(t.cat.MedianIndex()), minFill)
+		return splitGroups(rectsAt(t.cat.MedianIndex()), size, minFill)
 	}
 }
 

@@ -22,10 +22,14 @@ type Table1Row struct {
 // is the ratio, ≈ 2.4–2.8× in the paper, driven by fanout.
 //
 // The comparison is no longer like for like: U-PCR entries hold exact PCR
-// faces at 8 bytes a value, U-tree leaf entries hold CFB coefficients at 4
-// (core.entrySizes; README "Leaf layout"). At -scale 0.05 the ratio is
-// 3.11 / 3.23 / 3.59 on LB / CA / Aircraft; with 8-byte coefficients on
-// both sides, as the paper has it, it was 2.04 / 2.00 / 2.15.
+// faces at 8 bytes a value, while a U-tree leaf entry of an object with a
+// shape — every object here — holds no coefficient at all, its CFBs being
+// its shape's translated (core.compactSize; README "Leaf layout"), and an
+// unkeyed one holds them at 4 bytes (core.entrySizes). At -scale 0.05 the
+// ratio is 7.33 / 7.73 / 9.14 on LB / CA / Aircraft; with every entry full
+// and 4-byte coefficients it was 3.11 / 3.23 / 3.59, and with 8-byte
+// coefficients on both sides, the paper's per-object layout, 2.04 / 2.00 /
+// 2.15.
 func Table1(cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Table1Row

@@ -15,9 +15,10 @@ import (
 //	box(p) = α − β·p    (per face),
 //
 // stored as one flat slab of 4d float32 coefficients laid out
-// αlo | βlo | αhi | βhi, d values each — the same bits in memory and in a
-// U-tree leaf entry, so a reopened tree filters exactly like the one that
-// wrote it. For cfb_out, box(p_j) contains the object's pcr(p_j) at every
+// αlo | βlo | αhi | βhi, d values each — the same bits in memory and in an
+// unkeyed U-tree leaf entry, so a reopened tree filters exactly like the one
+// that wrote it. (A keyed entry stores none: its faces are its shape's,
+// Shape.Translate.) For cfb_out, box(p_j) contains the object's pcr(p_j) at every
 // catalog value; for cfb_in each face lies inside the PCR face it
 // approximates. A CFB costs 4d 4-byte floats, so the out/in pair costs 8d
 // of them — the "16 (24) values in 2D (3D)" of the paper's Table 1
@@ -52,50 +53,71 @@ func (c CFB) Lo(i int, p float64) float64 { return c.lo(i).at(p) }
 // Hi returns the high face position on dimension i at probability p.
 func (c CFB) Hi(i int, p float64) float64 { return c.hi(i).at(p) }
 
-// span returns box(p)'s extent on dimension i for Rect, with crossed faces
-// collapsed to their midpoint so the extent is a valid interval. That suits
-// what Rect is for — materializing cfb_out boundaries, whose faces never
-// cross, and diagnostics — and nothing else: the inner faces of cfb_in meet
-// at p_m wherever Inequality 14 binds and inward rounding crosses them
-// there by an ulp or two, and their midpoint is no face of anything. The
-// filter reads faces one at a time (within, meets, cfbTail).
-func (c CFB) span(i int, p float64) (lo, hi float64) {
-	lo, hi = c.Lo(i, p), c.Hi(i, p)
-	if lo > hi {
-		mid := (lo + hi) / 2
-		lo, hi = mid, mid
+// Faces is a leaf entry's cfb_out and cfb_in as the rules read them: four
+// float64 lines a dimension — cfb_out's low and high face, then cfb_in's.
+// SetCFB reads them off a stored float32 pair; Shape.Translate derives
+// them from the entry's shape. Every rule on CFBs (Filter's Rules 1–2,
+// ProbBounds' tails) reads a Faces, so both leaf-entry forms are decided
+// by one set of rule functions.
+type Faces []line
+
+// facesStack is how many lines FilterCFB holds on the stack: a 3-D pair's.
+const facesStack = 12
+
+// SetCFB sets f to the faces of a stored pair. A float32 coefficient
+// widens to float64 exactly, so each face evaluates bit for bit as
+// CFB.Lo and CFB.Hi evaluate it.
+func (f *Faces) SetCFB(out, in CFB) { *f = f.stored(out, in) }
+
+// stored is SetCFB over f's backing array, returned rather than stored so
+// that an array on the caller's stack stays there.
+func (f Faces) stored(out, in CFB) Faces {
+	f = f[:0]
+	for i := 0; i < out.Dim(); i++ {
+		f = append(f, out.lo(i), out.hi(i), in.lo(i), in.hi(i))
 	}
-	return lo, hi
+	return f
 }
 
-// Rect materializes box(p).
-func (c CFB) Rect(p float64) geom.Rect {
-	d := c.Dim()
-	lo := make(geom.Point, d)
-	hi := make(geom.Point, d)
+// Rect materializes cfb_out's box(p), with crossed faces collapsed to their
+// midpoint so each extent is a valid interval. That suits what Rect is for
+// — the boundaries (MBR⊥, MBR⊤) of a leaf entry, whose cfb_out faces never
+// cross, and diagnostics — and nothing else: the faces of cfb_in meet at
+// p_m wherever Inequality 14 binds and inward rounding crosses them there,
+// and their midpoint is no face of anything. The filter reads faces one at
+// a time (within, meets, cfbTail).
+func (f Faces) Rect(p float64) geom.Rect {
+	d := len(f) / 4
+	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
 	for i := 0; i < d; i++ {
-		lo[i], hi[i] = c.span(i, p)
+		lo, hi := f[4*i].at(p), f[4*i+1].at(p)
+		if lo > hi {
+			lo = (lo + hi) / 2
+			hi = lo
+		}
+		r.Lo[i], r.Hi[i] = lo, hi
 	}
-	return geom.Rect{Lo: lo, Hi: hi}
+	return r
 }
 
-// within reports whether rq contains both faces of box(p) on every
-// dimension: rq.Contains(c.Rect(p)) where the faces are in order, and
-// still a sound "rq contains the PCR" test on cfb_in where they cross,
-// since each face is on the safe side of its PCR face by itself.
-func (c CFB) within(p float64, rq geom.Rect) bool {
+// within reports whether rq contains both cfb_in faces at p on every
+// dimension: rq contains cfb_in's box(p) where the faces are in order, and
+// still a sound "rq contains the PCR" test where they cross, since each
+// face is on the safe side of its PCR face by itself.
+func (f Faces) within(p float64, rq geom.Rect) bool {
 	for i := range rq.Lo {
-		if c.Lo(i, p) < rq.Lo[i] || c.Hi(i, p) > rq.Hi[i] {
+		if f[4*i+2].at(p) < rq.Lo[i] || f[4*i+3].at(p) > rq.Hi[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// meets reports rq.Intersects(c.Rect(p)) without materializing the box.
-func (c CFB) meets(p float64, rq geom.Rect) bool {
+// meets reports whether rq intersects cfb_out's box(p), without
+// materializing the box.
+func (f Faces) meets(p float64, rq geom.Rect) bool {
 	for i := range rq.Lo {
-		if rq.Hi[i] < c.Lo(i, p) || c.Hi(i, p) < rq.Lo[i] {
+		if rq.Hi[i] < f[4*i].at(p) || f[4*i+1].at(p) < rq.Lo[i] {
 			return false
 		}
 	}
@@ -126,14 +148,13 @@ func (c CFB) meets(p float64, rq geom.Rect) bool {
 // Both fits need the PCRs to nest (low faces ascend with p, high faces
 // descend), which faces enforces.
 //
-// The float64 stage runs once per pdf shape, not per object. A CFB of a
-// translated pdf is the same CFB translated, so Shape fits the shape's
-// faces about its centre, and Shape.Fit gives an object of that shape the
-// fitted lines with their intercepts shifted by its centre. quantise and
-// the zero-tolerance repair then run against the object's own PCR faces, as
-// FitOut and FitIn would run them, so the stored CFB meets the same
-// invariant and differs from FitOut's and FitIn's by at most an ulp or two
-// of float32 rounding. FitOut and FitIn remain for objects without a shape.
+// The float64 stage runs once per pdf shape, not per object, and for an
+// object with a shape it is all there is. A CFB of a translated pdf is the
+// same CFB translated, so Shape fits the shape's faces once, and
+// Shape.Translate moves them to an object of that shape and pushes each one
+// to its safe side by ShapeSlack's δ, in float64; such an entry stores no
+// coefficient. FitOut and FitIn, with their float32 stage, are for objects
+// without a shape.
 
 // fitStack is the catalog size up to which a fit's scratch lives on the
 // goroutine stack; larger catalogs spill to the heap through append.
@@ -157,7 +178,7 @@ func (s *fitScratch) columns(pcrs PCRs, i int) (lo, hi []float64) {
 }
 
 // faces builds one dimension's PCR faces over the catalog — the column
-// Compute stores and Shape.Fit repairs against — for a pdf centred at c
+// Compute stores and Shape.Translate is held to — for a pdf centred at c
 // whose region MBR spans [mbrLo, mbrHi] there, from its shape's quantile
 // offsets (off[2j] and off[2j+1] those of pcr−(p_j) and pcr+(p_j)).
 func (s *fitScratch) faces(c float64, off []float64, mbrLo, mbrHi float64) (lo, hi []float64) {
@@ -421,17 +442,20 @@ func (c CFB) repairIn(cat Catalog, i int, los, his []float64) {
 }
 
 // Shape is one pdf shape's fit, shared by every object of that shape: the
-// shape's quantile offsets from its centre at every catalog value, and the
-// float64 stage of its cfb_out and cfb_in fitted once about the centre. Both
-// are computed from the prototype NewShape was given, on first use and
-// exactly once, so they depend on the prototype and the catalog alone —
-// not on which object or goroutine asked first. Safe for concurrent use.
+// shape's quantile offsets from its centre at every catalog value, and its
+// cfb_out and cfb_in as float64 lines in the prototype's frame, each guarded
+// to lie on its safe side of the prototype's own PCR faces as evaluated.
+// Both are computed from the prototype NewShape was given, on first use and
+// exactly once, so they depend on the prototype and the catalog alone — not
+// on which object or goroutine asked first. Safe for concurrent use.
 type Shape struct {
 	proto updf.PDF
 	cat   Catalog
 	once  sync.Once
+	pm    geom.Rect   // proto.MBR()
+	pmax  []float64   // pmax[i]: the larger of |pm.Lo[i]| and |pm.Hi[i]|
 	off   [][]float64 // off[i]: dimension i's 2m offsets, as QuantileCache holds them
-	lines []line      // 4 per dimension: cfb_out low, high, cfb_in low, high
+	lines []line      // 4 per dimension, laid out as Faces lays them out
 }
 
 // NewShape returns the fit of proto's shape over catalog cat.
@@ -439,41 +463,73 @@ func NewShape(proto updf.PDF, cat Catalog) *Shape {
 	return &Shape{proto: proto, cat: cat}
 }
 
+// fit runs the float64 stage about the prototype's centre, where the faces
+// are offsets no larger than the shape, then guards each face against the
+// PCR faces it was fitted to: the hull fit is exact only up to float64
+// rounding, so an intercept is stepped to its safe side until the face as
+// evaluated clears every point. Only then are the lines moved to the
+// prototype's frame.
 func (s *Shape) fit() {
-	ctr, mbr := s.proto.Center(), s.proto.MBR()
-	s.off, s.lines = make([][]float64, len(ctr)), make([]line, 4*len(ctr))
+	ctr := s.proto.Center()
+	s.pm = s.proto.MBR()
+	s.off, s.lines, s.pmax = make([][]float64, len(ctr)), make([]line, 4*len(ctr)), make([]float64, len(ctr))
 	var sc fitScratch
 	for i, c := range ctr {
 		s.off[i] = (*QuantileCache)(nil).offsets(s.proto, "", i, s.cat)
-		los, his := sc.faces(0, s.off[i], mbr.Lo[i]-c, mbr.Hi[i]-c)
+		los, his := sc.faces(0, s.off[i], s.pm.Lo[i]-c, s.pm.Hi[i]-c)
+		s.pmax[i] = max(math.Abs(s.pm.Lo[i]), math.Abs(s.pm.Hi[i]))
 		f := s.lines[4*i : 4*i+4]
 		f[0], f[1] = sc.outFaces(s.cat, los, his)
 		f[2], f[3] = sc.inFaces(s.cat, los, his)
+		for k, g := range [4]struct {
+			y    []float64
+			down bool
+		}{{los, true}, {his, false}, {los, false}, {his, true}} {
+			f[k] = f[k].guard(s.cat.values, g.y, g.down).shift(c)
+		}
 	}
 }
 
-// Fit returns the cfb_out and cfb_in of the object of this shape centred at
-// ctr whose region MBR is mbr, laid over one coefficient slab: the shape's
-// lines shifted by the centre, quantised as FitOut and FitIn quantise, and
-// repaired against the object's own PCR faces. They meet FitOut's and
-// FitIn's invariants exactly against the PCRs Shape.PCRs gives the object
-// (the shape's offsets plus its centre), and Validate's against those
-// Compute derives from the object's own quantiles.
-func (s *Shape) Fit(ctr geom.Point, mbr geom.Rect) (out, in CFB) {
-	s.once.Do(s.fit)
-	d := len(ctr)
-	slab := make(CFB, 8*d)
-	out, in = slab[:4*d:4*d], slab[4*d:]
-	var sc fitScratch
-	for i, c := range ctr {
-		los, his := sc.faces(c, s.off[i], mbr.Lo[i], mbr.Hi[i])
-		f := s.lines[4*i : 4*i+4]
-		out.quantise(i, f[0].shift(c), f[1].shift(c), true)
-		out.repairOut(s.cat, i, los, his)
-		in.quantise(i, f[2].shift(c), f[3].shift(c), false)
-		in.repairIn(s.cat, i, los, his)
+// guard returns l with its intercept moved down (down) or up until l.at(p[j])
+// is at or below (above) y[j] at every j, as evaluated.
+func (l line) guard(p, y []float64, down bool) line {
+	for j := range p {
+		for short := l.at(p[j]) - y[j]; down && short > 0; short = l.at(p[j]) - y[j] {
+			l.alpha = math.Nextafter(l.alpha-short, math.Inf(-1))
+		}
+		for short := y[j] - l.at(p[j]); !down && short > 0; short = y[j] - l.at(p[j]) {
+			l.alpha = math.Nextafter(l.alpha+short, math.Inf(1))
+		}
 	}
-	return out, in
+	return l
+}
+
+// Translate sets f to the faces of the object of this shape whose region
+// MBR is mbr: the shape's lines moved by mbr − pm, the prototype's MBR, and
+// each pushed by δ = ShapeSlack(pm, mbr, i) to its safe side — cfb_out's
+// faces outward, cfb_in's inward. mbr recovers the translation to within δ
+// (ShapeSlack), which also covers the rounding of the sums here, so the
+// faces hold FitOut's and FitIn's invariants, at zero tolerance, against
+// the PCRs Shape.PCRs gives the object (TestFitTranslated).
+func (s *Shape) Translate(f *Faces, mbr geom.Rect) {
+	s.once.Do(s.fit)
+	if cap(*f) < len(s.lines) {
+		*f = make(Faces, len(s.lines))
+	}
+	*f = (*f)[:len(s.lines)]
+	for i, lo := range mbr.Lo {
+		// δ = ShapeSlack(s.pm, mbr, i), with the prototype's half done once.
+		d := s.pmax[i]
+		if a := math.Abs(lo); a > d {
+			d = a
+		}
+		if a := math.Abs(mbr.Hi[i]); a > d {
+			d = a
+		}
+		c, d := lo-s.pm.Lo[i], d*0x1p-48
+		l, t := s.lines[4*i:4*i+4], (*f)[4*i:4*i+4]
+		t[0], t[1], t[2], t[3] = l[0].shift(c-d), l[1].shift(c+d), l[2].shift(c+d), l[3].shift(c-d)
+	}
 }
 
 // PCRs returns the PCRs of the object of this shape centred at ctr whose
@@ -483,22 +539,26 @@ func (s *Shape) PCRs(ctr geom.Point, mbr geom.Rect) PCRs {
 	return pcrsAt(s.cat, ctr, mbr, s.off)
 }
 
-// Validate checks the conservative invariants of an out/in CFB pair against
-// the PCRs they were fitted to, face by face — cfb_out's outside their PCR
+// Validate checks the conservative invariants of an entry's faces against
+// the PCRs they approximate, face by face — cfb_out's outside their PCR
 // faces, cfb_in's inside — and returns a descriptive error on the first
-// violation beyond floating-point tolerance.
-func Validate(out, in CFB, pcrs PCRs) error {
+// violation beyond tolerance: 1e-9 of the coordinates, as floating point
+// needs, and of the region's extent, the precision a quantile is computed
+// to (updf.MarginalQuantile), which faces from another object's quantiles
+// — a shape's — can differ from these by.
+func Validate(f Faces, pcrs PCRs) error {
 	for j, box := range pcrs.Boxes {
 		p := pcrs.Cat.Value(j)
 		for i := range box.Lo {
-			tol := 1e-9 * (1 + math.Abs(box.Lo[i]) + math.Abs(box.Hi[i]))
-			if out.Lo(i, p) > box.Lo[i]+tol || out.Hi(i, p) < box.Hi[i]-tol {
+			tol := 1e-9 * (1 + math.Abs(box.Lo[i]) + math.Abs(box.Hi[i]) + pcrs.Boxes[0].Side(i))
+			outLo, outHi, inLo, inHi := f[4*i].at(p), f[4*i+1].at(p), f[4*i+2].at(p), f[4*i+3].at(p)
+			if outLo > box.Lo[i]+tol || outHi < box.Hi[i]-tol {
 				return fmt.Errorf("pcr: cfb_out(%g) = [%v, %v] on dimension %d does not contain pcr = %v",
-					p, out.Lo(i, p), out.Hi(i, p), i, box)
+					p, outLo, outHi, i, box)
 			}
-			if in.Lo(i, p) < box.Lo[i]-tol || in.Hi(i, p) > box.Hi[i]+tol {
+			if inLo < box.Lo[i]-tol || inHi > box.Hi[i]+tol {
 				return fmt.Errorf("pcr: cfb_in(%g) faces %v, %v on dimension %d not inside pcr = %v",
-					p, in.Lo(i, p), in.Hi(i, p), i, box)
+					p, inLo, inHi, i, box)
 			}
 		}
 	}

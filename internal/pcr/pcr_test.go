@@ -194,9 +194,9 @@ func TestFitOutCoversAndFitInContained(t *testing.T) {
 	cache := NewQuantileCache()
 	for pi, p := range testPDFs(rng) {
 		pcrs := Compute(p, cat, cache)
-		out := FitOut(pcrs)
-		in := FitIn(pcrs)
-		if err := Validate(out, in, pcrs); err != nil {
+		var f Faces
+		f.SetCFB(FitOut(pcrs), FitIn(pcrs))
+		if err := Validate(f, pcrs); err != nil {
 			t.Fatalf("pdf %d: %v", pi, err)
 		}
 	}
@@ -212,8 +212,8 @@ func TestFitOutTightness(t *testing.T) {
 	in := FitIn(pcrs)
 	for j := 0; j < cat.Size(); j++ {
 		pj := cat.Value(j)
-		ob := out.Rect(pj)
-		ib := in.Rect(pj)
+		ob := storedFaces(out, in).Rect(pj)
+		ib := storedFaces(in, out).Rect(pj)
 		box := pcrs.Boxes[j]
 		for i := 0; i < 2; i++ {
 			if math.Abs(ob.Lo[i]-box.Lo[i]) > 1e-6 || math.Abs(ob.Hi[i]-box.Hi[i]) > 1e-6 {
@@ -227,8 +227,8 @@ func TestFitOutTightness(t *testing.T) {
 }
 
 func TestCFBRectCollapsesInversion(t *testing.T) {
-	c := CFB{10, -20, 12, 0} // lo(p) = 10 + 20p, hi(p) = 12
-	r := c.Rect(0.5)         // lo = 20 > hi = 12 → midpoint 16
+	c := CFB{10, -20, 12, 0}         // lo(p) = 10 + 20p, hi(p) = 12
+	r := storedFaces(c, c).Rect(0.5) // lo = 20 > hi = 12 → midpoint 16
 	if r.Lo[0] != 16 || r.Hi[0] != 16 {
 		t.Fatalf("inverted faces not collapsed: %v", r)
 	}
@@ -239,7 +239,8 @@ func TestCFBRectCollapsesInversion(t *testing.T) {
 // allow pcr = [18, 19], which rq = [17, 30] contains; their midpoint 16
 // lies outside rq and must not decide.
 func TestWithinReadsFacesNotMidpoint(t *testing.T) {
-	c := CFB{10, -20, 12, 0}
+	var c Faces
+	c.SetCFB(CFB{0, 0, 0, 0}, CFB{10, -20, 12, 0})
 	if !c.within(0.5, geom.NewRect(geom.Point{17}, geom.Point{30})) {
 		t.Fatal("within decided by the midpoint of crossed faces")
 	}

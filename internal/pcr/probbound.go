@@ -176,15 +176,14 @@ func cfbTail(x float64, p []float64, outLo, inLo, inHi, outHi line) tail {
 	return t
 }
 
-// ProbBoundsCFB brackets the qualification probability of an object stored
-// as a cfb_out/cfb_in pair (the U-tree leaf format); mbr is the MBR of its
-// uncertainty region, which cfb_out(0) only covers.
-func ProbBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
+// ProbBounds brackets the qualification probability of an object with
+// these faces; mbr is the MBR of its uncertainty region, which cfb_out(0)
+// only covers.
+func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 	acc := newBounds()
 	for i := range rq.Lo {
 		var left, right tail // zero: rq reaches past the MBR, the tail is empty
-		outLo, outHi := out.lo(i), out.hi(i)
-		inLo, inHi := in.lo(i), in.hi(i)
+		outLo, outHi, inLo, inHi := f[4*i], f[4*i+1], f[4*i+2], f[4*i+3]
 		if a := rq.Lo[i]; a > mbr.Lo[i] {
 			left = cfbTail(a, cat.values, outLo, inLo, inHi, outHi)
 		}

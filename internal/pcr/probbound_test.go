@@ -47,7 +47,14 @@ func boundTestRect(rng *rand.Rand, mbr geom.Rect) geom.Rect {
 
 var boundTestThresholds = []float64{0.1, 0.3, 0.5, 0.6, 0.9}
 
-// scanBoundsCFB is ProbBoundsCFB without the bisection: every catalog
+// storedFaces is the faces of a stored pair.
+func storedFaces(out, in CFB) Faces {
+	var f Faces
+	f.SetCFB(out, in)
+	return f
+}
+
+// scanBoundsCFB is Faces.ProbBounds on a stored pair without the bisection: every catalog
 // value's four faces folded into the tails, as ProbBoundsPCR does.
 func scanBoundsCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 	acc := newBounds()
@@ -93,7 +100,7 @@ func TestProbBoundsSound(t *testing.T) {
 				rq := boundTestRect(rng, mbr)
 				exact := p.ExactProb(rq)
 				lbP, ubP := ProbBoundsPCR(pcrs, rq)
-				lbC, ubC := ProbBoundsCFB(out, in, cat, mbr, rq)
+				lbC, ubC := storedFaces(out, in).ProbBounds(cat, mbr, rq)
 				if lbP > exact+eps || ubP+eps < exact {
 					t.Fatalf("m=%d pdf=%d: PCR bounds [%.9f, %.9f] miss exact %.9f for rq=%v", m, pi, lbP, ubP, exact, rq)
 				}
@@ -210,7 +217,7 @@ func TestProbUpperBoundBites(t *testing.T) {
 	if _, ub := ProbBoundsPCR(pcrs, sliver); ub > 0.2 {
 		t.Fatalf("PCR bound %.3f too loose for 5%% sliver", ub)
 	}
-	if _, ub := ProbBoundsCFB(out, in, cat, mbr, sliver); ub > 0.2 {
+	if _, ub := storedFaces(out, in).ProbBounds(cat, mbr, sliver); ub > 0.2 {
 		t.Fatalf("CFB bound %.3f too loose for 5%% sliver", ub)
 	}
 	// A narrow band through the middle holds 10%; Rules 1–2 pass it at

@@ -217,7 +217,7 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 	} else {
 		// Rule 2 with cfb_out (contains pcr, so "rq misses" transfers).
 		if j, ok := cat.LargestLE(pq); ok {
-			if !rq.Intersects(out.Rect(cat.Value(j))) {
+			if !rq.Intersects(storedFaces(out, in).Rect(cat.Value(j))) {
 				return Pruned
 			}
 		}
@@ -226,7 +226,7 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 	if pq > 0.5 {
 		// Rule 4 with cfb_out planes.
 		if j, ok := cat.LargestLE(1 - pq); ok {
-			if validateOuterSides(rq, mbr, out.Rect(cat.Value(j))) {
+			if validateOuterSides(rq, mbr, storedFaces(out, in).Rect(cat.Value(j))) {
 				return Validated
 			}
 		}
@@ -241,14 +241,14 @@ func paperFilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Out
 
 	// Rule 3 with cfb_out planes.
 	if j, ok := cat.LargestLE((1 - pq) / 2); ok {
-		if validateBetween(rq, mbr, out.Rect(cat.Value(j))) {
+		if validateBetween(rq, mbr, storedFaces(out, in).Rect(cat.Value(j))) {
 			return Validated
 		}
 	}
 	return Unknown
 }
 
-// rawBox is c.Rect(p) without the collapse of crossed faces: each side of
+// rawBox is Faces.Rect(p) without the collapse of crossed faces: each side of
 // the returned rectangle is one face of c, even where Lo > Hi.
 func rawBox(c CFB, p float64) geom.Rect {
 	r := geom.Rect{Lo: make(geom.Point, c.Dim()), Hi: make(geom.Point, c.Dim())}
@@ -274,46 +274,14 @@ func stage64(pcrs PCRs, stage func(*fitScratch, Catalog, []float64, []float64) (
 	return f
 }
 
-// filterFaces64 is FilterCFB with the faces read at float64: the same MBR
-// tests, Rule 1 on the raw inner faces or Rule 2 on the outer ones, then
-// ProbBoundsCFB's tails and decide.
+// filterFaces64 is FilterCFB with the faces read at float64: Faces.Filter
+// on the unrounded lines.
 func filterFaces64(out, in faces64, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
-	if !rq.Intersects(mbr) {
-		return Pruned
+	var f Faces
+	for i := range out {
+		f = append(f, out[i].lo, out[i].hi, in[i].lo, in[i].hi)
 	}
-	if rq.Contains(mbr) {
-		return Validated
-	}
-	if pq > 1-cat.Max() {
-		if j, ok := cat.SmallestGE(1 - pq); ok {
-			for i, f := range in {
-				if p := cat.Value(j); f.lo.at(p) < rq.Lo[i] || f.hi.at(p) > rq.Hi[i] {
-					return Pruned
-				}
-			}
-		}
-	} else {
-		if j, ok := cat.LargestLE(pq); ok {
-			for i, f := range out {
-				if p := cat.Value(j); rq.Hi[i] < f.lo.at(p) || f.hi.at(p) < rq.Lo[i] {
-					return Pruned
-				}
-			}
-		}
-	}
-	acc := newBounds()
-	for i := range rq.Lo {
-		var left, right tail
-		if a := rq.Lo[i]; a > mbr.Lo[i] {
-			left = cfbTail(a, cat.values, out[i].lo, in[i].lo, in[i].hi, out[i].hi)
-		}
-		if b := rq.Hi[i]; b < mbr.Hi[i] {
-			right = cfbTail(-b, cat.values, out[i].hi.mirror(), in[i].hi.mirror(), in[i].lo.mirror(), out[i].lo.mirror())
-		}
-		acc.add(left, right)
-	}
-	lb, ub := acc.result()
-	return decide(lb, ub, pq)
+	return f.Filter(cat, mbr, rq, pq)
 }
 
 // simplexFitOut solves Section 4.4's cfb_out programs with the simplex: per

@@ -55,11 +55,8 @@ func decide(lb, ub, pq float64) Outcome {
 // bound, whose lower half subsumes the paper's validating Rules 3–5. mbr is
 // the MBR of the uncertainty region.
 func FilterCatalogPCR(pcrs PCRs, mbr, rq geom.Rect, pq float64) Outcome {
-	if !rq.Intersects(mbr) {
-		return Pruned
-	}
-	if rq.Contains(mbr) {
-		return Validated
+	if o, ok := filterMBR(mbr, rq); ok {
+		return o
 	}
 	cat := pcrs.Cat
 	if pq > 1-cat.Max() {
@@ -77,30 +74,66 @@ func FilterCatalogPCR(pcrs PCRs, mbr, rq geom.Rect, pq float64) Outcome {
 	return decide(lb, ub, pq)
 }
 
-// FilterCFB applies Observation 3: FilterCatalogPCR with the PCRs replaced
-// by the conservative functional boxes stored in U-tree leaf entries —
-// cfb_in for the containment prune (Rule 1), cfb_out for the intersection
-// prune (Rule 2), both for the probability bound.
+// filterMBR decides what the region MBR decides alone: an object rq misses
+// is pruned, one it contains validated.
+func filterMBR(mbr, rq geom.Rect) (Outcome, bool) {
+	switch {
+	case !rq.Intersects(mbr):
+		return Pruned, true
+	case rq.Contains(mbr):
+		return Validated, true
+	}
+	return Unknown, false
+}
+
+// FilterCFB applies Observation 3 to a stored cfb_out/cfb_in pair (an
+// unkeyed U-tree leaf entry): Faces.Filter on its faces, read off the pair
+// only where the MBR leaves the entry undecided.
 func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
-	if !rq.Intersects(mbr) {
-		return Pruned
+	if o, ok := filterMBR(mbr, rq); ok {
+		return o
 	}
-	if rq.Contains(mbr) {
-		return Validated
+	var buf [facesStack]line
+	return Faces(buf[:0]).stored(out, in).rules(cat, mbr, rq, pq)
+}
+
+// Filter is Faces.Filter on the faces Translate gives the entry of this
+// shape with region MBR mbr, translated into f only where the MBR leaves the
+// entry undecided.
+func (s *Shape) Filter(f *Faces, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
+	if o, ok := filterMBR(mbr, rq); ok {
+		return o
 	}
+	s.Translate(f, mbr)
+	return f.rules(cat, mbr, rq, pq)
+}
+
+// Filter applies Observation 3: FilterCatalogPCR with the PCRs replaced by
+// the conservative functional boxes of a U-tree leaf entry — cfb_in for the
+// containment prune (Rule 1), cfb_out for the intersection prune (Rule 2),
+// both for the probability bound. mbr is the MBR of the uncertainty region.
+func (f Faces) Filter(cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
+	if o, ok := filterMBR(mbr, rq); ok {
+		return o
+	}
+	return f.rules(cat, mbr, rq, pq)
+}
+
+// rules is Filter past the MBR tests.
+func (f Faces) rules(cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 	if pq > 1-cat.Max() {
 		// Rule 1 with cfb_in (contained in pcr, so "rq fails to contain"
 		// transfers).
-		if j, ok := cat.SmallestGE(1 - pq); ok && !in.within(cat.Value(j), rq) {
+		if j, ok := cat.SmallestGE(1 - pq); ok && !f.within(cat.Value(j), rq) {
 			return Pruned
 		}
 	} else {
 		// Rule 2 with cfb_out (contains pcr, so "rq misses" transfers).
-		if j, ok := cat.LargestLE(pq); ok && !out.meets(cat.Value(j), rq) {
+		if j, ok := cat.LargestLE(pq); ok && !f.meets(cat.Value(j), rq) {
 			return Pruned
 		}
 	}
-	lb, ub := ProbBoundsCFB(out, in, cat, mbr, rq)
+	lb, ub := f.ProbBounds(cat, mbr, rq)
 	return decide(lb, ub, pq)
 }
 

@@ -354,23 +354,23 @@ func TestReclaimPinSafety(t *testing.T) {
 // asked to write is a leaf or inner relocation, the one append page, or the
 // metadata page — a delete writes no data page.
 //
-// Two sizes. At 2,000 objects no STR run has a slot to spare (7 leaves for
-// 250 entries, and 7·35 < 250), so every leaf starts full and the inserts
-// split as they did when STR packed leaves full: the total must not rise.
-// At 1,600 every run has room (7 leaves for 229 entries), every leaf a free
-// slot, and the total must fall below the full packing's.
+// Two sizes, of compact (keyed) leaf entries, 85 to a leaf. At 2,125 objects
+// no STR run has a slot to spare (5 slabs of 425 entries, 5 leaves each, and
+// 5·84 < 425), so every leaf starts full and the inserts split as they did
+// when STR packed leaves full: the total must not rise. At 1,600 every run
+// has room (5 slabs of 320 entries, 4 leaves each), every leaf a free slot,
+// and the total must fall below the full packing's.
 func TestWriteBatchPageWrites(t *testing.T) {
 	for _, tc := range []struct {
 		n    int64
 		want [5]int64 // base-store page writes per batch
-		// full is the total while STR packed every leaf full: at 2,000
-		// [32 20 25 27 20] (158 while every delete also rewrote a data
-		// page), at 1,600 [26 29 24 19 18].
+		// full is the total when STR packs every leaf full: at 2,125
+		// [35 17 17 11 16], at 1,600 [19 12 16 13 16].
 		full  int64
 		below bool // the total must be below full, not just not above it
 	}{
-		{n: 2000, want: [5]int64{31, 21, 25, 23, 23}, full: 124},
-		{n: 1600, want: [5]int64{15, 17, 16, 15, 17}, full: 116, below: true},
+		{n: 2125, want: [5]int64{35, 17, 17, 11, 16}, full: 96},
+		{n: 1600, want: [5]int64{14, 13, 13, 13, 13}, full: 76, below: true},
 	} {
 		got := writeBatchPageWrites(t, tc.n)
 		var total int64

@@ -629,8 +629,8 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 	if err := raw.Read(fileMetaPage, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:4]) != "4RTU" { // "UTR4", little endian
-		t.Fatalf("metadata magic %q, want UTR4", buf[:4])
+	if string(buf[:4]) != "5RTU" { // "UTR5", little endian
+		t.Fatalf("metadata magic %q, want UTR5", buf[:4])
 	}
 	buf[0] = '1'
 	if err := raw.Write(fileMetaPage, buf); err != nil {
@@ -734,13 +734,14 @@ func TestOpenTreeRefusesV1PageFormat(t *testing.T) {
 // TestIndexConformanceShapes is the conformance contract of the shape table,
 // one keyed pdf family at a time: in a dataset of two shapes of the family,
 // range queries decide candidates at the leaf, before their record is read,
-// and return — result for result, in order, probabilities included — what
-// the same file returns once its table is emptied and every candidate is
-// refined from its record again. A ball's record is keyed — its centre and
-// a shape reference — so once the table is gone, a query that reads one
-// fails with ErrCorruptPDF instead, and the others answer as before. The
-// mc=true subtests configure a k-NN sample count, which no range query
-// reads.
+// and return the objects — probabilities included wherever both compute
+// one — the same file returns once its table is emptied. A keyed leaf
+// entry's faces are its shape's, so without the table the leaf decides none
+// of them and every one it meets is refined from its record. A ball's record
+// is keyed — its centre and a shape reference — so once the table is gone, a
+// query that reads one fails with ErrCorruptPDF instead, and the others
+// answer as before. The mc=true subtests configure a k-NN sample count,
+// which no range query reads.
 func TestIndexConformanceShapes(t *testing.T) {
 	lattice := func(rng *rand.Rand, step float64) Point {
 		return Pt(step*float64(rng.Intn(int(conformanceSpan/step))), step*float64(rng.Intn(int(conformanceSpan/step))))
@@ -871,15 +872,23 @@ func TestIndexConformanceShapes(t *testing.T) {
 					return
 				}
 				got, without := searchAll(t, bare)
-				requireSameResults(t, "without the shape table", want, got)
-				if bare.Shapes() != 0 || without.ShapeDecided != 0 || without.RefinementIOs <= with.RefinementIOs {
-					t.Fatalf("without the table: %d shapes, %d shape decisions, %d data pages read (%d with it)",
-						bare.Shapes(), without.ShapeDecided, without.RefinementIOs, with.RefinementIOs)
+				for i := range want {
+					prob := map[int64]float64{}
+					for _, r := range got[i] {
+						prob[r.ID] = r.Prob
+					}
+					for _, r := range want[i] {
+						if p, ok := prob[r.ID]; !ok || r.Prob >= 0 && p >= 0 && p != r.Prob {
+							t.Fatalf("without the table, query %d: object %d with probability %v, want %v", i, r.ID, p, r.Prob)
+						}
+					}
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("without the table, query %d: %d results, want %d", i, len(got[i]), len(want[i]))
+					}
 				}
-				with.ShapeDecided, with.RefinementIOs, without.RefinementIOs = 0, 0, 0
-				if with.Candidates != without.Candidates || with.ProbComputations != without.ProbComputations ||
-					with.MarginalValidated != without.MarginalValidated || with.MarginalPruned != without.MarginalPruned || with.Validated != without.Validated {
-					t.Fatalf("decisions differ with and without the table:\n with    %+v\n without %+v", with, without)
+				if bare.Shapes() != 0 || without.ShapeDecided != 0 || without.Validated != 0 || without.ProbFilterPruned != 0 ||
+					without.Candidates <= with.Candidates || without.RefinementIOs <= with.RefinementIOs {
+					t.Fatalf("without the table the leaf decides an entry, or nothing more is refined:\n with    %+v\n without %+v", with, without)
 				}
 			})
 		}

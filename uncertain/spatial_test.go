@@ -220,7 +220,7 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { tree.Close() }()
-	objects := shardedFixtureObjects(120, 17)
+	objects := shardedFixtureObjects(240, 17)
 	live := map[int64]PDF{}
 	heights := map[int]bool{}
 	check := func(label string) Rect {
@@ -257,7 +257,7 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 	check("empty")
 
 	// Single inserts, one commit each: the root leaf fills and splits.
-	for id := int64(0); id < 80; id++ {
+	for id := int64(0); id < 160; id++ {
 		if err := tree.Insert(id, objects[id]); err != nil {
 			t.Fatal(err)
 		}
@@ -265,15 +265,15 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 		check("insert")
 	}
 	if !heights[2] {
-		t.Fatalf("80 inserts never split the root (heights %v)", heights)
+		t.Fatalf("160 inserts never split the root (heights %v)", heights)
 	}
 	// A batch of inserts and deletes commits once.
 	if err := tree.WriteBatch(func(w BatchWriter) error {
-		for id := int64(80); id < 100; id++ {
+		for id := int64(160); id < 200; id++ {
 			if err := w.Insert(id, objects[id]); err != nil {
 				return err
 			}
-			if err := w.Delete(id - 80); err != nil {
+			if err := w.Delete(id - 160); err != nil {
 				return err
 			}
 		}
@@ -281,14 +281,14 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for id := int64(80); id < 100; id++ {
+	for id := int64(160); id < 200; id++ {
 		live[id] = objects[id]
-		delete(live, id-80)
+		delete(live, id-160)
 	}
 	before := check("batch")
 	// A failed batch rolls its mutations back, the recorded box with them.
 	if err := tree.WriteBatch(func(w BatchWriter) error {
-		for id := int64(20); id < 60; id++ {
+		for id := int64(40); id < 120; id++ {
 			if err := w.Delete(id); err != nil {
 				return err
 			}
@@ -301,7 +301,7 @@ func TestRootMBRAtEveryCommit(t *testing.T) {
 		t.Fatalf("rolled-back batch left root box %v, committed %v", got, before)
 	}
 	// Deletes down to a few objects shrink the root back to a leaf.
-	for id := int64(20); id < 95; id++ {
+	for id := int64(40); id < 190; id++ {
 		if err := tree.Delete(id); err != nil {
 			t.Fatal(err)
 		}
