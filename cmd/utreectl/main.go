@@ -15,12 +15,11 @@
 //
 // Every subcommand accepts -buffer (the write buffer's bound in dirty pages).
 //
-// query and nn additionally take the per-query options of the
-// context-first API: -timeout (wall-time deadline, ms; a timed-out query
-// reports its partial results), -mc-samples (Monte Carlo samples of a k-NN
-// expected distance; a range query's refinement is exact) and -limit
-// (top-N early cut), e.g.
-// `utreectl query -timeout 5 -limit 10 ...`.
+// query and nn additionally take -timeout (wall-time deadline, ms; a
+// timed-out query reports its partial results) and -limit (top-N early
+// cut), e.g. `utreectl query -timeout 5 -limit 10 ...`. nn takes
+// -mc-samples, the Monte Carlo samples of each expected distance
+// (Config.MonteCarloSamples); a range query's refinement is exact.
 package main
 
 import (
@@ -28,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,11 +39,26 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "utreectl: %v\n", err)
+		if errors.Is(err, errUsage) {
+			fmt.Fprintln(os.Stderr, "usage: utreectl build|stats|verify|query|nn -index PATH [flags]")
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+}
+
+// errUsage marks a malformed command line.
+var errUsage = errors.New("usage")
+
+// run executes one subcommand, args[0], printing its report to w.
+func run(args []string, w io.Writer) error {
+	if len(args) < 1 {
+		return fmt.Errorf("%w: missing subcommand", errUsage)
+	}
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var (
 		index  = fs.String("index", "", "index file path (required)")
 		ds     = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
@@ -54,57 +69,52 @@ func main() {
 		k      = fs.Int("k", 5, "neighbor count for nn")
 		buffer = fs.Int("buffer", 0, "write buffer bound in dirty pages (0 = default 256)")
 
-		// Per-query options for query and nn.
 		timeoutMS = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
 		mcSamples = fs.Int("mc-samples", 0, "Monte Carlo samples of each k-NN expected distance (0 = index default; range refinement is exact)")
 		limit     = fs.Int("limit", 0, "stop after this many results (top-N early cut; 0 = unlimited)")
 	)
-	fs.Parse(os.Args[2:])
-	if *index == "" {
-		fmt.Fprintln(os.Stderr, "missing -index")
-		usage()
+	if err := fs.Parse(args[1:]); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	if *buffer < 0 {
-		fmt.Fprintln(os.Stderr, "-buffer must be ≥ 0")
-		usage()
+	switch {
+	case *index == "":
+		return fmt.Errorf("%w: missing -index", errUsage)
+	case *buffer < 0:
+		return fmt.Errorf("%w: -buffer must be ≥ 0", errUsage)
+	case *timeoutMS < 0 || *mcSamples < 0 || *limit < 0:
+		return fmt.Errorf("%w: -timeout, -mc-samples and -limit must be ≥ 0", errUsage)
 	}
-	if *timeoutMS < 0 || *mcSamples < 0 || *limit < 0 {
-		fmt.Fprintln(os.Stderr, "-timeout, -mc-samples and -limit must be ≥ 0")
-		usage()
-	}
-	cfg := uncertain.Config{BufferPages: *buffer}
+	cfg := uncertain.Config{BufferPages: *buffer, MonteCarloSamples: *mcSamples}
 	q := queryParams{
-		timeout:   time.Duration(*timeoutMS * float64(time.Millisecond)),
-		mcSamples: *mcSamples,
-		limit:     *limit,
+		timeout: time.Duration(*timeoutMS * float64(time.Millisecond)),
+		limit:   *limit,
 	}
 
 	var err error
 	switch cmd {
 	case "build":
-		err = build(*index, dataset.Name(*ds), *scale, cfg)
+		err = build(w, *index, dataset.Name(*ds), *scale, cfg)
 	case "stats":
-		err = stats(*index, cfg)
+		err = stats(w, *index, cfg)
 	case "verify":
-		err = verify(*index, cfg)
+		err = verify(w, *index, cfg)
 	case "query":
-		err = query(*index, *rect, *prob, cfg, q)
+		err = query(w, *index, *rect, *prob, cfg, q)
 	case "nn":
-		err = nearest(*index, *point, *k, cfg, q)
+		err = nearest(w, *index, *point, *k, cfg, q)
 	default:
-		usage()
+		return fmt.Errorf("%w: unknown subcommand %q", errUsage, cmd)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "utreectl %s: %v\n", cmd, err)
-		os.Exit(1)
+		return fmt.Errorf("%s: %w", cmd, err)
 	}
+	return nil
 }
 
 // queryParams carries the per-query option flags of query and nn.
 type queryParams struct {
-	timeout   time.Duration
-	mcSamples int
-	limit     int
+	timeout time.Duration
+	limit   int
 }
 
 // context builds the query context (with deadline when -timeout is set)
@@ -115,9 +125,6 @@ func (p queryParams) context() (context.Context, context.CancelFunc, []uncertain
 		ctx, cancel = context.WithTimeout(ctx, p.timeout)
 	}
 	var opts []uncertain.QueryOption
-	if p.mcSamples > 0 {
-		opts = append(opts, uncertain.WithMonteCarloSamples(p.mcSamples))
-	}
 	if p.limit > 0 {
 		opts = append(opts, uncertain.WithLimit(p.limit))
 	}
@@ -127,24 +134,19 @@ func (p queryParams) context() (context.Context, context.CancelFunc, []uncertain
 // explainPartial reports an expected early stop (deadline, cancellation)
 // as a notice and returns nil so the partial results print; any other
 // error is returned as-is.
-func explainPartial(err error, elapsed time.Duration) error {
+func explainPartial(w io.Writer, err error, elapsed time.Duration) error {
 	switch {
 	case err == nil:
 		return nil
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		fmt.Printf("query cancelled after %v (%v); partial results follow\n", elapsed.Round(time.Microsecond), err)
+		fmt.Fprintf(w, "query cancelled after %v (%v); partial results follow\n", elapsed.Round(time.Microsecond), err)
 		return nil
 	default:
 		return err
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: utreectl build|stats|verify|query|nn -index PATH [flags]")
-	os.Exit(2)
-}
-
-func build(path string, name dataset.Name, scale float64, cfg uncertain.Config) error {
+func build(w io.Writer, path string, name dataset.Name, scale float64, cfg uncertain.Config) error {
 	objs := dataset.Generate(dataset.Config{Name: name, Scale: scale})
 	cfg.Dimensions = name.Dim()
 	cfg.Path = path
@@ -165,12 +167,12 @@ func build(path string, name dataset.Name, scale float64, cfg uncertain.Config) 
 	if err := tree.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("bulk-loaded U-tree over %s (%d objects) in %v → %s\n",
+	fmt.Fprintf(w, "bulk-loaded U-tree over %s (%d objects) in %v → %s\n",
 		name, len(objs), elapsed.Round(time.Millisecond), path)
 	return nil
 }
 
-func stats(path string, cfg uncertain.Config) error {
+func stats(w io.Writer, path string, cfg uncertain.Config) error {
 	tree, err := uncertain.OpenTree(path, cfg)
 	if err != nil {
 		return err
@@ -180,25 +182,25 @@ func stats(path string, cfg uncertain.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("objects:   %d\n", tree.Len())
-	fmt.Printf("height:    %d levels\n", tree.Height())
-	fmt.Printf("file size: %d bytes\n", fi.Size())
-	fmt.Printf("shapes:    %d in the shape table\n", tree.Shapes())
+	fmt.Fprintf(w, "objects:   %d\n", tree.Len())
+	fmt.Fprintf(w, "height:    %d levels\n", tree.Height())
+	fmt.Fprintf(w, "file size: %d bytes\n", fi.Size())
+	fmt.Fprintf(w, "shapes:    %d in the shape table\n", tree.Shapes())
 	gc := tree.GCInfo()
-	fmt.Printf("epoch:     %d (%d snapshot pins)\n", gc.Epoch, gc.Pins)
-	fmt.Printf("gc:        pending %d epochs / %d pages; reclaimed %d pages lifetime\n",
+	fmt.Fprintf(w, "epoch:     %d (%d snapshot pins)\n", gc.Epoch, gc.Pins)
+	fmt.Fprintf(w, "gc:        pending %d epochs / %d pages; reclaimed %d pages lifetime\n",
 		gc.PendingEpochs, gc.PendingPages, gc.ReclaimedPages)
 	nh, nm := tree.NodeCacheStats()
 	if lookups := nh + nm; lookups > 0 {
-		fmt.Printf("node cache: %.1f%% hit rate (%d hits / %d lookups)\n",
+		fmt.Fprintf(w, "node cache: %.1f%% hit rate (%d hits / %d lookups)\n",
 			100*float64(nh)/float64(lookups), nh, lookups)
 	} else {
-		fmt.Printf("node cache: no lookups\n")
+		fmt.Fprintf(w, "node cache: no lookups\n")
 	}
 	return nil
 }
 
-func verify(path string, cfg uncertain.Config) error {
+func verify(w io.Writer, path string, cfg uncertain.Config) error {
 	tree, err := uncertain.OpenTree(path, cfg)
 	if err != nil {
 		return err
@@ -207,19 +209,19 @@ func verify(path string, cfg uncertain.Config) error {
 	if err := tree.CheckRecords(); err != nil {
 		return err
 	}
-	fmt.Println("ok: all structural, containment and shape invariants hold")
+	fmt.Fprintln(w, "ok: all structural, containment and shape invariants hold")
 	verified, corrupt := tree.Scrub()
 	if len(corrupt) > 0 {
 		for _, err := range corrupt {
-			fmt.Printf("  corrupt: %v\n", err)
+			fmt.Fprintf(w, "  corrupt: %v\n", err)
 		}
 		return fmt.Errorf("scrub: %d corrupt pages (%d verified clean)", len(corrupt), verified)
 	}
-	fmt.Printf("ok: %d reachable pages scrubbed, none corrupt\n", verified)
+	fmt.Fprintf(w, "ok: %d reachable pages scrubbed, none corrupt\n", verified)
 	return nil
 }
 
-func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryParams) error {
+func query(w io.Writer, path, rectSpec string, prob float64, cfg uncertain.Config, qp queryParams) error {
 	if rectSpec == "" {
 		return fmt.Errorf("missing -rect")
 	}
@@ -247,35 +249,35 @@ func query(path, rectSpec string, prob float64, cfg uncertain.Config, qp queryPa
 	defer cancel()
 	start := time.Now()
 	results, s, err := tree.Search(ctx, rq, prob, opts...)
-	if err := explainPartial(err, time.Since(start)); err != nil {
+	if err := explainPartial(w, err, time.Since(start)); err != nil {
 		return err
 	}
-	fmt.Printf("%d results in %v (node accesses %d, candidates %d, prob computations %d, validated %d, refinement IOs %d)\n",
+	fmt.Fprintf(w, "%d results in %v (node accesses %d, candidates %d, prob computations %d, validated %d, refinement IOs %d)\n",
 		len(results), time.Since(start).Round(time.Microsecond),
 		s.NodeAccesses, s.Candidates, s.ProbComputations, s.Validated, s.RefinementIOs)
 	if s.ProbFilterPruned > 0 {
-		fmt.Printf("prob filter: %d candidates pruned before refinement\n", s.ProbFilterPruned)
+		fmt.Fprintf(w, "prob filter: %d candidates pruned before refinement\n", s.ProbFilterPruned)
 	}
 	if n := s.MarginalValidated + s.MarginalPruned; n > 0 {
-		fmt.Printf("refinement: %d of %d candidates decided on their marginals (%d validated, %d pruned), %d integrated\n",
+		fmt.Fprintf(w, "refinement: %d of %d candidates decided on their marginals (%d validated, %d pruned), %d integrated\n",
 			n, s.Candidates, s.MarginalValidated, s.MarginalPruned, s.ProbComputations)
-		fmt.Printf("refinement: %d of %d candidates decided before their record was read\n", s.ShapeDecided, s.Candidates)
+		fmt.Fprintf(w, "refinement: %d of %d candidates decided before their record was read\n", s.ShapeDecided, s.Candidates)
 	}
 	for i, r := range results {
 		if i == 20 {
-			fmt.Printf("  … %d more\n", len(results)-20)
+			fmt.Fprintf(w, "  … %d more\n", len(results)-20)
 			break
 		}
 		if r.Validated {
-			fmt.Printf("  object %d (validated without probability computation)\n", r.ID)
+			fmt.Fprintf(w, "  object %d (validated without probability computation)\n", r.ID)
 		} else {
-			fmt.Printf("  object %d (P_app = %.4f)\n", r.ID, r.Prob)
+			fmt.Fprintf(w, "  object %d (P_app = %.4f)\n", r.ID, r.Prob)
 		}
 	}
 	return nil
 }
 
-func nearest(path, pointSpec string, k int, cfg uncertain.Config, qp queryParams) error {
+func nearest(w io.Writer, path, pointSpec string, k int, cfg uncertain.Config, qp queryParams) error {
 	if pointSpec == "" {
 		return fmt.Errorf("missing -point")
 	}
@@ -297,13 +299,13 @@ func nearest(path, pointSpec string, k int, cfg uncertain.Config, qp queryParams
 	defer cancel()
 	start := time.Now()
 	nns, s, err := tree.NearestNeighbors(ctx, q, k, opts...)
-	if err := explainPartial(err, time.Since(start)); err != nil {
+	if err := explainPartial(w, err, time.Since(start)); err != nil {
 		return err
 	}
-	fmt.Printf("%d nearest neighbors of %v in %v (node accesses %d, distance computations %d)\n",
+	fmt.Fprintf(w, "%d nearest neighbors of %v in %v (node accesses %d, distance computations %d)\n",
 		len(nns), q, time.Since(start).Round(time.Microsecond), s.NodeAccesses, s.DistanceComps)
 	for rank, n := range nns {
-		fmt.Printf("  #%d object %d  E[dist] = %.2f\n", rank+1, n.ID, n.ExpectedDist)
+		fmt.Fprintf(w, "  #%d object %d  E[dist] = %.2f\n", rank+1, n.ID, n.ExpectedDist)
 	}
 	return nil
 }

@@ -40,9 +40,8 @@ func main() {
 	}
 
 	// The whole batch runs under a deadline: if it passes, the in-flight
-	// queries stop mid-traversal and SearchBatch returns the completed
-	// prefix with ctx.Err(). EngineOptions.QueryTimeout would bound each
-	// query individually instead.
+	// queries stop mid-traversal and SearchBatch returns what completed
+	// with ctx.Err().
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	eng := uncertain.NewQueryEngine(ct, uncertain.EngineOptions{Workers: 4})
@@ -55,10 +54,11 @@ func main() {
 	for _, r := range results {
 		total += len(r)
 	}
+	q := float64(stats.Queries)
 	fmt.Printf("%d queries on %d workers in %v (%.0f q/s)\n",
-		stats.Queries, stats.Workers, stats.WallTime.Round(1000), stats.QueriesPerSec)
-	fmt.Printf("%d vehicles matched; %.0f%% validated without probability computation\n",
-		total, stats.ValidatedPct)
-	fmt.Printf("avg %.1f node accesses and %.1f prob computations per query; cache hit %.0f%%\n",
-		stats.MeanNodeAccesses, stats.MeanProbComputations, 100*stats.CacheHitRate)
+		stats.Queries, stats.Workers, stats.WallTime.Round(1000), q/stats.WallTime.Seconds())
+	fmt.Printf("%d vehicles matched; %d validated without probability computation\n",
+		total, stats.Validated)
+	fmt.Printf("avg %.1f node accesses and %.1f prob computations per query\n",
+		float64(stats.NodeAccesses)/q, float64(stats.ProbComputations)/q)
 }

@@ -102,9 +102,11 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	if k < 1 {
 		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	plan := t.resolvePlan(ctx, o)
-	if plan.limit > 0 && plan.limit < k {
-		k = plan.limit
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if o.Limit > 0 && o.Limit < k {
+		k = o.Limit
 	}
 	var meter fetchMeter
 	// finish closes the stats over the work done, on completion and on an
@@ -130,14 +132,14 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	dataPage, dataBuf := pagefile.InvalidPage, []byte(nil)
 
 	for pq.Len() > 0 {
-		if cerr := plan.ctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			return finish(cerr)
 		}
 		it := nnPop(pq)
 		if len(best) == k && it.lb >= worst {
 			break // every remaining item is at least as far
 		}
-		if plan.maxDist > 0 && it.lb > plan.maxDist {
+		if o.MaxDist > 0 && it.lb > o.MaxDist {
 			// The caller's bound already proves every remaining frontier
 			// entry (dist ≥ lb > bound ≥ merged k-th) out of the merged top
 			// k — stop before fetching their pages. Strict > keeps distance
@@ -181,7 +183,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		if err != nil {
 			return finish(fmt.Errorf("core: refining object %d: %w", it.id, err))
 		}
-		d := expectedDistanceScratch(obj.PDF, q, plan.samples, obj.ID, distBuf)
+		d := expectedDistanceScratch(obj.PDF, q, t.samples, obj.ID, distBuf)
 		stats.DistanceComps++
 		if len(best) < k || d < worst {
 			best = insertNN(best, NNResult{ID: obj.ID, ExpectedDist: d}, k)

@@ -161,8 +161,8 @@ func (t *Tree) maybeCacheNode(p *packedNode) {
 	if t.ncache == nil {
 		return
 	}
-	if committed, epoch := t.vs.CommittedInfo(p.page); committed {
-		t.ncache.put(p.page, p, epoch)
+	if t.vs.Committed(p.page) {
+		t.ncache.put(p.page, p)
 	}
 }
 

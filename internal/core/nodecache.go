@@ -37,8 +37,7 @@ import (
 // a cold tree's inner nodes are read far more often than any one leaf;
 // a cache smaller than the tree then spends its misses on leaves.
 //
-// Each entry records the epoch at which it was decoded, purely for
-// observability and tests; the PageID is the coherence key.
+// The PageID is the coherence key.
 //
 // Cached nodes are shared across concurrent lock-free readers and MUST be
 // treated as immutable. The query paths only read them; mutation paths
@@ -69,9 +68,8 @@ func lruOf(n *packedNode) int {
 }
 
 type ncEntry struct {
-	id    pagefile.PageID
-	n     *packedNode
-	epoch uint64 // committed epoch at decode time (observability only)
+	id pagefile.PageID
+	n  *packedNode
 }
 
 const (
@@ -137,7 +135,7 @@ func (nc *nodeCache) get(id pagefile.PageID) (*packedNode, bool) {
 // evicting on overflow the shard's least recently used leaf — or, with no
 // leaf in the shard, its least recently used inner node. Callers must only
 // pass committed pages (maybeCacheNode enforces this).
-func (nc *nodeCache) put(id pagefile.PageID, n *packedNode, epoch uint64) {
+func (nc *nodeCache) put(id pagefile.PageID, n *packedNode) {
 	s := nc.shard(id)
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {
@@ -147,7 +145,7 @@ func (nc *nodeCache) put(id pagefile.PageID, n *packedNode, epoch uint64) {
 		s.mu.Unlock()
 		return
 	}
-	s.entries[id] = s.lru[lruOf(n)].PushFront(&ncEntry{id: id, n: n, epoch: epoch})
+	s.entries[id] = s.lru[lruOf(n)].PushFront(&ncEntry{id: id, n: n})
 	if len(s.entries) > s.capacity {
 		from := s.lru[0]
 		if from.Len() == 0 {
@@ -188,15 +186,4 @@ func (nc *nodeCache) len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// epochOf reports the decode epoch recorded for a cached page (tests).
-func (nc *nodeCache) epochOf(id pagefile.PageID) (uint64, bool) {
-	s := nc.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		return el.Value.(*ncEntry).epoch, true
-	}
-	return 0, false
 }

@@ -18,6 +18,29 @@ type Query struct {
 	Prob float64
 }
 
+// QueryOpts carries a query's own limits. The zero value reproduces the
+// tree's configured behavior bit for bit; the k-NN sample count is the
+// tree's (Options.MCSamples), not a query's.
+type QueryOpts struct {
+	// Limit stops a range query after this many results (0 = unlimited);
+	// for NN queries it caps k. The cut is deterministic: results arrive in
+	// the serial traversal order, so a limited query returns a prefix of
+	// the unlimited query's result sequence.
+	Limit int
+	// MaxDist, when > 0, bounds an NN query from above: the k-th smallest
+	// expected distance the neighbours of earlier shards already reach. The
+	// traversal stops once its heap's lower bound exceeds it, since nothing
+	// farther can enter the merged top k. 0 means no bound. Range queries
+	// ignore it.
+	MaxDist float64
+	// noShapeTest refines every candidate from its record, as before the
+	// shape table; only tests set it, to compare the two.
+	noShapeTest bool
+}
+
+// limitReached reports whether a range query holding n results must stop.
+func (o QueryOpts) limitReached(n int) bool { return o.Limit > 0 && n >= o.Limit }
+
 // Result is one qualifying object.
 type Result struct {
 	ID int64
@@ -124,25 +147,27 @@ func (s *QueryStats) Add(o QueryStats) {
 // page read of the cancellation. Refinement draws no samples, so an answer
 // depends on the query and the epoch alone.
 func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
-	p := s.t.resolvePlan(ctx, o)
-	return s.t.rangeQuery(s.st, q, &p)
+	return s.t.rangeQuery(ctx, s.st, q, o)
 }
 
 // rangeQuery is the traversal behind Snapshot.RangeQuery: a level-batched
 // descent (Observation 4 pruning), Observation 3/2 filtering at the leaves,
-// then refinement of the surviving candidates — all driven by the resolved
-// per-query plan.
+// then refinement of the surviving candidates. A nil ctx means
+// context.Background().
 //
 // The descent processes one level's surviving nodes per round, in
 // discovery order; candidates are refined in (page, slot) order.
 //
 // Cancellation is checked before every page fetch and every refinement
-// integration; a cancelled query returns plan.ctx.Err() with the partial
+// integration; a cancelled query returns ctx.Err() with the partial
 // results and stats gathered so far. A result limit cuts the query once that
 // many results exist.
-func (t *Tree) rangeQuery(st *treeState, q Query, plan *qplan) (results []Result, stats QueryStats, err error) {
+func (t *Tree) rangeQuery(ctx context.Context, st *treeState, q Query, o QueryOpts) (results []Result, stats QueryStats, err error) {
 	if err := validateQuery(t.dim, q); err != nil {
 		return nil, stats, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	start := time.Now()
 
@@ -180,10 +205,10 @@ descent:
 	for ; len(frontier) > 0; level-- {
 		next = next[:0]
 		for _, page := range frontier {
-			if cerr := plan.ctx.Err(); cerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
 				return finish(cerr)
 			}
-			if plan.limitReached(len(results)) {
+			if o.limitReached(len(results)) {
 				break descent
 			}
 			n, err := t.fetchNode(&meter, page, level)
@@ -224,14 +249,14 @@ descent:
 				case pcr.Validated:
 					results = append(results, Result{ID: n.id(i), Prob: -1, Validated: true})
 					stats.Validated++
-					if plan.limitReached(len(results)) {
+					if o.limitReached(len(results)) {
 						break descent
 					}
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
 					c := candidate{id: n.id(i), addr: addr}
-					if ref := int(shape); ref != 0 && ref <= len(st.shapes) && !plan.noShapeTest {
+					if ref := int(shape); ref != 0 && ref <= len(st.shapes) && !o.noShapeTest {
 						sh := &st.shapes[ref-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
@@ -262,10 +287,10 @@ descent:
 		return finish(err)
 	}
 	for _, c := range cands {
-		if cerr := plan.ctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			return refined(cerr)
 		}
-		if plan.limitReached(len(results)) {
+		if o.limitReached(len(results)) {
 			break
 		}
 		// The pdf's own marginals bound the probability far more tightly

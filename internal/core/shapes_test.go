@@ -74,9 +74,7 @@ func leafShapes(t *testing.T, tree *Tree) map[int64]uint16 {
 // The table stays, for the keyed records to decode against.
 func queryWithoutShapes(t *testing.T, snap *Snapshot, q Query) ([]Result, QueryStats) {
 	t.Helper()
-	plan := snap.t.resolvePlan(context.Background(), QueryOpts{})
-	plan.noShapeTest = true
-	res, stats, err := snap.t.rangeQuery(snap.st, q, &plan)
+	res, stats, err := snap.t.rangeQuery(context.Background(), snap.st, q, QueryOpts{noShapeTest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,16 +112,13 @@ func (v *VersionedStore) invalidate(id PageID) {
 	}
 }
 
-// CommittedInfo reports whether id is a committed page — immutable in
-// place under the COW discipline, and therefore safe to share a decoded
-// form of — together with the current committed epoch, in one lock
-// acquisition (the decoded-node cache's insert-path check).
-func (v *VersionedStore) CommittedInfo(id PageID) (committed bool, epoch uint64) {
+// Committed reports whether id is a committed page — immutable in place
+// under the COW discipline, and therefore safe to share a decoded form of
+// (the decoded-node cache's insert-path check).
+func (v *VersionedStore) Committed(id PageID) bool {
 	v.mu.Lock()
-	committed = !v.fresh[id]
-	epoch = v.epoch
-	v.mu.Unlock()
-	return committed, epoch
+	defer v.mu.Unlock()
+	return !v.fresh[id]
 }
 
 // Alloc allocates a page and marks it fresh: writable in place until the

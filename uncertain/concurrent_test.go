@@ -166,23 +166,17 @@ func TestSearchWhileInsertStress(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSerial checks the batch engine is a pure
-// parallelization: with exact refinement, SearchBatch must return exactly
-// what serial Search returns for every query.
+// parallelization, on a Tree and on a 3-shard ShardedTree, at one worker,
+// a few, and more workers than queries: SearchBatch must return exactly
+// what serial Search returns for every query, and its Stats must be the
+// sum of the serial queries' counts.
 func TestSearchBatchMatchesSerial(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
 	rng := rand.New(rand.NewSource(7))
+	objects := make(map[int64]PDF, 500)
 	for i := int64(0); i < 500; i++ {
-		if err := ct.Insert(i, UniformCircle(
-			Pt(rng.Float64()*1000, rng.Float64()*1000), 5+rng.Float64()*10)); err != nil {
-			t.Fatal(err)
-		}
+		objects[i] = UniformCircle(Pt(rng.Float64()*1000, rng.Float64()*1000), 5+rng.Float64()*10)
 	}
-
-	queries := make([]RangeQuery, 64)
+	queries := make([]RangeQuery, 48)
 	for i := range queries {
 		cx, cy := rng.Float64()*1000, rng.Float64()*1000
 		half := 40 + rng.Float64()*120
@@ -192,35 +186,75 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 		}
 	}
 
-	serial := make([][]Result, len(queries))
-	for i, q := range queries {
-		res, _, err := ct.Search(context.Background(), q.Rect, q.Prob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = res
-	}
-
-	eng := NewQueryEngine(ct, EngineOptions{Workers: 4})
-	batch, stats, err := eng.SearchBatch(context.Background(), queries)
+	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Queries != len(queries) || stats.Workers != 4 {
-		t.Fatalf("stats = %+v, want %d queries on 4 workers", stats, len(queries))
-	}
-	nonEmpty := 0
-	for i := range queries {
-		if !sameResults(serial[i], batch[i]) {
-			t.Fatalf("query %d: batch %v != serial %v", i, batch[i], serial[i])
-		}
-		if len(serial[i]) > 0 {
-			nonEmpty++
+	defer tree.Close()
+	for i := int64(0); i < int64(len(objects)); i++ {
+		if err := tree.Insert(i, objects[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if nonEmpty == 0 {
-		t.Fatal("degenerate workload: every query returned nothing")
+	sharded, err := NewSpatialShardedTree(3, Config{Dimensions: 2}, fixtureDomain)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sharded.Close()
+	if err := sharded.BulkLoad(objects); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, ix := range []struct {
+		name string
+		idx  Index
+	}{{"tree", tree}, {"sharded-3", sharded}} {
+		serial := make([][]Result, len(queries))
+		var want Stats
+		nonEmpty := 0
+		for i, q := range queries {
+			res, st, err := ix.idx.Search(context.Background(), q.Rect, q.Prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial[i] = res
+			want.Add(st)
+			if len(res) > 0 {
+				nonEmpty++
+			}
+		}
+		if nonEmpty == 0 {
+			t.Fatalf("%s: degenerate workload: every query returned nothing", ix.name)
+		}
+		for _, workers := range []int{1, 4, 64} {
+			t.Run(fmt.Sprintf("%s/workers-%d", ix.name, workers), func(t *testing.T) {
+				eng := NewQueryEngine(ix.idx, EngineOptions{Workers: workers})
+				batch, stats, err := eng.SearchBatch(context.Background(), queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := min(workers, len(queries)); stats.Queries != len(queries) || stats.Workers != w {
+					t.Fatalf("stats = %+v, want %d queries on %d workers", stats, len(queries), w)
+				}
+				for i := range queries {
+					if !sameResults(serial[i], batch[i]) {
+						t.Fatalf("query %d: batch %v != serial %v", i, batch[i], serial[i])
+					}
+				}
+				if got := batchCounts(stats.Stats); got != batchCounts(want) {
+					t.Fatalf("batch counts %+v, serial sum %+v", got, batchCounts(want))
+				}
+			})
+		}
+	}
+}
+
+// batchCounts is s without its timings and node-cache outcomes, which
+// depend on scheduling; every count left is a function of the queries.
+func batchCounts(s Stats) Stats {
+	s.FilterTime, s.RefineTime = 0, 0
+	s.NodeCacheHits, s.NodeCacheMisses = 0, 0
+	return s
 }
 
 // sameResults compares result sets order-insensitively (worker scheduling
@@ -241,53 +275,6 @@ func sameResults(a, b []Result) bool {
 		}
 	}
 	return true
-}
-
-// TestNNBatchMatchesSerial does the same for the k-NN batch path (NN
-// refinement is deterministic by construction: per-object seeded samplers).
-func TestNNBatchMatchesSerial(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	rng := rand.New(rand.NewSource(11))
-	for i := int64(0); i < 300; i++ {
-		if err := ct.Insert(i, UniformCircle(
-			Pt(rng.Float64()*1000, rng.Float64()*1000), 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := make([]NNQuery, 32)
-	for i := range queries {
-		queries[i] = NNQuery{Point: Pt(rng.Float64()*1000, rng.Float64()*1000), K: 5}
-	}
-	serial := make([][]Neighbor, len(queries))
-	for i, q := range queries {
-		res, _, err := ct.NearestNeighbors(context.Background(), q.Point, q.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = res
-	}
-	eng := NewQueryEngine(ct, EngineOptions{})
-	batch, stats, err := eng.NNBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if len(batch[i]) != len(serial[i]) {
-			t.Fatalf("query %d: %d neighbors, want %d", i, len(batch[i]), len(serial[i]))
-		}
-		for j := range batch[i] {
-			if batch[i][j] != serial[i][j] {
-				t.Fatalf("query %d neighbor %d: %+v != %+v", i, j, batch[i][j], serial[i][j])
-			}
-		}
-	}
-	if stats.ProbComputations == 0 || stats.NodeAccesses == 0 {
-		t.Fatalf("stats not aggregated: %+v", stats)
-	}
 }
 
 // TestSearchBatchPropagatesError: an invalid query in the batch must surface

@@ -26,10 +26,9 @@ import (
 // The query surface is context-first: every query takes a
 // context.Context for cancellation and deadlines (queries check it before
 // every page fetch and every refinement integration, so a cancelled query
-// returns within roughly one page read) plus per-query QueryOptions
-// resolved into an immutable plan — precision and result limits are
-// per-query decisions, with no global mutator and no lock taken to change
-// them.
+// returns within roughly one page read) plus per-query QueryOptions (a
+// result limit). A k-NN query's precision is the index's
+// Config.MonteCarloSamples, set when the index is built or opened.
 type Index interface {
 	// Insert adds an object. An ID live anywhere in the index returns
 	// ErrDuplicateID and mutates nothing.
@@ -74,7 +73,8 @@ type Index interface {
 	// CheckInvariants validates the index structure (every shard for
 	// sharded indexes).
 	CheckInvariants() error
-	// Close flushes and releases the index.
+	// Close releases the index. It commits nothing: every mutation has
+	// already committed or rolled back.
 	Close() error
 }
 

@@ -377,44 +377,6 @@ func TestShardedConfigErrors(t *testing.T) {
 	}
 }
 
-// TestEngineOverShardedTree: the batch engine is index-agnostic — batches
-// over a ShardedTree must match the serial sharded answers exactly.
-func TestEngineOverShardedTree(t *testing.T) {
-	objects := shardedFixtureObjects(500, 11)
-	queries := shardedFixtureQueries(48, 12)
-
-	st, err := NewSpatialShardedTree(3, Config{Dimensions: 2}, fixtureDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.BulkLoad(objects); err != nil {
-		t.Fatal(err)
-	}
-
-	serial := make([][]Result, len(queries))
-	for i, q := range queries {
-		res, _, err := st.Search(context.Background(), q.Rect, q.Prob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = res
-	}
-	eng := NewQueryEngine(st, EngineOptions{Workers: 4})
-	batch, stats, err := eng.SearchBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if !sameResults(serial[i], batch[i]) {
-			t.Fatalf("query %d: batch %v != serial %v", i, batch[i], serial[i])
-		}
-	}
-	if stats.Queries != len(queries) || stats.NodeAccesses == 0 {
-		t.Fatalf("stats not aggregated: %+v", stats)
-	}
-}
-
 // TestShardedMixedOpsStress runs concurrent writers and readers over a
 // ShardedTree (run with -race), then asserts every shard's invariants.
 func TestShardedMixedOpsStress(t *testing.T) {

@@ -17,7 +17,7 @@
 //		uncertain.Box(uncertain.Pt(250, 350), uncertain.Pt(350, 450)), 0.8)
 //
 // Queries take a context (cancellation, deadlines) and per-query options
-// (WithMonteCarloSamples, WithLimit); see the QueryOption docs and
+// (WithLimit); a k-NN query's precision is Config.MonteCarloSamples. See
 // examples/ for complete programs.
 package uncertain
 
@@ -512,11 +512,12 @@ func (t *Tree) CheckRecords() error {
 	return snap.CheckRecords()
 }
 
-// Close commits any final state, drains the last retired pages, and, for
-// file-backed trees, closes the file (writer lock). Every mutation already
-// committed durably, so Close adds nothing a crash would lose. Close is
-// also the last chance to surface a reclaim failure stashed by an earlier
-// commit (such a failure leaked pages; it never corrupted data).
+// Close drains the last retired pages and, for file-backed trees, closes
+// the file (writer lock). It commits nothing: every mutation has already
+// committed or rolled back by the time Close runs, so a tree that was only
+// queried leaves its file byte-identical. Close is also the last chance to
+// surface a reclaim failure stashed by an earlier commit (such a failure
+// leaked pages; it never corrupted data).
 //
 // Close is idempotent, and remains safe after a failed commit or after
 // Discard: repeated calls return nil without touching the (already
@@ -528,10 +529,7 @@ func (t *Tree) Close() error {
 		return nil
 	}
 	t.closed = true
-	err := t.inner.Commit()
-	if err == nil {
-		err = t.inner.Reclaim()
-	}
+	err := t.inner.Reclaim()
 	if t.file != nil {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
