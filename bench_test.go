@@ -269,7 +269,7 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := objs[i%len(objs)]
 		o.ID = int64(i) // unique ids as the bench loops past the dataset
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,7 +392,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestBatchAmortizesRelocations(t *testing.T) {
 		}
 		objs := makeObjects(200, 1000, rand.New(rand.NewSource(11)))
 		for _, o := range objs {
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 			if !batch {
@@ -60,7 +60,7 @@ func TestCommitRollbackVisibility(t *testing.T) {
 	}
 	objs := makeObjects(3, 1000, rand.New(rand.NewSource(3)))
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func TestCommitRollbackVisibility(t *testing.T) {
 		t.Fatalf("rollback left Len=%d", tree.Len())
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,39 +90,40 @@ func TestCommitRollbackVisibility(t *testing.T) {
 // written.
 type pageLog struct {
 	*pagefile.MemStore
-	armed   bool
-	touched map[pagefile.PageID]bool
+	armed         bool
+	read, written map[pagefile.PageID]bool
 }
 
 func (s *pageLog) Read(id pagefile.PageID, buf []byte) error {
 	if s.armed {
-		s.touched[id] = true
+		s.read[id] = true
 	}
 	return s.MemStore.Read(id, buf)
 }
 
 func (s *pageLog) Write(id pagefile.PageID, buf []byte) error {
 	if s.armed {
-		s.touched[id] = true
+		s.written[id] = true
 	}
 	return s.MemStore.Write(id, buf)
 }
 
 // TestGCInfoCounters: a delete stops at the leaf. Twenty deletes committed
-// in one epoch behind a pinned snapshot, the pin's release and the reclaim
-// that follows neither read nor write a data page; what they leave for the
+// in one epoch behind a pinned snapshot read no data page but their own
+// records' and write none, and the pin's release and the reclaim that
+// follows neither read nor write one; what they leave for the
 // collector is retired node pages, which the counters report; and the pinned
 // snapshot goes on reading the deleted objects' records for as long as it
 // lives, because nothing was done to them.
 func TestGCInfoCounters(t *testing.T) {
-	store := &pageLog{MemStore: pagefile.NewMemStore(), touched: map[pagefile.PageID]bool{}}
+	store := &pageLog{MemStore: pagefile.NewMemStore(), read: map[pagefile.PageID]bool{}, written: map[pagefile.PageID]bool{}}
 	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	objs := makeObjects(400, 1000, rand.New(rand.NewSource(5)))
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +135,7 @@ func TestGCInfoCounters(t *testing.T) {
 		doomed = append(doomed, objs[i])
 	}
 	// Data pages: what the tree references that is neither node nor metadata.
-	dataPages, err := tree.ReachablePages(nil)
+	dataPages, err := tree.ReachablePages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +159,9 @@ func TestGCInfoCounters(t *testing.T) {
 	if len(doomed) != 20 || len(onPages) < 3 {
 		t.Fatalf("fixture: %d victims on %d of %d data pages, want 20 on several", len(doomed), len(onPages), len(dataPages))
 	}
-	dataTouched := func() []pagefile.PageID {
+	dataIn := func(log map[pagefile.PageID]bool) []pagefile.PageID {
 		var ids []pagefile.PageID
-		for id := range store.touched {
+		for id := range log {
 			if dataPages[id] {
 				ids = append(ids, id)
 			}
@@ -178,7 +179,7 @@ func TestGCInfoCounters(t *testing.T) {
 
 	store.armed = true
 	for _, o := range doomed {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,8 +187,13 @@ func TestGCInfoCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.armed = false
-	if ids := dataTouched(); len(ids) != 0 {
-		t.Fatalf("20 deletes and their commit touched data pages %v", ids)
+	if ids := dataIn(store.written); len(ids) != 0 {
+		t.Fatalf("20 deletes and their commit wrote data pages %v", ids)
+	}
+	for _, id := range dataIn(store.read) {
+		if !onPages[id] {
+			t.Fatalf("20 deletes read data page %d, which holds none of their records", id)
+		}
 	}
 	info := tree.GCInfo()
 	if info.PendingEpochs == 0 || info.PendingPages == 0 || info.ReclaimedPages != before.ReclaimedPages {
@@ -217,13 +223,14 @@ func TestGCInfoCounters(t *testing.T) {
 		t.Fatalf("pinned epoch's records: %v", err)
 	}
 
+	clear(store.read)
 	store.armed = true
 	snap.Close()
 	if err := tree.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
 	store.armed = false
-	if ids := dataTouched(); len(ids) != 0 {
+	if ids := append(dataIn(store.read), dataIn(store.written)...); len(ids) != 0 {
 		t.Fatalf("reclaim touched data pages %v", ids)
 	}
 	after := tree.GCInfo()

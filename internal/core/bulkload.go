@@ -34,19 +34,28 @@ import (
 // stays fully dynamic afterwards (later Inserts append at the data file's
 // tail).
 // The result is a function of the object order alone. It can only be called
-// on an empty tree. It returns the records' addresses, addrs[i] objects[i]'s.
-func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
-	if t.size != 0 {
-		return nil, fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", t.size)
+// on an empty tree, and an ID named twice is ErrDuplicateID before a page is
+// allocated. The directory takes every object at its record's address; a
+// Rollback empties it again.
+func (t *Tree) BulkLoad(objects []Object) error {
+	if n := t.Len(); n != 0 {
+		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", n)
 	}
 	if len(objects) == 0 {
-		return nil, nil
+		return nil
 	}
 	entries, err := t.buildLeafEntries(objects)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	addrs := make([]pagefile.DataAddr, len(objects))
+	for _, o := range objects {
+		if _, dup := t.dir[o.ID]; dup {
+			t.dir = make(map[int64]pagefile.DataAddr)
+			return fmt.Errorf("%w: id %d named twice", ErrDuplicateID, o.ID)
+		}
+		t.dir[o.ID] = pagefile.DataAddr{} // the address comes with the record
+	}
+	t.undo = append(t.undo, dirUndo{load: true})
 
 	med := t.cat.MedianIndex()
 	centersOf := func(es []entry, leaf bool) []float64 {
@@ -82,9 +91,9 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 			for _, g := range groups {
 				for _, i := range g {
 					if current[i].addr, err = t.appendRecord(objects[i], current[i].shape); err != nil {
-						return nil, err
+						return err
 					}
-					addrs[i] = current[i].addr
+					t.dir[objects[i].ID] = current[i].addr
 				}
 			}
 		}
@@ -92,14 +101,14 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 		for _, g := range groups {
 			n, err := t.allocNode(level)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			n.entries = make([]entry, len(g))
 			for k, i := range g {
 				n.entries[k] = current[i]
 			}
 			if err := t.writeNode(n); err != nil {
-				return nil, err
+				return err
 			}
 			next = append(next, entry{child: n.page, boxes: t.nodeBoundary(n)})
 		}
@@ -109,19 +118,18 @@ func (t *Tree) BulkLoad(objects []Object) ([]pagefile.DataAddr, error) {
 			if t.rootPage != root {
 				n, err := t.readNode(t.rootPage, t.rootLevel)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if len(n.entries) == 0 {
 					if err := t.freeNode(n); err != nil {
-						return nil, fmt.Errorf("core: freeing the empty root %d: %w", n.page, err)
+						return fmt.Errorf("core: freeing the empty root %d: %w", n.page, err)
 					}
 				}
 			}
 			t.rootPage = root
 			t.rootLevel = level
 			t.rootMBR = t.boxAt(next[0].boxes, 0)
-			t.size = len(objects)
-			return addrs, nil
+			return nil
 		}
 		current = next
 	}

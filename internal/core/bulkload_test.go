@@ -23,7 +23,7 @@ func bulkTree(t *testing.T, opt Options, objs []Object) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.BulkLoad(objs); err != nil {
+	if err := tree.BulkLoad(objs); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.CheckInvariants(); err != nil {
@@ -175,7 +175,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := store.NumPages()
-	if _, err := tree.BulkLoad(bad); err == nil {
+	if err := tree.BulkLoad(bad); err == nil {
 		t.Fatal("mis-dimensioned object accepted")
 	}
 	if got := store.NumPages(); got != pages {
@@ -184,7 +184,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Fatalf("failed load left %d objects", tree.Len())
 	}
-	if _, err := tree.BulkLoad(objs); err != nil {
+	if err := tree.BulkLoad(objs); err != nil {
 		t.Fatalf("load after a failed load: %v", err)
 	}
 	if tree.Len() != len(objs) {
@@ -210,7 +210,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tree.BulkLoad(objs); err != nil {
+		if err := tree.BulkLoad(objs); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.Commit(); err != nil {
@@ -231,7 +231,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		}
 	}
 
-	re, err := Open(s4, four.MetaPage(), Options{})
+	re, _, err := Open(s4, four.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		if !bytes.Equal(fb, rb) {
 			t.Fatalf("object %d (%s): entry in the reopened tree differs from the fresh tree's:\n % x\n % x", o.ID, o.PDF.ShapeKey(), rb, fb)
 		}
-		if _, err := re.Insert(o); err != nil {
+		if err := re.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			e := l.entries[len(l.entries)/2]
 			o := objs[e.id]
 			o.ID = int64(len(objs) + i)
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -20,19 +20,23 @@ import (
 //     boundary boxes of its child's entries at every catalog value
 //     (the containment property behind Observation 4),
 //   - stored object count matching the leaf entry count,
+//   - the working tree's ID directory holding the leaf entries' IDs, each at
+//     its entry's record address, and no other,
 //   - every leaf entry's shape reference within the shape table, and its
 //     MBR's extents those of the prototype to within pcr.ShapeSlack,
 //   - the recorded root box equal to the root's boundary box at p = 0.
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
-	return t.checkTreeAt(&treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.size, shapes: t.shapes, rootMBR: t.rootMBR}, false)
+	st := &treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.Len(), shapes: t.shapes, rootMBR: t.rootMBR}
+	return t.checkTreeAt(st, t.dir, false)
 }
 
-// checkTreeAt validates the tree of the given state — the working one for
-// the check above, a pinned epoch's for Snapshot.CheckInvariants — and with
-// records set the records that shape references vouch for.
-func (t *Tree) checkTreeAt(st *treeState, records bool) error {
+// checkTreeAt validates the tree of the given state — the working one and
+// its directory for the check above, a pinned epoch's and nil for
+// Snapshot.CheckInvariants — and with records set the records that shape
+// references vouch for.
+func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, records bool) error {
 	total := 0
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
@@ -56,8 +60,12 @@ func (t *Tree) checkTreeAt(st *treeState, records bool) error {
 		if n.leaf() {
 			total += len(n.entries)
 			for i := range n.entries {
-				if err := t.checkShape(&n.entries[i], st.shapes, records); err != nil {
+				e := &n.entries[i]
+				if err := t.checkShape(e, st.shapes, records); err != nil {
 					return nil, fmt.Errorf("core: node %d entry %d: %w", page, i, err)
+				}
+				if addr, ok := dir[e.id]; dir != nil && (!ok || addr != e.addr) {
+					return nil, fmt.Errorf("core: node %d entry %d: object %d at %+v, the directory has %+v (live %v)", page, i, e.id, e.addr, addr, ok)
 				}
 			}
 			if len(n.entries) == 0 {

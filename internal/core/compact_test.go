@@ -71,7 +71,7 @@ func TestOpenUTR4File(t *testing.T) {
 	if m := magic(); m != metaMagicV4 {
 		t.Fatalf("fixture magic %#x, want UTR4", m)
 	}
-	tree, err := Open(store, meta, Options{MCSamples: utr4Samples})
+	tree, _, err := Open(store, meta, Options{MCSamples: utr4Samples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOpenUTR4File(t *testing.T) {
 
 	before := treeLeaves(t, tree)
 	o := Object{ID: 1000, PDF: updf.NewUniformBall(geom.Point{500, 500}, 25)}
-	if _, err := tree.Insert(o); err != nil {
+	if err := tree.Insert(o); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.Commit(); err != nil {
@@ -157,13 +157,13 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// treeLeaves decodes every leaf of the working tree, keyed by page.
+// treeLeaves decodes every leaf of the committed tree, keyed by page.
 func treeLeaves(t *testing.T, tree *Tree) map[pagefile.PageID]*packedNode {
 	t.Helper()
 	leaves := map[pagefile.PageID]*packedNode{}
 	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		if n.leaf() {
-			p, err := tree.readPacked(n.page)
+			p, err := tree.readCommitted(n.page, 0)
 			leaves[n.page] = p
 			return err
 		}
@@ -267,10 +267,10 @@ func TestMixedTrees(t *testing.T) {
 					t.Fatal(err)
 				}
 				if build == "BulkLoad" {
-					_, err = tree.BulkLoad(objs)
+					err = tree.BulkLoad(objs)
 				} else {
 					for _, o := range objs {
-						if _, err = tree.Insert(o); err != nil {
+						if err = tree.Insert(o); err != nil {
 							break
 						}
 					}
@@ -299,7 +299,7 @@ func TestMixedTrees(t *testing.T) {
 				rng.Shuffle(len(ids), func(a, b int) { ids[a], ids[b] = ids[b], ids[a] })
 				del := func(id int64) {
 					t.Helper()
-					if err := tree.Delete(id, live[id].PDF.MBR()); err != nil {
+					if err := tree.Delete(id); err != nil {
 						t.Fatalf("delete %d: %v", id, err)
 					}
 					delete(live, id)
@@ -312,7 +312,7 @@ func TestMixedTrees(t *testing.T) {
 				next := int64(n)
 				for b := 0; b < 3; b++ {
 					for _, o := range mixedObjects(60, dim, span, next, false, rng) {
-						if _, err := tree.Insert(o); err != nil {
+						if err := tree.Insert(o); err != nil {
 							t.Fatal(err)
 						}
 						live[o.ID] = o
@@ -325,12 +325,12 @@ func TestMixedTrees(t *testing.T) {
 				}
 
 				for _, o := range mixedObjects(60, dim, span, next, false, rng) {
-					if _, err := tree.Insert(o); err != nil {
+					if err := tree.Insert(o); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for _, id := range ids[len(ids)/4+180 : len(ids)/4+240] {
-					if err := tree.Delete(id, live[id].PDF.MBR()); err != nil {
+					if err := tree.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -440,10 +440,10 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.build == "BulkLoad" {
-			_, err = tree.BulkLoad(objs)
+			err = tree.BulkLoad(objs)
 		} else {
 			for _, o := range objs {
-				if _, err = tree.Insert(o); err != nil {
+				if err = tree.Insert(o); err != nil {
 					break
 				}
 			}
@@ -452,7 +452,7 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range objs[:150] {
-			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+			if err := tree.Delete(o.ID); err != nil {
 				t.Fatal(err)
 			}
 		}

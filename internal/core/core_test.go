@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -51,7 +52,7 @@ func buildTree(t *testing.T, kind Kind, objs []Object, catalogSize int) *Tree {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatalf("insert %d: %v", o.ID, err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestDeleteThenQuery(t *testing.T) {
 		deleted := map[int64]bool{}
 		for _, idx := range perm[:300] {
 			o := objs[idx]
-			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+			if err := tree.Delete(o.ID); err != nil {
 				t.Fatalf("%v: delete %d: %v", kind, o.ID, err)
 			}
 			deleted[o.ID] = true
@@ -239,7 +240,7 @@ func TestDeleteAllLeavesEmptyUsableTree(t *testing.T) {
 	objs := makeObjects(250, 400, rng)
 	tree := buildTree(t, UTree, objs, 0)
 	for _, o := range objs {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatalf("delete %d: %v", o.ID, err)
 		}
 	}
@@ -250,7 +251,7 @@ func TestDeleteAllLeavesEmptyUsableTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Still usable.
-	if _, err := tree.Insert(objs[0]); err != nil {
+	if err := tree.Insert(objs[0]); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := rangeQuery(tree, Query{
@@ -266,13 +267,19 @@ func TestDeleteNotFound(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	objs := makeObjects(50, 200, rng)
 	tree := buildTree(t, UTree, objs, 0)
-	err := tree.Delete(99999, objs[0].PDF.MBR())
+	err := tree.Delete(99999)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
-	wrongMBR := geom.NewRect(geom.Point{9000, 9000}, geom.Point{9001, 9001})
-	if err := tree.Delete(objs[0].ID, wrongMBR); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	// A deleted ID is unknown from then on.
+	if err := tree.Delete(objs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Delete(objs[0].ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second delete: err = %v, want ErrNotFound", err)
+	}
+	if tree.Len() != len(objs)-1 {
+		t.Fatalf("Len = %d, want %d", tree.Len(), len(objs)-1)
 	}
 }
 
@@ -289,7 +296,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 			o := makeObjects(1, 600, rng)[0]
 			o.ID = nextID
 			nextID++
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			live[o.ID] = o
@@ -303,7 +310,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 				}
 				k--
 			}
-			if err := tree.Delete(victim.ID, victim.PDF.MBR()); err != nil {
+			if err := tree.Delete(victim.ID); err != nil {
 				t.Fatalf("step %d: delete: %v", step, err)
 			}
 			delete(live, victim.ID)
@@ -406,6 +413,7 @@ func TestQueryValidation(t *testing.T) {
 		{Rect: geom.NewRect(geom.Point{0}, geom.Point{1}), Prob: 0.5},       // wrong dim
 		{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), Prob: 0},   // pq = 0
 		{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), Prob: 1.1}, // pq > 1
+		{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), Prob: math.NaN()},
 	}
 	for i, q := range cases {
 		if _, _, err := rangeQuery(tree, q); err == nil {
@@ -417,6 +425,14 @@ func TestQueryValidation(t *testing.T) {
 	bad.Rect.Lo[0] = 2 // inverted
 	if _, _, err := rangeQuery(tree, bad); err == nil {
 		t.Error("inverted rect accepted")
+	}
+	// A k-NN query point must be finite.
+	snap := tree.Snapshot()
+	defer snap.Close()
+	for _, q := range []geom.Point{{math.NaN(), 5}, {math.Inf(1), 5}, {5, math.Inf(-1)}} {
+		if _, _, err := snap.NearestNeighbors(context.Background(), q, 3, QueryOpts{}); err == nil {
+			t.Errorf("k-NN query point %v accepted", q)
+		}
 	}
 }
 
@@ -453,7 +469,7 @@ func TestNewValidation(t *testing.T) {
 func TestInsertDimMismatch(t *testing.T) {
 	tree, _ := New(Options{Dim: 2})
 	o := Object{ID: 1, PDF: updf.NewUniformBall(geom.Point{0, 0, 0}, 1)}
-	if _, err := tree.Insert(o); err == nil {
+	if err := tree.Insert(o); err == nil {
 		t.Error("3D object accepted by 2D tree")
 	}
 }
@@ -470,7 +486,7 @@ func Test3DTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -505,7 +521,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,7 +529,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(store, tree.MetaPage(), Options{})
+	re, _, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,10 +554,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	// Reopened tree accepts further updates.
 	extra := makeObjects(1, 600, rng)[0]
 	extra.ID = 999999
-	if _, err := re.Insert(extra); err != nil {
+	if err := re.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Delete(extra.ID, extra.PDF.MBR()); err != nil {
+	if err := re.Delete(extra.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -559,7 +575,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -581,7 +597,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	dead := append(append([]Object(nil), objs[:10]...), objs[140:]...)
 	live := objs[10:140]
 	for _, o := range dead {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -605,7 +621,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		}
 	}
 
-	re, err := Open(store, tree.MetaPage(), Options{})
+	re, _, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +640,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	extra := makeObjects(5, 600, rng)
 	for i := range extra {
 		extra[i].ID = int64(1000 + i)
-		if _, err := re.Insert(extra[i]); err != nil {
+		if err := re.Insert(extra[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -663,7 +679,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 func TestOpenBadMeta(t *testing.T) {
 	store := pagefile.NewMemStore()
 	id, _ := store.Alloc()
-	if _, err := Open(store, id, Options{}); err == nil {
+	if _, _, err := Open(store, id, Options{}); err == nil {
 		t.Error("garbage metadata accepted")
 	}
 }
@@ -686,7 +702,7 @@ func TestOpenRefusesUTR1(t *testing.T) {
 	if err := store.Write(meta, buf); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Open(store, meta, Options{})
+	tree, _, err := Open(store, meta, Options{})
 	if !errors.Is(err, ErrOldLayout) || tree != nil {
 		t.Fatalf("Open on a UTR1 file: tree %v, err %v, want ErrOldLayout", tree, err)
 	}
@@ -711,13 +727,13 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	n := 2 * tree.leafCap
 	objs := makeObjects(n+1, 300, rng)
 	for _, o := range objs[:n] {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Trip the store and verify errors propagate rather than panic.
 	fault.Arm(0)
-	if _, err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
+	if err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fault.Arm(0)
@@ -747,7 +763,7 @@ func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) 
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -877,10 +893,10 @@ func TestCorruptChildPointerEndsWalks(t *testing.T) {
 		mutation bool
 	}{
 		{"IndexPages", func() error { _, err := tree.IndexPages(); return err }, false},
-		{"ReachablePages", func() error { _, err := tree.ReachablePages(nil); return err }, false},
+		{"ReachablePages", func() error { _, err := tree.ReachablePages(); return err }, false},
 		{"CheckInvariants", tree.CheckInvariants, false},
-		{"Insert", func() error { _, err := tree.Insert(ins); return err }, true},
-		{"Delete", func() error { return tree.Delete(del.ID, del.PDF.MBR()) }, true},
+		{"Insert", func() error { return tree.Insert(ins) }, true},
+		{"Delete", func() error { return tree.Delete(del.ID) }, true},
 	}
 	for _, c := range cases {
 		err := within(t, c.name, c.op)
@@ -910,7 +926,7 @@ func TestUpdateStatsAccumulate(t *testing.T) {
 		t.Fatalf("insert stats: %+v", ins)
 	}
 	for _, o := range objs[:50] {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -968,7 +984,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

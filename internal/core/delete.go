@@ -8,25 +8,38 @@ import (
 	"repro/internal/pagefile"
 )
 
-// ErrNotFound is returned by Delete when no entry matches.
-var ErrNotFound = fmt.Errorf("core: object not found")
-
-// Delete removes the object with the given id and pdf MBR from the index.
-// It stops at the leaf: the object's data record is write-once and stays
-// where it is, unreferenced once this delete commits, so a snapshot pinned
-// earlier can still refine it and the data file sees no I/O. The MBR guides
-// the descent (only subtrees whose bounding geometry can contain the
-// object's entry are visited), mirroring R-tree deletion.
-func (t *Tree) Delete(id int64, mbr geom.Rect) error {
+// Delete removes the object id from the index; an ID the tree does not hold
+// is ErrNotFound, and nothing is mutated. It reads the object's record (from
+// the append cache if this batch appended it) for the region MBR that
+// guides the descent, mirroring R-tree deletion; a record holding another
+// ID is a *pagefile.BadPageError. The record is write-once and stays, so a
+// snapshot pinned earlier can still refine it, and the data file sees no
+// write.
+func (t *Tree) Delete(id int64) error {
+	addr, ok := t.dir[id]
+	if !ok {
+		return fmt.Errorf("%w: id %d", ErrNotFound, id)
+	}
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
-	leaf, path, idx, err := t.findLeaf(t.rootPage, t.rootLevel, nil, id, mbr)
+	rec, err := t.data.Read(addr)
+	var o Object
+	if err == nil {
+		o, err = decodeObject(rec, t.shapes)
+	}
+	if err == nil && o.ID != id {
+		err = &pagefile.BadPageError{Page: addr.Page, Reason: fmt.Sprintf("record slot %d holds object %d, not %d", addr.Slot, o.ID, id)}
+	}
+	if err != nil {
+		return err
+	}
+	leaf, path, idx, err := t.findLeaf(t.rootPage, t.rootLevel, nil, id, o.PDF.MBR())
 	if err != nil {
 		return err
 	}
 	if leaf == nil {
-		return ErrNotFound
+		return fmt.Errorf("%w: id %d in no leaf", ErrNotFound, id)
 	}
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	if err := t.writeNode(leaf); err != nil {
@@ -35,7 +48,8 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	if err := t.condense(leaf, path); err != nil {
 		return err
 	}
-	t.size--
+	t.journal(id)
+	delete(t.dir, id)
 
 	t.deleteStats.Ops++
 	t.deleteStats.PageReads += t.nodeReads.Load() - r0
@@ -44,24 +58,8 @@ func (t *Tree) Delete(id int64, mbr geom.Rect) error {
 	return nil
 }
 
-// RecordMBR reads the record at addr, as Insert or BulkLoad returned it,
-// and returns the ID and region MBR it holds: the key to Delete for a
-// caller that keeps record addresses. Records are write-once, so an address
-// holds while its object lives; one still in the append cache is read there.
-func (t *Tree) RecordMBR(addr pagefile.DataAddr) (int64, geom.Rect, error) {
-	rec, err := t.data.Read(addr)
-	var o Object
-	if err == nil {
-		o, err = decodeObject(rec, t.shapes)
-	}
-	if err != nil {
-		return 0, geom.Rect{}, err
-	}
-	return o.ID, o.PDF.MBR(), nil
-}
-
 // findLeaf locates the leaf containing (id, mbr), mbr being the region MBR
-// of the object's record (RecordMBR), which the leaf entry's MBR equals
+// of the object's record, which the leaf entry's MBR equals
 // exactly: the entry was built from the same pdf. A subtree can hold the
 // entry only if its boundary box at p_1 = 0 contains the object's MBR: a
 // leaf entry's cfb_out(0) (U-tree) or pcr(0) (U-PCR) covers the region MBR,

@@ -35,7 +35,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bulk.BulkLoad(objs); err != nil {
+	if err := bulk.BulkLoad(objs); err != nil {
 		t.Fatal(err)
 	}
 	if bulk.Len() != len(objs) {
@@ -182,16 +182,16 @@ func TestBulkLoadStaysDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.BulkLoad(objs[:500]); err != nil {
+	if err := tree.BulkLoad(objs[:500]); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range objs[500:] {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, o := range objs[:100] {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,14 +216,14 @@ func TestBulkLoadErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	objs := makeObjects(10, 100, rng)
 	tree, _ := New(Options{Dim: 2})
-	if _, err := tree.Insert(objs[0]); err != nil {
+	if err := tree.Insert(objs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.BulkLoad(objs); err == nil {
+	if err := tree.BulkLoad(objs); err == nil {
 		t.Error("bulk load on non-empty tree accepted")
 	}
 	empty, _ := New(Options{Dim: 2})
-	if _, err := empty.BulkLoad(nil); err != nil {
+	if err := empty.BulkLoad(nil); err != nil {
 		t.Errorf("empty bulk load: %v", err)
 	}
 	if empty.Len() != 0 {
@@ -236,7 +236,7 @@ func TestBulkLoadSmallAndExactCapacity(t *testing.T) {
 	for _, n := range []int{1, 5, 23, 24, 100} {
 		objs := makeObjects(n, 300, rng)
 		tree, _ := New(Options{Dim: 2})
-		if _, err := tree.BulkLoad(objs); err != nil {
+		if err := tree.BulkLoad(objs); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if tree.Len() != n {
@@ -366,7 +366,7 @@ func TestSplitStrategiesStayCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range objs {
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -394,7 +394,7 @@ func TestDisableReinsertStaysCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +441,7 @@ func TestPolygonAndMixtureObjectsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,7 +462,7 @@ func TestPolygonAndMixtureObjectsEndToEnd(t *testing.T) {
 	}
 	// Deletions work for these pdfs too.
 	for _, o := range objs[:30] {
-		if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+		if err := tree.Delete(o.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -490,18 +490,18 @@ func TestDeleteAfterBulkLoadSharedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tree.BulkLoad(objs); err != nil {
+		if err := tree.BulkLoad(objs); err != nil {
 			t.Fatal(err)
 		}
 		for op := int64(0); op < 150; op++ {
 			ctr := geom.Point{250 + rng.Float64()*9500, 250 + rng.Float64()*9500}
 			pdf := updf.NewUniformBall(ctr, 250)
 			id := 1_000_000 + op
-			if _, err := tree.Insert(Object{ID: id, PDF: pdf}); err != nil {
+			if err := tree.Insert(Object{ID: id, PDF: pdf}); err != nil {
 				t.Fatal(err)
 			}
 			if op%2 == 0 {
-				if err := tree.Delete(id, pdf.MBR()); err != nil {
+				if err := tree.Delete(id); err != nil {
 					t.Fatalf("shuffle %d op %d: delete %d: %v", shuf, op, id, err)
 				}
 			}

@@ -16,29 +16,42 @@ type fetchMeter struct {
 // fetchNode reads the tree page a descent expects at level. The
 // decoded-node cache is consulted first: a hit costs no I/O and no decode —
 // the node is returned shared (the traversals only read it). On a miss the
-// node is decoded fresh and, when its page is committed, offered to the
-// cache.
+// node is read from the store and, when its page is committed, offered to
+// the cache. Neither is a logical node read: those count the writer's.
 func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedNode, error) {
 	if t.ncache != nil {
 		if n, ok := t.ncache.get(id); ok {
-			t.nodeReads.Add(1) // still one logical node access
 			m.ncHits++
-			if err := t.checkLevel(n, level); err != nil {
-				return nil, err
-			}
-			return n, nil
+			return n, t.checkLevel(n, level)
 		}
 		m.ncMisses++
 	}
-	n, err := t.readPacked(id)
+	n, err := t.readCommitted(id, level)
 	if err != nil {
-		return nil, err
-	}
-	if err := t.checkLevel(n, level); err != nil {
 		return nil, err
 	}
 	t.maybeCacheNode(n)
 	return n, nil
+}
+
+// readCommitted reads a committed node page straight from the store: the
+// write buffer holds only the open batch's fresh pages.
+func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
+	buf := make([]byte, pagefile.PageSize)
+	if err := t.store.Read(id, buf); err != nil {
+		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
+	}
+	return t.decodeAt(id, level, buf)
+}
+
+// decodeAt decodes page id, read into buf, where a descent expects a node
+// at level. A corrupt page fails with ErrBadPage; nothing remembers it.
+func (t *Tree) decodeAt(id pagefile.PageID, level int, buf []byte) (*packedNode, error) {
+	n, err := t.decodeNode(id, buf)
+	if err != nil {
+		return nil, err
+	}
+	return n, t.checkLevel(n, level)
 }
 
 // checkLevel refuses a node found where the descent needs another level —

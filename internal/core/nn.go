@@ -99,6 +99,11 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	if len(q) != t.dim {
 		return nil, stats, fmt.Errorf("core: query point dim %d, tree dim %d", len(q), t.dim)
 	}
+	for _, c := range q {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, stats, fmt.Errorf("core: query point %v is not finite", q)
+		}
+	}
 	if k < 1 {
 		return nil, stats, fmt.Errorf("core: k must be positive, got %d", k)
 	}

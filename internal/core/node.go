@@ -111,13 +111,16 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 }
 
 // readNodeIn is readNode over the shape table of the epoch the page
-// belongs to: a snapshot's check must not read the writer's.
+// belongs to: a snapshot's check must not read the writer's. It reads
+// through the write buffer, which holds the open batch's dirty pages.
 func (t *Tree) readNodeIn(id pagefile.PageID, level int, shapes []shape) (*node, error) {
-	p, err := t.readPacked(id)
+	t.nodeReads.Add(1)
+	buf, err := t.pool.Get(id)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
 	}
-	if err := t.checkLevel(p, level); err != nil {
+	p, err := t.decodeAt(id, level, buf)
+	if err != nil {
 		return nil, err
 	}
 	return t.expand(p, shapes), nil
@@ -158,25 +161,9 @@ func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 // shadow (fresh) page is still writable in place and bypasses the cache.
 // Callers must not mutate p after offering it.
 func (t *Tree) maybeCacheNode(p *packedNode) {
-	if t.ncache == nil {
-		return
-	}
-	if t.vs.Committed(p.page) {
+	if t.ncache != nil && !t.vs.Writable(p.page) {
 		t.ncache.put(p.page, p)
 	}
-}
-
-// readPacked reads and decodes a page, counting one logical node access.
-// A page that fails its checksum, its trailer or its decode fails this read
-// with a typed error (ErrChecksum or ErrBadPage); nothing remembers it, so
-// the next read asks the store again.
-func (t *Tree) readPacked(id pagefile.PageID) (*packedNode, error) {
-	t.nodeReads.Add(1)
-	buf, err := t.pool.Get(id)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
-	}
-	return t.decodeNode(id, buf)
 }
 
 // writeNode serializes a node to its page — copy-on-write: a node whose

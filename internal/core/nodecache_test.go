@@ -167,7 +167,7 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,12 +268,12 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 			o := makeObjects(1, 1000, wrng)[0]
 			o.ID = id
 			id++
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				writerDone <- err
 				return
 			}
 			if id%3 == 0 {
-				if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+				if err := tree.Delete(o.ID); err != nil {
 					writerDone <- err
 					return
 				}
@@ -328,7 +328,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}

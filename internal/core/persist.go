@@ -61,7 +61,7 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint16(buf[6:], uint16(t.cat.Size()))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(t.rootPage))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(t.rootLevel))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(t.size))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(t.Len()))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(t.data.CurrentPage()))
 	binary.LittleEndian.PutUint64(buf[28:], t.vs.Epoch()+1) // the epoch this write commits
 	binary.LittleEndian.PutUint16(buf[metaFixed:], uint16(len(t.shapes)))
@@ -85,74 +85,77 @@ func (t *Tree) MetaPage() pagefile.PageID { return t.meta }
 // is intact whatever partial shadow writes a dying process left behind.
 // Runtime options (buffering, refinement) come from opt; structural fields
 // (kind, dim, catalog) come from the metadata.
-func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (*Tree, error) {
+//
+// Open walks the recovered tree once: the leaves give back the ID
+// directory, so Delete works on the reopened tree as on a new one, and
+// reach is the live set (ReachablePages) for the caller's open-time leak
+// sweep. A page the walk cannot read fails the open.
+func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree, reach map[pagefile.PageID]bool, err error) {
 	buf := make([]byte, pagefile.PageSize)
 	if err := store.Read(metaPage, buf); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
 	case metaMagic, metaMagicV4, metaMagicV3, metaMagicV2:
 	case metaMagicV1:
-		return nil, ErrOldLayout
+		return nil, nil, ErrOldLayout
 	default:
-		return nil, fmt.Errorf("core: page %d is not a U-tree metadata page", metaPage)
+		return nil, nil, fmt.Errorf("core: page %d is not a U-tree metadata page", metaPage)
 	}
 	kind := Kind(buf[4])
 	dim := int(buf[5])
 	m := int(binary.LittleEndian.Uint16(buf[6:]))
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
-		return nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
+		return nil, nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
 	shapes, err := decodeShapes(buf[metaFixed:], dim, pcr.UniformCatalog(m))
 	if err != nil {
-		return nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage, Reason: err.Error()})
+		return nil, nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage, Reason: err.Error()})
 	}
 	epoch := binary.LittleEndian.Uint64(buf[28:])
-	t, err := newTree(kind, dim, m, store, metaPage, epoch, opt)
-	if err != nil {
-		return nil, err
+	if t, err = newTree(kind, dim, m, store, metaPage, epoch, opt); err != nil {
+		return nil, nil, err
 	}
 	t.setShapes(shapes)
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
-	t.size = int(binary.LittleEndian.Uint64(buf[16:]))
 	t.data = pagefile.OpenDataFileAt(t.store, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
-	// The root box is not persisted: read it off the root once. A root that
-	// does not read leaves it zero ("cannot prune"), and every query that
-	// descends reports the failure.
+	if reach, err = t.reachable(t.dir); err != nil {
+		return nil, nil, err
+	}
+	// The root box is not persisted: read it off the root once.
 	if root, err := t.readNode(t.rootPage, t.rootLevel); err == nil {
 		t.rootMBR = t.rootBox(root)
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
 	t.vs.SeedState(t.workingState())
-	return t, nil
+	return t, reach, nil
 }
 
-// ReachablePages walks the committed tree and returns every page it
+// ReachablePages walks the working tree and returns every page it
 // references: node pages, the data pages held by leaf entries, the current
 // append page and the metadata page. This is the live set for the
 // open-time leak sweep — a crash between an epoch's metadata write and its
 // garbage drain leaves superseded shadow pages allocated but unreferenced,
 // and the store can return exactly the complement of this set (plus its
-// own metadata) to the free list.
-//
-// A non-nil object receives the id and record address of every leaf entry
-// on the way, read off the same leaf pages — the ID directory, recovered at
-// open without another page read (RecordMBR turns an address back into
-// the MBR Delete descends on).
-func (t *Tree) ReachablePages(object func(id int64, addr pagefile.DataAddr)) (map[pagefile.PageID]bool, error) {
+// own metadata) to the free list. Open returns it from its own walk.
+func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
+	return t.reachable(nil)
+}
+
+// reachable is ReachablePages, filling dir (when not nil) with the ID and
+// record address of every leaf entry on the way.
+func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (map[pagefile.PageID]bool, error) {
 	reach := make(map[pagefile.PageID]bool)
 	err := t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
-		if n.level == 0 {
+		if n.leaf() {
 			for i := range n.entries {
 				e := &n.entries[i]
-				if e.addr.Page != pagefile.InvalidPage {
-					reach[e.addr.Page] = true
-				}
-				if object != nil {
-					object(e.id, e.addr)
+				reach[e.addr.Page] = true
+				if dir != nil {
+					dir[e.id] = e.addr
 				}
 			}
 		}

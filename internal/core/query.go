@@ -336,7 +336,7 @@ func validateQuery(dim int, q Query) error {
 	if !q.Rect.IsValid() {
 		return fmt.Errorf("core: invalid query rectangle %v", q.Rect)
 	}
-	if q.Prob <= 0 || q.Prob > 1 {
+	if !(q.Prob > 0 && q.Prob <= 1) { // NaN fails both
 		return fmt.Errorf("core: query probability %g outside (0, 1]", q.Prob)
 	}
 	return nil

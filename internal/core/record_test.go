@@ -18,8 +18,9 @@ import (
 // requires the form encodeObject promises: keyed — 11 bytes and the centre
 // — exactly when the leaf entry names a shape whose prototype is a
 // updf.Recentrer, full otherwise; and either way a record that decodes
-// against the tree's table to the object as inserted, bit for bit, with
-// RecordMBR its MBR. It returns the number of keyed records.
+// against the tree's table to the object as inserted, bit for bit, at the
+// address the directory holds for it. It returns the number of keyed
+// records.
 func checkRecordForms(t *testing.T, tree *Tree, objs map[int64]Object) (keyed int) {
 	t.Helper()
 	seen := 0
@@ -51,8 +52,8 @@ func checkRecordForms(t *testing.T, tree *Tree, objs map[int64]Object) (keyed in
 			if !bytes.Equal(a, b) {
 				t.Fatalf("object %d reads back as %x, was %x", e.id, a, b)
 			}
-			if id, mbr, err := tree.RecordMBR(e.addr); err != nil || id != e.id || !mbr.Equal(o.PDF.MBR()) {
-				t.Fatalf("RecordMBR of object %d: %d, %v, %v", e.id, id, mbr, err)
+			if a, ok := tree.RecordAddr(e.id); !ok || a != e.addr {
+				t.Fatalf("object %d at %+v, the directory has %+v (live %v)", e.id, e.addr, a, ok)
 			}
 			seen++
 		}
@@ -83,7 +84,7 @@ func TestKeyedRecords(t *testing.T) {
 	store := pagefile.NewMemStore()
 	tree := bulkTree(t, Options{Dim: 2, Store: store, Persist: true}, list[:600])
 	for _, o := range list[600:] {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +110,7 @@ func TestKeyedRecords(t *testing.T) {
 	if keyed != balls {
 		t.Fatalf("%d keyed records, %d balls", keyed, balls)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{})
+	re, _, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func sameResults(a, b []Result) bool {
 // resolve — a shape reference of 0 or beyond the table, one naming a shape
 // that cannot be recentred, a record a byte short or a byte long — fails
 // every reader with ErrCorruptPDF: a range query and a k-NN query that
-// refine it, RecordMBR (a delete's read) and CheckRecords. Never a panic,
+// refine it, a Delete (which reads it for its MBR) and CheckRecords. Never a panic,
 // never an answer from a pdf the record does not hold.
 func TestKeyedRecordDamage(t *testing.T) {
 	setRef := func(ref uint16) func(page []byte, slotEntry int) {
@@ -194,12 +195,12 @@ func TestKeyedRecordDamage(t *testing.T) {
 				if i%2 == 1 {
 					p = updf.NewUniformRect(geom.NewRect(c, geom.Point{c[0] + 30, c[1] + 20}))
 				}
-				a, err := tree.Insert(Object{ID: int64(i), PDF: p})
-				if err != nil {
+				if err := tree.Insert(Object{ID: int64(i), PDF: p}); err != nil {
 					t.Fatal(err)
 				}
 				if i == 100 {
-					victim, addr = Object{ID: int64(i), PDF: p}, a
+					victim = Object{ID: int64(i), PDF: p}
+					addr, _ = tree.RecordAddr(victim.ID)
 				}
 			}
 			if err := tree.Commit(); err != nil {
@@ -226,8 +227,7 @@ func TestKeyedRecordDamage(t *testing.T) {
 			isCorrupt("range query", err)
 			_, _, err = snap.NearestNeighbors(context.Background(), victim.PDF.Center(), 3, QueryOpts{})
 			isCorrupt("k-NN query", err)
-			_, _, err = tree.RecordMBR(addr)
-			isCorrupt("RecordMBR", err)
+			isCorrupt("Delete", tree.Delete(victim.ID))
 			isCorrupt("CheckRecords", snap.CheckRecords())
 		})
 	}

@@ -11,13 +11,12 @@ import (
 // tripped over yet) is found on demand instead of at first read.
 //
 // A pass pins the committed epoch (a snapshot pin, exactly like a reader)
-// and walks its tree. Node pages are read directly from the store, not
-// through the write buffer or the decoded-node cache, so scrubbing neither
-// pollutes the read cache nor inflates the logical I/O counters the
-// experiments report; that checksummed read and the decode are the node's
-// check. Data pages and the current append page are checked through the
-// store stack's PageVerifier probe, which reads only the stored page (no
-// cache, no Stats charge).
+// and walks its tree. Node pages are read directly from the store
+// (readCommitted), not through the decoded-node cache, so scrubbing does
+// not pollute the read cache; that checksummed read and the decode are the
+// node's check. Data pages and the current append page are checked through
+// the store stack's PageVerifier probe, which reads only the stored page
+// (no cache, no Stats charge).
 
 // Scrub makes one pass over the pages the committed tree reaches and
 // reports how many verified clean, and the errors of the pages that proved
@@ -54,7 +53,7 @@ func (t *Tree) Scrub() (verified int, corrupt []error) {
 	}
 	var walk func(id pagefile.PageID, level int)
 	walk = func(id pagefile.PageID, level int) {
-		n, err := t.scrubNode(id, level)
+		n, err := t.readCommitted(id, level)
 		if !check(err) {
 			return
 		}
@@ -70,20 +69,4 @@ func (t *Tree) Scrub() (verified int, corrupt []error) {
 	walk(ts.rootPage, ts.rootLevel)
 	verifyData(ts.dataPage)
 	return verified, corrupt
-}
-
-// scrubNode reads a node page straight from the store (bypassing both
-// caches; see the file comment) and decodes it. A node at another level
-// than the descent needs is corrupt: a child pointer back up the tree
-// would otherwise walk for ever.
-func (t *Tree) scrubNode(id pagefile.PageID, level int) (*packedNode, error) {
-	buf := make([]byte, pagefile.PageSize)
-	if err := t.store.Read(id, buf); err != nil {
-		return nil, err
-	}
-	n, err := t.decodeNode(id, buf)
-	if err != nil {
-		return nil, err
-	}
-	return n, t.checkLevel(n, level)
 }

@@ -657,13 +657,13 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 		}
 		for _, o := range objs[:600] {
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}
 		fill()
 		for i, o := range objs[600:] { // splits
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 			if i%100 == 99 {
@@ -671,7 +671,7 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 		}
 		for i, o := range objs[:900] { // condensing
-			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+			if err := tree.Delete(o.ID); err != nil {
 				t.Fatal(err)
 			}
 			if i%100 == 99 {
@@ -679,7 +679,7 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			}
 		}
 		for _, o := range objs[:300] { // a batch rolled back
-			if _, err := tree.Insert(o); err != nil {
+			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -687,7 +687,7 @@ func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, o := range objs[900:] {
-			if err := tree.Delete(o.ID, o.PDF.MBR()); err != nil {
+			if err := tree.Delete(o.ID); err != nil {
 				t.Fatal(err)
 			}
 		}

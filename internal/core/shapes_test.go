@@ -106,7 +106,7 @@ func TestShapeDecisionsChangeNothingButReads(t *testing.T) {
 			} else {
 				tree, _ = New(tc.opt)
 				for _, o := range objs {
-					if _, err := tree.Insert(o); err != nil {
+					if err := tree.Insert(o); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -174,7 +174,7 @@ func TestShapeTablePersists(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{})
+	re, _, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +204,10 @@ func TestShapeTablePersists(t *testing.T) {
 	}
 	// An old shape keeps its reference, a new one goes behind the old ones,
 	// and the next commit persists it.
-	if _, err := re.Insert(Object{ID: 5000, PDF: updf.NewUniformBall(geom.Point{40, 40}, 25)}); err != nil {
+	if err := re.Insert(Object{ID: 5000, PDF: updf.NewUniformBall(geom.Point{40, 40}, 25)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := re.Insert(Object{ID: 5001, PDF: updf.NewUniformBall(geom.Point{50, 50}, 3.5)}); err != nil {
+	if err := re.Insert(Object{ID: 5001, PDF: updf.NewUniformBall(geom.Point{50, 50}, 3.5)}); err != nil {
 		t.Fatal(err)
 	}
 	if refs := leafShapes(t, re); refs[5000] != leafShapes(t, tree)[0] || refs[5001] != 7 {
@@ -216,7 +216,7 @@ func TestShapeTablePersists(t *testing.T) {
 	if err := re.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Open(store, re.MetaPage(), Options{})
+	again, _, err := Open(store, re.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				if err := tree.insertEntry(entries[i], 0, make(map[int]bool)); err != nil {
 					t.Fatal(err)
 				}
-				tree.size++
+				tree.dir[objs[i].ID] = entries[i].addr
 			}
 			if err := tree.Commit(); err != nil {
 				t.Fatal(err)
@@ -290,7 +290,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			old, err := Open(store, tree.MetaPage(), Options{})
+			old, _, err := Open(store, tree.MetaPage(), Options{})
 			if err != nil {
 				t.Fatalf("opening a %s file: %v", tc.name, err)
 			}
@@ -321,10 +321,10 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal("the first commit (rangeQuery's) did not make the file UTR5")
 			}
 			near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
-			addr, err := old.Insert(near)
-			if err != nil {
+			if err := old.Insert(near); err != nil {
 				t.Fatal(err)
 			}
+			addr, _ := old.RecordAddr(near.ID)
 			if err := old.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +341,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 					t.Fatalf("object %d's record %x (%v): want tag %d", id, rec, err, want)
 				}
 			}
-			re, err := Open(store, tree.MetaPage(), Options{})
+			re, _, err := Open(store, tree.MetaPage(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,10 +351,10 @@ func TestOpenOlderLayouts(t *testing.T) {
 			if err := re.Snapshot().CheckRecords(); err != nil {
 				t.Fatal(err)
 			}
-			if id, mbr, err := re.RecordMBR(addr); err != nil || id != near.ID || !mbr.Equal(near.PDF.MBR()) {
-				t.Fatalf("keyed record after reopening: id %d, MBR %v, err %v", id, mbr, err)
+			if a, ok := re.RecordAddr(near.ID); !ok || a != addr {
+				t.Fatalf("keyed record after reopening: the directory has %+v (live %v), want %+v", a, ok, addr)
 			}
-			if err := re.Delete(near.ID, near.PDF.MBR()); err != nil {
+			if err := re.Delete(near.ID); err != nil {
 				t.Fatal(err)
 			}
 			byID := func(rs []Result) []Result {
@@ -386,11 +386,11 @@ func TestShapeTableOverflow(t *testing.T) {
 		c := geom.Point{rng.Float64() * 500, rng.Float64() * 500}
 		objs[i] = Object{ID: int64(i), PDF: updf.NewUniformBall(c, 5+float64(i)/16)} // a shape each
 	}
-	if _, err := tree.BulkLoad(objs[:300]); err != nil {
+	if err := tree.BulkLoad(objs[:300]); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range objs[300:] {
-		if _, err := tree.Insert(o); err != nil {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestShapeTableOverflow(t *testing.T) {
 	if keyed := checkRecordForms(t, tree, byID); keyed != full {
 		t.Fatalf("%d keyed records, %d objects with a shape", keyed, full)
 	}
-	re, err := Open(store, tree.MetaPage(), Options{})
+	re, _, err := Open(store, tree.MetaPage(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 	}
 
 	for i := 0; i < 40; i++ { // a new shape, right inside the query
-		if _, err := tree.Insert(Object{ID: int64(9000 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 7)}); err != nil {
+		if err := tree.Insert(Object{ID: int64(9000 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 7)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,7 +471,7 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 		t.Fatalf("rollback left %d shapes (the new one still known: %v)", len(tree.shapes), there)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := tree.Insert(Object{ID: int64(9100 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 9)}); err != nil {
+		if err := tree.Insert(Object{ID: int64(9100 + i), PDF: updf.NewUniformBall(geom.Point{200 + float64(i), 190}, 9)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -581,7 +581,7 @@ func FuzzOpenMeta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := tree.BulkLoad(shapedObjects(120, 300, rand.New(rand.NewSource(47)))); err != nil {
+	if err := tree.BulkLoad(shapedObjects(120, 300, rand.New(rand.NewSource(47)))); err != nil {
 		f.Fatal(err)
 	}
 	if err := tree.Commit(); err != nil {
@@ -634,7 +634,7 @@ func FuzzOpenMeta(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		re, err := Open(scratch, tree.MetaPage(), Options{NodeCacheEntries: -1})
+		re, _, err := Open(scratch, tree.MetaPage(), Options{NodeCacheEntries: -1})
 		if err != nil {
 			var bad *pagefile.BadPageError
 			if dim, m := int(page[5]), int(binary.LittleEndian.Uint16(page[6:])); binary.LittleEndian.Uint32(page) == metaMagic && dim == 2 && m == 15 && page[4] == 0 && !errors.As(err, &bad) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
@@ -25,8 +23,8 @@ type treeState struct {
 	// rootMBR is the root boundary box at p = 0 (rootBox) — the rectangle
 	// containing every object MBR of the epoch — so sharded readers can
 	// prune whole shards against a query without touching the shard's
-	// pages. Zero for an empty tree, and after Open when the root could not
-	// be read; consumers must treat zero as "cannot prune".
+	// pages. Zero for an empty tree; consumers must treat zero as "cannot
+	// prune".
 	rootMBR geom.Rect
 }
 
@@ -34,7 +32,7 @@ func (t *Tree) workingState() *treeState {
 	return &treeState{
 		rootPage:  t.rootPage,
 		rootLevel: t.rootLevel,
-		size:      t.size,
+		size:      len(t.dir),
 		dataPage:  t.data.CurrentPage(),
 		shapes:    t.shapes,
 		rootMBR:   t.rootMBR,
@@ -75,35 +73,32 @@ func (t *Tree) Commit() error {
 			return err
 		}
 	}
-	return t.vs.Commit(t.workingState())
+	if err := t.vs.Commit(t.workingState()); err != nil {
+		return err
+	}
+	t.undo = nil // not kept: a large batch would hold its journal's memory
+	return nil
 }
 
 // Rollback abandons every mutation since the last commit, typically after
 // a failed operation: shadow pages are freed, deferred frees are dropped
 // (their targets are still live in the last committed epoch), and the
-// working root/size/data state rewinds to the last commit. The tree
-// remains usable; the uncommitted operations simply never happened.
+// working root, directory, data and shape state rewinds to the last
+// commit. The tree remains usable; the uncommitted operations simply never
+// happened.
 func (t *Tree) Rollback() error {
-	st, _ := t.committedState()
-	if st == nil {
-		return fmt.Errorf("core: rollback with no committed epoch")
-	}
+	st := t.committed()
 	t.rootPage = st.rootPage
 	t.rootLevel = st.rootLevel
 	t.rootMBR = st.rootMBR
-	t.size = st.size
+	t.revertDir()
 	t.data.SetCurrent(st.dataPage)
 	t.setShapes(st.shapes)
 	return t.vs.Rollback()
 }
 
-func (t *Tree) committedState() (*treeState, uint64) {
-	st := t.vs.State()
-	if st == nil {
-		return nil, 0
-	}
-	return st.(*treeState), t.vs.Epoch()
-}
+// committed is the last committed state (New and Open both publish one).
+func (t *Tree) committed() *treeState { return t.vs.State().(*treeState) }
 
 // Epoch returns the last committed epoch number.
 func (t *Tree) Epoch() uint64 { return t.vs.Epoch() }
@@ -111,13 +106,7 @@ func (t *Tree) Epoch() uint64 { return t.vs.Epoch() }
 // CommittedLen returns the object count of the last committed epoch —
 // readable concurrently with a writer (whose uncommitted mutations are not
 // yet visible).
-func (t *Tree) CommittedLen() int {
-	st, _ := t.committedState()
-	if st == nil {
-		return 0
-	}
-	return st.size
-}
+func (t *Tree) CommittedLen() int { return t.committed().size }
 
 // GCInfo reports the epoch collector's state: committed epoch, live
 // snapshot pins, pending epochs and pages, and the lifetime reclaim
@@ -159,18 +148,17 @@ func (s *Snapshot) Len() int { return s.st.size }
 
 // RootMBR returns the pinned epoch's root bounding box at p = 0 — the
 // rectangle containing every indexed object's region MBR, recorded by the
-// writer at commit. The zero Rect means unknown (an empty epoch, or a root
-// Open could not read); callers pruning on it must treat zero as "may
-// contain anything".
+// writer at commit. The zero Rect means an empty epoch; callers pruning on
+// it must treat zero as "may contain anything".
 func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 
 // CheckInvariants validates the pinned epoch's structure — usable while a
 // writer mutates the working tree, since the snapshot's pages are frozen.
-func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, false) }
+func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, nil, false) }
 
 // CheckRecords is CheckInvariants plus a read of every record that a leaf
 // entry's shape reference vouches for.
-func (s *Snapshot) CheckRecords() error { return s.t.checkTreeAt(s.st, true) }
+func (s *Snapshot) CheckRecords() error { return s.t.checkTreeAt(s.st, nil, true) }
 
 // Shapes returns the size of the pinned epoch's shape table.
 func (s *Snapshot) Shapes() int { return len(s.st.shapes) }

@@ -98,7 +98,6 @@ type Tree struct {
 
 	rootPage  pagefile.PageID
 	rootLevel int
-	size      int
 	// rootMBR is the working root's boundary box at p = 0 (rootBox),
 	// recorded by writeNode whenever it writes the root page and wherever
 	// another node becomes the root.
@@ -116,6 +115,11 @@ type Tree struct {
 
 	qcache  *pcr.QuantileCache
 	samples int
+
+	// The working ID directory and its journal since the last Commit
+	// (directory.go): the writer's, like rootPage.
+	dir  map[int64]pagefile.DataAddr
+	undo []dirUndo
 
 	// The working shape table (shapes.go): the writer's, like rootPage.
 	// Queries read the pinned epoch's treeState.shapes.
@@ -220,6 +224,7 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		meta:    meta,
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
+		dir:     make(map[int64]pagefile.DataAddr),
 
 		shapeRefs: make(map[string]uint16),
 
@@ -263,8 +268,8 @@ func (t *Tree) Dim() int { return t.dim }
 // Catalog returns the U-catalog.
 func (t *Tree) Catalog() pcr.Catalog { return t.cat }
 
-// Len returns the number of indexed objects.
-func (t *Tree) Len() int { return t.size }
+// Len returns the number of objects in the working tree.
+func (t *Tree) Len() int { return len(t.dir) }
 
 // Height returns the number of levels.
 func (t *Tree) Height() int { return t.rootLevel + 1 }
@@ -305,8 +310,9 @@ func (t *Tree) ResetCounters() {
 }
 
 // CacheStats reports the write buffer's hit/miss counters: node pages the
-// writer read back from its own dirty pages, and node pages read from the
-// store.
+// writer read back from its own dirty pages, and node pages the writer read
+// from the store. A query reads committed pages past the buffer and counts
+// in neither.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.pool.HitRate() }
 
 // attachNodeCache builds the decoded-node cache per Options.NodeCacheEntries
@@ -415,31 +421,36 @@ func (t *Tree) appendRecord(o Object, shape uint16) (pagefile.DataAddr, error) {
 	return t.data.Append(rec)
 }
 
-// Insert adds an object to the index. The object's details (pdf parameters)
-// are appended to the data file and referenced from the leaf entry; the
-// record's address is returned (see RecordMBR).
-func (t *Tree) Insert(o Object) (pagefile.DataAddr, error) {
+// Insert adds an object to the index. An ID the tree already holds is
+// ErrDuplicateID, and nothing is mutated. The object's details (pdf
+// parameters) are appended to the data file and referenced from the leaf
+// entry and the directory.
+func (t *Tree) Insert(o Object) error {
+	if t.Holds(o.ID) {
+		return fmt.Errorf("%w: id %d", ErrDuplicateID, o.ID)
+	}
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
 	e, err := t.buildLeafEntry(o)
 	if err != nil {
-		return pagefile.DataAddr{}, err
+		return err
 	}
 	if e.addr, err = t.appendRecord(o, e.shape); err != nil {
-		return pagefile.DataAddr{}, err
+		return err
 	}
 
 	if err := t.insertEntry(e, 0, make(map[int]bool)); err != nil {
-		return pagefile.DataAddr{}, err
+		return err
 	}
-	t.size++
+	t.journal(o.ID)
+	t.dir[o.ID] = e.addr
 
 	t.insertStats.Ops++
 	t.insertStats.PageReads += t.nodeReads.Load() - r0
 	t.insertStats.PageWrites += t.nodeWrites.Load() - w0
 	t.insertStats.CPUTime += time.Since(start)
-	return e.addr, nil
+	return nil
 }
 
 // pathElem records one step of a root-to-node descent.

@@ -48,7 +48,7 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 		row.InsertWallPerOp = ins.CPUTime / time.Duration(ins.Ops)
 
 		for _, o := range objs {
-			if err := t.Delete(o.ID, o.PDF.MBR()); err != nil {
+			if err := t.Delete(o.ID); err != nil {
 				return nil, err
 			}
 		}

@@ -51,7 +51,7 @@ func Fig8(cfg Config, mValues []int, pqValues []float64) ([]Fig8Point, error) {
 				return nil, err
 			}
 			for _, o := range objs {
-				if _, err := t.Insert(o); err != nil {
+				if err := t.Insert(o); err != nil {
 					return nil, err
 				}
 			}

@@ -112,15 +112,6 @@ func (v *VersionedStore) invalidate(id PageID) {
 	}
 }
 
-// Committed reports whether id is a committed page — immutable in place
-// under the COW discipline, and therefore safe to share a decoded form of
-// (the decoded-node cache's insert-path check).
-func (v *VersionedStore) Committed(id PageID) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return !v.fresh[id]
-}
-
 // Alloc allocates a page and marks it fresh: writable in place until the
 // next Commit seals it.
 func (v *VersionedStore) Alloc() (PageID, error) {
@@ -189,7 +180,9 @@ func (v *VersionedStore) UnmarkInPlace(id PageID) {
 }
 
 // Writable reports whether a page may be written in place (fresh this
-// batch). The tree's writeNode relocates the node when this is false.
+// batch). The tree's writeNode relocates the node when this is false; a
+// page that is not writable is committed — immutable in place under the
+// COW discipline, so a decoded form of it may be shared.
 func (v *VersionedStore) Writable(id PageID) bool {
 	v.mu.Lock()
 	ok := v.fresh[id]

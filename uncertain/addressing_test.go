@@ -36,36 +36,14 @@ func addressingIndexes(t *testing.T) map[string]Index {
 	return map[string]Index{"tree": tree, "sharded": sharded}
 }
 
-// directoryMatchesLeaves walks the working tree under the writer lock and
-// returns an error unless the ID directory holds exactly the leaves' IDs,
+// directoryMatchesLeaves checks the working tree under the writer lock:
+// core's CheckInvariants holds the ID directory to exactly the leaves' IDs,
 // each at its leaf entry's record address. An error of the walk itself (a
 // store fault) is returned as it is.
 func directoryMatchesLeaves(tr *Tree) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	leaves := make(map[int64]pagefile.DataAddr, len(tr.addrs))
-	var bad []string
-	if _, err := tr.inner.ReachablePages(func(id int64, addr pagefile.DataAddr) {
-		if _, dup := leaves[id]; dup {
-			bad = append(bad, fmt.Sprintf("id %d in two leaf entries", id))
-		}
-		leaves[id] = addr
-		if got, ok := tr.addrs[id]; !ok || got != addr {
-			bad = append(bad, fmt.Sprintf("id %d: leaf entry at %+v, directory %+v (live %v)", id, addr, got, ok))
-		}
-	}); err != nil {
-		return err
-	}
-	for id := range tr.addrs {
-		if _, ok := leaves[id]; !ok {
-			bad = append(bad, fmt.Sprintf("directory id %d in no leaf", id))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("directory and leaves disagree (%d leaf entries, %d directory IDs): %d mismatches, first: %s",
-			len(leaves), len(tr.addrs), len(bad), bad[0])
-	}
-	return nil
+	return tr.inner.CheckInvariants()
 }
 
 // assertDirectory fails t unless the directory of idx (of every shard of a
@@ -505,15 +483,16 @@ func sortedByID(rs []Result) []Result {
 	return rs
 }
 
-// recordPage returns a bulk-loaded object whose record lies on the lowest
-// data page — a sealed one, not the append page a delete would read from
-// memory — and that page.
-func recordPage(t *testing.T, tree *Tree) (int64, pagefile.DataAddr) {
+// recordPage returns one of the bulk-loaded objs whose record lies on the
+// lowest data page — a sealed one, not the append page a delete would read
+// from memory — and its address.
+func recordPage(t *testing.T, tree *Tree, objs map[int64]PDF) (int64, pagefile.DataAddr) {
 	t.Helper()
 	tree.mu.Lock()
 	defer tree.mu.Unlock()
 	victim, lo, hi := int64(-1), pagefile.DataAddr{Page: pagefile.InvalidPage}, pagefile.PageID(0)
-	for id, a := range tree.addrs {
+	for id := range objs {
+		a, _ := tree.inner.RecordAddr(id)
 		if a.Page < lo.Page || a.Page == lo.Page && id < victim {
 			victim, lo = id, a
 		}
@@ -541,12 +520,13 @@ func TestDeleteByIDRecordReadFails(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tree.Close()
-			if err := tree.BulkLoad(shardedFixtureObjects(300, 33)); err != nil {
+			objs := shardedFixtureObjects(300, 33)
+			if err := tree.BulkLoad(objs); err != nil {
 				t.Fatal(err)
 			}
 			queries := shardedFixtureQueries(20, 34)
 			want := searchInOrder(t, tree, queries)
-			victim, addr := recordPage(t, tree)
+			victim, addr := recordPage(t, tree, objs)
 
 			rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Sticky: true, Pages: []pagefile.PageID{addr.Page}})
 			for attempt := 0; attempt < 2; attempt++ {
@@ -574,38 +554,65 @@ func TestDeleteByIDRecordReadFails(t *testing.T) {
 	}
 }
 
+// misdirect is a store whose reads of page from return page to's bytes.
+type misdirect struct {
+	pagefile.Store
+	from, to pagefile.PageID
+}
+
+func (m *misdirect) Read(id pagefile.PageID, buf []byte) error {
+	if id == m.from {
+		id = m.to
+	}
+	return m.Store.Read(id, buf)
+}
+
 // TestDeleteByIDRecordMismatchIsBadPage: a directory address whose record
 // holds another object is corruption — ErrBadPage — and the delete mutates
-// nothing, not even the object that record does hold.
+// nothing, not even the object that record does hold. The directory is
+// core's, so a misdirected read stands in for a wrong address: the victim's
+// record page reads as a page whose record in the same slot is another
+// object's.
 func TestDeleteByIDRecordMismatchIsBadPage(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2})
+	swap := &misdirect{from: pagefile.InvalidPage}
+	tree, err := NewTree(Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
+		swap.Store = s
+		return swap
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	if err := tree.BulkLoad(shardedFixtureObjects(100, 35)); err != nil {
+	objs := shardedFixtureObjects(300, 35) // records on two pages at least
+	if err := tree.BulkLoad(objs); err != nil {
 		t.Fatal(err)
 	}
 	queries := shardedFixtureQueries(20, 36)
 	want := searchInOrder(t, tree, queries)
-	tree.mu.Lock()
-	good := tree.addrs[3]
-	tree.addrs[3] = tree.addrs[4]
-	tree.mu.Unlock()
-	if err := tree.Delete(3); !errors.Is(err, ErrBadPage) {
+	victim, addr := recordPage(t, tree, objs)
+	other := int64(-1)
+	for id := range objs {
+		if a, _ := tree.inner.RecordAddr(id); a.Slot == addr.Slot && a.Page != addr.Page {
+			other, swap.to = id, a.Page
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatalf("fixture: no other record in slot %d", addr.Slot)
+	}
+	swap.from = addr.Page
+	if err := tree.Delete(victim); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("Delete through another object's record: %v, want ErrBadPage", err)
 	}
-	if got := tree.Len(); got != 100 {
-		t.Fatalf("Len %d after the refused delete, want 100", got)
+	swap.from = pagefile.InvalidPage
+	if got := tree.Len(); got != 300 {
+		t.Fatalf("Len %d after the refused delete, want 300", got)
 	}
 	requireSameResults(t, "after the refused delete", want, searchInOrder(t, tree, queries))
-	tree.mu.Lock()
-	tree.addrs[3] = good
-	tree.mu.Unlock()
 	assertDirectory(t, "repaired", tree)
-	for _, id := range []int64{3, 4} {
+	for _, id := range []int64{victim, other} {
 		if err := tree.Delete(id); err != nil {
-			t.Fatalf("Delete(%d) with the directory repaired: %v", id, err)
+			t.Fatalf("Delete(%d) with the reads repaired: %v", id, err)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/pagefile"
+	"repro/internal/core"
 )
 
 // The write path: outside WriteBatch every Insert and Delete publishes as
@@ -13,39 +13,6 @@ import (
 // and at most one shadow relocation per node for the whole batch.
 // Snapshots only ever observe committed boundaries; a crash recovers to
 // the last committed boundary, never mid-batch.
-
-// addrUndo is one entry of the directory's journal since the last epoch: an
-// ID, whether it was live before the mutation, and its record address then.
-type addrUndo struct {
-	id   int64
-	prev pagefile.DataAddr
-	live bool
-}
-
-// track records a completed mutation in the directory, with its undo
-// entry: an insert makes id live at addr, a delete (live false) removes it.
-func (t *Tree) track(id int64, addr pagefile.DataAddr, live bool) {
-	prev, was := t.addrs[id]
-	t.undo = append(t.undo, addrUndo{id: id, prev: prev, live: was})
-	t.setAddr(id, addr, live)
-}
-
-// revertUndo replays the journal backwards.
-func (t *Tree) revertUndo() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.setAddr(t.undo[i].id, t.undo[i].prev, t.undo[i].live)
-	}
-	t.undo = t.undo[:0]
-}
-
-// setAddr makes id live with its record at addr, or removes it.
-func (t *Tree) setAddr(id int64, addr pagefile.DataAddr, live bool) {
-	if live {
-		t.addrs[id] = addr
-	} else {
-		delete(t.addrs, id)
-	}
-}
 
 // endOp publishes a completed mutation as its own epoch, unless it joined
 // an open WriteBatch, which publishes once fn returns.
@@ -63,7 +30,6 @@ func (t *Tree) commit() error {
 	if err := t.inner.Commit(); err != nil {
 		return t.rollback(err)
 	}
-	t.undo = t.undo[:0]
 	return nil
 }
 
@@ -101,11 +67,11 @@ func (b *treeBatch) run(op func() error) error {
 }
 
 func (b *treeBatch) Insert(id int64, pdf PDF) error {
-	return b.run(func() error { return b.t.insert(id, pdf) })
+	return b.run(func() error { return b.t.settle(b.t.inner.Insert(core.Object{ID: id, PDF: pdf})) })
 }
 
 func (b *treeBatch) Delete(id int64) error {
-	return b.run(func() error { return b.t.delete(id) })
+	return b.run(func() error { return b.t.settle(b.t.inner.Delete(id)) })
 }
 
 // WriteBatch runs fn against a batch writer under the writer lock and
@@ -148,7 +114,7 @@ func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
 	if err != nil {
 		return t.rollback(err)
 	}
-	if len(t.undo) == 0 {
+	if t.inner.Uncommitted() == 0 {
 		return nil
 	}
 	return t.commit()

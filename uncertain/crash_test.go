@@ -340,7 +340,7 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 			t.Fatalf("offset %d: reopen after crash: %v", k, err)
 		}
 		assertDirectory(t, fmt.Sprintf("offset %d: recovered", k), rt)
-		reach, err := rt.inner.ReachablePages(nil)
+		reach, err := rt.inner.ReachablePages()
 		if err != nil {
 			t.Fatalf("offset %d: reachable walk: %v", k, err)
 		}

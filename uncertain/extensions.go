@@ -59,15 +59,8 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 		objs = append(objs, core.Object{ID: id, PDF: p})
 	}
 	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
-	addrs, err := t.inner.BulkLoad(objs)
-	if err != nil {
+	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
 	}
-	if err := t.inner.Commit(); err != nil {
-		return t.rollback(err)
-	}
-	for i, o := range objs {
-		t.addrs[o.ID] = addrs[i]
-	}
-	return nil
+	return t.commit()
 }

@@ -86,7 +86,7 @@ func TestBulkLoadEmptyRootFault(t *testing.T) {
 	// A memory tree has no metadata page: every live page is reachable.
 	noLeak := func(when string) map[pagefile.PageID]bool {
 		t.Helper()
-		reach, err := tree.inner.ReachablePages(nil)
+		reach, err := tree.inner.ReachablePages()
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}

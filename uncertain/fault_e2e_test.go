@@ -457,8 +457,9 @@ func testScrubFinds(t *testing.T, kind string) {
 		t.Fatal(err)
 	}
 	defer tree.Discard()
+	objs := shardedFixtureObjects(200, 13)
 	for _, idx := range []*Tree{clean, tree} {
-		if err := idx.BulkLoad(shardedFixtureObjects(200, 13)); err != nil {
+		if err := idx.BulkLoad(objs); err != nil {
 			t.Fatal(err)
 		}
 		if err := idx.Flush(); err != nil {
@@ -473,7 +474,11 @@ func testScrubFinds(t *testing.T, kind string) {
 	// Reachable pages are node pages, the data pages records live on and
 	// the metadata page.
 	dataPages := make(map[pagefile.PageID]bool)
-	reach, err := tree.inner.ReachablePages(func(_ int64, addr pagefile.DataAddr) { dataPages[addr.Page] = true })
+	for id := range objs {
+		addr, _ := tree.inner.RecordAddr(id)
+		dataPages[addr.Page] = true
+	}
+	reach, err := tree.inner.ReachablePages()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,8 @@ type Index interface {
 	Len() int
 	// CacheStats reports cumulative write-buffer hits (node pages the
 	// writer read back from its own dirty pages) and misses (node pages
-	// read from the store), summed over shards for sharded indexes.
+	// the writer read from the store), summed over shards for sharded
+	// indexes. A query counts in neither.
 	CacheStats() (hits, misses int64)
 	// NodeCacheStats reports cumulative decoded-node-cache hits and misses
 	// (summed over shards for sharded indexes; both zero when

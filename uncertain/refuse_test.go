@@ -132,3 +132,43 @@ func assertRefused(t *testing.T, bad PDF) {
 	}
 	unchanged("reopened", 40, want)
 }
+
+// TestNonFiniteQueryRefused: a NaN probability and a query point with a NaN
+// or infinite coordinate are an error — never a panic, never an answer —
+// from a Tree of height 2, a 2-slab ShardedTree and the batch engine over
+// each (whose queries run on worker goroutines, where a panic would end the
+// process).
+func TestNonFiniteQueryRefused(t *testing.T) {
+	ctx := context.Background()
+	objs := shardedFixtureObjects(2000, 41)
+	tree, err := NewTree(Config{Dimensions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewSpatialShardedTree(2, Config{Dimensions: 2}, Box(Pt(0, 0), Pt(1000, 1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]Index{"tree": tree, "sharded": sharded} {
+		defer idx.Close()
+		if err := idx.BulkLoad(objs); err != nil {
+			t.Fatal(err)
+		}
+		rect := Box(Pt(100, 100), Pt(600, 600))
+		if res, _, err := idx.Search(ctx, rect, math.NaN()); err == nil {
+			t.Errorf("%s: Search with probability NaN gave %d results and no error", name, len(res))
+		}
+		batch := []RangeQuery{{Rect: rect, Prob: 0.5}, {Rect: rect, Prob: math.NaN()}}
+		if _, _, err := NewQueryEngine(idx, EngineOptions{Workers: 2}).SearchBatch(ctx, batch); err == nil {
+			t.Errorf("%s: SearchBatch with probability NaN gave no error", name)
+		}
+		for _, q := range []Point{Pt(math.NaN(), 5), Pt(math.Inf(1), 5), Pt(5, math.Inf(-1))} {
+			if nn, _, err := idx.NearestNeighbors(ctx, q, 3); err == nil {
+				t.Errorf("%s: NearestNeighbors at %v gave %v and no error", name, q, nn)
+			}
+		}
+	}
+	if h := tree.Height(); h != 2 {
+		t.Fatalf("fixture: a tree of height %d, want 2", h)
+	}
+}

@@ -143,12 +143,14 @@ type Config struct {
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
 	// physically reclaimed. A hit skips the page read and the node decode
-	// entirely — the query hot path runs allocation-free; a miss reads the
-	// store. A cached node costs about one page of heap, so the default of
-	// 1024 entries (0) is ≈ 4 MiB; negative disables the cache. A full
-	// cache evicts its least recently used leaf, and an inner node only
-	// when it holds no leaf: every descent passes through the inner levels,
-	// so a cache smaller than the tree keeps them and misses on leaves.
+	// entirely; a miss reads the store. A hot query still allocates — 22
+	// times a query in BenchmarkFig9SearchHotCache, about a third of them
+	// record reads — but not per node it visits. A cached node costs about
+	// one page of heap, so the default of 1024 entries (0) is ≈ 4 MiB;
+	// negative disables the cache. A full cache evicts its least recently
+	// used leaf, and an inner node only when it holds no leaf: every
+	// descent passes through the inner levels, so a cache smaller than the
+	// tree keeps them and misses on leaves.
 	//
 	// Switched off on the benchmark's warm workloads (one run each on a
 	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
@@ -190,18 +192,11 @@ type Config struct {
 // NearestNeighbors and Len until it returns. A Tree starts no goroutine
 // that outlives a call.
 type Tree struct {
-	mu     sync.Mutex // serializes writers; the read path takes no lock
-	inner  *core.Tree
-	file   *pagefile.FileStore
-	closed bool // set by Close/Discard; makes both idempotent
-
-	// The directory and the write path (batch.go), under mu. addrs maps every
-	// live ID of the working tree to its record's address (8 bytes, no pointer
-	// for the GC to scan); OpenTree rebuilds it from the leaves. undo records
-	// its changes since the last epoch so a rollback reverts them too.
-	addrs   map[int64]pagefile.DataAddr
-	inBatch bool // WriteBatch in progress
-	undo    []addrUndo
+	mu      sync.Mutex // serializes writers; the read path takes no lock
+	inner   *core.Tree // owns the ID directory and rolls it back with its pages
+	file    *pagefile.FileStore
+	closed  bool // set by Close/Discard; makes both idempotent
+	inBatch bool // WriteBatch in progress (batch.go), under mu
 }
 
 // ConcurrentTree is the former name of the snapshot-isolated tree; every
@@ -227,7 +222,7 @@ var ErrConfigMismatch = errors.New("uncertain: config disagrees with the index f
 // ErrDuplicateID is returned by Insert when the ID is already live in the
 // index (in any shard of a ShardedTree). Nothing is mutated, and an open
 // WriteBatch stays usable. Test with errors.Is.
-var ErrDuplicateID = errors.New("uncertain: object ID already in the index")
+var ErrDuplicateID = core.ErrDuplicateID
 
 // ErrNotFound is returned by Delete when no live object has the ID. Nothing
 // is mutated, and an open WriteBatch stays usable. Test with errors.Is.
@@ -262,10 +257,10 @@ func NewTree(cfg Config) (*Tree, error) {
 // structure (dimensions, variant, catalog size) comes from the file — a
 // U-PCR file, built by the paper's experiments or an older release, opens
 // as one; a non-zero Config.Dimensions or CatalogSize that disagrees with
-// it fails with ErrConfigMismatch. After recovering the last committed epoch
-// OpenTree walks it once: the leaves give back every object's ID and
-// record address, so Delete(id) works on the reopened tree as on a new one,
-// and pages a crash may have leaked — shadow pages retired by a published
+// it fails with ErrConfigMismatch. Recovering the last committed epoch
+// walks it once: the leaves give back every object's ID and record
+// address, so Delete(id) works on the reopened tree as on a new one, and
+// pages a crash may have leaked — shadow pages retired by a published
 // epoch that died before its garbage drained, or fresh pages of an aborted
 // batch — go back to the free list.
 func OpenTree(path string, cfg Config) (*Tree, error) {
@@ -274,14 +269,19 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t, opt := newHandle(cfg, fs)
-	inner, err := core.Open(opt.Store, fileMetaPage, opt)
-	if err != nil {
-		fs.Close()
-		return nil, err
+	inner, reach, err := core.Open(opt.Store, fileMetaPage, opt)
+	if err == nil {
+		t.inner = inner
+		err = cfg.checkStructure(inner)
 	}
-	t.inner = inner
-	if err = cfg.checkStructure(inner); err == nil {
-		err = t.walkAtOpen()
+	if err == nil {
+		// The walk went through the wrapped store (fault injection
+		// applies); the sweep of what it did not reach runs directly on the
+		// file — allocator repair below the versioning layer, not part of
+		// any epoch.
+		if _, err = fs.SweepLeaked(reach); err != nil {
+			err = fmt.Errorf("uncertain: open-time leak sweep: %w", err)
+		}
 	}
 	if err != nil {
 		fs.Close()
@@ -296,7 +296,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // The stack is base → Config.WrapStore → core's versioning → write
 // buffer (dirty pages only); the decoded-node cache sits above it.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
-	t := &Tree{file: fs, addrs: make(map[int64]pagefile.DataAddr)}
+	t := &Tree{file: fs}
 	var store pagefile.Store = pagefile.NewMemStore()
 	if fs != nil {
 		store = fs
@@ -327,38 +327,31 @@ func (cfg Config) checkStructure(inner *core.Tree) error {
 	return nil
 }
 
-// walkAtOpen walks the recovered tree once: it fills the ID directory with
-// the leaf entries' IDs and record addresses and returns every page the
-// walk did not reach to the free list. The walk goes through the wrapped
-// store (fault injection applies); the sweep itself runs directly on the
-// file store — it is allocator repair below the versioning layer, not part
-// of any epoch.
-func (t *Tree) walkAtOpen() error {
-	reach, err := t.inner.ReachablePages(func(id int64, addr pagefile.DataAddr) { t.addrs[id] = addr })
-	if err == nil {
-		_, err = t.file.SweepLeaked(reach)
-	}
-	if err != nil {
-		return fmt.Errorf("uncertain: open-time leak sweep: %w", err)
-	}
-	return nil
-}
-
 // rollback rewinds every uncommitted mutation — the failing one and any
-// batched ones before it — to the last committed epoch, reverting the
-// directory with them. The mutation's error wins over any
-// rollback error; when batched ops were dropped with it, the error says so.
+// batched ones before it — to the last committed epoch, the directory with
+// them. The mutation's error wins over any rollback error; when batched ops
+// were dropped with it, the error says so.
 func (t *Tree) rollback(opErr error) error {
-	dropped := len(t.undo)
-	rbErr := t.inner.Rollback()
-	t.revertUndo()
-	if rbErr != nil {
+	dropped := t.inner.Uncommitted()
+	if rbErr := t.inner.Rollback(); rbErr != nil {
 		return fmt.Errorf("%w (rollback also failed: %w)", opErr, rbErr)
 	}
 	if dropped > 1 {
 		return fmt.Errorf("%w (rolled back %d uncommitted batched operations)", opErr, dropped)
 	}
 	return opErr
+}
+
+// settle ends a mutation that returned err. ErrDuplicateID and ErrNotFound
+// mutated nothing; any other error rolls back to the last committed epoch.
+func (t *Tree) settle(err error) error {
+	switch {
+	case errors.Is(err, ErrDuplicateID) || errors.Is(err, ErrNotFound):
+		return err
+	case err != nil:
+		return t.rollback(err)
+	}
+	return t.endOp()
 }
 
 // Insert adds an object (writer lock). An ID that is already live returns
@@ -368,19 +361,7 @@ func (t *Tree) rollback(opErr error) error {
 func (t *Tree) Insert(id int64, pdf PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.insert(id, pdf)
-}
-
-func (t *Tree) insert(id int64, pdf PDF) error {
-	if _, ok := t.addrs[id]; ok {
-		return fmt.Errorf("uncertain: id %d: %w", id, ErrDuplicateID)
-	}
-	addr, err := t.inner.Insert(core.Object{ID: id, PDF: pdf})
-	if err != nil {
-		return t.rollback(err)
-	}
-	t.track(id, addr, true)
-	return t.endOp()
+	return t.settle(t.inner.Insert(core.Object{ID: id, PDF: pdf}))
 }
 
 // Delete removes an object by ID (writer lock), on a new tree and on one
@@ -392,37 +373,14 @@ func (t *Tree) insert(id int64, pdf PDF) error {
 func (t *Tree) Delete(id int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.delete(id)
-}
-
-func (t *Tree) delete(id int64) error {
-	addr, ok := t.addrs[id]
-	if !ok {
-		return fmt.Errorf("uncertain: id %d: %w", id, ErrNotFound)
-	}
-	rid, mbr, err := t.inner.RecordMBR(addr)
-	if err == nil && rid != id {
-		err = &pagefile.BadPageError{Page: addr.Page, Reason: fmt.Sprintf("record slot %d holds object %d, not %d", addr.Slot, rid, id)}
-	}
-	if err == nil {
-		err = t.inner.Delete(id, mbr)
-	}
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return err // nothing mutated; no rollback needed
-		}
-		return t.rollback(err)
-	}
-	t.track(id, pagefile.DataAddr{}, false)
-	return t.endOp()
+	return t.settle(t.inner.Delete(id))
 }
 
 // holds reports whether id is live in the working tree (writer lock).
 func (t *Tree) holds(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.addrs[id]
-	return ok
+	return t.inner.Holds(id)
 }
 
 // Search answers a probabilistic range query — the objects appearing in
@@ -480,8 +438,9 @@ func (t *Tree) SizeBytes() int64 { return t.inner.SizeBytes() }
 
 // CacheStats reports the write buffer's cumulative hit/miss counters
 // (atomic; callable concurrently with searches). A hit is a node page the
-// writer read back from its own dirty pages, a miss a node page read from
-// the store; a query only misses. NodeCacheStats reports the read cache.
+// writer read back from its own dirty pages, a miss a node page the writer
+// read from the store; a query reads past the buffer and counts in neither.
+// NodeCacheStats reports the read cache.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.inner.CacheStats() }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss
