@@ -447,10 +447,7 @@ func fig9Data() ([]core.Object, []uncertain.RangeQuery) {
 func fig9Tree(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
 	fig9Fixture.once.Do(func() {
 		objs, queries := fig9Data()
-		tree, err := uncertain.NewTree(uncertain.Config{
-			Dimensions:  dataset.LB.Dim(),
-			BufferPages: 64,
-		})
+		tree, err := uncertain.NewTree(uncertain.Config{Dimensions: dataset.LB.Dim()})
 		if err == nil {
 			for _, o := range objs {
 				if err = tree.Insert(o.ID, o.PDF); err != nil {
@@ -534,9 +531,7 @@ func BenchmarkFig9SearchBatch(b *testing.B) {
 
 // BenchmarkFig9SearchSharded sweeps the shard count of a spatially sharded
 // index on the same workload (serial query loop): every query prunes the
-// shards whose root box misses it and searches the rest in turn. The
-// per-shard page cache is 64 pages divided by the shard count (constant
-// total cache budget).
+// shards whose root box misses it and searches the rest in turn.
 func BenchmarkFig9SearchSharded(b *testing.B) {
 	objs, queries := fig9Data()
 	objects := make(map[int64]uncertain.PDF, len(objs))
@@ -546,10 +541,7 @@ func BenchmarkFig9SearchSharded(b *testing.B) {
 	domain := uncertain.Box(uncertain.Pt(0, 0), uncertain.Pt(dataset.Domain, dataset.Domain))
 	for _, shards := range []int{1, 2, 4} {
 		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			idx, err := uncertain.NewSpatialShardedTree(shards, uncertain.Config{
-				Dimensions:  dataset.LB.Dim(),
-				BufferPages: 64 / shards,
-			}, domain)
+			idx, err := uncertain.NewSpatialShardedTree(shards, uncertain.Config{Dimensions: dataset.LB.Dim()}, domain)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,8 +13,6 @@
 // reachable page and prints each corrupt one; it exits non-zero on any
 // failure.
 //
-// Every subcommand accepts -buffer (the write buffer's bound in dirty pages).
-//
 // query and nn additionally take -timeout (wall-time deadline, ms; a
 // timed-out query reports its partial results) and -limit (top-N early
 // cut), e.g. `utreectl query -timeout 5 -limit 10 ...`. nn takes
@@ -60,14 +58,13 @@ func run(args []string, w io.Writer) error {
 	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var (
-		index  = fs.String("index", "", "index file path (required)")
-		ds     = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
-		scale  = fs.Float64("scale", 0.05, "dataset scale for build")
-		rect   = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
-		prob   = fs.Float64("prob", 0.5, "query probability threshold")
-		point  = fs.String("point", "", "query point for nn: x1,x2[,x3]")
-		k      = fs.Int("k", 5, "neighbor count for nn")
-		buffer = fs.Int("buffer", 0, "write buffer bound in dirty pages (0 = default 256)")
+		index = fs.String("index", "", "index file path (required)")
+		ds    = fs.String("dataset", "LB", "dataset for build: LB|CA|Aircraft")
+		scale = fs.Float64("scale", 0.05, "dataset scale for build")
+		rect  = fs.String("rect", "", "query rectangle lo1,lo2[,lo3],hi1,hi2[,hi3]")
+		prob  = fs.Float64("prob", 0.5, "query probability threshold")
+		point = fs.String("point", "", "query point for nn: x1,x2[,x3]")
+		k     = fs.Int("k", 5, "neighbor count for nn")
 
 		timeoutMS = fs.Float64("timeout", 0, "per-query wall-time deadline, milliseconds (0 = none); a timed-out query prints its partial results")
 		mcSamples = fs.Int("mc-samples", 0, "Monte Carlo samples of each k-NN expected distance (0 = index default; range refinement is exact)")
@@ -79,12 +76,10 @@ func run(args []string, w io.Writer) error {
 	switch {
 	case *index == "":
 		return fmt.Errorf("%w: missing -index", errUsage)
-	case *buffer < 0:
-		return fmt.Errorf("%w: -buffer must be ≥ 0", errUsage)
 	case *timeoutMS < 0 || *mcSamples < 0 || *limit < 0:
 		return fmt.Errorf("%w: -timeout, -mc-samples and -limit must be ≥ 0", errUsage)
 	}
-	cfg := uncertain.Config{BufferPages: *buffer, MonteCarloSamples: *mcSamples}
+	cfg := uncertain.Config{MonteCarloSamples: *mcSamples}
 	q := queryParams{
 		timeout: time.Duration(*timeoutMS * float64(time.Millisecond)),
 		limit:   *limit,

@@ -35,12 +35,24 @@ func (t *Tree) CheckInvariants() error {
 // checkTreeAt validates the tree of the given state — the working one and
 // its directory for the check above, a pinned epoch's and nil for
 // Snapshot.CheckInvariants — and with records set the records that shape
-// references vouch for.
+// references vouch for. The working tree is read as the writer reads it,
+// its dirty pages included; a pinned epoch's committed pages are read from
+// the store, as a query reads them, since its check runs beside the writer.
 func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, records bool) error {
+	read := t.readNode
+	if dir == nil {
+		read = func(page pagefile.PageID, level int) (*node, error) {
+			p, err := t.readCommitted(page, level)
+			if err != nil {
+				return nil, err
+			}
+			return t.expand(p, st.shapes), nil
+		}
+	}
 	total := 0
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
-		n, err := t.readNodeIn(page, wantLevel, st.shapes)
+		n, err := read(page, wantLevel)
 		if err != nil {
 			return nil, err
 		}

@@ -676,6 +676,60 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	}
 }
 
+// readCounter counts base-store reads per page.
+type readCounter struct {
+	pagefile.Store
+	reads map[pagefile.PageID]int
+}
+
+func (r *readCounter) Read(id pagefile.PageID, buf []byte) error {
+	r.reads[id]++
+	return r.Store.Read(id, buf)
+}
+
+// TestOpenReadsEachPageOnce: Open's one walk recovers the directory, the
+// reachable set and the root box, so it reads the metadata page and every
+// node page once — the root included — and no record.
+func TestOpenReadsEachPageOnce(t *testing.T) {
+	rc := &readCounter{Store: pagefile.NewMemStore(), reads: make(map[pagefile.PageID]int)}
+	tree, err := New(Options{Dim: 2, Store: rc, Persist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(makeObjects(2000, 3000, rand.New(rand.NewSource(46)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tree.rootLevel < 1 {
+		t.Fatalf("fixture: root at level %d, want an inner root", tree.rootLevel)
+	}
+	nodes, err := tree.IndexPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(rc.reads)
+	reopened, _, err := Open(rc, tree.MetaPage(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rc.reads[reopened.rootPage]; n != 1 {
+		t.Errorf("Open read the root page %d %d times, want once", reopened.rootPage, n)
+	}
+	if len(rc.reads) != nodes+1 {
+		t.Errorf("Open read %d pages, want the metadata page and %d node pages", len(rc.reads), nodes)
+	}
+	for id, n := range rc.reads {
+		if n != 1 {
+			t.Errorf("Open read page %d %d times, want once", id, n)
+		}
+	}
+	if !reopened.rootMBR.Equal(tree.rootMBR) {
+		t.Fatalf("reopened root box %v, want %v", reopened.rootMBR, tree.rootMBR)
+	}
+}
+
 func TestOpenBadMeta(t *testing.T) {
 	store := pagefile.NewMemStore()
 	id, _ := store.Alloc()
@@ -718,18 +772,21 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cs := pagefile.NewChaosStore(pagefile.NewMemStore(), 0)
 	fault := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: -1, Sticky: true})
-	tree, err := New(Options{Dim: 2, Store: cs, BufferPages: 1})
+	tree, err := New(Options{Dim: 2, Store: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two leaves' worth of objects: the tree must be taller than the
-	// one-page pool, or the armed store is never reached.
+	// Two leaves' worth of objects, committed: the armed insert must read
+	// committed pages from the store, not the open batch's dirty ones.
 	n := 2 * tree.leafCap
 	objs := makeObjects(n+1, 300, rng)
 	for _, o := range objs[:n] {
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	// Trip the store and verify errors propagate rather than panic.
 	fault.Arm(0)
@@ -770,9 +827,6 @@ func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) 
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if tree.rootLevel != 2 {
 		t.Fatalf("fixture: root at level %d, want 2", tree.rootLevel)
 	}
@@ -792,7 +846,6 @@ func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) 
 		t.Fatal(err)
 	}
 	tree.vs.UnmarkInPlace(root.page)
-	tree.pool.Invalidate(root.page)
 	return tree, root
 }
 

@@ -166,8 +166,8 @@ func TestDuplicateIDRefused(t *testing.T) {
 	if err := tree.Insert(Object{ID: objs[3].ID, PDF: objs[4].PDF}); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("Insert of live id %d: %v, want ErrDuplicateID", objs[3].ID, err)
 	}
-	if tree.Len() != len(objs) || tree.Uncommitted() != 0 || tree.store.NumPages() != pages || tree.pool.Dirty() != 0 {
-		t.Fatalf("refused insert: %d IDs, %d uncommitted, %d pages (was %d), %d dirty", tree.Len(), tree.Uncommitted(), tree.store.NumPages(), pages, tree.pool.Dirty())
+	if tree.Len() != len(objs) || tree.Uncommitted() != 0 || tree.store.NumPages() != pages || len(tree.dirty) != 0 {
+		t.Fatalf("refused insert: %d IDs, %d uncommitted, %d pages (was %d), %d dirty", tree.Len(), tree.Uncommitted(), tree.store.NumPages(), pages, len(tree.dirty))
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)

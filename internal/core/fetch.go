@@ -35,7 +35,8 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 }
 
 // readCommitted reads a committed node page straight from the store: the
-// write buffer holds only the open batch's fresh pages.
+// writer's dirty map holds only the open batch's fresh pages, which no
+// reader can reach.
 func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
 	buf := make([]byte, pagefile.PageSize)
 	if err := t.store.Read(id, buf); err != nil {

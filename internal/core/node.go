@@ -106,24 +106,24 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 // edit the returned node's entries in place, so they must never receive
 // slabs shared through the decoded-node cache. Query paths go through
 // fetchNode, which consults the cache first.
+//
+// readNode is the writer's: it serves a page the open batch has written
+// from the dirty map (a hit) and reads any other from the store (a miss).
 func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
-	return t.readNodeIn(id, level, t.shapes)
-}
-
-// readNodeIn is readNode over the shape table of the epoch the page
-// belongs to: a snapshot's check must not read the writer's. It reads
-// through the write buffer, which holds the open batch's dirty pages.
-func (t *Tree) readNodeIn(id pagefile.PageID, level int, shapes []shape) (*node, error) {
 	t.nodeReads.Add(1)
-	buf, err := t.pool.Get(id)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
+	var p *packedNode
+	var err error
+	if buf, ok := t.dirty[id]; ok {
+		t.dirtyHits.Add(1)
+		p, err = t.decodeAt(id, level, buf)
+	} else {
+		t.dirtyMisses.Add(1)
+		p, err = t.readCommitted(id, level)
 	}
-	p, err := t.decodeAt(id, level, buf)
 	if err != nil {
 		return nil, err
 	}
-	return t.expand(p, shapes), nil
+	return t.expand(p, t.shapes), nil
 }
 
 // expand is p's edit form, its entries laid over p's slabs (see entry). A
@@ -173,7 +173,8 @@ func (t *Tree) maybeCacheNode(p *packedNode) {
 // n.page into the parent entry afterwards (refreshPath, split and condense
 // do); the root's relocation updates t.rootPage here, and every write of
 // the root page records its box (rootBox) for the next commit. A page
-// allocated since the last commit is rewritten in place.
+// allocated since the last commit is rewritten in place. The bytes stay in
+// the dirty map, in one buffer a page, until Commit writes them once.
 func (t *Tree) writeNode(n *node) error {
 	t.nodeWrites.Add(1)
 	if !t.vs.Writable(n.page) {
@@ -190,13 +191,14 @@ func (t *Tree) writeNode(n *node) error {
 			return fmt.Errorf("core: retiring node %d: %w", old, err)
 		}
 	}
-	buf := make([]byte, pagefile.PageSize)
+	buf := t.dirty[n.page]
+	if buf == nil {
+		buf = make([]byte, pagefile.PageSize)
+	}
 	if err := t.encodeNode(n, buf); err != nil {
 		return err
 	}
-	if err := t.pool.Put(n.page, buf); err != nil {
-		return fmt.Errorf("core: writing node %d: %w", n.page, err)
-	}
+	t.dirty[n.page] = buf
 	if n.page == t.rootPage {
 		t.rootMBR = t.rootBox(n)
 	}
@@ -214,15 +216,20 @@ func (t *Tree) allocNode(level int) (*node, error) {
 
 // freeNode releases a node's page: immediately when the page is a shadow
 // of the open batch, deferred to the epoch GC when it was committed — a
-// pinned snapshot may still descend into it.
+// pinned snapshot may still descend into it. Its dirty bytes are dropped
+// unwritten: the batch may allocate the page again, even as a data page.
 func (t *Tree) freeNode(n *node) error {
+	delete(t.dirty, n.page)
 	return t.vs.Free(n.page)
 }
 
+// encodeNode writes n over buf, whatever buf held, so a page re-encoded in
+// a batch has the bytes of a first encode.
 func (t *Tree) encodeNode(n *node, buf []byte) error {
 	if b := t.entryBytes(n.entries, n.leaf()); b > pageBytes {
 		return fmt.Errorf("core: node %d holds %d entries in %d bytes, capacity %d", n.page, len(n.entries), b, pageBytes)
 	}
+	clear(buf)
 	buf[0] = byte(n.level)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
 	off := nodeHeader

@@ -10,9 +10,9 @@ import (
 
 // nodeCache is a sharded LRU cache of decoded nodes — the tree's one read
 // cache. It holds the packedNode values decodeNode builds from committed
-// pages, so a hot traversal skips both the page read and the decode; the
-// BufferPool under it keeps only the writer's dirty pages, and a miss here
-// reads the store. A packed node is a few flat slabs
+// pages, so a hot traversal skips both the page read and the decode; a
+// miss here reads the store (the writer's dirty pages are its own, in
+// Tree.dirty, and never reach a reader). A packed node is a few flat slabs
 // (see packedNode), so a cached node costs about one page of heap — the
 // 1024-node default is about 4 MiB — and a cached leaf gives the GC
 // nothing to scan.

@@ -160,7 +160,6 @@ func TestNodeCacheCoherenceUnderCommits(t *testing.T) {
 	objs := makeObjects(300, 1000, rng)
 	tree, err := New(Options{
 		Dim:              2,
-		BufferPages:      16,
 		NodeCacheEntries: 8, // tiny: force eviction + re-decode churn
 	})
 	if err != nil {
@@ -320,9 +319,8 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	objs := makeObjects(400, 1000, rng)
 	tree, err := New(Options{
-		Dim:         2,
-		MCSamples:   200, // the NN estimate: exercises the pooled sampler + sample buffer
-		BufferPages: 32,
+		Dim:       2,
+		MCSamples: 200, // the NN estimate: exercises the pooled sampler + sample buffer
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
 )
@@ -50,9 +51,9 @@ var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte
 	"this version reads only UTR2 to UTR5 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
-// caller flushes the write buffer first (Commit does); the page is exempted
-// from the copy-on-write check because rewriting it in place is exactly
-// how an epoch becomes the committed one.
+// caller writes the batch's data and node pages first (Commit does); the
+// page is exempted from the copy-on-write check because rewriting it in
+// place is exactly how an epoch becomes the committed one.
 func (t *Tree) writeMeta() error {
 	buf := make([]byte, pagefile.PageSize)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
@@ -83,13 +84,14 @@ func (t *Tree) MetaPage() pagefile.PageID { return t.meta }
 // clean close or a crash: the metadata names the last committed epoch, and
 // since committed pages are never overwritten in place, that epoch's tree
 // is intact whatever partial shadow writes a dying process left behind.
-// Runtime options (buffering, refinement) come from opt; structural fields
-// (kind, dim, catalog) come from the metadata.
+// Runtime options (node cache, k-NN samples) come from opt; structural
+// fields (kind, dim, catalog) come from the metadata.
 //
-// Open walks the recovered tree once: the leaves give back the ID
-// directory, so Delete works on the reopened tree as on a new one, and
-// reach is the live set (ReachablePages) for the caller's open-time leak
-// sweep. A page the walk cannot read fails the open.
+// Open walks the recovered tree once, reading each page once: the root
+// gives back the root box, the leaves the ID directory, so Delete works on
+// the reopened tree as on a new one, and reach is the live set
+// (ReachablePages) for the caller's open-time leak sweep. A page the walk
+// cannot read fails the open.
 func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree, reach map[pagefile.PageID]bool, err error) {
 	buf := make([]byte, pagefile.PageSize)
 	if err := store.Read(metaPage, buf); err != nil {
@@ -108,24 +110,22 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
 		return nil, nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
+	if err := checkFanout(kind, dim, m); err != nil {
+		return nil, nil, err
+	}
 	shapes, err := decodeShapes(buf[metaFixed:], dim, pcr.UniformCatalog(m))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage, Reason: err.Error()})
 	}
 	epoch := binary.LittleEndian.Uint64(buf[28:])
-	if t, err = newTree(kind, dim, m, store, metaPage, epoch, opt); err != nil {
-		return nil, nil, err
-	}
+	t = newTree(kind, dim, m, store, metaPage, epoch, opt)
 	t.setShapes(shapes)
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.data = pagefile.OpenDataFileAt(t.store, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
-	if reach, err = t.reachable(t.dir); err != nil {
+	// The root box is not persisted: the walk takes it off the root.
+	if reach, t.rootMBR, err = t.reachable(t.dir); err != nil {
 		return nil, nil, err
-	}
-	// The root box is not persisted: read it off the root once.
-	if root, err := t.readNode(t.rootPage, t.rootLevel); err == nil {
-		t.rootMBR = t.rootBox(root)
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
@@ -141,15 +141,20 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 // and the store can return exactly the complement of this set (plus its
 // own metadata) to the free list. Open returns it from its own walk.
 func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
-	return t.reachable(nil)
+	reach, _, err := t.reachable(nil)
+	return reach, err
 }
 
 // reachable is ReachablePages, filling dir (when not nil) with the ID and
-// record address of every leaf entry on the way.
-func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (map[pagefile.PageID]bool, error) {
-	reach := make(map[pagefile.PageID]bool)
-	err := t.walk(t.rootPage, t.rootLevel, func(n *node) error {
+// record address of every leaf entry on the way, and returning the root's
+// box (rootBox) as well.
+func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, err error) {
+	reach = make(map[pagefile.PageID]bool)
+	err = t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
+		if n.page == t.rootPage {
+			root = t.rootBox(n)
+		}
 		if n.leaf() {
 			for i := range n.entries {
 				e := &n.entries[i]
@@ -162,7 +167,7 @@ func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (map[pagefile.PageID]b
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, geom.Rect{}, err
 	}
 	if p := t.data.CurrentPage(); p != pagefile.InvalidPage {
 		reach[p] = true
@@ -170,5 +175,5 @@ func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (map[pagefile.PageID]b
 	if t.meta != pagefile.InvalidPage {
 		reach[t.meta] = true
 	}
-	return reach, nil
+	return reach, root, nil
 }

@@ -167,7 +167,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 	for name, tc := range recordDamage {
 		t.Run(name, func(t *testing.T) {
 			objs := makeObjects(600, 400, rand.New(rand.NewSource(6)))
-			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, BufferPages: 4, NodeCacheEntries: 8}, objs)
+			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, NodeCacheEntries: 8}, objs)
 			// One more record elsewhere, so that no damaged page below is the
 			// data file's cached append page.
 			if err := tree.Insert(Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}); err != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 )
@@ -40,32 +43,33 @@ func (t *Tree) workingState() *treeState {
 }
 
 // Commit seals every mutation since the last commit as one epoch: flushes
-// the write buffer's shadow pages, writes the metadata page (for
-// a persistent tree), then atomically publishes the working root as the
-// new epoch. Readers pinning a snapshot before the commit keep the previous
-// epoch's pages; readers pinning after see the new tree. Pages the epoch
-// retired are reclaimed once no older snapshot remains.
+// the data file, writes each dirty node page once, in ascending page order,
+// writes the metadata page (for a persistent tree), then atomically
+// publishes the working root as the new epoch. Readers pinning a snapshot
+// before the commit keep the previous epoch's pages; readers pinning after
+// see the new tree. Pages the epoch retired are reclaimed once no older
+// snapshot remains.
 //
 // Insert, Delete and BulkLoad never commit on their own, so the caller
 // chooses the epoch granularity, and grouping amortizes by itself:
 // writeNode relocates a node only while its page is committed, and a
 // relocated page stays writable in place until the next Commit seals it —
 // within one epoch each node is relocated at most once, however many
-// operations touch it, and the data file's append page is written once.
+// operations touch it, its page is written once, at the commit, and the
+// data file's append page is written once.
 //
-// The metadata write sits between the flush and the publication — the
-// crash-consistency point: every page of the new epoch is durable before
+// The metadata write sits between the page writes and the publication —
+// the crash-consistency point: every page of the new epoch is durable before
 // the metadata switches to it, and the old epoch's pages were never
 // overwritten in place, so a crash at any operation boundary leaves the
 // file recoverable at the last committed epoch.
 func (t *Tree) Commit() error {
-	// Data first: leaf entries flushed by the write buffer reference record
-	// addresses that must be durable (and readable) no later than the
-	// nodes pointing at them.
+	// Data first: leaf entries reference record addresses that must be
+	// durable (and readable) no later than the nodes pointing at them.
 	if err := t.data.Flush(); err != nil {
 		return err
 	}
-	if err := t.pool.Flush(); err != nil {
+	if err := t.writeDirty(); err != nil {
 		return err
 	}
 	if t.meta != pagefile.InvalidPage {
@@ -76,22 +80,43 @@ func (t *Tree) Commit() error {
 	if err := t.vs.Commit(t.workingState()); err != nil {
 		return err
 	}
-	t.undo = nil // not kept: a large batch would hold its journal's memory
+	// Neither is kept: a large batch would hold its journal's and its
+	// pages' memory.
+	t.undo = nil
+	t.dirty = make(map[pagefile.PageID][]byte)
+	return nil
+}
+
+// writeDirty writes the open batch's dirty node pages to the store in
+// ascending page order. A failed write leaves the map whole, so the batch
+// can still roll back or commit again.
+func (t *Tree) writeDirty() error {
+	ids := make([]pagefile.PageID, 0, len(t.dirty))
+	for id := range t.dirty {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := t.store.Write(id, t.dirty[id]); err != nil {
+			return fmt.Errorf("core: writing node %d: %w", id, err)
+		}
+	}
 	return nil
 }
 
 // Rollback abandons every mutation since the last commit, typically after
-// a failed operation: shadow pages are freed, deferred frees are dropped
-// (their targets are still live in the last committed epoch), and the
-// working root, directory, data and shape state rewinds to the last
-// commit. The tree remains usable; the uncommitted operations simply never
-// happened.
+// a failed operation: shadow pages are freed, their dirty bytes dropped
+// unwritten, deferred frees are dropped (their targets are still live in
+// the last committed epoch), and the working root, directory, data and
+// shape state rewinds to the last commit. The tree remains usable; the
+// uncommitted operations simply never happened.
 func (t *Tree) Rollback() error {
 	st := t.committed()
 	t.rootPage = st.rootPage
 	t.rootLevel = st.rootLevel
 	t.rootMBR = st.rootMBR
 	t.revertDir()
+	t.dirty = make(map[pagefile.PageID][]byte)
 	t.data.SetCurrent(st.dataPage)
 	t.setShapes(st.shapes)
 	return t.vs.Rollback()

@@ -29,8 +29,6 @@ type Options struct {
 	// MetaPage() to Open. Open ignores the field: a reopened tree always
 	// persists.
 	Persist bool
-	// BufferPages bounds the write buffer's dirty pages (default 256).
-	BufferPages int
 	// MCSamples is the sample count of a k-NN query's expected-distance
 	// estimate (default 10000). Range refinement is exact (Equation 2) and
 	// draws no samples.
@@ -80,12 +78,19 @@ type Tree struct {
 
 	// store is the versioned (copy-on-write) view over the caller's page
 	// storage; vs is the same object with its epoch surface exposed. All
-	// tree I/O — node pages via the pool, data pages, metadata — goes
-	// through it.
+	// tree I/O — node pages, data pages, metadata — goes through it.
 	store pagefile.Store
 	vs    *pagefile.VersionedStore
-	pool  *pagefile.BufferPool
 	data  *pagefile.DataFile
+
+	// dirty holds the node pages the open batch has written, each encoded
+	// in one buffer until Commit writes it once (snapshot.go): the
+	// writer's, like rootPage, so it has no lock and no reader touches it.
+	// It only ever holds fresh pages. dirtyHits and dirtyMisses count the
+	// writer's node reads served from it and read from the store
+	// (CacheStats).
+	dirty                  map[pagefile.PageID][]byte
+	dirtyHits, dirtyMisses atomic.Int64
 
 	// ncache caches decoded nodes of committed pages (nil when disabled);
 	// consulted only by the query paths — mutation descents decode
@@ -151,21 +156,45 @@ type UpdateStats struct {
 	CPUTime    time.Duration
 }
 
+// Check returns the error New returns for opt's structure — its
+// dimensionality, catalog size and fan-outs — without touching a store, so
+// a caller can refuse opt before it creates one.
+func (opt Options) Check() error {
+	m := opt.catalogSize()
+	switch {
+	case opt.Dim < 1:
+		return fmt.Errorf("core: dimensionality %d", opt.Dim)
+	case m < 2:
+		return fmt.Errorf("core: catalog size %d too small", m)
+	}
+	return checkFanout(opt.Kind, opt.Dim, m)
+}
+
+// catalogSize is Options.CatalogSize, 0 resolved to the paper default.
+func (opt Options) catalogSize() int {
+	switch {
+	case opt.CatalogSize != 0:
+		return opt.CatalogSize
+	case opt.Kind == UPCR:
+		return 9
+	}
+	return 15
+}
+
+// checkFanout refuses a structure whose nodes would hold fewer than 4
+// entries.
+func checkFanout(kind Kind, dim, m int) error {
+	if leafCap, innerCap := capacities(kind, dim, m); leafCap < 4 || innerCap < 4 {
+		return fmt.Errorf("core: %v with d=%d m=%d yields fanout %d/%d < 4; reduce the catalog",
+			kind, dim, m, leafCap, innerCap)
+	}
+	return nil
+}
+
 // New creates an empty index.
 func New(opt Options) (*Tree, error) {
-	if opt.Dim < 1 {
-		return nil, fmt.Errorf("core: dimensionality %d", opt.Dim)
-	}
-	m := opt.CatalogSize
-	if m == 0 {
-		if opt.Kind == UPCR {
-			m = 9
-		} else {
-			m = 15
-		}
-	}
-	if m < 2 {
-		return nil, fmt.Errorf("core: catalog size %d too small", m)
+	if err := opt.Check(); err != nil {
+		return nil, err
 	}
 	store := opt.Store
 	if store == nil {
@@ -178,10 +207,7 @@ func New(opt Options) (*Tree, error) {
 			return nil, err
 		}
 	}
-	t, err := newTree(opt.Kind, opt.Dim, m, store, meta, 0, opt)
-	if err != nil {
-		return nil, err
-	}
+	t := newTree(opt.Kind, opt.Dim, opt.catalogSize(), store, meta, 0, opt)
 	t.data = pagefile.NewDataFile(t.store)
 
 	root, err := t.allocNode(0)
@@ -202,14 +228,10 @@ func New(opt Options) (*Tree, error) {
 }
 
 // newTree is the constructor body New and Open share: it resolves the
-// runtime options and wires the versioned store, write buffer, node cache
-// and capacities for a tree of the given structure. The caller still owes
-// the data file, the root and the first committed state.
-func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) (*Tree, error) {
-	bufPages := opt.BufferPages
-	if bufPages == 0 {
-		bufPages = 256
-	}
+// runtime options and wires the versioned store, node cache and capacities
+// for a tree of the given structure, which the caller has checked. The
+// caller still owes the data file, the root and the first committed state.
+func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) *Tree {
 	samples := opt.MCSamples
 	if samples == 0 {
 		samples = 10000
@@ -225,21 +247,16 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
 		dir:     make(map[int64]pagefile.DataAddr),
+		dirty:   make(map[pagefile.PageID][]byte),
 
 		shapeRefs: make(map[string]uint16),
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,
 	}
-	t.pool = pagefile.NewBufferPool(t.store, bufPages)
-	t.vs.AttachPool(t.pool)
 	t.attachNodeCache(opt.NodeCacheEntries)
 	leafCap, innerCap := capacities(kind, dim, m)
 	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)
-	if leafCap < 4 || innerCap < 4 {
-		return nil, fmt.Errorf("core: %v with d=%d m=%d yields fanout %d/%d < 4; reduce the catalog",
-			kind, dim, m, leafCap, innerCap)
-	}
 	t.minLeaf = max1(leafCap*2/5) * t.leafEntrySize
 	t.minInner = max1(innerCap*2/5) * t.innerEntrySize
 	t.reinsertLeaf = max1(leafCap*3/10) * t.leafEntrySize
@@ -249,7 +266,7 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		t.compactEntrySize = compactSize(dim)
 		t.leafCap = pageBytes / t.compactEntrySize
 	}
-	return t, nil
+	return t
 }
 
 func max1(v int) int {
@@ -309,11 +326,11 @@ func (t *Tree) ResetCounters() {
 	t.deleteStats = UpdateStats{}
 }
 
-// CacheStats reports the write buffer's hit/miss counters: node pages the
-// writer read back from its own dirty pages, and node pages the writer read
-// from the store. A query reads committed pages past the buffer and counts
-// in neither.
-func (t *Tree) CacheStats() (hits, misses int64) { return t.pool.HitRate() }
+// CacheStats reports the writer's node reads: hits served from the open
+// batch's dirty pages, misses read from the store. A query or a snapshot's
+// check reads committed pages straight from the store and counts in
+// neither.
+func (t *Tree) CacheStats() (hits, misses int64) { return t.dirtyHits.Load(), t.dirtyMisses.Load() }
 
 // attachNodeCache builds the decoded-node cache per Options.NodeCacheEntries
 // (0 → default, negative → disabled) and registers its invalidation hook
@@ -337,19 +354,6 @@ func (t *Tree) NodeCacheStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return t.ncache.stats()
-}
-
-// Flush writes the buffered data page and all buffered node pages through
-// to the store and drains whatever retired pages the current snapshot pins
-// allow (writer-side, like Commit).
-func (t *Tree) Flush() error {
-	if err := t.data.Flush(); err != nil {
-		return err
-	}
-	if err := t.pool.Flush(); err != nil {
-		return err
-	}
-	return t.vs.Reclaim()
 }
 
 // checkObject rejects an object the tree cannot index: one without a pdf,

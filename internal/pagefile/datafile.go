@@ -90,16 +90,9 @@ func (df *DataFile) SetCurrent(id PageID) {
 	df.mu.Unlock()
 }
 
-// Dirty reports whether the append cache holds unflushed mutations.
-func (df *DataFile) Dirty() bool {
-	df.mu.Lock()
-	defer df.mu.Unlock()
-	return df.dirty
-}
-
 // Flush writes the cached append page through to the store if it has
-// unflushed mutations. The owner calls it before commit (durability) and
-// on an explicit Tree.Flush; snapshot reads never need it.
+// unflushed mutations. The owner calls it before commit (durability);
+// snapshot reads never need it.
 func (df *DataFile) Flush() error {
 	df.mu.Lock()
 	defer df.mu.Unlock()

@@ -278,102 +278,3 @@ func TestChaosStoreLatencyRule(t *testing.T) {
 		t.Fatalf("latency spike not applied: %v", d)
 	}
 }
-
-func TestBufferPoolEvictionWriteFaultKeepsFrameDirty(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	pool := NewBufferPool(cs, 1)
-	a, _ := cs.Alloc()
-	b, _ := cs.Alloc()
-	if err := pool.Put(a, fillPage(1)); err != nil {
-		t.Fatal(err)
-	}
-	// All further writes fail: evicting dirty page a must not lose it.
-	wf := cs.MustAddRule(ChaosRule{Op: OpWrite, Fault: FaultPermanent, Countdown: 0, Sticky: true})
-	err := pool.Put(b, fillPage(2))
-	if err == nil {
-		t.Fatal("eviction write fault not surfaced by Put")
-	}
-	if got := pool.Dirty(); got != 2 {
-		t.Fatalf("dirty frames = %d, want 2 (victim kept + new put)", got)
-	}
-	// Both pages must still be readable from the pool with their contents.
-	for id, seed := range map[PageID]byte{a: 1, b: 2} {
-		data, err := pool.Get(id)
-		if err != nil {
-			t.Fatalf("get %d: %v", id, err)
-		}
-		if !bytes.Equal(data, fillPage(seed)) {
-			t.Fatalf("page %d contents lost", id)
-		}
-	}
-	// Flush keeps failing while the fault is armed, frames stay dirty...
-	if err := pool.Flush(); err == nil {
-		t.Fatal("flush under write fault succeeded")
-	}
-	if pool.Dirty() != 2 {
-		t.Fatalf("dirty after failed flush = %d, want 2", pool.Dirty())
-	}
-	// ...and succeeds once the store heals, with nothing lost.
-	wf.Arm(-1)
-	if err := pool.Flush(); err != nil {
-		t.Fatalf("flush after heal: %v", err)
-	}
-	if pool.Dirty() != 0 {
-		t.Fatalf("dirty after heal flush = %d", pool.Dirty())
-	}
-	buf := make([]byte, PageSize)
-	for id, seed := range map[PageID]byte{a: 1, b: 2} {
-		if err := inner.Read(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(seed)) {
-			t.Fatalf("page %d not durable after heal", id)
-		}
-	}
-}
-
-// TestBufferPoolGetServesDataWhenEvictionFails checks that a read never
-// writes back: with every store write failing, a Get of a clean page serves
-// its data, the full buffer's dirty page stays buffered, and the failure
-// surfaces only at the Flush that tries the write.
-func TestBufferPoolGetServesDataWhenEvictionFails(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	pool := NewBufferPool(cs, 1)
-	a, _ := cs.Alloc()
-	b, _ := cs.Alloc()
-	if err := cs.Write(b, fillPage(8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Put(a, fillPage(1)); err != nil {
-		t.Fatal(err)
-	}
-	wf := cs.MustAddRule(ChaosRule{Op: OpWrite, Fault: FaultPermanent, Countdown: 0, Sticky: true})
-	for i := 0; i < 2; i++ {
-		data, err := pool.Get(b)
-		if err != nil {
-			t.Fatalf("get with failing writes: %v", err)
-		}
-		if !bytes.Equal(data, fillPage(8)) {
-			t.Fatal("wrong data served")
-		}
-	}
-	if n := pool.Dirty(); n != 1 {
-		t.Fatalf("buffer holds %d pages after clean Gets, want the 1 dirty page", n)
-	}
-	if err := pool.Flush(); err == nil {
-		t.Fatal("flush under write fault succeeded")
-	}
-	wf.Arm(-1)
-	if err := pool.Flush(); err != nil {
-		t.Fatalf("flush after heal: %v", err)
-	}
-	buf := make([]byte, PageSize)
-	if err := inner.Read(a, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage(1)) {
-		t.Fatal("dirty page lost while writes failed")
-	}
-}

@@ -174,216 +174,6 @@ func TestOpenFileStoreBadMagic(t *testing.T) {
 	}
 }
 
-func TestBufferPoolReadThroughAndWriteBack(t *testing.T) {
-	s := NewMemStore()
-	bp := NewBufferPool(s, 2)
-	id, _ := s.Alloc()
-	in := make([]byte, PageSize)
-	in[0] = 42
-	if err := bp.Put(id, in); err != nil {
-		t.Fatal(err)
-	}
-	// Dirty page served from the buffer before flush, without a store read.
-	got, err := bp.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 42 {
-		t.Fatal("pool lost dirty write")
-	}
-	if reads, writes, _, _ := s.Stats().Snapshot(); reads != 0 || writes != 0 {
-		t.Fatalf("store saw %d reads, %d writes before Flush, want 0, 0", reads, writes)
-	}
-	// Underlying store must see it after Flush.
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	s.Read(id, out)
-	if out[0] != 42 {
-		t.Fatal("flush did not write back")
-	}
-	if hits, misses := bp.HitRate(); hits != 1 || misses != 0 {
-		t.Fatalf("hit/miss counts %d/%d, want 1/0", hits, misses)
-	}
-}
-
-// TestBufferPoolCleanGetNotKept checks that a Get of a page the buffer
-// does not hold reads the store every time and buffers nothing.
-func TestBufferPoolCleanGetNotKept(t *testing.T) {
-	s := NewMemStore()
-	id, _ := s.Alloc()
-	if err := s.Write(id, fillPage(3)); err != nil {
-		t.Fatal(err)
-	}
-	s.Stats().Reset()
-	bp := NewBufferPool(s, 4)
-	for i := 0; i < 2; i++ {
-		got, err := bp.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, fillPage(3)) {
-			t.Fatalf("Get %d returned wrong bytes", i)
-		}
-	}
-	if reads, _, _, _ := s.Stats().Snapshot(); reads != 2 {
-		t.Fatalf("two Gets made %d store reads, want 2", reads)
-	}
-	if hits, misses := bp.HitRate(); hits != 0 || misses != 2 {
-		t.Fatalf("hit/miss counts %d/%d, want 0/2", hits, misses)
-	}
-	if n := bp.Dirty(); n != 0 {
-		t.Fatalf("buffer holds %d pages after clean Gets, want 0", n)
-	}
-}
-
-// TestBufferPoolFlushWritesEachPageOnce puts pages, some of them several
-// times, and checks that Flush writes each once, with its last contents,
-// and leaves the buffer empty.
-func TestBufferPoolFlushWritesEachPageOnce(t *testing.T) {
-	s := NewMemStore()
-	bp := NewBufferPool(s, 8)
-	ids := make([]PageID, 4)
-	for i := range ids {
-		ids[i], _ = s.Alloc()
-	}
-	for round := byte(1); round <= 3; round++ {
-		for i, id := range ids {
-			if err := bp.Put(id, fillPage(round*10+byte(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if n := bp.Dirty(); n != len(ids) {
-		t.Fatalf("buffer holds %d pages, want %d", n, len(ids))
-	}
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != 0 {
-		t.Fatalf("%d store writes before Flush, want 0", writes)
-	}
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != int64(len(ids)) {
-		t.Fatalf("Flush made %d store writes for %d pages", writes, len(ids))
-	}
-	if n := bp.Dirty(); n != 0 {
-		t.Fatalf("buffer holds %d pages after Flush, want 0", n)
-	}
-	buf := make([]byte, PageSize)
-	for i, id := range ids {
-		if err := s.Read(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(30+byte(i))) {
-			t.Fatalf("page %d: store holds stale contents", id)
-		}
-	}
-	// A second Flush has nothing to write.
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != int64(len(ids)) {
-		t.Fatalf("an empty Flush wrote %d pages", writes-int64(len(ids)))
-	}
-}
-
-// TestBufferPoolEviction checks the bound: past it, Put writes the least
-// recently used page through early, and the written-back page is then read
-// from the store like any clean page.
-func TestBufferPoolEviction(t *testing.T) {
-	s := NewMemStore()
-	bp := NewBufferPool(s, 2)
-	ids := make([]PageID, 4)
-	for i := range ids {
-		ids[i], _ = s.Alloc()
-	}
-	put := func(i int) {
-		t.Helper()
-		if err := bp.Put(ids[i], fillPage(byte(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(0)
-	put(1)
-	// Reading page 0 back makes page 1 the least recently used.
-	if _, err := bp.Get(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	put(2)
-	buf := make([]byte, PageSize)
-	s.Read(ids[1], buf)
-	if !bytes.Equal(buf, fillPage(2)) {
-		t.Fatal("least recently used page not written back")
-	}
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != 1 {
-		t.Fatalf("%d early write-backs, want 1", writes)
-	}
-	put(3) // now page 0 goes
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != 2 {
-		t.Fatalf("%d early write-backs, want 2", writes)
-	}
-	if n := bp.Dirty(); n != 2 {
-		t.Fatalf("buffer holds %d pages, want its bound 2", n)
-	}
-	// Written-back pages read through from the store, every time.
-	reads0, _, _, _ := s.Stats().Snapshot()
-	for _, i := range []int{0, 1, 1} {
-		got, err := bp.Get(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, fillPage(byte(i+1))) {
-			t.Fatalf("read-through of written-back page %d broken", i)
-		}
-	}
-	if reads, _, _, _ := s.Stats().Snapshot(); reads-reads0 != 3 {
-		t.Fatalf("%d store reads for 3 Gets of written-back pages, want 3", reads-reads0)
-	}
-}
-
-// TestBufferPoolInvalidate checks that a freed page's dirty copy is dropped
-// unwritten — directly, and when the VersionedStore frees a shadow page —
-// so a recycled page id reads the store's bytes.
-func TestBufferPoolInvalidate(t *testing.T) {
-	s := NewMemStore()
-	vs := NewVersionedStore(s, 0)
-	bp := NewBufferPool(vs, 4)
-	vs.AttachPool(bp)
-	shadow, _ := vs.Alloc()
-	id, _ := s.Alloc()
-	buf := make([]byte, PageSize)
-	buf[0] = 7
-	bp.Put(shadow, buf)
-	bp.Put(id, buf)
-	if err := vs.Free(shadow); err != nil {
-		t.Fatal(err)
-	}
-	bp.Invalidate(id)
-	if n := bp.Dirty(); n != 0 {
-		t.Fatalf("buffer holds %d pages after Free and Invalidate, want 0", n)
-	}
-	if err := bp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, writes, _, _ := s.Stats().Snapshot(); writes != 0 {
-		t.Fatalf("freed pages written %d times, want 0", writes)
-	}
-	s.Free(id)
-	// A fresh alloc may reuse the page; the pool must not serve stale bytes.
-	id2, _ := s.Alloc()
-	if id2 != id {
-		t.Skip("allocator did not recycle; nothing to check")
-	}
-	got, err := bp.Get(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0 {
-		t.Fatal("pool served stale frame after invalidate")
-	}
-}
-
 func TestDataFileAppendRead(t *testing.T) {
 	s := NewMemStore()
 	df := NewDataFile(s)

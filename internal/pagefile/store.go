@@ -1,6 +1,6 @@
 // Package pagefile provides the disk substrate of the U-tree reproduction:
 // fixed-size 4096-byte pages (the paper's page size), an in-memory and a
-// file-backed store, the writer's dirty-page buffer, I/O statistics, and a
+// file-backed store, a copy-on-write epoch layer, I/O statistics, and a
 // slotted data file holding object details (uncertainty region + pdf
 // parameters) that U-tree leaf entries reference by disk address.
 package pagefile

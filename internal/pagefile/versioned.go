@@ -41,8 +41,7 @@ import (
 // two drains never overlap.
 type VersionedStore struct {
 	inner Store
-	pool  *BufferPool  // optional: invalidated on physical free
-	inval func(PageID) // optional extra invalidation hook (decoded-node cache)
+	inval func(PageID) // optional invalidation hook (decoded-node cache)
 
 	mu      sync.Mutex
 	epoch   uint64
@@ -88,25 +87,16 @@ func NewVersionedStore(inner Store, epoch uint64) *VersionedStore {
 	}
 }
 
-// AttachPool registers the write buffer whose pages must be dropped
-// unwritten when a page is physically freed (a freed shadow page's dirty
-// copy must never reach the store, and reclaimed pages may be recycled by
-// Alloc).
-func (v *VersionedStore) AttachPool(pool *BufferPool) { v.pool = pool }
-
-// AttachInvalidator registers an extra per-page invalidation hook, called
-// at exactly the points the write buffer is invalidated: immediately before
-// a page is physically freed (and therefore before its id can be
-// recycled). The tree uses it to drop decoded-node cache entries. Attach
-// before any concurrent use; fn must be safe for concurrent calls.
+// AttachInvalidator registers a per-page invalidation hook, called
+// immediately before a page is physically freed (and therefore before its
+// id can be recycled). The tree uses it to drop decoded-node cache
+// entries. Attach before any concurrent use; fn must be safe for
+// concurrent calls.
 func (v *VersionedStore) AttachInvalidator(fn func(PageID)) { v.inval = fn }
 
-// invalidate drops the page from the attached pool and invalidator hook —
-// every physical-free site funnels through here.
+// invalidate calls the invalidation hook — every physical-free site
+// funnels through here.
 func (v *VersionedStore) invalidate(id PageID) {
-	if v.pool != nil {
-		v.pool.Invalidate(id)
-	}
 	if v.inval != nil {
 		v.inval(id)
 	}
@@ -218,13 +208,13 @@ func (v *VersionedStore) State() any {
 // committed state, atomically with the epoch bump: a Pin issued after
 // Commit returns sees the new state, one issued before keeps the old
 // epoch's pages alive. The caller must have made the batch durable first
-// (data flush, buffer-pool flush, metadata write).
+// (data flush, node page writes, metadata write).
 //
 // Commit also drains whatever garbage the current pins allow. A drain
 // failure never fails the commit — the epoch is already published,
 // so reporting it here would make a durable mutation look failed (and
 // trigger a bogus rollback). Drain errors are stashed and surfaced by the
-// next Reclaim (or the owner's Flush); a page whose free failed is leaked
+// next Reclaim; a page whose free failed is leaked
 // until the store closes, never corrupted.
 func (v *VersionedStore) Commit(state any) error {
 	v.mu.Lock()
@@ -272,7 +262,7 @@ func (v *VersionedStore) Rollback() error {
 // committed-state handle, the pinned epoch, and a release closure. While
 // the pin is held, no page live at that epoch is recycled. Release is cheap
 // and never performs I/O; the retained garbage drains at the next
-// writer-side Commit / Reclaim / Flush.
+// writer-side Commit or Reclaim.
 func (v *VersionedStore) Pin() (state any, epoch uint64, release func()) {
 	v.mu.Lock()
 	e := v.epoch
@@ -327,7 +317,7 @@ func (v *VersionedStore) collectDrainableLocked() []garbage {
 }
 
 // reclaimSome collects the drainable batches and frees their pages outside
-// v.mu, invalidating any cached frame before the slot can be recycled.
+// v.mu, invalidating any cached node before the slot can be recycled.
 // Failures are stashed in reclaimErr and the work is counted done
 // regardless (an unfreed page is leaked, never corrupted).
 func (v *VersionedStore) reclaimSome() {

@@ -9,8 +9,9 @@ import (
 
 // The write path: outside WriteBatch every Insert and Delete publishes as
 // its own epoch. Inside one, mutations join the batch and publish together
-// when fn returns — one metadata write, one pool flush, one data-page flush
-// and at most one shadow relocation per node for the whole batch.
+// when fn returns — one metadata write, one data-page flush, one write of
+// each node page the batch changed and at most one shadow relocation per
+// node for the whole batch.
 // Snapshots only ever observe committed boundaries; a crash recovers to
 // the last committed boundary, never mid-batch.
 

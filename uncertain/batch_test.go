@@ -254,17 +254,17 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 }
 
 // TestReclaimPinSafety hammers a file-backed Tree with a writer grouping
-// every 4 ops in a WriteBatch and snapshot readers validating invariants on
-// every pinned epoch and scrubbing the committed tree, while each commit
-// reclaims inline whatever the pins allow. Under -race this doubles as the
-// data race check; the per-snapshot CheckInvariants would catch a commit
-// freeing any page a pinned epoch can still reach. Once the readers stop,
-// one Flush must drain everything.
+// every 4 ops in a WriteBatch and snapshot readers validating invariants
+// and records on every pinned epoch and scrubbing the committed tree, while
+// each commit reclaims inline whatever the pins allow. Under -race this
+// doubles as the data race check — the snapshot checks read committed
+// pages beside the writer, never its dirty pages; the per-snapshot checks
+// would catch a commit freeing any page a pinned epoch can still reach.
+// Once the readers stop, one Flush must drain everything.
 func TestReclaimPinSafety(t *testing.T) {
 	tree, err := NewTree(Config{
-		Dimensions:  2,
-		Path:        filepath.Join(t.TempDir(), "hammer.utree"),
-		BufferPages: 32,
+		Dimensions: 2,
+		Path:       filepath.Join(t.TempDir(), "hammer.utree"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +286,9 @@ func TestReclaimPinSafety(t *testing.T) {
 				}
 				snap := tree.Snapshot()
 				err := snap.CheckInvariants()
+				if err == nil {
+					err = tree.CheckRecords()
+				}
 				if err == nil {
 					_, _, err = snap.Search(context.Background(),
 						Box(Pt(0, 0), Pt(1000, 1000)), 0.5)

@@ -27,7 +27,7 @@ func slowStore(cs *pagefile.ChaosStore, latency time.Duration) {
 
 // cancelFixture builds a file-backed Tree whose physical page accesses
 // cost `latency` each (from the end of the build on; 0 leaves the store
-// fast), with a pool small enough that real queries miss.
+// fast).
 func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 	t.Helper()
 	var chaos *pagefile.ChaosStore
@@ -36,9 +36,8 @@ func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 			chaos = pagefile.NewChaosStore(s, 1)
 			return chaos
 		},
-		Dimensions:  2,
-		BufferPages: 8,
-		Path:        filepath.Join(t.TempDir(), "cancel.utree"),
+		Dimensions: 2,
+		Path:       filepath.Join(t.TempDir(), "cancel.utree"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func TestNNCancel(t *testing.T) {
 // context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
 	var chaos []*pagefile.ChaosStore // one per shard, built one after another
-	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2, BufferPages: 8,
+	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			cs := pagefile.NewChaosStore(s, 1)
 			chaos = append(chaos, cs)
@@ -270,7 +269,7 @@ func TestShardedCancel(t *testing.T) {
 // TestQueryOptions covers the per-query limit's prefix semantics, and the
 // index's k-NN precision.
 func TestQueryOptions(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestQueryOptions(t *testing.T) {
 		// A k-NN query's precision is the index's sample count. Range
 		// refinement is exact and ignores it (see
 		// TestRangeRefinementIgnoresSamplerConfig).
-		coarseTree, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 10, BufferPages: 16})
+		coarseTree, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

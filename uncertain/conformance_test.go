@@ -957,7 +957,6 @@ func TestShardedNNSerialOrder(t *testing.T) {
 	built := 0 // WrapStore runs once per shard, in shard order
 	st, err := NewSpatialShardedTree(shards, Config{
 		Dimensions:       2,
-		BufferPages:      1, // every node visit reaches the store
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			built++

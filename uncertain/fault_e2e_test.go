@@ -16,21 +16,19 @@ import (
 )
 
 // End-to-end fault-tolerance tests: chaos injection under the full index
-// stack (checksummed file store → chaos → versioning → buffer pool →
-// tree), checking the user-visible contract — an I/O fault fails the
-// operation that hit it and nothing else, corruption is typed and fails
-// every read that reaches it but no other, a dead shard fails a sharded
-// query whole — plus resource
+// stack (checksummed file store → chaos → versioning → tree), checking
+// the user-visible contract — an I/O fault fails the operation that hit it
+// and nothing else, corruption is typed and fails every read that reaches
+// it but no other, a dead shard fails a sharded query whole — plus resource
 // hygiene on every error path. Answers are compared with a fault-free twin
 // exactly: IDs, probabilities and validated flags.
 
-// faultTestConfig is the shared shape of these tests: a tiny page cache
-// and no decoded-node cache, so queries genuinely hit the store and the
-// fault machinery under test.
+// faultTestConfig is the shared shape of these tests: no decoded-node
+// cache, so queries genuinely hit the store and the fault machinery under
+// test.
 func faultTestConfig(path string) Config {
 	return Config{
 		Dimensions:       2,
-		BufferPages:      4,
 		NodeCacheEntries: -1,
 		Path:             path,
 	}
@@ -208,7 +206,6 @@ func corruptPage(err error) (pagefile.PageID, bool) {
 func testOneBitFlip(t *testing.T) {
 	var chaos *pagefile.ChaosStore
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "flip.utree"))
-	cfg.BufferPages = 1 // evict aggressively so reads actually hit the medium
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		chaos = pagefile.NewChaosStore(s, 5)
 		return chaos
@@ -515,7 +512,6 @@ func TestDeadShardFailsQuery(t *testing.T) {
 	const shards = 3
 	var stores []*pagefile.ChaosStore
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "dead.utree"))
-	cfg.BufferPages = 1
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
 		cs := pagefile.NewChaosStore(s, int64(len(stores)))
 		stores = append(stores, cs)
@@ -615,7 +611,6 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	var chaos *pagefile.ChaosStore
 	ct, err := NewConcurrentTree(Config{
 		Dimensions:       2,
-		BufferPages:      4,
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
 			chaos = pagefile.NewChaosStore(s, 19)

@@ -59,17 +59,17 @@ type Index interface {
 	// Len returns the number of indexed objects in the last committed
 	// epoch.
 	Len() int
-	// CacheStats reports cumulative write-buffer hits (node pages the
-	// writer read back from its own dirty pages) and misses (node pages
-	// the writer read from the store), summed over shards for sharded
-	// indexes. A query counts in neither.
+	// CacheStats reports the writer's cumulative node reads: hits (node
+	// pages read back from the open batch's dirty pages) and misses (node
+	// pages read from the store), summed over shards for sharded indexes.
+	// A query counts in neither.
 	CacheStats() (hits, misses int64)
 	// NodeCacheStats reports cumulative decoded-node-cache hits and misses
 	// (summed over shards for sharded indexes; both zero when
 	// Config.NodeCacheEntries is negative).
 	NodeCacheStats() (hits, misses int64)
-	// Flush writes buffered dirty pages through to the store(s) and drains
-	// retired copy-on-write pages no snapshot pins.
+	// Flush drains retired copy-on-write pages no snapshot pins; every
+	// committed page is already in the store(s).
 	Flush() error
 	// CheckInvariants validates the index structure (every shard for
 	// sharded indexes).

@@ -1,8 +1,12 @@
 package uncertain
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -170,5 +174,83 @@ func TestNonFiniteQueryRefused(t *testing.T) {
 	}
 	if h := tree.Height(); h != 2 {
 		t.Fatalf("fixture: a tree of height %d, want 2", h)
+	}
+}
+
+// TestRefusedConfigLeavesFile: NewTree refuses a Config whose structure
+// it cannot build — no dimensions, a catalog of one value, nodes of fewer
+// than 4 entries — before it creates or truncates the file at Path. An
+// index already there stays byte-identical and opens as before; a missing
+// path stays missing.
+func TestRefusedConfigLeavesFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kept.utree")
+	tree, err := NewTree(Config{Dimensions: 2, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(shardedFixtureObjects(300, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := Box(Pt(100, 100), Pt(600, 600))
+	answer := func() []Result {
+		t.Helper()
+		tree, err := OpenTree(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tree.Close()
+		res, _, err := tree.Search(context.Background(), query, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Len() != 300 {
+			t.Fatalf("reopened tree holds %d objects, want 300", tree.Len())
+		}
+		return res
+	}
+	want := answer()
+	if len(want) == 0 {
+		t.Fatal("fixture query answers nothing")
+	}
+	for name, cfg := range map[string]Config{
+		"no dimensions":     {Dimensions: 0},
+		"negative":          {Dimensions: -2},
+		"one-value catalog": {Dimensions: 2, CatalogSize: 1},
+		"fan-out below 4":   {Dimensions: 25},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Path = path
+			if tree, err := NewTree(cfg); err == nil {
+				tree.Close()
+				t.Fatal("NewTree accepted the config")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("the refused NewTree changed the file: %d bytes, was %d", len(after), len(before))
+			}
+			if got := answer(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened answer %v, want %v", got, want)
+			}
+			missing := filepath.Join(dir, "missing.utree")
+			cfg.Path = missing
+			if tree, err := NewTree(cfg); err == nil {
+				tree.Close()
+				t.Fatal("NewTree accepted the config")
+			}
+			if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("a refused NewTree left %s behind: %v", missing, err)
+			}
+		})
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // ShardedTree partitions the data domain into K equal slabs along
-// dimension 0, one independent Tree shard each, with its own store, write
-// buffer and epoch. An object lives in the slab holding its pdf-MBR center.
+// dimension 0, one independent Tree shard each, with its own store, dirty
+// pages and epoch. An object lives in the slab holding its pdf-MBR center.
 // A query searches the shards one after another on the caller's goroutine
 // and merges their answers (with Stats summed via core's merge helpers).
 // Every commit records its shard's root box, so a query skips a shard whose
@@ -416,7 +416,7 @@ func (s *ShardedTree) GCInfo() GCInfo {
 	return info
 }
 
-// CacheStats sums the shards' write-buffer hit/miss counters.
+// CacheStats sums the shards' writer node-read hit/miss counters.
 func (s *ShardedTree) CacheStats() (hits, misses int64) {
 	for _, sh := range s.shards {
 		h, m := sh.CacheStats()
@@ -446,8 +446,7 @@ func (s *ShardedTree) eachShard(fn func(*Tree) error) error {
 	return s.firstError(errs)
 }
 
-// Flush writes every shard's buffered dirty pages through to its store and
-// drains the retired pages its snapshot pins allow.
+// Flush drains every shard's retired pages its snapshot pins allow.
 func (s *ShardedTree) Flush() error { return s.eachShard((*Tree).Flush) }
 
 // CheckInvariants validates every shard's structure.

@@ -20,7 +20,7 @@ import (
 
 func snapshotFixture(t *testing.T, n int) (*ConcurrentTree, Rect) {
 	t.Helper()
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, BufferPages: 32})
+	ct, err := NewConcurrentTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

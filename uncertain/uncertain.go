@@ -133,10 +133,10 @@ type Config struct {
 	//
 	// Deprecated: has no effect.
 	Seed int64
-	// BufferPages bounds the write buffer: the dirty node pages an open
-	// batch holds until its commit (0 → 256). A batch that dirties more
-	// writes its least recently used pages through early. The buffer keeps
-	// no clean page; reads are cached by the decoded-node cache alone.
+	// BufferPages is read by nothing: an open batch keeps every node page
+	// it writes until its commit writes each once.
+	//
+	// Deprecated: has no effect.
 	BufferPages int
 	// NodeCacheEntries sizes the decoded-node cache, the tree's one read
 	// cache: committed tree pages are immutable under the copy-on-write
@@ -228,8 +228,12 @@ var ErrDuplicateID = core.ErrDuplicateID
 // is mutated, and an open WriteBatch stays usable. Test with errors.Is.
 var ErrNotFound = core.ErrNotFound
 
-// NewTree creates an empty index.
+// NewTree creates an empty index. A Config it refuses leaves the file at
+// Path as it was.
 func NewTree(cfg Config) (*Tree, error) {
+	if err := cfg.options().Check(); err != nil {
+		return nil, err
+	}
 	var fs *pagefile.FileStore
 	if cfg.Path != "" {
 		var err error
@@ -293,8 +297,8 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → core's versioning → write
-// buffer (dirty pages only); the decoded-node cache sits above it.
+// The stack is base → Config.WrapStore → core's versioning; the writer's
+// dirty pages and the decoded-node cache sit above it, in core.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -304,15 +308,19 @@ func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	if cfg.WrapStore != nil {
 		store = cfg.WrapStore(store)
 	}
-	opt := core.Options{
+	opt := cfg.options()
+	opt.Store = store
+	return t, opt
+}
+
+// options is cfg mapped to core options, without a store.
+func (cfg Config) options() core.Options {
+	return core.Options{
 		Dim:              cfg.Dimensions,
 		CatalogSize:      cfg.CatalogSize,
-		Store:            store,
 		MCSamples:        cfg.MonteCarloSamples,
-		BufferPages:      cfg.BufferPages,
 		NodeCacheEntries: cfg.NodeCacheEntries,
 	}
-	return t, opt
 }
 
 // checkStructure compares cfg's structural fields with a reopened tree;
@@ -399,13 +407,14 @@ func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...Quer
 	return snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
 }
 
-// Flush writes every buffered dirty page through to the store, leaving the
-// write buffer empty, and drains whatever retired epochs' pages the current
-// snapshot pins allow (writer lock).
+// Flush drains whatever retired epochs' pages the current snapshot pins
+// allow (writer lock). Every committed page is already in the store: a
+// mutation outside a WriteBatch, and each WriteBatch, writes its pages when
+// it commits.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.inner.Flush()
+	return t.inner.Reclaim()
 }
 
 // Epoch returns the last committed epoch number (each completed mutation
@@ -436,11 +445,11 @@ func (t *Tree) Height() int {
 // SizeBytes reports the total storage footprint (index + data pages).
 func (t *Tree) SizeBytes() int64 { return t.inner.SizeBytes() }
 
-// CacheStats reports the write buffer's cumulative hit/miss counters
-// (atomic; callable concurrently with searches). A hit is a node page the
-// writer read back from its own dirty pages, a miss a node page the writer
-// read from the store; a query reads past the buffer and counts in neither.
-// NodeCacheStats reports the read cache.
+// CacheStats reports the writer's cumulative node reads (atomic; callable
+// concurrently with searches). A hit is a node page the writer read back
+// from the open batch's dirty pages, a miss a node page the writer read
+// from the store; a query or a snapshot check reads committed pages and
+// counts in neither. NodeCacheStats reports the read cache.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.inner.CacheStats() }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss
