@@ -36,17 +36,26 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 
 // readCommitted reads a committed node page straight from the store: the
 // writer's dirty map holds only the open batch's fresh pages, which no
-// reader can reach.
+// reader can reach. Where the store lends its pages (a memory tree) the node
+// views the store's own page: a committed node page is never written in
+// place, since writeNode relocates it, and its id is reused only once the
+// epoch GC has freed it (see nodeCache). Otherwise the page is read into a
+// fresh buffer, which the node then owns.
 func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
-	buf := make([]byte, pagefile.PageSize)
-	if err := t.store.Read(id, buf); err != nil {
+	buf, lent, err := t.vs.View(id)
+	if err == nil && !lent {
+		buf = make([]byte, pagefile.PageSize)
+		err = t.store.Read(id, buf)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
 	}
 	return t.decodeAt(id, level, buf)
 }
 
 // decodeAt decodes page id, read into buf, where a descent expects a node
-// at level. A corrupt page fails with ErrBadPage; nothing remembers it.
+// at level; the node views buf (decodeNode). A corrupt page fails with
+// ErrBadPage; nothing remembers it.
 func (t *Tree) decodeAt(id pagefile.PageID, level int, buf []byte) (*packedNode, error) {
 	n, err := t.decodeNode(id, buf)
 	if err != nil {

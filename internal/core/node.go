@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -23,110 +24,126 @@ type node struct {
 func (n *node) leaf() bool { return n.level == 0 }
 
 // packedNode is the read form of a tree page and the value the decoded-node
-// cache holds: per-entry scalars in keys, every coordinate in one float64
-// and one float32 slab, so a cached leaf holds no pointer the GC must scan
-// and costs about what its page does (48 B a compact 2-D U-tree leaf entry,
-// 112 B a full one).
+// cache holds: a checked view of the page's own bytes. decodeNode checks the
+// page once, when it is read; the accessors then read each field where the
+// page holds it. On a memory tree the bytes are the store's committed page
+// (MemStore.View), so a cached leaf costs this 128-byte struct; on a file
+// tree they are the 4,096-byte buffer the page was read into.
 //
-//   - keys: a leaf entry's id and its addr‖shape word, the page's own 16
-//     bytes (2 words an entry), compact flag included; an intermediate
-//     entry's child (1 word).
-//   - f64: each entry's nb rectangles, Lo then Hi, at stride nb·2·dim — a
-//     U-tree leaf's MBR (nb = 1), a U-PCR leaf's m PCRs (pcr(0) is the
-//     MBR), an intermediate entry's 2 or m bounding boxes.
-//   - f32: the cfb_out‖cfb_in of a U-tree leaf's full entries, at stride
-//     8·dim; a compact entry has none (its faces are its shape's).
-//   - rank: for a leaf holding both forms, entry i's place among the full
-//     entries, whose CFBs f32 holds in order; nil when every entry is full.
+//   - buf: the page — level, count, then the entries as encodeNode lays
+//     them out. A leaf entry's id and addr‖shape word are its first 16
+//     bytes, an intermediate entry's child its first 4.
+//   - f64: buf's 8-byte words as float64s, f64[k] at byte 8k (floats).
+//     Every entry size is a multiple of 8 and the header is 8 bytes, so
+//     every rectangle — a U-tree leaf's MBR, a U-PCR leaf's m PCRs (pcr(0)
+//     is the MBR), an intermediate entry's 2 or m bounding boxes — is a run
+//     of f64. A full U-tree leaf entry's cfb_out‖cfb_in is a run of
+//     float32s after its MBR, laid over buf when read (cfbs); a compact
+//     entry has none (its faces are its shape's).
+//   - stride: the size of every entry; offs, for a leaf holding both
+//     U-tree entry forms, each entry's byte offset instead.
 //   - rects: for intermediate nodes and U-PCR leaves, which are few, the nb
 //     rectangles of each entry laid over f64 — the []geom.Rect the descent
 //     and the U-PCR filter take.
 //
-// The accessors return sub-slices of the slabs, capped so that an append
-// cannot reach a neighbour. Nothing writes through them: a cached node is
-// shared by every lock-free reader.
+// The accessors return slices of buf, capped so that an append cannot
+// reach a neighbour. Nothing writes through them: a cached node is shared
+// by every lock-free reader, and its bytes may be the store's.
 type packedNode struct {
-	page         pagefile.PageID
-	level, count int
-	dim, nb      int
-	keys         []uint64
-	f64          []float64
-	f32          []float32
-	rank         []uint16
-	rects        []geom.Rect
+	page            pagefile.PageID
+	dim, nb, stride uint16
+	level, count    int
+	offs            []uint16
+	buf             []byte
+	f64             []float64
+	rects           []geom.Rect
 }
 
 func (p *packedNode) leaf() bool { return p.level == 0 }
 
+// at is entry i's byte offset on the page.
+func (p *packedNode) at(i int) int {
+	if p.offs != nil {
+		return int(p.offs[i])
+	}
+	return nodeHeader + i*int(p.stride)
+}
+
 // id is leaf entry i's object id.
-func (p *packedNode) id(i int) int64 { return int64(p.keys[2*i]) }
+func (p *packedNode) id(i int) int64 { return int64(binary.LittleEndian.Uint64(p.buf[p.at(i):])) }
 
 // addr is leaf entry i's record address and shape reference.
 func (p *packedNode) addr(i int) (pagefile.DataAddr, uint16) {
-	w := p.keys[2*i+1]
+	w := binary.LittleEndian.Uint64(p.buf[p.at(i)+8:])
 	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ compactEntry
 }
 
 // compact reports whether leaf entry i is in the compact form: id,
 // address and MBR, its faces its shape's (Shape.Translate).
-func (p *packedNode) compact(i int) bool { return uint16(p.keys[2*i+1]>>48)&compactEntry != 0 }
+func (p *packedNode) compact(i int) bool {
+	return binary.LittleEndian.Uint16(p.buf[p.at(i)+14:])&compactEntry != 0
+}
 
 // child is intermediate entry i's child page.
-func (p *packedNode) child(i int) pagefile.PageID { return pagefile.PageID(p.keys[i]) }
+func (p *packedNode) child(i int) pagefile.PageID {
+	return pagefile.PageID(binary.LittleEndian.Uint32(p.buf[p.at(i):]))
+}
 
 // mbr is leaf entry i's MBR.
-func (p *packedNode) mbr(i int) geom.Rect { return p.rect(i * p.nb) }
+func (p *packedNode) mbr(i int) geom.Rect { return p.rect(p.at(i) + 16) }
 
-// rect is the k-th rectangle of the f64 slab.
-func (p *packedNode) rect(k int) geom.Rect {
-	d := p.dim
-	c := p.f64[2*d*k : 2*d*(k+1) : 2*d*(k+1)]
+// rect is the rectangle at byte off of the page.
+func (p *packedNode) rect(off int) geom.Rect {
+	d, k := int(p.dim), off/8
+	c := p.f64[k : k+2*d : k+2*d]
 	return geom.Rect{Lo: c[:d:d], Hi: c[d:]}
 }
 
 // cfbs is full U-tree leaf entry i's cfb_out and cfb_in.
 func (p *packedNode) cfbs(i int) (out, in pcr.CFB) {
-	if p.rank != nil {
-		i = int(p.rank[i])
-	}
-	w := 4 * p.dim
-	c := p.f32[2*w*i : 2*w*(i+1) : 2*w*(i+1)]
+	w := 4 * int(p.dim)
+	c := floats[float32](p.buf, p.at(i)+16+16*int(p.dim), 2*w)
 	return pcr.CFB(c[:w:w]), pcr.CFB(c[w:])
 }
 
 // boxes is the nb rectangles of intermediate or U-PCR leaf entry i.
 func (p *packedNode) boxes(i int) []geom.Rect {
-	return p.rects[i*p.nb : (i+1)*p.nb : (i+1)*p.nb]
+	nb := int(p.nb)
+	return p.rects[i*nb : (i+1)*nb : (i+1)*nb]
 }
 
 // readNode fetches the page a descent expects at level and expands it into
 // edit form over the working shape table, counting one logical node access.
 // A node at another level is refused (checkLevel), so no walk that reads its
-// nodes here can loop. It always decodes a private copy: the mutation paths
-// edit the returned node's entries in place, so they must never receive
-// slabs shared through the decoded-node cache. Query paths go through
-// fetchNode, which consults the cache first.
+// nodes here can loop. It always decodes a private copy of the page: the
+// mutation paths edit the returned node's entries, and encodeNode clears a
+// dirty buffer before it re-encodes it, so entries laid over the dirty
+// buffer would be destroyed, and entries laid over the store's page or a
+// node the cache shares would share their bytes with the readers. Query
+// paths go through fetchNode, which consults the cache first.
 //
 // readNode is the writer's: it serves a page the open batch has written
 // from the dirty map (a hit) and reads any other from the store (a miss).
 func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 	t.nodeReads.Add(1)
-	var p *packedNode
-	var err error
-	if buf, ok := t.dirty[id]; ok {
+	buf := make([]byte, pagefile.PageSize)
+	if dirty, ok := t.dirty[id]; ok {
 		t.dirtyHits.Add(1)
-		p, err = t.decodeAt(id, level, buf)
+		copy(buf, dirty)
 	} else {
 		t.dirtyMisses.Add(1)
-		p, err = t.readCommitted(id, level)
+		if err := t.store.Read(id, buf); err != nil {
+			return nil, fmt.Errorf("core: reading node %d: %w", id, err)
+		}
 	}
+	p, err := t.decodeAt(id, level, buf)
 	if err != nil {
 		return nil, err
 	}
 	return t.expand(p, t.shapes), nil
 }
 
-// expand is p's edit form, its entries laid over p's slabs (see entry). A
+// expand is p's edit form, its entries laid over p's page (see entry). A
 // keyed U-tree leaf entry comes out compact whichever form the page holds —
 // a UTR4 file's are full — so the next write of its node stores it compact,
 // and its faces are its shape's in the table. One whose reference is beyond
@@ -245,96 +262,145 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 	return nil
 }
 
-// decodeNode turns page bytes into a packedNode. It is the only code that
-// reads node bytes: at most four allocations however many entries the node
-// holds (five for a leaf holding both entry forms).
+// decodeNode checks page bytes and returns the packedNode that reads them.
+// It is the only code that reads a node's layout, and it checks everything
+// a reader relies on, once: the entry count against capacity, that every
+// entry lies inside the page, that a compact entry names a shape and sits
+// in a U-tree leaf. Where buf is 8-byte aligned and the host little-endian,
+// the node views buf itself, which is then the node's: one allocation, two
+// for a leaf holding both entry forms, one more for the rects of an
+// intermediate node or a U-PCR leaf. Otherwise it views a copy of the bytes
+// its entries use (nativeCopy), one allocation more.
 func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	p := &packedNode{
 		page: id, level: int(buf[0]), count: int(binary.LittleEndian.Uint16(buf[2:])),
-		dim: t.dim, nb: t.innerBoxes(),
+		dim: uint16(t.dim), nb: uint16(t.innerBoxes()), stride: uint16(t.innerEntrySize),
 	}
 	// A structurally impossible page is corruption the checksum layer did
 	// not catch; type it like one.
 	bad := func(reason string, a ...any) error {
 		return fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{Page: id, Reason: fmt.Sprintf(reason, a...)})
 	}
-	sz, words, off0 := t.innerEntrySize, 1, 8
-	if p.leaf() {
-		sz, words, off0 = t.leafEntrySize, 2, 16
-	}
 	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs unless
-	// it is compact; the first pass finds which of its entries are full.
+	// it is compact; the entries' flags say which size each has.
 	utreeLeaf := p.leaf() && t.kind == UTree
-	full := p.count
-	if utreeLeaf {
-		p.nb, sz = 1, t.compactEntrySize
-	}
-	if p.count*sz > pageBytes {
-		return nil, bad("entry count %d exceeds capacity %d", p.count, pageBytes/sz)
-	}
-	if utreeLeaf {
-		full = 0
-		for i, end := 0, nodeHeader; i < p.count; i++ {
-			switch shape := binary.LittleEndian.Uint16(buf[end+14:]); {
-			case shape == compactEntry:
-				return nil, bad("compact entry %d names no shape", i)
-			case shape&compactEntry == 0:
-				full++
-				end += t.leafEntrySize - t.compactEntrySize
-			}
-			if end += t.compactEntrySize; end+(p.count-i-1)*t.compactEntrySize > pagefile.PageSize {
-				return nil, bad("%d entries overrun the page", p.count)
-			}
-		}
-	}
-	nf64, nf32 := 2*t.dim*p.nb, 8*t.dim
-	p.keys = make([]uint64, words*p.count)
-	p.f64 = make([]float64, nf64*p.count)
 	switch {
-	case !utreeLeaf:
-		p.rects = make([]geom.Rect, p.nb*p.count)
-	case full == 0:
-	case full < p.count:
-		p.rank = make([]uint16, p.count)
-		fallthrough
-	default:
-		p.f32 = make([]float32, nf32*full)
+	case utreeLeaf:
+		p.nb, p.stride = 1, uint16(t.compactEntrySize)
+	case p.leaf():
+		p.stride = uint16(t.leafEntrySize)
 	}
-	for i, at, r := 0, nodeHeader, 0; i < p.count; i++ {
-		e := buf[at:]
-		if p.leaf() {
-			p.keys[2*i] = binary.LittleEndian.Uint64(e)
-			p.keys[2*i+1] = binary.LittleEndian.Uint64(e[8:])
-		} else {
-			p.keys[i] = uint64(binary.LittleEndian.Uint32(e))
+	if stride := int(p.stride); p.count*stride > pageBytes {
+		return nil, bad("entry count %d exceeds capacity %d", p.count, pageBytes/stride)
+	}
+	used := nodeHeader + p.count*int(p.stride) // the bytes the entries end at
+	for i := 0; i < p.count && p.leaf() && !utreeLeaf; i++ {
+		if binary.LittleEndian.Uint16(buf[p.at(i)+14:])&compactEntry != 0 {
+			return nil, bad("compact entry %d in a %v leaf", i, t.kind)
 		}
-		off := off0
-		f64 := p.f64[nf64*i : nf64*(i+1)]
-		for k := range f64 {
-			f64[k], off = getF64(e, off)
+	}
+	for i, at := 0, nodeHeader; i < p.count && utreeLeaf; i++ {
+		sz := t.compactEntrySize
+		switch shape := binary.LittleEndian.Uint16(buf[at+14:]); {
+		case shape == compactEntry:
+			return nil, bad("compact entry %d names no shape", i)
+		case shape&compactEntry == 0:
+			sz = t.leafEntrySize
 		}
 		switch {
-		case p.leaf() && p.compact(i):
-			if !utreeLeaf {
-				return nil, bad("compact entry %d in a %v leaf", i, t.kind)
+		case i == 0:
+			p.stride = uint16(sz)
+		case p.offs == nil && sz != int(p.stride):
+			p.offs = make([]uint16, p.count)
+			for j := range i {
+				p.offs[j] = uint16(nodeHeader + j*int(p.stride))
 			}
-		case utreeLeaf:
-			if p.rank != nil {
-				p.rank[i] = uint16(r)
-			}
-			f32 := p.f32[nf32*r : nf32*(r+1)]
-			for k := range f32 {
-				f32[k] = math.Float32frombits(binary.LittleEndian.Uint32(e[off:]))
-				off += 4
-			}
-			r++
 		}
-		at += off
+		if p.offs != nil {
+			p.offs[i] = uint16(at)
+		}
+		if at += sz; at+(p.count-i-1)*t.compactEntrySize > pagefile.PageSize {
+			return nil, bad("%d entries overrun the page", p.count)
+		}
+		used = at
 	}
-	for k := range p.rects {
-		p.rects[k] = p.rect(k)
+	if littleEndian && floats[float64](buf, 0, 1) != nil {
+		p.buf = buf
+	} else {
+		p.nativeCopy(buf[:used], utreeLeaf)
+	}
+	p.f64 = floats[float64](p.buf, 0, len(p.buf)/8)
+	if !utreeLeaf {
+		off, nb := 8, t.innerBoxes()
+		if p.leaf() {
+			off = 16
+		}
+		p.rects = make([]geom.Rect, nb*p.count)
+		for k := range p.rects {
+			p.rects[k] = p.rect(p.at(k/nb) + off + k%nb*16*t.dim)
+		}
 	}
 	return p, nil
+}
+
+// nativeCopy makes p view an aligned copy of page, the bytes its entries
+// use, with their floats in the host's byte order — the layout the
+// accessors read, where page itself cannot be viewed.
+func (p *packedNode) nativeCopy(page []byte, utreeLeaf bool) {
+	b := make([]byte, len(page)+7)
+	for floats[float64](b, 0, 1) == nil {
+		b = b[1:]
+	}
+	p.buf = b[:len(page)]
+	if littleEndian {
+		copy(p.buf, page)
+	} else {
+		p.copyFields(page, utreeLeaf)
+	}
+}
+
+// copyFields copies page into p.buf field by field: the header and the
+// integers as the page has them, the floats in the host's byte order.
+func (p *packedNode) copyFields(page []byte, utreeLeaf bool) {
+	copy(p.buf[:nodeHeader], page)
+	d := int(p.dim)
+	for i := 0; i < p.count; i++ {
+		at, k := p.at(i), p.at(i)+8
+		if p.leaf() {
+			k += 8
+		}
+		copy(p.buf[at:k], page[at:k])
+		f64 := floats[float64](p.buf, k, 2*d*int(p.nb))
+		for j := range f64 {
+			f64[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[k+8*j:]))
+		}
+		if utreeLeaf && !p.compact(i) {
+			k += 8 * len(f64)
+			f32 := floats[float32](p.buf, k, 8*d)
+			for j := range f32 {
+				f32[j] = math.Float32frombits(binary.LittleEndian.Uint32(page[k+4*j:]))
+			}
+		}
+	}
+}
+
+// littleEndian is whether the host stores numbers in the page's byte
+// order, so that a page's float fields read in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floats is the n values of type T at byte off of buf, laid over buf's
+// bytes — so read in the host's byte order — or nil where they are not
+// aligned for T. It is the one use of unsafe: a node's rectangles and CFBs
+// are read where its page holds them (packedNode), whose float fields are
+// all aligned once the page is.
+func floats[T float32 | float64](buf []byte, off, n int) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	b := buf[off : off+n*size]
+	ptr := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(ptr)%uintptr(size) != 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(ptr), n)
 }
 
 // innerBoxes is the number of rectangles in an intermediate entry (and in a

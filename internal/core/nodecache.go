@@ -10,12 +10,15 @@ import (
 
 // nodeCache is a sharded LRU cache of decoded nodes — the tree's one read
 // cache. It holds the packedNode values decodeNode builds from committed
-// pages, so a hot traversal skips both the page read and the decode; a
+// pages, so a hot traversal skips both the page read and the check; a
 // miss here reads the store (the writer's dirty pages are its own, in
-// Tree.dirty, and never reach a reader). A packed node is a few flat slabs
-// (see packedNode), so a cached node costs about one page of heap — the
-// 1024-node default is about 4 MiB — and a cached leaf gives the GC
-// nothing to scan.
+// Tree.dirty, and never reach a reader). A packed node views its page's
+// bytes (see packedNode): on a memory tree the store's own page, so a
+// cached node costs its 128-byte struct (and, for an intermediate node,
+// its rects), the page being the store's anyway; on a file tree the page
+// it was read into, one 4,096-byte buffer. The 1024-node default holds
+// about 4 MiB of pages on a file tree and no page of its own on a memory
+// tree.
 //
 // Coherence rests on the copy-on-write epoch discipline (VersionedStore):
 //
@@ -30,6 +33,12 @@ import (
 //     bytes can change. Until then the entry is valid for every reader,
 //     whatever epoch it pinned: snapshots at different epochs that can
 //     reach the same live page see the same bytes by construction.
+//   - The same argument makes a memory tree's view of the store's page
+//     safe, cached or held by a query: MemStore writes a committed node
+//     page never (writeNode relocates it) and zeroes it for reuse only in
+//     Alloc, after the page's physical free, which runs the invalidator
+//     first and runs only once no pinned epoch can reach the page — and a
+//     query holds its pin for as long as it reads the node.
 //
 // Eviction keeps the inner levels: an overflowing shard evicts its least
 // recently used leaf, and an inner node only when it holds no leaf. A

@@ -118,15 +118,10 @@ func objectFromPage(page []byte, slot uint16, shapes []shape) (Object, error) {
 	return decodeObject(rec, shapes)
 }
 
-// putF64 / getF64 are the little-endian float helpers shared by entry and
-// node serialization.
+// putF64 is the little-endian float helper of entry and node serialization.
 func putF64(buf []byte, off int, v float64) int {
 	binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 	return off + 8
-}
-
-func getF64(buf []byte, off int) (float64, int) {
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])), off + 8
 }
 
 // putAddr serializes a leaf entry's data address and, in the two of its 8

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -299,13 +300,15 @@ func leafPages(tb testing.TB, tree *Tree) (unkeyed, mixed, utr4 []byte) {
 	return out[0], out[1], out[2]
 }
 
-// TestDecodeNodeAllocations gates the packed decode: a full node of either
-// level and either kind costs the node and its slabs, at most 4 allocations
-// however many entries it holds (a 2-D U-tree leaf was 232 when every
-// rectangle and coefficient array had its own), and a full U-tree leaf of
-// compact entries allocates about its page's entry bytes (85 × 48 = 4,080 B
-// in 2-D, 63 × 64 = 4,032 in 3-D), as one of full entries does (36 × 112 =
-// 4,032, 25 × 160 = 4,000): a cached leaf costs about one page of heap.
+// TestDecodeNodeAllocations gates the decode: a node views its page, so a
+// full node of either level and either kind costs the node and, for an
+// intermediate node or a U-PCR leaf, its rects — at most 2 allocations
+// however many entries it holds. A full U-tree leaf of compact entries or
+// of full ones allocates its 128-byte node and no entry byte. A mixed leaf
+// adds its 2-byte entry offsets; a node that cannot view its page — at an
+// odd address, or on a big-endian host — adds a copy of the bytes its
+// entries use, the bound every leaf had while the decode copied entries
+// into slabs.
 func TestDecodeNodeAllocations(t *testing.T) {
 	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}} {
 		tree := keyedTree(t, opt)
@@ -316,19 +319,26 @@ func TestDecodeNodeAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 4 {
-				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ 4", tree.kind, tree.dim, name, allocs)
+			if allocs > 2 {
+				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ 2", tree.kind, tree.dim, name, allocs)
 			}
 		}
 		if tree.kind != UTree {
 			continue
 		}
-		unkeyed, _, _ := leafPages(t, tree)
+		unkeyed, mixed, _ := leafPages(t, tree)
 		for _, c := range []struct {
-			what       string
-			page       []byte
-			entryBytes int
-		}{{"compact", leaf, tree.leafCap * tree.compactEntrySize}, {"full", unkeyed, pageBytes / tree.leafEntrySize * tree.leafEntrySize}} {
+			what   string
+			page   []byte
+			budget float64
+		}{
+			{"compact", leaf, 256},
+			{"full", unkeyed, 256},
+			{"mixed", mixed, 256 + 2*float64(binary.LittleEndian.Uint16(mixed[2:]))},
+			// Where the node cannot view the page, it copies what its
+			// entries use.
+			{"compact, copied", atOdd(leaf), 1.1*float64(nodeHeader+tree.leafCap*tree.compactEntrySize) + 256},
+		} {
 			const runs = 100
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -338,28 +348,133 @@ func TestDecodeNodeAllocations(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			budget := 1.1*float64(c.entryBytes) + 256
-			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
-				t.Errorf("%d-D: decoding a full leaf of %s entries (%d entry bytes) allocates %.0f B, want ≤ %.0f",
-					tree.dim, c.what, c.entryBytes, got, budget)
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > c.budget {
+				t.Errorf("%d-D: decoding a full leaf of %s entries allocates %.0f B, want ≤ %.0f", tree.dim, c.what, got, c.budget)
+			}
+		}
+	}
+}
+
+// atOdd is page's bytes at an odd address, which decodeNode cannot view
+// and copies instead.
+func atOdd(page []byte) []byte {
+	b := make([]byte, len(page)+1)
+	copy(b[1:], page)
+	return b[1:]
+}
+
+// samePacked reports where two decodes of one page differ: in the bits any
+// accessor returns.
+func samePacked(tree *Tree, a, b *packedNode) error {
+	rects := func(x, y []geom.Rect) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for k := range x {
+			for d := range x[k].Lo {
+				if math.Float64bits(x[k].Lo[d]) != math.Float64bits(y[k].Lo[d]) ||
+					math.Float64bits(x[k].Hi[d]) != math.Float64bits(y[k].Hi[d]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if a.page != b.page || a.level != b.level || a.count != b.count {
+		return fmt.Errorf("page %d level %d count %d against page %d level %d count %d", a.page, a.level, a.count, b.page, b.level, b.count)
+	}
+	for i := 0; i < a.count; i++ {
+		if !a.leaf() {
+			if a.child(i) != b.child(i) || !rects(a.boxes(i), b.boxes(i)) {
+				return fmt.Errorf("intermediate entry %d differs", i)
+			}
+			continue
+		}
+		aa, as := a.addr(i)
+		ba, bs := b.addr(i)
+		if a.id(i) != b.id(i) || aa != ba || as != bs || a.compact(i) != b.compact(i) ||
+			!rects([]geom.Rect{a.mbr(i)}, []geom.Rect{b.mbr(i)}) {
+			return fmt.Errorf("leaf entry %d differs", i)
+		}
+		switch {
+		case tree.kind == UPCR:
+			if !rects(a.boxes(i), b.boxes(i)) {
+				return fmt.Errorf("leaf entry %d's PCRs differ", i)
+			}
+		case !a.compact(i):
+			ao, ai := a.cfbs(i)
+			bo, bi := b.cfbs(i)
+			if !cfbEqual(ao, bo) || !cfbEqual(ai, bi) {
+				return fmt.Errorf("leaf entry %d's CFBs differ", i)
+			}
+		}
+	}
+	return nil
+}
+
+// TestViewCopyPathsAgree decodes every page form — 2-D and 3-D compact,
+// full, mixed and UTR4-era U-tree leaves, intermediate nodes, U-PCR leaves
+// — from an 8-byte aligned buffer, which the node views, from the same
+// bytes at an odd address, which it copies; and copied field by field, as
+// a big-endian host copies it: every accessor returns the same bits on
+// every path.
+func TestViewCopyPathsAgree(t *testing.T) {
+	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}, {Dim: 3, Kind: UPCR}} {
+		tree := keyedTree(t, opt)
+		leaf, inner := fullNodePages(t, tree)
+		pages := map[string][]byte{"leaf": leaf, "inner": inner}
+		if tree.kind == UTree {
+			pages["full"], pages["mixed"], pages["utr4"] = leafPages(t, tree)
+		}
+		for name, page := range pages {
+			view, err := tree.decodeNode(7, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			odd := atOdd(page)
+			cp, err := tree.decodeNode(7, odd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &view.buf[0] != &page[0] || &cp.buf[0] == &odd[0] {
+				t.Fatalf("%v %d-D %s: the aligned page was copied, or the odd one viewed", tree.kind, tree.dim, name)
+			}
+			// A big-endian host copies field by field: so does fields, over
+			// a zeroed buffer, so every field is shown to be copied.
+			fields := *cp
+			if fields.buf = make([]byte, len(cp.buf)); floats[float64](fields.buf, 0, 1) == nil {
+				t.Fatal("a fresh buffer is not 8-byte aligned")
+			}
+			fields.copyFields(page[:len(cp.buf)], tree.kind == UTree && view.leaf())
+			for path, other := range map[string]*packedNode{"copy": cp, "field-by-field copy": &fields} {
+				if err := samePacked(tree, view, other); err != nil {
+					t.Errorf("%v %d-D %s: view and %s: %v", tree.kind, tree.dim, name, path, err)
+				}
 			}
 		}
 	}
 }
 
 // BenchmarkDecodeLeaf decodes one full U-tree leaf page of compact (keyed)
-// entries and one of full (unkeyed) entries: what every decoded-node cache
-// miss of a query pays per leaf visited, and in B/op what the cache then
-// holds for the leaf.
+// entries, one of full (unkeyed) entries and one full intermediate page:
+// what every decoded-node cache miss of a query pays per node visited, and
+// in B/op what the cache then holds for the node beside its page. The
+// compact leaf is decoded a second time from an odd address, which the
+// node cannot view: the copy path, which a big-endian host takes.
 func BenchmarkDecodeLeaf(b *testing.B) {
 	for _, dim := range []int{2, 3} {
 		tree := keyedTree(b, Options{Dim: dim})
-		compact, _ := fullNodePages(b, tree)
+		compact, inner := fullNodePages(b, tree)
 		full, _, _ := leafPages(b, tree)
 		for _, c := range []struct {
 			name string
 			page []byte
-		}{{fmt.Sprintf("%dD-%dcompact", dim, tree.leafCap), compact}, {fmt.Sprintf("%dD-%dfull", dim, pageBytes/tree.leafEntrySize), full}} {
+		}{
+			{fmt.Sprintf("%dD-%dcompact", dim, tree.leafCap), compact},
+			{fmt.Sprintf("%dD-%dcompact-copied", dim, tree.leafCap), atOdd(compact)},
+			{fmt.Sprintf("%dD-%dfull", dim, pageBytes/tree.leafEntrySize), full},
+			{fmt.Sprintf("%dD-%dinner", dim, tree.innerCap), inner},
+		} {
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -374,8 +489,10 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 
 // FuzzDecodeNode feeds arbitrary bytes to the node decoder as a leaf or an
 // intermediate page of a U-tree and a U-PCR tree, in 2-D and 3-D, each with
-// a two-shape table. The decoder returns a typed BadPageError, or a packed
-// node that every accessor reads without panicking and whose edit form
+// a two-shape table, both aligned (a view) and at an odd address (a copy).
+// The decoder returns a typed BadPageError on both, or on both a packed
+// node whose accessors return the same bits, that every accessor reads
+// without panicking and whose edit form
 // re-encodes to the bytes the page uses: the level, the count and the
 // entries, less
 // the pad word of an intermediate entry, which nothing reads and encodeNode
@@ -413,12 +530,19 @@ func FuzzDecodeNode(f *testing.F) {
 			page[0] = 1
 		}
 		p, err := tree.decodeNode(9, page)
+		cp, cerr := tree.decodeNode(9, atOdd(page))
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("the view decodes with %v, the copy with %v", err, cerr)
+		}
 		if err != nil {
 			var bad *pagefile.BadPageError
 			if !errors.As(err, &bad) || bad.Page != 9 {
 				t.Fatalf("decode error is not a BadPageError for page 9: %v", err)
 			}
 			return
+		}
+		if err := samePacked(tree, p, cp); err != nil {
+			t.Fatalf("view and copy: %v", err)
 		}
 		for i := 0; i < p.count; i++ {
 			if !p.leaf() {
@@ -623,95 +747,142 @@ func fuzzShapes(d int) []shape {
 }
 
 // TestWritersLeaveCachedNodesAlone: the writers edit nodes they decode
-// privately, never a packed node the cache shares with lock-free readers.
-// Copies of every node the cache held, taken after queries filled it, still
-// equal those nodes after inserts with splits, deletes with condensing and
-// rolled-back write batches.
+// from private copies of their pages, never a page a cached node views —
+// on a memory tree the store's own committed page, on a file tree the read
+// buffer. The bytes of every node the cache holds, copied after queries
+// filled it, still equal that node's bytes whenever the cache holds it
+// again, after inserts with splits, deletes with condensing and rolled-back
+// write batches, and its rectangles (rects) still lie where the bytes hold
+// them; and the tree keeps its invariants throughout. On a file tree,
+// whose nodes own their buffers, so does every node the cache ever held,
+// at the end.
 func TestWritersLeaveCachedNodesAlone(t *testing.T) {
 	for _, kind := range []Kind{UTree, UPCR} {
-		tree, err := New(Options{Dim: 2, Kind: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs := makeObjects(1200, 2000, rand.New(rand.NewSource(41)))
-		type slabCopy struct {
-			keys []uint64
-			f64  []float64
-			f32  []float32
-		}
-		held := map[*packedNode]slabCopy{}
-		// fill queries everything, then copies what the cache holds.
-		fill := func() {
-			t.Helper()
-			if _, _, err := rangeQuery(tree, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{2100, 2100}), Prob: 0.3}); err != nil {
-				t.Fatal(err)
+		for _, onFile := range []bool{false, true} {
+			opt := Options{Dim: 2, Kind: kind}
+			if onFile {
+				fs, err := pagefile.CreateFileStore(filepath.Join(t.TempDir(), "writers.idx"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fs.Close()
+				opt.Store = fs
 			}
-			for i := range tree.ncache.shards {
-				s := &tree.ncache.shards[i]
-				for _, el := range s.entries {
-					p := el.Value.(*ncEntry).n
-					if _, ok := held[p]; !ok {
-						held[p] = slabCopy{slices.Clone(p.keys), slices.Clone(p.f64), slices.Clone(p.f32)}
-					}
+			writersLeaveCachedNodesAlone(t, opt)
+		}
+	}
+}
+
+func writersLeaveCachedNodesAlone(t *testing.T, opt Options) {
+	tree, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	what := fmt.Sprintf("%v, file %v", opt.Kind, opt.Store != nil)
+	objs := makeObjects(1200, 2000, rand.New(rand.NewSource(41)))
+	held := map[*packedNode][]byte{}
+	// intact reports how cached node p differs from its bytes c when the
+	// cache first held it: in a byte, or in a rectangle of an intermediate
+	// node or U-PCR leaf that no longer lies over its place in the bytes —
+	// one a writer replaced in an entry expanded from the shared node.
+	intact := func(p *packedNode, c []byte) error {
+		if !bytes.Equal(p.buf, c) {
+			return fmt.Errorf("%s: cached node %d changed", what, p.page)
+		}
+		if p.leaf() && tree.kind == UTree {
+			return nil
+		}
+		off := 8
+		if p.leaf() {
+			off = 16
+		}
+		for i := 0; i < p.count; i++ {
+			for j, r := range p.boxes(i) {
+				want := p.rect(p.at(i) + off + j*16*tree.dim)
+				if len(r.Lo) != tree.dim || len(r.Hi) != tree.dim || &r.Lo[0] != &want.Lo[0] || &r.Hi[0] != &want.Hi[0] {
+					return fmt.Errorf("%s: cached node %d: rectangle %d of entry %d moved off its page", what, p.page, j, i)
 				}
 			}
 		}
-		for _, o := range objs[:600] {
-			if err := tree.Insert(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fill()
-		for i, o := range objs[600:] { // splits
-			if err := tree.Insert(o); err != nil {
-				t.Fatal(err)
-			}
-			if i%100 == 99 {
-				fill()
-			}
-		}
-		for i, o := range objs[:900] { // condensing
-			if err := tree.Delete(o.ID); err != nil {
-				t.Fatal(err)
-			}
-			if i%100 == 99 {
-				fill()
-			}
-		}
-		for _, o := range objs[:300] { // a batch rolled back
-			if err := tree.Insert(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tree.Rollback(); err != nil {
+		return nil
+	}
+	// fill queries everything, then compares what the cache holds with the
+	// bytes it held before: a cached node's page is freed, and its bytes
+	// may change, only after the cache has dropped it.
+	fill := func() {
+		t.Helper()
+		if _, _, err := rangeQuery(tree, Query{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{2100, 2100}), Prob: 0.3}); err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range objs[900:] {
-			if err := tree.Delete(o.ID); err != nil {
-				t.Fatal(err)
-			}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		if err := tree.Rollback(); err != nil {
+		for i := range tree.ncache.shards {
+			s := &tree.ncache.shards[i]
+			s.mu.Lock()
+			for _, el := range s.entries {
+				p := el.Value.(*ncEntry).n
+				c, ok := held[p]
+				if !ok {
+					c = slices.Clone(p.buf)
+					held[p] = c
+				}
+				if err := intact(p, c); err != nil {
+					s.mu.Unlock()
+					t.Fatal(err)
+				}
+			}
+			s.mu.Unlock()
+		}
+	}
+	for _, o := range objs[:600] {
+		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
-		fill()
-		if len(held) < 50 {
-			t.Fatalf("%v: the cache held only %d nodes", kind, len(held))
+	}
+	fill()
+	for i, o := range objs[600:] { // splits
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
 		}
-		for p, c := range held {
-			if !slices.Equal(p.keys, c.keys) || !cfbEqual(p.f32, c.f32) || len(p.f64) != len(c.f64) {
-				t.Fatalf("%v: cached node %d changed", kind, p.page)
-			}
-			for k := range p.f64 {
-				if math.Float64bits(p.f64[k]) != math.Float64bits(c.f64[k]) {
-					t.Fatalf("%v: cached node %d changed", kind, p.page)
-				}
-			}
-			for k := range p.rects {
-				if !p.rects[k].Equal(p.rect(k)) {
-					t.Fatalf("%v: cached node %d: rectangle %d moved off its slab", kind, p.page, k)
-				}
-			}
+		if i%100 == 99 {
+			fill()
+		}
+	}
+	for i, o := range objs[:900] { // condensing
+		if err := tree.Delete(o.ID); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			fill()
+		}
+	}
+	for _, o := range objs[:300] { // a batch rolled back
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs[900:] {
+		if err := tree.Delete(o.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	fill()
+	if len(held) < 50 {
+		t.Fatalf("%s: the cache held only %d nodes", what, len(held))
+	}
+	if opt.Store == nil {
+		return // a freed page of the memory store is zeroed and reused
+	}
+	for p, c := range held {
+		if err := intact(p, c); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -126,6 +126,21 @@ func (m *MemStore) Read(id PageID, buf []byte) error {
 	return nil
 }
 
+// View returns the page itself, not a copy, checked and counted as Read
+// does. The caller must not write it, and may read it only for as long as
+// the page is neither written nor freed: VersionedStore lends committed
+// node pages this way, which are never written in place and are freed only
+// once no pinned epoch can reach them.
+func (m *MemStore) View(id PageID) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.check(id); err != nil {
+		return nil, err
+	}
+	m.stats.Reads.Add(1)
+	return m.pages[id], nil
+}
+
 func (m *MemStore) Write(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return ErrBadLength

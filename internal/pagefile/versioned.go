@@ -119,6 +119,35 @@ func (v *VersionedStore) Alloc() (PageID, error) {
 // the hot path and needs no versioning state.
 func (v *VersionedStore) Read(id PageID, buf []byte) error { return v.inner.Read(id, buf) }
 
+// pageViewer is a store that can lend a page's bytes instead of copying
+// them (MemStore.View).
+type pageViewer interface {
+	View(id PageID) ([]byte, error)
+}
+
+// View lends a committed page's bytes for reading where the inner store
+// lends its pages (MemStore.View), counting one read, and reports ok. It
+// lends no page Write would accept — one fresh this batch, or marked in
+// place, as the data file's append page is — nor any page where the inner
+// store does not lend: then View reads nothing, ok is false, and the
+// caller reads a copy. Lent bytes stay valid while the caller's pin holds:
+// a committed page is never written, and is freed — and its id reused —
+// only once no pinned epoch can reach it.
+func (v *VersionedStore) View(id PageID) (page []byte, ok bool, err error) {
+	pv, ok := v.inner.(pageViewer)
+	if !ok {
+		return nil, false, nil
+	}
+	v.mu.Lock()
+	writable := v.fresh[id] || v.inPlace[id]
+	v.mu.Unlock()
+	if writable {
+		return nil, false, nil
+	}
+	page, err = pv.View(id)
+	return page, err == nil, err
+}
+
 // Write enforces the COW discipline, then delegates. The check runs under
 // the mutex; the (possibly slow) inner write does not.
 func (v *VersionedStore) Write(id PageID, buf []byte) error {

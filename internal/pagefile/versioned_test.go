@@ -34,6 +34,48 @@ func TestVersionedCOWViolation(t *testing.T) {
 	}
 }
 
+// TestVersionedViewLendsOnlyCommittedPages: View lends a memory store's
+// committed page itself, counting one read, and lends neither a page the
+// open batch may still write (fresh, or marked in place) nor a page of a
+// store that does not lend.
+func TestVersionedViewLendsOnlyCommittedPages(t *testing.T) {
+	inner := NewMemStore()
+	vs := NewVersionedStore(inner, 0)
+	id, err := vs.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.Write(id, fill(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := vs.View(id); ok || err != nil {
+		t.Fatalf("fresh page: View lent %v, err %v", ok, err)
+	}
+	if err := vs.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	reads := inner.Stats().Reads.Load()
+	page, ok, err := vs.View(id)
+	if !ok || err != nil || &page[0] != &inner.pages[id][0] || page[PageSize-1] != 3 {
+		t.Fatalf("committed page: View lent %v, err %v, or not the store's page", ok, err)
+	}
+	if got := inner.Stats().Reads.Load() - reads; got != 1 {
+		t.Fatalf("View counted %d reads, want 1", got)
+	}
+	vs.MarkInPlace(id)
+	if _, ok, err := vs.View(id); ok || err != nil {
+		t.Fatalf("page marked in place: View lent %v, err %v", ok, err)
+	}
+	vs.UnmarkInPlace(id)
+	if _, ok, err := vs.View(InvalidPage); ok || err == nil {
+		t.Fatalf("invalid page: View lent %v, err %v", ok, err)
+	}
+	chaos := NewVersionedStore(NewChaosStore(NewMemStore(), 1), 0)
+	if _, ok, err := chaos.View(id); ok || err != nil {
+		t.Fatalf("a store that does not lend: View lent %v, err %v", ok, err)
+	}
+}
+
 func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	inner := NewMemStore()
 	vs := NewVersionedStore(inner, 0)

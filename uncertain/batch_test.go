@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -253,19 +254,31 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 	}
 }
 
-// TestReclaimPinSafety hammers a file-backed Tree with a writer grouping
-// every 4 ops in a WriteBatch and snapshot readers validating invariants
-// and records on every pinned epoch and scrubbing the committed tree, while
-// each commit reclaims inline whatever the pins allow. Under -race this
-// doubles as the data race check — the snapshot checks read committed
-// pages beside the writer, never its dirty pages; the per-snapshot checks
-// would catch a commit freeing any page a pinned epoch can still reach.
-// Once the readers stop, one Flush must drain everything.
+// TestReclaimPinSafety hammers a file-backed and a memory Tree with a
+// writer grouping every 4 ops in a WriteBatch and snapshot readers
+// validating invariants and records on every pinned epoch and scrubbing the
+// committed tree, while each commit reclaims inline whatever the pins
+// allow. Each reader runs a range query through the decoded-node cache
+// right after pinning and again after its checks, and the two answers must
+// agree: on a memory tree a cached node views the store's own page, so a
+// page reclaimed and reallocated under a pin would change the second
+// answer. Under -race this doubles as the data race check — the snapshot
+// checks read committed pages beside the writer, never its dirty pages;
+// the per-snapshot checks would catch a commit freeing any page a pinned
+// epoch can still reach. Once the readers stop, one Flush must drain
+// everything.
 func TestReclaimPinSafety(t *testing.T) {
-	tree, err := NewTree(Config{
-		Dimensions: 2,
-		Path:       filepath.Join(t.TempDir(), "hammer.utree"),
-	})
+	for _, onFile := range []bool{true, false} {
+		cfg, name := Config{Dimensions: 2}, "memory"
+		if onFile {
+			cfg.Path, name = filepath.Join(t.TempDir(), "hammer.utree"), "file"
+		}
+		t.Run(name, func(t *testing.T) { reclaimPinSafety(t, cfg) })
+	}
+}
+
+func reclaimPinSafety(t *testing.T, cfg Config) {
+	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +291,7 @@ func TestReclaimPinSafety(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			region := Box(Pt(0, 0), Pt(1000, 1000))
 			for {
 				select {
 				case <-stop:
@@ -285,13 +299,18 @@ func TestReclaimPinSafety(t *testing.T) {
 				default:
 				}
 				snap := tree.Snapshot()
-				err := snap.CheckInvariants()
+				first, _, err := snap.Search(context.Background(), region, 0.5)
+				if err == nil {
+					err = snap.CheckInvariants()
+				}
 				if err == nil {
 					err = tree.CheckRecords()
 				}
 				if err == nil {
-					_, _, err = snap.Search(context.Background(),
-						Box(Pt(0, 0), Pt(1000, 1000)), 0.5)
+					var again []Result
+					if again, _, err = snap.Search(context.Background(), region, 0.5); err == nil && !slices.Equal(first, again) {
+						err = fmt.Errorf("epoch %d answered %d results, then %d", snap.Epoch(), len(first), len(again))
+					}
 				}
 				snap.Close()
 				if _, corrupt := tree.Scrub(); err == nil && len(corrupt) != 0 {

@@ -145,12 +145,15 @@ type Config struct {
 	// physically reclaimed. A hit skips the page read and the node decode
 	// entirely; a miss reads the store. A hot query still allocates — 22
 	// times a query in BenchmarkFig9SearchHotCache, about a third of them
-	// record reads — but not per node it visits. A cached node costs about
-	// one page of heap, so the default of 1024 entries (0) is ≈ 4 MiB;
-	// negative disables the cache. A full cache evicts its least recently
-	// used leaf, and an inner node only when it holds no leaf: every
-	// descent passes through the inner levels, so a cache smaller than the
-	// tree keeps them and misses on leaves.
+	// record reads — but not per node it visits. A cached node views its
+	// page: on a memory tree the store's own page, so an entry costs a
+	// 128-byte node and no page of its own; on a file tree the 4,096-byte
+	// buffer the page was read into, so the default of 1024
+	// entries (0) is ≈ 4 MiB there. Negative disables the cache. A full
+	// cache evicts its least recently used leaf, and an inner node only
+	// when it holds no leaf: every descent passes through the inner
+	// levels, so a cache smaller than the tree keeps them and misses on
+	// leaves.
 	//
 	// Switched off on the benchmark's warm workloads (one run each on a
 	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
