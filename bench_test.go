@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -327,58 +328,68 @@ func BenchmarkDeleteByID(b *testing.B) {
 }
 
 // BenchmarkWriteBatchAfterBulkLoad measures the first writes a bulk-loaded
-// tree takes: LB at scale 0.05 on a memory Tree, one WriteBatch of 8
-// inserts (LB objects of another seed) and 8 deletes per op, each on a
-// freshly loaded tree rebuilt with the timer stopped. It reports the base
-// store's page writes per mutation — leaf and inner relocations, splits
-// and the append page — the count behind e2ebench's write_bytes_per_update.
+// tree takes: LB on a memory Tree, at scale 0.05 (2,650 objects, height 2)
+// and 0.25 (13,250, height 3), one WriteBatch of 8 inserts (LB objects of
+// another seed) and 8 deletes per op, each on a freshly loaded tree rebuilt
+// with the timer stopped. It reports the base store's page writes per
+// mutation — leaf and inner relocations, splits and the append page — the
+// count behind e2ebench's write_bytes_per_update, and the tree's height.
+// Each insert's descent scores ChooseSubtree's overlap at level 1, the cost
+// that grows with the intermediate fan-out.
 func BenchmarkWriteBatchAfterBulkLoad(b *testing.B) {
-	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.05, Seed: 1})
-	extra := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.05, Seed: 2})
-	batch := make(map[int64]uncertain.PDF, len(objs))
-	for _, o := range objs {
-		batch[o.ID] = o.PDF
-	}
-	order := rand.New(rand.NewSource(3)).Perm(len(objs))
-	var base pagefile.Store
-	cfg := uncertain.Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
-		base = s
-		return s
-	}}
-	var writes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tree, err := uncertain.NewTree(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tree.BulkLoad(batch); err != nil {
-			b.Fatal(err)
-		}
-		_, w0, _, _ := base.Stats().Snapshot()
-		b.StartTimer()
-		if err := tree.WriteBatch(func(w uncertain.BatchWriter) error {
-			for k := 0; k < 8; k++ {
-				j := (i*8 + k) % len(objs)
-				if err := w.Insert(int64(len(objs)+j), extra[j%len(extra)].PDF); err != nil {
-					return err
-				}
-				if err := w.Delete(objs[order[j]].ID); err != nil {
-					return err
-				}
+	for _, scale := range []float64{0.05, 0.25} {
+		b.Run(fmt.Sprintf("LBx%g", scale), func(b *testing.B) {
+			objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: scale, Seed: 1})
+			extra := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.05, Seed: 2})
+			batch := make(map[int64]uncertain.PDF, len(objs))
+			for _, o := range objs {
+				batch[o.ID] = o.PDF
 			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		_, w1, _, _ := base.Stats().Snapshot()
-		writes += w1 - w0
-		tree.Close()
-		b.StartTimer()
+			order := rand.New(rand.NewSource(3)).Perm(len(objs))
+			var base pagefile.Store
+			cfg := uncertain.Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
+				base = s
+				return s
+			}}
+			var writes int64
+			height := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tree, err := uncertain.NewTree(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tree.BulkLoad(batch); err != nil {
+					b.Fatal(err)
+				}
+				height = tree.Height()
+				_, w0, _, _ := base.Stats().Snapshot()
+				b.StartTimer()
+				if err := tree.WriteBatch(func(w uncertain.BatchWriter) error {
+					for k := 0; k < 8; k++ {
+						j := (i*8 + k) % len(objs)
+						if err := w.Insert(int64(len(objs)+j), extra[j%len(extra)].PDF); err != nil {
+							return err
+						}
+						if err := w.Delete(objs[order[j]].ID); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				_, w1, _, _ := base.Stats().Snapshot()
+				writes += w1 - w0
+				tree.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(writes)/float64(16*b.N), "page-writes/mutation")
+			b.ReportMetric(float64(height), "height")
+		})
 	}
-	b.ReportMetric(float64(writes)/float64(16*b.N), "page-writes/mutation")
 }
 
 // BenchmarkQuery measures raw prob-range query latency against a built

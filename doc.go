@@ -19,7 +19,7 @@
 //	Observation 1, prune on a PCR            → internal/pcr.FilterCatalogPCR
 //	Observation 2, Rules 1–2 on the catalog  → internal/pcr.FilterCatalogPCR, internal/pcr.Catalog.SmallestGE, internal/pcr.Catalog.LargestLE
 //	Observation 3, the rules on CFBs         → internal/pcr.Faces.Filter, internal/pcr.Faces.within, internal/pcr.Faces.meets
-//	Observation 4, prune an inner entry      → internal/core.Tree.boxIntersectsAt, internal/core.Tree.boxAt
+//	Observation 4, prune an inner entry      → internal/core.Tree.innerMeets, internal/core.Tree.boxAt
 //	cfb_out and cfb_in, Sections 4.3–4.4     → internal/pcr.CFB, internal/pcr.FitOut, internal/pcr.FitIn
 //	U-PCR leaf entry, catalog PCRs           → internal/core.UPCR, internal/core.Tree.encodeLeafEntry
 //	U-tree leaf entry, cfb_out and cfb_in    → internal/core.UTree, internal/core.Tree.encodeLeafEntry, internal/core.packedNode.cfbs
@@ -36,4 +36,6 @@
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
 //	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.compact, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
 //	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
+//	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
+//	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree
 package repro

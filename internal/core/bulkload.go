@@ -61,9 +61,12 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	centersOf := func(es []entry, leaf bool) []float64 {
 		// flattened center coordinates per entry (med box center)
 		out := make([]float64, len(es)*t.dim)
+		box := t.ws.pair.take(1, t.dim)[0]
 		for i := range es {
-			c := t.boxAt(t.boundary(&es[i], leaf), med).Center()
-			copy(out[i*t.dim:], c)
+			t.boxInto(box, t.boundary(&es[i], leaf, &t.ws.bound), med)
+			for k := range t.dim {
+				out[i*t.dim+k] = (box.Lo[k] + box.Hi[k]) / 2 // box.Center()
+			}
 		}
 		return out
 	}

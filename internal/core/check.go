@@ -50,6 +50,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, recor
 		}
 	}
 	total := 0
+	var sc boundScratch // the writer's is not this check's: a snapshot's runs beside it
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
 		n, err := read(page, wantLevel)
@@ -64,9 +65,11 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, recor
 		if b > pageBytes {
 			return nil, fmt.Errorf("core: node %d overfull: %d entries in %d > %d bytes", page, len(n.entries), b, pageBytes)
 		}
-		// A leaf a UTR4 file holds met the fill in full entries; read or
-		// rewritten compact it keeps their count.
-		if !isRoot && b < minFill && len(n.entries)*full < minFill {
+		// A leaf a UTR4 file holds met the fill in full entries, and a U-tree
+		// intermediate node a file before UTR6 holds met it in float64
+		// entries; read, or rewritten in the narrower form, each keeps the
+		// count that did.
+		if !isRoot && b < minFill && len(n.entries)*full < minFill && !t.wideFill(n) {
 			return nil, fmt.Errorf("core: node %d underfull: %d entries in %d < %d bytes", page, len(n.entries), b, minFill)
 		}
 		if n.leaf() {
@@ -83,7 +86,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, recor
 			if len(n.entries) == 0 {
 				return nil, nil
 			}
-			return t.nodeBoundary(n), nil
+			return t.unionBoundary(n, &sc), nil
 		}
 		if len(n.entries) == 0 {
 			return nil, fmt.Errorf("core: empty intermediate node %d", page)
@@ -107,7 +110,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, recor
 				}
 			}
 		}
-		return t.nodeBoundary(n), nil
+		return t.unionBoundary(n, &sc), nil
 	}
 	boxes, err := check(st.rootPage, true, st.rootLevel)
 	if err != nil {
@@ -164,4 +167,14 @@ func containsEps(outer, inner geom.Rect, eps float64) bool {
 		}
 	}
 	return true
+}
+
+// wideFill reports whether n is a U-tree intermediate node holding as many
+// entries as the minimum fill of a node of float64 entries, the layout
+// before UTR6, which had fewer to a page.
+func (t *Tree) wideFill(n *node) bool {
+	if n.leaf() || t.kind != UTree {
+		return false
+	}
+	return len(n.entries) >= max1(pageBytes/wideInnerSize(t.dim)*2/5)
 }

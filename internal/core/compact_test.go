@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -44,9 +45,11 @@ const utr4Samples = 2000
 // fifth of them histograms without a shape, 140 bulk-loaded and 20
 // inserted, every leaf entry in full). It answers every range and k-NN
 // query of testdata/utr4.golden.json exactly as the code that wrote it did,
-// passes CheckInvariants, and one Insert plus Commit stamps it UTR5 and
+// passes CheckInvariants, and one Insert plus Commit stamps it UTR6 and
 // rewrites the leaf the insert touched compact, the other leaves as they
-// were.
+// were, and its intermediate root — float64 boxes, no header flag — in the
+// float32 layout. Once the object is deleted again it answers every query
+// as before.
 func TestOpenUTR4File(t *testing.T) {
 	var golden utr4Golden
 	if b, err := os.ReadFile("testdata/utr4.golden.json"); err != nil || json.Unmarshal(b, &golden) != nil {
@@ -83,26 +86,10 @@ func TestOpenUTR4File(t *testing.T) {
 		t.Fatalf("fixture leaves: %+v, want keyed and unkeyed entries, all full", forms)
 	}
 
-	snap := tree.Snapshot()
-	for k, g := range golden.Ranges {
-		got, _, err := snap.RangeQuery(context.Background(), Query{Rect: geom.Rect{Lo: g.Lo, Hi: g.Hi}, Prob: g.Prob}, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, g.Results) && !(len(got) == 0 && len(g.Results) == 0) {
-			t.Fatalf("range query %d: %v, the writer's answer %v", k, got, g.Results)
-		}
+	if w, h := innerLayouts(t, tree); w != 1 || h != 0 {
+		t.Fatalf("fixture: %d float64 and %d float32 intermediate pages, want its root in float64", w, h)
 	}
-	for k, g := range golden.NN {
-		got, _, err := snap.NearestNeighbors(context.Background(), g.Q, g.K, QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, g.Out) {
-			t.Fatalf("k-NN query %d: %v, the writer's answer %v", k, got, g.Out)
-		}
-	}
-	snap.Close()
+	checkGolden(t, tree, golden, false)
 
 	before := treeLeaves(t, tree)
 	o := Object{ID: 1000, PDF: updf.NewUniformBall(geom.Point{500, 500}, 25)}
@@ -113,10 +100,13 @@ func TestOpenUTR4File(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m := magic(); m != metaMagic {
-		t.Fatalf("magic after a commit %#x, want UTR5", m)
+		t.Fatalf("magic after a commit %#x, want UTR6", m)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if w, h := innerLayouts(t, tree); w != 0 || h != 1 {
+		t.Fatalf("after an insert %d float64 and %d float32 intermediate pages, want the root rewritten in float32", w, h)
 	}
 	after := treeLeaves(t, tree)
 	rewritten := 0
@@ -134,6 +124,48 @@ func TestOpenUTR4File(t *testing.T) {
 	if rewritten != 1 || len(after) != len(before) {
 		t.Fatalf("%d of %d leaves rewritten (%d before the insert), want the one the insert touched",
 			rewritten, len(after), len(before))
+	}
+	if err := tree.Delete(o.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, tree, golden, true)
+}
+
+// checkGolden runs every query of the golden file on tree's committed epoch
+// and requires the answers the code that wrote utr4.idx gave — in its order
+// (the traversal's), or with anyOrder in any, for a tree whose nodes have
+// moved since.
+func checkGolden(t *testing.T, tree *Tree, golden utr4Golden, anyOrder bool) {
+	t.Helper()
+	snap := tree.Snapshot()
+	defer snap.Close()
+	byID := func(rs []Result) []Result {
+		if anyOrder {
+			rs = slices.Clone(rs)
+			sort.Slice(rs, func(a, b int) bool { return rs[a].ID < rs[b].ID })
+		}
+		return rs
+	}
+	for k, g := range golden.Ranges {
+		got, _, err := snap.RangeQuery(context.Background(), Query{Rect: geom.Rect{Lo: g.Lo, Hi: g.Hi}, Prob: g.Prob}, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(byID(got), byID(g.Results)) && !(len(got) == 0 && len(g.Results) == 0) {
+			t.Fatalf("range query %d: %v, the writer's answer %v", k, got, g.Results)
+		}
+	}
+	for k, g := range golden.NN {
+		got, _, err := snap.NearestNeighbors(context.Background(), g.Q, g.K, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, g.Out) {
+			t.Fatalf("k-NN query %d: %v, the writer's answer %v", k, got, g.Out)
+		}
 	}
 }
 
@@ -417,21 +449,22 @@ func checkMixed(t *testing.T, name string, tree *Tree, live map[int64]Object, sp
 }
 
 // TestUnkeyedTreeUnchanged: a U-tree with no keyed object has the shape and
-// bytes it had before compact entries — node count, leaf count, leaf entry
-// counts and every index page, pinned as a hash, the numbers of the code
+// bytes it had before compact entries — node count, leaf count, every leaf
+// page and every data record, pinned as hashes, the numbers of the code
 // before (2-D and 3-D, bulk-loaded and inserted, then a quarter deleted).
+// Its intermediate pages hold float32 boxes since UTR6, and their hash is
+// that layout's.
 func TestUnkeyedTreeUnchanged(t *testing.T) {
 	for _, c := range []struct {
-		dim    int
-		build  string
-		pages  int
-		leaves int
-		hash   uint64
+		dim                          int
+		build                        string
+		pages, leaves                int
+		leafHash, recHash, innerHash uint64
 	}{
-		{2, "BulkLoad", 21, 20, 0x8f1eaf1649ea5c6f},
-		{2, "Insert", 22, 21, 0x1bab05d0aea021a0},
-		{3, "BulkLoad", 28, 27, 0x13e617018ce17767},
-		{3, "Insert", 32, 31, 0x4df50e321f073ba0},
+		{2, "BulkLoad", 21, 20, 0xb6b8501f59dc94d1, 0x8e7d0b262c2bbbcf, 0xed66e4518bd826ee},
+		{2, "Insert", 22, 21, 0xcca5d622271bcd80, 0x2bc9f176fb5f8e37, 0x2d26f45dab060e3c},
+		{3, "BulkLoad", 28, 27, 0xf8164a161cb0d457, 0xebb1da17243c5a4a, 0x1b3ea11a81fc9e1d},
+		{3, "Insert", 32, 31, 0xce8edfd93e4488d9, 0xd183ffaea2500986, 0x8ad4d35d85ebe8ba},
 	} {
 		rng := rand.New(rand.NewSource(int64(7 + c.dim)))
 		objs := mixedObjects(600, c.dim, 1000, 0, true, rng)
@@ -462,13 +495,22 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
+		leafHash, innerHash, recHash := fnv.New64a(), fnv.New64a(), fnv.New64a()
 		pages, leaves := 0, 0
 		buf := make([]byte, pagefile.PageSize)
 		if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 			pages++
+			h := innerHash
 			if n.leaf() {
 				leaves++
+				h = leafHash
+				for i := range n.entries {
+					rec, err := tree.data.Read(n.entries[i].addr)
+					if err != nil {
+						return err
+					}
+					recHash.Write(rec)
+				}
 			}
 			if err := tree.encodeNode(n, buf); err != nil {
 				return err
@@ -478,9 +520,10 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if pages != c.pages || leaves != c.leaves || h.Sum64() != c.hash {
-			t.Errorf("%d-D %s: %d pages, %d leaves, hash %#x; before compact entries %d, %d, %#x",
-				c.dim, c.build, pages, leaves, h.Sum64(), c.pages, c.leaves, c.hash)
+		if pages != c.pages || leaves != c.leaves || leafHash.Sum64() != c.leafHash || recHash.Sum64() != c.recHash || innerHash.Sum64() != c.innerHash {
+			t.Errorf("%d-D %s: %d pages, %d leaves, leaf hash %#x, record hash %#x, inner hash %#x; want %d, %d, %#x, %#x, %#x",
+				c.dim, c.build, pages, leaves, leafHash.Sum64(), recHash.Sum64(), innerHash.Sum64(),
+				c.pages, c.leaves, c.leafHash, c.recHash, c.innerHash)
 		}
 	}
 }

@@ -809,7 +809,7 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	}
 }
 
-// corruptChildPointer builds a three-level tree over objs and points the
+// corruptChildPointer bulk-loads a three-level tree over objs and points the
 // root's first entry back at the root itself, rewriting the committed root
 // page in place behind the copy-on-write check. It returns the tree and the
 // root as it was before the damage.
@@ -819,10 +819,8 @@ func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
-			t.Fatal(err)
-		}
+	if err := tree.BulkLoad(objs); err != nil {
+		t.Fatal(err)
 	}
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
@@ -871,7 +869,7 @@ func within(t *testing.T, name string, op func() error) error {
 // reach it. The deadline only turns the old behaviour into a failure, not a
 // hang.
 func TestCorruptChildPointerEndsQueries(t *testing.T) {
-	objs := makeObjects(5000, 16000, rand.New(rand.NewSource(31)))
+	objs := makeObjects(12000, 16000, rand.New(rand.NewSource(31)))
 	for _, cache := range []int{-1, 0} {
 		for _, kind := range []string{"range", "nn"} {
 			tree, root := corruptChildPointer(t, objs, cache)
@@ -921,7 +919,7 @@ func TestCorruptChildPointerEndsQueries(t *testing.T) {
 // failed mutation rolls back to the committed tree. Each once recursed or
 // looped without end.
 func TestCorruptChildPointerEndsWalks(t *testing.T) {
-	objs := makeObjects(5000, 16000, rand.New(rand.NewSource(31)))
+	objs := makeObjects(12000, 16000, rand.New(rand.NewSource(31)))
 	tree, root := corruptChildPointer(t, objs, 0)
 	// An insert whose descent takes the root's first entry, and a delete
 	// whose descent tries that entry first.
@@ -929,7 +927,7 @@ func TestCorruptChildPointerEndsWalks(t *testing.T) {
 	for _, o := range objs {
 		if ins.PDF == nil {
 			c := Object{ID: 1 << 40, PDF: o.PDF}
-			if e, err := tree.buildLeafEntry(c); err == nil && tree.chooseSubtree(root, tree.boundary(&e, true)) == 0 {
+			if e, err := tree.buildLeafEntry(c); err == nil && tree.chooseSubtree(root, tree.boundary(&e, true, &tree.ws.bound)) == 0 {
 				ins = c
 			}
 		}

@@ -61,9 +61,10 @@ func (t *Tree) Delete(id int64) error {
 // findLeaf locates the leaf containing (id, mbr), mbr being the region MBR
 // of the object's record, which the leaf entry's MBR equals
 // exactly: the entry was built from the same pdf. A subtree can hold the
-// entry only if its boundary box at p_1 = 0 contains the object's MBR: a
-// leaf entry's cfb_out(0) (U-tree) or pcr(0) (U-PCR) covers the region MBR,
-// and intermediate boxes cover those in turn. The descent tolerates the
+// entry only if its boundary box at p_1 = 0 — an intermediate entry's first
+// box, MBR⊥ or the p_1 box — contains the object's MBR: a leaf entry's
+// cfb_out(0) (U-tree) or pcr(0) (U-PCR) covers the region MBR, and
+// intermediate boxes cover those in turn. The descent tolerates the
 // same float epsilon as CheckInvariants, so a box whose faces round a hair
 // inside the true union never hides an existing entry.
 func (t *Tree) findLeaf(page pagefile.PageID, level int, path []pathElem, id int64, mbr geom.Rect) (*node, []pathElem, int, error) {
@@ -80,7 +81,7 @@ func (t *Tree) findLeaf(page pagefile.PageID, level int, path []pathElem, id int
 		return nil, nil, -1, nil
 	}
 	for i := range n.entries {
-		if !containsEps(t.boxAt(n.entries[i].boxes, 0), mbr, 1e-7) {
+		if !containsEps(n.entries[i].boxes[0], mbr, 1e-7) {
 			continue
 		}
 		leaf, p, idx, err := t.findLeaf(n.entries[i].child, n.level-1, append(path, pathElem{n: n, childIdx: i}), id, mbr)

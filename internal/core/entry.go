@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -48,8 +47,8 @@ func (k Kind) String() string {
 // its packedNode's slabs, and entries are copied by value between nodes
 // (split, reinsertion), so a write through mbr, out, in, pcrs or boxes
 // would reach other entries. Geometry changes by replacing the slice
-// (refreshPath); the only in-place writers, interpInto and UnionInPlace,
-// work on scratch and on cloneBoxes copies.
+// (refreshPath); the only in-place writers, interpInto, UnionInPlace and
+// roundOut, work on scratch and on cloneBoxes copies.
 type entry struct {
 	// Leaf fields.
 	id   int64
@@ -70,20 +69,32 @@ type entry struct {
 
 // boundary returns the entry's representative boxes used to build parent
 // entries: for U-tree entries 2 boxes (at p_1 and p_m), for U-PCR entries m
-// boxes (one per catalog value).
-func (t *Tree) boundary(e *entry, leaf bool) []geom.Rect {
+// boxes (one per catalog value). An intermediate or U-PCR leaf entry's are
+// its own; a U-tree leaf entry's are evaluated from its faces into sc, and
+// hold until sc's next use. Either way they are read-only.
+func (t *Tree) boundary(e *entry, leaf bool, sc *boundScratch) []geom.Rect {
 	if !leaf {
 		return e.boxes
 	}
 	if t.kind != UTree {
 		return e.pcrs
 	}
-	var f pcr.Faces
-	if !e.faces(&f) {
+	b := sc.one.take(2, t.dim)
+	if !e.faces(&sc.faces) {
 		// A reference beyond the table (expand): the MBR bounds every PCR.
-		return []geom.Rect{e.mbr.Clone(), e.mbr.Clone()}
+		copyBoxes(b, []geom.Rect{e.mbr, e.mbr})
+		return b
 	}
-	return []geom.Rect{f.Rect(0), f.Rect(t.cat.Max())}
+	sc.faces.RectInto(b[0], 0)
+	sc.faces.RectInto(b[1], t.cat.Max())
+	return b
+}
+
+// boundScratch is what boundary and unionBoundary work in: one entry's
+// faces and boxes, reused from entry to entry.
+type boundScratch struct {
+	faces pcr.Faces
+	one   rectSlab
 }
 
 // faces sets f to a U-tree leaf entry's CFBs as the rules read them: its
@@ -104,97 +115,79 @@ func (e *entry) faces(f *pcr.Faces) bool {
 // boxAt evaluates an entry's bounding rectangle at catalog index j. For
 // 2-box (U-tree) geometry this interpolates the linear e.MBR(p) function of
 // Equation 15 (p_1 = 0 makes α = MBR⊥ and β = (MBR⊥−MBR⊤)/p_m); for m-box
-// geometry it returns the stored rectangle.
+// (U-PCR) geometry it returns the stored rectangle.
 func (t *Tree) boxAt(boxes []geom.Rect, j int) geom.Rect {
-	if len(boxes) == t.cat.Size() {
+	if t.kind == UPCR {
 		return boxes[j]
 	}
-	if len(boxes) != 2 {
-		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), t.cat.Size()))
-	}
-	f := t.cat.Value(j) / t.cat.Max()
-	return interpRect(boxes[0], boxes[1], f)
+	r := geom.Rect{Lo: make(geom.Point, t.dim), Hi: make(geom.Point, t.dim)}
+	t.boxInto(r, boxes, j)
+	return r
 }
 
-// boxIntersectsAt reports whether r intersects boxAt(boxes, j) without
-// materializing the interpolated rectangle — the allocation-free form of
-// r.Intersects(t.boxAt(boxes, j)) used by the descent's Observation 4
-// pruning. The interpolation arithmetic is written exactly as interpRect's
-// and the comparison exactly as geom.Rect.Intersects', so the outcome is
-// bit-identical to the allocating composition.
-func (t *Tree) boxIntersectsAt(r geom.Rect, boxes []geom.Rect, j int) bool {
-	if len(boxes) == t.cat.Size() {
-		return r.Intersects(boxes[j])
+// boxInto is boxAt into dst's coordinate slices, which the caller provides.
+func (t *Tree) boxInto(dst geom.Rect, boxes []geom.Rect, j int) {
+	if t.kind == UPCR {
+		copy(dst.Lo, boxes[j].Lo)
+		copy(dst.Hi, boxes[j].Hi)
+		return
 	}
-	if len(boxes) != 2 {
-		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), t.cat.Size()))
+	interpInto(dst, boxes[0], boxes[1], t.cat.Value(j)/t.cat.Max())
+}
+
+// boxesAt writes boxAt(boxes, j) for every catalog index j into dst[j],
+// whose coordinate slices the caller provides.
+func (t *Tree) boxesAt(dst, boxes []geom.Rect) {
+	for j := range t.cat.Size() {
+		t.boxInto(dst[j], boxes, j)
 	}
-	f := t.cat.Value(j) / t.cat.Max()
-	a, b := boxes[0], boxes[1]
-	for i := range r.Lo {
-		lo := a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
-		hi := a.Hi[i] + (b.Hi[i]-a.Hi[i])*f
-		if r.Hi[i] < lo || hi < r.Lo[i] {
+}
+
+// innerMeets reports whether r intersects intermediate entry i's
+// e.MBR(p_j) — the descent's Observation 4 test, read where the page holds
+// the boxes. A U-tree entry's float32 faces widen to float64 exactly and are
+// interpolated with interpInto's arithmetic, and the comparison is
+// geom.Rect.Intersects', so the outcome is r.Intersects(t.boxAt(boxes, j))
+// on the writer's expanded entry, bit for bit.
+func (t *Tree) innerMeets(n *packedNode, i int, r geom.Rect, j int) bool {
+	if t.kind == UPCR {
+		return r.Intersects(n.boxes(i)[j])
+	}
+	c, d, f := n.box32(i), len(r.Lo), t.cat.Value(j)/t.cat.Max()
+	for k := range r.Lo {
+		alo, ahi, blo, bhi := float64(c[k]), float64(c[d+k]), float64(c[2*d+k]), float64(c[3*d+k])
+		lo := alo + (blo-alo)*f
+		hi := ahi + (bhi-ahi)*f
+		if r.Hi[k] < lo || hi < r.Lo[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// minDistAt is MINDIST(q, boxAt(boxes, j)) without materializing the
-// interpolated rectangle — the allocation-free form of
-// minDist(q, t.boxAt(boxes, j)) used by the NN frontier. Same
-// bit-identical-arithmetic contract as boxIntersectsAt.
-func (t *Tree) minDistAt(q geom.Point, boxes []geom.Rect, j int) float64 {
-	if len(boxes) == t.cat.Size() {
-		return minDist(q, boxes[j])
+// innerMinDist is MINDIST(q, e.MBR(0)) of intermediate entry i — the NN
+// frontier's lower bound, read where the page holds the box. At p_1 = 0 the
+// interpolation is MBR⊥ itself.
+func (t *Tree) innerMinDist(n *packedNode, i int, q geom.Point) float64 {
+	if t.kind == UPCR {
+		return minDist(q, n.boxes(i)[0])
 	}
-	if len(boxes) != 2 {
-		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), t.cat.Size()))
-	}
-	f := t.cat.Value(j) / t.cat.Max()
-	a, b := boxes[0], boxes[1]
+	c, d := n.box32(i), len(q)
 	var s float64
-	for i := range q {
-		lo := a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
-		hi := a.Hi[i] + (b.Hi[i]-a.Hi[i])*f
-		var d float64
-		if q[i] < lo {
-			d = lo - q[i]
-		} else if q[i] > hi {
-			d = q[i] - hi
+	for k := range q {
+		var dk float64
+		if lo, hi := float64(c[k]), float64(c[d+k]); q[k] < lo {
+			dk = lo - q[k]
+		} else if q[k] > hi {
+			dk = q[k] - hi
 		}
-		s += d * d
+		s += dk * dk
 	}
 	return math.Sqrt(s)
 }
 
-// boxesAt writes boxAt(boxes, j) for every catalog index j into dst[j],
-// whose coordinate slices the caller provides.
-func (t *Tree) boxesAt(dst, boxes []geom.Rect) {
-	m := t.cat.Size()
-	if len(boxes) != m && len(boxes) != 2 {
-		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), m))
-	}
-	for j := 0; j < m; j++ {
-		if len(boxes) == m {
-			copy(dst[j].Lo, boxes[j].Lo)
-			copy(dst[j].Hi, boxes[j].Hi)
-		} else {
-			interpInto(dst[j], boxes[0], boxes[1], t.cat.Value(j)/t.cat.Max())
-		}
-	}
-}
-
-// interpRect linearly interpolates each face: (1−f)·a + f·b.
-func interpRect(a, b geom.Rect, f float64) geom.Rect {
-	d := a.Dim()
-	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
-	interpInto(r, a, b, f)
-	return r
-}
-
-// interpInto is interpRect into dst's coordinate slices.
+// interpInto linearly interpolates each face of a and b into dst's
+// coordinate slices: (1−f)·a + f·b, computed as a + (b − a)·f.
 func interpInto(dst, a, b geom.Rect, f float64) {
 	for i := range a.Lo {
 		dst.Lo[i] = a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
@@ -209,31 +202,83 @@ func unionBoundaries(dst, src []geom.Rect) {
 	}
 }
 
-// cloneBoxes deep-copies a boundary set.
-func cloneBoxes(b []geom.Rect) []geom.Rect {
-	out := make([]geom.Rect, len(b))
-	for i := range b {
-		out[i] = b[i].Clone()
+// copyBoxes copies src's coordinates into dst's (same length and shape).
+func copyBoxes(dst, src []geom.Rect) {
+	for i := range dst {
+		copy(dst[i].Lo, src[i].Lo)
+		copy(dst[i].Hi, src[i].Hi)
 	}
+}
+
+// cloneBoxes deep-copies a boundary set into one coordinate slab.
+func cloneBoxes(b []geom.Rect) []geom.Rect {
+	d := b[0].Dim()
+	out := newBoxes(len(b), d)
+	copyBoxes(out, b)
 	return out
+}
+
+// newBoxes returns n rectangles of dimensionality d laid over one zeroed
+// coordinate slab: two allocations however many there are.
+func newBoxes(n, d int) []geom.Rect {
+	out := make([]geom.Rect, n)
+	layBoxes(out, make([]float64, 2*d*n), d)
+	return out
+}
+
+// layBoxes lays rects over coords, 2d coordinates each, Lo then Hi.
+func layBoxes(rects []geom.Rect, coords []float64, d int) {
+	for k := range rects {
+		c := coords[2*d*k : 2*d*(k+1) : 2*d*(k+1)]
+		rects[k] = geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+	}
+}
+
+// rectSlab is a set of rectangles laid over one coordinate slice, reused
+// from call to call (take).
+type rectSlab struct {
+	rects []geom.Rect // laid over their coordinates, rect k at 2dk
+	d     int
+}
+
+// take returns n rectangles of dimensionality d over the slab's
+// coordinates, with undefined contents; the previous take's are gone. The
+// rectangles are laid again only when the slab grows or d changes.
+func (s *rectSlab) take(n, d int) []geom.Rect {
+	if len(s.rects) < n || s.d != d {
+		s.rects, s.d = newBoxes(max(n, len(s.rects)), d), d
+	}
+	return s.rects[:n]
+}
+
+// roundOut rounds r's faces outward to float32 values, in place: each low
+// face to the largest float32 at or below it, each high face to the
+// smallest at or above it (pcr.Round32), so the rounded box contains r. A
+// U-tree intermediate entry holds its boxes so (encodeInnerEntry).
+func roundOut(r geom.Rect) {
+	for i := range r.Lo {
+		r.Lo[i] = float64(pcr.Round32(r.Lo[i], false))
+		r.Hi[i] = float64(pcr.Round32(r.Hi[i], true))
+	}
 }
 
 // entrySizes returns the on-page sizes (bytes) of full leaf and of
 // intermediate entries for the given kind, dimensionality and catalog size.
-// Rectangles are float64 everywhere; only the CFB coefficients of a U-tree
-// leaf entry are float32, stored as the bits pcr.CFB holds in memory (see
-// pcr.CFB for why half width is safe there, and the README's "Leaf layout"
-// note for why the MBR, the intermediate entries and U-PCR's exact faces are
-// not). 2-D: 112 B per full U-tree leaf entry; 3-D: 160 B. A keyed U-tree
-// entry is compact instead (compactSize).
+// A U-tree's CFB coefficients and intermediate boxes are float32: the CFB
+// bits pcr.CFB holds in memory (see pcr.CFB for why half width is safe
+// there), the boxes rounded outward (roundOut), which keeps them
+// conservative; its leaf MBRs and U-PCR's exact faces are float64 (README
+// "Leaf layout"). 2-D: 112 B per full U-tree leaf entry and 40 B per
+// intermediate one; 3-D: 160 B and 56 B. A keyed U-tree entry is compact
+// instead (compactSize).
 func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {
 	case UTree:
 		// id(8) + addr(6) + shape(2) + MBR + cfb_out(4d float32) + cfb_in(4d float32).
 		leaf = 16 + rect + 32*dim
-		// child(8) + MBR⊥ + MBR⊤.
-		inner = 8 + 2*rect
+		// child(4) + pad(4) + MBR⊥ + MBR⊤, 2d float32 each.
+		inner = 8 + 16*dim
 	case UPCR:
 		// id(8) + addr(6) + shape(2) + m PCR boxes (pcr(0) doubles as the MBR).
 		leaf = 16 + m*rect
@@ -242,6 +287,12 @@ func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	}
 	return leaf, inner
 }
+
+// wideInnerSize is a U-tree intermediate entry's size on a page written
+// before UTR6 (no halfInner flag): child(8) + MBR⊥ + MBR⊤ as float64, 72 B
+// in 2-D and 104 B in 3-D. decodeNode reads such a page into the float32
+// layout, rounded outward; it is never written.
+func wideInnerSize(dim int) int { return 8 + 32*dim }
 
 // compactSize is a compact U-tree leaf entry's size: id(8) + addr(6) +
 // shape(2, compactEntry set) + MBR, 48 B in 2-D and 64 B in 3-D. Its CFBs
@@ -252,8 +303,13 @@ func compactSize(dim int) int { return 16 + 16*dim }
 // word. Shape references stay below it: the table lives in one page.
 const compactEntry = 1 << 15
 
-// nodeHeader is the per-page header: level(1) + pad(1) + count(2) + pad(4).
+// nodeHeader is the per-page header: level(1) + flags(1) + count(2) + pad(4).
 const nodeHeader = 8
+
+// halfInner, in a node header's flags byte, marks a U-tree intermediate
+// node whose entries hold their boxes as float32 (entrySizes), as every one
+// written since UTR6 does. The byte is 0 on every other page.
+const halfInner = 1
 
 // pageBytes is what a node's entries may fill. Capacity and fill are
 // counted in bytes, not entries, so one leaf can hold both forms: a full

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/pagefile"
+import (
+	"math"
+
+	"repro/internal/pagefile"
+)
 
 // Hooks into the tree's private state for the tests of this package.
 
@@ -13,3 +17,7 @@ func (t *Tree) corruptDirectory(id int64, addr pagefile.DataAddr, live bool) {
 		delete(t.dir, id)
 	}
 }
+
+// LiftChooseCut makes t's ChooseSubtree score overlap enlargement for every
+// child at level 1, as it did before the candidate cut (chooseCut).
+func LiftChooseCut(t *Tree) { t.cut = math.MaxInt }

@@ -164,7 +164,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 					nnPush(pq, nnItem{lb: minDist(q, n.mbr(i)), id: n.id(i), addr: addr})
 				} else {
 					nnPush(pq, nnItem{
-						lb:     t.minDistAt(q, n.boxes(i), 0),
+						lb:     t.innerMinDist(n, i, q),
 						isNode: true,
 						level:  uint8(n.level - 1),
 						page:   n.child(i),

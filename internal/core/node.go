@@ -30,21 +30,21 @@ func (n *node) leaf() bool { return n.level == 0 }
 // (MemStore.View), so a cached leaf costs this 128-byte struct; on a file
 // tree they are the 4,096-byte buffer the page was read into.
 //
-//   - buf: the page — level, count, then the entries as encodeNode lays
-//     them out. A leaf entry's id and addr‖shape word are its first 16
+//   - buf: the page — level, flags, count, then the entries as encodeNode
+//     lays them out. A leaf entry's id and addr‖shape word are its first 16
 //     bytes, an intermediate entry's child its first 4.
 //   - f64: buf's 8-byte words as float64s, f64[k] at byte 8k (floats).
 //     Every entry size is a multiple of 8 and the header is 8 bytes, so
-//     every rectangle — a U-tree leaf's MBR, a U-PCR leaf's m PCRs (pcr(0)
-//     is the MBR), an intermediate entry's 2 or m bounding boxes — is a run
-//     of f64. A full U-tree leaf entry's cfb_out‖cfb_in is a run of
-//     float32s after its MBR, laid over buf when read (cfbs); a compact
-//     entry has none (its faces are its shape's).
+//     every float64 rectangle — a U-tree leaf's MBR, a U-PCR leaf's m PCRs
+//     (pcr(0) is the MBR), a U-PCR intermediate entry's m bounding boxes —
+//     is a run of f64. A full U-tree leaf entry's cfb_out‖cfb_in is a run
+//     of float32s after its MBR, laid over buf when read (cfbs); a compact
+//     entry has none (its faces are its shape's). A U-tree intermediate
+//     entry's MBR⊥‖MBR⊤ is a run of float32s after its child (box32).
 //   - stride: the size of every entry; offs, for a leaf holding both
 //     U-tree entry forms, each entry's byte offset instead.
-//   - rects: for intermediate nodes and U-PCR leaves, which are few, the nb
-//     rectangles of each entry laid over f64 — the []geom.Rect the descent
-//     and the U-PCR filter take.
+//   - rects: for U-PCR nodes, the nb rectangles of each entry laid over f64
+//     — the []geom.Rect the descent and the U-PCR filter take.
 //
 // The accessors return slices of buf, capped so that an append cannot
 // reach a neighbour. Nothing writes through them: a cached node is shared
@@ -106,7 +106,14 @@ func (p *packedNode) cfbs(i int) (out, in pcr.CFB) {
 	return pcr.CFB(c[:w:w]), pcr.CFB(c[w:])
 }
 
-// boxes is the nb rectangles of intermediate or U-PCR leaf entry i.
+// box32 is U-tree intermediate entry i's MBR⊥ and MBR⊤, 4d float32s laid
+// out lo⊥ | hi⊥ | lo⊤ | hi⊤.
+func (p *packedNode) box32(i int) []float32 {
+	n := 4 * int(p.dim)
+	return floats[float32](p.buf, p.at(i)+8, n)[:n:n]
+}
+
+// boxes is the nb rectangles of U-PCR entry i.
 func (p *packedNode) boxes(i int) []geom.Rect {
 	nb := int(p.nb)
 	return p.rects[i*nb : (i+1)*nb : (i+1)*nb]
@@ -148,11 +155,26 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 // a UTR4 file's are full — so the next write of its node stores it compact,
 // and its faces are its shape's in the table. One whose reference is beyond
 // the table, which CheckInvariants reports, has no faces but its MBR.
+//
+// A U-tree intermediate entry's float32 boxes widen into one float64 slab
+// for the node: the writer's arithmetic (chooseSubtree, unionBoundary) is
+// float64, and a widened box is exactly what the page holds.
 func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 	n := &node{page: p.page, level: p.level, entries: make([]entry, p.count)}
+	var wide []geom.Rect
+	if !p.leaf() && t.kind == UTree {
+		wide = newBoxes(2*p.count, t.dim)
+	}
 	for i := range n.entries {
 		e := &n.entries[i]
 		switch {
+		case wide != nil:
+			e.child, e.boxes = p.child(i), wide[2*i:2*i+2:2*i+2]
+			c, d := p.box32(i), t.dim
+			for k := range d {
+				e.boxes[0].Lo[k], e.boxes[0].Hi[k] = float64(c[k]), float64(c[d+k])
+				e.boxes[1].Lo[k], e.boxes[1].Hi[k] = float64(c[2*d+k]), float64(c[3*d+k])
+			}
 		case !p.leaf():
 			e.child, e.boxes = p.child(i), p.boxes(i)
 		case t.kind == UTree:
@@ -248,6 +270,9 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 	}
 	clear(buf)
 	buf[0] = byte(n.level)
+	if !n.leaf() && t.kind == UTree {
+		buf[1] = halfInner
+	}
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
 	off := nodeHeader
 	for i := range n.entries {
@@ -264,13 +289,15 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 
 // decodeNode checks page bytes and returns the packedNode that reads them.
 // It is the only code that reads a node's layout, and it checks everything
-// a reader relies on, once: the entry count against capacity, that every
-// entry lies inside the page, that a compact entry names a shape and sits
-// in a U-tree leaf. Where buf is 8-byte aligned and the host little-endian,
-// the node views buf itself, which is then the node's: one allocation, two
-// for a leaf holding both entry forms, one more for the rects of an
-// intermediate node or a U-PCR leaf. Otherwise it views a copy of the bytes
-// its entries use (nativeCopy), one allocation more.
+// a reader relies on, once: the header flags, the entry count against
+// capacity, that every entry lies inside the page, that a compact entry
+// names a shape and sits in a U-tree leaf. Where buf is 8-byte aligned and
+// the host little-endian, the node views buf itself, which is then the
+// node's: one allocation, two for a leaf holding both entry forms, one more
+// for the rects of a U-PCR node. Otherwise it views a copy of the bytes its
+// entries use (nativeCopy), one allocation more. A U-tree intermediate page
+// written before UTR6, its boxes float64 (no halfInner flag), is read into
+// a copy in the float32 layout, its faces rounded outward (halveInner).
 func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	p := &packedNode{
 		page: id, level: int(buf[0]), count: int(binary.LittleEndian.Uint16(buf[2:])),
@@ -284,6 +311,15 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs unless
 	// it is compact; the entries' flags say which size each has.
 	utreeLeaf := p.leaf() && t.kind == UTree
+	utreeInner := !p.leaf() && t.kind == UTree
+	wide := false // a U-tree intermediate page written before UTR6
+	switch flags := buf[1]; {
+	case flags == halfInner && utreeInner:
+	case flags == 0 && utreeInner:
+		wide, p.stride = true, uint16(wideInnerSize(t.dim))
+	case flags != 0:
+		return nil, bad("header flags %#x on a level-%d %v node", flags, p.level, t.kind)
+	}
 	switch {
 	case utreeLeaf:
 		p.nb, p.stride = 1, uint16(t.compactEntrySize)
@@ -324,13 +360,16 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 		}
 		used = at
 	}
-	if littleEndian && floats[float64](buf, 0, 1) != nil {
+	switch {
+	case wide:
+		p.halveInner(buf, t.innerEntrySize)
+	case littleEndian && floats[float64](buf, 0, 1) != nil:
 		p.buf = buf
-	} else {
+	default:
 		p.nativeCopy(buf[:used], utreeLeaf)
 	}
 	p.f64 = floats[float64](p.buf, 0, len(p.buf)/8)
-	if !utreeLeaf {
+	if t.kind == UPCR {
 		off, nb := 8, t.innerBoxes()
 		if p.leaf() {
 			off = 16
@@ -341,6 +380,31 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 		}
 	}
 	return p, nil
+}
+
+// halveInner makes p, a U-tree intermediate node read off a page written
+// before UTR6, view a copy of it in the float32 layout: child, pad, and
+// each float64 face rounded outward (pcr.Round32), so every box contains the
+// one the page holds and the node reads as one this version writes.
+func (p *packedNode) halveInner(page []byte, stride int) {
+	b := make([]byte, nodeHeader+p.count*stride+7)
+	for floats[float64](b, 0, 1) == nil {
+		b = b[1:]
+	}
+	p.buf = b[:nodeHeader+p.count*stride]
+	copy(p.buf[:nodeHeader], page)
+	p.buf[1] = halfInner
+	d, wide := int(p.dim), int(p.stride)
+	p.stride = uint16(stride)
+	for i := 0; i < p.count; i++ {
+		from, at := nodeHeader+i*wide, p.at(i)
+		copy(p.buf[at:at+8], page[from:from+8])
+		c := p.box32(i)
+		for k := range c {
+			// Faces run lo⊥ | hi⊥ | lo⊤ | hi⊤, d each: odd runs are high.
+			c[k] = pcr.Round32(math.Float64frombits(binary.LittleEndian.Uint64(page[from+8+8*k:])), k/d%2 == 1)
+		}
+	}
 }
 
 // nativeCopy makes p view an aligned copy of page, the bytes its entries
@@ -370,6 +434,13 @@ func (p *packedNode) copyFields(page []byte, utreeLeaf bool) {
 			k += 8
 		}
 		copy(p.buf[at:k], page[at:k])
+		if page[1] == halfInner {
+			f32 := p.box32(i)
+			for j := range f32 {
+				f32[j] = math.Float32frombits(binary.LittleEndian.Uint32(page[k+4*j:]))
+			}
+			continue
+		}
 		f64 := floats[float64](p.buf, k, 2*d*int(p.nb))
 		for j := range f64 {
 			f64[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[k+8*j:]))
@@ -437,12 +508,28 @@ func (t *Tree) encodeLeafEntry(e *entry, buf []byte) int {
 	return t.entrySize(e, true)
 }
 
+// encodeInnerEntry writes intermediate entry e over buf: child, pad, then
+// its boxes — a U-tree's MBR⊥ and MBR⊤ as float32, each face rounded
+// outward (unionBoundary has rounded them already, and a box widened from a
+// page is float32 too, so the rounding is exact), U-PCR's m boxes as
+// float64.
 func (t *Tree) encodeInnerEntry(e *entry, buf []byte) {
 	binary.LittleEndian.PutUint32(buf, uint32(e.child))
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	off := 8
 	for _, b := range e.boxes {
-		off = putRect(buf, off, b)
+		if t.kind == UPCR {
+			off = putRect(buf, off, b)
+			continue
+		}
+		for _, v := range b.Lo {
+			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(pcr.Round32(v, false)))
+			off += 4
+		}
+		for _, v := range b.Hi {
+			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(pcr.Round32(v, true)))
+			off += 4
+		}
 	}
 }
 

@@ -21,22 +21,29 @@ import (
 // the only page (besides slotted data pages) ever rewritten in place, and
 // it is written only after every page of the epoch it names is durable.
 //
-// The magic names the node and record layouts as well as the page: "UTR5"
-// U-tree leaves may hold compact entries — id, address and MBR, the CFBs
-// those of the entry's shape, translated (node.go) — beside full ones;
-// "UTR4" leaves hold every entry in full, its CFB coefficients as float32
-// (entrySizes), and data records may be keyed — id, shape reference and
-// centre, the pdf rebuilt from the shape table (object.go); "UTR3" has full
-// records only, leaf entries with a shape reference; "UTR2" had zeroes
-// there and where the table is — a UTR3 file with an empty table. All three
-// open as UTR5 files that happen to hold no compact entry (and UTR2/UTR3 no
-// keyed record), and their first commit stamps them UTR5, so a build that
-// cannot read a compact entry refuses the file at open instead of failing
-// mid-query; a leaf is rewritten compact when a mutation first touches it.
-// "UTR1" held the coefficients as float64 in entries half again as large.
-// There is one codec, so a UTR1 file is refused, never decoded.
+// The magic names the node and record layouts as well as the page: "UTR6"
+// U-tree intermediate entries hold MBR⊥ and MBR⊤ as float32, rounded
+// outward, in a node whose header carries the halfInner flag (node.go):
+// 40 B an entry instead of 72 in 2-D, 102 to a page instead of 56; "UTR5"
+// held them as float64, in a node without the flag, and its U-tree leaves
+// may hold compact entries — id, address and MBR, the CFBs those of the
+// entry's shape, translated — beside full ones; "UTR4" leaves hold every
+// entry in full, its CFB coefficients as float32 (entrySizes), and data
+// records may be keyed — id, shape reference and centre, the pdf rebuilt
+// from the shape table (object.go); "UTR3" has full records only, leaf
+// entries with a shape reference; "UTR2" had zeroes there and where the
+// table is — a UTR3 file with an empty table. All four open as UTR6 files
+// that happen to hold float64 intermediate nodes (and UTR2 to UTR4 no
+// compact entry, UTR2/UTR3 no keyed record): decodeNode reads such a node
+// into the float32 layout, its boxes rounded outward. Their first commit
+// stamps them UTR6, so a build that cannot read the new layouts refuses the
+// file at open instead of failing mid-query; a node is rewritten in them
+// when a mutation first touches it. "UTR1" held the coefficients as float64
+// in entries half again as large. There is one codec, so a UTR1 file is
+// refused, never decoded. U-PCR nodes are the same in every version.
 const (
-	metaMagic   = 0x55545235 // "UTR5"
+	metaMagic   = 0x55545236 // "UTR6"
+	metaMagicV5 = 0x55545235 // "UTR5"
 	metaMagicV4 = 0x55545234 // "UTR4"
 	metaMagicV3 = 0x55545233 // "UTR3"
 	metaMagicV2 = 0x55545232 // "UTR2"
@@ -48,7 +55,7 @@ const (
 // entries moved to float32 CFB coefficients. No reader for that layout is
 // kept: rebuild the index from its data.
 var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
-	"this version reads only UTR2 to UTR5 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
+	"this version reads only UTR2 to UTR6 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller writes the batch's data and node pages first (Commit does); the
@@ -98,7 +105,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 		return nil, nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
-	case metaMagic, metaMagicV4, metaMagicV3, metaMagicV2:
+	case metaMagic, metaMagicV5, metaMagicV4, metaMagicV3, metaMagicV2:
 	case metaMagicV1:
 		return nil, nil, ErrOldLayout
 	default:

@@ -220,7 +220,7 @@ descent:
 				for i := 0; i < n.count; i++ {
 					// Observation 4: the subtree cannot contain results if rq
 					// misses e.MBR(p_j).
-					if t.boxIntersectsAt(q.Rect, n.boxes(i), jDescend) {
+					if t.innerMeets(n, i, q.Rect, jDescend) {
 						next = append(next, n.child(i))
 					}
 				}
@@ -255,9 +255,9 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					c := candidate{id: n.id(i), addr: addr}
-					if ref := int(shape); ref != 0 && ref <= len(st.shapes) && !o.noShapeTest {
-						sh := &st.shapes[ref-1] // refinement's test, before the fetch
+					c := candidate{id: n.id(i), addr: addr, keyed: shape != 0 && int(shape) <= len(st.shapes)}
+					if c.keyed && !o.noShapeTest {
+						sh := &st.shapes[shape-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
 					cands = append(cands, c)
@@ -310,7 +310,14 @@ descent:
 			if obj, err = objectFromPage(pageBuf, c.addr.Slot, st.shapes); err != nil {
 				return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
 			}
-			outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache)
+			// An unkeyed object is a shape of its own: a table of its CDF
+			// would be built for this one object and kept for ever, so its
+			// marginals are evaluated instead.
+			cache := t.qcache
+			if !c.keyed {
+				cache = nil
+			}
+			outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, cache)
 		}
 		switch outcome {
 		case pcr.Validated:

@@ -229,3 +229,76 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 		})
 	}
 }
+
+// TestQuantileCacheTabulatesShapesOnly: a 2-D Con-Gau ball's marginal CDF
+// is a quadrature rule, so refinement reads it from a per-shape table —
+// 513 knots, 511 CDF evaluations to build, kept for the life of the tree.
+// Objects of per-object radii are shapes of their own: the table keys 112
+// of these 800 and the rest are unkeyed, and a table built for one of them
+// served one object and was never freed (on 2,000 such objects 400 queries
+// took 902 ms and kept 3.46 MB where evaluating their CDFs took 67.5 ms and
+// 0.26 MB). Only
+// keyed candidates read tables now — at most one per table shape and
+// dimension — and every answer is still Equation 2's: a refined
+// probability is PDF.ExactProb to the bit, a validated object's reaches
+// the threshold, and no object whose ExactProb does is missing.
+func TestQuantileCacheTabulatesShapesOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	objs := make([]Object, 800)
+	for i := range objs {
+		r := 50 + 200*rng.Float64()
+		objs[i] = Object{ID: int64(i), PDF: updf.NewConGauBall(geom.Point{rng.Float64() * 10000, rng.Float64() * 10000}, r, r/2)}
+	}
+	tree, err := New(Options{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tree.shapes); n < 50 || n > 1000 {
+		t.Fatalf("fixture: %d shapes in the table, want some objects keyed and most not", n)
+	}
+	computed := 0
+	for q := 0; q < 400; q++ {
+		lo := geom.Point{rng.Float64() * 9500, rng.Float64() * 9500}
+		side := 100 + 400*rng.Float64()
+		query := Query{Rect: geom.NewRect(lo, geom.Point{lo[0] + side, lo[1] + side}), Prob: 0.05 + 0.9*rng.Float64()}
+		got, st, err := rangeQuery(tree, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed += st.ProbComputations
+		in := map[int64]Result{}
+		for _, r := range got {
+			in[r.ID] = r
+		}
+		for _, o := range objs {
+			if !o.PDF.MBR().Intersects(query.Rect) {
+				if _, ok := in[o.ID]; ok {
+					t.Fatalf("query %d: object %d answered, its region misses the query", q, o.ID)
+				}
+				continue
+			}
+			p := o.PDF.ExactProb(query.Rect)
+			r, ok := in[o.ID]
+			switch {
+			case ok && r.Prob >= 0 && r.Prob != p:
+				t.Fatalf("query %d: object %d refined to %v, ExactProb %v", q, o.ID, r.Prob, p)
+			case ok && r.Prob < 0 && p < query.Prob-1e-9:
+				t.Fatalf("query %d: object %d validated, ExactProb %v < %v", q, o.ID, p, query.Prob)
+			case !ok && p >= query.Prob+1e-9:
+				t.Fatalf("query %d: object %d missing, ExactProb %v ≥ %v", q, o.ID, p, query.Prob)
+			}
+		}
+	}
+	if computed == 0 {
+		t.Fatal("no candidate was refined: the probe checks nothing")
+	}
+	if tables, max := tree.qcache.Tables(), 2*len(tree.shapes); tables > max {
+		t.Fatalf("%d CDF tables for %d shapes: refinement tabulated unkeyed objects", tables, len(tree.shapes))
+	}
+}

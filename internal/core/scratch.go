@@ -33,6 +33,7 @@ type candidate struct {
 	id      int64
 	addr    pagefile.DataAddr
 	decided pcr.Outcome
+	keyed   bool // its entry names a shape in the table
 }
 
 // queryScratch is one query's reusable traversal state.

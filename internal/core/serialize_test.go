@@ -159,15 +159,23 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			if err != nil || got2.level != inner.level || len(got2.entries) != ni {
 				return false
 			}
+			// The boxes come back as float32, each face rounded outward:
+			// containing what was written, and unchanged written again.
 			for i := range inner.entries {
 				if inner.entries[i].child != got2.entries[i].child {
 					return false
 				}
-				for j := range inner.entries[i].boxes {
-					if !inner.entries[i].boxes[j].Equal(got2.entries[i].boxes[j]) {
+				want := cloneBoxes(inner.entries[i].boxes)
+				for j := range want {
+					roundOut(want[j])
+					if !want[j].Equal(got2.entries[i].boxes[j]) || !want[j].Contains(inner.entries[i].boxes[j]) {
 						return false
 					}
 				}
+			}
+			buf3 := make([]byte, pagefile.PageSize)
+			if err := tree.encodeNode(got2, buf3); err != nil || !bytes.Equal(buf2, buf3) {
+				return false
 			}
 			return true
 		}
@@ -319,25 +327,43 @@ func TestDecodeNodeAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 2 {
-				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ 2", tree.kind, tree.dim, name, allocs)
+			// A U-tree intermediate node reads its float32 boxes in place:
+			// its one allocation is the node. A U-PCR node lays rects over
+			// its page as well.
+			budget := 2.0
+			if tree.kind == UTree && name == "inner" {
+				budget = 1
+			}
+			if allocs > budget {
+				t.Errorf("%v %d-D: decoding a full %s node makes %v allocations, want ≤ %v", tree.kind, tree.dim, name, allocs, budget)
 			}
 		}
 		if tree.kind != UTree {
 			continue
 		}
 		unkeyed, mixed, _ := leafPages(t, tree)
+		// An intermediate page before UTR6 is read into a float32 copy.
+		n, err := tree.decodeNode(8, inner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := tree.expand(n, nil)
+		w.entries = w.entries[:pageBytes/wideInnerSize(tree.dim)]
+		wide := make([]byte, pagefile.PageSize)
+		encodeWideInner(w, wide)
 		for _, c := range []struct {
 			what   string
 			page   []byte
 			budget float64
 		}{
-			{"compact", leaf, 256},
-			{"full", unkeyed, 256},
-			{"mixed", mixed, 256 + 2*float64(binary.LittleEndian.Uint16(mixed[2:]))},
+			{"leaf of compact entries", leaf, 256},
+			{"leaf of full entries", unkeyed, 256},
+			{"leaf of mixed entries", mixed, 256 + 2*float64(binary.LittleEndian.Uint16(mixed[2:]))},
+			{"intermediate node", inner, 256},
 			// Where the node cannot view the page, it copies what its
 			// entries use.
-			{"compact, copied", atOdd(leaf), 1.1*float64(nodeHeader+tree.leafCap*tree.compactEntrySize) + 256},
+			{"leaf of compact entries, copied", atOdd(leaf), 1.1*float64(nodeHeader+tree.leafCap*tree.compactEntrySize) + 256},
+			{"intermediate node before UTR6", wide, 1.1*float64(nodeHeader+len(w.entries)*tree.innerEntrySize) + 256},
 		} {
 			const runs = 100
 			var before, after runtime.MemStats
@@ -349,7 +375,7 @@ func TestDecodeNodeAllocations(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > c.budget {
-				t.Errorf("%d-D: decoding a full leaf of %s entries allocates %.0f B, want ≤ %.0f", tree.dim, c.what, got, c.budget)
+				t.Errorf("%d-D: decoding a full %s allocates %.0f B, want ≤ %.0f", tree.dim, c.what, got, c.budget)
 			}
 		}
 	}
@@ -385,7 +411,9 @@ func samePacked(tree *Tree, a, b *packedNode) error {
 	}
 	for i := 0; i < a.count; i++ {
 		if !a.leaf() {
-			if a.child(i) != b.child(i) || !rects(a.boxes(i), b.boxes(i)) {
+			same := tree.kind == UPCR && rects(a.boxes(i), b.boxes(i)) ||
+				tree.kind == UTree && slices.EqualFunc(a.box32(i), b.box32(i), func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+			if a.child(i) != b.child(i) || !same {
 				return fmt.Errorf("intermediate entry %d differs", i)
 			}
 			continue
@@ -510,6 +538,16 @@ func FuzzDecodeNode(f *testing.F) {
 		f.Add(uint8(i), true, leaf[:200])
 		f.Add(uint8(i), false, []byte{3, 0, 0xFF, 0xFF}) // count beyond capacity
 		if tree.kind == UTree {
+			// An intermediate page as a file before UTR6 holds it.
+			wide := make([]byte, pagefile.PageSize)
+			n, err := tree.decodeNode(8, inner)
+			if err != nil {
+				f.Fatal(err)
+			}
+			w := tree.expand(n, nil)
+			w.entries = w.entries[:pageBytes/wideInnerSize(tree.dim)]
+			encodeWideInner(w, wide)
+			f.Add(uint8(i), false, wide)
 			_, mixed, utr4 := leafPages(f, tree)
 			f.Add(uint8(i), true, mixed)
 			f.Add(uint8(i), true, utr4)
@@ -545,7 +583,14 @@ func FuzzDecodeNode(f *testing.F) {
 			t.Fatalf("view and copy: %v", err)
 		}
 		for i := 0; i < p.count; i++ {
-			if !p.leaf() {
+			switch {
+			case !p.leaf() && tree.kind == UTree:
+				_ = p.child(i)
+				if got := len(p.box32(i)); got != 4*tree.dim {
+					t.Fatalf("entry %d has %d faces, want %d", i, got, 4*tree.dim)
+				}
+				continue
+			case !p.leaf():
 				_ = p.child(i)
 				if got := len(p.boxes(i)); got != tree.innerBoxes() {
 					t.Fatalf("entry %d has %d boxes, want %d", i, got, tree.innerBoxes())
@@ -565,6 +610,26 @@ func FuzzDecodeNode(f *testing.F) {
 		again := make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(tree.expand(p, tree.shapes), again); err != nil {
 			t.Fatal(err)
+		}
+		if !p.leaf() && tree.kind == UTree {
+			// A U-tree intermediate node re-encodes in the float32 layout,
+			// whichever it was read in, holding the faces it read — a NaN
+			// up to its payload, which widening to float64 may quiet.
+			q, err := tree.decodeNode(9, again)
+			if err != nil || again[1] != halfInner || q.level != p.level || q.count != p.count {
+				t.Fatalf("the decoded node re-encodes to a page that decodes with %v, flags %#x", err, again[1])
+			}
+			for i := 0; i < p.count; i++ {
+				same := q.child(i) == p.child(i)
+				for k, v := range q.box32(i) {
+					w := p.box32(i)[k]
+					same = same && (math.Float32bits(v) == math.Float32bits(w) || v != v && w != w)
+				}
+				if !same {
+					t.Fatalf("intermediate entry %d re-encodes to other values", i)
+				}
+			}
+			return
 		}
 		want := make([]byte, pagefile.PageSize)
 		want[0] = page[0]
@@ -789,8 +854,8 @@ func writersLeaveCachedNodesAlone(t *testing.T, opt Options) {
 		if !bytes.Equal(p.buf, c) {
 			return fmt.Errorf("%s: cached node %d changed", what, p.page)
 		}
-		if p.leaf() && tree.kind == UTree {
-			return nil
+		if tree.kind == UTree {
+			return nil // its nodes hold no rects
 		}
 		off := 8
 		if p.leaf() {
@@ -940,21 +1005,24 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 	if leaf != 112 {
 		t.Errorf("U-tree 2D leaf entry = %d B, want 112", leaf)
 	}
-	if inner != 8+64 {
-		t.Errorf("U-tree 2D inner entry = %d B, want 72", inner)
+	// Intermediate: child(4)+pad(4)+MBR⊥+MBR⊤ as float32 (72 B and 104 B
+	// as float64 before UTR6, wideInnerSize).
+	if inner != 8+32 || wideInnerSize(2) != 8+64 {
+		t.Errorf("U-tree 2D inner entry = %d B, want 40 (72 before UTR6: %d)", inner, wideInnerSize(2))
 	}
 	// d=3 U-tree: CFBs are 24 float32.
 	leaf3, inner3 := entrySizes(UTree, 3, 15)
 	if leaf3 != 16+48+96 {
 		t.Errorf("U-tree 3D leaf entry = %d B, want 160", leaf3)
 	}
-	if inner3 != 8+96 {
-		t.Errorf("U-tree 3D inner entry = %d B, want 104", inner3)
+	if inner3 != 8+48 || wideInnerSize(3) != 8+96 {
+		t.Errorf("U-tree 3D inner entry = %d B, want 56 (104 before UTR6: %d)", inner3, wideInnerSize(3))
 	}
 	// Full entries fill a page at 36 (2-D) and 25 (3-D), compact ones —
 	// id(8)+addr(6)+shape(2)+MBR, 48 and 64 B — at 85 and 63, which is
-	// what Fanout reports.
-	for _, c := range []struct{ dim, leaf, compact, inner int }{{2, 36, 85, 56}, {3, 25, 63, 39}} {
+	// what Fanout reports; intermediate nodes hold 102 and 73 (56 and 39
+	// before UTR6).
+	for _, c := range []struct{ dim, leaf, compact, inner int }{{2, 36, 85, 102}, {3, 25, 63, 73}} {
 		if lc, ic := capacities(UTree, c.dim, 15); lc != c.leaf || ic != c.inner {
 			t.Errorf("U-tree %dD capacities = %d/%d, want %d/%d", c.dim, lc, ic, c.leaf, c.inner)
 		}
@@ -986,6 +1054,13 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 	if a != b {
 		t.Error("U-tree entry size depends on m (it must not)")
 	}
+}
+
+// interpRect is interpInto into a fresh rectangle.
+func interpRect(a, b geom.Rect, f float64) geom.Rect {
+	r := geom.Rect{Lo: make(geom.Point, a.Dim()), Hi: make(geom.Point, a.Dim())}
+	interpInto(r, a, b, f)
+	return r
 }
 
 // TestInterpRectBounds verifies the linear e.MBR(p) interpolation agrees

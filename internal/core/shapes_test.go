@@ -229,7 +229,7 @@ func TestShapeTablePersists(t *testing.T) {
 }
 
 // TestOpenOlderLayouts: files written before records could be keyed open,
-// answer as they always did and are UTR5 files after their first commit,
+// answer as they always did and are UTR6 files after their first commit,
 // from which on a new ball gets a keyed record; old records stay full.
 //   - UTR2, written before leaf entries held shape references: magic UTR2,
 //     zeroes where the table and the references are, so it opens with an
@@ -318,7 +318,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if binary.LittleEndian.Uint32(meta) != metaMagic {
-				t.Fatal("the first commit (rangeQuery's) did not make the file UTR5")
+				t.Fatal("the first commit (rangeQuery's) did not make the file UTR6")
 			}
 			near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
 			if err := old.Insert(near); err != nil {

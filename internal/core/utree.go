@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -131,9 +133,11 @@ type Tree struct {
 	shapes    []shape
 	shapeRefs map[string]uint16 // ShapeKey → reference
 
-	// choose is chooseSubtree's working set, reused by every descent of
-	// the one writer.
-	choose chooseScratch
+	// ws is the writer's scratch (writerScratch).
+	ws writerScratch
+	// cut is chooseSubtree's candidate cut, chooseCut; only a test lifts
+	// it, to build the tree the full overlap test builds.
+	cut int
 
 	splitStrategy   SplitStrategy
 	disableReinsert bool
@@ -253,6 +257,7 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 
 		splitStrategy:   opt.SplitStrategy,
 		disableReinsert: opt.DisableReinsert,
+		cut:             chooseCut,
 	}
 	t.attachNodeCache(opt.NodeCacheEntries)
 	leafCap, innerCap := capacities(kind, dim, m)
@@ -495,7 +500,9 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eBoxes := t.boundary(&e, level == 0)
+	b := t.boundary(&e, level == 0, &t.ws.bound)
+	eBoxes := t.ws.entry.take(len(b), t.dim)
+	copyBoxes(eBoxes, b)
 	var path []pathElem
 	for n.level > level {
 		idx := t.chooseSubtree(n, eBoxes)
@@ -509,112 +516,228 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 	return n, path, nil
 }
 
-// chooseScratch is chooseSubtree's working set: rectangles laid over one
-// flat coordinate slice, reused from call to call. It belongs to the writer
-// — mutations are serialised, so there is never more than one descent.
-type chooseScratch struct {
-	coords []float64
-	rects  []geom.Rect
+// writerScratch is the writer's working memory, reused from call to call
+// so that the insert and bulk-load paths allocate nothing per entry they
+// look at. It belongs to the writer: mutations are serialised, so there is
+// never more than one descent, split or load at a time.
+type writerScratch struct {
+	bound  boundScratch  // boundary's and unionBoundary's
+	entry  rectSlab      // the boundary of the entry choosePath places
+	pair   rectSlab      // summedCenterDist's two boxes, BulkLoad's median box
+	choose chooseScratch // chooseSubtree's
 }
 
-// take returns n rectangles of dimensionality d over the scratch's
-// coordinates, with undefined contents.
-func (s *chooseScratch) take(n, d int) []geom.Rect {
-	if cap(s.coords) < 2*d*n {
-		s.coords = make([]float64, 2*d*n)
-	}
-	if cap(s.rects) < n {
-		s.rects = make([]geom.Rect, n)
-	}
-	rects := s.rects[:n]
-	for k := range rects {
-		c := s.coords[2*d*k : 2*d*(k+1)]
-		rects[k] = geom.Rect{Lo: c[:d:d], Hi: c[d:]}
-	}
-	return rects
+// chooseScratch is chooseSubtree's working set.
+type chooseScratch struct {
+	rects            rectSlab
+	grows            []bool
+	enl, area, hulls []float64
+	order, near      []int
 }
+
+// chooseCut is R*'s CHOOSE_SUBTREE_P (SNIPPETS.md snippet 1): at level 1,
+// overlap enlargement is scored only for the chooseCut children of least
+// area enlargement, since its cost is quadratic in the fan-out.
+const chooseCut = 32
 
 // chooseSubtree picks the child entry of n minimizing the summed penalty:
 // overlap enlargement when children are leaves, else area enlargement, with
 // summed area as tiebreak (the R* criteria with each metric replaced by its
-// sum over the catalog, Section 5.3).
+// sum over the catalog, Section 5.3). At level 1 a node of more than
+// chooseCut children scores overlap only for the chooseCut of least summed
+// area enlargement, ties by summed area, then index — R*'s candidate cut.
 //
-// Every child's box at every catalog value is materialized once, so the
-// overlap term — children × catalog × siblings — reads rectangles instead
-// of re-interpolating a sibling per term. The interpolation (interpInto)
-// and the summation order (catalog outer, siblings inner) are those of the
-// direct formulation kept in choose_test.go; what is left out — terms that
-// are exactly zero, and the rest of a sum that has already lost — cannot
-// change the comparison, so the index chosen is the same to the bit.
+// Every child's box at every catalog value, and its box grown by eBoxes, is
+// materialized once, so the overlap term — candidates × catalog × siblings
+// — reads rectangles instead of re-interpolating a sibling per term. The
+// interpolation (interpInto) and the summation order (catalog outer,
+// siblings inner) are those of the direct formulation kept in
+// choose_test.go, and what is left out cannot change the comparison, so
+// the index chosen is the same to the bit: terms that are exactly zero — a
+// sibling whose hull over the catalog (the union of its materialized
+// boxes) at most touches the grown candidate's on some dimension is not
+// visited at all (geom.Rect's Overlap is 0 where lo ≥ hi) — and, since the
+// candidates are visited in (enl, area, index) order, so that a later one
+// wins only on strictly less overlap enlargement, the rest of a sum that
+// has reached the incumbent's. Sums only grow where the candidate's old
+// boxes lie inside its grown ones, which interpolation can break in a
+// face's last ulp; such a candidate is summed in full.
 func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
-	m := t.cat.Size()
-	ne := len(n.entries)
-	rects := t.choose.take(ne*m+len(eBoxes)+m, t.dim)
+	m, ne, d := t.cat.Size(), len(n.entries), t.dim
+	s := &t.ws.choose
+	rects := s.rects.take(2*ne*m+len(eBoxes), d)
 	at := rects[:ne*m] // child k at catalog index j is at[k*m+j]
-	boundary := rects[ne*m : ne*m+len(eBoxes)]
-	grown := rects[ne*m+len(eBoxes):]
+	grown := rects[ne*m : 2*ne*m]
+	boundary := rects[2*ne*m:]
+	s.grows, s.enl, s.area = grow(s.grows, ne), grow(s.enl, ne), grow(s.area, ne)
 	for k := range n.entries {
-		t.boxesAt(at[k*m:], n.entries[k].boxes)
-	}
-	best := 0
-	bestOv, bestEnl, bestArea := inf(), inf(), inf()
-	for i := range n.entries {
-		// The candidate's boundary after absorbing eBoxes, then its boxes.
-		// A candidate that already contains eBoxes does not grow: every
-		// overlap term below is x − x, and no sibling needs visiting.
+		// The child's boundary after absorbing eBoxes, then its boxes. A
+		// child that already contains eBoxes does not grow: its every
+		// overlap term below is x − x.
 		grows := false
-		for b, box := range n.entries[i].boxes {
+		for b, box := range n.entries[k].boxes {
 			copy(boundary[b].Lo, box.Lo)
 			copy(boundary[b].Hi, box.Hi)
 			grows = grows || !box.Contains(eBoxes[b])
 		}
-		unionBoundaries(boundary, eBoxes)
-		t.boxesAt(grown, boundary)
-		var dOv, enl, area float64
-		old := at[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			if n.level == 1 && grows {
-				for k := 0; k < ne; k++ {
-					if k == i {
-						continue
-					}
-					// The union moves faces outward only, so old[j] ⊆
-					// grown[j]: a sibling the grown box does not overlap
-					// contributes 0 − 0, and no term is negative.
-					// (interpInto can break the inclusion in a face's last
-					// ulp at p_m, which moves a term by as much.)
+		old, gk := at[k*m:(k+1)*m], grown[k*m:(k+1)*m]
+		t.boxesAt(old, n.entries[k].boxes)
+		var enl, area float64
+		if grows {
+			unionBoundaries(boundary, eBoxes)
+			t.boxesAt(gk, boundary)
+			for j := range m {
+				a := old[j].Area()
+				enl += gk[j].Area() - a
+				area += a
+			}
+		} else {
+			// Its grown boxes are its boxes: every enlargement term is
+			// exactly a − a = 0.
+			for j := range m {
+				area += old[j].Area()
+			}
+		}
+		s.grows[k], s.enl[k], s.area[k] = grows, enl, area
+	}
+	if n.level != 1 {
+		// Above level 1 the order is by area enlargement, then area.
+		best := 0
+		for i := 1; i < ne; i++ {
+			if s.enl[i] < s.enl[best] || (s.enl[i] == s.enl[best] && s.area[i] < s.area[best]) {
+				best = i
+			}
+		}
+		return best
+	}
+	// Candidates in (enl, area, index) order, cut to the first t.cut. A
+	// later one has no smaller enl, area or index, so it beats the
+	// incumbent only on strictly less overlap enlargement: the winner is
+	// the one of least (dOv, enl, area, index), as in index order with
+	// every criterion compared.
+	cands := s.order[:0]
+	for i := range ne {
+		cands = append(cands, i)
+	}
+	slices.SortFunc(cands, func(a, b int) int {
+		return cmp.Or(cmp.Compare(s.enl[a], s.enl[b]), cmp.Compare(s.area[a], s.area[b]), cmp.Compare(a, b))
+	})
+	s.order = cands
+	if ne > t.cut {
+		cands = cands[:t.cut]
+	}
+	// Each child's hull over the catalog, and each candidate's grown hull,
+	// made when the first candidate that grows needs them: 2d coordinates
+	// each, lows then highs.
+	var hulls []float64
+	best, bestOv := cands[0], inf()
+	for _, i := range cands {
+		var dOv float64
+		if s.grows[i] {
+			// With old ⊆ grown every term is ov − oldOv ≥ 0, so dOv only
+			// grows, and once it reaches the incumbent's the candidate has
+			// lost. Where interpInto broke the inclusion in a face's last
+			// ulp, a term may be negative: every one is summed.
+			old, g := at[i*m:(i+1)*m], grown[i*m:(i+1)*m]
+			mono := nested(old, g)
+			if mono && bestOv <= 0 {
+				continue
+			}
+			if hulls == nil {
+				s.hulls = grow(s.hulls, 2*d*(ne+1))
+				hulls = s.hulls
+				for k := range ne {
+					hull(hulls[2*d*k:2*d*(k+1)], at[k*m:(k+1)*m])
+				}
+			}
+			gh := hulls[2*d*ne:]
+			hull(gh, g)
+			near := s.near[:0]
+			for k := range ne {
+				if k != i && (!mono || hullsOverlap(gh, hulls[2*d*k:2*d*(k+1)], d)) {
+					near = append(near, k)
+				}
+			}
+			s.near = near
+			for j := range m {
+				for _, k := range near {
+					// A sibling the grown box does not overlap contributes
+					// 0 − 0: the term is left out.
 					other := at[k*m+j]
-					if ov := grown[j].Overlap(other); ov != 0 {
+					if ov := g[j].Overlap(other); ov != 0 || !mono {
 						dOv += ov - old[j].Overlap(other)
 					}
 				}
-				// dOv only grows from here, and past the incumbent's the
-				// candidate has lost on the first criterion.
-				if dOv > bestOv {
+				if mono && dOv >= bestOv {
 					break
 				}
 			}
-			a := old[j].Area()
-			enl += grown[j].Area() - a
-			area += a
 		}
-		// Above level 1 dOv is zero throughout and the order is by area
-		// enlargement, then area.
-		if dOv < bestOv || (dOv == bestOv && enl < bestEnl) ||
-			(dOv == bestOv && enl == bestEnl && area < bestArea) {
-			bestOv, bestEnl, bestArea, best = dOv, enl, area, i
+		if dOv < bestOv {
+			best, bestOv = i, dOv
 		}
 	}
 	return best
+}
+
+// nested reports whether every old[j] lies inside grown[j].
+func nested(old, grown []geom.Rect) bool {
+	for j := range old {
+		if !grown[j].Contains(old[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hull writes the union of boxes into h: d lows, then d highs.
+func hull(h []float64, boxes []geom.Rect) {
+	d := len(h) / 2
+	copy(h[:d], boxes[0].Lo)
+	copy(h[d:], boxes[0].Hi)
+	for _, b := range boxes[1:] {
+		for i := range d {
+			h[i] = min(h[i], b.Lo[i])
+			h[d+i] = max(h[d+i], b.Hi[i])
+		}
+	}
+}
+
+// hullsOverlap reports whether hulls a and b (hull's layout, d dimensions)
+// may overlap with positive extent on every dimension. Where they at most
+// touch on one, or one has no extent there, every pair of boxes inside
+// them has Overlap exactly 0 (its math.Max of the lows is at least its
+// math.Min of the highs). A NaN face compares false throughout, and the
+// pair is reported as overlapping.
+func hullsOverlap(a, b []float64, d int) bool {
+	for i := range d {
+		alo, ahi, blo, bhi := a[i], a[d+i], b[i], b[d+i]
+		if alo >= bhi || blo >= ahi || alo >= ahi || blo >= bhi {
+			return false
+		}
+	}
+	return true
+}
+
+// grow returns s resized to n, reallocated only when its capacity is short;
+// the contents are undefined.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func inf() float64 { return 1e308 }
 
 // summedCenterDist is Σ_j CDIST(aBoxes_j, bBoxes_j).
 func (t *Tree) summedCenterDist(a, b []geom.Rect) float64 {
+	ab := t.ws.pair.take(2, t.dim)
 	var s float64
 	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(a, j).CenterDist(t.boxAt(b, j))
+		t.boxInto(ab[0], a, j)
+		t.boxInto(ab[1], b, j)
+		s += ab[0].CenterDist(ab[1])
 	}
 	return s
 }
@@ -630,11 +753,24 @@ func (t *Tree) rootBox(n *node) geom.Rect {
 	return t.boxAt(t.nodeBoundary(n), 0)
 }
 
-// nodeBoundary computes a node's boundary boxes (union over its entries).
-func (t *Tree) nodeBoundary(n *node) []geom.Rect {
-	b := cloneBoxes(t.boundary(&n.entries[0], n.leaf()))
+// nodeBoundary is the writer's unionBoundary.
+func (t *Tree) nodeBoundary(n *node) []geom.Rect { return t.unionBoundary(n, &t.ws.bound) }
+
+// unionBoundary computes a node's boundary boxes, the union over its
+// entries' — what its parent entry holds, in a fresh allocation. A U-tree's
+// are rounded outward to float32 (roundOut), the precision its intermediate
+// entries hold them at, so the writer's parent entries, the recorded root
+// box and what a reader decodes agree bit for bit. sc is the caller's: the
+// writer's, or a snapshot check's own.
+func (t *Tree) unionBoundary(n *node, sc *boundScratch) []geom.Rect {
+	b := cloneBoxes(t.boundary(&n.entries[0], n.leaf(), sc))
 	for i := 1; i < len(n.entries); i++ {
-		unionBoundaries(b, t.boundary(&n.entries[i], n.leaf()))
+		unionBoundaries(b, t.boundary(&n.entries[i], n.leaf(), sc))
+	}
+	if t.kind == UTree {
+		for _, r := range b {
+			roundOut(r)
+		}
 	}
 	return b
 }
@@ -683,7 +819,7 @@ func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) 
 	}
 	cands := make([]cand, len(n.entries))
 	for i := range n.entries {
-		cands[i] = cand{i, t.summedCenterDist(t.boundary(&n.entries[i], n.leaf()), nodeBoxes)}
+		cands[i] = cand{i, t.summedCenterDist(t.boundary(&n.entries[i], n.leaf(), &t.ws.bound), nodeBoxes)}
 	}
 	// Selection-sort the p farthest (p is small).
 	share := t.reinsertLeaf
@@ -797,18 +933,21 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 // chooseSplit returns the two index groups for splitting node n according
 // to the tree's split strategy.
 func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
+	nb := t.innerBoxes()
+	all := newBoxes(len(n.entries)*nb, t.dim)
 	boundaries := make([][]geom.Rect, len(n.entries))
-	for i := range n.entries {
-		boundaries[i] = t.boundary(&n.entries[i], n.leaf())
-	}
 	size := make([]int, len(n.entries))
 	for i := range n.entries {
+		boundaries[i] = all[i*nb : (i+1)*nb : (i+1)*nb]
+		copyBoxes(boundaries[i], t.boundary(&n.entries[i], n.leaf(), &t.ws.bound))
 		size[i] = t.entrySize(&n.entries[i], n.leaf())
 	}
+	// Every catalog value's rectangles go in one slab: splitGroups is done
+	// with one set before the next is made.
+	rects := newBoxes(len(n.entries), t.dim)
 	rectsAt := func(j int) []geom.Rect {
-		rects := make([]geom.Rect, len(boundaries))
 		for i := range boundaries {
-			rects[i] = t.boxAt(boundaries[i], j)
+			t.boxInto(rects[i], boundaries[i], j)
 		}
 		return rects
 	}

@@ -67,6 +67,14 @@ func (t *cdfTable) bracket(off float64) (lo, hi float64) {
 	return t.cdf[k], t.cdf[k+1]
 }
 
+// Tables reports how many CDF tables the cache holds: one per shape and
+// dimension that refinement or a shape test has read through it.
+func (qc *QuantileCache) Tables() int {
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	return len(qc.tables)
+}
+
 // table returns the CDF table of p's shape on dimension dim, building it on
 // first use — exactly once however many queries ask at the same time, and
 // outside the cache's lock, since MarginalCDF may be the caller's code.

@@ -89,7 +89,13 @@ func (f Faces) stored(out, in CFB) Faces {
 func (f Faces) Rect(p float64) geom.Rect {
 	d := len(f) / 4
 	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
-	for i := 0; i < d; i++ {
+	f.RectInto(r, p)
+	return r
+}
+
+// RectInto is Rect into r's coordinate slices, which the caller provides.
+func (f Faces) RectInto(r geom.Rect, p float64) {
+	for i := range r.Lo {
 		lo, hi := f[4*i].at(p), f[4*i+1].at(p)
 		if lo > hi {
 			lo = (lo + hi) / 2
@@ -97,7 +103,6 @@ func (f Faces) Rect(p float64) geom.Rect {
 		}
 		r.Lo[i], r.Hi[i] = lo, hi
 	}
-	return r
 }
 
 // within reports whether rq contains both cfb_in faces at p on every
@@ -252,9 +257,10 @@ func chord(pa, ya, pb, yb float64) line {
 	return line{ya + beta*pa, beta}
 }
 
-// round32 returns the float32 nearest x that is not below it (up) or not
-// above it.
-func round32(x float64, up bool) float32 {
+// Round32 returns the float32 nearest x that is not below it (up) or not
+// above it: x rounded to float32 in one chosen direction, as a conservative
+// bound stored at half width must be.
+func Round32(x float64, up bool) float32 {
 	f := float32(x)
 	switch {
 	case up && float64(f) < x:
@@ -270,8 +276,8 @@ func round32(x float64, up bool) float32 {
 // cfb_out: αlo↓ βlo↑ αhi↑ βhi↓) or at or inside it (cfb_in, the mirror).
 func (c CFB) quantise(i int, lo, hi line, outward bool) {
 	d := len(c) / 4
-	c[i], c[d+i] = round32(lo.alpha, !outward), round32(lo.beta, outward)
-	c[2*d+i], c[3*d+i] = round32(hi.alpha, outward), round32(hi.beta, !outward)
+	c[i], c[d+i] = Round32(lo.alpha, !outward), Round32(lo.beta, outward)
+	c[2*d+i], c[3*d+i] = Round32(hi.alpha, outward), Round32(hi.beta, !outward)
 }
 
 // FitOut fits cfb_out to the given PCRs: the margin-sum-minimal linear box
@@ -322,9 +328,9 @@ func (c CFB) repairOut(cat Catalog, i int, los, his []float64) {
 // shortfall, so no repair takes more than a step or two.
 func step32(x float32, short float64, up bool) float32 {
 	if up {
-		return max(math.Nextafter32(x, float32(math.Inf(1))), round32(float64(x)+short, true))
+		return max(math.Nextafter32(x, float32(math.Inf(1))), Round32(float64(x)+short, true))
 	}
-	return min(math.Nextafter32(x, float32(math.Inf(-1))), round32(float64(x)-short, false))
+	return min(math.Nextafter32(x, float32(math.Inf(-1))), Round32(float64(x)-short, false))
 }
 
 // FitIn fits cfb_in: the margin-sum-maximal linear box family contained in

@@ -2,8 +2,10 @@ package uncertain
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -398,4 +400,130 @@ func TestCrashRecoveryKilledDelete(t *testing.T) {
 					k, opOK, rt.Len(), wantLen, wantLen-1)
 			}
 		})
+}
+
+// widenInnerPages rewrites the file at path as a version before UTR6 left
+// it: every U-tree intermediate page's boxes as float64 without the header
+// flag (float32 faces widen exactly), and the metadata magic UTR5. It
+// returns how many pages it rewrote.
+func widenInnerPages(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := pagefile.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	meta := make([]byte, pagefile.PageSize)
+	if err := raw.Read(fileMetaPage, meta); err != nil {
+		t.Fatal(err)
+	}
+	dim := int(meta[5])
+	half, wide := 8+16*dim, 8+32*dim
+	rewritten := 0
+	var widen func(page pagefile.PageID)
+	widen = func(page pagefile.PageID) {
+		buf := make([]byte, pagefile.PageSize)
+		if err := raw.Read(page, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] == 0 {
+			return
+		}
+		if buf[1] != 1 {
+			t.Fatalf("page %d: intermediate page without the float32 flag", page)
+		}
+		count := int(binary.LittleEndian.Uint16(buf[2:]))
+		out := make([]byte, pagefile.PageSize)
+		copy(out[:4], buf)
+		out[1] = 0
+		for i := range count {
+			from, to := 8+i*half, 8+i*wide
+			copy(out[to:to+8], buf[from:from+8])
+			for k := range 4 * dim {
+				f := math.Float32frombits(binary.LittleEndian.Uint32(buf[from+8+4*k:]))
+				binary.LittleEndian.PutUint64(out[to+8+8*k:], math.Float64bits(float64(f)))
+			}
+			widen(pagefile.PageID(binary.LittleEndian.Uint32(buf[from:])))
+		}
+		if err := raw.Write(page, out); err != nil {
+			t.Fatal(err)
+		}
+		rewritten++
+	}
+	widen(pagefile.PageID(binary.LittleEndian.Uint32(meta[8:])))
+	copy(meta, "5RTU") // "UTR5", little endian
+	if err := raw.Write(fileMetaPage, meta); err != nil {
+		t.Fatal(err)
+	}
+	return rewritten
+}
+
+// TestCrashRecoveryKilledMigratingInsert sweeps a crash through the first
+// commit of a file written before UTR6, whose intermediate root holds
+// float64 boxes: the insert rewrites the root in the float32 layout and the
+// commit stamps the file UTR6. At every offset the file reopens as the
+// older file or as the migrated one — invariants intact, the same answers
+// — and a completed insert leaves a UTR6 file whose root is float32.
+func TestCrashRecoveryKilledMigratingInsert(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep skipped in -short")
+	}
+	cfg := Config{Dimensions: 2}
+	path := filepath.Join(t.TempDir(), "golden.utree")
+	gcfg := cfg
+	gcfg.Path = path
+	wantLen, want := buildCrashGolden(t, path, gcfg)
+	if n := widenInnerPages(t, path); n == 0 {
+		t.Fatal("fixture: the golden tree has no intermediate page")
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := crashQueries()
+
+	insert := func(tree *Tree) error {
+		return tree.Insert(9100, UniformCircle(Pt(5000, 5000), 12))
+	}
+	runCrashSweep(t, golden, cfg, queries, insert,
+		func(t *testing.T, k int, rt *Tree, opOK bool) {
+			requireSameResults(t, "recovered", want, crashSearchAll(t, rt, queries))
+			switch {
+			case opOK && rt.Len() == wantLen+1:
+			case !opOK && rt.Len() == wantLen:
+			default:
+				t.Fatalf("offset %d: opOK=%v but recovered Len %d (atomicity: want %d on failure, %d on success)",
+					k, opOK, rt.Len(), wantLen, wantLen+1)
+			}
+		})
+
+	// Uninterrupted, the insert migrates the file.
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenTree(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(tree); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pagefile.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	meta, root := make([]byte, pagefile.PageSize), make([]byte, pagefile.PageSize)
+	if err := raw.Read(fileMetaPage, meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Read(pagefile.PageID(binary.LittleEndian.Uint32(meta[8:])), root); err != nil {
+		t.Fatal(err)
+	}
+	if string(meta[:4]) != "6RTU" || root[0] == 0 || root[1] != 1 {
+		t.Fatalf("after the insert: magic %q, root level %d flags %#x; want UTR6 and a float32 intermediate root", meta[:4], root[0], root[1])
+	}
 }
