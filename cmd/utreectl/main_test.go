@@ -8,6 +8,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/pagefile"
+	"repro/uncertain"
 )
 
 // TestCommands builds a small LB index and drives every subcommand over
@@ -77,5 +80,90 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("a usage error created the index file: %v", err)
+	}
+}
+
+// TestUTR6File drives verify, query and nn over an index written before
+// centre leaf entries (internal/core/testdata/utr6.idx, metadata magic
+// UTR6, built by this command's `build -dataset LB -scale 0.01`): each
+// prints what the version that wrote the file printed
+// (testdata/utr6.golden.txt, its wall times left out), and none changes
+// the file. A WriteBatch that inserts a ball and deletes it again stamps
+// the file UTR7, after which every command prints the same again.
+func TestUTR6File(t *testing.T) {
+	golden, err := os.ReadFile("testdata/utr6.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile("../../internal/core/testdata/utr6.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "utr6.idx")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wallTime := regexp.MustCompile(` in [0-9.]+(ns|µs|ms|s) \(`)
+	transcript := func() string {
+		t.Helper()
+		var all strings.Builder
+		for _, c := range strings.Split(string(golden), "\n") {
+			cmd, ok := strings.CutPrefix(c, "$ utreectl ")
+			if !ok {
+				continue
+			}
+			args := strings.Fields(cmd)
+			args = append([]string{args[0], "-index", path}, args[1:]...)
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("utreectl %s: %v\n%s", strings.Join(args, " "), err, out.String())
+			}
+			all.WriteString(c + "\n" + wallTime.ReplaceAllString(out.String(), " in T ("))
+		}
+		return all.String()
+	}
+	magic := func() string {
+		t.Helper()
+		store, err := pagefile.OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		meta := make([]byte, pagefile.PageSize)
+		if err := store.Read(1, meta); err != nil {
+			t.Fatal(err)
+		}
+		return string(meta[:4])
+	}
+	if m := magic(); m != "6RTU" { // "UTR6", little endian
+		t.Fatalf("fixture magic %q, want UTR6", m)
+	}
+	if got := transcript(); got != string(golden) {
+		t.Fatalf("on the UTR6 file:\n%s\nthe version that wrote it printed:\n%s", got, golden)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, fixture) {
+		t.Fatalf("verify, query or nn changed the UTR6 file (%v)", err)
+	}
+
+	tree, err := uncertain.OpenTree(path, uncertain.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.WriteBatch(func(w uncertain.BatchWriter) error {
+		if err := w.Insert(5000, uncertain.UniformCircle(uncertain.Pt(5000, 5000), 250)); err != nil {
+			return err
+		}
+		return w.Delete(5000)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := magic(); m != "7RTU" {
+		t.Fatalf("magic after a WriteBatch %q, want UTR7", m)
+	}
+	if got := transcript(); got != string(golden) {
+		t.Fatalf("after a WriteBatch:\n%s\nbefore it:\n%s", got, golden)
 	}
 }

@@ -34,7 +34,8 @@
 //	probability bound, replaces Rules 3–5    → internal/pcr.Faces.ProbBounds, internal/pcr.ProbBoundsPCR
 //	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
-//	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.compact, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
+//	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.form, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
+//	keyed ball: id, address, centre; no MBR  → internal/core.centreSize, internal/core.packedNode.leafMBR, internal/updf.Recentrer.MBRAt
 //	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
 //	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
 //	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree

@@ -18,12 +18,15 @@ import (
 //     is allocated;
 //  2. tile the leaf level with Sort-Tile-Recursive (STR) packing over the
 //     entries' e.MBR(p_median) centers — the same geometry the incremental
-//     split sorts by — cutting each sorted run into as many nodes as a full
-//     packing would, each with a free slot where the run has one to spare
-//     (runCutter.cut);
+//     split sorts by — every other slab sorted the other way, so the tiles
+//     run back and forth (boustrophedon) and consecutive tiles are
+//     neighbours; and cut each sorted run into as many nodes as a full
+//     packing would, each with room for one more entry of any form where
+//     the run has it to spare (runCutter.cut);
 //  3. walk the leaves in tile order and only then append each entry's detail
 //     record, so the records of one leaf share one or two adjacent data pages
-//     and data pages follow leaf order — refinement groups candidates "by
+//     and data pages follow leaf order — a page that straddles two leaves
+//     then holds spatial neighbours — refinement groups candidates "by
 //     their associated disk addresses" (paper §5), which saves I/O only when
 //     neighbouring objects share a page — then write the nodes level by
 //     level.
@@ -84,7 +87,12 @@ func (t *Tree) BulkLoad(objects []Object) error {
 			for i := range current {
 				size[i] = t.entrySize(&current[i], leaf)
 			}
-			groups = strTile(centersOf(current, leaf), size, t.dim, minFill)
+			// A node's free room is one entry of the level's largest form.
+			room := t.innerEntrySize
+			if leaf {
+				room = t.leafEntrySize
+			}
+			groups = strTile(centersOf(current, leaf), size, t.dim, minFill, room)
 		} else {
 			// What is left fits one node: the root.
 			groups = [][]int{identity(len(current))}
@@ -186,29 +194,40 @@ func identity(n int) []int {
 
 // strTile partitions the entries whose flattened center coordinates and
 // on-page sizes are given into groups that each fit a page and hold at
-// least minFill bytes, using recursive sort-tile, and returns each group as
-// indices into the input, in tile order.
-func strTile(centers []float64, size []int, dim, minFill int) [][]int {
+// least minFill bytes, leaving room bytes free where a run can spare them,
+// using recursive sort-tile, and returns each group as indices into the
+// input, in tile order. At each level every other slab is sorted
+// descending, so the tile order snakes: the last tile of a slab and the
+// first of the next lie side by side.
+func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	var groups [][]int
 	var c runCutter
-	var recurse func(ids []int, d int)
-	recurse = func(ids []int, d int) {
+	var recurse func(ids []int, d int, desc bool)
+	recurse = func(ids []int, d int, desc bool) {
 		total, big := 0, 0
 		for _, id := range ids {
 			total, big = total+size[id], max(big, size[id])
 		}
 		pages := (total + pageBytes/big*big - 1) / (pageBytes / big * big)
-		sort.Slice(ids, func(a, b int) bool {
-			return centers[ids[a]*dim+d] < centers[ids[b]*dim+d]
-		})
+		if desc {
+			sort.Slice(ids, func(a, b int) bool { return centers[ids[a]*dim+d] > centers[ids[b]*dim+d] })
+		} else {
+			sort.Slice(ids, func(a, b int) bool { return centers[ids[a]*dim+d] < centers[ids[b]*dim+d] })
+		}
 		if pages <= 1 || d == dim-1 {
-			// Final dimension: cut the sorted run into nodes.
+			// Final dimension: cut the sorted run into nodes, on keys
+			// negated in a descending slab, so that they ascend as cut
+			// needs.
+			sign := 1.0
+			if desc {
+				sign = -1
+			}
 			c.keys, c.w = c.keys[:0], append(c.w[:0], 0)
 			for _, id := range ids {
-				c.keys = append(c.keys, centers[id*dim+d])
+				c.keys = append(c.keys, sign*centers[id*dim+d])
 				c.w = append(c.w, c.w[len(c.w)-1]+size[id])
 			}
-			groups = append(groups, c.cut(ids, big, minFill)...)
+			groups = append(groups, c.cut(ids, big, minFill, room)...)
 			return
 		}
 		// Slabs: ceil(pages^(1/(dim-d))) vertical cuts on dimension d.
@@ -217,15 +236,11 @@ func strTile(centers []float64, size []int, dim, minFill int) [][]int {
 			slabs = 1
 		}
 		per := (len(ids) + slabs - 1) / slabs
-		for lo := 0; lo < len(ids); lo += per {
-			hi := lo + per
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			recurse(ids[lo:hi], d+1)
+		for s, lo := 0, 0; lo < len(ids); s, lo = s+1, lo+per {
+			recurse(ids[lo:min(lo+per, len(ids))], d+1, s%2 == 1)
 		}
 	}
-	recurse(identity(len(centers)/dim), 0)
+	recurse(identity(len(centers)/dim), 0, false)
 	return groups
 }
 
@@ -246,17 +261,19 @@ type runCutter struct {
 // into k consecutive groups, k = ⌈bytes / (a page of the run's largest
 // entries, big)⌉: the node count of a full packing, so no page is added.
 // Every group fits a page and holds at least minFill bytes (≤ 2/5 of a
-// page, which an even cut exceeds when k > 1), and at most a page less big
-// wherever k such groups hold the run, so each node takes its first insert
-// without a split or forced reinsert. For entries of one size the groups'
-// entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a run of both forms that
-// band, its lower end in the smaller entries' bytes and its upper in the
-// larger's, bounds their bytes. Inside it the k − 1 cuts go where the summed
+// page, which an even cut exceeds when k > 1), and at most a page less
+// room (at least big: an entry of the level's largest form) wherever k
+// such groups hold the run, so each node takes its first insert without a
+// split or forced reinsert; where they do not, as much of room as they can
+// spare, in steps of big. For entries of one size the groups'
+// entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a run of mixed forms that
+// band, its lower end in the smallest entries' bytes and its upper in the
+// largest's, bounds their bytes. Inside it the k − 1 cuts go where the summed
 // key gaps across them (keys[i] − keys[i−1] for a cut before i) is
 // largest, so nodes part where the data does, and where sums tie, nearest
 // the even cut. Should no cut into k groups exist, which only a run of
-// both forms can make so, it tries k + 1.
-func (c *runCutter) cut(ids []int, big, minFill int) [][]int {
+// mixed forms can make so, it tries k + 1.
+func (c *runCutter) cut(ids []int, big, minFill, room int) [][]int {
 	n, total, full := len(ids), c.w[len(ids)], pageBytes/big*big
 	small := total
 	for i := 0; i < n; i++ {
@@ -266,13 +283,15 @@ func (c *runCutter) cut(ids []int, big, minFill int) [][]int {
 		if k <= 1 {
 			return [][]int{ids}
 		}
-		for _, upper := range [2]int{full - big, full} {
-			if k*upper < total {
-				continue
+		for r := room; ; r -= big {
+			if upper := full - max(r, 0); k*upper >= total {
+				lo, hi := max(minFill, (n/k-2)*small), min(upper, ((n+k-1)/k+2)*big)
+				if out := c.cutInto(ids, k, lo, hi); out != nil {
+					return out
+				}
 			}
-			lo, hi := max(minFill, (n/k-2)*small), min(upper, ((n+k-1)/k+2)*big)
-			if out := c.cutInto(ids, k, lo, hi); out != nil {
-				return out
+			if r <= 0 {
+				break
 			}
 		}
 	}

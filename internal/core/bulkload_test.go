@@ -297,8 +297,9 @@ func TestBulkLoadNNSharesDataPages(t *testing.T) {
 }
 
 // TestBulkLoadLeavesRoom: STR's run cut keeps the node count of a full
-// packing but leaves every node a free slot wherever the run has one to
-// spare, so the first inserts after a load neither split nor reinsert.
+// packing but leaves every node room for one more entry of any form
+// wherever the run has it to spare, so the first inserts after a load
+// neither split nor reinsert.
 func TestBulkLoadLeavesRoom(t *testing.T) {
 	t.Run("cut", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
@@ -327,23 +328,26 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 		}
 	})
 
-	// Runs of compact (48 B) and full (112 B) entries, clustered or mixed.
+	// Runs of centre (32 B) or compact (48 B) and full (112 B) entries,
+	// clustered or mixed, cut with room for the largest entry of the run
+	// and for a full one whatever the run holds.
 	t.Run("bytes", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		var c runCutter
 		for trial := 0; trial < 2000; trial++ {
 			n := 1 + rng.Intn(3000)
 			c.keys, c.w = clusteredKeys(rng, n), []int{0}
-			share, big := rng.Float64(), 0
+			share, big, small := rng.Float64(), 0, []int{32, 48}[trial/2%2]
 			for i := 0; i < n; i++ {
-				s := 48
+				s := small
 				// Full entries in a block of the run, or anywhere.
 				if trial%2 == 0 && i < int(share*float64(n)) || trial%2 == 1 && rng.Float64() < share {
 					s = 112
 				}
 				c.w, big = append(c.w, c.w[i]+s), max(big, s)
 			}
-			checkCutBytes(t, n, c.w, c.cut(identity(n), big, 14*112), big, 14*112)
+			room := []int{big, 112}[trial/4%2]
+			checkCutBytes(t, n, c.w, c.cut(identity(n), big, 14*112, room), big, 14*112, room)
 		}
 	})
 
@@ -364,8 +368,8 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			t.Fatalf("%d leaves; the fixture no longer spans 20", len(leaves))
 		}
 		for i, l := range leaves {
-			if b := tree.entryBytes(l.entries, true); b+tree.compactEntrySize > pageBytes {
-				t.Fatalf("leaf %d of %d holds %d entries in %d of %d bytes; every run of this fixture has a slot to spare",
+			if b := tree.entryBytes(l.entries, true); b+tree.leafEntrySize > pageBytes {
+				t.Fatalf("leaf %d of %d holds %d entries in %d of %d bytes; every run of this fixture has a full entry's room to spare",
 					i, len(leaves), len(l.entries), b, pageBytes)
 			}
 		}
@@ -402,7 +406,7 @@ func cutUniform(c *runCutter, ids []int, capacity, minFill int) [][]int {
 	for i := 0; i <= len(ids); i++ {
 		c.w = append(c.w, i*size)
 	}
-	return c.cut(ids, size, minFill*size)
+	return c.cut(ids, size, minFill*size, size)
 }
 
 // checkCutBytes holds a cut of a run of entries of more than one size, whose
@@ -410,13 +414,18 @@ func cutUniform(c *runCutter, ids []int, capacity, minFill int) [][]int {
 // run in order; each fits a page and, where there are several, holds
 // minFill; there are as many as a full packing of the largest entries
 // would make, or one more where such a packing has no legal cut; and each
-// leaves room for one more of the largest entries where that many groups
-// could hold the run with room for two (for a run of one size, one is
-// enough: checkCut).
-func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill int) {
+// leaves r bytes free, r the most of room, room − big, room − 2·big, …
+// that that many groups could leave free with one more of the largest
+// entries free as well (for a run of one size and room for one entry, the
+// room alone is enough: checkCut).
+func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, room int) {
 	t.Helper()
 	full := pageBytes / big * big
 	k := (w[n] + full - 1) / full
+	r := room
+	for r > 0 && k*(full-r-big) < w[n] {
+		r -= big
+	}
 	at := 0
 	for j, g := range groups {
 		for _, id := range g {
@@ -429,8 +438,8 @@ func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill in
 		if b > pageBytes || len(groups) > 1 && b < minFill {
 			t.Fatalf("n %d, %d B: group %d of %d holds %d B (minFill %d)", n, w[n], j, len(groups), b, minFill)
 		}
-		if len(groups) == k && k > 1 && k*(full-2*big) >= w[n] && b > full-big {
-			t.Fatalf("n %d, %d B: group %d of %d holds %d B, no room for a %d-B entry", n, w[n], j, k, b, big)
+		if len(groups) == k && k > 1 && r > 0 && b > full-r {
+			t.Fatalf("n %d, %d B: group %d of %d holds %d B, not %d B of room", n, w[n], j, k, b, r)
 		}
 	}
 	if at != n || len(groups) < k || len(groups) > k+1 {

@@ -22,8 +22,9 @@ import (
 //   - stored object count matching the leaf entry count,
 //   - the working tree's ID directory holding the leaf entries' IDs, each at
 //     its entry's record address, and no other,
-//   - every leaf entry's shape reference within the shape table, and its
-//     MBR's extents those of the prototype to within pcr.ShapeSlack,
+//   - every leaf entry's shape reference within the shape table, its MBR's
+//     extents those of the prototype to within pcr.ShapeSlack, and a
+//     centre entry's shape recentrable,
 //   - the recorded root box equal to the root's boundary box at p = 0.
 //
 // It returns the first violation found, or nil.
@@ -130,7 +131,8 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, recor
 }
 
 // checkShape validates a leaf entry's shape reference against the table,
-// and with record set the record's pdf against the shape.
+// and with record set the record's pdf against the shape and a centre
+// entry's centre.
 func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 	if e.shape == 0 {
 		return nil
@@ -139,6 +141,9 @@ func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 		return fmt.Errorf("shape reference %d beyond a table of %d", e.shape, len(shapes))
 	}
 	sh := shapes[e.shape-1]
+	if e.ctr != nil && sh.rc == nil {
+		return fmt.Errorf("centre entry names shape %d (%s), which cannot be recentred", e.shape, sh.pdf.ShapeKey())
+	}
 	for i := range sh.mbr.Lo {
 		if d := pcr.ShapeSlack(sh.mbr, e.mbr, i); !(math.Abs(e.mbr.Side(i)-sh.mbr.Side(i)) <= d) {
 			return fmt.Errorf("MBR %v does not have the extents of shape %d (%v)", e.mbr, e.shape, sh.mbr)
@@ -155,7 +160,23 @@ func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
 		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())
 	}
+	if err == nil && e.ctr != nil && !sameBits(e.ctr, obj.PDF.Center()) {
+		err = fmt.Errorf("centre %v, its record's %v", e.ctr, obj.PDF.Center())
+	}
 	return err
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // containsEps is Contains with an absolute tolerance absorbing the float

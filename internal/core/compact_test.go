@@ -45,8 +45,10 @@ const utr4Samples = 2000
 // fifth of them histograms without a shape, 140 bulk-loaded and 20
 // inserted, every leaf entry in full). It answers every range and k-NN
 // query of testdata/utr4.golden.json exactly as the code that wrote it did,
-// passes CheckInvariants, and one Insert plus Commit stamps it UTR6 and
-// rewrites the leaf the insert touched compact, the other leaves as they
+// passes CheckInvariants, and one Insert plus Commit stamps it UTR7 and
+// rewrites the leaf the insert touched compact (its balls' entries
+// centred, since an inserted object holds its centre, and the file's
+// keyed entries compact, since theirs has no exact one), the other leaves as they
 // were, and its intermediate root — float64 boxes, no header flag — in the
 // float32 layout. Once the object is deleted again it answers every query
 // as before.
@@ -100,7 +102,7 @@ func TestOpenUTR4File(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m := magic(); m != metaMagic {
-		t.Fatalf("magic after a commit %#x, want UTR6", m)
+		t.Fatalf("magic after a commit %#x, want UTR7", m)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -116,8 +118,8 @@ func TestOpenUTR4File(t *testing.T) {
 		}
 		rewritten++
 		for i := 0; i < p.count; i++ {
-			if _, ref := p.addr(i); (ref != 0) != p.compact(i) {
-				t.Fatalf("rewritten leaf %d entry %d: shape %d, compact %v", page, i, ref, p.compact(i))
+			if _, ref := p.addr(i); (ref != 0) != (p.form(i) != 0) || p.centred(i) != (p.id(i) == o.ID) {
+				t.Fatalf("rewritten leaf %d entry %d: shape %d, form %#x", page, i, ref, p.form(i))
 			}
 		}
 	}
@@ -206,8 +208,9 @@ func treeLeaves(t *testing.T, tree *Tree) map[pagefile.PageID]*packedNode {
 	return leaves
 }
 
-// forms counts a tree's leaf entries by form, and its leaves holding both.
-type forms struct{ keyed, unkeyed, compact, mixedLeaves int }
+// forms counts a tree's leaf entries by form, and its leaves holding keyed
+// and unkeyed entries.
+type forms struct{ keyed, unkeyed, compact, centre, mixedLeaves int }
 
 func leafForms(t *testing.T, tree *Tree) (f forms) {
 	t.Helper()
@@ -219,8 +222,11 @@ func leafForms(t *testing.T, tree *Tree) (f forms) {
 			} else {
 				unkeyed++
 			}
-			if p.compact(i) {
+			switch {
+			case p.form(i) == compactEntry:
 				f.compact++
+			case p.centred(i):
+				f.centre++
 			}
 		}
 		f.keyed, f.unkeyed = f.keyed+keyed, f.unkeyed+unkeyed
@@ -275,7 +281,7 @@ func mixedObjects(n, dim int, span float64, id0 int64, unkeyedOnly bool, rng *ra
 	return objs
 }
 
-// TestMixedTrees builds U-trees of keyed (compact) and unkeyed (full) leaf
+// TestMixedTrees builds U-trees of keyed (centre and compact) and unkeyed (full) leaf
 // entries, 2-D and 3-D, by BulkLoad and by Insert, and churns them: deletes,
 // then write batches of inserts and deletes under one commit each, then a
 // batch rolled back. After every step the invariants hold — byte capacity
@@ -384,8 +390,8 @@ func checkMixed(t *testing.T, name string, tree *Tree, live map[int64]Object, sp
 	if tree.Len() != len(live) {
 		t.Fatalf("%s: Len %d, want %d", name, tree.Len(), len(live))
 	}
-	if f := leafForms(t, tree); f.mixedLeaves == 0 || f.compact != f.keyed || f.keyed+f.unkeyed != len(live) {
-		t.Fatalf("%s: leaf forms %+v; want every keyed entry compact and some leaf of both forms", name, f)
+	if f := leafForms(t, tree); f.mixedLeaves == 0 || f.compact == 0 || f.centre == 0 || f.compact+f.centre != f.keyed || f.keyed+f.unkeyed != len(live) {
+		t.Fatalf("%s: leaf forms %+v; want every keyed entry centred or compact, both forms used, and some leaf of keyed and unkeyed entries", name, f)
 	}
 	// CheckInvariants lets a leaf from a UTR4 file meet the fill by count;
 	// a tree this code built meets it in bytes.
@@ -453,7 +459,10 @@ func checkMixed(t *testing.T, name string, tree *Tree, live map[int64]Object, sp
 // page and every data record, pinned as hashes, the numbers of the code
 // before (2-D and 3-D, bulk-loaded and inserted, then a quarter deleted).
 // Its intermediate pages hold float32 boxes since UTR6, and their hash is
-// that layout's.
+// that layout's. A bulk-loaded tree's hashes are those of the boustrophedon
+// tile order (strTile), which lays the same leaves out in another order;
+// its page and leaf counts are what they were, and so is the room STR
+// leaves, one full entry: the room of a leaf of full entries.
 func TestUnkeyedTreeUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		dim                          int
@@ -461,9 +470,9 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 		pages, leaves                int
 		leafHash, recHash, innerHash uint64
 	}{
-		{2, "BulkLoad", 21, 20, 0xb6b8501f59dc94d1, 0x8e7d0b262c2bbbcf, 0xed66e4518bd826ee},
+		{2, "BulkLoad", 21, 20, 0xc49e2c783204ee1b, 0xe4f71c142eaa3c13, 0xbcac6e3ea01264de},
 		{2, "Insert", 22, 21, 0xcca5d622271bcd80, 0x2bc9f176fb5f8e37, 0x2d26f45dab060e3c},
-		{3, "BulkLoad", 28, 27, 0xf8164a161cb0d457, 0xebb1da17243c5a4a, 0x1b3ea11a81fc9e1d},
+		{3, "BulkLoad", 28, 27, 0x55d992ada4075ab6, 0xf56d9af8b3006e02, 0x752edf61be292df5},
 		{3, "Insert", 32, 31, 0xce8edfd93e4488d9, 0xd183ffaea2500986, 0x8ad4d35d85ebe8ba},
 	} {
 		rng := rand.New(rand.NewSource(int64(7 + c.dim)))

@@ -37,15 +37,20 @@ func (k Kind) String() string {
 // Leaf entries: id, addr, mbr are always set, shape names the object's
 // prototype in the tree's shape table (0: none); a U-tree leaf carries fit
 // where it has a shape and out/in CFBs where it has none, a U-PCR leaf
-// carries pcrs (length m, pcrs[0] == mbr).
+// carries its PCRs in boxes (length m, boxes[0] == mbr). A U-tree leaf
+// entry whose shape
+// is recentrable carries its object's centre too, unless it was read from a
+// compact entry, which holds none; the centre is what its page holds
+// (entrySize), mbr the shape's box at it.
 //
 // Intermediate entries: child is set and boxes carries the bounding
 // geometry — length 2 for the U-tree ([MBR⊥, MBR⊤], interpolated linearly
-// in p) and length m for U-PCR (one bounding rectangle per catalog value).
+// in p) and length m for U-PCR (one bounding rectangle per catalog value),
+// the shape of a U-PCR leaf entry's PCRs.
 //
 // The coordinate slices are read-only. An expanded node's entries lie over
 // its packedNode's slabs, and entries are copied by value between nodes
-// (split, reinsertion), so a write through mbr, out, in, pcrs or boxes
+// (split, reinsertion), so a write through mbr, out, in, ctr or boxes
 // would reach other entries. Geometry changes by replacing the slice
 // (refreshPath); the only in-place writers, interpInto, UnionInPlace and
 // roundOut, work on scratch and on cloneBoxes copies.
@@ -56,13 +61,14 @@ type entry struct {
 	mbr  geom.Rect
 	out  pcr.CFB
 	in   pcr.CFB
-	pcrs []geom.Rect
 	// fit is a keyed U-tree entry's shape, whose translated faces are its
-	// CFBs (it is written compact and stores none); out and in are nil.
+	// CFBs (it is written compact or centred and stores none); out and in
+	// are nil.
 	fit   *pcr.Shape
-	shape uint16 // here, in the word child half fills, the struct does not grow
+	ctr   geom.Point // a centre entry's centre (centreSize), else nil
+	shape uint16     // here, in the word child half fills, the struct does not grow
 
-	// Intermediate fields.
+	// Intermediate fields, and a U-PCR leaf entry's PCRs in boxes.
 	child pagefile.PageID
 	boxes []geom.Rect
 }
@@ -73,11 +79,8 @@ type entry struct {
 // its own; a U-tree leaf entry's are evaluated from its faces into sc, and
 // hold until sc's next use. Either way they are read-only.
 func (t *Tree) boundary(e *entry, leaf bool, sc *boundScratch) []geom.Rect {
-	if !leaf {
+	if !leaf || t.kind != UTree {
 		return e.boxes
-	}
-	if t.kind != UTree {
-		return e.pcrs
 	}
 	b := sc.one.take(2, t.dim)
 	if !e.faces(&sc.faces) {
@@ -269,8 +272,8 @@ func roundOut(r geom.Rect) {
 // there), the boxes rounded outward (roundOut), which keeps them
 // conservative; its leaf MBRs and U-PCR's exact faces are float64 (README
 // "Leaf layout"). 2-D: 112 B per full U-tree leaf entry and 40 B per
-// intermediate one; 3-D: 160 B and 56 B. A keyed U-tree entry is compact
-// instead (compactSize).
+// intermediate one; 3-D: 160 B and 56 B. A keyed U-tree entry is centred
+// (centreSize) or compact (compactSize) instead.
 func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {
@@ -296,12 +299,28 @@ func wideInnerSize(dim int) int { return 8 + 32*dim }
 
 // compactSize is a compact U-tree leaf entry's size: id(8) + addr(6) +
 // shape(2, compactEntry set) + MBR, 48 B in 2-D and 64 B in 3-D. Its CFBs
-// are its shape's, translated (pcr.Shape.Translate), so it stores none.
+// are its shape's, translated (pcr.Shape.Translate), so it stores none. It
+// is the form of a keyed entry whose shape cannot be recentred, and of a
+// ball's entry read from a UTR5 or UTR6 file, whose exact centre the page
+// does not hold.
 func compactSize(dim int) int { return 16 + 16*dim }
 
-// compactEntry flags a compact leaf entry in the shape half of its address
-// word. Shape references stay below it: the table lives in one page.
-const compactEntry = 1 << 15
+// centreSize is a centre U-tree leaf entry's size: id(8) + addr(6) +
+// shape(2, centreEntry set) + centre (d float64), 32 B in 2-D and 40 B in
+// 3-D. Its shape is recentrable (updf.Recentrer), so its MBR is the
+// shape's box at the centre (MBRAt, bit for bit the object's MBR) and its
+// CFBs the shape's, translated; it stores neither. It is the form of every
+// keyed ball's entry written since UTR7.
+func centreSize(dim int) int { return 16 + 8*dim }
+
+// compactEntry and centreEntry flag a compact and a centre leaf entry in
+// the shape half of its address word; a full entry has neither, and none
+// has both. Shape references stay below them: the table lives in one page.
+const (
+	compactEntry = 1 << 15
+	centreEntry  = 1 << 14
+	entryForm    = compactEntry | centreEntry
+)
 
 // nodeHeader is the per-page header: level(1) + flags(1) + count(2) + pad(4).
 const nodeHeader = 8
@@ -312,9 +331,9 @@ const nodeHeader = 8
 const halfInner = 1
 
 // pageBytes is what a node's entries may fill. Capacity and fill are
-// counted in bytes, not entries, so one leaf can hold both forms: a full
-// leaf is compact entries to 85 (2-D) or 63 (3-D), full entries to 36 or
-// 25, or any mix that fits.
+// counted in bytes, not entries, so one leaf can hold all three forms: a
+// full leaf is centre entries to 127 (2-D) or 102 (3-D), compact ones to 85
+// or 63, full ones to 36 or 25, or any mix that fits.
 const pageBytes = pagefile.PageSize - nodeHeader
 
 // capacities derives node fan-outs in full entries from the page and entry
@@ -325,11 +344,14 @@ func capacities(kind Kind, dim, m int) (leafCap, innerCap int) {
 }
 
 // entrySize is e's size on a node page at the given level: a U-tree leaf
-// entry with a shape is compact (encodeLeafEntry).
+// entry with a shape is centred where it holds its centre and compact
+// where it does not (encodeLeafEntry).
 func (t *Tree) entrySize(e *entry, leaf bool) int {
 	switch {
 	case !leaf:
 		return t.innerEntrySize
+	case t.kind == UTree && e.ctr != nil:
+		return t.centreEntrySize
 	case t.kind == UTree && e.shape != 0:
 		return t.compactEntrySize
 	}

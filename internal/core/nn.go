@@ -128,13 +128,13 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	// with it every result — is unchanged.
 	sc := getScratch()
 	defer sc.release()
-	distBuf := sc.point(t.dim)
+	distBuf, box := sc.point(t.dim), sc.mbr(t.dim)
 	pq := &sc.heap
 	*pq = append((*pq)[:0], nnItem{lb: 0, isNode: true, level: uint8(s.st.rootLevel), page: root})
 
 	worst := math.Inf(1)
 	// The data page the last refined object was read from.
-	dataPage, dataBuf := pagefile.InvalidPage, []byte(nil)
+	dataPage, dataBuf := pagefile.InvalidPage, sc.dataPage()
 
 	for pq.Len() > 0 {
 		if cerr := ctx.Err(); cerr != nil {
@@ -160,8 +160,14 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 			stats.NodeAccesses++
 			for i := 0; i < n.count; i++ {
 				if n.leaf() {
+					// A centre entry without a recentrable shape has no box
+					// to bound its distance by: 0 does.
+					var lb float64
+					if mbr, ok := n.leafMBR(i, s.st.shapes, box); ok {
+						lb = minDist(q, mbr)
+					}
 					addr, _ := n.addr(i)
-					nnPush(pq, nnItem{lb: minDist(q, n.mbr(i)), id: n.id(i), addr: addr})
+					nnPush(pq, nnItem{lb: lb, id: n.id(i), addr: addr})
 				} else {
 					nnPush(pq, nnItem{
 						lb:     t.innerMinDist(n, i, q),
@@ -178,7 +184,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		// page: keep the page just read and fetch only when the next object
 		// lives elsewhere.
 		if it.addr.Page != dataPage {
-			if dataBuf, err = t.data.ReadPage(it.addr.Page); err != nil {
+			if err = t.data.ReadPageInto(it.addr.Page, dataBuf); err != nil {
 				return finish(err)
 			}
 			dataPage = it.addr.Page

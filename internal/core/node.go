@@ -37,12 +37,14 @@ func (n *node) leaf() bool { return n.level == 0 }
 //     Every entry size is a multiple of 8 and the header is 8 bytes, so
 //     every float64 rectangle — a U-tree leaf's MBR, a U-PCR leaf's m PCRs
 //     (pcr(0) is the MBR), a U-PCR intermediate entry's m bounding boxes —
-//     is a run of f64. A full U-tree leaf entry's cfb_out‖cfb_in is a run
-//     of float32s after its MBR, laid over buf when read (cfbs); a compact
-//     entry has none (its faces are its shape's). A U-tree intermediate
-//     entry's MBR⊥‖MBR⊤ is a run of float32s after its child (box32).
-//   - stride: the size of every entry; offs, for a leaf holding both
-//     U-tree entry forms, each entry's byte offset instead.
+//     is a run of f64, and so is a centre entry's centre (centre), in
+//     place of an MBR (leafMBR). A full U-tree leaf entry's cfb_out‖cfb_in
+//     is a run of float32s after its MBR, laid over buf when read (cfbs);
+//     a compact or centre entry has none (its faces are its shape's). A
+//     U-tree intermediate entry's MBR⊥‖MBR⊤ is a run of float32s after its
+//     child (box32).
+//   - stride: the size of every entry; offs, for a leaf holding more than
+//     one U-tree entry form, each entry's byte offset instead.
 //   - rects: for U-PCR nodes, the nb rectangles of each entry laid over f64
 //     — the []geom.Rect the descent and the U-PCR filter take.
 //
@@ -75,22 +77,51 @@ func (p *packedNode) id(i int) int64 { return int64(binary.LittleEndian.Uint64(p
 // addr is leaf entry i's record address and shape reference.
 func (p *packedNode) addr(i int) (pagefile.DataAddr, uint16) {
 	w := binary.LittleEndian.Uint64(p.buf[p.at(i)+8:])
-	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ compactEntry
+	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ entryForm
 }
 
-// compact reports whether leaf entry i is in the compact form: id,
-// address and MBR, its faces its shape's (Shape.Translate).
-func (p *packedNode) compact(i int) bool {
-	return binary.LittleEndian.Uint16(p.buf[p.at(i)+14:])&compactEntry != 0
+// form is leaf entry i's form flag: compactEntry, centreEntry, or 0 for a
+// full entry.
+func (p *packedNode) form(i int) uint16 {
+	return binary.LittleEndian.Uint16(p.buf[p.at(i)+14:]) & entryForm
 }
+
+// centred reports whether leaf entry i is in the centre form: id, address
+// and centre, its MBR and faces its shape's at the centre.
+func (p *packedNode) centred(i int) bool { return p.form(i) == centreEntry }
 
 // child is intermediate entry i's child page.
 func (p *packedNode) child(i int) pagefile.PageID {
 	return pagefile.PageID(binary.LittleEndian.Uint32(p.buf[p.at(i):]))
 }
 
-// mbr is leaf entry i's MBR.
+// mbr is leaf entry i's MBR where the page holds one: a full or compact
+// U-tree entry's, a U-PCR entry's. leafMBR reads every form.
 func (p *packedNode) mbr(i int) geom.Rect { return p.rect(p.at(i) + 16) }
+
+// centre is centre entry i's centre.
+func (p *packedNode) centre(i int) geom.Point {
+	d, k := int(p.dim), (p.at(i)+16)/8
+	return p.f64[k : k+d : k+d]
+}
+
+// leafMBR is leaf entry i's MBR as a reader of an epoch whose shape table is
+// shapes sees it: where the page holds it, or for a centre entry its shape's
+// box at the centre, written into dst's coordinates without allocating
+// (updf.Recentrer.MBRAt) — bit for bit the MBR the object's pdf has. ok is
+// false for a centre entry whose reference names no recentrable shape in
+// shapes: it has no box (CheckInvariants reports it).
+func (p *packedNode) leafMBR(i int, shapes []shape, dst geom.Rect) (mbr geom.Rect, ok bool) {
+	if !p.centred(i) {
+		return p.mbr(i), true
+	}
+	_, ref := p.addr(i)
+	if int(ref) > len(shapes) || shapes[ref-1].rc == nil {
+		return geom.Rect{}, false
+	}
+	shapes[ref-1].rc.MBRAt(p.centre(i), dst)
+	return dst, true
+}
 
 // rect is the rectangle at byte off of the page.
 func (p *packedNode) rect(off int) geom.Rect {
@@ -151,17 +182,20 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 }
 
 // expand is p's edit form, its entries laid over p's page (see entry). A
-// keyed U-tree leaf entry comes out compact whichever form the page holds —
-// a UTR4 file's are full — so the next write of its node stores it compact,
-// and its faces are its shape's in the table. One whose reference is beyond
-// the table, which CheckInvariants reports, has no faces but its MBR.
+// keyed U-tree leaf entry comes out centred where the page holds its
+// centre and compact otherwise — a UTR4 file's are full — so the next write
+// of its node stores it so, and its faces are its shape's in the table, its
+// MBR, for a centre entry, the shape's box at the centre (in one slab for
+// the node). One whose reference is beyond the table, which
+// CheckInvariants reports, has no faces but its MBR; a centre entry with
+// no recentrable shape has its centre for one.
 //
 // A U-tree intermediate entry's float32 boxes widen into one float64 slab
 // for the node: the writer's arithmetic (chooseSubtree, unionBoundary) is
 // float64, and a widened box is exactly what the page holds.
 func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 	n := &node{page: p.page, level: p.level, entries: make([]entry, p.count)}
-	var wide []geom.Rect
+	var wide, mbrs []geom.Rect
 	if !p.leaf() && t.kind == UTree {
 		wide = newBoxes(2*p.count, t.dim)
 	}
@@ -178,17 +212,33 @@ func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 		case !p.leaf():
 			e.child, e.boxes = p.child(i), p.boxes(i)
 		case t.kind == UTree:
-			e.id, e.mbr = p.id(i), p.mbr(i)
+			e.id = p.id(i)
 			e.addr, e.shape = p.addr(i)
-			if e.shape == 0 {
-				e.out, e.in = p.cfbs(i)
-			} else if int(e.shape) <= len(shapes) {
-				e.fit = shapes[e.shape-1].fit
+			var sh *shape
+			if e.shape != 0 && int(e.shape) <= len(shapes) {
+				sh = &shapes[e.shape-1]
+				e.fit = sh.fit
+			}
+			switch {
+			case !p.centred(i):
+				e.mbr = p.mbr(i)
+				if e.shape == 0 {
+					e.out, e.in = p.cfbs(i)
+				}
+			case sh == nil || sh.rc == nil:
+				e.ctr, e.fit = p.centre(i), nil
+				e.mbr = geom.Rect{Lo: e.ctr, Hi: e.ctr}
+			default:
+				if mbrs == nil {
+					mbrs = newBoxes(p.count, t.dim)
+				}
+				e.ctr, e.mbr = p.centre(i), mbrs[i]
+				sh.rc.MBRAt(e.ctr, e.mbr)
 			}
 		default:
-			e.id, e.pcrs = p.id(i), p.boxes(i)
+			e.id, e.boxes = p.id(i), p.boxes(i)
 			e.addr, e.shape = p.addr(i)
-			e.mbr = e.pcrs[0]
+			e.mbr = e.boxes[0]
 		}
 	}
 	return n
@@ -290,11 +340,12 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 // decodeNode checks page bytes and returns the packedNode that reads them.
 // It is the only code that reads a node's layout, and it checks everything
 // a reader relies on, once: the header flags, the entry count against
-// capacity, that every entry lies inside the page, that a compact entry
-// names a shape and sits in a U-tree leaf. Where buf is 8-byte aligned and
-// the host little-endian, the node views buf itself, which is then the
-// node's: one allocation, two for a leaf holding both entry forms, one more
-// for the rects of a U-PCR node. Otherwise it views a copy of the bytes its
+// capacity, that every entry lies inside the page, that a compact or
+// centre entry names a shape, has one form flag and sits in a U-tree leaf.
+// Where buf is 8-byte aligned and the host little-endian, the node views
+// buf itself, which is then the node's: one allocation, two for a leaf
+// holding more than one entry form, one more for the rects of a U-PCR
+// node. Otherwise it views a copy of the bytes its
 // entries use (nativeCopy), one allocation more. A U-tree intermediate page
 // written before UTR6, its boxes float64 (no halfInner flag), is read into
 // a copy in the float32 layout, its faces rounded outward (halveInner).
@@ -309,7 +360,8 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 		return fmt.Errorf("core: corrupt node %d: %w", id, &pagefile.BadPageError{Page: id, Reason: fmt.Sprintf(reason, a...)})
 	}
 	// A U-tree leaf entry's one rectangle is its MBR, beside two CFBs unless
-	// it is compact; the entries' flags say which size each has.
+	// it is compact, or its centre where it is centred; the entries' flags
+	// say which size each has.
 	utreeLeaf := p.leaf() && t.kind == UTree
 	utreeInner := !p.leaf() && t.kind == UTree
 	wide := false // a U-tree intermediate page written before UTR6
@@ -322,7 +374,7 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	}
 	switch {
 	case utreeLeaf:
-		p.nb, p.stride = 1, uint16(t.compactEntrySize)
+		p.nb, p.stride = 1, uint16(t.centreEntrySize)
 	case p.leaf():
 		p.stride = uint16(t.leafEntrySize)
 	}
@@ -331,17 +383,21 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 	}
 	used := nodeHeader + p.count*int(p.stride) // the bytes the entries end at
 	for i := 0; i < p.count && p.leaf() && !utreeLeaf; i++ {
-		if binary.LittleEndian.Uint16(buf[p.at(i)+14:])&compactEntry != 0 {
-			return nil, bad("compact entry %d in a %v leaf", i, t.kind)
+		if binary.LittleEndian.Uint16(buf[p.at(i)+14:])&entryForm != 0 {
+			return nil, bad("compact or centre entry %d in a %v leaf", i, t.kind)
 		}
 	}
 	for i, at := 0, nodeHeader; i < p.count && utreeLeaf; i++ {
-		sz := t.compactEntrySize
+		sz := t.leafEntrySize
 		switch shape := binary.LittleEndian.Uint16(buf[at+14:]); {
-		case shape == compactEntry:
-			return nil, bad("compact entry %d names no shape", i)
-		case shape&compactEntry == 0:
-			sz = t.leafEntrySize
+		case shape&entryForm == entryForm:
+			return nil, bad("leaf entry %d flagged both compact and centred", i)
+		case shape&entryForm != 0 && shape&^entryForm == 0:
+			return nil, bad("compact or centre entry %d names no shape", i)
+		case shape&compactEntry != 0:
+			sz = t.compactEntrySize
+		case shape&centreEntry != 0:
+			sz = t.centreEntrySize
 		}
 		switch {
 		case i == 0:
@@ -355,7 +411,7 @@ func (t *Tree) decodeNode(id pagefile.PageID, buf []byte) (*packedNode, error) {
 		if p.offs != nil {
 			p.offs[i] = uint16(at)
 		}
-		if at += sz; at+(p.count-i-1)*t.compactEntrySize > pagefile.PageSize {
+		if at += sz; at+(p.count-i-1)*t.centreEntrySize > pagefile.PageSize {
 			return nil, bad("%d entries overrun the page", p.count)
 		}
 		used = at
@@ -441,11 +497,15 @@ func (p *packedNode) copyFields(page []byte, utreeLeaf bool) {
 			}
 			continue
 		}
-		f64 := floats[float64](p.buf, k, 2*d*int(p.nb))
+		n := 2 * d * int(p.nb)
+		if utreeLeaf && p.centred(i) {
+			n = d
+		}
+		f64 := floats[float64](p.buf, k, n)
 		for j := range f64 {
 			f64[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[k+8*j:]))
 		}
-		if utreeLeaf && !p.compact(i) {
+		if utreeLeaf && p.form(i) == 0 {
 			k += 8 * len(f64)
 			f32 := floats[float32](p.buf, k, 8*d)
 			for j := range f32 {
@@ -484,25 +544,35 @@ func (t *Tree) innerBoxes() int {
 }
 
 // encodeLeafEntry writes e at the start of buf and returns its size: a
-// keyed U-tree entry compact — id, address word with the compact flag, MBR
-// — and every other entry full.
+// keyed U-tree entry that holds its centre centred — id, address word with
+// the centre flag, centre — any other keyed U-tree entry compact — id,
+// address word with the compact flag, MBR — and every other entry full.
 func (t *Tree) encodeLeafEntry(e *entry, buf []byte) int {
-	compact := t.kind == UTree && e.shape != 0
-	shape := e.shape
-	if compact {
-		shape |= compactEntry
+	var form uint16
+	switch {
+	case t.kind != UTree:
+	case e.ctr != nil:
+		form = centreEntry
+	case e.shape != 0:
+		form = compactEntry
 	}
 	binary.LittleEndian.PutUint64(buf, uint64(e.id))
-	off := putAddr(buf, 8, e.addr, shape)
+	off := putAddr(buf, 8, e.addr, e.shape|form)
+	if form == centreEntry {
+		for _, v := range e.ctr {
+			off = putF64(buf, off, v)
+		}
+		return t.entrySize(e, true)
+	}
 	off = putRect(buf, off, e.mbr)
 	switch {
-	case compact:
+	case form == compactEntry:
 	case t.kind == UTree:
 		putCFB(buf, putCFB(buf, off, e.out), e.in)
 	default:
 		// U-PCR: pcr(0) is the MBR itself, so boxes 1..m-1 follow the MBR slot.
 		for j := 1; j < t.cat.Size(); j++ {
-			off = putRect(buf, off, e.pcrs[j])
+			off = putRect(buf, off, e.boxes[j])
 		}
 	}
 	return t.entrySize(e, true)

@@ -48,18 +48,16 @@ const (
 // recentrable shape in shapes (the writer's table, which names o's shape by
 // ref), else the full form.
 func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
-	if ref != 0 {
-		if _, ok := shapes[ref-1].pdf.(updf.Recentrer); ok {
-			ctr := o.PDF.Center()
-			buf := make([]byte, keyedHeader, keyedHeader+8*len(ctr))
-			binary.LittleEndian.PutUint64(buf, uint64(o.ID))
-			buf[8] = keyedTag
-			binary.LittleEndian.PutUint16(buf[9:], ref)
-			for _, v := range ctr {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-			return buf, nil
+	if ref != 0 && shapes[ref-1].rc != nil {
+		ctr := o.PDF.Center()
+		buf := make([]byte, keyedHeader, keyedHeader+8*len(ctr))
+		binary.LittleEndian.PutUint64(buf, uint64(o.ID))
+		buf[8] = keyedTag
+		binary.LittleEndian.PutUint16(buf[9:], ref)
+		for _, v := range ctr {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
+		return buf, nil
 	}
 	pb, err := updf.Encode(o.PDF)
 	if err != nil {
@@ -95,9 +93,8 @@ func decodeObject(rec []byte, shapes []shape) (Object, error) {
 	if ref == 0 || ref > len(shapes) {
 		return Object{}, fmt.Errorf("%w: keyed record names shape %d of a table of %d", updf.ErrCorruptPDF, ref, len(shapes))
 	}
-	proto := shapes[ref-1].pdf
-	rc, ok := proto.(updf.Recentrer)
-	if !ok || len(rec) != keyedHeader+8*proto.Dim() {
+	proto, rc := shapes[ref-1].pdf, shapes[ref-1].rc
+	if rc == nil || len(rec) != keyedHeader+8*proto.Dim() {
 		return Object{}, fmt.Errorf("%w: keyed record of %d bytes for shape %d (%s)", updf.ErrCorruptPDF, len(rec), ref, proto.ShapeKey())
 	}
 	ctr := make(geom.Point, proto.Dim())

@@ -21,28 +21,37 @@ import (
 // the only page (besides slotted data pages) ever rewritten in place, and
 // it is written only after every page of the epoch it names is durable.
 //
-// The magic names the node and record layouts as well as the page: "UTR6"
-// U-tree intermediate entries hold MBR⊥ and MBR⊤ as float32, rounded
-// outward, in a node whose header carries the halfInner flag (node.go):
-// 40 B an entry instead of 72 in 2-D, 102 to a page instead of 56; "UTR5"
-// held them as float64, in a node without the flag, and its U-tree leaves
-// may hold compact entries — id, address and MBR, the CFBs those of the
-// entry's shape, translated — beside full ones; "UTR4" leaves hold every
+// The magic names the node and record layouts as well as the page: "UTR7"
+// U-tree leaves may hold centre entries — id, address and centre, flagged
+// by centreEntry, the MBR and CFBs those of the entry's recentrable shape
+// at the centre: 32 B an entry in 2-D, 127 to a leaf — beside compact and
+// full ones; "UTR6" had no centre entry, its keyed balls' entries compact;
+// since UTR6 U-tree intermediate entries hold MBR⊥ and MBR⊤ as float32,
+// rounded outward, in a node whose header carries the halfInner flag
+// (node.go): 40 B an entry instead of 72 in 2-D, 102 to a page instead of
+// 56; "UTR5" held them as float64, in a node without the flag, and its
+// U-tree leaves may hold compact entries — id, address and MBR, the CFBs
+// those of the entry's shape, translated — beside full ones; "UTR4" leaves
+// hold every
 // entry in full, its CFB coefficients as float32 (entrySizes), and data
 // records may be keyed — id, shape reference and centre, the pdf rebuilt
 // from the shape table (object.go); "UTR3" has full records only, leaf
 // entries with a shape reference; "UTR2" had zeroes there and where the
-// table is — a UTR3 file with an empty table. All four open as UTR6 files
-// that happen to hold float64 intermediate nodes (and UTR2 to UTR4 no
-// compact entry, UTR2/UTR3 no keyed record): decodeNode reads such a node
-// into the float32 layout, its boxes rounded outward. Their first commit
-// stamps them UTR6, so a build that cannot read the new layouts refuses the
-// file at open instead of failing mid-query; a node is rewritten in them
-// when a mutation first touches it. "UTR1" held the coefficients as float64
+// table is — a UTR3 file with an empty table. All five open as UTR7 files
+// that happen to hold no centre entry (and UTR2 to UTR5 float64
+// intermediate nodes, UTR2 to UTR4 no compact entry, UTR2/UTR3 no keyed
+// record): decodeNode reads such an intermediate node into the float32
+// layout, its boxes rounded outward. Their first commit stamps them UTR7,
+// so a build that cannot read the new layouts refuses the file at open
+// instead of failing mid-query; a node is rewritten in them when a
+// mutation first touches it, and an entry the file holds compact stays
+// compact, since its page has no exact centre and the rewrite reads no
+// record. "UTR1" held the coefficients as float64
 // in entries half again as large. There is one codec, so a UTR1 file is
 // refused, never decoded. U-PCR nodes are the same in every version.
 const (
-	metaMagic   = 0x55545236 // "UTR6"
+	metaMagic   = 0x55545237 // "UTR7"
+	metaMagicV6 = 0x55545236 // "UTR6"
 	metaMagicV5 = 0x55545235 // "UTR5"
 	metaMagicV4 = 0x55545234 // "UTR4"
 	metaMagicV3 = 0x55545233 // "UTR3"
@@ -55,7 +64,7 @@ const (
 // entries moved to float32 CFB coefficients. No reader for that layout is
 // kept: rebuild the index from its data.
 var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
-	"this version reads only UTR2 to UTR6 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
+	"this version reads only UTR2 to UTR7 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller writes the batch's data and node pages first (Commit does); the
@@ -105,7 +114,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 		return nil, nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
-	case metaMagic, metaMagicV5, metaMagicV4, metaMagicV3, metaMagicV2:
+	case metaMagic, metaMagicV6, metaMagicV5, metaMagicV4, metaMagicV3, metaMagicV2:
 	case metaMagicV1:
 		return nil, nil, ErrOldLayout
 	default:

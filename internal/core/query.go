@@ -194,6 +194,7 @@ func (t *Tree) rangeQuery(ctx context.Context, st *treeState, q Query, o QueryOp
 	frontier := append(sc.frontier[:0], st.rootPage)
 	next := sc.next[:0]
 	cands := sc.cands[:0]
+	box := sc.mbr(t.dim)
 	defer func() {
 		// Hand the (possibly grown) buffers back before releasing.
 		sc.frontier, sc.next, sc.cands = frontier, next, cands
@@ -228,17 +229,22 @@ descent:
 			}
 			stats.LeafAccesses++
 			for i := 0; i < n.count; i++ {
-				mbr := n.mbr(i)
+				mbr, ok := n.leafMBR(i, st.shapes, box)
 				addr, shape := n.addr(i)
 				var outcome pcr.Outcome
 				switch {
+				case !ok:
+					// A centre entry whose shape the table cannot recentre
+					// has no box: the record decides.
+					outcome = pcr.Unknown
 				case t.kind == UPCR:
 					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
-				case !n.compact(i):
+				case n.form(i) == 0:
 					out, in := n.cfbs(i)
 					outcome = pcr.FilterCFB(out, in, t.cat, mbr, q.Rect, q.Prob)
 				case int(shape) <= len(st.shapes):
-					// A compact entry's faces are its shape's, translated.
+					// A compact or centre entry's faces are its shape's,
+					// translated.
 					outcome = st.shapes[shape-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
 				default:
 					// A reference beyond the table gives no faces: the
@@ -255,7 +261,7 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					c := candidate{id: n.id(i), addr: addr, keyed: shape != 0 && int(shape) <= len(st.shapes)}
+					c := candidate{id: n.id(i), addr: addr, keyed: ok && shape != 0 && int(shape) <= len(st.shapes)}
 					if c.keyed && !o.noShapeTest {
 						sh := &st.shapes[shape-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
@@ -278,8 +284,7 @@ descent:
 		}
 		return cands[a].addr.Slot < cands[b].addr.Slot
 	})
-	var pageBuf []byte
-	pageID := pagefile.InvalidPage
+	pageBuf, pageID := sc.dataPage(), pagefile.InvalidPage
 	// refined ends the stage, on completion and on every early exit of the
 	// loop below alike.
 	refined := func(err error) ([]Result, QueryStats, error) {
@@ -301,7 +306,7 @@ descent:
 			stats.ShapeDecided++
 		} else {
 			if c.addr.Page != pageID {
-				if pageBuf, err = t.data.ReadPage(c.addr.Page); err != nil {
+				if err = t.data.ReadPageInto(c.addr.Page, pageBuf); err != nil {
 					return refined(err)
 				}
 				pageID = c.addr.Page

@@ -22,8 +22,8 @@ import (
 // length: two bytes each).
 func damageRecord(t *testing.T, tree *Tree, addr pagefile.DataAddr, edit func(page []byte, slotEntry int)) {
 	t.Helper()
-	page, err := tree.data.ReadPage(addr.Page)
-	if err != nil {
+	page := make([]byte, pagefile.PageSize)
+	if err := tree.data.ReadPageInto(addr.Page, page); err != nil {
 		t.Fatal(err)
 	}
 	edit(page, 4+4*int(addr.Slot))

@@ -9,10 +9,11 @@ import (
 	"repro/internal/pcr"
 )
 
-// Per-query scratch pooling: the traversal state a query allocates afresh
-// today — descent frontiers, candidate lists, the NN frontier heap, the
-// NN expected-distance sample buffer and seeded samplers — is recycled
-// through sync.Pools.
+// Per-query scratch pooling: the traversal state a query would otherwise
+// allocate afresh — descent frontiers, candidate lists, the NN frontier
+// heap, the NN expected-distance sample buffer, the box of the leaf entry
+// in hand, the data page refinement reads and seeded samplers — is
+// recycled through sync.Pools.
 // The discipline:
 //
 //   - Everything handed out is length-reset before reuse (capacity kept),
@@ -20,9 +21,12 @@ import (
 //   - Nothing that escapes to the caller is pooled: result slices are
 //     always allocated fresh.
 //   - Scratch never holds pointers into tree pages or cached nodes — the
-//     element types (PageID, candidate, nnItem, float64, the lines of
-//     pcr.Faces) are pointer-free,
-//     so a pooled buffer retains no memory beyond its own backing array.
+//     element types (PageID, candidate, nnItem, float64, byte, the lines
+//     of pcr.Faces) are pointer-free, and the box lies over the slab's own
+//     coordinates — so a pooled buffer retains no memory beyond its own
+//     backing array. A data page read into page is done with once its
+//     records are decoded: decodeObject and updf.Decode copy every value
+//     out of the record.
 //
 // Results are byte-identical to the unpooled path: pooling changes where
 // buffers live, never the order of appends, pops, or sampler draws.
@@ -44,6 +48,8 @@ type queryScratch struct {
 	heap     nnHeap            // NN frontier
 	mc       geom.Point        // NN expected-distance sample point
 	faces    pcr.Faces         // the leaf entry the range filter is deciding
+	box      rectSlab          // a centre entry's MBR (packedNode.leafMBR)
+	page     []byte            // the data page refinement last read
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -58,6 +64,17 @@ func (sc *queryScratch) release() {
 	sc.cands = sc.cands[:0]
 	sc.heap = sc.heap[:0]
 	scratchPool.Put(sc)
+}
+
+// mbr returns the scratch box of dimensionality dim.
+func (sc *queryScratch) mbr(dim int) geom.Rect { return sc.box.take(1, dim)[0] }
+
+// dataPage returns the scratch data page, PageSize bytes.
+func (sc *queryScratch) dataPage() []byte {
+	if sc.page == nil {
+		sc.page = make([]byte, pagefile.PageSize)
+	}
+	return sc.page
 }
 
 // point returns the scratch sample buffer resized to dim.

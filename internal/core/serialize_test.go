@@ -70,10 +70,12 @@ func decodeEdit(tree *Tree, id pagefile.PageID, buf []byte) (*node, error) {
 	return tree.expand(p, tree.shapes), nil
 }
 
-// randLeafEntry is a leaf entry with random contents: keyed (a reference
-// into the tree's shape table, written compact) or, where keyed is false or
-// the tree is a U-PCR tree, unkeyed with random CFBs or PCRs.
-func randLeafEntry(rng *rand.Rand, tree *Tree, keyed bool) entry {
+// randLeafEntry is a leaf entry with random contents in the given form:
+// centreEntry (a reference into the tree's shape table, whose shapes are
+// balls, and a centre, the MBR the shape's box there), compactEntry (a
+// reference and an MBR, as a UTR6 file holds a ball's entry) or, where form
+// is 0 or the tree is a U-PCR tree, unkeyed with random CFBs or PCRs.
+func randLeafEntry(rng *rand.Rand, tree *Tree, form uint16) entry {
 	e := entry{
 		id:   rng.Int63(),
 		addr: pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
@@ -81,18 +83,26 @@ func randLeafEntry(rng *rand.Rand, tree *Tree, keyed bool) entry {
 	}
 	switch {
 	case tree.kind == UPCR:
-		e.pcrs = make([]geom.Rect, tree.cat.Size())
-		for j := range e.pcrs {
-			e.pcrs[j] = e.mbr
+		e.boxes = make([]geom.Rect, tree.cat.Size())
+		for j := range e.boxes {
+			e.boxes[j] = e.mbr
 		}
-	case keyed:
+	case form != 0:
 		e.shape = uint16(1 + rng.Intn(len(tree.shapes)))
 		e.fit = tree.shapes[e.shape-1].fit
+		if form == centreEntry {
+			e.ctr = e.mbr.Lo
+			e.mbr = tree.shapes[e.shape-1].pdf.(updf.Recentrer).Recentred(e.ctr).MBR()
+		}
 	default:
 		e.out, e.in = randCFB(rng, tree.dim), randCFB(rng, tree.dim)
 	}
 	return e
 }
+
+// entryForms are the leaf entry forms randLeafEntry makes: full, compact,
+// centre.
+var entryForms = [3]uint16{0, compactEntry, centreEntry}
 
 // keyedTree is New with a two-shape table in place, so leaf entries can be
 // keyed.
@@ -107,8 +117,8 @@ func keyedTree(tb testing.TB, opt Options) *Tree {
 
 // TestNodeSerializationRoundTripUTree encodes and decodes random U-tree
 // nodes (leaf and intermediate) and demands bit-exact field recovery: a
-// leaf holds keyed (compact) and unkeyed (full) entries in any mix, up to
-// what its page holds.
+// leaf holds keyed (centre or compact) and unkeyed (full) entries in any
+// mix, up to what its page holds.
 func TestNodeSerializationRoundTripUTree(t *testing.T) {
 	for _, dim := range []int{1, 2, 3} {
 		tree := keyedTree(t, Options{Dim: dim})
@@ -116,9 +126,13 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			// Leaf node.
 			leaf := &node{page: 12, level: 0}
-			share := rng.Float64()
+			share := [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
 			for n, bytes := 1+rng.Intn(tree.leafCap), 0; len(leaf.entries) < n; {
-				e := randLeafEntry(rng, tree, rng.Float64() < share)
+				k := 0
+				for u := rng.Float64() * (share[0] + share[1] + share[2]); k < 2 && u >= share[k]; k++ {
+					u -= share[k]
+				}
+				e := randLeafEntry(rng, tree, entryForms[k])
 				if bytes += tree.entrySize(&e, true); bytes > pageBytes {
 					break
 				}
@@ -138,7 +152,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			for i := range leaf.entries {
 				a, b := &leaf.entries[i], &got.entries[i]
 				if a.id != b.id || a.addr != b.addr || a.shape != b.shape || a.fit != b.fit || !a.mbr.Equal(b.mbr) ||
-					!cfbEqual(a.out, b.out) || !cfbEqual(a.in, b.in) {
+					!slices.Equal(a.ctr, b.ctr) || !cfbEqual(a.out, b.out) || !cfbEqual(a.in, b.in) {
 					return false
 				}
 			}
@@ -217,13 +231,14 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 			leaf.entries = append(leaf.entries, entry{
 				id:    rng.Int63(),
 				addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
-				shape: uint16(rng.Intn(compactEntry)),
+				shape: uint16(rng.Intn(centreEntry)),
 				mbr:   boxes[0].Clone(),
-				pcrs:  boxes,
+				boxes: boxes,
 			})
 		}
-		// The ends of the reference's range: a U-PCR entry is never compact.
-		leaf.entries[0].shape, leaf.entries[n-1].shape = compactEntry-1, 0
+		// The ends of the reference's range: a U-PCR entry is never compact
+		// or centred.
+		leaf.entries[0].shape, leaf.entries[n-1].shape = centreEntry-1, 0
 		buf := make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(leaf, buf); err != nil {
 			return false
@@ -238,7 +253,7 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 				return false
 			}
 			for j := 0; j < m; j++ {
-				if !a.pcrs[j].Equal(b.pcrs[j]) {
+				if !a.boxes[j].Equal(b.boxes[j]) {
 					return false
 				}
 			}
@@ -251,13 +266,13 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 }
 
 // fullNodePages encodes one full leaf and one full intermediate node of
-// tree, with random contents: a U-tree leaf of keyed, compact entries (the
-// tree needs a shape table, keyedTree), a U-PCR leaf of full ones.
+// tree, with random contents: a U-tree leaf of keyed, centre entries (the
+// tree needs a shape table of balls, keyedTree), a U-PCR leaf of full ones.
 func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
 	rng := rand.New(rand.NewSource(4))
 	ln := &node{page: 7, level: 0}
 	for i := 0; i < tree.leafCap; i++ {
-		ln.entries = append(ln.entries, randLeafEntry(rng, tree, true))
+		ln.entries = append(ln.entries, randLeafEntry(rng, tree, centreEntry))
 	}
 	in := &node{page: 8, level: 1}
 	for i := 0; i < tree.innerCap; i++ {
@@ -277,25 +292,29 @@ func fullNodePages(tb testing.TB, tree *Tree) (leaf, inner []byte) {
 	return leaf, inner
 }
 
-// leafPages encodes three more U-tree leaves: a full leaf of unkeyed (full)
-// entries; a mixed one, keyed and unkeyed entries alternating to fill the
-// page; and a leaf as a UTR4 file holds it, full entries that name a shape
-// — the form every keyed entry had before compact entries.
-func leafPages(tb testing.TB, tree *Tree) (unkeyed, mixed, utr4 []byte) {
+// leafPages encodes four more U-tree leaves: a full leaf of unkeyed (full)
+// entries; a mixed one, centre, compact and full entries in turn to fill
+// the page; a leaf as a UTR4 file holds it, full entries that name a shape
+// — the form every keyed entry had before compact entries; and a full leaf
+// of compact entries, as a UTR6 file holds its balls' entries.
+func leafPages(tb testing.TB, tree *Tree) (unkeyed, mixed, utr4, compact []byte) {
 	rng := rand.New(rand.NewSource(5))
-	pages := [3]*node{{page: 7}, {page: 7}, {page: 7}}
+	pages := [4]*node{{page: 7}, {page: 7}, {page: 7}, {page: 7}}
 	for i := 0; i < pageBytes/tree.leafEntrySize; i++ {
-		pages[0].entries = append(pages[0].entries, randLeafEntry(rng, tree, false))
+		pages[0].entries = append(pages[0].entries, randLeafEntry(rng, tree, 0))
 	}
 	pages[2].entries = pages[0].entries
 	for bytes := 0; ; {
-		e := randLeafEntry(rng, tree, len(pages[1].entries)%2 == 0)
+		e := randLeafEntry(rng, tree, entryForms[2-len(pages[1].entries)%3])
 		if bytes += tree.entrySize(&e, true); bytes > pageBytes {
 			break
 		}
 		pages[1].entries = append(pages[1].entries, e)
 	}
-	var out [3][]byte
+	for i := 0; i < pageBytes/tree.compactEntrySize; i++ {
+		pages[3].entries = append(pages[3].entries, randLeafEntry(rng, tree, compactEntry))
+	}
+	var out [4][]byte
 	for k, n := range pages {
 		out[k] = make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(n, out[k]); err != nil {
@@ -305,14 +324,14 @@ func leafPages(tb testing.TB, tree *Tree) (unkeyed, mixed, utr4 []byte) {
 	for i := range pages[2].entries {
 		binary.LittleEndian.PutUint16(out[2][nodeHeader+i*tree.leafEntrySize+14:], uint16(1+i%len(tree.shapes)))
 	}
-	return out[0], out[1], out[2]
+	return out[0], out[1], out[2], out[3]
 }
 
 // TestDecodeNodeAllocations gates the decode: a node views its page, so a
 // full node of either level and either kind costs the node and, for an
 // intermediate node or a U-PCR leaf, its rects — at most 2 allocations
-// however many entries it holds. A full U-tree leaf of compact entries or
-// of full ones allocates its 128-byte node and no entry byte. A mixed leaf
+// however many entries it holds. A full U-tree leaf of centre, compact or
+// full entries allocates its 128-byte node and no entry byte. A mixed leaf
 // adds its 2-byte entry offsets; a node that cannot view its page — at an
 // odd address, or on a big-endian host — adds a copy of the bytes its
 // entries use, the bound every leaf had while the decode copied entries
@@ -341,7 +360,7 @@ func TestDecodeNodeAllocations(t *testing.T) {
 		if tree.kind != UTree {
 			continue
 		}
-		unkeyed, mixed, _ := leafPages(t, tree)
+		unkeyed, mixed, _, compact := leafPages(t, tree)
 		// An intermediate page before UTR6 is read into a float32 copy.
 		n, err := tree.decodeNode(8, inner)
 		if err != nil {
@@ -356,13 +375,14 @@ func TestDecodeNodeAllocations(t *testing.T) {
 			page   []byte
 			budget float64
 		}{
-			{"leaf of compact entries", leaf, 256},
+			{"leaf of centre entries", leaf, 256},
+			{"leaf of compact entries", compact, 256},
 			{"leaf of full entries", unkeyed, 256},
 			{"leaf of mixed entries", mixed, 256 + 2*float64(binary.LittleEndian.Uint16(mixed[2:]))},
 			{"intermediate node", inner, 256},
 			// Where the node cannot view the page, it copies what its
 			// entries use.
-			{"leaf of compact entries, copied", atOdd(leaf), 1.1*float64(nodeHeader+tree.leafCap*tree.compactEntrySize) + 256},
+			{"leaf of centre entries, copied", atOdd(leaf), 1.1*float64(nodeHeader+tree.leafCap*tree.centreEntrySize) + 256},
 			{"intermediate node before UTR6", wide, 1.1*float64(nodeHeader+len(w.entries)*tree.innerEntrySize) + 256},
 		} {
 			const runs = 100
@@ -420,16 +440,26 @@ func samePacked(tree *Tree, a, b *packedNode) error {
 		}
 		aa, as := a.addr(i)
 		ba, bs := b.addr(i)
-		if a.id(i) != b.id(i) || aa != ba || as != bs || a.compact(i) != b.compact(i) ||
-			!rects([]geom.Rect{a.mbr(i)}, []geom.Rect{b.mbr(i)}) {
+		if a.id(i) != b.id(i) || aa != ba || as != bs || a.form(i) != b.form(i) {
 			return fmt.Errorf("leaf entry %d differs", i)
+		}
+		if a.centred(i) {
+			// A centre is a degenerate rectangle to compare.
+			ac, bc := a.centre(i), b.centre(i)
+			if !rects([]geom.Rect{{Lo: ac, Hi: ac}}, []geom.Rect{{Lo: bc, Hi: bc}}) {
+				return fmt.Errorf("leaf entry %d's centres differ", i)
+			}
+			continue
+		}
+		if !rects([]geom.Rect{a.mbr(i)}, []geom.Rect{b.mbr(i)}) {
+			return fmt.Errorf("leaf entry %d's MBRs differ", i)
 		}
 		switch {
 		case tree.kind == UPCR:
 			if !rects(a.boxes(i), b.boxes(i)) {
 				return fmt.Errorf("leaf entry %d's PCRs differ", i)
 			}
-		case !a.compact(i):
+		case a.form(i) == 0:
 			ao, ai := a.cfbs(i)
 			bo, bi := b.cfbs(i)
 			if !cfbEqual(ao, bo) || !cfbEqual(ai, bi) {
@@ -440,9 +470,9 @@ func samePacked(tree *Tree, a, b *packedNode) error {
 	return nil
 }
 
-// TestViewCopyPathsAgree decodes every page form — 2-D and 3-D compact,
-// full, mixed and UTR4-era U-tree leaves, intermediate nodes, U-PCR leaves
-// — from an 8-byte aligned buffer, which the node views, from the same
+// TestViewCopyPathsAgree decodes every page form — 2-D and 3-D centre,
+// compact, full, mixed (centre, compact and full) and UTR4-era U-tree
+// leaves, intermediate nodes, U-PCR leaves — from an 8-byte aligned buffer, which the node views, from the same
 // bytes at an odd address, which it copies; and copied field by field, as
 // a big-endian host copies it: every accessor returns the same bits on
 // every path.
@@ -452,7 +482,7 @@ func TestViewCopyPathsAgree(t *testing.T) {
 		leaf, inner := fullNodePages(t, tree)
 		pages := map[string][]byte{"leaf": leaf, "inner": inner}
 		if tree.kind == UTree {
-			pages["full"], pages["mixed"], pages["utr4"] = leafPages(t, tree)
+			pages["full"], pages["mixed"], pages["utr4"], pages["compact"] = leafPages(t, tree)
 		}
 		for name, page := range pages {
 			view, err := tree.decodeNode(7, page)
@@ -483,23 +513,25 @@ func TestViewCopyPathsAgree(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeLeaf decodes one full U-tree leaf page of compact (keyed)
-// entries, one of full (unkeyed) entries and one full intermediate page:
-// what every decoded-node cache miss of a query pays per node visited, and
-// in B/op what the cache then holds for the node beside its page. The
-// compact leaf is decoded a second time from an odd address, which the
-// node cannot view: the copy path, which a big-endian host takes.
+// BenchmarkDecodeLeaf decodes one full U-tree leaf page of centre (keyed
+// ball) entries, one of compact entries (a UTR6 file's), one of full
+// (unkeyed) entries and one full intermediate page: what every
+// decoded-node cache miss of a query pays per node visited, and in B/op
+// what the cache then holds for the node beside its page. The centre leaf
+// is decoded a second time from an odd address, which the node cannot
+// view: the copy path, which a big-endian host takes.
 func BenchmarkDecodeLeaf(b *testing.B) {
 	for _, dim := range []int{2, 3} {
 		tree := keyedTree(b, Options{Dim: dim})
-		compact, inner := fullNodePages(b, tree)
-		full, _, _ := leafPages(b, tree)
+		centre, inner := fullNodePages(b, tree)
+		full, _, _, compact := leafPages(b, tree)
 		for _, c := range []struct {
 			name string
 			page []byte
 		}{
-			{fmt.Sprintf("%dD-%dcompact", dim, tree.leafCap), compact},
-			{fmt.Sprintf("%dD-%dcompact-copied", dim, tree.leafCap), atOdd(compact)},
+			{fmt.Sprintf("%dD-%dcentre", dim, tree.leafCap), centre},
+			{fmt.Sprintf("%dD-%dcentre-copied", dim, tree.leafCap), atOdd(centre)},
+			{fmt.Sprintf("%dD-%dcompact", dim, pageBytes/tree.compactEntrySize), compact},
 			{fmt.Sprintf("%dD-%dfull", dim, pageBytes/tree.leafEntrySize), full},
 			{fmt.Sprintf("%dD-%dinner", dim, tree.innerCap), inner},
 		} {
@@ -525,7 +557,8 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 // entries, less
 // the pad word of an intermediate entry, which nothing reads and encodeNode
 // zeroes — and less the CFBs of a full U-tree entry that names a shape, as a
-// UTR4 file's do, which is rewritten compact.
+// UTR4 file's do, which is rewritten compact. Its seeds include full
+// leaves of each U-tree entry form and a leaf of all three.
 func FuzzDecodeNode(f *testing.F) {
 	var trees []*Tree
 	for _, opt := range []Options{{Dim: 2}, {Dim: 3}, {Dim: 2, Kind: UPCR}, {Dim: 3, Kind: UPCR}} {
@@ -548,10 +581,11 @@ func FuzzDecodeNode(f *testing.F) {
 			w.entries = w.entries[:pageBytes/wideInnerSize(tree.dim)]
 			encodeWideInner(w, wide)
 			f.Add(uint8(i), false, wide)
-			_, mixed, utr4 := leafPages(f, tree)
+			_, mixed, utr4, compact := leafPages(f, tree)
 			f.Add(uint8(i), true, mixed)
 			f.Add(uint8(i), true, utr4)
-			// Full entries counted to a compact leaf's capacity overrun the
+			f.Add(uint8(i), true, compact)
+			// Full entries counted to a centre leaf's capacity overrun the
 			// page.
 			overrun := slices.Clone(utr4)
 			binary.LittleEndian.PutUint16(overrun[2:], uint16(tree.leafCap))
@@ -597,11 +631,16 @@ func FuzzDecodeNode(f *testing.F) {
 				}
 				continue
 			}
-			_, _ = p.id(i), p.mbr(i)
+			_, _ = p.id(i), p.form(i)
 			_, _ = p.addr(i)
+			if mbr, ok := p.leafMBR(i, tree.shapes, geom.Rect{Lo: make(geom.Point, tree.dim), Hi: make(geom.Point, tree.dim)}); ok && mbr.Dim() != tree.dim {
+				t.Fatalf("entry %d MBR has %d dimensions", i, mbr.Dim())
+			}
 			if tree.kind == UPCR {
 				_ = p.boxes(i)
-			} else if p.compact(i) {
+			} else if p.centred(i) {
+				_ = p.centre(i)
+			} else if p.form(i) == compactEntry {
 				continue
 			} else if out, in := p.cfbs(i); len(out) != 4*tree.dim || len(in) != 4*tree.dim {
 				t.Fatalf("entry %d CFBs hold %d and %d coefficients", i, len(out), len(in))
@@ -636,13 +675,15 @@ func FuzzDecodeNode(f *testing.F) {
 		copy(want[2:4], page[2:4])
 		for i, from, to := 0, nodeHeader, nodeHeader; i < p.count; i++ {
 			sz, keep := tree.innerEntrySize, tree.innerEntrySize
-			compact := false
+			compact := false // a full entry naming a shape, rewritten compact
 			if p.leaf() {
 				_, ref := p.addr(i)
-				compact = tree.kind == UTree && ref != 0
+				compact = tree.kind == UTree && ref != 0 && p.form(i) == 0
 			}
 			switch {
-			case p.leaf() && p.compact(i):
+			case p.leaf() && p.centred(i):
+				sz, keep = tree.centreEntrySize, tree.centreEntrySize
+			case p.leaf() && p.form(i) == compactEntry:
 				sz, keep = tree.compactEntrySize, tree.compactEntrySize
 			case compact:
 				sz, keep = tree.leafEntrySize, tree.compactEntrySize
@@ -713,8 +754,8 @@ func FuzzDataRecord(f *testing.F) {
 	if err := df.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	page, err := df.ReadPage(addr.Page) // every seed record is on it
-	if err != nil {
+	page := make([]byte, pagefile.PageSize) // every seed record is on it
+	if err := df.ReadPageInto(addr.Page, page); err != nil {
 		f.Fatal(err)
 	}
 	for slot := uint16(0); slot <= uint16(nrec); slot++ {
@@ -786,8 +827,8 @@ func FuzzDataRecord(f *testing.F) {
 		df.SetCurrent(pagefile.InvalidPage) // drop the cache: reads go to the store
 		rec, err = df.Read(addr)
 		check("from the store", rec, err)
-		page, err := df.ReadPage(addr.Page)
-		if err == nil {
+		page := make([]byte, pagefile.PageSize)
+		if err = df.ReadPageInto(addr.Page, page); err == nil {
 			rec, err = pagefile.RecordFromPage(page, addr.Slot)
 		}
 		check("from its page", rec, err)
@@ -953,22 +994,25 @@ func writersLeaveCachedNodesAlone(t *testing.T, opt Options) {
 }
 
 // TestEncodeNodeRejectsOverfull: one entry beyond a page of full entries,
-// of compact ones, and a full page of compact entries with one turned full.
+// of compact ones and of centre ones, and a full page of compact entries
+// with one turned full, and of centre entries with one turned full.
 func TestEncodeNodeRejectsOverfull(t *testing.T) {
 	tree := keyedTree(t, Options{Dim: 2})
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
 		n      int
-		keyed  func(i int) bool
+		form   func(i int) uint16
 		fitsAt int // entries that still fit
 	}{
-		{37, func(int) bool { return false }, 36},
-		{86, func(int) bool { return true }, 85},
-		{85, func(i int) bool { return i > 0 }, 84},
+		{37, func(int) uint16 { return 0 }, 36},
+		{86, func(int) uint16 { return compactEntry }, 85},
+		{85, func(i int) uint16 { return min(uint16(i), 1) * compactEntry }, 84},
+		{128, func(int) uint16 { return centreEntry }, 127},
+		{127, func(i int) uint16 { return min(uint16(i), 1) * centreEntry }, 126},
 	} {
 		n := &node{page: 1, level: 0}
 		for i := 0; i < c.n; i++ {
-			n.entries = append(n.entries, randLeafEntry(rng, tree, c.keyed(i)))
+			n.entries = append(n.entries, randLeafEntry(rng, tree, c.form(i)))
 		}
 		buf := make([]byte, pagefile.PageSize)
 		if err := tree.encodeNode(n, buf); err == nil {
@@ -998,7 +1042,7 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 	// The shape reference took two bytes that were there: on the page (the
 	// sizes and capacities below are what they were before it) and in memory.
 	if sz := unsafe.Sizeof(entry{}); sz != 176 {
-		t.Errorf("entry struct is %d bytes, want 176: 168 with its shape reference, and a pointer to the shape's fit", sz)
+		t.Errorf("entry struct is %d bytes, want 176: 168 with its shape reference, and a pointer to the shape's fit; a centre took the place of a U-PCR leaf's own PCR slice", sz)
 	}
 	// d=2 U-tree: id(8)+addr(6)+shape(2)+MBR(32)+CFBs(16 float32 = 64) = 112.
 	leaf, inner := entrySizes(UTree, 2, 15)
@@ -1019,10 +1063,11 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 		t.Errorf("U-tree 3D inner entry = %d B, want 56 (104 before UTR6: %d)", inner3, wideInnerSize(3))
 	}
 	// Full entries fill a page at 36 (2-D) and 25 (3-D), compact ones —
-	// id(8)+addr(6)+shape(2)+MBR, 48 and 64 B — at 85 and 63, which is
+	// id(8)+addr(6)+shape(2)+MBR, 48 and 64 B — at 85 and 63, centre ones —
+	// id(8)+addr(6)+shape(2)+centre, 32 and 40 B — at 127 and 102, which is
 	// what Fanout reports; intermediate nodes hold 102 and 73 (56 and 39
 	// before UTR6).
-	for _, c := range []struct{ dim, leaf, compact, inner int }{{2, 36, 85, 102}, {3, 25, 63, 73}} {
+	for _, c := range []struct{ dim, leaf, centre, inner int }{{2, 36, 127, 102}, {3, 25, 102, 73}} {
 		if lc, ic := capacities(UTree, c.dim, 15); lc != c.leaf || ic != c.inner {
 			t.Errorf("U-tree %dD capacities = %d/%d, want %d/%d", c.dim, lc, ic, c.leaf, c.inner)
 		}
@@ -1030,8 +1075,8 @@ func TestEntrySizesMatchPaperArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lc, ic := tree.Fanout(); lc != c.compact || ic != c.inner || compactSize(c.dim) != 16+16*c.dim {
-			t.Errorf("U-tree %dD fan-out = %d/%d, want %d/%d", c.dim, lc, ic, c.compact, c.inner)
+		if lc, ic := tree.Fanout(); lc != c.centre || ic != c.inner || compactSize(c.dim) != 16+16*c.dim || centreSize(c.dim) != 16+8*c.dim {
+			t.Errorf("U-tree %dD fan-out = %d/%d, want %d/%d", c.dim, lc, ic, c.centre, c.inner)
 		}
 	}
 	// d=2 U-PCR at m=9: 36 PCR values = 288 B + ids.

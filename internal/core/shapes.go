@@ -24,18 +24,21 @@ import (
 // (leafEntry): fit is the shape's cfb_out/cfb_in pair, fitted once about the
 // prototype's centre, so an object's entry depends on the persisted table
 // and the object alone. And a recentrable prototype is what a keyed data
-// record is rebuilt from (encodeObject): the record holds the object's
-// centre and the reference, every reader the table.
+// record is rebuilt from (encodeObject), and a centre leaf entry's MBR
+// (packedNode.leafMBR): the record and the entry hold the object's centre
+// and the reference, every reader the table.
 type shape struct {
 	pdf updf.PDF
-	mbr geom.Rect  // pdf.MBR()
-	enc []byte     // updf.Encode(pdf)
-	fit *pcr.Shape // pcr.NewShape(pdf, the tree's catalog)
+	mbr geom.Rect      // pdf.MBR()
+	enc []byte         // updf.Encode(pdf)
+	fit *pcr.Shape     // pcr.NewShape(pdf, the tree's catalog)
+	rc  updf.Recentrer // pdf, where it is one; else nil
 }
 
 // newShape enters p, encoded as enc, in a table over catalog cat.
 func newShape(p updf.PDF, enc []byte, cat pcr.Catalog) shape {
-	return shape{p, p.MBR(), enc, pcr.NewShape(p, cat)}
+	rc, _ := p.(updf.Recentrer)
+	return shape{p, p.MBR(), enc, pcr.NewShape(p, cat), rc}
 }
 
 // shapeRef returns the reference of the shape named by key = p.ShapeKey(),

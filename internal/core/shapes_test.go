@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -522,7 +523,7 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	}
 
 	tree, leaf := build()
-	leaf.entries[0].shape = 0xFFFF
+	leaf.entries[0].shape = centreEntry - 1
 	rewrite(tree, leaf)
 	if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "beyond a table") {
 		t.Fatalf("reference beyond the table: %v", err)
@@ -536,7 +537,9 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	if e.shape == 0 {
 		t.Fatal("fixture: entry 0 has no reference")
 	}
-	e.mbr = geom.NewRect(e.mbr.Lo, geom.Point{e.mbr.Hi[0] + 1e-6, e.mbr.Hi[1]})
+	// A centre entry's box is its shape's; a compact one, as a UTR6 file
+	// holds a ball's, stores the box it has.
+	e.mbr, e.ctr = geom.NewRect(e.mbr.Lo, geom.Point{e.mbr.Hi[0] + 1e-6, e.mbr.Hi[1]}), nil
 	rewrite(tree, leaf)
 	if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "extents") {
 		t.Fatalf("MBR wider than its shape by 1e-6: %v", err)
@@ -566,6 +569,22 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	}
 	if err := snap.CheckRecords(); err == nil || !strings.Contains(err.Error(), "its record holds uball") {
 		t.Fatalf("record of another shape: %v", err)
+	}
+
+	// A centre an ulp off its record's: the box is still the shape's, but
+	// the record says otherwise.
+	tree, leaf = build()
+	e = &leaf.entries[0]
+	e.ctr = geom.Point{math.Nextafter(e.ctr[0], math.Inf(1)), e.ctr[1]}
+	e.mbr = tree.shapes[e.shape-1].pdf.(updf.Recentrer).Recentred(e.ctr).MBR()
+	rewrite(tree, leaf)
+	moved := tree.Snapshot()
+	defer moved.Close()
+	if err := moved.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants reads no record, yet: %v", err)
+	}
+	if err := moved.CheckRecords(); err == nil || !strings.Contains(err.Error(), "its record's") {
+		t.Fatalf("centre an ulp off its record's: %v", err)
 	}
 }
 

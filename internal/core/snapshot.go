@@ -182,7 +182,8 @@ func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, nil, false) }
 
 // CheckRecords is CheckInvariants plus a read of every record that a leaf
-// entry's shape reference vouches for.
+// entry's shape reference vouches for, whose centre must be a centre
+// entry's to the bit.
 func (s *Snapshot) CheckRecords() error { return s.t.checkTreeAt(s.st, nil, true) }
 
 // Shapes returns the size of the pinned epoch's shape table.

@@ -117,6 +117,7 @@ type Tree struct {
 	leafCap, innerCap             int
 	leafEntrySize, innerEntrySize int
 	compactEntrySize              int
+	centreEntrySize               int
 	minLeaf, minInner             int
 	reinsertLeaf, reinsertInner   int
 
@@ -266,10 +267,11 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 	t.minInner = max1(innerCap*2/5) * t.innerEntrySize
 	t.reinsertLeaf = max1(leafCap*3/10) * t.leafEntrySize
 	t.reinsertInner = max1(innerCap*3/10) * t.innerEntrySize
-	t.compactEntrySize, t.leafCap, t.innerCap = t.leafEntrySize, leafCap, innerCap
+	t.compactEntrySize, t.centreEntrySize = t.leafEntrySize, t.leafEntrySize
+	t.leafCap, t.innerCap = leafCap, innerCap
 	if kind == UTree {
-		t.compactEntrySize = compactSize(dim)
-		t.leafCap = pageBytes / t.compactEntrySize
+		t.compactEntrySize, t.centreEntrySize = compactSize(dim), centreSize(dim)
+		t.leafCap = pageBytes / t.centreEntrySize
 	}
 	return t
 }
@@ -298,9 +300,10 @@ func (t *Tree) Height() int { return t.rootLevel + 1 }
 
 // Fanout reports the leaf and intermediate node capacities (for Table 1
 // style reporting): the most entries a node holds. Capacity is counted in
-// bytes, so a U-tree leaf's is in compact entries, the form of an object
-// with a shape — 85 in 2-D, 63 in 3-D; a leaf of unkeyed (full) entries
-// holds 36 or 25, and a mixed one what fits between.
+// bytes, so a U-tree leaf's is in centre entries, the form of a ball with a
+// shape — 127 in 2-D, 102 in 3-D; a leaf of compact entries (keyed objects
+// of another family) holds 85 or 63, one of unkeyed (full) entries 36 or
+// 25, and a mixed one what fits between.
 func (t *Tree) Fanout() (leaf, inner int) { return t.leafCap, t.innerCap }
 
 // SizeBytes reports total pages × page size (index + data pages).
@@ -381,7 +384,8 @@ func (t *Tree) checkObject(o Object) error {
 
 // leafEntry derives the leaf entry of a checked object, without its data
 // address. A keyed U-tree entry carries its shape's fit, fitted once per
-// shape, and nothing else; an unkeyed one computes its PCRs and fits its
+// shape, and its centre where the shape is recentrable, nothing else; an
+// unkeyed one computes its PCRs and fits its
 // float32 CFBs; a U-PCR entry holds its PCR list, from its shape's offsets
 // where it has a shape. It reads no tree state beyond the shape table, which
 // only the writer's shapeRef extends, so BulkLoad runs it on several
@@ -395,18 +399,25 @@ func (t *Tree) leafEntry(o Object, shape uint16) entry {
 	switch {
 	case t.kind == UTree && fit != nil:
 		e.fit = fit
+		if t.shapes[shape-1].rc != nil {
+			// Its MBR is the shape's box at its centre (shape.rc.MBRAt), to
+			// the bit: the shapes share a ShapeKey, so a radius. The centre
+			// is the pdf's own: the entry is encoded before Insert or
+			// BulkLoad returns, and nothing keeps it after.
+			e.ctr = o.PDF.Center()
+		}
 	case t.kind == UTree:
 		pcrs := pcr.Compute(o.PDF, t.cat, nil)
 		e.out, e.in = pcr.FitOut(pcrs), pcr.FitIn(pcrs)
 	default:
 		if fit != nil {
-			e.pcrs = fit.PCRs(o.PDF.Center(), e.mbr).Boxes
+			e.boxes = fit.PCRs(o.PDF.Center(), e.mbr).Boxes
 		} else {
-			e.pcrs = pcr.Compute(o.PDF, t.cat, nil).Boxes
+			e.boxes = pcr.Compute(o.PDF, t.cat, nil).Boxes
 		}
 		// pcr(0) is the region MBR by construction; keep them identical so
 		// the shared serialization slot holds.
-		e.pcrs[0] = e.mbr.Clone()
+		e.boxes[0] = e.mbr.Clone()
 	}
 	return e
 }

@@ -24,12 +24,13 @@ type Table1Row struct {
 // The comparison is no longer like for like: U-PCR entries hold exact PCR
 // faces at 8 bytes a value, while a U-tree leaf entry of an object with a
 // shape — every object here — holds no coefficient at all, its CFBs being
-// its shape's translated (core.compactSize; README "Leaf layout"), and an
-// unkeyed one holds them at 4 bytes (core.entrySizes). At -scale 0.05 the
-// ratio is 7.33 / 7.73 / 9.14 on LB / CA / Aircraft; with every entry full
-// and 4-byte coefficients it was 3.11 / 3.23 / 3.59, and with 8-byte
-// coefficients on both sides, the paper's per-object layout, 2.04 / 2.00 /
-// 2.15.
+// its shape's translated, and a ball's holds its centre in place of its MBR
+// (core.centreSize; README "Leaf layout"); an unkeyed one holds them at 4
+// bytes (core.entrySizes). At -scale 0.05 the ratio is 11.38 / 11.94 /
+// 15.55 on LB / CA / Aircraft; with compact entries (id, address, MBR) it
+// was 7.33 / 7.73 / 9.47, with every entry full and 4-byte coefficients
+// 3.11 / 3.23 / 3.59, and with 8-byte coefficients on both sides, the
+// paper's per-object layout, 2.04 / 2.00 / 2.15.
 func Table1(cfg Config) ([]Table1Row, error) {
 	cfg = cfg.withDefaults()
 	var rows []Table1Row

@@ -18,8 +18,8 @@ import (
 // Appends are write-combined: the current append page is cached in memory
 // and mutated there, and Flush writes it to the store once — so a group
 // commit of N inserts costs one data-page write, not N read-modify-writes.
-// ReadPage always goes to the store (Read serves the append page's records
-// from the cache); the owner flushes before every commit, so snapshot
+// ReadPageInto always goes to the store (Read serves the append page's
+// records from the cache); the owner flushes before every commit, so snapshot
 // readers — lock-free on committed pages — never race the cache.
 //
 // Records are write-once: nothing rewrites a page the file has stopped
@@ -217,20 +217,19 @@ func (df *DataFile) Read(addr DataAddr) ([]byte, error) {
 	return RecordFromPage(buf, addr.Slot)
 }
 
-// ReadPage returns the raw page for addr.Page in one I/O; use
-// RecordFromPage to extract multiple candidates that share the page.
-func (df *DataFile) ReadPage(id PageID) ([]byte, error) {
-	buf := make([]byte, PageSize)
-	if err := df.store.Read(id, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// ReadPageInto reads data page id into buf, PageSize bytes the caller
+// owns, in one I/O; use RecordFromPage to extract multiple candidates that
+// share the page. The query paths read into their pooled page, which holds
+// one data page at a time and is done with it once its records are
+// decoded.
+func (df *DataFile) ReadPageInto(id PageID, buf []byte) error {
+	return df.store.Read(id, buf)
 }
 
-// RecordFromPage extracts slot `slot` from a page previously returned by
-// ReadPage, without further I/O and without a copy: the record where it lies
-// in the page, for the caller that holds the page (the query paths decode a
-// record and are done with it). Read is the form whose result is the
+// RecordFromPage extracts slot `slot` from a page previously read by
+// ReadPageInto, without further I/O and without a copy: the record where it
+// lies in the page, for the caller that holds the page (the query paths
+// decode a record and are done with it). Read is the form whose result is the
 // caller's to keep. Whatever the bytes, it never reads past buf: a slot it
 // cannot return is ErrBadSlot.
 func RecordFromPage(buf []byte, slot uint16) ([]byte, error) {

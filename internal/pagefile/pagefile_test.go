@@ -192,7 +192,8 @@ func TestDataFileAppendRead(t *testing.T) {
 	}
 	// Appends are write-combined: before the flush the store's copy of the
 	// page holds none of them, and Read serves them from the append cache.
-	if page, err := df.ReadPage(addrs[0].Page); err != nil {
+	page := make([]byte, PageSize)
+	if err := df.ReadPageInto(addrs[0].Page, page); err != nil {
 		t.Fatal(err)
 	} else if _, err := RecordFromPage(page, addrs[0].Slot); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("unflushed record in the store's page: %v, want ErrBadSlot", err)
@@ -264,8 +265,8 @@ func TestDataFileZeroLengthSlot(t *testing.T) {
 	if err := df.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	page, err := df.ReadPage(a.Page)
-	if err != nil {
+	page := make([]byte, PageSize)
+	if err := df.ReadPageInto(a.Page, page); err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(page[dataHeader+4*int(a.Slot)+2:], 0)
@@ -306,8 +307,8 @@ func TestDataFileReadPageGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stats().Reset()
-	page, err := df.ReadPage(a1.Page)
-	if err != nil {
+	page := make([]byte, PageSize)
+	if err := df.ReadPageInto(a1.Page, page); err != nil {
 		t.Fatal(err)
 	}
 	r1, err := RecordFromPage(page, a1.Slot)

@@ -227,8 +227,8 @@ func TestDataFileSealedPagesAreImmutable(t *testing.T) {
 	if len(vs.inPlace) != 1 || !vs.inPlace[df.CurrentPage()] {
 		t.Fatalf("exempt pages %v, want only the append page %d", vs.inPlace, df.CurrentPage())
 	}
-	sealed, err := df.ReadPage(addrs[0].Page)
-	if err != nil {
+	sealed := make([]byte, PageSize)
+	if err := df.ReadPageInto(addrs[0].Page, sealed); err != nil {
 		t.Fatal(err)
 	}
 	if err := vs.Write(addrs[0].Page, sealed); !errors.Is(err, ErrCOWViolation) {

@@ -120,6 +120,9 @@ func (g *ConGauBall) Recentred(ctr geom.Point) PDF {
 	return &ConGauBall{Ctr: ctr.Clone(), R: g.R, Sigma: g.Sigma, lambda: g.lambda}
 }
 
+// MBRAt is Recentred(ctr).MBR() into dst.
+func (g *ConGauBall) MBRAt(ctr geom.Point, dst geom.Rect) { ballMBRInto(ctr, g.R, dst) }
+
 // ExactProb evaluates Equation 2: in 2-D a Gauss–Legendre rule over the
 // erf differences that are the Gaussian chord masses (diskRectMass), in 3-D
 // that slice mass under a second rule over z (sliceIntegral). Good to

@@ -79,9 +79,13 @@ type ExactProber interface{ ExactProb(rq geom.Rect) float64 }
 // must have the pdf's dimensionality). For every q with q.ShapeKey() ==
 // p.ShapeKey(), Encode(p.Recentred(q.Center())) is byte-equal to
 // Encode(q), so an index that keeps one prototype per shape can store an
-// object as its centre alone and rebuild it bit for bit.
+// object as its centre alone and rebuild it bit for bit. MBRAt writes
+// Recentred(ctr).MBR() into dst's coordinate slices, bit for bit and
+// without allocating, so such an index can keep the centre in place of the
+// box as well.
 type Recentrer interface {
 	Recentred(ctr geom.Point) PDF
+	MBRAt(ctr geom.Point, dst geom.Rect)
 }
 
 // MarginalQuantile inverts p.MarginalCDF on dimension dim by bisection over
@@ -176,13 +180,17 @@ func sampleBall(rng *rand.Rand, ctr geom.Point, r float64, dst geom.Point) {
 
 // ballMBR returns the bounding box of the ball at ctr with radius r.
 func ballMBR(ctr geom.Point, r float64) geom.Rect {
-	lo := make(geom.Point, len(ctr))
-	hi := make(geom.Point, len(ctr))
+	b := geom.Rect{Lo: make(geom.Point, len(ctr)), Hi: make(geom.Point, len(ctr))}
+	ballMBRInto(ctr, r, b)
+	return b
+}
+
+// ballMBRInto is ballMBR into dst's coordinate slices.
+func ballMBRInto(ctr geom.Point, r float64, dst geom.Rect) {
 	for i := range ctr {
-		lo[i] = ctr[i] - r
-		hi[i] = ctr[i] + r
+		dst.Lo[i] = ctr[i] - r
+		dst.Hi[i] = ctr[i] + r
 	}
-	return geom.Rect{Lo: lo, Hi: hi}
 }
 
 // ballDecided returns 1 when rq covers the MBR of the ball at ctr with

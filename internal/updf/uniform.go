@@ -95,6 +95,9 @@ func (u *UniformBall) Recentred(ctr geom.Point) PDF {
 	return &UniformBall{Ctr: ctr.Clone(), R: u.R, vol: u.vol}
 }
 
+// MBRAt is Recentred(ctr).MBR() into dst.
+func (u *UniformBall) MBRAt(ctr geom.Point, dst geom.Rect) { ballMBRInto(ctr, u.R, dst) }
+
 // ExactProb is the ratio Vol(ball ∩ rq) / Vol(ball) of Equation 1: in
 // closed form in 1-D and 2-D, in 3-D a Gauss–Legendre rule over z of the
 // closed-form slice area. A rectangle covering MBR() gives exactly 1.

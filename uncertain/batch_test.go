@@ -376,29 +376,31 @@ func reclaimPinSafety(t *testing.T, cfg Config) {
 // asked to write is a leaf or inner relocation, the one append page, or the
 // metadata page — a delete writes no data page.
 //
-// Three sizes, of compact (keyed) leaf entries, 85 to a leaf. At 2,125
-// objects no STR run has a slot to spare (5 slabs of 425 entries, 5 leaves
-// each, and 5·84 < 425), so every leaf starts full and the inserts split as
-// they did when STR packed leaves full: the total must not rise. At 1,600
-// every run has room (5 slabs of 320 entries, 4 leaves each), every leaf a
-// free slot, and the total must fall below the full packing's. Both trees
-// are two levels high. At 9,000 the tree is three — 108 leaves under two
-// intermediate nodes of 102 float32 entries at most — so each batch also
-// rewrites intermediate pages below the root, and their size is what the
-// count shows.
+// Three sizes, of centre (keyed ball) leaf entries, 127 to a leaf, 32 B
+// each; STR leaves a full entry's 112 B of room where a run can spare it.
+// At 3,175 objects no STR run can (5 slabs of 635 entries, 5 leaves each,
+// and 5 × (4,064 − 112) B < 635 × 32 B), so every leaf starts full and the
+// inserts split as they do when STR packs leaves full: the total must not
+// rise. At 2,400 every run has room (5 slabs of 480 entries, 4 leaves
+// each), every leaf 112 B free, and the total must fall below the full
+// packing's. Both trees are two levels high. At 13,000 the tree is three —
+// 110 leaves under two intermediate nodes of 102 float32 entries at most —
+// so each batch also rewrites intermediate pages below the root, and their
+// size is what the count shows.
 func TestWriteBatchPageWrites(t *testing.T) {
 	for _, tc := range []struct {
 		n      int64
 		height int
 		want   [5]int64 // base-store page writes per batch
-		// full is the total when STR packs every leaf full: at 2,125
-		// [35 17 17 11 16], at 1,600 [19 12 16 13 16]; 0 where not pinned.
+		// full is the total when STR packs every leaf full, 127 entries a
+		// leaf in tile order: at 3,175 [32 18 14 17 15], at 2,400
+		// [19 17 14 14 15]; 0 where not pinned.
 		full  int64
 		below bool // the total must be below full, not just not above it
 	}{
-		{n: 2125, height: 2, want: [5]int64{35, 17, 17, 11, 16}, full: 96},
-		{n: 1600, height: 2, want: [5]int64{14, 13, 13, 13, 13}, full: 76, below: true},
-		{n: 9000, height: 3, want: [5]int64{18, 19, 20, 25, 18}},
+		{n: 3175, height: 2, want: [5]int64{32, 18, 14, 17, 15}, full: 96},
+		{n: 2400, height: 2, want: [5]int64{13, 15, 12, 12, 11}, full: 79, below: true},
+		{n: 13000, height: 3, want: [5]int64{19, 19, 19, 20, 18}},
 	} {
 		got, height := writeBatchPageWrites(t, tc.n)
 		if height != tc.height {

@@ -629,8 +629,8 @@ func TestOpenTreeRefusesOldLayout(t *testing.T) {
 	if err := raw.Read(fileMetaPage, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:4]) != "6RTU" { // "UTR6", little endian
-		t.Fatalf("metadata magic %q, want UTR6", buf[:4])
+	if string(buf[:4]) != "7RTU" { // "UTR7", little endian
+		t.Fatalf("metadata magic %q, want UTR7", buf[:4])
 	}
 	buf[0] = '1'
 	if err := raw.Write(fileMetaPage, buf); err != nil {

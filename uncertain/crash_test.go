@@ -461,9 +461,9 @@ func widenInnerPages(t *testing.T, path string) int {
 // TestCrashRecoveryKilledMigratingInsert sweeps a crash through the first
 // commit of a file written before UTR6, whose intermediate root holds
 // float64 boxes: the insert rewrites the root in the float32 layout and the
-// commit stamps the file UTR6. At every offset the file reopens as the
+// commit stamps the file UTR7. At every offset the file reopens as the
 // older file or as the migrated one — invariants intact, the same answers
-// — and a completed insert leaves a UTR6 file whose root is float32.
+// — and a completed insert leaves a UTR7 file whose root is float32.
 func TestCrashRecoveryKilledMigratingInsert(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
@@ -523,7 +523,7 @@ func TestCrashRecoveryKilledMigratingInsert(t *testing.T) {
 	if err := raw.Read(pagefile.PageID(binary.LittleEndian.Uint32(meta[8:])), root); err != nil {
 		t.Fatal(err)
 	}
-	if string(meta[:4]) != "6RTU" || root[0] == 0 || root[1] != 1 {
-		t.Fatalf("after the insert: magic %q, root level %d flags %#x; want UTR6 and a float32 intermediate root", meta[:4], root[0], root[1])
+	if string(meta[:4]) != "7RTU" || root[0] == 0 || root[1] != 1 {
+		t.Fatalf("after the insert: magic %q, root level %d flags %#x; want UTR7 and a float32 intermediate root", meta[:4], root[0], root[1])
 	}
 }

@@ -143,9 +143,11 @@ type Config struct {
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
 	// physically reclaimed. A hit skips the page read and the node decode
-	// entirely; a miss reads the store. A hot query still allocates — 22
-	// times a query in BenchmarkFig9SearchHotCache, about a third of them
-	// record reads — but not per node it visits. A cached node views its
+	// entirely; a miss reads the store. A hot query still allocates — 20
+	// times a query in BenchmarkFig9SearchHotCache (22 while refinement read
+	// each data page into a fresh 4 KB buffer), for its results and the
+	// pdfs its records decode to — but not per node it visits or data page
+	// it reads. A cached node views its
 	// page: on a memory tree the store's own page, so an entry costs a
 	// 128-byte node and no page of its own; on a file tree the 4,096-byte
 	// buffer the page was read into, so the default of 1024
