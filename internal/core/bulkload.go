@@ -132,7 +132,7 @@ func (t *Tree) BulkLoad(objects []Object) error {
 					return err
 				}
 				if len(n.entries) == 0 {
-					if err := t.freeNode(n); err != nil {
+					if err := t.freePage(n.page); err != nil {
 						return fmt.Errorf("core: freeing the empty root %d: %w", n.page, err)
 					}
 				}

@@ -839,11 +839,9 @@ func corruptChildPointer(t *testing.T, objs []Object, cache int) (*Tree, *node) 
 	if err := tree.encodeNode(&bad, page); err != nil {
 		t.Fatal(err)
 	}
-	tree.vs.MarkInPlace(root.page)
 	if err := tree.store.Write(root.page, page); err != nil {
 		t.Fatal(err)
 	}
-	tree.vs.UnmarkInPlace(root.page)
 	return tree, root
 }
 

@@ -117,7 +117,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			for _, e := range n.entries {
 				orphans = append(orphans, orphan{e, n.level})
 			}
-			if err := t.freeNode(n); err != nil {
+			if err := t.freePage(n.page); err != nil {
 				return err
 			}
 		} else if len(n.entries) > 0 {
@@ -146,7 +146,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			if err != nil {
 				return err
 			}
-			if err := t.freeNode(root); err != nil {
+			if err := t.freePage(root.page); err != nil {
 				return err
 			}
 			t.rootPage = child
@@ -155,7 +155,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			continue
 		}
 		if len(root.entries) == 0 {
-			if err := t.freeNode(root); err != nil {
+			if err := t.freePage(root.page); err != nil {
 				return err
 			}
 			fresh, err := t.allocNode(0)
@@ -219,7 +219,7 @@ func (t *Tree) collectLeafEntries(page pagefile.PageID, level int) ([]entry, err
 			out = append(out, sub...)
 		}
 	}
-	if err := t.freeNode(n); err != nil {
+	if err := t.freePage(n.page); err != nil {
 		return nil, err
 	}
 	return out, nil

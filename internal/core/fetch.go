@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/pagefile"
@@ -36,21 +37,34 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 
 // readCommitted reads a committed node page straight from the store: the
 // writer's dirty map holds only the open batch's fresh pages, which no
-// reader can reach. Where the store lends its pages (a memory tree) the node
-// views the store's own page: a committed node page is never written in
-// place, since writeNode relocates it, and its id is reused only once the
-// epoch GC has freed it (see nodeCache). Otherwise the page is read into a
-// fresh buffer, which the node then owns.
+// reader can reach. On a memory tree the node views the MemStore's own page
+// (MemStore.View) where it is shareable: a committed node page is never
+// written in place, since writeNode relocates it, and its id is reused only
+// once the epoch GC has freed it (see nodeCache). Otherwise the page is read
+// into a fresh buffer, which the node then owns.
 func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
-	buf, lent, err := t.vs.View(id)
-	if err == nil && !lent {
+	var buf []byte
+	var err error
+	if t.mem != nil && t.shareable(id) {
+		buf, err = t.mem.View(id)
+	} else {
 		buf = make([]byte, pagefile.PageSize)
 		err = t.store.Read(id, buf)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: reading node %d: %w", id, err)
+		return nil, nodeReadErr(id, err)
 	}
 	return t.decodeAt(id, level, buf)
+}
+
+// nodeReadErr is a failed read of node page id. The metadata page or a node
+// named the page, so an id beyond the store makes that page corrupt: a
+// BadPageError, as a decode's refusal is.
+func nodeReadErr(id pagefile.PageID, err error) error {
+	if errors.Is(err, pagefile.ErrPageOutOfRange) {
+		err = &pagefile.BadPageError{Page: id, Reason: err.Error()}
+	}
+	return fmt.Errorf("core: reading node %d: %w", id, err)
 }
 
 // decodeAt decodes page id, read into buf, where a descent expects a node

@@ -202,8 +202,6 @@ func widenInner(t *testing.T, tree *Tree, magic uint32) (wide, half int) {
 		}
 		wide++
 		encodeWideInner(n, buf)
-		tree.vs.MarkInPlace(n.page)
-		defer tree.vs.UnmarkInPlace(n.page)
 		return tree.store.Write(n.page, buf)
 	}); err != nil {
 		t.Fatal(err)
@@ -212,8 +210,6 @@ func widenInner(t *testing.T, tree *Tree, magic uint32) (wide, half int) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(buf, magic)
-	tree.vs.MarkInPlace(tree.MetaPage())
-	defer tree.vs.UnmarkInPlace(tree.MetaPage())
 	if err := tree.store.Write(tree.MetaPage(), buf); err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 	} else {
 		t.dirtyMisses.Add(1)
 		if err := t.store.Read(id, buf); err != nil {
-			return nil, fmt.Errorf("core: reading node %d: %w", id, err)
+			return nil, nodeReadErr(id, err)
 		}
 	}
 	p, err := t.decodeAt(id, level, buf)
@@ -247,10 +247,11 @@ func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 // maybeCacheNode offers a freshly decoded node to the decoded-node cache.
 // Only committed pages are cached — their bytes are COW-immutable while
 // live, so the decoded form is shareable across lock-free readers; a
-// shadow (fresh) page is still writable in place and bypasses the cache.
-// Callers must not mutate p after offering it.
+// shadow (fresh) page, the metadata page and the append page are written
+// in place and bypass the cache (shareable). Callers must not mutate p
+// after offering it.
 func (t *Tree) maybeCacheNode(p *packedNode) {
-	if t.ncache != nil && !t.vs.Writable(p.page) {
+	if t.ncache != nil && t.shareable(p.page) {
 		t.ncache.put(p.page, p)
 	}
 }
@@ -266,9 +267,9 @@ func (t *Tree) maybeCacheNode(p *packedNode) {
 // the dirty map, in one buffer a page, until Commit writes them once.
 func (t *Tree) writeNode(n *node) error {
 	t.nodeWrites.Add(1)
-	if !t.vs.Writable(n.page) {
+	if !t.isFresh(n.page) {
 		old := n.page
-		id, err := t.store.Alloc()
+		id, err := t.allocPage()
 		if err != nil {
 			return fmt.Errorf("core: shadowing node %d: %w", old, err)
 		}
@@ -276,7 +277,7 @@ func (t *Tree) writeNode(n *node) error {
 		if old == t.rootPage {
 			t.rootPage = id
 		}
-		if err := t.vs.Free(old); err != nil {
+		if err := t.freePage(old); err != nil {
 			return fmt.Errorf("core: retiring node %d: %w", old, err)
 		}
 	}
@@ -296,20 +297,11 @@ func (t *Tree) writeNode(n *node) error {
 
 // allocNode creates an empty node at the given level.
 func (t *Tree) allocNode(level int) (*node, error) {
-	id, err := t.store.Alloc()
+	id, err := t.allocPage()
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating node: %w", err)
 	}
 	return &node{page: id, level: level}, nil
-}
-
-// freeNode releases a node's page: immediately when the page is a shadow
-// of the open batch, deferred to the epoch GC when it was committed — a
-// pinned snapshot may still descend into it. Its dirty bytes are dropped
-// unwritten: the batch may allocate the page again, even as a data page.
-func (t *Tree) freeNode(n *node) error {
-	delete(t.dirty, n.page)
-	return t.vs.Free(n.page)
 }
 
 // encodeNode writes n over buf, whatever buf held, so a page re-encoded in

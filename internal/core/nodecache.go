@@ -20,25 +20,26 @@ import (
 // about 4 MiB of pages on a file tree and no page of its own on a memory
 // tree.
 //
-// Coherence rests on the copy-on-write epoch discipline (VersionedStore):
+// Coherence rests on the tree's copy-on-write epochs (epoch.go):
 //
 //   - Only committed pages are inserted (writeNode relocates any committed
 //     page before rewriting it, so a committed page's bytes — and therefore
 //     its decoded node — are immutable for as long as the page is live).
-//     Shadow (fresh) pages bypass the cache: maybeCacheNode refuses them,
-//     and since a PageID is only recycled after its physical free runs the
-//     cache invalidator first, a fresh page can never alias a live entry.
-//   - Entries are dropped when the VersionedStore physically frees the
-//     page (reclaim, rollback, fresh-free) — the only moment a PageID's
-//     bytes can change. Until then the entry is valid for every reader,
-//     whatever epoch it pinned: snapshots at different epochs that can
-//     reach the same live page see the same bytes by construction.
+//     Fresh pages, the metadata page and the append page bypass the cache:
+//     maybeCacheNode refuses them (shareable), and since a PageID is only
+//     recycled after dropPage has dropped its entry, a fresh page can never
+//     alias a live entry.
+//   - Entries are dropped when the tree physically frees the page
+//     (dropPage: reclaim, rollback, fresh-free) — the only moment a
+//     PageID's bytes can change. Until then the entry is valid for every
+//     reader, whatever epoch it pinned: snapshots at different epochs that
+//     can reach the same live page see the same bytes by construction.
 //   - The same argument makes a memory tree's view of the store's page
 //     safe, cached or held by a query: MemStore writes a committed node
 //     page never (writeNode relocates it) and zeroes it for reuse only in
-//     Alloc, after the page's physical free, which runs the invalidator
-//     first and runs only once no pinned epoch can reach the page — and a
-//     query holds its pin for as long as it reads the node.
+//     Alloc, after dropPage, which drops the entry first and runs only
+//     once no pinned epoch can reach the page — and a query holds its pin
+//     for as long as it reads the node.
 //
 // Eviction keeps the inner levels: an overflowing shard evicts its least
 // recently used leaf, and an inner node only when it holds no leaf. A
@@ -167,10 +168,13 @@ func (nc *nodeCache) put(id pagefile.PageID, n *packedNode) {
 	s.mu.Unlock()
 }
 
-// invalidate drops the entry for id — called by the VersionedStore
-// immediately before a page is physically freed, so the PageID can be
-// recycled without a stale decoded node surviving it.
+// invalidate drops the entry for id, if the cache is enabled — called by
+// dropPage immediately before a page is physically freed, so the PageID
+// can be recycled without a stale decoded node surviving it.
 func (nc *nodeCache) invalidate(id pagefile.PageID) {
+	if nc == nil {
+		return
+	}
 	s := nc.shard(id)
 	s.mu.Lock()
 	if el, ok := s.entries[id]; ok {

@@ -169,7 +169,7 @@ func TestPageBufferFreedPageNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	freed := n.page
-	if err := tree.freeNode(n); err != nil {
+	if err := tree.freePage(n.page); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tree.dirty[freed]; ok {

@@ -68,8 +68,8 @@ var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller writes the batch's data and node pages first (Commit does); the
-// page is exempted from the copy-on-write check because rewriting it in
-// place is exactly how an epoch becomes the committed one.
+// page is written in place, straight to the store, because rewriting it
+// is exactly how an epoch becomes the committed one.
 func (t *Tree) writeMeta() error {
 	buf := make([]byte, pagefile.PageSize)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
@@ -80,14 +80,13 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint32(buf[12:], uint32(t.rootLevel))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(t.Len()))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(t.data.CurrentPage()))
-	binary.LittleEndian.PutUint64(buf[28:], t.vs.Epoch()+1) // the epoch this write commits
+	binary.LittleEndian.PutUint64(buf[28:], t.Epoch()+1) // the epoch this write commits
 	binary.LittleEndian.PutUint16(buf[metaFixed:], uint16(len(t.shapes)))
 	off := metaFixed + 2 // shapeRef keeps the table within the page
 	for _, s := range t.shapes {
 		binary.LittleEndian.PutUint16(buf[off:], uint16(len(s.enc)))
 		off += 2 + copy(buf[off+2:], s.enc)
 	}
-	t.vs.MarkInPlace(t.meta)
 	return t.store.Write(t.meta, buf)
 }
 
@@ -138,14 +137,14 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	t.setShapes(shapes)
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
-	t.data = pagefile.OpenDataFileAt(t.store, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
+	t.data = pagefile.OpenDataFileAt(t.store, t.allocPage, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
 	// The root box is not persisted: the walk takes it off the root.
 	if reach, t.rootMBR, err = t.reachable(t.dir); err != nil {
 		return nil, nil, err
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
-	t.vs.SeedState(t.workingState())
+	t.ep.state = t.workingState()
 	return t, reach, nil
 }
 

@@ -16,10 +16,10 @@ import (
 )
 
 // damageRecord edits the stored copy of the sealed data page that holds addr.
-// The tree itself can no longer write such a page, so the write goes in
-// under a momentary exemption, the way bit rot would without asking. edit
-// gets the page and the offset of the record's slot-table entry (offset,
-// length: two bytes each).
+// The tree itself can no longer write such a page, so the write goes to the
+// store directly, the way bit rot would without asking. edit gets the page
+// and the offset of the record's slot-table entry (offset, length: two
+// bytes each).
 func damageRecord(t *testing.T, tree *Tree, addr pagefile.DataAddr, edit func(page []byte, slotEntry int)) {
 	t.Helper()
 	page := make([]byte, pagefile.PageSize)
@@ -27,8 +27,6 @@ func damageRecord(t *testing.T, tree *Tree, addr pagefile.DataAddr, edit func(pa
 		t.Fatal(err)
 	}
 	edit(page, 4+4*int(addr.Slot))
-	tree.vs.MarkInPlace(addr.Page)
-	defer tree.vs.UnmarkInPlace(addr.Page)
 	if err := tree.store.Write(addr.Page, page); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // (readCommitted), not through the decoded-node cache, so scrubbing does
 // not pollute the read cache; that checksummed read and the decode are the
 // node's check. Data pages and the current append page are checked through
-// the store stack's PageVerifier probe, which reads only the stored page
-// (no cache, no Stats charge).
+// the store's PageVerifier probe, which reads only the stored page (no
+// cache, no Stats charge); a store without one verifies every page.
 
 // Scrub makes one pass over the pages the committed tree reaches and
 // reports how many verified clean, and the errors of the pages that proved
@@ -28,12 +28,8 @@ import (
 // held for the whole pass, so no page it reaches is freed before it is
 // checked. Safe to call concurrently with readers and the writer.
 func (t *Tree) Scrub() (verified int, corrupt []error) {
-	st, _, release := t.vs.Pin()
-	defer release()
-	ts, ok := st.(*treeState)
-	if !ok || ts == nil {
-		return 0, nil
-	}
+	ts, epoch := t.pin()
+	defer t.unpin(epoch)
 	check := func(err error) bool {
 		if err == nil {
 			verified++
@@ -44,11 +40,16 @@ func (t *Tree) Scrub() (verified int, corrupt []error) {
 		}
 		return false
 	}
+	pv, _ := t.store.(pagefile.PageVerifier)
 	seenData := make(map[pagefile.PageID]bool)
 	verifyData := func(id pagefile.PageID) {
 		if id != pagefile.InvalidPage && !seenData[id] {
 			seenData[id] = true
-			check(t.vs.VerifyPage(id))
+			var err error
+			if pv != nil {
+				err = pv.VerifyPage(id)
+			}
+			check(err)
 		}
 	}
 	var walk func(id pagefile.PageID, level int)

@@ -726,7 +726,8 @@ func FuzzDataRecord(f *testing.F) {
 		updf.NewMixture([]updf.PDF{updf.NewUniformBall(geom.Point{3, 4}, 2), updf.NewUniformRect(box)}, []float64{1, 3}),
 	}
 	tables := [][]shape{fuzzShapes(2), fuzzShapes(3)}
-	df := pagefile.NewDataFile(pagefile.NewMemStore())
+	mem := pagefile.NewMemStore()
+	df := pagefile.NewDataFile(mem, mem.Alloc)
 	var addr pagefile.DataAddr
 	add := func(o Object, ref uint16, table []shape) {
 		rec, err := encodeObject(o, ref, table)
@@ -797,7 +798,8 @@ func FuzzDataRecord(f *testing.F) {
 			}
 		}
 
-		df := pagefile.NewDataFile(pagefile.NewMemStore())
+		mem := pagefile.NewMemStore()
+		df := pagefile.NewDataFile(mem, mem.Alloc)
 		for i := 0; i < int(slot%8); i++ {
 			if _, err := df.Append([]byte{byte(i), 1, 2, 3}); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -77,9 +78,7 @@ func (t *Tree) Commit() error {
 			return err
 		}
 	}
-	if err := t.vs.Commit(t.workingState()); err != nil {
-		return err
-	}
+	t.publish(t.workingState())
 	// Neither is kept: a large batch would hold its journal's and its
 	// pages' memory.
 	t.undo = nil
@@ -88,8 +87,9 @@ func (t *Tree) Commit() error {
 }
 
 // writeDirty writes the open batch's dirty node pages to the store in
-// ascending page order. A failed write leaves the map whole, so the batch
-// can still roll back or commit again.
+// ascending page order, refusing one that is not fresh (ErrCOWViolation):
+// a committed page is relocated, never rewritten. A failed write leaves
+// the map whole, so the batch can still roll back or commit again.
 func (t *Tree) writeDirty() error {
 	ids := make([]pagefile.PageID, 0, len(t.dirty))
 	for id := range t.dirty {
@@ -97,7 +97,11 @@ func (t *Tree) writeDirty() error {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		if err := t.store.Write(id, t.dirty[id]); err != nil {
+		err := ErrCOWViolation
+		if t.isFresh(id) {
+			err = t.store.Write(id, t.dirty[id])
+		}
+		if err != nil {
 			return fmt.Errorf("core: writing node %d: %w", id, err)
 		}
 	}
@@ -119,28 +123,13 @@ func (t *Tree) Rollback() error {
 	t.dirty = make(map[pagefile.PageID][]byte)
 	t.data.SetCurrent(st.dataPage)
 	t.setShapes(st.shapes)
-	return t.vs.Rollback()
+	return t.abandon()
 }
-
-// committed is the last committed state (New and Open both publish one).
-func (t *Tree) committed() *treeState { return t.vs.State().(*treeState) }
-
-// Epoch returns the last committed epoch number.
-func (t *Tree) Epoch() uint64 { return t.vs.Epoch() }
 
 // CommittedLen returns the object count of the last committed epoch —
 // readable concurrently with a writer (whose uncommitted mutations are not
 // yet visible).
 func (t *Tree) CommittedLen() int { return t.committed().size }
-
-// GCInfo reports the epoch collector's state: committed epoch, live
-// snapshot pins, pending epochs and pages, and the lifetime reclaim
-// counter.
-func (t *Tree) GCInfo() pagefile.GCInfo { return t.vs.GCInfo() }
-
-// Reclaim frees whatever retired pages the current snapshot pins allow.
-// Writer-side, like Commit.
-func (t *Tree) Reclaim() error { return t.vs.Reclaim() }
 
 // Snapshot is a pinned view of one committed epoch. Any number of
 // goroutines' snapshots coexist with each other and with the (single)
@@ -149,21 +138,25 @@ func (t *Tree) Reclaim() error { return t.vs.Reclaim() }
 // lock; Close releases the pin (idempotent) — forgetting it retains the
 // epoch's retired pages until the tree closes.
 type Snapshot struct {
-	t       *Tree
-	st      *treeState
-	epoch   uint64
-	release func()
+	t      *Tree
+	st     *treeState
+	epoch  uint64
+	closed atomic.Bool
 }
 
 // Snapshot pins the current committed epoch (New and Open both publish one
 // before they return).
 func (t *Tree) Snapshot() *Snapshot {
-	st, epoch, release := t.vs.Pin()
-	return &Snapshot{t: t, st: st.(*treeState), epoch: epoch, release: release}
+	st, epoch := t.pin()
+	return &Snapshot{t: t, st: st, epoch: epoch}
 }
 
 // Close releases the snapshot's pin. Idempotent.
-func (s *Snapshot) Close() { s.release() }
+func (s *Snapshot) Close() {
+	if s.closed.CompareAndSwap(false, true) {
+		s.t.unpin(s.epoch)
+	}
+}
 
 // Epoch returns the pinned epoch number.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }

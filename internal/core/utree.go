@@ -22,7 +22,9 @@ type Options struct {
 	// CatalogSize m; 0 selects the paper defaults (15 for U-tree, 9 for
 	// U-PCR).
 	CatalogSize int
-	// Store supplies page storage; nil selects an in-memory store.
+	// Store supplies page storage; nil selects an in-memory store. The
+	// tree writes it directly and keeps the copy-on-write epochs itself
+	// (epoch.go); a bare MemStore lends readers its committed pages.
 	Store pagefile.Store
 	// Persist makes the index reopenable: New reserves a metadata page —
 	// the first page it allocates on Store, so the address is stable on a
@@ -47,7 +49,7 @@ type Options struct {
 	// so the default of 1024 entries (selected by 0) is ≈ 4 MiB; negative
 	// disables the cache. A full cache evicts its least recently used leaf,
 	// and an inner node only when it holds no leaf. Coherence is automatic
-	// — entries drop when the versioned store physically frees their page,
+	// — entries drop when the tree physically frees their page,
 	// and shadow pages are never cached.
 	NodeCacheEntries int
 }
@@ -78,11 +80,14 @@ type Tree struct {
 	dim  int
 	cat  pcr.Catalog
 
-	// store is the versioned (copy-on-write) view over the caller's page
-	// storage; vs is the same object with its epoch surface exposed. All
-	// tree I/O — node pages, data pages, metadata — goes through it.
+	// store is the caller's page storage (Options.Store); all tree I/O —
+	// node pages, data pages, metadata — goes to it, and ep (epoch.go)
+	// keeps the copy-on-write discipline over it. mem is the same store
+	// where it is a bare MemStore, whose committed pages a reader views
+	// in place (readCommitted).
 	store pagefile.Store
-	vs    *pagefile.VersionedStore
+	mem   *pagefile.MemStore
+	ep    epochs
 	data  *pagefile.DataFile
 
 	// dirty holds the node pages the open batch has written, each encoded
@@ -213,7 +218,7 @@ func New(opt Options) (*Tree, error) {
 		}
 	}
 	t := newTree(opt.Kind, opt.Dim, opt.catalogSize(), store, meta, 0, opt)
-	t.data = pagefile.NewDataFile(t.store)
+	t.data = pagefile.NewDataFile(t.store, t.allocPage)
 
 	root, err := t.allocNode(0)
 	if err != nil {
@@ -233,21 +238,21 @@ func New(opt Options) (*Tree, error) {
 }
 
 // newTree is the constructor body New and Open share: it resolves the
-// runtime options and wires the versioned store, node cache and capacities
-// for a tree of the given structure, which the caller has checked. The
-// caller still owes the data file, the root and the first committed state.
+// runtime options and wires the store at the given committed epoch, the
+// node cache and the capacities for a tree of the given structure, which
+// the caller has checked. The caller still owes the data file, the root
+// and the first committed state.
 func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) *Tree {
 	samples := opt.MCSamples
 	if samples == 0 {
 		samples = 10000
 	}
-	vs := pagefile.NewVersionedStore(store, epoch)
 	t := &Tree{
 		kind:    kind,
 		dim:     dim,
 		cat:     pcr.UniformCatalog(m),
-		store:   vs,
-		vs:      vs,
+		store:   store,
+		ep:      epochs{epoch: epoch, pins: make(map[uint64]int), fresh: make(map[pagefile.PageID]bool)},
 		meta:    meta,
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
@@ -260,6 +265,7 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		disableReinsert: opt.DisableReinsert,
 		cut:             chooseCut,
 	}
+	t.mem, _ = store.(*pagefile.MemStore)
 	t.attachNodeCache(opt.NodeCacheEntries)
 	leafCap, innerCap := capacities(kind, dim, m)
 	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)
@@ -341,9 +347,8 @@ func (t *Tree) ResetCounters() {
 func (t *Tree) CacheStats() (hits, misses int64) { return t.dirtyHits.Load(), t.dirtyMisses.Load() }
 
 // attachNodeCache builds the decoded-node cache per Options.NodeCacheEntries
-// (0 → default, negative → disabled) and registers its invalidation hook
-// with the versioned store, so entries drop the moment their page is
-// physically freed.
+// (0 → default, negative → disabled); dropPage drops an entry the moment
+// its page is physically freed.
 func (t *Tree) attachNodeCache(entries int) {
 	if entries < 0 {
 		return
@@ -352,7 +357,6 @@ func (t *Tree) attachNodeCache(entries int) {
 		entries = defaultNodeCacheEntries
 	}
 	t.ncache = newNodeCache(entries)
-	t.vs.AttachInvalidator(t.ncache.invalidate)
 }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss

@@ -29,9 +29,10 @@ import (
 type DataFile struct {
 	mu      sync.Mutex
 	store   Store
-	current PageID // page still accepting appends; InvalidPage when none
-	buf     []byte // cached copy of current; nil until first append needs it
-	dirty   bool   // buf has mutations the store has not seen
+	alloc   func() (PageID, error) // allocates each new append page
+	current PageID                 // page still accepting appends; InvalidPage when none
+	buf     []byte                 // cached copy of current; nil until first append needs it
+	dirty   bool                   // buf has mutations the store has not seen
 }
 
 // DataAddr is the disk address of one record.
@@ -55,15 +56,17 @@ var (
 //	records grow upward from the slot directory's end.
 const dataHeader = 4
 
-// NewDataFile creates a data file on the given store.
-func NewDataFile(store Store) *DataFile {
-	return &DataFile{store: store, current: InvalidPage}
+// NewDataFile creates a data file on the given store, whose new pages
+// alloc allocates (store.Alloc, or an owner's method that also records
+// them, as core's tree does).
+func NewDataFile(store Store, alloc func() (PageID, error)) *DataFile {
+	return OpenDataFileAt(store, alloc, InvalidPage)
 }
 
 // OpenDataFileAt resumes appending to an existing data file whose last page
 // is `last` (InvalidPage for none).
-func OpenDataFileAt(store Store, last PageID) *DataFile {
-	return &DataFile{store: store, current: last}
+func OpenDataFileAt(store Store, alloc func() (PageID, error), last PageID) *DataFile {
+	return &DataFile{store: store, alloc: alloc, current: last}
 }
 
 // CurrentPage exposes the append page (persisted by index headers).
@@ -83,7 +86,6 @@ func (df *DataFile) CurrentPage() PageID {
 // committed addresses never change.
 func (df *DataFile) SetCurrent(id PageID) {
 	df.mu.Lock()
-	unmarkInPlace(df.store, df.current) // the next flush re-marks its page
 	df.current = id
 	df.buf = nil
 	df.dirty = false
@@ -103,33 +105,11 @@ func (df *DataFile) flushLocked() error {
 	if !df.dirty {
 		return nil
 	}
-	markInPlace(df.store, df.current)
 	if err := df.store.Write(df.current, df.buf); err != nil {
 		return err
 	}
 	df.dirty = false
 	return nil
-}
-
-// inPlaceMarker is implemented by VersionedStore: the current append page
-// is legitimately written in place (appends never move committed records),
-// so the data file exempts it from the copy-on-write check for as long as
-// it is the append page, and no longer.
-type inPlaceMarker interface {
-	MarkInPlace(id PageID)
-	UnmarkInPlace(id PageID)
-}
-
-func markInPlace(s Store, id PageID) {
-	if m, ok := s.(inPlaceMarker); ok {
-		m.MarkInPlace(id)
-	}
-}
-
-func unmarkInPlace(s Store, id PageID) {
-	if m, ok := s.(inPlaceMarker); ok {
-		m.UnmarkInPlace(id)
-	}
 }
 
 // Append stores rec in the in-memory append cache and returns its address;
@@ -161,9 +141,8 @@ func (df *DataFile) Append(rec []byte) (DataAddr, error) {
 		if err := df.flushLocked(); err != nil {
 			return DataAddr{}, err
 		}
-		unmarkInPlace(df.store, df.current) // sealed: immutable from here on
 	}
-	id, err := df.store.Alloc()
+	id, err := df.alloc()
 	if err != nil {
 		return DataAddr{}, err
 	}

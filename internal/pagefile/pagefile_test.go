@@ -176,7 +176,7 @@ func TestOpenFileStoreBadMagic(t *testing.T) {
 
 func TestDataFileAppendRead(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	recs := [][]byte{
 		[]byte("alpha"),
 		[]byte("beta-longer-record"),
@@ -220,7 +220,7 @@ func TestDataFileAppendRead(t *testing.T) {
 
 func TestDataFilePageOverflow(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	big := bytes.Repeat([]byte{1}, 1500)
 	var pages []PageID
 	for i := 0; i < 5; i++ {
@@ -242,7 +242,7 @@ func TestDataFilePageOverflow(t *testing.T) {
 
 func TestDataFileTooLarge(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	if _, err := df.Append(make([]byte, PageSize)); !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
 	}
@@ -259,7 +259,7 @@ func TestDataFileTooLarge(t *testing.T) {
 // slot number or its bytes.
 func TestDataFileZeroLengthSlot(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	a, _ := df.Append([]byte("doomed"))
 	b, _ := df.Append([]byte("survivor"))
 	if err := df.Flush(); err != nil {
@@ -274,7 +274,7 @@ func TestDataFileZeroLengthSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	df = OpenDataFileAt(s, a.Page)
+	df = OpenDataFileAt(s, s.Alloc, a.Page)
 	c, err := df.Append([]byte("newcomer"))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestDataFileZeroLengthSlot(t *testing.T) {
 
 func TestDataFileReadPageGrouping(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	a1, _ := df.Append([]byte("one"))
 	a2, _ := df.Append([]byte("two"))
 	if a1.Page != a2.Page {
@@ -330,7 +330,7 @@ func TestDataFileReadPageGrouping(t *testing.T) {
 
 func TestDataFileBadSlot(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	a, _ := df.Append([]byte("x"))
 	if _, err := df.Read(DataAddr{Page: a.Page, Slot: 99}); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("err = %v, want ErrBadSlot", err)
@@ -339,7 +339,7 @@ func TestDataFileBadSlot(t *testing.T) {
 
 func TestDataFileManyRecordsStress(t *testing.T) {
 	s := NewMemStore()
-	df := NewDataFile(s)
+	df := NewDataFile(s, s.Alloc)
 	rng := rand.New(rand.NewSource(6))
 	type kept struct {
 		addr DataAddr
@@ -408,7 +408,7 @@ func TestChaosStoreStickyCountdown(t *testing.T) {
 func TestDataFileFaultPropagation(t *testing.T) {
 	cs := NewChaosStore(NewMemStore(), 0)
 	cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Countdown: 0, Sticky: true})
-	df := NewDataFile(cs)
+	df := NewDataFile(cs, cs.Alloc)
 	if _, err := df.Append([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append under fault: %v", err)
 	}

@@ -1,8 +1,8 @@
 // Package pagefile provides the disk substrate of the U-tree reproduction:
 // fixed-size 4096-byte pages (the paper's page size), an in-memory and a
-// file-backed store, a copy-on-write epoch layer, I/O statistics, and a
-// slotted data file holding object details (uncertainty region + pdf
-// parameters) that U-tree leaf entries reference by disk address.
+// file-backed store, a fault injector, I/O statistics, and a slotted data
+// file holding object details (uncertainty region + pdf parameters) that
+// U-tree leaf entries reference by disk address.
 package pagefile
 
 import (
@@ -128,8 +128,8 @@ func (m *MemStore) Read(id PageID, buf []byte) error {
 
 // View returns the page itself, not a copy, checked and counted as Read
 // does. The caller must not write it, and may read it only for as long as
-// the page is neither written nor freed: VersionedStore lends committed
-// node pages this way, which are never written in place and are freed only
+// the page is neither written nor freed: core's readers view committed
+// node pages this way, which the tree never writes in place and frees only
 // once no pinned epoch can reach them.
 func (m *MemStore) View(id PageID) ([]byte, error) {
 	m.mu.Lock()

@@ -16,7 +16,7 @@ import (
 )
 
 // End-to-end fault-tolerance tests: chaos injection under the full index
-// stack (checksummed file store → chaos → versioning → tree), checking
+// stack (checksummed file store → chaos → tree), checking
 // the user-visible contract — an I/O fault fails the operation that hit it
 // and nothing else, corruption is typed and fails every read that reaches
 // it but no other, a dead shard fails a sharded query whole — plus resource

@@ -166,10 +166,11 @@ type Config struct {
 	// Its price is heap, about a page per cached node: 1.3–2.0 MB, 28–40 %
 	// of the warm workloads' live heap.
 	NodeCacheEntries int
-	// WrapStore, when set, wraps the base page store (file or memory)
-	// before the versioning layer — the fault-injection and instrumentation
-	// hook (e.g. pagefile.ChaosStore, whose latency rules also make a slow
-	// store). Production code leaves it nil. An error from the wrapped
+	// WrapStore, when set, wraps the base page store (file or memory), and
+	// the tree writes the store it returns — the fault-injection and
+	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
+	// also make a slow store). A wrapped memory store is read by copy: only
+	// a bare one lends readers its pages. Production code leaves it nil. An error from the wrapped
 	// store fails the operation that hit it and is returned to the caller
 	// unretried.
 	WrapStore func(pagefile.Store) pagefile.Store
@@ -286,7 +287,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 	if err == nil {
 		// The walk went through the wrapped store (fault injection
 		// applies); the sweep of what it did not reach runs directly on the
-		// file — allocator repair below the versioning layer, not part of
+		// file — allocator repair below the tree's epochs, not part of
 		// any epoch.
 		if _, err = fs.SweepLeaked(reach); err != nil {
 			err = fmt.Errorf("uncertain: open-time leak sweep: %w", err)
@@ -302,8 +303,9 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 // newHandle is the part NewTree and OpenTree share: the Tree shell, the
 // store stack over fs (nil → memory), and cfg mapped to core options.
 //
-// The stack is base → Config.WrapStore → core's versioning; the writer's
-// dirty pages and the decoded-node cache sit above it, in core.
+// The stack is base → Config.WrapStore, and core.Tree writes the store
+// that returns: its copy-on-write epochs, the writer's dirty pages and the
+// decoded-node cache sit above it, in core.
 func newHandle(cfg Config, fs *pagefile.FileStore) (*Tree, core.Options) {
 	t := &Tree{file: fs}
 	var store pagefile.Store = pagefile.NewMemStore()
@@ -430,7 +432,7 @@ func (t *Tree) Epoch() uint64 { return t.inner.Epoch() }
 // snapshot pins, pending epochs and pages, and the lifetime reclaim
 // counter — the observability surface for leak assertions in tests and
 // tooling.
-type GCInfo = pagefile.GCInfo
+type GCInfo = core.GCInfo
 
 // GCInfo reports the epoch collector's health.
 func (t *Tree) GCInfo() GCInfo { return t.inner.GCInfo() }
