@@ -140,7 +140,7 @@ func TestGCInfoCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(dataPages, tree.MetaPage())
-	addrs := map[int64]pagefile.DataAddr{}
+	addrs := map[int64]DataAddr{}
 	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		delete(dataPages, n.page)
 		for i := range n.entries {
@@ -211,7 +211,7 @@ func TestGCInfoCounters(t *testing.T) {
 		}
 	}
 	for _, o := range doomed {
-		rec, err := tree.data.Read(addrs[o.ID])
+		rec, err := tree.readRecord(addrs[o.ID])
 		if err != nil {
 			t.Fatalf("record of deleted object %d: %v", o.ID, err)
 		}

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/pagefile"
 )
 
 // BulkLoad builds the index bottom-up from a dataset in three stages:
@@ -34,8 +32,8 @@ import (
 // Compared with one-by-one insertion it produces a tree with the page count
 // of a full packing (fewer pages, fewer query I/Os) at a fraction of the
 // build cost, whose first inserts neither split nor reinsert; the tree
-// stays fully dynamic afterwards (later Inserts append at the data file's
-// tail).
+// stays fully dynamic afterwards (later Inserts append to the last data
+// page).
 // The result is a function of the object order alone. It can only be called
 // on an empty tree, and an ID named twice is ErrDuplicateID before a page is
 // allocated. The directory takes every object at its record's address; a
@@ -53,10 +51,10 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	}
 	for _, o := range objects {
 		if _, dup := t.dir[o.ID]; dup {
-			t.dir = make(map[int64]pagefile.DataAddr)
+			t.dir = make(map[int64]DataAddr)
 			return fmt.Errorf("%w: id %d named twice", ErrDuplicateID, o.ID)
 		}
-		t.dir[o.ID] = pagefile.DataAddr{} // the address comes with the record
+		t.dir[o.ID] = DataAddr{} // the address comes with the record
 	}
 	t.undo = append(t.undo, dirUndo{load: true})
 

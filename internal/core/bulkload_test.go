@@ -41,14 +41,14 @@ func TestBulkLoadClustersRecords(t *testing.T) {
 	bulk := bulkTree(t, Options{Dim: 2}, objs)
 
 	// Walk the leaves left to right.
-	var leaves [][]pagefile.DataAddr
+	var leaves [][]DataAddr
 	perPage := make(map[pagefile.PageID]int)
 	last := pagefile.PageID(0)
 	err := bulk.walk(bulk.rootPage, bulk.rootLevel, func(n *node) error {
 		if !n.leaf() {
 			return nil
 		}
-		addrs := make([]pagefile.DataAddr, len(n.entries))
+		addrs := make([]DataAddr, len(n.entries))
 		for i := range n.entries {
 			a := n.entries[i].addr
 			if a.Page < last {
@@ -70,7 +70,7 @@ func TestBulkLoadClustersRecords(t *testing.T) {
 	// The emptiest full data page (the last one is still accepting appends).
 	recsPerPage := len(objs)
 	for page, n := range perPage {
-		if page != bulk.data.CurrentPage() && n < recsPerPage {
+		if page != bulk.appendPage && n < recsPerPage {
 			recsPerPage = n
 		}
 	}

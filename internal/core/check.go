@@ -39,7 +39,7 @@ func (t *Tree) CheckInvariants() error {
 // references vouch for. The working tree is read as the writer reads it,
 // its dirty pages included; a pinned epoch's committed pages are read from
 // the store, as a query reads them, since its check runs beside the writer.
-func (t *Tree) checkTreeAt(st *treeState, dir map[int64]pagefile.DataAddr, records bool) error {
+func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) error {
 	read := t.readNode
 	if dir == nil {
 		read = func(page pagefile.PageID, level int) (*node, error) {
@@ -153,9 +153,10 @@ func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 		return nil
 	}
 	var obj Object
-	rec, err := t.data.Read(e.addr)
+	page := make([]byte, pagefile.PageSize) // the store's: the writer's bytes are not the epoch's
+	err := t.store.Read(e.addr.Page, page)
 	if err == nil {
-		obj, err = decodeObject(rec, shapes)
+		obj, err = objectFromPage(page, e.addr.Slot, shapes)
 	}
 	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
 		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())

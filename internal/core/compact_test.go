@@ -514,7 +514,7 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 				leaves++
 				h = leafHash
 				for i := range n.entries {
-					rec, err := tree.data.Read(n.entries[i].addr)
+					rec, err := tree.readRecord(n.entries[i].addr)
 					if err != nil {
 						return err
 					}

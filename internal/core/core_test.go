@@ -582,7 +582,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	addrs := map[int64]pagefile.DataAddr{}
+	addrs := map[int64]DataAddr{}
 	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 		for i := range n.entries {
 			if n.leaf() {
@@ -604,7 +604,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	appendPage := tree.data.CurrentPage()
+	appendPage := tree.appendPage
 	if addrs[dead[0].ID].Page == appendPage || addrs[dead[19].ID].Page != appendPage {
 		t.Fatalf("fixture: dead records at %+v and %+v, append page %d", addrs[dead[0].ID], addrs[dead[19].ID], appendPage)
 	}
@@ -659,7 +659,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range dead {
-		if _, err := re.data.Read(addrs[o.ID]); !errors.Is(err, pagefile.ErrBadSlot) {
+		if _, err := re.readRecord(addrs[o.ID]); !errors.Is(err, ErrBadSlot) {
 			t.Fatalf("dead slot %+v read: %v, want ErrBadSlot", addrs[o.ID], err)
 		}
 	}

@@ -10,11 +10,11 @@ import (
 
 // Delete removes the object id from the index; an ID the tree does not hold
 // is ErrNotFound, and nothing is mutated. It reads the object's record (from
-// the append cache if this batch appended it) for the region MBR that
-// guides the descent, mirroring R-tree deletion; a record holding another
-// ID is a *pagefile.BadPageError. The record is write-once and stays, so a
-// snapshot pinned earlier can still refine it, and the data file sees no
-// write.
+// the writer's bytes if its page is the append page or this batch wrote it)
+// for the region MBR that guides the descent, mirroring R-tree deletion; a
+// record holding another ID is a *pagefile.BadPageError. The record is
+// write-once and stays, so a snapshot pinned earlier can still refine it,
+// and no data page is written.
 func (t *Tree) Delete(id int64) error {
 	addr, ok := t.dir[id]
 	if !ok {
@@ -23,7 +23,7 @@ func (t *Tree) Delete(id int64) error {
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
-	rec, err := t.data.Read(addr)
+	rec, err := t.readRecord(addr)
 	var o Object
 	if err == nil {
 		o, err = decodeObject(rec, t.shapes)

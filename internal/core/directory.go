@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/pagefile"
-)
+import "errors"
 
 // The ID directory (Tree.dir) maps every live ID of the working tree to its
 // record's address: Delete's key and the object count. Open rebuilds it
@@ -24,7 +20,7 @@ var (
 // with load set, a BulkLoad, which found the directory empty.
 type dirUndo struct {
 	id         int64
-	prev       pagefile.DataAddr
+	prev       DataAddr
 	live, load bool
 }
 
@@ -39,7 +35,7 @@ func (t *Tree) revertDir() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		switch u := t.undo[i]; {
 		case u.load:
-			t.dir = make(map[int64]pagefile.DataAddr)
+			t.dir = make(map[int64]DataAddr)
 		case u.live:
 			t.dir[u.id] = u.prev
 		default:
@@ -56,7 +52,7 @@ func (t *Tree) Holds(id int64) bool {
 }
 
 // RecordAddr returns the address of a live object's data record.
-func (t *Tree) RecordAddr(id int64) (pagefile.DataAddr, bool) {
+func (t *Tree) RecordAddr(id int64) (DataAddr, bool) {
 	addr, ok := t.dir[id]
 	return addr, ok
 }

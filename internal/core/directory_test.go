@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/internal/pagefile"
 )
 
 // committedTree inserts objs into a new 2-D tree and commits them.
@@ -34,7 +32,7 @@ func TestCheckInvariantsChecksDirectory(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		id   int64
-		addr pagefile.DataAddr
+		addr DataAddr
 		live bool
 		want string
 	}{

@@ -57,7 +57,7 @@ func (k Kind) String() string {
 type entry struct {
 	// Leaf fields.
 	id   int64
-	addr pagefile.DataAddr
+	addr DataAddr
 	mbr  geom.Rect
 	out  pcr.CFB
 	in   pcr.CFB

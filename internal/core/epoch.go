@@ -20,17 +20,19 @@ import (
 //     that is not fresh (ErrCOWViolation, the net that turns a missed
 //     relocation into a failure instead of silent snapshot corruption),
 //     and freeing one is deferred until every snapshot pinned at an epoch
-//     that could reach it has been released.
+//     that could reach it has been released. The one exception is the
+//     committed append page (datapage.go), whose committed records an
+//     append never moves: Commit writes it in place with the batch's
+//     pages.
 //   - Commit seals the open batch: its retired pages become garbage of the
 //     new epoch, the fresh set empties, and the committed treeState is
 //     published atomically with the epoch bump. A snapshot pins an epoch,
 //     and a pinned epoch's pages are never recycled.
 //
-// Two pages are written in place outside the discipline, straight to the
-// store: the metadata page, whose rewrite is how an epoch becomes the
-// committed one, and the data file's append page, whose committed records
-// an append never moves. Neither is lent to a reader nor cached
-// (shareable).
+// No page is written outside writeDirty and writeMeta. Two are written in
+// place: the committed append page, and the metadata page, whose rewrite
+// is how an epoch becomes the committed one. Neither is lent to a reader
+// nor cached (shareable).
 //
 // Reclamation runs on the writer's side only (Commit and Reclaim), so a
 // reader releasing the last pin never pays the physical free; until the
@@ -62,8 +64,8 @@ type retired struct {
 // copy-on-write path.
 var ErrCOWViolation = errors.New("core: in-place write to a committed page (COW violation)")
 
-// allocPage allocates a page — a node page or, through the data file, a
-// data page — and marks it fresh: writable in place until Commit seals it.
+// allocPage allocates a page — a node page or a data page — and marks it
+// fresh: writable in place until Commit seals it.
 func (t *Tree) allocPage() (pagefile.PageID, error) {
 	id, err := t.store.Alloc()
 	if err != nil {

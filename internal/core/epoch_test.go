@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -114,7 +115,7 @@ func TestEpochViewsLendOnlyCommittedPages(t *testing.T) {
 	for name, id := range map[string]pagefile.PageID{
 		"fresh":  fresh,
 		"meta":   tree.MetaPage(),
-		"append": tree.data.CurrentPage(),
+		"append": tree.appendPage,
 	} {
 		if err := mem.Write(id, rootBytes); err != nil {
 			t.Fatal(err)
@@ -258,8 +259,8 @@ func TestEpochRollback(t *testing.T) {
 	}
 }
 
-// TestEpochSealedDataPagesStayPut: a data page the data file has moved on
-// from keeps its bytes through later appends, flushes, commits and a
+// TestEpochSealedDataPagesStayPut: a data page the tree has stopped
+// appending to keeps its bytes through later appends, commits and a
 // rolled-back batch that filled pages of its own; the rollback rewinds to
 // the committed append page, and every object reads back.
 func TestEpochSealedDataPagesStayPut(t *testing.T) {
@@ -284,7 +285,7 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 			return
 		}
 		for _, a := range tree.dir {
-			if _, ok := sealed[a.Page]; !ok && a.Page != tree.data.CurrentPage() {
+			if _, ok := sealed[a.Page]; !ok && a.Page != tree.appendPage {
 				sealed[a.Page] = storedPage(t, mem, a.Page)
 			}
 		}
@@ -304,20 +305,17 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 		}
 		check("commit")
 	}
-	appendPage := tree.data.CurrentPage()
+	appendPage := tree.appendPage
 	insert(objs[800:1000])
-	if err := tree.data.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if tree.data.CurrentPage() == appendPage {
+	if tree.appendPage == appendPage {
 		t.Fatal("fixture: the failed batch did not move on to a fresh data page")
 	}
-	check("flush")
+	check("open batch")
 	if err := tree.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	check("rollback")
-	if got := tree.data.CurrentPage(); got != appendPage {
+	if got := tree.appendPage; got != appendPage {
 		t.Fatalf("append page %d after the rollback, want the committed one, %d", got, appendPage)
 	}
 	insert(objs[1000:])
@@ -327,7 +325,7 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 	check("commit after rollback")
 	page := make([]byte, pagefile.PageSize)
 	for id, a := range tree.dir {
-		if err := tree.data.ReadPageInto(a.Page, page); err != nil {
+		if err := tree.store.Read(a.Page, page); err != nil {
 			t.Fatal(err)
 		}
 		if o, err := objectFromPage(page, a.Slot, tree.shapes); err != nil || o.ID != id {
@@ -429,5 +427,114 @@ func TestEpochCommitPublishesStateAtomically(t *testing.T) {
 		if tree.Epoch() != e0+uint64(i)+1 {
 			t.Fatalf("commit %d published epoch %d", i, tree.Epoch())
 		}
+	}
+}
+
+// TestEpochRollbackWritesNothing: a batch that fills the committed append
+// page and starts another writes no page before its commit, so its
+// rollback leaves the store as the last commit left it — the append page
+// byte-identical — and the next commit's records start at that page's old
+// free slot, leaving no unreferenced slot behind.
+func TestEpochRollbackWritesNothing(t *testing.T) {
+	wc := &writeCounter{Store: pagefile.NewMemStore(), writes: make(map[pagefile.PageID]int)}
+	tree, _ := epochTree(t, Options{Store: wc}, 600)
+	page := tree.appendPage
+	before := storedPage(t, wc, page)
+	slots := binary.LittleEndian.Uint16(before)
+	if slots == 0 || binary.LittleEndian.Uint16(before[2:]) < 512 {
+		t.Fatalf("fixture: append page %d holds %d slots, %d bytes free", page, slots, binary.LittleEndian.Uint16(before[2:]))
+	}
+	wc.reset()
+	objs := makeObjects(400, 3000, rand.New(rand.NewSource(55)))
+	for i := range objs {
+		objs[i].ID += 1 << 20
+	}
+	n := 0
+	for ; n < len(objs) && tree.appendPage == page; n++ {
+		if err := tree.Insert(objs[n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree.appendPage == page {
+		t.Fatal("fixture: the batch never filled the committed append page")
+	}
+	if err := tree.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if w := wc.reset(); len(w) != 0 {
+		t.Fatalf("a rolled-back batch of %d inserts wrote pages %v, want none", n, w)
+	}
+	if !bytes.Equal(storedPage(t, wc, page), before) {
+		t.Fatalf("the rollback left append page %d changed in the store", page)
+	}
+	if err := tree.Insert(objs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := tree.RecordAddr(objs[0].ID); a != (DataAddr{Page: page, Slot: slots}) {
+		t.Fatalf("the next commit's record at %+v, want page %d slot %d", a, page, slots)
+	}
+}
+
+// TestEpochSnapshotRecordsBesideWriter: snapshot record checks and range
+// queries run on pinned epochs while the writer's batches fill and roll
+// over append pages, commit and roll back. A snapshot reads its records
+// from the store, never from the writer's append bytes, so this holds
+// without a lock on them (run it under -race); each pinned epoch checks
+// clean and answers a repeated query alike.
+func TestEpochSnapshotRecordsBesideWriter(t *testing.T) {
+	tree, _ := epochTree(t, Options{Store: pagefile.NewMemStore()}, 600)
+	var done atomic.Bool
+	var wg, started sync.WaitGroup
+	defer wg.Wait()
+	defer done.Store(true)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			ctx := context.Background()
+			for first := true; first || !done.Load(); first = false {
+				snap := tree.Snapshot()
+				if first {
+					started.Done()
+				}
+				if err := snap.CheckRecords(); err != nil {
+					t.Errorf("epoch %d: %v", snap.Epoch(), err)
+				}
+				q := Query{Rect: randomQueryRect(rng, 3000), Prob: 0.05 + 0.9*rng.Float64()}
+				a, _, err1 := snap.RangeQuery(ctx, q, QueryOpts{})
+				b, _, err2 := snap.RangeQuery(ctx, q, QueryOpts{})
+				if err1 != nil || err2 != nil || !reflect.DeepEqual(a, b) {
+					t.Errorf("epoch %d: a repeated query answered %d then %d results (%v, %v)", snap.Epoch(), len(a), len(b), err1, err2)
+				}
+				snap.Close()
+			}
+		}(int64(56 + r))
+	}
+	objs := makeObjects(1200, 3000, rand.New(rand.NewSource(58)))
+	for i := range objs {
+		objs[i].ID += 1 << 20
+	}
+	started.Wait()
+	for round := 0; round < 8; round++ {
+		for _, o := range objs[round*150 : (round+1)*150] {
+			if err := tree.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%3 == 2 {
+			if err := tree.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := tree.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -36,12 +36,12 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 }
 
 // readCommitted reads a committed node page straight from the store: the
-// writer's dirty map holds only the open batch's fresh pages, which no
-// reader can reach. On a memory tree the node views the MemStore's own page
-// (MemStore.View) where it is shareable: a committed node page is never
-// written in place, since writeNode relocates it, and its id is reused only
-// once the epoch GC has freed it (see nodeCache). Otherwise the page is read
-// into a fresh buffer, which the node then owns.
+// writer's dirty map holds the open batch's bytes, which no reader sees. On
+// a memory tree the node views the MemStore's own page (MemStore.View)
+// where it is shareable: a committed node page is never written in place,
+// since writeNode relocates it, and its id is reused only once the epoch GC
+// has freed it (see nodeCache). Otherwise the page is read into a fresh
+// buffer, which the node then owns.
 func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
 	var buf []byte
 	var err error

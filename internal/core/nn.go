@@ -75,7 +75,7 @@ type nnItem struct {
 	level  uint8 // a node's: the level its page must hold (one byte on the page)
 	page   pagefile.PageID
 	id     int64
-	addr   pagefile.DataAddr
+	addr   DataAddr
 }
 
 // nnHeap is a min-heap on lb, maintained by the typed nnPush/nnPop in
@@ -184,7 +184,7 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		// page: keep the page just read and fetch only when the next object
 		// lives elsewhere.
 		if it.addr.Page != dataPage {
-			if err = t.data.ReadPageInto(it.addr.Page, dataBuf); err != nil {
+			if err = t.store.Read(it.addr.Page, dataBuf); err != nil {
 				return finish(err)
 			}
 			dataPage = it.addr.Page

@@ -75,9 +75,9 @@ func (p *packedNode) at(i int) int {
 func (p *packedNode) id(i int) int64 { return int64(binary.LittleEndian.Uint64(p.buf[p.at(i):])) }
 
 // addr is leaf entry i's record address and shape reference.
-func (p *packedNode) addr(i int) (pagefile.DataAddr, uint16) {
+func (p *packedNode) addr(i int) (DataAddr, uint16) {
 	w := binary.LittleEndian.Uint64(p.buf[p.at(i)+8:])
-	return pagefile.DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ entryForm
+	return DataAddr{Page: pagefile.PageID(w), Slot: uint16(w >> 32)}, uint16(w>>48) &^ entryForm
 }
 
 // form is leaf entry i's form flag: compactEntry, centreEntry, or 0 for a

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/pagefile"
 	"repro/internal/updf"
 )
 
@@ -108,7 +107,7 @@ func decodeObject(rec []byte, shapes []shape) (Object, error) {
 // the reading epoch's shape table: for the query paths, which hold the page
 // for as long as they use the object.
 func objectFromPage(page []byte, slot uint16, shapes []shape) (Object, error) {
-	rec, err := pagefile.RecordFromPage(page, slot)
+	rec, err := RecordFromPage(page, slot)
 	if err != nil {
 		return Object{}, err
 	}
@@ -124,7 +123,7 @@ func putF64(buf []byte, off int, v float64) int {
 // putAddr serializes a leaf entry's data address and, in the two of its 8
 // bytes that were zero before UTR3, its shape reference; packedNode.addr
 // reads the word back.
-func putAddr(buf []byte, off int, a pagefile.DataAddr, shape uint16) int {
+func putAddr(buf []byte, off int, a DataAddr, shape uint16) int {
 	binary.LittleEndian.PutUint32(buf[off:], uint32(a.Page))
 	binary.LittleEndian.PutUint16(buf[off+4:], a.Slot)
 	binary.LittleEndian.PutUint16(buf[off+6:], shape)

@@ -194,7 +194,7 @@ func TestPageBufferFreedPageNeverWritten(t *testing.T) {
 	if err := wc.Read(freed, buf); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := pagefile.RecordFromPage(buf, addr.Slot)
+	rec, err := RecordFromPage(buf, addr.Slot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,9 @@ import (
 //	shape table (shapes.go)
 //
 // The metadata page is the commit point of the shadow-paging scheme: it is
-// the only page (besides slotted data pages) ever rewritten in place, and
-// it is written only after every page of the epoch it names is durable.
+// the only page (besides the committed append page) ever rewritten in
+// place, and it is written only after every page of the epoch it names is
+// durable.
 //
 // The magic names the node and record layouts as well as the page: "UTR7"
 // U-tree leaves may hold centre entries — id, address and centre, flagged
@@ -79,7 +80,7 @@ func (t *Tree) writeMeta() error {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(t.rootPage))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(t.rootLevel))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(t.Len()))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(t.data.CurrentPage()))
+	binary.LittleEndian.PutUint32(buf[24:], uint32(t.appendPage))
 	binary.LittleEndian.PutUint64(buf[28:], t.Epoch()+1) // the epoch this write commits
 	binary.LittleEndian.PutUint16(buf[metaFixed:], uint16(len(t.shapes)))
 	off := metaFixed + 2 // shapeRef keeps the table within the page
@@ -137,7 +138,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	t.setShapes(shapes)
 	t.rootPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[8:]))
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
-	t.data = pagefile.OpenDataFileAt(t.store, t.allocPage, pagefile.PageID(binary.LittleEndian.Uint32(buf[24:])))
+	t.appendPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[24:]))
 	// The root box is not persisted: the walk takes it off the root.
 	if reach, t.rootMBR, err = t.reachable(t.dir); err != nil {
 		return nil, nil, err
@@ -163,7 +164,7 @@ func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
 // reachable is ReachablePages, filling dir (when not nil) with the ID and
 // record address of every leaf entry on the way, and returning the root's
 // box (rootBox) as well.
-func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, err error) {
+func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, err error) {
 	reach = make(map[pagefile.PageID]bool)
 	err = t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
@@ -184,8 +185,8 @@ func (t *Tree) reachable(dir map[int64]pagefile.DataAddr) (reach map[pagefile.Pa
 	if err != nil {
 		return nil, geom.Rect{}, err
 	}
-	if p := t.data.CurrentPage(); p != pagefile.InvalidPage {
-		reach[p] = true
+	if t.appendPage != pagefile.InvalidPage {
+		reach[t.appendPage] = true
 	}
 	if t.meta != pagefile.InvalidPage {
 		reach[t.meta] = true

@@ -306,7 +306,7 @@ descent:
 			stats.ShapeDecided++
 		} else {
 			if c.addr.Page != pageID {
-				if err = t.data.ReadPageInto(c.addr.Page, pageBuf); err != nil {
+				if err = t.store.Read(c.addr.Page, pageBuf); err != nil {
 					return refined(err)
 				}
 				pageID = c.addr.Page

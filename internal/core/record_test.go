@@ -31,7 +31,7 @@ func checkRecordForms(t *testing.T, tree *Tree, objs map[int64]Object) (keyed in
 		for i := range n.entries {
 			e := &n.entries[i]
 			o := objs[e.id]
-			rec, err := tree.data.Read(e.addr)
+			rec, err := tree.readRecord(e.addr)
 			if err != nil {
 				t.Fatalf("object %d: %v", e.id, err)
 			}
@@ -188,7 +188,7 @@ func TestKeyedRecordDamage(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(7))
 			var victim Object
-			var addr pagefile.DataAddr
+			var addr DataAddr
 			for i := 0; i < 300; i++ {
 				c := geom.Point{float64(rng.Intn(300)), float64(rng.Intn(300))} // one rectangle shape
 				p := updf.PDF(updf.NewUniformBall(c, 20))

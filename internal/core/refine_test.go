@@ -20,10 +20,10 @@ import (
 // store directly, the way bit rot would without asking. edit gets the page
 // and the offset of the record's slot-table entry (offset, length: two
 // bytes each).
-func damageRecord(t *testing.T, tree *Tree, addr pagefile.DataAddr, edit func(page []byte, slotEntry int)) {
+func damageRecord(t *testing.T, tree *Tree, addr DataAddr, edit func(page []byte, slotEntry int)) {
 	t.Helper()
 	page := make([]byte, pagefile.PageSize)
-	if err := tree.data.ReadPageInto(addr.Page, page); err != nil {
+	if err := tree.store.Read(addr.Page, page); err != nil {
 		t.Fatal(err)
 	}
 	edit(page, 4+4*int(addr.Slot))
@@ -41,7 +41,7 @@ var recordDamage = map[string]struct {
 	// RecordFromPage fails: the slot's length is zero, as in a file whose
 	// writer still tombstoned deleted records, with a leaf entry pointing at
 	// it all the same.
-	"tombstoned slot": {cause: pagefile.ErrBadSlot, edit: func(page []byte, slotEntry int) {
+	"tombstoned slot": {cause: ErrBadSlot, edit: func(page []byte, slotEntry int) {
 		binary.LittleEndian.PutUint16(page[slotEntry+2:], 0)
 	}},
 	// decodeObject fails: the record's pdf type tag is overwritten.
@@ -167,7 +167,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 			objs := makeObjects(600, 400, rand.New(rand.NewSource(6)))
 			tree := bulkTree(t, Options{Dim: 2, MCSamples: 200, NodeCacheEntries: 8}, objs)
 			// One more record elsewhere, so that no damaged page below is the
-			// data file's cached append page.
+			// append page, whose bytes the writer holds.
 			if err := tree.Insert(Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{5000, 5000}, 1)}); err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 			// The fifth-nearest object is refined after the four before it
 			// and cannot be skipped: the traversal must meet its record.
 			victim := want[4].ID
-			var addr pagefile.DataAddr
+			var addr DataAddr
 			if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
 				for i := range n.entries {
 					if n.leaf() && n.entries[i].id == victim {

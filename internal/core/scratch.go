@@ -35,7 +35,7 @@ import (
 // what pcr.FilterShape made of it — Unknown where the record has to be read.
 type candidate struct {
 	id      int64
-	addr    pagefile.DataAddr
+	addr    DataAddr
 	decided pcr.Outcome
 	keyed   bool // its entry names a shape in the table
 }

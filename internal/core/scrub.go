@@ -14,9 +14,9 @@ import (
 // and walks its tree. Node pages are read directly from the store
 // (readCommitted), not through the decoded-node cache, so scrubbing does
 // not pollute the read cache; that checksummed read and the decode are the
-// node's check. Data pages and the current append page are checked through
-// the store's PageVerifier probe, which reads only the stored page (no
-// cache, no Stats charge); a store without one verifies every page.
+// node's check. Data pages and the committed append page are checked
+// through the store's PageVerifier probe, which reads only the stored page
+// (no cache, no Stats charge); a store without one verifies every page.
 
 // Scrub makes one pass over the pages the committed tree reaches and
 // reports how many verified clean, and the errors of the pages that proved

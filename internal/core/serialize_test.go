@@ -78,7 +78,7 @@ func decodeEdit(tree *Tree, id pagefile.PageID, buf []byte) (*node, error) {
 func randLeafEntry(rng *rand.Rand, tree *Tree, form uint16) entry {
 	e := entry{
 		id:   rng.Int63(),
-		addr: pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
+		addr: DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
 		mbr:  randRectIn(rng, tree.dim, 1000),
 	}
 	switch {
@@ -140,7 +140,7 @@ func TestNodeSerializationRoundTripUTree(t *testing.T) {
 			}
 			n := len(leaf.entries)
 			// The ends of the address's range.
-			leaf.entries[0].addr = pagefile.DataAddr{Page: 0xFFFFFFFF, Slot: 0xFFFF}
+			leaf.entries[0].addr = DataAddr{Page: 0xFFFFFFFF, Slot: 0xFFFF}
 			buf := make([]byte, pagefile.PageSize)
 			if err := tree.encodeNode(leaf, buf); err != nil {
 				return false
@@ -230,7 +230,7 @@ func TestNodeSerializationRoundTripUPCR(t *testing.T) {
 			}
 			leaf.entries = append(leaf.entries, entry{
 				id:    rng.Int63(),
-				addr:  pagefile.DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
+				addr:  DataAddr{Page: pagefile.PageID(rng.Uint32()), Slot: uint16(rng.Intn(1 << 16))},
 				shape: uint16(rng.Intn(centreEntry)),
 				mbr:   boxes[0].Clone(),
 				boxes: boxes,
@@ -710,9 +710,9 @@ func FuzzDecodeNode(f *testing.F) {
 // a 3-D two-shape table, so keyed records resolve — which must return
 // ErrBadSlot / ErrCorruptPDF or a record inside the page whose decoded pdf
 // has an MBR and re-encodes to the record's bytes — never panic; and as a
-// record, appended after slot%8 others, which must read back byte-equal
-// from the append cache, from the store and from its page, or be refused
-// when it is empty or does not fit a page.
+// record, appended to a tree after slot%8 others, which must read back
+// byte-equal from the dirty bytes, from the store after the commit and
+// from its page, or be refused when it is empty or does not fit a page.
 func FuzzDataRecord(f *testing.F) {
 	box := geom.NewRect(geom.Point{1, 2}, geom.Point{5, 9})
 	pdfs := []updf.PDF{
@@ -726,15 +726,17 @@ func FuzzDataRecord(f *testing.F) {
 		updf.NewMixture([]updf.PDF{updf.NewUniformBall(geom.Point{3, 4}, 2), updf.NewUniformRect(box)}, []float64{1, 3}),
 	}
 	tables := [][]shape{fuzzShapes(2), fuzzShapes(3)}
-	mem := pagefile.NewMemStore()
-	df := pagefile.NewDataFile(mem, mem.Alloc)
-	var addr pagefile.DataAddr
+	tree, err := New(Options{Dim: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var addr DataAddr
 	add := func(o Object, ref uint16, table []shape) {
 		rec, err := encodeObject(o, ref, table)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if addr, err = df.Append(rec); err != nil {
+		if addr, err = tree.appendData(rec); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(rec, addr.Slot)
@@ -752,13 +754,7 @@ func FuzzDataRecord(f *testing.F) {
 		}
 	}
 	nrec := len(pdfs) + 4
-	if err := df.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	page := make([]byte, pagefile.PageSize) // every seed record is on it
-	if err := df.ReadPageInto(addr.Page, page); err != nil {
-		f.Fatal(err)
-	}
+	page := tree.dirty[addr.Page] // every seed record is on it
 	for slot := uint16(0); slot <= uint16(nrec); slot++ {
 		f.Add(page, slot)
 	}
@@ -769,9 +765,9 @@ func FuzzDataRecord(f *testing.F) {
 		full := make([]byte, pagefile.PageSize)
 		copy(full, data)
 		for _, page := range [][]byte{data, full} {
-			rec, err := pagefile.RecordFromPage(page, slot)
+			rec, err := RecordFromPage(page, slot)
 			if err != nil {
-				if !errors.Is(err, pagefile.ErrBadSlot) {
+				if !errors.Is(err, ErrBadSlot) {
 					t.Fatalf("slot %d of a %d-byte page: %v, want ErrBadSlot", slot, len(page), err)
 				}
 				continue
@@ -798,14 +794,16 @@ func FuzzDataRecord(f *testing.F) {
 			}
 		}
 
-		mem := pagefile.NewMemStore()
-		df := pagefile.NewDataFile(mem, mem.Alloc)
+		tree, err := New(Options{Dim: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < int(slot%8); i++ {
-			if _, err := df.Append([]byte{byte(i), 1, 2, 3}); err != nil {
+			if _, err := tree.appendData([]byte{byte(i), 1, 2, 3}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		addr, err := df.Append(data)
+		addr, err := tree.appendData(data)
 		if fits := len(data) > 0 && 4+4+len(data) <= pagefile.PageSize; !fits {
 			if err == nil {
 				t.Fatalf("a %d-byte record was appended", len(data))
@@ -821,18 +819,17 @@ func FuzzDataRecord(f *testing.F) {
 				t.Fatalf("record read back %s: %d bytes, err %v; appended %d", from, len(rec), err, len(data))
 			}
 		}
-		rec, err := df.Read(addr)
-		check("from the append cache", rec, err)
-		if err := df.Flush(); err != nil {
+		rec, err := tree.readRecord(addr)
+		check("from the dirty bytes", rec, err)
+		if err := tree.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		df.SetCurrent(pagefile.InvalidPage) // drop the cache: reads go to the store
-		rec, err = df.Read(addr)
-		check("from the store", rec, err)
-		page := make([]byte, pagefile.PageSize)
-		if err = df.ReadPageInto(addr.Page, page); err == nil {
-			rec, err = pagefile.RecordFromPage(page, addr.Slot)
+		if err := tree.Rollback(); err != nil { // drops the writer's copy: reads go to the store
+			t.Fatal(err)
 		}
+		rec, err = tree.readRecord(addr)
+		check("from the store", rec, err)
+		rec, err = storedRecord(t, tree, addr)
 		check("from its page", rec, err)
 	})
 }

@@ -338,7 +338,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				if id == 0 {
 					a = entries[0].addr
 				}
-				if rec, err := old.data.Read(a); err != nil || rec[8] != want {
+				if rec, err := old.readRecord(a); err != nil || rec[8] != want {
 					t.Fatalf("object %d's record %x (%v): want tag %d", id, rec, err, want)
 				}
 			}

@@ -37,15 +37,15 @@ func (t *Tree) workingState() *treeState {
 		rootPage:  t.rootPage,
 		rootLevel: t.rootLevel,
 		size:      len(t.dir),
-		dataPage:  t.data.CurrentPage(),
+		dataPage:  t.appendPage,
 		shapes:    t.shapes,
 		rootMBR:   t.rootMBR,
 	}
 }
 
-// Commit seals every mutation since the last commit as one epoch: flushes
-// the data file, writes each dirty node page once, in ascending page order,
-// writes the metadata page (for a persistent tree), then atomically
+// Commit seals every mutation since the last commit as one epoch: writes
+// each dirty page once — node and data pages alike, in ascending page
+// order — then the metadata page (for a persistent tree), then atomically
 // publishes the working root as the new epoch. Readers pinning a snapshot
 // before the commit keep the previous epoch's pages; readers pinning after
 // see the new tree. Pages the epoch retired are reclaimed once no older
@@ -56,20 +56,16 @@ func (t *Tree) workingState() *treeState {
 // writeNode relocates a node only while its page is committed, and a
 // relocated page stays writable in place until the next Commit seals it —
 // within one epoch each node is relocated at most once, however many
-// operations touch it, its page is written once, at the commit, and the
-// data file's append page is written once.
+// operations touch it, and its page is written once, at the commit, as is
+// each data page the epoch appended to.
 //
 // The metadata write sits between the page writes and the publication —
 // the crash-consistency point: every page of the new epoch is durable before
 // the metadata switches to it, and the old epoch's pages were never
-// overwritten in place, so a crash at any operation boundary leaves the
-// file recoverable at the last committed epoch.
+// overwritten in place (the append page only gains slots past its
+// committed ones), so a crash at any operation boundary leaves the file
+// recoverable at the last committed epoch.
 func (t *Tree) Commit() error {
-	// Data first: leaf entries reference record addresses that must be
-	// durable (and readable) no later than the nodes pointing at them.
-	if err := t.data.Flush(); err != nil {
-		return err
-	}
 	if err := t.writeDirty(); err != nil {
 		return err
 	}
@@ -86,11 +82,13 @@ func (t *Tree) Commit() error {
 	return nil
 }
 
-// writeDirty writes the open batch's dirty node pages to the store in
-// ascending page order, refusing one that is not fresh (ErrCOWViolation):
-// a committed page is relocated, never rewritten. A failed write leaves
-// the map whole, so the batch can still roll back or commit again.
+// writeDirty writes the open batch's dirty pages to the store in ascending
+// page order, refusing one that is not fresh (ErrCOWViolation): a committed
+// page is relocated, never rewritten — except the committed append page,
+// whose committed records an append never moves. A failed write leaves the
+// map whole, so the batch can still roll back or commit again.
 func (t *Tree) writeDirty() error {
+	st := t.committed() // nil before New's first commit
 	ids := make([]pagefile.PageID, 0, len(t.dirty))
 	for id := range t.dirty {
 		ids = append(ids, id)
@@ -98,22 +96,23 @@ func (t *Tree) writeDirty() error {
 	slices.Sort(ids)
 	for _, id := range ids {
 		err := ErrCOWViolation
-		if t.isFresh(id) {
+		if t.isFresh(id) || st != nil && id == st.dataPage {
 			err = t.store.Write(id, t.dirty[id])
 		}
 		if err != nil {
-			return fmt.Errorf("core: writing node %d: %w", id, err)
+			return fmt.Errorf("core: writing page %d: %w", id, err)
 		}
 	}
 	return nil
 }
 
 // Rollback abandons every mutation since the last commit, typically after
-// a failed operation: shadow pages are freed, their dirty bytes dropped
-// unwritten, deferred frees are dropped (their targets are still live in
-// the last committed epoch), and the working root, directory, data and
-// shape state rewinds to the last commit. The tree remains usable; the
-// uncommitted operations simply never happened.
+// a failed operation: shadow pages are freed, their dirty bytes — node and
+// data pages' alike — dropped unwritten, deferred frees are dropped (their
+// targets are still live in the last committed epoch), and the working
+// root, directory, append page and shape state rewinds to the last commit.
+// The batch wrote no page, so its records leave no slot in the store. The
+// tree remains usable; the uncommitted operations simply never happened.
 func (t *Tree) Rollback() error {
 	st := t.committed()
 	t.rootPage = st.rootPage
@@ -121,7 +120,7 @@ func (t *Tree) Rollback() error {
 	t.rootMBR = st.rootMBR
 	t.revertDir()
 	t.dirty = make(map[pagefile.PageID][]byte)
-	t.data.SetCurrent(st.dataPage)
+	t.appendPage, t.appendBuf = st.dataPage, nil
 	t.setShapes(st.shapes)
 	return t.abandon()
 }

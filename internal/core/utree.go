@@ -88,16 +88,23 @@ type Tree struct {
 	store pagefile.Store
 	mem   *pagefile.MemStore
 	ep    epochs
-	data  *pagefile.DataFile
 
-	// dirty holds the node pages the open batch has written, each encoded
-	// in one buffer until Commit writes it once (snapshot.go): the
-	// writer's, like rootPage, so it has no lock and no reader touches it.
-	// It only ever holds fresh pages. dirtyHits and dirtyMisses count the
+	// dirty holds the pages the open batch has written, node and data
+	// pages alike, each in one buffer until Commit writes it once
+	// (snapshot.go): the writer's, like rootPage, so it has no lock and no
+	// reader touches it. It holds fresh pages and, once an append reached
+	// it, the committed append page. dirtyHits and dirtyMisses count the
 	// writer's node reads served from it and read from the store
 	// (CacheStats).
 	dirty                  map[pagefile.PageID][]byte
 	dirtyHits, dirtyMisses atomic.Int64
+
+	// appendPage is the data page appends go to (datapage.go), InvalidPage
+	// before the first; appendBuf is its bytes, nil until an append needs
+	// them. The writer's: they outlive a commit, so the next batch's first
+	// append reads no page, and a rollback drops them.
+	appendPage pagefile.PageID
+	appendBuf  []byte
 
 	// ncache caches decoded nodes of committed pages (nil when disabled);
 	// consulted only by the query paths — mutation descents decode
@@ -131,7 +138,7 @@ type Tree struct {
 
 	// The working ID directory and its journal since the last Commit
 	// (directory.go): the writer's, like rootPage.
-	dir  map[int64]pagefile.DataAddr
+	dir  map[int64]DataAddr
 	undo []dirUndo
 
 	// The working shape table (shapes.go): the writer's, like rootPage.
@@ -218,7 +225,6 @@ func New(opt Options) (*Tree, error) {
 		}
 	}
 	t := newTree(opt.Kind, opt.Dim, opt.catalogSize(), store, meta, 0, opt)
-	t.data = pagefile.NewDataFile(t.store, t.allocPage)
 
 	root, err := t.allocNode(0)
 	if err != nil {
@@ -240,7 +246,7 @@ func New(opt Options) (*Tree, error) {
 // newTree is the constructor body New and Open share: it resolves the
 // runtime options and wires the store at the given committed epoch, the
 // node cache and the capacities for a tree of the given structure, which
-// the caller has checked. The caller still owes the data file, the root
+// the caller has checked. The caller still owes the append page, the root
 // and the first committed state.
 func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, epoch uint64, opt Options) *Tree {
 	samples := opt.MCSamples
@@ -256,8 +262,10 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		meta:    meta,
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
-		dir:     make(map[int64]pagefile.DataAddr),
+		dir:     make(map[int64]DataAddr),
 		dirty:   make(map[pagefile.PageID][]byte),
+
+		appendPage: pagefile.InvalidPage,
 
 		shapeRefs: make(map[string]uint16),
 
@@ -434,20 +442,9 @@ func (t *Tree) buildLeafEntry(o Object) (entry, error) {
 	return t.leafEntry(o, t.shapeRef(o.PDF.ShapeKey(), o.PDF)), nil
 }
 
-// appendRecord appends the object's data record — keyed by its shape
-// reference where encodeObject can — to the data file and returns its
-// address.
-func (t *Tree) appendRecord(o Object, shape uint16) (pagefile.DataAddr, error) {
-	rec, err := encodeObject(o, shape, t.shapes)
-	if err != nil {
-		return pagefile.DataAddr{}, err
-	}
-	return t.data.Append(rec)
-}
-
 // Insert adds an object to the index. An ID the tree already holds is
 // ErrDuplicateID, and nothing is mutated. The object's details (pdf
-// parameters) are appended to the data file and referenced from the leaf
+// parameters) are appended to a data page and referenced from the leaf
 // entry and the directory.
 func (t *Tree) Insert(o Object) error {
 	if t.Holds(o.ID) {

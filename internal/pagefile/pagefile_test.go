@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -174,201 +173,6 @@ func TestOpenFileStoreBadMagic(t *testing.T) {
 	}
 }
 
-func TestDataFileAppendRead(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	recs := [][]byte{
-		[]byte("alpha"),
-		[]byte("beta-longer-record"),
-		bytes.Repeat([]byte{0xCD}, 1000),
-	}
-	addrs := make([]DataAddr, len(recs))
-	for i, r := range recs {
-		a, err := df.Append(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = a
-	}
-	// Appends are write-combined: before the flush the store's copy of the
-	// page holds none of them, and Read serves them from the append cache.
-	page := make([]byte, PageSize)
-	if err := df.ReadPageInto(addrs[0].Page, page); err != nil {
-		t.Fatal(err)
-	} else if _, err := RecordFromPage(page, addrs[0].Slot); !errors.Is(err, ErrBadSlot) {
-		t.Fatalf("unflushed record in the store's page: %v, want ErrBadSlot", err)
-	}
-	for flushed := range 2 {
-		for i, a := range addrs {
-			got, err := df.Read(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, recs[i]) {
-				t.Fatalf("record %d mismatch (flushed %d)", i, flushed)
-			}
-		}
-		if err := df.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Small records share a page.
-	if addrs[0].Page != addrs[1].Page {
-		t.Fatal("small records did not share a page")
-	}
-}
-
-func TestDataFilePageOverflow(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	big := bytes.Repeat([]byte{1}, 1500)
-	var pages []PageID
-	for i := 0; i < 5; i++ {
-		a, err := df.Append(big)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages = append(pages, a.Page)
-	}
-	// 1500-byte records: two fit per 4096-byte page, so 5 records → 3 pages.
-	distinct := map[PageID]bool{}
-	for _, p := range pages {
-		distinct[p] = true
-	}
-	if len(distinct) != 3 {
-		t.Fatalf("got %d pages, want 3 (layout: %v)", len(distinct), pages)
-	}
-}
-
-func TestDataFileTooLarge(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	if _, err := df.Append(make([]byte, PageSize)); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
-	}
-	// An empty record's slot would read as a deleted one.
-	if _, err := df.Append(nil); err == nil {
-		t.Fatal("empty record appended")
-	}
-}
-
-// TestDataFileZeroLengthSlot: files written before deletes stopped touching
-// the data file carry slots whose length was zeroed in place. Such a page
-// still opens as the append page: the dead slot reads as ErrBadSlot, its
-// neighbours are intact, and new records go after it without reusing its
-// slot number or its bytes.
-func TestDataFileZeroLengthSlot(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	a, _ := df.Append([]byte("doomed"))
-	b, _ := df.Append([]byte("survivor"))
-	if err := df.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, PageSize)
-	if err := df.ReadPageInto(a.Page, page); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint16(page[dataHeader+4*int(a.Slot)+2:], 0)
-	if err := s.Write(a.Page, page); err != nil {
-		t.Fatal(err)
-	}
-
-	df = OpenDataFileAt(s, s.Alloc, a.Page)
-	c, err := df.Append([]byte("newcomer"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := df.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Page != a.Page || c.Slot != 2 {
-		t.Fatalf("append after a dead slot went to %+v, want page %d slot 2", c, a.Page)
-	}
-	if _, err := df.Read(a); !errors.Is(err, ErrBadSlot) {
-		t.Fatalf("zero-length slot read: %v, want ErrBadSlot", err)
-	}
-	for addr, want := range map[DataAddr]string{b: "survivor", c: "newcomer"} {
-		if got, err := df.Read(addr); err != nil || string(got) != want {
-			t.Fatalf("record %+v: %q, %v; want %q", addr, got, err, want)
-		}
-	}
-}
-
-func TestDataFileReadPageGrouping(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	a1, _ := df.Append([]byte("one"))
-	a2, _ := df.Append([]byte("two"))
-	if a1.Page != a2.Page {
-		t.Fatal("expected same page")
-	}
-	if err := df.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s.Stats().Reset()
-	page := make([]byte, PageSize)
-	if err := df.ReadPageInto(a1.Page, page); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := RecordFromPage(page, a1.Slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RecordFromPage(page, a2.Slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r1) != "one" || string(r2) != "two" {
-		t.Fatalf("grouped read mismatch: %q %q", r1, r2)
-	}
-	reads, _, _, _ := s.Stats().Snapshot()
-	if reads != 1 {
-		t.Fatalf("grouped fetch used %d reads, want 1", reads)
-	}
-}
-
-func TestDataFileBadSlot(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	a, _ := df.Append([]byte("x"))
-	if _, err := df.Read(DataAddr{Page: a.Page, Slot: 99}); !errors.Is(err, ErrBadSlot) {
-		t.Fatalf("err = %v, want ErrBadSlot", err)
-	}
-}
-
-func TestDataFileManyRecordsStress(t *testing.T) {
-	s := NewMemStore()
-	df := NewDataFile(s, s.Alloc)
-	rng := rand.New(rand.NewSource(6))
-	type kept struct {
-		addr DataAddr
-		data []byte
-	}
-	var all []kept
-	for i := 0; i < 2000; i++ {
-		rec := make([]byte, 10+rng.Intn(200))
-		rng.Read(rec)
-		a, err := df.Append(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, kept{a, rec})
-	}
-	if err := df.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range all {
-		got, err := df.Read(k.addr)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !bytes.Equal(got, k.data) {
-			t.Fatalf("record %d corrupted", i)
-		}
-	}
-}
-
 // TestChaosStoreStickyCountdown: a sticky countdown rule lets n operations
 // through and then fails every later one, of any kind, until disarmed.
 func TestChaosStoreStickyCountdown(t *testing.T) {
@@ -402,15 +206,6 @@ func TestChaosStoreStickyCountdown(t *testing.T) {
 	}
 	if h.Remaining() >= 0 {
 		t.Fatalf("remaining = %d after disarm, want < 0", h.Remaining())
-	}
-}
-
-func TestDataFileFaultPropagation(t *testing.T) {
-	cs := NewChaosStore(NewMemStore(), 0)
-	cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Countdown: 0, Sticky: true})
-	df := NewDataFile(cs, cs.Alloc)
-	if _, err := df.Append([]byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("append under fault: %v", err)
 	}
 }
 

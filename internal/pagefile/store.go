@@ -1,8 +1,8 @@
 // Package pagefile provides the disk substrate of the U-tree reproduction:
 // fixed-size 4096-byte pages (the paper's page size), an in-memory and a
-// file-backed store, a fault injector, I/O statistics, and a slotted data
-// file holding object details (uncertainty region + pdf parameters) that
-// U-tree leaf entries reference by disk address.
+// file-backed store with its header and page checksums, a fault injector
+// and I/O statistics. The bytes of a page are its owner's: the tree's node,
+// data and metadata page formats live in package core.
 package pagefile
 
 import (

@@ -10,7 +10,7 @@ import (
 	"repro/internal/geom"
 )
 
-// Type tags for the binary pdf encoding stored in the data file.
+// Type tags for the binary pdf encoding stored in the data records.
 const (
 	tagUniformBall   = 1
 	tagUniformRect   = 2

@@ -13,7 +13,7 @@
 //   - exact appearance probabilities for every family, closed form or a
 //     fixed Gauss–Legendre rule good to rounding, for exact refinement, as
 //     ground truth in tests and in the Fig. 7 error study;
-//   - compact binary serialization for the data file leaf entries point at.
+//   - compact binary serialization for the data records leaf entries point at.
 package updf
 
 import (

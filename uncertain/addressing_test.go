@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pagefile"
 )
 
@@ -262,8 +263,8 @@ func deleteByIDConfigs(t *testing.T) map[string]Config {
 
 // TestDeleteByIDInsertedInSameBatch: Delete reads the object's region from
 // its record, and a record appended earlier in the same WriteBatch is still
-// only in the data file's append cache — the store's copy of the page does
-// not hold it yet. The delete must read it from there.
+// only in the writer's copy of its data page — the store's copy of the page
+// does not hold it yet. The delete must read it from there.
 func TestDeleteByIDInsertedInSameBatch(t *testing.T) {
 	for name, cfg := range deleteByIDConfigs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -486,11 +487,11 @@ func sortedByID(rs []Result) []Result {
 // recordPage returns one of the bulk-loaded objs whose record lies on the
 // lowest data page — a sealed one, not the append page a delete would read
 // from memory — and its address.
-func recordPage(t *testing.T, tree *Tree, objs map[int64]PDF) (int64, pagefile.DataAddr) {
+func recordPage(t *testing.T, tree *Tree, objs map[int64]PDF) (int64, core.DataAddr) {
 	t.Helper()
 	tree.mu.Lock()
 	defer tree.mu.Unlock()
-	victim, lo, hi := int64(-1), pagefile.DataAddr{Page: pagefile.InvalidPage}, pagefile.PageID(0)
+	victim, lo, hi := int64(-1), core.DataAddr{Page: pagefile.InvalidPage}, pagefile.PageID(0)
 	for id := range objs {
 		a, _ := tree.inner.RecordAddr(id)
 		if a.Page < lo.Page || a.Page == lo.Page && id < victim {

@@ -30,11 +30,11 @@ var ErrBadPage = pagefile.ErrBadPage
 var ErrOldLayout = core.ErrOldLayout
 
 // Scrub verifies every page the committed tree reaches — nodes, the data
-// pages their entries point at and the append page — and reports how many
-// verified clean and the errors of those that proved corrupt, so latent
-// damage no query has read yet is found now rather than at first read.
-// Each error matches ErrChecksum or ErrBadPage and, through errors.As, a
-// *pagefile.ChecksumError or *pagefile.BadPageError naming its page. Runs
-// on the caller's goroutine against a pinned snapshot; safe beside queries
-// and the writer.
+// pages their entries point at and the committed append page — and reports
+// how many verified clean and the errors of those that proved corrupt, so
+// latent damage no query has read yet is found now rather than at first
+// read. Each error matches ErrChecksum or ErrBadPage and, through
+// errors.As, a *pagefile.ChecksumError or *pagefile.BadPageError naming its
+// page. Runs on the caller's goroutine against a pinned snapshot; safe
+// beside queries and the writer.
 func (t *Tree) Scrub() (verified int, corrupt []error) { return t.inner.Scrub() }
