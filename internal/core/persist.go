@@ -151,11 +151,11 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 
 // ReachablePages walks the working tree and returns every page it
 // references: node pages, the data pages held by leaf entries, the current
-// append page and the metadata page. This is the live set for the
-// open-time leak sweep — a crash between an epoch's metadata write and its
-// garbage drain leaves superseded shadow pages allocated but unreferenced,
-// and the store can return exactly the complement of this set (plus its
-// own metadata) to the free list. Open returns it from its own walk.
+// append page and the metadata page. This is the set a reopened file
+// keeps: pagefile.FileStore.Retain frees every other page — the last
+// session's free pages, and the superseded shadow pages a crash between an
+// epoch's metadata write and its garbage drain leaves unreferenced. Open
+// returns it from its own walk.
 func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
 	reach, _, err := t.reachable(nil)
 	return reach, err

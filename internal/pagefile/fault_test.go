@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -126,6 +127,66 @@ func TestOpenFileStoreRefusesV1(t *testing.T) {
 			t.Fatalf("version %d header: OpenFileStore = %v, want ErrOldFormat", version, err)
 		}
 	}
+}
+
+// TestOpenFileStoreV2: a v2 file opens with its pages, its header's
+// page count, free-list head and live count ignored. Reads leave the file
+// as it was; the first page write restamps it v3, so that a reader of v2
+// refuses it rather than follow that free list.
+func TestOpenFileStoreV2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.pg")
+	fs, err := CreateFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := fs.Alloc()
+	if err := fs.Write(id, fillPage(3)); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := file[:PageSize]
+	binary.LittleEndian.PutUint32(header[4:], 7)  // page count
+	binary.LittleEndian.PutUint32(header[8:], 5)  // free-list head
+	binary.LittleEndian.PutUint32(header[12:], 9) // live count
+	binary.LittleEndian.PutUint32(header[headerVersionOff:], fileVersionV2)
+	binary.LittleEndian.PutUint32(file[PageSize:], crc32.Checksum(header, castagnoli))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := re.Read(id, buf); err != nil || !bytes.Equal(buf, fillPage(3)) || re.NumPages() != 1 {
+		t.Fatalf("v2 file: read %v, %d pages, want page %d intact and 1 page", err, re.NumPages(), id)
+	}
+	next, _ := re.Alloc()
+	if next != id+1 {
+		t.Fatalf("Alloc on a v2 file = %d, want %d", next, id+1)
+	}
+	version := func() uint32 {
+		t.Helper()
+		header := make([]byte, 4)
+		if _, err := re.f.ReadAt(header, headerVersionOff); err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint32(header)
+	}
+	if v := version(); v != fileVersionV2 {
+		t.Fatalf("header version %d after a read and an alloc, want 2", v)
+	}
+	if err := re.Write(next, fillPage(4)); err != nil {
+		t.Fatal(err)
+	}
+	if v := version(); v != fileVersion {
+		t.Fatalf("header version %d after a write, want %d", v, fileVersion)
+	}
+	re.Close()
 }
 
 // TestChaosStoreTransientCountdown: a non-sticky countdown rule fails

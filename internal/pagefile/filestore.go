@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,38 +10,42 @@ import (
 	"sync"
 )
 
-// FileStore is a file-backed Store. Page 0 is a metadata page holding the
-// magic, page count, free-list head and format version; user pages start
-// at 1. Freed pages form an intrusive linked list threaded through their
-// first four bytes, so a reopened file recovers its allocator state
-// without a separate bitmap.
+// FileStore is a file-backed Store. Page 0 is the header, written once
+// when the file is created: the magic and the format version. User pages
+// start at 1. The file holds pages and nothing else: the allocator (free
+// pages, and pages allocated but not yet written, which read as zeros)
+// lives in memory, so Alloc and Free do no I/O. A reopened file counts
+// every page up to its length live until Retain frees the ones the tree
+// does not reach.
 //
-// The on-disk format is v2: each physical page slot is
-// PageSize+pageTrailerSize bytes — the logical 4096-byte payload followed
-// by a trailer holding a CRC32-C over the payload and an echo of the
-// PageID. Write seals the trailer; Read verifies it and returns a
-// *ChecksumError (matching ErrChecksum) on mismatch, and a *BadPageError
-// when the ID echo shows the slot holds a different page (a misdirected
-// write). The unchecksummed v1 format is refused with ErrOldFormat.
+// Each physical page slot is PageSize+pageTrailerSize bytes — the logical
+// 4096-byte payload followed by a trailer holding a CRC32-C over the
+// payload and an echo of the PageID. Write seals the trailer; Read
+// verifies it and returns a *ChecksumError (matching ErrChecksum) on
+// mismatch, and a *BadPageError when the ID echo shows the slot holds a
+// different page (a misdirected write). The unchecksummed v1 format is
+// refused with ErrOldFormat.
 type FileStore struct {
-	mu       sync.Mutex
-	f        *os.File
-	numPages int // total pages including the header
-	freeHead PageID
-	liveN    int
-	scratch  []byte // stride-sized I/O staging buffer, under mu
-	stats    Stats
+	mu      sync.Mutex
+	f       *os.File
+	ids     allocator
+	v2      bool   // the header still says v2: restamp it before a page changes
+	scratch []byte // stride-sized I/O staging buffer, under mu
+	stats   Stats
 }
 
 const (
 	fileMagic = 0x55545245 // "UTRE"
 
-	// fileVersionV2 is the checksummed format. v1 files wrote 0 or 1 in
-	// the version field.
+	// fileVersion is the format this store writes: checksummed pages and a
+	// header of magic and version only. v2 files, whose header also held
+	// the page count, live count and an on-disk free list, open as v3; v1
+	// files wrote 0 or 1 in the version field.
+	fileVersion   = 3
 	fileVersionV2 = 2
 
-	// pageTrailerSize is the per-page integrity trailer of the v2 format:
-	// CRC32-C over the payload (4 bytes) + PageID echo (4 bytes).
+	// pageTrailerSize is the per-page integrity trailer: CRC32-C over the
+	// payload (4 bytes) + PageID echo (4 bytes).
 	pageTrailerSize = 8
 
 	// stride is the physical bytes one page occupies on disk.
@@ -60,14 +65,13 @@ var ErrBadMagic = errors.New("pagefile: bad magic (not a page file)")
 
 // ErrOldFormat is returned when opening a page file in the unchecksummed
 // v1 format. Such a file is never decoded: rebuild it from its data.
-var ErrOldFormat = errors.New("pagefile: v1 page format (no page checksums); this version reads only v2 — rebuild the index")
+var ErrOldFormat = errors.New("pagefile: v1 page format (no page checksums); rebuild the index")
 
 func newFileStore(f *os.File) *FileStore {
-	return &FileStore{f: f, numPages: 1, freeHead: InvalidPage, scratch: make([]byte, stride)}
+	return &FileStore{f: f, ids: allocator{first: 1}, scratch: make([]byte, stride)}
 }
 
-// CreateFileStore creates (truncating) a file-backed store at path in the
-// checksummed v2 format.
+// CreateFileStore creates (truncating) a file-backed store at path.
 func CreateFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -81,41 +85,48 @@ func CreateFileStore(path string) (*FileStore, error) {
 	return fs, nil
 }
 
-// OpenFileStore opens an existing v2 store. A v1 header (version field 0
-// or 1) fails with ErrOldFormat.
-func OpenFileStore(path string) (*FileStore, error) {
+// OpenFileStore opens an existing store. Every page up to the file's
+// length is live. A v2 header is restamped v3 before the first page
+// changes: this store keeps no free list on disk, so a reader of v2 must
+// then refuse the file rather than follow the one its header names. A v1
+// header (version field 0 or 1) fails with ErrOldFormat.
+func OpenFileStore(path string) (fs *FileStore, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	buf := make([]byte, PageSize)
 	if _, err := f.ReadAt(buf, 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("pagefile: reading header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(buf[0:]) != fileMagic {
-		f.Close()
 		return nil, ErrBadMagic
 	}
-	switch version := binary.LittleEndian.Uint32(buf[headerVersionOff:]); version {
-	case fileVersionV2:
+	version := binary.LittleEndian.Uint32(buf[headerVersionOff:])
+	switch version {
+	case fileVersion, fileVersionV2:
 	case 0, 1:
-		f.Close()
 		return nil, ErrOldFormat
 	default:
-		f.Close()
 		return nil, fmt.Errorf("pagefile: unsupported format version %d", version)
 	}
-	fs := newFileStore(f)
-	fs.numPages = int(binary.LittleEndian.Uint32(buf[4:]))
-	fs.freeHead = PageID(binary.LittleEndian.Uint32(buf[8:]))
-	fs.liveN = int(binary.LittleEndian.Uint32(buf[12:]))
-	// The header page carries a trailer too; verify it before trusting the
-	// allocator state we just decoded.
+	fs = newFileStore(f)
+	// The header page carries a trailer too.
 	if err := fs.verifyLocked(0); err != nil {
-		f.Close()
 		return nil, err
 	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	fs.ids.state = bytes.Repeat([]byte{pageWritten}, int(st.Size()/stride)-1)
+	fs.ids.live = len(fs.ids.state)
+	fs.v2 = version == fileVersionV2
 	return fs, nil
 }
 
@@ -131,76 +142,49 @@ func (fs *FileStore) writePageLocked(id PageID, buf []byte) error {
 	return err
 }
 
-// readPageLocked reads page id into buf (len PageSize), verifying the
-// trailer. Caller holds fs.mu.
-func (fs *FileStore) readPageLocked(id PageID, buf []byte) error {
-	if err := fs.verifyLocked(id); err != nil {
-		return err
-	}
-	copy(buf, fs.scratch[:PageSize])
-	return nil
-}
-
 func (fs *FileStore) writeHeader() error {
 	buf := make([]byte, PageSize)
 	binary.LittleEndian.PutUint32(buf[0:], fileMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(fs.numPages))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(fs.freeHead))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(fs.liveN))
-	binary.LittleEndian.PutUint32(buf[headerVersionOff:], fileVersionV2)
+	binary.LittleEndian.PutUint32(buf[headerVersionOff:], fileVersion)
 	return fs.writePageLocked(0, buf)
 }
 
-// Abort closes the file without writing the header — the crash-simulation
-// exit: the file keeps exactly the pages individual operations already
-// made durable, as if the process died.
-func (fs *FileStore) Abort() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.f.Close()
-}
-
-// Close flushes the header and closes the file.
+// Close closes the file. It writes nothing: a page is in the file once its
+// Write returns, and the allocator is not persisted.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.writeHeader(); err != nil {
-		fs.f.Close()
-		return err
-	}
 	return fs.f.Close()
 }
 
+// Alloc reserves a page. It does no I/O: the page reads as zeros until
+// its first Write.
 func (fs *FileStore) Alloc() (PageID, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.stats.Allocs.Add(1)
-	zero := make([]byte, PageSize)
-	if fs.freeHead != InvalidPage {
-		id := fs.freeHead
-		buf := make([]byte, PageSize)
-		if err := fs.readPageLocked(id, buf); err != nil {
-			return InvalidPage, err
-		}
-		fs.freeHead = PageID(binary.LittleEndian.Uint32(buf[0:]))
-		if err := fs.writePageLocked(id, zero); err != nil {
-			return InvalidPage, err
-		}
-		fs.liveN++
-		return id, fs.writeHeader()
-	}
-	id := PageID(fs.numPages)
-	if err := fs.writePageLocked(id, zero); err != nil {
-		return InvalidPage, err
-	}
-	fs.numPages++
-	fs.liveN++
-	return id, fs.writeHeader()
+	return fs.ids.alloc(), nil
 }
 
-func (fs *FileStore) checkRange(id PageID) error {
-	if id == 0 || int(id) >= fs.numPages {
-		return fmt.Errorf("%w: %d", ErrPageOutOfRange, id)
+// touchLocked readies live page id for a change on the medium and marks
+// it written, restamping a v2 header first (see OpenFileStore). A reserved
+// page has no bytes there yet; unless the change covers the whole page, it
+// is first written as the sealed zero page it reads as, so a torn write or
+// a flipped bit lands on the bytes a Read returned. Caller holds fs.mu.
+func (fs *FileStore) touchLocked(id PageID, whole bool) error {
+	st, err := fs.ids.check(id)
+	if err != nil {
+		return err
+	}
+	if fs.v2 {
+		if err := fs.writeHeader(); err != nil {
+			return err
+		}
+		fs.v2 = false
+	}
+	fs.ids.state[id-fs.ids.first] = pageWritten
+	if st == pageReserved && !whole {
+		return fs.writePageLocked(id, make([]byte, PageSize))
 	}
 	return nil
 }
@@ -211,11 +195,20 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	st, err := fs.ids.check(id)
+	if err != nil {
 		return err
 	}
 	fs.stats.Reads.Add(1)
-	return fs.readPageLocked(id, buf)
+	if st == pageReserved {
+		clear(buf)
+		return nil
+	}
+	if err := fs.verifyLocked(id); err != nil {
+		return err
+	}
+	copy(buf, fs.scratch[:PageSize])
+	return nil
 }
 
 func (fs *FileStore) Write(id PageID, buf []byte) error {
@@ -224,28 +217,22 @@ func (fs *FileStore) Write(id PageID, buf []byte) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	if err := fs.touchLocked(id, true); err != nil {
 		return err
 	}
 	fs.stats.Writes.Add(1)
 	return fs.writePageLocked(id, buf)
 }
 
+// Free returns the page to the allocator. It does no I/O.
 func (fs *FileStore) Free(id PageID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	if err := fs.ids.release(id); err != nil {
 		return err
 	}
 	fs.stats.Frees.Add(1)
-	buf := make([]byte, PageSize)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(fs.freeHead))
-	if err := fs.writePageLocked(id, buf); err != nil {
-		return err
-	}
-	fs.freeHead = id
-	fs.liveN--
-	return fs.writeHeader()
+	return nil
 }
 
 // verifyLocked reads page id into fs.scratch and checks its trailer,
@@ -267,11 +254,13 @@ func (fs *FileStore) verifyLocked(id PageID) error {
 
 // VerifyPage implements PageVerifier: it checks the page's integrity
 // trailer without returning contents and without charging the read to
-// Stats, so scrubbing stays invisible to I/O-cost experiments.
+// Stats, so scrubbing stays invisible to I/O-cost experiments. A reserved
+// page verifies trivially: it is a zero page with nothing on the medium.
 func (fs *FileStore) VerifyPage(id PageID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	st, err := fs.ids.check(id)
+	if err != nil || st == pageReserved {
 		return err
 	}
 	return fs.verifyLocked(id)
@@ -286,7 +275,7 @@ func (fs *FileStore) CorruptPayload(id PageID, bit int) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	if err := fs.touchLocked(id, false); err != nil {
 		return err
 	}
 	var b [1]byte
@@ -312,7 +301,7 @@ func (fs *FileStore) WriteTorn(id PageID, buf []byte, n int) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.checkRange(id); err != nil {
+	if err := fs.touchLocked(id, false); err != nil {
 		return err
 	}
 	fs.stats.Writes.Add(1)
@@ -320,64 +309,22 @@ func (fs *FileStore) WriteTorn(id PageID, buf []byte, n int) error {
 	return err
 }
 
-// SweepLeaked returns every page that is neither in `reachable` nor on the
-// free list to the free list, and reports the ids it reclaimed. This is
-// the open-time crash repair: a crash between an epoch's publication
-// (metadata write) and its garbage drain leaves the superseded shadow
-// pages allocated but unreferenced, and a crash mid-operation can leak
-// fresh pages the aborted batch never published. The caller passes the
-// set of pages reachable from the recovered root (nodes, data pages,
-// metadata). Each leaked page is linked into the free list before the
-// header is rewritten, so a crash mid-sweep at worst leaves some leaks for
-// the next sweep — never a corrupt list.
-//
-// Free-list link pages are read without checksum verification: a page
-// torn while being freed would otherwise wedge recovery, and the link
-// threading is validated structurally (cycle and range checks) anyway.
-func (fs *FileStore) SweepLeaked(reachable map[PageID]bool) ([]PageID, error) {
+// Retain frees every live page not in reachable: the open-time repair,
+// after core.Open's walk has found the pages the committed tree reaches
+// (nodes, data pages, metadata). What it frees is the previous session's
+// free pages and what a crash leaked — shadow pages retired by a
+// published epoch that died before its garbage drained, and fresh pages of
+// an aborted batch. It does no I/O and counts no Frees.
+func (fs *FileStore) Retain(reachable map[PageID]bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	onFree := make(map[PageID]bool)
-	var link [4]byte
-	for id := fs.freeHead; id != InvalidPage; {
-		if onFree[id] || id == 0 || int(id) >= fs.numPages {
-			return nil, fmt.Errorf("pagefile: corrupt free list at page %d", id)
-		}
-		onFree[id] = true
-		if _, err := fs.f.ReadAt(link[:], fs.off(id)); err != nil {
-			return nil, err
-		}
-		id = PageID(binary.LittleEndian.Uint32(link[:]))
-	}
-	var leaked []PageID
-	page := make([]byte, PageSize)
-	for p := 1; p < fs.numPages; p++ {
-		id := PageID(p)
-		if reachable[id] || onFree[id] {
-			continue
-		}
-		for i := range page {
-			page[i] = 0
-		}
-		binary.LittleEndian.PutUint32(page[0:], uint32(fs.freeHead))
-		if err := fs.writePageLocked(id, page); err != nil {
-			return leaked, err
-		}
-		fs.freeHead = id
-		fs.liveN--
-		fs.stats.Frees.Add(1)
-		leaked = append(leaked, id)
-	}
-	if len(leaked) == 0 {
-		return nil, nil
-	}
-	return leaked, fs.writeHeader()
+	fs.ids.retain(reachable)
 }
 
 func (fs *FileStore) NumPages() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.liveN
+	return fs.ids.live
 }
 
 func (fs *FileStore) Stats() *Stats { return &fs.stats }

@@ -72,6 +72,9 @@ func TestStoreAllocIsZeroed(t *testing.T) {
 	}
 }
 
+// TestStoreErrors: both stores refuse a page out of range, a short
+// buffer, and every use of a freed page — a second Free, Read, Write and
+// VerifyPage — with ErrPageFreed.
 func TestStoreErrors(t *testing.T) {
 	for name, s := range testStores(t) {
 		buf := make([]byte, PageSize)
@@ -88,20 +91,67 @@ func TestStoreErrors(t *testing.T) {
 		if err := s.Read(id, make([]byte, 10)); !errors.Is(err, ErrBadLength) {
 			t.Errorf("%s: short buffer accepted: %v", name, err)
 		}
+		if err := s.Write(id, buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Free(id); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Free(id); !errors.Is(err, ErrPageFreed) {
+			t.Errorf("%s: double free: %v", name, err)
+		}
+		if err := s.Read(id, buf); !errors.Is(err, ErrPageFreed) {
+			t.Errorf("%s: read of freed page: %v", name, err)
+		}
+		if err := s.Write(id, buf); !errors.Is(err, ErrPageFreed) {
+			t.Errorf("%s: write of freed page: %v", name, err)
+		}
+		if err := s.(PageVerifier).VerifyPage(id); !errors.Is(err, ErrPageFreed) {
+			t.Errorf("%s: verify of freed page: %v", name, err)
+		}
+		a, _ := s.Alloc()
+		b, _ := s.Alloc()
+		if a != id || b == id {
+			t.Errorf("%s: after one free, Alloc returned %d and %d, want %d and a new page", name, a, b, id)
+		}
 	}
 }
 
-func TestMemStoreDoubleFree(t *testing.T) {
-	s := NewMemStore()
-	id, _ := s.Alloc()
-	if err := s.Free(id); err != nil {
+// TestFileStoreReservedPage: a file page allocated and not yet written has
+// no bytes on the medium. It reads as zeros and verifies; a torn write or
+// a flipped bit acts on the sealed zero page it reads as, so the next Read
+// detects either with ErrChecksum.
+func TestFileStoreReservedPage(t *testing.T) {
+	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "reserved.pg"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Free(id); !errors.Is(err, ErrPageFreed) {
-		t.Fatalf("double free: %v", err)
+	defer fs.Close()
+	buf := make([]byte, PageSize)
+	torn, _ := fs.Alloc()
+	flipped, _ := fs.Alloc()
+	for _, id := range []PageID{torn, flipped} {
+		if err := fs.VerifyPage(id); err != nil {
+			t.Fatalf("verify of reserved page %d: %v", id, err)
+		}
+		copy(buf, fillPage(7))
+		if err := fs.Read(id, buf); err != nil || !bytes.Equal(buf, make([]byte, PageSize)) {
+			t.Fatalf("read of reserved page %d: %v, or not zeros", id, err)
+		}
 	}
-	if err := s.Read(id, make([]byte, PageSize)); !errors.Is(err, ErrPageFreed) {
-		t.Fatalf("read of freed page: %v", err)
+	if err := fs.WriteTorn(torn, fillPage(9), PageSize/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CorruptPayload(flipped, 100); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []PageID{torn, flipped} {
+		if err := fs.Read(id, buf); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("read of page %d: %v, want ErrChecksum", id, err)
+		}
+		if err := fs.VerifyPage(id); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("verify of page %d: %v, want ErrChecksum", id, err)
+		}
 	}
 }
 
@@ -135,16 +185,23 @@ func TestFileStorePersistence(t *testing.T) {
 	in := make([]byte, PageSize)
 	copy(in, []byte("hello page"))
 	fs.Write(id1, in)
+	fs.Write(id2, in)
 	fs.Free(id2)
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	// The file keeps no free list: every page up to its length is live
+	// until Retain frees the ones its owner does not reach.
 	re, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if re.NumPages() != 2 {
+		t.Fatalf("reopened NumPages = %d, want 2", re.NumPages())
+	}
+	re.Retain(map[PageID]bool{id1: true})
 	out := make([]byte, PageSize)
 	if err := re.Read(id1, out); err != nil {
 		t.Fatal(err)
@@ -152,10 +209,10 @@ func TestFileStorePersistence(t *testing.T) {
 	if !bytes.Equal(in, out) {
 		t.Fatal("data lost across reopen")
 	}
-	// The freed page must be recycled before extending the file.
+	// The page Retain freed must be recycled before extending the file.
 	id3, _ := re.Alloc()
 	if id3 != id2 {
-		t.Fatalf("free list not persisted: got %d, want %d", id3, id2)
+		t.Fatalf("unreached page not recycled: got %d, want %d", id3, id2)
 	}
 	if re.NumPages() != 2 {
 		t.Fatalf("NumPages = %d, want 2", re.NumPages())
@@ -210,22 +267,19 @@ func TestChaosStoreStickyCountdown(t *testing.T) {
 }
 
 // FuzzOpenFileStore: the fuzzer's bytes as a store's header page — its
-// payload, then its trailer — followed by two valid pages. With seal set
-// the trailer is made valid, so the bytes get past the checksum to the
-// magic, version and allocator fields. OpenFileStore must return
-// ErrBadMagic, ErrOldFormat, an unsupported-version error or a
-// *ChecksumError, or a store on which NumPages, reading pages 1 and 2, and
-// Close all return; it never panics.
+// payload, then its trailer — followed by two valid pages, the file then
+// cut short by cut bytes (at most all of page 2 and most of page 1). With
+// seal set the trailer is made valid, so the bytes get past the checksum to
+// the magic and version. OpenFileStore must return ErrBadMagic,
+// ErrOldFormat, an unsupported-version error or a *ChecksumError, or a
+// store whose NumPages is the file's whole pages after the header — the
+// header's other fields are never read — and on which reading pages 1 and
+// 2 and Close return; it never panics.
 func FuzzOpenFileStore(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "seed.pf")
 	fs, err := CreateFileStore(path)
 	if err != nil {
 		f.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := fs.Alloc(); err != nil {
-			f.Fatal(err)
-		}
 	}
 	if err := fs.Close(); err != nil {
 		f.Fatal(err)
@@ -234,16 +288,23 @@ func FuzzOpenFileStore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2 := raw[:stride]
-	v1 := append([]byte(nil), v2[:PageSize]...)
+	v3 := raw[:stride]
+	v2 := append([]byte(nil), v3[:PageSize]...)
+	binary.LittleEndian.PutUint32(v2[headerVersionOff:], fileVersionV2)
+	for i := 4; i < headerVersionOff; i++ {
+		v2[i] = 0xA5 // page count, free-list head and live count: garbage
+	}
+	v1 := append([]byte(nil), v3[:PageSize]...)
 	binary.LittleEndian.PutUint32(v1[headerVersionOff:], 1)
-	badMagic := append([]byte(nil), v2[:PageSize]...)
+	badMagic := append([]byte(nil), v3[:PageSize]...)
 	badMagic[0] ^= 0xFF
-	f.Add(v2, true)
-	f.Add(v1, true)
-	f.Add(badMagic, true)
-	f.Add(v2[:PageSize+3], false) // torn trailer
-	f.Fuzz(func(t *testing.T, header []byte, seal bool) {
+	f.Add(v3, true, uint16(0))
+	f.Add(v3, true, uint16(stride+100)) // page 2 gone, page 1 cut short
+	f.Add(v2, true, uint16(0))
+	f.Add(v1, true, uint16(0))
+	f.Add(badMagic, true, uint16(0))
+	f.Add(v3[:PageSize+3], false, uint16(0)) // torn trailer
+	f.Fuzz(func(t *testing.T, header []byte, seal bool, cut uint16) {
 		file := make([]byte, 3*stride)
 		copy(file[:stride], header)
 		sealPage := func(id PageID) {
@@ -258,6 +319,7 @@ func FuzzOpenFileStore(f *testing.F) {
 			copy(file[int(id)*stride:], bytes.Repeat([]byte{byte(id)}, PageSize))
 			sealPage(id)
 		}
+		file = file[:len(file)-int(cut)%(2*stride)]
 		path := filepath.Join(t.TempDir(), "fuzz.pf")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
@@ -271,7 +333,9 @@ func FuzzOpenFileStore(f *testing.F) {
 			}
 			return
 		}
-		fs.NumPages()
+		if n, want := fs.NumPages(), len(file)/stride-1; n != want {
+			t.Fatalf("NumPages = %d for a file of %d bytes, want %d", n, len(file), want)
+		}
 		buf := make([]byte, PageSize)
 		for id := PageID(1); id <= 2; id++ {
 			_ = fs.Read(id, buf)

@@ -67,49 +67,96 @@ type Store interface {
 	Stats() *Stats
 }
 
+// Page states in the allocator. A MemStore holds the bytes of every live
+// page and leaves them reserved; a FileStore marks a page written once it
+// has bytes in the file.
+const (
+	pageFree     byte = iota
+	pageReserved      // allocated and not yet written: reads as zeros
+	pageWritten
+)
+
+// allocator is the one page allocator both stores use, and it lives in
+// memory only: ids from first up, freed ids reused last in, first out, and
+// one state byte per page. A file records none of it; a reopened file
+// starts with every page written, and Retain frees what the tree does not
+// reach.
+type allocator struct {
+	first PageID
+	state []byte // indexed by id - first
+	free  []PageID
+	live  int
+}
+
+func (a *allocator) alloc() PageID {
+	a.live++
+	if n := len(a.free); n > 0 {
+		id := a.free[n-1]
+		a.free = a.free[:n-1]
+		a.state[id-a.first] = pageReserved
+		return id
+	}
+	a.state = append(a.state, pageReserved)
+	return a.first + PageID(len(a.state)-1)
+}
+
+// check returns the state of live page id: an error for a page out of
+// range or free.
+func (a *allocator) check(id PageID) (byte, error) {
+	if id < a.first || int(id-a.first) >= len(a.state) {
+		return 0, fmt.Errorf("%w: %d", ErrPageOutOfRange, id)
+	}
+	if st := a.state[id-a.first]; st != pageFree {
+		return st, nil
+	}
+	return 0, fmt.Errorf("%w: %d", ErrPageFreed, id)
+}
+
+func (a *allocator) release(id PageID) error {
+	if _, err := a.check(id); err != nil {
+		return err
+	}
+	a.state[id-a.first] = pageFree
+	a.free = append(a.free, id)
+	a.live--
+	return nil
+}
+
+// retain frees every live page not in reachable, in ascending order.
+func (a *allocator) retain(reachable map[PageID]bool) {
+	for i, st := range a.state {
+		if id := a.first + PageID(i); st != pageFree && !reachable[id] {
+			a.state[i] = pageFree
+			a.free = append(a.free, id)
+			a.live--
+		}
+	}
+}
+
 // MemStore is an in-memory Store; the default substrate for experiments
 // (the paper's I/O metric is node/page *accesses*, which we count, not
 // physical disk time).
 type MemStore struct {
 	mu    sync.Mutex
 	pages [][]byte
-	freed []PageID
-	live  map[PageID]bool
+	ids   allocator
 	stats Stats
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{live: make(map[PageID]bool)}
-}
+func NewMemStore() *MemStore { return &MemStore{} }
 
 func (m *MemStore) Alloc() (PageID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Allocs.Add(1)
-	if n := len(m.freed); n > 0 {
-		id := m.freed[n-1]
-		m.freed = m.freed[:n-1]
-		for i := range m.pages[id] {
-			m.pages[id][i] = 0
-		}
-		m.live[id] = true
-		return id, nil
+	id := m.ids.alloc()
+	if int(id) < len(m.pages) {
+		clear(m.pages[id])
+	} else {
+		m.pages = append(m.pages, make([]byte, PageSize))
 	}
-	id := PageID(len(m.pages))
-	m.pages = append(m.pages, make([]byte, PageSize))
-	m.live[id] = true
 	return id, nil
-}
-
-func (m *MemStore) check(id PageID) error {
-	if int(id) >= len(m.pages) {
-		return fmt.Errorf("%w: %d", ErrPageOutOfRange, id)
-	}
-	if !m.live[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
-	}
-	return nil
 }
 
 func (m *MemStore) Read(id PageID, buf []byte) error {
@@ -118,7 +165,7 @@ func (m *MemStore) Read(id PageID, buf []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if _, err := m.ids.check(id); err != nil {
 		return err
 	}
 	m.stats.Reads.Add(1)
@@ -134,7 +181,7 @@ func (m *MemStore) Read(id PageID, buf []byte) error {
 func (m *MemStore) View(id PageID) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if _, err := m.ids.check(id); err != nil {
 		return nil, err
 	}
 	m.stats.Reads.Add(1)
@@ -147,7 +194,7 @@ func (m *MemStore) Write(id PageID, buf []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if _, err := m.ids.check(id); err != nil {
 		return err
 	}
 	m.stats.Writes.Add(1)
@@ -158,19 +205,17 @@ func (m *MemStore) Write(id PageID, buf []byte) error {
 func (m *MemStore) Free(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if err := m.ids.release(id); err != nil {
 		return err
 	}
 	m.stats.Frees.Add(1)
-	delete(m.live, id)
-	m.freed = append(m.freed, id)
 	return nil
 }
 
 func (m *MemStore) NumPages() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.live)
+	return m.ids.live
 }
 
 func (m *MemStore) Stats() *Stats { return &m.stats }
@@ -180,7 +225,8 @@ func (m *MemStore) Stats() *Stats { return &m.stats }
 func (m *MemStore) VerifyPage(id PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.check(id)
+	_, err := m.ids.check(id)
+	return err
 }
 
 // CorruptPayload implements Corrupter: flips one bit of the page in place.
@@ -192,7 +238,7 @@ func (m *MemStore) CorruptPayload(id PageID, bit int) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if _, err := m.ids.check(id); err != nil {
 		return err
 	}
 	m.pages[id][bit/8] ^= 1 << (bit % 8)
@@ -210,7 +256,7 @@ func (m *MemStore) WriteTorn(id PageID, buf []byte, n int) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.check(id); err != nil {
+	if _, err := m.ids.check(id); err != nil {
 		return err
 	}
 	m.stats.Writes.Add(1)
@@ -223,5 +269,5 @@ func (m *MemStore) WriteTorn(id PageID, buf []byte, n int) error {
 func (m *MemStore) SizeBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.live)) * PageSize
+	return int64(m.ids.live) * PageSize
 }

@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -130,7 +131,7 @@ func failAfter(s pagefile.Store, k int) (pagefile.Store, *pagefile.RuleHandle) {
 // runCrashSweep kills op(tree) at every store-operation offset k: each
 // round restores a pristine copy of the golden file, reopens it with a
 // store armed to fail after k operations (failAfter), runs op, simulates
-// the crash (Discard: no flush, no commit, no header write), reopens without
+// the crash (Discard: no flush, no commit, no reclaim), reopens without
 // faults and verifies the recovered tree. verify receives the recovered
 // tree and whether op had reported success; then every recovered object
 // is deleted by ID. The sweep ends when the countdown outlives the whole
@@ -281,6 +282,100 @@ func TestCrashRecoveryKilledBatch(t *testing.T) {
 		})
 }
 
+// writeLog is a store that records the pages written through it.
+type writeLog struct {
+	pagefile.Store
+	written map[pagefile.PageID]int
+}
+
+func (w *writeLog) Write(id pagefile.PageID, buf []byte) error {
+	w.written[id]++
+	return w.Store.Write(id, buf)
+}
+
+// TestFileTreeWritesOnlyCountedPages pins a page file's traffic: across a
+// committed BulkLoad and a committed WriteBatch of inserts and deletes,
+// which allocate, retire and free pages, the only page slots of the file
+// whose bytes change are pages the tree wrote, each write counted in the
+// file's Stats.Writes. Alloc and Free do no I/O, and the header (page 0)
+// is never written after create.
+func TestFileTreeWritesOnlyCountedPages(t *testing.T) {
+	const slot = pagefile.PageSize + 8 // a page and its checksum trailer
+	path := filepath.Join(t.TempDir(), "traffic.utree")
+	log := &writeLog{written: map[pagefile.PageID]int{}}
+	tree, err := NewTree(Config{Dimensions: 2, Path: path, WrapStore: func(s pagefile.Store) pagefile.Store {
+		log.Store = s
+		return log
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	rng := rand.New(rand.NewSource(29))
+	circle := func() PDF { return UniformCircle(Pt(rng.Float64()*1000, rng.Float64()*1000), 12) }
+	load := make(map[int64]PDF)
+	for id := int64(0); id < 1500; id++ {
+		load[id] = circle()
+	}
+	step := func(what string, op func() error) {
+		t.Helper()
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(log.written)
+		_, w0, a0, f0 := tree.file.Stats().Snapshot()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		_, w1, a1, f1 := tree.file.Stats().Snapshot()
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := 0
+		for _, n := range log.written {
+			writes += n
+		}
+		if int64(writes) != w1-w0 || a1 == a0 || f1 == f0 {
+			t.Fatalf("%s: %d writes through the tree, %d counted; %d allocs, %d frees", what, writes, w1-w0, a1-a0, f1-f0)
+		}
+		changed := 0
+		for p := 0; p*slot < max(len(before), len(after)); p++ {
+			page := func(file []byte) []byte { return file[min(p*slot, len(file)):min((p+1)*slot, len(file))] }
+			if bytes.Equal(page(before), page(after)) {
+				continue
+			}
+			changed++
+			if p == 0 || log.written[pagefile.PageID(p)] == 0 {
+				t.Fatalf("%s: page slot %d changed, but the tree wrote it 0 times", what, p)
+			}
+		}
+		if changed == 0 {
+			t.Fatalf("%s: no page slot changed", what)
+		}
+	}
+	step("bulk load", func() error { return tree.BulkLoad(load) })
+	step("write batch", func() error {
+		return tree.WriteBatch(func(b BatchWriter) error {
+			for id := int64(0); id < 1500; id += 3 {
+				if err := b.Delete(id); err != nil {
+					return err
+				}
+			}
+			for id := int64(2000); id < 2200; id++ {
+				if err := b.Insert(id, circle()); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenTreeSweepsLeakedPages is the regression test for the open-time
 // reachability sweep: kill an insert at every store-operation offset and
 // require that reopening leaves NO unreachable live page — every page the
@@ -326,8 +421,9 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 			}
 		}
 
-		// Live-page count as the crash left it (Alloc persists the header,
-		// so leaked fresh pages are counted live here).
+		// Live-page count as the crash left it: a reopened file counts every
+		// page up to its length live until OpenTree's Retain, so the pages
+		// the crash leaked are counted here.
 		raw, err := pagefile.OpenFileStore(work)
 		if err != nil {
 			t.Fatalf("offset %d: raw reopen: %v", k, err)

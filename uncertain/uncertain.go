@@ -143,19 +143,17 @@ type Config struct {
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
 	// physically reclaimed. A hit skips the page read and the node decode
-	// entirely; a miss reads the store. A hot query still allocates — 20
-	// times a query in BenchmarkFig9SearchHotCache (22 while refinement read
-	// each data page into a fresh 4 KB buffer), for its results and the
-	// pdfs its records decode to — but not per node it visits or data page
-	// it reads. A cached node views its
-	// page: on a memory tree the store's own page, so an entry costs a
-	// 128-byte node and no page of its own; on a file tree the 4,096-byte
-	// buffer the page was read into, so the default of 1024
-	// entries (0) is ≈ 4 MiB there. Negative disables the cache. A full
-	// cache evicts its least recently used leaf, and an inner node only
-	// when it holds no leaf: every descent passes through the inner
-	// levels, so a cache smaller than the tree keeps them and misses on
-	// leaves.
+	// entirely; a miss reads the store. A hot query still allocates — 17
+	// times and 10.7 KB a query in BenchmarkFig9SearchHotCache, for its
+	// results and the pdfs its records decode to — but not per node it
+	// visits or data page it reads. A cached node views its page: on a
+	// memory tree the store's own page, so an entry costs a 128-byte node
+	// and no page of its own; on a file tree the 4,096-byte buffer the page
+	// was read into, so the default of 1024 entries (0) is ≈ 4 MiB there.
+	// Negative disables the cache. A full cache evicts its least recently
+	// used leaf, and an inner node only when it holds no leaf: every
+	// descent passes through the inner levels, so a cache smaller than the
+	// tree keeps them and misses on leaves.
 	//
 	// Switched off on the benchmark's warm workloads (one run each on a
 	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
@@ -270,9 +268,10 @@ func NewTree(cfg Config) (*Tree, error) {
 // it fails with ErrConfigMismatch. Recovering the last committed epoch
 // walks it once: the leaves give back every object's ID and record
 // address, so Delete(id) works on the reopened tree as on a new one, and
-// pages a crash may have leaked — shadow pages retired by a published
-// epoch that died before its garbage drained, or fresh pages of an aborted
-// batch — go back to the free list.
+// every page it does not reach is free again: the last session's free
+// pages, and what a crash may have leaked — shadow pages retired by a
+// published epoch that died before its garbage drained, or fresh pages of
+// an aborted batch.
 func OpenTree(path string, cfg Config) (*Tree, error) {
 	fs, err := pagefile.OpenFileStore(path)
 	if err != nil {
@@ -281,17 +280,12 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 	t, opt := newHandle(cfg, fs)
 	inner, reach, err := core.Open(opt.Store, fileMetaPage, opt)
 	if err == nil {
+		// The walk went through the wrapped store (fault injection
+		// applies); what it did not reach is freed directly in the file's
+		// allocator, below the tree's epochs.
+		fs.Retain(reach)
 		t.inner = inner
 		err = cfg.checkStructure(inner)
-	}
-	if err == nil {
-		// The walk went through the wrapped store (fault injection
-		// applies); the sweep of what it did not reach runs directly on the
-		// file — allocator repair below the tree's epochs, not part of
-		// any epoch.
-		if _, err = fs.SweepLeaked(reach); err != nil {
-			err = fmt.Errorf("uncertain: open-time leak sweep: %w", err)
-		}
 	}
 	if err != nil {
 		fs.Close()
@@ -513,10 +507,10 @@ func (t *Tree) Close() error {
 	return err
 }
 
-// Discard releases a file-backed tree WITHOUT committing or flushing —
-// the crash-simulation exit (and the cleanup path for a handle whose
-// storage already failed): the file keeps exactly the pages that were
-// durable when the last operation stopped, as if the process died there.
+// Discard releases a file-backed tree WITHOUT committing, flushing or
+// reclaiming — the crash-simulation exit (and the cleanup path for a
+// handle whose storage already failed): the file keeps exactly the pages
+// written when the last operation stopped, as if the process died there.
 // OpenTree then recovers the last committed epoch. In-memory trees just
 // drop their state. Idempotent and safe after Close (and vice versa).
 func (t *Tree) Discard() error {
@@ -529,5 +523,5 @@ func (t *Tree) Discard() error {
 	if t.file == nil {
 		return nil
 	}
-	return t.file.Abort()
+	return t.file.Close()
 }
