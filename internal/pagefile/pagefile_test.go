@@ -155,6 +155,20 @@ func TestFileStoreReservedPage(t *testing.T) {
 	}
 }
 
+func TestMemStoreDoubleFree(t *testing.T) {
+	s := NewMemStore()
+	id, _ := s.Alloc()
+	if err := s.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(id); !errors.Is(err, ErrPageFreed) {
+		t.Fatalf("double free: %v", err)
+	}
+	if err := s.Read(id, make([]byte, PageSize)); !errors.Is(err, ErrPageFreed) {
+		t.Fatalf("read of freed page: %v", err)
+	}
+}
+
 func TestStatsCounting(t *testing.T) {
 	s := NewMemStore()
 	id, _ := s.Alloc()
