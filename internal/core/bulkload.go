@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,23 +146,35 @@ func (t *Tree) BulkLoad(objects []Object) error {
 }
 
 // buildLeafEntries is BulkLoad's first stage: entries[i] is objects[i]'s
-// leaf entry without its data address. A serial pass rejects a
-// mis-dimensioned object and gives every object its shape reference, in
-// input order; then GOMAXPROCS workers build the entries. It touches no
-// storage.
+// leaf entry without its data address. GOMAXPROCS workers check every
+// object and take its shape key; a serial pass then returns the first
+// invalid object's error, in input order, or gives every object its shape
+// reference, in input order; then the workers build the entries. It
+// touches no storage.
 func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
+	errs, keys := make([]error, len(objects)), make([]string, len(objects))
+	parallelFor(len(objects), func(i int) {
+		if errs[i] = t.checkObject(objects[i]); errs[i] == nil {
+			keys[i] = objects[i].PDF.ShapeKey()
+		}
+	})
 	entries := make([]entry, len(objects))
 	for i := range objects {
-		if err := t.checkObject(objects[i]); err != nil {
-			return nil, err
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		entries[i].shape = t.shapeRef(objects[i].PDF.ShapeKey(), objects[i].PDF)
+		entries[i].shape = t.shapeRef(keys[i], objects[i].PDF)
 	}
+	parallelFor(len(objects), func(i int) {
+		entries[i] = t.leafEntry(objects[i], entries[i].shape)
+	})
+	return entries, nil
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(objects) {
-		workers = len(objects)
-	}
+// parallelFor calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines and returns when all have returned.
+func parallelFor(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -170,15 +183,14 @@ func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(objects) {
+				if i >= n {
 					return
 				}
-				entries[i] = t.leafEntry(objects[i], entries[i].shape)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return entries, nil
 }
 
 // identity returns [0, 1, …, n-1].
@@ -208,9 +220,9 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 		}
 		pages := (total + pageBytes/big*big - 1) / (pageBytes / big * big)
 		if desc {
-			sort.Slice(ids, func(a, b int) bool { return centers[ids[a]*dim+d] > centers[ids[b]*dim+d] })
+			slices.SortFunc(ids, func(a, b int) int { return compareKeys(centers[b*dim+d], centers[a*dim+d]) })
 		} else {
-			sort.Slice(ids, func(a, b int) bool { return centers[ids[a]*dim+d] < centers[ids[b]*dim+d] })
+			slices.SortFunc(ids, func(a, b int) int { return compareKeys(centers[a*dim+d], centers[b*dim+d]) })
 		}
 		if pages <= 1 || d == dim-1 {
 			// Final dimension: cut the sorted run into nodes, on keys
@@ -240,6 +252,19 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	}
 	recurse(identity(len(centers)/dim), 0, false)
 	return groups
+}
+
+// compareKeys orders two sort keys for slices.SortFunc: negative exactly
+// where x < y, so a NaN key compares equal to every other, as a plain
+// less-than treats it.
+func compareKeys(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // runCutter cuts STR's sorted runs into nodes. keys holds the run's sort

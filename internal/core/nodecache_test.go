@@ -150,6 +150,135 @@ func TestNodeCacheEvictsLeavesFirst(t *testing.T) {
 	}
 }
 
+// fetchLeaf is fetchNode's cache traffic for leaf id: a get, and on a miss
+// a put. It reports whether the get hit.
+func fetchLeaf(nc *nodeCache, id int) bool {
+	pid := pagefile.PageID(id)
+	if _, ok := nc.get(pid); ok {
+		return true
+	}
+	nc.put(pid, &packedNode{page: pid})
+	return false
+}
+
+// cachedIDs lists the pages a one-shard cache holds, without a get (which
+// would count).
+func cachedIDs(nc *nodeCache) []int {
+	s := &nc.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []int
+	for id := range s.entries {
+		ids = append(ids, int(id))
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestNodeCacheAdmissionResistsScans: two leaves fetched again and again
+// survive a burst of one-touch leaves three times the cache's size — which
+// flushes an LRU cache whole — because a one-touch leaf whose LRU victim
+// was fetched more often evicts itself. The burst's leaves share no counter
+// with a hot one (a leaf that did would count as hot: the table has one
+// hash), which the test checks first.
+func TestNodeCacheAdmissionResistsScans(t *testing.T) {
+	nc := newNodeCache(4)
+	for id := 0; id < 5; id++ {
+		fetchLeaf(nc, id) // the fifth overflows: the shard starts counting
+	}
+	for range 20 {
+		fetchLeaf(nc, 10)
+		fetchLeaf(nc, 11)
+	}
+	s := &nc.shards[0]
+	for id := 12; id < 24; id++ {
+		if c := s.slot(pagefile.PageID(id)); c == s.slot(10) || c == s.slot(11) {
+			t.Fatalf("burst leaf %d shares a hot leaf's counter", id)
+		}
+		fetchLeaf(nc, id)
+	}
+	// Hot leaves 10 and 11 stay; the two cold entries went to the burst's
+	// first leaves, and every later one evicted itself.
+	if got := cachedIDs(nc); !slices.Equal(got, []int{10, 11, 12, 13}) {
+		t.Fatalf("after the burst the cache holds %v, want [10 11 12 13]", got)
+	}
+}
+
+// TestNodeCacheAdmissionAges: a set of leaves hot now displaces one hot for
+// far longer before, within one halving period. Hot set A fills a 4-entry
+// shard and is fetched for hundreds of rounds, so without the halving its
+// counters would sit at the 255 ceiling and set B, fetched round-robin after
+// it, would need 4 × 255 = 1,020 gets to tie them. Halving every 640 gets
+// (ncFreqAgeFactor × the 64-slot table) caps A's counters at 255 just
+// before a halving and 127 just after, and B is in within those 640 gets
+// wherever in the period it starts; A's rounds vary that offset.
+func TestNodeCacheAdmissionAges(t *testing.T) {
+	const period = ncFreqAgeFactor * ncFreqSlotsPerEntry * 4
+	a, b := []int{20, 21, 22, 23}, []int{30, 31, 32, 33}
+	for _, rounds := range []int{1000, 1020, 1050, 1080, 1110, 1140} {
+		nc := newNodeCache(4)
+		for id := 0; id < 5; id++ {
+			fetchLeaf(nc, id) // the fifth overflows: the shard starts counting
+		}
+		for range rounds {
+			for _, id := range a {
+				fetchLeaf(nc, id)
+			}
+		}
+		if got := cachedIDs(nc); !slices.Equal(got, a) {
+			t.Fatalf("after %d rounds of set A the cache holds %v, want %v", rounds, got, a)
+		}
+		gets := 0
+		for ; !slices.Equal(cachedIDs(nc), b); gets++ {
+			if gets > period {
+				t.Fatalf("after %d rounds of set A, set B is not cached after %d gets (one halving period): the cache holds %v",
+					rounds, period, cachedIDs(nc))
+			}
+			fetchLeaf(nc, b[gets%len(b)])
+		}
+		t.Logf("after %d rounds of set A, set B displaced it in %d gets", rounds, gets)
+	}
+}
+
+// TestNodeCacheNoTableUntilFull: a cache the tree fits in never allocates
+// a frequency table; a shard's first overflow allocates its own, 16 slots
+// per entry, and no other shard's. A get allocates nothing either way.
+func TestNodeCacheNoTableUntilFull(t *testing.T) {
+	nc := newNodeCache(64) // 16 shards of 4
+	for id := 0; id < 64; id++ {
+		fetchLeaf(nc, id)
+	}
+	for range 10 {
+		for id := 0; id < 64; id++ {
+			if !fetchLeaf(nc, id) {
+				t.Fatalf("page %d missed in a cache it fits in", id)
+			}
+		}
+	}
+	for i := range nc.shards {
+		if nc.shards[i].freq != nil {
+			t.Fatalf("shard %d allocated a %d-slot table without overflowing", i, len(nc.shards[i].freq))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { nc.get(7) }); allocs != 0 {
+		t.Fatalf("a hit allocates %v times", allocs)
+	}
+
+	fetchLeaf(nc, 64) // shard 0's fifth page
+	for i := range nc.shards {
+		want := 0
+		if i == 0 {
+			want = ncFreqSlotsPerEntry * 4
+		}
+		if got := len(nc.shards[i].freq); got != want {
+			t.Fatalf("after shard 0 overflowed, shard %d has %d counters, want %d", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { nc.get(64); nc.get(1000) }); allocs != 0 {
+		t.Fatalf("a counted hit and miss allocate %v times", allocs)
+	}
+}
+
 // TestNodeCacheCoherenceUnderCommits is the -race coherence hammer: with a
 // tiny cache (constant eviction and re-decode churn) and a writer stream of
 // commits and reclaims, every pinned snapshot must keep answering its

@@ -1,8 +1,9 @@
 package uncertain
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/updf"
@@ -58,7 +59,7 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	for id, p := range objects {
 		objs = append(objs, core.Object{ID: id, PDF: p})
 	}
-	sort.Slice(objs, func(a, b int) bool { return objs[a].ID < objs[b].ID })
+	slices.SortFunc(objs, func(a, b core.Object) int { return cmp.Compare(a.ID, b.ID) })
 	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
 	}

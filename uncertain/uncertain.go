@@ -150,17 +150,20 @@ type Config struct {
 	// memory tree the store's own page, so an entry costs a 128-byte node
 	// and no page of its own; on a file tree the 4,096-byte buffer the page
 	// was read into, so the default of 1024 entries (0) is ≈ 4 MiB there.
-	// Negative disables the cache. A full cache evicts its least recently
-	// used leaf, and an inner node only when it holds no leaf: every
-	// descent passes through the inner levels, so a cache smaller than the
-	// tree keeps them and misses on leaves.
+	// Negative disables the cache. A full cache evicts a leaf, and an
+	// inner node only when it holds no leaf: every descent passes through
+	// the inner levels, so a cache smaller than the tree keeps them and
+	// misses on leaves. The leaf evicted is the least recently used one,
+	// unless it has been fetched more often of late than the leaf being
+	// added, which then goes instead: queries centred where the data is
+	// come back to the same leaves, and the cache keeps those.
 	//
 	// Switched off on the benchmark's warm workloads (one run each on a
 	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
 	// and 50× on the 3-D sharded one, and a query's median latency rises
-	// 1.7× on the 3-D sharded and churn workloads. When the tree is ~20×
-	// the cache (the cold CA workload, 32 entries) it saves 16 % of reads,
-	// and evicting leaves first 7 % more.
+	// 1.7× on the 3-D sharded and churn workloads. On the cold CA workload
+	// (a 101-page tree, 32 entries) a query reads 4.89 pages, 5.36 when
+	// the least recently used leaf always goes.
 	// Its price is heap, about a page per cached node: 1.3–2.0 MB, 28–40 %
 	// of the warm workloads' live heap.
 	NodeCacheEntries int
