@@ -87,7 +87,9 @@ func TestUsageErrors(t *testing.T) {
 // centre leaf entries (internal/core/testdata/utr6.idx, metadata magic
 // UTR6, built by this command's `build -dataset LB -scale 0.01`): each
 // prints what the version that wrote the file printed
-// (testdata/utr6.golden.txt, its wall times left out), and none changes
+// (testdata/utr6.golden.txt, its wall times left out) — but for two balls
+// the radial pair terms of the marginal bounds validate that it integrated,
+// which moves two queries' counts — and none changes
 // the file. A WriteBatch that inserts a ball and deletes it again stamps
 // the file UTR7, after which every command prints the same again.
 func TestUTR6File(t *testing.T) {

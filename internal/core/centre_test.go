@@ -97,11 +97,14 @@ func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits
 // -dataset LB -scale 0.01` — 530 uniform circles of one shape, every leaf
 // entry compact, 48 B). It passes CheckInvariants, CheckRecords and Scrub
 // and answers every range and k-NN query of testdata/utr6.golden.json
-// exactly as the code that wrote it did. A committed batch of two inserts
-// stamps it UTR7 and rewrites only the leaves the inserts touched, in which
-// the file's entries stay compact — their page holds no exact centre — and
-// the new objects' entries are centred; once they are deleted again, in a
-// second batch, it answers every query as before.
+// exactly as the code that wrote it did, but that the radial pair terms of
+// the marginal bounds validate two balls it integrated (objects 398 and
+// 450: the same IDs, Prob −1 for an appearance probability). A committed
+// batch of two inserts stamps it UTR7 and rewrites only the leaves the
+// inserts touched, in which the file's entries stay compact — their page
+// holds no exact centre — and the new objects' entries are centred; once
+// they are deleted again, in a second batch, it answers every query as
+// before.
 func TestOpenUTR6File(t *testing.T) {
 	var golden utr4Golden
 	if b, err := os.ReadFile("testdata/utr6.golden.json"); err != nil || json.Unmarshal(b, &golden) != nil {

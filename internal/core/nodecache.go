@@ -58,8 +58,15 @@ import (
 // Friedman & Manes, 2017). Halving the counters now and then lets pages
 // hot now displace pages hot long ago. A shard allocates its table at its
 // first overflow, so a cache the tree fits in never pays for it. On the
-// cold CA benchmark (101 pages, 32 entries) a query reads 4.89 pages, 5.36
-// under plain LRU among the leaves.
+// cold CA benchmark (101 pages, 32 entries) admission took a query from
+// 5.36 pages under plain LRU among the leaves to 4.89 (4.39 since the
+// marginal bounds' pair terms spare record reads).
+//
+// The table has one hash, not a count-min sketch's several. A one-touch
+// leaf that shares a hot leaf's counter is admitted as hot, but at 16
+// counters an entry that is rare, and a second hash (the minimum of two
+// counters, both bumped) made the same benchmark read more, not less:
+// 4.92 pages a query against 4.89, at two workload seeds.
 //
 // The PageID is the coherence key.
 //

@@ -94,10 +94,13 @@ type QueryStats struct {
 	ProbFilterPruned int
 
 	// MarginalValidated and MarginalPruned count candidates decided before
-	// anything was integrated, by the bounds the pdf's own marginals give:
-	// reported with Prob = -1, and dropped. ShapeDecided of them were decided
-	// before their record was read, on the shape their leaf entry names
-	// (pcr.FilterShape); the rest after it (pcr.FilterMarginal).
+	// anything was integrated, by the bounds the pdf's own marginals give —
+	// for a ball, tightened by the radial pair terms where a query cuts it
+	// at a corner: reported with Prob = -1, and dropped. ShapeDecided of
+	// them were decided before their record was read, on the shape their
+	// leaf entry names (pcr.FilterShape); the rest after it
+	// (pcr.FilterRecord where the leaf tested the entry, else
+	// pcr.FilterMarginal).
 	MarginalValidated int
 	MarginalPruned    int
 	ShapeDecided      int
@@ -262,7 +265,7 @@ descent:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
 					c := candidate{id: n.id(i), addr: addr, keyed: ok && shape != 0 && int(shape) <= len(st.shapes)}
-					if c.keyed && !o.noShapeTest {
+					if c.tested = c.keyed && !o.noShapeTest; c.tested {
 						sh := &st.shapes[shape-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
@@ -300,7 +303,9 @@ descent:
 		}
 		// The pdf's own marginals bound the probability far more tightly
 		// than the stored faces could; only a candidate they leave undecided
-		// — at the leaf, then with the record in hand — is integrated.
+		// — at the leaf, then with the record in hand — is integrated. The
+		// record of an entry the leaf tested gets the first-order test
+		// only: the leaf has tried the pair terms (pcr.FilterRecord).
 		outcome, obj := c.decided, Object{ID: c.id}
 		if outcome != pcr.Unknown {
 			stats.ShapeDecided++
@@ -322,7 +327,11 @@ descent:
 			if !c.keyed {
 				cache = nil
 			}
-			outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, cache)
+			if c.tested {
+				outcome = pcr.FilterRecord(obj.PDF, q.Rect, q.Prob, cache)
+			} else {
+				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, cache)
+			}
 		}
 		switch outcome {
 		case pcr.Validated:

@@ -1,6 +1,7 @@
 package pcr
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/updf"
@@ -69,24 +70,28 @@ func (t *cdfTable) bracket(off float64) (lo, hi float64) {
 
 // Tables reports how many CDF tables the cache holds: one per shape and
 // dimension that refinement or a shape test has read through it.
-func (qc *QuantileCache) Tables() int {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	return len(qc.tables)
-}
+func (qc *QuantileCache) Tables() int { return len(*qc.tables.Load()) }
 
 // table returns the CDF table of p's shape on dimension dim, building it on
 // first use — exactly once however many queries ask at the same time, and
-// outside the cache's lock, since MarginalCDF may be the caller's code.
+// outside the cache's lock, since MarginalCDF may be the caller's code. A
+// table that exists is found without the lock; a new one is added to a copy
+// of the map, which then replaces it.
 func (qc *QuantileCache) table(p updf.PDF, shape updf.ShapeID, dim int) *cdfTable {
 	key := tableKey{shape, dim}
-	qc.mu.Lock()
-	t := qc.tables[key]
+	t := (*qc.tables.Load())[key]
 	if t == nil {
-		t = new(cdfTable)
-		qc.tables[key] = t
+		qc.mu.Lock()
+		old := *qc.tables.Load()
+		if t = old[key]; t == nil {
+			t = new(cdfTable)
+			next := make(map[tableKey]*cdfTable, len(old)+1)
+			maps.Copy(next, old)
+			next[key] = t
+			qc.tables.Store(&next)
+		}
+		qc.mu.Unlock()
 	}
-	qc.mu.Unlock()
 	t.once.Do(func() { t.build(p, dim) })
 	return t
 }

@@ -195,12 +195,12 @@ func closedFormMarginals(p updf.PDF) bool {
 const oracleTol = 1e-9
 
 // checkMarginalBounds is the contract of the refinement pre-test on one
-// case: the bounds hold the exact probability, close to a point when rq
+// case, whose ExactProb is exact: the bounds hold it, close to a point when rq
 // clips a closed-form pdf on one axis only, and FilterMarginal never decides
 // against the exact probability.
-func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
+func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect, exact float64) {
 	t.Helper()
-	exact, tol := p.ExactProb(rq), oracleTol
+	tol := oracleTol
 	lb, ub := ProbBoundsMarginal(p, rq, cache)
 	if lb-tol > exact || exact > ub+tol {
 		t.Fatalf("%T %v rq=%v: bounds [%.12f, %.12f] miss exact %.12f", p, p.MBR(), rq, lb, ub, exact)
@@ -246,7 +246,8 @@ func TestProbBoundsMarginalSound(t *testing.T) {
 					p := marginalPDF(family, d, rng.Float64)
 					mbr := p.MBR()
 					for q := 0; q < rects/10; q++ {
-						checkMarginalBounds(t, cache, p, marginalRect(q%marginalRectKinds, mbr, rng.Float64))
+						rq := marginalRect(q%marginalRectKinds, mbr, rng.Float64)
+						checkMarginalBounds(t, cache, p, rq, p.ExactProb(rq))
 					}
 				}
 			})
@@ -291,7 +292,8 @@ func FuzzProbBoundsMarginal(f *testing.F) {
 		family, d, kind := int(data[0])%marginalFamilies, 2+int(data[1])%2, int(data[2])%marginalRectKinds
 		src := unitBytes{data[3:]}
 		p := marginalPDF(family, d, src.next)
-		checkMarginalBounds(t, fuzzCache, p, marginalRect(kind, p.MBR(), src.next))
+		rq := marginalRect(kind, p.MBR(), src.next)
+		checkMarginalBounds(t, fuzzCache, p, rq, p.ExactProb(rq))
 	})
 }
 

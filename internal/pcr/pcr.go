@@ -2,6 +2,7 @@ package pcr
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -25,9 +26,11 @@ type PCRs struct {
 // updf.MarginalTable says to tabulate it also holds the CDF tables
 // refinement reads instead (cdftable.go). Safe for concurrent use.
 type QuantileCache struct {
-	mu     sync.Mutex
-	m      map[offsetsKey][]float64
-	tables map[tableKey]*cdfTable
+	mu sync.Mutex
+	m  map[offsetsKey][]float64
+	// tables is read without the lock and replaced, never changed, under
+	// it: a shape test reads it several times a candidate.
+	tables atomic.Pointer[map[tableKey]*cdfTable]
 }
 
 type offsetsKey struct {
@@ -38,7 +41,9 @@ type offsetsKey struct {
 
 // NewQuantileCache returns an empty cache.
 func NewQuantileCache() *QuantileCache {
-	return &QuantileCache{m: make(map[offsetsKey][]float64), tables: make(map[tableKey]*cdfTable)}
+	qc := &QuantileCache{m: make(map[offsetsKey][]float64)}
+	qc.tables.Store(&map[tableKey]*cdfTable{})
+	return qc
 }
 
 // offsets returns, for pdf p and dimension dim, the 2m quantile offsets

@@ -40,6 +40,27 @@ import (
 // Once refinement holds the object's pdf, the same two formulas are fed the
 // pdf's own marginal tail masses (ProbBoundsMarginal): exact where the
 // stored faces only pin the marginal at 2m loosened positions.
+//
+// Neither formula bounds the mass beyond two faces at once, which is all a
+// ball cut at a corner of rq leaves undecided. For the two radially
+// symmetric families (UniformBall, ConGauBall in 2-D and 3-D) the third
+// formula adds the second-order Bonferroni terms. Write E_k for the event
+// of lying beyond face k of rq (the tail T_k), o_k for the face's offset
+// from the centre, positive where the centre lies on rq's side of it, and
+// S2 = Σ P(E_k ∩ E_l), S3 = Σ P(E_k ∩ E_l ∩ E_m) over faces on distinct
+// dimensions. Then
+//
+//	1 − S1 + S2 − S3 ≤ P(X ∈ rq) ≤ 1 − S1 + S2      (S1 = Σ T_k)
+//
+// and the mass of a half-space at distance ρ from the centre is the
+// marginal tail T(ρ) whichever way it faces. Beyond two faces with o_k,
+// o_l > 0 lies the half-space at ρ = √(o_k² + o_l²), so P(E_k ∩ E_l) ≤
+// T(ρ); where o_k ≤ 0, reflection through the centre's hyperplane on k's
+// dimension gives P(E_k ∩ E_l) ≥ T_l/2, and with o_l > 0 also ≥ T_l − T(ρ)
+// (what lies short of face k and beyond face l is in that half-space);
+// where both are ≤ 0, P(E_k ∩ E_l) = T_k + T_l − 1 + P(short of both) ≤
+// T_k + T_l − 1 + T(ρ). A triple is bounded by its smallest pair. These
+// tighten the two bounds above, never replace them.
 
 // boundPruneEps is the safety margin of the upper-bound prune: a candidate
 // is dropped only when ub is below the query threshold by more than this,
@@ -203,7 +224,8 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 // and R_i = 1 − MarginalCDF(i, rq.Hi[i]) (a pdf is a density, so a single
 // coordinate carries no mass), exactly 0 where rq reaches past the MBR.
 // When rq clips the object on a single dimension the pair closes to the
-// probability itself.
+// probability itself. A radial pdf's bracket is tightened by the pair
+// terms (the header's third formula).
 //
 // A family whose MarginalCDF is closed form is called and gives exact
 // tails; one whose MarginalCDF is a quadrature rule (updf.MarginalTable) is
@@ -212,11 +234,9 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 // weighted sums of its components'. With a nil cache nothing is tabulated
 // and every MarginalCDF is called.
 func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
-	acc := newBounds()
-	for i := range rq.Lo {
-		acc.add(cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i]))
-	}
-	return acc.result()
+	var m marginal
+	m.read(p, rq, cache)
+	return m.pairs(cache)
 }
 
 // marginalTails brackets P(X_dim < a) and P(X_dim > b).
@@ -258,18 +278,167 @@ func ShapeSlack(pm, mbr geom.Rect, i int) float64 {
 // proto's frame and every tail bracketed between marginalTails with its face
 // pushed in by δ (the tail at its largest) and pulled out by δ (smallest),
 // then the pair is widened by boundPruneEps, far above what one CDF formula
-// evaluated on two translates differs by. So the bracket holds the one
-// ProbBoundsMarginal gives on the object's pdf, and FilterShape decides
-// nothing FilterMarginal does not decide the same way.
+// evaluated on two translates differs by. A face's offset from the centre
+// is known to δ, so a radial shape's pair terms read each offset at the end
+// of its interval that weakens them. So the bracket holds the one ProbBoundsMarginal gives on the object's pdf,
+// and FilterShape decides nothing FilterMarginal does not decide the same
+// way.
 func ProbBoundsShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
-	acc := newBounds()
+	var m marginal
+	m.readShape(proto, pm, mbr, rq, cache)
+	return widen(m.pairs(cache))
+}
+
+// widen is the leaf's last step: the bracket widened by boundPruneEps.
+func widen(lb, ub float64) (float64, float64) {
+	return max(lb-boundPruneEps, 0), min(ub+boundPruneEps, 1)
+}
+
+// maxPairDim is the largest dimensionality the pair terms cover.
+const maxPairDim = 3
+
+// face is one side of rq on one dimension as the pair terms see it: t
+// brackets the mass beyond it, and its offset from the centre — positive
+// where the centre lies on rq's side — is known to lie in [lo, hi].
+type face struct {
+	t      tail
+	lo, hi float64
+}
+
+// marginal is the first-order bracket ProbBoundsMarginal and ProbBoundsShape
+// build and, when the pdf is radially symmetric, what its pair terms reuse
+// of it: every face's tail and offset.
+type marginal struct {
+	bounds
+	radial updf.PDF // the radial pdf the tails were read off; nil for any other
+	d      int
+	faces  [2 * maxPairDim]face // left and right face of dimension i at 2i, 2i+1
+}
+
+// radial reports whether the pair terms hold for p: a density symmetric
+// under every rotation about its centre, in 2-D or 3-D.
+func radial(p updf.PDF) bool {
+	switch p.(type) {
+	case *updf.UniformBall, *updf.ConGauBall:
+		return p.Dim() >= 2 && p.Dim() <= maxPairDim
+	}
+	return false
+}
+
+// read is the first-order bracket of ProbBoundsMarginal.
+func (m *marginal) read(p updf.PDF, rq geom.Rect, cache *QuantileCache) {
+	m.bounds = newBounds()
+	var c geom.Point
+	if radial(p) {
+		m.radial, m.d, c = p, len(rq.Lo), p.Center()
+	}
+	for i := range rq.Lo {
+		left, right := cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i])
+		m.add(left, right)
+		if c != nil {
+			l, r := c[i]-rq.Lo[i], rq.Hi[i]-c[i]
+			m.faces[2*i], m.faces[2*i+1] = face{left, l, l}, face{right, r, r}
+		}
+	}
+}
+
+// readShape is the first-order bracket of ProbBoundsShape, before widening.
+func (m *marginal) readShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) {
+	m.bounds = newBounds()
+	var c geom.Point
+	if radial(proto) {
+		m.radial, m.d, c = proto, len(rq.Lo), proto.Center()
+	}
 	for i := range rq.Lo {
 		shift, d := pm.Lo[i]-mbr.Lo[i], ShapeSlack(pm, mbr, i)
 		a, b := rq.Lo[i]+shift, rq.Hi[i]+shift
 		inL, inR := cache.marginalTails(proto, i, a+d, b-d)
 		outL, outR := cache.marginalTails(proto, i, a-d, b+d)
-		acc.add(tail{outL.lo, inL.hi}, tail{outR.lo, inR.hi})
+		left, right := tail{outL.lo, inL.hi}, tail{outR.lo, inR.hi}
+		m.add(left, right)
+		if c != nil {
+			l, r := c[i]-a, b-c[i]
+			m.faces[2*i], m.faces[2*i+1] = face{left, l - d, l + d}, face{right, r - d, r + d}
+		}
 	}
-	lb, ub = acc.result()
-	return max(lb-boundPruneEps, 0), min(ub+boundPruneEps, 1)
+}
+
+// pairs is the bracket with a radial pdf's pair terms (the header's third
+// formula), result() for any other pdf. The pair terms enter only through
+// the sums the first-order bounds are built from, so lb ≤ ub needs no
+// clamp: the union bound's miss only grows, to at least the largest
+// dimension's own tail sum, which the slab bound takes from the same
+// tails, and the second-order upper bound subtracts from the union sum of
+// the lower tails a sum no smaller than the one the lower bound adds.
+func (m *marginal) pairs(cache *QuantileCache) (lb, ub float64) {
+	if m.radial == nil {
+		return m.result()
+	}
+	n := 2 * m.d
+	var hi [2 * maxPairDim][2 * maxPairDim]float64
+	var s2lo, s2hi, s3 float64
+	for e := 0; e < n; e++ {
+		if m.faces[e].t.hi == 0 {
+			continue // no mass beyond e: its pairs and triples are 0
+		}
+		for f := e&^1 + 2; f < n; f++ { // the faces of the later dimensions
+			if m.faces[f].t.hi == 0 {
+				continue
+			}
+			lo, h := m.pair(m.faces[e], m.faces[f], cache)
+			hi[e][f] = h
+			s2lo += lo
+			s2hi += h
+		}
+	}
+	if m.d == 3 {
+		for e := 0; e < 2; e++ {
+			for f := 2; f < 4; f++ {
+				for g := 4; g < 6; g++ {
+					s3 += min(hi[e][f], hi[e][g], hi[f][g])
+				}
+			}
+		}
+	}
+	var missLo, slab float64
+	for i := 0; i < n; i += 2 {
+		l, r := m.faces[i].t, m.faces[i+1].t
+		missLo += l.lo + r.lo
+		slab = max(slab, l.hi+r.hi)
+	}
+	miss := min(m.miss, max(m.miss-s2lo+s3, slab))
+	return max(1-miss, 0), max(min(m.ub, 1-(missLo-s2hi)), 0)
+}
+
+// pair brackets P(E_e ∩ E_f), the mass beyond faces e and f of two
+// distinct dimensions, never with lo > hi.
+func (m *marginal) pair(e, f face, cache *QuantileCache) (lo, hi float64) {
+	hi = min(e.t.hi, f.t.hi)
+	if f.hi <= 0 && e.lo > 0 {
+		e, f = f, e // the face the centre lies beyond, if one, is e
+	}
+	switch {
+	case e.lo > 0 && f.lo > 0:
+		hi = min(hi, m.beyond(e.lo, f.lo, cache))
+	case e.hi <= 0 && f.lo > 0:
+		lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo, cache))
+	case e.hi <= 0 && f.hi <= 0:
+		lo = max(e.t.lo/2, f.t.lo/2, e.t.lo+f.t.lo-1)
+		hi = min(hi, e.t.hi+f.t.hi-1+m.beyond(e.hi, f.hi, cache))
+	}
+	return min(lo, hi), hi
+}
+
+// beyond is the upper end of T(ρ), ρ = √(u² + v²): the radial pdf's mass
+// beyond a hyperplane at distance ρ from its centre, read as the marginal
+// tail past Center()[0] + ρ. It is read 2⁻⁵⁰ of |centre| + ρ nearer the
+// centre than ρ, more than the square root, adding the centre and
+// MarginalCDF's taking it off again can together round the distance
+// outward.
+func (m *marginal) beyond(u, v float64, cache *QuantileCache) float64 {
+	c := m.radial.Center()[0]
+	rho := math.Sqrt(u*u + v*v)
+	rho -= (math.Abs(c) + math.Abs(rho)) / (1 << 50)
+	_, t := cache.marginalTails(m.radial, 0, math.Inf(-1), c+rho)
+	return t.hi
 }

@@ -142,16 +142,49 @@ func (f Faces) rules(cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 // pq, PrunedByBound when the upper bound falls short of it, Unknown when
 // the threshold lies between the two and Equation 2 has to be evaluated.
 // Both tests carry boundPruneEps, so an evaluator good to 1e-10 agrees with
-// every decision taken here.
+// every decision taken here. A radial pdf the first-order bounds leave
+// undecided — a ball rq cuts at a corner — is tested again with the pair
+// terms (ProbBoundsMarginal), which reuse its tails.
 func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
-	lb, ub := ProbBoundsMarginal(p, rq, cache)
+	var m marginal
+	m.read(p, rq, cache)
+	return m.decide(pq, cache, false)
+}
+
+// FilterRecord is FilterMarginal on the record of a candidate FilterShape
+// left Unknown, without the pair terms: the leaf has tried them, on a
+// bracket that holds this one to within boundPruneEps and δ, so on the
+// record they could decide only a threshold inside that sliver.
+func FilterRecord(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
+	var m marginal
+	m.read(p, rq, cache)
+	lb, ub := m.result()
 	return decideMarginal(lb, ub, pq)
 }
 
 // FilterShape is FilterMarginal before the object's record is read, on a
-// prototype of its shape: FilterMarginal confirms whatever it decides.
+// prototype of its shape, pair terms included: FilterMarginal confirms
+// whatever it decides.
 func FilterShape(proto updf.PDF, pm, mbr, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
-	lb, ub := ProbBoundsShape(proto, pm, mbr, rq, cache)
+	var m marginal
+	m.readShape(proto, pm, mbr, rq, cache)
+	return m.decide(pq, cache, true)
+}
+
+// decide is decideMarginal on the first-order bracket and, where that
+// leaves the candidate Unknown and the pdf is radial, on the one with the
+// pair terms; atLeaf widens each as ProbBoundsShape does.
+func (m *marginal) decide(pq float64, cache *QuantileCache, atLeaf bool) Outcome {
+	lb, ub := m.result()
+	if atLeaf {
+		lb, ub = widen(lb, ub)
+	}
+	if o := decideMarginal(lb, ub, pq); o != Unknown || m.radial == nil {
+		return o
+	}
+	if lb, ub = m.pairs(cache); atLeaf {
+		lb, ub = widen(lb, ub)
+	}
 	return decideMarginal(lb, ub, pq)
 }
 

@@ -132,7 +132,7 @@ func TestShapeDecisionSound(t *testing.T) {
 						mbr := p.MBR()
 						for q := 0; q < 10; q++ {
 							rq := marginalRect((obj*10+q)%marginalRectKinds, mbr, u)
-							was, could := checkShapeDecision(t, cache, proto, pm, p, mbr, rq)
+							was, could := checkShapeDecision(t, cache, proto, pm, p, mbr, rq, p.ExactProb(rq))
 							done, decided, decidable = done+1, decided+was, decidable+could
 						}
 					}
@@ -153,8 +153,8 @@ func TestShapeDecisionSound(t *testing.T) {
 // checkShapeDecision holds one (object, rectangle) pair to the contract and
 // counts, over boundTestThresholds, the decisions FilterMarginal takes and
 // those FilterShape took before it, and holds every leaf decision to the
-// exact probability.
-func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect) (decided, decidable int) {
+// exact probability, exact.
+func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, exact float64) (decided, decidable int) {
 	t.Helper()
 	lbM, ubM := ProbBoundsMarginal(p, rq, cache)
 	lbS, ubS := ProbBoundsShape(proto, pm, mbr, rq, cache)
@@ -162,7 +162,6 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		t.Fatalf("%T %v read through %v, rq=%v: leaf bracket [%.17g, %.17g] does not hold the record's [%.17g, %.17g]",
 			p, mbr, pm, rq, lbS, ubS, lbM, ubM)
 	}
-	exact, tol := p.ExactProb(rq), oracleTol
 	// After the fixed thresholds, the record's own decision boundaries: the
 	// last threshold it validates at and the first it prunes at, where a
 	// leaf decision would differ first if it could.
@@ -170,13 +169,7 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		if pq <= 0 || pq > 1 {
 			continue
 		}
-		atLeaf, onRecord := FilterShape(proto, pm, mbr, rq, pq, cache), FilterMarginal(p, rq, pq, cache)
-		if atLeaf != Unknown && atLeaf != onRecord {
-			t.Fatalf("%T %v read through %v, rq=%v pq=%v: %v at the leaf, %v on the record", p, mbr, pm, rq, pq, atLeaf, onRecord)
-		}
-		if atLeaf == Validated && exact < pq-tol || atLeaf == PrunedByBound && exact >= pq+tol {
-			t.Fatalf("%T %v rq=%v pq=%v: %v at the leaf, exact probability %.12f", p, mbr, rq, pq, atLeaf, exact)
-		}
+		atLeaf, onRecord := checkLeafDecision(t, cache, proto, pm, p, mbr, rq, pq, exact)
 		if k < len(boundTestThresholds) && onRecord != Unknown {
 			decidable++
 			if atLeaf != Unknown {
@@ -185,6 +178,24 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		}
 	}
 	return decided, decidable
+}
+
+// checkLeafDecision holds FilterShape's decision at pq to FilterMarginal's
+// and to the exact probability, and FilterRecord's to FilterMarginal's, and
+// returns the first two.
+func checkLeafDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, pq, exact float64) (atLeaf, onRecord Outcome) {
+	t.Helper()
+	atLeaf, onRecord = FilterShape(proto, pm, mbr, rq, pq, cache), FilterMarginal(p, rq, pq, cache)
+	if atLeaf != Unknown && atLeaf != onRecord {
+		t.Fatalf("%T %v read through %v, rq=%v pq=%v: %v at the leaf, %v on the record", p, mbr, pm, rq, pq, atLeaf, onRecord)
+	}
+	if atLeaf == Validated && exact < pq-oracleTol || atLeaf == PrunedByBound && exact >= pq+oracleTol {
+		t.Fatalf("%T %v rq=%v pq=%v: %v at the leaf, exact probability %.12f", p, mbr, rq, pq, atLeaf, exact)
+	}
+	if first := FilterRecord(p, rq, pq, cache); first != Unknown && first != onRecord {
+		t.Fatalf("%T %v rq=%v pq=%v: FilterRecord %v, FilterMarginal %v", p, mbr, rq, pq, first, onRecord)
+	}
+	return atLeaf, onRecord
 }
 
 // TestShapeSlackCoversExtents: two objects of one ShapeKey have MBR extents
@@ -206,13 +217,17 @@ func TestShapeSlackCoversExtents(t *testing.T) {
 	}
 }
 
-// shapeBenchCases is marginalBenchPDFs' keyed families, each read through a
-// prototype of its shape that lies elsewhere.
-func shapeBenchCases() (cases []struct {
+// shapeBenchCase is one leaf entry a benchmark tests on its shape.
+type shapeBenchCase struct {
 	name           string
 	proto          updf.PDF
 	pm, mbr, query geom.Rect
-}) {
+}
+
+// shapeBenchCases is marginalBenchPDFs' keyed families, each read through a
+// prototype of its shape that lies elsewhere, and each ball also cut at a
+// corner.
+func shapeBenchCases() (cases []shapeBenchCase) {
 	for _, f := range marginalBenchPDFs() {
 		var proto updf.PDF
 		switch v := f.pdf.(type) {
@@ -229,11 +244,18 @@ func shapeBenchCases() (cases []struct {
 		if proto.ShapeKey() != f.pdf.ShapeKey() {
 			panic(f.name + ": prototype has another shape")
 		}
-		cases = append(cases, struct {
-			name           string
-			proto          updf.PDF
-			pm, mbr, query geom.Rect
-		}{f.name, proto, proto.MBR(), f.pdf.MBR(), marginalBenchQuery(f.pdf.Dim())})
+		cases = append(cases, shapeBenchCase{f.name, proto, proto.MBR(), f.pdf.MBR(), marginalBenchQuery(f.pdf.Dim())})
+		if radial(proto) {
+			// The ball cut at a corner 0.3 r from its centre on every
+			// dimension: the first-order bracket leaves pq = 0.5 undecided,
+			// so the pair terms run (and leave it undecided too).
+			c, r := f.pdf.Center(), f.pdf.MBR().Side(0)/2
+			lo, hi := make(geom.Point, len(c)), make(geom.Point, len(c))
+			for i := range c {
+				lo[i], hi[i] = c[i]-0.3*r, c[i]+2*r
+			}
+			cases = append(cases, shapeBenchCase{f.name + "-corner", proto, proto.MBR(), f.pdf.MBR(), geom.NewRect(lo, hi)})
+		}
 	}
 	return cases
 }
@@ -255,9 +277,11 @@ var outcomeSink Outcome
 
 // BenchmarkShapeDecision is what a range query pays at the leaf per entry
 // the stored faces leave undecided, to learn whether its record has to be
-// read, with every face clipped: 0 allocs/op and two CDF evaluations a face —
-// under a microsecond for every keyed family (the tabulated Con-Gau in 2-D
-// on a warm table) but the 3-D Con-Gau, which is about one.
+// read, with most faces clipped, and for each ball also cut at a corner: 0
+// allocs/op, two CDF evaluations a face and, for a ball the first-order
+// bounds leave undecided, one a pair of faces — under a microsecond for
+// every keyed family (the tabulated Con-Gau in 2-D on a warm table) but the
+// 3-D Con-Gau, about 2.5 with its eight pair terms.
 func BenchmarkShapeDecision(b *testing.B) {
 	cache := NewQuantileCache()
 	for _, c := range shapeBenchCases() {
