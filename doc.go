@@ -32,12 +32,12 @@
 // Where the code departs from the paper:
 //
 //	probability bound, replaces Rules 3–5    → internal/pcr.Faces.ProbBounds, internal/pcr.ProbBoundsPCR
-//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.ProbBoundsShape, internal/pcr.marginal.pairs, internal/pcr.marginal.pair
+//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.ProbBoundsShape, internal/pcr.marginal.decide, internal/pcr.marginal.pairs, internal/pcr.marginal.pair
 //	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
 //	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.form, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
 //	keyed ball: id, address, centre; no MBR  → internal/core.centreSize, internal/core.packedNode.leafMBR, internal/updf.Recentrer.MBRAt
-//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterRecord, internal/pcr.FilterMarginal, internal/core.shape
+//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
 //	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
 //	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree
 package repro

@@ -59,8 +59,7 @@ import (
 // hot now displace pages hot long ago. A shard allocates its table at its
 // first overflow, so a cache the tree fits in never pays for it. On the
 // cold CA benchmark (101 pages, 32 entries) admission took a query from
-// 5.36 pages under plain LRU among the leaves to 4.89 (4.39 since the
-// marginal bounds' pair terms spare record reads).
+// 5.36 pages under plain LRU among the leaves to 4.89.
 //
 // The table has one hash, not a count-min sketch's several. A one-touch
 // leaf that shares a hot leaf's counter is admitted as hot, but at 16

@@ -98,9 +98,8 @@ type QueryStats struct {
 	// for a ball, tightened by the radial pair terms where a query cuts it
 	// at a corner: reported with Prob = -1, and dropped. ShapeDecided of
 	// them were decided before their record was read, on the shape their
-	// leaf entry names (pcr.FilterShape); the rest after it
-	// (pcr.FilterRecord where the leaf tested the entry, else
-	// pcr.FilterMarginal).
+	// leaf entry names (pcr.FilterShape); the rest, whose entries name no
+	// shape, after it (pcr.FilterMarginal).
 	MarginalValidated int
 	MarginalPruned    int
 	ShapeDecided      int
@@ -265,7 +264,7 @@ descent:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
 					c := candidate{id: n.id(i), addr: addr, keyed: ok && shape != 0 && int(shape) <= len(st.shapes)}
-					if c.tested = c.keyed && !o.noShapeTest; c.tested {
+					if c.keyed && !o.noShapeTest {
 						sh := &st.shapes[shape-1] // refinement's test, before the fetch
 						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
 					}
@@ -303,9 +302,10 @@ descent:
 		}
 		// The pdf's own marginals bound the probability far more tightly
 		// than the stored faces could; only a candidate they leave undecided
-		// — at the leaf, then with the record in hand — is integrated. The
-		// record of an entry the leaf tested gets the first-order test
-		// only: the leaf has tried the pair terms (pcr.FilterRecord).
+		// — at the leaf, else with the record in hand — is integrated. The
+		// record of a candidate its leaf tested is not tested again: the
+		// leaf's bracket holds the record's to within δ and boundPruneEps,
+		// so the record could decide only a threshold inside that sliver.
 		outcome, obj := c.decided, Object{ID: c.id}
 		if outcome != pcr.Unknown {
 			stats.ShapeDecided++
@@ -323,14 +323,10 @@ descent:
 			// An unkeyed object is a shape of its own: a table of its CDF
 			// would be built for this one object and kept for ever, so its
 			// marginals are evaluated instead.
-			cache := t.qcache
 			if !c.keyed {
-				cache = nil
-			}
-			if c.tested {
-				outcome = pcr.FilterRecord(obj.PDF, q.Rect, q.Prob, cache)
-			} else {
-				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, cache)
+				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, nil)
+			} else if o.noShapeTest {
+				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache)
 			}
 		}
 		switch outcome {

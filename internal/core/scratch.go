@@ -38,7 +38,6 @@ type candidate struct {
 	addr    DataAddr
 	decided pcr.Outcome
 	keyed   bool // its entry names a shape in the table
-	tested  bool // pcr.FilterShape tested it at the leaf
 }
 
 // queryScratch is one query's reusable traversal state.

@@ -236,7 +236,7 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
 	var m marginal
 	m.read(p, rq, cache)
-	return m.pairs(cache)
+	return m.pairs(cache, nil)
 }
 
 // marginalTails brackets P(X_dim < a) and P(X_dim > b).
@@ -286,7 +286,7 @@ func ShapeSlack(pm, mbr geom.Rect, i int) float64 {
 func ProbBoundsShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
 	var m marginal
 	m.readShape(proto, pm, mbr, rq, cache)
-	return widen(m.pairs(cache))
+	return widen(m.pairs(cache, nil))
 }
 
 // widen is the leaf's last step: the bracket widened by boundPruneEps.
@@ -370,28 +370,59 @@ func (m *marginal) readShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *Quant
 // dimension's own tail sum, which the slab bound takes from the same
 // tails, and the second-order upper bound subtracts from the union sum of
 // the lower tails a sum no smaller than the one the lower bound adds.
-func (m *marginal) pairs(cache *QuantileCache) (lb, ub float64) {
+//
+// Given the decision its caller takes on the bracket, pairs returns one
+// that decides the same, skipping the terms that cannot change it. A lower
+// term is non-zero only past a face the centre lies beyond, and lb never
+// rises above 1 − slab, so where neither lets it validate only the upper
+// terms are summed; each of them only raises the upper sum, so the first
+// partial sum that cannot prune ends the summing, with the first-order
+// bracket, which is Unknown too. A nil decide asks for the whole bracket.
+func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outcome) (lb, ub float64) {
 	if m.radial == nil {
 		return m.result()
 	}
 	n := 2 * m.d
+	var missLo, slab float64
+	past := false
+	for i := 0; i < n; i += 2 {
+		l, r := m.faces[i], m.faces[i+1]
+		missLo += l.t.lo + r.t.lo
+		slab = max(slab, l.t.hi+r.t.hi)
+		past = past || l.hi <= 0 || r.hi <= 0
+	}
+	lower := decide == nil || past && decide(max(1-slab, 0), 1) == Validated
+	// A dimension's face with the larger tail, the nearer the centre, comes
+	// first: its pairs are the larger, so the summing stops the sooner.
+	var order [2 * maxPairDim]int
+	for i := 0; i < n; i += 2 {
+		order[i], order[i+1] = i, i+1
+		if m.faces[i+1].t.hi > m.faces[i].t.hi {
+			order[i], order[i+1] = i+1, i
+		}
+	}
 	var hi [2 * maxPairDim][2 * maxPairDim]float64
 	var s2lo, s2hi, s3 float64
-	for e := 0; e < n; e++ {
+	for a := 0; a < n; a++ {
+		e := order[a]
 		if m.faces[e].t.hi == 0 {
 			continue // no mass beyond e: its pairs and triples are 0
 		}
-		for f := e&^1 + 2; f < n; f++ { // the faces of the later dimensions
+		for b := a&^1 + 2; b < n; b++ { // the faces of the later dimensions
+			f := order[b]
 			if m.faces[f].t.hi == 0 {
 				continue
 			}
-			lo, h := m.pair(m.faces[e], m.faces[f], cache)
+			if !lower && decide(0, 1-(missLo-s2hi)) != PrunedByBound {
+				return m.result()
+			}
+			lo, h := m.pair(m.faces[e], m.faces[f], cache, lower)
 			hi[e][f] = h
 			s2lo += lo
 			s2hi += h
 		}
 	}
-	if m.d == 3 {
+	if m.d == 3 && lower {
 		for e := 0; e < 2; e++ {
 			for f := 2; f < 4; f++ {
 				for g := 4; g < 6; g++ {
@@ -400,19 +431,13 @@ func (m *marginal) pairs(cache *QuantileCache) (lb, ub float64) {
 			}
 		}
 	}
-	var missLo, slab float64
-	for i := 0; i < n; i += 2 {
-		l, r := m.faces[i].t, m.faces[i+1].t
-		missLo += l.lo + r.lo
-		slab = max(slab, l.hi+r.hi)
-	}
 	miss := min(m.miss, max(m.miss-s2lo+s3, slab))
 	return max(1-miss, 0), max(min(m.ub, 1-(missLo-s2hi)), 0)
 }
 
 // pair brackets P(E_e ∩ E_f), the mass beyond faces e and f of two
-// distinct dimensions, never with lo > hi.
-func (m *marginal) pair(e, f face, cache *QuantileCache) (lo, hi float64) {
+// distinct dimensions, never with lo > hi; lo is 0 unless lower is set.
+func (m *marginal) pair(e, f face, cache *QuantileCache, lower bool) (lo, hi float64) {
 	hi = min(e.t.hi, f.t.hi)
 	if f.hi <= 0 && e.lo > 0 {
 		e, f = f, e // the face the centre lies beyond, if one, is e
@@ -420,10 +445,12 @@ func (m *marginal) pair(e, f face, cache *QuantileCache) (lo, hi float64) {
 	switch {
 	case e.lo > 0 && f.lo > 0:
 		hi = min(hi, m.beyond(e.lo, f.lo, cache))
-	case e.hi <= 0 && f.lo > 0:
+	case e.hi <= 0 && f.lo > 0 && lower:
 		lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo, cache))
 	case e.hi <= 0 && f.hi <= 0:
-		lo = max(e.t.lo/2, f.t.lo/2, e.t.lo+f.t.lo-1)
+		if lower {
+			lo = max(e.t.lo/2, f.t.lo/2, e.t.lo+f.t.lo-1)
+		}
 		hi = min(hi, e.t.hi+f.t.hi-1+m.beyond(e.hi, f.hi, cache))
 	}
 	return min(lo, hi), hi

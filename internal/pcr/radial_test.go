@@ -119,7 +119,7 @@ func checkPairs(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 					quadrant.Lo[i] = rq.Hi[i]
 				}
 			}
-			lo, hi := m.pair(m.faces[e], m.faces[f], cache)
+			lo, hi := m.pair(m.faces[e], m.faces[f], cache, true)
 			if exact := p.ExactProb(quadrant); lo-oracleTol > exact || exact > hi+oracleTol {
 				t.Fatalf("%T %v rq=%v: pair of faces %d and %d [%.12f, %.12f] misses the mass beyond both, %.12f", p, mbr, rq, e, f, lo, hi, exact)
 			}
@@ -248,7 +248,7 @@ var fuzzShapeCache = NewQuantileCache()
 // centres (up to 10⁷, a polygon's 10⁴), the rectangle and a threshold pq.
 // The leaf's bracket must hold the record's, and a decision at the leaf, at
 // pq or at checkShapeDecision's thresholds, must be FilterMarginal's and
-// agree with ExactProb.
+// agree with ExactProb; each filter's must be its whole bracket's.
 func FuzzShapeDecision(f *testing.F) {
 	for _, family := range keyedFamilies {
 		for kind := 0; kind <= marginalRectKinds; kind++ {

@@ -151,17 +151,6 @@ func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) 
 	return m.decide(pq, cache, false)
 }
 
-// FilterRecord is FilterMarginal on the record of a candidate FilterShape
-// left Unknown, without the pair terms: the leaf has tried them, on a
-// bracket that holds this one to within boundPruneEps and δ, so on the
-// record they could decide only a threshold inside that sliver.
-func FilterRecord(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
-	var m marginal
-	m.read(p, rq, cache)
-	lb, ub := m.result()
-	return decideMarginal(lb, ub, pq)
-}
-
 // FilterShape is FilterMarginal before the object's record is read, on a
 // prototype of its shape, pair terms included: FilterMarginal confirms
 // whatever it decides.
@@ -175,17 +164,16 @@ func FilterShape(proto updf.PDF, pm, mbr, rq geom.Rect, pq float64, cache *Quant
 // leaves the candidate Unknown and the pdf is radial, on the one with the
 // pair terms; atLeaf widens each as ProbBoundsShape does.
 func (m *marginal) decide(pq float64, cache *QuantileCache, atLeaf bool) Outcome {
-	lb, ub := m.result()
-	if atLeaf {
-		lb, ub = widen(lb, ub)
+	at := func(lb, ub float64) Outcome {
+		if atLeaf {
+			lb, ub = widen(lb, ub)
+		}
+		return decideMarginal(lb, ub, pq)
 	}
-	if o := decideMarginal(lb, ub, pq); o != Unknown || m.radial == nil {
+	if o := at(m.result()); o != Unknown || m.radial == nil {
 		return o
 	}
-	if lb, ub = m.pairs(cache); atLeaf {
-		lb, ub = widen(lb, ub)
-	}
-	return decideMarginal(lb, ub, pq)
+	return at(m.pairs(cache, at))
 }
 
 func decideMarginal(lb, ub, pq float64) Outcome {

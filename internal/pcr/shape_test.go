@@ -181,19 +181,22 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 }
 
 // checkLeafDecision holds FilterShape's decision at pq to FilterMarginal's
-// and to the exact probability, and FilterRecord's to FilterMarginal's, and
-// returns the first two.
+// and to the exact probability, and each to the decision its whole bracket
+// gives, which neither reads all of; it returns both.
 func checkLeafDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, pq, exact float64) (atLeaf, onRecord Outcome) {
 	t.Helper()
 	atLeaf, onRecord = FilterShape(proto, pm, mbr, rq, pq, cache), FilterMarginal(p, rq, pq, cache)
+	if lb, ub := ProbBoundsShape(proto, pm, mbr, rq, cache); atLeaf != decideMarginal(lb, ub, pq) {
+		t.Fatalf("%T %v read through %v, rq=%v pq=%v: FilterShape %v, its bracket [%.17g, %.17g] %v", p, mbr, pm, rq, pq, atLeaf, lb, ub, decideMarginal(lb, ub, pq))
+	}
+	if lb, ub := ProbBoundsMarginal(p, rq, cache); onRecord != decideMarginal(lb, ub, pq) {
+		t.Fatalf("%T %v rq=%v pq=%v: FilterMarginal %v, its bracket [%.17g, %.17g] %v", p, mbr, rq, pq, onRecord, lb, ub, decideMarginal(lb, ub, pq))
+	}
 	if atLeaf != Unknown && atLeaf != onRecord {
 		t.Fatalf("%T %v read through %v, rq=%v pq=%v: %v at the leaf, %v on the record", p, mbr, pm, rq, pq, atLeaf, onRecord)
 	}
 	if atLeaf == Validated && exact < pq-oracleTol || atLeaf == PrunedByBound && exact >= pq+oracleTol {
 		t.Fatalf("%T %v rq=%v pq=%v: %v at the leaf, exact probability %.12f", p, mbr, rq, pq, atLeaf, exact)
-	}
-	if first := FilterRecord(p, rq, pq, cache); first != Unknown && first != onRecord {
-		t.Fatalf("%T %v rq=%v pq=%v: FilterRecord %v, FilterMarginal %v", p, mbr, rq, pq, first, onRecord)
 	}
 	return atLeaf, onRecord
 }
