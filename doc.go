@@ -32,7 +32,8 @@
 // Where the code departs from the paper:
 //
 //	probability bound, replaces Rules 3–5    → internal/pcr.Faces.ProbBounds, internal/pcr.ProbBoundsPCR
-//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.ProbBoundsShape, internal/pcr.marginal.decide, internal/pcr.marginal.pairs, internal/pcr.marginal.pair
+//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.ProbBoundsShape, internal/pcr.marginal.decide, internal/pcr.marginal.pairs, internal/pcr.marginal.pairLower, internal/pcr.marginal.pairUpper
+//	2-D ball corner masses, a knot table     → internal/pcr.quadTable, internal/pcr.quadrants, internal/updf.QuadrantTable, internal/updf.UniformBall.QuadrantMass
 //	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
 //	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.form, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack

@@ -98,8 +98,10 @@ func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits
 // entry compact, 48 B). It passes CheckInvariants, CheckRecords and Scrub
 // and answers every range and k-NN query of testdata/utr6.golden.json
 // exactly as the code that wrote it did, but that the radial pair terms of
-// the marginal bounds validate two balls it integrated (objects 398 and
-// 450: the same IDs, Prob −1 for an appearance probability). A committed
+// the marginal bounds validate four balls it integrated (objects 398 and
+// 450, and 158 and 298 since the pair terms read their corner masses off
+// the shape's quadrant table: the same IDs, Prob −1 for an appearance
+// probability). A committed
 // batch of two inserts stamps it UTR7 and rewrites only the leaves the
 // inserts touched, in which the file's entries stay compact — their page
 // holds no exact centre — and the new objects' entries are centred; once

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -280,11 +281,8 @@ descent:
 	// Refinement: group candidates by data page (one I/O per page with a
 	// candidate still undecided).
 	refineStart := time.Now()
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].addr.Page != cands[b].addr.Page {
-			return cands[a].addr.Page < cands[b].addr.Page
-		}
-		return cands[a].addr.Slot < cands[b].addr.Slot
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.addr.Page, b.addr.Page), cmp.Compare(a.addr.Slot, b.addr.Slot))
 	})
 	pageBuf, pageID := sc.dataPage(), pagefile.InvalidPage
 	// refined ends the stage, on completion and on every early exit of the
@@ -322,7 +320,9 @@ descent:
 			}
 			// An unkeyed object is a shape of its own: a table of its CDF
 			// would be built for this one object and kept for ever, so its
-			// marginals are evaluated instead.
+			// marginals are evaluated instead (and a 2-D uniform ball's
+			// corner masses at the knots a table would hold, so it is
+			// decided as it would be keyed).
 			if !c.keyed {
 				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, nil)
 			} else if o.noShapeTest {

@@ -3,6 +3,7 @@ package pcr
 import (
 	"maps"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/updf"
 )
@@ -74,24 +75,29 @@ func (qc *QuantileCache) Tables() int { return len(*qc.tables.Load()) }
 
 // table returns the CDF table of p's shape on dimension dim, building it on
 // first use — exactly once however many queries ask at the same time, and
-// outside the cache's lock, since MarginalCDF may be the caller's code. A
-// table that exists is found without the lock; a new one is added to a copy
-// of the map, which then replaces it.
+// outside the cache's lock, since MarginalCDF may be the caller's code.
 func (qc *QuantileCache) table(p updf.PDF, shape updf.ShapeID, dim int) *cdfTable {
-	key := tableKey{shape, dim}
-	t := (*qc.tables.Load())[key]
-	if t == nil {
-		qc.mu.Lock()
-		old := *qc.tables.Load()
-		if t = old[key]; t == nil {
-			t = new(cdfTable)
-			next := make(map[tableKey]*cdfTable, len(old)+1)
-			maps.Copy(next, old)
-			next[key] = t
-			qc.tables.Store(&next)
-		}
-		qc.mu.Unlock()
-	}
+	t := entry(&qc.mu, &qc.tables, tableKey{shape, dim})
 	t.once.Do(func() { t.build(p, dim) })
 	return t
+}
+
+// entry returns what m holds under key, adding a new zero value if it
+// holds nothing. A value that exists is found without the lock; a new one
+// is added under it to a copy of the map, which then replaces it.
+func entry[K comparable, V any](mu *sync.Mutex, m *atomic.Pointer[map[K]*V], key K) *V {
+	v := (*m.Load())[key]
+	if v == nil {
+		mu.Lock()
+		old := *m.Load()
+		if v = old[key]; v == nil {
+			v = new(V)
+			next := make(map[K]*V, len(old)+1)
+			maps.Copy(next, old)
+			next[key] = v
+			m.Store(&next)
+		}
+		mu.Unlock()
+	}
+	return v
 }

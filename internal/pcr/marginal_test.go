@@ -268,6 +268,17 @@ func (s *unitBytes) next() float64 {
 	return v
 }
 
+// unitSeed is a fuzz seed: the header bytes, then each of v as the two
+// bytes unitBytes reads it back from, to 2⁻¹⁶.
+func unitSeed(header []byte, v ...float64) []byte {
+	b := header
+	for _, x := range v {
+		n := uint16(x * 65536)
+		b = append(b, byte(n>>8), byte(n))
+	}
+	return b
+}
+
 // fuzzCache outlives the executions of one fuzz worker, so the handful of
 // Con-Gau shapes marginalPDF draws are tabulated once each.
 var fuzzCache = NewQuantileCache()
@@ -367,15 +378,15 @@ func TestCDFTableBrackets(t *testing.T) {
 
 // TestCDFTableBuiltOnce: eight queries meeting the same new shape at once
 // build its table once, on every dimension, and share it; nobody evaluates
-// its marginal again afterwards, and every query's bounds hold the ones the
-// marginals themselves give.
+// its marginal again afterwards, and every query's first-order bounds hold
+// the ones the marginals themselves give.
 func TestCDFTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
 	cache := NewQuantileCache()
 	proto := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
 	shape, _ := updf.MarginalTable(proto)
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
-	wantLb, wantUb := ProbBoundsMarginal(proto, rq, nil)
+	wantLb, wantUb := firstOrderMarginal(proto, rq, nil)
 
 	var tables [8][2]*cdfTable
 	start := make(chan struct{})
@@ -393,7 +404,7 @@ func TestCDFTableBuiltOnce(t *testing.T) {
 			for dim := range tables[g] {
 				tables[g][dim] = cache.table(counted{p, &calls}, shape, dim)
 			}
-			lb, ub := ProbBoundsMarginal(p, moved, cache)
+			lb, ub := firstOrderMarginal(p, moved, cache)
 			// A bracket between two knots is wider than the marginals' own
 			// bounds: a pair as narrow as theirs was not read off the table.
 			if lb > wantLb || ub < wantUb || ub-lb > wantUb-wantLb+0.02 || ub-lb <= wantUb-wantLb {

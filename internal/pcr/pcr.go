@@ -24,13 +24,16 @@ type PCRs struct {
 // quantiles exactly once. (An index keeps a shape's offsets, and its fit, in
 // its shape table's Shape instead; the cache serves Compute.) For the shapes
 // updf.MarginalTable says to tabulate it also holds the CDF tables
-// refinement reads instead (cdftable.go). Safe for concurrent use.
+// refinement reads instead (cdftable.go), and for a 2-D ball its quadrant
+// table (quadtable.go). Safe for concurrent use.
 type QuantileCache struct {
 	mu sync.Mutex
 	m  map[offsetsKey][]float64
-	// tables is read without the lock and replaced, never changed, under
-	// it: a shape test reads it several times a candidate.
-	tables atomic.Pointer[map[tableKey]*cdfTable]
+	// tables and quads are read without the lock and replaced, never
+	// changed, under it: a shape test reads them several times a candidate.
+	tables   atomic.Pointer[map[tableKey]*cdfTable]
+	quads    atomic.Pointer[map[updf.ShapeID]*quadTable]
+	lastQuad atomic.Pointer[quadTable] // a built table, the one asked for last
 }
 
 type offsetsKey struct {
@@ -43,6 +46,7 @@ type offsetsKey struct {
 func NewQuantileCache() *QuantileCache {
 	qc := &QuantileCache{m: make(map[offsetsKey][]float64)}
 	qc.tables.Store(&map[tableKey]*cdfTable{})
+	qc.quads.Store(&map[updf.ShapeID]*quadTable{})
 	return qc
 }
 

@@ -61,6 +61,18 @@ import (
 // where both are ≤ 0, P(E_k ∩ E_l) = T_k + T_l − 1 + P(short of both) ≤
 // T_k + T_l − 1 + T(ρ). A triple is bounded by its smallest pair. These
 // tighten the two bounds above, never replace them.
+//
+// In 2-D the series stops at S2 and is exact: the two faces of one
+// dimension bound disjoint events, so no three faces meet and P(X ∈ rq) =
+// 1 − S1 + S2. What is left open is the mass beyond a corner, and for a
+// ball that is one function of the corner's offsets from the centre, Q(a,
+// b) = P(X₀ − c₀ > a, X₁ − c₁ > b), which each 2-D ball shape's quadrant
+// table brackets between knots (quadtable.go). By the reflections through
+// the centre's axes the lower bound reads every pair off it, whichever
+// side of its faces the centre lies — Q(o_k, o_l) inside both, T_l −
+// Q(|o_k|, o_l) beyond face k alone, T_k + T_l − 1 + Q(|o_k|, |o_l|)
+// beyond both — so a 2-D ball's lb is P less the widths of the tails'
+// brackets and of the knots; its upper bound keeps T(ρ).
 
 // boundPruneEps is the safety margin of the upper-bound prune: a candidate
 // is dropped only when ub is below the query threshold by more than this,
@@ -232,7 +244,9 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 // never called here once its shape's table exists in cache: each tail is
 // bracketed between two knots of the table. A mixture's tails are the
 // weighted sums of its components'. With a nil cache nothing is tabulated
-// and every MarginalCDF is called.
+// and every MarginalCDF is called; a 2-D uniform ball's corner masses are
+// evaluated at the knots its quadrant table would hold, and a 2-D
+// Con-Gau's pair terms do without them.
 func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
 	var m marginal
 	m.read(p, rq, cache)
@@ -310,7 +324,8 @@ type face struct {
 // of it: every face's tail and offset.
 type marginal struct {
 	bounds
-	radial updf.PDF // the radial pdf the tails were read off; nil for any other
+	radial updf.PDF  // the radial pdf the tails were read off; nil for any other
+	quad   quadrants // its quadrant masses, where the pair terms found them
 	d      int
 	faces  [2 * maxPairDim]face // left and right face of dimension i at 2i, 2i+1
 }
@@ -371,14 +386,18 @@ func (m *marginal) readShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *Quant
 // tails, and the second-order upper bound subtracts from the union sum of
 // the lower tails a sum no smaller than the one the lower bound adds.
 //
-// Given the decision its caller takes on the bracket, pairs returns one
-// that decides the same, skipping the terms that cannot change it. A lower
-// term is non-zero only past a face the centre lies beyond, and lb never
-// rises above 1 − slab, so where neither lets it validate only the upper
-// terms are summed; each of them only raises the upper sum, so the first
-// partial sum that cannot prune ends the summing, with the first-order
-// bracket, which is Unknown too. A nil decide asks for the whole bracket.
-func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outcome) (lb, ub float64) {
+// Given the threshold its caller tests the bracket against, pairs returns
+// one that decides the same, skipping the terms that cannot change it. lb
+// never rises above 1 − slab, nor above what the pairs' lower ends, each
+// capped by its smaller tail, make it (lowerEnds); where neither lets it
+// validate the lower terms are dropped and lb is the first-order one.
+// Without quadrant masses a lower end is non-zero only for a face the
+// centre lies beyond, so where there is none the lower terms are not read
+// at all. Each upper end only raises the upper sum, so when the lower terms
+// are dropped the first partial sum that cannot prune ends the summing,
+// with the first-order bracket, which is Unknown too. A nil threshold asks
+// for the whole bracket.
+func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
 	if m.radial == nil {
 		return m.result()
 	}
@@ -391,7 +410,11 @@ func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outco
 		slab = max(slab, l.t.hi+r.t.hi)
 		past = past || l.hi <= 0 || r.hi <= 0
 	}
-	lower := decide == nil || past && decide(max(1-slab, 0), 1) == Validated
+	lower := t == nil || t.validates(max(1-slab, 0))
+	if lower {
+		m.quad = quadrantsOf(m.radial, cache)
+		lower = t == nil || past || m.quad.ok()
+	}
 	// A dimension's face with the larger tail, the nearer the centre, comes
 	// first: its pairs are the larger, so the summing stops the sooner.
 	var order [2 * maxPairDim]int
@@ -401,7 +424,21 @@ func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outco
 			order[i], order[i+1] = i+1, i
 		}
 	}
-	var hi [2 * maxPairDim][2 * maxPairDim]float64
+	var lo, hi [2 * maxPairDim][2 * maxPairDim]float64
+	if lower {
+		var sum float64
+		if lower, sum = m.lowerEnds(&order, &lo, cache, t); lower && m.d == 2 && t != nil {
+			// In 2-D no triple takes from lb, and the upper ends only clamp
+			// each lower end to at most its upper end, which it exceeds by
+			// the rounding of the two evaluations alone (a quadrant mass and
+			// a marginal tail, each exact to rounding) — far below
+			// boundPruneEps. So an lb that validates with that much to spare
+			// validates whatever the upper ends read.
+			if lb := max(1-max(m.miss-sum, slab)-boundPruneEps, 0); t.validates(lb) {
+				return lb, 1
+			}
+		}
+	}
 	var s2lo, s2hi, s3 float64
 	for a := 0; a < n; a++ {
 		e := order[a]
@@ -413,13 +450,15 @@ func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outco
 			if m.faces[f].t.hi == 0 {
 				continue
 			}
-			if !lower && decide(0, 1-(missLo-s2hi)) != PrunedByBound {
+			if !lower && !t.prunes(1-(missLo-s2hi)) {
 				return m.result()
 			}
-			lo, h := m.pair(m.faces[e], m.faces[f], cache, lower)
+			h := m.pairUpper(m.faces[e], m.faces[f], cache)
 			hi[e][f] = h
-			s2lo += lo
 			s2hi += h
+			if lower {
+				s2lo += min(lo[e][f], h)
+			}
 		}
 	}
 	if m.d == 3 && lower {
@@ -435,25 +474,94 @@ func (m *marginal) pairs(cache *QuantileCache, decide func(lb, ub float64) Outco
 	return max(1-miss, 0), max(min(m.ub, 1-(missLo-s2hi)), 0)
 }
 
-// pair brackets P(E_e ∩ E_f), the mass beyond faces e and f of two
-// distinct dimensions, never with lo > hi; lo is 0 unless lower is set.
-func (m *marginal) pair(e, f face, cache *QuantileCache, lower bool) (lo, hi float64) {
-	hi = min(e.t.hi, f.t.hi)
+// lowerEnds fills lo with each pair's lower end, capped by its smaller
+// tail, in order, and reports whether lb could validate with them, and
+// their sum: at each pair, whether it could were every pair still to come
+// to add its cap, so the reading stops at the first that says no. Every
+// pair's lower end in the bracket is at most its entry here, so lb is at
+// most what this sums.
+func (m *marginal) lowerEnds(order *[2 * maxPairDim]int, lo *[2 * maxPairDim][2 * maxPairDim]float64, cache *QuantileCache, t *threshold) (could bool, sum float64) {
+	n := 2 * m.d
+	var rest float64 // the caps of the pairs still to come
+	for e := 0; e < n; e++ {
+		for f := e&^1 + 2; f < n; f++ {
+			lo[e][f] = min(m.faces[e].t.hi, m.faces[f].t.hi)
+			rest += lo[e][f]
+		}
+	}
+	// The largest lb the lower ends could still give is top + sum + rest;
+	// the margin covers summing them in another order than the bracket
+	// sums its terms.
+	top := 1 - m.miss + roundingMargin
+	for a := 0; a < n; a++ {
+		for b := a&^1 + 2; b < n; b++ {
+			e, f := order[a], order[b]
+			c := lo[e][f] // its cap, until its lower end replaces it
+			if c == 0 {
+				continue // no mass beyond one of the faces
+			}
+			if t != nil && !t.validates(max(top+sum+rest, 0)) {
+				return false, 0
+			}
+			rest -= c
+			lo[e][f] = min(m.pairLower(m.faces[e], m.faces[f], cache), c)
+			sum += lo[e][f]
+		}
+	}
+	return t == nil || t.validates(max(top+sum, 0)), sum
+}
+
+// roundingMargin is what lowerEnds adds to the largest lb the lower ends
+// could give before it drops them: far above the rounding of a dozen sums
+// of probabilities, far below boundPruneEps.
+const roundingMargin = 1e-13
+
+// pairLower is the lower end of P(E_e ∩ E_f), the mass beyond faces e and
+// f of two distinct dimensions, at least 0. With quadrant masses Q the mass
+// is, by the reflections that carry each case to the quadrant beyond two
+// faces the centre lies short of, Q(o_e, o_f) where the centre lies inside
+// both faces, T_f − Q(|o_e|, o_f) where it lies beyond e alone and T_e +
+// T_f − 1 + Q(|o_e|, |o_f|) beyond both, each Q read at the end of its
+// offsets' intervals and on the side of its knots that weaken it.
+func (m *marginal) pairLower(e, f face, cache *QuantileCache) float64 {
 	if f.hi <= 0 && e.lo > 0 {
 		e, f = f, e // the face the centre lies beyond, if one, is e
+	}
+	q, lo := m.quad.ok(), 0.0
+	switch {
+	case e.lo > 0 && f.lo > 0:
+		if q {
+			lo = m.quad.lower(e.hi, f.hi)
+		}
+	case e.hi <= 0 && f.lo > 0:
+		if q {
+			lo = f.t.lo - m.quad.upper(-e.hi, f.lo)
+		} else {
+			lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo, cache))
+		}
+	case e.hi <= 0 && f.hi <= 0:
+		if q {
+			lo = e.t.lo + f.t.lo - 1 + m.quad.lower(-e.lo, -f.lo)
+		} else {
+			lo = max(e.t.lo/2, f.t.lo/2, e.t.lo+f.t.lo-1)
+		}
+	}
+	return max(lo, 0)
+}
+
+// pairUpper is the upper end of P(E_e ∩ E_f).
+func (m *marginal) pairUpper(e, f face, cache *QuantileCache) float64 {
+	hi := min(e.t.hi, f.t.hi)
+	if f.hi <= 0 && e.lo > 0 {
+		e, f = f, e
 	}
 	switch {
 	case e.lo > 0 && f.lo > 0:
 		hi = min(hi, m.beyond(e.lo, f.lo, cache))
-	case e.hi <= 0 && f.lo > 0 && lower:
-		lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo, cache))
 	case e.hi <= 0 && f.hi <= 0:
-		if lower {
-			lo = max(e.t.lo/2, f.t.lo/2, e.t.lo+f.t.lo-1)
-		}
 		hi = min(hi, e.t.hi+f.t.hi-1+m.beyond(e.hi, f.hi, cache))
 	}
-	return min(lo, hi), hi
+	return hi
 }
 
 // beyond is the upper end of T(ρ), ρ = √(u² + v²): the radial pdf's mass

@@ -105,6 +105,7 @@ func checkPairs(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 	t.Helper()
 	var m marginal
 	m.read(p, rq, cache)
+	m.quad = quadrantsOf(p, cache)
 	mbr := p.MBR()
 	for e := 0; e < 2*m.d; e++ {
 		for f := e&^1 + 2; f < 2*m.d; f++ {
@@ -119,7 +120,8 @@ func checkPairs(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 					quadrant.Lo[i] = rq.Hi[i]
 				}
 			}
-			lo, hi := m.pair(m.faces[e], m.faces[f], cache, true)
+			hi := m.pairUpper(m.faces[e], m.faces[f], cache)
+			lo := min(m.pairLower(m.faces[e], m.faces[f], cache), hi)
 			if exact := p.ExactProb(quadrant); lo-oracleTol > exact || exact > hi+oracleTol {
 				t.Fatalf("%T %v rq=%v: pair of faces %d and %d [%.12f, %.12f] misses the mass beyond both, %.12f", p, mbr, rq, e, f, lo, hi, exact)
 			}
@@ -183,10 +185,14 @@ func TestRadialTermsSound(t *testing.T) {
 							if lb > lb1 || ub < ub1 {
 								tightened++
 							}
-							// A table's brackets hold the marginal itself, and so
-							// the bracket read off them holds the one the
-							// marginal gives.
-							if lbN, ubN := ProbBoundsMarginal(p, rq, nil); lb > lbN+1e-12 || ub < ubN-1e-12 {
+							// A CDF table's brackets hold the marginal itself, and
+							// so the bracket read off them holds the one the
+							// marginal gives — but a 2-D Con-Gau's lower bound
+							// only where it reads a quadrant table, which the
+							// marginal alone has none of.
+							lbN, ubN := ProbBoundsMarginal(p, rq, nil)
+							tableOnly := cache.quadrant(p) != nil && !quadrantsOf(p, nil).ok()
+							if lb > lbN+1e-12 && !tableOnly || ub < ubN-1e-12 {
 								t.Fatalf("%T %v rq=%v: bracket [%v, %v] from the table, [%v, %v] from the marginal", p, mbr, rq, lb, ub, lbN, ubN)
 							}
 							if !cornersClear(ctr, r, rq) {
@@ -255,6 +261,19 @@ func FuzzShapeDecision(f *testing.F) {
 			f.Add([]byte{byte(family), 2, byte(kind)})
 			f.Add([]byte{byte(family), 3, byte(kind), 0xff, 0xff, 0, 0, 0xff, 0xff, 0, 1, 0x80, 0, 0xff, 0xff, 0, 0, 0, 0, 0xff, 0xff})
 		}
+	}
+	// A 2-D ball and a query inside it on both axes, [c − r/4, c + r/4]²,
+	// which the ball sticks out of past all four faces, at pq = 0.06, near a
+	// uniform ball's 0.08: the variates in the order the target reads them.
+	for _, family := range []int{famUniformBall, famConGau} {
+		v := []float64{0.5, 0.5, 0.5} // the scale and two half-extents
+		if family == famConGau {
+			v = append(v, 0.5) // σ = r/2
+		}
+		v = append(v, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)                          // both centres
+		v = append(v, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5) // cornerRect's, unused
+		v = append(v, 11.0/24, 0.125, 11.0/24, 0.125, 0.5, 0.06)             // rectStraddle's, then pq
+		f.Add(unitSeed([]byte{byte(family), 2, rectStraddle}, v...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {

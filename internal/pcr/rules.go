@@ -160,28 +160,49 @@ func FilterShape(proto updf.PDF, pm, mbr, rq geom.Rect, pq float64, cache *Quant
 	return m.decide(pq, cache, true)
 }
 
-// decide is decideMarginal on the first-order bracket and, where that
-// leaves the candidate Unknown and the pdf is radial, on the one with the
-// pair terms; atLeaf widens each as ProbBoundsShape does.
+// decide tests the first-order bracket against pq and, where that leaves
+// the candidate Unknown and the pdf is radial, the one with the pair terms;
+// atLeaf widens each as ProbBoundsShape does.
 func (m *marginal) decide(pq float64, cache *QuantileCache, atLeaf bool) Outcome {
-	at := func(lb, ub float64) Outcome {
-		if atLeaf {
-			lb, ub = widen(lb, ub)
-		}
-		return decideMarginal(lb, ub, pq)
-	}
-	if o := at(m.result()); o != Unknown || m.radial == nil {
+	t := &threshold{pq, atLeaf}
+	if o := t.outcome(m.result()); o != Unknown || m.radial == nil {
 		return o
 	}
-	return at(m.pairs(cache, at))
+	return t.outcome(m.pairs(cache, t))
 }
 
-func decideMarginal(lb, ub, pq float64) Outcome {
+// threshold is the test a filter puts to a bracket: Validated where lb
+// reaches pq + boundPruneEps, PrunedByBound where ub falls short of pq −
+// boundPruneEps, on the bracket as it stands or, at the leaf, widened as
+// widen widens it.
+type threshold struct {
+	pq   float64
+	leaf bool
+}
+
+func (t *threshold) outcome(lb, ub float64) Outcome {
 	switch {
-	case lb >= pq+boundPruneEps:
+	case t.validates(lb):
 		return Validated
-	case ub < pq-boundPruneEps:
+	case t.prunes(ub):
 		return PrunedByBound
 	}
 	return Unknown
+}
+
+// validates reports whether a bracket with lower end lb validates.
+func (t *threshold) validates(lb float64) bool {
+	if t.leaf {
+		lb = max(lb-boundPruneEps, 0)
+	}
+	return lb >= t.pq+boundPruneEps
+}
+
+// prunes reports whether a bracket with upper end ub prunes, where its
+// lower end does not validate.
+func (t *threshold) prunes(ub float64) bool {
+	if t.leaf {
+		ub = min(ub+boundPruneEps, 1)
+	}
+	return ub < t.pq-boundPruneEps
 }

@@ -180,6 +180,9 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 	return decided, decidable
 }
 
+// decideMarginal is the decision FilterMarginal takes on a whole bracket.
+func decideMarginal(lb, ub, pq float64) Outcome { return (&threshold{pq: pq}).outcome(lb, ub) }
+
 // checkLeafDecision holds FilterShape's decision at pq to FilterMarginal's
 // and to the exact probability, and each to the decision its whole bracket
 // gives, which neither reads all of; it returns both.
@@ -251,7 +254,8 @@ func shapeBenchCases() (cases []shapeBenchCase) {
 		if radial(proto) {
 			// The ball cut at a corner 0.3 r from its centre on every
 			// dimension: the first-order bracket leaves pq = 0.5 undecided,
-			// so the pair terms run (and leave it undecided too).
+			// so the pair terms run; they validate the 2-D Con-Gau, off its
+			// quadrant table, and leave the others undecided.
 			c, r := f.pdf.Center(), f.pdf.MBR().Side(0)/2
 			lo, hi := make(geom.Point, len(c)), make(geom.Point, len(c))
 			for i := range c {
@@ -282,7 +286,8 @@ var outcomeSink Outcome
 // the stored faces leave undecided, to learn whether its record has to be
 // read, with most faces clipped, and for each ball also cut at a corner: 0
 // allocs/op, two CDF evaluations a face and, for a ball the first-order
-// bounds leave undecided, one a pair of faces — under a microsecond for
+// bounds leave undecided, one a pair of faces and, in 2-D, a quadrant
+// table read where the lower bound could validate — under a microsecond for
 // every keyed family (the tabulated Con-Gau in 2-D on a warm table) but the
 // 3-D Con-Gau, about 2.5 with its eight pair terms.
 func BenchmarkShapeDecision(b *testing.B) {

@@ -439,3 +439,25 @@ func BenchmarkMarginalCDF(b *testing.B) {
 		})
 	}
 }
+
+// TestQuadrantMassIsExactProbAtOrigin: a uniform disk's quadrant mass at
+// offsets (a, b) is bit for bit ExactProb of the quadrant beyond them on
+// the disk moved to the origin — what a quadrant table is built from — for
+// radii from 10⁻³ to 10⁴, offsets across [0, 1.1 r]² and on the circle.
+func TestQuadrantMassIsExactProbAtOrigin(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n < 10000; n++ {
+		r := math.Pow(10, -3+7*rng.Float64())
+		u := NewUniformBall(geom.Point{rng.Float64() * 1e6, -rng.Float64() * 1e6}, r)
+		origin := NewUniformBall(geom.Point{0, 0}, r)
+		a, b := 1.1*r*rng.Float64(), 1.1*r*rng.Float64()
+		if n%4 == 0 {
+			th := rng.Float64() * math.Pi / 2
+			a, b = r*math.Cos(th), r*math.Sin(th)
+		}
+		want := origin.ExactProb(geom.NewRect(geom.Point{a, b}, geom.Point{2 * r, 2 * r}))
+		if got := u.QuadrantMass(a, b); got != want {
+			t.Fatalf("r=%v (%v, %v): QuadrantMass %v, ExactProb at the origin %v", r, a, b, got, want)
+		}
+	}
+}

@@ -43,3 +43,24 @@ func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
 	}
 	return ShapeID{}, false
 }
+
+// QuadrantTable reports whether the masses p places beyond two faces at
+// once — P(X₀ − c₀ > a, X₁ − c₁ > b) for offsets a, b from its centre —
+// should be read from a per-shape table, and the shape to file it under:
+// for a ball in 2-D, uniform or Con-Gau, whose rotational symmetry makes
+// that one function of (a, b) give the mass beyond any two faces. The
+// shape's b is the Con-Gau's σ and 0 for a uniform ball, which no Con-Gau
+// has.
+func QuadrantTable(p PDF) (shape ShapeID, tabulate bool) {
+	switch v := p.(type) {
+	case *UniformBall:
+		if v.Dim() == 2 {
+			return ShapeID{dim: 2, a: v.R}, true
+		}
+	case *ConGauBall:
+		if v.Dim() == 2 {
+			return ShapeID{dim: 2, a: v.R, b: v.Sigma}, true
+		}
+	}
+	return ShapeID{}, false
+}

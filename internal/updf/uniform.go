@@ -120,6 +120,18 @@ func (u *UniformBall) ExactProb(rq geom.Rect) float64 {
 	}
 }
 
+// QuadrantMass is P(X₀ − c₀ > a, X₁ − c₁ > b) for a 2-D ball: the mass of
+// the quadrant beyond offsets a and b from its centre, in the centre's own
+// frame, so the offsets are not rounded into the ball's coordinates — bit
+// for bit ExactProb of that quadrant on the ball moved to the origin.
+func (u *UniformBall) QuadrantMass(a, b float64) float64 {
+	r := u.R
+	if a >= r || b >= r {
+		return 0
+	}
+	return clamp01(circleRectArea(r, a, b, 2*r, 2*r) / u.vol)
+}
+
 // circleRectArea is the area of the disk of radius r at the origin inside
 // [x0, x1] × [y0, y1], by inclusion–exclusion over its corners.
 func circleRectArea(r, x0, y0, x1, y1 float64) float64 {

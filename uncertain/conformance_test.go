@@ -418,10 +418,12 @@ func TestMonteCarloIndependentOfQueryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	if err := tree.BulkLoad(shardedFixtureObjects(300, 51)); err != nil {
+	objects := shardedFixtureObjects(300, 51)
+	if err := tree.BulkLoad(objects); err != nil {
 		t.Fatal(err)
 	}
 	queries := append(shardedFixtureQueries(20, 52), latticeFixtureQueries(12, 20, 0.3)...)
+	queries = append(queries, cornerFixtureQueries(objects, 20)...)
 	forward := searchInOrder(t, tree, queries)
 	refined := 0
 	for i := len(queries) - 1; i >= 0; i-- {
@@ -506,7 +508,7 @@ func TestRangeRefinementIgnoresSamplerConfig(t *testing.T) {
 					lo[d], hi[d] = m.Lo[d]-w, m.Lo[d]+w*(0.4+0.3*rng.Float64())
 				}
 				rect := Box(lo, hi)
-				queries[i] = RangeQuery{Rect: rect, Prob: math.Max(p.ExactProb(rect)-0.02, 0.01)}
+				queries[i] = RangeQuery{Rect: rect, Prob: math.Max(p.ExactProb(rect)-0.002, 0.01)}
 			}
 			var want [][]Result
 			refined := map[string]int{}

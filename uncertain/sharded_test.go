@@ -41,11 +41,28 @@ func shardedFixtureQueries(n int, seed int64) []RangeQuery {
 	return queries
 }
 
+// cornerFixtureQueries returns, for objects 0 … n−1 of the fixture, a
+// square that cuts the object at a corner at a threshold just under its
+// probability: where the marginal bounds seldom decide it, since they read
+// a ball's corner masses at the knots of its quadrant table, so refinement
+// integrates it.
+func cornerFixtureQueries(objs map[int64]PDF, n int) []RangeQuery {
+	queries := make([]RangeQuery, n)
+	for i := range queries {
+		p := objs[int64(i)]
+		m := p.MBR()
+		w := m.Hi[0] - m.Lo[0]
+		rect := Box(Pt(m.Lo[0]-w, m.Lo[1]-w), Pt(m.Lo[0]+0.55*w, m.Lo[1]+0.6*w))
+		queries[i] = RangeQuery{Rect: rect, Prob: p.ExactProb(rect) - 0.001}
+	}
+	return queries
+}
+
 // latticeFixtureQueries returns side×side squares of the given half-width on
 // a lattice over the fixture's domain, all at one threshold. A query that
 // clips an object on a single axis is decided exactly on the object's
 // marginal once its record is read; small squares clip the fixture's circles
-// at their corners, on two axes, which is where refinement still integrates.
+// at their corners, on two axes, which the first-order bounds leave open.
 func latticeFixtureQueries(side int, half, prob float64) []RangeQuery {
 	queries := make([]RangeQuery, 0, side*side)
 	step := 1000 / float64(side)
