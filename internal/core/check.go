@@ -25,11 +25,13 @@ import (
 //   - every leaf entry's shape reference within the shape table, its MBR's
 //     extents those of the prototype to within pcr.ShapeSlack, and a
 //     centre entry's shape recentrable,
-//   - the recorded root box equal to the root's boundary box at p = 0.
+//   - the recorded root box equal to the root's boundary box at p = 0,
+//   - the recorded count of unshaped leaf entries (Tree.unshaped) equal to
+//     the leaves'.
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
-	st := &treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.Len(), shapes: t.shapes, rootMBR: t.rootMBR}
+	st := &treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.Len(), shapes: t.shapes, unshaped: t.unshaped, rootMBR: t.rootMBR}
 	return t.checkTreeAt(st, t.dir, false)
 }
 
@@ -50,7 +52,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 			return t.expand(p, st.shapes), nil
 		}
 	}
-	total := 0
+	total, unshaped := 0, 0
 	var sc boundScratch // the writer's is not this check's: a snapshot's runs beside it
 	var check func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error)
 	check = func(page pagefile.PageID, isRoot bool, wantLevel int) ([]geom.Rect, error) {
@@ -75,6 +77,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 		}
 		if n.leaf() {
 			total += len(n.entries)
+			unshaped += n.unshaped
 			for i := range n.entries {
 				e := &n.entries[i]
 				if err := t.checkShape(e, st.shapes, records); err != nil {
@@ -119,6 +122,9 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 	}
 	if total != st.size {
 		return fmt.Errorf("core: size %d but %d leaf entries", st.size, total)
+	}
+	if t.kind == UTree && unshaped != st.unshaped {
+		return fmt.Errorf("core: %d unshaped leaf entries recorded, the leaves hold %d", st.unshaped, unshaped)
 	}
 	var root geom.Rect
 	if boxes != nil {

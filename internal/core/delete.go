@@ -117,6 +117,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 			for _, e := range n.entries {
 				orphans = append(orphans, orphan{e, n.level})
 			}
+			t.unshaped -= n.unshaped
 			if err := t.freePage(n.page); err != nil {
 				return err
 			}
@@ -219,6 +220,7 @@ func (t *Tree) collectLeafEntries(page pagefile.PageID, level int) ([]entry, err
 			out = append(out, sub...)
 		}
 	}
+	t.unshaped -= n.unshaped
 	if err := t.freePage(n.page); err != nil {
 		return nil, err
 	}

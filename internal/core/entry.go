@@ -1,5 +1,41 @@
 package core
 
+// A descent prunes an intermediate entry by two tests. The paper's
+// Observation 4 (innerMeets) checks rq against e.MBR(p_j), the linear
+// two-rectangle function at the largest p_j ≤ pq: for pq > ½ the box of the
+// medians. The second test (innerReaches) asks whether any object under
+// the entry can reach pq at all, from the objects' own quantiles:
+//
+//   - If P(o ∈ rq) ≥ pq, then on every dimension rq.lo ≤ Q_o(1 − pq) and
+//     rq.hi ≥ Q_o(pq), Q_o being o's marginal quantile function: the mass
+//     left of rq.lo or right of rq.hi is mass outside rq. For pq ≤ ½ it is
+//     Observation 1 at pcr(pq), for pq > ½ Rule 2's containment of
+//     pcr(1 − pq).
+//   - A keyed object's quantiles are known at the 2m levels
+//     L = {p_j} ∪ {1 − p_j}, its shape's offsets (pcr.Shape.Reach). With a
+//     the smallest level ≥ 1 − pq and b the largest ≤ pq
+//     (pcr.Catalog.QuantileLevels), Q_o is monotone, so the object needs
+//     rq.lo ≤ Q_o(a) and rq.hi ≥ Q_o(b).
+//   - An entry of shape s at translation t has Q_o(a) = Q_s(a) + t, and its
+//     cfb_out high face at p_m is the shape's, o⁺_s + t, pushed out by the δ
+//     its translation is known to (pcr.Shape.Translate). The parent's
+//     float32 MBR⊤ is the union of such faces rounded outward, so
+//     Q_o(a) ≤ MBR⊤.hi + D⁺(a) with D⁺(a) = max_s (Q_s(a) − o⁺_s) over
+//     the table, and by symmetry Q_o(b) ≥ MBR⊤.lo + D⁻(b) with
+//     D⁻(b) = min_s (Q_s(b) − o⁻_s). The shape table keeps D⁺ and D⁻ per
+//     level and dimension (shape.up, shape.down).
+//   - So no object under the entry reaches pq where, on some dimension,
+//     MBR⊤.hi + D⁺(a) < rq.lo or MBR⊤.lo + D⁻(b) > rq.hi.
+//
+// The margins: D⁺ and D⁻ carry MarginalQuantile's tolerance
+// (updf.QuantileTol) and δ of the prototype (pcr.ShapeSlack), which covers
+// their own rounding; QuantileLevels passes over a level within catalogEps
+// of its bound. The translation's own rounding is in the faces already
+// (their δ), and the test's sums are rounded once each (pcr.Reaches). The
+// bound holds only for entries whose faces are their shape's: a tree with
+// an unshaped leaf entry (Tree.unshaped) descends on Observation 4 alone,
+// as does a U-PCR.
+
 import (
 	"math"
 
@@ -162,6 +198,20 @@ func (t *Tree) innerMeets(n *packedNode, i int, r geom.Rect, j int) bool {
 		lo := alo + (blo-alo)*f
 		hi := ahi + (bhi-ahi)*f
 		if r.Hi[k] < lo || hi < r.Lo[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// innerReaches reports whether intermediate entry i's subtree may hold an
+// object that appears in r with probability at least pq, from the table's
+// quantile bounds at pq's levels: up, D⁺(a), and down, D⁻(b), one per
+// dimension (see the head of this file). A U-tree's only.
+func innerReaches(n *packedNode, i int, r geom.Rect, up, down []float64) bool {
+	c, d := n.box32(i), len(r.Lo)
+	for k := range r.Lo {
+		if !pcr.Reaches(float64(c[2*d+k]), float64(c[3*d+k]), up[k], down[k], r.Lo[k], r.Hi[k]) {
 			return false
 		}
 	}

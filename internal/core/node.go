@@ -19,6 +19,10 @@ type node struct {
 	page    pagefile.PageID
 	level   int // 0 = leaf
 	entries []entry
+	// unshaped is how many of the page's U-tree leaf entries name no shape
+	// of the table, or are stored full (Tree.unshaped): as read, and as
+	// writeNode last wrote them.
+	unshaped int
 }
 
 func (n *node) leaf() bool { return n.level == 0 }
@@ -190,6 +194,9 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 // CheckInvariants reports, has no faces but its MBR; a centre entry with
 // no recentrable shape has its centre for one.
 //
+// It counts the leaf's unshaped entries (node.unshaped): those without
+// faces from the table, and those the page stores full.
+//
 // A U-tree intermediate entry's float32 boxes widen into one float64 slab
 // for the node: the writer's arithmetic (chooseSubtree, unionBoundary) is
 // float64, and a widened box is exactly what the page holds.
@@ -234,6 +241,9 @@ func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 				}
 				e.ctr, e.mbr = p.centre(i), mbrs[i]
 				sh.rc.MBRAt(e.ctr, e.mbr)
+			}
+			if e.fit == nil || p.form(i) == 0 {
+				n.unshaped++
 			}
 		default:
 			e.id, e.boxes = p.id(i), p.boxes(i)
@@ -287,6 +297,16 @@ func (t *Tree) writeNode(n *node) error {
 	}
 	if err := t.encodeNode(n, buf); err != nil {
 		return err
+	}
+	if n.leaf() && t.kind == UTree {
+		c := 0
+		for i := range n.entries {
+			if n.entries[i].fit == nil {
+				c++
+			}
+		}
+		t.unshaped += c - n.unshaped
+		n.unshaped = c
 	}
 	t.dirty[n.page] = buf
 	if n.page == t.rootPage {

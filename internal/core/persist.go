@@ -105,7 +105,8 @@ func (t *Tree) MetaPage() pagefile.PageID { return t.meta }
 //
 // Open walks the recovered tree once, reading each page once: the root
 // gives back the root box, the leaves the ID directory, so Delete works on
-// the reopened tree as on a new one, and reach is the live set
+// the reopened tree as on a new one, and their unshaped entries
+// (Tree.unshaped), and reach is the live set
 // (ReachablePages) for the caller's open-time leak sweep. A page the walk
 // cannot read fails the open.
 func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree, reach map[pagefile.PageID]bool, err error) {
@@ -140,7 +141,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.appendPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[24:]))
 	// The root box is not persisted: the walk takes it off the root.
-	if reach, t.rootMBR, err = t.reachable(t.dir); err != nil {
+	if reach, t.rootMBR, t.unshaped, err = t.reachable(t.dir); err != nil {
 		return nil, nil, err
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
@@ -157,20 +158,21 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 // epoch's metadata write and its garbage drain leaves unreferenced. Open
 // returns it from its own walk.
 func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
-	reach, _, err := t.reachable(nil)
+	reach, _, _, err := t.reachable(nil)
 	return reach, err
 }
 
 // reachable is ReachablePages, filling dir (when not nil) with the ID and
 // record address of every leaf entry on the way, and returning the root's
-// box (rootBox) as well.
-func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, err error) {
+// box (rootBox) and the count of unshaped leaf entries as well.
+func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, unshaped int, err error) {
 	reach = make(map[pagefile.PageID]bool)
 	err = t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
 		if n.page == t.rootPage {
 			root = t.rootBox(n)
 		}
+		unshaped += n.unshaped
 		if n.leaf() {
 			for i := range n.entries {
 				e := &n.entries[i]
@@ -183,7 +185,7 @@ func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool
 		return nil
 	})
 	if err != nil {
-		return nil, geom.Rect{}, err
+		return nil, geom.Rect{}, 0, err
 	}
 	if t.appendPage != pagefile.InvalidPage {
 		reach[t.appendPage] = true
@@ -191,5 +193,5 @@ func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool
 	if t.meta != pagefile.InvalidPage {
 		reach[t.meta] = true
 	}
-	return reach, root, nil
+	return reach, root, unshaped, nil
 }

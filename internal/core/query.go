@@ -72,7 +72,12 @@ type Result struct {
 // pdf's own marginals, or integrated. Only the ShapeDecided of them that were
 // decided at the leaf, on the object's shape, had no record read.
 type QueryStats struct {
-	NodeAccesses     int // tree pages visited
+	NodeAccesses int // tree pages visited
+	// QuantilePruned counts the subtrees the descent cut because no object
+	// in them can reach the threshold on its shape's quantiles, where
+	// Observation 4 let them pass (innerReaches): each one's pages are
+	// node accesses that never happened.
+	QuantilePruned   int
 	LeafAccesses     int
 	Candidates       int // leaf entries the stored faces left undecided
 	ProbComputations int // candidates whose appearance probability was integrated (Equation 2)
@@ -117,6 +122,7 @@ type QueryStats struct {
 // QueryStats field only needs its merge rule stated here.
 func (s *QueryStats) Add(o QueryStats) {
 	s.NodeAccesses += o.NodeAccesses
+	s.QuantilePruned += o.QuantilePruned
 	s.LeafAccesses += o.LeafAccesses
 	s.Candidates += o.Candidates
 	s.ProbComputations += o.ProbComputations
@@ -135,7 +141,8 @@ func (s *QueryStats) Add(o QueryStats) {
 }
 
 // RangeQuery executes a prob-range query (Section 5.2) against the pinned
-// epoch, lock-free: Observation 4 pruning during the descent, Observation 3
+// epoch, lock-free: Observation 4 pruning during the descent, and on the
+// objects' quantiles where every entry is keyed (entry.go), Observation 3
 // (U-tree) or Observation 2 (U-PCR) filtering at leaves, then refinement of
 // surviving candidates, fetching each distinct data page once: a candidate
 // is validated or dropped on its pdf's marginals where they decide it — at
@@ -154,9 +161,9 @@ func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Resu
 }
 
 // rangeQuery is the traversal behind Snapshot.RangeQuery: a level-batched
-// descent (Observation 4 pruning), Observation 3/2 filtering at the leaves,
-// then refinement of the surviving candidates. A nil ctx means
-// context.Background().
+// descent (Observation 4 and quantile pruning), Observation 3/2 filtering
+// at the leaves, then refinement of the surviving candidates. A nil ctx
+// means context.Background().
 //
 // The descent processes one level's surviving nodes per round, in
 // discovery order; candidates are refined in (page, slot) order.
@@ -188,6 +195,7 @@ func (t *Tree) rangeQuery(ctx context.Context, st *treeState, q Query, o QueryOp
 	// p_j for Observation 4: largest catalog value ≤ p_q (always exists
 	// since p_1 = 0).
 	jDescend, _ := t.cat.LargestLE(q.Prob)
+	up, down := t.quantileBounds(st, q.Prob)
 
 	// Pooled traversal scratch: the two descent-level buffers (swapped per
 	// round instead of reallocated) and the candidate list. The results
@@ -223,8 +231,13 @@ descent:
 			if !n.leaf() {
 				for i := 0; i < n.count; i++ {
 					// Observation 4: the subtree cannot contain results if rq
-					// misses e.MBR(p_j).
-					if t.innerMeets(n, i, q.Rect, jDescend) {
+					// misses e.MBR(p_j); nor if no object's quantiles reach
+					// rq's faces.
+					switch {
+					case !t.innerMeets(n, i, q.Rect, jDescend):
+					case up != nil && !innerReaches(n, i, q.Rect, up, down):
+						stats.QuantilePruned++
+					default:
 						next = append(next, n.child(i))
 					}
 				}
@@ -344,6 +357,19 @@ descent:
 		}
 	}
 	return refined(nil)
+}
+
+// quantileBounds returns the quantile test's bounds at pq's levels, D⁺(a)
+// and D⁻(b) one per dimension (entry.go), read off the epoch's table; nil
+// where the test does not hold: a U-PCR, or a tree with an unshaped leaf
+// entry.
+func (t *Tree) quantileBounds(st *treeState, pq float64) (up, down []float64) {
+	n := len(st.shapes)
+	if t.kind != UTree || st.unshaped != 0 || n == 0 {
+		return nil, nil
+	}
+	a, b := t.cat.QuantileLevels(pq)
+	return st.shapes[n-1].up[a*t.dim : (a+1)*t.dim], st.shapes[n-1].down[b*t.dim : (b+1)*t.dim]
 }
 
 func validateQuery(dim int, q Query) error {

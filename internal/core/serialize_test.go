@@ -846,7 +846,7 @@ func fuzzShapes(d int) []shape {
 		if err != nil {
 			panic(err)
 		}
-		table = append(table, newShape(p, enc, cat))
+		table = appendShape(table, p, enc, cat)
 	}
 	return table
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -27,18 +28,35 @@ import (
 // record is rebuilt from (encodeObject), and a centre leaf entry's MBR
 // (packedNode.leafMBR): the record and the entry hold the object's centre
 // and the reference, every reader the table.
+//
+// up and down are the descent's quantile bounds (pcr.Shape.Reach) over
+// this shape and every one before it: the larger up and the smaller down
+// of each level and dimension. The table is append-only, so the last
+// shape of an epoch's table holds the bounds for every object of the
+// epoch, and a query reads them there (rangeQuery).
 type shape struct {
-	pdf updf.PDF
-	mbr geom.Rect      // pdf.MBR()
-	enc []byte         // updf.Encode(pdf)
-	fit *pcr.Shape     // pcr.NewShape(pdf, the tree's catalog)
-	rc  updf.Recentrer // pdf, where it is one; else nil
+	pdf      updf.PDF
+	mbr      geom.Rect      // pdf.MBR()
+	enc      []byte         // updf.Encode(pdf)
+	fit      *pcr.Shape     // pcr.NewShape(pdf, the tree's catalog)
+	rc       updf.Recentrer // pdf, where it is one; else nil
+	up, down []float64
 }
 
-// newShape enters p, encoded as enc, in a table over catalog cat.
-func newShape(p updf.PDF, enc []byte, cat pcr.Catalog) shape {
+// appendShape enters p, encoded as enc, at the end of a table over catalog
+// cat, folding its quantile bounds into the table's.
+func appendShape(list []shape, p updf.PDF, enc []byte, cat pcr.Catalog) []shape {
 	rc, _ := p.(updf.Recentrer)
-	return shape{p, p.MBR(), enc, pcr.NewShape(p, cat), rc}
+	s := shape{pdf: p, mbr: p.MBR(), enc: enc, fit: pcr.NewShape(p, cat), rc: rc}
+	s.up, s.down = s.fit.Reach()
+	if n := len(list); n > 0 {
+		s.up, s.down = slices.Clone(s.up), slices.Clone(s.down)
+		for k, prev := range list[n-1].up {
+			s.up[k] = max(s.up[k], prev)
+			s.down[k] = min(s.down[k], list[n-1].down[k])
+		}
+	}
+	return append(list, s)
 }
 
 // shapeRef returns the reference of the shape named by key = p.ShapeKey(),
@@ -56,7 +74,7 @@ func (t *Tree) shapeRef(key string, p updf.PDF) uint16 {
 	if err != nil || used > pagefile.PageSize {
 		return 0
 	}
-	t.shapes = append(t.shapes, newShape(p, enc, t.cat))
+	t.shapes = appendShape(t.shapes, p, enc, t.cat)
 	t.shapeRefs[key] = uint16(len(t.shapes))
 	return uint16(len(t.shapes))
 }
@@ -87,7 +105,7 @@ func decodeShapes(buf []byte, dim int, cat pcr.Catalog) ([]shape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shape %d: %w", len(list)+1, err)
 		}
-		list = append(list, newShape(p, enc, cat))
+		list = appendShape(list, p, enc, cat)
 		off += 2 + len(enc)
 	}
 	return list, nil

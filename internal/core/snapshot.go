@@ -24,6 +24,7 @@ type treeState struct {
 	size      int
 	dataPage  pagefile.PageID
 	shapes    []shape // the shape table as of the epoch (shapes.go)
+	unshaped  int     // Tree.unshaped as of the epoch
 	// rootMBR is the root boundary box at p = 0 (rootBox) — the rectangle
 	// containing every object MBR of the epoch — so sharded readers can
 	// prune whole shards against a query without touching the shard's
@@ -39,6 +40,7 @@ func (t *Tree) workingState() *treeState {
 		size:      len(t.dir),
 		dataPage:  t.appendPage,
 		shapes:    t.shapes,
+		unshaped:  t.unshaped,
 		rootMBR:   t.rootMBR,
 	}
 }
@@ -122,6 +124,7 @@ func (t *Tree) Rollback() error {
 	t.dirty = make(map[pagefile.PageID][]byte)
 	t.appendPage, t.appendBuf = st.dataPage, nil
 	t.setShapes(st.shapes)
+	t.unshaped = st.unshaped
 	return t.abandon()
 }
 

@@ -145,6 +145,16 @@ type Tree struct {
 	// Queries read the pinned epoch's treeState.shapes.
 	shapes    []shape
 	shapeRefs map[string]uint16 // ShapeKey → reference
+	// unshaped counts the working tree's U-tree leaf entries whose faces
+	// are not their table shape's, translated: a reference to no shape in
+	// the table, or an entry a page stores full — an unkeyed object's, or
+	// a keyed one's that a file from before compact entries holds. While
+	// there is one, no ancestor's MBR⊤ is known to bound the faces the
+	// descent's quantile test assumes (rangeQuery). writeNode keeps it as
+	// it writes leaves, each leaf's share in node.unshaped; condense and
+	// collectLeafEntries take a freed leaf's off; Rollback restores the
+	// committed count, and Open's walk counts it afresh.
+	unshaped int
 
 	// ws is the writer's scratch (writerScratch).
 	ws writerScratch

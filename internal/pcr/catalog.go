@@ -138,6 +138,37 @@ func (c Catalog) SmallestGE(x float64) (int, bool) {
 	return -1, false
 }
 
+// Level is the probability at which a shape's offset k is the quantile
+// (Shape.Reach): p_j for k = 2j and 1 − p_j for k = 2j+1, evaluated as the
+// offsets were.
+func (c Catalog) Level(k int) float64 {
+	if k%2 == 0 {
+		return c.values[k/2]
+	}
+	return 1 - c.values[k/2]
+}
+
+// QuantileLevels returns the levels a descent at threshold pq reads every
+// object's quantiles at (Shape.Reach), as offset indices: a the smallest
+// level at or above 1 − pq, b the largest at or below pq. An object that
+// appears in rq with probability at least pq has rq.lo ≤ Q(1 − pq) ≤ Q(a)
+// and rq.hi ≥ Q(pq) ≥ Q(b) on every dimension. A level within catalogEps of
+// its bound is passed over, so a and b hold their bounds whatever rounding
+// pq carries; levels 1 and 0 (the MBR's faces) always do.
+func (c Catalog) QuantileLevels(pq float64) (a, b int) {
+	a, b = 1, 0
+	for k := range 2 * len(c.values) {
+		l := c.Level(k)
+		if l >= 1-pq+catalogEps && l < c.Level(a) {
+			a = k
+		}
+		if l <= pq-catalogEps && l > c.Level(b) {
+			b = k
+		}
+	}
+	return a, b
+}
+
 // Equal reports whether two catalogs hold identical values.
 func (c Catalog) Equal(other Catalog) bool {
 	if len(c.values) != len(other.values) {

@@ -462,6 +462,8 @@ type Shape struct {
 	pmax  []float64   // pmax[i]: the larger of |pm.Lo[i]| and |pm.Hi[i]|
 	off   [][]float64 // off[i]: dimension i's 2m offsets, as QuantileCache holds them
 	lines []line      // 4 per dimension, laid out as Faces lays them out
+	up    []float64   // Reach's, level k and dimension i at k·d + i
+	down  []float64
 }
 
 // NewShape returns the fit of proto's shape over catalog cat.
@@ -494,6 +496,50 @@ func (s *Shape) fit() {
 			f[k] = f[k].guard(s.cat.values, g.y, g.down).shift(c)
 		}
 	}
+	s.reach(ctr)
+}
+
+// reach fills up and down (Reach) from the offsets about the prototype's
+// centre ctr and cfb_out's faces.
+func (s *Shape) reach(ctr geom.Point) {
+	d, pm := len(ctr), s.cat.Max()
+	s.up, s.down = make([]float64, 2*s.cat.Size()*d), make([]float64, 2*s.cat.Size()*d)
+	for i, c := range ctr {
+		lo, hi := s.lines[4*i].at(pm), s.lines[4*i+1].at(pm)
+		slack := updf.QuantileTol(s.pm.Side(i)) + ShapeSlack(s.pm, s.pm, i)
+		for k, o := range s.off[i] {
+			q := c + o
+			s.up[k*d+i], s.down[k*d+i] = q-hi+slack, q-lo-slack
+		}
+	}
+}
+
+// Reach returns, for every offset level k (Catalog.Level) and dimension i,
+// at k·d + i, how far an object of this shape can have its quantile at
+// level k beyond its cfb_out faces at p_m: up[k·d+i] ≥ Q_i(k) − hi_i(p_m)
+// and down[k·d+i] ≤ Q_i(k) − lo_i(p_m). The quantile is the prototype's
+// offset about its centre, which MarginalQuantile knows to within
+// updf.QuantileTol of its extent; the faces are the shape's lines (an
+// object's, Translate, lie outside them by the δ its translation is known
+// to); and the differences are rounded, which δ of the prototype
+// (ShapeSlack) covers. So the bound holds for every object of the shape
+// against the faces its leaf entry gives it. The slices are shared and
+// read-only.
+func (s *Shape) Reach() (up, down []float64) {
+	s.once.Do(s.fit)
+	return s.up, s.down
+}
+
+// Reaches reports whether objects whose cfb_out faces at p_m lie within
+// [lo, hi] on a dimension can have the quantiles a query [rqLo, rqHi]
+// there needs at threshold pq: Q(a) ≥ rqLo and Q(b) ≤ rqHi, where up is
+// Reach's at level a and down at level b (Catalog.QuantileLevels) — or the
+// larger up and smaller down of every shape the objects may have. Each sum
+// is rounded once, to nearest, and rounding is monotone: where the exact
+// sum reaches a float64 face so does the rounded one, so the comparison
+// needs no margin of its own.
+func Reaches(lo, hi, up, down, rqLo, rqHi float64) bool {
+	return !(hi+up < rqLo || lo+down > rqHi)
 }
 
 // guard returns l with its intercept moved down (down) or up until l.at(p[j])

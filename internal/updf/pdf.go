@@ -102,7 +102,7 @@ func MarginalQuantile(p PDF, dim int, prob float64) float64 {
 	}
 	x, err := numeric.Bisect(func(x float64) float64 {
 		return p.MarginalCDF(dim, x) - prob
-	}, lo, hi, quantileTol(hi-lo))
+	}, lo, hi, QuantileTol(hi-lo))
 	if err != nil {
 		// CDF numerically flat at an endpoint; clamp to the nearer side.
 		if p.MarginalCDF(dim, lo) >= prob {
@@ -113,7 +113,10 @@ func MarginalQuantile(p PDF, dim int, prob float64) float64 {
 	return x
 }
 
-func quantileTol(extent float64) float64 {
+// QuantileTol is how far MarginalQuantile's answer may lie from the
+// quantile of a marginal whose support spans extent: the bisection's
+// bracket, 1e-9 of the extent and no less than 1e-12.
+func QuantileTol(extent float64) float64 {
 	t := extent * 1e-9
 	if t < 1e-12 {
 		t = 1e-12

@@ -63,11 +63,12 @@ type Result = core.Result
 
 // Stats reports the cost of one query in the paper's metrics: node
 // accesses, appearance-probability computations, directly-validated counts
-// and refinement I/Os. Candidates is the paper's "probability computations"
-// (what the leaf filter left undecided); ProbComputations counts those that
-// were in fact integrated, MarginalValidated and MarginalPruned those
-// decided on their pdf's marginals instead — ShapeDecided of them before
-// their record was read.
+// and refinement I/Os. QuantilePruned counts the subtrees the descent cut
+// on its objects' quantiles where Observation 4 let them pass. Candidates
+// is the paper's "probability computations" (what the leaf filter left
+// undecided); ProbComputations counts those that were in fact integrated,
+// MarginalValidated and MarginalPruned those decided on their pdf's
+// marginals instead — ShapeDecided of them before their record was read.
 type Stats = core.QueryStats
 
 // Pt builds a Point.
