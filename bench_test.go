@@ -327,6 +327,46 @@ func BenchmarkDeleteByID(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkLoad measures what sets every workload up: a fresh Tree
+// bulk-loaded from a batch and committed, LB ×0.25 (13,250 balls, height 3)
+// in memory and CA ×0.2 (12,400 Con-Gau balls) in a file. CI gates the
+// memory load's allocations.
+func BenchmarkBulkLoad(b *testing.B) {
+	for _, c := range []struct {
+		name  dataset.Name
+		scale float64
+		file  bool
+	}{{dataset.LB, 0.25, false}, {dataset.CA, 0.2, true}} {
+		b.Run(fmt.Sprintf("%sx%g", c.name, c.scale), func(b *testing.B) {
+			objs := dataset.Generate(dataset.Config{Name: c.name, Scale: c.scale, Seed: 1})
+			batch := make(map[int64]uncertain.PDF, len(objs))
+			for _, o := range objs {
+				batch[o.ID] = o.PDF
+			}
+			cfg := uncertain.Config{Dimensions: c.name.Dim()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.file {
+					b.StopTimer()
+					cfg.Path = filepath.Join(b.TempDir(), fmt.Sprintf("load%d.utree", i))
+					b.StartTimer()
+				}
+				tree, err := uncertain.NewTree(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tree.BulkLoad(batch); err != nil {
+					b.Fatal(err)
+				}
+				if err := tree.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWriteBatchAfterBulkLoad measures the first writes a bulk-loaded
 // tree takes: LB on a memory Tree, at scale 0.05 (2,650 objects, height 2)
 // and 0.25 (13,250, height 3), one WriteBatch of 8 inserts (LB objects of

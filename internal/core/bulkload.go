@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,37 +9,46 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/geom"
+	"repro/internal/pagefile"
+	"repro/internal/updf"
 )
 
-// BulkLoad builds the index bottom-up from a dataset in three stages:
+// BulkLoad builds the index bottom-up from a dataset in three stages, each
+// over flat slabs — one row per object, or per node of the level below —
+// rather than an edit entry per object:
 //
-//  1. build every leaf entry (PCRs → CFBs) on GOMAXPROCS workers — pure
-//     computation, so an invalid object fails the load before a single page
-//     is allocated;
-//  2. tile the leaf level with Sort-Tile-Recursive (STR) packing over the
-//     entries' e.MBR(p_median) centers — the same geometry the incremental
-//     split sorts by — every other slab sorted the other way, so the tiles
-//     run back and forth (boustrophedon) and consecutive tiles are
-//     neighbours; and cut each sorted run into as many nodes as a full
-//     packing would, each with room for one more entry of any form where
-//     the run has it to spare (runCutter.cut);
-//  3. walk the leaves in tile order and only then append each entry's detail
-//     record, so the records of one leaf share one or two adjacent data pages
-//     and data pages follow leaf order — a page that straddles two leaves
-//     then holds spatial neighbours — refinement groups candidates "by
-//     their associated disk addresses" (paper §5), which saves I/O only when
-//     neighbouring objects share a page — then write the nodes level by
-//     level.
+//  1. check every object and write its MBR into a slab (an allocation-free
+//     MBRAt for a recentrable shape) on GOMAXPROCS workers, so an invalid
+//     object fails the load before a page is allocated; hand out shape
+//     references in input order, formatting a ShapeKey once per distinct
+//     updf.ShapeID; then, on the workers again, encode each leaf entry
+//     (without its address) and its boundary boxes into two more slabs;
+//  2. tile the level with Sort-Tile-Recursive (STR) packing over the
+//     entries' e.MBR(p_median) centres — the geometry the incremental split
+//     sorts by — sorting (key, index) pairs, every other slab the other way
+//     (boustrophedon), so consecutive tiles are neighbours; the slabs of the
+//     first dimension are tiled on the workers. Each sorted run is cut into
+//     as many nodes as a full packing would, each with room for one more
+//     entry of any form where the run has it to spare (runCutter.cut);
+//  3. walk the tiles in order and append each object's detail record
+//     straight into the append page, so the records of one leaf share
+//     one or two adjacent data pages and data pages follow leaf order, which
+//     is what lets refinement's grouping of candidates "by their associated
+//     disk addresses" (paper §5) save I/O; then copy each tile's entries into
+//     its leaf page with their addresses, union their boundaries into the
+//     slab of the next level, and repeat stages 2 and 3 on it up to the root.
 //
 // Compared with one-by-one insertion it produces a tree with the page count
 // of a full packing (fewer pages, fewer query I/Os) at a fraction of the
 // build cost, whose first inserts neither split nor reinsert; the tree
 // stays fully dynamic afterwards (later Inserts append to the last data
-// page).
-// The result is a function of the object order alone. It can only be called
-// on an empty tree, and an ID named twice is ErrDuplicateID before a page is
-// allocated. The directory takes every object at its record's address; a
-// Rollback empties it again.
+// page). The tree is a function of the object order alone, not of the
+// number of workers. It can only be called on an empty tree, and an ID
+// named twice is ErrDuplicateID before a page is allocated. The directory,
+// sized once, takes every object at its record's address; a Rollback
+// empties it again. Nothing of the slabs outlives the call.
 func (t *Tree) BulkLoad(objects []Object) error {
 	if n := t.Len(); n != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", n)
@@ -46,85 +56,63 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	if len(objects) == 0 {
 		return nil
 	}
-	entries, err := t.buildLeafEntries(objects)
+	lv, err := t.loadLeaves(objects)
 	if err != nil {
 		return err
 	}
+	dir := make(map[int64]DataAddr, len(objects))
 	for _, o := range objects {
-		if _, dup := t.dir[o.ID]; dup {
-			t.dir = make(map[int64]DataAddr)
+		if _, dup := dir[o.ID]; dup {
 			return fmt.Errorf("%w: id %d named twice", ErrDuplicateID, o.ID)
 		}
-		t.dir[o.ID] = DataAddr{} // the address comes with the record
+		dir[o.ID] = DataAddr{} // the address comes with the record
 	}
+	t.dir = dir
 	t.undo = append(t.undo, dirUndo{load: true})
 
-	med := t.cat.MedianIndex()
-	centersOf := func(es []entry, leaf bool) []float64 {
-		// flattened center coordinates per entry (med box center)
-		out := make([]float64, len(es)*t.dim)
-		box := t.ws.pair.take(1, t.dim)[0]
-		for i := range es {
-			t.boxInto(box, t.boundary(&es[i], leaf, &t.ws.bound), med)
-			for k := range t.dim {
-				out[i*t.dim+k] = (box.Lo[k] + box.Hi[k]) / 2 // box.Center()
-			}
-		}
-		return out
-	}
-
-	current := entries
+	// Rectangles laid over slab rows: an entry's boundary, a node's.
+	rows, union := make([]geom.Rect, t.innerBoxes()), make([]geom.Rect, t.innerBoxes())
+	stride := 2 * t.dim * t.innerBoxes()
 	for level := 0; ; level++ {
-		leaf := level == 0
-		minFill := t.minInner
-		if leaf {
-			minFill = t.minLeaf
+		groups := t.tileLevel(lv, level == 0)
+		next := &slab{
+			bnd:   make([]float64, len(groups)*stride),
+			size:  make([]int, len(groups)),
+			child: make([]pagefile.PageID, len(groups)),
 		}
-		var groups [][]int
-		if t.entryBytes(current, leaf) > pageBytes {
-			size := make([]int, len(current))
-			for i := range current {
-				size[i] = t.entrySize(&current[i], leaf)
-			}
-			// A node's free room is one entry of the level's largest form.
-			room := t.innerEntrySize
-			if leaf {
-				room = t.leafEntrySize
-			}
-			groups = strTile(centersOf(current, leaf), size, t.dim, minFill, room)
-		} else {
-			// What is left fits one node: the root.
-			groups = [][]int{identity(len(current))}
-		}
-		if leaf {
-			// Stage 3: records in tile order, before any node is written.
-			for _, g := range groups {
-				for _, i := range g {
-					if current[i].addr, err = t.appendRecord(objects[i], current[i].shape); err != nil {
-						return err
-					}
-					t.dir[objects[i].ID] = current[i].addr
+		// Every node's bytes first — at the leaves with the records, in
+		// tile order — then the nodes' pages, so a level's pages follow
+		// its data pages and one another.
+		pages := make([][]byte, len(groups))
+		for g, ids := range groups {
+			buf := make([]byte, pagefile.PageSize)
+			t.putHeader(buf, level, len(ids))
+			if level == 0 {
+				if err := t.putLeaf(buf, lv, objects, ids); err != nil {
+					return err
+				}
+			} else {
+				off := nodeHeader
+				for _, i := range ids {
+					layBoxes(rows, lv.row(i, stride), t.dim)
+					t.encodeInnerEntry(buf[off:off+t.innerEntrySize], lv.child[i], rows)
+					off += t.innerEntrySize
 				}
 			}
+			t.unionRows(next.row(g, stride), lv, ids, union, rows)
+			pages[g], next.size[g] = buf, t.innerEntrySize
 		}
-		next := make([]entry, 0, len(groups))
-		for _, g := range groups {
-			n, err := t.allocNode(level)
+		for g, buf := range pages {
+			id, err := t.allocPage()
 			if err != nil {
-				return err
+				return fmt.Errorf("core: allocating node: %w", err)
 			}
-			n.entries = make([]entry, len(g))
-			for k, i := range g {
-				n.entries[k] = current[i]
-			}
-			if err := t.writeNode(n); err != nil {
-				return err
-			}
-			next = append(next, entry{child: n.page, boxes: t.nodeBoundary(n)})
+			t.nodeWrites.Add(1)
+			t.dirty[id], next.child[g] = buf, id
 		}
-		if len(next) == 1 {
+		if len(groups) == 1 {
 			// Free the initial empty root page created by New.
-			root := next[0].child
+			root := next.child[0]
 			if t.rootPage != root {
 				n, err := t.readNode(t.rootPage, t.rootLevel)
 				if err != nil {
@@ -138,37 +126,191 @@ func (t *Tree) BulkLoad(objects []Object) error {
 			}
 			t.rootPage = root
 			t.rootLevel = level
-			t.rootMBR = t.boxAt(next[0].boxes, 0)
+			layBoxes(rows, next.bnd, t.dim)
+			t.rootMBR = t.boxAt(rows, 0)
 			return nil
 		}
-		current = next
+		lv = next
 	}
 }
 
-// buildLeafEntries is BulkLoad's first stage: entries[i] is objects[i]'s
-// leaf entry without its data address. GOMAXPROCS workers check every
-// object and take its shape key; a serial pass then returns the first
-// invalid object's error, in input order, or gives every object its shape
-// reference, in input order; then the workers build the entries. It
-// touches no storage.
-func (t *Tree) buildLeafEntries(objects []Object) ([]entry, error) {
-	errs, keys := make([]error, len(objects)), make([]string, len(objects))
-	parallelFor(len(objects), func(i int) {
-		if errs[i] = t.checkObject(objects[i]); errs[i] == nil {
-			keys[i] = objects[i].PDF.ShapeKey()
+// slab is one level of the tree BulkLoad builds, as flat arrays indexed by
+// entry: each entry's boundary boxes in bnd (Tree.boundary's, for an
+// intermediate entry unionBoundary's: innerBoxes boxes of 2·dim
+// coordinates, Lo then Hi) and its size on a page. A leaf level also holds
+// its entries as encodeLeafEntry writes them, their addresses zero (entry
+// i is ent[at[i]:at[i+1]]), and their shape references; an intermediate
+// level its children.
+type slab struct {
+	bnd   []float64
+	size  []int
+	ent   []byte
+	at    []int
+	ref   []uint16
+	child []pagefile.PageID
+}
+
+// row is entry i's row of bnd.
+func (s *slab) row(i, stride int) []float64 { return s.bnd[i*stride : (i+1)*stride : (i+1)*stride] }
+
+// loadChunk is how many objects a worker of stage 1 takes at a time.
+const loadChunk = 1024
+
+// loadLeaves is BulkLoad's first stage: the leaf level's slab. It touches
+// no storage, and returns the first invalid object's error in input order.
+func (t *Tree) loadLeaves(objects []Object) (*slab, error) {
+	n, d := len(objects), t.dim
+	mbrs := make([]float64, n*2*d)
+	bad := atomic.Int64{}
+	bad.Store(int64(n))
+	inChunks(n, func(lo, hi int) {
+		for i := lo; i < hi && int64(i) < bad.Load(); i++ {
+			if t.checkObject(objects[i], rectAt(mbrs, i, d)) != nil {
+				for b := bad.Load(); int64(i) < b && !bad.CompareAndSwap(b, int64(i)); b = bad.Load() {
+				}
+				return
+			}
 		}
 	})
-	entries := make([]entry, len(objects))
-	for i := range objects {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		entries[i].shape = t.shapeRef(keys[i], objects[i].PDF)
+	if i := bad.Load(); i < int64(n) {
+		return nil, t.checkObject(objects[i], rectAt(mbrs, int(i), d))
 	}
-	parallelFor(len(objects), func(i int) {
-		entries[i] = t.leafEntry(objects[i], entries[i].shape)
+
+	// Shape references in input order: a shape's prototype is its first
+	// object. A ShapeID seen before needs no key. The reference decides
+	// the entry's form, and so its size and place in the slab.
+	lv := &slab{ref: make([]uint16, n), size: make([]int, n), at: make([]int, n+1)}
+	known := make(map[updf.ShapeID]uint16)
+	for i, o := range objects {
+		ref, seen := uint16(0), false
+		id, ok := updf.ShapeIDOf(o.PDF)
+		if ok {
+			ref, seen = known[id]
+		}
+		if !seen {
+			ref = t.shapeRef(o.PDF.ShapeKey(), o.PDF)
+			if ok {
+				known[id] = ref
+			}
+		}
+		lv.ref[i], lv.size[i] = ref, t.leafEntrySize
+		if t.kind == UTree && ref != 0 {
+			lv.size[i] = t.compactEntrySize
+			if t.shapes[ref-1].rc != nil {
+				lv.size[i] = t.centreEntrySize
+			}
+		}
+		lv.at[i+1] = lv.at[i] + lv.size[i]
+	}
+
+	nb := t.innerBoxes()
+	lv.ent, lv.bnd = make([]byte, lv.at[n]), make([]float64, n*2*d*nb)
+	inChunks(n, func(lo, hi int) {
+		var sc boundScratch
+		for i := lo; i < hi; i++ {
+			e := t.leafEntry(objects[i], lv.ref[i], rectAt(mbrs, i, d))
+			if t.encodeLeafEntry(&e, lv.ent[lv.at[i]:lv.at[i+1]]) != lv.size[i] {
+				panic(fmt.Sprintf("core: object %d's leaf entry is not of the form its shape reference %d gives", e.id, e.shape))
+			}
+			row := lv.row(i, 2*d*nb)
+			for j, b := range t.boundary(&e, true, &sc) {
+				copy(row[2*d*j:], b.Lo)
+				copy(row[2*d*j+d:], b.Hi)
+			}
+		}
 	})
-	return entries, nil
+	return lv, nil
+}
+
+// rectAt is the i-th rectangle of a slab of 2d-coordinate rows.
+func rectAt(coords []float64, i, d int) geom.Rect {
+	c := coords[2*d*i : 2*d*(i+1) : 2*d*(i+1)]
+	return geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+}
+
+// tileLevel is BulkLoad's second stage: the level's entries cut into
+// nodes, each as indices into the slab, in tile order.
+func (t *Tree) tileLevel(lv *slab, leaf bool) [][]int {
+	total := 0
+	for _, sz := range lv.size {
+		total += sz
+	}
+	if total <= pageBytes {
+		// What is left fits one node: the root.
+		return [][]int{identity(len(lv.size))}
+	}
+	// A node's free room is one entry of the level's largest form.
+	minFill, room := t.minInner, t.innerEntrySize
+	if leaf {
+		minFill, room = t.minLeaf, t.leafEntrySize
+	}
+	return strTile(t.centres(lv), lv.size, t.dim, minFill, room)
+}
+
+// centres flattens the centre of every entry's e.MBR(p_median) box, as
+// boxInto evaluates it over the entry's boundary row, into one slice.
+func (t *Tree) centres(lv *slab) []float64 {
+	d, nb, med := t.dim, t.innerBoxes(), t.cat.MedianIndex()
+	out := make([]float64, len(lv.size)*d)
+	rows, box := make([]geom.Rect, nb), t.ws.pair.take(1, d)[0]
+	for i := range lv.size {
+		layBoxes(rows, lv.row(i, 2*d*nb), d)
+		t.boxInto(box, rows, med)
+		for k := range d {
+			out[i*d+k] = (box.Lo[k] + box.Hi[k]) / 2 // box.Center()
+		}
+	}
+	return out
+}
+
+// putLeaf fills leaf page buf, behind its header, with the entries ids of
+// leaf level lv: it appends each object's record (BulkLoad's stage 3),
+// enters its address in the directory and copies its entry with the
+// address. It counts the page's unshaped entries (Tree.unshaped: a U-tree
+// entry without a shape).
+func (t *Tree) putLeaf(buf []byte, lv *slab, objects []Object, ids []int) error {
+	off := nodeHeader
+	for _, i := range ids {
+		e := lv.ent[lv.at[i]:lv.at[i+1]]
+		addr, err := t.appendRecord(objects[i], lv.ref[i])
+		if err != nil {
+			return err
+		}
+		t.dir[objects[i].ID] = addr
+		copy(buf[off:], e)
+		putAddr(buf, off+8, addr, binary.LittleEndian.Uint16(e[14:]))
+		off += len(e)
+		if t.kind == UTree && lv.ref[i] == 0 {
+			t.unshaped++
+		}
+	}
+	return nil
+}
+
+// unionRows writes the boundary of a node holding the entries ids of lv
+// into dst, as unionBoundary does: the union of their boundaries, a
+// U-tree's rounded outward to float32. out and src are innerBoxes
+// rectangles to lay over dst and over each entry's row.
+func (t *Tree) unionRows(dst []float64, lv *slab, ids []int, out, src []geom.Rect) {
+	copy(dst, lv.row(ids[0], len(dst)))
+	layBoxes(out, dst, t.dim)
+	for _, i := range ids[1:] {
+		layBoxes(src, lv.row(i, len(dst)), t.dim)
+		unionBoundaries(out, src)
+	}
+	if t.kind == UTree {
+		for _, r := range out {
+			roundOut(r)
+		}
+	}
+}
+
+// inChunks calls fn over [0, n) in chunks of loadChunk on parallelFor's
+// workers, so a worker's scratch serves a chunk.
+func inChunks(n int, fn func(lo, hi int)) {
+	parallelFor((n+loadChunk-1)/loadChunk, func(c int) {
+		fn(c*loadChunk, min(n, (c+1)*loadChunk))
+	})
 }
 
 // parallelFor calls fn(i) for every i in [0, n) on up to GOMAXPROCS
@@ -202,56 +344,77 @@ func identity(n int) []int {
 	return idx
 }
 
+// keyIdx is a sort key and the index of the entry it belongs to: what STR
+// sorts, so a comparison reads neither the centres nor a closure's state.
+type keyIdx struct {
+	key float64
+	id  int
+}
+
+func compareKeyIdx(a, b keyIdx) int { return compareKeys(a.key, b.key) }
+
 // strTile partitions the entries whose flattened center coordinates and
 // on-page sizes are given into groups that each fit a page and hold at
 // least minFill bytes, leaving room bytes free where a run can spare them,
 // using recursive sort-tile, and returns each group as indices into the
 // input, in tile order. At each level every other slab is sorted
-// descending, so the tile order snakes: the last tile of a slab and the
-// first of the next lie side by side.
+// descending — ascending on negated keys, which compare as the keys do in
+// reverse — so the tile order snakes: the last tile of a slab and the
+// first of the next lie side by side. The slabs of the first dimension are
+// tiled on parallelFor's workers, each with its own runCutter; the result
+// does not depend on how many there are.
 func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
-	var groups [][]int
-	var c runCutter
-	var recurse func(ids []int, d int, desc bool)
-	recurse = func(ids []int, d int, desc bool) {
-		total, big := 0, 0
-		for _, id := range ids {
-			total, big = total+size[id], max(big, size[id])
+	n := len(size)
+	ps, ids := make([]keyIdx, n), make([]int, n)
+	for i := range ps {
+		ps[i].id = i
+	}
+	// cut cuts a run sorted on the final dimension into nodes, on keys
+	// negated in a descending slab, so that they ascend as cut needs.
+	cut := func(c *runCutter, ps []keyIdx, ids []int, big int) [][]int {
+		c.keys, c.w = c.keys[:0], append(c.w[:0], 0)
+		for k := range ps {
+			c.keys = append(c.keys, ps[k].key)
+			c.w = append(c.w, c.w[k]+size[ps[k].id])
+		}
+		return c.cut(ids, big, minFill, room)
+	}
+	var tile func(c *runCutter, ps []keyIdx, ids []int, d int, desc bool) [][]int
+	tile = func(c *runCutter, ps []keyIdx, ids []int, d int, desc bool) [][]int {
+		sign, total, big := 1.0, 0, 0
+		if desc {
+			sign = -1
+		}
+		for k := range ps {
+			ps[k].key = sign * centers[ps[k].id*dim+d]
+			total, big = total+size[ps[k].id], max(big, size[ps[k].id])
+		}
+		slices.SortFunc(ps, compareKeyIdx)
+		for k := range ps {
+			ids[k] = ps[k].id
 		}
 		pages := (total + pageBytes/big*big - 1) / (pageBytes / big * big)
-		if desc {
-			slices.SortFunc(ids, func(a, b int) int { return compareKeys(centers[b*dim+d], centers[a*dim+d]) })
-		} else {
-			slices.SortFunc(ids, func(a, b int) int { return compareKeys(centers[a*dim+d], centers[b*dim+d]) })
-		}
 		if pages <= 1 || d == dim-1 {
-			// Final dimension: cut the sorted run into nodes, on keys
-			// negated in a descending slab, so that they ascend as cut
-			// needs.
-			sign := 1.0
-			if desc {
-				sign = -1
-			}
-			c.keys, c.w = c.keys[:0], append(c.w[:0], 0)
-			for _, id := range ids {
-				c.keys = append(c.keys, sign*centers[id*dim+d])
-				c.w = append(c.w, c.w[len(c.w)-1]+size[id])
-			}
-			groups = append(groups, c.cut(ids, big, minFill, room)...)
-			return
+			return cut(c, ps, ids, big)
 		}
 		// Slabs: ceil(pages^(1/(dim-d))) vertical cuts on dimension d.
-		slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d))))
-		if slabs < 1 {
-			slabs = 1
+		slabs := max(1, int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d)))))
+		per := (len(ps) + slabs - 1) / slabs
+		parts := make([][][]int, (len(ps)+per-1)/per)
+		slab := func(s int, c *runCutter) {
+			lo, hi := s*per, min((s+1)*per, len(ps))
+			parts[s] = tile(c, ps[lo:hi], ids[lo:hi], d+1, s%2 == 1)
 		}
-		per := (len(ids) + slabs - 1) / slabs
-		for s, lo := 0, 0; lo < len(ids); s, lo = s+1, lo+per {
-			recurse(ids[lo:min(lo+per, len(ids))], d+1, s%2 == 1)
+		if d == 0 {
+			parallelFor(len(parts), func(s int) { slab(s, new(runCutter)) })
+		} else {
+			for s := range parts {
+				slab(s, c)
+			}
 		}
+		return slices.Concat(parts...)
 	}
-	recurse(identity(len(centers)/dim), 0, false)
-	return groups
+	return tile(new(runCutter), ps, ids, 0, false)
 }
 
 // compareKeys orders two sort keys for slices.SortFunc: negative exactly

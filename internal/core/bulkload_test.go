@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -107,28 +110,51 @@ func TestBulkLoadClustersRecords(t *testing.T) {
 	}
 }
 
-// TestBulkLoadParallelBuild checks stage 1 against the serial loop it
-// replaced, at whatever GOMAXPROCS the run has (CI runs it with -cpu 1,4
-// under -race), and that a bad object fails the load before any page is
-// allocated.
+// leafEntries is every object's leaf entry, built one by one
+// (buildLeafEntry).
+func leafEntries(tree *Tree, objs []Object) ([]entry, error) {
+	entries := make([]entry, len(objs))
+	for i, o := range objs {
+		var err error
+		if entries[i], err = tree.buildLeafEntry(o); err != nil {
+			return nil, err
+		}
+	}
+	return entries, nil
+}
+
+// TestBulkLoadParallelBuild checks stage 1 — each object's encoded entry,
+// boundary boxes and shape reference in the slabs — against the serial
+// loop of buildLeafEntry it replaced, at whatever GOMAXPROCS the run has
+// (CI runs it with -cpu 1,4 under -race), and that a bad object fails the
+// load before any page is allocated.
 func TestBulkLoadParallelBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	objs := makeObjects(240, 1000, rng)
 	sameAsSerial := func(kind Kind, objs []Object) {
 		t.Helper()
 		par, _ := New(Options{Dim: 2, Kind: kind})
-		got, err := par.buildLeafEntries(objs)
+		got, err := par.loadLeaves(objs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ser, _ := New(Options{Dim: 2, Kind: kind})
+		es, stride := ser.leafEntrySize, 4*ser.innerBoxes()
 		for i, o := range objs {
 			want, err := ser.buildLeafEntry(o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%v: entry %d differs from the serial build:\n got  %+v\n want %+v", kind, i, got[i], want)
+			enc := make([]byte, es)
+			enc = enc[:ser.encodeLeafEntry(&want, enc)]
+			var bnd []float64
+			for _, r := range ser.boundary(&want, true, &ser.ws.bound) {
+				bnd = append(append(bnd, r.Lo...), r.Hi...)
+			}
+			if ent := got.ent[got.at[i]:got.at[i+1]]; !bytes.Equal(ent, enc) || got.ref[i] != want.shape ||
+				!reflect.DeepEqual(got.row(i, stride), bnd) {
+				t.Fatalf("%v: entry %d differs from the serial build:\n got  % x, shape %d, boundary %v\n want % x, shape %d, boundary %v",
+					kind, i, ent, got.ref[i], got.row(i, stride), enc, want.shape, bnd)
 			}
 		}
 		// The comparison covers the shape references, which the serial loop
@@ -558,5 +584,53 @@ func checkCut(t *testing.T, ids []int, keys []float64, groups [][]int, capacity,
 	try(0, 0, nil)
 	if sum != best {
 		t.Fatalf("%s: gap sum %g, the best legal cut's is %g", where(), sum, best)
+	}
+}
+
+// TestBulkLoadGoldenMixed pins the pages BulkLoad and Commit write for a
+// mix of every leaf entry form — balls (centre entries), rectangles and
+// Gaussian rectangles (compact), and 300 rectangles of distinct sides,
+// whose shapes outgrow the table's page, so the last of them are full
+// entries without a shape — in a U-tree and in a U-PCR, whose small
+// fan-out makes STR tile an inner level too, at GOMAXPROCS 1, 2 and 4. The
+// digests were taken before the load moved onto flat slabs.
+func TestBulkLoadGoldenMixed(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	objs := makeObjects(1500, 2000, rng)
+	for i := 0; i < 300; i++ {
+		lo := geom.Point{rng.Float64() * 2000, rng.Float64() * 2000}
+		hi := geom.Point{lo[0] + 5 + rng.Float64()*40, lo[1] + 5 + rng.Float64()*40}
+		objs = append(objs, Object{ID: int64(len(objs)), PDF: updf.NewUniformRect(geom.NewRect(lo, hi))})
+	}
+	want := map[Kind]string{UTree: "f2ca7cfcad27bf8f", UPCR: "5b7ef35c9e040423"}
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, kind := range []Kind{UTree, UPCR} {
+			store := pagefile.NewMemStore()
+			tree, err := New(Options{Dim: 2, Kind: kind, Store: store, Persist: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.BulkLoad(objs); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if kind == UTree && tree.unshaped == 0 {
+				t.Fatal("no leaf entry without a shape; the fixture no longer holds every form")
+			}
+			h, buf := sha256.New(), make([]byte, pagefile.PageSize)
+			for id := pagefile.PageID(0); int(id) < store.NumPages(); id++ {
+				if store.Read(id, buf) == nil {
+					h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
+					h.Write(buf)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != want[kind] {
+				t.Errorf("GOMAXPROCS %d, %v of %d objects, height %d: page digest %s, want %s", procs, kind, len(objs), tree.Height(), got, want[kind])
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

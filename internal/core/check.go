@@ -14,7 +14,8 @@ import (
 //
 //   - node occupancy within [minFill, capacity] bytes (root exempt from the
 //     minimum; a node with as many entries as minFill bytes of full entries
-//     is not underfull either),
+//     is not underfull either), and an intermediate root of two entries or
+//     more (condense relies on both),
 //   - uniform leaf depth,
 //   - every intermediate entry's bounding boxes covering the corresponding
 //     boundary boxes of its child's entries at every catalog value
@@ -94,6 +95,9 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 		}
 		if len(n.entries) == 0 {
 			return nil, fmt.Errorf("core: empty intermediate node %d", page)
+		}
+		if isRoot && len(n.entries) == 1 {
+			return nil, fmt.Errorf("core: intermediate root %d holds one entry", page)
 		}
 		for i := range n.entries {
 			childBoxes, err := check(n.entries[i].child, false, n.level-1)

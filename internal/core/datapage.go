@@ -46,23 +46,23 @@ var (
 	ErrBadSlot        = errors.New("core: slot out of range or deleted")
 )
 
-// appendSlot places rec on the data page if it fits and returns its slot.
-func appendSlot(page, rec []byte) (uint16, bool) {
+// appendSlot makes room for an n-byte record on the data page if it fits,
+// and returns its slot and the bytes to write it into.
+func appendSlot(page []byte, n int) (uint16, []byte, bool) {
 	count := int(binary.LittleEndian.Uint16(page[0:]))
 	free := int(binary.LittleEndian.Uint16(page[2:]))
 	if free == 0 {
 		free = pagefile.PageSize
 	}
-	off := free - len(rec)
+	off := free - n
 	if off < dataHeader+4*(count+1) {
-		return 0, false
+		return 0, nil, false
 	}
-	copy(page[off:], rec)
 	binary.LittleEndian.PutUint16(page[dataHeader+4*count:], uint16(off))
-	binary.LittleEndian.PutUint16(page[dataHeader+4*count+2:], uint16(len(rec)))
+	binary.LittleEndian.PutUint16(page[dataHeader+4*count+2:], uint16(n))
 	binary.LittleEndian.PutUint16(page[0:], uint16(count+1))
 	binary.LittleEndian.PutUint16(page[2:], uint16(off))
-	return uint16(count), true
+	return uint16(count), page[off : off+n : off+n], true
 }
 
 // RecordFromPage extracts slot `slot` from a data page without a copy: the
@@ -89,8 +89,16 @@ func RecordFromPage(page []byte, slot uint16) ([]byte, error) {
 }
 
 // appendRecord appends the object's data record — keyed by its shape
-// reference where encodeObject can — and returns its address.
+// reference where encodeObject can, written straight into the page — and
+// returns its address.
 func (t *Tree) appendRecord(o Object, shape uint16) (DataAddr, error) {
+	if shape != 0 && t.shapes[shape-1].rc != nil {
+		addr, rec, err := t.appendSpace(keyedSize(t.dim))
+		if err == nil {
+			putKeyed(rec, o.ID, shape, o.PDF.Center())
+		}
+		return addr, err
+	}
 	rec, err := encodeObject(o, shape, t.shapes)
 	if err != nil {
 		return DataAddr{}, err
@@ -98,38 +106,50 @@ func (t *Tree) appendRecord(o Object, shape uint16) (DataAddr, error) {
 	return t.appendData(rec)
 }
 
-// appendData puts rec on the append page, reading the page's committed
-// bytes first if the writer does not hold them (after Open or Rollback),
-// or on a fresh page (allocPage) when it is full. Empty records and
-// records larger than a page's usable space are refused.
+// appendData puts rec on the append page (appendSpace).
 func (t *Tree) appendData(rec []byte) (DataAddr, error) {
-	if len(rec) == 0 {
-		return DataAddr{}, errors.New("core: empty record (its slot would read as deleted)")
+	addr, dst, err := t.appendSpace(len(rec))
+	if err == nil {
+		copy(dst, rec)
 	}
-	if dataHeader+4+len(rec) > pagefile.PageSize {
-		return DataAddr{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+	return addr, err
+}
+
+// appendSpace makes room for an n-byte record on the append page, reading
+// the page's committed bytes first if the writer does not hold them (after
+// Open or Rollback), or on a fresh page (allocPage) when it is full, and
+// returns the record's address and the bytes to write it into. Empty
+// records and records larger than a page's usable space are refused.
+func (t *Tree) appendSpace(n int) (DataAddr, []byte, error) {
+	if n == 0 {
+		return DataAddr{}, nil, errors.New("core: empty record (its slot would read as deleted)")
+	}
+	if dataHeader+4+n > pagefile.PageSize {
+		return DataAddr{}, nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, n)
 	}
 	if t.appendBuf == nil && t.appendPage != pagefile.InvalidPage {
 		buf := make([]byte, pagefile.PageSize)
 		if err := t.store.Read(t.appendPage, buf); err != nil {
-			return DataAddr{}, err
+			return DataAddr{}, nil, err
 		}
 		t.appendBuf = buf
 	}
-	slot, ok := uint16(0), false
+	var slot uint16
+	var rec []byte
+	ok := false
 	if t.appendBuf != nil {
-		slot, ok = appendSlot(t.appendBuf, rec)
+		slot, rec, ok = appendSlot(t.appendBuf, n)
 	}
 	if !ok {
 		id, err := t.allocPage()
 		if err != nil {
-			return DataAddr{}, err
+			return DataAddr{}, nil, err
 		}
 		t.appendPage, t.appendBuf = id, make([]byte, pagefile.PageSize)
-		slot, _ = appendSlot(t.appendBuf, rec)
+		slot, rec, _ = appendSlot(t.appendBuf, n)
 	}
 	t.dirty[t.appendPage] = t.appendBuf
-	return DataAddr{Page: t.appendPage, Slot: slot}, nil
+	return DataAddr{Page: t.appendPage, Slot: slot}, rec, nil
 }
 
 // readRecord returns the record at addr as the writer sees it, for a caller

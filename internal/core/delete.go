@@ -131,8 +131,9 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 		n = parent.n
 	}
 
-	// Root adjustments: collapse single-child internal roots; reset an
-	// empty internal root to an empty leaf.
+	// Root adjustments: collapse single-child internal roots. An
+	// intermediate root holds two entries or more and a delete removes at
+	// most one of them, so it never empties; one that does is refused.
 	for {
 		root, err := t.readNode(t.rootPage, t.rootLevel)
 		if err != nil {
@@ -141,88 +142,42 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 		if root.leaf() {
 			break
 		}
-		if len(root.entries) == 1 {
-			child := root.entries[0].child
-			childNode, err := t.readNode(child, root.level-1)
-			if err != nil {
-				return err
-			}
-			if err := t.freePage(root.page); err != nil {
-				return err
-			}
-			t.rootPage = child
-			t.rootLevel = childNode.level
-			t.rootMBR = t.rootBox(childNode)
-			continue
-		}
 		if len(root.entries) == 0 {
-			if err := t.freePage(root.page); err != nil {
-				return err
-			}
-			fresh, err := t.allocNode(0)
-			if err != nil {
-				return err
-			}
-			// The root moves before the write, so writeNode records its box.
-			t.rootPage = fresh.page
-			t.rootLevel = 0
-			if err := t.writeNode(fresh); err != nil {
-				return err
-			}
+			return fmt.Errorf("core: the intermediate root %d has no entries", root.page)
 		}
-		break
+		if len(root.entries) > 1 {
+			break
+		}
+		child := root.entries[0].child
+		childNode, err := t.readNode(child, root.level-1)
+		if err != nil {
+			return err
+		}
+		if err := t.freePage(root.page); err != nil {
+			return err
+		}
+		t.rootPage = child
+		t.rootLevel = childNode.level
+		t.rootMBR = t.rootBox(childNode)
 	}
 
-	// Reinsert orphans. Subtree entries go back at their original level; if
-	// the tree shrank below that level, fall back to reinserting the
-	// subtree's leaf entries individually.
+	// Reinsert orphans, each at its original level: a leaf entry into a
+	// leaf, a subtree's entry into a node at the subtree root's parent
+	// level. None lies above the root. An orphan of level L ≥ 1 comes
+	// from an underfull intermediate node, so minInner is two entries or
+	// more. The root shrinks only by collapsing onto a child of one entry,
+	// and its surviving child — at level rootLevel − 1, at or above every
+	// orphan — holds at least minInner entries: off the path because every
+	// non-root node does, on it because it was not underfull.
+	// CheckInvariants checks both fills. A tree that breaks them is refused
+	// here.
 	for _, o := range orphans {
-		switch {
-		case o.level == 0:
-			if err := t.insertEntry(o.e, 0, make(map[int]bool)); err != nil {
-				return err
-			}
-		case o.level <= t.rootLevel:
-			if err := t.insertEntry(o.e, o.level, make(map[int]bool)); err != nil {
-				return err
-			}
-		default:
-			leaves, err := t.collectLeafEntries(o.e.child, o.level-1)
-			if err != nil {
-				return err
-			}
-			for _, le := range leaves {
-				if err := t.insertEntry(le, 0, make(map[int]bool)); err != nil {
-					return err
-				}
-			}
+		if o.level > t.rootLevel {
+			return fmt.Errorf("core: an orphan of level %d above the root at level %d", o.level, t.rootLevel)
+		}
+		if err := t.insertEntry(o.e, o.level, make(map[int]bool)); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// collectLeafEntries drains the subtree rooted at page, at level, freeing
-// its nodes.
-func (t *Tree) collectLeafEntries(page pagefile.PageID, level int) ([]entry, error) {
-	n, err := t.readNode(page, level)
-	if err != nil {
-		return nil, err
-	}
-	var out []entry
-	if n.leaf() {
-		out = append(out, n.entries...)
-	} else {
-		for i := range n.entries {
-			sub, err := t.collectLeafEntries(n.entries[i].child, n.level-1)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub...)
-		}
-	}
-	t.unshaped -= n.unshaped
-	if err := t.freePage(n.page); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

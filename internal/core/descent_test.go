@@ -259,8 +259,9 @@ func TestQuantileDescentSound(t *testing.T) {
 							if p >= q.Prob && !ids[o.ID] {
 								t.Fatalf("query %v: object %d (%v) reaches pq with %v, its leaf is not visited", q, o.ID, o.PDF.ShapeKey(), p)
 							}
-							// A leaf validates at pq less catalogEps (pcr.decide).
-							if p >= q.Prob && !found[o.ID] || found[o.ID] && p < q.Prob-1e-12 {
+							// A leaf validates at pq less catalogEps, on a
+							// positive lower bound (pcr.decide).
+							if p >= q.Prob && !found[o.ID] || found[o.ID] && (p < q.Prob-1e-12 || p == 0) {
 								t.Fatalf("query %v: object %d has probability %v, among the results: %v", q, o.ID, p, found[o.ID])
 							}
 						}
@@ -288,7 +289,7 @@ func descentTree(t *testing.T, d int, build string, objs []Object) *Tree {
 		err = tree.BulkLoad(objs)
 	} else {
 		var entries []entry
-		if entries, err = tree.buildLeafEntries(objs); err != nil {
+		if entries, err = leafEntries(tree, objs); err != nil {
 			t.Fatal(err)
 		}
 		for i := range entries {

@@ -19,3 +19,21 @@ func (t *Tree) corruptDirectory(id int64, addr DataAddr, live bool) {
 // LiftChooseCut makes t's ChooseSubtree score overlap enlargement for every
 // child at level 1, as it did before the candidate cut (chooseCut).
 func LiftChooseCut(t *Tree) { t.cut = math.MaxInt }
+
+// LeafFill returns, for each leaf of t's working tree, the IDs of its
+// objects and its free bytes less one entry of the largest form it holds:
+// negative where the leaf has no room for another of those.
+func LeafFill(t *Tree) (ids [][]int64, spare []int, err error) {
+	err = t.walk(t.rootPage, t.rootLevel, func(n *node) error {
+		if !n.leaf() {
+			return nil
+		}
+		big, leaf := 0, make([]int64, len(n.entries))
+		for i := range n.entries {
+			big, leaf[i] = max(big, t.entrySize(&n.entries[i], true)), n.entries[i].id
+		}
+		ids, spare = append(ids, leaf), append(spare, pageBytes-t.entryBytes(n.entries, true)-big)
+		return nil
+	})
+	return ids, spare, err
+}

@@ -331,22 +331,27 @@ func (t *Tree) encodeNode(n *node, buf []byte) error {
 		return fmt.Errorf("core: node %d holds %d entries in %d bytes, capacity %d", n.page, len(n.entries), b, pageBytes)
 	}
 	clear(buf)
-	buf[0] = byte(n.level)
-	if !n.leaf() && t.kind == UTree {
-		buf[1] = halfInner
-	}
-	binary.LittleEndian.PutUint16(buf[2:], uint16(len(n.entries)))
+	t.putHeader(buf, n.level, len(n.entries))
 	off := nodeHeader
 	for i := range n.entries {
 		e := &n.entries[i]
 		if n.leaf() {
 			off += t.encodeLeafEntry(e, buf[off:])
 		} else {
-			t.encodeInnerEntry(e, buf[off:off+t.innerEntrySize])
+			t.encodeInnerEntry(buf[off:off+t.innerEntrySize], e.child, e.boxes)
 			off += t.innerEntrySize
 		}
 	}
 	return nil
+}
+
+// putHeader writes a node page's header: its level, flags and entry count.
+func (t *Tree) putHeader(buf []byte, level, count int) {
+	buf[0] = byte(level)
+	if level > 0 && t.kind == UTree {
+		buf[1] = halfInner
+	}
+	binary.LittleEndian.PutUint16(buf[2:], uint16(count))
 }
 
 // decodeNode checks page bytes and returns the packedNode that reads them.
@@ -590,16 +595,16 @@ func (t *Tree) encodeLeafEntry(e *entry, buf []byte) int {
 	return t.entrySize(e, true)
 }
 
-// encodeInnerEntry writes intermediate entry e over buf: child, pad, then
-// its boxes — a U-tree's MBR⊥ and MBR⊤ as float32, each face rounded
-// outward (unionBoundary has rounded them already, and a box widened from a
-// page is float32 too, so the rounding is exact), U-PCR's m boxes as
-// float64.
-func (t *Tree) encodeInnerEntry(e *entry, buf []byte) {
-	binary.LittleEndian.PutUint32(buf, uint32(e.child))
+// encodeInnerEntry writes the intermediate entry of child and boxes over
+// buf: child, pad, then the boxes — a U-tree's MBR⊥ and MBR⊤ as float32,
+// each face rounded outward (unionBoundary has rounded them already, and a
+// box widened from a page is float32 too, so the rounding is exact),
+// U-PCR's m boxes as float64.
+func (t *Tree) encodeInnerEntry(buf []byte, child pagefile.PageID, boxes []geom.Rect) {
+	binary.LittleEndian.PutUint32(buf, uint32(child))
 	binary.LittleEndian.PutUint32(buf[4:], 0)
 	off := 8
-	for _, b := range e.boxes {
+	for _, b := range boxes {
 		if t.kind == UPCR {
 			off = putRect(buf, off, b)
 			continue

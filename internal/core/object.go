@@ -45,18 +45,13 @@ const (
 
 // encodeObject serializes o's data record, the keyed form when ref names a
 // recentrable shape in shapes (the writer's table, which names o's shape by
-// ref), else the full form.
+// ref), else the full form. The writer puts a keyed record straight into
+// its page (putKeyed).
 func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
 	if ref != 0 && shapes[ref-1].rc != nil {
-		ctr := o.PDF.Center()
-		buf := make([]byte, keyedHeader, keyedHeader+8*len(ctr))
-		binary.LittleEndian.PutUint64(buf, uint64(o.ID))
-		buf[8] = keyedTag
-		binary.LittleEndian.PutUint16(buf[9:], ref)
-		for _, v := range ctr {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		return buf, nil
+		rec := make([]byte, keyedSize(o.PDF.Dim()))
+		putKeyed(rec, o.ID, ref, o.PDF.Center())
+		return rec, nil
 	}
 	pb, err := updf.Encode(o.PDF)
 	if err != nil {
@@ -66,6 +61,20 @@ func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf, uint64(o.ID))
 	copy(buf[8:], pb)
 	return buf, nil
+}
+
+// keyedSize is a keyed record's size in d dimensions.
+func keyedSize(d int) int { return keyedHeader + 8*d }
+
+// putKeyed writes the keyed record of object id, of shape ref and centred
+// at ctr, over rec (keyedSize bytes).
+func putKeyed(rec []byte, id int64, ref uint16, ctr geom.Point) {
+	binary.LittleEndian.PutUint64(rec, uint64(id))
+	rec[8] = keyedTag
+	binary.LittleEndian.PutUint16(rec[9:], ref)
+	for k, v := range ctr {
+		putF64(rec, keyedHeader+8*k, v)
+	}
 }
 
 // decodeObject reverses encodeObject, rebuilding a keyed record's pdf from

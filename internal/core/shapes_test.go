@@ -253,7 +253,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 			// object had a ShapeKey to it. (Its UTR3 leaves held keyed
 			// entries in full, as the UTR4 file TestOpenUTR4File opens
 			// does; these are written compact, as this version writes them.)
-			entries, err := tree.buildLeafEntries(objs)
+			entries, err := leafEntries(tree, objs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 			}
 			for i := range entries {
 				if tc.magic == metaMagicV2 {
-					entries[i] = tree.leafEntry(objs[i], 0)
+					entries[i] = tree.leafEntry(objs[i], 0, objs[i].PDF.MBR())
 				}
 				if entries[i].addr, err = tree.appendRecord(objs[i], 0); err != nil {
 					t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
+	"repro/internal/updf"
 )
 
 // Options configures a Tree.
@@ -151,9 +152,9 @@ type Tree struct {
 	// a keyed one's that a file from before compact entries holds. While
 	// there is one, no ancestor's MBR⊤ is known to bound the faces the
 	// descent's quantile test assumes (rangeQuery). writeNode keeps it as
-	// it writes leaves, each leaf's share in node.unshaped; condense and
-	// collectLeafEntries take a freed leaf's off; Rollback restores the
-	// committed count, and Open's walk counts it afresh.
+	// it writes leaves, each leaf's share in node.unshaped; condense takes
+	// a freed leaf's off; Rollback restores the committed count, and
+	// Open's walk counts it afresh.
 	unshaped int
 
 	// ws is the writer's scratch (writerScratch).
@@ -387,15 +388,17 @@ func (t *Tree) NodeCacheStats() (hits, misses int64) {
 }
 
 // checkObject rejects an object the tree cannot index: one without a pdf,
-// of another dimensionality, or whose region is not a finite box.
-func (t *Tree) checkObject(o Object) error {
+// of another dimensionality, or whose region is not a finite box. Past the
+// dimension check it writes the region's MBR into mbr (regionInto), whose
+// coordinate slices the caller provides.
+func (t *Tree) checkObject(o Object, mbr geom.Rect) error {
 	if o.PDF == nil {
 		return fmt.Errorf("core: object %d has no pdf", o.ID)
 	}
 	if o.PDF.Dim() != t.dim {
 		return fmt.Errorf("core: object dim %d, tree dim %d", o.PDF.Dim(), t.dim)
 	}
-	mbr := o.PDF.MBR()
+	regionInto(o.PDF, mbr)
 	for i, lo := range mbr.Lo {
 		if hi := mbr.Hi[i]; !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 			return fmt.Errorf("core: object %d: region %v is not a finite box", o.ID, mbr)
@@ -404,16 +407,29 @@ func (t *Tree) checkObject(o Object) error {
 	return nil
 }
 
-// leafEntry derives the leaf entry of a checked object, without its data
-// address. A keyed U-tree entry carries its shape's fit, fitted once per
-// shape, and its centre where the shape is recentrable, nothing else; an
-// unkeyed one computes its PCRs and fits its
-// float32 CFBs; a U-PCR entry holds its PCR list, from its shape's offsets
-// where it has a shape. It reads no tree state beyond the shape table, which
-// only the writer's shapeRef extends, so BulkLoad runs it on several
-// goroutines once every object has its reference.
-func (t *Tree) leafEntry(o Object, shape uint16) entry {
-	e := entry{id: o.ID, mbr: o.PDF.MBR(), shape: shape}
+// regionInto writes p's region MBR into dst: a Recentrer's without
+// allocating (MBRAt at its own centre, bit for bit MBR()), any other's by
+// copying MBR().
+func regionInto(p updf.PDF, dst geom.Rect) {
+	if rc, ok := p.(updf.Recentrer); ok {
+		rc.MBRAt(p.Center(), dst)
+		return
+	}
+	r := p.MBR()
+	copy(dst.Lo, r.Lo)
+	copy(dst.Hi, r.Hi)
+}
+
+// leafEntry derives the leaf entry of a checked object whose region MBR is
+// mbr, without its data address; the entry keeps mbr. A keyed U-tree entry
+// carries its shape's fit, fitted once per shape, and its centre where the
+// shape is recentrable, nothing else; an unkeyed one computes its PCRs and
+// fits its float32 CFBs; a U-PCR entry holds its PCR list, from its
+// shape's offsets where it has a shape. It reads no tree state beyond the
+// shape table, which only the writer's shapeRef extends, so BulkLoad runs
+// it on several goroutines once every object has its reference.
+func (t *Tree) leafEntry(o Object, shape uint16, mbr geom.Rect) entry {
+	e := entry{id: o.ID, mbr: mbr, shape: shape}
 	var fit *pcr.Shape
 	if shape != 0 {
 		fit = t.shapes[shape-1].fit
@@ -446,10 +462,11 @@ func (t *Tree) leafEntry(o Object, shape uint16) entry {
 
 // buildLeafEntry is checkObject + shapeRef + leafEntry.
 func (t *Tree) buildLeafEntry(o Object) (entry, error) {
-	if err := t.checkObject(o); err != nil {
+	mbr := geom.Rect{Lo: make(geom.Point, t.dim), Hi: make(geom.Point, t.dim)}
+	if err := t.checkObject(o, mbr); err != nil {
 		return entry{}, err
 	}
-	return t.leafEntry(o, t.shapeRef(o.PDF.ShapeKey(), o.PDF)), nil
+	return t.leafEntry(o, t.shapeRef(o.PDF.ShapeKey(), o.PDF), mbr), nil
 }
 
 // Insert adds an object to the index. An ID the tree already holds is

@@ -1,6 +1,7 @@
 package pcr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -235,5 +236,62 @@ func TestProbUpperBoundBites(t *testing.T) {
 	far := geom.NewRect(geom.Point{500, 500}, geom.Point{600, 600})
 	if _, ub := ProbBoundsPCR(pcrs, far); ub > 1e-6 {
 		t.Fatalf("PCR bound %.6f for disjoint rect, want ~0", ub)
+	}
+}
+
+// TestNoValidationOnZeroBound: at a threshold below catalogEps every leaf
+// filter — a stored CFB pair, a U-PCR entry's PCRs, a keyed entry's
+// translated shape faces, the shape's marginals at the leaf — and the
+// record's marginal test validate only an object with a positive lower
+// bound, so none returns an object of probability 0 — one whose MBR a
+// query meets at a corner the region does not reach.
+func TestNoValidationOnZeroBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	cat := UniformCatalog(15)
+	cache := NewQuantileCache()
+	var faces Faces
+	zeros := 0
+	for pi, p := range boundTestPDFs(rng) {
+		pcrs := Compute(p, cat, nil)
+		out, in := FitOut(pcrs), FitIn(pcrs)
+		shape := NewShape(p, cat)
+		mbr := p.MBR()
+		for q := 0; q < 2000; q++ {
+			rq := boundTestRect(rng, mbr)
+			if q%2 == 0 {
+				// A box at a random corner of the MBR, reaching into it by
+				// up to a fifth of each side.
+				lo, hi := make(geom.Point, mbr.Dim()), make(geom.Point, mbr.Dim())
+				for i := range lo {
+					in, ext := rng.Float64()*mbr.Side(i)/5, rng.Float64()*mbr.Side(i)
+					if rng.Intn(2) == 0 {
+						lo[i], hi[i] = mbr.Lo[i]-ext, mbr.Lo[i]+in
+					} else {
+						lo[i], hi[i] = mbr.Hi[i]-in, mbr.Hi[i]+ext
+					}
+				}
+				rq = geom.NewRect(lo, hi)
+			}
+			exact := p.ExactProb(rq)
+			if exact == 0 && rq.Intersects(mbr) {
+				zeros++
+			}
+			for _, pq := range []float64{math.SmallestNonzeroFloat64, 1e-300, 1e-13} {
+				for name, got := range map[string]Outcome{
+					"CFB":      FilterCFB(out, in, cat, mbr, rq, pq),
+					"U-PCR":    FilterCatalogPCR(pcrs, mbr, rq, pq),
+					"shape":    shape.Filter(&faces, cat, mbr, rq, pq),
+					"leaf":     FilterShape(p, mbr, mbr, rq, pq, cache),
+					"marginal": FilterMarginal(p, rq, pq, cache),
+				} {
+					if got == Validated && exact == 0 {
+						t.Fatalf("pdf %d (%T) pq=%g: %s validated an object of probability 0 in rq=%v", pi, p, pq, name, rq)
+					}
+				}
+			}
+		}
+	}
+	if zeros < 100 {
+		t.Fatalf("%d queries meet an MBR where the region has no mass; the check is thin", zeros)
 	}
 }

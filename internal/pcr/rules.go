@@ -39,10 +39,12 @@ func (o Outcome) String() string {
 // decide turns the two-sided probability bound into an outcome: lb at the
 // threshold validates, ub below it prunes. Validation carries catalogEps
 // because Rules 3–5, which this replaces, matched thresholds to catalog
-// values with that tolerance (p_q = 0.9 against p_j = 0.1 must validate).
+// values with that tolerance (p_q = 0.9 against p_j = 0.1 must validate);
+// it needs lb > 0 as well, or at a threshold below catalogEps an object
+// the query cannot reach would validate on its zero bound.
 func decide(lb, ub, pq float64) Outcome {
 	switch {
-	case lb >= pq-catalogEps:
+	case lb >= pq-catalogEps && lb > 0:
 		return Validated
 	case ub < pq-boundPruneEps:
 		return PrunedByBound

@@ -1,6 +1,9 @@
 package updf
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // shapeKey starts a built-in family's ShapeKey: its name, then ":d=" and
 // the dimensionality. The families append their parameters with appendG;
@@ -15,13 +18,38 @@ func shapeKey(family string, dim int) []byte {
 // appendG appends x as fmt's %g formats it.
 func appendG(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'g', -1, 64) }
 
-// ShapeID is ShapeKey in comparable, allocation-free form: it names what a
-// pdf's marginal CDFs depend on once Center() is subtracted, for callers
-// that keep a per-shape table and look it up once per query candidate,
-// where formatting the ShapeKey string would cost more than the lookup.
+// ShapeID is ShapeKey in comparable, allocation-free form, for the balls
+// (uniform and Con-Gau, in any dimension): the families every dataset
+// loads. It names what a pdf's
+// marginal CDFs depend on once Center() is subtracted, for callers that
+// keep a per-shape table and look it up once per query candidate or per
+// indexed object, where formatting the ShapeKey string would cost more
+// than the lookup. The parameters are held as their bits, so equal IDs
+// mean equal ShapeKeys (the keys format the same bits); the converse fails
+// only for NaNs of different payloads, which format alike.
 type ShapeID struct {
-	dim  int     // pdf dimensionality
-	a, b float64 // the family's shape parameters
+	family uint8  // idUBall or idConGau
+	dim    int    // pdf dimensionality
+	a, b   uint64 // the family's shape parameters, as math.Float64bits
+}
+
+// The families a ShapeID names.
+const (
+	idUBall = 1 + iota
+	idConGau
+)
+
+// ShapeIDOf returns p's ShapeID, and false for a pdf whose family has none
+// (the caller formats its ShapeKey). Two pdfs with equal IDs have equal
+// non-empty ShapeKeys.
+func ShapeIDOf(p PDF) (ShapeID, bool) {
+	switch v := p.(type) {
+	case *UniformBall:
+		return ShapeID{family: idUBall, dim: v.Dim(), a: math.Float64bits(v.R)}, true
+	case *ConGauBall:
+		return ShapeID{family: idConGau, dim: v.Dim(), a: math.Float64bits(v.R), b: math.Float64bits(v.Sigma)}, true
+	}
+	return ShapeID{}, false
 }
 
 // MarginalTable reports whether p's MarginalCDF should be read from a
@@ -39,7 +67,7 @@ type ShapeID struct {
 //     whole the answer is "call it".
 func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
 	if g, ok := p.(*ConGauBall); ok && g.Dim() == 2 {
-		return ShapeID{dim: 2, a: g.R, b: g.Sigma}, true
+		return ShapeIDOf(g)
 	}
 	return ShapeID{}, false
 }
@@ -48,18 +76,12 @@ func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
 // once — P(X₀ − c₀ > a, X₁ − c₁ > b) for offsets a, b from its centre —
 // should be read from a per-shape table, and the shape to file it under:
 // for a ball in 2-D, uniform or Con-Gau, whose rotational symmetry makes
-// that one function of (a, b) give the mass beyond any two faces. The
-// shape's b is the Con-Gau's σ and 0 for a uniform ball, which no Con-Gau
-// has.
+// that one function of (a, b) give the mass beyond any two faces.
 func QuadrantTable(p PDF) (shape ShapeID, tabulate bool) {
-	switch v := p.(type) {
-	case *UniformBall:
-		if v.Dim() == 2 {
-			return ShapeID{dim: 2, a: v.R}, true
-		}
-	case *ConGauBall:
-		if v.Dim() == 2 {
-			return ShapeID{dim: 2, a: v.R, b: v.Sigma}, true
+	switch p.(type) {
+	case *UniformBall, *ConGauBall:
+		if p.Dim() == 2 {
+			return ShapeIDOf(p)
 		}
 	}
 	return ShapeID{}, false

@@ -118,3 +118,58 @@ func polygonOrNil(verts []geom.Point) (p *UniformPolygon, ok bool) {
 	}()
 	return NewUniformPolygon(verts), true
 }
+
+// TestShapeIDOfNamesShapeKey: a ShapeID stands in for its pdf's ShapeKey,
+// so equal IDs must mean equal keys, through ±0, NaN and subnormal
+// parameters; translates share an ID; a family without one says so, and
+// the call allocates nothing.
+func TestShapeIDOfNamesShapeKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	keys := map[ShapeID]string{}
+	pick := func() float64 {
+		// A small pool, so that IDs meet often.
+		return []float64{0, math.Copysign(0, -1), 1, 250, math.NaN(), math.Float64frombits(1), keyFloat(rng)}[rng.Intn(7)]
+	}
+	for k := 0; k < 20000; k++ {
+		ctr := keyPoint(rng, 1+rng.Intn(3))
+		var p PDF = &UniformBall{Ctr: ctr, R: pick()}
+		if k%2 == 1 {
+			p = &ConGauBall{Ctr: ctr, R: pick(), Sigma: pick()}
+		}
+		id, ok := ShapeIDOf(p)
+		if !ok {
+			t.Fatalf("%T in %d-D has no ShapeID", p, p.Dim())
+		}
+		if key, seen := keys[id]; seen && key != p.ShapeKey() {
+			t.Fatalf("one ShapeID for keys %q and %q", key, p.ShapeKey())
+		}
+		keys[id] = p.ShapeKey()
+	}
+	if len(keys) < 50 {
+		t.Fatalf("%d distinct IDs; the check is thin", len(keys))
+	}
+
+	a, _ := ShapeIDOf(NewUniformBall(geom.Point{1, 2}, 250))
+	if b, _ := ShapeIDOf(NewUniformBall(geom.Point{7, 9}, 250)); a != b {
+		t.Error("translated balls have different shape IDs")
+	}
+	if c, _ := ShapeIDOf(NewConGauBall(geom.Point{1, 2}, 250, 125)); a == c {
+		t.Error("a uniform and a Con-Gau ball of one radius share a shape ID")
+	}
+	rect := geom.NewRect(geom.Point{0, 0}, geom.Point{4, 2})
+	for _, p := range []PDF{
+		NewUniformRect(rect),
+		NewGaussRect(rect, geom.Point{1, 1}, []float64{1, 1}),
+		NewExpoRect(rect, []float64{1, 0}),
+		NewHistogramRect(rect, []int{2, 1}, []float64{1, 3}),
+		NewUniformPolygon([]geom.Point{{0, 0}, {4, 0}, {0, 4}}),
+	} {
+		if _, ok := ShapeIDOf(p); ok {
+			t.Errorf("%T has a ShapeID", p)
+		}
+	}
+	ball := NewUniformBall(geom.Point{0, 0}, 5)
+	if n := testing.AllocsPerRun(100, func() { ShapeIDOf(ball) }); n != 0 {
+		t.Errorf("ShapeIDOf allocates %v times a call", n)
+	}
+}

@@ -1,7 +1,6 @@
 package uncertain
 
 import (
-	"cmp"
 	"context"
 	"slices"
 
@@ -54,12 +53,17 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Ascending-ID order, not map order: the tiling, the data-page layout
-	// and with them I/O counts and k-NN estimates repeat run to run.
-	objs := make([]core.Object, 0, len(objects))
-	for id, p := range objects {
-		objs = append(objs, core.Object{ID: id, PDF: p})
+	// and with them I/O counts and k-NN estimates repeat run to run. The
+	// IDs are sorted, not the objects.
+	ids := make([]int64, 0, len(objects))
+	for id := range objects {
+		ids = append(ids, id)
 	}
-	slices.SortFunc(objs, func(a, b core.Object) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(ids)
+	objs := make([]core.Object, len(ids))
+	for i, id := range ids {
+		objs[i] = core.Object{ID: id, PDF: objects[id]}
+	}
 	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
 	}
