@@ -33,16 +33,17 @@ import (
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
 	st := &treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.Len(), shapes: t.shapes, unshaped: t.unshaped, rootMBR: t.rootMBR}
-	return t.checkTreeAt(st, t.dir, false)
+	return t.checkTreeAt(st, t.dir, nil)
 }
 
 // checkTreeAt validates the tree of the given state — the working one and
 // its directory for the check above, a pinned epoch's and nil for
-// Snapshot.CheckInvariants — and with records set the records that shape
-// references vouch for. The working tree is read as the writer reads it,
-// its dirty pages included; a pinned epoch's committed pages are read from
-// the store, as a query reads them, since its check runs beside the writer.
-func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) error {
+// Snapshot.CheckInvariants — and with rec set the records that shape
+// references vouch for, read through rec. The working tree is read as the
+// writer reads it, its dirty pages included; a pinned epoch's committed
+// pages are read from the store, as a query reads them, since its check
+// runs beside the writer.
+func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, rec *queryScratch) error {
 	read := t.readNode
 	if dir == nil {
 		read = func(page pagefile.PageID, level int) (*node, error) {
@@ -81,7 +82,7 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 			unshaped += n.unshaped
 			for i := range n.entries {
 				e := &n.entries[i]
-				if err := t.checkShape(e, st.shapes, records); err != nil {
+				if err := t.checkShape(e, st.shapes, rec); err != nil {
 					return nil, fmt.Errorf("core: node %d entry %d: %w", page, i, err)
 				}
 				if addr, ok := dir[e.id]; dir != nil && (!ok || addr != e.addr) {
@@ -141,9 +142,9 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, records bool) 
 }
 
 // checkShape validates a leaf entry's shape reference against the table,
-// and with record set the record's pdf against the shape and a centre
-// entry's centre.
-func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
+// and with rec set the record's pdf, read through rec, against the shape
+// and a centre entry's centre.
+func (t *Tree) checkShape(e *entry, shapes []shape, rec *queryScratch) error {
 	if e.shape == 0 {
 		return nil
 	}
@@ -159,15 +160,10 @@ func (t *Tree) checkShape(e *entry, shapes []shape, record bool) error {
 			return fmt.Errorf("MBR %v does not have the extents of shape %d (%v)", e.mbr, e.shape, sh.mbr)
 		}
 	}
-	if !record {
+	if rec == nil {
 		return nil
 	}
-	var obj Object
-	page := make([]byte, pagefile.PageSize) // the store's: the writer's bytes are not the epoch's
-	err := t.store.Read(e.addr.Page, page)
-	if err == nil {
-		obj, err = objectFromPage(page, e.addr.Slot, shapes)
-	}
+	obj, err := rec.object(t.store, shapes, e.id, e.addr, new(int))
 	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
 		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())
 	}

@@ -323,12 +323,10 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("commit after rollback")
-	page := make([]byte, pagefile.PageSize)
+	sc := getScratch()
+	defer sc.release()
 	for id, a := range tree.dir {
-		if err := tree.store.Read(a.Page, page); err != nil {
-			t.Fatal(err)
-		}
-		if o, err := objectFromPage(page, a.Slot, tree.shapes); err != nil || o.ID != id {
+		if o, err := sc.object(tree.store, tree.shapes, id, a, new(int)); err != nil || o.ID != id {
 			t.Fatalf("object %d at %+v: read %d, err %v", id, a, o.ID, err)
 		}
 	}

@@ -27,48 +27,67 @@ func bruteNN(objs []Object, q geom.Point, k, samples int) []NNResult {
 	return all
 }
 
+// TestNearestNeighborsMatchesBruteForce holds k-NN to the brute-force
+// ranking, rank by rank, over every leaf form: an insert-built U-tree of
+// makeObjects, and over shapedObjects (keyed and unkeyed families) a
+// bulk-loaded U-tree (centre entries), an insert-built one and a U-PCR.
 func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	objs := makeObjects(500, 1000, rng)
-	tree, err := New(Options{Dim: 2, MCSamples: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range objs {
-		if err := tree.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 12; trial++ {
-		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		k := 1 + rng.Intn(8)
-		got, stats, err := nearestNeighbors(tree, q, k)
+	plain := makeObjects(500, 1000, rand.New(rand.NewSource(21)))
+	shaped := shapedObjects(500, 1000, rand.New(rand.NewSource(27)))
+	build := func(kind Kind, objs []Object, bulk bool) *Tree {
+		tree, err := New(Options{Dim: 2, Kind: kind, MCSamples: 2000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteNN(objs, q, k, tree.samples)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
+		if bulk {
+			err = tree.BulkLoad(objs)
 		}
-		for i := range got {
-			// IDs may swap between near-equal distances; distances must
-			// agree position-wise (deterministic estimator).
-			if math.Abs(got[i].ExpectedDist-want[i].ExpectedDist) > 1e-9 {
-				t.Fatalf("trial %d rank %d: dist %g vs %g",
-					trial, i, got[i].ExpectedDist, want[i].ExpectedDist)
+		for i := 0; i < len(objs) && !bulk && err == nil; i++ {
+			err = tree.Insert(objs[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	for _, tc := range []struct {
+		name string
+		objs []Object
+		tree *Tree
+	}{
+		{"inserted", plain, build(UTree, plain, false)},
+		{"shaped bulk-loaded", shaped, build(UTree, shaped, true)},
+		{"shaped inserted", shaped, build(UTree, shaped, false)},
+		{"shaped U-PCR", shaped, build(UPCR, shaped, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(22))
+			for trial := 0; trial < 12; trial++ {
+				q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
+				k := 1 + rng.Intn(8)
+				got, stats, err := nearestNeighbors(tc.tree, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteNN(tc.objs, q, k, tc.tree.samples)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
+				}
+				// The estimator is deterministic, so each rank holds the
+				// oracle's distance to the bit; its ID too, unless that
+				// distance ties another object's.
+				for i := range got {
+					if got[i] != want[i] && got[i].ExpectedDist != want[i].ExpectedDist {
+						t.Fatalf("trial %d rank %d: %+v, want %+v", trial, i, got[i], want[i])
+					}
+				}
+				// Best-first search must evaluate far fewer objects than brute force.
+				if stats.DistanceComps >= len(tc.objs) {
+					t.Fatalf("trial %d: %d distance computations for %d objects",
+						trial, stats.DistanceComps, len(tc.objs))
+				}
 			}
-		}
-		// Ascending order.
-		for i := 1; i < len(got); i++ {
-			if got[i].ExpectedDist < got[i-1].ExpectedDist {
-				t.Fatalf("results not sorted: %+v", got)
-			}
-		}
-		// Best-first search must evaluate far fewer objects than brute force.
-		if stats.DistanceComps >= len(objs) {
-			t.Fatalf("trial %d: %d distance computations for %d objects",
-				trial, stats.DistanceComps, len(objs))
-		}
+		})
 	}
 }
 

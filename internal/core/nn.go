@@ -133,9 +133,6 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 	*pq = append((*pq)[:0], nnItem{lb: 0, isNode: true, level: uint8(s.st.rootLevel), page: root})
 
 	worst := math.Inf(1)
-	// The data page the last refined object was read from.
-	dataPage, dataBuf := pagefile.InvalidPage, sc.dataPage()
-
 	for pq.Len() > 0 {
 		if cerr := ctx.Err(); cerr != nil {
 			return finish(cerr)
@@ -181,18 +178,10 @@ func (s *Snapshot) NearestNeighbors(ctx context.Context, q geom.Point, k int, o 
 		}
 		// Leaf object: refine its expected distance. Consecutive pops are
 		// spatial neighbours, which a bulk-loaded tree stores on one data
-		// page: keep the page just read and fetch only when the next object
-		// lives elsewhere.
-		if it.addr.Page != dataPage {
-			if err = t.store.Read(it.addr.Page, dataBuf); err != nil {
-				return finish(err)
-			}
-			dataPage = it.addr.Page
-			stats.RefinementIOs++
-		}
-		obj, err := objectFromPage(dataBuf, it.addr.Slot, s.st.shapes)
+		// page, so the page the reader holds often serves the next one too.
+		obj, err := sc.object(t.store, s.st.shapes, it.id, it.addr, &stats.RefinementIOs)
 		if err != nil {
-			return finish(fmt.Errorf("core: refining object %d: %w", it.id, err))
+			return finish(err)
 		}
 		d := expectedDistanceScratch(obj.PDF, q, t.samples, obj.ID, distBuf)
 		stats.DistanceComps++

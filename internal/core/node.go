@@ -189,10 +189,10 @@ func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
 // keyed U-tree leaf entry comes out centred where the page holds its
 // centre and compact otherwise — a UTR4 file's are full — so the next write
 // of its node stores it so, and its faces are its shape's in the table, its
-// MBR, for a centre entry, the shape's box at the centre (in one slab for
-// the node). One whose reference is beyond the table, which
-// CheckInvariants reports, has no faces but its MBR; a centre entry with
-// no recentrable shape has its centre for one.
+// MBR packedNode.leafMBR's (a centre entry's in one slab for the node). One
+// whose reference is beyond the table, which CheckInvariants reports, has
+// no faces but its MBR; a centre entry with no recentrable shape has its
+// centre for one.
 //
 // It counts the leaf's unshaped entries (node.unshaped): those without
 // faces from the table, and those the page stores full.
@@ -221,26 +221,22 @@ func (t *Tree) expand(p *packedNode, shapes []shape) *node {
 		case t.kind == UTree:
 			e.id = p.id(i)
 			e.addr, e.shape = p.addr(i)
-			var sh *shape
 			if e.shape != 0 && int(e.shape) <= len(shapes) {
-				sh = &shapes[e.shape-1]
-				e.fit = sh.fit
+				e.fit = shapes[e.shape-1].fit
 			}
+			var dst geom.Rect
 			switch {
-			case !p.centred(i):
-				e.mbr = p.mbr(i)
-				if e.shape == 0 {
-					e.out, e.in = p.cfbs(i)
-				}
-			case sh == nil || sh.rc == nil:
-				e.ctr, e.fit = p.centre(i), nil
-				e.mbr = geom.Rect{Lo: e.ctr, Hi: e.ctr}
-			default:
+			case p.centred(i):
 				if mbrs == nil {
 					mbrs = newBoxes(p.count, t.dim)
 				}
-				e.ctr, e.mbr = p.centre(i), mbrs[i]
-				sh.rc.MBRAt(e.ctr, e.mbr)
+				e.ctr, dst = p.centre(i), mbrs[i]
+			case e.shape == 0:
+				e.out, e.in = p.cfbs(i)
+			}
+			var ok bool
+			if e.mbr, ok = p.leafMBR(i, shapes, dst); !ok {
+				e.mbr, e.fit = geom.Rect{Lo: e.ctr, Hi: e.ctr}, nil
 			}
 			if e.fit == nil || p.form(i) == 0 {
 				n.unshaped++

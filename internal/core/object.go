@@ -112,17 +112,6 @@ func decodeObject(rec []byte, shapes []shape) (Object, error) {
 	return Object{ID: id, PDF: rc.Recentred(ctr)}, nil
 }
 
-// objectFromPage decodes a record where it lies in its data page, against
-// the reading epoch's shape table: for the query paths, which hold the page
-// for as long as they use the object.
-func objectFromPage(page []byte, slot uint16, shapes []shape) (Object, error) {
-	rec, err := RecordFromPage(page, slot)
-	if err != nil {
-		return Object{}, err
-	}
-	return decodeObject(rec, shapes)
-}
-
 // putF64 is the little-endian float helper of entry and node serialization.
 func putF64(buf []byte, off int, v float64) int {
 	binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/pagefile"
 	"repro/internal/pcr"
 )
 
@@ -205,7 +204,6 @@ func (t *Tree) rangeQuery(ctx context.Context, st *treeState, q Query, o QueryOp
 	frontier := append(sc.frontier[:0], st.rootPage)
 	next := sc.next[:0]
 	cands := sc.cands[:0]
-	box := sc.mbr(t.dim)
 	defer func() {
 		// Hand the (possibly grown) buffers back before releasing.
 		sc.frontier, sc.next, sc.cands = frontier, next, cands
@@ -245,31 +243,10 @@ descent:
 			}
 			stats.LeafAccesses++
 			for i := 0; i < n.count; i++ {
-				mbr, ok := n.leafMBR(i, st.shapes, box)
-				addr, shape := n.addr(i)
-				var outcome pcr.Outcome
-				switch {
-				case !ok:
-					// A centre entry whose shape the table cannot recentre
-					// has no box: the record decides.
-					outcome = pcr.Unknown
-				case t.kind == UPCR:
-					outcome = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
-				case n.form(i) == 0:
-					out, in := n.cfbs(i)
-					outcome = pcr.FilterCFB(out, in, t.cat, mbr, q.Rect, q.Prob)
-				case int(shape) <= len(st.shapes):
-					// A compact or centre entry's faces are its shape's,
-					// translated.
-					outcome = st.shapes[shape-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
-				default:
-					// A reference beyond the table gives no faces: the
-					// record decides.
-					outcome = pcr.Unknown
-				}
+				c, outcome := sc.decide(t, st.shapes, n, i, q, o.noShapeTest)
 				switch outcome {
 				case pcr.Validated:
-					results = append(results, Result{ID: n.id(i), Prob: -1, Validated: true})
+					results = append(results, Result{ID: c.id, Prob: -1, Validated: true})
 					stats.Validated++
 					if o.limitReached(len(results)) {
 						break descent
@@ -277,11 +254,6 @@ descent:
 				case pcr.PrunedByBound:
 					stats.ProbFilterPruned++
 				case pcr.Unknown:
-					c := candidate{id: n.id(i), addr: addr, keyed: ok && shape != 0 && int(shape) <= len(st.shapes)}
-					if c.keyed && !o.noShapeTest {
-						sh := &st.shapes[shape-1] // refinement's test, before the fetch
-						c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
-					}
 					cands = append(cands, c)
 				}
 			}
@@ -297,7 +269,6 @@ descent:
 	slices.SortFunc(cands, func(a, b candidate) int {
 		return cmp.Or(cmp.Compare(a.addr.Page, b.addr.Page), cmp.Compare(a.addr.Slot, b.addr.Slot))
 	})
-	pageBuf, pageID := sc.dataPage(), pagefile.InvalidPage
 	// refined ends the stage, on completion and on every early exit of the
 	// loop below alike.
 	refined := func(err error) ([]Result, QueryStats, error) {
@@ -321,15 +292,8 @@ descent:
 		if outcome != pcr.Unknown {
 			stats.ShapeDecided++
 		} else {
-			if c.addr.Page != pageID {
-				if err = t.store.Read(c.addr.Page, pageBuf); err != nil {
-					return refined(err)
-				}
-				pageID = c.addr.Page
-				stats.RefinementIOs++
-			}
-			if obj, err = objectFromPage(pageBuf, c.addr.Slot, st.shapes); err != nil {
-				return refined(fmt.Errorf("core: refining object %d: %w", c.id, err))
+			if obj, err = sc.object(t.store, st.shapes, c.id, c.addr, &stats.RefinementIOs); err != nil {
+				return refined(err)
 			}
 			// An unkeyed object is a shape of its own: a table of its CDF
 			// would be built for this one object and kept for ever, so its

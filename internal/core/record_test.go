@@ -233,6 +233,65 @@ func TestKeyedRecordDamage(t *testing.T) {
 	}
 }
 
+// TestCheckRecordsReadsHeldPages: CheckRecords reads records through the
+// one record reader, so it reads the store once each time the walk's next
+// keyed entry names another data page than the one before, not once an
+// entry. It reads the store's bytes, not the writer's: the pages the open
+// batch has written are read from the store like the rest.
+func TestCheckRecordsReadsHeldPages(t *testing.T) {
+	store := pagefile.NewMemStore()
+	tree, err := New(Options{Dim: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(shapedObjects(3000, 1500, rand.New(rand.NewSource(27)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	keyed, changes, held := 0, 0, pagefile.InvalidPage
+	pages := map[pagefile.PageID]bool{}
+	if err := tree.walk(tree.rootPage, tree.rootLevel, func(n *node) error {
+		for i := range n.entries {
+			if e := &n.entries[i]; n.leaf() && e.shape != 0 {
+				keyed++
+				if e.addr.Page != held {
+					changes, held = changes+1, e.addr.Page
+				}
+				pages[e.addr.Page] = true
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := tree.Snapshot()
+	defer snap.Close()
+	// The writer appends to the committed append page, a page of the
+	// snapshot's records, which the open batch now holds dirty.
+	if err := tree.Insert(Object{ID: 1 << 20, PDF: updf.NewUniformBall(geom.Point{10, 10}, 25)}); err != nil {
+		t.Fatal(err)
+	}
+	dirty := 0
+	for id := range tree.dirty {
+		if pages[id] {
+			dirty++
+		}
+	}
+	reads := func(check func() error) int64 {
+		r := store.Stats().Reads.Load()
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
+		return store.Stats().Reads.Load() - r
+	}
+	nodes := reads(snap.CheckInvariants)
+	if got := reads(snap.CheckRecords) - nodes; got != int64(changes) || dirty == 0 || changes >= keyed {
+		t.Fatalf("CheckRecords read %d data pages for %d keyed entries, want %d (%d of them dirty)", got, keyed, changes, dirty)
+	}
+}
+
 // BenchmarkDecodeRecord decodes one 2-D ball's data record: the full form
 // (updf.Decode of tag, dimensionality, centre and radius) against the keyed
 // one (the centre and a shape reference, the prototype recentred).

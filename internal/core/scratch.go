@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -11,28 +12,30 @@ import (
 
 // Per-query scratch pooling: the traversal state a query would otherwise
 // allocate afresh — descent frontiers, candidate lists, the NN frontier
-// heap, the NN expected-distance sample buffer, the box of the leaf entry
-// in hand, the data page refinement reads and seeded samplers — is
+// heap, the NN expected-distance sample buffer, seeded samplers, and what
+// the leaf-entry questions work in: the faces and box of the entry decide
+// filters, and the data page the record reader holds with its id — is
 // recycled through sync.Pools.
 // The discipline:
 //
 //   - Everything handed out is length-reset before reuse (capacity kept),
-//     so no query ever observes another query's values.
+//     and the held page id reset on every getScratch, since a page id can
+//     be reused by a later epoch: no query observes another query's values.
 //   - Nothing that escapes to the caller is pooled: result slices are
 //     always allocated fresh.
 //   - Scratch never holds pointers into tree pages or cached nodes — the
 //     element types (PageID, candidate, nnItem, float64, byte, the lines
 //     of pcr.Faces) are pointer-free, and the box lies over the slab's own
 //     coordinates — so a pooled buffer retains no memory beyond its own
-//     backing array. A data page read into page is done with once its
-//     records are decoded: decodeObject and updf.Decode copy every value
-//     out of the record.
+//     backing array. decodeObject and updf.Decode copy every value out of
+//     the page, so an object outlives the next read into it.
 //
 // Results are byte-identical to the unpooled path: pooling changes where
 // buffers live, never the order of appends, pops, or sampler draws.
 
-// candidate is a leaf entry awaiting refinement: id, data record address and
-// what pcr.FilterShape made of it — Unknown where the record has to be read.
+// candidate is a leaf entry as decide leaves it for refinement: id, data
+// record address and what pcr.FilterShape made of it — Unknown where the
+// record has to be read.
 type candidate struct {
 	id      int64
 	addr    DataAddr
@@ -47,14 +50,19 @@ type queryScratch struct {
 	cands    []candidate       // refinement candidates
 	heap     nnHeap            // NN frontier
 	mc       geom.Point        // NN expected-distance sample point
-	faces    pcr.Faces         // the leaf entry the range filter is deciding
+	faces    pcr.Faces         // the leaf entry decide is filtering
 	box      rectSlab          // a centre entry's MBR (packedNode.leafMBR)
-	page     []byte            // the data page refinement last read
+	page     []byte            // the data page the record reader holds
+	held     pagefile.PageID   // page's id, InvalidPage before a read
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-func getScratch() *queryScratch { return scratchPool.Get().(*queryScratch) }
+func getScratch() *queryScratch {
+	sc := scratchPool.Get().(*queryScratch)
+	sc.held = pagefile.InvalidPage
+	return sc
+}
 
 // release resets every buffer's length (keeping capacity) and returns the
 // scratch to the pool.
@@ -69,12 +77,59 @@ func (sc *queryScratch) release() {
 // mbr returns the scratch box of dimensionality dim.
 func (sc *queryScratch) mbr(dim int) geom.Rect { return sc.box.take(1, dim)[0] }
 
-// dataPage returns the scratch data page, PageSize bytes.
-func (sc *queryScratch) dataPage() []byte {
-	if sc.page == nil {
-		sc.page = make([]byte, pagefile.PageSize)
+// decide is a range query's one test of leaf entry i of n on what the entry
+// stores (Section 5.2): Observation 3 on its CFBs — stored, or its shape's
+// translated — or Observation 2 on a U-PCR's PCRs. An Unknown entry's
+// candidate also carries pcr.FilterShape's decision where the entry names
+// a shape of the table, so refinement reads a record only where that
+// decides nothing; noShapeTest leaves it to the record.
+func (sc *queryScratch) decide(t *Tree, shapes []shape, n *packedNode, i int, q Query, noShapeTest bool) (candidate, pcr.Outcome) {
+	addr, ref := n.addr(i)
+	mbr, ok := n.leafMBR(i, shapes, sc.mbr(t.dim))
+	c := candidate{id: n.id(i), addr: addr, keyed: ok && ref != 0 && int(ref) <= len(shapes)}
+	out := pcr.Unknown // no box, or no faces (a reference beyond the table): the record decides
+	switch {
+	case !ok:
+	case t.kind == UPCR:
+		out = pcr.FilterCatalogPCR(pcr.PCRs{Cat: t.cat, Boxes: n.boxes(i)}, mbr, q.Rect, q.Prob)
+	case n.form(i) == 0:
+		cout, cin := n.cfbs(i)
+		out = pcr.FilterCFB(cout, cin, t.cat, mbr, q.Rect, q.Prob)
+	case c.keyed:
+		out = shapes[ref-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
 	}
-	return sc.page
+	if out == pcr.Unknown && c.keyed && !noShapeTest {
+		sh := &shapes[ref-1]
+		c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
+	}
+	return c, out
+}
+
+// object is the one record reader: object id's record at a, decoded against
+// shapes from the store's bytes — never the writer's — read into the
+// scratch page unless it holds that page already, each read counted in
+// reads. A store error is returned as it is, a decode error wrapped.
+func (sc *queryScratch) object(s pagefile.Store, shapes []shape, id int64, a DataAddr, reads *int) (Object, error) {
+	if a.Page != sc.held {
+		if sc.page == nil {
+			sc.page = make([]byte, pagefile.PageSize)
+		}
+		sc.held = pagefile.InvalidPage
+		if err := s.Read(a.Page, sc.page); err != nil {
+			return Object{}, err
+		}
+		sc.held = a.Page
+		*reads++
+	}
+	rec, err := RecordFromPage(sc.page, a.Slot)
+	var obj Object
+	if err == nil {
+		obj, err = decodeObject(rec, shapes)
+	}
+	if err != nil {
+		return obj, fmt.Errorf("core: refining object %d: %w", id, err)
+	}
+	return obj, nil
 }
 
 // point returns the scratch sample buffer resized to dim.

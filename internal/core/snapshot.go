@@ -174,12 +174,16 @@ func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 
 // CheckInvariants validates the pinned epoch's structure — usable while a
 // writer mutates the working tree, since the snapshot's pages are frozen.
-func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, nil, false) }
+func (s *Snapshot) CheckInvariants() error { return s.t.checkTreeAt(s.st, nil, nil) }
 
 // CheckRecords is CheckInvariants plus a read of every record that a leaf
 // entry's shape reference vouches for, whose centre must be a centre
 // entry's to the bit.
-func (s *Snapshot) CheckRecords() error { return s.t.checkTreeAt(s.st, nil, true) }
+func (s *Snapshot) CheckRecords() error {
+	sc := getScratch()
+	defer sc.release()
+	return s.t.checkTreeAt(s.st, nil, sc)
+}
 
 // Shapes returns the size of the pinned epoch's shape table.
 func (s *Snapshot) Shapes() int { return len(s.st.shapes) }
