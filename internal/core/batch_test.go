@@ -211,11 +211,11 @@ func TestGCInfoCounters(t *testing.T) {
 		}
 	}
 	for _, o := range doomed {
-		rec, err := tree.readRecord(addrs[o.ID])
+		rec, legacy, err := tree.readRecord(addrs[o.ID])
 		if err != nil {
 			t.Fatalf("record of deleted object %d: %v", o.ID, err)
 		}
-		if obj, err := decodeObject(rec, snap.st.shapes); err != nil || obj.ID != o.ID {
+		if obj, err := decodeObject(rec, legacy, snap.st.shapes); err != nil || obj.ID != o.ID {
 			t.Fatalf("record of deleted object %d decodes as %d, err %v", o.ID, obj.ID, err)
 		}
 	}

@@ -264,21 +264,28 @@ func (t *Tree) centres(lv *slab) []float64 {
 }
 
 // putLeaf fills leaf page buf, behind its header, with the entries ids of
-// leaf level lv: it appends each object's record (BulkLoad's stage 3),
-// enters its address in the directory and copies its entry with the
-// address. It counts the page's unshaped entries (Tree.unshaped: a U-tree
+// leaf level lv: it appends each object's record (BulkLoad's stage 3) — a
+// keyed one's centre copied from its centre entry — enters its address in
+// the directory and copies its entry with the address. It counts the page's unshaped entries (Tree.unshaped: a U-tree
 // entry without a shape).
 func (t *Tree) putLeaf(buf []byte, lv *slab, objects []Object, ids []int) error {
 	off := nodeHeader
 	for _, i := range ids {
 		e := lv.ent[lv.at[i]:lv.at[i+1]]
-		addr, err := t.appendRecord(objects[i], lv.ref[i])
+		word := binary.LittleEndian.Uint16(e[14:])
+		var addr DataAddr
+		var err error
+		if word&centreEntry != 0 {
+			addr, err = t.appendKeyed(objects[i].ID, lv.ref[i], e[16:])
+		} else {
+			addr, err = t.appendRecord(objects[i], lv.ref[i])
+		}
 		if err != nil {
 			return err
 		}
 		t.dir[objects[i].ID] = addr
 		copy(buf[off:], e)
-		putAddr(buf, off+8, addr, binary.LittleEndian.Uint16(e[14:]))
+		putAddr(buf, off+8, addr, word)
 		off += len(e)
 		if t.kind == UTree && lv.ref[i] == 0 {
 			t.unshaped++

@@ -210,3 +210,129 @@ func TestOpenUTR6File(t *testing.T) {
 	check("after the deletes")
 	checkGolden(t, tree, golden, true)
 }
+
+// TestOpenUTR7File opens a file written before dense data pages
+// (testdata/utr7.idx: metadata magic UTR7, a 2-D U-tree of 288 live objects
+// of every family — balls in centre entries with keyed records, rectangles
+// and polygons compact, histograms and mixtures full — with ids from
+// −40·65537 to 259·65537, 260 of 300 bulk-loaded, 40 inserted and 12
+// deleted, every data page a legacy one). It passes CheckInvariants,
+// CheckRecords and Scrub and answers every range and k-NN query of
+// testdata/utr7.golden.json exactly as the code that wrote it did. A
+// committed batch deletes the objects those answers refined and inserts
+// them again with a ball far from every query: their records go, in
+// order, to slots of one fresh dense page, the append page from then on,
+// and the commit stamps the file UTR8. Reopened, it answers every query
+// as before (in any order: the entries moved).
+func TestOpenUTR7File(t *testing.T) {
+	var golden utr4Golden
+	if b, err := os.ReadFile("testdata/utr7.golden.json"); err != nil || json.Unmarshal(b, &golden) != nil {
+		t.Fatalf("reading the golden answers: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "utr7.idx")
+	copyFile(t, "testdata/utr7.idx", path)
+	meta := pagefile.PageID(golden.Meta)
+	open := func() (*Tree, *pagefile.FileStore) {
+		t.Helper()
+		store, err := pagefile.OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, reach, err := Open(store, meta, Options{MCSamples: utr4Samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Retain(reach)
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		snap := tree.Snapshot()
+		defer snap.Close()
+		if err := snap.CheckRecords(); err != nil {
+			t.Fatal(err)
+		}
+		if verified, corrupt := tree.Scrub(); verified == 0 || len(corrupt) != 0 {
+			t.Fatalf("Scrub verified %d pages, corrupt %v", verified, corrupt)
+		}
+		return tree, store
+	}
+	magic := func(store pagefile.Store) uint32 {
+		t.Helper()
+		return binary.LittleEndian.Uint32(storedPage(t, store, meta))
+	}
+	tree, store := open()
+	if m := magic(store); m != metaMagicV7 {
+		t.Fatalf("fixture magic %#x, want UTR7", m)
+	}
+	old := map[pagefile.PageID]bool{} // the file's data pages
+	for _, a := range tree.dir {
+		old[a.Page] = true
+	}
+	for page := range old {
+		if _, legacy := pageRecords(storedPage(t, store, page)); !legacy {
+			t.Fatalf("fixture data page %d is not a legacy page", page)
+		}
+	}
+	if f := leafForms(t, tree); f.centre == 0 || f.compact == 0 || f.unkeyed == 0 || tree.Len() != 288 {
+		t.Fatalf("fixture: %d objects, leaves %+v; want centre, compact and full entries", tree.Len(), f)
+	}
+	checkGolden(t, tree, golden, false)
+
+	// The objects the answers refined, as their legacy records hold them,
+	// and a ball far from every query with an id of ten varint bytes.
+	var again []Object
+	for _, g := range golden.Ranges {
+		for _, r := range g.Results {
+			if r.Prob == -1 {
+				continue
+			}
+			rec, legacy, err := tree.readRecord(tree.dir[r.ID])
+			if err != nil || !legacy {
+				t.Fatalf("object %d's record: legacy %v, %v", r.ID, legacy, err)
+			}
+			o, err := decodeObject(rec, legacy, tree.shapes)
+			if err != nil || o.ID != r.ID {
+				t.Fatalf("object %d's record decodes as %d (%v)", r.ID, o.ID, err)
+			}
+			again = append(again, o)
+		}
+	}
+	if len(again) == 0 {
+		t.Fatal("fixture: no refined answer")
+	}
+	for _, o := range again {
+		if err := tree.Delete(o.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again = append(again, Object{ID: math.MinInt64, PDF: updf.NewUniformBall(geom.Point{1e6, 1e6}, 25)})
+	for _, o := range again {
+		if err := tree.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if m := magic(store); m != metaMagic {
+		t.Fatalf("magic after a commit %#x, want UTR8", m)
+	}
+	for i, o := range again {
+		if a := tree.dir[o.ID]; old[a.Page] || a.Page != tree.appendPage || a.Slot != uint16(i) {
+			t.Fatalf("object %d's record at %+v, want slot %d of a fresh append page (%d)", o.ID, a, i, tree.appendPage)
+		}
+	}
+	if recs, legacy := pageRecords(storedPage(t, store, tree.appendPage)); legacy || len(recs) != len(again) {
+		t.Fatalf("the append page holds %d records (legacy %v), want the batch's %d on a dense page", len(recs), legacy, len(again))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tree, store = open()
+	defer store.Close()
+	if m := magic(store); m != metaMagic {
+		t.Fatalf("magic after a reopen %#x, want UTR8", m)
+	}
+	checkGolden(t, tree, golden, true)
+}

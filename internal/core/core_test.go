@@ -562,10 +562,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenFileWithTombstonedSlots: an index written when deletes still
+// TestOpenFileWithTombstonedSlots: a UTR7 index written when deletes still
 // zeroed the slot length of the records they unreferenced opens and keeps
-// working — no leaf points at a dead slot, so every check passes, appends
-// go after the dead slots on the append page, and the dead slots stay dead.
+// working — no leaf points at a dead slot, so every check passes, the first
+// append starts a fresh dense page instead of going after the dead slots on
+// the legacy append page, and the dead slots stay dead.
 func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	objs := makeObjects(150, 600, rng)
@@ -574,7 +575,12 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range objs {
+	for i, o := range objs {
+		if i%30 == 0 {
+			// A new data page every 30 records, so that each page's records
+			// fit a legacy page once their ids are widened (below).
+			tree.appendPage, tree.appendBuf = pagefile.InvalidPage, nil
+		}
 		if err := tree.Insert(o); err != nil {
 			t.Fatal(err)
 		}
@@ -608,17 +614,30 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	if addrs[dead[0].ID].Page == appendPage || addrs[dead[19].ID].Page != appendPage {
 		t.Fatalf("fixture: dead records at %+v and %+v, append page %d", addrs[dead[0].ID], addrs[dead[19].ID], appendPage)
 	}
-	// What the old collector then did to the file.
-	page := make([]byte, pagefile.PageSize)
+	// The file as the UTR7 writer left it — legacy data pages, u64 ids —
+	// and what the old collector then did to it.
+	tombs := map[pagefile.PageID][]uint16{} // every data page, and its dead slots
+	for _, a := range addrs {
+		tombs[a.Page] = nil
+	}
 	for _, o := range dead {
 		a := addrs[o.ID]
-		if err := store.Read(a.Page, page); err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint16(page[4+4*int(a.Slot)+2:], 0)
-		if err := store.Write(a.Page, page); err != nil {
-			t.Fatal(err)
-		}
+		tombs[a.Page] = append(tombs[a.Page], a.Slot)
+	}
+	for page, slots := range tombs {
+		rewritePage(t, store, page, true, func(recs [][]byte) {
+			for i := range recs {
+				recs[i] = legacyRecord(recs[i])
+			}
+			for _, slot := range slots {
+				recs[slot] = nil
+			}
+		})
+	}
+	meta := storedPage(t, store, tree.MetaPage())
+	binary.LittleEndian.PutUint32(meta, metaMagicV7)
+	if err := store.Write(tree.MetaPage(), meta); err != nil {
+		t.Fatal(err)
 	}
 
 	re, _, err := Open(store, tree.MetaPage(), Options{})
@@ -650,8 +669,9 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 	checkRecords()
 	if err := re.walk(re.rootPage, re.rootLevel, func(n *node) error {
 		for i := range n.entries {
-			if e := &n.entries[i]; n.leaf() && e.id >= 1000 && (e.addr.Page != appendPage || e.addr.Slot <= addrs[dead[19].ID].Slot) {
-				t.Errorf("object %d appended at %+v, want page %d after slot %d", e.id, e.addr, appendPage, addrs[dead[19].ID].Slot)
+			e := &n.entries[i]
+			if _, old := tombs[e.addr.Page]; n.leaf() && e.id >= 1000 && (old || e.addr.Page != re.appendPage || e.addr.Slot != uint16(e.id-1000)) {
+				t.Errorf("object %d appended at %+v, want slot %d of a fresh append page", e.id, e.addr, e.id-1000)
 			}
 		}
 		return nil
@@ -659,7 +679,7 @@ func TestOpenFileWithTombstonedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range dead {
-		if _, err := re.readRecord(addrs[o.ID]); !errors.Is(err, ErrBadSlot) {
+		if _, _, err := re.readRecord(addrs[o.ID]); !errors.Is(err, ErrBadSlot) {
 			t.Fatalf("dead slot %+v read: %v, want ErrBadSlot", addrs[o.ID], err)
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/updf"
 )
 
 // The data pages (datapage.go): the slot layout, its append and reader, and
@@ -29,14 +31,86 @@ func dataTree(t *testing.T, opt Options) *Tree {
 // reads.
 func storedRecord(t *testing.T, tree *Tree, addr DataAddr) ([]byte, error) {
 	t.Helper()
-	return RecordFromPage(storedPage(t, tree.store, addr.Page), addr.Slot)
+	return bytesOf(RecordFromPage(storedPage(t, tree.store, addr.Page), addr.Slot))
 }
+
+// bytesOf drops a record read's legacy flag, for the tests of raw records.
+func bytesOf(rec []byte, _ bool, err error) ([]byte, error) { return rec, err }
 
 // bothReads reads a record as the writer and as a snapshot does.
 func bothReads(t *testing.T, tree *Tree) map[string]func(DataAddr) ([]byte, error) {
 	return map[string]func(DataAddr) ([]byte, error){
-		"writer": tree.readRecord,
+		"writer": func(a DataAddr) ([]byte, error) { return bytesOf(tree.readRecord(a)) },
 		"store":  func(a DataAddr) ([]byte, error) { return storedRecord(t, tree, a) },
+	}
+}
+
+// pageRecords returns the records of a data page in slot order — nil for a
+// slot that reads as ErrBadSlot — and whether the page is a legacy one.
+func pageRecords(page []byte) (recs [][]byte, legacy bool) {
+	count := binary.LittleEndian.Uint16(page) &^ denseFlag
+	for slot := range count {
+		rec, l, _ := RecordFromPage(page, slot)
+		recs, legacy = append(recs, bytes.Clone(rec)), l
+	}
+	return recs, legacy
+}
+
+// layPage lays recs out as a data page, slot i holding recs[i]: dense, or
+// as a UTR7 writer laid out its legacy pages — a 4-byte slot each, a nil
+// record's length 0 (a tombstone; on a dense page a nil record reads as
+// ErrBadSlot too). The ids in the records are the caller's (legacyRecord).
+func layPage(t testing.TB, recs [][]byte, legacy bool) []byte {
+	t.Helper()
+	page, slot, free := make([]byte, pagefile.PageSize), 2, pagefile.PageSize
+	if legacy {
+		slot = 4
+	}
+	for i, rec := range recs {
+		if free -= len(rec); free < dataHeader+slot*(i+1) {
+			t.Fatalf("%d records do not fit a page", len(recs))
+		}
+		copy(page[free:], rec)
+		binary.LittleEndian.PutUint16(page[dataHeader+slot*i:], uint16(free))
+		if legacy {
+			binary.LittleEndian.PutUint16(page[dataHeader+slot*i+2:], uint16(len(rec)))
+		}
+	}
+	count := uint16(len(recs))
+	if !legacy {
+		count |= denseFlag
+	}
+	binary.LittleEndian.PutUint16(page, count)
+	if len(recs) > 0 {
+		binary.LittleEndian.PutUint16(page[2:], uint16(free))
+	}
+	return page
+}
+
+// legacyRecord is object record rec as a UTR7 writer wrote it: its id a
+// u64.
+func legacyRecord(rec []byte) []byte {
+	id, n := binary.Varint(rec)
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(id)), rec[n:]...)
+}
+
+// recordTag is the byte after a record's id: keyedTag or a pdf's type tag.
+func recordTag(rec []byte, legacy bool) byte {
+	n := 8
+	if !legacy {
+		_, n = binary.Varint(rec)
+	}
+	return rec[n]
+}
+
+// rewritePage replaces data page id in the store with what edit makes of
+// its records, laid out anew (layPage), dense or legacy.
+func rewritePage(t *testing.T, s pagefile.Store, id pagefile.PageID, legacy bool, edit func(recs [][]byte)) {
+	t.Helper()
+	recs, _ := pageRecords(storedPage(t, s, id))
+	edit(recs)
+	if err := s.Write(id, layPage(t, recs, legacy)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -66,7 +140,7 @@ func TestDataPageAppendRead(t *testing.T) {
 	}
 	for committed := range 2 {
 		for i, a := range addrs {
-			got, err := tree.readRecord(a)
+			got, err := bytesOf(tree.readRecord(a))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,10 +194,10 @@ func TestDataPageTooLarge(t *testing.T) {
 }
 
 // TestDataPageZeroLengthSlot: files written before deletes stopped touching
-// the data pages carry slots whose length was zeroed in place. Such a page
-// still opens as the append page: the dead slot reads as ErrBadSlot, its
-// neighbours are intact, and new records go after it without reusing its
-// slot number or its bytes.
+// the data pages carry legacy pages with slots whose length was zeroed in
+// place. Such a page still opens as the append page: the dead slot reads
+// as ErrBadSlot and its neighbours are intact, and the first new record
+// starts a fresh dense page instead of going after them.
 func TestDataPageZeroLengthSlot(t *testing.T) {
 	tree := dataTree(t, Options{Persist: true})
 	a, _ := tree.appendData([]byte("doomed"))
@@ -131,11 +205,7 @@ func TestDataPageZeroLengthSlot(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	page := storedPage(t, tree.store, a.Page)
-	binary.LittleEndian.PutUint16(page[dataHeader+4*int(a.Slot)+2:], 0)
-	if err := tree.store.Write(a.Page, page); err != nil {
-		t.Fatal(err)
-	}
+	rewritePage(t, tree.store, a.Page, true, func(recs [][]byte) { recs[a.Slot] = nil })
 
 	re, _, err := Open(tree.store, tree.MetaPage(), Options{})
 	if err != nil {
@@ -148,8 +218,8 @@ func TestDataPageZeroLengthSlot(t *testing.T) {
 	if err := re.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Page != a.Page || c.Slot != 2 {
-		t.Fatalf("append after a dead slot went to %+v, want page %d slot 2", c, a.Page)
+	if c.Page == a.Page || c.Slot != 0 || re.appendPage != c.Page {
+		t.Fatalf("append after opening a legacy page went to %+v, want slot 0 of a fresh append page", c)
 	}
 	for from, read := range bothReads(t, re) {
 		if _, err := read(a); !errors.Is(err, ErrBadSlot) {
@@ -159,6 +229,36 @@ func TestDataPageZeroLengthSlot(t *testing.T) {
 			if got, err := read(addr); err != nil || string(got) != want {
 				t.Fatalf("record %+v (%s): %q, %v; want %q", addr, from, got, err, want)
 			}
+		}
+	}
+	if recs, legacy := pageRecords(storedPage(t, re.store, a.Page)); !legacy || len(recs) != 2 {
+		t.Fatalf("the legacy page now holds %d records (legacy %v), want its 2 untouched", len(recs), legacy)
+	}
+}
+
+// TestDataPageDensity: bulk-loaded 2-D keyed balls with ids of two varint
+// bytes (64 to 2¹³ − 1) fill their data pages as the dense layout says: a
+// record of 2 + 1 + 2 + 16 = 21 B and a 2-byte slot, so ⌊4,092 / 23⌋ = 177
+// to a page and ⌈N / 177⌉ pages, every page but the last full.
+func TestDataPageDensity(t *testing.T) {
+	const n, perPage = 3000, (pagefile.PageSize - 4) / (2 + 1 + 2 + 16 + 2)
+	rng := rand.New(rand.NewSource(60))
+	objs := make([]Object, n)
+	for i := range objs {
+		c := geom.Point{rng.Float64() * 5000, rng.Float64() * 5000}
+		objs[i] = Object{ID: int64(64 + i), PDF: updf.NewUniformBall(c, 25)}
+	}
+	tree := bulkTree(t, Options{Dim: 2}, objs)
+	perPageSeen := map[pagefile.PageID]int{}
+	for _, a := range tree.dir {
+		perPageSeen[a.Page]++
+	}
+	if want := (n + perPage - 1) / perPage; len(perPageSeen) != want {
+		t.Fatalf("%d keyed balls on %d data pages, want ⌈%d / %d⌉ = %d", n, len(perPageSeen), n, perPage, want)
+	}
+	for page, k := range perPageSeen {
+		if k != perPage && page != tree.appendPage {
+			t.Fatalf("sealed data page %d holds %d records, want %d", page, k, perPage)
 		}
 	}
 }
@@ -209,7 +309,7 @@ func TestDataPageGroupedRead(t *testing.T) {
 func TestDataPageBadSlot(t *testing.T) {
 	tree := dataTree(t, Options{})
 	a, _ := tree.appendData([]byte("x"))
-	if _, err := tree.readRecord(DataAddr{Page: a.Page, Slot: 99}); !errors.Is(err, ErrBadSlot) {
+	if _, err := bytesOf(tree.readRecord(DataAddr{Page: a.Page, Slot: 99})); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("err = %v, want ErrBadSlot", err)
 	}
 }
@@ -245,7 +345,7 @@ func TestDataPageManyRecordsStress(t *testing.T) {
 			}
 		}
 	}
-	check("writer, before the commit", tree.readRecord)
+	check("writer, before the commit", bothReads(t, tree)["writer"])
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +407,7 @@ func TestDataPageWriteFaultRollsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := decodeObject(rec, tree.shapes); err != nil || got.ID != o.ID {
+		if got, err := decodeObject(rec, false, tree.shapes); err != nil || got.ID != o.ID {
 			t.Fatalf("object %d at %+v reads back %d (%v)", o.ID, a, got.ID, err)
 		}
 	}

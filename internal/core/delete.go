@@ -23,10 +23,10 @@ func (t *Tree) Delete(id int64) error {
 	start := time.Now()
 	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
 
-	rec, err := t.readRecord(addr)
+	rec, legacy, err := t.readRecord(addr)
 	var o Object
 	if err == nil {
-		o, err = decodeObject(rec, t.shapes)
+		o, err = decodeObject(rec, legacy, t.shapes)
 	}
 	if err == nil && o.ID != id {
 		err = &pagefile.BadPageError{Page: addr.Page, Reason: fmt.Sprintf("record slot %d holds object %d, not %d", addr.Slot, o.ID, id)}

@@ -438,7 +438,7 @@ func TestEpochRollbackWritesNothing(t *testing.T) {
 	tree, _ := epochTree(t, Options{Store: wc}, 600)
 	page := tree.appendPage
 	before := storedPage(t, wc, page)
-	slots := binary.LittleEndian.Uint16(before)
+	slots := binary.LittleEndian.Uint16(before) &^ denseFlag
 	if slots == 0 || binary.LittleEndian.Uint16(before[2:]) < 512 {
 		t.Fatalf("fixture: append page %d holds %d slots, %d bytes free", page, slots, binary.LittleEndian.Uint16(before[2:]))
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -28,19 +29,22 @@ type Object struct {
 
 // A data record is one of two forms, told apart by the byte after the id:
 //
-//	full:  id u64 | updf.Encode(pdf)                 (its type tag, ≥ 1)
-//	keyed: id u64 | 0 u8 | shape u16 | centre dim × f64
+//	full:  id | updf.Encode(pdf)                 (its type tag, ≥ 1)
+//	keyed: id | 0 u8 | shape u16 | centre dim × f64
 //
-// An object gets the keyed form when its leaf entry holds a shape reference
-// and the shape's prototype is a updf.Recentrer: the reader rebuilds the
-// pdf as the prototype recentred at the stored centre, bit for bit the pdf
-// the full form decodes to. A 2-D ball's record is 27 B against 34 B (38 B
-// for a Con-Gau ball), a 3-D ball's 35 B against 42 B; every other object
-// — another family, an empty ShapeKey, a shape the metadata page had no
-// room for — keeps the full form.
+// The id is a zigzag varint (binary.AppendVarint) — a u64 in the records of
+// a UTR2–UTR7 file's legacy pages (datapage.go), which decodeObject reads
+// and nothing writes. An object gets the keyed form when its leaf entry
+// holds a shape reference and the shape's prototype is a updf.Recentrer:
+// the reader rebuilds the pdf as the prototype recentred at the stored
+// centre, bit for bit the pdf the full form decodes to. With an id below
+// 2²⁰ a 2-D ball's record is 22 B against 29 B (33 B for a Con-Gau ball), a
+// 3-D ball's 30 B against 37 B; every other object — another family, an
+// empty ShapeKey, a shape the metadata page had no room for — keeps the
+// full form.
 const (
 	keyedTag    = 0
-	keyedHeader = 8 + 1 + 2 // id, tag, shape reference
+	keyedHeader = 1 + 2 // tag, shape reference
 )
 
 // encodeObject serializes o's data record, the keyed form when ref names a
@@ -49,65 +53,86 @@ const (
 // its page (putKeyed).
 func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
 	if ref != 0 && shapes[ref-1].rc != nil {
-		rec := make([]byte, keyedSize(o.PDF.Dim()))
-		putKeyed(rec, o.ID, ref, o.PDF.Center())
+		rec := make([]byte, keyedSize(o.ID, o.PDF.Dim()))
+		putKeyed(rec, o.ID, ref, appendCentre(nil, o.PDF.Center()))
 		return rec, nil
 	}
 	pb, err := updf.Encode(o.PDF)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 8+len(pb))
-	binary.LittleEndian.PutUint64(buf, uint64(o.ID))
-	copy(buf[8:], pb)
-	return buf, nil
+	return append(binary.AppendVarint(make([]byte, 0, binary.MaxVarintLen64+len(pb)), o.ID), pb...), nil
 }
 
-// keyedSize is a keyed record's size in d dimensions.
-func keyedSize(d int) int { return keyedHeader + 8*d }
+// keyedSize is the size of object id's keyed record in d dimensions.
+func keyedSize(id int64, d int) int { return varintLen(id) + keyedHeader + 8*d }
+
+// varintLen is the length of id as binary.AppendVarint writes it.
+func varintLen(id int64) int {
+	ux := uint64(id)<<1 ^ uint64(id>>63) // zigzag
+	return (bits.Len64(ux|1) + 6) / 7
+}
+
+// appendCentre appends ctr as a keyed record and a centre leaf entry hold
+// it: little-endian float64s.
+func appendCentre(b []byte, ctr geom.Point) []byte {
+	for _, v := range ctr {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
 
 // putKeyed writes the keyed record of object id, of shape ref and centred
-// at ctr, over rec (keyedSize bytes).
-func putKeyed(rec []byte, id int64, ref uint16, ctr geom.Point) {
-	binary.LittleEndian.PutUint64(rec, uint64(id))
-	rec[8] = keyedTag
-	binary.LittleEndian.PutUint16(rec[9:], ref)
-	for k, v := range ctr {
-		putF64(rec, keyedHeader+8*k, v)
-	}
+// at ctr — its bytes, appendCentre's — over rec (keyedSize bytes).
+func putKeyed(rec []byte, id int64, ref uint16, ctr []byte) {
+	n := binary.PutVarint(rec, id)
+	rec[n] = keyedTag
+	binary.LittleEndian.PutUint16(rec[n+1:], ref)
+	copy(rec[n+keyedHeader:], ctr)
 }
 
 // decodeObject reverses encodeObject, rebuilding a keyed record's pdf from
 // shapes: the table of an epoch in which the record's leaf entry lives (the
-// table is append-only, so every later epoch's will do). A keyed record
+// table is append-only, so every later epoch's will do). legacy says the
+// record came off a legacy page (RecordFromPage): its id is a u64. A
+// varint id that is not the shortest encoding of its value, a keyed record
 // whose reference the table cannot resolve, or whose length is not its
 // shape's, is updf.ErrCorruptPDF.
-func decodeObject(rec []byte, shapes []shape) (Object, error) {
-	if len(rec) < 9 {
+func decodeObject(rec []byte, legacy bool, shapes []shape) (Object, error) {
+	var id int64
+	n := 8
+	if legacy {
+		if len(rec) > n {
+			id = int64(binary.LittleEndian.Uint64(rec))
+		}
+	} else if id, n = binary.Varint(rec); n > 1 && rec[n-1] == 0 {
+		n = 0 // a padded varint: encodeObject would not write it
+	}
+	if n <= 0 || len(rec) <= n {
 		return Object{}, fmt.Errorf("%w: object record of %d bytes", updf.ErrCorruptPDF, len(rec))
 	}
-	id := int64(binary.LittleEndian.Uint64(rec))
-	if rec[8] != keyedTag {
-		p, err := updf.Decode(rec[8:])
+	body := rec[n:]
+	if body[0] != keyedTag {
+		p, err := updf.Decode(body)
 		if err != nil {
 			return Object{}, err
 		}
 		return Object{ID: id, PDF: p}, nil
 	}
-	if len(rec) < keyedHeader {
+	if len(body) < keyedHeader {
 		return Object{}, fmt.Errorf("%w: keyed record of %d bytes", updf.ErrCorruptPDF, len(rec))
 	}
-	ref := int(binary.LittleEndian.Uint16(rec[9:]))
+	ref := int(binary.LittleEndian.Uint16(body[1:]))
 	if ref == 0 || ref > len(shapes) {
 		return Object{}, fmt.Errorf("%w: keyed record names shape %d of a table of %d", updf.ErrCorruptPDF, ref, len(shapes))
 	}
 	proto, rc := shapes[ref-1].pdf, shapes[ref-1].rc
-	if rc == nil || len(rec) != keyedHeader+8*proto.Dim() {
+	if rc == nil || len(body) != keyedHeader+8*proto.Dim() {
 		return Object{}, fmt.Errorf("%w: keyed record of %d bytes for shape %d (%s)", updf.ErrCorruptPDF, len(rec), ref, proto.ShapeKey())
 	}
 	ctr := make(geom.Point, proto.Dim())
 	for i := range ctr {
-		ctr[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[keyedHeader+8*i:]))
+		ctr[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[keyedHeader+8*i:]))
 	}
 	return Object{ID: id, PDF: rc.Recentred(ctr)}, nil
 }

@@ -194,11 +194,11 @@ func TestPageBufferFreedPageNeverWritten(t *testing.T) {
 	if err := wc.Read(freed, buf); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecordFromPage(buf, addr.Slot)
+	rec, legacy, err := RecordFromPage(buf, addr.Slot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := decodeObject(rec, tree.shapes); err != nil || got.ID != o.ID {
+	if got, err := decodeObject(rec, legacy, tree.shapes); err != nil || got.ID != o.ID {
 		t.Fatalf("page %d holds object %d (%v), want the record of %d", freed, got.ID, err, o.ID)
 	}
 	if err := tree.CheckInvariants(); err != nil {

@@ -22,7 +22,11 @@ import (
 // place, and it is written only after every page of the epoch it names is
 // durable.
 //
-// The magic names the node and record layouts as well as the page: "UTR7"
+// The magic names the node and record layouts as well as the page: "UTR8"
+// data pages are dense — a 2-byte slot, the length implied by the slot
+// before it, and varint object ids (datapage.go, object.go): a 2-D keyed
+// ball's record and slot 24 B instead of 31 with an id below 2²⁰ — and
+// "UTR7" and older had 4-byte slots and u64 ids. Since UTR7
 // U-tree leaves may hold centre entries — id, address and centre, flagged
 // by centreEntry, the MBR and CFBs those of the entry's recentrable shape
 // at the centre: 32 B an entry in 2-D, 127 to a leaf — beside compact and
@@ -33,25 +37,27 @@ import (
 // 56; "UTR5" held them as float64, in a node without the flag, and its
 // U-tree leaves may hold compact entries — id, address and MBR, the CFBs
 // those of the entry's shape, translated — beside full ones; "UTR4" leaves
-// hold every
-// entry in full, its CFB coefficients as float32 (entrySizes), and data
-// records may be keyed — id, shape reference and centre, the pdf rebuilt
-// from the shape table (object.go); "UTR3" has full records only, leaf
-// entries with a shape reference; "UTR2" had zeroes there and where the
-// table is — a UTR3 file with an empty table. All five open as UTR7 files
-// that happen to hold no centre entry (and UTR2 to UTR5 float64
-// intermediate nodes, UTR2 to UTR4 no compact entry, UTR2/UTR3 no keyed
-// record): decodeNode reads such an intermediate node into the float32
-// layout, its boxes rounded outward. Their first commit stamps them UTR7,
-// so a build that cannot read the new layouts refuses the file at open
-// instead of failing mid-query; a node is rewritten in them when a
-// mutation first touches it, and an entry the file holds compact stays
-// compact, since its page has no exact centre and the rewrite reads no
-// record. "UTR1" held the coefficients as float64
-// in entries half again as large. There is one codec, so a UTR1 file is
-// refused, never decoded. U-PCR nodes are the same in every version.
+// hold every entry in full, its CFB coefficients as float32 (entrySizes),
+// and data records may be keyed — id, shape reference and centre, the pdf
+// rebuilt from the shape table (object.go); "UTR3" has full records only,
+// leaf entries with a shape reference; "UTR2" had zeroes there and where
+// the table is — a UTR3 file with an empty table. All six open as UTR8
+// files that happen to hold legacy data pages and no centre entry (UTR2
+// to UTR6), float64 intermediate nodes (UTR2 to UTR5), no compact entry
+// (UTR2 to UTR4) or no keyed record (UTR2/UTR3): RecordFromPage tells a
+// legacy data page by its header, and decodeNode reads such an
+// intermediate node into the float32 layout, its boxes rounded outward.
+// Their first commit stamps them UTR8, so a build that cannot read the new
+// layouts refuses the file at open instead of failing mid-query; a node is
+// rewritten in them when a mutation first touches it, an entry the file
+// holds compact stays compact, since its page has no exact centre and the
+// rewrite reads no record, and the first record appended starts a dense
+// page. "UTR1" held the coefficients as float64 in entries half again as
+// large. There is one codec, so a UTR1 file is refused, never decoded.
+// U-PCR nodes are the same in every version.
 const (
-	metaMagic   = 0x55545237 // "UTR7"
+	metaMagic   = 0x55545238 // "UTR8"
+	metaMagicV7 = 0x55545237 // "UTR7"
 	metaMagicV6 = 0x55545236 // "UTR6"
 	metaMagicV5 = 0x55545235 // "UTR5"
 	metaMagicV4 = 0x55545234 // "UTR4"
@@ -65,7 +71,7 @@ const (
 // entries moved to float32 CFB coefficients. No reader for that layout is
 // kept: rebuild the index from its data.
 var ErrOldLayout = errors.New("core: index file has the UTR1 leaf layout (8-byte CFB coefficients); " +
-	"this version reads only UTR2 to UTR7 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
+	"this version reads only UTR2 to UTR8 (4-byte coefficients, 36 instead of 23 entries per 2-D leaf) — rebuild the index")
 
 // writeMeta serializes the tree's working state to the metadata page. The
 // caller writes the batch's data and node pages first (Commit does); the
@@ -115,7 +121,7 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 		return nil, nil, err
 	}
 	switch binary.LittleEndian.Uint32(buf[0:]) {
-	case metaMagic, metaMagicV6, metaMagicV5, metaMagicV4, metaMagicV3, metaMagicV2:
+	case metaMagic, metaMagicV7, metaMagicV6, metaMagicV5, metaMagicV4, metaMagicV3, metaMagicV2:
 	case metaMagicV1:
 		return nil, nil, ErrOldLayout
 	default:

@@ -15,8 +15,8 @@ import (
 )
 
 // checkRecordForms reads the record of every object in the tree and
-// requires the form encodeObject promises: keyed — 11 bytes and the centre
-// — exactly when the leaf entry names a shape whose prototype is a
+// requires the form encodeObject promises: keyed — the id (a varint, a u64
+// on a legacy page), 3 bytes and the centre — exactly when the leaf entry names a shape whose prototype is a
 // updf.Recentrer, full otherwise; and either way a record that decodes
 // against the tree's table to the object as inserted, bit for bit, at the
 // address the directory holds for it. It returns the number of keyed
@@ -31,19 +31,23 @@ func checkRecordForms(t *testing.T, tree *Tree, objs map[int64]Object) (keyed in
 		for i := range n.entries {
 			e := &n.entries[i]
 			o := objs[e.id]
-			rec, err := tree.readRecord(e.addr)
+			rec, legacy, err := tree.readRecord(e.addr)
 			if err != nil {
 				t.Fatalf("object %d: %v", e.id, err)
 			}
 			_, recentrable := o.PDF.(updf.Recentrer)
 			want := e.shape != 0 && recentrable
-			if got := rec[8] == keyedTag; got != want || got && len(rec) != keyedHeader+8*tree.dim {
+			idLen := len(binary.AppendVarint(nil, e.id))
+			if legacy {
+				idLen = 8
+			}
+			if got := recordTag(rec, legacy) == keyedTag; got != want || got && len(rec) != idLen+3+8*tree.dim {
 				t.Fatalf("object %d (%T, shape %d): a %d-byte record, keyed %v; want keyed %v", e.id, o.PDF, e.shape, len(rec), got, want)
 			}
 			if want {
 				keyed++
 			}
-			back, err := decodeObject(rec, tree.shapes)
+			back, err := decodeObject(rec, legacy, tree.shapes)
 			if err != nil || back.ID != e.id {
 				t.Fatalf("object %d's record decodes as %d, err %v", e.id, back.ID, err)
 			}
@@ -161,25 +165,26 @@ func sameResults(a, b []Result) bool {
 // refine it, a Delete (which reads it for its MBR) and CheckRecords. Never a panic,
 // never an answer from a pdf the record does not hold.
 func TestKeyedRecordDamage(t *testing.T) {
-	setRef := func(ref uint16) func(page []byte, slotEntry int) {
-		return func(page []byte, slotEntry int) {
-			off := binary.LittleEndian.Uint16(page[slotEntry:])
-			binary.LittleEndian.PutUint16(page[off+9:], ref)
+	setRef := func(ref uint16) func(rec []byte) []byte {
+		return func(rec []byte) []byte {
+			_, n := binary.Varint(rec)
+			binary.LittleEndian.PutUint16(rec[n+1:], ref)
+			return rec
 		}
 	}
-	resize := func(delta int) func(page []byte, slotEntry int) {
-		return func(page []byte, slotEntry int) {
-			ln := int(binary.LittleEndian.Uint16(page[slotEntry+2:]))
-			binary.LittleEndian.PutUint16(page[slotEntry+2:], uint16(ln+delta))
-		}
+	resize := func(delta int) func(rec []byte) []byte {
+		return func(rec []byte) []byte { return append(rec, make([]byte, max(delta, 0))...)[:len(rec)+delta] }
 	}
-	for name, edit := range map[string]func(page []byte, slotEntry int){
-		"reference 0":                 setRef(0),
-		"reference beyond":            setRef(0xFFFF),
-		"shape not recentrable":       setRef(2), // the rectangle shape
-		"record a byte short":         resize(-1),
-		"record a byte long":          resize(+1),
-		"record cut in its reference": resize(10 - 27), // 10 of 27 bytes
+	for name, edit := range map[string]func(rec []byte) []byte{
+		"reference 0":           setRef(0),
+		"reference beyond":      setRef(0xFFFF),
+		"shape not recentrable": setRef(2), // the rectangle shape
+		"record a byte short":   resize(-1),
+		"record a byte long":    resize(+1),
+		"record cut in its reference": func(rec []byte) []byte {
+			_, n := binary.Varint(rec)
+			return rec[:n+2] // id, tag and one byte of the reference
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tree, err := New(Options{Dim: 2})
@@ -309,7 +314,7 @@ func BenchmarkDecodeRecord(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeObject(rec, table); err != nil {
+				if _, err := decodeObject(rec, false, table); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,44 +10,35 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pagefile"
 	"repro/internal/pcr"
 	"repro/internal/updf"
 )
 
 // damageRecord edits the stored copy of the sealed data page that holds addr.
 // The tree itself can no longer write such a page, so the write goes to the
-// store directly, the way bit rot would without asking. edit gets the page
-// and the offset of the record's slot-table entry (offset, length: two
-// bytes each).
-func damageRecord(t *testing.T, tree *Tree, addr DataAddr, edit func(page []byte, slotEntry int)) {
+// store directly, the way bit rot would without asking. edit gets a copy of
+// the record and returns what the slot is to hold instead; the page is laid
+// out anew (layPage), every other slot's record unchanged.
+func damageRecord(t *testing.T, tree *Tree, addr DataAddr, edit func(rec []byte) []byte) {
 	t.Helper()
-	page := make([]byte, pagefile.PageSize)
-	if err := tree.store.Read(addr.Page, page); err != nil {
-		t.Fatal(err)
-	}
-	edit(page, 4+4*int(addr.Slot))
-	if err := tree.store.Write(addr.Page, page); err != nil {
-		t.Fatal(err)
-	}
+	rewritePage(t, tree.store, addr.Page, false, func(recs [][]byte) { recs[addr.Slot] = edit(recs[addr.Slot]) })
 }
 
 // recordDamage is the damage both record-error tests below inflict, by the
 // error the query must then report.
 var recordDamage = map[string]struct {
-	edit  func(page []byte, slotEntry int)
+	edit  func(rec []byte) []byte
 	cause error
 }{
-	// RecordFromPage fails: the slot's length is zero, as in a file whose
-	// writer still tombstoned deleted records, with a leaf entry pointing at
-	// it all the same.
-	"tombstoned slot": {cause: ErrBadSlot, edit: func(page []byte, slotEntry int) {
-		binary.LittleEndian.PutUint16(page[slotEntry+2:], 0)
-	}},
+	// RecordFromPage fails: the slot is empty — its offset that of the slot
+	// before it — as a tombstone of a writer that still zeroed deleted
+	// records' lengths reads, with a leaf entry pointing at it all the same.
+	"tombstoned slot": {cause: ErrBadSlot, edit: func([]byte) []byte { return nil }},
 	// decodeObject fails: the record's pdf type tag is overwritten.
-	"unknown pdf tag": {cause: updf.ErrCorruptPDF, edit: func(page []byte, slotEntry int) {
-		off := binary.LittleEndian.Uint16(page[slotEntry:])
-		page[off+8] = 0xEE // the byte after the 8-byte object id
+	"unknown pdf tag": {cause: updf.ErrCorruptPDF, edit: func(rec []byte) []byte {
+		_, n := binary.Varint(rec)
+		rec[n] = 0xEE // the byte after the object id
+		return rec
 	}},
 }
 

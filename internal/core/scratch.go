@@ -121,10 +121,10 @@ func (sc *queryScratch) object(s pagefile.Store, shapes []shape, id int64, a Dat
 		sc.held = a.Page
 		*reads++
 	}
-	rec, err := RecordFromPage(sc.page, a.Slot)
+	rec, legacy, err := RecordFromPage(sc.page, a.Slot)
 	var obj Object
 	if err == nil {
-		obj, err = decodeObject(rec, shapes)
+		obj, err = decodeObject(rec, legacy, shapes)
 	}
 	if err != nil {
 		return obj, fmt.Errorf("core: refining object %d: %w", id, err)

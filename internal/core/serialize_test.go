@@ -708,11 +708,14 @@ func FuzzDecodeNode(f *testing.F) {
 // a delete now runs on the write path: as a data page (short or full) and
 // a slot through RecordFromPage and the object decoder — against a 2-D and
 // a 3-D two-shape table, so keyed records resolve — which must return
-// ErrBadSlot / ErrCorruptPDF or a record inside the page whose decoded pdf
-// has an MBR and re-encodes to the record's bytes — never panic; and as a
-// record, appended to a tree after slot%8 others, which must read back
-// byte-equal from the dirty bytes, from the store after the commit and
-// from its page, or be refused when it is empty or does not fit a page.
+// ErrBadSlot / ErrCorruptPDF or a record inside the page where the slot
+// table puts it (on a dense page below the offset before it and above the
+// slot table) whose decoded pdf has an MBR and re-encodes to the record's
+// bytes — never panic; and as a record, appended to a tree after slot%8
+// others, which must read back byte-equal from the dirty bytes, from the
+// store after the commit and from its page, or be refused when it is empty
+// or does not fit a page. The seeds hold a dense page and the legacy page
+// a UTR7 writer would have written with the same objects.
 func FuzzDataRecord(f *testing.F) {
 	box := geom.NewRect(geom.Point{1, 2}, geom.Point{5, 9})
 	pdfs := []updf.PDF{
@@ -731,6 +734,7 @@ func FuzzDataRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	var addr DataAddr
+	var legacy [][]byte // the records as a UTR7 writer wrote them
 	add := func(o Object, ref uint16, table []shape) {
 		rec, err := encodeObject(o, ref, table)
 		if err != nil {
@@ -740,17 +744,19 @@ func FuzzDataRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(rec, addr.Slot)
+		legacy = append(legacy, legacyRecord(rec))
 	}
 	for i, p := range pdfs {
-		add(Object{ID: int64(i) + 100, PDF: p}, 0, nil)
+		add(Object{ID: int64(i-4) << (8 * i), PDF: p}, 0, nil) // ids of 1 to 9 varint bytes
 	}
-	for _, table := range tables {
+	for k, table := range tables {
 		for ref, sh := range table {
 			ctr := make(geom.Point, sh.pdf.Dim())
 			for i := range ctr {
 				ctr[i] = float64(7 * (i + 1))
 			}
-			add(Object{ID: int64(200 + ref), PDF: sh.pdf.(updf.Recentrer).Recentred(ctr)}, uint16(ref+1), table)
+			id := []int64{200, math.MinInt64}[k] + int64(ref) // 2 and 10 varint bytes
+			add(Object{ID: id, PDF: sh.pdf.(updf.Recentrer).Recentred(ctr)}, uint16(ref+1), table)
 		}
 	}
 	nrec := len(pdfs) + 4
@@ -761,22 +767,50 @@ func FuzzDataRecord(f *testing.F) {
 	f.Add(page[:40], uint16(3))                     // slot table cut short
 	f.Add([]byte{0xFF, 0xFF, 0, 0}, uint16(0xFFFE)) // count beyond the page
 	f.Add([]byte{}, uint16(0))
+	old := layPage(f, legacy, true)
+	for slot := uint16(0); slot <= uint16(nrec); slot++ {
+		f.Add(old, slot)
+	}
+	f.Add(old[:40], uint16(3))
+	// Dense pages whose offsets do not strictly decrease, or reach into
+	// the slot table.
+	for _, b := range []struct{ slot, off uint16 }{{3, 0}, {5, 1}, {0, pagefile.PageSize}, {7, dataHeader + 2*uint16(nrec) - 1}} {
+		bad := bytes.Clone(page)
+		at := dataHeader + 2*int(b.slot)
+		if b.slot > 0 && b.off < 2 {
+			b.off += binary.LittleEndian.Uint16(bad[at-2:]) // the one before, or past it
+		}
+		binary.LittleEndian.PutUint16(bad[at:], b.off)
+		f.Add(bad, b.slot)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, slot uint16) {
 		full := make([]byte, pagefile.PageSize)
 		copy(full, data)
 		for _, page := range [][]byte{data, full} {
-			rec, err := RecordFromPage(page, slot)
+			rec, legacy, err := RecordFromPage(page, slot)
 			if err != nil {
 				if !errors.Is(err, ErrBadSlot) {
 					t.Fatalf("slot %d of a %d-byte page: %v, want ErrBadSlot", slot, len(page), err)
 				}
 				continue
 			}
-			if len(rec) == 0 || len(rec) > len(page) {
-				t.Fatalf("slot %d of a %d-byte page: a %d-byte record", slot, len(page), len(rec))
+			// Where the slot table says the record lies.
+			ent := dataHeader + 2*int(slot)
+			off, end := int(binary.LittleEndian.Uint16(page[ent:])), pagefile.PageSize
+			switch {
+			case legacy:
+				ent = dataHeader + 4*int(slot)
+				off = int(binary.LittleEndian.Uint16(page[ent:]))
+				end = off + int(binary.LittleEndian.Uint16(page[ent+2:]))
+			case slot > 0:
+				end = int(binary.LittleEndian.Uint16(page[ent-2:]))
+			}
+			table := dataHeader + 2*int(binary.LittleEndian.Uint16(page)&^denseFlag)
+			if off >= end || end > len(page) || !legacy && off < table || len(rec) != end-off || &rec[0] != &page[off] {
+				t.Fatalf("slot %d of a %d-byte page (legacy %v): a %d-byte record, the slot table puts it at [%d, %d)", slot, len(page), legacy, len(rec), off, end)
 			}
 			for _, table := range tables {
-				o, err := decodeObject(rec, table)
+				o, err := decodeObject(rec, legacy, table)
 				if err != nil {
 					if !errors.Is(err, updf.ErrCorruptPDF) {
 						t.Fatalf("record %x: %v, want ErrCorruptPDF", rec, err)
@@ -785,10 +819,14 @@ func FuzzDataRecord(f *testing.F) {
 				}
 				_ = o.PDF.MBR()
 				var ref uint16
-				if rec[8] == keyedTag {
-					ref = binary.LittleEndian.Uint16(rec[9:])
+				if recordTag(rec, legacy) == keyedTag {
+					ref = binary.LittleEndian.Uint16(rec[len(rec)-2-8*o.PDF.Dim():])
 				}
-				if again, err := encodeObject(o, ref, table); err != nil || !bytes.Equal(again, rec) {
+				again, err := encodeObject(o, ref, table)
+				if legacy {
+					again = legacyRecord(again)
+				}
+				if err != nil || !bytes.Equal(again, rec) {
 					t.Fatalf("record %x decodes and re-encodes to %x (%v)", rec, again, err)
 				}
 			}
@@ -804,7 +842,7 @@ func FuzzDataRecord(f *testing.F) {
 			}
 		}
 		addr, err := tree.appendData(data)
-		if fits := len(data) > 0 && 4+4+len(data) <= pagefile.PageSize; !fits {
+		if fits := len(data) > 0 && dataHeader+2+len(data) <= pagefile.PageSize; !fits {
 			if err == nil {
 				t.Fatalf("a %d-byte record was appended", len(data))
 			}
@@ -819,7 +857,7 @@ func FuzzDataRecord(f *testing.F) {
 				t.Fatalf("record read back %s: %d bytes, err %v; appended %d", from, len(rec), err, len(data))
 			}
 		}
-		rec, err := tree.readRecord(addr)
+		rec, err := bytesOf(tree.readRecord(addr))
 		check("from the dirty bytes", rec, err)
 		if err := tree.Commit(); err != nil {
 			t.Fatal(err)
@@ -827,7 +865,7 @@ func FuzzDataRecord(f *testing.F) {
 		if err := tree.Rollback(); err != nil { // drops the writer's copy: reads go to the store
 			t.Fatal(err)
 		}
-		rec, err = tree.readRecord(addr)
+		rec, err = bytesOf(tree.readRecord(addr))
 		check("from the store", rec, err)
 		rec, err = storedRecord(t, tree, addr)
 		check("from its page", rec, err)

@@ -230,7 +230,7 @@ func TestShapeTablePersists(t *testing.T) {
 }
 
 // TestOpenOlderLayouts: files written before records could be keyed open,
-// answer as they always did and are UTR6 files after their first commit,
+// answer as they always did and are UTR8 files after their first commit,
 // from which on a new ball gets a keyed record; old records stay full.
 //   - UTR2, written before leaf entries held shape references: magic UTR2,
 //     zeroes where the table and the references are, so it opens with an
@@ -252,7 +252,9 @@ func TestOpenOlderLayouts(t *testing.T) {
 			// What the older writer did: full records, and under UTR2 no
 			// object had a ShapeKey to it. (Its UTR3 leaves held keyed
 			// entries in full, as the UTR4 file TestOpenUTR4File opens
-			// does; these are written compact, as this version writes them.)
+			// does, and its data pages were legacy ones, as TestOpenUTR7File's
+			// are; these are written compact and dense, as this version
+			// writes them.)
 			entries, err := leafEntries(tree, objs)
 			if err != nil {
 				t.Fatal(err)
@@ -319,7 +321,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if binary.LittleEndian.Uint32(meta) != metaMagic {
-				t.Fatal("the first commit (rangeQuery's) did not make the file UTR6")
+				t.Fatal("the first commit (rangeQuery's) did not make the file UTR8")
 			}
 			near := Object{ID: 7000, PDF: updf.NewUniformBall(objs[0].PDF.Center(), 25)}
 			if err := old.Insert(near); err != nil {
@@ -338,7 +340,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				if id == 0 {
 					a = entries[0].addr
 				}
-				if rec, err := old.readRecord(a); err != nil || rec[8] != want {
+				if rec, legacy, err := old.readRecord(a); err != nil || recordTag(rec, legacy) != want {
 					t.Fatalf("object %d's record %x (%v): want tag %d", id, rec, err, want)
 				}
 			}
