@@ -266,8 +266,8 @@ func (t *Tree) centres(lv *slab) []float64 {
 // putLeaf fills leaf page buf, behind its header, with the entries ids of
 // leaf level lv: it appends each object's record (BulkLoad's stage 3) — a
 // keyed one's centre copied from its centre entry — enters its address in
-// the directory and copies its entry with the address. It counts the page's unshaped entries (Tree.unshaped: a U-tree
-// entry without a shape).
+// the directory and copies its entry with the address. It counts the
+// page's unshaped entries (Tree.unshaped: a U-tree entry without a shape).
 func (t *Tree) putLeaf(buf []byte, lv *slab, objects []Object, ids []int) error {
 	off := nodeHeader
 	for _, i := range ids {

@@ -166,9 +166,9 @@ func (t *Tree) appendData(rec []byte) (DataAddr, error) {
 // appendSpace makes room for an n-byte record on the append page, reading
 // the page's committed bytes first if the writer does not hold them (after
 // Open or Rollback), or on a fresh page (allocPage) when it is full or a
-// legacy page, and
-// returns the record's address and the bytes to write it into. Empty
-// records and records larger than a page's usable space are refused.
+// legacy page, and returns the record's address and the bytes to write it
+// into. Empty records and records larger than a page's usable space are
+// refused.
 func (t *Tree) appendSpace(n int) (DataAddr, []byte, error) {
 	if n == 0 {
 		return DataAddr{}, nil, errors.New("core: empty record (its slot would read as deleted)")
@@ -203,11 +203,10 @@ func (t *Tree) appendSpace(n int) (DataAddr, []byte, error) {
 
 // readRecord returns the record at addr as the writer sees it, and whether
 // its page is a legacy one, for a caller that decodes it at once
-// (RecordFromPage): from the writer's bytes where
-// its page is the append page or one the open batch wrote, since the store
-// has not seen their latest records, else from the store. A snapshot never
-// reads the writer's bytes: it reads the store, which holds every record of
-// its epoch.
+// (RecordFromPage): from the writer's bytes where its page is the append
+// page or one the open batch wrote, since the store has not seen their
+// latest records, else from the store. A snapshot never reads the writer's
+// bytes: it reads the store, which holds every record of its epoch.
 func (t *Tree) readRecord(addr DataAddr) ([]byte, bool, error) {
 	page := t.dirty[addr.Page]
 	if addr.Page == t.appendPage {

@@ -48,12 +48,12 @@ func bothReads(t *testing.T, tree *Tree) map[string]func(DataAddr) ([]byte, erro
 // pageRecords returns the records of a data page in slot order — nil for a
 // slot that reads as ErrBadSlot — and whether the page is a legacy one.
 func pageRecords(page []byte) (recs [][]byte, legacy bool) {
-	count := binary.LittleEndian.Uint16(page) &^ denseFlag
-	for slot := range count {
-		rec, l, _ := RecordFromPage(page, slot)
-		recs, legacy = append(recs, bytes.Clone(rec)), l
+	word := binary.LittleEndian.Uint16(page)
+	for slot := range word &^ denseFlag {
+		rec, _, _ := RecordFromPage(page, slot)
+		recs = append(recs, bytes.Clone(rec))
 	}
-	return recs, legacy
+	return recs, word&denseFlag == 0
 }
 
 // layPage lays recs out as a data page, slot i holding recs[i]: dense, or

@@ -99,14 +99,14 @@ func putKeyed(rec []byte, id int64, ref uint16, ctr []byte) {
 // whose reference the table cannot resolve, or whose length is not its
 // shape's, is updf.ErrCorruptPDF.
 func decodeObject(rec []byte, legacy bool, shapes []shape) (Object, error) {
-	var id int64
-	n := 8
-	if legacy {
-		if len(rec) > n {
-			id = int64(binary.LittleEndian.Uint64(rec))
+	id, n := int64(0), 8 // a legacy record's u64
+	switch {
+	case !legacy:
+		if id, n = binary.Varint(rec); n > 1 && rec[n-1] == 0 {
+			n = 0 // a padded varint: encodeObject would not write it
 		}
-	} else if id, n = binary.Varint(rec); n > 1 && rec[n-1] == 0 {
-		n = 0 // a padded varint: encodeObject would not write it
+	case len(rec) > n:
+		id = int64(binary.LittleEndian.Uint64(rec))
 	}
 	if n <= 0 || len(rec) <= n {
 		return Object{}, fmt.Errorf("%w: object record of %d bytes", updf.ErrCorruptPDF, len(rec))
