@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -21,15 +22,20 @@ import (
 //
 //  1. check every object and write its MBR into a slab (an allocation-free
 //     MBRAt for a recentrable shape) on GOMAXPROCS workers, so an invalid
-//     object fails the load before a page is allocated; hand out shape
-//     references in input order, formatting a ShapeKey once per distinct
-//     updf.ShapeID; then, on the workers again, encode each leaf entry
-//     (without its address) and its boundary boxes into two more slabs;
+//     object — of several, the one with the smallest ID — fails the load
+//     before a page is allocated; hand out shape references in the order of
+//     each shape's smallest object ID, that object its prototype, formatting
+//     a ShapeKey once per distinct updf.ShapeID; then, on the workers again,
+//     encode each leaf entry (without its address) and its boundary boxes
+//     into two more slabs;
 //  2. tile the level with Sort-Tile-Recursive (STR) packing over the
 //     entries' e.MBR(p_median) centres — the geometry the incremental split
-//     sorts by — sorting (key, index) pairs, every other slab the other way
-//     (boustrophedon), so consecutive tiles are neighbours; the slabs of the
-//     first dimension are tiled on the workers. Each sorted run is cut into
+//     sorts by — in a total order: the coordinate, then the other
+//     coordinates cyclically, then the object ID (above the leaves, the
+//     node's index), every other slab descending on the coordinate
+//     (boustrophedon), so consecutive tiles are neighbours and entries tied
+//     on a coordinate lie in runs along the others; the slabs of the first
+//     dimension are tiled on the workers. Each sorted run is cut into
 //     as many nodes as a full packing would, each with room for one more
 //     entry of any form where the run has it to spare (runCutter.cut);
 //  3. walk the tiles in order and append each object's detail record
@@ -44,11 +50,12 @@ import (
 // of a full packing (fewer pages, fewer query I/Os) at a fraction of the
 // build cost, whose first inserts neither split nor reinsert; the tree
 // stays fully dynamic afterwards (later Inserts append to the last data
-// page). The tree is a function of the object order alone, not of the
-// number of workers. It can only be called on an empty tree, and an ID
-// named twice is ErrDuplicateID before a page is allocated. The directory,
-// sized once, takes every object at its record's address; a Rollback
-// empties it again. Nothing of the slabs outlives the call.
+// page). The tree is a function of the object set alone: not of the
+// objects' order, the sort algorithm or the number of workers. It can only
+// be called on an empty tree, and an ID named twice is ErrDuplicateID
+// before a page is allocated. The directory, sized once, takes every
+// object at its record's address; a Rollback empties it again. Nothing of
+// the slabs outlives the call.
 func (t *Tree) BulkLoad(objects []Object) error {
 	if n := t.Len(); n != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", n)
@@ -139,14 +146,15 @@ func (t *Tree) BulkLoad(objects []Object) error {
 // intermediate entry unionBoundary's: innerBoxes boxes of 2·dim
 // coordinates, Lo then Hi) and its size on a page. A leaf level also holds
 // its entries as encodeLeafEntry writes them, their addresses zero (entry
-// i is ent[at[i]:at[i+1]]), and their shape references; an intermediate
-// level its children.
+// i is ent[at[i]:at[i+1]]), their shape references and their objects'
+// IDs; an intermediate level its children.
 type slab struct {
 	bnd   []float64
 	size  []int
 	ent   []byte
 	at    []int
 	ref   []uint16
+	id    []int64
 	child []pagefile.PageID
 }
 
@@ -157,43 +165,81 @@ func (s *slab) row(i, stride int) []float64 { return s.bnd[i*stride : (i+1)*stri
 const loadChunk = 1024
 
 // loadLeaves is BulkLoad's first stage: the leaf level's slab. It touches
-// no storage, and returns the first invalid object's error in input order.
+// no storage, and of several invalid objects returns the error of the one
+// with the smallest ID.
 func (t *Tree) loadLeaves(objects []Object) (*slab, error) {
 	n, d := len(objects), t.dim
 	mbrs := make([]float64, n*2*d)
-	bad := atomic.Int64{}
-	bad.Store(int64(n))
+	var mu sync.Mutex
+	bad, badErr := -1, error(nil)
 	inChunks(n, func(lo, hi int) {
-		for i := lo; i < hi && int64(i) < bad.Load(); i++ {
-			if t.checkObject(objects[i], rectAt(mbrs, i, d)) != nil {
-				for b := bad.Load(); int64(i) < b && !bad.CompareAndSwap(b, int64(i)); b = bad.Load() {
+		for i := lo; i < hi; i++ {
+			if err := t.checkObject(objects[i], rectAt(mbrs, i, d)); err != nil {
+				mu.Lock()
+				if bad < 0 || objects[i].ID < objects[bad].ID || objects[i].ID == objects[bad].ID && i < bad {
+					bad, badErr = i, err
 				}
-				return
+				mu.Unlock()
 			}
 		}
 	})
-	if i := bad.Load(); i < int64(n) {
-		return nil, t.checkObject(objects[i], rectAt(mbrs, int(i), d))
+	if badErr != nil {
+		return nil, badErr
 	}
 
-	// Shape references in input order: a shape's prototype is its first
-	// object. A ShapeID seen before needs no key. The reference decides
+	// Shape references by each shape's smallest object ID: group the objects
+	// by shape — a ShapeID where the family has one, so its ShapeKey is
+	// formatted once, else the ShapeKey — and enter the groups in the order
+	// of their smallest IDs, that object the prototype. The table is then a
+	// function of the object set, whatever its order. The reference decides
 	// the entry's form, and so its size and place in the slab.
-	lv := &slab{ref: make([]uint16, n), size: make([]int, n), at: make([]int, n+1)}
-	known := make(map[updf.ShapeID]uint16)
+	type group struct {
+		key   string
+		proto int // the group's object with the smallest ID
+	}
+	var groups []group
+	byID, byKey := make(map[updf.ShapeID]int32), make(map[string]int32)
+	of := make([]int32, n)
 	for i, o := range objects {
-		ref, seen := uint16(0), false
-		id, ok := updf.ShapeIDOf(o.PDF)
+		var g int32
+		var seen bool
+		key := ""
+		sid, ok := updf.ShapeIDOf(o.PDF)
 		if ok {
-			ref, seen = known[id]
+			g, seen = byID[sid]
+		} else {
+			key = o.PDF.ShapeKey()
+			g, seen = byKey[key]
 		}
-		if !seen {
-			ref = t.shapeRef(o.PDF.ShapeKey(), o.PDF)
+		switch {
+		case !seen:
 			if ok {
-				known[id] = ref
+				key = o.PDF.ShapeKey()
 			}
+			g = int32(len(groups))
+			groups = append(groups, group{key: key, proto: i})
+			if ok {
+				byID[sid] = g
+			} else {
+				byKey[key] = g
+			}
+		case o.ID < objects[groups[g].proto].ID:
+			groups[g].proto = i
 		}
-		lv.ref[i], lv.size[i] = ref, t.leafEntrySize
+		of[i] = g
+	}
+	slices.SortFunc(groups, func(a, b group) int {
+		return cmp.Or(cmp.Compare(objects[a.proto].ID, objects[b.proto].ID), cmp.Compare(a.proto, b.proto))
+	})
+	refs := make([]uint16, len(groups))
+	for _, g := range groups {
+		refs[of[g.proto]] = t.shapeRef(g.key, objects[g.proto].PDF)
+	}
+
+	lv := &slab{ref: make([]uint16, n), size: make([]int, n), at: make([]int, n+1), id: make([]int64, n)}
+	for i, o := range objects {
+		ref := refs[of[i]]
+		lv.ref[i], lv.size[i], lv.id[i] = ref, t.leafEntrySize, o.ID
 		if t.kind == UTree && ref != 0 {
 			lv.size[i] = t.compactEntrySize
 			if t.shapes[ref-1].rc != nil {
@@ -244,7 +290,7 @@ func (t *Tree) tileLevel(lv *slab, leaf bool) [][]int {
 	if leaf {
 		minFill, room = t.minLeaf, t.leafEntrySize
 	}
-	return strTile(t.centres(lv), lv.size, t.dim, minFill, room)
+	return strTile(t.centres(lv), lv.id, lv.size, t.dim, minFill, room)
 }
 
 // centres flattens the centre of every entry's e.MBR(p_median) box, as
@@ -352,25 +398,34 @@ func identity(n int) []int {
 }
 
 // keyIdx is a sort key and the index of the entry it belongs to: what STR
-// sorts, so a comparison reads neither the centres nor a closure's state.
+// sorts, so a comparison of unequal keys reads neither the centres nor the
+// entries' IDs.
 type keyIdx struct {
 	key float64
 	id  int
 }
 
-func compareKeyIdx(a, b keyIdx) int { return compareKeys(a.key, b.key) }
+// sortKeys is the sort STR runs; a test swaps in another. Any correct sort
+// gives the same tiles, since strTile's order is total.
+var sortKeys = slices.SortFunc[[]keyIdx, keyIdx]
 
 // strTile partitions the entries whose flattened center coordinates and
 // on-page sizes are given into groups that each fit a page and hold at
 // least minFill bytes, leaving room bytes free where a run can spare them,
 // using recursive sort-tile, and returns each group as indices into the
-// input, in tile order. At each level every other slab is sorted
-// descending — ascending on negated keys, which compare as the keys do in
-// reverse — so the tile order snakes: the last tile of a slab and the
-// first of the next lie side by side. The slabs of the first dimension are
-// tiled on parallelFor's workers, each with its own runCutter; the result
-// does not depend on how many there are.
-func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
+// input, in tile order. Sorting on dimension d compares the entries'
+// coordinate d (the key), then their other coordinates from d + 1 on,
+// cyclically, then their IDs — tie[i] for entry i, or the index itself
+// where tie is nil — a total order, so any correct sort gives the same
+// tiles, and entries whose keys tie (centres clamped to a border of the
+// domain) lie along the other dimensions. At each level every other slab
+// is sorted on its keys descending — ascending on negated keys, which
+// compare as the keys do in reverse; ties part as in any slab — so the tile
+// order snakes: the last tile of a slab and the first of the next lie side
+// by side. The slabs of the first dimension are tiled on parallelFor's
+// workers, each with its own runCutter; the result does not depend on how
+// many there are.
+func strTile(centers []float64, tie []int64, size []int, dim, minFill, room int) [][]int {
 	n := len(size)
 	ps, ids := make([]keyIdx, n), make([]int, n)
 	for i := range ps {
@@ -396,7 +451,20 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 			ps[k].key = sign * centers[ps[k].id*dim+d]
 			total, big = total+size[ps[k].id], max(big, size[ps[k].id])
 		}
-		slices.SortFunc(ps, compareKeyIdx)
+		sortKeys(ps, func(a, b keyIdx) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			for k := d + 1; k < d+dim; k++ {
+				if c := cmp.Compare(centers[a.id*dim+k%dim], centers[b.id*dim+k%dim]); c != 0 {
+					return c
+				}
+			}
+			if tie != nil {
+				return cmp.Compare(tie[a.id], tie[b.id])
+			}
+			return cmp.Compare(a.id, b.id)
+		})
 		for k := range ps {
 			ids[k] = ps[k].id
 		}
@@ -422,19 +490,6 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 		return slices.Concat(parts...)
 	}
 	return tile(new(runCutter), ps, ids, 0, false)
-}
-
-// compareKeys orders two sort keys for slices.SortFunc: negative exactly
-// where x < y, so a NaN key compares equal to every other, as a plain
-// less-than treats it.
-func compareKeys(x, y float64) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
 }
 
 // runCutter cuts STR's sorted runs into nodes. keys holds the run's sort

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,7 +11,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -124,10 +127,11 @@ func leafEntries(tree *Tree, objs []Object) ([]entry, error) {
 }
 
 // TestBulkLoadParallelBuild checks stage 1 — each object's encoded entry,
-// boundary boxes and shape reference in the slabs — against the serial
-// loop of buildLeafEntry it replaced, at whatever GOMAXPROCS the run has
-// (CI runs it with -cpu 1,4 under -race), and that a bad object fails the
-// load before any page is allocated.
+// boundary boxes and shape reference in the slabs — against a serial loop
+// of buildLeafEntry over the objects in ascending ID order, at whatever
+// GOMAXPROCS the run has (CI runs it with -cpu 1,4 under -race), and that a
+// bad object fails the load before any page is allocated — of several, the
+// one with the smallest ID.
 func TestBulkLoadParallelBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	objs := makeObjects(240, 1000, rng)
@@ -140,7 +144,10 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		}
 		ser, _ := New(Options{Dim: 2, Kind: kind})
 		es, stride := ser.leafEntrySize, 4*ser.innerBoxes()
-		for i, o := range objs {
+		order := identity(len(objs))
+		sort.SliceStable(order, func(a, b int) bool { return objs[order[a]].ID < objs[order[b]].ID })
+		for _, i := range order {
+			o := objs[i]
 			want, err := ser.buildLeafEntry(o)
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +165,8 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 			}
 		}
 		// The comparison covers the shape references, which the serial loop
-		// hands out in input order: workers must not have had a say in them.
+		// hands out in ID order: neither the input order nor the workers
+		// may have had a say in them.
 		if !reflect.DeepEqual(par.shapes, ser.shapes) {
 			t.Fatalf("%v: shape tables differ: %d and %d shapes", kind, len(par.shapes), len(ser.shapes))
 		}
@@ -169,10 +177,11 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	sameAsSerial(UTree, objs)
 	sameAsSerial(UPCR, objs)
 
-	// A shape's offsets carry the rounding of its prototype, the first object
-	// of the shape in input order. Lead with an object whose offsets differ
-	// from the next ones' own: a build that took offsets from whichever
-	// object a worker reached first would differ from the serial loop.
+	// A shape's offsets carry the rounding of its prototype, the object of
+	// the shape with the smallest ID. Give that to an object whose offsets
+	// differ from the others' own, and put it last: a build that took
+	// offsets from the first object in input order, or whichever one a
+	// worker reached first, would differ from the serial loop.
 	cat := pcr.UniformCatalog(9)
 	first, found := objs[0], false
 	for _, o := range objs[4:] {
@@ -183,7 +192,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		pcr.Compute(first.PDF, cat, seeded)
 		if !reflect.DeepEqual(pcr.Compute(o.PDF, cat, seeded), pcr.Compute(o.PDF, cat, pcr.NewQuantileCache())) {
 			for _, kind := range []Kind{UTree, UPCR} {
-				sameAsSerial(kind, []Object{first, o, {ID: -1, PDF: o.PDF}, {ID: -2, PDF: o.PDF}})
+				sameAsSerial(kind, []Object{o, {ID: 1 << 40, PDF: o.PDF}, {ID: 1<<40 + 1, PDF: o.PDF}, first})
 			}
 			found = true
 			break
@@ -194,15 +203,17 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	}
 
 	bad := append([]Object(nil), objs...)
+	bad[3] = Object{ID: 9998}
 	bad[len(bad)/2] = Object{ID: 9999, PDF: updf.NewUniformBall(geom.Point{1, 2, 3}, 1)}
+	bad[len(bad)-1] = Object{ID: -5}
 	store := pagefile.NewMemStore()
 	tree, err := New(Options{Dim: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pages := store.NumPages()
-	if err := tree.BulkLoad(bad); err == nil {
-		t.Fatal("mis-dimensioned object accepted")
+	if err := tree.BulkLoad(bad); err == nil || !strings.Contains(err.Error(), "object -5 ") {
+		t.Fatalf("three invalid objects: error %v, want the one of object -5, the smallest ID", err)
 	}
 	if got := store.NumPages(); got != pages {
 		t.Fatalf("failed load allocated pages: %d → %d", pages, got)
@@ -622,17 +633,130 @@ func TestBulkLoadGoldenMixed(t *testing.T) {
 			if kind == UTree && tree.unshaped == 0 {
 				t.Fatal("no leaf entry without a shape; the fixture no longer holds every form")
 			}
-			h, buf := sha256.New(), make([]byte, pagefile.PageSize)
-			for id := pagefile.PageID(0); int(id) < store.NumPages(); id++ {
-				if store.Read(id, buf) == nil {
-					h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
-					h.Write(buf)
-				}
-			}
-			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != want[kind] {
+			if got := storeDigest(store); got != want[kind] {
 				t.Errorf("GOMAXPROCS %d, %v of %d objects, height %d: page digest %s, want %s", procs, kind, len(objs), tree.Height(), got, want[kind])
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// storeDigest hashes every page of store that reads, page id and bytes.
+func storeDigest(store *pagefile.MemStore) string {
+	h, buf := sha256.New(), make([]byte, pagefile.PageSize)
+	for id := pagefile.PageID(0); int(id) < store.NumPages(); id++ {
+		if store.Read(id, buf) == nil {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
+			h.Write(buf)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// tiedObjects returns n objects — uniform and Con-Gau balls, rectangles of
+// two sizes, and unkeyed mixtures — whose centres lie on a 25-unit grid
+// clamped to [100, 900]², so that many share a coordinate, whole rows of
+// them on the clamped border, and some share their centre. IDs are a
+// permutation of [0, n), unrelated to the order of the slice.
+func tiedObjects(n int, rng *rand.Rand) []Object {
+	clamp := func(v int) float64 { return float64(min(900, max(100, 25*v))) }
+	ids := rng.Perm(n)
+	objs := make([]Object, n)
+	for i := range objs {
+		c := geom.Point{clamp(rng.Intn(41)), clamp(rng.Intn(41))}
+		var p updf.PDF
+		switch i % 5 {
+		case 0:
+			p = updf.NewUniformBall(c, 25)
+		case 1:
+			p = updf.NewConGauBall(c, 25, 12.5)
+		case 2, 3:
+			w := 20 + 10*float64(i%2)
+			p = updf.NewUniformRect(geom.NewRect(geom.Point{c[0] - w, c[1] - 15}, geom.Point{c[0] + w, c[1] + 15}))
+		default:
+			p = updf.NewMixture([]updf.PDF{updf.NewUniformBall(c, 8), updf.NewUniformBall(geom.Point{c[0] + 10, c[1]}, 8)}, []float64{1, 1})
+		}
+		objs[i] = Object{ID: int64(ids[i]), PDF: p}
+	}
+	return objs
+}
+
+// TestBulkLoadTotalOrder: STR sorts on a total order — coordinate, the
+// other coordinates cyclically, then object ID at the leaves and node index
+// above — and the shape table takes each shape's prototype from its
+// smallest ID, so a bulk-loaded tree is a function of its object set: at
+// GOMAXPROCS 1, 2 and 4 a load with a stable sort swapped in, a load of the
+// objects shuffled and one with their order reversed — every tie the other
+// way round — write the pages the load of the objects in ID order writes,
+// byte for byte, in a U-tree and in a U-PCR (whose small fan-out makes STR
+// tile an inner level too).
+func TestBulkLoadTotalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	objs := tiedObjects(4000, rng)
+	byID := slices.Clone(objs)
+	slices.SortFunc(byID, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+	shuffled := slices.Clone(objs)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	reversed := slices.Clone(byID)
+	slices.Reverse(reversed)
+
+	// The fixture must tie: on a coordinate along the clamped border, and
+	// on whole centres.
+	border, centres := 0, map[[2]float64]int{}
+	for _, o := range objs {
+		c := o.PDF.Center()
+		if c[0] == 100 || c[0] == 900 || c[1] == 100 || c[1] == 900 {
+			border++
+		}
+		centres[[2]float64{c[0], c[1]}]++
+	}
+	if border < 400 || len(centres) > len(objs)*3/4 {
+		t.Fatalf("%d objects on the border, %d distinct centres among %d: the fixture ties too little", border, len(centres), len(objs))
+	}
+
+	load := func(kind Kind, objs []Object) (string, int) {
+		t.Helper()
+		store := pagefile.NewMemStore()
+		tree, err := New(Options{Dim: 2, Kind: kind, Store: store, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(objs); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return storeDigest(store), tree.Height()
+	}
+	pdq := sortKeys
+	defer func() { sortKeys = pdq }()
+	for _, kind := range []Kind{UTree, UPCR} {
+		want, height := load(kind, byID)
+		if kind == UPCR && height < 3 {
+			t.Fatalf("U-PCR of %d objects has height %d: STR tiles no inner level", len(objs), height)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, c := range []struct {
+				name string
+				objs []Object
+				sort func([]keyIdx, func(a, b keyIdx) int)
+			}{
+				{"input order", objs, nil},
+				{"stable sort", objs, slices.SortStableFunc[[]keyIdx, keyIdx]},
+				{"shuffled", shuffled, nil},
+				{"reversed", reversed, nil},
+			} {
+				sortKeys = pdq
+				if c.sort != nil {
+					sortKeys = c.sort
+				}
+				if got, _ := load(kind, c.objs); got != want {
+					t.Errorf("%v, GOMAXPROCS %d, %s: page digest %s, want %s (the objects in ID order)", kind, procs, c.name, got, want)
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package uncertain
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/updf"
@@ -48,21 +47,15 @@ func (t *Tree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...Que
 // objects (writer lock); the tree must be empty. Far faster than repeated
 // Insert and produces a tighter tree; the index stays fully dynamic
 // afterwards. The whole load commits as a single epoch: snapshots see
-// either the empty tree or the complete load, never a partial one.
+// either the empty tree or the complete load, never a partial one. The
+// objects go to the load in map order: the pages it writes, and with them
+// I/O counts and k-NN estimates, are a function of the object set alone.
 func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Ascending-ID order, not map order: the tiling, the data-page layout
-	// and with them I/O counts and k-NN estimates repeat run to run. The
-	// IDs are sorted, not the objects.
-	ids := make([]int64, 0, len(objects))
-	for id := range objects {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	objs := make([]core.Object, len(ids))
-	for i, id := range ids {
-		objs[i] = core.Object{ID: id, PDF: objects[id]}
+	objs := make([]core.Object, 0, len(objects))
+	for id, p := range objects {
+		objs = append(objs, core.Object{ID: id, PDF: p})
 	}
 	if err := t.inner.BulkLoad(objs); err != nil {
 		return t.rollback(err)
