@@ -460,9 +460,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Dim: 2, CatalogSize: 1}); err == nil {
 		t.Error("catalog 1 accepted")
 	}
-	// Enormous catalog with U-PCR in high dimension → fanout too small.
-	if _, err := New(Options{Dim: 8, Kind: UPCR, CatalogSize: 40}); err == nil {
-		t.Error("fanout <4 configuration accepted")
+	// A large catalog with U-PCR in high dimension → fanout too small.
+	if _, err := New(Options{Dim: 8, Kind: UPCR, CatalogSize: 30}); err == nil || !strings.Contains(err.Error(), "fanout") {
+		t.Errorf("fanout <4 configuration: error %v, want the fan-out's", err)
+	}
+	if _, err := New(Options{Dim: 2, CatalogSize: MaxCatalogSize + 1}); err == nil {
+		t.Errorf("catalog %d accepted", MaxCatalogSize+1)
+	}
+	if _, err := New(Options{Dim: 2, CatalogSize: MaxCatalogSize}); err != nil {
+		t.Errorf("catalog %d: %v", MaxCatalogSize, err)
 	}
 }
 

@@ -133,6 +133,10 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	if dim < 1 || m < 2 || (kind != UTree && kind != UPCR) {
 		return nil, nil, fmt.Errorf("core: corrupt metadata (kind=%d dim=%d m=%d)", kind, dim, m)
 	}
+	if m > MaxCatalogSize {
+		return nil, nil, fmt.Errorf("core: corrupt metadata: %w", &pagefile.BadPageError{Page: metaPage,
+			Reason: fmt.Sprintf("catalog size %d above the maximum %d", m, MaxCatalogSize)})
+	}
 	if err := checkFanout(kind, dim, m); err != nil {
 		return nil, nil, err
 	}

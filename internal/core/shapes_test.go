@@ -590,12 +590,103 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	}
 }
 
+// fitCalls bounds the MarginalCDF evaluations fitting one shape may spend
+// per catalog value and dimension: two quantiles, each a bisection to
+// QuantileTol — about 30 halvings of the extent, two evaluations at its
+// ends, and one more where the marginal is flat at an end.
+const fitCalls = 70
+
+// fitWork returns how many MarginalCDF evaluations MarginalQuantile makes
+// while fn runs.
+func fitWork(fn func()) int64 {
+	before := updf.QuantileCDFCalls()
+	fn()
+	return updf.QuantileCDFCalls() - before
+}
+
+// TestOpenFitWorkBounded: Open fits every shape of the persisted table, so
+// what it costs is bounded by the table and the catalog: a metadata page
+// filled with distinct shapes of one keyed family, at MaxCatalogSize,
+// opens with at most fitCalls·n·m·d MarginalCDF evaluations, for each
+// keyed family.
+func TestOpenFitWorkBounded(t *testing.T) {
+	c := geom.Point{500, 400}
+	box := func(i int) geom.Rect {
+		w := 10 + float64(i)/4
+		return geom.NewRect(geom.Point{c[0] - w, c[1] - 12}, geom.Point{c[0] + w, c[1] + 12})
+	}
+	families := []struct {
+		name  string
+		shape func(i int) updf.PDF
+	}{
+		{"uniform ball", func(i int) updf.PDF { return updf.NewUniformBall(c, 10+float64(i)/4) }},
+		{"Con-Gau ball", func(i int) updf.PDF { return updf.NewConGauBall(c, 10+float64(i)/4, 5) }},
+		{"uniform rectangle", func(i int) updf.PDF { return updf.NewUniformRect(box(i)) }},
+		{"Gaussian rectangle", func(i int) updf.PDF {
+			return updf.NewGaussRect(box(i), geom.Point{c[0] + 2, c[1] - 1}, []float64{6, 5})
+		}},
+		{"exponential rectangle", func(i int) updf.PDF { return updf.NewExpoRect(box(i), []float64{0.05, 0.02}) }},
+		{"polygon", func(i int) updf.PDF {
+			r := 10 + float64(i)/4
+			return updf.NewUniformPolygon([]geom.Point{{c[0] + r, c[1]}, {c[0], c[1] + r}, {c[0] - r, c[1]}, {c[0], c[1] - r}})
+		}},
+	}
+	const m, d = MaxCatalogSize, 2
+	for _, fam := range families {
+		store := pagefile.NewMemStore()
+		tree, err := New(Options{Dim: d, CatalogSize: m, Store: store, Persist: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, pagefile.PageSize)
+		if err := store.Read(tree.MetaPage(), page); err != nil {
+			t.Fatal(err)
+		}
+		n, off := 0, metaFixed+2
+		for ; ; n++ {
+			enc, err := updf.Encode(fam.shape(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off+2+len(enc) > pagefile.PageSize {
+				break
+			}
+			binary.LittleEndian.PutUint16(page[off:], uint16(len(enc)))
+			off += 2 + copy(page[off+2:], enc)
+		}
+		binary.LittleEndian.PutUint16(page[metaFixed:], uint16(n))
+		if err := store.Write(tree.MetaPage(), page); err != nil {
+			t.Fatal(err)
+		}
+		var re *Tree
+		calls := fitWork(func() { re, _, err = Open(store, tree.MetaPage(), Options{}) })
+		if err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+		if len(re.shapes) != n {
+			t.Fatalf("%s: %d shapes in the reopened table, wrote %d", fam.name, len(re.shapes), n)
+		}
+		if bound := int64(fitCalls * n * m * d); calls > bound {
+			t.Errorf("%s: opening %d shapes at m = %d took %d MarginalCDF evaluations, above %d·n·m·d = %d", fam.name, n, m, calls, fitCalls, bound)
+		} else if calls == 0 {
+			t.Errorf("%s: opening %d shapes counted no MarginalCDF evaluation; the count is not wired", fam.name, n)
+		}
+		t.Logf("%s: %d shapes, %d evaluations, %.1f per shape, catalog value and dimension", fam.name, n, calls, float64(calls)/float64(n*m*d))
+	}
+}
+
 // FuzzOpenMeta hands Open arbitrary bytes as the metadata page of a store
 // holding a small committed tree. Open returns an error — typed, for a bad
 // shape table — or a tree whose every table entry is a decoded pdf of the
 // tree's dimensionality with a ShapeKey; on that tree a range query and a
 // read of every record return or fail, and never index past the table
-// whatever the leaves and the keyed records say.
+// whatever the leaves and the keyed records say. However the page is
+// filled, opening it fits at most as many shapes as its count names, so it
+// costs at most fitCalls evaluations per shape, catalog value and
+// dimension; a catalog size above MaxCatalogSize is refused before any.
 func FuzzOpenMeta(f *testing.F) {
 	store := pagefile.NewMemStore()
 	tree, err := New(Options{Dim: 2, Store: store, Persist: true})
@@ -631,6 +722,9 @@ func FuzzOpenMeta(f *testing.F) {
 	f.Add(mutate(func(b []byte) { copy(b[metaFixed+6:], "\xff\xff\xff\xff\xff\xff\xff\x7f") })) // NaN centre
 	f.Add(mutate(func(b []byte) { b[5] = 0 }))
 	f.Add(good[:100])
+	// A catalog size of 12,336 over a table holding a Con-Gau ball: fitting
+	// it took seconds before Open refused m above MaxCatalogSize.
+	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:], 12336) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		page := make([]byte, pagefile.PageSize)
@@ -655,7 +749,13 @@ func FuzzOpenMeta(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		re, _, err := Open(scratch, tree.MetaPage(), Options{NodeCacheEntries: -1})
+		var re *Tree
+		var err error
+		calls := fitWork(func() { re, _, err = Open(scratch, tree.MetaPage(), Options{NodeCacheEntries: -1}) })
+		n, m, d := int64(binary.LittleEndian.Uint16(page[metaFixed:])), int64(binary.LittleEndian.Uint16(page[6:])), int64(page[5])
+		if m > MaxCatalogSize && calls > 0 || calls > fitCalls*n*m*d {
+			t.Fatalf("opening a page of %d shapes at m = %d, d = %d took %d MarginalCDF evaluations, above %d·n·m·d", n, m, d, calls, fitCalls)
+		}
 		if err != nil {
 			var bad *pagefile.BadPageError
 			if dim, m := int(page[5]), int(binary.LittleEndian.Uint16(page[6:])); binary.LittleEndian.Uint32(page) == metaMagic && dim == 2 && m == 15 && page[4] == 0 && !errors.As(err, &bad) {

@@ -20,8 +20,8 @@ type Options struct {
 	Dim int
 	// Kind selects U-tree (default) or U-PCR.
 	Kind Kind
-	// CatalogSize m; 0 selects the paper defaults (15 for U-tree, 9 for
-	// U-PCR).
+	// CatalogSize m, at most MaxCatalogSize; 0 selects the paper defaults
+	// (15 for U-tree, 9 for U-PCR).
 	CatalogSize int
 	// Store supplies page storage; nil selects an in-memory store. The
 	// tree writes it directly and keeps the copy-on-write epochs itself
@@ -184,6 +184,13 @@ type UpdateStats struct {
 	CPUTime    time.Duration
 }
 
+// MaxCatalogSize is the largest catalog size m a tree takes, in New and in
+// Open. Every shape fits 2m quantile offsets per dimension, and Open fits
+// the whole persisted table, so m bounds what opening a file costs. The
+// paper's Fig. 8 varies m up to 12, the catalog ablation up to 20, and the
+// default is 15.
+const MaxCatalogSize = 32
+
 // Check returns the error New returns for opt's structure — its
 // dimensionality, catalog size and fan-outs — without touching a store, so
 // a caller can refuse opt before it creates one.
@@ -194,6 +201,8 @@ func (opt Options) Check() error {
 		return fmt.Errorf("core: dimensionality %d", opt.Dim)
 	case m < 2:
 		return fmt.Errorf("core: catalog size %d too small", m)
+	case m > MaxCatalogSize:
+		return fmt.Errorf("core: catalog size %d above the maximum %d", m, MaxCatalogSize)
 	}
 	return checkFanout(opt.Kind, opt.Dim, m)
 }

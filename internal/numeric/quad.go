@@ -63,7 +63,9 @@ func GaussLegendre(f func(float64) float64, a, b float64, n int) float64 {
 // that f is monotone enough that f(lo) and f(hi) have opposite signs (or one
 // of them is zero). It refines with bisection, which is unconditionally
 // convergent — important because marginal CDFs of regions can have flat
-// stretches where Newton steps stall.
+// stretches where Newton steps stall. It stops when lo and hi are adjacent
+// floats, which an xtol below their spacing would otherwise leave halving
+// nothing until its 200 steps run out.
 func Bisect(f func(float64) float64, lo, hi, xtol float64) (float64, error) {
 	flo, fhi := f(lo), f(hi)
 	if flo == 0 {
@@ -77,6 +79,9 @@ func Bisect(f func(float64) float64, lo, hi, xtol float64) (float64, error) {
 	}
 	for i := 0; i < 200 && hi-lo > xtol; i++ {
 		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi {
+			break // adjacent floats, closer than xtol can say: mid is the answer
+		}
 		fm := f(mid)
 		if fm == 0 {
 			return mid, nil

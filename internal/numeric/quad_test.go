@@ -215,3 +215,38 @@ func TestPropertyNormalCDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBisectStopsAtAdjacentFloats: a tolerance finer than the floats'
+// spacing at the root ends the bisection once lo and hi are adjacent, with
+// the answer the full 200 halvings reach, after a handful of evaluations.
+func TestBisectStopsAtAdjacentFloats(t *testing.T) {
+	// A sign change between two adjacent floats, r and the next: no zero.
+	r := 1e7 + 3.3e-7
+	calls := 0
+	f := func(x float64) float64 {
+		calls++
+		if x <= r {
+			return -1
+		}
+		return 1
+	}
+	lo, hi := 1e7, 1e7+1e-6
+	x, err := Bisect(f, lo, hi, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls > 16 {
+		t.Fatalf("%d evaluations for a bracket of %g ulps", calls, 1e-6/(math.Nextafter(lo, hi)-lo))
+	}
+	// The loop without the stop: every step past adjacency leaves lo, hi.
+	for i := 0; i < 200 && hi-lo > 1e-12; i++ {
+		if mid := lo + (hi-lo)/2; f(mid) > 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if want := lo + (hi-lo)/2; x != want || (x != r && x != math.Nextafter(r, hi)) {
+		t.Fatalf("root %v, the full bisection's %v, the sign changes after %v", x, want, r)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/numeric"
@@ -100,18 +101,30 @@ func MarginalQuantile(p PDF, dim int, prob float64) float64 {
 	if prob >= 1 {
 		return hi
 	}
-	x, err := numeric.Bisect(func(x float64) float64 {
-		return p.MarginalCDF(dim, x) - prob
-	}, lo, hi, QuantileTol(hi-lo))
+	calls := int64(0)
+	defer func() { quantileCalls.Add(calls) }()
+	cdf := func(x float64) float64 {
+		calls++
+		return p.MarginalCDF(dim, x)
+	}
+	x, err := numeric.Bisect(func(x float64) float64 { return cdf(x) - prob }, lo, hi, QuantileTol(hi-lo))
 	if err != nil {
 		// CDF numerically flat at an endpoint; clamp to the nearer side.
-		if p.MarginalCDF(dim, lo) >= prob {
+		if cdf(lo) >= prob {
 			return lo
 		}
 		return hi
 	}
 	return x
 }
+
+// quantileCalls counts MarginalQuantile's MarginalCDF evaluations.
+var quantileCalls atomic.Int64
+
+// QuantileCDFCalls returns how many MarginalCDF evaluations MarginalQuantile
+// has made in this process: the work of fitting quantile offsets, which
+// tests hold to a bound per shape, catalog value and dimension.
+func QuantileCDFCalls() int64 { return quantileCalls.Load() }
 
 // QuantileTol is how far MarginalQuantile's answer may lie from the
 // quantile of a marginal whose support spans extent: the bisection's

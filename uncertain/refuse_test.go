@@ -224,6 +224,7 @@ func TestRefusedConfigLeavesFile(t *testing.T) {
 		"no dimensions":     {Dimensions: 0},
 		"negative":          {Dimensions: -2},
 		"one-value catalog": {Dimensions: 2, CatalogSize: 1},
+		"catalog above 32":  {Dimensions: 2, CatalogSize: 33},
 		"fan-out below 4":   {Dimensions: 25},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -115,8 +115,8 @@ func Histogram(region Rect, bins []int, weights []float64) PDF {
 type Config struct {
 	// Dimensions of the data space (required).
 	Dimensions int
-	// CatalogSize m (0 → the paper's default, 15; a reopened U-PCR file
-	// keeps its own, 9 by default).
+	// CatalogSize m (0 → the paper's default, 15; at most 32; a reopened
+	// U-PCR file keeps its own, 9 by default).
 	CatalogSize int
 	// MonteCarloSamples is the sample count of a k-NN query's
 	// expected-distance estimate (0 → 10000). Range refinement computes
