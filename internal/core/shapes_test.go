@@ -725,6 +725,14 @@ func FuzzOpenMeta(f *testing.F) {
 	// A catalog size of 12,336 over a table holding a Con-Gau ball: fitting
 	// it took seconds before Open refused m above MaxCatalogSize.
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:], 12336) }))
+	// One ball of radius 1e-6 at 1e7: QuantileTol is finer than the floats'
+	// spacing there, and bisection must stop at adjacent floats.
+	f.Add(mutate(func(b []byte) {
+		enc, _ := updf.Encode(updf.NewUniformBall(geom.Point{1e7, 1e7}, 1e-6))
+		binary.LittleEndian.PutUint16(b[metaFixed:], 1)
+		binary.LittleEndian.PutUint16(b[metaFixed+2:], uint16(len(enc)))
+		copy(b[metaFixed+4:], enc)
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		page := make([]byte, pagefile.PageSize)
