@@ -20,19 +20,20 @@ import (
 // over flat slabs — one row per object, or per node of the level below —
 // rather than an edit entry per object:
 //
-//  1. check every object and write its MBR into a slab (an allocation-free
-//     MBRAt for a recentrable shape) on GOMAXPROCS workers, so an invalid
-//     object — of several, the one with the smallest ID — fails the load
-//     before a page is allocated; hand out shape references in the order of
-//     each shape's smallest object ID, that object its prototype, formatting
-//     a ShapeKey once per distinct updf.ShapeID; then, on the workers again,
-//     encode each leaf entry (without its address) and its boundary boxes
-//     into two more slabs;
+//  1. on a copy of the objects sorted by ID, check every object and write
+//     its MBR into a slab (an allocation-free MBRAt for a recentrable
+//     shape) on GOMAXPROCS workers, so an invalid object — of several, the
+//     one with the smallest ID — fails the load before a page is
+//     allocated; hand out shape references in ID order, so a shape's
+//     prototype is its object with the smallest ID, formatting a ShapeKey
+//     once per distinct updf.ShapeID; then, on the workers again, encode
+//     each leaf entry (without its address) and its boundary boxes into
+//     two more slabs;
 //  2. tile the level with Sort-Tile-Recursive (STR) packing over the
 //     entries' e.MBR(p_median) centres — the geometry the incremental split
 //     sorts by — in a total order: the coordinate, then the other
-//     coordinates cyclically, then the object ID (above the leaves, the
-//     node's index), every other slab descending on the coordinate
+//     coordinates cyclically, then the entry's index (at the leaves, its
+//     ID's rank), every other slab descending on the coordinate
 //     (boustrophedon), so consecutive tiles are neighbours and entries tied
 //     on a coordinate lie in runs along the others; the slabs of the first
 //     dimension are tiled on the workers. Each sorted run is cut into
@@ -63,6 +64,13 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	if len(objects) == 0 {
 		return nil
 	}
+	// In ID order, the first object of a shape, its prototype, is the one
+	// with the smallest ID, so is the first invalid object, and STR's last
+	// tie-break, the entry's index, is its ID's rank: the tree is a function
+	// of the object set. Loaders allocate pdfs in ID order as a rule, so
+	// stage 1 then reads them in memory order as well.
+	objects = slices.Clone(objects)
+	slices.SortFunc(objects, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
 	lv, err := t.loadLeaves(objects)
 	if err != nil {
 		return err
@@ -146,15 +154,14 @@ func (t *Tree) BulkLoad(objects []Object) error {
 // intermediate entry unionBoundary's: innerBoxes boxes of 2·dim
 // coordinates, Lo then Hi) and its size on a page. A leaf level also holds
 // its entries as encodeLeafEntry writes them, their addresses zero (entry
-// i is ent[at[i]:at[i+1]]), their shape references and their objects'
-// IDs; an intermediate level its children.
+// i is ent[at[i]:at[i+1]]), and their shape references; an intermediate
+// level its children.
 type slab struct {
 	bnd   []float64
 	size  []int
 	ent   []byte
 	at    []int
 	ref   []uint16
-	id    []int64
 	child []pagefile.PageID
 }
 
@@ -165,81 +172,43 @@ func (s *slab) row(i, stride int) []float64 { return s.bnd[i*stride : (i+1)*stri
 const loadChunk = 1024
 
 // loadLeaves is BulkLoad's first stage: the leaf level's slab. It touches
-// no storage, and of several invalid objects returns the error of the one
-// with the smallest ID.
+// no storage, and returns the first invalid object's error in input order.
 func (t *Tree) loadLeaves(objects []Object) (*slab, error) {
 	n, d := len(objects), t.dim
 	mbrs := make([]float64, n*2*d)
-	var mu sync.Mutex
-	bad, badErr := -1, error(nil)
+	bad := atomic.Int64{}
+	bad.Store(int64(n))
 	inChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := t.checkObject(objects[i], rectAt(mbrs, i, d)); err != nil {
-				mu.Lock()
-				if bad < 0 || objects[i].ID < objects[bad].ID || objects[i].ID == objects[bad].ID && i < bad {
-					bad, badErr = i, err
+		for i := lo; i < hi && int64(i) < bad.Load(); i++ {
+			if t.checkObject(objects[i], rectAt(mbrs, i, d)) != nil {
+				for b := bad.Load(); int64(i) < b && !bad.CompareAndSwap(b, int64(i)); b = bad.Load() {
 				}
-				mu.Unlock()
+				return
 			}
 		}
 	})
-	if badErr != nil {
-		return nil, badErr
+	if i := bad.Load(); i < int64(n) {
+		return nil, t.checkObject(objects[i], rectAt(mbrs, int(i), d))
 	}
 
-	// Shape references by each shape's smallest object ID: group the objects
-	// by shape — a ShapeID where the family has one, so its ShapeKey is
-	// formatted once, else the ShapeKey — and enter the groups in the order
-	// of their smallest IDs, that object the prototype. The table is then a
-	// function of the object set, whatever its order. The reference decides
+	// Shape references in input order: a shape's prototype is its first
+	// object. A ShapeID seen before needs no key. The reference decides
 	// the entry's form, and so its size and place in the slab.
-	type group struct {
-		key   string
-		proto int // the group's object with the smallest ID
-	}
-	var groups []group
-	byID, byKey := make(map[updf.ShapeID]int32), make(map[string]int32)
-	of := make([]int32, n)
+	lv := &slab{ref: make([]uint16, n), size: make([]int, n), at: make([]int, n+1)}
+	known := make(map[updf.ShapeID]uint16)
 	for i, o := range objects {
-		var g int32
-		var seen bool
-		key := ""
-		sid, ok := updf.ShapeIDOf(o.PDF)
+		ref, seen := uint16(0), false
+		id, ok := updf.ShapeIDOf(o.PDF)
 		if ok {
-			g, seen = byID[sid]
-		} else {
-			key = o.PDF.ShapeKey()
-			g, seen = byKey[key]
+			ref, seen = known[id]
 		}
-		switch {
-		case !seen:
+		if !seen {
+			ref = t.shapeRef(o.PDF.ShapeKey(), o.PDF)
 			if ok {
-				key = o.PDF.ShapeKey()
+				known[id] = ref
 			}
-			g = int32(len(groups))
-			groups = append(groups, group{key: key, proto: i})
-			if ok {
-				byID[sid] = g
-			} else {
-				byKey[key] = g
-			}
-		case o.ID < objects[groups[g].proto].ID:
-			groups[g].proto = i
 		}
-		of[i] = g
-	}
-	slices.SortFunc(groups, func(a, b group) int {
-		return cmp.Or(cmp.Compare(objects[a.proto].ID, objects[b.proto].ID), cmp.Compare(a.proto, b.proto))
-	})
-	refs := make([]uint16, len(groups))
-	for _, g := range groups {
-		refs[of[g.proto]] = t.shapeRef(g.key, objects[g.proto].PDF)
-	}
-
-	lv := &slab{ref: make([]uint16, n), size: make([]int, n), at: make([]int, n+1), id: make([]int64, n)}
-	for i, o := range objects {
-		ref := refs[of[i]]
-		lv.ref[i], lv.size[i], lv.id[i] = ref, t.leafEntrySize, o.ID
+		lv.ref[i], lv.size[i] = ref, t.leafEntrySize
 		if t.kind == UTree && ref != 0 {
 			lv.size[i] = t.compactEntrySize
 			if t.shapes[ref-1].rc != nil {
@@ -290,7 +259,7 @@ func (t *Tree) tileLevel(lv *slab, leaf bool) [][]int {
 	if leaf {
 		minFill, room = t.minLeaf, t.leafEntrySize
 	}
-	return strTile(t.centres(lv), lv.id, lv.size, t.dim, minFill, room)
+	return strTile(t.centres(lv), lv.size, t.dim, minFill, room)
 }
 
 // centres flattens the centre of every entry's e.MBR(p_median) box, as
@@ -398,8 +367,7 @@ func identity(n int) []int {
 }
 
 // keyIdx is a sort key and the index of the entry it belongs to: what STR
-// sorts, so a comparison of unequal keys reads neither the centres nor the
-// entries' IDs.
+// sorts, so a comparison of unequal keys reads nothing else.
 type keyIdx struct {
 	key float64
 	id  int
@@ -415,17 +383,17 @@ var sortKeys = slices.SortFunc[[]keyIdx, keyIdx]
 // using recursive sort-tile, and returns each group as indices into the
 // input, in tile order. Sorting on dimension d compares the entries'
 // coordinate d (the key), then their other coordinates from d + 1 on,
-// cyclically, then their IDs — tie[i] for entry i, or the index itself
-// where tie is nil — a total order, so any correct sort gives the same
-// tiles, and entries whose keys tie (centres clamped to a border of the
-// domain) lie along the other dimensions. At each level every other slab
+// cyclically, then their indices — a total order, so any correct sort
+// gives the same tiles, and entries whose keys tie (centres clamped to a
+// border of the domain) lie along the other dimensions. The centres are
+// never NaN: an entry's box is finite. At each level every other slab
 // is sorted on its keys descending — ascending on negated keys, which
 // compare as the keys do in reverse; ties part as in any slab — so the tile
 // order snakes: the last tile of a slab and the first of the next lie side
 // by side. The slabs of the first dimension are tiled on parallelFor's
 // workers, each with its own runCutter; the result does not depend on how
 // many there are.
-func strTile(centers []float64, tie []int64, size []int, dim, minFill, room int) [][]int {
+func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	n := len(size)
 	ps, ids := make([]keyIdx, n), make([]int, n)
 	for i := range ps {
@@ -452,16 +420,16 @@ func strTile(centers []float64, tie []int64, size []int, dim, minFill, room int)
 			total, big = total+size[ps[k].id], max(big, size[ps[k].id])
 		}
 		sortKeys(ps, func(a, b keyIdx) int {
-			if c := cmp.Compare(a.key, b.key); c != 0 {
-				return c
+			switch {
+			case a.key < b.key:
+				return -1
+			case a.key > b.key:
+				return 1
 			}
 			for k := d + 1; k < d+dim; k++ {
 				if c := cmp.Compare(centers[a.id*dim+k%dim], centers[b.id*dim+k%dim]); c != 0 {
 					return c
 				}
-			}
-			if tie != nil {
-				return cmp.Compare(tie[a.id], tie[b.id])
 			}
 			return cmp.Compare(a.id, b.id)
 		})

@@ -127,11 +127,11 @@ func leafEntries(tree *Tree, objs []Object) ([]entry, error) {
 }
 
 // TestBulkLoadParallelBuild checks stage 1 — each object's encoded entry,
-// boundary boxes and shape reference in the slabs — against a serial loop
-// of buildLeafEntry over the objects in ascending ID order, at whatever
-// GOMAXPROCS the run has (CI runs it with -cpu 1,4 under -race), and that a
-// bad object fails the load before any page is allocated — of several, the
-// one with the smallest ID.
+// boundary boxes and shape reference in the slabs — against the serial
+// loop of buildLeafEntry it replaced, at whatever GOMAXPROCS the run has
+// (CI runs it with -cpu 1,4 under -race), and that a bad object fails the
+// load before any page is allocated — of several, the one with the
+// smallest ID.
 func TestBulkLoadParallelBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	objs := makeObjects(240, 1000, rng)
@@ -144,10 +144,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		}
 		ser, _ := New(Options{Dim: 2, Kind: kind})
 		es, stride := ser.leafEntrySize, 4*ser.innerBoxes()
-		order := identity(len(objs))
-		sort.SliceStable(order, func(a, b int) bool { return objs[order[a]].ID < objs[order[b]].ID })
-		for _, i := range order {
-			o := objs[i]
+		for i, o := range objs {
 			want, err := ser.buildLeafEntry(o)
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +162,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 			}
 		}
 		// The comparison covers the shape references, which the serial loop
-		// hands out in ID order: neither the input order nor the workers
-		// may have had a say in them.
+		// hands out in input order: workers must not have had a say in them.
 		if !reflect.DeepEqual(par.shapes, ser.shapes) {
 			t.Fatalf("%v: shape tables differ: %d and %d shapes", kind, len(par.shapes), len(ser.shapes))
 		}
@@ -177,11 +173,10 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 	sameAsSerial(UTree, objs)
 	sameAsSerial(UPCR, objs)
 
-	// A shape's offsets carry the rounding of its prototype, the object of
-	// the shape with the smallest ID. Give that to an object whose offsets
-	// differ from the others' own, and put it last: a build that took
-	// offsets from the first object in input order, or whichever one a
-	// worker reached first, would differ from the serial loop.
+	// A shape's offsets carry the rounding of its prototype, the first object
+	// of the shape in input order. Lead with an object whose offsets differ
+	// from the next ones' own: a build that took offsets from whichever
+	// object a worker reached first would differ from the serial loop.
 	cat := pcr.UniformCatalog(9)
 	first, found := objs[0], false
 	for _, o := range objs[4:] {
@@ -192,7 +187,7 @@ func TestBulkLoadParallelBuild(t *testing.T) {
 		pcr.Compute(first.PDF, cat, seeded)
 		if !reflect.DeepEqual(pcr.Compute(o.PDF, cat, seeded), pcr.Compute(o.PDF, cat, pcr.NewQuantileCache())) {
 			for _, kind := range []Kind{UTree, UPCR} {
-				sameAsSerial(kind, []Object{o, {ID: 1 << 40, PDF: o.PDF}, {ID: 1<<40 + 1, PDF: o.PDF}, first})
+				sameAsSerial(kind, []Object{first, o, {ID: -1, PDF: o.PDF}, {ID: -2, PDF: o.PDF}})
 			}
 			found = true
 			break
