@@ -546,6 +546,56 @@ func BenchmarkFig9SearchHotCache(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
+// BenchmarkFig9SearchFileCold is the cold file path: CA ×0.2 (12,400
+// Con-Gau balls) bulk-loaded into a page file, a 32-entry node cache for a
+// tree of about 100 pages, and Fig. 9 queries (qs = 500, pq = 0.6) centred
+// on the data, so a query's node visits mostly miss the cache and read
+// the file. On a bare file store a missed node views its page in the
+// file's mapping (pagefile.FileStore.View): a miss allocates the node,
+// not a 4,096-byte copy of its page. CI gates its allocs/op.
+func BenchmarkFig9SearchFileCold(b *testing.B) {
+	const seed = 42
+	objs := dataset.Generate(dataset.Config{Name: dataset.CA, Scale: 0.2, Seed: seed})
+	batch := make(map[int64]uncertain.PDF, len(objs))
+	centers := make([]geom.Point, len(objs))
+	for i, o := range objs {
+		batch[o.ID] = o.PDF
+		centers[i] = o.PDF.Center()
+	}
+	tree, err := uncertain.NewTree(uncertain.Config{
+		Dimensions:       dataset.CA.Dim(),
+		Path:             filepath.Join(b.TempDir(), "cold.utree"),
+		NodeCacheEntries: 32,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tree.Close()
+	if err := tree.BulkLoad(batch); err != nil {
+		b.Fatal(err)
+	}
+	w := workload.New(workload.Config{
+		QS: 500, PQ: 0.6, Count: 100, Seed: seed,
+		Domain: dataset.Domain, Centers: centers,
+	})
+	// One pass first, so the cache and its admission counters hold what
+	// the workload keeps coming back to.
+	for _, q := range w.Queries {
+		if _, _, err := tree.Search(context.Background(), q.Rect, q.Prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := w.Queries[i%len(w.Queries)]
+		if _, _, err := tree.Search(context.Background(), q.Rect, q.Prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+}
+
 // BenchmarkFig9SearchSerial is the baseline: one goroutine, one query at a
 // time through Tree.Search.
 func BenchmarkFig9SearchSerial(b *testing.B) {

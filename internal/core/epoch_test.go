@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -80,64 +81,82 @@ func TestEpochCOWRefusal(t *testing.T) {
 	}
 }
 
-// TestEpochViewsLendOnlyCommittedPages: a reader of a bare memory tree views
-// a committed node page in place — the MemStore's own bytes, one read — and
-// caches its node, but neither views nor caches a page the tree writes in
-// place: one fresh in the open batch, the metadata page, the append page.
-// Each of those here holds a copy of the root's bytes, so it decodes and
-// only the lending rule tells it apart. A memory store behind a wrapper is
-// read by copy.
+// TestEpochViewsLendOnlyCommittedPages: a reader of a tree on a bare
+// memory store, or a bare file store where the file is mapped, views a
+// committed node page in place — the MemStore's own bytes, or the file's
+// mapping — at one read, and caches its node, but neither views nor caches
+// a page the tree writes in place: one fresh in the open batch, the
+// metadata page, the append page. Each of those here holds a copy of the
+// root's bytes, so it decodes and only the lending rule tells it apart. A
+// memory store behind a wrapper is read by copy.
 func TestEpochViewsLendOnlyCommittedPages(t *testing.T) {
-	mem := pagefile.NewMemStore()
-	tree, _ := epochTree(t, Options{Store: mem, Persist: true}, 600)
-	viewed := func(n *packedNode) bool {
-		page, err := mem.View(n.page)
-		return err == nil && &page[0] == &n.buf[0]
-	}
-	reads := mem.Stats().Reads.Load()
-	n, err := tree.readCommitted(tree.rootPage, tree.rootLevel)
+	fs, err := pagefile.CreateFileStore(filepath.Join(t.TempDir(), "lend.idx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mem.Stats().Reads.Load() - reads; got != 1 || !viewed(n) {
-		t.Fatalf("committed root: %d reads (want 1), viewed %v (want the store's page)", got, viewed(n))
-	}
-	tree.maybeCacheNode(n)
-	if _, ok := tree.ncache.get(n.page); !ok {
-		t.Fatal("committed root was not cached")
-	}
-
-	rootBytes := storedPage(t, mem, tree.rootPage)
-	fresh, err := tree.allocPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, id := range map[string]pagefile.PageID{
-		"fresh":  fresh,
-		"meta":   tree.MetaPage(),
-		"append": tree.appendPage,
-	} {
-		if err := mem.Write(id, rootBytes); err != nil {
-			t.Fatal(err)
+	defer fs.Close()
+	for _, c := range []struct {
+		name  string
+		store pagefile.Store
+	}{{"memory", pagefile.NewMemStore()}, {"file", fs}} {
+		v, ok := c.store.(viewer)
+		if !ok {
+			t.Logf("%s store: lends no pages on this platform", c.name)
+			continue
 		}
-		n, err := tree.readCommitted(id, tree.rootLevel)
-		if err != nil {
-			t.Fatalf("%s page %d: %v", name, id, err)
-		}
-		tree.maybeCacheNode(n)
-		if _, cached := tree.ncache.get(id); viewed(n) || cached {
-			t.Errorf("%s page %d: viewed %v, cached %v; want neither", name, id, viewed(n), cached)
-		}
+		lendsOnlyCommittedPages(t, c.name, c.store, v)
 	}
 
 	inner := pagefile.NewMemStore()
 	wrapped, _ := epochTree(t, Options{Store: pagefile.NewChaosStore(inner, 1)}, 600)
-	n, err = wrapped.readCommitted(wrapped.rootPage, wrapped.rootLevel)
+	n, err := wrapped.readCommitted(wrapped.rootPage, wrapped.rootLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if page, err := inner.View(n.page); err != nil || &page[0] == &n.buf[0] {
 		t.Fatalf("wrapped memory store: node views the store's page (err %v)", err)
+	}
+}
+
+func lendsOnlyCommittedPages(t *testing.T, name string, store pagefile.Store, v viewer) {
+	tree, _ := epochTree(t, Options{Store: store, Persist: true}, 600)
+	viewed := func(n *packedNode) bool {
+		page, err := v.View(n.page)
+		return err == nil && &page[0] == &n.buf[0]
+	}
+	reads := store.Stats().Reads.Load()
+	n, err := tree.readCommitted(tree.rootPage, tree.rootLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().Reads.Load() - reads; got != 1 || !viewed(n) {
+		t.Fatalf("%s store: committed root: %d reads (want 1), viewed %v (want the store's page)", name, got, viewed(n))
+	}
+	tree.maybeCacheNode(n)
+	if _, ok := tree.ncache.get(n.page); !ok {
+		t.Fatalf("%s store: committed root was not cached", name)
+	}
+
+	rootBytes := storedPage(t, store, tree.rootPage)
+	fresh, err := tree.allocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		what string
+		id   pagefile.PageID
+	}{{"fresh", fresh}, {"meta", tree.MetaPage()}, {"append", tree.appendPage}} {
+		if err := store.Write(p.id, rootBytes); err != nil {
+			t.Fatal(err)
+		}
+		n, err := tree.readCommitted(p.id, tree.rootLevel)
+		if err != nil {
+			t.Fatalf("%s store: %s page %d: %v", name, p.what, p.id, err)
+		}
+		tree.maybeCacheNode(n)
+		if _, cached := tree.ncache.get(p.id); viewed(n) || cached {
+			t.Errorf("%s store: %s page %d: viewed %v, cached %v; want neither", name, p.what, p.id, viewed(n), cached)
+		}
 	}
 }
 

@@ -37,3 +37,17 @@ func LeafFill(t *Tree) (ids [][]int64, spare []int, err error) {
 	})
 	return ids, spare, err
 }
+
+// cachedNodes returns the nodes t's decoded-node cache holds.
+func (t *Tree) cachedNodes() []*packedNode {
+	var ns []*packedNode
+	for i := range t.ncache.shards {
+		s := &t.ncache.shards[i]
+		s.mu.Lock()
+		for _, el := range s.entries {
+			ns = append(ns, el.Value.(*ncEntry).n)
+		}
+		s.mu.Unlock()
+	}
+	return ns
+}

@@ -35,18 +35,26 @@ func (t *Tree) fetchNode(m *fetchMeter, id pagefile.PageID, level int) (*packedN
 	return n, nil
 }
 
+// viewer is a store that lends readers its pages in place:
+// pagefile.MemStore, and pagefile.FileStore on unix, whose View returns
+// the page itself (the store's buffer, or the file's read-only mapping),
+// checked and counted as Read does. A store that wraps one does not lend.
+type viewer interface {
+	View(id pagefile.PageID) ([]byte, error)
+}
+
 // readCommitted reads a committed node page straight from the store: the
-// writer's dirty map holds the open batch's bytes, which no reader sees. On
-// a memory tree the node views the MemStore's own page (MemStore.View)
-// where it is shareable: a committed node page is never written in place,
-// since writeNode relocates it, and its id is reused only once the epoch GC
-// has freed it (see nodeCache). Otherwise the page is read into a fresh
+// writer's dirty map holds the open batch's bytes, which no reader sees.
+// Where the store is a viewer and the page shareable, the node views the
+// store's own page: a committed node page is never written in place,
+// since writeNode relocates it, and its id is reused only once the epoch
+// GC has freed it (see nodeCache). Otherwise the page is read into a fresh
 // buffer, which the node then owns.
 func (t *Tree) readCommitted(id pagefile.PageID, level int) (*packedNode, error) {
 	var buf []byte
 	var err error
-	if t.mem != nil && t.shareable(id) {
-		buf, err = t.mem.View(id)
+	if t.view != nil && t.shareable(id) {
+		buf, err = t.view.View(id)
 	} else {
 		buf = make([]byte, pagefile.PageSize)
 		err = t.store.Read(id, buf)

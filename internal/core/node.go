@@ -30,9 +30,11 @@ func (n *node) leaf() bool { return n.level == 0 }
 // packedNode is the read form of a tree page and the value the decoded-node
 // cache holds: a checked view of the page's own bytes. decodeNode checks the
 // page once, when it is read; the accessors then read each field where the
-// page holds it. On a memory tree the bytes are the store's committed page
-// (MemStore.View), so a cached leaf costs this 128-byte struct; on a file
-// tree they are the 4,096-byte buffer the page was read into.
+// page holds it. Where the store lends its pages — a bare MemStore, or a
+// bare FileStore on unix — the bytes are the store's committed page
+// (readCommitted: the MemStore's buffer, the file's read-only mapping), so
+// a cached leaf costs this 128-byte struct; otherwise they are the
+// 4,096-byte buffer the page was read into.
 //
 //   - buf: the page — level, flags, count, then the entries as encodeNode
 //     lays them out. A leaf entry's id and addr‖shape word are its first 16

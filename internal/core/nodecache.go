@@ -15,12 +15,13 @@ import (
 // pages, so a hot traversal skips both the page read and the check; a
 // miss here reads the store (the writer's dirty pages are its own, in
 // Tree.dirty, and never reach a reader). A packed node views its page's
-// bytes (see packedNode): on a memory tree the store's own page, so a
-// cached node costs its 128-byte struct (and, for an intermediate node,
-// its rects), the page being the store's anyway; on a file tree the page
-// it was read into, one 4,096-byte buffer. The 1024-node default holds
-// about 4 MiB of pages on a file tree and no page of its own on a memory
-// tree.
+// bytes (see packedNode): the store's own page, in memory or in the page
+// file's read-only mapping, so a cached node costs its 128-byte struct
+// (and, for an intermediate node, its rects), the page being the store's
+// or the OS page cache's anyway — about 0.4 KB of heap a node, map and
+// list included. Only behind a store wrapper (Config.WrapStore), or on a
+// file where the OS does not map it, does a node own the 4,096-byte
+// buffer its page was read into.
 //
 // Coherence rests on the tree's copy-on-write epochs (epoch.go):
 //
@@ -36,12 +37,13 @@ import (
 //     PageID's bytes can change. Until then the entry is valid for every
 //     reader, whatever epoch it pinned: snapshots at different epochs that
 //     can reach the same live page see the same bytes by construction.
-//   - The same argument makes a memory tree's view of the store's page
-//     safe, cached or held by a query: MemStore writes a committed node
-//     page never (writeNode relocates it) and zeroes it for reuse only in
-//     Alloc, after dropPage, which drops the entry first and runs only
-//     once no pinned epoch can reach the page — and a query holds its pin
-//     for as long as it reads the node.
+//   - The same argument makes a view of the store's page safe, cached or
+//     held by a query: the tree writes a committed node page never
+//     (writeNode relocates it) and reuses it — MemStore zeroes it in Alloc,
+//     a FileStore's mapping shows the next write — only after dropPage,
+//     which drops the entry first and runs only once no pinned epoch can
+//     reach the page; and a query holds its pin for as long as it reads
+//     the node.
 //
 // Eviction keeps the inner levels: an overflowing shard evicts its least
 // recently used leaf, and an inner node only when it holds no leaf. A

@@ -25,7 +25,8 @@ type Options struct {
 	CatalogSize int
 	// Store supplies page storage; nil selects an in-memory store. The
 	// tree writes it directly and keeps the copy-on-write epochs itself
-	// (epoch.go); a bare MemStore lends readers its committed pages.
+	// (epoch.go); a bare MemStore, or a bare FileStore on unix, lends
+	// readers its committed pages (readCommitted).
 	Store pagefile.Store
 	// Persist makes the index reopenable: New reserves a metadata page —
 	// the first page it allocates on Store, so the address is stable on a
@@ -46,9 +47,10 @@ type Options struct {
 	// NodeCacheEntries bounds the decoded-node cache: an LRU of packed
 	// nodes decoded from committed pages, shared lock-free across readers —
 	// the tree's one read cache, so a hot traversal skips both the page
-	// read and the decode. A cached node costs about one page of heap,
-	// so the default of 1024 entries (selected by 0) is ≈ 4 MiB; negative
-	// disables the cache. A full cache evicts its least recently used leaf,
+	// read and the decode. A cached node views its page where the store
+	// lends it (readCommitted) and costs its 128-byte struct, else about
+	// one page of heap; negative disables the cache, 0 selects 1024
+	// entries. A full cache evicts its least recently used leaf,
 	// and an inner node only when it holds no leaf. Coherence is automatic
 	// — entries drop when the tree physically frees their page,
 	// and shadow pages are never cached.
@@ -83,11 +85,12 @@ type Tree struct {
 
 	// store is the caller's page storage (Options.Store); all tree I/O —
 	// node pages, data pages, metadata — goes to it, and ep (epoch.go)
-	// keeps the copy-on-write discipline over it. mem is the same store
-	// where it is a bare MemStore, whose committed pages a reader views
-	// in place (readCommitted).
+	// keeps the copy-on-write discipline over it. view is the same store
+	// where it lends its pages in place — a bare MemStore, or a bare
+	// FileStore on unix — whose committed pages a reader views
+	// (readCommitted).
 	store pagefile.Store
-	mem   *pagefile.MemStore
+	view  viewer
 	ep    epochs
 
 	// dirty holds the pages the open batch has written, node and data
@@ -293,7 +296,7 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		disableReinsert: opt.DisableReinsert,
 		cut:             chooseCut,
 	}
-	t.mem, _ = store.(*pagefile.MemStore)
+	t.view, _ = store.(viewer)
 	t.attachNodeCache(opt.NodeCacheEntries)
 	leafCap, innerCap := capacities(kind, dim, m)
 	t.leafEntrySize, t.innerEntrySize = entrySizes(kind, dim, m)

@@ -13,7 +13,7 @@ import (
 //     repaired; retrying the read returns the same corrupt bytes.
 //   - ErrBadPage: the page is unusable for a structural reason (a trailer
 //     naming another page, a failed decode). Permanent.
-//   - anything else (I/O errors from the OS, ErrPageOutOfRange,
+//   - anything else (I/O errors from the OS, ErrFault, ErrPageOutOfRange,
 //     ErrInjected, ...): the operation that hit it fails and the error
 //     surfaces verbatim. No layer retries it; the caller may retry the
 //     operation.
@@ -54,6 +54,11 @@ func (e *BadPageError) Error() string {
 
 // Is makes errors.Is(err, ErrBadPage) match.
 func (e *BadPageError) Is(target error) bool { return target == ErrBadPage }
+
+// ErrFault is matched by errors.Is when reading a page in FileStore's
+// mapping faults while View checks it: the page lies past the end of a
+// file cut short under the store, or the medium failed the read.
+var ErrFault = errors.New("pagefile: fault reading a mapped page")
 
 // ErrInjected is the error surfaced by ChaosStore's injected faults.
 var ErrInjected = errors.New("pagefile: injected fault")

@@ -25,12 +25,28 @@ import (
 // mismatch, and a *BadPageError when the ID echo shows the slot holds a
 // different page (a misdirected write). The unchecksummed v1 format is
 // refused with ErrOldFormat.
+//
+// On unix a FileStore also lends readers its written pages in place: View
+// returns a page's payload inside a read-only shared mapping of the file,
+// checked and counted as Read does, so a decoded node over it costs no
+// copy and no heap of its own. Writes stay on pwrite; the mapping is
+// coherent with them where the OS has one page cache for both (Linux,
+// macOS). The file is mapped in regions that are only ever added, never
+// remapped, and a region lives until the store is unreachable, not until
+// Close: a lock-free reader may still hold a view when the file closes.
+// Never truncate the file under an open store: a view of a page past the
+// end faults, which View turns into ErrFault while it checks the page, but
+// a view taken before the truncation faults when read. A page changed on
+// the medium after its view was checked is read changed until Scrub finds
+// it. Elsewhere FileStore has no View, and readers copy pages with Read.
 type FileStore struct {
 	mu      sync.Mutex
 	f       *os.File
 	ids     allocator
-	v2      bool   // the header still says v2: restamp it before a page changes
-	scratch []byte // stride-sized I/O staging buffer, under mu
+	v2      bool     // the header still says v2: restamp it before a page changes
+	closed  bool     // Close has run: View refuses, as Read does
+	scratch []byte   // stride-sized I/O staging buffer, under mu
+	regions *regions // the read-only mapping View lends from (view_unix.go), under mu
 	stats   Stats
 }
 
@@ -154,6 +170,7 @@ func (fs *FileStore) writeHeader() error {
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.closed = true
 	return fs.f.Close()
 }
 
@@ -241,12 +258,18 @@ func (fs *FileStore) verifyLocked(id PageID) error {
 	if _, err := fs.f.ReadAt(fs.scratch, fs.off(id)); err != nil {
 		return err
 	}
-	want := binary.LittleEndian.Uint32(fs.scratch[PageSize:])
-	got := crc32.Checksum(fs.scratch[:PageSize], castagnoli)
+	return checkSlot(id, fs.scratch)
+}
+
+// checkSlot checks page id's slot, its payload then its trailer: the CRC
+// must cover the payload and the echo name the page.
+func checkSlot(id PageID, slot []byte) error {
+	want := binary.LittleEndian.Uint32(slot[PageSize:])
+	got := crc32.Checksum(slot[:PageSize], castagnoli)
 	if want != got {
 		return &ChecksumError{Page: id, Want: want, Got: got}
 	}
-	if echo := PageID(binary.LittleEndian.Uint32(fs.scratch[PageSize+4:])); echo != id {
+	if echo := PageID(binary.LittleEndian.Uint32(slot[PageSize+4:])); echo != id {
 		return &BadPageError{Page: id, Reason: fmt.Sprintf("trailer names page %d (misdirected write)", echo)}
 	}
 	return nil

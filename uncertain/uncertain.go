@@ -147,11 +147,12 @@ type Config struct {
 	// entirely; a miss reads the store. A hot query still allocates — 17
 	// times and 10.7 KB a query in BenchmarkFig9SearchHotCache, for its
 	// results and the pdfs its records decode to — but not per node it
-	// visits or data page it reads. A cached node views its page: on a
-	// memory tree the store's own page, so an entry costs a 128-byte node
-	// and no page of its own; on a file tree the 4,096-byte buffer the page
-	// was read into, so the default of 1024 entries (0) is ≈ 4 MiB there.
-	// Negative disables the cache. A full cache evicts a leaf, and an
+	// visits or data page it reads. A cached node views its page, the
+	// store's own: in memory, or in a read-only mapping of the index file
+	// (on unix; elsewhere a file tree's node owns the 4,096-byte buffer
+	// its page was read into), so an entry costs a 128-byte node and no
+	// page of its own. The default is 1024 entries (0); negative disables
+	// the cache. A full cache evicts a leaf, and an
 	// inner node only when it holds no leaf: every descent passes through
 	// the inner levels, so a cache smaller than the tree keeps them and
 	// misses on leaves. The leaf evicted is the least recently used one,
@@ -165,14 +166,18 @@ type Config struct {
 	// 1.7× on the 3-D sharded and churn workloads. On the cold CA workload
 	// (a 101-page tree, 32 entries) a query reads 4.89 pages, 5.36 when
 	// the least recently used leaf always goes.
-	// Its price is heap, about a page per cached node: 1.3–2.0 MB, 28–40 %
-	// of the warm workloads' live heap.
+	// Its price is heap for the node and not its page: about 0.4 KB a
+	// cached node with the cache's bookkeeping, against 4.2 KB while a file
+	// tree's node owned its page's buffer; the file workloads' live heap
+	// fell 2.41 → 2.03 MB (churn) and 2.17 → 2.04 MB (cold CA) when it
+	// stopped.
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory), and
 	// the tree writes the store it returns — the fault-injection and
 	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
-	// also make a slow store). A wrapped memory store is read by copy: only
-	// a bare one lends readers its pages. Production code leaves it nil. An error from the wrapped
+	// also make a slow store). A wrapped store is read by copy: only a bare
+	// memory or file store lends readers its pages. Production code leaves
+	// it nil. An error from the wrapped
 	// store fails the operation that hit it and is returned to the caller
 	// unretried.
 	WrapStore func(pagefile.Store) pagefile.Store
