@@ -54,9 +54,10 @@ import (
 // page). The tree is a function of the object set alone: not of the
 // objects' order, the sort algorithm or the number of workers. It can only
 // be called on an empty tree, and an ID named twice is ErrDuplicateID
-// before a page is allocated. The directory, sized once, takes every
-// object at its record's address; a Rollback empties it again. Nothing of
-// the slabs outlives the call.
+// before a page is allocated. The ID directory's slabs are laid from the
+// ID-sorted copy, every object at its record's address, and no map is
+// built; a Rollback empties it again. Nothing of the other slabs outlives
+// the call.
 func (t *Tree) BulkLoad(objects []Object) error {
 	if n := t.Len(); n != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d objects)", n)
@@ -75,12 +76,14 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	if err != nil {
 		return err
 	}
-	dir := make(map[int64]DataAddr, len(objects))
-	for _, o := range objects {
-		if _, dup := dir[o.ID]; dup {
+	// The directory's rows are the sorted objects'; each address comes
+	// with its record (putLeaf).
+	dir := newDirectory(len(objects))
+	for i, o := range objects {
+		if i > 0 && objects[i-1].ID == o.ID {
 			return fmt.Errorf("%w: id %d named twice", ErrDuplicateID, o.ID)
 		}
-		dir[o.ID] = DataAddr{} // the address comes with the record
+		dir.ids[i] = o.ID
 	}
 	t.dir = dir
 	t.undo = append(t.undo, dirUndo{load: true})
@@ -281,7 +284,8 @@ func (t *Tree) centres(lv *slab) []float64 {
 // putLeaf fills leaf page buf, behind its header, with the entries ids of
 // leaf level lv: it appends each object's record (BulkLoad's stage 3) — a
 // keyed one's centre copied from its centre entry — enters its address in
-// the directory and copies its entry with the address. It counts the
+// the directory's row of the same index and copies its entry with the
+// address. It counts the
 // page's unshaped entries (Tree.unshaped: a U-tree entry without a shape).
 func (t *Tree) putLeaf(buf []byte, lv *slab, objects []Object, ids []int) error {
 	off := nodeHeader
@@ -298,7 +302,7 @@ func (t *Tree) putLeaf(buf []byte, lv *slab, objects []Object, ids []int) error 
 		if err != nil {
 			return err
 		}
-		t.dir[objects[i].ID] = addr
+		t.dir.pages[i], t.dir.slots[i] = addr.Page, addr.Slot
 		copy(buf[off:], e)
 		putAddr(buf, off+8, addr, word)
 		off += len(e)

@@ -265,7 +265,7 @@ func TestOpenUTR7File(t *testing.T) {
 		t.Fatalf("fixture magic %#x, want UTR7", m)
 	}
 	old := map[pagefile.PageID]bool{} // the file's data pages
-	for _, a := range tree.dir {
+	for _, a := range tree.dir.all() {
 		old[a.Page] = true
 	}
 	for page := range old {
@@ -286,7 +286,8 @@ func TestOpenUTR7File(t *testing.T) {
 			if r.Prob == -1 {
 				continue
 			}
-			rec, legacy, err := tree.readRecord(tree.dir[r.ID])
+			addr, _ := tree.RecordAddr(r.ID)
+			rec, legacy, err := tree.readRecord(addr)
 			if err != nil || !legacy {
 				t.Fatalf("object %d's record: legacy %v, %v", r.ID, legacy, err)
 			}
@@ -318,7 +319,7 @@ func TestOpenUTR7File(t *testing.T) {
 		t.Fatalf("magic after a commit %#x, want UTR8", m)
 	}
 	for i, o := range again {
-		if a := tree.dir[o.ID]; old[a.Page] || a.Page != tree.appendPage || a.Slot != uint16(i) {
+		if a, _ := tree.RecordAddr(o.ID); old[a.Page] || a.Page != tree.appendPage || a.Slot != uint16(i) {
 			t.Fatalf("object %d's record at %+v, want slot %d of a fresh append page (%d)", o.ID, a, i, tree.appendPage)
 		}
 	}

@@ -21,8 +21,9 @@ import (
 //     boundary boxes of its child's entries at every catalog value
 //     (the containment property behind Observation 4),
 //   - stored object count matching the leaf entry count,
-//   - the working tree's ID directory holding the leaf entries' IDs, each at
-//     its entry's record address, and no other,
+//   - the working tree's ID directory laid out as directory.check holds it,
+//     holding the leaf entries' IDs, each at its entry's record address,
+//     and no other,
 //   - every leaf entry's shape reference within the shape table, its MBR's
 //     extents those of the prototype to within pcr.ShapeSlack, and a
 //     centre entry's shape recentrable,
@@ -32,8 +33,11 @@ import (
 //
 // It returns the first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
+	if err := t.dir.check(); err != nil {
+		return err
+	}
 	st := &treeState{rootPage: t.rootPage, rootLevel: t.rootLevel, size: t.Len(), shapes: t.shapes, unshaped: t.unshaped, rootMBR: t.rootMBR}
-	return t.checkTreeAt(st, t.dir, nil)
+	return t.checkTreeAt(st, &t.dir, nil)
 }
 
 // checkTreeAt validates the tree of the given state — the working one and
@@ -43,7 +47,7 @@ func (t *Tree) CheckInvariants() error {
 // writer reads it, its dirty pages included; a pinned epoch's committed
 // pages are read from the store, as a query reads them, since its check
 // runs beside the writer.
-func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, rec *queryScratch) error {
+func (t *Tree) checkTreeAt(st *treeState, dir *directory, rec *queryScratch) error {
 	read := t.readNode
 	if dir == nil {
 		read = func(page pagefile.PageID, level int) (*node, error) {
@@ -85,7 +89,10 @@ func (t *Tree) checkTreeAt(st *treeState, dir map[int64]DataAddr, rec *queryScra
 				if err := t.checkShape(e, st.shapes, rec); err != nil {
 					return nil, fmt.Errorf("core: node %d entry %d: %w", page, i, err)
 				}
-				if addr, ok := dir[e.id]; dir != nil && (!ok || addr != e.addr) {
+				if dir == nil {
+					continue
+				}
+				if addr, ok := dir.get(e.id); !ok || addr != e.addr {
 					return nil, fmt.Errorf("core: node %d entry %d: object %d at %+v, the directory has %+v (live %v)", page, i, e.id, e.addr, addr, ok)
 				}
 			}

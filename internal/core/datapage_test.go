@@ -250,7 +250,7 @@ func TestDataPageDensity(t *testing.T) {
 	}
 	tree := bulkTree(t, Options{Dim: 2}, objs)
 	perPageSeen := map[pagefile.PageID]int{}
-	for _, a := range tree.dir {
+	for _, a := range tree.dir.all() {
 		perPageSeen[a.Page]++
 	}
 	if want := (n + perPage - 1) / perPage; len(perPageSeen) != want {
@@ -275,7 +275,7 @@ func TestDataPageGroupedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := map[pagefile.PageID]bool{}
-	for _, a := range tree.dir {
+	for _, a := range tree.dir.all() {
 		data[a.Page] = true
 	}
 	records, ios := 0, 0

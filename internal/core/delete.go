@@ -16,7 +16,7 @@ import (
 // write-once and stays, so a snapshot pinned earlier can still refine it,
 // and no data page is written.
 func (t *Tree) Delete(id int64) error {
-	addr, ok := t.dir[id]
+	addr, ok := t.dir.get(id)
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
@@ -49,7 +49,7 @@ func (t *Tree) Delete(id int64) error {
 		return err
 	}
 	t.journal(id)
-	delete(t.dir, id)
+	t.dir.remove(id)
 
 	t.deleteStats.Ops++
 	t.deleteStats.PageReads += t.nodeReads.Load() - r0

@@ -301,7 +301,7 @@ func descentTree(t *testing.T, d int, build string, objs []Object) *Tree {
 				t.Fatal(err)
 			}
 			tree.journal(objs[i].ID)
-			tree.dir[objs[i].ID] = entries[i].addr
+			tree.dir.set(objs[i].ID, entries[i].addr)
 		}
 	}
 	if err == nil {

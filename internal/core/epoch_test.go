@@ -303,7 +303,7 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 		if tree.Uncommitted() != 0 {
 			return
 		}
-		for _, a := range tree.dir {
+		for _, a := range tree.dir.all() {
 			if _, ok := sealed[a.Page]; !ok && a.Page != tree.appendPage {
 				sealed[a.Page] = storedPage(t, mem, a.Page)
 			}
@@ -344,7 +344,7 @@ func TestEpochSealedDataPagesStayPut(t *testing.T) {
 	check("commit after rollback")
 	sc := getScratch()
 	defer sc.release()
-	for id, a := range tree.dir {
+	for id, a := range tree.dir.all() {
 		if o, err := sc.object(tree.store, tree.shapes, id, a, new(int)); err != nil || o.ID != id {
 			t.Fatalf("object %d at %+v: read %d, err %v", id, a, o.ID, err)
 		}

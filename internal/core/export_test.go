@@ -1,7 +1,10 @@
 package core
 
 import (
+	"iter"
 	"math"
+
+	"repro/internal/pagefile"
 )
 
 // Hooks into the tree's private state for the tests of this package.
@@ -10,9 +13,26 @@ import (
 // live is false, bypassing the journal: no mutation makes such a change.
 func (t *Tree) corruptDirectory(id int64, addr DataAddr, live bool) {
 	if live {
-		t.dir[id] = addr
+		t.dir.set(id, addr)
 	} else {
-		delete(t.dir, id)
+		t.dir.remove(id)
+	}
+}
+
+// all yields every live ID of the directory with its record address: the
+// live rows in ID order, then the recent IDs in no order.
+func (d *directory) all() iter.Seq2[int64, DataAddr] {
+	return func(yield func(int64, DataAddr) bool) {
+		for i, id := range d.ids {
+			if d.pages[i] != pagefile.InvalidPage && !yield(id, DataAddr{Page: d.pages[i], Slot: d.slots[i]}) {
+				return
+			}
+		}
+		for id, addr := range d.recent {
+			if !yield(id, addr) {
+				return
+			}
+		}
 	}
 }
 

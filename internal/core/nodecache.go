@@ -154,7 +154,7 @@ func newNodeCache(capacity int) *nodeCache {
 		}
 		nc.shards[i] = ncShard{
 			capacity: c,
-			entries:  make(map[pagefile.PageID]*list.Element, c),
+			entries:  make(map[pagefile.PageID]*list.Element),
 			lru:      [2]*list.List{list.New(), list.New()},
 		}
 	}

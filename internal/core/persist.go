@@ -151,8 +151,13 @@ func Open(store pagefile.Store, metaPage pagefile.PageID, opt Options) (t *Tree,
 	t.rootLevel = int(binary.LittleEndian.Uint32(buf[12:]))
 	t.appendPage = pagefile.PageID(binary.LittleEndian.Uint32(buf[24:]))
 	// The root box is not persisted: the walk takes it off the root.
-	if reach, t.rootMBR, t.unshaped, err = t.reachable(t.dir); err != nil {
+	var rows []dirRow
+	if reach, t.rootMBR, t.unshaped, err = t.reachable(&rows); err != nil {
 		return nil, nil, err
+	}
+	var dup *dirRow
+	if t.dir, dup = directoryOf(rows); dup != nil {
+		return nil, nil, &pagefile.BadPageError{Page: dup.leaf, Reason: fmt.Sprintf("a leaf entry names object %d, which an earlier leaf entry names", dup.id)}
 	}
 	// Publish the recovered state as the committed epoch so snapshots work
 	// immediately and the first mutation copy-on-writes the recovered pages.
@@ -172,10 +177,10 @@ func (t *Tree) ReachablePages() (map[pagefile.PageID]bool, error) {
 	return reach, err
 }
 
-// reachable is ReachablePages, filling dir (when not nil) with the ID and
-// record address of every leaf entry on the way, and returning the root's
+// reachable is ReachablePages, appending to rows (when not nil) the ID,
+// record address and leaf of every leaf entry on the way, and returning the root's
 // box (rootBox) and the count of unshaped leaf entries as well.
-func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool, root geom.Rect, unshaped int, err error) {
+func (t *Tree) reachable(rows *[]dirRow) (reach map[pagefile.PageID]bool, root geom.Rect, unshaped int, err error) {
 	reach = make(map[pagefile.PageID]bool)
 	err = t.walk(t.rootPage, t.rootLevel, func(n *node) error {
 		reach[n.page] = true
@@ -187,8 +192,8 @@ func (t *Tree) reachable(dir map[int64]DataAddr) (reach map[pagefile.PageID]bool
 			for i := range n.entries {
 				e := &n.entries[i]
 				reach[e.addr.Page] = true
-				if dir != nil {
-					dir[e.id] = e.addr
+				if rows != nil {
+					*rows = append(*rows, dirRow{e.id, e.addr, n.page})
 				}
 			}
 		}

@@ -272,7 +272,7 @@ func TestOpenOlderLayouts(t *testing.T) {
 				if err := tree.insertEntry(entries[i], 0, make(map[int]bool)); err != nil {
 					t.Fatal(err)
 				}
-				tree.dir[objs[i].ID] = entries[i].addr
+				tree.dir.set(objs[i].ID, entries[i].addr)
 			}
 			if err := tree.Commit(); err != nil {
 				t.Fatal(err)

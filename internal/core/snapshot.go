@@ -37,7 +37,7 @@ func (t *Tree) workingState() *treeState {
 	return &treeState{
 		rootPage:  t.rootPage,
 		rootLevel: t.rootLevel,
-		size:      len(t.dir),
+		size:      t.dir.len(),
 		dataPage:  t.appendPage,
 		shapes:    t.shapes,
 		unshaped:  t.unshaped,
@@ -81,6 +81,7 @@ func (t *Tree) Commit() error {
 	// pages' memory.
 	t.undo = nil
 	t.dirty = make(map[pagefile.PageID][]byte)
+	t.dir.compact()
 	return nil
 }
 

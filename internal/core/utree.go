@@ -142,7 +142,7 @@ type Tree struct {
 
 	// The working ID directory and its journal since the last Commit
 	// (directory.go): the writer's, like rootPage.
-	dir  map[int64]DataAddr
+	dir  directory
 	undo []dirUndo
 
 	// The working shape table (shapes.go): the writer's, like rootPage.
@@ -285,7 +285,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		meta:    meta,
 		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
-		dir:     make(map[int64]DataAddr),
 		dirty:   make(map[pagefile.PageID][]byte),
 
 		appendPage: pagefile.InvalidPage,
@@ -330,7 +329,7 @@ func (t *Tree) Dim() int { return t.dim }
 func (t *Tree) Catalog() pcr.Catalog { return t.cat }
 
 // Len returns the number of objects in the working tree.
-func (t *Tree) Len() int { return len(t.dir) }
+func (t *Tree) Len() int { return t.dir.len() }
 
 // Height returns the number of levels.
 func (t *Tree) Height() int { return t.rootLevel + 1 }
@@ -504,7 +503,7 @@ func (t *Tree) Insert(o Object) error {
 		return err
 	}
 	t.journal(o.ID)
-	t.dir[o.ID] = e.addr
+	t.dir.set(o.ID, e.addr)
 
 	t.insertStats.Ops++
 	t.insertStats.PageReads += t.nodeReads.Load() - r0

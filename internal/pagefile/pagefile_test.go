@@ -285,8 +285,10 @@ func TestChaosStoreStickyCountdown(t *testing.T) {
 // cut short by cut bytes (at most all of page 2 and most of page 1). With
 // seal set the trailer is made valid, so the bytes get past the checksum to
 // the magic and version. OpenFileStore must return ErrBadMagic,
-// ErrOldFormat, an unsupported-version error or a *ChecksumError, or a
-// store whose NumPages is the file's whole pages after the header — the
+// ErrOldFormat, an unsupported-version error, a *ChecksumError or, for a
+// trailer whose checksum holds but whose echo names another page, a
+// *BadPageError naming page 0, or a store whose NumPages is the file's
+// whole pages after the header — the
 // header's other fields are never read — and on which reading pages 1 and
 // 2 and Close return; it never panics.
 func FuzzOpenFileStore(f *testing.F) {
@@ -312,12 +314,15 @@ func FuzzOpenFileStore(f *testing.F) {
 	binary.LittleEndian.PutUint32(v1[headerVersionOff:], 1)
 	badMagic := append([]byte(nil), v3[:PageSize]...)
 	badMagic[0] ^= 0xFF
+	misdirected := append([]byte(nil), v3...)
+	binary.LittleEndian.PutUint32(misdirected[PageSize+4:], 128)
 	f.Add(v3, true, uint16(0))
 	f.Add(v3, true, uint16(stride+100)) // page 2 gone, page 1 cut short
 	f.Add(v2, true, uint16(0))
 	f.Add(v1, true, uint16(0))
 	f.Add(badMagic, true, uint16(0))
 	f.Add(v3[:PageSize+3], false, uint16(0)) // torn trailer
+	f.Add(misdirected, false, uint16(0))     // the echo names page 128
 	f.Fuzz(func(t *testing.T, header []byte, seal bool, cut uint16) {
 		file := make([]byte, 3*stride)
 		copy(file[:stride], header)
@@ -342,7 +347,9 @@ func FuzzOpenFileStore(f *testing.F) {
 		if err != nil {
 			unsupported := fmt.Sprintf("pagefile: unsupported format version %d", binary.LittleEndian.Uint32(file[headerVersionOff:]))
 			var ce *ChecksumError
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrOldFormat) && !errors.As(err, &ce) && err.Error() != unsupported {
+			var bad *BadPageError
+			misdirected := errors.As(err, &bad) && bad.Page == 0 && binary.LittleEndian.Uint32(file[PageSize+4:]) != 0
+			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrOldFormat) && !errors.As(err, &ce) && !misdirected && err.Error() != unsupported {
 				t.Fatalf("OpenFileStore: unexpected error %v", err)
 			}
 			return
