@@ -33,13 +33,13 @@
 // Where the code departs from the paper:
 //
 //	probability bound, replaces Rules 3–5    → internal/pcr.Faces.ProbBounds, internal/pcr.ProbBoundsPCR
-//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.ProbBoundsShape, internal/pcr.marginal.decide, internal/pcr.marginal.pairs, internal/pcr.marginal.pairLower, internal/pcr.marginal.pairUpper
-//	2-D ball corner masses, a knot table     → internal/pcr.quadTable, internal/pcr.quadrants, internal/updf.QuadrantTable, internal/updf.UniformBall.QuadrantMass
+//	marginal bounds, radial pair terms       → internal/pcr.ProbBoundsMarginal, internal/pcr.Shape.ProbBoundsMarginal, internal/pcr.marginal.decide, internal/pcr.marginal.pairs, internal/pcr.marginal.pairLower, internal/pcr.marginal.pairUpper
+//	2-D ball corner masses, a knot table     → internal/pcr.quadTable, internal/pcr.Shape.quadrant, internal/pcr.quadrants, internal/updf.QuadrantTable, internal/updf.UniformBall.QuadrantMass
 //	hull fit, replaces the simplex           → internal/pcr.convexHull, internal/pcr.hullFace, internal/pcr.fitMeeting
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
 //	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.form, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
 //	keyed ball: id, address, centre; no MBR  → internal/core.centreSize, internal/core.packedNode.leafMBR, internal/updf.Recentrer.MBRAt
-//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.FilterShape, internal/pcr.FilterMarginal, internal/core.shape
+//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.Shape.FilterMarginal, internal/pcr.Shape.table, internal/pcr.FilterMarginal, internal/core.shape
 //	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
 //	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree
 //	descent on the shapes' quantiles         → internal/core.innerReaches, internal/core.Tree.quantileBounds, internal/pcr.Shape.Reach, internal/pcr.Reaches, internal/pcr.Catalog.QuantileLevels

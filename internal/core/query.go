@@ -53,7 +53,8 @@ type Result struct {
 	// qualification probability already reaches the threshold — derived
 	// from its PCR/CFB faces at the leaf (pcr.Faces.ProbBounds /
 	// ProbBoundsPCR), or from its pdf's own marginals, at the leaf through
-	// its shape or after its record was read (pcr.ProbBoundsShape / Marginal).
+	// its shape or after its record was read (pcr.Shape.ProbBoundsMarginal /
+	// pcr.ProbBoundsMarginal).
 	Validated bool
 }
 
@@ -103,8 +104,8 @@ type QueryStats struct {
 	// for a ball, tightened by the radial pair terms where a query cuts it
 	// at a corner: reported with Prob = -1, and dropped. ShapeDecided of
 	// them were decided before their record was read, on the shape their
-	// leaf entry names (pcr.FilterShape); the rest, whose entries name no
-	// shape, after it (pcr.FilterMarginal).
+	// leaf entry names (pcr.Shape.FilterMarginal); the rest, whose entries
+	// name no shape, after it (pcr.FilterMarginal).
 	MarginalValidated int
 	MarginalPruned    int
 	ShapeDecided      int
@@ -145,11 +146,11 @@ func (s *QueryStats) Add(o QueryStats) {
 // (U-tree) or Observation 2 (U-PCR) filtering at leaves, then refinement of
 // surviving candidates, fetching each distinct data page once: a candidate
 // is validated or dropped on its pdf's marginals where they decide it — at
-// the leaf through its shape (pcr.FilterShape), else once its record is read
-// (pcr.FilterMarginal) — and has its appearance probability (Equation 2,
-// PDF.ExactProb) computed where they do not. It is the only range entry
-// point — a single-threaded caller commits and pins a snapshot like
-// everyone else.
+// the leaf through its shape (pcr.Shape.FilterMarginal), else once its
+// record is read (pcr.FilterMarginal) — and has its appearance probability
+// (Equation 2, PDF.ExactProb) computed where they do not. It is the only
+// range entry point — a single-threaded caller commits and pins a snapshot
+// like everyone else.
 //
 // The traversal checks ctx before every page fetch and every refinement
 // integration, so a cancelled query returns ctx.Err() within roughly one
@@ -295,15 +296,14 @@ descent:
 			if obj, err = sc.object(t.store, st.shapes, c.id, c.addr, &stats.RefinementIOs); err != nil {
 				return refined(err)
 			}
-			// An unkeyed object is a shape of its own: a table of its CDF
-			// would be built for this one object and kept for ever, so its
-			// marginals are evaluated instead (and a 2-D uniform ball's
-			// corner masses at the knots a table would hold, so it is
-			// decided as it would be keyed).
-			if !c.keyed {
+			// An unkeyed object has no shape to hold tables, so its
+			// marginals are evaluated (and a 2-D uniform ball's corner
+			// masses at the knots a table would hold, so it is decided as
+			// it would be keyed).
+			if c.ref == 0 {
 				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, nil)
 			} else if o.noShapeTest {
-				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, t.qcache)
+				outcome = pcr.FilterMarginal(obj.PDF, q.Rect, q.Prob, st.shapes[c.ref-1].fit)
 			}
 		}
 		switch outcome {

@@ -82,7 +82,7 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 					e := &n.entries[i]
 					var f pcr.Faces
 					if n.leaf() && answers[e.id] && e.faces(&f) && f.Filter(tree.cat, e.mbr, q.Rect, q.Prob) == pcr.Unknown &&
-						shapeOutcome(snap.st, tree.qcache, e, q) == pcr.Unknown {
+						shapeOutcome(snap.st, e, q) == pcr.Unknown {
 						cands = append(cands, candidate{id: e.id, addr: e.addr})
 					}
 				}
@@ -140,12 +140,11 @@ func TestRefinementRecordErrorKeepsPartialResults(t *testing.T) {
 
 // shapeOutcome is what rangeQuery's leaf makes of an entry the stored faces
 // left undecided.
-func shapeOutcome(st *treeState, qc *pcr.QuantileCache, e *entry, q Query) pcr.Outcome {
+func shapeOutcome(st *treeState, e *entry, q Query) pcr.Outcome {
 	if e.shape == 0 {
 		return pcr.Unknown
 	}
-	sh := st.shapes[e.shape-1]
-	return pcr.FilterShape(sh.pdf, sh.mbr, e.mbr, q.Rect, q.Prob, qc)
+	return st.shapes[e.shape-1].fit.FilterMarginal(e.mbr, q.Rect, q.Prob)
 }
 
 // TestNNRecordErrorKeepsPartialNeighbours: the k-NN traversal ends on a
@@ -219,19 +218,18 @@ func TestNNRecordErrorKeepsPartialNeighbours(t *testing.T) {
 	}
 }
 
-// TestQuantileCacheTabulatesShapesOnly: a 2-D Con-Gau ball's marginal CDF
-// is a quadrature rule, so refinement reads it from a per-shape table —
-// 513 knots, 511 CDF evaluations to build, kept for the life of the tree.
+// TestPerObjectShapesAnswerAsEquation2: a 2-D Con-Gau ball's marginal CDF
+// is a quadrature rule, so a query reads it from its shape's table — 513
+// knots, 511 CDF evaluations to build, kept for the life of the shape.
 // Objects of per-object radii are shapes of their own: the table keys 112
-// of these 800 and the rest are unkeyed, and a table built for one of them
-// served one object and was never freed (on 2,000 such objects 400 queries
-// took 902 ms and kept 3.46 MB where evaluating their CDFs took 67.5 ms and
-// 0.26 MB). Only
-// keyed candidates read tables now — at most one per table shape and
-// dimension — and every answer is still Equation 2's: a refined
-// probability is PDF.ExactProb to the bit, a validated object's reaches
-// the threshold, and no object whose ExactProb does is missing.
-func TestQuantileCacheTabulatesShapesOnly(t *testing.T) {
+// of these 800 and the rest are unkeyed. An unkeyed object has no shape to
+// hold a table (one built for it would serve one object: on 2,000 such
+// objects 400 queries took 902 ms and kept 3.46 MB where evaluating their
+// CDFs took 67.5 ms and 0.26 MB), so its marginals are evaluated; a keyed
+// one reads its shape's tables. Either way every answer is Equation 2's: a
+// refined probability is PDF.ExactProb to the bit, a validated object's
+// reaches the threshold, and no object whose ExactProb does is missing.
+func TestPerObjectShapesAnswerAsEquation2(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	objs := make([]Object, 800)
 	for i := range objs {
@@ -286,8 +284,5 @@ func TestQuantileCacheTabulatesShapesOnly(t *testing.T) {
 	}
 	if computed == 0 {
 		t.Fatal("no candidate was refined: the probe checks nothing")
-	}
-	if tables, max := tree.qcache.Tables(), 2*len(tree.shapes); tables > max {
-		t.Fatalf("%d CDF tables for %d shapes: refinement tabulated unkeyed objects", tables, len(tree.shapes))
 	}
 }

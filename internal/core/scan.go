@@ -26,7 +26,6 @@ type scanItem struct {
 // given catalog size.
 func NewScan(objects []Object, catalogSize int) *Scan {
 	cat := pcr.UniformCatalog(catalogSize)
-	cache := pcr.NewQuantileCache()
 	shapes := make(map[string]*pcr.Shape)
 	s := &Scan{cat: cat}
 	for _, o := range objects {
@@ -37,7 +36,7 @@ func NewScan(objects []Object, catalogSize int) *Scan {
 			}
 			shapes[key].Translate(&it.faces, it.mbr)
 		} else {
-			pcrs := pcr.Compute(o.PDF, cat, cache)
+			pcrs := pcr.Compute(o.PDF, cat, nil)
 			it.faces.SetCFB(pcr.FitOut(pcrs), pcr.FitIn(pcrs))
 		}
 		s.objects = append(s.objects, it)

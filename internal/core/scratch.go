@@ -34,13 +34,13 @@ import (
 // buffers live, never the order of appends, pops, or sampler draws.
 
 // candidate is a leaf entry as decide leaves it for refinement: id, data
-// record address and what pcr.FilterShape made of it — Unknown where the
-// record has to be read.
+// record address, shape reference and what the shape decided of it
+// (pcr.Shape.FilterMarginal) — Unknown where the record has to be read.
 type candidate struct {
 	id      int64
 	addr    DataAddr
 	decided pcr.Outcome
-	keyed   bool // its entry names a shape in the table
+	ref     uint16 // its entry's shape in the table; 0 where it names none there
 }
 
 // queryScratch is one query's reusable traversal state.
@@ -80,13 +80,16 @@ func (sc *queryScratch) mbr(dim int) geom.Rect { return sc.box.take(1, dim)[0] }
 // decide is a range query's one test of leaf entry i of n on what the entry
 // stores (Section 5.2): Observation 3 on its CFBs — stored, or its shape's
 // translated — or Observation 2 on a U-PCR's PCRs. An Unknown entry's
-// candidate also carries pcr.FilterShape's decision where the entry names
-// a shape of the table, so refinement reads a record only where that
-// decides nothing; noShapeTest leaves it to the record.
+// candidate also carries pcr.Shape.FilterMarginal's decision where the
+// entry names a shape of the table, so refinement reads a record only where
+// that decides nothing; noShapeTest leaves it to the record.
 func (sc *queryScratch) decide(t *Tree, shapes []shape, n *packedNode, i int, q Query, noShapeTest bool) (candidate, pcr.Outcome) {
 	addr, ref := n.addr(i)
 	mbr, ok := n.leafMBR(i, shapes, sc.mbr(t.dim))
-	c := candidate{id: n.id(i), addr: addr, keyed: ok && ref != 0 && int(ref) <= len(shapes)}
+	c := candidate{id: n.id(i), addr: addr}
+	if ok && int(ref) <= len(shapes) {
+		c.ref = ref
+	}
 	out := pcr.Unknown // no box, or no faces (a reference beyond the table): the record decides
 	switch {
 	case !ok:
@@ -95,12 +98,11 @@ func (sc *queryScratch) decide(t *Tree, shapes []shape, n *packedNode, i int, q 
 	case n.form(i) == 0:
 		cout, cin := n.cfbs(i)
 		out = pcr.FilterCFB(cout, cin, t.cat, mbr, q.Rect, q.Prob)
-	case c.keyed:
+	case c.ref != 0:
 		out = shapes[ref-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
 	}
-	if out == pcr.Unknown && c.keyed && !noShapeTest {
-		sh := &shapes[ref-1]
-		c.decided = pcr.FilterShape(sh.pdf, sh.mbr, mbr, q.Rect, q.Prob, t.qcache)
+	if out == pcr.Unknown && c.ref != 0 && !noShapeTest {
+		c.decided = shapes[ref-1].fit.FilterMarginal(mbr, q.Rect, q.Prob)
 	}
 	return c, out
 }

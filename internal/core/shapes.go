@@ -14,8 +14,9 @@ import (
 // A tree keeps one prototype pdf per distinct non-empty ShapeKey among its
 // objects — one in all in each of the paper's datasets — and a leaf entry
 // names its object's by a 16-bit reference, so a range query runs
-// refinement's marginal test on the entry alone (pcr.FilterShape) and reads
-// a record only where that decides nothing. The table is append-only — an
+// refinement's marginal test on the entry alone (pcr.Shape.FilterMarginal,
+// which reads the shape's CDF and quadrant tables) and reads a record only
+// where that decides nothing. The table is append-only — an
 // epoch's (treeState.shapes) is a prefix of its successors' — and persisted
 // behind the fixed fields of the metadata page, which every commit rewrites:
 // count u16 | count × (length u16 | updf.Encode bytes). An object with an

@@ -137,7 +137,6 @@ type Tree struct {
 	minLeaf, minInner             int
 	reinsertLeaf, reinsertInner   int
 
-	qcache  *pcr.QuantileCache
 	samples int
 
 	// The working ID directory and its journal since the last Commit
@@ -283,7 +282,6 @@ func newTree(kind Kind, dim, m int, store pagefile.Store, meta pagefile.PageID, 
 		store:   store,
 		ep:      epochs{epoch: epoch, pins: make(map[uint64]int), fresh: make(map[pagefile.PageID]bool)},
 		meta:    meta,
-		qcache:  pcr.NewQuantileCache(),
 		samples: samples,
 		dirty:   make(map[pagefile.PageID][]byte),
 

@@ -1,9 +1,7 @@
 package pcr
 
 import (
-	"maps"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/updf"
 )
@@ -19,29 +17,25 @@ const cdfKnots = 512
 // support, as offsets from Center(), so every translate of the shape reads
 // the same table. It is a bracket, not an interpolant — for an offset
 // between two knots the CDF lies between their two values because a CDF is
-// monotone, which is all its soundness rests on.
+// monotone, which is all its soundness rests on. build allocates the knots.
 type cdfTable struct {
 	once     sync.Once
 	lo, step float64 // knot k sits at offset lo + k·step
 	hi       float64 // offset of the last knot
-	cdf      [cdfKnots + 1]float64
-}
-
-type tableKey struct {
-	shape updf.ShapeID
-	dim   int
+	cdf      []float64
 }
 
 func (t *cdfTable) knot(k int) float64 { return t.lo + float64(k)*t.step }
 
-// build evaluates the knots on p, the first pdf of its shape to ask. The
-// ends are pinned to exactly 0 and 1 and the values made non-decreasing,
-// which a quadrature rule's rounding does not promise of itself.
+// build evaluates the knots on p, the shape's prototype. The ends are
+// pinned to exactly 0 and 1 and the values made non-decreasing, which a
+// quadrature rule's rounding does not promise of itself.
 func (t *cdfTable) build(p updf.PDF, dim int) {
 	mbr, c := p.MBR(), p.Center()[dim]
 	t.lo = mbr.Lo[dim] - c
 	t.step = (mbr.Hi[dim] - mbr.Lo[dim]) / cdfKnots
 	t.hi = t.knot(cdfKnots)
+	t.cdf = make([]float64, cdfKnots+1)
 	for k := 1; k < cdfKnots; k++ {
 		t.cdf[k] = max(t.cdf[k-1], p.MarginalCDF(dim, c+t.knot(k)))
 	}
@@ -69,35 +63,14 @@ func (t *cdfTable) bracket(off float64) (lo, hi float64) {
 	return t.cdf[k], t.cdf[k+1]
 }
 
-// Tables reports how many CDF tables the cache holds: one per shape and
-// dimension that refinement or a shape test has read through it.
-func (qc *QuantileCache) Tables() int { return len(*qc.tables.Load()) }
-
-// table returns the CDF table of p's shape on dimension dim, building it on
-// first use — exactly once however many queries ask at the same time, and
-// outside the cache's lock, since MarginalCDF may be the caller's code.
-func (qc *QuantileCache) table(p updf.PDF, shape updf.ShapeID, dim int) *cdfTable {
-	t := entry(&qc.mu, &qc.tables, tableKey{shape, dim})
-	t.once.Do(func() { t.build(p, dim) })
-	return t
-}
-
-// entry returns what m holds under key, adding a new zero value if it
-// holds nothing. A value that exists is found without the lock; a new one
-// is added under it to a copy of the map, which then replaces it.
-func entry[K comparable, V any](mu *sync.Mutex, m *atomic.Pointer[map[K]*V], key K) *V {
-	v := (*m.Load())[key]
-	if v == nil {
-		mu.Lock()
-		old := *m.Load()
-		if v = old[key]; v == nil {
-			v = new(V)
-			next := make(map[K]*V, len(old)+1)
-			maps.Copy(next, old)
-			next[key] = v
-			m.Store(&next)
-		}
-		mu.Unlock()
+// table is the shape's CDF table on dimension dim, built from the prototype
+// on its first read, exactly once however many queries ask at the same
+// time; nil where there is none (updf.MarginalTable).
+func (s *Shape) table(dim int) *cdfTable {
+	if s == nil || s.cdf == nil {
+		return nil
 	}
-	return v
+	t := &s.cdf[dim]
+	t.once.Do(func() { t.build(s.proto, dim) })
+	return t
 }

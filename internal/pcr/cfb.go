@@ -453,22 +453,33 @@ func (c CFB) repairIn(cat Catalog, i int, los, his []float64) {
 // to lie on its safe side of the prototype's own PCR faces as evaluated.
 // Both are computed from the prototype NewShape was given, on first use and
 // exactly once, so they depend on the prototype and the catalog alone — not
-// on which object or goroutine asked first. Safe for concurrent use.
+// on which object or goroutine asked first; so are the CDF and quadrant
+// tables its objects' marginal bounds read, each on its first read.
+// Safe for concurrent use.
 type Shape struct {
 	proto updf.PDF
 	cat   Catalog
+	pm    geom.Rect // proto.MBR()
 	once  sync.Once
-	pm    geom.Rect   // proto.MBR()
 	pmax  []float64   // pmax[i]: the larger of |pm.Lo[i]| and |pm.Hi[i]|
 	off   [][]float64 // off[i]: dimension i's 2m offsets, as QuantileCache holds them
 	lines []line      // 4 per dimension, laid out as Faces lays them out
 	up    []float64   // Reach's, level k and dimension i at k·d + i
 	down  []float64
+	cdf   []cdfTable // one per dimension where updf.MarginalTable(proto)
+	quad  *quadTable // where updf.QuadrantTable(proto)
 }
 
 // NewShape returns the fit of proto's shape over catalog cat.
 func NewShape(proto updf.PDF, cat Catalog) *Shape {
-	return &Shape{proto: proto, cat: cat}
+	s := &Shape{proto: proto, cat: cat, pm: proto.MBR()}
+	if updf.MarginalTable(proto) {
+		s.cdf = make([]cdfTable, proto.Dim())
+	}
+	if updf.QuadrantTable(proto) {
+		s.quad = new(quadTable)
+	}
+	return s
 }
 
 // fit runs the float64 stage about the prototype's centre, where the faces
@@ -479,7 +490,6 @@ func NewShape(proto updf.PDF, cat Catalog) *Shape {
 // prototype's frame.
 func (s *Shape) fit() {
 	ctr := s.proto.Center()
-	s.pm = s.proto.MBR()
 	s.off, s.lines, s.pmax = make([][]float64, len(ctr)), make([]line, 4*len(ctr)), make([]float64, len(ctr))
 	var sc fitScratch
 	for i, c := range ctr {

@@ -185,8 +185,7 @@ func closedFormMarginals(p updf.PDF) bool {
 		}
 		return true
 	}
-	_, tabulate := updf.MarginalTable(p)
-	return !tabulate
+	return !updf.MarginalTable(p)
 }
 
 // oracleTol is how far ExactProb itself may sit from the truth: 1e-9 for
@@ -197,11 +196,11 @@ const oracleTol = 1e-9
 // checkMarginalBounds is the contract of the refinement pre-test on one
 // case, whose ExactProb is exact: the bounds hold it, close to a point when rq
 // clips a closed-form pdf on one axis only, and FilterMarginal never decides
-// against the exact probability.
-func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect, exact float64) {
+// against the exact probability. s is p's shape, nil for none.
+func checkMarginalBounds(t *testing.T, s *Shape, p updf.PDF, rq geom.Rect, exact float64) {
 	t.Helper()
 	tol := oracleTol
-	lb, ub := ProbBoundsMarginal(p, rq, cache)
+	lb, ub := ProbBoundsMarginal(p, rq, s)
 	if lb-tol > exact || exact > ub+tol {
 		t.Fatalf("%T %v rq=%v: bounds [%.12f, %.12f] miss exact %.12f", p, p.MBR(), rq, lb, ub, exact)
 	}
@@ -218,7 +217,7 @@ func checkMarginalBounds(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom
 		t.Fatalf("%T %v rq=%v: cut on %d axes, yet lb %v != ub %v", p, p.MBR(), rq, cut, lb, ub)
 	}
 	for _, pq := range boundTestThresholds {
-		switch got := FilterMarginal(p, rq, pq, cache); {
+		switch got := FilterMarginal(p, rq, pq, s); {
 		case got == Validated && exact < pq-tol:
 			t.Fatalf("%T %v rq=%v pq=%g: validated at exact %.12f", p, p.MBR(), rq, pq, exact)
 		case got == PrunedByBound && exact >= pq+tol:
@@ -234,7 +233,7 @@ func TestProbBoundsMarginalSound(t *testing.T) {
 	if testing.Short() {
 		rects = 1000
 	}
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	for family := 0; family < marginalFamilies; family++ {
 		for _, d := range []int{2, 3} {
 			if family == famPolygon && d == 3 {
@@ -244,10 +243,10 @@ func TestProbBoundsMarginalSound(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*family + d)))
 				for shape := 0; shape < 10; shape++ {
 					p := marginalPDF(family, d, rng.Float64)
-					mbr := p.MBR()
+					mbr, sh := p.MBR(), shapes.of(p)
 					for q := 0; q < rects/10; q++ {
 						rq := marginalRect(q%marginalRectKinds, mbr, rng.Float64)
-						checkMarginalBounds(t, cache, p, rq, p.ExactProb(rq))
+						checkMarginalBounds(t, sh, p, rq, p.ExactProb(rq))
 					}
 				}
 			})
@@ -279,9 +278,9 @@ func unitSeed(header []byte, v ...float64) []byte {
 	return b
 }
 
-// fuzzCache outlives the executions of one fuzz worker, so the handful of
+// fuzzShapes outlives the executions of one fuzz worker, so the handful of
 // Con-Gau shapes marginalPDF draws are tabulated once each.
-var fuzzCache = NewQuantileCache()
+var fuzzShapes shapeSet
 
 // FuzzProbBoundsMarginal drives checkMarginalBounds from the fuzzer's
 // bytes: family, dimensionality and rectangle kind from the first three,
@@ -304,12 +303,12 @@ func FuzzProbBoundsMarginal(f *testing.F) {
 		src := unitBytes{data[3:]}
 		p := marginalPDF(family, d, src.next)
 		rq := marginalRect(kind, p.MBR(), src.next)
-		checkMarginalBounds(t, fuzzCache, p, rq, p.ExactProb(rq))
+		checkMarginalBounds(t, fuzzShapes.of(p), p, rq, p.ExactProb(rq))
 	})
 }
 
-// counted is a pdf that counts the MarginalCDF calls reaching it: handed
-// to QuantileCache.table, it counts what building a table evaluates.
+// counted is a pdf that counts the MarginalCDF calls reaching it: made a
+// shape's prototype, it counts what building the shape's tables evaluates.
 type counted struct {
 	updf.PDF
 	calls *atomic.Int64
@@ -333,15 +332,11 @@ func TestCDFTableBrackets(t *testing.T) {
 		"con-gau": {updf.NewConGauBall(geom.Point{500, -20}, 250, 125), updf.NewConGauBall(geom.Point{-7301.5, 12.25}, 250, 125), 1e-12},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cache := NewQuantileCache()
-			shape, tabulate := updf.MarginalTable(tc.build)
-			if !tabulate {
-				t.Fatal("shape is not tabulated")
-			}
+			sh := NewShape(tc.build, UniformCatalog(15))
 			for dim := 0; dim < 2; dim++ {
-				tab := cache.table(tc.build, shape, dim)
-				if other, _ := updf.MarginalTable(tc.probe); cache.table(tc.probe, other, dim) != tab {
-					t.Fatal("a translate of the shape got a table of its own")
+				tab := sh.table(dim)
+				if tab == nil {
+					t.Fatal("shape is not tabulated")
 				}
 				check := func(p updf.PDF, off, tol float64) {
 					t.Helper()
@@ -376,15 +371,16 @@ func TestCDFTableBrackets(t *testing.T) {
 	}
 }
 
-// TestCDFTableBuiltOnce: eight queries meeting the same new shape at once
-// build its table once, on every dimension, and share it; nobody evaluates
-// its marginal again afterwards, and every query's first-order bounds hold
-// the ones the marginals themselves give.
+// TestCDFTableBuiltOnce: eight queries meeting the same new shape at once,
+// each on a translate of it, build its table once, from the prototype, on
+// every dimension, and share it; nobody evaluates its marginal again
+// afterwards, and every query's first-order bounds hold the ones the
+// marginals themselves give.
 func TestCDFTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
-	cache := NewQuantileCache()
 	proto := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
-	shape, _ := updf.MarginalTable(proto)
+	sh := NewShape(proto, UniformCatalog(15))
+	sh.proto = counted{proto, &calls}
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
 	wantLb, wantUb := firstOrderMarginal(proto, rq, nil)
 
@@ -399,12 +395,10 @@ func TestCDFTableBuiltOnce(t *testing.T) {
 			p := updf.NewConGauBall(geom.Point{shift, 0}, 10, 5)
 			moved := geom.NewRect(geom.Point{rq.Lo[0] + shift, rq.Lo[1]}, geom.Point{rq.Hi[0] + shift, rq.Hi[1]})
 			<-start
-			// Each goroutine's first use of either table counts the calls, so
-			// whichever goroutine builds it is counted.
 			for dim := range tables[g] {
-				tables[g][dim] = cache.table(counted{p, &calls}, shape, dim)
+				tables[g][dim] = sh.table(dim)
 			}
-			lb, ub := firstOrderMarginal(p, moved, cache)
+			lb, ub := firstOrderMarginal(p, moved, sh)
 			// A bracket between two knots is wider than the marginals' own
 			// bounds: a pair as narrow as theirs was not read off the table.
 			if lb > wantLb || ub < wantUb || ub-lb > wantUb-wantLb+0.02 || ub-lb <= wantUb-wantLb {
@@ -423,7 +417,7 @@ func TestCDFTableBuiltOnce(t *testing.T) {
 		}
 	}
 	for dim := range tables[0] {
-		cache.table(counted{updf.NewConGauBall(geom.Point{7, 7}, 10, 5), &calls}, shape, dim)
+		sh.table(dim)
 	}
 	if got := calls.Load(); got != 2*(cdfKnots-1) {
 		t.Fatalf("asking for a built table called MarginalCDF %d times", got-2*(cdfKnots-1))
@@ -475,11 +469,11 @@ func marginalBenchQuery(d int) geom.Rect {
 // refinement candidate; with the shape's table warm it allocates nothing for
 // any built-in family — no MBR, no shape key string, no clipped polygon.
 func TestProbBoundsMarginalAllocatesNothing(t *testing.T) {
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	for _, f := range marginalBenchPDFs() {
-		p, rq := f.pdf, marginalBenchQuery(f.pdf.Dim())
-		ProbBoundsMarginal(p, rq, cache) // warm the table
-		if n := testing.AllocsPerRun(50, func() { ProbBoundsMarginal(p, rq, cache) }); n != 0 {
+		p, rq, sh := f.pdf, marginalBenchQuery(f.pdf.Dim()), shapes.of(f.pdf)
+		ProbBoundsMarginal(p, rq, sh) // warm the tables
+		if n := testing.AllocsPerRun(50, func() { ProbBoundsMarginal(p, rq, sh) }); n != 0 {
 			t.Errorf("%s: %v allocations a call", f.name, n)
 		}
 	}
@@ -491,14 +485,14 @@ var benchSink float64
 // before deciding whether to integrate: ≤ 1 µs and 0 allocs/op for every
 // family, the tabulated Con-Gau in 2-D included.
 func BenchmarkProbBoundsMarginal(b *testing.B) {
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	for _, f := range marginalBenchPDFs() {
-		p, rq := f.pdf, marginalBenchQuery(f.pdf.Dim())
-		ProbBoundsMarginal(p, rq, cache)
+		p, rq, sh := f.pdf, marginalBenchQuery(f.pdf.Dim()), shapes.of(f.pdf)
+		ProbBoundsMarginal(p, rq, sh)
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				lb, ub := ProbBoundsMarginal(p, rq, cache)
+				lb, ub := ProbBoundsMarginal(p, rq, sh)
 				benchSink += lb + ub
 			}
 		})

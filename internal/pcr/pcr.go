@@ -2,7 +2,6 @@ package pcr
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -17,23 +16,13 @@ type PCRs struct {
 }
 
 // QuantileCache memoizes marginal quantile *offsets* (relative to the pdf's
-// Center) per pdf ShapeKey, dimension and catalog. The paper observes that
-// the normalization constant λ of the CA dataset "needs to be calculated
-// only once" because every object shares the same pdf shape; this cache
-// generalizes that: a dataset of identically-shaped objects computes its
-// quantiles exactly once. (An index keeps a shape's offsets, and its fit, in
-// its shape table's Shape instead; the cache serves Compute.) For the shapes
-// updf.MarginalTable says to tabulate it also holds the CDF tables
-// refinement reads instead (cdftable.go), and for a 2-D ball its quadrant
-// table (quadtable.go). Safe for concurrent use.
+// Center) per pdf ShapeKey, dimension and catalog, for Compute: as the
+// paper computes the CA dataset's λ once, a dataset of identically-shaped
+// objects computes its quantiles once. (An index keeps them, with a shape's
+// fit and tables, in its Shape.) Safe for concurrent use.
 type QuantileCache struct {
 	mu sync.Mutex
 	m  map[offsetsKey][]float64
-	// tables and quads are read without the lock and replaced, never
-	// changed, under it: a shape test reads them several times a candidate.
-	tables   atomic.Pointer[map[tableKey]*cdfTable]
-	quads    atomic.Pointer[map[updf.ShapeID]*quadTable]
-	lastQuad atomic.Pointer[quadTable] // a built table, the one asked for last
 }
 
 type offsetsKey struct {
@@ -44,10 +33,7 @@ type offsetsKey struct {
 
 // NewQuantileCache returns an empty cache.
 func NewQuantileCache() *QuantileCache {
-	qc := &QuantileCache{m: make(map[offsetsKey][]float64)}
-	qc.tables.Store(&map[tableKey]*cdfTable{})
-	qc.quads.Store(&map[updf.ShapeID]*quadTable{})
-	return qc
+	return &QuantileCache{m: make(map[offsetsKey][]float64)}
 }
 
 // offsets returns, for pdf p and dimension dim, the 2m quantile offsets

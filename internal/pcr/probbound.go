@@ -239,26 +239,26 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 // probability itself. A radial pdf's bracket is tightened by the pair
 // terms (the header's third formula).
 //
-// A family whose MarginalCDF is closed form is called and gives exact
-// tails; one whose MarginalCDF is a quadrature rule (updf.MarginalTable) is
-// never called here once its shape's table exists in cache: each tail is
-// bracketed between two knots of the table. A mixture's tails are the
-// weighted sums of its components'. With a nil cache nothing is tabulated
-// and every MarginalCDF is called; a 2-D uniform ball's corner masses are
-// evaluated at the knots its quadrant table would hold, and a 2-D
-// Con-Gau's pair terms do without them.
-func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+// s is p's shape, nil for a pdf with none. A family whose MarginalCDF is
+// closed form is called and gives exact tails; one whose MarginalCDF is a
+// quadrature rule (updf.MarginalTable) is never called here when it has a
+// shape: each tail is bracketed between two knots of the shape's table. A
+// mixture's tails are the weighted sums of its components'. With a nil
+// shape nothing is tabulated and every MarginalCDF is called; a 2-D
+// uniform ball's corner masses are evaluated at the knots its quadrant
+// table would hold, and a 2-D Con-Gau's pair terms do without them.
+func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, s *Shape) (lb, ub float64) {
 	var m marginal
-	m.read(p, rq, cache)
-	return m.pairs(cache, nil)
+	m.read(p, rq, s)
+	return m.pairs(nil)
 }
 
-// marginalTails brackets P(X_dim < a) and P(X_dim > b).
-func (qc *QuantileCache) marginalTails(p updf.PDF, dim int, a, b float64) (left, right tail) {
+// marginalTails brackets P(X_dim < a) and P(X_dim > b) for p, of shape s.
+func (s *Shape) marginalTails(p updf.PDF, dim int, a, b float64) (left, right tail) {
 	if m, ok := p.(*updf.Mixture); ok {
 		for k := 0; k < m.Components(); k++ {
 			c, w := m.Component(k)
-			l, r := qc.marginalTails(c, dim, a, b)
+			l, r := s.marginalTails(c, dim, a, b)
 			left.lo += w * l.lo
 			left.hi += w * l.hi
 			right.lo += w * r.lo
@@ -266,15 +266,14 @@ func (qc *QuantileCache) marginalTails(p updf.PDF, dim int, a, b float64) (left,
 		}
 		return left, right
 	}
-	shape, tabulate := updf.MarginalTable(p)
-	if !tabulate || qc == nil {
-		l, r := p.MarginalCDF(dim, a), 1-p.MarginalCDF(dim, b)
-		return tail{l, l}, tail{r, r}
+	if t := s.table(dim); t != nil {
+		c := p.Center()[dim]
+		left.lo, left.hi = t.bracket(a - c)
+		below, atMost := t.bracket(b - c)
+		return left, tail{1 - atMost, 1 - below}
 	}
-	t, c := qc.table(p, shape, dim), p.Center()[dim]
-	left.lo, left.hi = t.bracket(a - c)
-	below, atMost := t.bracket(b - c)
-	return left, tail{1 - atMost, 1 - below}
+	l, r := p.MarginalCDF(dim, a), 1-p.MarginalCDF(dim, b)
+	return tail{l, l}, tail{r, r}
 }
 
 // ShapeSlack is δ on dimension i for an object with MBR mbr read through a
@@ -286,21 +285,22 @@ func ShapeSlack(pm, mbr geom.Rect, i int) float64 {
 	return max(math.Abs(pm.Lo[i]), math.Abs(pm.Hi[i]), math.Abs(mbr.Lo[i]), math.Abs(mbr.Hi[i])) / (1 << 48)
 }
 
-// ProbBoundsShape is ProbBoundsMarginal for an object whose record has not
-// been read: known are its MBR and proto, a pdf of its (non-empty) ShapeKey —
-// the same density up to translation — with MBR pm. rq is carried into
-// proto's frame and every tail bracketed between marginalTails with its face
-// pushed in by δ (the tail at its largest) and pulled out by δ (smallest),
-// then the pair is widened by boundPruneEps, far above what one CDF formula
-// evaluated on two translates differs by. A face's offset from the centre
-// is known to δ, so a radial shape's pair terms read each offset at the end
-// of its interval that weakens them. So the bracket holds the one ProbBoundsMarginal gives on the object's pdf,
-// and FilterShape decides nothing FilterMarginal does not decide the same
-// way.
-func ProbBoundsShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+// ProbBoundsMarginal is the package's ProbBoundsMarginal for an object of
+// this shape whose record has not been read: known are its MBR and the
+// shape's prototype — the same density up to translation — with MBR pm.
+// rq is carried into the prototype's frame and every tail bracketed between
+// marginalTails with its face pushed in by δ (the tail at its largest) and
+// pulled out by δ (smallest), then the pair is widened by boundPruneEps,
+// far above what one CDF formula evaluated on two translates differs by. A
+// face's offset from the centre is known to δ, so a radial shape's pair
+// terms read each offset at the end of its interval that weakens them. So
+// the bracket holds the one ProbBoundsMarginal gives on the object's pdf,
+// and Shape.FilterMarginal decides nothing FilterMarginal does not decide
+// the same way.
+func (s *Shape) ProbBoundsMarginal(mbr, rq geom.Rect) (lb, ub float64) {
 	var m marginal
-	m.readShape(proto, pm, mbr, rq, cache)
-	return widen(m.pairs(cache, nil))
+	m.readShape(s, mbr, rq)
+	return widen(m.pairs(nil))
 }
 
 // widen is the leaf's last step: the bracket widened by boundPruneEps.
@@ -319,11 +319,12 @@ type face struct {
 	lo, hi float64
 }
 
-// marginal is the first-order bracket ProbBoundsMarginal and ProbBoundsShape
-// build and, when the pdf is radially symmetric, what its pair terms reuse
-// of it: every face's tail and offset.
+// marginal is the first-order bracket both ProbBoundsMarginal build and,
+// when the pdf is radially symmetric, what its pair terms reuse of it:
+// every face's tail and offset.
 type marginal struct {
 	bounds
+	shape  *Shape    // the pdf's shape, whose tables the tails are read off; nil for none
 	radial updf.PDF  // the radial pdf the tails were read off; nil for any other
 	quad   quadrants // its quadrant masses, where the pair terms found them
 	d      int
@@ -341,14 +342,14 @@ func radial(p updf.PDF) bool {
 }
 
 // read is the first-order bracket of ProbBoundsMarginal.
-func (m *marginal) read(p updf.PDF, rq geom.Rect, cache *QuantileCache) {
-	m.bounds = newBounds()
+func (m *marginal) read(p updf.PDF, rq geom.Rect, s *Shape) {
+	m.bounds, m.shape = newBounds(), s
 	var c geom.Point
 	if radial(p) {
 		m.radial, m.d, c = p, len(rq.Lo), p.Center()
 	}
 	for i := range rq.Lo {
-		left, right := cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i])
+		left, right := s.marginalTails(p, i, rq.Lo[i], rq.Hi[i])
 		m.add(left, right)
 		if c != nil {
 			l, r := c[i]-rq.Lo[i], rq.Hi[i]-c[i]
@@ -357,18 +358,18 @@ func (m *marginal) read(p updf.PDF, rq geom.Rect, cache *QuantileCache) {
 	}
 }
 
-// readShape is the first-order bracket of ProbBoundsShape, before widening.
-func (m *marginal) readShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) {
-	m.bounds = newBounds()
+// readShape is Shape.ProbBoundsMarginal's first-order bracket, unwidened.
+func (m *marginal) readShape(s *Shape, mbr, rq geom.Rect) {
+	m.bounds, m.shape = newBounds(), s
 	var c geom.Point
-	if radial(proto) {
-		m.radial, m.d, c = proto, len(rq.Lo), proto.Center()
+	if radial(s.proto) {
+		m.radial, m.d, c = s.proto, len(rq.Lo), s.proto.Center()
 	}
 	for i := range rq.Lo {
-		shift, d := pm.Lo[i]-mbr.Lo[i], ShapeSlack(pm, mbr, i)
+		shift, d := s.pm.Lo[i]-mbr.Lo[i], ShapeSlack(s.pm, mbr, i)
 		a, b := rq.Lo[i]+shift, rq.Hi[i]+shift
-		inL, inR := cache.marginalTails(proto, i, a+d, b-d)
-		outL, outR := cache.marginalTails(proto, i, a-d, b+d)
+		inL, inR := s.marginalTails(s.proto, i, a+d, b-d)
+		outL, outR := s.marginalTails(s.proto, i, a-d, b+d)
 		left, right := tail{outL.lo, inL.hi}, tail{outR.lo, inR.hi}
 		m.add(left, right)
 		if c != nil {
@@ -397,7 +398,7 @@ func (m *marginal) readShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *Quant
 // are dropped the first partial sum that cannot prune ends the summing,
 // with the first-order bracket, which is Unknown too. A nil threshold asks
 // for the whole bracket.
-func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
+func (m *marginal) pairs(t *threshold) (lb, ub float64) {
 	if m.radial == nil {
 		return m.result()
 	}
@@ -412,7 +413,7 @@ func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
 	}
 	lower := t == nil || t.validates(max(1-slab, 0))
 	if lower {
-		m.quad = quadrantsOf(m.radial, cache)
+		m.quad = quadrantsOf(m.radial, m.shape)
 		lower = t == nil || past || m.quad.ok()
 	}
 	// A dimension's face with the larger tail, the nearer the centre, comes
@@ -427,7 +428,7 @@ func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
 	var lo, hi [2 * maxPairDim][2 * maxPairDim]float64
 	if lower {
 		var sum float64
-		if lower, sum = m.lowerEnds(&order, &lo, cache, t); lower && m.d == 2 && t != nil {
+		if lower, sum = m.lowerEnds(&order, &lo, t); lower && m.d == 2 && t != nil {
 			// In 2-D no triple takes from lb, and the upper ends only clamp
 			// each lower end to at most its upper end, which it exceeds by
 			// the rounding of the two evaluations alone (a quadrant mass and
@@ -453,7 +454,7 @@ func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
 			if !lower && !t.prunes(1-(missLo-s2hi)) {
 				return m.result()
 			}
-			h := m.pairUpper(m.faces[e], m.faces[f], cache)
+			h := m.pairUpper(m.faces[e], m.faces[f])
 			hi[e][f] = h
 			s2hi += h
 			if lower {
@@ -480,7 +481,7 @@ func (m *marginal) pairs(cache *QuantileCache, t *threshold) (lb, ub float64) {
 // to add its cap, so the reading stops at the first that says no. Every
 // pair's lower end in the bracket is at most its entry here, so lb is at
 // most what this sums.
-func (m *marginal) lowerEnds(order *[2 * maxPairDim]int, lo *[2 * maxPairDim][2 * maxPairDim]float64, cache *QuantileCache, t *threshold) (could bool, sum float64) {
+func (m *marginal) lowerEnds(order *[2 * maxPairDim]int, lo *[2 * maxPairDim][2 * maxPairDim]float64, t *threshold) (could bool, sum float64) {
 	n := 2 * m.d
 	var rest float64 // the caps of the pairs still to come
 	for e := 0; e < n; e++ {
@@ -504,7 +505,7 @@ func (m *marginal) lowerEnds(order *[2 * maxPairDim]int, lo *[2 * maxPairDim][2 
 				return false, 0
 			}
 			rest -= c
-			lo[e][f] = min(m.pairLower(m.faces[e], m.faces[f], cache), c)
+			lo[e][f] = min(m.pairLower(m.faces[e], m.faces[f]), c)
 			sum += lo[e][f]
 		}
 	}
@@ -523,7 +524,7 @@ const roundingMargin = 1e-13
 // both faces, T_f − Q(|o_e|, o_f) where it lies beyond e alone and T_e +
 // T_f − 1 + Q(|o_e|, |o_f|) beyond both, each Q read at the end of its
 // offsets' intervals and on the side of its knots that weaken it.
-func (m *marginal) pairLower(e, f face, cache *QuantileCache) float64 {
+func (m *marginal) pairLower(e, f face) float64 {
 	if f.hi <= 0 && e.lo > 0 {
 		e, f = f, e // the face the centre lies beyond, if one, is e
 	}
@@ -537,7 +538,7 @@ func (m *marginal) pairLower(e, f face, cache *QuantileCache) float64 {
 		if q {
 			lo = f.t.lo - m.quad.upper(-e.hi, f.lo)
 		} else {
-			lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo, cache))
+			lo = max(f.t.lo/2, f.t.lo-m.beyond(e.hi, f.lo))
 		}
 	case e.hi <= 0 && f.hi <= 0:
 		if q {
@@ -550,16 +551,16 @@ func (m *marginal) pairLower(e, f face, cache *QuantileCache) float64 {
 }
 
 // pairUpper is the upper end of P(E_e ∩ E_f).
-func (m *marginal) pairUpper(e, f face, cache *QuantileCache) float64 {
+func (m *marginal) pairUpper(e, f face) float64 {
 	hi := min(e.t.hi, f.t.hi)
 	if f.hi <= 0 && e.lo > 0 {
 		e, f = f, e
 	}
 	switch {
 	case e.lo > 0 && f.lo > 0:
-		hi = min(hi, m.beyond(e.lo, f.lo, cache))
+		hi = min(hi, m.beyond(e.lo, f.lo))
 	case e.hi <= 0 && f.hi <= 0:
-		hi = min(hi, e.t.hi+f.t.hi-1+m.beyond(e.hi, f.hi, cache))
+		hi = min(hi, e.t.hi+f.t.hi-1+m.beyond(e.hi, f.hi))
 	}
 	return hi
 }
@@ -570,10 +571,10 @@ func (m *marginal) pairUpper(e, f face, cache *QuantileCache) float64 {
 // centre than ρ, more than the square root, adding the centre and
 // MarginalCDF's taking it off again can together round the distance
 // outward.
-func (m *marginal) beyond(u, v float64, cache *QuantileCache) float64 {
+func (m *marginal) beyond(u, v float64) float64 {
 	c := m.radial.Center()[0]
 	rho := math.Sqrt(u*u + v*v)
 	rho -= (math.Abs(c) + math.Abs(rho)) / (1 << 50)
-	_, t := cache.marginalTails(m.radial, 0, math.Inf(-1), c+rho)
+	_, t := m.shape.marginalTails(m.radial, 0, math.Inf(-1), c+rho)
 	return t.hi
 }

@@ -248,7 +248,6 @@ func TestProbUpperBoundBites(t *testing.T) {
 func TestNoValidationOnZeroBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	cat := UniformCatalog(15)
-	cache := NewQuantileCache()
 	var faces Faces
 	zeros := 0
 	for pi, p := range boundTestPDFs(rng) {
@@ -281,8 +280,8 @@ func TestNoValidationOnZeroBound(t *testing.T) {
 					"CFB":      FilterCFB(out, in, cat, mbr, rq, pq),
 					"U-PCR":    FilterCatalogPCR(pcrs, mbr, rq, pq),
 					"shape":    shape.Filter(&faces, cat, mbr, rq, pq),
-					"leaf":     FilterShape(p, mbr, mbr, rq, pq, cache),
-					"marginal": FilterMarginal(p, rq, pq, cache),
+					"leaf":     shape.FilterMarginal(mbr, rq, pq),
+					"marginal": FilterMarginal(p, rq, pq, shape),
 				} {
 					if got == Validated && exact == 0 {
 						t.Fatalf("pdf %d (%T) pq=%g: %s validated an object of probability 0 in rq=%v", pi, p, pq, name, rq)

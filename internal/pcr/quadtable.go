@@ -12,9 +12,9 @@ import (
 // over 10⁵ offsets uniform on [0, r]² it was at most 0.010 wide for a
 // uniform ball (0.0033 on average), 0.014 for a Con-Gau of σ = r/2 (the CA
 // dataset's) and 0.047 for one of σ = r/8, whose mass crowds the centre
-// (0.0008 on average). A table is 2,145 float64s, 17 KB. With 32 knots the
-// leaf decides a few percent fewer of the benchmark's corner-cut balls,
-// with 128 barely more.
+// (0.0008 on average). A table is 2,145 float64s, 17 KB, allocated by
+// build. With 32 knots the leaf decides a few percent fewer of the
+// benchmark's corner-cut balls, with 128 barely more.
 const quadKnots = 64
 
 // quadTable brackets one 2-D ball shape's quadrant masses
@@ -27,10 +27,9 @@ const quadKnots = 64
 // grows, so between knots it lies between its values at the knots on
 // either side.
 type quadTable struct {
-	once  sync.Once
-	shape updf.ShapeID
+	once sync.Once
 	grid
-	q [(quadKnots + 1) * (quadKnots + 2) / 2]float64 // Q(knot i, knot j) for i ≤ j, row i after row i − 1
+	q []float64 // Q(knot i, knot j) for i ≤ j, row i after row i − 1
 }
 
 // grid is the knots of a ball of radius r: their interval r/quadKnots and
@@ -93,6 +92,7 @@ func inside(i, j int) bool { return i*i+j*j < quadKnots*quadKnots }
 func (t *quadTable) build(p updf.PDF) {
 	r := p.MBR().Hi[0]
 	t.grid = newGrid(r)
+	t.q = make([]float64, (quadKnots+1)*(quadKnots+2)/2)
 	for i := quadKnots; i >= 0; i-- {
 		for j := quadKnots; j >= i; j-- {
 			v := 0.0
@@ -108,20 +108,20 @@ func (t *quadTable) build(p updf.PDF) {
 // quadrants brackets a 2-D ball's quadrant masses between the knots of its
 // shape: Q falls as either offset grows, so Q(s, u) lies between its values
 // at the knots at or above both offsets and at or below both. They are read
-// off the shape's table, or, for a uniform ball where the cache has
-// none — an unkeyed object's record, whose FilterMarginal gets a nil cache
-// — evaluated in closed form at the knots the table would read, so that a
-// ball is decided alike whether its tree's shape table holds its shape or
-// not. The zero value has none, and the pair terms keep their other lower
-// bounds: a Con-Gau's quadrant mass is an integral, dearer than the
-// refinement it would save.
+// off the shape's table, or, for a uniform ball of no shape — an unkeyed
+// object's record, whose FilterMarginal gets a nil shape — evaluated in
+// closed form at the knots the table would read, so that a ball is decided
+// alike whether its tree's shape table holds its shape or not. The zero
+// value has none, and the pair terms keep their other lower bounds: a
+// Con-Gau's quadrant mass is an integral, dearer than the refinement it
+// would save.
 type quadrants struct {
 	table *quadTable
 	ball  *updf.UniformBall
 }
 
-func quadrantsOf(p updf.PDF, cache *QuantileCache) quadrants {
-	if t := cache.quadrant(p); t != nil {
+func quadrantsOf(p updf.PDF, s *Shape) quadrants {
+	if t := s.quadrant(); t != nil {
 		return quadrants{table: t}
 	}
 	if b, ok := p.(*updf.UniformBall); ok && b.Dim() == 2 {
@@ -163,31 +163,14 @@ func (q quadrants) at(g grid, i, j int) float64 {
 	return q.ball.QuadrantMass(g.knot(min(i, j)), g.knot(max(i, j)))
 }
 
-// quadrant returns the quadrant table of p's shape, nil where p has none
-// (updf.QuadrantTable) or the cache is nil, building it on first use —
-// exactly once however many queries ask at the same time, as table does.
-// The table asked for last is found without the map: a query's candidates
-// are mostly of one shape.
-func (qc *QuantileCache) quadrant(p updf.PDF) *quadTable {
-	shape, ok := updf.QuadrantTable(p)
-	if !ok || qc == nil {
+// quadrant is the shape's quadrant table, built from the prototype, moved
+// to the origin, on its first read, as table is; nil where there is none.
+func (s *Shape) quadrant() *quadTable {
+	if s == nil || s.quad == nil {
 		return nil
 	}
-	if t := qc.lastQuad.Load(); t != nil && t.shape == shape {
-		return t
-	}
-	return qc.quadTable(shape, p)
-}
-
-// quadTable is quadrant for a pdf of the given shape.
-func (qc *QuantileCache) quadTable(shape updf.ShapeID, p updf.PDF) *quadTable {
-	t := entry(&qc.mu, &qc.quads, shape)
-	t.once.Do(func() {
-		t.shape = shape
-		t.build(atOrigin(p))
-	})
-	qc.lastQuad.Store(t)
-	return t
+	s.quad.once.Do(func() { s.quad.build(atOrigin(s.proto)) })
+	return s.quad
 }
 
 // atOrigin is p, moved to the origin where it lies elsewhere.

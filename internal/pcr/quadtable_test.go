@@ -56,12 +56,11 @@ func quadShape(k int, ctr geom.Point, r float64) updf.PDF {
 func TestQuadrantTableBrackets(t *testing.T) {
 	for _, r := range []float64{1e-3, 1, 250, 3e4} {
 		for k := -1; k < 4; k++ {
-			cache := NewQuantileCache()
 			p := quadShape(k, geom.Point{3.5 * r, -2.25 * r}, r)
 			t.Run(p.ShapeKey(), func(t *testing.T) {
-				tab := cache.quadrant(quadShape(k, geom.Point{-7 * r, 11 * r}, r))
-				if tab == nil || cache.quadrant(p) != tab {
-					t.Fatal("a translate of the shape got a table of its own, or none")
+				tab := NewShape(quadShape(k, geom.Point{-7 * r, 11 * r}, r), UniformCatalog(15)).quadrant()
+				if tab == nil {
+					t.Fatal("the shape has no quadrant table")
 				}
 				q := quadrants{table: tab}
 				for i := 0; i <= quadKnots; i++ {
@@ -98,8 +97,8 @@ func TestQuadrantTableBrackets(t *testing.T) {
 	}
 }
 
-// countedExact is a pdf that counts the ExactProb calls reaching it: handed
-// to QuantileCache.quadTable, it counts what building a table integrates.
+// countedExact is a pdf that counts the ExactProb calls reaching it: made a
+// shape's prototype, it counts what building its quadrant table integrates.
 type countedExact struct {
 	updf.PDF
 	calls *atomic.Int64
@@ -111,15 +110,16 @@ func (c countedExact) ExactProb(rq geom.Rect) float64 {
 }
 
 // TestQuadrantTableBuiltOnce: eight queries meeting the same new 2-D ball
-// shape at once build its quadrant table once and share it — one ExactProb
-// per pair of knots whose quadrant meets the ball — nobody integrates a
-// quadrant again afterwards, and every query of a translate reads the same
-// bracket, which holds its exact probability.
+// shape at once, each on a translate of it, build its quadrant table once,
+// from the prototype, and share it — one ExactProb per pair of knots whose
+// quadrant meets the ball — nobody integrates a quadrant again afterwards,
+// and every query of a translate reads the same bracket, which holds its
+// exact probability.
 func TestQuadrantTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
-	cache := NewQuantileCache()
 	origin := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
-	shape, _ := updf.QuadrantTable(origin)
+	sh := NewShape(origin, UniformCatalog(15))
+	sh.proto = countedExact{origin, &calls}
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
 
 	var tables [8]*quadTable
@@ -134,8 +134,8 @@ func TestQuadrantTableBuiltOnce(t *testing.T) {
 			p := updf.NewConGauBall(geom.Point{shift, 0}, 10, 5)
 			moved := geom.NewRect(geom.Point{rq.Lo[0] + shift, rq.Lo[1]}, geom.Point{rq.Hi[0] + shift, rq.Hi[1]})
 			<-start
-			tables[g] = cache.quadTable(shape, countedExact{origin, &calls})
-			lb, ub := ProbBoundsMarginal(p, moved, cache)
+			tables[g] = sh.quadrant()
+			lb, ub := ProbBoundsMarginal(p, moved, sh)
 			brackets[g] = [2]float64{lb, ub}
 			if exact := p.ExactProb(moved); lb-oracleTol > exact || exact > ub+oracleTol {
 				t.Errorf("goroutine %d: bounds [%v, %v] miss exact %v", g, lb, ub, exact)
@@ -160,10 +160,7 @@ func TestQuadrantTableBuiltOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got table %p and bracket %v, goroutine 0 %p and %v", g, tables[g], brackets[g], tables[0], brackets[0])
 		}
 	}
-	if q := cache.quadrant(updf.NewConGauBall(geom.Point{7, 7}, 10, 5)); q != tables[0] {
-		t.Fatal("a translate asking for a built table got another one")
-	}
-	if q := cache.quadTable(shape, countedExact{origin, &calls}); q != tables[0] || calls.Load() != once {
+	if q := sh.quadrant(); q != tables[0] || calls.Load() != once {
 		t.Fatalf("asking for a built table integrated %d quadrants", calls.Load()-once)
 	}
 }
@@ -227,9 +224,9 @@ func TestPairTermsExactIn2D(t *testing.T) {
 	}
 }
 
-// fuzzQuadCache outlives the executions of one fuzz worker, so each of the
+// fuzzQuadShapes outlives the executions of one fuzz worker, so each of the
 // shapes FuzzQuadrantTable draws is tabulated once.
-var fuzzQuadCache = NewQuantileCache()
+var fuzzQuadShapes shapeSet
 
 // FuzzQuadrantTable: the fuzzer's bytes pick a 2-D ball family, its radius
 // (16 values from 10⁻³ to 10³) and a Con-Gau's σ, where a translate of it
@@ -253,7 +250,7 @@ func FuzzQuadrantTable(f *testing.F) {
 		u := src.next
 		ctr := geom.Point{10 * r * (2*u() - 1), 10 * r * (2*u() - 1)}
 		p := quadShape(int(data[0])%5-1, ctr, r)
-		q := quadrants{table: fuzzQuadCache.quadrant(p)}
+		q := quadrants{table: fuzzQuadShapes.of(p).quadrant()}
 		g := q.grid()
 		s, v := 1.2*r*u(), 1.2*r*u()
 		switch mode := data[2] % 5; mode {
@@ -272,13 +269,13 @@ func FuzzQuadrantTable(f *testing.F) {
 }
 
 // TestUnkeyedBallDecidedAsKeyed: a 2-D uniform ball's record read with no
-// cache — an unkeyed object's — gets its quadrant masses evaluated at the
+// shape — an unkeyed object's — gets its quadrant masses evaluated at the
 // knots its shape's table holds, so its bracket is the one read off the
 // table to rounding, and a tree decides the ball alike whether its shape
 // table holds the ball's shape or not: over 10⁴ rectangles cutting balls
 // of ten radii at a corner, or inside them on both axes.
 func TestUnkeyedBallDecidedAsKeyed(t *testing.T) {
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	rng := rand.New(rand.NewSource(9))
 	u := rng.Float64
 	for shape := 0; shape < 10; shape++ {
@@ -289,7 +286,7 @@ func TestUnkeyedBallDecidedAsKeyed(t *testing.T) {
 			if n%2 == 1 {
 				rq = marginalRect(rectStraddle, p.MBR(), u)
 			}
-			lb, ub := ProbBoundsMarginal(p, rq, cache)
+			lb, ub := ProbBoundsMarginal(p, rq, shapes.of(p))
 			lbN, ubN := ProbBoundsMarginal(p, rq, nil)
 			if math.Abs(lb-lbN) > 1e-15 || ub != ubN {
 				t.Fatalf("%v rq=%v: bracket [%.17g, %.17g] off the table, [%.17g, %.17g] evaluated", p.MBR(), rq, lb, ub, lbN, ubN)
@@ -306,15 +303,13 @@ func TestUnkeyedBallDecidedAsKeyed(t *testing.T) {
 // two faces lie within a few ulps of a pair of knots — every sign case —
 // the leaf's bracket holds the record's.
 func TestQuadrantReadsAtLeafCarrySlack(t *testing.T) {
-	cache := NewQuantileCache()
 	rng := rand.New(rand.NewSource(11))
 	u := rng.Float64
 	for k := -1; k < 4; k++ {
 		for _, r := range []float64{1e-3, 0.1, 10} {
 			place := func(c geom.Point) updf.PDF { return quadShape(k, c, r) }
-			proto := place(shapeCentre(2, math.Pow(1e7, u()), u))
-			pm := proto.MBR()
-			g := cache.quadrant(proto).grid
+			sh := NewShape(place(shapeCentre(2, math.Pow(1e7, u()), u)), UniformCatalog(15))
+			g := sh.quadrant().grid
 			for n := 0; n < 300; n++ {
 				p := place(shapeCentre(2, math.Pow(1e7, u()), u))
 				c, mbr := p.Center(), p.MBR()
@@ -333,7 +328,7 @@ func TestQuadrantReadsAtLeafCarrySlack(t *testing.T) {
 					lo[i] = x
 				}
 				rq := geom.NewRect(lo, hi)
-				checkShapeDecision(t, cache, proto, pm, p, mbr, rq, p.ExactProb(rq))
+				checkShapeDecision(t, sh, p, mbr, rq, p.ExactProb(rq))
 			}
 		}
 	}

@@ -12,22 +12,22 @@ import (
 
 // firstOrderMarginal is ProbBoundsMarginal without the pair terms: the
 // union and slab bounds alone, which every non-radial family gets.
-func firstOrderMarginal(p updf.PDF, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+func firstOrderMarginal(p updf.PDF, rq geom.Rect, s *Shape) (lb, ub float64) {
 	acc := newBounds()
 	for i := range rq.Lo {
-		acc.add(cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i]))
+		acc.add(s.marginalTails(p, i, rq.Lo[i], rq.Hi[i]))
 	}
 	return acc.result()
 }
 
-// firstOrderShape is ProbBoundsShape without the pair terms.
-func firstOrderShape(proto updf.PDF, pm, mbr, rq geom.Rect, cache *QuantileCache) (lb, ub float64) {
+// firstOrderShape is Shape.ProbBoundsMarginal without the pair terms.
+func firstOrderShape(s *Shape, mbr, rq geom.Rect) (lb, ub float64) {
 	acc := newBounds()
 	for i := range rq.Lo {
-		shift, d := pm.Lo[i]-mbr.Lo[i], ShapeSlack(pm, mbr, i)
+		shift, d := s.pm.Lo[i]-mbr.Lo[i], ShapeSlack(s.pm, mbr, i)
 		a, b := rq.Lo[i]+shift, rq.Hi[i]+shift
-		inL, inR := cache.marginalTails(proto, i, a+d, b-d)
-		outL, outR := cache.marginalTails(proto, i, a-d, b+d)
+		inL, inR := s.marginalTails(s.proto, i, a+d, b-d)
+		outL, outR := s.marginalTails(s.proto, i, a-d, b+d)
 		acc.add(tail{outL.lo, inL.hi}, tail{outR.lo, inR.hi})
 	}
 	return widen(acc.result())
@@ -101,11 +101,11 @@ func cornersClear(ctr geom.Point, r float64, rq geom.Rect) bool {
 
 // checkPairs holds every pair term of the record's bracket to the mass
 // beyond both of its faces, an ExactProb of the quadrant they cut off.
-func checkPairs(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
+func checkPairs(t *testing.T, s *Shape, p updf.PDF, rq geom.Rect) {
 	t.Helper()
 	var m marginal
-	m.read(p, rq, cache)
-	m.quad = quadrantsOf(p, cache)
+	m.read(p, rq, s)
+	m.quad = quadrantsOf(p, s)
 	mbr := p.MBR()
 	for e := 0; e < 2*m.d; e++ {
 		for f := e&^1 + 2; f < 2*m.d; f++ {
@@ -120,8 +120,8 @@ func checkPairs(t *testing.T, cache *QuantileCache, p updf.PDF, rq geom.Rect) {
 					quadrant.Lo[i] = rq.Hi[i]
 				}
 			}
-			hi := m.pairUpper(m.faces[e], m.faces[f], cache)
-			lo := min(m.pairLower(m.faces[e], m.faces[f], cache), hi)
+			hi := m.pairUpper(m.faces[e], m.faces[f])
+			lo := min(m.pairLower(m.faces[e], m.faces[f]), hi)
 			if exact := p.ExactProb(quadrant); lo-oracleTol > exact || exact > hi+oracleTol {
 				t.Fatalf("%T %v rq=%v: pair of faces %d and %d [%.12f, %.12f] misses the mass beyond both, %.12f", p, mbr, rq, e, f, lo, hi, exact)
 			}
@@ -146,7 +146,7 @@ func TestRadialTermsSound(t *testing.T) {
 	if testing.Short() {
 		rects = 1000
 	}
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	for _, family := range []int{famUniformBall, famConGau} {
 		for _, d := range []int{2, 3} {
 			// The pair check integrates each pair's quadrant: in 3-D on
@@ -164,21 +164,20 @@ func TestRadialTermsSound(t *testing.T) {
 				clear, tightened, n := 0, 0, 0
 				for shape := 0; shape < 10; shape++ {
 					place := keyedShape(family, d, math.Pow(10, -3+0.6*float64(shape)), u)
-					proto := place(shapeCentre(d, math.Pow(1e7, u()), u))
-					pm := proto.MBR()
+					sh := shapes.of(place(shapeCentre(d, math.Pow(1e7, u()), u)))
 					for obj := 0; obj < rects/100; obj++ {
 						p := place(shapeCentre(d, math.Pow(1e7, u()), u))
-						mbr, ctr, r := p.MBR(), p.Center(), pm.Side(0)/2
+						mbr, ctr, r := p.MBR(), p.Center(), sh.pm.Side(0)/2
 						for q := 0; q < 10; q++ {
 							rq := cornerRect(ctr, r, u)
 							exact := p.ExactProb(rq)
-							checkMarginalBounds(t, cache, p, rq, exact)
-							checkShapeDecision(t, cache, proto, pm, p, mbr, rq, exact)
+							checkMarginalBounds(t, sh, p, rq, exact)
+							checkShapeDecision(t, sh, p, mbr, rq, exact)
 							if n++; n%pairEvery == 0 {
-								checkPairs(t, cache, p, rq)
+								checkPairs(t, sh, p, rq)
 							}
-							lb, ub := ProbBoundsMarginal(p, rq, cache)
-							lb1, ub1 := firstOrderMarginal(p, rq, cache)
+							lb, ub := ProbBoundsMarginal(p, rq, sh)
+							lb1, ub1 := firstOrderMarginal(p, rq, sh)
 							if lb < lb1 || ub > ub1 {
 								t.Fatalf("%T %v rq=%v: bracket [%v, %v] is wider than the first-order [%v, %v]", p, mbr, rq, lb, ub, lb1, ub1)
 							}
@@ -191,7 +190,7 @@ func TestRadialTermsSound(t *testing.T) {
 							// only where it reads a quadrant table, which the
 							// marginal alone has none of.
 							lbN, ubN := ProbBoundsMarginal(p, rq, nil)
-							tableOnly := cache.quadrant(p) != nil && !quadrantsOf(p, nil).ok()
+							tableOnly := sh.quadrant() != nil && !quadrantsOf(p, nil).ok()
 							if lb > lbN+1e-12 && !tableOnly || ub < ubN-1e-12 {
 								t.Fatalf("%T %v rq=%v: bracket [%v, %v] from the table, [%v, %v] from the marginal", p, mbr, rq, lb, ub, lbN, ubN)
 							}
@@ -201,7 +200,7 @@ func TestRadialTermsSound(t *testing.T) {
 							clear++
 							width := 0.0
 							for i := range rq.Lo {
-								left, right := cache.marginalTails(p, i, rq.Lo[i], rq.Hi[i])
+								left, right := sh.marginalTails(p, i, rq.Lo[i], rq.Hi[i])
 								width += left.hi - left.lo + right.hi - right.lo
 							}
 							if ub-lb > width+1e-15 {
@@ -226,18 +225,18 @@ func TestRadialTermsSound(t *testing.T) {
 				for n := 0; n < rects/10; n++ {
 					p := marginalPDF(family, d, u)
 					rq := marginalRect(n%marginalRectKinds, p.MBR(), u)
-					lb, ub := ProbBoundsMarginal(p, rq, cache)
-					if lb1, ub1 := firstOrderMarginal(p, rq, cache); lb != lb1 || ub != ub1 {
+					sh := shapes.of(p)
+					lb, ub := ProbBoundsMarginal(p, rq, sh)
+					if lb1, ub1 := firstOrderMarginal(p, rq, sh); lb != lb1 || ub != ub1 {
 						t.Fatalf("%T %v rq=%v: record bracket [%v, %v], first-order [%v, %v]", p, p.MBR(), rq, lb, ub, lb1, ub1)
 					}
-					if p.ShapeKey() == "" {
+					if sh == nil {
 						continue
 					}
-					// A rectangle's or polygon's own pdf is a prototype of its shape.
-					pm := p.MBR()
-					lb, ub = ProbBoundsShape(p, pm, pm, rq, cache)
-					if lb1, ub1 := firstOrderShape(p, pm, pm, rq, cache); lb != lb1 || ub != ub1 {
-						t.Fatalf("%T %v rq=%v: leaf bracket [%v, %v], first-order [%v, %v]", p, pm, rq, lb, ub, lb1, ub1)
+					mbr := p.MBR()
+					lb, ub = sh.ProbBoundsMarginal(mbr, rq)
+					if lb1, ub1 := firstOrderShape(sh, mbr, rq); lb != lb1 || ub != ub1 {
+						t.Fatalf("%T %v rq=%v: leaf bracket [%v, %v], first-order [%v, %v]", p, mbr, rq, lb, ub, lb1, ub1)
 					}
 				}
 			}
@@ -245,8 +244,8 @@ func TestRadialTermsSound(t *testing.T) {
 	})
 }
 
-// fuzzShapeCache is fuzzCache for FuzzShapeDecision.
-var fuzzShapeCache = NewQuantileCache()
+// fuzzDecisionShapes is fuzzShapes for FuzzShapeDecision.
+var fuzzDecisionShapes shapeSet
 
 // FuzzShapeDecision: the fuzzer's bytes pick a keyed family, its
 // dimensionality and the rectangle kind (the named ones and cornerRect),
@@ -292,13 +291,13 @@ func FuzzShapeDecision(f *testing.F) {
 		if p.ShapeKey() != proto.ShapeKey() {
 			return // not a translate to the bit: the tree would give it no reference
 		}
-		pm, mbr := proto.MBR(), p.MBR()
+		sh, mbr := fuzzDecisionShapes.of(proto), p.MBR()
 		rq := cornerRect(mbr.Center(), mbr.Side(0)/2, u)
 		if kind < marginalRectKinds {
 			rq = marginalRect(kind, mbr, u)
 		}
 		exact := p.ExactProb(rq)
-		checkShapeDecision(t, fuzzShapeCache, proto, pm, p, mbr, rq, exact)
-		checkLeafDecision(t, fuzzShapeCache, proto, pm, p, mbr, rq, u(), exact)
+		checkShapeDecision(t, sh, p, mbr, rq, exact)
+		checkLeafDecision(t, sh, p, mbr, rq, u(), exact)
 	})
 }

@@ -139,38 +139,39 @@ func (f Faces) rules(cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 	return decide(lb, ub, pq)
 }
 
-// FilterMarginal decides a refinement candidate from its decoded pdf before
-// anything is integrated: Validated when the marginal lower bound reaches
-// pq, PrunedByBound when the upper bound falls short of it, Unknown when
-// the threshold lies between the two and Equation 2 has to be evaluated.
-// Both tests carry boundPruneEps, so an evaluator good to 1e-10 agrees with
-// every decision taken here. A radial pdf the first-order bounds leave
-// undecided — a ball rq cuts at a corner — is tested again with the pair
-// terms (ProbBoundsMarginal), which reuse its tails.
-func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
+// FilterMarginal decides a refinement candidate from its decoded pdf, of
+// shape s (nil for none), before anything is integrated: Validated when the
+// marginal lower bound reaches pq, PrunedByBound when the upper bound falls
+// short of it, Unknown when the threshold lies between the two and
+// Equation 2 has to be evaluated. Both tests carry boundPruneEps, so an
+// evaluator good to 1e-10 agrees with every decision taken here. A radial
+// pdf the first-order bounds leave undecided — a ball rq cuts at a corner
+// — is tested again with the pair terms (ProbBoundsMarginal), which reuse
+// its tails.
+func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, s *Shape) Outcome {
 	var m marginal
-	m.read(p, rq, cache)
-	return m.decide(pq, cache, false)
+	m.read(p, rq, s)
+	return m.decide(pq, false)
 }
 
-// FilterShape is FilterMarginal before the object's record is read, on a
-// prototype of its shape, pair terms included: FilterMarginal confirms
-// whatever it decides.
-func FilterShape(proto updf.PDF, pm, mbr, rq geom.Rect, pq float64, cache *QuantileCache) Outcome {
+// FilterMarginal is FilterMarginal before the record of the object of this
+// shape with region MBR mbr is read, pair terms included: FilterMarginal
+// confirms whatever it decides.
+func (s *Shape) FilterMarginal(mbr, rq geom.Rect, pq float64) Outcome {
 	var m marginal
-	m.readShape(proto, pm, mbr, rq, cache)
-	return m.decide(pq, cache, true)
+	m.readShape(s, mbr, rq)
+	return m.decide(pq, true)
 }
 
 // decide tests the first-order bracket against pq and, where that leaves
 // the candidate Unknown and the pdf is radial, the one with the pair terms;
-// atLeaf widens each as ProbBoundsShape does.
-func (m *marginal) decide(pq float64, cache *QuantileCache, atLeaf bool) Outcome {
+// atLeaf widens each as Shape.ProbBoundsMarginal does.
+func (m *marginal) decide(pq float64, atLeaf bool) Outcome {
 	t := &threshold{pq, atLeaf}
 	if o := t.outcome(m.result()); o != Unknown || m.radial == nil {
 		return o
 	}
-	return t.outcome(m.pairs(cache, t))
+	return t.outcome(m.pairs(t))
 }
 
 // threshold is the test a filter puts to a bracket: Validated where lb

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -23,6 +24,31 @@ var keyedFamilies = []int{famUniformBall, famUniformRect, famConGau, famGaussRec
 const shapeGrid = 1.0 / (1 << 28)
 
 func onShapeGrid(v float64) float64 { return math.Round(v/shapeGrid) * shapeGrid }
+
+// shapeSet keeps one Shape per ShapeKey, as a tree's shape table does: the
+// first pdf of a key is its prototype, and every later one of the key reads
+// that shape's tables. Safe for concurrent use.
+type shapeSet struct {
+	mu sync.Mutex
+	m  map[string]*Shape
+}
+
+// of returns p's shape, nil for a pdf without a ShapeKey.
+func (ss *shapeSet) of(p updf.PDF) *Shape {
+	key := p.ShapeKey()
+	if key == "" {
+		return nil
+	}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.m == nil {
+		ss.m = make(map[string]*Shape)
+	}
+	if ss.m[key] == nil {
+		ss.m[key] = NewShape(p, UniformCatalog(15))
+	}
+	return ss.m[key]
+}
 
 // keyedShape draws a shape of the family with extents around scale and
 // returns what places a translate of it at a centre.
@@ -94,16 +120,16 @@ func shapeCentre(d int, mag float64, u func() float64) geom.Point {
 // TestShapeDecisionSound: for the six keyed families in 2-D and 3-D, 10⁴
 // (object, rectangle) pairs each — ten shapes with extents from 10⁻³ to a few
 // hundred, objects with the prototype's ShapeKey at coordinates from units to
-// 10⁷, every named rectangle kind — the bracket FilterShape reads at the leaf
-// off the prototype holds the one FilterMarginal reads off the object's own
-// pdf, so whatever the leaf decides the record would have decided the same
+// 10⁷, every named rectangle kind — the bracket Shape.FilterMarginal reads
+// at the leaf off the prototype holds the one FilterMarginal reads off the
+// object's own pdf, so whatever the leaf decides the record would have decided the same
 // way, and it never contradicts the exact probability.
 func TestShapeDecisionSound(t *testing.T) {
 	pairs := 10000
 	if testing.Short() {
 		pairs = 1000
 	}
-	cache := NewQuantileCache()
+	var shapes shapeSet
 	for _, family := range keyedFamilies {
 		for _, d := range []int{2, 3} {
 			if family == famPolygon && d == 3 {
@@ -123,7 +149,7 @@ func TestShapeDecisionSound(t *testing.T) {
 					}
 					place := keyedShape(family, d, scale, u)
 					proto := place(shapeCentre(d, math.Pow(maxMag, u()), u))
-					key, pm := proto.ShapeKey(), proto.MBR()
+					key, sh := proto.ShapeKey(), shapes.of(proto)
 					for obj := 0; obj < pairs/100; obj++ {
 						p := place(shapeCentre(d, math.Pow(maxMag, u()), u))
 						if p.ShapeKey() != key {
@@ -132,7 +158,7 @@ func TestShapeDecisionSound(t *testing.T) {
 						mbr := p.MBR()
 						for q := 0; q < 10; q++ {
 							rq := marginalRect((obj*10+q)%marginalRectKinds, mbr, u)
-							was, could := checkShapeDecision(t, cache, proto, pm, p, mbr, rq, p.ExactProb(rq))
+							was, could := checkShapeDecision(t, sh, p, mbr, rq, p.ExactProb(rq))
 							done, decided, decidable = done+1, decided+was, decidable+could
 						}
 					}
@@ -152,15 +178,15 @@ func TestShapeDecisionSound(t *testing.T) {
 
 // checkShapeDecision holds one (object, rectangle) pair to the contract and
 // counts, over boundTestThresholds, the decisions FilterMarginal takes and
-// those FilterShape took before it, and holds every leaf decision to the
-// exact probability, exact.
-func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, exact float64) (decided, decidable int) {
+// those Shape.FilterMarginal took before it, and holds every leaf decision
+// to the exact probability, exact. p is an object of shape s.
+func checkShapeDecision(t *testing.T, s *Shape, p updf.PDF, mbr, rq geom.Rect, exact float64) (decided, decidable int) {
 	t.Helper()
-	lbM, ubM := ProbBoundsMarginal(p, rq, cache)
-	lbS, ubS := ProbBoundsShape(proto, pm, mbr, rq, cache)
+	lbM, ubM := ProbBoundsMarginal(p, rq, s)
+	lbS, ubS := s.ProbBoundsMarginal(mbr, rq)
 	if !(lbS <= lbM && ubM <= ubS) || lbS < 0 || ubS > 1 {
 		t.Fatalf("%T %v read through %v, rq=%v: leaf bracket [%.17g, %.17g] does not hold the record's [%.17g, %.17g]",
-			p, mbr, pm, rq, lbS, ubS, lbM, ubM)
+			p, mbr, s.pm, rq, lbS, ubS, lbM, ubM)
 	}
 	// After the fixed thresholds, the record's own decision boundaries: the
 	// last threshold it validates at and the first it prunes at, where a
@@ -169,7 +195,7 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 		if pq <= 0 || pq > 1 {
 			continue
 		}
-		atLeaf, onRecord := checkLeafDecision(t, cache, proto, pm, p, mbr, rq, pq, exact)
+		atLeaf, onRecord := checkLeafDecision(t, s, p, mbr, rq, pq, exact)
 		if k < len(boundTestThresholds) && onRecord != Unknown {
 			decidable++
 			if atLeaf != Unknown {
@@ -183,16 +209,17 @@ func checkShapeDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm g
 // decideMarginal is the decision FilterMarginal takes on a whole bracket.
 func decideMarginal(lb, ub, pq float64) Outcome { return (&threshold{pq: pq}).outcome(lb, ub) }
 
-// checkLeafDecision holds FilterShape's decision at pq to FilterMarginal's
-// and to the exact probability, and each to the decision its whole bracket
-// gives, which neither reads all of; it returns both.
-func checkLeafDecision(t *testing.T, cache *QuantileCache, proto updf.PDF, pm geom.Rect, p updf.PDF, mbr, rq geom.Rect, pq, exact float64) (atLeaf, onRecord Outcome) {
+// checkLeafDecision holds Shape.FilterMarginal's decision at pq to
+// FilterMarginal's and to the exact probability, and each to the decision
+// its whole bracket gives, which neither reads all of; it returns both.
+func checkLeafDecision(t *testing.T, s *Shape, p updf.PDF, mbr, rq geom.Rect, pq, exact float64) (atLeaf, onRecord Outcome) {
 	t.Helper()
-	atLeaf, onRecord = FilterShape(proto, pm, mbr, rq, pq, cache), FilterMarginal(p, rq, pq, cache)
-	if lb, ub := ProbBoundsShape(proto, pm, mbr, rq, cache); atLeaf != decideMarginal(lb, ub, pq) {
-		t.Fatalf("%T %v read through %v, rq=%v pq=%v: FilterShape %v, its bracket [%.17g, %.17g] %v", p, mbr, pm, rq, pq, atLeaf, lb, ub, decideMarginal(lb, ub, pq))
+	pm := s.pm
+	atLeaf, onRecord = s.FilterMarginal(mbr, rq, pq), FilterMarginal(p, rq, pq, s)
+	if lb, ub := s.ProbBoundsMarginal(mbr, rq); atLeaf != decideMarginal(lb, ub, pq) {
+		t.Fatalf("%T %v read through %v, rq=%v pq=%v: Shape.FilterMarginal %v, its bracket [%.17g, %.17g] %v", p, mbr, pm, rq, pq, atLeaf, lb, ub, decideMarginal(lb, ub, pq))
 	}
-	if lb, ub := ProbBoundsMarginal(p, rq, cache); onRecord != decideMarginal(lb, ub, pq) {
+	if lb, ub := ProbBoundsMarginal(p, rq, s); onRecord != decideMarginal(lb, ub, pq) {
 		t.Fatalf("%T %v rq=%v pq=%v: FilterMarginal %v, its bracket [%.17g, %.17g] %v", p, mbr, rq, pq, onRecord, lb, ub, decideMarginal(lb, ub, pq))
 	}
 	if atLeaf != Unknown && atLeaf != onRecord {
@@ -225,9 +252,9 @@ func TestShapeSlackCoversExtents(t *testing.T) {
 
 // shapeBenchCase is one leaf entry a benchmark tests on its shape.
 type shapeBenchCase struct {
-	name           string
-	proto          updf.PDF
-	pm, mbr, query geom.Rect
+	name       string
+	shape      *Shape
+	mbr, query geom.Rect
 }
 
 // shapeBenchCases is marginalBenchPDFs' keyed families, each read through a
@@ -250,7 +277,8 @@ func shapeBenchCases() (cases []shapeBenchCase) {
 		if proto.ShapeKey() != f.pdf.ShapeKey() {
 			panic(f.name + ": prototype has another shape")
 		}
-		cases = append(cases, shapeBenchCase{f.name, proto, proto.MBR(), f.pdf.MBR(), marginalBenchQuery(f.pdf.Dim())})
+		sh := NewShape(proto, UniformCatalog(15))
+		cases = append(cases, shapeBenchCase{f.name, sh, f.pdf.MBR(), marginalBenchQuery(f.pdf.Dim())})
 		if radial(proto) {
 			// The ball cut at a corner 0.3 r from its centre on every
 			// dimension: the first-order bracket leaves pq = 0.5 undecided,
@@ -261,7 +289,7 @@ func shapeBenchCases() (cases []shapeBenchCase) {
 			for i := range c {
 				lo[i], hi[i] = c[i]-0.3*r, c[i]+2*r
 			}
-			cases = append(cases, shapeBenchCase{f.name + "-corner", proto, proto.MBR(), f.pdf.MBR(), geom.NewRect(lo, hi)})
+			cases = append(cases, shapeBenchCase{f.name + "-corner", sh, f.pdf.MBR(), geom.NewRect(lo, hi)})
 		}
 	}
 	return cases
@@ -271,10 +299,9 @@ func shapeBenchCases() (cases []shapeBenchCase) {
 // entry, inside the traversal; with the shape's table warm it allocates
 // nothing.
 func TestShapeDecisionAllocatesNothing(t *testing.T) {
-	cache := NewQuantileCache()
 	for _, c := range shapeBenchCases() {
-		FilterShape(c.proto, c.pm, c.mbr, c.query, 0.5, cache) // warm the table
-		if n := testing.AllocsPerRun(50, func() { FilterShape(c.proto, c.pm, c.mbr, c.query, 0.5, cache) }); n != 0 {
+		c.shape.FilterMarginal(c.mbr, c.query, 0.5) // warm the tables
+		if n := testing.AllocsPerRun(50, func() { c.shape.FilterMarginal(c.mbr, c.query, 0.5) }); n != 0 {
 			t.Errorf("%s: %v allocations a call", c.name, n)
 		}
 	}
@@ -291,14 +318,67 @@ var outcomeSink Outcome
 // every keyed family (the tabulated Con-Gau in 2-D on a warm table) but the
 // 3-D Con-Gau, about 2.5 with its eight pair terms.
 func BenchmarkShapeDecision(b *testing.B) {
-	cache := NewQuantileCache()
 	for _, c := range shapeBenchCases() {
-		FilterShape(c.proto, c.pm, c.mbr, c.query, 0.5, cache)
+		c.shape.FilterMarginal(c.mbr, c.query, 0.5)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				outcomeSink = FilterShape(c.proto, c.pm, c.mbr, c.query, 0.5, cache)
+				outcomeSink = c.shape.FilterMarginal(c.mbr, c.query, 0.5)
 			}
 		})
+	}
+}
+
+// TestShapeTablesLazy: a shape allocates its tables on their first read,
+// not when it is made: neither NewShape nor what a tree's shape table asks
+// of a shape it decodes or enters (Reach), nor a leaf entry's faces
+// (Translate) or PCRs, builds one — a table is 4 KB a dimension for the
+// CDF, 17 KB for the quadrants. The first decision on a 2-D Con-Gau shape,
+// at a corner where the pair terms run, builds its two CDF tables and its
+// quadrant table; on a 2-D uniform ball, whose marginals are closed form,
+// the quadrant table alone; on any 3-D shape none.
+func TestShapeTablesLazy(t *testing.T) {
+	built := func(s *Shape) (cdf, quad int) {
+		for i := range s.cdf {
+			if s.cdf[i].cdf != nil {
+				cdf++
+			}
+		}
+		if s.quad != nil && s.quad.q != nil {
+			quad++
+		}
+		return cdf, quad
+	}
+	box := geom.NewRect(geom.Point{100, 200, 50}, geom.Point{600, 500, 450})
+	for _, tc := range []struct {
+		proto     updf.PDF
+		cdf, quad int
+	}{
+		{updf.NewConGauBall(geom.Point{40, -7}, 250, 125), 2, 1},
+		{updf.NewUniformBall(geom.Point{40, -7}, 250), 0, 1},
+		{updf.NewConGauBall(geom.Point{40, -7, 3}, 250, 125), 0, 0},
+		{updf.NewUniformBall(geom.Point{40, -7, 3}, 250), 0, 0},
+		{updf.NewUniformRect(box), 0, 0},
+		{updf.NewGaussRect(box, box.Center(), []float64{120, 90, 150}), 0, 0},
+	} {
+		s := NewShape(tc.proto, UniformCatalog(15))
+		mbr, c := tc.proto.MBR(), tc.proto.Center()
+		var f Faces
+		s.Reach()
+		s.Translate(&f, mbr)
+		s.PCRs(c, mbr)
+		if cdf, quad := built(s); cdf != 0 || quad != 0 {
+			t.Fatalf("%s: %d CDF and %d quadrant tables before any decision", tc.proto.ShapeKey(), cdf, quad)
+		}
+		// Cut at a corner 0.3 of its half-extent from its centre on every
+		// dimension: the first-order bracket leaves pq = 0.5 undecided.
+		lo, hi := make(geom.Point, len(c)), make(geom.Point, len(c))
+		for i := range c {
+			lo[i], hi[i] = c[i]-0.3*mbr.Side(i)/2, mbr.Hi[i]+1
+		}
+		s.FilterMarginal(mbr, geom.NewRect(lo, hi), 0.5)
+		if cdf, quad := built(s); cdf != tc.cdf || quad != tc.quad {
+			t.Fatalf("%s: the first decision built %d CDF and %d quadrant tables, want %d and %d", tc.proto.ShapeKey(), cdf, quad, tc.cdf, tc.quad)
+		}
 	}
 }

@@ -20,13 +20,11 @@ func appendG(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'g',
 
 // ShapeID is ShapeKey in comparable, allocation-free form, for the balls
 // (uniform and Con-Gau, in any dimension): the families every dataset
-// loads. It names what a pdf's
-// marginal CDFs depend on once Center() is subtracted, for callers that
-// keep a per-shape table and look it up once per query candidate or per
-// indexed object, where formatting the ShapeKey string would cost more
-// than the lookup. The parameters are held as their bits, so equal IDs
-// mean equal ShapeKeys (the keys format the same bits); the converse fails
-// only for NaNs of different payloads, which format alike.
+// loads. Bulk load groups its input by it, finding each object's shape
+// reference without formatting the object's ShapeKey string. The
+// parameters are held as their bits, so equal IDs mean equal ShapeKeys
+// (the keys format the same bits); the converse fails only for NaNs of
+// different payloads, which format alike.
 type ShapeID struct {
 	family uint8  // idUBall or idConGau
 	dim    int    // pdf dimensionality
@@ -52,9 +50,9 @@ func ShapeIDOf(p PDF) (ShapeID, bool) {
 	return ShapeID{}, false
 }
 
-// MarginalTable reports whether p's MarginalCDF should be read from a
-// per-shape table instead of being called, and the shape to file the table
-// under. Which is a static property of the type and dimension:
+// MarginalTable reports whether p's MarginalCDF should be read from its
+// shape's table instead of being called. Which is a static property of the
+// type and dimension:
 //
 //   - UniformRect, GaussRect, ExpoRect, HistogramRect, UniformPolygon and
 //     UniformBall in any dimension and ConGauBall for d ∈ {1, 3} are closed
@@ -65,24 +63,20 @@ func ShapeIDOf(p PDF) (ShapeID, bool) {
 //   - a Mixture is as cheap as its components, which the caller should
 //     visit itself (Components, Component): asked about the mixture as a
 //     whole the answer is "call it".
-func MarginalTable(p PDF) (shape ShapeID, tabulate bool) {
-	if g, ok := p.(*ConGauBall); ok && g.Dim() == 2 {
-		return ShapeIDOf(g)
-	}
-	return ShapeID{}, false
+func MarginalTable(p PDF) bool {
+	g, ok := p.(*ConGauBall)
+	return ok && g.Dim() == 2
 }
 
 // QuadrantTable reports whether the masses p places beyond two faces at
 // once — P(X₀ − c₀ > a, X₁ − c₁ > b) for offsets a, b from its centre —
-// should be read from a per-shape table, and the shape to file it under:
-// for a ball in 2-D, uniform or Con-Gau, whose rotational symmetry makes
-// that one function of (a, b) give the mass beyond any two faces.
-func QuadrantTable(p PDF) (shape ShapeID, tabulate bool) {
+// should be read from its shape's table: for a ball in 2-D, uniform or
+// Con-Gau, whose rotational symmetry makes that one function of (a, b)
+// give the mass beyond any two faces.
+func QuadrantTable(p PDF) bool {
 	switch p.(type) {
 	case *UniformBall, *ConGauBall:
-		if p.Dim() == 2 {
-			return ShapeIDOf(p)
-		}
+		return p.Dim() == 2
 	}
-	return ShapeID{}, false
+	return false
 }

@@ -101,23 +101,11 @@ func TestMarginalTable(t *testing.T) {
 		"polygon":          {NewUniformPolygon([]geom.Point{{0, 0}, {4, 0}, {0, 4}}), false},
 		"mixture":          {NewMixture([]PDF{ball2, NewConGauBall(geom.Point{1, 1}, 5, 2)}, []float64{1, 1}), false},
 	} {
-		if _, got := MarginalTable(tc.p); got != tc.tabulate {
+		if got := MarginalTable(tc.p); got != tc.tabulate {
 			t.Errorf("%s: tabulate = %v, want %v", name, got, tc.tabulate)
 		}
 	}
 
-	// One table per shape: translates share an ID, other shapes do not.
-	id := func(p PDF) ShapeID { s, _ := MarginalTable(p); return s }
-	a := id(NewConGauBall(geom.Point{1, 2}, 250, 125))
-	if b := id(NewConGauBall(geom.Point{9, 9}, 250, 125)); a != b {
-		t.Error("translated Con-Gau balls have different shape IDs")
-	}
-	if c := id(NewConGauBall(geom.Point{1, 2}, 250, 100)); a == c {
-		t.Error("Con-Gau balls of different σ share a shape ID")
-	}
-	if c := id(NewConGauBall(geom.Point{1, 2}, 200, 125)); a == c {
-		t.Error("Con-Gau balls of different r share a shape ID")
-	}
 	if n := testing.AllocsPerRun(100, func() { MarginalTable(ball2) }); n != 0 {
 		t.Errorf("MarginalTable allocates %v times a call for a built-in family", n)
 	}
