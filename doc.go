@@ -39,7 +39,7 @@
 //	float32 CFBs, unkeyed entries only       → internal/pcr.CFB.quantise, internal/pcr.CFB.repairOut, internal/pcr.CFB.repairIn
 //	keyed entry: id, address, MBR; no CFBs   → internal/core.compactSize, internal/core.packedNode.form, internal/pcr.Shape.Translate, internal/pcr.ShapeSlack
 //	keyed ball: id, address, centre; no MBR  → internal/core.centreSize, internal/core.packedNode.leafMBR, internal/updf.Recentrer.MBRAt
-//	shapes, one fit and one test per shape   → internal/pcr.Shape, internal/pcr.Shape.FilterMarginal, internal/pcr.Shape.table, internal/pcr.FilterMarginal, internal/core.shape
+//	shapes, one value fitted when made       → internal/pcr.NewShape, internal/pcr.Shape, internal/pcr.Shape.FilterMarginal, internal/pcr.Shape.table, internal/pcr.FilterMarginal, internal/core.appendShape
 //	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
 //	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree
 //	descent on the shapes' quantiles         → internal/core.innerReaches, internal/core.Tree.quantileBounds, internal/pcr.Shape.Reach, internal/pcr.Reaches, internal/pcr.Catalog.QuantileLevels

@@ -214,7 +214,7 @@ func (t *Tree) loadLeaves(objects []Object) (*slab, error) {
 		lv.ref[i], lv.size[i] = ref, t.leafEntrySize
 		if t.kind == UTree && ref != 0 {
 			lv.size[i] = t.compactEntrySize
-			if t.shapes[ref-1].rc != nil {
+			if t.shapes[ref-1].fit.Recentrer() != nil {
 				lv.size[i] = t.centreEntrySize
 			}
 		}

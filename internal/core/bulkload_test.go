@@ -273,7 +273,7 @@ func TestBulkLoadEntriesDeterministic(t *testing.T) {
 		if ref == 0 {
 			continue
 		}
-		if o.PDF == one.shapes[ref-1].pdf ||
+		if o.PDF == one.shapes[ref-1].fit.Proto() ||
 			reflect.DeepEqual(pcr.Compute(o.PDF, one.cat, nil), one.shapes[ref-1].fit.PCRs(o.PDF.Center(), o.PDF.MBR())) {
 			continue // the prototype, or rounds as it does
 		}

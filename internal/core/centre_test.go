@@ -57,10 +57,10 @@ func TestCentreEntryMBRExact(t *testing.T) {
 		for _, o := range objs {
 			sh := tree.shapes[tree.shapeRefs[o.PDF.ShapeKey()]-1]
 			want := o.PDF.MBR()
-			sh.rc.MBRAt(o.PDF.Center(), dst)
-			if !sameRectBits(dst, want) || !sameRectBits(sh.rc.Recentred(o.PDF.Center()).MBR(), want) {
+			sh.fit.Recentrer().MBRAt(o.PDF.Center(), dst)
+			if !sameRectBits(dst, want) || !sameRectBits(sh.fit.Recentrer().Recentred(o.PDF.Center()).MBR(), want) {
 				t.Fatalf("%d-D object %d (%s): MBRAt %v, recentred %v, inserted %v",
-					dim, o.ID, o.PDF.ShapeKey(), dst, sh.rc.Recentred(o.PDF.Center()).MBR(), want)
+					dim, o.ID, o.PDF.ShapeKey(), dst, sh.fit.Recentrer().Recentred(o.PDF.Center()).MBR(), want)
 			}
 		}
 
@@ -165,7 +165,7 @@ func TestOpenUTR6File(t *testing.T) {
 		mbr, _ := p.leafMBR(0, tree.shapes, geom.Rect{})
 		_, ref := p.addr(0)
 		ctr := geom.Point{(mbr.Lo[0] + mbr.Hi[0]) / 2, (mbr.Lo[1] + mbr.Hi[1]) / 2}
-		added = append(added, Object{ID: int64(1000 + page), PDF: tree.shapes[ref-1].rc.Recentred(ctr)})
+		added = append(added, Object{ID: int64(1000 + page), PDF: tree.shapes[ref-1].fit.Recentrer().Recentred(ctr)})
 	}
 	for _, o := range added {
 		if err := tree.Insert(o); err != nil {

@@ -158,21 +158,22 @@ func (t *Tree) checkShape(e *entry, shapes []shape, rec *queryScratch) error {
 	if int(e.shape) > len(shapes) {
 		return fmt.Errorf("shape reference %d beyond a table of %d", e.shape, len(shapes))
 	}
-	sh := shapes[e.shape-1]
-	if e.ctr != nil && sh.rc == nil {
-		return fmt.Errorf("centre entry names shape %d (%s), which cannot be recentred", e.shape, sh.pdf.ShapeKey())
+	sh := shapes[e.shape-1].fit
+	key, pm := sh.Proto().ShapeKey(), sh.MBR()
+	if e.ctr != nil && sh.Recentrer() == nil {
+		return fmt.Errorf("centre entry names shape %d (%s), which cannot be recentred", e.shape, key)
 	}
-	for i := range sh.mbr.Lo {
-		if d := pcr.ShapeSlack(sh.mbr, e.mbr, i); !(math.Abs(e.mbr.Side(i)-sh.mbr.Side(i)) <= d) {
-			return fmt.Errorf("MBR %v does not have the extents of shape %d (%v)", e.mbr, e.shape, sh.mbr)
+	for i := range pm.Lo {
+		if d := pcr.ShapeSlack(pm, e.mbr, i); !(math.Abs(e.mbr.Side(i)-pm.Side(i)) <= d) {
+			return fmt.Errorf("MBR %v does not have the extents of shape %d (%v)", e.mbr, e.shape, pm)
 		}
 	}
 	if rec == nil {
 		return nil
 	}
 	obj, err := rec.object(t.store, shapes, e.id, e.addr, new(int))
-	if err == nil && obj.PDF.ShapeKey() != sh.pdf.ShapeKey() {
-		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, sh.pdf.ShapeKey(), obj.PDF.ShapeKey())
+	if err == nil && obj.PDF.ShapeKey() != key {
+		err = fmt.Errorf("names shape %d (%s), its record holds %s", e.shape, key, obj.PDF.ShapeKey())
 	}
 	if err == nil && e.ctr != nil && !sameBits(e.ctr, obj.PDF.Center()) {
 		err = fmt.Errorf("centre %v, its record's %v", e.ctr, obj.PDF.Center())

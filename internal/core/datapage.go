@@ -132,7 +132,7 @@ func RecordFromPage(page []byte, slot uint16) (rec []byte, legacy bool, err erro
 // reference where encodeObject can, written straight into the page — and
 // returns its address.
 func (t *Tree) appendRecord(o Object, shape uint16) (DataAddr, error) {
-	if shape != 0 && t.shapes[shape-1].rc != nil {
+	if shape != 0 && t.shapes[shape-1].fit.Recentrer() != nil {
 		var ctr [24]byte // a 3-D centre's bytes, on the stack
 		return t.appendKeyed(o.ID, shape, appendCentre(ctr[:0], o.PDF.Center()))
 	}

@@ -122,10 +122,10 @@ func (p *packedNode) leafMBR(i int, shapes []shape, dst geom.Rect) (mbr geom.Rec
 		return p.mbr(i), true
 	}
 	_, ref := p.addr(i)
-	if int(ref) > len(shapes) || shapes[ref-1].rc == nil {
+	if int(ref) > len(shapes) || shapes[ref-1].fit.Recentrer() == nil {
 		return geom.Rect{}, false
 	}
-	shapes[ref-1].rc.MBRAt(p.centre(i), dst)
+	shapes[ref-1].fit.Recentrer().MBRAt(p.centre(i), dst)
 	return dst, true
 }
 

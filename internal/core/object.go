@@ -52,7 +52,7 @@ const (
 // ref), else the full form. The writer puts a keyed record straight into
 // its page (putKeyed).
 func encodeObject(o Object, ref uint16, shapes []shape) ([]byte, error) {
-	if ref != 0 && shapes[ref-1].rc != nil {
+	if ref != 0 && shapes[ref-1].fit.Recentrer() != nil {
 		rec := make([]byte, keyedSize(o.ID, o.PDF.Dim()))
 		putKeyed(rec, o.ID, ref, appendCentre(nil, o.PDF.Center()))
 		return rec, nil
@@ -126,7 +126,7 @@ func decodeObject(rec []byte, legacy bool, shapes []shape) (Object, error) {
 	if ref == 0 || ref > len(shapes) {
 		return Object{}, fmt.Errorf("%w: keyed record names shape %d of a table of %d", updf.ErrCorruptPDF, ref, len(shapes))
 	}
-	proto, rc := shapes[ref-1].pdf, shapes[ref-1].rc
+	proto, rc := shapes[ref-1].fit.Proto(), shapes[ref-1].fit.Recentrer()
 	if rc == nil || len(body) != keyedHeader+8*proto.Dim() {
 		return Object{}, fmt.Errorf("%w: keyed record of %d bytes for shape %d (%s)", updf.ErrCorruptPDF, len(rec), ref, proto.ShapeKey())
 	}

@@ -211,7 +211,7 @@ func TestKeyedRecordDamage(t *testing.T) {
 			if err := tree.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if len(tree.shapes) != 2 || tree.shapes[1].pdf.ShapeKey()[:5] != "urect" {
+			if len(tree.shapes) != 2 || tree.shapes[1].fit.Proto().ShapeKey()[:5] != "urect" {
 				t.Fatalf("fixture table: %d shapes", len(tree.shapes))
 			}
 			damageRecord(t, tree, addr, edit)
@@ -302,7 +302,7 @@ func TestCheckRecordsReadsHeldPages(t *testing.T) {
 // one (the centre and a shape reference, the prototype recentred).
 func BenchmarkDecodeRecord(b *testing.B) {
 	table := fuzzShapes(2)
-	o := Object{ID: 7, PDF: table[1].pdf.(updf.Recentrer).Recentred(geom.Point{812.5, 90.25})}
+	o := Object{ID: 7, PDF: table[1].fit.Recentrer().Recentred(geom.Point{812.5, 90.25})}
 	for _, bc := range []struct {
 		name string
 		ref  uint16

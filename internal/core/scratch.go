@@ -99,7 +99,7 @@ func (sc *queryScratch) decide(t *Tree, shapes []shape, n *packedNode, i int, q 
 		cout, cin := n.cfbs(i)
 		out = pcr.FilterCFB(cout, cin, t.cat, mbr, q.Rect, q.Prob)
 	case c.ref != 0:
-		out = shapes[ref-1].fit.Filter(&sc.faces, t.cat, mbr, q.Rect, q.Prob)
+		out = shapes[ref-1].fit.Filter(&sc.faces, mbr, q.Rect, q.Prob)
 	}
 	if out == pcr.Unknown && c.ref != 0 && !noShapeTest {
 		c.decided = shapes[ref-1].fit.FilterMarginal(mbr, q.Rect, q.Prob)

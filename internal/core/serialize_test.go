@@ -92,7 +92,7 @@ func randLeafEntry(rng *rand.Rand, tree *Tree, form uint16) entry {
 		e.fit = tree.shapes[e.shape-1].fit
 		if form == centreEntry {
 			e.ctr = e.mbr.Lo
-			e.mbr = tree.shapes[e.shape-1].pdf.(updf.Recentrer).Recentred(e.ctr).MBR()
+			e.mbr = tree.shapes[e.shape-1].fit.Recentrer().Recentred(e.ctr).MBR()
 		}
 	default:
 		e.out, e.in = randCFB(rng, tree.dim), randCFB(rng, tree.dim)
@@ -751,12 +751,12 @@ func FuzzDataRecord(f *testing.F) {
 	}
 	for k, table := range tables {
 		for ref, sh := range table {
-			ctr := make(geom.Point, sh.pdf.Dim())
+			ctr := make(geom.Point, sh.fit.Proto().Dim())
 			for i := range ctr {
 				ctr[i] = float64(7 * (i + 1))
 			}
 			id := []int64{200, math.MinInt64}[k] + int64(ref) // 2 and 10 varint bytes
-			add(Object{ID: id, PDF: sh.pdf.(updf.Recentrer).Recentred(ctr)}, uint16(ref+1), table)
+			add(Object{ID: id, PDF: sh.fit.Recentrer().Recentred(ctr)}, uint16(ref+1), table)
 		}
 	}
 	nrec := len(pdfs) + 4

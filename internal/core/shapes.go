@@ -5,50 +5,37 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/pagefile"
 	"repro/internal/pcr"
 	"repro/internal/updf"
 )
 
-// A tree keeps one prototype pdf per distinct non-empty ShapeKey among its
+// A tree keeps one pcr.Shape per distinct non-empty ShapeKey among its
 // objects — one in all in each of the paper's datasets — and a leaf entry
-// names its object's by a 16-bit reference, so a range query runs
-// refinement's marginal test on the entry alone (pcr.Shape.FilterMarginal,
-// which reads the shape's CDF and quadrant tables) and reads a record only
-// where that decides nothing. The table is append-only — an
-// epoch's (treeState.shapes) is a prefix of its successors' — and persisted
-// behind the fixed fields of the metadata page, which every commit rewrites:
-// count u16 | count × (length u16 | updf.Encode bytes). An object with an
-// empty ShapeKey, or whose shape the page has no room for, gets reference 0.
-//
-// The prototype is also what every keyed leaf entry's CFBs are fitted from
-// (leafEntry): fit is the shape's cfb_out/cfb_in pair, fitted once about the
-// prototype's centre, so an object's entry depends on the persisted table
-// and the object alone. And a recentrable prototype is what a keyed data
-// record is rebuilt from (encodeObject), and a centre leaf entry's MBR
-// (packedNode.leafMBR): the record and the entry hold the object's centre
-// and the reference, every reader the table.
+// names its object's by a 16-bit reference: the shape's fit gives a keyed
+// entry its CFBs, its prototype rebuilds a keyed record (encodeObject) and
+// a centre entry's MBR (packedNode.leafMBR), and its tables decide a
+// candidate before its record is read (pcr.Shape.FilterMarginal). The
+// table is append-only — an epoch's (treeState.shapes) is a prefix of its
+// successors' — and persisted behind the fixed fields of the metadata
+// page, which every commit rewrites: count u16 | count × (length u16 |
+// enc), enc being updf.Encode of the prototype. An object with an empty
+// ShapeKey, or whose shape the page has no room for, gets reference 0.
 //
 // up and down are the descent's quantile bounds (pcr.Shape.Reach) over
 // this shape and every one before it: the larger up and the smaller down
-// of each level and dimension. The table is append-only, so the last
-// shape of an epoch's table holds the bounds for every object of the
-// epoch, and a query reads them there (rangeQuery).
+// of each level and dimension, so the last shape of an epoch's table holds
+// the bounds for every object of the epoch (rangeQuery).
 type shape struct {
-	pdf      updf.PDF
-	mbr      geom.Rect      // pdf.MBR()
-	enc      []byte         // updf.Encode(pdf)
-	fit      *pcr.Shape     // pcr.NewShape(pdf, the tree's catalog)
-	rc       updf.Recentrer // pdf, where it is one; else nil
+	fit      *pcr.Shape
+	enc      []byte
 	up, down []float64
 }
 
 // appendShape enters p, encoded as enc, at the end of a table over catalog
 // cat, folding its quantile bounds into the table's.
 func appendShape(list []shape, p updf.PDF, enc []byte, cat pcr.Catalog) []shape {
-	rc, _ := p.(updf.Recentrer)
-	s := shape{pdf: p, mbr: p.MBR(), enc: enc, fit: pcr.NewShape(p, cat), rc: rc}
+	s := shape{fit: pcr.NewShape(p, cat), enc: enc}
 	s.up, s.down = s.fit.Reach()
 	if n := len(list); n > 0 {
 		s.up, s.down = slices.Clone(s.up), slices.Clone(s.down)
@@ -84,7 +71,7 @@ func (t *Tree) shapeRef(key string, p updf.PDF) uint16 {
 func (t *Tree) setShapes(list []shape) {
 	t.shapes, t.shapeRefs = list, make(map[string]uint16, len(list))
 	for i, s := range list {
-		t.shapeRefs[s.pdf.ShapeKey()] = uint16(i + 1)
+		t.shapeRefs[s.fit.Proto().ShapeKey()] = uint16(i + 1)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestShapeDecisionsChangeNothingButReads(t *testing.T) {
 			for id, ref := range leafShapes(t, tree) {
 				if keyed := objs[id].PDF.ShapeKey() != ""; keyed != (ref != 0) {
 					t.Fatalf("object %d (%T, key %q) has shape reference %d", id, objs[id].PDF, objs[id].PDF.ShapeKey(), ref)
-				} else if keyed && tree.shapes[ref-1].pdf.ShapeKey() != objs[id].PDF.ShapeKey() {
+				} else if keyed && tree.shapes[ref-1].fit.Proto().ShapeKey() != objs[id].PDF.ShapeKey() {
 					t.Fatalf("object %d names shape %d, which is another shape", id, ref)
 				}
 			}
@@ -183,8 +183,8 @@ func TestShapeTablePersists(t *testing.T) {
 		t.Fatalf("reopened table has %d shapes, the closed one %d", len(re.shapes), len(tree.shapes))
 	}
 	for i := range re.shapes {
-		if a, b := re.shapes[i], tree.shapes[i]; a.pdf.ShapeKey() != b.pdf.ShapeKey() || !a.mbr.Equal(b.mbr) || string(a.enc) != string(b.enc) {
-			t.Fatalf("shape %d came back as %s %v, was %s %v", i+1, a.pdf.ShapeKey(), a.mbr, b.pdf.ShapeKey(), b.mbr)
+		if a, b := re.shapes[i], tree.shapes[i]; a.fit.Proto().ShapeKey() != b.fit.Proto().ShapeKey() || !a.fit.MBR().Equal(b.fit.MBR()) || string(a.enc) != string(b.enc) {
+			t.Fatalf("shape %d came back as %s %v, was %s %v", i+1, a.fit.Proto().ShapeKey(), a.fit.MBR(), b.fit.Proto().ShapeKey(), b.fit.MBR())
 		}
 	}
 	decided := 0
@@ -221,7 +221,7 @@ func TestShapeTablePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.shapes) != 7 || again.shapes[6].pdf.ShapeKey() != "uball:d=2:r=3.5" {
+	if len(again.shapes) != 7 || again.shapes[6].fit.Proto().ShapeKey() != "uball:d=2:r=3.5" {
 		t.Fatalf("table after the second reopening: %d shapes", len(again.shapes))
 	}
 	if err := again.Snapshot().CheckRecords(); err != nil {
@@ -481,8 +481,8 @@ func TestShapeTableSnapshotAndRollback(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.shapes) != 7 || tree.shapes[6].pdf.ShapeKey() != "uball:d=2:r=9" {
-		t.Fatalf("reference 7 of %d names %s", len(tree.shapes), tree.shapes[6].pdf.ShapeKey())
+	if len(tree.shapes) != 7 || tree.shapes[6].fit.Proto().ShapeKey() != "uball:d=2:r=9" {
+		t.Fatalf("reference 7 of %d names %s", len(tree.shapes), tree.shapes[6].fit.Proto().ShapeKey())
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	tree, leaf = build()
 	var ball, gau uint16
 	for ref, s := range tree.shapes {
-		switch s.pdf.(type) {
+		switch s.fit.Proto().(type) {
 		case *updf.UniformBall:
 			ball = uint16(ref + 1)
 		case *updf.ConGauBall:
@@ -578,7 +578,7 @@ func TestCheckInvariantsKnowsShapes(t *testing.T) {
 	tree, leaf = build()
 	e = &leaf.entries[0]
 	e.ctr = geom.Point{math.Nextafter(e.ctr[0], math.Inf(1)), e.ctr[1]}
-	e.mbr = tree.shapes[e.shape-1].pdf.(updf.Recentrer).Recentred(e.ctr).MBR()
+	e.mbr = tree.shapes[e.shape-1].fit.Recentrer().Recentred(e.ctr).MBR()
 	rewrite(tree, leaf)
 	moved := tree.Snapshot()
 	defer moved.Close()
@@ -772,10 +772,10 @@ func FuzzOpenMeta(f *testing.F) {
 			return
 		}
 		for i, s := range re.shapes {
-			if s.pdf == nil || s.pdf.Dim() != re.dim || s.pdf.ShapeKey() == "" || s.mbr.Dim() != re.dim {
+			if s.fit.Proto() == nil || s.fit.Proto().Dim() != re.dim || s.fit.Proto().ShapeKey() == "" || s.fit.MBR().Dim() != re.dim {
 				t.Fatalf("table entry %d of %d is not a keyed %d-D pdf: %+v", i+1, len(re.shapes), re.dim, s)
 			}
-			if again, err := updf.Decode(s.enc); err != nil || again.ShapeKey() != s.pdf.ShapeKey() {
+			if again, err := updf.Decode(s.enc); err != nil || again.ShapeKey() != s.fit.Proto().ShapeKey() {
 				t.Fatalf("table entry %d does not decode to itself: %v", i+1, err)
 			}
 		}

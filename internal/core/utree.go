@@ -446,8 +446,8 @@ func (t *Tree) leafEntry(o Object, shape uint16, mbr geom.Rect) entry {
 	switch {
 	case t.kind == UTree && fit != nil:
 		e.fit = fit
-		if t.shapes[shape-1].rc != nil {
-			// Its MBR is the shape's box at its centre (shape.rc.MBRAt), to
+		if fit.Recentrer() != nil {
+			// Its MBR is the shape's box at its centre (Recentrer.MBRAt), to
 			// the bit: the shapes share a ShapeKey, so a radius. The centre
 			// is the pdf's own: the entry is encoded before Insert or
 			// BulkLoad returns, and nothing keeps it after.

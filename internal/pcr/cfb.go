@@ -3,7 +3,6 @@ package pcr
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -447,20 +446,18 @@ func (c CFB) repairIn(cat Catalog, i int, los, his []float64) {
 	}
 }
 
-// Shape is one pdf shape's fit, shared by every object of that shape: the
-// shape's quantile offsets from its centre at every catalog value, and its
-// cfb_out and cfb_in as float64 lines in the prototype's frame, each guarded
-// to lie on its safe side of the prototype's own PCR faces as evaluated.
-// Both are computed from the prototype NewShape was given, on first use and
-// exactly once, so they depend on the prototype and the catalog alone — not
-// on which object or goroutine asked first; so are the CDF and quadrant
-// tables its objects' marginal bounds read, each on its first read.
-// Safe for concurrent use.
+// Shape is one pdf shape's fit, shared by every object of that shape and
+// made once, by NewShape: the prototype it was given, with its MBR; its
+// quantile offsets from its centre at every catalog value; and its cfb_out
+// and cfb_in as float64 lines in the prototype's frame, each guarded to lie
+// on its safe side of the prototype's own PCR faces as evaluated. The CDF
+// and quadrant tables its objects' marginal bounds read are built from the
+// prototype on their first read. Safe for concurrent use.
 type Shape struct {
 	proto updf.PDF
+	rc    updf.Recentrer // proto, where it is one
 	cat   Catalog
-	pm    geom.Rect // proto.MBR()
-	once  sync.Once
+	pm    geom.Rect   // proto.MBR()
 	pmax  []float64   // pmax[i]: the larger of |pm.Lo[i]| and |pm.Hi[i]|
 	off   [][]float64 // off[i]: dimension i's 2m offsets, as QuantileCache holds them
 	lines []line      // 4 per dimension, laid out as Faces lays them out
@@ -470,17 +467,25 @@ type Shape struct {
 	quad  *quadTable // where updf.QuadrantTable(proto)
 }
 
-// NewShape returns the fit of proto's shape over catalog cat.
+// NewShape fits proto's shape over catalog cat.
 func NewShape(proto updf.PDF, cat Catalog) *Shape {
-	s := &Shape{proto: proto, cat: cat, pm: proto.MBR()}
+	rc, _ := proto.(updf.Recentrer)
+	s := &Shape{proto: proto, rc: rc, cat: cat, pm: proto.MBR()}
 	if updf.MarginalTable(proto) {
 		s.cdf = make([]cdfTable, proto.Dim())
 	}
 	if updf.QuadrantTable(proto) {
 		s.quad = new(quadTable)
 	}
+	s.fit()
 	return s
 }
+
+// Proto is the prototype the shape was fitted to, MBR its region MBR and
+// Recentrer the prototype as a updf.Recentrer, nil where it is not one.
+func (s *Shape) Proto() updf.PDF           { return s.proto }
+func (s *Shape) MBR() geom.Rect            { return s.pm }
+func (s *Shape) Recentrer() updf.Recentrer { return s.rc }
 
 // fit runs the float64 stage about the prototype's centre, where the faces
 // are offsets no larger than the shape, then guards each face against the
@@ -535,10 +540,7 @@ func (s *Shape) reach(ctr geom.Point) {
 // (ShapeSlack) covers. So the bound holds for every object of the shape
 // against the faces its leaf entry gives it. The slices are shared and
 // read-only.
-func (s *Shape) Reach() (up, down []float64) {
-	s.once.Do(s.fit)
-	return s.up, s.down
-}
+func (s *Shape) Reach() (up, down []float64) { return s.up, s.down }
 
 // Reaches reports whether objects whose cfb_out faces at p_m lie within
 // [lo, hi] on a dimension can have the quantiles a query [rqLo, rqHi]
@@ -574,7 +576,6 @@ func (l line) guard(p, y []float64, down bool) line {
 // faces hold FitOut's and FitIn's invariants, at zero tolerance, against
 // the PCRs Shape.PCRs gives the object (TestFitTranslated).
 func (s *Shape) Translate(f *Faces, mbr geom.Rect) {
-	s.once.Do(s.fit)
 	if cap(*f) < len(s.lines) {
 		*f = make(Faces, len(s.lines))
 	}
@@ -597,7 +598,6 @@ func (s *Shape) Translate(f *Faces, mbr geom.Rect) {
 // PCRs returns the PCRs of the object of this shape centred at ctr whose
 // region MBR is mbr — Compute's, from the shape's offsets.
 func (s *Shape) PCRs(ctr geom.Point, mbr geom.Rect) PCRs {
-	s.once.Do(s.fit)
 	return pcrsAt(s.cat, ctr, mbr, s.off)
 }
 

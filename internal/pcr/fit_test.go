@@ -417,7 +417,6 @@ func TestQuantisedFilterDecidesLikeFloat64(t *testing.T) {
 // object's PCR faces from the shape's offsets. checkTranslated measures the
 // translated faces against it.
 func float32Fit(sh *Shape, ctr geom.Point, mbr geom.Rect) (out, in CFB) {
-	sh.once.Do(sh.fit)
 	d, pc := len(ctr), sh.proto.Center()
 	out, in = make(CFB, 4*d), make(CFB, 4*d)
 	var sc fitScratch

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -312,11 +314,52 @@ func FuzzProbBoundsMarginal(f *testing.F) {
 type counted struct {
 	updf.PDF
 	calls *atomic.Int64
+	hold  *hold
 }
 
 func (c counted) MarginalCDF(dim int, x float64) float64 {
 	c.calls.Add(1)
+	c.hold.first()
 	return c.PDF.MarginalCDF(dim, x)
+}
+
+// hold keeps a table's builder inside its first evaluation of the
+// prototype until each of its readers has asked for the table and then
+// either read it or had holdGrace to. With the build behind a sync.Once the
+// readers wait for the builder; without one — say a build behind
+// "if t.cdf == nil" — a reader gets the table half built, or builds its
+// own, while the first build is held, so a test of what they read fails
+// without the race detector, on every run.
+type hold struct {
+	taken       atomic.Bool
+	asked, read sync.WaitGroup
+}
+
+const holdGrace = 50 * time.Millisecond
+
+func newHold(readers int) *hold {
+	h := new(hold)
+	h.asked.Add(readers)
+	h.read.Add(readers)
+	return h
+}
+
+// first holds the first call of all; every later one passes straight on.
+func (h *hold) first() {
+	if !h.taken.CompareAndSwap(false, true) {
+		return
+	}
+	waitAtMost(&h.asked, 10*time.Second)
+	waitAtMost(&h.read, holdGrace)
+}
+
+func waitAtMost(wg *sync.WaitGroup, d time.Duration) {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(d):
+	}
 }
 
 // TestCDFTableBrackets: a table's brackets hold the marginal CDF of every
@@ -373,18 +416,24 @@ func TestCDFTableBrackets(t *testing.T) {
 
 // TestCDFTableBuiltOnce: eight queries meeting the same new shape at once,
 // each on a translate of it, build its table once, from the prototype, on
-// every dimension, and share it; nobody evaluates its marginal again
-// afterwards, and every query's first-order bounds hold the ones the
-// marginals themselves give.
+// every dimension, and share it; each reads the table as a serial build
+// makes it, nobody evaluates its marginal again afterwards, and every
+// query's first-order bounds hold the ones the marginals themselves give.
+// The build is held until every query has asked (hold).
 func TestCDFTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
 	proto := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
 	sh := NewShape(proto, UniformCatalog(15))
-	sh.proto = counted{proto, &calls}
+	var tables [8][2]*cdfTable
+	h := newHold(len(tables))
+	sh.proto = counted{proto, &calls, h}
+	var serial [2]cdfTable
+	for dim := range serial {
+		serial[dim].build(proto, dim)
+	}
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
 	wantLb, wantUb := firstOrderMarginal(proto, rq, nil)
 
-	var tables [8][2]*cdfTable
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := range tables {
@@ -395,9 +444,15 @@ func TestCDFTableBuiltOnce(t *testing.T) {
 			p := updf.NewConGauBall(geom.Point{shift, 0}, 10, 5)
 			moved := geom.NewRect(geom.Point{rq.Lo[0] + shift, rq.Lo[1]}, geom.Point{rq.Hi[0] + shift, rq.Hi[1]})
 			<-start
+			h.asked.Done()
 			for dim := range tables[g] {
-				tables[g][dim] = sh.table(dim)
+				tab := sh.table(dim)
+				if tab.lo != serial[dim].lo || tab.step != serial[dim].step || !slices.Equal(tab.cdf, serial[dim].cdf) {
+					t.Errorf("goroutine %d read a table on dimension %d unlike the serial build's", g, dim)
+				}
+				tables[g][dim] = tab
 			}
+			h.read.Done()
 			lb, ub := firstOrderMarginal(p, moved, sh)
 			// A bracket between two knots is wider than the marginals' own
 			// bounds: a pair as narrow as theirs was not read off the table.

@@ -279,7 +279,7 @@ func TestNoValidationOnZeroBound(t *testing.T) {
 				for name, got := range map[string]Outcome{
 					"CFB":      FilterCFB(out, in, cat, mbr, rq, pq),
 					"U-PCR":    FilterCatalogPCR(pcrs, mbr, rq, pq),
-					"shape":    shape.Filter(&faces, cat, mbr, rq, pq),
+					"shape":    shape.Filter(&faces, mbr, rq, pq),
 					"leaf":     shape.FilterMarginal(mbr, rq, pq),
 					"marginal": FilterMarginal(p, rq, pq, shape),
 				} {

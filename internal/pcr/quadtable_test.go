@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,10 +103,12 @@ func TestQuadrantTableBrackets(t *testing.T) {
 type countedExact struct {
 	updf.PDF
 	calls *atomic.Int64
+	hold  *hold
 }
 
 func (c countedExact) ExactProb(rq geom.Rect) float64 {
 	c.calls.Add(1)
+	c.hold.first()
 	return c.PDF.ExactProb(rq)
 }
 
@@ -114,15 +117,19 @@ func (c countedExact) ExactProb(rq geom.Rect) float64 {
 // from the prototype, and share it — one ExactProb per pair of knots whose
 // quadrant meets the ball — nobody integrates a quadrant again afterwards,
 // and every query of a translate reads the same bracket, which holds its
-// exact probability.
+// exact probability. Each reads the table as a serial build makes it,
+// though the build is held until every query has asked (hold).
 func TestQuadrantTableBuiltOnce(t *testing.T) {
 	var calls atomic.Int64
 	origin := updf.NewConGauBall(geom.Point{0, 0}, 10, 5)
 	sh := NewShape(origin, UniformCatalog(15))
-	sh.proto = countedExact{origin, &calls}
+	var tables [8]*quadTable
+	h := newHold(len(tables))
+	sh.proto = countedExact{origin, &calls, h}
+	var serial quadTable
+	serial.build(origin)
 	rq := geom.NewRect(geom.Point{-4, -3}, geom.Point{5, 20})
 
-	var tables [8]*quadTable
 	var brackets [8][2]float64
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,7 +141,12 @@ func TestQuadrantTableBuiltOnce(t *testing.T) {
 			p := updf.NewConGauBall(geom.Point{shift, 0}, 10, 5)
 			moved := geom.NewRect(geom.Point{rq.Lo[0] + shift, rq.Lo[1]}, geom.Point{rq.Hi[0] + shift, rq.Hi[1]})
 			<-start
+			h.asked.Done()
 			tables[g] = sh.quadrant()
+			if tables[g].grid != serial.grid || !slices.Equal(tables[g].q, serial.q) {
+				t.Errorf("goroutine %d read a table unlike the serial build's", g)
+			}
+			h.read.Done()
 			lb, ub := ProbBoundsMarginal(p, moved, sh)
 			brackets[g] = [2]float64{lb, ub}
 			if exact := p.ExactProb(moved); lb-oracleTol > exact || exact > ub+oracleTol {

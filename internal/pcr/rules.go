@@ -102,12 +102,12 @@ func FilterCFB(out, in CFB, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome 
 // Filter is Faces.Filter on the faces Translate gives the entry of this
 // shape with region MBR mbr, translated into f only where the MBR leaves the
 // entry undecided.
-func (s *Shape) Filter(f *Faces, cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
+func (s *Shape) Filter(f *Faces, mbr, rq geom.Rect, pq float64) Outcome {
 	if o, ok := filterMBR(mbr, rq); ok {
 		return o
 	}
 	s.Translate(f, mbr)
-	return f.rules(cat, mbr, rq, pq)
+	return f.rules(s.cat, mbr, rq, pq)
 }
 
 // Filter applies Observation 3: FilterCatalogPCR with the PCRs replaced by

@@ -382,3 +382,77 @@ func TestShapeTablesLazy(t *testing.T) {
 		}
 	}
 }
+
+// TestNewShapeIsComplete: NewShape returns the whole fit. For one prototype
+// of each keyed family in 2-D and 3-D it makes every marginal quantile
+// evaluation the fit needs — as many as Compute makes for the prototype —
+// and Reach, Translate, PCRs and Filter afterwards make none. Eight
+// goroutines translating and filtering one object on a fresh shape get the
+// same faces and outcomes, bit for bit.
+func TestNewShapeIsComplete(t *testing.T) {
+	cat := UniformCatalog(15)
+	for _, family := range keyedFamilies {
+		for _, d := range []int{2, 3} {
+			if family == famPolygon && d == 3 {
+				continue
+			}
+			name := fmt.Sprintf("%s-%dd", marginalFamilyNames[family], d)
+			u := rand.New(rand.NewSource(int64(10*family + d))).Float64
+			at := keyedShape(family, d, 40, u)
+			proto, obj := at(shapeCentre(d, 100, u)), at(shapeCentre(d, 1e4, u))
+			mbr := obj.MBR()
+			lo, hi := make(geom.Point, d), make(geom.Point, d)
+			for i := range lo {
+				lo[i], hi[i] = mbr.Lo[i]+0.3*mbr.Side(i), mbr.Hi[i]+1
+			}
+			rq := geom.NewRect(lo, hi)
+
+			before := updf.QuantileCDFCalls()
+			Compute(proto, cat, nil)
+			want := updf.QuantileCDFCalls() - before
+			before = updf.QuantileCDFCalls()
+			sh := NewShape(proto, cat)
+			if got := updf.QuantileCDFCalls() - before; got != want || want == 0 {
+				t.Fatalf("%s: NewShape made %d MarginalCDF evaluations, the fit makes %d", name, got, want)
+			}
+			var f Faces
+			before = updf.QuantileCDFCalls()
+			sh.Reach()
+			sh.Translate(&f, mbr)
+			sh.PCRs(obj.Center(), mbr)
+			for _, pq := range []float64{0.1, 0.5, 0.9} {
+				sh.Filter(&f, mbr, rq, pq)
+			}
+			if got := updf.QuantileCDFCalls() - before; got != 0 {
+				t.Fatalf("%s: %d MarginalCDF evaluations after NewShape", name, got)
+			}
+
+			fresh := NewShape(proto, cat)
+			var faces [8]Faces
+			var outcomes [8][3]Outcome
+			var wg sync.WaitGroup
+			for g := range faces {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					fresh.Translate(&faces[g], mbr)
+					var scratch Faces
+					for k, pq := range []float64{0.1, 0.5, 0.9} {
+						outcomes[g][k] = fresh.Filter(&scratch, mbr, rq, pq)
+					}
+				}()
+			}
+			wg.Wait()
+			for g := range faces {
+				for k, l := range faces[g] {
+					if w := f[k]; math.Float64bits(l.alpha) != math.Float64bits(w.alpha) || math.Float64bits(l.beta) != math.Float64bits(w.beta) {
+						t.Fatalf("%s: goroutine %d's face %d is %v, a serial Translate's %v", name, g, k, l, w)
+					}
+				}
+				if outcomes[g] != outcomes[0] {
+					t.Fatalf("%s: goroutine %d decided %v, goroutine 0 %v", name, g, outcomes[g], outcomes[0])
+				}
+			}
+		}
+	}
+}
