@@ -992,29 +992,6 @@ func TestCorruptChildPointerEndsWalks(t *testing.T) {
 	}
 }
 
-func TestUpdateStatsAccumulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	objs := makeObjects(200, 400, rng)
-	tree := buildTree(t, UTree, objs, 0)
-	ins := tree.InsertStats()
-	if ins.Ops != 200 || ins.PageWrites == 0 || ins.CPUTime == 0 {
-		t.Fatalf("insert stats: %+v", ins)
-	}
-	for _, o := range objs[:50] {
-		if err := tree.Delete(o.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	del := tree.DeleteStats()
-	if del.Ops != 50 || del.PageReads == 0 {
-		t.Fatalf("delete stats: %+v", del)
-	}
-	tree.ResetCounters()
-	if s := tree.InsertStats(); s.Ops != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-}
-
 func TestScanAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	objs := makeObjects(300, 500, rng)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -20,9 +19,6 @@ func (t *Tree) Delete(id int64) error {
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	start := time.Now()
-	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
-
 	rec, legacy, err := t.readRecord(addr)
 	var o Object
 	if err == nil {
@@ -50,11 +46,6 @@ func (t *Tree) Delete(id int64) error {
 	}
 	t.journal(id)
 	t.dir.remove(id)
-
-	t.deleteStats.Ops++
-	t.deleteStats.PageReads += t.nodeReads.Load() - r0
-	t.deleteStats.PageWrites += t.nodeWrites.Load() - w0
-	t.deleteStats.CPUTime += time.Since(start)
 	return nil
 }
 

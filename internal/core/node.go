@@ -157,7 +157,7 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 }
 
 // readNode fetches the page a descent expects at level and expands it into
-// edit form over the working shape table, counting one logical node access.
+// edit form over the working shape table, counting one logical node read.
 // A node at another level is refused (checkLevel), so no walk that reads its
 // nodes here can loop. It always decodes a private copy of the page: the
 // mutation paths edit the returned node's entries, and encodeNode clears a
@@ -167,9 +167,9 @@ func (p *packedNode) boxes(i int) []geom.Rect {
 // paths go through fetchNode, which consults the cache first.
 //
 // readNode is the writer's: it serves a page the open batch has written
-// from the dirty map (a hit) and reads any other from the store (a miss).
+// from the dirty map (a hit) and reads any other from the store (a miss),
+// so CacheStats' hits plus misses are its reads.
 func (t *Tree) readNode(id pagefile.PageID, level int) (*node, error) {
-	t.nodeReads.Add(1)
 	buf := make([]byte, pagefile.PageSize)
 	if dirty, ok := t.dirty[id]; ok {
 		t.dirtyHits.Add(1)

@@ -12,8 +12,8 @@ import (
 // — LB ×0.25, CA ×0.2, Aircraft ×0.1 — every leaf STR writes has room for
 // one more entry of its largest form, as runCutter.cut promises where a run
 // can spare it, and an insert into any of 100 random leaves, each undone
-// before the next, writes its leaf and the path above it and nothing else:
-// no split, no forced reinsertion.
+// before the next, reads and writes its leaf and the path above it and
+// nothing else: no split, no forced reinsertion.
 func TestBulkLoadDatasetsLeaveRoom(t *testing.T) {
 	for _, c := range []struct {
 		name  dataset.Name
@@ -50,11 +50,16 @@ func TestBulkLoadDatasetsLeaveRoom(t *testing.T) {
 			// where that object lives.
 			o := byID[leaves[l][rng.Intn(len(leaves[l]))]]
 			o.ID = int64(len(objs) + k)
-			before := tree.InsertStats().PageWrites
+			hits0, misses0 := tree.CacheStats()
+			writes0 := tree.NodeWrites()
 			if err := tree.Insert(o); err != nil {
 				t.Fatal(err)
 			}
-			if w := tree.InsertStats().PageWrites - before; w != int64(tree.Height()) {
+			hits1, misses1 := tree.CacheStats()
+			if r := hits1 + misses1 - hits0 - misses0; r != int64(tree.Height()) {
+				t.Fatalf("%s ×%g: an insert beside leaf %d's objects read %d nodes in a tree of height %d, want one a level", c.name, c.scale, l, r, tree.Height())
+			}
+			if w := tree.NodeWrites() - writes0; w != int64(tree.Height()) {
 				t.Fatalf("%s ×%g: an insert beside leaf %d's objects wrote %d nodes in a tree of height %d: it split or reinserted", c.name, c.scale, l, w, tree.Height())
 			}
 			if err := tree.Delete(o.ID); err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
@@ -168,22 +167,8 @@ type Tree struct {
 	splitStrategy   SplitStrategy
 	disableReinsert bool
 
-	// Logical I/O counters (reset via ResetCounters). Atomic so the
-	// read-only query path can run under a shared lock.
-	nodeReads  atomic.Int64
+	// nodeWrites counts the writer's logical node writes (NodeWrites).
 	nodeWrites atomic.Int64
-
-	// Update statistics for the Fig. 11 experiment.
-	insertStats UpdateStats
-	deleteStats UpdateStats
-}
-
-// UpdateStats accumulates the paper's update-cost breakdown.
-type UpdateStats struct {
-	Ops        int64
-	PageReads  int64 // logical node reads
-	PageWrites int64 // logical node writes
-	CPUTime    time.Duration
 }
 
 // MaxCatalogSize is the largest catalog size m a tree takes, in New and in
@@ -356,23 +341,18 @@ func (t *Tree) IndexPages() (int, error) {
 	return count, err
 }
 
-// InsertStats and DeleteStats expose the accumulated update costs.
-func (t *Tree) InsertStats() UpdateStats { return t.insertStats }
-func (t *Tree) DeleteStats() UpdateStats { return t.deleteStats }
-
-// ResetCounters zeroes the logical I/O counters and update stats.
-func (t *Tree) ResetCounters() {
-	t.nodeReads.Store(0)
-	t.nodeWrites.Store(0)
-	t.insertStats = UpdateStats{}
-	t.deleteStats = UpdateStats{}
-}
-
 // CacheStats reports the writer's node reads: hits served from the open
 // batch's dirty pages, misses read from the store. A query or a snapshot's
 // check reads committed pages straight from the store and counts in
 // neither.
 func (t *Tree) CacheStats() (hits, misses int64) { return t.dirtyHits.Load(), t.dirtyMisses.Load() }
+
+// NodeWrites reports the writer's logical node writes since the tree was
+// made: one per writeNode, however often the batch rewrites a page, and
+// one per node a bulk load lays. With CacheStats' hits plus misses, the
+// writer's node reads, it prices an update in node I/O (the paper's
+// Fig. 11).
+func (t *Tree) NodeWrites() int64 { return t.nodeWrites.Load() }
 
 // attachNodeCache builds the decoded-node cache per Options.NodeCacheEntries
 // (0 → default, negative → disabled); dropPage drops an entry the moment
@@ -486,9 +466,6 @@ func (t *Tree) Insert(o Object) error {
 	if t.Holds(o.ID) {
 		return fmt.Errorf("%w: id %d", ErrDuplicateID, o.ID)
 	}
-	start := time.Now()
-	r0, w0 := t.nodeReads.Load(), t.nodeWrites.Load()
-
 	e, err := t.buildLeafEntry(o)
 	if err != nil {
 		return err
@@ -502,11 +479,6 @@ func (t *Tree) Insert(o Object) error {
 	}
 	t.journal(o.ID)
 	t.dir.set(o.ID, e.addr)
-
-	t.insertStats.Ops++
-	t.insertStats.PageReads += t.nodeReads.Load() - r0
-	t.insertStats.PageWrites += t.nodeWrites.Load() - w0
-	t.insertStats.CPUTime += time.Since(start)
 	return nil
 }
 

@@ -13,40 +13,39 @@ type AblationPoint struct {
 	Label   string
 	Dataset dataset.Name
 	Metrics WorkloadMetrics
-	// BuildWritesPerOp supports update-cost ablations.
-	BuildWritesPerOp float64
+	// InsertWritesPerOp and InsertSecPerOp are an insert's logical node
+	// writes and wall time while the tree was built; IndexPages is the
+	// built tree's node pages.
+	InsertWritesPerOp float64
+	InsertSecPerOp    float64
+	IndexPages        int
 }
 
-// ablationWorkloads runs the standard (qs=1500, pq=0.6) workload against a
-// configured tree.
-func ablationWorkloads(t *core.Tree, objs []core.Object, cfg Config) (WorkloadMetrics, error) {
+// ablate builds a tree over the LB dataset with opt, one insert at a time,
+// and runs the standard (qs=1500, pq=0.6) workload against it.
+func ablate(cfg Config, label string, opt core.Options) (AblationPoint, error) {
+	t, objs, ins, err := buildTree(dataset.LB, opt, cfg)
+	if err != nil {
+		return AblationPoint{}, err
+	}
 	w := workload.New(workload.Config{
 		QS: 1500, PQ: 0.6, Count: cfg.Queries,
 		Seed: cfg.Seed, Domain: dataset.Domain, Centers: centersOf(objs),
 	})
-	return runWorkload(t, w)
-}
-
-// ablationBuild constructs a tree over the LB dataset with the given
-// options applied on top of the defaults.
-func ablationBuild(cfg Config, name dataset.Name, mutate func(*core.Options)) (*core.Tree, []core.Object, error) {
-	objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
-	opt := core.Options{
-		Dim:         name.Dim(),
-		Kind:        core.UTree,
-		CatalogSize: 15,
-	}
-	mutate(&opt)
-	t, err := core.New(opt)
+	m, err := runWorkload(t, w)
 	if err != nil {
-		return nil, nil, err
+		return AblationPoint{}, err
 	}
-	for _, o := range objs {
-		if err := t.Insert(o); err != nil {
-			return nil, nil, err
-		}
+	pages, err := t.IndexPages()
+	if err != nil {
+		return AblationPoint{}, err
 	}
-	return t, objs, nil
+	return AblationPoint{
+		Label: label, Dataset: dataset.LB, Metrics: m,
+		InsertWritesPerOp: float64(ins.writes) / float64(ins.ops),
+		InsertSecPerOp:    ins.secPerOp(),
+		IndexPages:        pages,
+	}, nil
 }
 
 // AblationSplit compares the paper's median-value split against the naive
@@ -65,21 +64,14 @@ func AblationSplit(cfg Config) ([]AblationPoint, error) {
 	}
 	var points []AblationPoint
 	for _, v := range variants {
-		t, objs, err := ablationBuild(cfg, dataset.LB, func(o *core.Options) { o.SplitStrategy = v.strat })
+		p, err := ablate(cfg, v.label, core.Options{Kind: core.UTree, CatalogSize: 15, SplitStrategy: v.strat})
 		if err != nil {
 			return nil, err
 		}
-		m, err := ablationWorkloads(t, objs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ins := t.InsertStats()
-		points = append(points, AblationPoint{
-			Label: v.label, Dataset: dataset.LB, Metrics: m,
-			BuildWritesPerOp: float64(ins.PageWrites) / float64(ins.Ops),
-		})
+		points = append(points, p)
+		m := p.Metrics
 		fprintf(out, "%16s  io=%.1f cands=%.1f probs=%.1f cost=%.3fs buildWrites/op=%.2f\n",
-			v.label, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, points[len(points)-1].BuildWritesPerOp)
+			v.label, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, p.InsertWritesPerOp)
 	}
 	return points, nil
 }
@@ -95,21 +87,13 @@ func AblationReinsert(cfg Config) ([]AblationPoint, error) {
 		if disable {
 			label = "reinsert off"
 		}
-		t, objs, err := ablationBuild(cfg, dataset.LB, func(o *core.Options) { o.DisableReinsert = disable })
+		p, err := ablate(cfg, label, core.Options{Kind: core.UTree, CatalogSize: 15, DisableReinsert: disable})
 		if err != nil {
 			return nil, err
 		}
-		m, err := ablationWorkloads(t, objs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ins := t.InsertStats()
-		points = append(points, AblationPoint{
-			Label: label, Dataset: dataset.LB, Metrics: m,
-			BuildWritesPerOp: float64(ins.PageWrites) / float64(ins.Ops),
-		})
+		points = append(points, p)
 		fprintf(out, "%20s  io=%.1f cost=%.3fs buildWrites/op=%.2f\n",
-			label, m.NodeAccesses, m.TotalCostSec, points[len(points)-1].BuildWritesPerOp)
+			label, p.Metrics.NodeAccesses, p.Metrics.TotalCostSec, p.InsertWritesPerOp)
 	}
 	return points, nil
 }
@@ -125,23 +109,15 @@ func AblationCatalog(cfg Config, mValues []int) ([]AblationPoint, error) {
 	out := cfg.Out
 	fprintf(out, "Ablation: U-tree catalog size (LB, qs=1500, pq=0.6)\n")
 	var points []AblationPoint
-	for _, m := range mValues {
-		t, objs, err := ablationBuild(cfg, dataset.LB, func(o *core.Options) { o.CatalogSize = m })
+	for _, mv := range mValues {
+		p, err := ablate(cfg, fmt.Sprintf("m=%d", mv), core.Options{Kind: core.UTree, CatalogSize: mv})
 		if err != nil {
 			return nil, err
 		}
-		wm, err := ablationWorkloads(t, objs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ins := t.InsertStats()
-		cpuPerOp := ins.CPUTime.Seconds() / float64(ins.Ops)
-		points = append(points, AblationPoint{
-			Label: fmt.Sprintf("m=%d", m), Dataset: dataset.LB, Metrics: wm,
-			BuildWritesPerOp: cpuPerOp,
-		})
+		points = append(points, p)
+		m := p.Metrics
 		fprintf(out, "%8s  io=%.1f cands=%.1f probs=%.1f cost=%.3fs insertCPU/op=%.4fs\n",
-			points[len(points)-1].Label, wm.NodeAccesses, wm.Candidates, wm.ProbComps, wm.TotalCostSec, cpuPerOp)
+			p.Label, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, p.InsertSecPerOp)
 	}
 	return points, nil
 }
@@ -155,24 +131,14 @@ func AblationCFB(cfg Config) ([]AblationPoint, error) {
 	fprintf(out, "Ablation: CFB vs PCR entries at equal catalog (m=9, LB, qs=1500, pq=0.6)\n")
 	var points []AblationPoint
 	for _, kind := range []core.Kind{core.UTree, core.UPCR} {
-		t, objs, err := buildTree(dataset.LB, kind, 9, cfg)
+		p, err := ablate(cfg, kind.String(), core.Options{Kind: kind, CatalogSize: 9})
 		if err != nil {
 			return nil, err
 		}
-		m, err := ablationWorkloads(t, objs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pages, err := t.IndexPages()
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, AblationPoint{
-			Label: kind.String(), Dataset: dataset.LB, Metrics: m,
-			BuildWritesPerOp: float64(pages),
-		})
+		points = append(points, p)
+		m := p.Metrics
 		fprintf(out, "%8v  io=%.1f cands=%.1f probs=%.1f cost=%.3fs pages=%d\n",
-			kind, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, pages)
+			kind, m.NodeAccesses, m.Candidates, m.ProbComps, m.TotalCostSec, p.IndexPages)
 	}
 	return points, nil
 }

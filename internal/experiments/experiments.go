@@ -121,24 +121,53 @@ func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
 	return m, nil
 }
 
-// buildTree constructs an index of the given kind over a dataset.
-func buildTree(name dataset.Name, kind core.Kind, catalogSize int, cfg Config) (*core.Tree, []core.Object, error) {
+// buildTree inserts a dataset into a tree made with opt (its Dim is the
+// dataset's) one object at a time, and returns what the inserts cost.
+func buildTree(name dataset.Name, opt core.Options, cfg Config) (*core.Tree, []core.Object, updateCost, error) {
 	objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
-	t, err := core.New(core.Options{
-		Dim:         name.Dim(),
-		Kind:        kind,
-		CatalogSize: catalogSize,
-	})
+	opt.Dim = name.Dim()
+	t, err := core.New(opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, updateCost{}, err
 	}
+	ins, err := measure(t, objs, t.Insert)
+	if err != nil {
+		return nil, nil, updateCost{}, fmt.Errorf("building %s/%v: %w", name, opt.Kind, err)
+	}
+	return t, objs, ins, nil
+}
+
+// updateCost is what a loop of updates cost the writer: its logical node
+// reads (CacheStats' hits plus misses) and writes, and its wall time.
+type updateCost struct {
+	ops           int
+	reads, writes int64
+	wall          time.Duration
+}
+
+// measure applies update to each object in turn and returns what the loop
+// cost.
+func measure(t *core.Tree, objs []core.Object, update func(core.Object) error) (updateCost, error) {
+	h0, m0 := t.CacheStats()
+	w0 := t.NodeWrites()
+	start := time.Now()
 	for _, o := range objs {
-		if err := t.Insert(o); err != nil {
-			return nil, nil, fmt.Errorf("building %s/%v: %w", name, kind, err)
+		if err := update(o); err != nil {
+			return updateCost{}, err
 		}
 	}
-	return t, objs, nil
+	wall := time.Since(start)
+	h1, m1 := t.CacheStats()
+	return updateCost{ops: len(objs), reads: h1 + m1 - h0 - m0, writes: t.NodeWrites() - w0, wall: wall}, nil
 }
+
+// ioSecPerOp prices an update's node reads and writes with the era model.
+func (c updateCost) ioSecPerOp() float64 {
+	return float64(c.reads+c.writes) / float64(c.ops) * IOCostSec
+}
+
+// secPerOp is an update's wall time in seconds.
+func (c updateCost) secPerOp() float64 { return c.wall.Seconds() / float64(c.ops) }
 
 // centersOf extracts dataset points for workload generation.
 func centersOf(objs []core.Object) []geom.Point {

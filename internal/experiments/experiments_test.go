@@ -158,9 +158,9 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CFB entries (U-tree) must yield fewer pages at equal catalog.
-	if cfbPts[0].BuildWritesPerOp >= cfbPts[1].BuildWritesPerOp {
-		t.Errorf("CFB pages %.0f ≥ PCR pages %.0f at equal m",
-			cfbPts[0].BuildWritesPerOp, cfbPts[1].BuildWritesPerOp)
+	if cfbPts[0].IndexPages >= cfbPts[1].IndexPages {
+		t.Errorf("CFB pages %d ≥ PCR pages %d at equal m",
+			cfbPts[0].IndexPages, cfbPts[1].IndexPages)
 	}
 }
 

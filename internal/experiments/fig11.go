@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -11,13 +9,11 @@ import (
 type Fig11Row struct {
 	Dataset dataset.Name
 	// Per-insertion averages during index construction.
-	InsertIOCostSec float64 // era model over logical page accesses
-	InsertCPUSec    float64 // measured CPU (PCR computation + CFB fit + descent)
-	InsertWallPerOp time.Duration
+	InsertIOCostSec float64 // era model over logical node reads and writes
+	InsertCPUSec    float64 // wall time (PCR computation + CFB fit + descent)
 	// Per-deletion averages while draining the index.
 	DeleteIOCostSec float64
 	DeleteCPUSec    float64
-	DeleteWallPerOp time.Duration
 }
 
 // Fig11 reproduces Figure 11: the amortized insertion cost (I/O + CPU
@@ -33,33 +29,25 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	out := cfg.Out
 	fprintf(out, "Figure 11: update overhead (U-tree, per operation)\n")
-	fprintf(out, "%10s %14s %14s %16s %14s %14s %16s\n",
-		"dataset", "ins I/O(s)", "ins CPU(s)", "ins wall", "del I/O(s)", "del CPU(s)", "del wall")
+	fprintf(out, "%10s %14s %14s %14s %14s\n",
+		"dataset", "ins I/O(s)", "ins CPU(s)", "del I/O(s)", "del CPU(s)")
 	for _, name := range dataset.All() {
-		t, objs, err := buildTree(name, core.UTree, 15, cfg)
+		t, objs, ins, err := buildTree(name, core.Options{Kind: core.UTree, CatalogSize: 15}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		var row Fig11Row
-		row.Dataset = name
-		ins := t.InsertStats()
-		row.InsertIOCostSec = float64(ins.PageReads+ins.PageWrites) / float64(ins.Ops) * IOCostSec
-		row.InsertCPUSec = ins.CPUTime.Seconds() / float64(ins.Ops)
-		row.InsertWallPerOp = ins.CPUTime / time.Duration(ins.Ops)
-
-		for _, o := range objs {
-			if err := t.Delete(o.ID); err != nil {
-				return nil, err
-			}
+		del, err := measure(t, objs, func(o core.Object) error { return t.Delete(o.ID) })
+		if err != nil {
+			return nil, err
 		}
-		del := t.DeleteStats()
-		row.DeleteIOCostSec = float64(del.PageReads+del.PageWrites) / float64(del.Ops) * IOCostSec
-		row.DeleteCPUSec = del.CPUTime.Seconds() / float64(del.Ops)
-		row.DeleteWallPerOp = del.CPUTime / time.Duration(del.Ops)
+		row := Fig11Row{
+			Dataset:         name,
+			InsertIOCostSec: ins.ioSecPerOp(), InsertCPUSec: ins.secPerOp(),
+			DeleteIOCostSec: del.ioSecPerOp(), DeleteCPUSec: del.secPerOp(),
+		}
 		rows = append(rows, row)
-		fprintf(out, "%10s %14.4f %14.4f %16v %14.4f %14.4f %16v\n",
-			name, row.InsertIOCostSec, row.InsertCPUSec, row.InsertWallPerOp,
-			row.DeleteIOCostSec, row.DeleteCPUSec, row.DeleteWallPerOp)
+		fprintf(out, "%10s %14.4f %14.6f %14.4f %14.6f\n",
+			name, row.InsertIOCostSec, row.InsertCPUSec, row.DeleteIOCostSec, row.DeleteCPUSec)
 	}
 	return rows, nil
 }

@@ -47,7 +47,7 @@ func sweep(cfg Config, title string, qsValues []float64, pqValues []float64) ([]
 		objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
 		centers := centersOf(objs)
 		for _, kind := range []core.Kind{core.UTree, core.UPCR} {
-			t, _, err := buildTree(name, kind, paperCatalog(name, kind), cfg)
+			t, _, _, err := buildTree(name, core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)}, cfg)
 			if err != nil {
 				return nil, err
 			}

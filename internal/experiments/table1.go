@@ -41,7 +41,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		var row Table1Row
 		row.Dataset = name
 		for _, kind := range []core.Kind{core.UPCR, core.UTree} {
-			t, _, err := buildTree(name, kind, paperCatalog(name, kind), cfg)
+			t, _, _, err := buildTree(name, core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)}, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -190,17 +190,6 @@ func (r Rect) Overlap(s Rect) float64 {
 	return v
 }
 
-// Union returns the minimum bounding rectangle of r and s.
-func (r Rect) Union(s Rect) Rect {
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Lo))
-	for i := range r.Lo {
-		lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // UnionInPlace grows r to cover s, avoiding allocation on hot paths.
 func (r *Rect) UnionInPlace(s Rect) {
 	for i := range r.Lo {

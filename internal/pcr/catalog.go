@@ -61,34 +61,11 @@ func UniformCatalog(m int) Catalog {
 	return newCatalog(v)
 }
 
-// NewCatalog builds a catalog from explicit values, validating the paper's
-// requirements: sorted ascending, within [0, 0.5], first value 0.
-func NewCatalog(values []float64) (Catalog, error) {
-	if len(values) < 2 {
-		return Catalog{}, fmt.Errorf("pcr: catalog needs at least 2 values, got %d", len(values))
-	}
-	if values[0] != 0 {
-		return Catalog{}, fmt.Errorf("pcr: catalog must start at 0, got %g", values[0])
-	}
-	for i, v := range values {
-		if v < 0 || v > 0.5 {
-			return Catalog{}, fmt.Errorf("pcr: catalog value %g outside [0, 0.5]", v)
-		}
-		if i > 0 && v <= values[i-1] {
-			return Catalog{}, fmt.Errorf("pcr: catalog not strictly ascending at index %d", i)
-		}
-	}
-	return newCatalog(append([]float64(nil), values...)), nil
-}
-
 // Size returns m, the number of catalog values.
 func (c Catalog) Size() int { return len(c.values) }
 
 // Value returns p_j (0-based j).
 func (c Catalog) Value(j int) float64 { return c.values[j] }
-
-// Values returns a copy of the catalog values.
-func (c Catalog) Values() []float64 { return append([]float64(nil), c.values...) }
 
 // Max returns p_m, the largest catalog value.
 func (c Catalog) Max() float64 { return c.values[len(c.values)-1] }

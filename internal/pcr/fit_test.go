@@ -37,10 +37,7 @@ func randomNestedPCRs(rng *rand.Rand) PCRs {
 		for j := 1; j < m; j++ {
 			v[j] = top * (float64(j) + v[j]) / float64(m)
 		}
-		var err error
-		if cat, err = NewCatalog(v); err != nil {
-			panic(err)
-		}
+		cat = newCatalog(v)
 	}
 	d := 1 + rng.Intn(3)
 	boxes := make([]geom.Rect, m)
@@ -199,10 +196,7 @@ func TestFitMatchesSimplexOnPDFs(t *testing.T) {
 			updf.NewUniformRect(geom.NewRect(geom.Point{100, 100}, geom.Point{120, 150})),
 			updf.NewUniformBall(geom.Point{165, 125}, 15),
 		}, []float64{1, 1}))
-	short, err := NewCatalog([]float64{0, 0.02, 0.1, 0.15, 0.3, 0.42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := newCatalog([]float64{0, 0.02, 0.1, 0.15, 0.3, 0.42})
 	cats := []Catalog{UniformCatalog(2), UniformCatalog(5), UniformCatalog(10), UniformCatalog(15), short}
 	for pi, p := range pdfs {
 		for _, cat := range cats {
@@ -281,10 +275,7 @@ func TestFitMeanOnHullVertex(t *testing.T) {
 // catalog stops short of 0.5, so pcr(p_m) has room between its faces and
 // the height at which the inner faces meet is searched, not given.
 func TestFitInMeetsBetweenFaces(t *testing.T) {
-	cat, err := NewCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := newCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4})
 	// Concave low faces, convex high faces. Meeting at 30 the low face
 	// touches p_4 and the high face p_3, meeting at 40 it is the other way
 	// round, so the optimum is at a breakpoint strictly in between.
@@ -330,10 +321,7 @@ func TestFitAllocatesOnlyCoefficients(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { FitOut(pcrs); FitIn(pcrs) }); n != 2 {
 		t.Fatalf("FitOut + FitIn: %v allocations, want the 2 coefficient slabs", n)
 	}
-	cat, err := NewCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := newCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4})
 	pcrs = facesPCRs(cat, []float64{0, 20, 28, 29.5, 30}, []float64{100, 60, 45, 41, 40})
 	if n := testing.AllocsPerRun(100, func() { FitIn(pcrs) }); n != 1 {
 		t.Fatalf("FitIn, searched meeting point: %v allocations, want 1", n)

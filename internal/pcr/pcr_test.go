@@ -12,7 +12,7 @@ import (
 func TestUniformCatalog(t *testing.T) {
 	c := UniformCatalog(3)
 	want := []float64{0, 0.25, 0.5}
-	for i, v := range c.Values() {
+	for i, v := range c.values {
 		if math.Abs(v-want[i]) > 1e-15 {
 			t.Fatalf("catalog[%d] = %g, want %g", i, v, want[i])
 		}
@@ -20,7 +20,7 @@ func TestUniformCatalog(t *testing.T) {
 	// The paper's U-tree catalog: m=15 gives 0, 1/28, ..., 14/28.
 	c15 := UniformCatalog(15)
 	if math.Abs(c15.Value(1)-1.0/28) > 1e-15 || c15.Max() != 0.5 {
-		t.Fatalf("m=15 catalog wrong: %v", c15.Values())
+		t.Fatalf("m=15 catalog wrong: %v", c15.values)
 	}
 	if c15.Sum() <= 0 {
 		t.Fatal("catalog sum must be positive")
@@ -34,25 +34,6 @@ func TestUniformCatalogPanics(t *testing.T) {
 		}
 	}()
 	UniformCatalog(1)
-}
-
-func TestNewCatalogValidation(t *testing.T) {
-	if _, err := NewCatalog([]float64{0, 0.2, 0.5}); err != nil {
-		t.Fatalf("valid catalog rejected: %v", err)
-	}
-	bad := [][]float64{
-		{0.1, 0.2},    // must start at 0
-		{0, 0.6},      // above 0.5
-		{0, 0.3, 0.2}, // not ascending
-		{0, 0.3, 0.3}, // not strictly ascending
-		{0},           // too short
-		{0, -0.1},     // negative (also not ascending)
-	}
-	for i, v := range bad {
-		if _, err := NewCatalog(v); err == nil {
-			t.Errorf("case %d: invalid catalog %v accepted", i, v)
-		}
-	}
 }
 
 func TestCatalogSelectors(t *testing.T) {
@@ -369,10 +350,7 @@ func TestFilterPaperScenarios(t *testing.T) {
 	// Reconstruction of Figure 3/4's reasoning with a uniform square:
 	// pcr(0.2) faces sit at the 20% / 80% quantiles.
 	p := updf.NewUniformRect(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}))
-	cat, err := NewCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := newCatalog([]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5})
 	pcrs := Compute(p, cat, nil)
 	mbr := p.MBR()
 

@@ -59,10 +59,6 @@ func chiBallMass(d int, z float64) float64 {
 func (g *ConGauBall) Dim() int       { return len(g.Ctr) }
 func (g *ConGauBall) MBR() geom.Rect { return ballMBR(g.Ctr, g.R) }
 
-// Lambda exposes the normalization constant (for tests and documentation;
-// the paper notes it is computed once per shape).
-func (g *ConGauBall) Lambda() float64 { return g.lambda }
-
 func (g *ConGauBall) Density(x geom.Point) float64 {
 	if !inBall(g.Ctr, g.R, x) {
 		return 0

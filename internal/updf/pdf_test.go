@@ -290,14 +290,14 @@ func TestConGauLambdaClosedForms(t *testing.T) {
 	// d=2: λ = 1 − exp(−R²/2σ²).
 	g2 := NewConGauBall(geom.Point{0, 0}, 250, 125)
 	want2 := 1 - math.Exp(-4.0/2)
-	if math.Abs(g2.Lambda()-want2) > 1e-12 {
-		t.Fatalf("2D λ = %.15g, want %.15g", g2.Lambda(), want2)
+	if math.Abs(g2.lambda-want2) > 1e-12 {
+		t.Fatalf("2D λ = %.15g, want %.15g", g2.lambda, want2)
 	}
 	// d=1: λ = 2Φ(R/σ) − 1.
 	g1 := NewConGauBall(geom.Point{0}, 2, 1)
 	want1 := 2*0.9772498680518208 - 1
-	if math.Abs(g1.Lambda()-want1) > 1e-9 {
-		t.Fatalf("1D λ = %.15g, want %.15g", g1.Lambda(), want1)
+	if math.Abs(g1.lambda-want1) > 1e-9 {
+		t.Fatalf("1D λ = %.15g, want %.15g", g1.lambda, want1)
 	}
 	// d=3 must match a Monte-Carlo estimate of the Gaussian ball mass.
 	g3 := NewConGauBall(geom.Point{0, 0, 0}, 2, 1)
@@ -311,8 +311,8 @@ func TestConGauLambdaClosedForms(t *testing.T) {
 		}
 	}
 	mc := float64(hits) / n
-	if math.Abs(g3.Lambda()-mc) > 0.005 {
-		t.Fatalf("3D λ = %g vs monte-carlo %g", g3.Lambda(), mc)
+	if math.Abs(g3.lambda-mc) > 0.005 {
+		t.Fatalf("3D λ = %g vs monte-carlo %g", g3.lambda, mc)
 	}
 }
 

@@ -68,15 +68,6 @@ func NewUniformPolygon(verts []geom.Point) *UniformPolygon {
 	return p
 }
 
-// Vertices returns a copy of the hull vertices (CCW).
-func (p *UniformPolygon) Vertices() []geom.Point {
-	out := make([]geom.Point, len(p.verts))
-	for i, v := range p.verts {
-		out[i] = v.Clone()
-	}
-	return out
-}
-
 // Area returns the polygon area.
 func (p *UniformPolygon) Area() float64 { return p.area }
 

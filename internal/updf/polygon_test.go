@@ -37,8 +37,8 @@ func TestPolygonHullFromUnorderedInput(t *testing.T) {
 	if math.Abs(sq.Area()-100) > 1e-12 {
 		t.Fatalf("hull area = %g, want 100", sq.Area())
 	}
-	if len(sq.Vertices()) != 4 {
-		t.Fatalf("hull has %d vertices, want 4", len(sq.Vertices()))
+	if len(sq.verts) != 4 {
+		t.Fatalf("hull has %d vertices, want 4", len(sq.verts))
 	}
 }
 

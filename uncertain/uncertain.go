@@ -144,8 +144,8 @@ type Config struct {
 	// epoch protocol, so their decoded in-memory nodes are shared across
 	// queries (and across lock-free snapshot readers) until the page is
 	// physically reclaimed. A hit skips the page read and the node decode
-	// entirely; a miss reads the store. A hot query still allocates — 17
-	// times and 10.7 KB a query in BenchmarkFig9SearchHotCache, for its
+	// entirely; a miss reads the store. A hot query still allocates — 13
+	// times and 10.6 KB a query in BenchmarkFig9SearchHotCache, for its
 	// results and the pdfs its records decode to — but not per node it
 	// visits or data page it reads. A cached node views its page, the
 	// store's own: in memory, or in a read-only mapping of the index file
@@ -160,12 +160,14 @@ type Config struct {
 	// added, which then goes instead: queries centred where the data is
 	// come back to the same leaves, and the cache keeps those.
 	//
-	// Switched off on the benchmark's warm workloads (one run each on a
-	// 2-core Linux VM), page reads per query rise 6× on the LB workloads
-	// and 50× on the 3-D sharded one, and a query's median latency rises
-	// 1.7× on the 3-D sharded and churn workloads. On the cold CA workload
-	// (a 101-page tree, 32 entries) a query reads 4.89 pages, 5.36 when
-	// the least recently used leaf always goes.
+	// Switched off, with every answer unchanged, the benchmark's store
+	// reads per query (io_per_query, seed 42, one run each on a 2-core
+	// Linux VM; ROADMAP.md reading 4) rise 2.16 → 8.73 (lb-refine-mem),
+	// 3.80 → 6.29 (ca-cold-file, a 101-page tree and 32 entries), 0.55 →
+	// 14.59 (air-shard-validate) and 0.98 → 4.20 (lb-churn-file), and a
+	// traced query's median latency rises 1.2–1.5× on the 3-D sharded and
+	// churn workloads: a miss reads and decodes its page, even where the
+	// store lends it.
 	// Its price is heap for the node and not its page: about 0.4 KB a
 	// cached node with the cache's bookkeeping, against 4.2 KB while a file
 	// tree's node owned its page's buffer; the file workloads' live heap
