@@ -10,9 +10,11 @@
 // translate them into "total cost" seconds with an era cost model — 10 ms
 // per page access and 1.3 ms per appearance-probability computation (the
 // paper's own Fig. 7 measurement at n1 = 10^6). Wall-clock on modern
-// hardware is reported alongside. The LB and CA datasets are synthetic
-// stand-ins (package dataset), and refinement computes each appearance
-// probability exactly (Equation 2) where the paper sampled 10^6 points.
+// hardware is reported where the paper prices CPU: Fig. 7's time per
+// computation, Fig. 11's CPU columns and the catalog ablation's insert
+// time. The LB and CA datasets are synthetic stand-ins (package dataset),
+// and refinement computes each appearance probability exactly (Equation 2)
+// where the paper sampled 10^6 points.
 package experiments
 
 import (
@@ -77,64 +79,97 @@ type WorkloadMetrics struct {
 	ProbComps    float64
 	ValidatedPct float64 // % of qualifying objects reported without refinement
 	RefineIOs    float64 // avg data-page fetches
-	Results      float64 // avg result cardinality
 	TotalCostSec float64 // era cost model (col 3)
-	WallTime     time.Duration
 }
 
-// runWorkload executes a workload against an index and aggregates metrics.
-// It commits whatever the caller built and queries the pinned epoch — the
-// one query path, single-threaded here.
-func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
-	var m WorkloadMetrics
+// data is one generated dataset: its objects and their centres, on which
+// the workloads place their queries. An experiment generates each dataset
+// it uses once and builds every tree it compares from it.
+type data struct {
+	cfg     Config
+	name    dataset.Name
+	objs    []core.Object
+	centers []geom.Point
+}
+
+func generate(name dataset.Name, cfg Config) data {
+	objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
+	centers := make([]geom.Point, len(objs))
+	for i, o := range objs {
+		centers[i] = o.PDF.Center()
+	}
+	return data{cfg, name, objs, centers}
+}
+
+// build inserts the objects one at a time into a tree made with opt (its
+// Dim is the dataset's), and returns what the inserts cost.
+func (d data) build(opt core.Options) (*core.Tree, updateCost, error) {
+	opt.Dim = d.name.Dim()
+	t, err := core.New(opt)
+	if err != nil {
+		return nil, updateCost{}, err
+	}
+	ins, err := measure(t, d.objs, t.Insert)
+	if err != nil {
+		return nil, updateCost{}, fmt.Errorf("building %s/%v: %w", d.name, opt.Kind, err)
+	}
+	return t, ins, nil
+}
+
+// runWorkload runs the i-th workload of a sweep against t: cfg.Queries
+// queries of side qs and threshold pq centred on objects, seeded
+// cfg.Seed + i. It commits whatever the caller built and queries the pinned
+// epoch — the one query path, single-threaded here.
+func (d data) runWorkload(t *core.Tree, qs, pq float64, i int) (WorkloadMetrics, error) {
+	w := workload.New(workload.Config{
+		QS: qs, PQ: pq, Count: d.cfg.Queries,
+		Seed: d.cfg.Seed + int64(i), Domain: dataset.Domain, Centers: d.centers,
+	})
 	if err := t.Commit(); err != nil {
-		return m, err
+		return WorkloadMetrics{}, err
 	}
 	snap := t.Snapshot()
 	defer snap.Close()
-	start := time.Now()
+	perQuery := make([]WorkloadMetrics, len(w.Queries))
 	var validated, results int
-	for _, q := range w.Queries {
-		_, stats, err := snap.RangeQuery(context.Background(), q, core.QueryOpts{})
+	for j, q := range w.Queries {
+		_, s, err := snap.RangeQuery(context.Background(), q, core.QueryOpts{})
 		if err != nil {
-			return m, err
+			return WorkloadMetrics{}, err
 		}
-		m.NodeAccesses += float64(stats.NodeAccesses)
-		m.Candidates += float64(stats.Candidates)
-		m.ProbComps += float64(stats.ProbComputations)
-		m.RefineIOs += float64(stats.RefinementIOs)
-		m.Results += float64(stats.Results)
-		validated += stats.Validated
-		results += stats.Results
+		perQuery[j] = WorkloadMetrics{
+			NodeAccesses: float64(s.NodeAccesses), Candidates: float64(s.Candidates),
+			ProbComps: float64(s.ProbComputations), RefineIOs: float64(s.RefinementIOs),
+		}
+		validated += s.Validated
+		results += s.Results
 	}
-	n := float64(len(w.Queries))
-	m.NodeAccesses /= n
-	m.Candidates /= n
-	m.ProbComps /= n
-	m.RefineIOs /= n
-	m.Results /= n
+	m := mean(perQuery)
 	if results > 0 {
 		m.ValidatedPct = 100 * float64(validated) / float64(results)
 	}
 	m.TotalCostSec = (m.NodeAccesses+m.RefineIOs)*IOCostSec + m.ProbComps*ProbCostSec
-	m.WallTime = time.Since(start) / time.Duration(len(w.Queries))
 	return m, nil
 }
 
-// buildTree inserts a dataset into a tree made with opt (its Dim is the
-// dataset's) one object at a time, and returns what the inserts cost.
-func buildTree(name dataset.Name, opt core.Options, cfg Config) (*core.Tree, []core.Object, updateCost, error) {
-	objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
-	opt.Dim = name.Dim()
-	t, err := core.New(opt)
-	if err != nil {
-		return nil, nil, updateCost{}, err
+// mean averages ms field by field, summing in order: a workload's queries,
+// or Fig. 8's workloads. ValidatedPct is left zero.
+func mean(ms []WorkloadMetrics) WorkloadMetrics {
+	var a WorkloadMetrics
+	for _, m := range ms {
+		a.NodeAccesses += m.NodeAccesses
+		a.Candidates += m.Candidates
+		a.ProbComps += m.ProbComps
+		a.RefineIOs += m.RefineIOs
+		a.TotalCostSec += m.TotalCostSec
 	}
-	ins, err := measure(t, objs, t.Insert)
-	if err != nil {
-		return nil, nil, updateCost{}, fmt.Errorf("building %s/%v: %w", name, opt.Kind, err)
-	}
-	return t, objs, ins, nil
+	n := float64(len(ms))
+	a.NodeAccesses /= n
+	a.Candidates /= n
+	a.ProbComps /= n
+	a.RefineIOs /= n
+	a.TotalCostSec /= n
+	return a
 }
 
 // updateCost is what a loop of updates cost the writer: its logical node
@@ -168,15 +203,6 @@ func (c updateCost) ioSecPerOp() float64 {
 
 // secPerOp is an update's wall time in seconds.
 func (c updateCost) secPerOp() float64 { return c.wall.Seconds() / float64(c.ops) }
-
-// centersOf extracts dataset points for workload generation.
-func centersOf(objs []core.Object) []geom.Point {
-	pts := make([]geom.Point, len(objs))
-	for i, o := range objs {
-		pts[i] = o.PDF.Center()
-	}
-	return pts
-}
 
 // paperCatalog returns the paper's tuned U-PCR catalog size for a dataset
 // (Fig. 8: m = 9 for LB and CA, m = 10 for Aircraft) and the U-tree's

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,42 +140,70 @@ func TestFig8CatalogCurve(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	cfg := Config{Scale: 0.003, Queries: 6, Seed: 7}
-	if _, err := AblationSplit(cfg); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := AblationReinsert(cfg)
+	pts, err := Ablations(Config{Scale: 0.003, Queries: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("reinsert ablation points: %d", len(pts))
+	byStudy := map[string][]AblationPoint{}
+	for _, p := range pts {
+		if p.Dataset != dataset.LB {
+			t.Errorf("%s/%s: dataset %s", p.Study, p.Label, p.Dataset)
+		}
+		byStudy[p.Study] = append(byStudy[p.Study], p)
 	}
-	if _, err := AblationCatalog(cfg, []int{5, 15}); err != nil {
-		t.Fatal(err)
-	}
-	cfbPts, err := AblationCFB(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range ablations {
+		if got := len(byStudy[s.study]); got != len(s.variants) || got < 2 {
+			t.Errorf("study %s: %d points, want one for each of %d variants", s.study, got, len(s.variants))
+		}
 	}
 	// CFB entries (U-tree) must yield fewer pages at equal catalog.
-	if cfbPts[0].IndexPages >= cfbPts[1].IndexPages {
-		t.Errorf("CFB pages %d ≥ PCR pages %d at equal m",
-			cfbPts[0].IndexPages, cfbPts[1].IndexPages)
+	if cfb := byStudy["cfb"]; cfb[0].IndexPages >= cfb[1].IndexPages {
+		t.Errorf("CFB pages %d ≥ PCR pages %d at equal m", cfb[0].IndexPages, cfb[1].IndexPages)
 	}
 }
 
+// TestPrintedOutput runs every experiment and checks that it prints its
+// title and a row for each dataset, structure or variant.
 func TestPrintedOutput(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Out = &buf
-	if _, err := Table1(cfg); err != nil {
-		t.Fatal(err)
+	datasets := []string{"LB", "CA", "Aircraft"}
+	var sweepRows []string
+	for _, d := range datasets {
+		sweepRows = append(sweepRows, d+" U-tree", d+" U-PCR")
 	}
-	out := buf.String()
-	for _, want := range []string{"Table 1", "LB", "CA", "Aircraft", "ratio"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	var ablationRows []string
+	for _, s := range ablations {
+		ablationRows = append(ablationRows, "Ablation: "+s.header)
+		for _, v := range s.variants {
+			ablationRows = append(ablationRows, v.label+"  io=")
+		}
+	}
+	for _, tc := range []struct {
+		title string
+		run   func(Config) error
+		rows  []string
+	}{
+		{"Figure 7:", func(c Config) error { _, err := Fig7(c, []int{100, 1000}); return err }, []string{"100 ", "1000 "}},
+		{"Figure 8:", func(c Config) error { _, err := Fig8(c, []int{3, 9}, []float64{0.6}); return err }, datasets},
+		{"Table 1:", func(c Config) error { _, err := Table1(c); return err }, datasets},
+		{"Figure 9:", func(c Config) error { _, err := Fig9(c, []float64{1500}); return err }, sweepRows},
+		{"Figure 10:", func(c Config) error { _, err := Fig10(c, []float64{0.6}); return err }, sweepRows},
+		{"Figure 11:", func(c Config) error { _, err := Fig11(c); return err }, datasets},
+		{"Ablation:", func(c Config) error { _, err := Ablations(c); return err }, ablationRows},
+	} {
+		var buf bytes.Buffer
+		cfg := tiny()
+		cfg.Out = &buf
+		if err := tc.run(cfg); err != nil {
+			t.Fatalf("%s %v", tc.title, err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		if !strings.HasPrefix(lines[0], tc.title) {
+			t.Errorf("first line %q, want the title %q", lines[0], tc.title)
+		}
+		for _, row := range tc.rows {
+			if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(strings.TrimSpace(l), row) }) {
+				t.Errorf("%s: no row starts with %q:\n%s", tc.title, row, buf.String())
+			}
 		}
 	}
 }

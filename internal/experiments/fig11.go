@@ -32,11 +32,12 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 	fprintf(out, "%10s %14s %14s %14s %14s\n",
 		"dataset", "ins I/O(s)", "ins CPU(s)", "del I/O(s)", "del CPU(s)")
 	for _, name := range dataset.All() {
-		t, objs, ins, err := buildTree(name, core.Options{Kind: core.UTree, CatalogSize: 15}, cfg)
+		d := generate(name, cfg)
+		t, ins, err := d.build(core.Options{Kind: core.UTree, CatalogSize: 15})
 		if err != nil {
 			return nil, err
 		}
-		del, err := measure(t, objs, func(o core.Object) error { return t.Delete(o.ID) })
+		del, err := measure(t, d.objs, func(o core.Object) error { return t.Delete(o.ID) })
 		if err != nil {
 			return nil, err
 		}

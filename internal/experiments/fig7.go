@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/updf"
 )
@@ -114,6 +113,3 @@ func workloadError(p updf.PDF, queries []geom.Rect, n1 int, rng *rand.Rand, comp
 	}
 	return sum / float64(n)
 }
-
-// Domain re-exports the dataset domain for callers printing axes.
-const Domain = dataset.Domain

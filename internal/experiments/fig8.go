@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/workload"
 )
 
 // Fig8Point is one (dataset, m) sample of Figure 8: the average query cost
@@ -38,45 +37,22 @@ func Fig8(cfg Config, mValues []int, pqValues []float64) ([]Fig8Point, error) {
 	fprintf(out, "\n")
 
 	for _, name := range dataset.All() {
-		objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
-		centers := centersOf(objs)
+		d := generate(name, cfg)
 		fprintf(out, "%10s", name)
 		for _, m := range mValues {
-			t, err := core.New(core.Options{
-				Dim:         name.Dim(),
-				Kind:        core.UPCR,
-				CatalogSize: m,
-			})
+			t, _, err := d.build(core.Options{Kind: core.UPCR, CatalogSize: m})
 			if err != nil {
 				return nil, err
 			}
-			for _, o := range objs {
-				if err := t.Insert(o); err != nil {
-					return nil, err
-				}
-			}
-			var agg WorkloadMetrics
+			ws := make([]WorkloadMetrics, len(pqValues))
 			for wi, pq := range pqValues {
-				w := workload.New(workload.Config{
-					QS: 500, PQ: pq, Count: cfg.Queries,
-					Seed: cfg.Seed + int64(wi), Domain: dataset.Domain, Centers: centers,
-				})
-				wm, err := runWorkload(t, w)
-				if err != nil {
+				if ws[wi], err = d.runWorkload(t, 500, pq, wi); err != nil {
 					return nil, err
 				}
-				agg.NodeAccesses += wm.NodeAccesses
-				agg.ProbComps += wm.ProbComps
-				agg.RefineIOs += wm.RefineIOs
-				agg.TotalCostSec += wm.TotalCostSec
 			}
-			k := float64(len(pqValues))
-			agg.NodeAccesses /= k
-			agg.ProbComps /= k
-			agg.RefineIOs /= k
-			agg.TotalCostSec /= k
-			points = append(points, Fig8Point{Dataset: name, M: m, Cost: agg})
-			fprintf(out, "   %-9.3f", agg.TotalCostSec)
+			cost := mean(ws)
+			points = append(points, Fig8Point{Dataset: name, M: m, Cost: cost})
+			fprintf(out, "   %-9.3f", cost.TotalCostSec)
 		}
 		fprintf(out, "   (query cost, sec)\n")
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/workload"
 )
 
 // SweepPoint is one (dataset, structure, x) sample of Figures 9 and 10:
@@ -24,7 +23,8 @@ func Fig9(cfg Config, qsValues []float64) ([]SweepPoint, error) {
 	if len(qsValues) == 0 {
 		qsValues = []float64{500, 1000, 1500, 2000, 2500}
 	}
-	return sweep(cfg, "Figure 9: effect of query size qs (pq = 0.6)", qsValues, nil)
+	return sweep(cfg, "Figure 9: effect of query size qs (pq = 0.6)", qsValues,
+		func(x float64) (qs, pq float64) { return x, 0.6 })
 }
 
 // Fig10 reproduces Figure 10: query cost versus the probability threshold
@@ -34,38 +34,27 @@ func Fig10(cfg Config, pqValues []float64) ([]SweepPoint, error) {
 	if len(pqValues) == 0 {
 		pqValues = []float64{0.3, 0.45, 0.6, 0.75, 0.9}
 	}
-	return sweep(cfg, "Figure 10: effect of probability threshold pq (qs = 1500)", nil, pqValues)
+	return sweep(cfg, "Figure 10: effect of probability threshold pq (qs = 1500)", pqValues,
+		func(x float64) (qs, pq float64) { return 1500, x })
 }
 
-// sweep runs the shared Fig 9/10 machinery: exactly one of qsValues /
-// pqValues is non-nil; the other parameter is fixed to the paper's value.
-func sweep(cfg Config, title string, qsValues []float64, pqValues []float64) ([]SweepPoint, error) {
+// sweep runs the shared Fig 9/10 machinery: both structures on every
+// dataset answer one workload for each x, whose qs and pq at(x) gives.
+func sweep(cfg Config, title string, xs []float64, at func(x float64) (qs, pq float64)) ([]SweepPoint, error) {
 	var points []SweepPoint
 	out := cfg.Out
 	fprintf(out, "%s\n", title)
 	for _, name := range dataset.All() {
-		objs := dataset.Generate(dataset.Config{Name: name, Scale: cfg.Scale, Seed: cfg.Seed})
-		centers := centersOf(objs)
+		d := generate(name, cfg)
 		for _, kind := range []core.Kind{core.UTree, core.UPCR} {
-			t, _, _, err := buildTree(name, core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)}, cfg)
+			t, _, err := d.build(core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)})
 			if err != nil {
 				return nil, err
 			}
-			xs := qsValues
-			if xs == nil {
-				xs = pqValues
-			}
 			fprintf(out, "%10s %-7v", name, kind)
 			for wi, x := range xs {
-				qs, pq := x, 0.6
-				if qsValues == nil {
-					qs, pq = 1500, x
-				}
-				w := workload.New(workload.Config{
-					QS: qs, PQ: pq, Count: cfg.Queries,
-					Seed: cfg.Seed + int64(wi), Domain: dataset.Domain, Centers: centers,
-				})
-				m, err := runWorkload(t, w)
+				qs, pq := at(x)
+				m, err := d.runWorkload(t, qs, pq, wi)
 				if err != nil {
 					return nil, err
 				}

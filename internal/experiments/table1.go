@@ -38,10 +38,10 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	fprintf(out, "Table 1: size comparison (bytes, index pages only)\n")
 	fprintf(out, "%10s %14s %14s %8s\n", "dataset", "U-PCR", "U-tree", "ratio")
 	for _, name := range dataset.All() {
-		var row Table1Row
-		row.Dataset = name
+		d := generate(name, cfg)
+		row := Table1Row{Dataset: name}
 		for _, kind := range []core.Kind{core.UPCR, core.UTree} {
-			t, _, _, err := buildTree(name, core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)}, cfg)
+			t, _, err := d.build(core.Options{Kind: kind, CatalogSize: paperCatalog(name, kind)})
 			if err != nil {
 				return nil, err
 			}

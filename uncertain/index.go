@@ -6,9 +6,8 @@ import (
 
 // Index is the unified contract of the two U-tree shapes in this package:
 // the single-store Tree and the slab-sharded ShardedTree. Code that
-// drives an index — the batch QueryEngine, the experiment harness, CLIs —
-// should accept an Index so callers pick the shape that fits their
-// workload:
+// drives an index, such as the batch QueryEngine, should accept an Index
+// so callers pick the shape that fits their workload:
 //
 //   - Tree: lock-free snapshot reads beside one serialized writer; queries
 //     pin the committed epoch and never wait on a writer's page I/O. A
