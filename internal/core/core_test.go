@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 	"repro/internal/updf"
 )
 
@@ -796,8 +797,8 @@ func TestOpenRefusesUTR1(t *testing.T) {
 
 func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	cs := pagefile.NewChaosStore(pagefile.NewMemStore(), 0)
-	fault := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: -1, Sticky: true})
+	cs := chaos.New(pagefile.NewMemStore(), 0)
+	fault := cs.MustAddRule(chaos.Rule{Op: chaos.OpAny, Fault: chaos.FaultPermanent, Countdown: -1, Sticky: true})
 	tree, err := New(Options{Dim: 2, Store: cs})
 	if err != nil {
 		t.Fatal(err)
@@ -816,13 +817,13 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 	}
 	// Trip the store and verify errors propagate rather than panic.
 	fault.Arm(0)
-	if err := tree.Insert(objs[n]); !errors.Is(err, pagefile.ErrInjected) {
+	if err := tree.Insert(objs[n]); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fault.Arm(0)
 	if _, _, err := rangeQuery(tree, Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
-	}); !errors.Is(err, pagefile.ErrInjected) {
+	}); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("query under fault: %v", err)
 	}
 	// Heal and confirm reads still work (tree structure was not corrupted

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 	"repro/internal/updf"
 )
 
@@ -358,7 +359,7 @@ func TestDataPageManyRecordsStress(t *testing.T) {
 // Commit surfaces, publishes nothing, and the batch rolls back; the tree
 // then takes the same objects again, and every record reads back.
 func TestDataPageWriteFaultRollsBack(t *testing.T) {
-	cs := pagefile.NewChaosStore(pagefile.NewMemStore(), 0)
+	cs := chaos.New(pagefile.NewMemStore(), 0)
 	tree := dataTree(t, Options{Store: cs})
 	objs := makeObjects(60, 1000, rand.New(rand.NewSource(62)))
 	insert := func(objs []Object) {
@@ -375,8 +376,8 @@ func TestDataPageWriteFaultRollsBack(t *testing.T) {
 	}
 	epoch, page := tree.Epoch(), tree.appendPage
 	insert(objs[30:])
-	h := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultPermanent, Pages: []pagefile.PageID{page}})
-	if err := tree.Commit(); !errors.Is(err, pagefile.ErrInjected) {
+	h := cs.MustAddRule(chaos.Rule{Op: chaos.OpWrite, Fault: chaos.FaultPermanent, Pages: []pagefile.PageID{page}})
+	if err := tree.Commit(); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("commit with the data page's write failing: %v, want ErrInjected", err)
 	}
 	if h.Triggered() != 1 || tree.Epoch() != epoch {

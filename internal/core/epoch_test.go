@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 // The copy-on-write epoch (epoch.go), each behaviour against a real tree.
@@ -108,7 +109,7 @@ func TestEpochViewsLendOnlyCommittedPages(t *testing.T) {
 	}
 
 	inner := pagefile.NewMemStore()
-	wrapped, _ := epochTree(t, Options{Store: pagefile.NewChaosStore(inner, 1)}, 600)
+	wrapped, _ := epochTree(t, Options{Store: chaos.New(inner, 1)}, 600)
 	n, err := wrapped.readCommitted(wrapped.rootPage, wrapped.rootLevel)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // entries store conservative functional boxes and whose intermediate
 // entries store the two rectangles defining the linear e.MBR(p) function —
 // together with the U-PCR comparison structure of the experiments (entries
-// store all catalog PCRs) and a sequential-scan baseline.
+// store all catalog PCRs).
 //
 // Both index variants share one paged tree engine; they differ only in
 // entry representation, penalty-metric geometry and the leaf filter rules

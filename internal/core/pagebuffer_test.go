@@ -204,6 +204,7 @@ func TestPageBufferFreedPageNeverWritten(t *testing.T) {
 
 // countedTree bulk loads n objects onto a fresh in-memory store behind a
 // writeCounter and commits them, so the next batch starts from a clean map.
+// Its callers count store reads as deltas of the store's Stats.
 func countedTree(t *testing.T, n int, seed int64) (*Tree, *pagefile.MemStore, *writeCounter) {
 	t.Helper()
 	ms := pagefile.NewMemStore()
@@ -216,7 +217,6 @@ func countedTree(t *testing.T, n int, seed int64) (*Tree, *pagefile.MemStore, *w
 		t.Fatalf("%d objects fit in the root leaf; the test needs a parent", n)
 	}
 	wc.reset()
-	ms.Stats().Reset()
 	return tree, ms, wc
 }
 
@@ -226,11 +226,12 @@ func countedTree(t *testing.T, n int, seed int64) (*Tree, *pagefile.MemStore, *w
 func TestPageBufferReadThroughAndWriteBack(t *testing.T) {
 	tree, ms, wc := countedTree(t, 1500, 39)
 	hits0, misses0 := tree.CacheStats()
+	reads0 := ms.Stats().Reads.Load()
 	root, err := tree.readNode(tree.rootPage, tree.rootLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reads := ms.Stats().Reads.Load(); reads != 1 {
+	if reads := ms.Stats().Reads.Load() - reads0; reads != 1 {
 		t.Fatalf("reading the committed root made %d store reads, want 1", reads)
 	}
 	committedRoot := root.page
@@ -251,7 +252,7 @@ func TestPageBufferReadThroughAndWriteBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reads := ms.Stats().Reads.Load(); reads != 1 {
+	if reads := ms.Stats().Reads.Load() - reads0; reads != 1 {
 		t.Fatalf("reading the dirty root made %d store reads, want none", reads-1)
 	}
 	if hits, misses := tree.CacheStats(); hits-hits0 != 1 || misses-misses0 != 1 {
@@ -369,6 +370,7 @@ func TestPageBufferFlushWritesEachPageOnce(t *testing.T) {
 func TestPageBufferCleanGetNotKept(t *testing.T) {
 	tree, ms, wc := countedTree(t, 1500, 41)
 	hits0, misses0 := tree.CacheStats()
+	reads0 := ms.Stats().Reads.Load()
 	root, err := tree.readNode(tree.rootPage, tree.rootLevel)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +388,7 @@ func TestPageBufferCleanGetNotKept(t *testing.T) {
 			reads++
 		}
 	}
-	if got := ms.Stats().Reads.Load(); got != reads {
+	if got := ms.Stats().Reads.Load() - reads0; got != reads {
 		t.Fatalf("%d clean node reads made %d store reads, want %d", reads, got, reads)
 	}
 	if hits, misses := tree.CacheStats(); hits != hits0 || misses-misses0 != reads {

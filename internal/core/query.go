@@ -53,8 +53,8 @@ type Result struct {
 	// qualification probability already reaches the threshold — derived
 	// from its PCR/CFB faces at the leaf (pcr.Faces.ProbBounds /
 	// ProbBoundsPCR), or from its pdf's own marginals, at the leaf through
-	// its shape or after its record was read (pcr.Shape.ProbBoundsMarginal /
-	// pcr.ProbBoundsMarginal).
+	// its shape or after its record was read (pcr.Shape.FilterMarginal /
+	// pcr.FilterMarginal).
 	Validated bool
 }
 

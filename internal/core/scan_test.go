@@ -9,8 +9,8 @@ import (
 // sequentially, filtered with Observation 3 on the faces a U-tree leaf
 // entry gives them — an object with a ShapeKey its shape's, translated, the
 // first object of the key the prototype as in a tree's shape table; one
-// without, its own float32 CFBs — and refined by Equation 2 when needed. It
-// doubles as the ground-truth oracle in tests.
+// without, its own float32 CFBs — and refined by Equation 2 when needed.
+// BruteForce, which filters nothing, is the tests' ground-truth oracle.
 type Scan struct {
 	cat     pcr.Catalog
 	objects []scanItem

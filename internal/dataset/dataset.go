@@ -74,17 +74,6 @@ func Generate(cfg Config) []core.Object {
 	}
 }
 
-// Points returns just the underlying point set (query-center sampling uses
-// this).
-func Points(cfg Config) []geom.Point {
-	objs := Generate(cfg)
-	pts := make([]geom.Point, len(objs))
-	for i, o := range objs {
-		pts[i] = o.PDF.Center()
-	}
-	return pts
-}
-
 func scaled(n int, scale float64) int {
 	v := int(float64(n) * scale)
 	if v < 100 {

@@ -143,6 +143,17 @@ func TestAircraftGeometry(t *testing.T) {
 	}
 }
 
+// Points returns the centres of the objects Generate(cfg) makes, from a
+// generation of their own.
+func Points(cfg Config) []geom.Point {
+	objs := Generate(cfg)
+	pts := make([]geom.Point, len(objs))
+	for i, o := range objs {
+		pts[i] = o.PDF.Center()
+	}
+	return pts
+}
+
 func TestPointsMatchesGenerate(t *testing.T) {
 	cfg := Config{Name: LB, Scale: 0.005, Seed: 9}
 	objs := Generate(cfg)

@@ -14,9 +14,9 @@ import (
 //   - ErrBadPage: the page is unusable for a structural reason (a trailer
 //     naming another page, a failed decode). Permanent.
 //   - anything else (I/O errors from the OS, ErrFault, ErrPageOutOfRange,
-//     ErrInjected, ...): the operation that hit it fails and the error
-//     surfaces verbatim. No layer retries it; the caller may retry the
-//     operation.
+//     a test's injected fault, ...): the operation that hit it fails and
+//     the error surfaces verbatim. No layer retries it; the caller may
+//     retry the operation.
 
 // ErrChecksum is the sentinel matched by errors.Is for any page whose
 // stored CRC does not cover its payload. The concrete error in the chain
@@ -60,9 +60,6 @@ func (e *BadPageError) Is(target error) bool { return target == ErrBadPage }
 // file cut short under the store, or the medium failed the read.
 var ErrFault = errors.New("pagefile: fault reading a mapped page")
 
-// ErrInjected is the error surfaced by ChaosStore's injected faults.
-var ErrInjected = errors.New("pagefile: injected fault")
-
 // Optional store capabilities, probed with type assertions by the layers
 // above. Wrappers forward them to their inner store so a capability
 // implemented by the base store stays reachable through the whole stack.
@@ -75,17 +72,15 @@ type PageVerifier interface {
 }
 
 // Corrupter flips one payload bit in place WITHOUT updating any checksum
-// trailer — the chaos harness's model of silent media corruption. On a
-// checksummed store the next Read returns a *ChecksumError; on a plain
-// store the flip is undetectable (which is exactly the failure mode
-// checksums exist to close).
+// trailer — package chaos's model of silent media corruption. FileStore
+// is one, and its next Read of the page returns a *ChecksumError.
 type Corrupter interface {
 	CorruptPayload(id PageID, bit int) error
 }
 
 // TornWriter persists only the first n bytes of buf, leaving the page
-// tail and any checksum trailer at their previous contents — the chaos
-// harness's model of a torn (partially persisted) write.
+// tail and any checksum trailer at their previous contents — package
+// chaos's model of a torn (partially persisted) write.
 type TornWriter interface {
 	WriteTorn(id PageID, buf []byte, n int) error
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // fillPage returns a page-sized buffer with a recognizable pattern.
@@ -187,155 +186,4 @@ func TestOpenFileStoreV2(t *testing.T) {
 		t.Fatalf("header version %d after a write, want %d", v, fileVersion)
 	}
 	re.Close()
-}
-
-// TestChaosStoreTransientCountdown: a non-sticky countdown rule fails
-// exactly one matching operation, and the store heals on the next.
-func TestChaosStoreTransientCountdown(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 1)
-	h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultPermanent, Countdown: 2})
-	id, err := cs.Alloc() // Alloc doesn't match OpRead
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	for i := 0; i < 2; i++ {
-		if err := cs.Read(id, buf); err != nil {
-			t.Fatalf("read %d before countdown: %v", i, err)
-		}
-	}
-	err = cs.Read(id, buf)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("countdown read: %v, want ErrInjected", err)
-	}
-	if h.Triggered() != 1 {
-		t.Fatalf("triggered = %d, want 1", h.Triggered())
-	}
-	// Non-sticky: next read succeeds.
-	if err := cs.Read(id, buf); err != nil {
-		t.Fatalf("read after non-sticky trigger: %v", err)
-	}
-	if cs.InjectedCount(FaultPermanent) != 1 {
-		t.Fatalf("injected count = %d", cs.InjectedCount(FaultPermanent))
-	}
-}
-
-// TestChaosStorePageRule: a rule naming pages fires on operations on those
-// pages only, and never on an Alloc, which names none.
-func TestChaosStorePageRule(t *testing.T) {
-	cs := NewChaosStore(NewMemStore(), 1)
-	a, _ := cs.Alloc()
-	b, _ := cs.Alloc()
-	h := cs.MustAddRule(ChaosRule{Op: OpAny, Fault: FaultPermanent, Sticky: true, Pages: []PageID{b}})
-	if _, err := cs.Alloc(); err != nil {
-		t.Fatalf("alloc under a page rule: %v", err)
-	}
-	buf := make([]byte, PageSize)
-	for i := 0; i < 2; i++ {
-		if err := cs.Write(a, buf); err != nil {
-			t.Fatalf("write of page %d: %v", a, err)
-		}
-		if err := cs.Read(a, buf); err != nil {
-			t.Fatalf("read of page %d: %v", a, err)
-		}
-		if err := cs.Read(b, buf); !errors.Is(err, ErrInjected) {
-			t.Fatalf("read of the rule's page %d: %v, want ErrInjected", b, err)
-		}
-	}
-	if h.Triggered() != 2 {
-		t.Fatalf("triggered = %d, want 2", h.Triggered())
-	}
-}
-
-func TestChaosStoreProbabilisticDeterminism(t *testing.T) {
-	run := func() int64 {
-		inner := NewMemStore()
-		cs := NewChaosStore(inner, 42)
-		h := cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultPermanent, Prob: 0.3})
-		id, _ := cs.Alloc()
-		buf := make([]byte, PageSize)
-		for i := 0; i < 200; i++ {
-			_ = cs.Read(id, buf)
-		}
-		return h.Triggered()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed diverged: %d vs %d", a, b)
-	}
-	if a == 0 || a == 200 {
-		t.Fatalf("implausible trigger count %d for p=0.3 over 200 ops", a)
-	}
-}
-
-func TestChaosStoreBitFlipOnFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.pg")
-	fs, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	cs := NewChaosStore(fs, 7)
-	id, _ := cs.Alloc()
-	if err := cs.Write(id, fillPage(9)); err != nil {
-		t.Fatal(err)
-	}
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultBitFlip, Countdown: 0, Bit: -1})
-	buf := make([]byte, PageSize)
-	if err := cs.Read(id, buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("bit-flipped read on checksummed store: %v, want ErrChecksum", err)
-	}
-	// The damage is on the medium: later reads without injection fail too.
-	if err := fs.Read(id, buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("direct read after flip: %v, want ErrChecksum", err)
-	}
-}
-
-func TestChaosStoreTornWriteOnFileStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.pg")
-	fs, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	cs := NewChaosStore(fs, 7)
-	id, _ := cs.Alloc()
-	if err := cs.Write(id, fillPage(1)); err != nil {
-		t.Fatal(err)
-	}
-	cs.MustAddRule(ChaosRule{Op: OpWrite, Fault: FaultTornWrite, Countdown: 0})
-	// The torn write reports success — tearing is silent until read back.
-	if err := cs.Write(id, fillPage(50)); err != nil {
-		t.Fatalf("torn write surfaced an error: %v", err)
-	}
-	buf := make([]byte, PageSize)
-	if err := cs.Read(id, buf); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("read after torn write: %v, want ErrChecksum", err)
-	}
-}
-
-func TestChaosStoreRuleValidation(t *testing.T) {
-	cs := NewChaosStore(NewMemStore(), 0)
-	if _, err := cs.AddRule(ChaosRule{Op: OpWrite, Fault: FaultBitFlip}); err == nil {
-		t.Fatal("bit-flip on writes accepted")
-	}
-	if _, err := cs.AddRule(ChaosRule{Op: OpRead, Fault: FaultTornWrite}); err == nil {
-		t.Fatal("torn write on reads accepted")
-	}
-}
-
-func TestChaosStoreLatencyRule(t *testing.T) {
-	inner := NewMemStore()
-	cs := NewChaosStore(inner, 0)
-	cs.MustAddRule(ChaosRule{Op: OpRead, Fault: FaultLatency, Countdown: 0, Latency: 20 * time.Millisecond})
-	id, _ := cs.Alloc()
-	buf := make([]byte, PageSize)
-	start := time.Now()
-	if err := cs.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("latency spike not applied: %v", d)
-	}
 }

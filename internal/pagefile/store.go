@@ -1,7 +1,7 @@
 // Package pagefile provides the disk substrate of the U-tree reproduction:
 // fixed-size 4096-byte pages (the paper's page size), an in-memory and a
-// file-backed store with its header and page checksums, a fault injector
-// and I/O statistics. The bytes of a page are its owner's: the tree's node,
+// file-backed store with its header and page checksums, and I/O
+// statistics. The bytes of a page are its owner's: the tree's node,
 // data and metadata page formats live in package core.
 package pagefile
 
@@ -41,14 +41,6 @@ type Stats struct {
 // Snapshot returns a plain-value copy of the counters.
 func (s *Stats) Snapshot() (reads, writes, allocs, frees int64) {
 	return s.Reads.Load(), s.Writes.Load(), s.Allocs.Load(), s.Frees.Load()
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.Reads.Store(0)
-	s.Writes.Store(0)
-	s.Allocs.Store(0)
-	s.Frees.Store(0)
 }
 
 // Store is the page-granularity storage abstraction.
@@ -227,47 +219,4 @@ func (m *MemStore) VerifyPage(id PageID) error {
 	defer m.mu.Unlock()
 	_, err := m.ids.check(id)
 	return err
-}
-
-// CorruptPayload implements Corrupter: flips one bit of the page in place.
-// With no trailer the flip is undetectable by Read — detection tests must
-// use FileStore.
-func (m *MemStore) CorruptPayload(id PageID, bit int) error {
-	if bit < 0 || bit >= PageSize*8 {
-		return fmt.Errorf("pagefile: corrupt bit %d out of range", bit)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.ids.check(id); err != nil {
-		return err
-	}
-	m.pages[id][bit/8] ^= 1 << (bit % 8)
-	return nil
-}
-
-// WriteTorn implements TornWriter: persists only the first n bytes of buf,
-// leaving the page tail at its previous contents.
-func (m *MemStore) WriteTorn(id PageID, buf []byte, n int) error {
-	if len(buf) != PageSize {
-		return ErrBadLength
-	}
-	if n < 0 || n > PageSize {
-		return fmt.Errorf("pagefile: torn length %d out of range", n)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.ids.check(id); err != nil {
-		return err
-	}
-	m.stats.Writes.Add(1)
-	copy(m.pages[id][:n], buf[:n])
-	return nil
-}
-
-// SizeBytes reports the total allocated page bytes — the "size comparison"
-// number of Table 1.
-func (m *MemStore) SizeBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return int64(m.ids.live) * PageSize
 }

@@ -19,7 +19,6 @@ package pcr
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -144,17 +143,4 @@ func (c Catalog) QuantileLevels(pq float64) (a, b int) {
 		}
 	}
 	return a, b
-}
-
-// Equal reports whether two catalogs hold identical values.
-func (c Catalog) Equal(other Catalog) bool {
-	if len(c.values) != len(other.values) {
-		return false
-	}
-	for i := range c.values {
-		if math.Abs(c.values[i]-other.values[i]) > catalogEps {
-			return false
-		}
-	}
-	return true
 }

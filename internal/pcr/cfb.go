@@ -77,21 +77,14 @@ func (f Faces) stored(out, in CFB) Faces {
 	return f
 }
 
-// Rect materializes cfb_out's box(p), with crossed faces collapsed to their
-// midpoint so each extent is a valid interval. That suits what Rect is for
-// — the boundaries (MBR⊥, MBR⊤) of a leaf entry, whose cfb_out faces never
-// cross, and diagnostics — and nothing else: the faces of cfb_in meet at
-// p_m wherever Inequality 14 binds and inward rounding crosses them there,
-// and their midpoint is no face of anything. The filter reads faces one at
-// a time (within, meets, cfbTail).
-func (f Faces) Rect(p float64) geom.Rect {
-	d := len(f) / 4
-	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
-	f.RectInto(r, p)
-	return r
-}
-
-// RectInto is Rect into r's coordinate slices, which the caller provides.
+// RectInto materializes cfb_out's box(p) into r's coordinate slices, which
+// the caller provides, with crossed faces collapsed to their midpoint so
+// each extent is a valid interval. That suits what it is for — the
+// boundaries (MBR⊥, MBR⊤) of a leaf entry, whose cfb_out faces never cross,
+// and diagnostics — and nothing else: the faces of cfb_in meet at p_m
+// wherever Inequality 14 binds and inward rounding crosses them there, and
+// their midpoint is no face of anything. The filter reads faces one at a
+// time (within, meets, cfbTail).
 func (f Faces) RectInto(r geom.Rect, p float64) {
 	for i := range r.Lo {
 		lo, hi := f[4*i].at(p), f[4*i+1].at(p)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/updf"
@@ -312,6 +313,71 @@ func TestFitCoversExactly(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFitRepairStep pins four 1-D PCR families that the float32 rounding
+// alone leaves on the wrong side of a PCR face, one for each face FitOut
+// and FitIn repair, so the repair has to step an intercept: a region a few
+// float64 ulps wide, far from the origin, whose outermost face is a float32
+// value. There the
+// intercept rounds to itself, and the float64 evaluation of a face can land
+// one ulp beyond the PCR face it was fitted under. After the repair both
+// fits hold their invariants with zero tolerance (checkQuantised). A repair
+// that steps the wrong way never ends, so the fits run under a deadline.
+func TestFitRepairStep(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		outward bool // the family cfb_out's repair steps; cfb_in's otherwise
+		lo, hi  []float64
+	}{
+		{"cfb_out low face", true,
+			[]float64{3.72772725e+06, 3.7277272500000005e+06, 3.727727250000002e+06, 3.7277272500000023e+06, 3.727727250000003e+06, 3.7277272500000033e+06, 3.7277272500000047e+06, 3.7277272500000056e+06},
+			[]float64{3.7277272500000126e+06, 3.727727250000012e+06, 3.72772725000001e+06, 3.7277272500000093e+06, 3.727727250000008e+06, 3.727727250000008e+06, 3.7277272500000075e+06, 3.727727250000006e+06}},
+		{"cfb_in low face", false,
+			[]float64{2.9472534e+07, 2.9472534000000004e+07, 2.9472534000000004e+07, 2.9472534000000007e+07, 2.9472534000000007e+07},
+			[]float64{2.947253400000002e+07, 2.947253400000002e+07, 2.947253400000002e+07, 2.9472534000000015e+07, 2.9472534000000007e+07}},
+		{"cfb_out high face", true,
+			[]float64{1.739754999999997e+07, 1.7397549999999974e+07, 1.7397549999999974e+07, 1.739754999999999e+07, 1.739754999999999e+07},
+			[]float64{1.739755e+07, 1.739755e+07, 1.7397549999999996e+07, 1.7397549999999996e+07, 1.7397549999999993e+07}},
+		{"cfb_in high face", false,
+			[]float64{1.8022061999999966e+07, 1.8022061999999966e+07, 1.8022061999999966e+07, 1.8022061999999974e+07, 1.8022061999999974e+07, 1.8022061999999978e+07, 1.802206199999998e+07, 1.802206199999998e+07, 1.8022061999999985e+07},
+			[]float64{1.8022062e+07, 1.8022061999999996e+07, 1.8022061999999996e+07, 1.8022061999999993e+07, 1.8022061999999993e+07, 1.802206199999999e+07, 1.802206199999999e+07, 1.8022061999999985e+07, 1.8022061999999985e+07}},
+	} {
+		pcrs := facesPCRs(UniformCatalog(len(tc.lo)), tc.lo, tc.hi)
+		// Rounded and not repaired, the faces are on the wrong side.
+		var s fitScratch
+		los, his := s.columns(pcrs, 0)
+		fit := (*fitScratch).inFaces
+		if tc.outward {
+			fit = (*fitScratch).outFaces
+		}
+		lo, hi := fit(&s, pcrs.Cat, los, his)
+		c := make(CFB, 4)
+		c.quantise(0, lo, hi, tc.outward)
+		short := false
+		for j, p := range pcrs.Cat.values {
+			if tc.outward {
+				short = short || c.Lo(0, p) > los[j] || c.Hi(0, p) < his[j]
+			} else {
+				short = short || c.Lo(0, p) < los[j] || c.Hi(0, p) > his[j]
+			}
+		}
+		if !short {
+			t.Fatalf("%s: the rounded faces need no repair; the case no longer reaches step32", tc.name)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			FitOut(pcrs)
+			FitIn(pcrs)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the repair did not end in 10 s", tc.name)
+		}
+		checkQuantised(t, tc.name, pcrs)
 	}
 }
 

@@ -103,6 +103,3 @@ func pcrsAt(cat Catalog, ctr geom.Point, mbr geom.Rect, off [][]float64) PCRs {
 	}
 	return PCRs{Cat: cat, Boxes: boxes}
 }
-
-// Box returns o.pcr(p_j).
-func (p PCRs) Box(j int) geom.Rect { return p.Boxes[j] }

@@ -472,3 +472,11 @@ func TestComputePinsPCR0ToMBR(t *testing.T) {
 		}
 	}
 }
+
+// Rect is RectInto into a fresh rectangle.
+func (f Faces) Rect(p float64) geom.Rect {
+	d := len(f) / 4
+	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
+	f.RectInto(r, p)
+	return r
+}

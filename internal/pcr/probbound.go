@@ -38,8 +38,8 @@ import (
 // boundPruneEps for that.
 //
 // Once refinement holds the object's pdf, the same two formulas are fed the
-// pdf's own marginal tail masses (ProbBoundsMarginal): exact where the
-// stored faces only pin the marginal at 2m loosened positions.
+// pdf's own marginal tail masses (FilterMarginal): exact where the stored
+// faces only pin the marginal at 2m loosened positions.
 //
 // Neither formula bounds the mass beyond two faces at once, which is all a
 // ball cut at a corner of rq leaves undecided. For the two radially
@@ -229,30 +229,6 @@ func (f Faces) ProbBounds(cat Catalog, mbr, rq geom.Rect) (lb, ub float64) {
 	return acc.result()
 }
 
-// ProbBoundsMarginal brackets the qualification probability of an object
-// whose pdf is in hand — refinement, after the record is read — with the
-// same union bound and slab bound as above, the tails now taken from the
-// pdf's own marginals: L_i = P(X_i < rq.Lo[i]) = MarginalCDF(i, rq.Lo[i])
-// and R_i = 1 − MarginalCDF(i, rq.Hi[i]) (a pdf is a density, so a single
-// coordinate carries no mass), exactly 0 where rq reaches past the MBR.
-// When rq clips the object on a single dimension the pair closes to the
-// probability itself. A radial pdf's bracket is tightened by the pair
-// terms (the header's third formula).
-//
-// s is p's shape, nil for a pdf with none. A family whose MarginalCDF is
-// closed form is called and gives exact tails; one whose MarginalCDF is a
-// quadrature rule (updf.MarginalTable) is never called here when it has a
-// shape: each tail is bracketed between two knots of the shape's table. A
-// mixture's tails are the weighted sums of its components'. With a nil
-// shape nothing is tabulated and every MarginalCDF is called; a 2-D
-// uniform ball's corner masses are evaluated at the knots its quadrant
-// table would hold, and a 2-D Con-Gau's pair terms do without them.
-func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, s *Shape) (lb, ub float64) {
-	var m marginal
-	m.read(p, rq, s)
-	return m.pairs(nil)
-}
-
 // marginalTails brackets P(X_dim < a) and P(X_dim > b) for p, of shape s.
 func (s *Shape) marginalTails(p updf.PDF, dim int, a, b float64) (left, right tail) {
 	if m, ok := p.(*updf.Mixture); ok {
@@ -285,29 +261,6 @@ func ShapeSlack(pm, mbr geom.Rect, i int) float64 {
 	return max(math.Abs(pm.Lo[i]), math.Abs(pm.Hi[i]), math.Abs(mbr.Lo[i]), math.Abs(mbr.Hi[i])) / (1 << 48)
 }
 
-// ProbBoundsMarginal is the package's ProbBoundsMarginal for an object of
-// this shape whose record has not been read: known are its MBR and the
-// shape's prototype — the same density up to translation — with MBR pm.
-// rq is carried into the prototype's frame and every tail bracketed between
-// marginalTails with its face pushed in by δ (the tail at its largest) and
-// pulled out by δ (smallest), then the pair is widened by boundPruneEps,
-// far above what one CDF formula evaluated on two translates differs by. A
-// face's offset from the centre is known to δ, so a radial shape's pair
-// terms read each offset at the end of its interval that weakens them. So
-// the bracket holds the one ProbBoundsMarginal gives on the object's pdf,
-// and Shape.FilterMarginal decides nothing FilterMarginal does not decide
-// the same way.
-func (s *Shape) ProbBoundsMarginal(mbr, rq geom.Rect) (lb, ub float64) {
-	var m marginal
-	m.readShape(s, mbr, rq)
-	return widen(m.pairs(nil))
-}
-
-// widen is the leaf's last step: the bracket widened by boundPruneEps.
-func widen(lb, ub float64) (float64, float64) {
-	return max(lb-boundPruneEps, 0), min(ub+boundPruneEps, 1)
-}
-
 // maxPairDim is the largest dimensionality the pair terms cover.
 const maxPairDim = 3
 
@@ -319,9 +272,9 @@ type face struct {
 	lo, hi float64
 }
 
-// marginal is the first-order bracket both ProbBoundsMarginal build and,
-// when the pdf is radially symmetric, what its pair terms reuse of it:
-// every face's tail and offset.
+// marginal is the first-order bracket both FilterMarginal build and, when
+// the pdf is radially symmetric, what its pair terms reuse of it: every
+// face's tail and offset.
 type marginal struct {
 	bounds
 	shape  *Shape    // the pdf's shape, whose tables the tails are read off; nil for none
@@ -341,7 +294,23 @@ func radial(p updf.PDF) bool {
 	return false
 }
 
-// read is the first-order bracket of ProbBoundsMarginal.
+// read is the first-order bracket of an object whose pdf is in hand —
+// refinement, after the record is read — with the same union bound and slab
+// bound as the stored faces give, the tails now taken from the pdf's own
+// marginals: L_i = P(X_i < rq.Lo[i]) = MarginalCDF(i, rq.Lo[i]) and R_i =
+// 1 − MarginalCDF(i, rq.Hi[i]) (a pdf is a density, so a single coordinate
+// carries no mass), exactly 0 where rq reaches past the MBR. When rq clips
+// the object on a single dimension the pair closes to the probability
+// itself.
+//
+// s is p's shape, nil for a pdf with none. A family whose MarginalCDF is
+// closed form is called and gives exact tails; one whose MarginalCDF is a
+// quadrature rule (updf.MarginalTable) is never called here when it has a
+// shape: each tail is bracketed between two knots of the shape's table. A
+// mixture's tails are the weighted sums of its components'. With a nil
+// shape nothing is tabulated and every MarginalCDF is called; a 2-D
+// uniform ball's corner masses are evaluated at the knots its quadrant
+// table would hold, and a 2-D Con-Gau's pair terms do without them.
 func (m *marginal) read(p updf.PDF, rq geom.Rect, s *Shape) {
 	m.bounds, m.shape = newBounds(), s
 	var c geom.Point
@@ -358,7 +327,17 @@ func (m *marginal) read(p updf.PDF, rq geom.Rect, s *Shape) {
 	}
 }
 
-// readShape is Shape.ProbBoundsMarginal's first-order bracket, unwidened.
+// readShape is read for an object of shape s whose record has not been
+// read: known are its MBR and the shape's prototype — the same density up
+// to translation — with MBR pm. rq is carried into the prototype's frame
+// and every tail bracketed between marginalTails with its face pushed in
+// by δ (the tail at its largest) and pulled out by δ (smallest); the
+// leaf's threshold then widens the pair by boundPruneEps, far above what
+// one CDF formula evaluated on two translates differs by. A face's offset
+// from the centre is known to δ, so a radial shape's pair terms read each
+// offset at the end of its interval that weakens them. So the bracket holds
+// the one read gives on the object's pdf, and Shape.FilterMarginal decides
+// nothing FilterMarginal does not decide the same way.
 func (m *marginal) readShape(s *Shape, mbr, rq geom.Rect) {
 	m.bounds, m.shape = newBounds(), s
 	var c geom.Point

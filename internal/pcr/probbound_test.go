@@ -9,6 +9,27 @@ import (
 	"repro/internal/updf"
 )
 
+// ProbBoundsMarginal is the bracket FilterMarginal decides on: read's
+// first-order bracket, tightened for a radial pdf by the pair terms.
+func ProbBoundsMarginal(p updf.PDF, rq geom.Rect, s *Shape) (lb, ub float64) {
+	var m marginal
+	m.read(p, rq, s)
+	return m.pairs(nil)
+}
+
+// ProbBoundsMarginal is the bracket Shape.FilterMarginal decides on, widened
+// as its threshold widens it.
+func (s *Shape) ProbBoundsMarginal(mbr, rq geom.Rect) (lb, ub float64) {
+	var m marginal
+	m.readShape(s, mbr, rq)
+	return widen(m.pairs(nil))
+}
+
+// widen is the leaf's last step: the bracket widened by boundPruneEps.
+func widen(lb, ub float64) (float64, float64) {
+	return max(lb-boundPruneEps, 0), min(ub+boundPruneEps, 1)
+}
+
 // boundTestPDFs returns one pdf of every updf family with an exact oracle:
 // the four symmetric ones, the asymmetric ones (skewed, arbitrary
 // histogram, polygon, bimodal mixture) whose left and right tails differ,

@@ -146,8 +146,7 @@ func (f Faces) rules(cat Catalog, mbr, rq geom.Rect, pq float64) Outcome {
 // Equation 2 has to be evaluated. Both tests carry boundPruneEps, so an
 // evaluator good to 1e-10 agrees with every decision taken here. A radial
 // pdf the first-order bounds leave undecided — a ball rq cuts at a corner
-// — is tested again with the pair terms (ProbBoundsMarginal), which reuse
-// its tails.
+// — is tested again with the pair terms, which reuse its tails.
 func FilterMarginal(p updf.PDF, rq geom.Rect, pq float64, s *Shape) Outcome {
 	var m marginal
 	m.read(p, rq, s)
@@ -165,7 +164,7 @@ func (s *Shape) FilterMarginal(mbr, rq geom.Rect, pq float64) Outcome {
 
 // decide tests the first-order bracket against pq and, where that leaves
 // the candidate Unknown and the pdf is radial, the one with the pair terms;
-// atLeaf widens each as Shape.ProbBoundsMarginal does.
+// atLeaf widens each by boundPruneEps.
 func (m *marginal) decide(pq float64, atLeaf bool) Outcome {
 	t := &threshold{pq, atLeaf}
 	if o := t.outcome(m.result()); o != Unknown || m.radial == nil {
@@ -176,8 +175,8 @@ func (m *marginal) decide(pq float64, atLeaf bool) Outcome {
 
 // threshold is the test a filter puts to a bracket: Validated where lb
 // reaches pq + boundPruneEps, PrunedByBound where ub falls short of pq −
-// boundPruneEps, on the bracket as it stands or, at the leaf, widened as
-// widen widens it.
+// boundPruneEps, on the bracket as it stands or, at the leaf, widened by
+// boundPruneEps first.
 type threshold struct {
 	pq   float64
 	leaf bool

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 // Tests of object addressing: an ID names one object in the whole index,
@@ -511,10 +512,10 @@ func recordPage(t *testing.T, tree *Tree, objs map[int64]PDF) (int64, core.DataA
 func TestDeleteByIDRecordReadFails(t *testing.T) {
 	for name, cfg := range deleteByIDConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			var chaos *pagefile.ChaosStore
+			var inj *chaos.Store
 			cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-				chaos = pagefile.NewChaosStore(s, 1)
-				return chaos
+				inj = chaos.New(s, 1)
+				return inj
 			}
 			tree, err := NewTree(cfg)
 			if err != nil {
@@ -529,9 +530,9 @@ func TestDeleteByIDRecordReadFails(t *testing.T) {
 			want := searchInOrder(t, tree, queries)
 			victim, addr := recordPage(t, tree, objs)
 
-			rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Sticky: true, Pages: []pagefile.PageID{addr.Page}})
+			rule := inj.MustAddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultPermanent, Sticky: true, Pages: []pagefile.PageID{addr.Page}})
 			for attempt := 0; attempt < 2; attempt++ {
-				if err := tree.Delete(victim); !errors.Is(err, pagefile.ErrInjected) {
+				if err := tree.Delete(victim); !errors.Is(err, chaos.ErrInjected) {
 					t.Fatalf("Delete(%d) with its record page %d unreadable: %v, want ErrInjected", victim, addr.Page, err)
 				}
 			}

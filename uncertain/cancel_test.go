@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 // This file is the correctness contract of the context-first query API:
@@ -21,8 +22,8 @@ import (
 
 // slowStore is the page latency of these tests: a chaos rule stalling every
 // page operation of cs, installed once the index is built.
-func slowStore(cs *pagefile.ChaosStore, latency time.Duration) {
-	cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultLatency, Prob: 1, Latency: latency})
+func slowStore(cs *chaos.Store, latency time.Duration) {
+	cs.MustAddRule(chaos.Rule{Op: chaos.OpAny, Fault: chaos.FaultLatency, Prob: 1, Latency: latency})
 }
 
 // cancelFixture builds a file-backed Tree whose physical page accesses
@@ -30,11 +31,11 @@ func slowStore(cs *pagefile.ChaosStore, latency time.Duration) {
 // fast).
 func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 	t.Helper()
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	ct, err := NewTree(Config{
 		WrapStore: func(s pagefile.Store) pagefile.Store {
-			chaos = pagefile.NewChaosStore(s, 1)
-			return chaos
+			inj = chaos.New(s, 1)
+			return inj
 		},
 		Dimensions: 2,
 		Path:       filepath.Join(t.TempDir(), "cancel.utree"),
@@ -50,7 +51,7 @@ func cancelFixture(t *testing.T, latency time.Duration) (*Tree, []RangeQuery) {
 		t.Fatal(err)
 	}
 	if latency > 0 {
-		slowStore(chaos, latency)
+		slowStore(inj, latency)
 	}
 	return ct, shardedFixtureQueries(40, 62)
 }
@@ -208,11 +209,11 @@ func TestNNCancel(t *testing.T) {
 // the shard being searched, skips the rest and returns the caller's
 // context error, not a shard-wrapped one.
 func TestShardedCancel(t *testing.T) {
-	var chaos []*pagefile.ChaosStore // one per shard, built one after another
+	var inj []*chaos.Store // one per shard, built one after another
 	st, err := NewSpatialShardedTree(4, Config{Dimensions: 2,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
-			cs := pagefile.NewChaosStore(s, 1)
-			chaos = append(chaos, cs)
+			cs := chaos.New(s, 1)
+			inj = append(inj, cs)
 			return cs
 		}}, fixtureDomain)
 	if err != nil {
@@ -227,7 +228,7 @@ func TestShardedCancel(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, cs := range chaos {
+	for _, cs := range inj {
 		slowStore(cs, 2*time.Millisecond)
 	}
 

@@ -237,15 +237,10 @@ func TestIndexConformance(t *testing.T) {
 		if exact != nil {
 			return
 		}
-		scan := core.NewScan(objs, 9)
 		for _, q := range queries {
 			probs := make(map[int64]float64, len(objs))
 			for _, o := range objs {
-				probs[o.ID] = 0
-			}
-			// Prob > 0 only: BruteForce reports p ≥ threshold.
-			for _, r := range scan.BruteForce(core.Query{Rect: q.Rect, Prob: math.SmallestNonzeroFloat64}) {
-				probs[r.ID] = r.Prob
+				probs[o.ID] = o.PDF.ExactProb(q.Rect)
 			}
 			exact = append(exact, probs)
 		}

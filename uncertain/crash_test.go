@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 // This file is the crash-consistency contract of the copy-on-write commit
@@ -120,11 +121,11 @@ func deleteAllByID(t *testing.T, k int, rt *Tree) {
 }
 
 // failAfter wraps s so k store operations succeed and every later one
-// fails with pagefile.ErrInjected: a process that died at offset k. The
+// fails with chaos.ErrInjected: a process that died at offset k. The
 // handle's Remaining stays above 0 while the countdown has not run out.
-func failAfter(s pagefile.Store, k int) (pagefile.Store, *pagefile.RuleHandle) {
-	cs := pagefile.NewChaosStore(s, 0)
-	h := cs.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Countdown: int64(k), Sticky: true})
+func failAfter(s pagefile.Store, k int) (pagefile.Store, *chaos.RuleHandle) {
+	cs := chaos.New(s, 0)
+	h := cs.MustAddRule(chaos.Rule{Op: chaos.OpAny, Fault: chaos.FaultPermanent, Countdown: int64(k), Sticky: true})
 	return cs, h
 }
 
@@ -147,7 +148,7 @@ func runCrashSweep(t *testing.T, golden []byte, cfg Config, queries []RangeQuery
 		if err := os.WriteFile(work, golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var fault *pagefile.RuleHandle
+		var fault *chaos.RuleHandle
 		fcfg := cfg
 		fcfg.WrapStore = func(s pagefile.Store) (ws pagefile.Store) {
 			ws, fault = failAfter(s, k)
@@ -405,7 +406,7 @@ func TestOpenTreeSweepsLeakedPages(t *testing.T) {
 		if err := os.WriteFile(work, golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var fault *pagefile.RuleHandle
+		var fault *chaos.RuleHandle
 		fcfg := cfg
 		fcfg.WrapStore = func(s pagefile.Store) (ws pagefile.Store) {
 			ws, fault = failAfter(s, k)

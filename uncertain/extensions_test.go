@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 func TestFacadeNearestNeighbors(t *testing.T) {
@@ -74,10 +75,10 @@ func TestFacadeBulkLoad(t *testing.T) {
 // root was neither leaked nor freed twice), and a retry succeeds.
 func TestBulkLoadEmptyRootFault(t *testing.T) {
 	var base pagefile.Store
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	tree, err := NewTree(Config{Dimensions: 2, WrapStore: func(s pagefile.Store) pagefile.Store {
-		base, chaos = s, pagefile.NewChaosStore(s, 1)
-		return chaos
+		base, inj = s, chaos.New(s, 1)
+		return inj
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +104,13 @@ func TestBulkLoadEmptyRootFault(t *testing.T) {
 	for p := range reach {
 		root = p
 	}
-	fault, err := chaos.AddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Pages: []pagefile.PageID{root}})
+	fault, err := inj.AddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultPermanent, Pages: []pagefile.PageID{root}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	objs := shardedFixtureObjects(300, 5)
-	if err := tree.BulkLoad(objs); !errors.Is(err, pagefile.ErrInjected) {
+	if err := tree.BulkLoad(objs); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("BulkLoad with the empty root unreadable: %v, want ErrInjected", err)
 	}
 	if fault.Triggered() != 1 {

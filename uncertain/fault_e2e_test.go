@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/pagefile"
+	"repro/internal/pagefile/chaos"
 )
 
 // End-to-end fault-tolerance tests: chaos injection under the full index
@@ -34,7 +35,7 @@ func faultTestConfig(path string) Config {
 	}
 }
 
-// untilAnswered re-issues op while it fails with pagefile.ErrInjected —
+// untilAnswered re-issues op while it fails with chaos.ErrInjected —
 // the retry the error contract leaves to the caller — and fails the test
 // on any other error. It reports how many attempts failed.
 func untilAnswered(t *testing.T, what string, op func() error) (failed int) {
@@ -44,7 +45,7 @@ func untilAnswered(t *testing.T, what string, op func() error) (failed int) {
 		if err == nil {
 			return failed
 		}
-		if !errors.Is(err, pagefile.ErrInjected) {
+		if !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("%s: %v, want nil or ErrInjected", what, err)
 		}
 		if failed++; failed == 50 {
@@ -72,12 +73,12 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 	}
 	defer clean.Close()
 
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	path := filepath.Join(dir, "faulty.utree")
 	cfg := faultTestConfig(path)
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		chaos = pagefile.NewChaosStore(s, 3)
-		return chaos
+		inj = chaos.New(s, 3)
+		return inj
 	}
 	faulty, err := NewTree(cfg)
 	if err != nil {
@@ -92,7 +93,7 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 			t.Fatalf("flush: %v", err)
 		}
 	}
-	chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpAny, Fault: pagefile.FaultPermanent, Prob: 0.01})
+	inj.MustAddRule(chaos.Rule{Op: chaos.OpAny, Fault: chaos.FaultPermanent, Prob: 0.01})
 
 	failedQueries := 0
 	compare := func(phase string, tr *Tree) {
@@ -157,7 +158,7 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 	}
 
 	t.Logf("%d faults injected: %d failed queries, %d failed mutations",
-		chaos.InjectedCount(pagefile.FaultPermanent), failedQueries, failedMutations)
+		inj.InjectedCount(chaos.FaultPermanent), failedQueries, failedMutations)
 	if failedQueries == 0 || failedMutations == 0 {
 		t.Fatalf("%d failed queries, %d failed mutations: a failure path was never exercised",
 			failedQueries, failedMutations)
@@ -165,7 +166,7 @@ func TestIOFaultsSurfaceAndHeal(t *testing.T) {
 
 	// Every mutation that succeeded committed; the file holds the twin's
 	// state whatever a fault did to the teardown.
-	if err := faulty.Close(); err != nil && !errors.Is(err, pagefile.ErrInjected) {
+	if err := faulty.Close(); err != nil && !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("close: %v", err)
 	}
 	reopened, err := OpenTree(path, faultTestConfig(path))
@@ -204,18 +205,18 @@ func corruptPage(err error) (pagefile.PageID, bool) {
 // follows the page through a second query, which finds the damage again by
 // re-verifying the page.
 func testOneBitFlip(t *testing.T) {
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "flip.utree"))
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		chaos = pagefile.NewChaosStore(s, 5)
-		return chaos
+		inj = chaos.New(s, 5)
+		return inj
 	}
 	tree, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tree.Discard()
-	flip, err := chaos.AddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultBitFlip, Countdown: -1, Bit: 12})
+	flip, err := inj.AddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultBitFlip, Countdown: -1, Bit: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +277,11 @@ func testRandomBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	cfg := faultTestConfig(filepath.Join(dir, "flips.utree"))
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		chaos = pagefile.NewChaosStore(s, 5)
-		return chaos
+		inj = chaos.New(s, 5)
+		return inj
 	}
 	tree, err := NewTree(cfg)
 	if err != nil {
@@ -296,7 +297,7 @@ func testRandomBitFlips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultBitFlip, Prob: 0.01, Bit: -1})
+	inj.MustAddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultBitFlip, Prob: 0.01, Bit: -1})
 
 	typed := 0
 	for i, q := range queries {
@@ -319,8 +320,8 @@ func testRandomBitFlips(t *testing.T) {
 	}
 	verified, corrupt := tree.Scrub()
 	t.Logf("%d flips, %d typed query errors; Scrub: %d verified, %d corrupt",
-		chaos.InjectedCount(pagefile.FaultBitFlip), typed, verified, len(corrupt))
-	if chaos.InjectedCount(pagefile.FaultBitFlip) == 0 {
+		inj.InjectedCount(chaos.FaultBitFlip), typed, verified, len(corrupt))
+	if inj.InjectedCount(chaos.FaultBitFlip) == 0 {
 		t.Fatal("chaos layer flipped no bits — the test exercised nothing")
 	}
 	for _, err := range corrupt {
@@ -330,7 +331,7 @@ func testRandomBitFlips(t *testing.T) {
 	}
 	if typed == 0 && len(corrupt) == 0 {
 		t.Fatalf("%d bits flipped but no typed error and no corrupt page followed",
-			chaos.InjectedCount(pagefile.FaultBitFlip))
+			inj.InjectedCount(chaos.FaultBitFlip))
 	}
 }
 
@@ -510,10 +511,10 @@ func testScrubFinds(t *testing.T, kind string) {
 // pruning.
 func TestDeadShardFailsQuery(t *testing.T) {
 	const shards = 3
-	var stores []*pagefile.ChaosStore
+	var stores []*chaos.Store
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "dead.utree"))
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		cs := pagefile.NewChaosStore(s, int64(len(stores)))
+		cs := chaos.New(s, int64(len(stores)))
 		stores = append(stores, cs)
 		return cs
 	}
@@ -542,7 +543,7 @@ func TestDeadShardFailsQuery(t *testing.T) {
 	// From here on every page the dead shard reads from its file has a bit
 	// flipped on the medium first, so the read fails its checksum.
 	const dead = 1
-	stores[dead].MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultBitFlip, Sticky: true, Bit: -1})
+	stores[dead].MustAddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultBitFlip, Sticky: true, Bit: -1})
 	corrupt := func(err error) bool { return errors.Is(err, ErrChecksum) || errors.Is(err, ErrBadPage) }
 
 	res, _, err := st.Search(context.Background(), all, 0.3)
@@ -608,13 +609,13 @@ func TestCloseDiscardIdempotentAllVariants(t *testing.T) {
 // injected permanent write fault and checks the rollback contract: the
 // index reverts to the pre-batch epoch and stays fully usable.
 func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	ct, err := NewConcurrentTree(Config{
 		Dimensions:       2,
 		NodeCacheEntries: -1,
 		WrapStore: func(s pagefile.Store) pagefile.Store {
-			chaos = pagefile.NewChaosStore(s, 19)
-			return chaos
+			inj = chaos.New(s, 19)
+			return inj
 		},
 	})
 	if err != nil {
@@ -630,7 +631,7 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boom := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultPermanent, Countdown: -1})
+	boom := inj.MustAddRule(chaos.Rule{Op: chaos.OpWrite, Fault: chaos.FaultPermanent, Countdown: -1})
 	boom.Arm(0)
 	err = ct.WriteBatch(func(w BatchWriter) error {
 		for i := int64(0); i < 20; i++ {
@@ -686,12 +687,12 @@ func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 // committed epoch with every object and the same answers.
 func TestCloseWriteFaultKeepsLastEpoch(t *testing.T) {
 	objects := shardedFixtureObjects(120, 41)
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	path := filepath.Join(t.TempDir(), "close.utree")
 	cfg := faultTestConfig(path)
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		chaos = pagefile.NewChaosStore(s, 1)
-		return chaos
+		inj = chaos.New(s, 1)
+		return inj
 	}
 	tr, err := NewTree(cfg)
 	if err != nil {
@@ -709,7 +710,7 @@ func TestCloseWriteFaultKeepsLastEpoch(t *testing.T) {
 	}
 	epoch := tr.Epoch()
 
-	rule := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpWrite, Fault: pagefile.FaultPermanent, Countdown: -1})
+	rule := inj.MustAddRule(chaos.Rule{Op: chaos.OpWrite, Fault: chaos.FaultPermanent, Countdown: -1})
 	rule.Arm(0) // the very next write, if Close made one
 	if err := tr.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -817,11 +818,11 @@ func TestReadOnlyOpenLeavesFileUnchanged(t *testing.T) {
 func TestFaultedQueriesLeakNothing(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	var chaos *pagefile.ChaosStore
+	var inj *chaos.Store
 	cfg := faultTestConfig(filepath.Join(t.TempDir(), "leak.utree"))
 	cfg.WrapStore = func(s pagefile.Store) pagefile.Store {
-		chaos = pagefile.NewChaosStore(s, 29)
-		return chaos
+		inj = chaos.New(s, 29)
+		return inj
 	}
 	ct, err := NewConcurrentTree(cfg)
 	if err != nil {
@@ -830,7 +831,7 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 	if err := ct.BulkLoad(shardedFixtureObjects(300, 31)); err != nil {
 		t.Fatal(err)
 	}
-	hard := chaos.MustAddRule(pagefile.ChaosRule{Op: pagefile.OpRead, Fault: pagefile.FaultPermanent, Countdown: -1})
+	hard := inj.MustAddRule(chaos.Rule{Op: chaos.OpRead, Fault: chaos.FaultPermanent, Countdown: -1})
 
 	queries := shardedFixtureQueries(10, 33)
 	failures := 0

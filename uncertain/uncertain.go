@@ -176,8 +176,9 @@ type Config struct {
 	NodeCacheEntries int
 	// WrapStore, when set, wraps the base page store (file or memory), and
 	// the tree writes the store it returns — the fault-injection and
-	// instrumentation hook (e.g. pagefile.ChaosStore, whose latency rules
-	// also make a slow store). A wrapped store is read by copy: only a bare
+	// instrumentation hook (the tests' chaos.Store, package
+	// internal/pagefile/chaos, whose latency rules also make a slow
+	// store). A wrapped store is read by copy: only a bare
 	// memory or file store lends readers its pages. Production code leaves
 	// it nil. An error from the wrapped
 	// store fails the operation that hit it and is returned to the caller
