@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -78,6 +79,8 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("%w: missing -index", errUsage)
 	case *timeoutMS < 0 || *mcSamples < 0 || *limit < 0:
 		return fmt.Errorf("%w: -timeout, -mc-samples and -limit must be ≥ 0", errUsage)
+	case !(*prob > 0 && *prob <= 1) || *k < 1:
+		return fmt.Errorf("%w: -prob must lie in (0, 1] and -k be positive", errUsage)
 	}
 	cfg := uncertain.Config{MonteCarloSamples: *mcSamples}
 	q := queryParams{
@@ -216,24 +219,30 @@ func verify(w io.Writer, path string, cfg uncertain.Config) error {
 	return nil
 }
 
-func query(w io.Writer, path, rectSpec string, prob float64, cfg uncertain.Config, qp queryParams) error {
-	if rectSpec == "" {
-		return fmt.Errorf("missing -rect")
-	}
-	parts := strings.Split(rectSpec, ",")
-	if len(parts)%2 != 0 {
-		return fmt.Errorf("rect needs an even number of coordinates, got %d", len(parts))
-	}
-	d := len(parts) / 2
-	coords := make([]float64, len(parts))
+// coords parses flag -name's comma-separated coordinates; a missing flag,
+// or a coordinate that is no number or NaN, is a usage error.
+func coords(name, spec string) (geom.Point, error) {
+	parts := strings.Split(spec, ",")
+	c := make(geom.Point, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return fmt.Errorf("coordinate %d: %w", i, err)
+		if err != nil || math.IsNaN(v) {
+			return nil, fmt.Errorf("%w: -%s %q needs comma-separated numbers", errUsage, name, spec)
 		}
-		coords[i] = v
+		c[i] = v
 	}
-	rq := geom.NewRect(coords[:d], coords[d:])
+	return c, nil
+}
+
+func query(w io.Writer, path, rectSpec string, prob float64, cfg uncertain.Config, qp queryParams) error {
+	c, err := coords("rect", rectSpec)
+	if err != nil {
+		return err
+	}
+	rq := geom.Rect{Lo: c[:len(c)/2], Hi: c[len(c)/2:]}
+	if len(c)%2 != 0 || !rq.IsValid() {
+		return fmt.Errorf("%w: -rect %s needs the low corner, then the high corner at or above it", errUsage, rectSpec)
+	}
 
 	tree, err := uncertain.OpenTree(path, cfg)
 	if err != nil {
@@ -273,17 +282,9 @@ func query(w io.Writer, path, rectSpec string, prob float64, cfg uncertain.Confi
 }
 
 func nearest(w io.Writer, path, pointSpec string, k int, cfg uncertain.Config, qp queryParams) error {
-	if pointSpec == "" {
-		return fmt.Errorf("missing -point")
-	}
-	parts := strings.Split(pointSpec, ",")
-	q := make(geom.Point, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return fmt.Errorf("coordinate %d: %w", i, err)
-		}
-		q[i] = v
+	q, err := coords("point", pointSpec)
+	if err != nil {
+		return err
 	}
 	tree, err := uncertain.OpenTree(path, cfg)
 	if err != nil {

@@ -65,7 +65,8 @@ func TestCommands(t *testing.T) {
 }
 
 // TestUsageErrors: a malformed command line is a usage error, and touches
-// no file.
+// no file: among them an odd coordinate count, an inverted rectangle, a
+// NaN coordinate or threshold and a k below 1.
 func TestUsageErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "none.utree")
 	for _, args := range [][]string{
@@ -73,6 +74,12 @@ func TestUsageErrors(t *testing.T) {
 		{"query"},
 		{"frobnicate", "-index", path},
 		{"nn", "-index", path, "-mc-samples", "-1"},
+		{"query", "-index", path, "-rect", "5,5,1"},
+		{"query", "-index", path, "-rect", "5,5,1,1"},
+		{"query", "-index", path, "-rect", "0,NaN,1,1"},
+		{"nn", "-index", path, "-point", "NaN,1"},
+		{"query", "-index", path, "-rect", "0,0,1,1", "-prob", "NaN"},
+		{"nn", "-index", path, "-point", "1,1", "-k", "0"},
 	} {
 		if err := run(args, new(bytes.Buffer)); !errors.Is(err, errUsage) {
 			t.Errorf("utreectl %s: %v, want a usage error", strings.Join(args, " "), err)

@@ -43,4 +43,14 @@
 //	float32 intermediate boxes, rounded out  → internal/core.roundOut, internal/core.Tree.unionBoundary, internal/core.packedNode.box32
 //	R*'s candidate cut in ChooseSubtree      → internal/core.chooseCut, internal/core.Tree.chooseSubtree
 //	descent on the shapes' quantiles         → internal/core.innerReaches, internal/core.Tree.quantileBounds, internal/pcr.Shape.Reach, internal/pcr.Reaches, internal/pcr.Catalog.QuantileLevels
+//	exact refinement, not Equation 3         → internal/updf.PDF.ExactProb, internal/updf.UniformBall.ExactProb, internal/updf.ConGauBall.ExactProb
+//	leaf MBRs and U-PCR faces stay float64   → internal/core.entrySizes, internal/pcr.tail.face
+//	Table 1, keyed entries hold no CFB       → internal/experiments.Table1, internal/core.centreSize, internal/core.compactSize
+//	shape keys as computed, a full table     → internal/updf.PDF.ShapeKey, internal/core.shape
+//
+// What the index adds around the paper, each argued at its code:
+//
+//	records in leaf order, §5's grouping     → internal/core.Tree.BulkLoad, internal/core.runCutter.cut
+//	pages before metadata, no fsync          → internal/core.Tree.Commit, internal/core.Tree.writeMeta
+//	typed store errors, never retried        → uncertain.ErrChecksum, uncertain.ErrBadPage, internal/core.nodeReadErr
 package repro

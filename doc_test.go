@@ -2,9 +2,13 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -45,6 +49,96 @@ func TestPaperMap(t *testing.T) {
 	if refs == 0 {
 		t.Fatal("doc.go holds no paper-to-code map")
 	}
+}
+
+// TestReadmeNames holds README.md's code spans to the code: a dotted name
+// that starts with an exported type of package uncertain must name one of
+// its fields or methods (through an alias to its target, and promoted
+// through embedding), uncertain.Name must be declared, and a path under
+// internal/, cmd/, uncertain/ or examples/ must exist.
+func TestReadmeNames(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := importer.ForCompiler(token.NewFileSet(), "source", nil).Import("repro/uncertain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, span := range codeSpans(string(readme)) {
+		for _, word := range strings.Fields(span) {
+			path := strings.TrimPrefix(word, "./")
+			path = strings.TrimSuffix(path, "/...")
+			if !strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "cmd/") &&
+				!strings.HasPrefix(path, "uncertain/") && !strings.HasPrefix(path, "examples/") {
+				continue
+			}
+			checked++
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("README names %s, which does not exist", word)
+			}
+		}
+		for _, m := range dottedName.FindAllStringSubmatch(span, -1) {
+			name := m[1]
+			parts := strings.Split(name, ".")
+			if parts[0] == "uncertain" {
+				if pkg.Scope().Lookup(parts[1]) == nil {
+					t.Errorf("README names %s: %s is not declared in package uncertain", name, parts[1])
+				}
+				checked++
+				parts = parts[1:]
+			}
+			typ, ok := pkg.Scope().Lookup(parts[0]).(*types.TypeName)
+			if !ok || !typ.Exported() || len(parts) < 2 {
+				continue
+			}
+			checked++
+			if obj, _, _ := types.LookupFieldOrMethod(typ.Type(), true, pkg, parts[1]); obj == nil {
+				t.Errorf("README names %s: uncertain.%s has no field or method %s", name, parts[0], parts[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("README.md names nothing this test checks")
+	}
+}
+
+// dottedName matches a chain of dotted identifiers that no identifier or
+// dot precedes, so the tail of pcr.Shape.Translate is not read as
+// Shape.Translate.
+var dottedName = regexp.MustCompile(`(?:^|[^\w.])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`)
+
+// codeSpans returns the contents of the inline code spans of a markdown
+// text, outside its fenced code blocks.
+func codeSpans(md string) []string {
+	var spans []string
+	fenced := false
+	var para strings.Builder
+	flush := func() {
+		parts := strings.Split(para.String(), "`")
+		for i := 1; i < len(parts)-1; i += 2 {
+			spans = append(spans, parts[i])
+		}
+		para.Reset()
+	}
+	for _, line := range strings.Split(md, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			flush()
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		if strings.TrimSpace(line) == "" {
+			flush()
+			continue
+		}
+		para.WriteString(line + "\n")
+	}
+	flush()
+	return spans
 }
 
 // declared returns the package-level names of the non-test files in dir,

@@ -50,9 +50,11 @@ import (
 // Compared with one-by-one insertion it produces a tree with the page count
 // of a full packing (fewer pages, fewer query I/Os) at a fraction of the
 // build cost, whose first inserts neither split nor reinsert; the tree
-// stays fully dynamic afterwards (later Inserts append to the last data
-// page). The tree is a function of the object set alone: not of the
-// objects' order, the sort algorithm or the number of workers. It can only
+// stays fully dynamic afterwards. Later Inserts append to the last data
+// page, so the record locality is the load's, not an invariant: long churn
+// spreads a leaf's records over more pages, and a BulkLoad into a fresh
+// tree restores it. The tree is a function of the object set alone: not of
+// the objects' order, the sort algorithm or the number of workers. It can only
 // be called on an empty tree, and an ID named twice is ErrDuplicateID
 // before a page is allocated. The ID directory's slabs are laid from the
 // ID-sorted copy, every object at its record's address, and no map is

@@ -320,10 +320,20 @@ func roundOut(r geom.Rect) {
 // A U-tree's CFB coefficients and intermediate boxes are float32: the CFB
 // bits pcr.CFB holds in memory (see pcr.CFB for why half width is safe
 // there), the boxes rounded outward (roundOut), which keeps them
-// conservative; its leaf MBRs and U-PCR's exact faces are float64 (README
-// "Leaf layout"). 2-D: 112 B per full U-tree leaf entry and 40 B per
+// conservative. 2-D: 112 B per full U-tree leaf entry and 40 B per
 // intermediate one; 3-D: 160 B and 56 B. A keyed U-tree entry is centred
 // (centreSize) or compact (compactSize) instead.
+//
+// A leaf MBR stays float64. Rounded outward, it would no longer equal a
+// query rectangle equal to it: every benchmark query is centred on an
+// object with the region's diameter as its side, so one object a query has
+// rq == MBR, and that object would miss rq.Contains(mbr) and the
+// exact-zero tails of Faces.ProbBounds and become a candidate at pq = 0.9
+// (+0.23 % probability computations on LB, +0.38 % on CA, for 6 more
+// entries a leaf). A centre entry stores no MBR and rebuilds the float64
+// one bit for bit (packedNode.leafMBR). A U-PCR entry's faces stay exact
+// float64: tail.face reads a PCR face from both sides — it caps with it and
+// floors with it — so no rounding direction is safe.
 func entrySizes(kind Kind, dim, m int) (leaf, inner int) {
 	rect := 16 * dim // 2d float64
 	switch kind {

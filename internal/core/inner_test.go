@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -381,5 +382,75 @@ func TestOpenWideInnerFiles(t *testing.T) {
 		if gotR, gotNN := answers(t, old, ranges, points); !reflect.DeepEqual(gotR, wantR) || !reflect.DeepEqual(gotNN, wantNN) {
 			t.Fatalf("magic %#x: the migrated file answers otherwise", magic)
 		}
+	}
+}
+
+// TestWideFillExemptsOlderInnerNodes: a U-tree intermediate node below the
+// root holding fewer entries than today's minimum fill (40 in 2-D) but as
+// many as the layout before UTR6 asked (22: 40 % of the 56 float64 entries
+// a page held then) is a node such a file can hold, and CheckInvariants
+// accepts it; with one entry fewer the node is underfull. The exemption
+// depends on the entry count alone, so the node is made here by moving
+// entries from one level-1 node into its sibling, both rewritten in place
+// with their parent's boxes refreshed.
+func TestWideFillExemptsOlderInnerNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	tree, err := New(Options{Dim: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(mixedObjects(4000, 2, 3000, 0, true, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	wide := max1(pageBytes / wideInnerSize(tree.dim) * 2 / 5)
+	if tree.Height() != 3 || wide != 22 || tree.minInner != 40*tree.innerEntrySize {
+		t.Fatalf("fixture: height %d, older fill %d, minimum fill %d B; want 3, 22 and 40 entries", tree.Height(), wide, tree.minInner)
+	}
+	root, err := tree.readNode(tree.rootPage, tree.rootLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sib [2]*node
+	for i := range sib {
+		if sib[i], err = tree.readNode(root.entries[i].child, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(sib[0].entries) + len(sib[1].entries); len(sib[0].entries) <= wide || n-wide+1 > tree.innerCap {
+		t.Fatalf("fixture: siblings of %d and %d entries, capacity %d", len(sib[0].entries), len(sib[1].entries), tree.innerCap)
+	}
+	put := func(n *node) {
+		buf := make([]byte, pagefile.PageSize)
+		if err := tree.encodeNode(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.store.Write(n.page, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// keep leaves the first sibling keep entries, the rest in the second.
+	keep := func(keep int) error {
+		a, b := sib[0], sib[1]
+		b.entries = append(b.entries, a.entries[keep:]...)
+		a.entries = a.entries[:keep]
+		for i, n := range sib {
+			var boxes []geom.Rect
+			for _, r := range tree.nodeBoundary(n) {
+				boxes = append(boxes, r.Clone())
+			}
+			root.entries[i].boxes = boxes
+			put(n)
+		}
+		put(root)
+		return tree.CheckInvariants()
+	}
+	if err := keep(wide); err != nil {
+		t.Fatalf("a level-1 node of %d entries, the older layout's fill: %v", wide, err)
+	}
+	if err := keep(wide - 1); err == nil || !strings.Contains(err.Error(), "underfull") {
+		t.Fatalf("a level-1 node of %d entries: %v, want it underfull", wide-1, err)
 	}
 }

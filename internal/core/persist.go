@@ -19,8 +19,9 @@ import (
 //
 // The metadata page is the commit point of the shadow-paging scheme: it is
 // the only page (besides the committed append page) ever rewritten in
-// place, and it is written only after every page of the epoch it names is
-// durable.
+// place, and it is written only after every page of the epoch it names has
+// been written to the store. Nothing syncs the file, so a commit survives
+// the process dying, not an OS crash or a power loss (ROADMAP.md item 14).
 //
 // The magic names the node and record layouts as well as the page: "UTR8"
 // data pages are dense — a 2-byte slot, the length implied by the slot

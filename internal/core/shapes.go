@@ -19,8 +19,11 @@ import (
 // table is append-only — an epoch's (treeState.shapes) is a prefix of its
 // successors' — and persisted behind the fixed fields of the metadata
 // page, which every commit rewrites: count u16 | count × (length u16 |
-// enc), enc being updf.Encode of the prototype. An object with an empty
-// ShapeKey, or whose shape the page has no room for, gets reference 0.
+// enc), enc being updf.Encode of the prototype: no page or write of its
+// own, and crash-consistent with the entries that use it. A uniform circle
+// takes 28 bytes there, so the page holds about 145 such shapes. An object
+// with an empty ShapeKey, or whose shape the page has no room for, gets
+// reference 0.
 //
 // up and down are the descent's quantile bounds (pcr.Shape.Reach) over
 // this shape and every one before it: the larger up and the smaller down

@@ -62,11 +62,13 @@ func (t *Tree) workingState() *treeState {
 // each data page the epoch appended to.
 //
 // The metadata write sits between the page writes and the publication —
-// the crash-consistency point: every page of the new epoch is durable before
-// the metadata switches to it, and the old epoch's pages were never
-// overwritten in place (the append page only gains slots past its
-// committed ones), so a crash at any operation boundary leaves the file
-// recoverable at the last committed epoch.
+// the crash-consistency point: every page of the new epoch is written to
+// the store before the metadata names it, and the old epoch's pages were
+// never overwritten in place (the append page only gains slots past its
+// committed ones), so a process that dies at any operation boundary leaves
+// the file recoverable at the last committed epoch. Nothing syncs the file:
+// an OS crash or a power loss can lose or tear writes the process made
+// (ROADMAP.md item 14).
 func (t *Tree) Commit() error {
 	if err := t.writeDirty(); err != nil {
 		return err

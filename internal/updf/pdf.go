@@ -47,6 +47,14 @@ type PDF interface {
 	// two pdfs with equal non-empty ShapeKeys have identical marginal
 	// quantile offsets from their centers, enabling the paper's "compute λ
 	// once for all of CA" style of caching. An empty key disables caching.
+	//
+	// A ball is keyed on its parameters (r, σ), so two balls of equal
+	// parameters always share a key. A rectangle family is keyed on
+	// hi − lo (and μ − centre) as computed, and a polygon on every
+	// vertex − centroid: two objects share a key only where that
+	// arithmetic comes out the same — always for coordinates on a lattice,
+	// rarely for extents of 1e-3 at coordinates of 1e7, where each object
+	// is a shape of its own and an index's shape table fills up.
 	ShapeKey() string
 	// Center returns the translation anchor used with ShapeKey.
 	Center() geom.Point

@@ -78,9 +78,11 @@ func (b *treeBatch) Delete(id int64) error {
 // WriteBatch runs fn against a batch writer under the writer lock and
 // commits everything it did as ONE epoch: concurrent readers — who pin
 // snapshots without the lock — observe either none of the batch or all of
-// it, never a prefix, and for file-backed trees the whole batch
-// becomes durable atomically — a crash recovers to this batch boundary or
-// the previous one, never between. If fn returns an error or any mutation
+// it, never a prefix. For a file-backed tree the batch's pages are written
+// to the file before the metadata names them, so a process that dies
+// recovers to this batch boundary or the previous one, never between; an
+// OS crash or a power loss is not covered, since nothing syncs the file
+// (ROADMAP.md item 14). If fn returns an error or any mutation
 // fails, the whole batch rolls back and the tree is unchanged. WriteBatch
 // is the only way to make several mutations one epoch. Batches do not
 // nest: fn mutates through the BatchWriter only — the tree's own mutators

@@ -10,9 +10,15 @@ import (
 // (ErrChecksum) and verifies the whole committed tree when asked
 // (Tree.Scrub). A corrupt page fails the read that reached it with a typed
 // error, and every later read asks the store again: nothing remembers a
-// failed read. Any other store error fails the operation that hit it and is
-// returned as is: a failed mutation rolls back, and the caller may retry
-// the operation.
+// failed read. A node the decoded-node cache took from a read that passed
+// its checksum keeps serving that copy, the committed content, even if the
+// medium under it decays later; only a physical free drops it. Any other
+// store error fails the operation that hit it and is returned as is: a
+// failed mutation rolls back, and the caller may retry the operation.
+// Nothing in the index retries or backs off, and there is no transient
+// error class: no store here can tell a passing fault from a lasting one
+// (os.File already retries EINTR), so the caller, who knows its deadline,
+// decides whether to re-issue.
 
 // ErrChecksum matches (via errors.Is) any error caused by a page whose
 // stored checksum does not cover the bytes read back — detected storage

@@ -40,7 +40,10 @@ type Index interface {
 	BulkLoad(objects map[int64]PDF) error
 	// WriteBatch applies fn's mutations as one commit epoch (per shard for
 	// sharded indexes): readers observe the whole batch or none of it, and
-	// file-backed durability moves in batch granularity.
+	// a file-backed index whose process dies recovers to a batch boundary.
+	// The pages reach the file before the metadata names them, but nothing
+	// syncs it, so an OS crash or a power loss is not covered (ROADMAP.md
+	// item 14).
 	WriteBatch(fn func(BatchWriter) error) error
 	// GCInfo reports epoch-collector health: snapshot pins, pending epochs
 	// and pages, and the lifetime reclaim counter (merged over shards for
