@@ -38,7 +38,8 @@ import (
 //     on a coordinate lie in runs along the others; the slabs of the first
 //     dimension are tiled on the workers. Each sorted run is cut into
 //     as many nodes as a full packing would, each with room for one more
-//     entry of any form where the run has it to spare (runCutter.cut);
+//     entry of any form where the run has it to spare, and each cut as
+//     near the even split as those bounds allow (runCutter.cut);
 //  3. walk the tiles in order and append each object's detail record
 //     straight into the append page, so the records of one leaf share
 //     one or two adjacent data pages and data pages follow leaf order, which
@@ -405,12 +406,11 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	for i := range ps {
 		ps[i].id = i
 	}
-	// cut cuts a run sorted on the final dimension into nodes, on keys
-	// negated in a descending slab, so that they ascend as cut needs.
+	// cut cuts a run sorted on the final dimension into nodes, on its
+	// entries' bytes alone.
 	cut := func(c *runCutter, ps []keyIdx, ids []int, big int) [][]int {
-		c.keys, c.w = c.keys[:0], append(c.w[:0], 0)
+		c.w = append(c.w[:0], 0)
 		for k := range ps {
-			c.keys = append(c.keys, ps[k].key)
 			c.w = append(c.w, c.w[k]+size[ps[k].id])
 		}
 		return c.cut(ids, big, minFill, room)
@@ -466,35 +466,34 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	return tile(new(runCutter), ps, ids, 0, false)
 }
 
-// runCutter cuts STR's sorted runs into nodes. keys holds the run's sort
-// keys and w its byte prefix sums (w[i]: the first i entries' bytes), set
-// by the caller; best, back, row and from are cutInto's DP table. All are
-// reused from one run to the next.
+// runCutter cuts STR's sorted runs into nodes. w holds the run's byte
+// prefix sums (w[i]: the first i entries' bytes), set by the caller; back,
+// row and from are cutInto's DP table. All are reused from one run to the
+// next.
 type runCutter struct {
-	keys []float64
 	w    []int
-	best []float64 // best summed gap of a state
-	back []int     // where its last group starts
-	row  []int     // where row j starts in best and back
-	from []int     // the entries row j's first state has used
+	back []int // where a state's last group starts, −1 where no cut reaches it
+	row  []int // where row j starts in back
+	from []int // the entries row j's first state has used
 }
 
-// cut slices ids, sorted so that c.keys[i] is ids[i]'s ascending sort key,
-// into k consecutive groups, k = ⌈bytes / (a page of the run's largest
-// entries, big)⌉: the node count of a full packing, so no page is added.
-// Every group fits a page and holds at least minFill bytes (≤ 2/5 of a
-// page, which an even cut exceeds when k > 1), and at most a page less
-// room (at least big: an entry of the level's largest form) wherever k
-// such groups hold the run, so each node takes its first insert without a
-// split or forced reinsert; where they do not, as much of room as they can
-// spare, in steps of big. For entries of one size the groups'
-// entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a run of mixed forms that
-// band, its lower end in the smallest entries' bytes and its upper in the
-// largest's, bounds their bytes. Inside it the k − 1 cuts go where the summed
-// key gaps across them (keys[i] − keys[i−1] for a cut before i) is
-// largest, so nodes part where the data does, and where sums tie, nearest
-// the even cut. Should no cut into k groups exist, which only a run of
-// mixed forms can make so, it tries k + 1.
+// cut slices ids, in their run's order, into k consecutive groups, k =
+// ⌈bytes / (a page of the run's largest entries, big)⌉: the node count of
+// a full packing. Every group fits a page and holds
+// at least minFill bytes (≤ 2/5 of a page, which an even cut exceeds when
+// k > 1), and at most a page less room (at least big: an entry of the
+// level's largest form) wherever k such groups hold the run, so each node
+// takes its first insert without a split or forced reinsert; where they do
+// not, as much of room as they can spare, in steps of big. For entries of
+// one size the groups' entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a
+// run of mixed forms that band, its lower end in the smallest entries'
+// bytes and its upper in the largest's, bounds their bytes. Within those
+// bounds the cuts are taken from the last back, each the one nearest the
+// even cut that leaves the earlier groups a legal cut, so a run of one
+// size is cut at j·n/k. Should no cut into k groups exist, which only a
+// run of mixed forms can make so, it tries k + 1, then k + 2, and so on: a
+// long run whose groups each fall short of a page by part of an entry can
+// need more than one extra node.
 func (c *runCutter) cut(ids []int, big, minFill, room int) [][]int {
 	n, total, full := len(ids), c.w[len(ids)], pageBytes/big*big
 	small := total
@@ -520,14 +519,17 @@ func (c *runCutter) cut(ids []int, big, minFill, room int) [][]int {
 	panic("core: an STR run has no cut into nodes")
 }
 
-// cutInto is cut's DP for k groups of lo to hi bytes each, nil where there
-// is no such cut. Row j holds the states after j groups: entries used i
-// whose bytes w[i] the first j groups reach and the other k − j complete.
-// For entries of one size each row is an interval of the even cut's, so the
-// DP over (groups cut, entries used) has at most k·(2·capacity + 1) states.
+// cutInto is cut's search for k groups of lo to hi bytes each, nil where
+// there is no such cut. Row j holds the states after j groups: entries used
+// i whose bytes w[i] the first j groups reach and the other k − j complete.
+// A state is reachable when some reachable state of row j − 1 lies lo to hi
+// bytes before it; its back-pointer is the one of those nearest the even
+// cut, (j−1)·n/k, the lower on a tie. For entries of one size each row is
+// an interval of the even cut's, so the search over (groups cut, entries
+// used) has at most k·(2·capacity + 1) states.
 func (c *runCutter) cutInto(ids []int, k, lo, hi int) [][]int {
 	n, total := len(ids), c.w[len(ids)]
-	c.best, c.back = append(c.best[:0], 0), append(c.back[:0], 0)
+	c.back = append(c.back[:0], 0)
 	c.row, c.from = append(c.row[:0], 0), append(c.from[:0], 0)
 	for j := 1; j <= k; j++ {
 		from := sort.SearchInts(c.w, max(j*lo, total-(k-j)*hi))
@@ -535,23 +537,20 @@ func (c *runCutter) cutInto(ids []int, k, lo, hi int) [][]int {
 		if from > to {
 			return nil
 		}
-		c.row, c.from = append(c.row, len(c.best)), append(c.from, from)
+		c.row, c.from = append(c.row, len(c.back)), append(c.from, from)
 		prev, pa, pb, even := c.row[j-1], c.from[j-1], c.from[j-1]+c.row[j]-c.row[j-1]-1, (j-1)*n/k
 		for i := from; i <= to; i++ {
-			v, bp := math.Inf(-1), -1
+			bp := -1
 			for p := max(pa, sort.SearchInts(c.w, c.w[i]-hi)); p <= pb && c.w[i]-c.w[p] >= lo; p++ {
-				if w := c.best[prev+p-pa]; w > v || w == v && abs(p-even) < abs(bp-even) {
-					v, bp = w, p
+				if c.back[prev+p-pa] >= 0 && (bp < 0 || abs(p-even) < abs(bp-even)) {
+					bp = p
 				}
 			}
-			if j < k {
-				v += c.keys[i] - c.keys[i-1]
-			}
-			c.best, c.back = append(c.best, v), append(c.back, bp)
+			c.back = append(c.back, bp)
 		}
 	}
 	// Row k's one state: k groups, n entries.
-	if math.IsInf(c.best[c.row[k]], -1) {
+	if c.back[c.row[k]] < 0 {
 		return nil
 	}
 	out := make([][]int, k)

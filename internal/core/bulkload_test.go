@@ -7,12 +7,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -333,6 +331,7 @@ func TestBulkLoadNNSharesDataPages(t *testing.T) {
 // wherever the run has it to spare, so the first inserts after a load
 // neither split nor reinsert.
 func TestBulkLoadLeavesRoom(t *testing.T) {
+	// Runs of one size: cut at j·n/k.
 	t.Run("cut", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		var c runCutter
@@ -343,20 +342,40 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 			if trial%3 == 0 {
 				n = 1 + rng.Intn(5000)
 			}
-			keys := clusteredKeys(rng, n)
 			ids := rng.Perm(n)
-			c.keys = keys
-			checkCut(t, ids, keys, cutUniform(&c, append([]int(nil), ids...), capacity, minFill), capacity, minFill)
-		}
-		// Where every gap ties, the cut is the even one.
-		for n := 1; n < 400; n += 7 {
-			c.keys = make([]float64, n)
-			groups := cutUniform(&c, identity(n), 36, 14)
-			for j, cut := range cuts(groups) {
-				if want := (j + 1) * n / len(groups); cut != want {
-					t.Fatalf("n %d, tied keys: cut %d at %d, want the even cut's %d", n, j+1, cut, want)
-				}
+			groups := cutUniform(&c, slices.Clone(ids), capacity, minFill)
+			checkCut(t, ids, groups, capacity, minFill)
+			if n <= 60 {
+				size := pageBytes / capacity
+				checkCutCount(t, c.w, groups, size, minFill*size, size)
 			}
+		}
+	})
+
+	// Runs of up to 60 entries of three sizes in the ratio of the 2-D
+	// leaf's centre, compact and full entries (32 : 48 : 112 B), the largest
+	// filling a page at capacity 4 to 40: whenever any cut into a full
+	// packing's count of groups meets the contract, the cutter finds one.
+	t.Run("exists", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		var c runCutter
+		for trial := 0; trial < 3000; trial++ {
+			capacity := 4 + rng.Intn(37)
+			full := pageBytes / capacity
+			forms := []int{full * 2 / 7, full * 3 / 7, full}
+			n, share, big := 1+rng.Intn(60), rng.Float64(), 0
+			c.w = []int{0}
+			for i := 0; i < n; i++ {
+				s := forms[rng.Intn(2)]
+				if rng.Float64() < share {
+					s = full
+				}
+				c.w, big = append(c.w, c.w[i]+s), max(big, s)
+			}
+			minFill, room := 2*capacity/5*full, []int{big, full}[trial%2]
+			groups := c.cut(identity(n), big, minFill, room)
+			checkCutBytes(t, n, c.w, groups, big, minFill, room)
+			checkCutCount(t, c.w, groups, big, minFill, room)
 		}
 	})
 
@@ -368,7 +387,7 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 		var c runCutter
 		for trial := 0; trial < 2000; trial++ {
 			n := 1 + rng.Intn(3000)
-			c.keys, c.w = clusteredKeys(rng, n), []int{0}
+			c.w = []int{0}
 			share, big, small := rng.Float64(), 0, []int{32, 48}[trial/2%2]
 			for i := 0; i < n; i++ {
 				s := small
@@ -379,7 +398,9 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 				c.w, big = append(c.w, c.w[i]+s), max(big, s)
 			}
 			room := []int{big, 112}[trial/4%2]
-			checkCutBytes(t, n, c.w, c.cut(identity(n), big, 14*112, room), big, 14*112, room)
+			groups := c.cut(identity(n), big, 14*112, room)
+			checkCutBytes(t, n, c.w, groups, big, 14*112, room)
+			checkCutCount(t, c.w, groups, big, 14*112, room)
 		}
 	})
 
@@ -444,12 +465,12 @@ func cutUniform(c *runCutter, ids []int, capacity, minFill int) [][]int {
 // checkCutBytes holds a cut of a run of entries of more than one size, whose
 // byte prefix sums are w, to runCutter.cut's contract: the groups are the
 // run in order; each fits a page and, where there are several, holds
-// minFill; there are as many as a full packing of the largest entries
-// would make, or one more where such a packing has no legal cut; and each
-// leaves r bytes free, r the most of room, room − big, room − 2·big, …
-// that that many groups could leave free with one more of the largest
-// entries free as well (for a run of one size and room for one entry, the
-// room alone is enough: checkCut).
+// minFill; there are at least as many as a full packing of the largest
+// entries would make (checkCutCount holds the count to the fewest any cut
+// gives); and each leaves r bytes free, r the most of room, room − big,
+// room − 2·big, … that that many groups could leave free with one more of
+// the largest entries free as well (for a run of one size and room for one
+// entry, the room alone is enough: checkCut).
 func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, room int) {
 	t.Helper()
 	full := pageBytes / big * big
@@ -474,50 +495,83 @@ func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, r
 			t.Fatalf("n %d, %d B: group %d of %d holds %d B, not %d B of room", n, w[n], j, k, b, r)
 		}
 	}
-	if at != n || len(groups) < k || len(groups) > k+1 {
-		t.Fatalf("n %d, %d B: %d groups over %d entries, want %d", n, w[n], len(groups), at, k)
+	if at != n || len(groups) < k {
+		t.Fatalf("n %d, %d B: %d groups over %d entries, want at least %d", n, w[n], len(groups), at, k)
 	}
 }
 
-// clusteredKeys returns n ascending keys in a few clusters, rounded so that
-// many tie.
-func clusteredKeys(rng *rand.Rand, n int) []float64 {
-	centres := make([]float64, 1+rng.Intn(8))
-	for i := range centres {
-		centres[i] = rng.Float64() * 1000
+// checkCutCount holds a cut of the run whose byte prefix sums are w to the
+// rest of runCutter.cut's contract, trying every cut: it has the fewest
+// groups, from a full packing's count on, that any cut into groups within
+// cut's band has, and leaves the most of room, room − big, …, 0 bytes free
+// in every group that any such cut leaves.
+func checkCutCount(t *testing.T, w []int, groups [][]int, big, minFill, room int) {
+	t.Helper()
+	n, full := len(w)-1, pageBytes/big*big
+	small := w[n]
+	for i := range n {
+		small = min(small, w[i+1]-w[i])
 	}
-	spread := []float64{0.5, 3, 20}[rng.Intn(3)]
-	keys := make([]float64, n)
-	for i := range keys {
-		keys[i] = math.Round(centres[rng.Intn(len(centres))] + rng.NormFloat64()*spread)
+	for k := max(1, (w[n]+full-1)/full); k <= n; k++ {
+		for r := room; ; r -= big {
+			upper := full - max(r, 0)
+			lo, hi := max(minFill, (n/k-2)*small), min(upper, ((n+k-1)/k+2)*big)
+			if k == 1 || k*upper >= w[n] && anyCut(w, k, lo, hi) {
+				if len(groups) != k {
+					t.Fatalf("n %d, %d B: %d groups, but a cut into %d of %d to %d B exists", n, w[n], len(groups), k, lo, hi)
+				}
+				at := 0
+				for j, g := range groups {
+					if b := w[at+len(g)] - w[at]; k > 1 && b > upper {
+						t.Fatalf("n %d, %d B: group %d of %d holds %d B, but a cut of at most %d B a group exists", n, w[n], j, k, b, upper)
+					}
+					at += len(g)
+				}
+				return
+			}
+			if r <= 0 {
+				break
+			}
+		}
 	}
-	sort.Float64s(keys)
-	return keys
+	t.Fatalf("n %d, %d B: no cut into groups exists, yet the cutter returned %d", n, w[n], len(groups))
 }
 
-// cuts returns where each group but the last ends.
-func cuts(groups [][]int) []int {
-	var out []int
-	end := 0
-	for _, g := range groups[:len(groups)-1] {
-		end += len(g)
-		out = append(out, end)
+// anyCut reports whether any cut of the run whose byte prefix sums are w
+// into k consecutive groups gives each group lo to hi bytes, lo > 0. After
+// j groups, reach[i+1] counts the entry counts p ≤ i that j groups of lo to
+// hi bytes can use; j + 1 groups can use i where one of them, p, has
+// w[i] − hi ≤ w[p] ≤ w[i] − lo.
+func anyCut(w []int, k, lo, hi int) bool {
+	n := len(w) - 1
+	reach := make([]int, n+2)
+	for i := range n + 1 {
+		reach[i+1] = 1 // no groups: p = 0
 	}
-	return out
+	for range k {
+		next := make([]int, n+2)
+		for i, a, b := 0, 0, 0; i <= n; i++ {
+			for a <= n && w[a] < w[i]-hi {
+				a++
+			}
+			for b <= n && w[b] <= w[i]-lo {
+				b++
+			}
+			next[i+1] = next[i]
+			if b > a && reach[b] > reach[a] {
+				next[i+1]++
+			}
+		}
+		reach = next
+	}
+	return reach[n+1] > reach[n]
 }
 
-// gapSum is the summed key gaps across the cuts, added left to right.
-func gapSum(keys []float64, cuts []int) float64 {
-	sum := 0.0
-	for _, c := range cuts {
-		sum += keys[c] - keys[c-1]
-	}
-	return sum
-}
-
-// checkCut holds one cut of a run to runCutter.cut's contract and, on runs
-// of up to 60, to the best gap sum found by trying every legal cut.
-func checkCut(t *testing.T, ids []int, keys []float64, groups [][]int, capacity, minFill int) {
+// checkCut holds one cut of a run of entries of one size to runCutter.cut's
+// contract: ⌈n/capacity⌉ groups that concatenate to the run, each within
+// the band, minFill and a page, with a free slot wherever the run has one
+// to spare, cut exactly at the even split's j·n/k.
+func checkCut(t *testing.T, ids []int, groups [][]int, capacity, minFill int) {
 	t.Helper()
 	n := len(ids)
 	k := (n + capacity - 1) / capacity
@@ -535,62 +589,87 @@ func checkCut(t *testing.T, ids []int, keys []float64, groups [][]int, capacity,
 	if k == 1 {
 		return
 	}
-	// legal is the band a size must lie in, whatever the cut.
 	roomy := k*(capacity-1) >= n
-	legal := func(s int) bool {
-		return s >= minFill && s <= capacity && (!roomy || s < capacity) && s >= n/k-2 && s <= (n+k-1)/k+2
-	}
 	for j, g := range groups {
-		if !legal(len(g)) {
+		if s := len(g); s < minFill || s > capacity || roomy && s == capacity || s < n/k-2 || s > (n+k-1)/k+2 {
 			t.Fatalf("%s: group %d has %d entries (minFill %d, %d groups, room for a free slot: %v)",
-				where(), j, len(g), minFill, k, roomy)
+				where(), j, s, minFill, k, roomy)
 		}
 	}
-	got := cuts(groups)
-	even := make([]int, k-1)
-	for j := range even {
-		even[j] = (j + 1) * n / k
-		if abs(got[j]-even[j]) > capacity {
-			t.Fatalf("%s: cut %d at %d, more than capacity from the even cut's %d: the DP is no longer O(n)", where(), j+1, got[j], even[j])
+	for j, cut := range cuts(groups) {
+		if want := (j + 1) * n / k; cut != want {
+			t.Fatalf("%s: cut %d at %d, want the even split's %d", where(), j+1, cut, want)
 		}
 	}
-	sum := gapSum(keys, got)
-	if e := gapSum(keys, even); sum < e {
-		t.Fatalf("%s: gap sum %g below the even cut's %g", where(), sum, e)
+}
+
+// cuts returns where each group but the last ends.
+func cuts(groups [][]int) []int {
+	var out []int
+	end := 0
+	for _, g := range groups[:len(groups)-1] {
+		end += len(g)
+		out = append(out, end)
 	}
-	if n > 60 {
-		return
+	return out
+}
+
+// FuzzRunCutter: a run of centre, compact and full leaf entries in the
+// fuzzer's order — each byte picks a form, its value mod 3 — of a 2-D
+// (32, 48, 112 B) or a 3-D (40, 64, 160 B) U-tree, cut with room for the
+// run's largest entry or for a full one. The cut meets checkCutBytes and
+// checkCutCount; runs are held to 5,000 entries, which keeps
+// checkCutCount's search of every cut fast. The seed corpus holds a run
+// of 2,799 entries that the DP cuts into 71 nodes where a cutter that takes
+// the position nearest the even cut inside the same band needs 73.
+func FuzzRunCutter(f *testing.F) {
+	type forms struct {
+		size    [3]int
+		minFill int
 	}
-	smallest, largest := capacity, 0
-	for s := 1; s <= capacity; s++ {
-		if legal(s) {
-			smallest, largest = min(smallest, s), max(largest, s)
+	var dims [2]forms
+	for i := range dims {
+		tree, err := New(Options{Dim: 2 + i})
+		if err != nil {
+			f.Fatal(err)
+		}
+		dims[i] = forms{[3]int{tree.centreEntrySize, tree.compactEntrySize, tree.leafEntrySize}, tree.minLeaf}
+	}
+	rng := rand.New(rand.NewSource(57))
+	share, run := rng.Float64(), make([]byte, 2799)
+	for i := range run {
+		run[i] = byte(rng.Intn(2))
+		if rng.Float64() < share {
+			run[i] = 2
 		}
 	}
-	best := math.Inf(-1)
-	var try func(j, at int, cs []int)
-	try = func(j, at int, cs []int) {
-		if j == k {
-			if at == n {
-				best = max(best, gapSum(keys, cs))
-			}
+	f.Add(run, false, false)
+	f.Add(run, true, true)
+	f.Add(bytes.Repeat([]byte{2}, 37), false, false)
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1, 2}, 300), true, true)
+	f.Add([]byte{0}, false, true)
+	f.Fuzz(func(t *testing.T, run []byte, threeD, fullRoom bool) {
+		if len(run) == 0 || len(run) > 5000 {
 			return
 		}
-		for s := 1; s <= capacity && at+s <= n; s++ {
-			c, rest := at+s, k-j-1
-			if legal(s) && c+rest*smallest <= n && n <= c+rest*largest {
-				if j < k-1 {
-					try(j+1, c, append(cs, c))
-				} else {
-					try(j+1, c, cs)
-				}
-			}
+		d := dims[0]
+		if threeD {
+			d = dims[1]
 		}
-	}
-	try(0, 0, nil)
-	if sum != best {
-		t.Fatalf("%s: gap sum %g, the best legal cut's is %g", where(), sum, best)
-	}
+		w, big := []int{0}, 0
+		for i, b := range run {
+			s := d.size[b%3]
+			w, big = append(w, w[i]+s), max(big, s)
+		}
+		room := big
+		if fullRoom {
+			room = d.size[2]
+		}
+		c := runCutter{w: w}
+		groups := c.cut(identity(len(run)), big, d.minFill, room)
+		checkCutBytes(t, len(run), w, groups, big, d.minFill, room)
+		checkCutCount(t, w, groups, big, d.minFill, room)
+	})
 }
 
 // TestBulkLoadGoldenMixed pins the pages BulkLoad and Commit write for a
@@ -599,9 +678,12 @@ func checkCut(t *testing.T, ids []int, keys []float64, groups [][]int, capacity,
 // whose shapes outgrow the table's page, so the last of them are full
 // entries without a shape — in a U-tree and in a U-PCR, whose small
 // fan-out makes STR tile an inner level too, at GOMAXPROCS 1, 2 and 4. The
-// digests were taken before the load moved onto flat slabs, and again when
-// data pages became dense (UTR8); with record addresses masked, the leaf
-// entries and the objects their records decode to are the UTR7 writer's.
+// digests were taken before the load moved onto flat slabs, again when
+// data pages became dense (UTR8) — with record addresses masked, the leaf
+// entries and the objects their records decode to are the UTR7 writer's —
+// and again when STR's run cut became the even split, which moves 20 cuts
+// in all 5 of the U-tree's runs and 91 in 12 of the U-PCR's 16, by at most
+// 15 and 4 entries, and keeps every run's node count.
 func TestBulkLoadGoldenMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	objs := makeObjects(1500, 2000, rng)
@@ -610,7 +692,7 @@ func TestBulkLoadGoldenMixed(t *testing.T) {
 		hi := geom.Point{lo[0] + 5 + rng.Float64()*40, lo[1] + 5 + rng.Float64()*40}
 		objs = append(objs, Object{ID: int64(len(objs)), PDF: updf.NewUniformRect(geom.NewRect(lo, hi))})
 	}
-	want := map[Kind]string{UTree: "03a7e3038b4adc18", UPCR: "2d8eb81ecd1beced"}
+	want := map[Kind]string{UTree: "87a24ab6e3364688", UPCR: "904bed183585560c"}
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, kind := range []Kind{UTree, UPCR} {

@@ -466,7 +466,11 @@ func checkMixed(t *testing.T, name string, tree *Tree, live map[int64]Object, sp
 // are those of dense data pages (UTR8) since: the records' ids are varints
 // and the leaves' addresses and the inner entries' children moved; with
 // addresses and children masked the leaf and inner hashes are the UTR7
-// code's, and so is the record hash with every id widened to a u64.
+// code's, and so is the record hash with every id widened to a u64. Since
+// STR cuts each run at the even split, the bulk-loaded trees' leaf and
+// inner hashes are that cut's (12 cuts moved in the 2-D load's 5 runs, 15
+// in the 3-D load's 9); their page and leaf counts, and the record hash,
+// are unchanged.
 func TestUnkeyedTreeUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		dim                          int
@@ -474,9 +478,9 @@ func TestUnkeyedTreeUnchanged(t *testing.T) {
 		pages, leaves                int
 		leafHash, recHash, innerHash uint64
 	}{
-		{2, "BulkLoad", 21, 20, 0xfde42e794af646ce, 0x7c297285b9bce57c, 0x8f0a28e0b583782e},
+		{2, "BulkLoad", 21, 20, 0xc87ac02d9b506f4c, 0x7c297285b9bce57c, 0xcc7b442bfbf18bb2},
 		{2, "Insert", 22, 21, 0xfec51804c83fa81e, 0x649bb3f587b35650, 0x5f48224740b5a8bc},
-		{3, "BulkLoad", 28, 27, 0x184015847f8e92d2, 0x80b75cc72a93d0ed, 0x8f06dc831da39308},
+		{3, "BulkLoad", 28, 27, 0x91cf8db13067baaa, 0x80b75cc72a93d0ed, 0x62320e69fb14b16f},
 		{3, "Insert", 32, 31, 0x8af5b85cacdcbc41, 0x16b9bf385c12abd, 0x60af87184149f9e8},
 	} {
 		rng := rand.New(rand.NewSource(int64(7 + c.dim)))
