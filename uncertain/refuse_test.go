@@ -137,13 +137,26 @@ func assertRefused(t *testing.T, bad PDF) {
 	unchanged("reopened", 40, want)
 }
 
-// TestNonFiniteQueryRefused: a NaN probability and a query point with a NaN
-// or infinite coordinate are an error — never a panic, never an answer —
-// from a Tree of height 2, a 2-slab ShardedTree and the batch engine over
-// each (whose queries run on worker goroutines, where a panic would end the
-// process).
+// TestNonFiniteQueryRefused: a NaN probability, a query point with a NaN
+// or infinite coordinate, and an inverted, NaN or dimension-mismatched Box
+// are an error — never a panic, never an answer — from a Tree of height 2,
+// a 2-slab ShardedTree and the batch engine over each (whose queries run on
+// worker goroutines, where a panic would end the process). Such a Box is
+// refused as NewSpatialShardedTree's domain too.
 func TestNonFiniteQueryRefused(t *testing.T) {
 	ctx := context.Background()
+	bad := map[string]Rect{
+		"inverted":        Box(Pt(600, 100), Pt(100, 600)),
+		"NaN":             Box(Pt(100, math.NaN()), Pt(600, 600)),
+		"corners 2-D/3-D": Box(Pt(100, 100), Pt(600, 600, 600)),
+		"3-D":             Box(Pt(100, 100, 100), Pt(600, 600, 600)),
+	}
+	for name, domain := range bad {
+		if s, err := NewSpatialShardedTree(2, Config{Dimensions: 2}, domain); err == nil {
+			s.Close()
+			t.Errorf("NewSpatialShardedTree over a %s domain %v gave no error", name, domain)
+		}
+	}
 	objs := shardedFixtureObjects(2000, 41)
 	tree, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
@@ -165,6 +178,15 @@ func TestNonFiniteQueryRefused(t *testing.T) {
 		batch := []RangeQuery{{Rect: rect, Prob: 0.5}, {Rect: rect, Prob: math.NaN()}}
 		if _, _, err := NewQueryEngine(idx, EngineOptions{Workers: 2}).SearchBatch(ctx, batch); err == nil {
 			t.Errorf("%s: SearchBatch with probability NaN gave no error", name)
+		}
+		for box, r := range bad {
+			if res, _, err := idx.Search(ctx, r, 0.5); err == nil {
+				t.Errorf("%s: Search over a %s box %v gave %d results and no error", name, box, r, len(res))
+			}
+			batch := []RangeQuery{{Rect: rect, Prob: 0.5}, {Rect: r, Prob: 0.5}}
+			if _, _, err := NewQueryEngine(idx, EngineOptions{Workers: 2}).SearchBatch(ctx, batch); err == nil {
+				t.Errorf("%s: SearchBatch over a %s box gave no error", name, box)
+			}
 		}
 		for _, q := range []Point{Pt(math.NaN(), 5), Pt(math.Inf(1), 5), Pt(5, math.Inf(-1))} {
 			if nn, _, err := idx.NearestNeighbors(ctx, q, 3); err == nil {

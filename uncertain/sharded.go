@@ -50,8 +50,8 @@ func NewSpatialShardedTree(shards int, cfg Config, domain Rect) (*ShardedTree, e
 	if shards < 1 {
 		return nil, fmt.Errorf("uncertain: shard count %d, need ≥ 1", shards)
 	}
-	if !domain.IsValid() || domain.Side(0) <= 0 {
-		return nil, fmt.Errorf("uncertain: spatial sharding needs a valid domain with positive extent on dimension 0, got %v", domain)
+	if !domain.IsValid() || domain.Dim() != cfg.Dimensions || domain.Side(0) <= 0 {
+		return nil, fmt.Errorf("uncertain: spatial sharding needs a valid %d-D domain with positive extent on dimension 0, got %v", cfg.Dimensions, domain)
 	}
 	s := &ShardedTree{shards: make([]*Tree, shards), domain: domain.Clone()}
 	for i := range s.shards {
