@@ -36,10 +36,9 @@ import (
 //     ID's rank), every other slab descending on the coordinate
 //     (boustrophedon), so consecutive tiles are neighbours and entries tied
 //     on a coordinate lie in runs along the others; the slabs of the first
-//     dimension are tiled on the workers. Each sorted run is cut into
-//     as many nodes as a full packing would, each with room for one more
-//     entry of any form where the run has it to spare, and each cut as
-//     near the even split as those bounds allow (runCutter.cut);
+//     dimension are tiled on the workers. Each sorted run is cut into a
+//     full packing's node count, as near the even split as leaving room
+//     for one more entry of any form allows (runCutter.cut);
 //  3. walk the tiles in order and append each object's detail record
 //     straight into the append page, so the records of one leaf share
 //     one or two adjacent data pages and data pages follow leaf order, which
@@ -466,10 +465,9 @@ func strTile(centers []float64, size []int, dim, minFill, room int) [][]int {
 	return tile(new(runCutter), ps, ids, 0, false)
 }
 
-// runCutter cuts STR's sorted runs into nodes. w holds the run's byte
-// prefix sums (w[i]: the first i entries' bytes), set by the caller; back,
-// row and from are cutInto's DP table. All are reused from one run to the
-// next.
+// runCutter cuts STR's sorted runs into nodes: w holds a run's byte prefix
+// sums (w[i]: the first i entries' bytes), set by the caller; back, row and
+// from are cutInto's table, reused from one run to the next.
 type runCutter struct {
 	w    []int
 	back []int // where a state's last group starts, −1 where no cut reaches it
@@ -478,22 +476,20 @@ type runCutter struct {
 }
 
 // cut slices ids, in their run's order, into k consecutive groups, k =
-// ⌈bytes / (a page of the run's largest entries, big)⌉: the node count of
-// a full packing. Every group fits a page and holds
-// at least minFill bytes (≤ 2/5 of a page, which an even cut exceeds when
-// k > 1), and at most a page less room (at least big: an entry of the
-// level's largest form) wherever k such groups hold the run, so each node
-// takes its first insert without a split or forced reinsert; where they do
-// not, as much of room as they can spare, in steps of big. For entries of
-// one size the groups' entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a
-// run of mixed forms that band, its lower end in the smallest entries'
-// bytes and its upper in the largest's, bounds their bytes. Within those
-// bounds the cuts are taken from the last back, each the one nearest the
-// even cut that leaves the earlier groups a legal cut, so a run of one
-// size is cut at j·n/k. Should no cut into k groups exist, which only a
-// run of mixed forms can make so, it tries k + 1, then k + 2, and so on: a
-// long run whose groups each fall short of a page by part of an entry can
-// need more than one extra node.
+// ⌈bytes / (a page of the run's largest entries, big)⌉: a full packing's
+// node count. Every group fits a page and holds at least minFill bytes
+// (≤ 2/5 of a page, which an even cut exceeds when k > 1), and at most a
+// page less room (at least big: an entry of the level's largest form)
+// wherever k such groups hold the run, so each node takes its first insert
+// without a split or forced reinsert; where they do not, as much of room
+// as they can spare, in steps of big. For entries of one size the groups'
+// entry counts lie in [⌊n/k⌋ − 2, ⌈n/k⌉ + 2]; for a run of mixed forms that
+// band, its lower end in the smallest entries' bytes and its upper in the
+// largest's, bounds their bytes. Within it each cut, from the last back,
+// is the legal one nearest the even cut, so a run of one size is cut at
+// j·n/k. Where no cut into k groups exists (only in a run of mixed forms,
+// whose groups can each fall short of a page by part of an entry) it tries
+// k + 1, k + 2, and so on.
 func (c *runCutter) cut(ids []int, big, minFill, room int) [][]int {
 	n, total, full := len(ids), c.w[len(ids)], pageBytes/big*big
 	small := total
@@ -520,13 +516,12 @@ func (c *runCutter) cut(ids []int, big, minFill, room int) [][]int {
 }
 
 // cutInto is cut's search for k groups of lo to hi bytes each, nil where
-// there is no such cut. Row j holds the states after j groups: entries used
-// i whose bytes w[i] the first j groups reach and the other k − j complete.
-// A state is reachable when some reachable state of row j − 1 lies lo to hi
-// bytes before it; its back-pointer is the one of those nearest the even
-// cut, (j−1)·n/k, the lower on a tie. For entries of one size each row is
-// an interval of the even cut's, so the search over (groups cut, entries
-// used) has at most k·(2·capacity + 1) states.
+// there is none. Row j holds the states after j groups: entries used i
+// whose bytes w[i] the first j groups reach and the other k − j complete.
+// A state's back-pointer is the reachable state of row j − 1 lo to hi bytes
+// before it nearest the even cut (j−1)·n/k, the lower on a tie; −1 if none.
+// For entries of one size each row is an interval of the even cut's, so
+// there are at most k·(2·capacity + 1) states.
 func (c *runCutter) cutInto(ids []int, k, lo, hi int) [][]int {
 	n, total := len(ids), c.w[len(ids)]
 	c.back = append(c.back[:0], 0)

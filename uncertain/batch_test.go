@@ -385,10 +385,11 @@ func reclaimPinSafety(t *testing.T, cfg Config) {
 // each), every leaf 112 B free, and the total must fall below the full
 // packing's. There each leaf holds the even split's 120 entries, and the
 // fourth batch's 16 mutations fall on 11 leaves, one more than when the
-// cuts followed the widest key gaps (13 writes, not 12). Both trees are two levels high. At 13,000 the tree is three —
-// 110 leaves under two intermediate nodes of 102 float32 entries at most —
-// so each batch also rewrites intermediate pages below the root, and their
-// size is what the count shows. The records are dense (UTR8): a ball's
+// cuts followed the widest key gaps (13 writes, not 12). Both trees are
+// two levels high. At 13,000 the tree is three — 110 leaves under two
+// intermediate nodes of 102 float32 entries at most — so each batch also
+// rewrites intermediate pages below the root, and their size is what the
+// count shows. The records are dense (UTR8): a ball's
 // 21 B with a 2-byte id and its 2-byte slot, 177 to a data page. At 3,175
 // the load leaves its last data page room for 28 of the batches' records,
 // so the fourth batch's appends cross onto a fresh page: its fifth insert

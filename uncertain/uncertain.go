@@ -74,10 +74,8 @@ type Stats = core.QueryStats
 // Pt builds a Point.
 func Pt(coords ...float64) Point { return Point(coords) }
 
-// Box builds a rectangle from its corners as given and never panics. An
-// inverted, NaN or dimension-mismatched box is refused with an error by
-// Search, SearchBatch and NewSpatialShardedTree; the pdf constructors
-// panic on one.
+// Box builds a rectangle from its corners, unchecked. Search, SearchBatch
+// and NewSpatialShardedTree refuse a malformed one; a pdf constructor panics.
 func Box(lo, hi Point) Rect { return Rect{Lo: lo, Hi: hi} }
 
 // UniformCircle is a uniform pdf over a d-dimensional ball (circle, sphere)
