@@ -352,13 +352,35 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 		}
 	})
 
-	// Runs of up to 60 entries of three sizes in the ratio of the 2-D
-	// leaf's centre, compact and full entries (32 : 48 : 112 B), the largest
-	// filling a page at capacity 4 to 40: whenever any cut into a full
+	// Runs of centre (32 B) or compact (48 B) and full (112 B) entries,
+	// clustered or mixed, cut with room for the largest entry of the run
+	// and for a full one whatever the run holds; then runs of up to 60
+	// entries of three sizes in that ratio (32 : 48 : 112), the largest
+	// filling a page at capacity 4 to 40. Whenever any cut into a full
 	// packing's count of groups meets the contract, the cutter finds one.
-	t.Run("exists", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(44))
+	t.Run("bytes", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
 		var c runCutter
+		check := func(n, big, minFill, room int) {
+			groups := c.cut(identity(n), big, minFill, room)
+			checkCutBytes(t, n, c.w, groups, big, minFill, room, 1)
+			checkCutCount(t, c.w, groups, big, minFill, room)
+		}
+		for trial := 0; trial < 2000; trial++ {
+			n := 1 + rng.Intn(3000)
+			c.w = []int{0}
+			share, big, small := rng.Float64(), 0, []int{32, 48}[trial/2%2]
+			for i := 0; i < n; i++ {
+				s := small
+				// Full entries in a block of the run, or anywhere.
+				if trial%2 == 0 && i < int(share*float64(n)) || trial%2 == 1 && rng.Float64() < share {
+					s = 112
+				}
+				c.w, big = append(c.w, c.w[i]+s), max(big, s)
+			}
+			check(n, big, 14*112, []int{big, 112}[trial/4%2])
+		}
+		rng = rand.New(rand.NewSource(44))
 		for trial := 0; trial < 3000; trial++ {
 			capacity := 4 + rng.Intn(37)
 			full := pageBytes / capacity
@@ -372,37 +394,7 @@ func TestBulkLoadLeavesRoom(t *testing.T) {
 				}
 				c.w, big = append(c.w, c.w[i]+s), max(big, s)
 			}
-			minFill, room := 2*capacity/5*full, []int{big, full}[trial%2]
-			groups := c.cut(identity(n), big, minFill, room)
-			checkCutBytes(t, n, c.w, groups, big, minFill, room)
-			checkCutCount(t, c.w, groups, big, minFill, room)
-		}
-	})
-
-	// Runs of centre (32 B) or compact (48 B) and full (112 B) entries,
-	// clustered or mixed, cut with room for the largest entry of the run
-	// and for a full one whatever the run holds.
-	t.Run("bytes", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(43))
-		var c runCutter
-		for trial := 0; trial < 2000; trial++ {
-			n := 1 + rng.Intn(3000)
-			c.w = []int{0}
-			share, big, small := rng.Float64(), 0, []int{32, 48}[trial/2%2]
-			for i := 0; i < n; i++ {
-				s := small
-				// Full entries in a block of the run, or anywhere.
-				if trial%2 == 0 && i < int(share*float64(n)) || trial%2 == 1 && rng.Float64() < share {
-					s = 112
-				}
-				c.w, big = append(c.w, c.w[i]+s), max(big, s)
-			}
-			room := []int{big, 112}[trial/4%2]
-			groups := c.cut(identity(n), big, 14*112, room)
-			checkCutBytes(t, n, c.w, groups, big, 14*112, room)
-			if trial/8%4 == 0 { // a quarter of the runs, every kind: the search of every cut is O(k·n)
-				checkCutCount(t, c.w, groups, big, 14*112, room)
-			}
+			check(n, big, 2*capacity/5*full, []int{big, full}[trial%2])
 		}
 	})
 
@@ -467,13 +459,14 @@ func cutUniform(c *runCutter, ids []int, capacity, minFill int) [][]int {
 // checkCutBytes holds a cut of a run of entries of more than one size, whose
 // byte prefix sums are w, to runCutter.cut's contract: the groups are the
 // run in order; each fits a page and, where there are several, holds
-// minFill; there are at least as many as a full packing of the largest
-// entries would make (checkCutCount holds the count to the fewest any cut
-// gives); and each leaves r bytes free, r the most of room, room − big,
-// room − 2·big, … that that many groups could leave free with one more of
-// the largest entries free as well (for a run of one size and room for one
-// entry, the room alone is enough: checkCut).
-func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, room int) {
+// minFill; there are as many as a full packing of the largest entries
+// would make, or up to spare more where such a packing has no legal cut
+// (checkCutCount holds the count to the fewest any cut gives); and each
+// leaves r bytes free, r the most of room, room − big, room − 2·big, …
+// that that many groups could leave free with one more of the largest
+// entries free as well (for a run of one size and room for one entry, the
+// room alone is enough: checkCut).
+func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, room, spare int) {
 	t.Helper()
 	full := pageBytes / big * big
 	k := (w[n] + full - 1) / full
@@ -497,8 +490,8 @@ func checkCutBytes(t *testing.T, n int, w []int, groups [][]int, big, minFill, r
 			t.Fatalf("n %d, %d B: group %d of %d holds %d B, not %d B of room", n, w[n], j, k, b, r)
 		}
 	}
-	if at != n || len(groups) < k {
-		t.Fatalf("n %d, %d B: %d groups over %d entries, want at least %d", n, w[n], len(groups), at, k)
+	if at != n || len(groups) < k || len(groups) > k+spare {
+		t.Fatalf("n %d, %d B: %d groups over %d entries, want %d to %d", n, w[n], len(groups), at, k, k+spare)
 	}
 }
 
@@ -618,11 +611,14 @@ func cuts(groups [][]int) []int {
 // FuzzRunCutter: a run of centre, compact and full leaf entries in the
 // fuzzer's order — each byte picks a form, its value mod 3 — of a 2-D
 // (32, 48, 112 B) or a 3-D (40, 64, 160 B) U-tree, cut with room for the
-// run's largest entry or for a full one. The cut meets checkCutBytes and
-// checkCutCount; runs are held to 5,000 entries, which keeps
-// checkCutCount's search of every cut fast. The seed corpus holds a run
-// of 2,799 entries that the DP cuts into 71 nodes where a cutter that takes
-// the position nearest the even cut inside the same band needs 73.
+// run's largest entry or for a full one. The cut meets checkCutBytes, but
+// for its count, which checkCutCount holds to the fewest any cut in the
+// band gives: in 3-D the seed run below has no cut into a full packing's
+// k = 101 groups or into k + 1, and is cut into 103. Runs are held to
+// 5,000 entries, which keeps checkCutCount's search of every cut fast. The
+// seed corpus holds a run of 2,799 entries that the DP cuts into 71 nodes
+// where a cutter that takes the position nearest the even cut inside the
+// same band needs 73.
 func FuzzRunCutter(f *testing.F) {
 	type forms struct {
 		size    [3]int
@@ -668,7 +664,7 @@ func FuzzRunCutter(f *testing.F) {
 		}
 		c := runCutter{w: w}
 		groups := c.cut(identity(len(run)), big, d.minFill, room)
-		checkCutBytes(t, len(run), w, groups, big, d.minFill, room)
+		checkCutBytes(t, len(run), w, groups, big, d.minFill, room, len(run))
 		checkCutCount(t, w, groups, big, d.minFill, room)
 	})
 }

@@ -17,15 +17,17 @@ import (
 // the codec has no tag for it.
 type embedded struct{ PDF }
 
-// TestMalformedObjectRefused: a nil pdf and regions with a NaN or an
-// infinite coordinate are an error on every write path, and leave the tree
-// as it was.
+// TestMalformedObjectRefused: a nil pdf, regions with a NaN or an infinite
+// coordinate and a box inverted on both axes (whose area is positive, so
+// its pdf constructor accepts it) are an error on every write path, and
+// leave the tree as it was.
 func TestMalformedObjectRefused(t *testing.T) {
 	for name, bad := range map[string]PDF{
 		"nil":             nil,
 		"NaN centre":      UniformCircle(Pt(math.NaN(), 1), 5),
 		"infinite centre": UniformCircle(Pt(math.Inf(1), 1), 5),
 		"infinite corner": UniformBox(Box(Pt(0, 0), Pt(math.Inf(1), 1))),
+		"inverted box":    UniformBox(Box(Pt(600, 600), Pt(100, 100))),
 	} {
 		t.Run(name, func(t *testing.T) { assertRefused(t, bad) })
 	}

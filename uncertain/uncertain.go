@@ -75,7 +75,8 @@ type Stats = core.QueryStats
 func Pt(coords ...float64) Point { return Point(coords) }
 
 // Box builds a rectangle from its corners, unchecked. Search, SearchBatch
-// and NewSpatialShardedTree refuse a malformed one; a pdf constructor panics.
+// and NewSpatialShardedTree refuse a malformed one, and every write refuses
+// a pdf over one.
 func Box(lo, hi Point) Rect { return Rect{Lo: lo, Hi: hi} }
 
 // UniformCircle is a uniform pdf over a d-dimensional ball (circle, sphere)
